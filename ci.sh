@@ -17,19 +17,20 @@ cargo fmt --check
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== benchmark package: build, unit tests, smoke of every workload =="
+# benchmark/ is a workspace of its own that compiles against crates/*; an API
+# deletion there that breaks it must fail here, not in the driver.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+for w in tcp_large_table tcp_small_table plan_tables detect_breakage; do
+    cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+        --workload "$w" --smoke
+done
+
 echo "== perf baseline: Table 2 probe generation =="
 # Capped rule count keeps CI fast while staying above the 500-rule floor the
-# engine-vs-stateless acceptance criterion is measured at.
+# engine-vs-stateless comparison is measured at; the binary asserts engine and
+# stateless find the same probes and that the re-probe arm never solves.
 ./target/release/table2_probe_generation --rules 600 --json BENCH_probe_generation.json
-
-echo "== perf baseline: Table 2, cold-solve regime (fast path off) =="
-# With guess-and-verify disabled every probe reaches the SAT solver, which
-# isolates the incremental-session win the engine-incremental arm exists to
-# measure. The binary asserts the arena-era criterion: Campus
-# engine-incremental >=1.3x engine-batch on cold-batch total_s (the
-# Stanford win sits near 2x and is tracked via the committed JSON).
-./target/release/table2_probe_generation --rules 600 --no-fast-path \
-    --json BENCH_probe_generation_nofastpath.json
 
 echo "== perf baseline: flow-table lookup (trie vs linear) =="
 # 600 rules is the floor the trie-vs-linear acceptance criterion (>=2x on

@@ -42,8 +42,6 @@ struct ArmResult {
     replans: u64,
     solver_calls: u64,
     cache_hits: u64,
-    assumption_solves: u64,
-    learnt_retained: u64,
 }
 
 impl ArmResult {
@@ -105,8 +103,6 @@ fn summarize(
         replans: results.iter().map(|r| u64::from(r.replans)).sum(),
         solver_calls: stats.solver_calls,
         cache_hits: stats.cache_hits,
-        assumption_solves: stats.assumption_solves,
-        learnt_retained: stats.learnt_retained,
     }
 }
 
@@ -228,8 +224,7 @@ fn write_json(
             "    {{\"label\": \"{}\", \"workers\": {}, \"wall_s\": {:.6}, \
              \"probes_planned\": {}, \"probes_found\": {}, \"probes_per_sec\": {:.1}, \
              \"stale_jobs\": {}, \"replans\": {}, \"solver_calls\": {}, \
-             \"cache_hits\": {}, \"assumption_solves\": {}, \
-             \"learnt_retained\": {}}}{}\n",
+             \"cache_hits\": {}}}{}\n",
             a.label,
             a.workers,
             a.wall_s,
@@ -240,8 +235,6 @@ fn write_json(
             a.replans,
             a.solver_calls,
             a.cache_hits,
-            a.assumption_solves,
-            a.learnt_retained,
             if i + 1 < arms.len() { "," } else { "" }
         ));
     }
@@ -299,7 +292,7 @@ fn main() {
         "(Campus slices: {switches} switches x {rules_per_switch} rules; \
          service {service_us} us/probe; host cpus: {host_cpus})"
     );
-    println!("arm\tworkers\twall [s]\tprobes/s\tfound\tstale\treplans\tassumption\tlearnt kept");
+    println!("arm\tworkers\twall [s]\tprobes/s\tfound\tstale\treplans");
     let mut arms: Vec<ArmResult> = Vec::new();
     for &w in &worker_counts {
         // Fresh tables per worker count so every arm starts from identical
@@ -310,7 +303,7 @@ fn main() {
         let churn = run_paced_churn(&tables, w, service_us, churn_every_us);
         for a in [cold, warm, paced, churn] {
             println!(
-                "{}\t{}\t{:.3}\t{:.0}\t{} / {}\t{}\t{}\t{}\t{}",
+                "{}\t{}\t{:.3}\t{:.0}\t{} / {}\t{}\t{}",
                 a.label,
                 a.workers,
                 a.wall_s,
@@ -318,9 +311,7 @@ fn main() {
                 a.found,
                 a.probes,
                 a.stale_jobs,
-                a.replans,
-                a.assumption_solves,
-                a.learnt_retained
+                a.replans
             );
             arms.push(a);
         }

@@ -9,28 +9,27 @@
 //! Stanford   1.48      3.85      2442  / 2755
 //! ```
 //!
-//! Four arms per dataset:
+//! Three arms per dataset:
 //!
 //! * `stateless` — per-rule [`monocle::generator::generate_probe`], the
 //!   paper's §5.3 formulation (full re-encode per call);
 //! * `engine-batch` — one cold [`monocle::engine::ProbeEngine::generate_batch`]
 //!   over the same rules (shared session + guess-and-verify fast path, a
 //!   fresh solver per surviving instance);
-//! * `engine-incremental` — a cold batch through a second engine with
-//!   [`monocle::engine::EngineConfig::incremental`] set: one long-lived
-//!   assumption-based solver holds every selector-guarded instance, so
-//!   probes that reach SAT are "solve under assumptions" against retained
-//!   learnt state;
-//! * `engine-reprobe` — the batch again on the unchanged (incremental)
-//!   engine: the steady-state §3 sweep, which must be pure cache hits
-//!   (zero solves).
+//! * `engine-reprobe` — the batch again on the unchanged engine: the
+//!   steady-state §3 sweep, which must be pure cache hits (zero solves).
+//!
+//! The binary asserts engine ≡ stateless on probes found, and zero solver
+//! calls on the re-probe.
 //!
 //! Usage: `table2_probe_generation [--rules N] [--style ite] [--json PATH]
 //! [--no-fast-path]`
 //!
-//! `--json` writes a machine-readable baseline (see
-//! `BENCH_probe_generation.json` at the repo root) so future changes have a
-//! perf trajectory.
+//! `--style ite` times the stateless arm only: the engine encodes
+//! Implication only, so the engine arms are skipped. `--no-fast-path` sends
+//! every engine probe to the solver. `--json` writes a machine-readable
+//! baseline (see `BENCH_probe_generation.json` at the repo root) so future
+//! changes have a perf trajectory.
 
 use monocle::encode::EncodingStyle;
 use monocle::engine::{EngineConfig, ProbeEngine};
@@ -139,27 +138,22 @@ fn run_dataset(
     };
     let catch = CatchSpec::default();
 
-    let stateless = run_stateless(&table, &ids, &gen_cfg, &catch);
-    let mut engine = ProbeEngine::new(EngineConfig {
-        gen: gen_cfg.clone(),
-        fast_path,
-        ..EngineConfig::default()
-    });
-    let cold = run_engine(&mut engine, "engine-batch", &table, &ids, &catch);
-    let mut inc_engine = ProbeEngine::new(EngineConfig {
-        gen: gen_cfg.clone(),
-        fast_path,
-        incremental: true,
-        ..EngineConfig::default()
-    });
-    let incr = run_engine(&mut inc_engine, "engine-incremental", &table, &ids, &catch);
-    let warm = run_engine(&mut inc_engine, "engine-reprobe", &table, &ids, &catch);
+    let mut arms = vec![run_stateless(&table, &ids, &gen_cfg, &catch)];
+    if style == EncodingStyle::Implication {
+        let mut engine = ProbeEngine::new(EngineConfig {
+            gen: gen_cfg,
+            fast_path,
+        });
+        for label in ["engine-batch", "engine-reprobe"] {
+            arms.push(run_engine(&mut engine, label, &table, &ids, &catch));
+        }
+    }
 
-    for arm in [&stateless, &cold, &incr, &warm] {
+    for arm in &arms {
         let props_per_solve = arm.stats.solver_propagations / arm.stats.solver_calls.max(1);
         println!(
-            "{name}\t{}\t{:.3}\t{:.3}\t{} / {}\t({:.2}s total | {} solves | {} assumption | \
-             {} learnt retained | {} props/solve | {} cache hits | {} fast-path)",
+            "{name}\t{}\t{:.3}\t{:.3}\t{} / {}\t({:.2}s total | {} solves | \
+             {} props/solve | {} cache hits | {} fast-path)",
             arm.label,
             arm.avg_ms,
             arm.max_ms,
@@ -167,38 +161,33 @@ fn run_dataset(
             arm.total,
             arm.total_s,
             arm.stats.solver_calls,
-            arm.stats.assumption_solves,
-            arm.stats.learnt_retained,
             props_per_solve,
             arm.stats.cache_hits,
             arm.stats.fast_path_hits,
         );
     }
-    let speedup = stateless.total_s / cold.total_s.max(1e-12);
-    let inc_speedup = cold.total_s / incr.total_s.max(1e-12);
-    println!(
-        "{name}\tspeedup: engine-batch {speedup:.1}x vs stateless; engine-incremental \
-         {inc_speedup:.2}x vs engine-batch; re-probe solver calls: {}",
-        warm.stats.solver_calls
-    );
-    // Arena-era acceptance criterion: with the guess-and-verify fast path
-    // off, the Campus cold batch is encode-dominated, so the incremental
-    // arm's shared templates + arena-backed solver must beat the per-probe
-    // batch arm by a healthy margin on wall clock.
-    if !fast_path && name == "Campus" {
-        assert!(
-            inc_speedup >= 1.3,
-            "{name}: engine-incremental must be >=1.3x engine-batch on cold-batch \
-             total_s with --no-fast-path, got {inc_speedup:.2}x \
-             (incremental {:.3}s vs batch {:.3}s)",
-            incr.total_s,
-            cold.total_s
+    if let [stateless, cold, warm] = &arms[..] {
+        println!(
+            "{name}\tspeedup: engine-batch {:.1}x vs stateless; re-probe solver calls: {}",
+            stateless.total_s / cold.total_s.max(1e-12),
+            warm.stats.solver_calls
+        );
+        // Acceptance: the engine finds exactly the probes stateless
+        // generation finds, and an unchanged table re-probes from the cache.
+        assert_eq!(
+            (cold.found, warm.found),
+            (stateless.found, stateless.found),
+            "{name}: engine and stateless disagree on probes found"
+        );
+        assert_eq!(
+            warm.stats.solver_calls, 0,
+            "{name}: re-probe must not solve"
         );
     }
     DatasetResult {
         name,
         rules: table.len(),
-        arms: vec![stateless, cold, incr, warm],
+        arms,
     }
 }
 
@@ -221,27 +210,21 @@ fn write_json(path: &str, style: EncodingStyle, fast_path: bool, datasets: &[Dat
             json_escape_free(d.name),
             d.rules
         ));
-        let stateless = &d.arms[0];
-        let cold = &d.arms[1];
-        let incr = &d.arms[2];
-        out.push_str(&format!(
-            "      \"speedup_engine_batch_vs_stateless\": {:.3},\n",
-            stateless.total_s / cold.total_s.max(1e-12)
-        ));
-        out.push_str(&format!(
-            "      \"speedup_engine_incremental_vs_batch\": {:.3},\n",
-            cold.total_s / incr.total_s.max(1e-12)
-        ));
+        if let [stateless, cold, ..] = &d.arms[..] {
+            out.push_str(&format!(
+                "      \"speedup_engine_batch_vs_stateless\": {:.3},\n",
+                stateless.total_s / cold.total_s.max(1e-12)
+            ));
+        }
         out.push_str("      \"arms\": [\n");
         for (ai, a) in d.arms.iter().enumerate() {
             out.push_str(&format!(
                 "        {{\"label\": \"{}\", \"total_s\": {:.6}, \"avg_ms\": {:.6}, \
                  \"max_ms\": {:.6}, \"found\": {}, \"total\": {}, \"solver_calls\": {}, \
                  \"cache_hits\": {}, \"cache_misses\": {}, \"fast_path_hits\": {}, \
-                 \"reencodes_incremental\": {}, \"reencodes_full\": {}, \
-                 \"assumption_solves\": {}, \"learnt_retained\": {}, \
+                 \"reencodes_session\": {}, \"reencodes_full\": {}, \
                  \"solver_propagations\": {}, \"arena_bytes\": {}, \
-                 \"arena_reallocs\": {}, \"scratch_reuse\": {}}}{}\n",
+                 \"arena_reallocs\": {}}}{}\n",
                 json_escape_free(a.label),
                 a.total_s,
                 a.avg_ms,
@@ -252,14 +235,11 @@ fn write_json(path: &str, style: EncodingStyle, fast_path: bool, datasets: &[Dat
                 a.stats.cache_hits,
                 a.stats.cache_misses,
                 a.stats.fast_path_hits,
-                a.stats.reencodes_incremental,
+                a.stats.reencodes_session,
                 a.stats.reencodes_full,
-                a.stats.assumption_solves,
-                a.stats.learnt_retained,
                 a.stats.solver_propagations,
                 a.stats.arena_bytes,
                 a.stats.arena_reallocs,
-                a.stats.scratch_reuse,
                 if ai + 1 < d.arms.len() { "," } else { "" }
             ));
         }

@@ -107,7 +107,7 @@ pub fn relevant_rules<'a>(table: &'a FlowTable, probed: &Rule) -> Vec<&'a Rule> 
 }
 
 /// Pushes unit clauses for every cared bit of `tern`.
-pub(crate) fn push_units(cnf: &mut Cnf, tern: &Ternary) {
+fn push_units(cnf: &mut Cnf, tern: &Ternary) {
     for bit in tern.care.iter_ones() {
         let var = (bit + 1) as Lit;
         cnf.add_clause(&[if tern.value.get(bit) { var } else { -var }]);
@@ -133,7 +133,7 @@ fn not_matches_clause(h: &Ternary, probed: &Ternary) -> Option<Vec<Lit>> {
 }
 
 /// Pushes the Collect constraint: unit clauses for every catch pin.
-pub(crate) fn push_pins(cnf: &mut Cnf, catch: &CatchSpec) {
+fn push_pins(cnf: &mut Cnf, catch: &CatchSpec) {
     for (field, value) in catch.all_pins() {
         let off = field.offset();
         for i in 0..field.width() {
@@ -148,7 +148,7 @@ pub(crate) fn push_pins(cnf: &mut Cnf, catch: &CatchSpec) {
 /// spec, footnote 1, so those are conservatively avoided too) and returns
 /// the lower-priority rules in table order. `Shadowed` when some higher
 /// rule fully covers the probed one.
-pub(crate) fn push_hit_avoid<'a>(
+fn push_hit_avoid<'a>(
     cnf: &mut Cnf,
     relevant: &[&'a Rule],
     probed: &Rule,
@@ -177,11 +177,7 @@ pub(crate) fn push_hit_avoid<'a>(
 /// table miss as its last element. Shared verbatim between the stateless
 /// builder and [`EncodeSession::build_instance`] so the two encoders cannot
 /// drift apart.
-pub(crate) fn emit_distinguish_implication(
-    cnf: &mut Cnf,
-    match_lits: &[Option<Lit>],
-    diffs: &[&OutcomeDiff],
-) {
+fn emit_distinguish_implication(cnf: &mut Cnf, match_lits: &[Option<Lit>], diffs: &[&OutcomeDiff]) {
     let k = match_lits.len();
     debug_assert_eq!(diffs.len(), k + 1);
     let mut clause: Vec<Lit> = Vec::new();
@@ -459,10 +455,9 @@ struct MatchTemplate {
 ///
 /// Templates validate themselves against the rule's current ternary, so
 /// FlowMod churn never yields stale encodings — at worst a changed rule
-/// costs one re-encode (tracked by the caller as an incremental re-encode).
-/// Only the [`EncodingStyle::Implication`] encoding is session-accelerated;
-/// the ITE chain (a paper-faithfulness ablation, not a production path)
-/// falls back to the stateless builder.
+/// costs one re-encode. The session encodes [`EncodingStyle::Implication`]
+/// only; the ITE chain (a paper-faithfulness ablation, not a production
+/// path) exists in the stateless builder alone.
 #[derive(Debug, Default)]
 pub struct EncodeSession {
     templates: HashMap<RuleId, MatchTemplate>,

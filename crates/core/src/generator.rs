@@ -84,7 +84,7 @@ impl Default for GeneratorConfig {
 
 /// Statistics from one generation call (Table 2 bookkeeping). Also used as
 /// an *aggregate* by [`crate::engine::ProbeEngine`] via [`GenStats::merge`],
-/// so benches can report cache behavior and incremental-vs-full re-encodes.
+/// so benches can report cache behavior and session-vs-full re-encodes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GenStats {
     /// Rules surviving the §5.4 pre-filter.
@@ -103,18 +103,11 @@ pub struct GenStats {
     pub cache_misses: u64,
     /// Guess-and-verify fast-path successes (solver skipped entirely).
     pub fast_path_hits: u64,
-    /// Instances built through a warm [`crate::encode::EncodeSession`]
-    /// (shared clauses reused — the incremental re-encode path).
-    pub reencodes_incremental: u64,
-    /// Instances built from scratch (stateless builder, cold session, or
-    /// ITE-chain style).
+    /// Instances built through the engine's [`crate::encode::EncodeSession`]
+    /// (shared match templates and memoized diffs reused).
+    pub reencodes_session: u64,
+    /// Instances built from scratch (the stateless builder).
     pub reencodes_full: u64,
-    /// Assumption-based solves against a long-lived incremental solver
-    /// (subset of `solver_calls`; 0 on the batch path).
-    pub assumption_solves: u64,
-    /// Learnt clauses already present at solve entry, summed over assumption
-    /// solves — the direct measure of solver-state reuse.
-    pub learnt_retained: u64,
     /// Unit propagations performed by the solver, summed over all solves.
     pub solver_propagations: u64,
     /// High-water clause-arena footprint in bytes (a *gauge*: merged by max,
@@ -122,9 +115,6 @@ pub struct GenStats {
     pub arena_bytes: u64,
     /// Clause-arena backing-buffer reallocations (growth events), summed.
     pub arena_reallocs: u64,
-    /// Solver scratch-buffer reuses on the encode path (clause adds served
-    /// from a pooled buffer instead of a fresh allocation), summed.
-    pub scratch_reuse: u64,
 }
 
 impl GenStats {
@@ -139,14 +129,11 @@ impl GenStats {
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.fast_path_hits += other.fast_path_hits;
-        self.reencodes_incremental += other.reencodes_incremental;
+        self.reencodes_session += other.reencodes_session;
         self.reencodes_full += other.reencodes_full;
-        self.assumption_solves += other.assumption_solves;
-        self.learnt_retained += other.learnt_retained;
         self.solver_propagations += other.solver_propagations;
         self.arena_bytes = self.arena_bytes.max(other.arena_bytes);
         self.arena_reallocs += other.arena_reallocs;
-        self.scratch_reuse += other.scratch_reuse;
     }
 }
 
@@ -228,27 +215,20 @@ pub(crate) fn solve_and_finish(
     let relevant = inst.relevant_rules;
     stats.relevant_rules += relevant;
     stats.clauses += inst.cnf.num_clauses();
-    let mut solver = CdclSolver::new().with_conflict_budget(cfg.conflict_budget);
-    stats.solver_calls += 1;
-    let model = match solver.solve(&inst.cnf) {
+    let model = match solve_counted(&inst.cnf, cfg, stats) {
         SatResult::Sat(m) => m,
         SatResult::Unknown => return Err(ProbeError::SolverBudget),
         SatResult::Unsat => {
             // Classify: can the rule be hit at all?
             let hit =
                 encode::build_hit_only(table, probed, catch).map_err(|_| ProbeError::Hidden)?;
-            stats.solver_calls += 1;
-            return match CdclSolver::new().solve(&hit) {
-                SatResult::Sat(_) => Err(ProbeError::Indistinguishable),
-                _ => Err(ProbeError::Hidden),
-            };
+            return Err(match solve_counted(&hit, cfg, stats) {
+                SatResult::Sat(_) => ProbeError::Indistinguishable,
+                SatResult::Unsat => ProbeError::Hidden,
+                SatResult::Unknown => ProbeError::SolverBudget,
+            });
         }
     };
-    stats.conflicts += solver.stats().conflicts;
-    stats.solver_propagations += solver.stats().propagations;
-    stats.arena_bytes = stats.arena_bytes.max(solver.stats().arena_bytes);
-    stats.arena_reallocs += solver.stats().arena_reallocs;
-    stats.scratch_reuse += solver.stats().scratch_reuse;
 
     let raw = model_to_header(&model);
     let pins = catch.all_pins();
@@ -270,21 +250,26 @@ pub(crate) fn solve_and_finish(
         Err(_) => return Err(ProbeError::RepairFailed),
     };
     add_domain_constraints(&mut cnf, table, catch, cfg);
-    let mut solver = CdclSolver::new().with_conflict_budget(cfg.conflict_budget);
-    stats.solver_calls += 1;
-    match solver.solve(&cnf) {
-        SatResult::Sat(m) => {
-            let h = model_to_header(&m);
-            stats.conflicts += solver.stats().conflicts;
-            stats.solver_propagations += solver.stats().propagations;
-            stats.arena_bytes = stats.arena_bytes.max(solver.stats().arena_bytes);
-            stats.arena_reallocs += solver.stats().arena_reallocs;
-            stats.scratch_reuse += solver.stats().scratch_reuse;
-            finish(table, probed, &pins, h, relevant).ok_or(ProbeError::RepairFailed)
-        }
+    match solve_counted(&cnf, cfg, stats) {
+        SatResult::Sat(m) => finish(table, probed, &pins, model_to_header(&m), relevant)
+            .ok_or(ProbeError::RepairFailed),
         SatResult::Unknown => Err(ProbeError::SolverBudget),
         SatResult::Unsat => Err(ProbeError::Indistinguishable),
     }
+}
+
+/// One solve on a fresh, budgeted solver, counted into `stats` whatever the
+/// answer: per-solve averages must cover UNSAT and budget-exhausted solves.
+fn solve_counted(cnf: &Cnf, cfg: &GeneratorConfig, stats: &mut GenStats) -> SatResult {
+    let out = CdclSolver::new()
+        .with_conflict_budget(cfg.conflict_budget)
+        .solve_with_stats(cnf);
+    stats.solver_calls += 1;
+    stats.conflicts += out.stats.conflicts;
+    stats.solver_propagations += out.stats.propagations;
+    stats.arena_bytes = stats.arena_bytes.max(out.stats.arena_bytes);
+    stats.arena_reallocs += out.stats.arena_reallocs;
+    out.result
 }
 
 /// Normalizes + verifies a candidate header; builds the plan on success.
@@ -331,7 +316,7 @@ fn concrete_needs_counting(a: &ConcreteOutcome, b: &ConcreteOutcome) -> bool {
 }
 
 /// Reads header bits out of the SAT model.
-pub(crate) fn model_to_header(model: &monocle_sat::Model) -> HeaderVec {
+fn model_to_header(model: &monocle_sat::Model) -> HeaderVec {
     let mut h = HeaderVec::ZERO;
     for bit in 0..HEADER_BITS {
         h.set(bit, model.value((bit + 1) as u32));
@@ -405,7 +390,7 @@ fn spare_value(table: &FlowTable, f: Field, candidates: impl Iterator<Item = u64
 
 /// Adds "must be one of" domain constraints for the small-domain fields
 /// (strengthened second solve).
-pub(crate) fn add_domain_constraints(
+fn add_domain_constraints(
     cnf: &mut Cnf,
     table: &FlowTable,
     catch: &CatchSpec,
@@ -525,14 +510,11 @@ mod tests {
             cache_hits: 5,
             cache_misses: 6,
             fast_path_hits: 7,
-            reencodes_incremental: 8,
+            reencodes_session: 8,
             reencodes_full: 9,
-            assumption_solves: 10,
-            learnt_retained: 11,
             solver_propagations: 12,
             arena_bytes: 13,
             arena_reallocs: 14,
-            scratch_reuse: 15,
         };
         let before = a;
         a += GenStats::default();
@@ -553,14 +535,11 @@ mod tests {
             cache_hits: 4,
             cache_misses: 5,
             fast_path_hits: 6,
-            reencodes_incremental: 7,
+            reencodes_session: 7,
             reencodes_full: 8,
-            assumption_solves: 9,
-            learnt_retained: 10,
             solver_propagations: 11,
             arena_bytes: 12,
             arena_reallocs: 13,
-            scratch_reuse: 14,
         };
         let b = GenStats {
             relevant_rules: 10,
@@ -571,14 +550,11 @@ mod tests {
             cache_hits: 40,
             cache_misses: 50,
             fast_path_hits: 60,
-            reencodes_incremental: 70,
+            reencodes_session: 70,
             reencodes_full: 80,
-            assumption_solves: 90,
-            learnt_retained: 100,
             solver_propagations: 110,
             arena_bytes: 120,
             arena_reallocs: 130,
-            scratch_reuse: 140,
         };
         let sum = a + b;
         assert_eq!(sum.relevant_rules, 11);
@@ -589,14 +565,11 @@ mod tests {
         assert_eq!(sum.cache_hits, 44);
         assert_eq!(sum.cache_misses, 55);
         assert_eq!(sum.fast_path_hits, 66);
-        assert_eq!(sum.reencodes_incremental, 77);
+        assert_eq!(sum.reencodes_session, 77);
         assert_eq!(sum.reencodes_full, 88);
-        assert_eq!(sum.assumption_solves, 99);
-        assert_eq!(sum.learnt_retained, 110);
         assert_eq!(sum.solver_propagations, 121);
         assert_eq!(sum.arena_bytes, 120, "arena_bytes is a gauge: max, not sum");
         assert_eq!(sum.arena_reallocs, 143);
-        assert_eq!(sum.scratch_reuse, 154);
         // += agrees with merge and is order-insensitive on sums.
         let mut via_merge = b;
         via_merge.merge(&a);
@@ -701,10 +674,18 @@ mod tests {
             ),
             (10, Match::any(), vec![Action::Output(1)]),
         ]);
+        let (probed, catch) = (&t.rules()[0], CatchSpec::default());
         assert_eq!(
-            generate_probe(&t, t.rules()[0].id, &CatchSpec::default(), &cfg()).unwrap_err(),
+            generate_probe(&t, probed.id, &catch, &cfg()).unwrap_err(),
             ProbeError::Indistinguishable
         );
+        // Both solves behind it are counted, with the work they did.
+        let inst = encode::build_instance(&t, probed, &catch, EncodingStyle::Implication).unwrap();
+        let mut stats = GenStats::default();
+        let res = solve_and_finish(&t, probed, &catch, &cfg(), inst, &mut stats);
+        assert_eq!(res.unwrap_err(), ProbeError::Indistinguishable);
+        assert_eq!(stats.solver_calls, 2);
+        assert!(stats.solver_propagations > 0);
     }
 
     #[test]

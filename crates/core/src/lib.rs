@@ -63,7 +63,6 @@ pub mod engine;
 pub mod expect;
 pub mod generator;
 pub mod harness;
-mod incremental;
 pub mod outcome;
 pub mod plan;
 pub mod pool;

@@ -100,14 +100,7 @@ impl Default for PoolConfig {
     fn default() -> Self {
         PoolConfig {
             workers: 1,
-            // Pool workers keep their engines alive across jobs, which is
-            // exactly the regime the long-lived assumption-based solver is
-            // built for: each worker-private engine holds one incremental
-            // session that survives whole job streams.
-            engine: EngineConfig {
-                incremental: true,
-                ..EngineConfig::default()
-            },
+            engine: EngineConfig::default(),
             max_replans: 3,
             dispatch: None,
         }

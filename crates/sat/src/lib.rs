@@ -21,46 +21,6 @@
 //! * [`ite`] — the quadratic if-then-else chain encoding of Velev that the
 //!   paper uses to mimic TCAM priority matching (§5.3, Appendix B).
 //! * [`dimacs`] — DIMACS CNF reader/writer for debugging and corpus tests.
-//!
-//! # Incremental contract
-//!
-//! [`CdclSolver`] doubles as a MiniSat-style incremental solver: clauses can
-//! be added between solves ([`CdclSolver::add_clause`] /
-//! [`CdclSolver::load_cnf`]), and
-//! [`CdclSolver::solve_under_assumptions`] answers satisfiability of the
-//! accumulated formula under a set of assumption literals planted as
-//! pseudo-decisions below the root level.
-//!
-//! **What survives a solve.** Everything: the clause database, learnt
-//! clauses, two-watched-literal lists, VSIDS variable activities, saved
-//! phases, and the cumulative [`SolverStats`] counters
-//! (`assumption_solves`, `learnt_retained` and `last_propagations` track
-//! the reuse; batch [`CdclSolver::solve`] still resets per call).
-//! Assumptions themselves are *not* retained — they bind for exactly one
-//! `solve_under_assumptions` call and the trail is rewound to the root
-//! level on return.
-//!
-//! **UNSAT answers.** When `solve_under_assumptions` returns
-//! [`SatResult::Unsat`], [`CdclSolver::unsat_core`] holds a subset of the
-//! assumptions sufficient for unsatisfiability (empty when the formula is
-//! UNSAT outright — in that case [`CdclSolver::is_ok`] turns false and
-//! every later query short-circuits to `Unsat`).
-//!
-//! **What `reset` drops.** The batch entry point [`CdclSolver::solve`]
-//! resets *everything* — clauses, learnt state, activities, statistics —
-//! before loading its CNF argument; never mix it into an incremental
-//! session that should retain state.
-//!
-//! **Selector-literal lifecycle.** The intended idiom for retractable
-//! constraint groups: reserve a fresh variable `s` (see
-//! [`CdclSolver::reserve_vars`]), add every clause of the group as
-//! `¬s ∨ c`, and solve under assumption `s` to activate the group. To
-//! retire the group permanently, add the unit clause `¬s`: all guarded
-//! clauses become satisfied at the root level and the solver never branches
-//! into them again, while learnt clauses (which may mention `s` as a
-//! literal but are always implied by the formula alone) remain valid.
-//! This is how `monocle`'s probe engine invalidates per-rule encodings on
-//! FlowMod churn without discarding solver state.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,33 +9,20 @@
 //! clause deletion. No preprocessing is performed; the encoder already emits
 //! compact clauses.
 //!
-//! The solver runs in two modes:
-//!
-//! * **Batch** — [`CdclSolver::solve`] / [`CdclSolver::solve_with_stats`]
-//!   reset the solver and load the given [`Cnf`] from scratch. This is the
-//!   original one-shot API.
-//! * **Incremental** — clauses are loaded once with [`CdclSolver::add_clause`]
-//!   / [`CdclSolver::load_cnf`] and then queried many times with
-//!   [`CdclSolver::solve_under_assumptions`]. Assumption literals are planted
-//!   as pseudo-decisions below all regular decisions (MiniSat-style), so the
-//!   clause database, watched-literal structures, learnt clauses, VSIDS
-//!   activities and saved phases all survive from one solve to the next. An
-//!   UNSAT answer under assumptions comes with an unsat core over the
-//!   assumption set ([`CdclSolver::unsat_core`]), computed by final-conflict
-//!   analysis. See the crate docs ("Incremental contract") for exactly what
-//!   persists across calls.
+//! The solver is one-shot: [`CdclSolver::solve`] /
+//! [`CdclSolver::solve_with_stats`] reset the solver, load the given [`Cnf`]
+//! and search. Probe generation builds one small, pre-filtered instance per
+//! probed rule (§5.3–5.4) and hands each to a fresh solver.
 //!
 //! **Clause storage (arena).** Clauses live in one flat `u32` arena: a
 //! 4-word header (length + flags, capacity, epoch, activity) followed by the
-//! literals, and every reference — watchers, reason pointers, group lists —
-//! is a `u32` word offset (`CRef`) into that arena. Learnt-clause deletion
-//! tombstones slots in place (no reference ever dangles) and files them for
-//! size-class reuse; once a third of the arena is dead it is compacted and
-//! all references relocated. See [`CdclSolver::compact_arena`] for the
-//! incremental contract of compaction.
+//! literals, and every reference — watchers and reason pointers — is a `u32`
+//! word offset (`CRef`) into that arena. Learnt-clause deletion tombstones
+//! slots in place (no reference ever dangles) and files them for size-class
+//! reuse; once a third of the arena is dead it is compacted and all
+//! references relocated.
 
 use crate::cnf::Cnf;
-use crate::cnf::{Lit, Var};
 use crate::{Model, SatResult};
 
 /// Truth value of a variable: unassigned / true / false.
@@ -44,17 +31,6 @@ enum LBool {
     Undef,
     True,
     False,
-}
-
-/// Result of root-level clause simplification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Simplified {
-    /// Tautology or satisfied at root: the clause can be dropped.
-    Satisfied,
-    /// Every literal false at root: the database is unsatisfiable.
-    Empty,
-    /// The (now deduplicated, false-literal-free) clause must be kept.
-    Keep,
 }
 
 /// Internal literal representation: `var * 2 + sign` with 0-based variables;
@@ -86,17 +62,6 @@ fn is_negated(l: ILit) -> bool {
 fn from_dimacs(l: i32) -> ILit {
     debug_assert!(l != 0);
     ilit(l.unsigned_abs() - 1, l < 0)
-}
-
-/// Converts an internal literal back to the external DIMACS form.
-#[inline]
-fn to_dimacs(l: ILit) -> Lit {
-    let v = (ivar(l) + 1) as Lit;
-    if is_negated(l) {
-        -v
-    } else {
-        v
-    }
 }
 
 /// Truth value of `l` under `assigns`. Free function so call sites that
@@ -131,16 +96,12 @@ const HEADER_WORDS: usize = 4;
 const LEN_MASK: u32 = (1 << 29) - 1;
 /// Slot is tombstoned: freed, awaiting size-class reuse or compaction.
 const FLAG_DEAD: u32 = 1 << 29;
-/// Clause participates in propagation. Group clauses keep this *false*
-/// forever — their watchers are gated by the hot group arrays instead —
-/// so this flag only tracks ungrouped problem clauses and learnts.
-const FLAG_ACTIVE: u32 = 1 << 30;
 /// Clause was learnt (subject to activity-based deletion).
 const FLAG_LEARNT: u32 = 1 << 31;
 
 /// Flat clause storage. Each clause occupies `HEADER_WORDS + cap` words:
 ///
-/// * word 0 — `len | FLAG_DEAD | FLAG_ACTIVE | FLAG_LEARNT`
+/// * word 0 — `len | FLAG_DEAD | FLAG_LEARNT`
 /// * word 1 — `cap`, the slot's literal capacity (`len ≤ cap`; slack comes
 ///   from size-class reuse and is skipped by slot walks)
 /// * word 2 — epoch, bumped when the slot is freed so stale watchers of the
@@ -178,11 +139,6 @@ impl ClauseArena {
     }
 
     #[inline]
-    fn is_active(&self, c: CRef) -> bool {
-        self.data[c as usize] & FLAG_ACTIVE != 0
-    }
-
-    #[inline]
     fn is_learnt(&self, c: CRef) -> bool {
         self.data[c as usize] & FLAG_LEARNT != 0
     }
@@ -202,7 +158,7 @@ impl ClauseArena {
         self.data[c as usize + 3] = a.to_bits();
     }
 
-    #[inline]
+    #[cfg(test)]
     fn lit(&self, c: CRef, k: usize) -> ILit {
         self.data[c as usize + HEADER_WORDS + k]
     }
@@ -219,15 +175,12 @@ impl ClauseArena {
     /// Allocates a slot for `lits`, reusing a tombstoned slot of a close
     /// size class when one exists. A reused slot keeps its capacity and its
     /// (free-time bumped) epoch; a fresh tail slot starts at epoch 0.
-    fn alloc(&mut self, lits: &[ILit], learnt: bool, active: bool) -> CRef {
+    fn alloc(&mut self, lits: &[ILit], learnt: bool) -> CRef {
         let len = lits.len();
         debug_assert!(len as u32 <= LEN_MASK);
         let mut flags = len as u32;
         if learnt {
             flags |= FLAG_LEARNT;
-        }
-        if active {
-            flags |= FLAG_ACTIVE;
         }
         if len < self.free.len() {
             let hi = (len + 2).min(self.free.len() - 1);
@@ -292,47 +245,13 @@ struct Watcher {
     /// Any other literal of the clause; if it is already true the clause is
     /// satisfied and the watch list walk can skip touching the clause.
     blocker: ILit,
-    /// Epoch this watcher was pushed under: the clause epoch for ungrouped
-    /// watchers (`group == 0`), the *group* epoch otherwise. Watchers whose
-    /// epoch no longer matches are stale and dropped lazily in `propagate`.
+    /// The clause slot's epoch when this watcher was pushed. A watcher whose
+    /// epoch no longer matches (the slot was tombstoned, maybe reused) is
+    /// stale and dropped lazily in `propagate`.
     epoch: u32,
-    /// `GroupId + 1` of the owning clause group, 0 for ungrouped clauses.
-    /// Lets the stale check consult two small hot arrays instead of
-    /// dereferencing the (huge, cold) clause database.
-    group: u32,
 }
 
-/// Handle to a detachable clause group — see
-/// [`CdclSolver::new_clause_group`]. Ordered by creation so callers can keep
-/// sorted working sets of groups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct GroupId(usize);
-
-#[derive(Debug, Default)]
-struct Group {
-    clauses: Vec<CRef>,
-    active: bool,
-    /// The subset of `clauses` that carries watchers (≥2 non-false literals
-    /// at attach time; root-satisfied and root-unit clauses are excluded).
-    /// Each such clause's `lits[0..2]` holds its most recent watch pair —
-    /// propagation keeps the live pair in the first two positions — so
-    /// re-attaching replays it after a two-read validity check against the
-    /// current root assignment.
-    watched: Vec<CRef>,
-    /// True once the group has been through a full attach/detach cycle, so
-    /// `watched` (plus each clause's `lits[0..2]`) is a usable replay cache.
-    cached: bool,
-}
-
-impl Group {
-    fn new() -> Group {
-        Group::default()
-    }
-}
-
-/// Counters reported after a [`CdclSolver::solve`] call. In incremental mode
-/// ([`CdclSolver::solve_under_assumptions`]) the counters are cumulative over
-/// the solver's lifetime; batch [`CdclSolver::solve`] resets them per call.
+/// Counters reported after a [`CdclSolver::solve`] call (reset per call).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Number of decisions made.
@@ -345,26 +264,11 @@ pub struct SolverStats {
     pub restarts: u64,
     /// Number of learnt clauses currently retained.
     pub learnt_clauses: u64,
-    /// Number of [`CdclSolver::solve_under_assumptions`] calls served.
-    pub assumption_solves: u64,
-    /// Sum over assumption solves of the learnt clauses already retained
-    /// when the solve started — the clause-reuse the incremental mode buys
-    /// (divide by `assumption_solves` for the per-solve average).
-    pub learnt_retained: u64,
-    /// Unit propagations performed by the most recent solve only (the
-    /// per-solve slice of the cumulative `propagations`).
-    pub last_propagations: u64,
     /// Bytes currently held by the flat clause arena (a gauge, not a
     /// counter: snapshot taken at the end of each solve call).
     pub arena_bytes: u64,
-    /// Heap reallocations the arena's backing buffer has performed — near
-    /// zero in steady state once the arena has grown to working-set size.
+    /// Heap reallocations the arena's backing buffer has performed.
     pub arena_reallocs: u64,
-    /// Times a pooled scratch buffer was reused with warm capacity on the
-    /// clause-add path (`add_clause` / `add_clause_to_group` /
-    /// assumption conversion) — each one is a heap allocation the arena
-    /// rework eliminated.
-    pub scratch_reuse: u64,
 }
 
 /// Outcome of a single `solve` call together with statistics.
@@ -417,15 +321,6 @@ impl ActivityHeap {
         Some(top)
     }
 
-    /// Empties the heap in O(len), leaving the index map consistent so the
-    /// allocation can be reused.
-    fn clear(&mut self) {
-        for &v in &self.heap {
-            self.index[v as usize] = usize::MAX;
-        }
-        self.heap.clear();
-    }
-
     fn decreased_key_fixup(&mut self, v: u32, act: &[f64]) {
         // After an activity bump the key only grows, so sift up.
         if let Some(&pos) = self.index.get(v as usize) {
@@ -474,11 +369,8 @@ impl ActivityHeap {
 }
 
 /// The CDCL solver. Construct with [`CdclSolver::new`], optionally set a
-/// conflict budget, then either call [`CdclSolver::solve`] (batch: reloads
-/// the formula each call) or build the formula once with
-/// [`CdclSolver::add_clause`] and query it repeatedly with
-/// [`CdclSolver::solve_under_assumptions`] (incremental: everything learnt
-/// persists between calls).
+/// conflict budget, then call [`CdclSolver::solve`]; every call resets the
+/// solver and loads its formula from scratch (buffers are reused).
 #[derive(Debug)]
 pub struct CdclSolver {
     // Problem state
@@ -502,41 +394,14 @@ pub struct CdclSolver {
     // Config
     conflict_budget: Option<u64>,
     max_learnts: usize,
-    /// Inclusive external-variable ranges branching is restricted to
-    /// (empty = no restriction). See [`CdclSolver::set_decision_ranges`].
-    decision_ranges: Vec<(Var, Var)>,
-    /// Scratch order heap holding only in-scope variables; swapped in for
-    /// the duration of a scoped solve so branching never wades through the
-    /// (possibly huge) retired-variable population of the main heap.
-    scoped_heap: ActivityHeap,
-    /// When set, SAT models are materialized only for variables `1..=cap`
-    /// (see [`CdclSolver::set_model_cap`]).
-    model_cap: Option<usize>,
-    /// Pooled scratch for external→internal literal conversion on the
-    /// clause-add and assumption paths; reused across calls so steady-state
-    /// encoding performs no per-clause heap allocation.
-    lit_scratch: Vec<ILit>,
     /// Pooled scratch for the learnt clause built by conflict analysis.
     learnt_scratch: Vec<ILit>,
-    /// Detachable clause groups (arena refs).
-    groups: Vec<Group>,
-    /// `group_on[g + 1]` — whether group `g` is attached (index 0 is the
-    /// always-on pseudo-group of ungrouped clauses). Consulted by the
-    /// propagation stale check, so kept as a dense hot array.
-    group_on: Vec<bool>,
-    /// `group_epoch[g + 1]` — bumped on every attach of group `g`; watchers
-    /// pushed under an older epoch are stale.
-    group_epoch: Vec<u32>,
-    /// Problem clauses currently attached (drives the learnt-DB cap, which
-    /// must not scale with detached dead groups).
-    num_active_problem: usize,
+    /// Problem (non-learnt) clauses loaded; floors the learnt-DB cap.
+    num_problem: usize,
     // Stats
     stats: SolverStats,
     ok: bool,
     num_learnts: usize,
-    /// Assumption literals (external form) in the final conflict of the most
-    /// recent UNSAT-under-assumptions answer.
-    core: Vec<Lit>,
 }
 
 impl Default for CdclSolver {
@@ -566,411 +431,33 @@ impl CdclSolver {
             seen: Vec::new(),
             conflict_budget: None,
             max_learnts: 0,
-            decision_ranges: Vec::new(),
-            scoped_heap: ActivityHeap::default(),
-            model_cap: None,
-            lit_scratch: Vec::new(),
             learnt_scratch: Vec::new(),
-            groups: Vec::new(),
-            group_on: vec![true],
-            group_epoch: vec![0],
-            num_active_problem: 0,
+            num_problem: 0,
             stats: SolverStats::default(),
             ok: true,
             num_learnts: 0,
-            core: Vec::new(),
         }
     }
 
     /// Limits the search to `budget` conflicts; exceeding it yields
-    /// [`SatResult::Unknown`]. In incremental mode the budget applies per
-    /// solve call, not to the cumulative conflict count.
+    /// [`SatResult::Unknown`].
     pub fn with_conflict_budget(mut self, budget: u64) -> Self {
         self.conflict_budget = Some(budget);
         self
     }
 
-    /// Replaces the per-solve conflict budget (`None` removes it). The
-    /// in-place counterpart of [`Self::with_conflict_budget`] for long-lived
-    /// incremental solvers.
-    pub fn set_conflict_budget(&mut self, budget: Option<u64>) {
-        self.conflict_budget = budget;
-    }
-
-    /// Restricts branching to the given inclusive ranges of external
-    /// variables (MiniSat's "decision variable" projection); an empty slice
-    /// lifts the restriction. Persists across incremental solves until
-    /// changed; batch [`Self::solve`] clears it along with everything else.
-    ///
-    /// **Soundness contract.** The solver claims SAT as soon as propagation
-    /// is conflict-free and no in-scope variable is unassigned, so the
-    /// caller must guarantee that *any* such partial assignment extends to a
-    /// full model — i.e. every clause not fully satisfied by in-scope and
-    /// propagated variables is satisfiable under some completion of the
-    /// out-of-scope ones. (The selector-guarded groups of the incremental
-    /// contract qualify: out-of-scope selectors occur only negated in
-    /// problem clauses, so completing them to `false` satisfies every
-    /// guarded clause.) In the returned model, out-of-scope variables that
-    /// propagation left unassigned read as `false`. UNSAT and Unknown
-    /// answers are unconditionally sound — conflicts are real resolution
-    /// proofs regardless of scope.
-    pub fn set_decision_ranges(&mut self, ranges: &[(Var, Var)]) {
-        self.decision_ranges.clear();
-        self.decision_ranges.extend_from_slice(ranges);
-    }
-
-    /// Limits SAT models to variables `1..=cap` (`None` restores full
-    /// models). A long-lived session accumulates hundreds of thousands of
-    /// dead auxiliary variables, and materializing a `Vec<bool>` over all of
-    /// them on every SAT answer costs more than the search itself; a caller
-    /// that only ever reads a fixed prefix (Monocle reads the header bits)
-    /// can cap the model to that prefix. [`Model::value`] panics for
-    /// variables above the cap. Persists across incremental solves; batch
-    /// [`Self::solve`] clears it.
-    pub fn set_model_cap(&mut self, cap: Option<usize>) {
-        self.model_cap = cap;
-    }
-
-    /// Creates a new *detachable clause group*, initially inactive. Group
-    /// clauses are permanent members of the formula (learnt clauses resolved
-    /// against them stay implied forever) but participate in unit
-    /// propagation only while the group is active — so a session can hold
-    /// thousands of encoded-but-idle clause groups at zero per-solve cost.
-    /// Watchers of a deactivated group are dropped lazily during later
-    /// propagation; [`Self::set_group_active`] re-attaches in O(group size).
-    pub fn new_clause_group(&mut self) -> GroupId {
-        self.groups.push(Group::new());
-        self.group_on.push(false);
-        self.group_epoch.push(0);
-        GroupId(self.groups.len() - 1)
-    }
-
-    /// Adds one clause (external literals) to `group`. While the group is
-    /// detached the clause waits for the next activation; when the group is
-    /// *active* the clause attaches immediately — its literals are hot in
-    /// cache right after encoding, so this fuses what would otherwise be a
-    /// second cold pass over the clause database at activation time.
-    /// Returns `false` only when the clause simplifies to the empty clause
-    /// at root level (the database — which the clause permanently joins —
-    /// became unsatisfiable). Root-satisfied clauses and tautologies are
-    /// dropped.
-    pub fn add_clause_to_group(&mut self, group: GroupId, lits: &[Lit]) -> bool {
-        if !self.ok {
-            return false;
-        }
-        self.backtrack(0);
-        let max_v = lits.iter().map(|l| l.unsigned_abs()).max().unwrap_or(0);
-        self.reserve_vars(max_v as usize);
-        let mut ilits = self.take_lit_scratch();
-        ilits.extend(lits.iter().map(|&l| from_dimacs(l)));
-        let result = match self.simplify_at_root(&mut ilits) {
-            Simplified::Satisfied => true,
-            Simplified::Empty => {
-                self.ok = false;
-                false
-            }
-            Simplified::Keep => {
-                // Group clauses stay FLAG_ACTIVE = false forever: their
-                // watchers are gated by the hot group arrays instead.
-                let cref = self.arena.alloc(&ilits, false, false);
-                self.groups[group.0].clauses.push(cref);
-                if self.groups[group.0].active {
-                    self.num_active_problem += 1;
-                    let gi = group.0 + 1;
-                    if ilits.len() >= 2 {
-                        let (l0, l1) = (ilits[0], ilits[1]);
-                        let epoch = self.group_epoch[gi];
-                        self.watches[l0 as usize].push(Watcher {
-                            clause: cref,
-                            blocker: l1,
-                            epoch,
-                            group: gi as u32,
-                        });
-                        self.watches[l1 as usize].push(Watcher {
-                            clause: cref,
-                            blocker: l0,
-                            epoch,
-                            group: gi as u32,
-                        });
-                        self.groups[group.0].watched.push(cref);
-                    } else {
-                        // Unit at root: the assignment is permanent (group
-                        // clauses are permanent members of the formula), no
-                        // watchers needed.
-                        self.unchecked_enqueue(ilits[0], None);
-                        if self.propagate().is_some() {
-                            self.ok = false;
-                        }
-                    }
-                }
-                self.ok
-            }
-        };
-        self.lit_scratch = ilits;
-        result
-    }
-
-    /// Takes the pooled literal scratch, counting warm reuses.
-    #[inline]
-    fn take_lit_scratch(&mut self) -> Vec<ILit> {
-        let mut v = std::mem::take(&mut self.lit_scratch);
-        if v.capacity() > 0 {
-            self.stats.scratch_reuse += 1;
-        }
-        v.clear();
-        v
-    }
-
-    /// Root-level clause simplification: sort, dedup, drop false literals,
-    /// detect tautologies and already-satisfied clauses.
-    fn simplify_at_root(&self, lits: &mut Vec<ILit>) -> Simplified {
-        debug_assert_eq!(self.decision_level(), 0);
-        lits.sort_unstable();
-        lits.dedup();
-        let mut i = 0;
-        while i < lits.len() {
-            if i + 1 < lits.len() && lits[i + 1] == ineg(lits[i]) {
-                return Simplified::Satisfied; // tautology: x, !x adjacent
-            }
-            match self.value_lit(lits[i]) {
-                LBool::True => return Simplified::Satisfied,
-                LBool::False => {
-                    lits.remove(i);
-                }
-                LBool::Undef => i += 1,
-            }
-        }
-        if lits.is_empty() {
-            Simplified::Empty
-        } else {
-            Simplified::Keep
-        }
-    }
-
-    /// Attaches or detaches `group` (idempotent). Deactivation is O(1): the
-    /// group's on-flag flips, its watchers are swept out lazily during
-    /// later propagation, and the current watcher placement (kept live in
-    /// each clause's `lits[0..2]` by propagation) becomes the replay cache
-    /// for the next attach. Activation bumps the group epoch and replays
-    /// that cache: each cached pair is validated with two assignment reads
-    /// (the root may have grown while the group was detached) and re-pushed
-    /// when still non-false; only clauses whose pair went stale pay a
-    /// clause-by-clause re-selection, enqueuing clauses that became unit at
-    /// root. A group that has never been attached re-selects everything.
-    /// Must not be called mid-search; the trail is rewound to root level.
-    pub fn set_group_active(&mut self, group: GroupId, active: bool) {
-        if self.groups[group.0].active == active {
-            return;
-        }
-        self.backtrack(0);
-        self.groups[group.0].active = active;
-        let gi = group.0 + 1;
-        let n = self.groups[group.0].clauses.len();
-        if !active {
-            self.group_on[gi] = false;
-            self.num_active_problem -= n;
-            // The watched list now doubles as the placement cache:
-            // propagation keeps every attached clause's live watch pair in
-            // `lits[0..2]`, and a detached group's literals are never
-            // permuted, so the pairs stay readable until the next attach.
-            self.groups[group.0].cached = true;
-            return;
-        }
-        self.group_on[gi] = true;
-        self.num_active_problem += n;
-        let epoch = self.group_epoch[gi].wrapping_add(1);
-        self.group_epoch[gi] = epoch;
-        if self.groups[group.0].cached {
-            // Replay the placement from the previous attach. Pairs that
-            // were non-false at detach usually still are — the root only
-            // grows, and rarely onto these variables — so the common case
-            // is two assignment reads and two watcher pushes per clause,
-            // with no literal re-selection.
-            let mut watched = std::mem::take(&mut self.groups[group.0].watched);
-            let mut i = 0;
-            while i < watched.len() {
-                if !self.ok {
-                    break;
-                }
-                let idx = watched[i];
-                let (l0, l1) = (self.arena.lit(idx, 0), self.arena.lit(idx, 1));
-                if self.value_lit(l0) != LBool::False && self.value_lit(l1) != LBool::False {
-                    self.watches[l0 as usize].push(Watcher {
-                        clause: idx,
-                        blocker: l1,
-                        epoch,
-                        group: gi as u32,
-                    });
-                    self.watches[l1 as usize].push(Watcher {
-                        clause: idx,
-                        blocker: l0,
-                        epoch,
-                        group: gi as u32,
-                    });
-                    i += 1;
-                } else if self.attach_group_clause(idx, gi, epoch) {
-                    i += 1;
-                } else {
-                    // Became unit or satisfied at root: permanently
-                    // unwatched, drop it from the cache.
-                    watched.swap_remove(i);
-                }
-            }
-            self.groups[group.0].watched = watched;
-            return;
-        }
-        // First attach: re-select two non-false watch literals per clause
-        // and build the watched-clause cache.
-        let indices = std::mem::take(&mut self.groups[group.0].clauses);
-        let mut watched: Vec<CRef> = Vec::with_capacity(indices.len());
-        for &idx in &indices {
-            if !self.ok {
-                break;
-            }
-            if self.attach_group_clause(idx, gi, epoch) {
-                watched.push(idx);
-            }
-        }
-        let g = &mut self.groups[group.0];
-        g.clauses = indices;
-        g.watched = watched;
-    }
-
-    /// Re-selects two non-false watch literals for group clause `idx`
-    /// (against the current root assignment) and attaches it. Returns true
-    /// iff the clause got watchers; a clause that is unit at root has its
-    /// literal enqueued permanently instead (group clauses are permanent
-    /// members of the formula), a root-satisfied clause is skipped, and a
-    /// clause with every literal false poisons the solver (`ok = false`).
-    fn attach_group_clause(&mut self, idx: CRef, gi: usize, epoch: u32) -> bool {
-        // Move two non-false literals into the watch positions.
-        let mut found = 0usize;
-        let len = self.arena.len(idx);
-        let base = idx as usize + HEADER_WORDS;
-        for k in 0..len {
-            if found == 2 {
-                break;
-            }
-            let l = self.arena.data[base + k];
-            if lit_value(&self.assigns, l) != LBool::False {
-                self.arena.data.swap(base + found, base + k);
-                found += 1;
-            }
-        }
-        match found {
-            0 => {
-                // Every literal false at root: the database (which includes
-                // group clauses) is unsatisfiable.
-                self.ok = false;
-                false
-            }
-            1 => {
-                // Unit (or already satisfied) at root: the assignment is
-                // permanent, so the clause needs no watchers.
-                let l = self.arena.lit(idx, 0);
-                if self.value_lit(l) == LBool::Undef {
-                    self.unchecked_enqueue(l, None);
-                    if self.propagate().is_some() {
-                        self.ok = false;
-                    }
-                }
-                false
-            }
-            _ => {
-                let (l0, l1) = (self.arena.lit(idx, 0), self.arena.lit(idx, 1));
-                self.watches[l0 as usize].push(Watcher {
-                    clause: idx,
-                    blocker: l1,
-                    epoch,
-                    group: gi as u32,
-                });
-                self.watches[l1 as usize].push(Watcher {
-                    clause: idx,
-                    blocker: l0,
-                    epoch,
-                    group: gi as u32,
-                });
-                true
-            }
-        }
-    }
-
-    /// Statistics from the most recent `solve` call (batch mode) or
-    /// cumulative over the solver lifetime (incremental mode).
+    /// Statistics from the most recent `solve` call.
     pub fn stats(&self) -> SolverStats {
         self.stats
     }
 
-    /// Number of variables currently known to the solver.
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
-    /// True while the persistent clause database is still satisfiable at
-    /// root level; once an empty clause is derived every further query
-    /// answers UNSAT immediately.
-    pub fn is_ok(&self) -> bool {
-        self.ok
-    }
-
-    /// Grows the variable space to at least `n` variables (1-based external
-    /// numbering `1..=n`). Lets an encoder reserve a stable block of
-    /// variables so its own numbering maps 1:1 onto solver variables before
-    /// any clause mentioning them is added. Never shrinks.
-    pub fn reserve_vars(&mut self, n: usize) {
-        if n <= self.num_vars {
-            return;
-        }
-        self.watches.resize(2 * n, Vec::new());
-        self.assigns.resize(n, LBool::Undef);
-        self.level.resize(n, 0);
-        self.reason.resize(n, None);
-        self.activity.resize(n, 0.0);
-        self.phase.resize(n, false);
-        self.seen.resize(n, false);
-        self.heap.resize(n);
-        for v in self.num_vars as u32..n as u32 {
-            self.heap.insert(v, &self.activity);
-        }
-        self.num_vars = n;
-    }
-
-    /// Adds one clause (external DIMACS literals) to the persistent
-    /// database, growing the variable space as needed. Returns `false` when
-    /// the database became unsatisfiable at root level (and stays `false`
-    /// from then on). Clauses may be added freely between
-    /// [`Self::solve_under_assumptions`] calls; learnt clauses and
-    /// heuristic state are retained.
-    pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
-        if !self.ok {
-            return false;
-        }
-        self.backtrack(0);
-        let max_v = lits.iter().map(|l| l.unsigned_abs()).max().unwrap_or(0);
-        self.reserve_vars(max_v as usize);
-        let mut ilits = self.take_lit_scratch();
-        ilits.extend(lits.iter().map(|&l| from_dimacs(l)));
-        let ok = self.add_simplified_clause(&mut ilits);
-        self.lit_scratch = ilits;
-        if !ok {
-            self.ok = false;
-        }
-        self.ok
-    }
-
-    /// Adds every clause of `cnf` to the persistent database (incremental
-    /// mode bulk load). Returns `false` when the database became
-    /// unsatisfiable at root level.
+    /// Loads every clause of `cnf` into the freshly reset solver; clears
+    /// `ok` when the formula is unsatisfiable at root level.
     ///
     /// Zero-copy: `Cnf` already stores its clauses flat (literals + `0`
     /// terminators), so each clause is appended straight onto the arena
     /// tail and simplified in place there — no per-clause staging `Vec`.
-    pub fn load_cnf(&mut self, cnf: &Cnf) -> bool {
-        if !self.ok {
-            return false;
-        }
-        self.backtrack(0);
-        self.reserve_vars(cnf.num_vars() as usize);
+    fn load_cnf(&mut self, cnf: &Cnf) {
         let raw = cnf.raw();
         let mut pos = 0usize;
         while pos < raw.len() && self.ok {
@@ -978,12 +465,9 @@ impl CdclSolver {
             while raw[pos] != 0 {
                 pos += 1;
             }
-            if !self.load_raw_clause(&raw[start..pos]) {
-                self.ok = false;
-            }
+            self.ok = self.load_raw_clause(&raw[start..pos]);
             pos += 1;
         }
-        self.ok
     }
 
     /// Appends one external-form clause straight onto the arena tail and
@@ -1054,7 +538,7 @@ impl CdclSolver {
             }
             _ => {
                 let data = &mut self.arena.data;
-                data[off] = len as u32 | FLAG_ACTIVE;
+                data[off] = len as u32;
                 data[off + 1] = len as u32;
                 data[off + 2] = 0;
                 data[off + 3] = 0f32.to_bits();
@@ -1064,239 +548,16 @@ impl CdclSolver {
                     clause: cref,
                     blocker: l1,
                     epoch: 0,
-                    group: 0,
                 });
                 self.watches[l1 as usize].push(Watcher {
                     clause: cref,
                     blocker: l0,
                     epoch: 0,
-                    group: 0,
                 });
-                self.num_active_problem += 1;
+                self.num_problem += 1;
                 true
             }
         }
-    }
-
-    /// Bulk-loads every clause of `cnf` into `group`, each guarded by
-    /// `¬sel` (i.e. clause `c` becomes `¬sel ∨ c`). Semantically identical
-    /// to calling [`Self::add_clause_to_group`] per clause with the guard
-    /// prepended, but the per-clause fixed costs are hoisted: one
-    /// `backtrack(0)`, one [`Self::reserve_vars`] for the whole CNF, and no
-    /// staging buffer — each clause streams from `cnf`'s flat storage
-    /// straight onto the arena tail (the [`Self::load_cnf`] pattern) and is
-    /// simplified in place there. This is the encode hot path of the
-    /// incremental session, which loads ~10² guarded clauses per context.
-    /// Returns `false` when the database became unsatisfiable at root level.
-    pub fn load_guarded_cnf_to_group(&mut self, group: GroupId, sel: Lit, cnf: &Cnf) -> bool {
-        if !self.ok {
-            return false;
-        }
-        self.backtrack(0);
-        let max_v = (cnf.num_vars() as usize).max(sel.unsigned_abs() as usize);
-        self.reserve_vars(max_v);
-        let guard = from_dimacs(-sel);
-        let raw = cnf.raw();
-        let mut pos = 0usize;
-        while pos < raw.len() && self.ok {
-            let start = pos;
-            while raw[pos] != 0 {
-                pos += 1;
-            }
-            if !self.load_guarded_raw_clause(group, guard, &raw[start..pos]) {
-                self.ok = false;
-            }
-            pos += 1;
-        }
-        self.ok
-    }
-
-    /// One clause of [`Self::load_guarded_cnf_to_group`]: appends
-    /// `¬sel ∨ clause` onto the arena tail, simplifies it in place against
-    /// the root assignment (tail rolled back when the clause is dropped),
-    /// registers the slot with the group, and — when the group is active —
-    /// attaches watchers immediately, exactly like
-    /// [`Self::add_clause_to_group`]. Returns `false` on root conflict.
-    fn load_guarded_raw_clause(&mut self, group: GroupId, guard: ILit, clause: &[i32]) -> bool {
-        debug_assert_eq!(self.decision_level(), 0);
-        self.arena.note_growth(HEADER_WORDS + 1 + clause.len());
-        let off = self.arena.data.len();
-        let base = off + HEADER_WORDS;
-        self.arena.data.extend_from_slice(&[0; HEADER_WORDS]);
-        self.arena.data.push(guard);
-        self.arena
-            .data
-            .extend(clause.iter().map(|&l| from_dimacs(l)));
-        {
-            let data = &mut self.arena.data;
-            data[base..].sort_unstable();
-            // Dedup the tail in place.
-            let mut w = base;
-            for r in base..data.len() {
-                if w == base || data[r] != data[w - 1] {
-                    data[w] = data[r];
-                    w += 1;
-                }
-            }
-            data.truncate(w);
-            // Tautology / root-satisfied detection and false-literal
-            // elimination, all on the tail slice. The guard literal is
-            // always root-undef (selectors are assumed, never asserted), so
-            // the clause survives with at least one literal.
-            let assigns = &self.assigns;
-            let mut w = base;
-            let mut r = base;
-            while r < data.len() {
-                let l = data[r];
-                if r + 1 < data.len() && data[r + 1] == ineg(l) {
-                    data.truncate(off); // tautology: x, !x adjacent
-                    return true;
-                }
-                match lit_value(assigns, l) {
-                    LBool::True => {
-                        data.truncate(off); // satisfied at root
-                        return true;
-                    }
-                    LBool::False => r += 1,
-                    LBool::Undef => {
-                        data[w] = l;
-                        w += 1;
-                        r += 1;
-                    }
-                }
-            }
-            data.truncate(w);
-        }
-        let len = self.arena.data.len() - base;
-        if len == 0 {
-            self.arena.data.truncate(off);
-            return false; // sel was root-falsified *and* every literal false
-        }
-        {
-            // Group clauses stay FLAG_ACTIVE = false forever: their
-            // watchers are gated by the hot group arrays instead.
-            let data = &mut self.arena.data;
-            data[off] = len as u32;
-            data[off + 1] = len as u32;
-            data[off + 2] = 0;
-            data[off + 3] = 0f32.to_bits();
-        }
-        let cref = off as CRef;
-        self.groups[group.0].clauses.push(cref);
-        if self.groups[group.0].active {
-            self.num_active_problem += 1;
-            let gi = group.0 + 1;
-            if len >= 2 {
-                let (l0, l1) = (self.arena.data[base], self.arena.data[base + 1]);
-                let epoch = self.group_epoch[gi];
-                self.watches[l0 as usize].push(Watcher {
-                    clause: cref,
-                    blocker: l1,
-                    epoch,
-                    group: gi as u32,
-                });
-                self.watches[l1 as usize].push(Watcher {
-                    clause: cref,
-                    blocker: l0,
-                    epoch,
-                    group: gi as u32,
-                });
-                self.groups[group.0].watched.push(cref);
-            } else {
-                // Unit at root: permanent (group clauses are permanent
-                // members of the formula), no watchers needed.
-                let l = self.arena.data[base];
-                self.unchecked_enqueue(l, None);
-                if self.propagate().is_some() {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Solves the persistent clause database under `assumptions` (external
-    /// literals, each forced true for this call only). The database, learnt
-    /// clauses, activities and phases persist across calls. On
-    /// [`SatResult::Unsat`], [`Self::unsat_core`] holds the subset of
-    /// `assumptions` in the final conflict (empty when the database is
-    /// unsatisfiable even without assumptions).
-    pub fn solve_under_assumptions(&mut self, assumptions: &[Lit]) -> SatResult {
-        self.solve_under_assumptions_with_stats(assumptions).result
-    }
-
-    /// As [`Self::solve_under_assumptions`], also returning the cumulative
-    /// statistics snapshot.
-    pub fn solve_under_assumptions_with_stats(&mut self, assumptions: &[Lit]) -> SolveOutcome {
-        self.stats.assumption_solves += 1;
-        self.stats.learnt_retained += self.num_learnts as u64;
-        let props_before = self.stats.propagations;
-        self.core.clear();
-        let result = if !self.ok {
-            SatResult::Unsat
-        } else {
-            self.backtrack(0);
-            let max_v = assumptions
-                .iter()
-                .map(|l| l.unsigned_abs())
-                .max()
-                .unwrap_or(0);
-            self.reserve_vars(max_v as usize);
-            // Scoped solve: swap in a small order heap holding exactly the
-            // unassigned in-scope variables. The main heap — which may carry
-            // tens of thousands of retired variables — is untouched, so
-            // per-solve cost is O(scope), not O(all vars ever created).
-            let scoped = !self.decision_ranges.is_empty();
-            if scoped {
-                self.scoped_heap.clear();
-                self.scoped_heap.resize(self.num_vars);
-                let ranges = std::mem::take(&mut self.decision_ranges);
-                for &(lo, hi) in &ranges {
-                    let hi = (hi as usize).min(self.num_vars) as Var;
-                    for ext in lo.max(1)..=hi {
-                        let v = ext - 1;
-                        if self.assigns[v as usize] == LBool::Undef {
-                            self.scoped_heap.insert(v, &self.activity);
-                        }
-                    }
-                }
-                self.decision_ranges = ranges;
-                std::mem::swap(&mut self.heap, &mut self.scoped_heap);
-            }
-            let ilits = {
-                let mut v = self.take_lit_scratch();
-                v.extend(assumptions.iter().map(|&l| from_dimacs(l)));
-                v
-            };
-            let r = self.search(&ilits);
-            self.lit_scratch = ilits;
-            self.backtrack(0);
-            if scoped {
-                std::mem::swap(&mut self.heap, &mut self.scoped_heap);
-            }
-            r
-        };
-        self.stats.last_propagations = self.stats.propagations - props_before;
-        self.stats.learnt_clauses = self.num_learnts as u64;
-        self.finish_arena_stats();
-        SolveOutcome {
-            result,
-            stats: self.stats,
-        }
-    }
-
-    /// Snapshots the arena gauges into the stats block (end of each solve).
-    fn finish_arena_stats(&mut self) {
-        self.stats.arena_bytes = (self.arena.data.len() * 4) as u64;
-        self.stats.arena_reallocs = self.arena.reallocs;
-    }
-
-    /// The assumption literals responsible for the most recent
-    /// UNSAT-under-assumptions answer (a not-necessarily-minimal core).
-    /// Empty when the last answer was SAT/Unknown or the database itself is
-    /// unsatisfiable.
-    pub fn unsat_core(&self) -> &[Lit] {
-        &self.core
     }
 
     /// Solves `cnf` and returns the result.
@@ -1304,21 +565,19 @@ impl CdclSolver {
         self.solve_with_stats(cnf).result
     }
 
-    /// Solves `cnf` and returns the result with search statistics. Batch
-    /// mode: the solver is reset and the formula reloaded each call.
+    /// Solves `cnf` and returns the result with search statistics. The
+    /// solver is reset and the formula loaded from scratch each call.
     pub fn solve_with_stats(&mut self, cnf: &Cnf) -> SolveOutcome {
         self.reset(cnf.num_vars() as usize);
-        // Same zero-copy bulk load as the incremental path: clauses stream
-        // from the Cnf's flat buffer straight into the arena tail.
         self.load_cnf(cnf);
-        let result = if !self.ok {
-            SatResult::Unsat
+        let result = if self.ok {
+            self.search()
         } else {
-            self.search(&[])
+            SatResult::Unsat
         };
         self.stats.learnt_clauses = self.num_learnts as u64;
-        self.stats.last_propagations = self.stats.propagations;
-        self.finish_arena_stats();
+        self.stats.arena_bytes = (self.arena.data.len() * 4) as u64;
+        self.stats.arena_reallocs = self.arena.reallocs;
         SolveOutcome {
             result,
             stats: self.stats,
@@ -1356,14 +615,7 @@ impl CdclSolver {
         self.ok = true;
         self.max_learnts = 0;
         self.num_learnts = 0;
-        self.decision_ranges.clear();
-        self.scoped_heap = ActivityHeap::default();
-        self.model_cap = None;
-        self.groups.clear();
-        self.group_on = vec![true];
-        self.group_epoch = vec![0];
-        self.num_active_problem = 0;
-        self.core.clear();
+        self.num_problem = 0;
     }
 
     #[inline]
@@ -1371,50 +623,27 @@ impl CdclSolver {
         lit_value(&self.assigns, l)
     }
 
-    /// Simplifies `lits` at root and installs the survivor (unit enqueue +
-    /// propagate, or watched attach). Returns `false` when the clause is
-    /// empty after simplification or the unit propagation conflicts.
-    fn add_simplified_clause(&mut self, lits: &mut Vec<ILit>) -> bool {
-        match self.simplify_at_root(lits) {
-            Simplified::Satisfied => true,
-            Simplified::Empty => false,
-            Simplified::Keep => {
-                if lits.len() == 1 {
-                    self.unchecked_enqueue(lits[0], None);
-                    self.propagate().is_none()
-                } else {
-                    self.attach_clause(lits, false);
-                    true
-                }
-            }
-        }
-    }
-
-    fn attach_clause(&mut self, lits: &[ILit], learnt: bool) -> CRef {
+    /// Stores a learnt clause (asserting literal first) and watches its
+    /// first two literals.
+    fn attach_learnt(&mut self, lits: &[ILit]) -> CRef {
         debug_assert!(lits.len() >= 2);
         let (l0, l1) = (lits[0], lits[1]);
         // The arena reuses a tombstoned slot when one of a close size class
         // is free; its epoch was already bumped at removal time, so stale
         // watchers of the previous occupant never fire on the new clause.
-        let cref = self.arena.alloc(lits, learnt, true);
-        let ep = self.arena.epoch(cref);
+        let cref = self.arena.alloc(lits, true);
+        let epoch = self.arena.epoch(cref);
         self.watches[l0 as usize].push(Watcher {
             clause: cref,
             blocker: l1,
-            epoch: ep,
-            group: 0,
+            epoch,
         });
         self.watches[l1 as usize].push(Watcher {
             clause: cref,
             blocker: l0,
-            epoch: ep,
-            group: 0,
+            epoch,
         });
-        if learnt {
-            self.num_learnts += 1;
-        } else {
-            self.num_active_problem += 1;
-        }
+        self.num_learnts += 1;
         cref
     }
 
@@ -1456,18 +685,12 @@ impl CdclSolver {
                 }
                 let cref = w.clause;
                 // Sweep out stale watchers (dropped by not copying them to
-                // position j). Grouped watchers are validated against the
-                // hot group arrays — no clause-database traffic; ungrouped
-                // ones against the clause's own epoch (learnt tombstoning
-                // and slot reuse).
-                if w.group != 0 {
-                    let g = w.group as usize;
-                    if !self.group_on[g] || w.epoch != self.group_epoch[g] {
-                        continue;
-                    }
-                } else if !self.arena.is_active(cref) || w.epoch != self.arena.epoch(cref) {
+                // position j): freeing a slot bumps its epoch, so a watcher
+                // of a tombstoned — possibly reused — slot no longer matches.
+                if w.epoch != self.arena.epoch(cref) {
                     continue;
                 }
+                debug_assert!(!self.arena.is_dead(cref));
                 // Make sure the false literal is at position 1.
                 let base = cref as usize + HEADER_WORDS;
                 if self.arena.data[base] == false_lit {
@@ -1480,7 +703,6 @@ impl CdclSolver {
                         clause: cref,
                         blocker: first,
                         epoch: w.epoch,
-                        group: w.group,
                     };
                     j += 1;
                     continue;
@@ -1495,7 +717,6 @@ impl CdclSolver {
                             clause: cref,
                             blocker: first,
                             epoch: w.epoch,
-                            group: w.group,
                         });
                         continue 'watchers;
                     }
@@ -1505,7 +726,6 @@ impl CdclSolver {
                     clause: cref,
                     blocker: first,
                     epoch: w.epoch,
-                    group: w.group,
                 };
                 j += 1;
                 if self.value_lit(first) == LBool::False {
@@ -1665,10 +885,9 @@ impl CdclSolver {
     /// is by tombstoning: the slot is marked dead, filed on a size-class
     /// free list for reuse, and stale watchers are swept out lazily by
     /// `propagate` — cost is proportional to the clause database, never to
-    /// the watch lists, and no reference moves (reasons and clause groups
-    /// stay valid). When a third of the arena is dead afterwards, a
-    /// compaction pass squeezes the dead slots out (see
-    /// [`Self::compact_arena`]).
+    /// the watch lists, and no reference moves (reasons stay valid). When a
+    /// third of the arena is dead afterwards, a compaction pass squeezes the
+    /// dead slots out (see [`Self::compact_arena`]).
     fn reduce_db(&mut self) {
         let locked: std::collections::HashSet<CRef> =
             self.reason.iter().flatten().copied().collect();
@@ -1679,7 +898,6 @@ impl CdclSolver {
             let cap = self.arena.cap(c);
             if !self.arena.is_dead(c)
                 && self.arena.is_learnt(c)
-                && self.arena.is_active(c)
                 && self.arena.len(c) > 2
                 && !locked.contains(&c)
             {
@@ -1699,40 +917,18 @@ impl CdclSolver {
             self.arena.free(c);
         }
         if self.arena.should_compact() {
-            self.compact_arena_now();
+            self.compact_arena();
         }
     }
 
-    /// Tombstones the least-active half of removable learnt clauses right
-    /// now — the maintenance entry point for callers that want to shed
-    /// memory between solves instead of waiting for `search`'s learnt-DB
-    /// cap to trigger it.
-    pub fn reduce_learnts_now(&mut self) {
-        self.backtrack(0);
-        self.reduce_db();
-    }
-
-    /// Compacts the clause arena right now.
-    ///
-    /// **Incremental contract: arena & compaction.** Clause slots never
-    /// move between solves *except* during compaction, which runs inside
-    /// `reduce_db` once a third of the arena is dead (or when this method
-    /// is called). Compaction rewrites every live reference in one pass —
-    /// watchers (stale ones are dropped using the same epoch/activity
-    /// predicate propagation uses), reason pointers (`reduce_db` never
-    /// frees a reason clause, so all of them are live), and group
-    /// clause/replay lists — then slides live slots down in address order,
-    /// shrinking each slot's capacity to its length. Detached groups keep
-    /// working: their replay cache (`Group::watched` + each clause's first
-    /// two literals) is relocated with everything else. No external handle
-    /// is invalidated: `GroupId`s, saved phases, activities, learnt
-    /// clauses and the unsat-core state all survive.
-    pub fn compact_arena(&mut self) {
-        self.backtrack(0);
-        self.compact_arena_now();
-    }
-
-    fn compact_arena_now(&mut self) {
+    /// Squeezes tombstoned slots out of the arena. Runs inside `reduce_db`
+    /// once a third of the arena is dead. Every live reference is rewritten
+    /// in one pass — watchers (stale ones are dropped using the same epoch
+    /// predicate propagation uses) and reason pointers (`reduce_db` never
+    /// frees a reason clause, so all of them are live) — then live slots
+    /// slide down in address order, each slot's capacity shrinking to its
+    /// length. Saved phases, activities and learnt clauses all survive.
+    fn compact_arena(&mut self) {
         if self.arena.wasted == 0 {
             return; // nothing dead: relocation would be the identity
         }
@@ -1761,35 +957,18 @@ impl CdclSolver {
         //    the old offsets: drop stale watchers (same predicate
         //    `propagate` uses), translate live ones.
         let arena = &self.arena;
-        let group_on = &self.group_on;
-        let group_epoch = &self.group_epoch;
         for ws in &mut self.watches {
             ws.retain_mut(|w| {
-                let live = if w.group != 0 {
-                    let g = w.group as usize;
-                    group_on[g] && w.epoch == group_epoch[g]
-                } else {
-                    !arena.is_dead(w.clause)
-                        && arena.is_active(w.clause)
-                        && w.epoch == arena.epoch(w.clause)
-                };
+                let live = w.epoch == arena.epoch(w.clause);
                 if live {
                     w.clause = translate(w.clause);
                 }
                 live
             });
         }
-        // 3. Reason pointers and group clause/replay lists.
+        // 3. Reason pointers.
         for r in self.reason.iter_mut().flatten() {
             *r = translate(*r);
-        }
-        for g in &mut self.groups {
-            for c in &mut g.clauses {
-                *c = translate(*c);
-            }
-            for c in &mut g.watched {
-                *c = translate(*c);
-            }
         }
         // 4. Slide the data down (ascending, overlap-safe: new ≤ old and
         //    earlier destinations never reach a later source), shrinking
@@ -1806,17 +985,6 @@ impl CdclSolver {
             f.clear();
         }
         self.arena.wasted = 0;
-    }
-
-    /// Bytes currently occupied by the flat clause arena.
-    pub fn arena_bytes(&self) -> usize {
-        self.arena.data.len() * 4
-    }
-
-    /// Bytes of the arena occupied by tombstoned (dead) clause slots —
-    /// reclaimed on the next compaction.
-    pub fn arena_wasted_bytes(&self) -> usize {
-        self.arena.wasted * 4
     }
 
     /// Luby restart sequence (1,1,2,1,1,2,4,...), MiniSat formulation.
@@ -1836,63 +1004,17 @@ impl CdclSolver {
         1u64 << seq
     }
 
-    /// Final-conflict analysis (MiniSat's `analyzeFinal`): given an
-    /// assumption literal `p` found false while planting assumptions, fills
-    /// `self.core` with the subset of planted assumptions (plus `p` itself,
-    /// external form) whose conjunction the clause database refutes. The
-    /// core buffer is pooled — reused across solves, no per-call allocation.
-    fn analyze_final(&mut self, p: ILit) {
-        let mut out = std::mem::take(&mut self.core);
-        out.clear();
-        out.push(to_dimacs(p));
-        if self.decision_level() == 0 {
-            self.core = out;
-            return;
-        }
-        self.seen[ivar(p) as usize] = true;
-        for i in (self.trail_lim[0]..self.trail.len()).rev() {
-            let x = ivar(self.trail[i]) as usize;
-            if !self.seen[x] {
-                continue;
-            }
-            match self.reason[x] {
-                None => {
-                    // A decision below the regular search: an assumption.
-                    debug_assert!(self.level[x] > 0);
-                    out.push(to_dimacs(self.trail[i]));
-                }
-                Some(c) => {
-                    let len = self.arena.len(c);
-                    let base = c as usize + HEADER_WORDS;
-                    for k in 1..len {
-                        let q = self.arena.data[base + k];
-                        if self.level[ivar(q) as usize] > 0 {
-                            self.seen[ivar(q) as usize] = true;
-                        }
-                    }
-                }
-            }
-            self.seen[x] = false;
-        }
-        self.seen[ivar(p) as usize] = false;
-        self.core = out;
-    }
-
-    /// CDCL search. `assumptions` (internal literals) are planted as
-    /// pseudo-decisions at levels `1..=assumptions.len()`, re-established
-    /// after every restart/backjump; regular decisions stack above them.
-    fn search(&mut self, assumptions: &[ILit]) -> SatResult {
+    /// CDCL search over the loaded clause database.
+    fn search(&mut self) -> SatResult {
         if self.propagate().is_some() {
             self.ok = false;
             return SatResult::Unsat;
         }
-        // Cap the learnt DB relative to the *attached* problem clauses, not
-        // the (unboundedly growing) detached dead groups. The floor is
-        // generous: an incremental session lives on retained learnt clauses,
-        // and reduce_db thrash (tombstoning is cheap, but the lost clauses
-        // are not) costs far more than the memory of a few thousand learnts.
-        self.max_learnts = self.max_learnts.max(self.num_active_problem.max(4000));
-        let conflicts_at_entry = self.stats.conflicts;
+        // Cap the learnt DB relative to the problem size. The floor is
+        // generous: reduce_db thrash (tombstoning is cheap, but the lost
+        // clauses are not) costs far more than the memory of a few thousand
+        // learnts.
+        self.max_learnts = self.max_learnts.max(self.num_problem.max(4000));
         let mut restart_round: u64 = 0;
         loop {
             let conflict_cap = Self::luby(restart_round) * 100;
@@ -1903,8 +1025,6 @@ impl CdclSolver {
                     self.stats.conflicts += 1;
                     conflicts_here += 1;
                     if self.decision_level() == 0 {
-                        // Conflict below the assumptions: the database itself
-                        // is unsatisfiable, with or without assumptions.
                         self.ok = false;
                         return SatResult::Unsat;
                     }
@@ -1915,14 +1035,14 @@ impl CdclSolver {
                         self.unchecked_enqueue(learnt[0], None);
                     } else {
                         let asserting = learnt[0];
-                        let cref = self.attach_clause(&learnt, true);
+                        let cref = self.attach_learnt(&learnt);
                         self.bump_clause(cref);
                         self.unchecked_enqueue(asserting, Some(cref));
                     }
                     self.learnt_scratch = learnt;
                     self.decay_activities();
                     if let Some(budget) = self.conflict_budget {
-                        if self.stats.conflicts - conflicts_at_entry >= budget {
+                        if self.stats.conflicts >= budget {
                             return SatResult::Unknown;
                         }
                     }
@@ -1936,39 +1056,10 @@ impl CdclSolver {
                         self.reduce_db();
                         self.max_learnts = self.max_learnts * 11 / 10;
                     }
-                    // Re-plant any missing assumption as the next
-                    // pseudo-decision before regular branching.
-                    let mut next: Option<ILit> = None;
-                    while (self.decision_level() as usize) < assumptions.len() {
-                        let p = assumptions[self.decision_level() as usize];
-                        match self.value_lit(p) {
-                            LBool::True => {
-                                // Already implied: dummy level keeps the
-                                // level↔assumption-index correspondence.
-                                self.trail_lim.push(self.trail.len());
-                            }
-                            LBool::False => {
-                                self.analyze_final(p);
-                                return SatResult::Unsat;
-                            }
-                            LBool::Undef => {
-                                next = Some(p);
-                                break;
-                            }
-                        }
-                    }
-                    let decision = match next {
-                        Some(p) => Some(p),
-                        None => self.pick_branch_lit(),
-                    };
-                    match decision {
+                    match self.pick_branch_lit() {
                         None => {
-                            // No in-scope variable left unassigned: build the
-                            // model (out-of-scope variables propagation never
-                            // reached read as false — see the
-                            // `set_decision_ranges` contract), materializing
-                            // only up to the model cap when one is set.
-                            let n = self.model_cap.unwrap_or(self.num_vars).min(self.num_vars);
+                            // Every variable assigned, no conflict: a model.
+                            let n = self.num_vars;
                             let mut values = vec![false; n + 1];
                             for v in 0..n {
                                 values[v + 1] = self.assigns[v] == LBool::True;
@@ -1991,6 +1082,7 @@ impl CdclSolver {
 mod tests {
     use super::*;
     use crate::Cnf;
+    use proptest::prelude::*;
 
     fn solve(cnf: &Cnf) -> SatResult {
         CdclSolver::new().solve(cnf)
@@ -2126,301 +1218,30 @@ mod tests {
     }
 
     #[test]
-    fn clause_group_detach_and_reattach() {
-        let mut s = CdclSolver::new();
-        assert!(s.add_clause(&[1, 2]));
-        let g = s.new_clause_group();
-        assert!(s.add_clause_to_group(g, &[-1, -2]));
-
-        // Inactive group: both vars may be true together.
-        assert!(matches!(
-            s.solve_under_assumptions(&[1, 2]),
-            SatResult::Sat(_)
-        ));
-        // Active: the group clause forbids that assignment.
-        s.set_group_active(g, true);
-        assert_eq!(s.solve_under_assumptions(&[1, 2]), SatResult::Unsat);
-        // Detach again: back to satisfiable (watchers are ignored lazily).
-        s.set_group_active(g, false);
-        assert!(matches!(
-            s.solve_under_assumptions(&[1, 2]),
-            SatResult::Sat(_)
-        ));
-        // Re-attach replays the cached watcher placement.
-        s.set_group_active(g, true);
-        assert_eq!(s.solve_under_assumptions(&[1, 2]), SatResult::Unsat);
-        let m = match s.solve_under_assumptions(&[1]) {
-            SatResult::Sat(m) => m,
-            other => panic!("expected SAT, got {other:?}"),
-        };
-        assert!(m.value(1) && !m.value(2));
-    }
-
-    #[test]
-    fn clause_group_replay_survives_root_growth() {
-        // The root may gain units between detach and re-attach; the cached
-        // watch pair is then stale and must be re-placed per clause.
-        let mut s = CdclSolver::new();
-        let g = s.new_clause_group();
-        s.set_group_active(g, true);
-        assert!(s.add_clause_to_group(g, &[-1, -2]));
-        assert!(matches!(s.solve_under_assumptions(&[]), SatResult::Sat(_)));
-        s.set_group_active(g, false);
-        assert!(s.add_clause(&[1])); // root unit falsifies the cached watch -1
-        s.set_group_active(g, true);
-        let m = match s.solve_under_assumptions(&[]) {
-            SatResult::Sat(m) => m,
-            other => panic!("expected SAT, got {other:?}"),
-        };
-        assert!(m.value(1) && !m.value(2));
-        assert_eq!(s.solve_under_assumptions(&[2]), SatResult::Unsat);
-    }
-
-    #[test]
-    fn clause_group_attach_on_add() {
-        // Clauses added to an already-active group take effect without a
-        // detach/attach cycle.
-        let mut s = CdclSolver::new();
-        let g = s.new_clause_group();
-        s.set_group_active(g, true);
-        assert!(s.add_clause_to_group(g, &[1, 2]));
-        assert!(s.add_clause_to_group(g, &[-1]));
-        let m = match s.solve_under_assumptions(&[]) {
-            SatResult::Sat(m) => m,
-            other => panic!("expected SAT, got {other:?}"),
-        };
-        assert!(!m.value(1) && m.value(2));
-    }
-
-    #[test]
-    fn selector_guarded_group_retires_via_root_unit() {
-        // The incremental contract: clauses guarded by a selector literal,
-        // enabled per solve through assumptions, retired forever by the
-        // root-level unit ¬sel.
-        let mut s = CdclSolver::new();
-        let sel = 10;
-        let g = s.new_clause_group();
-        s.set_group_active(g, true);
-        assert!(s.add_clause_to_group(g, &[-sel, 1]));
-        assert!(s.add_clause_to_group(g, &[-sel, -2]));
-
-        let m = match s.solve_under_assumptions(&[sel]) {
-            SatResult::Sat(m) => m,
-            other => panic!("expected SAT, got {other:?}"),
-        };
-        assert!(m.value(1) && !m.value(2));
-        assert_eq!(s.solve_under_assumptions(&[sel, 2]), SatResult::Unsat);
-        assert!(s.unsat_core().contains(&sel) || s.unsat_core().contains(&2));
-
-        assert!(s.add_clause(&[-sel])); // retire the instance
-        assert_eq!(s.solve_under_assumptions(&[sel]), SatResult::Unsat);
-        assert_eq!(s.unsat_core(), &[sel]);
-        // Without the dead selector everything is unconstrained again.
-        assert!(matches!(s.solve_under_assumptions(&[2]), SatResult::Sat(_)));
-    }
-
-    #[test]
-    fn decision_ranges_scope_the_search() {
-        // Vars 3.. belong to an inactive group, so the active formula only
-        // constrains 1..=2; scoping decisions there must still yield a model
-        // for the active clauses, and untouched out-of-scope vars read false.
-        let mut s = CdclSolver::new();
-        assert!(s.add_clause(&[1, 2]));
-        let idle = s.new_clause_group();
-        assert!(s.add_clause_to_group(idle, &[3, 4]));
-        s.reserve_vars(4);
-        s.set_decision_ranges(&[(1, 2)]);
-        let m = match s.solve_under_assumptions(&[]) {
-            SatResult::Sat(m) => m,
-            other => panic!("expected SAT, got {other:?}"),
-        };
-        assert!(m.value(1) || m.value(2));
-        assert!(!m.value(3) && !m.value(4));
-    }
-
-    #[test]
-    fn model_cap_truncates_incremental_models() {
-        let mut s = CdclSolver::new();
-        assert!(s.add_clause(&[1]));
-        assert!(s.add_clause(&[-1, 2]));
-        assert!(s.add_clause(&[5, 6]));
-        s.set_model_cap(Some(2));
-        let m = match s.solve_under_assumptions(&[]) {
-            SatResult::Sat(m) => m,
-            other => panic!("expected SAT, got {other:?}"),
-        };
-        assert!(m.value(1) && m.value(2));
-        assert_eq!(m.num_vars(), 2);
-        // Batch solve clears the cap and yields a full model again.
-        let mut cnf = Cnf::new();
-        cnf.add_clause(&[1]);
-        cnf.add_clause(&[5, 6]);
-        let m = s.solve(&cnf).model();
-        assert!(m.num_vars() >= 6);
-        assert!(m.value(5) || m.value(6));
-    }
-
-    #[test]
-    fn assumptions_flip_the_answer_without_reloading() {
-        // (x1 | x2) & (!x1 | x3): satisfiable, but not under {!x2, !x3}.
-        let mut s = CdclSolver::new();
-        assert!(s.add_clause(&[1, 2]));
-        assert!(s.add_clause(&[-1, 3]));
-        let m = s.solve_under_assumptions(&[-2]).model();
-        assert!(m.value(1));
-        assert!(m.value(3));
-        assert_eq!(s.solve_under_assumptions(&[-2, -3]), SatResult::Unsat);
-        let core = s.unsat_core().to_vec();
-        assert!(!core.is_empty());
-        assert!(core.iter().all(|l| [-2, -3].contains(l)), "core {core:?}");
-        // The solver is not poisoned: the relaxed query is SAT again.
-        assert!(s.solve_under_assumptions(&[-2]).is_sat());
-        assert!(s.is_ok());
-    }
-
-    #[test]
-    fn clauses_added_between_solves_take_effect() {
-        let mut s = CdclSolver::new();
-        assert!(s.add_clause(&[1, 2]));
-        assert!(s.solve_under_assumptions(&[]).is_sat());
-        assert!(s.add_clause(&[-1]));
-        // (1|2) with -1 forces 2 at level 0, so the unit -2 is a root
-        // conflict: add_clause reports it immediately.
-        assert!(!s.add_clause(&[-2]));
-        assert_eq!(s.solve_under_assumptions(&[]), SatResult::Unsat);
-        assert!(s.unsat_core().is_empty(), "formula-level unsat has no core");
-        assert!(!s.is_ok());
-        // Every further query short-circuits to Unsat.
-        assert_eq!(s.solve_under_assumptions(&[3]), SatResult::Unsat);
-    }
-
-    #[test]
-    fn selector_retirement_via_unit_clause() {
-        // Group clauses guarded by selector 10: (!s10 | 1) & (!s10 | -2).
-        let mut s = CdclSolver::new();
-        assert!(s.add_clause(&[-10, 1]));
-        assert!(s.add_clause(&[-10, -2]));
-        assert!(s.add_clause(&[2, 3]));
-        let m = s.solve_under_assumptions(&[10]).model();
-        assert!(m.value(1));
-        assert!(!m.value(2));
-        assert!(m.value(3));
-        // Retire the selector; the group no longer constrains anything.
-        assert!(s.add_clause(&[-10]));
-        let m = s.solve_under_assumptions(&[2]).model();
-        assert!(m.value(2));
-    }
-
-    #[test]
-    fn learnt_clauses_survive_assumption_solves() {
-        let cnf = pigeonhole(5);
-        let mut s = CdclSolver::new();
-        assert!(s.load_cnf(&cnf));
-        assert_eq!(s.solve_under_assumptions(&[]), SatResult::Unsat);
-        let first = s.stats();
-        assert!(first.conflicts > 0);
-        // PHP(5) is unsat without assumptions, so ok=false short-circuits;
-        // use a satisfiable base to observe retention instead.
-        let mut s = CdclSolver::new();
-        let mut sat_cnf = Cnf::new();
-        // Force some search: 3-coloring chain with an extra free block.
-        let v = |n: i32, c: i32| n * 3 + c + 1;
-        for n in 0..6 {
-            sat_cnf.add_clause(&[v(n, 0), v(n, 1), v(n, 2)]);
-        }
-        for n in 0..5 {
-            for c in 0..3 {
-                sat_cnf.add_clause(&[-v(n, c), -v(n + 1, c)]);
-            }
-        }
-        assert!(s.load_cnf(&sat_cnf));
-        assert!(s.solve_under_assumptions(&[v(0, 0)]).is_sat());
-        let after_first = s.stats();
-        assert_eq!(after_first.assumption_solves, 1);
-        assert!(s.solve_under_assumptions(&[v(0, 1)]).is_sat());
-        let after_second = s.stats();
-        assert_eq!(after_second.assumption_solves, 2);
-        assert_eq!(
-            after_second.learnt_retained - after_first.learnt_retained,
-            after_first.learnt_clauses,
-            "second solve starts with everything the first solve learnt"
-        );
-    }
-
-    #[test]
-    fn per_solve_conflict_budget_is_not_cumulative() {
-        // A budget that PHP(6)-under-selector exhausts per call must yield
-        // Unknown on each call, not only the first.
-        let holes = 6u32;
-        let pigeons = holes + 1;
-        let sel = (pigeons * holes + 1) as i32;
-        let var = |p: u32, h: u32| (p * holes + h + 1) as i32;
+    fn conflict_budget_applies_per_solve_call() {
+        // One solver object reused across calls: the budget is per call,
+        // not a lifetime total the first call could exhaust.
+        let cnf = pigeonhole(6);
         let mut s = CdclSolver::new().with_conflict_budget(5);
-        for p in 0..pigeons {
-            let mut clause: Vec<i32> = (0..holes).map(|h| var(p, h)).collect();
-            clause.insert(0, -sel);
-            assert!(s.add_clause(&clause));
-        }
-        for h in 0..holes {
-            for p1 in 0..pigeons {
-                for p2 in (p1 + 1)..pigeons {
-                    assert!(s.add_clause(&[-sel, -var(p1, h), -var(p2, h)]));
-                }
-            }
-        }
-        assert_eq!(s.solve_under_assumptions(&[sel]), SatResult::Unknown);
-        assert_eq!(
-            s.solve_under_assumptions(&[sel]),
-            SatResult::Unknown,
-            "budget must reset per solve, not starve on cumulative conflicts"
-        );
-        // Without the selector the instance is free: SAT instantly.
-        assert!(s.solve_under_assumptions(&[-sel]).is_sat());
-    }
-
-    #[test]
-    fn reserve_vars_keeps_reserved_block_stable() {
-        let mut s = CdclSolver::new();
-        s.reserve_vars(300);
-        assert_eq!(s.num_vars(), 300);
-        // Clauses over the reserved block work without implicit growth.
-        assert!(s.add_clause(&[257, 300]));
-        assert!(s.add_clause(&[-257]));
-        let m = s.solve_under_assumptions(&[]).model();
-        assert!(m.value(300));
-        assert!(!m.value(257));
-        assert_eq!(s.num_vars(), 300);
-    }
-
-    #[test]
-    fn assumption_of_failed_literal_yields_singleton_core() {
-        let mut s = CdclSolver::new();
-        assert!(s.add_clause(&[-5])); // x5 is false at root level
-        assert_eq!(s.solve_under_assumptions(&[5]), SatResult::Unsat);
-        assert_eq!(s.unsat_core(), &[5]);
-    }
-
-    #[test]
-    fn contradictory_assumptions_detected() {
-        let mut s = CdclSolver::new();
-        assert!(s.add_clause(&[1, 2]));
-        assert_eq!(s.solve_under_assumptions(&[3, -3]), SatResult::Unsat);
-        let core = s.unsat_core();
-        assert!(core.contains(&3) && core.contains(&-3), "core {core:?}");
+        assert_eq!(s.solve(&cnf), SatResult::Unknown);
+        assert_eq!(s.solve(&cnf), SatResult::Unknown);
+        let mut easy = Cnf::new();
+        easy.add_clause(&[1, 2]);
+        assert!(s.solve(&easy).is_sat());
     }
 
     #[test]
     fn arena_reuses_tombstoned_slots_by_size_class() {
         let mut a = ClauseArena::default();
-        let c3 = a.alloc(&[0, 2, 4], false, true);
-        let c4 = a.alloc(&[1, 3, 5, 7], false, true);
+        let c3 = a.alloc(&[0, 2, 4], false);
+        let c4 = a.alloc(&[1, 3, 5, 7], false);
         let len_before = a.data.len();
         a.free(c3);
         assert!(a.is_dead(c3));
         assert_eq!(a.epoch(c3), 1, "free bumps the slot epoch");
         assert_eq!(a.wasted, HEADER_WORDS + 3);
         // Exact size class: the tombstoned 3-cap slot is reused in place.
-        let c3b = a.alloc(&[6, 8, 10], false, true);
+        let c3b = a.alloc(&[6, 8, 10], false);
         assert_eq!(c3b, c3);
         assert_eq!(a.wasted, 0, "reuse reclaims the tombstone's waste");
         assert_eq!(a.data.len(), len_before, "no tail growth on reuse");
@@ -2430,32 +1251,56 @@ mod tests {
         // Close size class: a 2-lit clause fits the freed 4-cap slot
         // (at most two words of slack).
         a.free(c4);
-        let c2 = a.alloc(&[9, 11], false, true);
+        let c2 = a.alloc(&[9, 11], false);
         assert_eq!(c2, c4);
         assert_eq!(a.len(c2), 2);
         assert_eq!(a.cap(c2), 4, "reused slot keeps its original capacity");
         assert_eq!(a.wasted, 0);
         assert_eq!(a.data.len(), len_before);
         // Nothing free fits a 5-lit clause: it appends at the tail.
-        let c5 = a.alloc(&[0, 2, 4, 6, 8], false, true);
+        let c5 = a.alloc(&[0, 2, 4, 6, 8], false);
         assert_eq!(c5 as usize, len_before);
         assert!(a.data.len() > len_before);
     }
 
-    /// Attaches `n` 3-literal learnt clauses over fresh all-positive
-    /// variables — deterministic arena garbage for the compaction tests
-    /// (every clause is removable: learnt, longer than binary, never a
-    /// reason, and satisfiable by assigning the fresh block true).
-    fn attach_learnt_garbage(s: &mut CdclSolver, n: u32) {
-        let base = s.num_vars() as u32;
-        s.reserve_vars((base + n + 2) as usize);
-        for i in 0..n {
-            let lits = [
-                ilit(base + i, false),
-                ilit(base + i + 1, false),
-                ilit(base + i + 2, false),
-            ];
-            s.attach_clause(&lits, true);
+    /// Resets a solver for `cnf`, attaches `garbage` 3-literal learnt
+    /// clauses over fresh all-positive variables above the formula's own
+    /// (every one removable unless it ends up a reason: learnt, longer than
+    /// binary, satisfiable by assigning the fresh block true), loads `cnf`
+    /// *behind* them in the arena and searches. The trail is left in place,
+    /// so on SAT every variable is assigned and implied ones carry reasons.
+    fn search_behind_garbage(cnf: &Cnf, garbage: u32) -> (CdclSolver, SatResult) {
+        let first = cnf.num_vars();
+        let mut s = CdclSolver::new();
+        s.reset((first + garbage + 2) as usize);
+        for i in first..first + garbage {
+            s.attach_learnt(&[ilit(i, false), ilit(i + 1, false), ilit(i + 2, false)]);
+        }
+        s.load_cnf(cnf);
+        let r = if s.ok { s.search() } else { SatResult::Unsat };
+        (s, r)
+    }
+
+    /// Tombstones half the removable learnts with the trail (and its
+    /// reasons) in place, then relocates everything that is left — the
+    /// problem clauses slide down over the dead garbage in front of them.
+    fn reduce_and_compact(s: &mut CdclSolver) {
+        s.reduce_db();
+        assert!(s.arena.wasted > 0, "tombstones must be accounted");
+        let (before, wasted) = (s.arena.data.len(), s.arena.wasted);
+        s.compact_arena();
+        assert_eq!(s.arena.wasted, 0);
+        assert_eq!(
+            s.arena.data.len(),
+            before - wasted,
+            "compaction reclaims exactly the tombstoned words"
+        );
+        // A reason clause implies its first literal; that must still hold
+        // at the relocated offset.
+        for (v, r) in s.reason.iter().enumerate() {
+            if let Some(c) = *r {
+                assert_eq!(ivar(s.arena.lit(c, 0)), v as u32, "reason of var {v}");
+            }
         }
     }
 
@@ -2477,53 +1322,50 @@ mod tests {
                 cnf.add_clause(&[-v(n, c), -v(n + 1, c)]);
             }
         }
-        let mut s = CdclSolver::new();
-        assert!(s.load_cnf(&cnf));
-        assert!(s.solve_under_assumptions(&[v(0, 0), v(2, 1)]).is_sat());
-        attach_learnt_garbage(&mut s, 40);
-        s.reduce_learnts_now();
-        assert!(s.arena_wasted_bytes() > 0, "tombstones must be accounted");
-        let before = s.arena_bytes();
-        let wasted = s.arena_wasted_bytes();
-        s.compact_arena();
-        assert_eq!(s.arena_wasted_bytes(), 0);
-        assert_eq!(
-            s.arena_bytes(),
-            before - wasted,
-            "compaction reclaims exactly the tombstoned bytes"
-        );
+        let (mut s, first) = search_behind_garbage(&cnf, 40);
+        assert!(first.is_sat());
+        assert!(s.reason.iter().any(Option::is_some), "reasons to relocate");
+        reduce_and_compact(&mut s);
         // Relocated watchers/reasons still drive correct answers.
-        let m = s.solve_under_assumptions(&[v(0, 0), v(1, 1)]).model();
-        assert!(m.satisfies(&cnf));
-        assert!(
-            !s.solve_under_assumptions(&[v(3, 2), v(4, 2)]).is_sat(),
+        s.backtrack(0);
+        assert!(s.search().model().satisfies(&cnf));
+        s.backtrack(0);
+        s.unchecked_enqueue(from_dimacs(v(3, 2)), None);
+        s.unchecked_enqueue(from_dimacs(v(4, 2)), None);
+        assert_eq!(
+            s.search(),
+            SatResult::Unsat,
             "adjacent nodes must not share a color"
         );
     }
 
-    #[test]
-    fn compaction_preserves_detached_group_replay() {
-        let mut s = CdclSolver::new();
-        assert!(s.add_clause(&[1, 2]));
-        let g = s.new_clause_group();
-        s.set_group_active(g, true);
-        assert!(s.add_clause_to_group(g, &[-1, -2]));
-        // Attached: exactly-one-of {1, 2}.
-        assert!(!s.solve_under_assumptions(&[1, 2]).is_sat());
-        // Detach the group, then churn the arena hard while it is out:
-        // tombstoned learnts, free-list reuse, and a relocation pass.
-        s.set_group_active(g, false);
-        attach_learnt_garbage(&mut s, 50);
-        s.reduce_learnts_now();
-        assert!(s.arena_wasted_bytes() > 0);
-        s.compact_arena();
-        assert_eq!(s.arena_wasted_bytes(), 0);
-        // Re-attach: the replay cache must still resolve to the right
-        // (relocated) slots.
-        s.set_group_active(g, true);
-        assert!(!s.solve_under_assumptions(&[1, 2]).is_sat());
-        let m = s.solve_under_assumptions(&[1]).model();
-        assert!(m.value(1));
-        assert!(!m.value(2), "re-attached group clause must constrain");
+    proptest! {
+        /// Tombstoning and relocation in the middle of a solver's life never
+        /// lose, duplicate or corrupt a clause or a watcher: a search resumed
+        /// after the churn still agrees with the DPLL reference.
+        #[test]
+        fn search_after_compaction_matches_dpll(
+            clauses in prop::collection::vec(
+                prop::collection::vec((1i32..=10, any::<bool>()), 1..=4),
+                0..=40,
+            ),
+        ) {
+            let mut cnf = Cnf::new();
+            for cl in &clauses {
+                let lits: Vec<i32> = cl.iter().map(|&(v, neg)| if neg { -v } else { v }).collect();
+                cnf.add_clause(&lits);
+            }
+            let expected = crate::DpllSolver::new().solve(&cnf).is_sat();
+            let (mut s, first) = search_behind_garbage(&cnf, 20);
+            prop_assert_eq!(first.is_sat(), expected);
+            if expected {
+                reduce_and_compact(&mut s);
+                s.backtrack(0);
+                match s.search() {
+                    SatResult::Sat(m) => prop_assert!(m.satisfies(&cnf)),
+                    other => prop_assert!(false, "resumed search said {:?}", other),
+                }
+            }
+        }
     }
 }

@@ -88,299 +88,6 @@ proptest! {
         let b = CdclSolver::new().solve(&cnf);
         prop_assert_eq!(a, b);
     }
-
-    /// `solve_under_assumptions` ≡ DPLL on the same CNF with the assumptions
-    /// appended as unit clauses; on UNSAT the returned core is a subset of
-    /// the assumptions and is itself sufficient for unsatisfiability.
-    #[test]
-    fn assumption_solve_equiv_dpll_units(
-        cnf in arb_cnf(10, 40),
-        raw_assumps in prop::collection::vec((1u32..=10, any::<bool>()), 0..=6),
-    ) {
-        let assumps: Vec<i32> = raw_assumps
-            .into_iter()
-            .map(|(v, neg)| if neg { -(v as i32) } else { v as i32 })
-            .collect();
-        let mut inc = CdclSolver::new();
-        inc.load_cnf(&cnf);
-        let res = inc.solve_under_assumptions(&assumps);
-        let mut with_units = cnf.clone();
-        for &a in &assumps {
-            with_units.add_clause(&[a]);
-        }
-        let reference = DpllSolver::new().solve(&with_units);
-        prop_assert_eq!(res.is_sat(), reference.is_sat());
-        match res {
-            SatResult::Sat(m) => {
-                prop_assert!(m.satisfies(&cnf));
-                for &a in &assumps {
-                    prop_assert!(m.lit_value(a), "assumption {} violated", a);
-                }
-            }
-            SatResult::Unsat => {
-                let core = inc.unsat_core().to_vec();
-                for &l in &core {
-                    prop_assert!(assumps.contains(&l), "core literal {} not assumed", l);
-                }
-                let mut with_core = cnf.clone();
-                for &l in &core {
-                    with_core.add_clause(&[l]);
-                }
-                prop_assert!(
-                    !DpllSolver::new().solve(&with_core).is_sat(),
-                    "core {:?} is not sufficient for UNSAT", core
-                );
-            }
-            SatResult::Unknown => prop_assert!(false, "no budget set, Unknown impossible"),
-        }
-    }
-
-    /// Random add-clause/solve interleavings: the long-lived incremental
-    /// solver (learnt clauses and activities surviving every step) agrees
-    /// with a from-scratch DPLL solve of the accumulated formula at every
-    /// step, under every step's assumption set.
-    #[test]
-    fn incremental_interleaving_equiv_scratch(
-        script in prop::collection::vec(
-            (
-                prop::collection::vec(
-                    prop::collection::vec((1u32..=9, any::<bool>()), 1..=3),
-                    1..=8,
-                ),
-                prop::collection::vec((1u32..=9, any::<bool>()), 0..=4),
-            ),
-            1..=5,
-        ),
-    ) {
-        let mut inc = CdclSolver::new();
-        let mut acc = Cnf::new();
-        for (chunk, raw_assumps) in script {
-            for cl in chunk {
-                let lits: Vec<i32> = cl
-                    .into_iter()
-                    .map(|(v, neg)| if neg { -(v as i32) } else { v as i32 })
-                    .collect();
-                // A `false` return marks the formula root-UNSAT; the scratch
-                // reference sees the same clauses and must agree below.
-                let _ = inc.add_clause(&lits);
-                acc.add_clause(&lits);
-            }
-            let assumps: Vec<i32> = raw_assumps
-                .into_iter()
-                .map(|(v, neg)| if neg { -(v as i32) } else { v as i32 })
-                .collect();
-            let res = inc.solve_under_assumptions(&assumps);
-            let mut scratch = acc.clone();
-            for &a in &assumps {
-                scratch.add_clause(&[a]);
-            }
-            let reference = DpllSolver::new().solve(&scratch);
-            prop_assert_eq!(res.is_sat(), reference.is_sat());
-            if let SatResult::Sat(m) = res {
-                prop_assert!(m.satisfies(&acc));
-                for &a in &assumps {
-                    prop_assert!(m.lit_value(a), "assumption {} violated", a);
-                }
-            }
-        }
-    }
-
-    /// Group attach/detach churn interleaved with learnt-DB reduction and
-    /// arena compaction: as long as every group is re-attached before a
-    /// solve, the long-lived solver agrees *exactly* with a from-scratch
-    /// DPLL solve of the accumulated formula under the same assumptions —
-    /// i.e. clause relocation never loses, duplicates, or corrupts a
-    /// clause, a watcher, or a replay cache entry.
-    #[test]
-    fn group_cycling_with_compaction_equiv_scratch(
-        base in prop::collection::vec(
-            prop::collection::vec((1u32..=9, any::<bool>()), 1..=3),
-            0..=5,
-        ),
-        groups in prop::collection::vec(
-            prop::collection::vec(
-                prop::collection::vec((1u32..=9, any::<bool>()), 1..=3),
-                1..=5,
-            ),
-            1..=4,
-        ),
-        steps in prop::collection::vec(
-            (
-                prop::collection::vec((1u32..=9, any::<bool>()), 0..=4),
-                0u8..=3,
-                prop::collection::vec(any::<bool>(), 4),
-            ),
-            1..=4,
-        ),
-    ) {
-        let to_lits = |cl: &[(u32, bool)]| -> Vec<i32> {
-            cl.iter()
-                .map(|&(v, neg)| if neg { -(v as i32) } else { v as i32 })
-                .collect()
-        };
-        let mut inc = CdclSolver::new();
-        let mut acc = Cnf::new();
-        for cl in &base {
-            let lits = to_lits(cl);
-            let _ = inc.add_clause(&lits);
-            acc.add_clause(&lits);
-        }
-        let mut gids = Vec::new();
-        for gcls in &groups {
-            let g = inc.new_clause_group();
-            inc.set_group_active(g, true);
-            for cl in gcls {
-                let lits = to_lits(cl);
-                let _ = inc.add_clause_to_group(g, &lits);
-                acc.add_clause(&lits);
-            }
-            gids.push(g);
-        }
-        for (raw_assumps, op, mask) in steps {
-            // Detach-churn some groups, run arena maintenance while they
-            // are out, then re-attach everything before solving.
-            for (i, &g) in gids.iter().enumerate() {
-                if mask[i % mask.len()] {
-                    inc.set_group_active(g, false);
-                }
-            }
-            if op & 1 != 0 {
-                inc.reduce_learnts_now();
-            }
-            if op & 2 != 0 {
-                inc.compact_arena();
-            }
-            for &g in &gids {
-                inc.set_group_active(g, true);
-            }
-            let assumps = to_lits(&raw_assumps);
-            let res = inc.solve_under_assumptions(&assumps);
-            let mut scratch = acc.clone();
-            for &a in &assumps {
-                scratch.add_clause(&[a]);
-            }
-            let reference = DpllSolver::new().solve(&scratch);
-            prop_assert_eq!(res.is_sat(), reference.is_sat());
-            if let SatResult::Sat(m) = res {
-                prop_assert!(m.satisfies(&acc));
-                for &a in &assumps {
-                    prop_assert!(m.lit_value(a), "assumption {} violated", a);
-                }
-            }
-        }
-    }
-
-    /// Arbitrary attach subsets under arena maintenance. Exact equivalence
-    /// with the active subset does *not* hold (learnt clauses derived from
-    /// once-attached groups persist, soundly w.r.t. the full formula), but
-    /// every answer is bracketed: a SAT model satisfies the active clauses
-    /// and assumptions, and an UNSAT answer requires the *full* accumulated
-    /// formula (all groups) to be unsatisfiable under the assumptions.
-    /// Conversely, if even the active subset alone is UNSAT, the solver
-    /// must answer UNSAT.
-    #[test]
-    fn group_subset_solves_are_bracketed(
-        base in prop::collection::vec(
-            prop::collection::vec((1u32..=9, any::<bool>()), 1..=3),
-            0..=5,
-        ),
-        groups in prop::collection::vec(
-            prop::collection::vec(
-                prop::collection::vec((1u32..=9, any::<bool>()), 1..=3),
-                1..=5,
-            ),
-            1..=4,
-        ),
-        steps in prop::collection::vec(
-            (
-                prop::collection::vec((1u32..=9, any::<bool>()), 0..=4),
-                0u8..=3,
-                prop::collection::vec(any::<bool>(), 4),
-            ),
-            1..=4,
-        ),
-    ) {
-        let to_lits = |cl: &[(u32, bool)]| -> Vec<i32> {
-            cl.iter()
-                .map(|&(v, neg)| if neg { -(v as i32) } else { v as i32 })
-                .collect()
-        };
-        let mut inc = CdclSolver::new();
-        let mut base_cls: Vec<Vec<i32>> = Vec::new();
-        for cl in &base {
-            let lits = to_lits(cl);
-            let _ = inc.add_clause(&lits);
-            base_cls.push(lits);
-        }
-        let mut gids = Vec::new();
-        let mut group_cls: Vec<Vec<Vec<i32>>> = Vec::new();
-        for gcls in &groups {
-            let g = inc.new_clause_group();
-            inc.set_group_active(g, true);
-            let mut cls = Vec::new();
-            for cl in gcls {
-                let lits = to_lits(cl);
-                let _ = inc.add_clause_to_group(g, &lits);
-                cls.push(lits);
-            }
-            gids.push(g);
-            group_cls.push(cls);
-        }
-        for (raw_assumps, op, mask) in steps {
-            let active: Vec<bool> =
-                (0..gids.len()).map(|i| mask[i % mask.len()]).collect();
-            for (i, &g) in gids.iter().enumerate() {
-                inc.set_group_active(g, active[i]);
-            }
-            if op & 1 != 0 {
-                inc.reduce_learnts_now();
-            }
-            if op & 2 != 0 {
-                inc.compact_arena();
-            }
-            let assumps = to_lits(&raw_assumps);
-            let res = inc.solve_under_assumptions(&assumps);
-
-            let mut active_cnf = Cnf::new();
-            let mut full_cnf = Cnf::new();
-            for cl in &base_cls {
-                active_cnf.add_clause(cl);
-                full_cnf.add_clause(cl);
-            }
-            for (i, cls) in group_cls.iter().enumerate() {
-                for cl in cls {
-                    if active[i] {
-                        active_cnf.add_clause(cl);
-                    }
-                    full_cnf.add_clause(cl);
-                }
-            }
-            let mut active_ref = active_cnf.clone();
-            let mut full_ref = full_cnf.clone();
-            for &a in &assumps {
-                active_ref.add_clause(&[a]);
-                full_ref.add_clause(&[a]);
-            }
-            let active_sat = DpllSolver::new().solve(&active_ref).is_sat();
-            let full_sat = DpllSolver::new().solve(&full_ref).is_sat();
-            match res {
-                SatResult::Sat(ref m) => {
-                    prop_assert!(m.satisfies(&active_cnf), "model violates active clauses");
-                    for &a in &assumps {
-                        prop_assert!(m.lit_value(a), "assumption {} violated", a);
-                    }
-                    prop_assert!(active_sat);
-                }
-                SatResult::Unsat => {
-                    prop_assert!(!full_sat, "UNSAT but the full formula is satisfiable");
-                }
-                SatResult::Unknown => prop_assert!(false, "no budget set"),
-            }
-            if !active_sat {
-                prop_assert!(!res.is_sat(), "active subset UNSAT but solver said SAT");
-            }
-        }
-    }
 }
 
 #[test]

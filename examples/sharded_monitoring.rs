@@ -62,12 +62,10 @@ fn refresh_round(label: &str, app: &mut MonocleApp<FleetFib>, pool: &EnginePool)
     let s = pool.stats();
     println!(
         "{label}\t{} switches\t{found}/{total} plans\t{:.1} ms\t\
-         +{} solves\t+{} assumption\t+{} learnt kept\t+{} cache hits\t+{} fast-path",
+         +{} solves\t+{} cache hits\t+{} fast-path",
         out.len(),
         wall.as_secs_f64() * 1e3,
         s.solver_calls - before.solver_calls,
-        s.assumption_solves - before.assumption_solves,
-        s.learnt_retained - before.learnt_retained,
         s.cache_hits - before.cache_hits,
         s.fast_path_hits - before.fast_path_hits,
     );

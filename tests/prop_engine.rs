@@ -293,9 +293,7 @@ proptest! {
     /// identical to cold serial engines on the same snapshots: with one
     /// batch per switch every engine is cold wherever the job lands, so
     /// worker count and stealing cannot change a single byte of output.
-    /// The serial reference is built from the pool's own engine template
-    /// (incremental by default), so this also pins the long-lived
-    /// assumption-based solver to be deterministic across engines.
+    /// The serial reference is built from the pool's own engine template.
     #[test]
     fn pool_structurally_matches_serial_on_random_tables(
         tables in prop::collection::vec(arb_table(), 2..6),
