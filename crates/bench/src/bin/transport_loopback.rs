@@ -169,7 +169,11 @@ fn main() {
             "  \"notes\": \"end-to-end over real TCP on loopback: one proxy event loop, \
              per-switch Monocle monitors in deferred-planning mode, probe planning on an \
              EnginePool planner thread; confirmations are install-latency-bound so fm/s \
-             scales with overlapping switch sessions, not CPU\",\n",
+             scales with overlapping switch sessions, not CPU. The workload is disjoint /32 \
+             rules on an otherwise empty table (at most updates_per_switch + 1 rules, every \
+             overlap neighborhood = the rule and the default route), so this sweep never \
+             exercises table size: a change to the per-update O(table) work shows on the \
+             benchmark's tcp_large_table, not here\",\n",
         );
         if let Some(base) = base {
             for a in &arms {

@@ -10,7 +10,9 @@
 //! * §4.1 — additions, strict deletions (probe confirms when the *absent*
 //!   outcome appears) and strict modifications (probe built on a synthetic
 //!   table: lower-priority rules removed, the old version re-inserted just
-//!   below, per the paper's construction);
+//!   below, per the paper's construction) — each planned against the
+//!   probed rule's overlap neighborhood, never a copy of the table (see
+//!   [`PlanRequest`]);
 //! * §4.2 — concurrent updates: probes for non-overlapping updates proceed
 //!   in parallel; an update overlapping any unconfirmed one is queued until
 //!   the conflict clears (the paper's implementation policy);
@@ -20,9 +22,9 @@
 use crate::encode::CatchSpec;
 use crate::engine::ProbeEngine;
 use crate::expect::ExpectedTable;
-use crate::generator::{generate_probe, GeneratorConfig, ProbeError};
+use crate::generator::{GeneratorConfig, ProbeError};
 use crate::plan::{ProbePlan, Verdict};
-use monocle_openflow::{FlowMod, FlowModCommand, FlowTable, RuleId};
+use monocle_openflow::{FlowMod, FlowModCommand, FlowTable, Rule, RuleId};
 
 /// Dynamic-monitor configuration.
 #[derive(Debug, Clone)]
@@ -78,43 +80,52 @@ pub enum DynAction {
     },
 }
 
-/// A deferred probe-planning request (transport mode).
+/// One probe-planning request: everything a planner needs to produce the
+/// [`ProbePlan`] that proves update `token`.
 ///
-/// When deferred planning is on (see
-/// [`DynamicMonitor::set_deferred_planning`]), the monitor does not run
-/// probe generation inline on [`DynamicMonitor::on_flowmod`]. Instead it
-/// emits one of these per monitorable update; an external planner — in
-/// practice an [`crate::pool::EnginePool`] fed from the event loop, so
-/// generation for N switches overlaps the switches' install latencies —
-/// produces the [`ProbePlan`] and hands it back through
-/// [`DynamicMonitor::attach_plan`]. The request carries an *owned* snapshot
-/// of the table to plan against, captured at exactly the point the inline
-/// path would have planned: pre-delta for deletes, post-delta for adds,
-/// the §4.1 synthetic construction for modifies.
+/// Every monitorable update becomes exactly one of these, in inline and in
+/// deferred mode alike (see [`DynamicMonitor::set_deferred_planning`] for
+/// who plans it). `table` is not the switch's table but the **overlap
+/// neighborhood** of the probed rule ([`FlowTable::neighborhood`]), captured
+/// at the point §4.1 prescribes:
+///
+/// * delete — the *pre-delta* neighborhood of the victim (it must still be
+///   there to be probed for absence);
+/// * add, and MODIFY-as-ADD — the *post-delta* neighborhood of the new rule;
+/// * modify — the §4.1 construction (lower priorities dropped, the old
+///   version re-inserted just below) applied to the post-delta neighborhood
+///   of the modified match.
+///
+/// That is enough because any rule that can match a header matching rule R
+/// overlaps R: lookups, the Hit constraint and Distinguish are the same on
+/// the neighborhood and on the full table for every candidate probe of R
+/// (the fact [`crate::engine`] already relies on for cache invalidation).
+/// The whole-table reads left in generation — spare-value selection in
+/// header repair and domain constraints — choose *which* value is tried,
+/// never whether a verified plan is valid. So the work per update follows
+/// the size of the change, not the size of the table. Rule ids in `table`
+/// are the expected table's own, except in the modify construction, which
+/// renumbers (the monitor maps the plan back on attach).
 #[derive(Debug, Clone)]
 pub struct PlanRequest {
     /// Update token the resulting plan belongs to.
     pub token: u64,
-    /// Table snapshot to plan against (ids are in this table's id space).
+    /// The probed rule's overlap neighborhood (see the type docs).
     pub table: FlowTable,
-    /// The rule to probe.
+    /// The rule to probe, an id of `table`.
     pub rule_id: RuleId,
-    /// True for §4.1 synthetic modify tables: these are one-shot throwaway
-    /// constructions — plan them on a separate engine shard so they don't
-    /// thrash the real table's warm cache.
-    pub synthetic: bool,
 }
 
-/// An update forwarded to the switch whose probe plan is still being
-/// generated externally (deferred mode). Participates in §4.2 conflict
-/// queueing exactly like an actively probed update.
+/// An update forwarded to the switch whose [`PlanRequest`] has not been
+/// answered yet. Participates in §4.2 conflict queueing exactly like an
+/// actively probed update.
 #[derive(Debug)]
 struct AwaitingUpdate {
     token: u64,
     fm: FlowMod,
     confirm_on: Verdict,
-    /// Rewrite `plan.rule_id` to this after attach (synthetic modify plans
-    /// carry the synthetic table's id).
+    /// Rewrite `plan.rule_id` to this after attach (§4.1 modify plans carry
+    /// the renumbered construction's id).
     remap_rule_id: Option<RuleId>,
 }
 
@@ -137,22 +148,29 @@ struct ActiveUpdate {
     live_seqs: Vec<u32>,
 }
 
-/// The per-switch dynamic monitor. Owns the expected table and the
-/// session-based [`ProbeEngine`] every real-table generation runs through
-/// (update bursts and the proxy's steady-state sweeps share one cache).
+/// The per-switch dynamic monitor. Owns the expected table, the
+/// session-based [`ProbeEngine`] the proxy's steady-state sweeps of that
+/// table run through, and a second engine that only ever sees the small
+/// [`PlanRequest`] tables of inline planning (syncing the first one to
+/// those would throw its warm cache away on every update).
 #[derive(Debug)]
 pub struct DynamicMonitor {
     cfg: DynamicConfig,
     expected: ExpectedTable,
     catch: CatchSpec,
     engine: ProbeEngine,
+    inline_planner: ProbeEngine,
     active: Vec<ActiveUpdate>,
     queued: std::collections::VecDeque<(u64, FlowMod)>,
     next_seq: u32,
-    /// Deferred planning: emit [`PlanRequest`]s instead of planning inline.
+    /// Deferred planning: hand [`PlanRequest`]s out instead of answering
+    /// them here.
     deferred: bool,
     awaiting: Vec<AwaitingUpdate>,
     pending_requests: Vec<PlanRequest>,
+    /// Rules added or modified by updates started since the last
+    /// [`Self::take_touched_rules`].
+    touched: Vec<RuleId>,
 }
 
 impl DynamicMonitor {
@@ -160,26 +178,42 @@ impl DynamicMonitor {
     /// pins + injection port).
     pub fn new(cfg: DynamicConfig, catch: CatchSpec) -> DynamicMonitor {
         let engine = ProbeEngine::with_gen(cfg.gen.clone());
+        let inline_planner = ProbeEngine::with_gen(cfg.gen.clone());
         DynamicMonitor {
             cfg,
             expected: ExpectedTable::new(),
             catch,
             engine,
+            inline_planner,
             active: Vec::new(),
             queued: std::collections::VecDeque::new(),
             next_seq: 0,
             deferred: false,
             awaiting: Vec::new(),
             pending_requests: Vec::new(),
+            touched: Vec::new(),
         }
     }
 
-    /// Switches between inline planning (every [`Self::on_flowmod`] runs
-    /// probe generation synchronously — the simulator/harness path) and
-    /// deferred planning (monitorable updates park in an awaiting set and
-    /// emit [`PlanRequest`]s for an external planner — the transport path).
+    /// Chooses who answers the [`PlanRequest`]s. Both modes build the same
+    /// requests and complete them through [`Self::attach_plan`]. Inline
+    /// (the default; the simulator/harness path): the monitor plans each
+    /// request itself, synchronously, before the call that produced it
+    /// returns. Deferred (the transport path): requests are handed out via
+    /// [`Self::take_plan_requests`] and an external planner — in practice an
+    /// [`crate::pool::EnginePool`] fed from the event loop, so generation
+    /// for N switches overlaps the switches' install latencies — attaches
+    /// the plans later.
     pub fn set_deferred_planning(&mut self, on: bool) {
         self.deferred = on;
+    }
+
+    /// Drains the ids of rules added or modified by the updates started
+    /// since the last call (the adaptive steady scheduler's "recently
+    /// touched" signal), as resolved by the table's own
+    /// [`monocle_openflow::table::ApplyResult`].
+    pub fn take_touched_rules(&mut self) -> Vec<RuleId> {
+        std::mem::take(&mut self.touched)
     }
 
     /// Drains the plan requests produced since the last call. Transport
@@ -256,7 +290,9 @@ impl DynamicMonitor {
             self.queued.push_back((token, fm));
             return Vec::new();
         }
-        self.start_update(now, token, fm)
+        let mut actions = self.start_update(token, fm);
+        self.plan_pending_inline(now, &mut actions);
+        actions
     }
 
     fn conflicts_with_inflight(&self, fm: &FlowMod) -> bool {
@@ -276,30 +312,29 @@ impl DynamicMonitor {
     /// subsumption for a strict delete could probe a surviving rule for
     /// absence — an update that would never confirm. `None` for non-deletes
     /// and no-op deletes.
-    fn delete_victim(&self, fm: &FlowMod) -> Option<RuleId> {
+    ///
+    /// This scan, [`Self::modify_old_version`]'s and the ones inside
+    /// `FlowTable::apply` are the per-update O(table) reads left on the
+    /// update path: a comparison per rule, no copy and no hashing.
+    fn delete_victim(&self, fm: &FlowMod) -> Option<&Rule> {
         match fm.command {
             FlowModCommand::DeleteStrict | FlowModCommand::Delete => {
                 let strict = fm.command == FlowModCommand::DeleteStrict;
                 let tern = fm.match_.ternary();
-                self.expected
-                    .table()
-                    .rules()
-                    .iter()
-                    .find(|r| {
-                        if strict {
-                            r.priority == fm.priority && r.match_ == fm.match_
-                        } else {
-                            tern.subsumes(&r.tern)
-                        }
-                    })
-                    .map(|r| r.id)
+                self.expected.table().rules().iter().find(|r| {
+                    if strict {
+                        r.priority == fm.priority && r.match_ == fm.match_
+                    } else {
+                        tern.subsumes(&r.tern)
+                    }
+                })
             }
             _ => None,
         }
     }
 
     /// The rule a modify is about to replace (pre-delta lookup).
-    fn modify_old_version(&self, fm: &FlowMod) -> Option<monocle_openflow::Rule> {
+    fn modify_old_version(&self, fm: &FlowMod) -> Option<Rule> {
         match fm.command {
             FlowModCommand::ModifyStrict | FlowModCommand::Modify => self
                 .expected
@@ -312,15 +347,16 @@ impl DynamicMonitor {
         }
     }
 
-    /// §4.1 synthetic table for a modify, built from the post-delta table:
-    /// all rules of lower priority removed, the OLD version re-inserted just
-    /// below the modified rule. The probe then always hits either version
-    /// and must tell them apart. Returns the table and the modified rule's
-    /// id *within it*.
+    /// §4.1 synthetic table for a modify, built from a post-delta table
+    /// (outside tests: the neighborhood of the modified match): all rules of
+    /// lower priority removed, the OLD version re-inserted just below the
+    /// modified rule. The probe then always hits either version and must
+    /// tell them apart. Rules are re-added in order, so ids are renumbered;
+    /// returns the table and the modified rule's id *within it*.
     fn build_synthetic(
         table: &FlowTable,
         fm: &FlowMod,
-        old_rule: monocle_openflow::Rule,
+        old_rule: Rule,
     ) -> Option<(FlowTable, RuleId)> {
         if fm.priority == 0 {
             return None;
@@ -328,8 +364,6 @@ impl DynamicMonitor {
         let mut synth = FlowTable::new();
         for r in table.rules() {
             if r.priority >= fm.priority {
-                // Preserve ids by re-adding in order; ids change but the
-                // probed one is re-identified below.
                 let _ = synth.add_rule(r.priority, r.match_, r.actions.clone());
             }
         }
@@ -342,99 +376,101 @@ impl DynamicMonitor {
         Some((synth, synth_id))
     }
 
-    fn start_update(&mut self, now: u64, token: u64, fm: FlowMod) -> Vec<DynAction> {
-        if self.deferred {
-            return self.start_update_deferred(now, token, fm);
-        }
-        let mut actions = Vec::new();
+    /// Starts an update whose conflicts have cleared: applies it to the
+    /// expected table, forwards it, and either parks it behind the one
+    /// [`PlanRequest`] that can prove it or, when there is nothing to probe,
+    /// acknowledges it optimistically. The single add/delete/modify case
+    /// analysis, shared by inline and deferred mode.
+    fn start_update(&mut self, token: u64, fm: FlowMod) -> Vec<DynAction> {
         // §4.1: a deletion is the opposite of an installation — its probe is
-        // the *pre-state* plan, awaited on the absent outcome. Plan it
-        // before the delta invalidates the engine cache: a steady-state
-        // sweep has usually probed the victim already, making this a pure
-        // cache hit.
-        let pre_planned: Option<(ProbePlan, Verdict)> = self.delete_victim(&fm).and_then(|id| {
-            self.engine
-                .generate(self.expected.table(), id, &self.catch)
-                .ok()
-                .map(|p| (p, Verdict::Absent))
-        });
-        // Modify probes need the rule's pre-state version; snapshot just
-        // that rule (not the whole table) before the delta lands.
+        // the victim's *pre-state* plan, awaited on the absent outcome, so
+        // its neighborhood is captured before the delta lands. Likewise a
+        // modify needs the version it replaces (that rule, not the table).
+        let delete_req = self
+            .delete_victim(&fm)
+            .map(|v| (self.expected.table().neighborhood(&v.tern), v.id));
         let old_version = self.modify_old_version(&fm);
-        // Feed the delta to the engine (incremental invalidation), apply it.
+        // The monitor's own engine serves steady sweeps of the full table:
+        // feed it the delta (incremental invalidation), then apply it.
         self.engine.note_flowmod(&fm);
-        let apply_result = self.expected.apply(&fm);
-        actions.push(DynAction::Forward(fm.clone()));
-        let planned: Option<(ProbePlan, Verdict)> = match fm.command {
+        let applied = self.expected.apply(&fm).unwrap_or_default();
+        self.touched
+            .extend(applied.added.iter().chain(&applied.modified));
+        let table = self.expected.table();
+        // (table to plan on, rule to probe in it, confirming verdict, id the
+        // plan is remapped to)
+        let request: Option<(FlowTable, RuleId, Verdict, Option<RuleId>)> = match fm.command {
             // OF1.0: a MODIFY with no matching entry behaves as ADD; the
             // table reports it in ApplyResult::added (and nothing in
             // `modified`), so the guard routes it through the same
-            // present-probe path as an Add — the engine delta above already
-            // evicted the new rule's overlap neighborhood.
+            // present-probe path as an Add.
             FlowModCommand::Add | FlowModCommand::ModifyStrict | FlowModCommand::Modify
-                if apply_result
-                    .as_ref()
-                    .is_ok_and(|r| !r.added.is_empty() && r.modified.is_empty()) =>
+                if !applied.added.is_empty() && applied.modified.is_empty() =>
             {
-                let rule_id = apply_result
-                    .as_ref()
-                    .ok()
-                    .and_then(|r| r.added.first().copied());
-                rule_id.and_then(|id| {
-                    self.engine
-                        .generate(self.expected.table(), id, &self.catch)
-                        .ok()
-                        .map(|p| (p, Verdict::Present))
-                })
+                let tern = fm.match_.ternary();
+                Some((
+                    table.neighborhood(&tern),
+                    applied.added[0],
+                    Verdict::Present,
+                    None,
+                ))
             }
             // An Add whose apply failed (bad actions / overlap flag): no
             // rule to probe.
             FlowModCommand::Add => None,
-            FlowModCommand::DeleteStrict | FlowModCommand::Delete => pre_planned,
-            FlowModCommand::ModifyStrict | FlowModCommand::Modify => {
-                // §4.1 synthetic table: expected post-state, all rules of
-                // lower priority removed, the OLD version re-inserted just
-                // below the modified rule. The probe then always hits either
-                // version and must tell them apart.
-                let new_id = self
-                    .expected
-                    .table()
-                    .rules()
-                    .iter()
-                    .find(|r| r.priority == fm.priority && r.match_ == fm.match_)
-                    .map(|r| r.id);
-                match (old_version, new_id) {
-                    (Some(old_rule), Some(new_id)) => {
-                        Self::build_synthetic(self.expected.table(), &fm, old_rule).and_then(
-                            |(synth, synth_id)| {
-                                self.generate(&synth, synth_id).map(|mut plan| {
-                                    // The plan's rule id refers to the
-                                    // synthetic table; point it at the real
-                                    // rule.
-                                    plan.rule_id = new_id;
-                                    (plan, Verdict::Present)
-                                })
-                            },
-                        )
-                    }
-                    _ => None,
-                }
+            FlowModCommand::DeleteStrict | FlowModCommand::Delete => {
+                delete_req.map(|(nb, id)| (nb, id, Verdict::Absent, None))
             }
+            // A modify keeps its rule's id, so the old version names the
+            // new one too; `modified` is empty when the apply failed.
+            FlowModCommand::ModifyStrict | FlowModCommand::Modify => old_version
+                .filter(|_| !applied.modified.is_empty())
+                .and_then(|old| {
+                    let real_id = old.id;
+                    Self::build_synthetic(&table.neighborhood(&old.tern), &fm, old)
+                        .map(|(synth, synth_id)| (synth, synth_id, Verdict::Present, Some(real_id)))
+                }),
         };
-        match planned {
-            Some((plan, confirm_on)) => {
-                actions.push(self.activate(now, token, fm, plan, confirm_on));
-            }
-            None => {
-                // Unmonitorable update: acknowledge optimistically (the
-                // controller can fall back to barriers for these).
-                actions.push(DynAction::Confirmed {
+        let mut actions = vec![DynAction::Forward(fm.clone())];
+        match request {
+            Some((table, rule_id, confirm_on, remap_rule_id)) => {
+                self.awaiting.push(AwaitingUpdate {
                     token,
-                    verified: false,
+                    fm,
+                    confirm_on,
+                    remap_rule_id,
+                });
+                self.pending_requests.push(PlanRequest {
+                    token,
+                    table,
+                    rule_id,
                 });
             }
+            // Unmonitorable update: acknowledge optimistically (the
+            // controller can fall back to barriers for these).
+            None => actions.push(DynAction::Confirmed {
+                token,
+                verified: false,
+            }),
         }
         actions
+    }
+
+    /// Inline mode's planner: answers every pending [`PlanRequest`] on the
+    /// monitor's own small-table engine and attaches the result at once —
+    /// what a transport driver does with [`Self::take_plan_requests`] and
+    /// [`Self::attach_plan`], synchronously. No-op in deferred mode.
+    fn plan_pending_inline(&mut self, now: u64, actions: &mut Vec<DynAction>) {
+        if self.deferred {
+            return;
+        }
+        for req in std::mem::take(&mut self.pending_requests) {
+            let plan = self
+                .inline_planner
+                .generate(&req.table, req.rule_id, &self.catch)
+                .ok();
+            actions.extend(self.attach_plan(now, req.token, plan));
+        }
     }
 
     /// Registers a planned update as actively probed and emits its first
@@ -469,111 +505,11 @@ impl DynamicMonitor {
         DynAction::Inject { token, seq }
     }
 
-    /// Deferred-mode [`Self::start_update`]: same victim/synthetic-table
-    /// selection as the inline path, but instead of planning it captures
-    /// owned table snapshots in [`PlanRequest`]s and parks the update in the
-    /// awaiting set. The engine still receives the delta notification so the
-    /// inline cache stays coherent for any sync sweep.
-    fn start_update_deferred(&mut self, now: u64, token: u64, fm: FlowMod) -> Vec<DynAction> {
-        let mut actions = Vec::new();
-        // Pre-delta capture for deletes (the inline path plans here).
-        let delete_req: Option<(PlanRequest, Verdict, Option<RuleId>)> =
-            self.delete_victim(&fm).map(|id| {
-                (
-                    PlanRequest {
-                        token,
-                        table: self.expected.table().clone(),
-                        rule_id: id,
-                        synthetic: false,
-                    },
-                    Verdict::Absent,
-                    None,
-                )
-            });
-        let old_version = self.modify_old_version(&fm);
-        self.engine.note_flowmod(&fm);
-        let apply_result = self.expected.apply(&fm);
-        actions.push(DynAction::Forward(fm.clone()));
-        let request: Option<(PlanRequest, Verdict, Option<RuleId>)> = match fm.command {
-            // MODIFY-as-ADD routes through the same present-probe path as an
-            // Add, exactly like the inline path.
-            FlowModCommand::Add | FlowModCommand::ModifyStrict | FlowModCommand::Modify
-                if apply_result
-                    .as_ref()
-                    .is_ok_and(|r| !r.added.is_empty() && r.modified.is_empty()) =>
-            {
-                apply_result
-                    .as_ref()
-                    .ok()
-                    .and_then(|r| r.added.first().copied())
-                    .map(|id| {
-                        (
-                            PlanRequest {
-                                token,
-                                table: self.expected.table().clone(),
-                                rule_id: id,
-                                synthetic: false,
-                            },
-                            Verdict::Present,
-                            None,
-                        )
-                    })
-            }
-            FlowModCommand::Add => None,
-            FlowModCommand::DeleteStrict | FlowModCommand::Delete => delete_req,
-            FlowModCommand::ModifyStrict | FlowModCommand::Modify => {
-                let new_id = self
-                    .expected
-                    .table()
-                    .rules()
-                    .iter()
-                    .find(|r| r.priority == fm.priority && r.match_ == fm.match_)
-                    .map(|r| r.id);
-                match (old_version, new_id) {
-                    (Some(old_rule), Some(new_id)) => {
-                        Self::build_synthetic(self.expected.table(), &fm, old_rule).map(
-                            |(synth, synth_id)| {
-                                (
-                                    PlanRequest {
-                                        token,
-                                        table: synth,
-                                        rule_id: synth_id,
-                                        synthetic: true,
-                                    },
-                                    Verdict::Present,
-                                    Some(new_id),
-                                )
-                            },
-                        )
-                    }
-                    _ => None,
-                }
-            }
-        };
-        match request {
-            Some((req, confirm_on, remap_rule_id)) => {
-                self.awaiting.push(AwaitingUpdate {
-                    token,
-                    fm,
-                    confirm_on,
-                    remap_rule_id,
-                });
-                self.pending_requests.push(req);
-            }
-            None => actions.push(DynAction::Confirmed {
-                token,
-                verified: false,
-            }),
-        }
-        let _ = now;
-        actions
-    }
-
-    /// Deferred-mode completion: the external planner hands back the plan
-    /// for update `token` (`None` = generation failed → optimistic ack, the
-    /// same unmonitorable path as inline planning). An unmonitorable
-    /// completion releases conflict-queued updates, since the update never
-    /// enters the actively probed set.
+    /// Completes a [`PlanRequest`]: the planner hands back the plan for
+    /// update `token` (`None` = generation failed → optimistic ack, like an
+    /// update with nothing to probe). An unmonitorable completion releases
+    /// conflict-queued updates, since the update never enters the actively
+    /// probed set.
     pub fn attach_plan(&mut self, now: u64, token: u64, plan: Option<ProbePlan>) -> Vec<DynAction> {
         let Some(idx) = self.awaiting.iter().position(|a| a.token == token) else {
             return Vec::new(); // unknown or duplicate attach
@@ -582,8 +518,8 @@ impl DynamicMonitor {
         match plan {
             Some(mut plan) => {
                 if let Some(id) = a.remap_rule_id {
-                    // Synthetic-table plans carry the synthetic id; point it
-                    // at the real rule.
+                    // §4.1 modify plans carry the construction's id; point
+                    // it at the real rule.
                     plan.rule_id = id;
                 }
                 vec![self.activate(now, a.token, a.fm, plan, a.confirm_on)]
@@ -596,23 +532,6 @@ impl DynamicMonitor {
                 actions.extend(self.release_queued(now));
                 actions
             }
-        }
-    }
-
-    /// Stateless generation for the §4.1 *synthetic* modify table: one-shot
-    /// constructions with throwaway rule ids would only thrash the engine's
-    /// session, so they bypass it.
-    fn generate(&self, table: &FlowTable, id: RuleId) -> Option<ProbePlan> {
-        match generate_probe(table, id, &self.catch, &self.cfg.gen) {
-            Ok(p) => Some(p),
-            Err(
-                ProbeError::Hidden
-                | ProbeError::Indistinguishable
-                | ProbeError::CatchConflict(_)
-                | ProbeError::RewritesReserved(_)
-                | ProbeError::NoSuchRule(_),
-            ) => None,
-            Err(ProbeError::SolverBudget | ProbeError::RepairFailed) => None,
         }
     }
 
@@ -670,9 +589,9 @@ impl DynamicMonitor {
         actions
     }
 
-    /// Starts every conflict-queued update whose conflicts have cleared
-    /// (in deferred mode a released update re-enters via the awaiting set
-    /// and produces a new [`PlanRequest`]).
+    /// Starts every conflict-queued update whose conflicts have cleared (a
+    /// released update re-enters via the awaiting set and produces a new
+    /// [`PlanRequest`]).
     fn release_queued(&mut self, now: u64) -> Vec<DynAction> {
         let mut actions = Vec::new();
         let mut requeue = std::collections::VecDeque::new();
@@ -680,10 +599,11 @@ impl DynamicMonitor {
             if self.conflicts_with_inflight(&fm) {
                 requeue.push_back((token, fm));
             } else {
-                actions.extend(self.start_update(now, token, fm));
+                actions.extend(self.start_update(token, fm));
             }
         }
         self.queued = requeue;
+        self.plan_pending_inline(now, &mut actions);
         actions
     }
 
@@ -972,8 +892,7 @@ mod tests {
         );
     }
 
-    /// Plans a deferred request exactly as the transport planner would
-    /// (stateless generation against the request's table snapshot).
+    /// Plans a deferred request statelessly against the request's table.
     fn plan_request(req: &PlanRequest) -> Option<ProbePlan> {
         crate::generator::generate_probe(
             &req.table,
@@ -997,9 +916,9 @@ mod tests {
         let reqs = m.take_plan_requests();
         assert_eq!(reqs.len(), 1);
         assert_eq!(reqs[0].token, 1);
-        assert!(!reqs[0].synthetic);
-        // The snapshot is post-delta: it contains the new rule.
+        // The neighborhood is post-delta: it contains the new rule.
         assert_eq!(reqs[0].table.len(), 2);
+        assert!(reqs[0].table.get(reqs[0].rule_id).is_some());
         let plan = plan_request(&reqs[0]);
         assert!(plan.is_some());
         let acts = m.attach_plan(50, 1, plan);
@@ -1030,13 +949,24 @@ mod tests {
             panic!("{acts:?} {acts2:?}")
         };
         m.on_verdict(2, seq, Verdict::Present);
+        // A disjoint bystander: in the table, in nobody's neighborhood.
+        m.expected_mut()
+            .install(10, Match::any().with_nw_dst([10, 0, 0, 2], 32), vec![])
+            .unwrap();
+        let victim = m.expected().table().rules()[0].id;
         // Delete: the request's table must still contain the victim.
         let del = FlowMod::delete_strict(10, Match::any().with_nw_dst([10, 0, 0, 1], 32));
         m.on_flowmod(10, 2, del);
-        assert_eq!(m.expected().table().len(), 1, "delta applied immediately");
+        assert_eq!(m.expected().table().len(), 2, "delta applied immediately");
         let reqs = m.take_plan_requests();
         assert_eq!(reqs.len(), 1);
-        assert_eq!(reqs[0].table.len(), 2, "pre-delta snapshot for deletes");
+        assert_eq!(
+            reqs[0].table.len(),
+            2,
+            "pre-delta neighborhood for deletes: victim + default route"
+        );
+        assert_eq!(reqs[0].rule_id, victim, "ids are the expected table's");
+        assert!(reqs[0].table.get(victim).is_some());
         let acts = m.attach_plan(20, 2, plan_request(&reqs[0]));
         let DynAction::Inject { seq, .. } = acts[0] else {
             panic!("{acts:?}")
@@ -1070,9 +1000,13 @@ mod tests {
         m.on_flowmod(10, 2, fm);
         let reqs = m.take_plan_requests();
         assert_eq!(reqs.len(), 1);
-        assert!(reqs[0].synthetic, "modify plans on the synthetic table");
+        // §4.1 construction on the neighborhood: the new version, the old
+        // one re-inserted just below it, and nothing of lower priority (the
+        // default route is gone).
+        let prios: Vec<u16> = reqs[0].table.rules().iter().map(|r| r.priority).collect();
+        assert_eq!(prios, [10, 9], "modify plans on the synthetic table");
+        assert_eq!(reqs[0].table.get(reqs[0].rule_id).unwrap().priority, 10);
         let plan = plan_request(&reqs[0]).expect("old port 2 vs new port 5 distinguishable");
-        let synth_id = plan.rule_id;
         let acts = m.attach_plan(20, 2, Some(plan));
         let DynAction::Inject { seq, .. } = acts[0] else {
             panic!("{acts:?}")
@@ -1088,7 +1022,6 @@ mod tests {
             .unwrap()
             .id;
         assert_eq!(live.rule_id, real_id);
-        let _ = synth_id;
         let out = m.on_verdict(30, seq, Verdict::Present);
         assert!(matches!(out[0], DynAction::Confirmed { token: 2, .. }));
     }
@@ -1129,6 +1062,217 @@ mod tests {
         assert_eq!(m.queued(), 0);
         assert_eq!(m.awaiting_plans(), 1, "released update awaits its plan");
         assert_eq!(m.take_plan_requests().len(), 1);
+    }
+
+    /// Pins the complexity, not the time: what a [`PlanRequest`] carries is
+    /// the probed rule's overlap neighborhood, whatever the table's size.
+    #[test]
+    fn plan_requests_carry_the_neighborhood_not_the_table() {
+        let mut m = monitor();
+        for i in 0..2000u32 {
+            let dst = [10, 1, (i >> 8) as u8, i as u8];
+            m.expected_mut()
+                .install(
+                    10,
+                    Match::any().with_nw_dst(dst, 32),
+                    vec![Action::Output(2)],
+                )
+                .unwrap();
+        }
+        m.set_deferred_planning(true);
+        let host = Match::any().with_nw_dst([10, 1, 3, 7], 32);
+        let fresh = Match::any().with_nw_dst([10, 2, 0, 1], 32);
+        let script = [
+            // (FlowMod, rules overlapping its match before it lands)
+            (FlowMod::delete_strict(10, host), 2),
+            (FlowMod::add(10, fresh, vec![Action::Output(3)]), 1),
+            // §4.1: the default route is dropped, the old version re-inserted.
+            (
+                FlowMod::modify_strict(10, fresh, vec![Action::Output(4)]),
+                2,
+            ),
+        ];
+        for (token, (fm, overlap_before)) in script.into_iter().enumerate() {
+            let tern = fm.match_.ternary();
+            assert_eq!(
+                m.expected().table().overlapping(&tern).len(),
+                overlap_before
+            );
+            m.on_flowmod(0, token as u64, fm);
+            let reqs = m.take_plan_requests();
+            assert_eq!(reqs.len(), 1);
+            let req = &reqs[0];
+            assert_eq!(req.table.len(), 2, "victim/new rule + one neighbor");
+            assert!(req.table.len() <= overlap_before + 1);
+            assert!(req.table.get(req.rule_id).is_some(), "rule_id resolves");
+            let plan = plan_request(req);
+            assert!(plan.is_some(), "update {token} is monitorable");
+            let acts = m.attach_plan(1, token as u64, plan);
+            let DynAction::Inject { seq, .. } = acts[0] else {
+                panic!("{acts:?}")
+            };
+            // Both verdicts: whichever confirms this update does.
+            m.on_verdict(2, seq, Verdict::Present);
+            m.on_verdict(2, seq, Verdict::Absent);
+            assert_eq!(m.in_flight(), 0);
+        }
+        assert_eq!(m.expected().table().len(), 2001);
+    }
+
+    mod props {
+        use super::*;
+        use crate::plan::verify_probe;
+        use proptest::prelude::*;
+
+        /// A small value space, so rules overlap and updates conflict.
+        fn arb_match() -> impl Strategy<Value = Match> {
+            (
+                prop::option::of((0u8..2, 0u8..3, prop_oneof![Just(24u8), Just(32)])),
+                prop::option::of(prop_oneof![Just(22u16), Just(80)]),
+            )
+                .prop_map(|(dst, port)| {
+                    let mut m = Match::any();
+                    if let Some((a, b, plen)) = dst {
+                        m = m.with_nw_dst([10, 0, a, b], plen);
+                    }
+                    if let Some(p) = port {
+                        m = m.with_nw_proto(6).with_tp_dst(p);
+                    }
+                    m
+                })
+        }
+
+        fn arb_actions() -> impl Strategy<Value = Vec<Action>> {
+            prop_oneof![
+                Just(vec![]),
+                (1u16..5).prop_map(|p| vec![Action::Output(p)]),
+                (1u8..4).prop_map(|t| vec![Action::SetNwTos(t), Action::Output(1)]),
+            ]
+        }
+
+        fn arb_flowmod() -> impl Strategy<Value = FlowMod> {
+            (0u8..5, 2u16..6, arb_match(), arb_actions()).prop_map(|(cmd, prio, m, a)| match cmd {
+                0 | 1 => FlowMod::add(prio, m, a),
+                2 => FlowMod::modify_strict(prio, m, a),
+                3 => FlowMod::delete_strict(prio, m),
+                _ => FlowMod {
+                    command: FlowModCommand::Delete,
+                    ..FlowMod::delete_strict(prio, m)
+                },
+            })
+        }
+
+        /// Answers every outstanding injection with both verdicts (one of
+        /// them confirms) until the monitor goes quiet, planning whatever
+        /// the confirmations release.
+        fn confirm_all(
+            m: &mut DynamicMonitor,
+            planner: &mut Option<ProbeEngine>,
+            log: &mut Vec<DynAction>,
+            answered: &mut usize,
+        ) {
+            while *answered < log.len() {
+                let action = log[*answered].clone();
+                *answered += 1;
+                if let DynAction::Inject { seq, .. } = action {
+                    for v in [Verdict::Present, Verdict::Absent] {
+                        let out = m.on_verdict(5, seq, v);
+                        log.extend(out);
+                        settle(m, planner, log);
+                    }
+                }
+            }
+        }
+
+        /// The transport driver's half of the deferred contract, run
+        /// synchronously and depth-first: plan each request with `planner`,
+        /// attach, and settle what the attach released before moving on.
+        fn settle(
+            m: &mut DynamicMonitor,
+            planner: &mut Option<ProbeEngine>,
+            log: &mut Vec<DynAction>,
+        ) {
+            for req in m.take_plan_requests() {
+                let plan = planner
+                    .as_mut()
+                    .expect("inline mode hands no requests out")
+                    .generate(&req.table, req.rule_id, &CatchSpec::default())
+                    .ok();
+                log.extend(m.attach_plan(1, req.token, plan));
+                settle(m, planner, log);
+            }
+        }
+
+        fn run_script(script: &[FlowMod], deferred: bool) -> (Vec<DynAction>, Vec<Rule>) {
+            let mut m = monitor();
+            m.set_deferred_planning(deferred);
+            let mut planner = deferred.then(|| ProbeEngine::with_gen(DynamicConfig::default().gen));
+            let (mut log, mut answered) = (Vec::new(), 0);
+            for (i, fm) in script.iter().enumerate() {
+                log.extend(m.on_flowmod(1, i as u64, fm.clone()));
+                settle(&mut m, &mut planner, &mut log);
+                // Confirm in bursts, so overlapping updates queue in between.
+                if i % 3 == 2 {
+                    confirm_all(&mut m, &mut planner, &mut log, &mut answered);
+                }
+            }
+            confirm_all(&mut m, &mut planner, &mut log, &mut answered);
+            assert_eq!((m.in_flight(), m.queued(), m.awaiting_plans()), (0, 0, 0));
+            (log, m.expected().table().rules().to_vec())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Inline planning is the deferred contract plus a synchronous
+            /// planner: the same FlowMod script yields the same action
+            /// sequence (and expected table) in both modes when the deferred
+            /// plans come from the same planning function.
+            #[test]
+            fn inline_and_deferred_emit_the_same_actions(
+                script in prop::collection::vec(arb_flowmod(), 1..16)
+            ) {
+                let (inline_log, inline_table) = run_script(&script, false);
+                let (deferred_log, deferred_table) = run_script(&script, true);
+                prop_assert_eq!(inline_log, deferred_log);
+                prop_assert_eq!(inline_table, deferred_table);
+            }
+
+            /// The §4.1 construction applied to the neighborhood of the
+            /// modified match plans like the construction applied to the
+            /// whole table (the oracle, kept for this test only): same found
+            /// / not found, and the neighborhood's plan verifies on the
+            /// full construction with the outcomes it promises.
+            #[test]
+            fn neighborhood_synthetic_plan_verifies_on_full_synthetic(
+                rules in prop::collection::vec((2u16..6, arb_match(), arb_actions()), 1..14),
+                pick in any::<usize>(),
+                new_actions in arb_actions(),
+            ) {
+                let mut table = FlowTable::new();
+                table.add_rule(1, Match::any(), vec![Action::Output(9)]).unwrap();
+                for (prio, m, a) in rules {
+                    let _ = table.add_rule(prio, m, a);
+                }
+                let old = table.rules()[pick % table.len()].clone();
+                let fm = FlowMod::modify_strict(old.priority, old.match_, new_actions);
+                table.apply(&fm).unwrap();
+                let nb = table.neighborhood(&old.tern);
+                let (small, small_id) =
+                    DynamicMonitor::build_synthetic(&nb, &fm, old.clone()).unwrap();
+                let (full, full_id) =
+                    DynamicMonitor::build_synthetic(&table, &fm, old).unwrap();
+                prop_assert!(small.len() <= full.len());
+                let (catch, gen) = (CatchSpec::default(), GeneratorConfig::default());
+                let on_small = crate::generator::generate_probe(&small, small_id, &catch, &gen);
+                let on_full = crate::generator::generate_probe(&full, full_id, &catch, &gen);
+                prop_assert_eq!(on_small.is_ok(), on_full.is_ok(), "{:?} vs {:?}", on_small, on_full);
+                if let Ok(plan) = on_small {
+                    let oracle = verify_probe(&full, full_id, &plan.header, &[]);
+                    prop_assert_eq!(oracle, Some((plan.present, plan.absent)));
+                }
+            }
+        }
     }
 
     #[test]

@@ -45,12 +45,14 @@
 //! ## Transport consumers
 //!
 //! The event-driven TCP runtime (`monocle_net`) uses the pool as the
-//! planning backend behind its planner thread: every deferred update
-//! ([`crate::dynamic::PlanRequest`]) becomes a single-rule
-//! [`JobSpec::Rules`] job carrying its own pre-delta/post-delta/synthetic
-//! table snapshot. Synthetic-table jobs (§4.1 modify probes) set bit 31 of
-//! the submitted switch id so they hash to a different home worker than
-//! the switch's regular jobs and cannot thrash its warm engine cache.
+//! planning backend behind its planner thread: every update's
+//! [`crate::dynamic::PlanRequest`] becomes a single-rule
+//! [`JobSpec::Rules`] job whose table is the probed rule's overlap
+//! neighborhood — a few rules, owned by the job and published once at
+//! epoch 0, never the switch's table. All of a switch's jobs hash to its
+//! one home worker; that worker's engine delta-syncs between consecutive
+//! small tables, so there is no warm whole-table cache on this path for a
+//! one-shot job to thrash.
 //! Because the transport can park an injection behind write backpressure
 //! long after planning finished, the injection-time freshness rule is
 //! load-bearing there: revalidate [`JobResult::epoch`] (or, for deferred

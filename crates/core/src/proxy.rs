@@ -208,24 +208,7 @@ impl MonitorProxy {
             }
             _ => fm,
         };
-        let key = (fm.priority, fm.match_);
         let actions = self.dynamic.on_flowmod(now, token, fm);
-        // Adaptive steady scheduling: the touched rule (added or modified —
-        // deletes leave the sweep at the next refresh anyway) becomes hot.
-        if let Some(steady) = &mut self.steady {
-            if steady.is_adaptive() {
-                if let Some(rule) = self
-                    .dynamic
-                    .expected()
-                    .table()
-                    .rules()
-                    .iter()
-                    .find(|r| r.priority == key.0 && r.match_ == key.1)
-                {
-                    steady.note_rule_modified(rule.id, now);
-                }
-            }
-        }
         self.map_dynamic(now, actions)
     }
 
@@ -302,12 +285,13 @@ impl MonitorProxy {
         out
     }
 
-    /// Switches the dynamic monitor between inline probe planning (the
-    /// simulator/harness path) and deferred planning for transport
-    /// consumers: monitorable updates then emit
-    /// [`crate::dynamic::PlanRequest`]s — drained with
-    /// [`Self::take_plan_requests`] after every proxy call — and complete
-    /// via [`Self::attach_plan`] once an external planner (typically an
+    /// Chooses who answers the dynamic monitor's
+    /// [`crate::dynamic::PlanRequest`]s (one per monitorable update, carrying
+    /// the probed rule's overlap neighborhood): the monitor itself,
+    /// synchronously (inline, the default — the simulator/harness path), or
+    /// a transport consumer, which drains them with
+    /// [`Self::take_plan_requests`] after every proxy call and completes
+    /// them via [`Self::attach_plan`] once an external planner (typically an
     /// [`crate::pool::EnginePool`]) has produced the plan.
     pub fn set_deferred_planning(&mut self, on: bool) {
         self.dynamic.set_deferred_planning(on);
@@ -416,6 +400,16 @@ impl MonitorProxy {
     }
 
     fn map_dynamic(&mut self, now: u64, actions: Vec<DynAction>) -> Vec<ProxyOutput> {
+        // Adaptive steady scheduling: rules touched by the updates these
+        // actions started (added or modified — deletes leave the sweep at
+        // the next refresh anyway) become hot. The ids come from the table's
+        // own ApplyResult, not from a scan of the table.
+        let touched = self.dynamic.take_touched_rules();
+        if let Some(steady) = self.steady.as_mut().filter(|s| s.is_adaptive()) {
+            for id in touched {
+                steady.note_rule_modified(id, now);
+            }
+        }
         let mut out = Vec::new();
         for a in actions {
             match a {
@@ -438,7 +432,6 @@ impl MonitorProxy {
                 DynAction::Alarm { token } => out.push(ProxyOutput::Alarm { token }),
             }
         }
-        let _ = now;
         out
     }
 

@@ -105,7 +105,7 @@ struct Inner {
     conns: HashMap<usize, ConnState>,
     listeners: HashMap<usize, TcpListener>,
     timers: TimerQueue,
-    synthetic: VecDeque<TransportEvent>,
+    loop_events: VecDeque<TransportEvent>,
     next_conn: usize,
     next_listener: usize,
     stop: bool,
@@ -146,7 +146,7 @@ impl IoCtx<'_> {
         if established {
             let id = self.install(stream)?;
             self.inner
-                .synthetic
+                .loop_events
                 .push_back(TransportEvent::Connected { conn: id });
             return Ok(id);
         }
@@ -278,7 +278,7 @@ impl EventLoop {
                 conns: HashMap::new(),
                 listeners: HashMap::new(),
                 timers: TimerQueue::new(),
-                synthetic: VecDeque::new(),
+                loop_events: VecDeque::new(),
                 next_conn: 0,
                 next_listener: 1,
                 stop: false,
@@ -308,7 +308,7 @@ impl EventLoop {
         while !self.inner.stop {
             // Synthetic events (outbound connects) first — they must be
             // observed before any traffic on those connections.
-            while let Some(ev) = self.inner.synthetic.pop_front() {
+            while let Some(ev) = self.inner.loop_events.pop_front() {
                 self.deliver(driver, ev);
                 if self.inner.stop {
                     return Ok(());

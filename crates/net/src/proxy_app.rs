@@ -18,15 +18,28 @@
 //!
 //! ## Deferred planning
 //!
-//! Probe planning is SAT solving — milliseconds of CPU — so it never runs
-//! on the I/O thread. [`MonitorProxy::take_plan_requests`] yields
-//! `(token, table snapshot, rule)` jobs which are shipped over an mpsc
-//! channel to a planner thread owning an [`EnginePool`]; finished plans
-//! come back through a second channel and the loop's waker, and are
-//! attached with [`MonitorProxy::attach_plan`]. While a plan is in flight
-//! the update's FlowMod has already been forwarded — planning overlaps
-//! switch installation latency, which is where the multi-switch throughput
-//! scaling comes from.
+//! Probe planning is SAT solving — milliseconds of CPU in the worst case —
+//! so it never runs on the I/O thread. [`MonitorProxy::take_plan_requests`]
+//! yields `(token, table, rule)` jobs whose table is the probed rule's
+//! overlap neighborhood ([`monocle::PlanRequest`]), not a copy of the
+//! switch's table: what the loop thread builds per FlowMod, and what the
+//! planner fingerprints per job, follows the size of the change, not the
+//! size of the table. Jobs are shipped over an mpsc channel to a planner
+//! thread owning an [`EnginePool`], which takes ownership of each job's
+//! table; finished plans come back through a second channel and the loop's
+//! waker, and are attached with [`MonitorProxy::attach_plan`]. No job
+//! carries a long-lived table, so there is no warm engine shard to protect:
+//! a switch's jobs all land on its one shard, whose engine delta-syncs
+//! between consecutive small tables. While a plan is in flight the update's
+//! FlowMod has already been forwarded — planning overlaps switch
+//! installation latency, which is where the multi-switch throughput scaling
+//! comes from.
+//!
+//! ## Steady-state verdicts
+//!
+//! `RuleFailed` / `RuleRecovered` have no OpenFlow message to ride on; they
+//! are counted per session ([`SessionStats::rules_failed`],
+//! [`SessionStats::rules_recovered`]).
 //!
 //! ## Backpressure
 //!
@@ -67,17 +80,12 @@ const LIVENESS_MAGIC: &[u8] = b"MNCL-LIVE";
 /// Half-life for per-switch telemetry decay (churn, backpressure heat).
 const TELEMETRY_HALF_LIFE_NS: u64 = 1_000_000_000;
 
-/// High bit marking synthetic-table jobs so they land on different pool
-/// shards than the switch's regular jobs and don't thrash warm caches.
-const SYNTHETIC_SHARD_BIT: u32 = 1 << 31;
-
 /// A planning job shipped to the planner thread.
 struct PlanJob {
     session: u64,
     token: u64,
     switch_id: u32,
     rule_id: RuleId,
-    synthetic: bool,
     table: FlowTable,
     catch: CatchSpec,
 }
@@ -123,6 +131,10 @@ pub struct SessionStats {
     pub echo_replies: u64,
     /// Liveness echoes still unanswered when the next one was due.
     pub echo_timeouts: u64,
+    /// Steady-state: rules that stopped verifying.
+    pub rules_failed: u64,
+    /// Steady-state: failed rules that verified again.
+    pub rules_recovered: u64,
 }
 
 /// Shared view of all sessions' counters (keyed by session id).
@@ -318,7 +330,8 @@ impl ProxyApp {
                         token as u32,
                     );
                 }
-                ProxyOutput::RuleFailed { .. } | ProxyOutput::RuleRecovered { .. } => {}
+                ProxyOutput::RuleFailed { .. } => sess.stats.rules_failed += 1,
+                ProxyOutput::RuleRecovered { .. } => sess.stats.rules_recovered += 1,
             }
         }
         self.drain_plan_requests(session);
@@ -377,7 +390,6 @@ impl ProxyApp {
                 token: req.token,
                 switch_id,
                 rule_id: req.rule_id,
-                synthetic: req.synthetic,
                 table: req.table,
                 catch: catch.clone(),
             });
@@ -408,7 +420,7 @@ impl ProxyApp {
                 match controller {
                     Ok(cc) => {
                         self.by_conn.insert(cc, (session, Side::Controller));
-                        self.sessions.get_mut(&session).unwrap().controller_conn = Some(cc);
+                        sess.controller_conn = Some(cc);
                     }
                     Err(_) => {
                         self.teardown(ctx, session);
@@ -548,19 +560,15 @@ impl ProxyApp {
         let epoch = proxy.expected_epoch();
         let parked = std::mem::take(&mut sess.paused_injections);
         for inj in parked {
-            if !self.sessions.contains_key(&session) {
+            let Some(sess) = self.sessions.get_mut(&session) else {
                 return;
-            }
+            };
             if inj.meta.epoch != epoch {
-                self.sessions.get_mut(&session).unwrap().stats.dropped_stale += 1;
+                sess.stats.dropped_stale += 1;
                 continue;
             }
-            if ctx.over_high_water(self.sessions[&session].switch_conn) {
-                self.sessions
-                    .get_mut(&session)
-                    .unwrap()
-                    .paused_injections
-                    .push(inj);
+            if ctx.over_high_water(sess.switch_conn) {
+                sess.paused_injections.push(inj);
                 continue;
             }
             self.send_injection(ctx, session, &inj);
@@ -716,26 +724,29 @@ fn planner_main(
         while let Ok(j) = rx.try_recv() {
             jobs.push(j);
         }
-        let probe_jobs: Vec<ProbeJob> = jobs
-            .iter()
-            .map(|j| ProbeJob {
-                switch_id: if j.synthetic {
-                    j.switch_id | SYNTHETIC_SHARD_BIT
-                } else {
-                    j.switch_id
-                },
-                table: Arc::new(SharedTable::new(j.table.clone())),
-                catch: j.catch.clone(),
-                spec: JobSpec::Rules(vec![j.rule_id]),
+        // Each job's table moves into its `SharedTable`; only the return
+        // address stays behind.
+        let (addrs, probe_jobs): (Vec<(u64, u64)>, Vec<ProbeJob>) = jobs
+            .into_iter()
+            .map(|j| {
+                (
+                    (j.session, j.token),
+                    ProbeJob {
+                        switch_id: j.switch_id,
+                        table: Arc::new(SharedTable::new(j.table)),
+                        catch: j.catch,
+                        spec: JobSpec::Rules(vec![j.rule_id]),
+                    },
+                )
             })
-            .collect();
+            .unzip();
         let results = pool.run_batch(probe_jobs);
-        for (job, result) in jobs.into_iter().zip(results) {
+        for ((session, token), result) in addrs.into_iter().zip(results) {
             let plan = result.results.into_iter().next().and_then(|r| r.ok());
             if tx
                 .send(PlanDone {
-                    session: job.session,
-                    token: job.token,
+                    session,
+                    token,
                     plan,
                 })
                 .is_err()

@@ -161,29 +161,9 @@ impl SwitchSim {
                 if !actions.contains(&Action::Output(PORT_TABLE)) {
                     return;
                 }
-                let Ok((fields, payload)) = monocle_packet::parse_packet(&data) else {
-                    return;
-                };
-                let hdr = packet_to_headervec(in_port, &fields);
-                // ecmp_choice 0: deterministic multipath pick, matching the
-                // expected table the proxy plans against.
-                let legs = sess.table.process(&hdr, 0);
-                for (port, out_hdr) in legs {
-                    let out_fields = headervec_to_packet(&out_hdr);
-                    let Ok(frame) = monocle_packet::craft_packet(&out_fields, &payload) else {
-                        continue;
-                    };
+                for packet_in in datapath_packet_ins(&sess.table, in_port, &data) {
                     sess.counters.packet_ins += 1;
-                    let _ = ctx.send(
-                        conn,
-                        &OfMessage::PacketIn {
-                            buffer_id: 0xffff_ffff,
-                            in_port: port,
-                            reason: monocle_openflow::messages::PacketInReason::Action,
-                            data: frame,
-                        },
-                        xid,
-                    );
+                    let _ = ctx.send(conn, &packet_in, xid);
                 }
             }
             _ => {}
@@ -220,6 +200,32 @@ impl SwitchSim {
             ctx.stop();
         }
     }
+}
+
+/// The virtual catch-all neighbor: submits the frame of a `PacketOut` to
+/// `table` on `in_port` and returns one `PacketIn` per egress leg, with
+/// `in_port` = the egress port (ECMP picks leg 0, deterministically, matching
+/// the expected table the proxy plans against). Unparseable frames, table
+/// misses and drops yield nothing.
+pub fn datapath_packet_ins(table: &FlowTable, in_port: u16, data: &[u8]) -> Vec<OfMessage> {
+    let Ok((fields, payload)) = monocle_packet::parse_packet(data) else {
+        return Vec::new();
+    };
+    let hdr = packet_to_headervec(in_port, &fields);
+    table
+        .process(&hdr, 0)
+        .into_iter()
+        .filter_map(|(port, out_hdr)| {
+            let frame =
+                monocle_packet::craft_packet(&headervec_to_packet(&out_hdr), &payload).ok()?;
+            Some(OfMessage::PacketIn {
+                buffer_id: 0xffff_ffff,
+                in_port: port,
+                reason: monocle_openflow::messages::PacketInReason::Action,
+                data: frame,
+            })
+        })
+        .collect()
 }
 
 impl Driver for SwitchSim {

@@ -9,7 +9,10 @@
 //! would do with the controller's commands.
 //!
 //! Lookups ([`FlowTable::lookup`], [`FlowTable::lookup_excluding`]) and
-//! overlap scans ([`FlowTable::overlapping`]) are served by an incremental
+//! overlap scans ([`FlowTable::overlapping`], and
+//! [`FlowTable::neighborhood`], which returns the same set as a table of
+//! its own — what a probe planner is handed instead of a copy of the whole
+//! table) are served by an incremental
 //! [`TernaryClassifier`] maintained alongside the sorted rule vector under
 //! every `flow_mod`; the O(rules) linear scans survive as
 //! [`FlowTable::lookup_linear`] / [`FlowTable::lookup_excluding_linear`] /
@@ -457,6 +460,30 @@ impl FlowTable {
     /// post-filter pass.
     pub fn overlapping_excluding(&self, tern: &Ternary, skip: RuleId) -> Vec<&Rule> {
         self.resolve_keys(self.classifier.overlapping_excluding(tern, skip))
+    }
+
+    /// The sub-table of rules overlapping `tern`, copied verbatim: same
+    /// [`RuleId`]s, same order, `next_id` carried over, own classifier.
+    ///
+    /// Any rule that can match a header matching rule R overlaps R, so
+    /// [`Self::lookup`], [`Self::lookup_excluding`] and [`Self::process`]
+    /// answer identically on `neighborhood(&R.tern)` and on `self` for
+    /// every header inside R — which makes it the only part of the table
+    /// probe planning for R has to see. Built from [`Self::overlapping`],
+    /// never through [`Self::add_rule`], whose ADD-replaces-identical-key
+    /// semantics would merge [`Self::add_rule_ternary`] rules sharing
+    /// `Match::any()` at one priority.
+    pub fn neighborhood(&self, tern: &Ternary) -> FlowTable {
+        let rules: Vec<Rule> = self.overlapping(tern).into_iter().cloned().collect();
+        let mut classifier = TernaryClassifier::new();
+        for r in &rules {
+            classifier.insert(r.priority, r.id, r.tern);
+        }
+        FlowTable {
+            rules,
+            classifier,
+            next_id: self.next_id,
+        }
     }
 
     /// Resolves classifier keys (already in table order) back to rules.

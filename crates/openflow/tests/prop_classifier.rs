@@ -2,7 +2,9 @@
 //! `lookup_excluding` and `overlapping` must be observationally identical
 //! to the retained linear-scan reference (`*_linear`) on randomized rule
 //! sets and under interleaved Add/Modify/Delete FlowMod sequences —
-//! including equal-priority arrival-order ties.
+//! including equal-priority arrival-order ties. `FlowTable::neighborhood`
+//! is held to the same reference: it is exactly `overlapping_linear` as a
+//! table, and answers every header inside the query like the full table.
 
 use monocle_openflow::{
     Action, FlowMod, FlowModCommand, FlowTable, HeaderVec, Match, RuleId, Ternary,
@@ -125,6 +127,51 @@ fn assert_equivalent(table: &FlowTable) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// `neighborhood(t)` is `overlapping_linear(t)` verbatim (ids, order,
+/// content, id allocation), and for headers inside `t` it answers
+/// `lookup` / `lookup_excluding` / `process` like the full table.
+fn assert_neighborhood(table: &FlowTable, t: &Ternary) -> Result<(), TestCaseError> {
+    let nb = table.neighborhood(t);
+    let lin: Vec<_> = table.overlapping_linear(t).into_iter().cloned().collect();
+    prop_assert_eq!(nb.rules(), &lin[..], "neighborhood != overlap set");
+    // `next_id` carried over: the next rule gets the id the table would give.
+    let fresh = Match::any().with_tp_src(4242);
+    prop_assert_eq!(
+        nb.clone().add_rule(9, fresh, vec![]),
+        table.clone().add_rule(9, fresh, vec![])
+    );
+    // Headers inside `t`: one per overlapping rule (a witness of t ∩ r).
+    for r in &lin {
+        let h = t.value.or(&r.tern.value);
+        prop_assert!(t.matches(&h));
+        prop_assert_eq!(nb.lookup(&h), table.lookup(&h), "lookup diverges");
+        prop_assert_eq!(nb.lookup(&h), nb.lookup_linear(&h), "own classifier");
+        for skip in &lin {
+            prop_assert_eq!(
+                nb.lookup_excluding(&h, skip.id),
+                table.lookup_excluding(&h, skip.id),
+                "lookup_excluding({}) diverges",
+                skip.id
+            );
+        }
+        for choice in 0..2 {
+            prop_assert_eq!(nb.process(&h, choice), table.process(&h, choice));
+        }
+    }
+    Ok(())
+}
+
+/// [`assert_neighborhood`] around every rule of the table, plus the
+/// all-wildcard query, whose neighborhood is the table.
+fn assert_neighborhoods(table: &FlowTable) -> Result<(), TestCaseError> {
+    for r in table.rules() {
+        assert_neighborhood(table, &r.tern)?;
+    }
+    let all = table.neighborhood(&Match::any().ternary());
+    prop_assert_eq!(all.rules(), table.rules());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -174,6 +221,31 @@ proptest! {
         for fm in &mods {
             let _ = t.apply(fm);
             assert_equivalent(&t)?;
+        }
+    }
+
+    /// Neighborhoods of a table holding equal-priority ties and
+    /// `add_rule_ternary` rules that share a priority (and `Match::any()`),
+    /// checked after every step of interleaved Add/Modify/Delete churn —
+    /// around every rule and around each FlowMod's own match.
+    #[test]
+    fn neighborhood_equals_overlap_set_and_answers_like_the_table(
+        seed_rules in prop::collection::vec((0u16..4, arb_match()), 1..12),
+        mods in prop::collection::vec(arb_flowmod(), 0..12)
+    ) {
+        let mut t = FlowTable::new();
+        for (i, (prio, m)) in seed_rules.iter().enumerate() {
+            if i % 2 == 0 {
+                t.add_rule_ternary(*prio, m.ternary(), vec![Action::Output(1)]);
+            } else {
+                let _ = t.add_rule(*prio, *m, vec![Action::Output(2)]);
+            }
+        }
+        assert_neighborhoods(&t)?;
+        for fm in &mods {
+            let _ = t.apply(fm);
+            assert_neighborhoods(&t)?;
+            assert_neighborhood(&t, &fm.match_.ternary())?;
         }
     }
 }

@@ -21,6 +21,13 @@
 //! [`monocle_openflow::SharedTable`] snapshots, and concurrent
 //! snapshot/publish traffic must never yield torn plans or non-monotone
 //! epochs.
+//!
+//! And to planning on a rule's overlap neighborhood
+//! ([`monocle_openflow::FlowTable::neighborhood`]) instead of the table —
+//! what every per-update `PlanRequest` carries: same found / not found and
+//! error class as planning on the full table, every neighborhood plan
+//! valid on the full table, and one long-lived engine handed consecutive
+//! unrelated neighborhoods (a pool worker's life) never serves a stale plan.
 
 use monocle::encode::CatchSpec;
 use monocle::engine::{EngineConfig, ProbeEngine};
@@ -164,6 +171,61 @@ fn assert_equivalent(
         }
     }
     Ok(())
+}
+
+/// Planning rule by rule on `table.neighborhood(rule)` — statelessly, and on
+/// one long-lived `engine` that sees nothing but those small tables — must
+/// agree with stateless planning on `table`, and each neighborhood plan must
+/// pass the oracle **on the full table** with the outcomes it promises.
+/// Returns (found, not found).
+fn assert_neighborhood_equivalent(
+    engine: &mut ProbeEngine,
+    table: &FlowTable,
+    context: &str,
+) -> Result<(usize, usize), TestCaseError> {
+    let catch = CatchSpec::default();
+    let gen = GeneratorConfig::default();
+    let (mut found, mut not_found) = (0, 0);
+    for rule in table.rules() {
+        let nb = table.neighborhood(&rule.tern);
+        let full = generate_probe(table, rule.id, &catch, &gen);
+        for (how, small) in [
+            ("stateless", generate_probe(&nb, rule.id, &catch, &gen)),
+            ("engine", engine.generate(&nb, rule.id, &catch)),
+        ] {
+            match (&small, &full) {
+                (Ok(plan), Ok(_)) => {
+                    let oracle = verify_probe(table, rule.id, &plan.header, &[]);
+                    prop_assert_eq!(
+                        oracle,
+                        Some((plan.present.clone(), plan.absent.clone())),
+                        "{} neighborhood plan for {:?} fails on the full table ({})",
+                        how,
+                        rule.match_,
+                        context
+                    );
+                }
+                (Err(e), Err(f)) => {
+                    prop_assert_eq!(e, f, "error class diverged, {} ({})", how, context)
+                }
+                _ => prop_assert!(
+                    false,
+                    "found/not found diverged for {:?}, {} ({}): neighborhood={:?} full={:?}",
+                    rule.match_,
+                    how,
+                    context,
+                    small.as_ref().err(),
+                    full.as_ref().err()
+                ),
+            }
+        }
+        if full.is_ok() {
+            found += 1;
+        } else {
+            not_found += 1;
+        }
+    }
+    Ok((found, not_found))
 }
 
 /// One [`JobSpec::All`] job for `sw` against `shared`.
@@ -357,6 +419,27 @@ proptest! {
         }
     }
 
+    /// Planning on the overlap neighborhood ≡ planning on the table, after
+    /// every edit of a random FlowMod sequence; the one engine lives through
+    /// all of it.
+    #[test]
+    fn neighborhood_plans_equivalent_to_full_table_plans(
+        table in arb_table(),
+        edits in prop::collection::vec(arb_edit(), 0..6),
+    ) {
+        let mut table = table;
+        let mut engine = ProbeEngine::default();
+        assert_neighborhood_equivalent(&mut engine, &table, "initial")?;
+        for (step, edit) in edits.iter().enumerate() {
+            let Some((fm, _)) = to_flowmod(edit, &table) else {
+                continue;
+            };
+            let _ = table.apply(&fm);
+            let ctx = format!("after edit {step}: {edit:?}");
+            assert_neighborhood_equivalent(&mut engine, &table, &ctx)?;
+        }
+    }
+
     /// Batch output is identical (entry by entry) to one-at-a-time engine
     /// calls, and re-batching an unchanged table touches no solver.
     #[test]
@@ -375,6 +458,22 @@ proptest! {
         prop_assert_eq!(stats.cache_hits, ids.len() as u64);
         prop_assert_eq!(&batch, &rebatch);
     }
+}
+
+/// The same check at paper size: every rule of the Stanford-like ACL table
+/// (2755 + the default route; ~15 s in a debug build).
+#[test]
+fn neighborhood_plans_equivalent_on_stanford_like_table() {
+    use monocle_datasets::acl::{generate, AclConfig};
+    let mut table = FlowTable::new();
+    for r in generate(&AclConfig::stanford_like()) {
+        table.add_rule(r.priority, r.match_, r.actions).unwrap();
+    }
+    let mut engine = ProbeEngine::default();
+    let (found, not_found) =
+        assert_neighborhood_equivalent(&mut engine, &table, "stanford-like").unwrap();
+    assert_eq!(found + not_found, table.len());
+    assert!(found > not_found, "{found} found / {not_found} not found");
 }
 
 /// Snapshot-epoch stress: a writer churns one [`SharedTable`] while pool
