@@ -38,16 +38,6 @@ echo "== perf baseline: flow-table lookup (trie vs linear) =="
 # answers against the linear reference before timing.
 ./target/release/table_lookup --rules 600 --json BENCH_table_lookup.json
 
-echo "== perf baseline: sharded engine pool =="
-# Small-dataset smoke of the worker pool across the 1/2/4/8 sweep. The paced
-# arms model the per-switch probe-injection service time, so the >=3x scaling
-# criterion at 4 workers holds even on a single-CPU host (host_cpus is
-# recorded in the JSON); the compute arms are CPU-bound and scale only with
-# cores. The full-size sweep is `engine_pool --json ...` with defaults
-# (64 switches x 40 rules).
-./target/release/engine_pool --switches 16 --rules-per-switch 20 \
-    --workers 1,2,4,8 --json BENCH_engine_pool.json
-
 echo "== smoke: TCP transport loopback (small) =="
 # End-to-end smoke of the event-driven runtime: controller -> proxy -> 8
 # simulated switches over real loopback TCP, probe-verified confirmations,

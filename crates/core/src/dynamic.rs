@@ -573,9 +573,13 @@ impl DynamicMonitor {
             self.active.remove(idx);
             actions.extend(self.confirm_and_release(now, token));
         }
-        for token in alarmed {
-            self.active.retain(|a| a.token != token);
-            actions.push(DynAction::Alarm { token });
+        if !alarmed.is_empty() {
+            self.active.retain(|a| !alarmed.contains(&a.token));
+            actions.extend(alarmed.into_iter().map(|token| DynAction::Alarm { token }));
+            // An alarmed update is as terminal as a confirmed one: whatever
+            // was conflict-queued behind it must not wait for an unrelated
+            // confirmation.
+            actions.extend(self.release_queued(now));
         }
         actions
     }
@@ -1296,5 +1300,61 @@ mod tests {
         }
         assert!(alarmed);
         assert_eq!(m.in_flight(), 0);
+    }
+
+    #[test]
+    fn alarm_releases_updates_queued_behind_it() {
+        let cfg = DynamicConfig {
+            max_attempts: 2,
+            ..DynamicConfig::default()
+        };
+        let mut m = DynamicMonitor::new(cfg, CatchSpec::default());
+        m.set_deferred_planning(true);
+        m.expected_mut()
+            .install(1, Match::any(), vec![Action::Output(99)])
+            .unwrap();
+        // A is forwarded and probed; B overlaps A and queues behind it.
+        let a = FlowMod::add(
+            10,
+            Match::any().with_nw_src([10, 0, 0, 1], 32),
+            vec![Action::Output(2)],
+        );
+        m.on_flowmod(0, 1, a);
+        let reqs = m.take_plan_requests();
+        m.attach_plan(0, 1, plan_request(&reqs[0]));
+        let b = FlowMod::add(
+            15,
+            Match::any()
+                .with_nw_src([10, 0, 0, 0], 24)
+                .with_nw_dst([10, 0, 0, 0], 24),
+            vec![Action::Output(3)],
+        );
+        assert!(m.on_flowmod(1, 2, b).is_empty());
+        assert_eq!((m.in_flight(), m.queued()), (1, 1));
+        // A's probes never return: second attempt, then the alarm — and in
+        // that same tick B is forwarded and asks for its plan.
+        assert!(!m
+            .on_tick(10_000_000)
+            .iter()
+            .any(|x| matches!(x, DynAction::Alarm { .. })));
+        let acts = m.on_tick(20_000_000);
+        assert!(acts.contains(&DynAction::Alarm { token: 1 }), "{acts:?}");
+        assert!(
+            acts.iter().any(|x| matches!(x, DynAction::Forward(_))),
+            "B released by the alarm: {acts:?}"
+        );
+        assert_eq!(
+            (m.in_flight(), m.queued(), m.awaiting_plans()),
+            (0, 0, 1),
+            "B awaits its plan"
+        );
+        let reqs = m.take_plan_requests();
+        assert_eq!(reqs.len(), 1, "B's PlanRequest in the same on_tick");
+        let acts = m.attach_plan(20_000_000, 2, plan_request(&reqs[0]));
+        let DynAction::Inject { seq, .. } = acts[0] else {
+            panic!("B is monitorable: {acts:?}")
+        };
+        m.on_verdict(21_000_000, seq, Verdict::Present);
+        assert_eq!((m.in_flight(), m.queued(), m.awaiting_plans()), (0, 0, 0));
     }
 }

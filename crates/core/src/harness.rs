@@ -16,14 +16,12 @@
 use crate::catching::{self, CatchPlan, Strategy};
 use crate::droppost::{drop_tag_rule, DropTag};
 use crate::encode::CatchSpec;
-use crate::pool::{EnginePool, JobSpec, ProbeJob};
 use crate::proxy::{MonitorProxy, ProxyConfig, ProxyOutput};
 use crate::steady::SteadyConfig;
-use monocle_openflow::{Field, FlowMod, OfMessage, PortNo, RuleId, SharedTable};
+use monocle_openflow::{Field, FlowMod, OfMessage, PortNo, RuleId};
 use monocle_packet::ProbeMeta;
 use monocle_switchsim::{AppCtx, ControlApp, Network, NodeRef, SimTime};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Timer token reserved for the harness's probe tick.
 const TICK_TOKEN: u64 = u64::MAX;
@@ -147,9 +145,6 @@ pub struct MonocleApp<E: Experiment> {
     next_xid: u32,
     /// Timestamped confirmations/failures.
     pub events: Vec<HarnessEvent>,
-    /// When attached, steady plan refreshes are batched across dirty
-    /// proxies on this pool at every tick instead of running inline.
-    pool: Option<Arc<EnginePool>>,
 }
 
 impl<E: Experiment> MonocleApp<E> {
@@ -211,25 +206,12 @@ impl<E: Experiment> MonocleApp<E> {
             barrier_waits: HashMap::new(),
             next_xid: 1,
             events: Vec::new(),
-            pool: None,
         }
     }
 
     /// Access a proxy (tests/inspection).
     pub fn proxy(&self, sw: usize) -> Option<&MonitorProxy> {
         self.proxies.get(&sw)
-    }
-
-    /// Attaches a shared [`EnginePool`]: per-proxy inline steady refreshes
-    /// are disabled and every harness tick batches the *dirty* proxies'
-    /// plan regeneration onto the pool instead — the adaptive scheduler's
-    /// churn signal thus drives pool batch refreshes rather than serial
-    /// per-switch SAT runs on the event path.
-    pub fn attach_pool(&mut self, pool: Arc<EnginePool>) {
-        for p in self.proxies.values_mut() {
-            p.set_external_steady_refresh(true);
-        }
-        self.pool = Some(pool);
     }
 
     /// Aggregate probe-generation statistics across every monitored
@@ -241,57 +223,6 @@ impl<E: Experiment> MonocleApp<E> {
             total.merge(&p.engine_stats());
         }
         total
-    }
-
-    /// Refreshes every monitored switch's steady-state probe plans on an
-    /// [`EnginePool`] instead of the serial per-proxy path: each proxy's
-    /// expected table is published as a one-shot
-    /// [`SharedTable`] snapshot, the pool plans all switches concurrently
-    /// (engine affinity keeps re-sweeps warm), and the results are
-    /// installed via [`MonitorProxy::ingest_steady_results`]. Returns
-    /// `(switch, (found, total))` per proxy — the same bookkeeping as
-    /// [`MonitorProxy::refresh_steady_plans`].
-    ///
-    /// The snapshots have no concurrent writer (the Multiplexer owns the
-    /// proxies), so no job can come back stale; the epoch-validation
-    /// machinery matters when jobs share a live churned table, which the
-    /// pool's own tests and the `engine_pool` bench exercise.
-    pub fn refresh_steady_parallel(&mut self, pool: &EnginePool) -> Vec<(usize, (usize, usize))> {
-        let mut sws: Vec<usize> = self.proxies.keys().copied().collect();
-        sws.sort_unstable();
-        self.refresh_steady_for(pool, &sws)
-    }
-
-    /// Pooled steady refresh restricted to `sws` (the tick path only
-    /// refreshes proxies whose plan cycle is actually stale).
-    fn refresh_steady_for(
-        &mut self,
-        pool: &EnginePool,
-        sws: &[usize],
-    ) -> Vec<(usize, (usize, usize))> {
-        let mut epochs: HashMap<usize, u32> = HashMap::new();
-        let jobs: Vec<ProbeJob> = sws
-            .iter()
-            .map(|&sw| {
-                let p = &self.proxies[&sw];
-                epochs.insert(sw, p.expected_epoch());
-                ProbeJob {
-                    switch_id: sw as u32,
-                    table: Arc::new(SharedTable::new(p.expected().clone())),
-                    catch: p.catch_spec().clone(),
-                    spec: JobSpec::Rules(p.steady_probe_ids()),
-                }
-            })
-            .collect();
-        let results = pool.run_batch(jobs);
-        let mut out = Vec::new();
-        for r in results {
-            let sw = r.switch_id as usize;
-            let proxy = self.proxies.get_mut(&sw).expect("job came from a proxy");
-            let ft = proxy.ingest_steady_results(&r.ids, r.results, epochs[&sw]);
-            out.push((sw, ft));
-        }
-        out
     }
 
     fn adjacency_switch_count(&self) -> usize {
@@ -473,20 +404,6 @@ impl<E: Experiment> ControlApp for MonocleApp<E> {
 
     fn on_timer(&mut self, ctx: &mut AppCtx, token: u64) {
         if token == TICK_TOKEN {
-            // Pool-attached mode: regenerate stale plan cycles in one batch
-            // before the per-proxy ticks consume them.
-            if let Some(pool) = self.pool.clone() {
-                let mut dirty: Vec<usize> = self
-                    .proxies
-                    .iter()
-                    .filter(|(_, p)| p.steady_needs_refresh())
-                    .map(|(&sw, _)| sw)
-                    .collect();
-                if !dirty.is_empty() {
-                    dirty.sort_unstable();
-                    self.refresh_steady_for(&pool, &dirty);
-                }
-            }
             let sws: Vec<usize> = self.proxies.keys().copied().collect();
             for sw in sws {
                 let outputs = self.proxies.get_mut(&sw).unwrap().on_tick(ctx.now);
@@ -707,37 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_steady_refresh_matches_serial() {
-        use crate::pool::{EnginePool, PoolConfig};
-        let mut net = triangle_net(SwitchProfile::ideal());
-        let cfg = HarnessConfig {
-            steady: Some(SteadyConfig::default()),
-            ..Default::default()
-        };
-        let mut app = MonocleApp::build(OneUpdate { sent: false }, &net, &[0], cfg);
-        net.start(&mut app);
-        net.run_for(&mut app, time::s(1));
-        // Serial reference on the proxy's own engine.
-        let serial = app.proxies.get_mut(&0).unwrap().refresh_steady_plans();
-        let serial_plans: Vec<_> = app.proxy(0).unwrap().steady_probe_ids().clone();
-        // Pooled refresh across 4 workers must report identical coverage.
-        let pool = EnginePool::new(PoolConfig::with_workers(4));
-        let out = app.refresh_steady_parallel(&pool);
-        assert_eq!(out.len(), 1);
-        let (sw, (found, total)) = out[0];
-        assert_eq!(sw, 0);
-        assert_eq!((found, total), serial, "pool coverage = serial coverage");
-        assert_eq!(total, serial_plans.len());
-        assert!(found > 0, "production rules are monitorable");
-        // The pooled plans drive the steady cycle: probes still flow.
-        net.run_for(&mut app, time::ms(100));
-        assert!(app
-            .events
-            .iter()
-            .all(|e| !matches!(e, HarnessEvent::RuleFailed { .. })));
-    }
-
-    #[test]
     fn adaptive_steady_detects_failed_rule_in_simulator() {
         let mut net = triangle_net(SwitchProfile::ideal());
         let cfg = HarnessConfig {
@@ -768,32 +654,6 @@ mod tests {
         );
         let stats = app.proxy(0).unwrap().steady_sched_stats().unwrap();
         assert!(stats.released > 0, "scheduler actually drove probes");
-    }
-
-    #[test]
-    fn pool_attached_tick_refreshes_dirty_proxies() {
-        use crate::pool::{EnginePool, PoolConfig};
-        let mut net = triangle_net(SwitchProfile::ideal());
-        let cfg = HarnessConfig {
-            steady: Some(SteadyConfig {
-                adaptive: Some(monocle_sched::SchedConfig::default()),
-                ..SteadyConfig::default()
-            }),
-            ..Default::default()
-        };
-        let mut app = MonocleApp::build(OneUpdate { sent: false }, &net, &[0], cfg);
-        app.attach_pool(Arc::new(EnginePool::new(PoolConfig::with_workers(2))));
-        net.start(&mut app);
-        net.run_for(&mut app, time::s(2));
-        // The flow_mods marked the proxy dirty; the tick path must have
-        // refreshed plans through the pool (probes flow, nothing fails).
-        let p = app.proxy(0).unwrap();
-        assert!(!p.steady_needs_refresh(), "tick batched the refresh");
-        assert!(p.steady_sched_stats().unwrap().released > 0);
-        assert!(!app
-            .events
-            .iter()
-            .any(|e| matches!(e, HarnessEvent::RuleFailed { .. })));
     }
 
     #[test]

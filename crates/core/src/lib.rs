@@ -20,7 +20,7 @@
 //! | §3.2/§3.4 DiffPorts/DiffRewrite, App. B Tables 3–4 | [`outcome`] |
 //! | §5.2 abstract→raw translation, spare values | [`generator`], `monocle-packet` |
 //! | session/cache-aware generation (hot path) | [`engine`] |
-//! | sharded multi-switch generation (worker pool) | [`pool`] |
+//! | per-update planning jobs off the I/O thread (worker pool) | [`pool`] |
 //! | probe plans & semantic verification | [`plan`] |
 //! | §2 expected-state tracking | [`expect`] |
 //! | §3 steady-state monitoring | [`steady`] |

@@ -1,65 +1,40 @@
-//! Sharded [`ProbeEngine`] worker pool: one monitor process driving many
-//! switches concurrently.
+//! Sharded [`ProbeEngine`] worker pool: the planning backend behind the TCP
+//! proxy's planner thread.
 //!
-//! The paper's Multiplexer (§7) drives its per-switch Monitors serially;
-//! probe *generation* is the CPU-heavy part (§5.3, Table 2), so a single
-//! thread caps how many switches one Monocle instance can keep verified.
+//! The paper's Multiplexer (§7) hands each per-switch Monitor one small,
+//! pre-filtered instance per probed rule (§5.3–5.4). A [`ProbeJob`] is that
+//! instance: the event-driven runtime (`monocle_net`) turns every update's
+//! [`crate::dynamic::PlanRequest`] into a single-rule [`JobSpec::Rules`] job
+//! whose table is the probed rule's overlap neighborhood — a few rules,
+//! **owned by the job**, immutable from the moment it is built and dropped
+//! with it. No table is shared between the pool and whoever applies
+//! FlowMods, so a job plans exactly once and its result cannot go out of
+//! date against its own table. Whether the *switch* moved on while the plan
+//! was queued is the consumer's question, answered where it matters: the
+//! transport re-checks a parked probe's `ProbeMeta::epoch` against
+//! [`crate::proxy::MonitorProxy::expected_epoch`] when it finally writes
+//! the PacketOut.
+//!
 //! [`EnginePool`] shards the engines across OS threads:
 //!
 //! * **Engine affinity** — each worker owns a private
 //!   `switch → ProbeEngine` map. Jobs hash to a *home* worker
-//!   (`switch % workers`), so repeated sweeps for one switch land on the
-//!   same warm plan cache and encode session. Engines are never shared, so
-//!   there is no engine lock at all.
+//!   (`switch % workers`), so a switch's jobs land on one engine, which
+//!   delta-syncs between consecutive tables (and serves an unchanged table
+//!   from its plan cache). Engines are never shared, so there is no engine
+//!   lock at all.
 //! * **Work stealing** — an idle worker steals queued jobs from the most
 //!   loaded peer (from the back, preserving the victim's front-of-queue
 //!   affinity). A stolen switch builds a cold engine on the thief; that is
 //!   a performance trade, never a correctness one.
-//! * **Lock-free table snapshots** — jobs carry an
-//!   [`Arc<SharedTable>`](monocle_openflow::SharedTable), the single-slot
-//!   atomic publication cell. Workers plan against an immutable
-//!   [`TableSnapshot`](monocle_openflow::TableSnapshot); the churn path
-//!   (FlowMod stream) publishes new tables without ever blocking a worker.
-//!   **No lock is held across probe generation or SAT solves** — the only
-//!   locks in the pool are the queue mutex (released before a job runs) and
-//!   the per-worker stats cell (touched after generation finishes).
-//! * **Epoch-validated plans** — a batch is planned against snapshot epoch
-//!   `E` and re-validated against the cell's current epoch after planning.
-//!   If the table moved while planning, the job re-plans on a fresh
-//!   snapshot (bounded by [`PoolConfig::max_replans`]); a result that
-//!   cannot catch up is returned with [`JobResult::stale`] set, and the
-//!   pool never invokes the dispatch hook for a result that failed
-//!   validation. This is a *bounded-staleness* guarantee, not atomic
-//!   freshness: no lock spans validation → dispatch (that would put a lock
-//!   across the hot path), so the table can be republished in that window
-//!   and a plan validated against epoch `E` may be dispatched after `E` is
-//!   already obsolete. Consumers enforcing §4.2's invalidation argument at
-//!   the data plane must revalidate [`JobResult::epoch`] against the cell
-//!   at injection time.
+//! * **No lock across planning** — the only locks in the pool are the queue
+//!   mutex (released before a job runs) and the per-worker stats cell
+//!   (touched after generation finishes).
+//! * **A panicking job does not take the batch down** — each job runs under
+//!   `catch_unwind`; see [`JobResult::panicked`].
 //!
 //! Results are aggregated per worker into [`GenStats`] via `+=`
-//! accumulation, so the Multiplexer-level cache-behavior view
-//! ([`crate::harness::MonocleApp::probe_engine_stats`]) extends naturally
-//! to the pooled path ([`EnginePool::stats`]).
-//!
-//! ## Transport consumers
-//!
-//! The event-driven TCP runtime (`monocle_net`) uses the pool as the
-//! planning backend behind its planner thread: every update's
-//! [`crate::dynamic::PlanRequest`] becomes a single-rule
-//! [`JobSpec::Rules`] job whose table is the probed rule's overlap
-//! neighborhood — a few rules, owned by the job and published once at
-//! epoch 0, never the switch's table. All of a switch's jobs hash to its
-//! one home worker; that worker's engine delta-syncs between consecutive
-//! small tables, so there is no warm whole-table cache on this path for a
-//! one-shot job to thrash.
-//! Because the transport can park an injection behind write backpressure
-//! long after planning finished, the injection-time freshness rule is
-//! load-bearing there: revalidate [`JobResult::epoch`] (or, for deferred
-//! per-update plans, the probe's `ProbeMeta::epoch` against
-//! `MonitorProxy::expected_epoch`) at the moment the PacketOut is written
-//! to the socket — `monocle_net`'s backpressure queue drops stale probes
-//! at flush time for exactly this reason.
+//! accumulation ([`EnginePool::stats`]).
 
 use crate::catching::{CATCH_PRIORITY, FILTER_PRIORITY};
 use crate::droppost::DROP_TAG_PRIORITY;
@@ -74,49 +49,18 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// Callback invoked for every job result that passed epoch validation, on
-/// the worker thread, before the result is returned to the caller. This is
-/// the dispatch point: the moment plans are cleared for injection. Freshness
-/// here is bounded-staleness (see the module docs): the table can move
-/// between validation and this call, so callbacks gating real injection
-/// must revalidate [`JobResult::epoch`] themselves. Benches use the hook
-/// to model per-switch probe-injection service time (the paper's §8
-/// hardware probe-rate ceiling); the harness leaves it unset.
-pub type DispatchFn = Arc<dyn Fn(&JobResult) + Send + Sync>;
-
 /// Pool configuration.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct PoolConfig {
     /// Number of worker threads (clamped to ≥ 1).
     pub workers: usize,
     /// Template for per-switch engines (each worker instantiates its own).
     pub engine: EngineConfig,
-    /// How many times a job may re-plan on a fresh snapshot after epoch
-    /// validation fails before it is returned as stale.
-    pub max_replans: u32,
-    /// Optional dispatch hook for valid results (see [`DispatchFn`]).
-    pub dispatch: Option<DispatchFn>,
 }
 
 impl Default for PoolConfig {
     fn default() -> Self {
-        PoolConfig {
-            workers: 1,
-            engine: EngineConfig::default(),
-            max_replans: 3,
-            dispatch: None,
-        }
-    }
-}
-
-impl std::fmt::Debug for PoolConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PoolConfig")
-            .field("workers", &self.workers)
-            .field("engine", &self.engine)
-            .field("max_replans", &self.max_replans)
-            .field("dispatch", &self.dispatch.as_ref().map(|_| "Fn"))
-            .finish()
+        PoolConfig::with_workers(1)
     }
 }
 
@@ -125,12 +69,12 @@ impl PoolConfig {
     pub fn with_workers(workers: usize) -> PoolConfig {
         PoolConfig {
             workers,
-            ..PoolConfig::default()
+            engine: EngineConfig::default(),
         }
     }
 }
 
-/// Which rules of the snapshot a job plans probes for.
+/// Which rules of its table a job plans probes for.
 #[derive(Debug, Clone)]
 pub enum JobSpec {
     /// Every monitorable production rule: priority below the drop-tag band
@@ -146,7 +90,7 @@ pub enum JobSpec {
 pub struct ProbeJob {
     /// The switch the plans target (selects the home worker/engine).
     pub switch_id: u32,
-    /// The switch's shared expected table (snapshot source).
+    /// The table to plan against, owned by the job.
     pub table: Arc<SharedTable>,
     /// Collection pins for this switch's probes.
     pub catch: CatchSpec,
@@ -159,30 +103,22 @@ pub struct ProbeJob {
 pub struct JobResult {
     /// The switch.
     pub switch_id: u32,
-    /// Epoch of the snapshot the plans are valid against.
-    pub epoch: u64,
     /// The rules planned for, in result order.
     pub ids: Vec<RuleId>,
     /// Per-rule plans (aligned with `ids`).
     pub results: Vec<Result<ProbePlan, ProbeError>>,
-    /// Aggregate generation statistics over every planning attempt this job
-    /// made (including abandoned stale attempts).
+    /// Generation statistics of this job.
     pub stats: GenStats,
     /// Index of the worker that ran the job.
     pub worker: usize,
-    /// How many times the job re-planned after losing an epoch race.
-    pub replans: u32,
-    /// True when the table outran [`PoolConfig::max_replans`] (the plans
-    /// are from epoch `epoch`, which is already obsolete) or the job
-    /// panicked. The pool skips the dispatch hook for stale results; the
-    /// caller decides whether to resubmit. A `false` here means the result
-    /// passed validation — see the module docs for why that is bounded
-    /// staleness rather than freshness at dispatch.
+    /// Set together with `panicked`, never otherwise: a job's table cannot
+    /// change under it. The field survives because `benchmark/` reads it
+    /// for its `pool.stale_share` row.
     pub stale: bool,
-    /// True when planning (or the dispatch hook) panicked. The worker
-    /// caught the panic, discarded its engine for this switch (its state
-    /// may be mid-mutation), and returned this placeholder so the batch
-    /// still completes: `ids`/`results` are empty and `stale` is set.
+    /// True when planning panicked. The worker caught the panic, discarded
+    /// its engine for this switch (its state may be mid-mutation), and
+    /// returned this placeholder so the batch still completes:
+    /// `ids`/`results` are empty.
     pub panicked: bool,
 }
 
@@ -198,7 +134,7 @@ struct PoolShared {
     stats: Vec<Mutex<GenStats>>,
 }
 
-/// The sharded worker pool. See the module docs for the design.
+/// The worker pool. See the module docs for the design.
 ///
 /// [`EnginePool::run_batch`] is the entry point: submit a batch of jobs,
 /// block until all complete, get results back in submission order. Workers
@@ -346,9 +282,8 @@ impl EnginePool {
 /// The monitorable production rules of `table`: priority below the
 /// drop-tag band and not a catching/filter rule. This is the single source
 /// of truth for the sweep set — both [`JobSpec::All`] and
-/// [`crate::proxy::MonitorProxy::steady_probe_ids`] resolve through it, so
-/// the pooled and serial paths cannot drift if the infrastructure-rule
-/// bands change.
+/// [`crate::proxy::MonitorProxy::refresh_steady_plans`] resolve through it,
+/// so the two cannot drift if the infrastructure-rule bands change.
 pub fn monitorable_ids(table: &FlowTable) -> Vec<RuleId> {
     table
         .rules()
@@ -393,33 +328,26 @@ fn worker_loop(
         let Some((seq, job)) = task else {
             return;
         };
-        // A panic anywhere in the job (planning or the dispatch hook) must
-        // not kill the worker: its seq would never be answered and
-        // `run_batch` would block forever. Catch it, discard the possibly
-        // half-mutated engine, and answer with a `panicked` placeholder.
+        // A panic anywhere in the job must not kill the worker: its seq
+        // would never be answered and `run_batch` would block forever. Catch
+        // it, discard the possibly half-mutated engine, and answer with a
+        // `panicked` placeholder.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let engine = engines
                 .entry(job.switch_id)
                 .or_insert_with(|| ProbeEngine::new(cfg.engine.clone()));
-            let result = plan_job(me, cfg, engine, &job);
+            let result = plan_job(me, engine, &job);
             *shared.stats[me].lock().unwrap() += result.stats;
-            if !result.stale {
-                if let Some(dispatch) = &cfg.dispatch {
-                    dispatch(&result);
-                }
-            }
             result
         }))
         .unwrap_or_else(|_| {
             engines.remove(&job.switch_id);
             JobResult {
                 switch_id: job.switch_id,
-                epoch: 0,
                 ids: Vec::new(),
                 results: Vec::new(),
                 stats: GenStats::default(),
                 worker: me,
-                replans: 0,
                 stale: true,
                 panicked: true,
             }
@@ -430,47 +358,35 @@ fn worker_loop(
     }
 }
 
-/// Plans one job on `engine`, re-planning on fresh snapshots until epoch
-/// validation passes or [`PoolConfig::max_replans`] is exhausted. Runs with
-/// no lock held: snapshotting, probe generation and SAT solving are all
-/// lock-free with respect to the pool and the table's churn path.
-fn plan_job(me: usize, cfg: &PoolConfig, engine: &mut ProbeEngine, job: &ProbeJob) -> JobResult {
-    let mut total = GenStats::default();
-    let mut replans = 0u32;
-    loop {
-        let snap = job.table.snapshot();
-        let ids = match &job.spec {
-            JobSpec::All => monitorable_ids(&snap.table),
-            JobSpec::Rules(ids) => ids.clone(),
-        };
-        let (results, st) = engine.generate_batch_with_stats(&snap.table, &ids, &job.catch);
-        total += st;
-        // Epoch validation: accept only plans still current here (bounded
-        // staleness — see the module docs). The mirror may run ahead of the
-        // cell (spurious re-plan), never behind (stale accept) — see
-        // `monocle_openflow::table`.
-        let valid = job.table.epoch() == snap.epoch;
-        if valid || replans >= cfg.max_replans {
-            return JobResult {
-                switch_id: job.switch_id,
-                epoch: snap.epoch,
-                ids,
-                results,
-                stats: total,
-                worker: me,
-                replans,
-                stale: !valid,
-                panicked: false,
-            };
-        }
-        replans += 1;
+/// Plans one job on `engine`, against the job's own table. Runs with no
+/// lock held.
+fn plan_job(me: usize, engine: &mut ProbeEngine, job: &ProbeJob) -> JobResult {
+    #[cfg(test)]
+    assert_ne!(job.switch_id, tests::PANIC_SWITCH, "injected job panic");
+    let table = &job.table.snapshot().table;
+    let ids = match &job.spec {
+        JobSpec::All => monitorable_ids(table),
+        JobSpec::Rules(ids) => ids.clone(),
+    };
+    let (results, stats) = engine.generate_batch_with_stats(table, &ids, &job.catch);
+    JobResult {
+        switch_id: job.switch_id,
+        ids,
+        results,
+        stats,
+        worker: me,
+        stale: false,
+        panicked: false,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use monocle_openflow::{Action, FlowMod, Match};
+    use monocle_openflow::{Action, Match};
+
+    /// Test-only fault injection: `plan_job` panics for a job on this switch.
+    pub(super) const PANIC_SWITCH: u32 = u32::MAX;
 
     fn table(n_specific: u16) -> FlowTable {
         let mut t = FlowTable::new();
@@ -503,8 +419,7 @@ mod tests {
         let res = pool.run_batch(vec![job(7, &shared)]);
         assert_eq!(res.len(), 1);
         assert!(!res[0].stale);
-        assert_eq!(res[0].replans, 0);
-        // Serial reference: a cold engine over the same snapshot.
+        // Serial reference: a cold engine over the same table.
         let snap = shared.snapshot();
         let ids = monitorable_ids(&snap.table);
         let mut eng = ProbeEngine::default();
@@ -556,82 +471,20 @@ mod tests {
     }
 
     #[test]
-    fn epoch_race_replans_on_fresh_snapshot() {
-        let shared = Arc::new(SharedTable::new(table(4)));
-        // Dispatch hook fires only for valid results; use it to verify the
-        // contract. The race itself: bump the table between snapshot and
-        // validation by publishing from the dispatch of a *previous* job.
-        let pool = EnginePool::new(PoolConfig::with_workers(1));
-        let before = shared.epoch();
-        // Publish concurrently with planning: a competing writer thread.
-        let writer_shared = Arc::clone(&shared);
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let writer = std::thread::spawn(move || {
-            let mut i = 0u16;
-            while !stop2.load(Ordering::Acquire) {
-                let m = Match::any().with_nw_dst([172, 16, (i % 4) as u8, (i % 251) as u8], 32);
-                let _ = writer_shared.apply(&FlowMod::add(7, m, vec![Action::Output(2)]));
-                i = i.wrapping_add(1);
-                std::thread::yield_now();
-            }
-        });
-        let res = pool.run_batch(vec![job(0, &shared); 8]);
-        stop.store(true, Ordering::Release);
-        writer.join().unwrap();
-        for r in &res {
-            // Valid results must carry an epoch no older than the pre-churn
-            // epoch and are internally consistent; stale ones are flagged.
-            if !r.stale {
-                assert!(r.epoch >= before);
-                assert_eq!(r.ids.len(), r.results.len());
-            } else {
-                assert_eq!(r.replans, 3, "stale only after exhausting replans");
-            }
-        }
-    }
-
-    #[test]
-    fn stale_results_skip_dispatch() {
-        let dispatched = Arc::new(Mutex::new(Vec::new()));
-        let d2 = Arc::clone(&dispatched);
-        let cfg = PoolConfig {
-            workers: 2,
-            dispatch: Some(Arc::new(move |r: &JobResult| {
-                assert!(!r.stale, "stale results must never dispatch");
-                d2.lock().unwrap().push(r.switch_id);
-            })),
-            ..PoolConfig::default()
-        };
-        let pool = EnginePool::new(cfg);
-        let shared = Arc::new(SharedTable::new(table(3)));
-        let res = pool.run_batch(vec![job(0, &shared), job(1, &shared)]);
-        assert!(res.iter().all(|r| !r.stale), "no churn -> no staleness");
-        let mut seen = dispatched.lock().unwrap().clone();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1], "every valid result dispatched once");
-    }
-
-    #[test]
     fn job_panic_completes_batch_and_pool_survives() {
-        // A panic inside a job (here: the dispatch hook) must not hang
-        // run_batch or kill the pool — the worker catches it and answers
-        // the seq with a `panicked` placeholder.
-        let cfg = PoolConfig {
-            workers: 2,
-            dispatch: Some(Arc::new(|r: &JobResult| {
-                if r.switch_id == 1 {
-                    panic!("injected job panic");
-                }
-            })),
-            ..PoolConfig::default()
-        };
-        let pool = EnginePool::new(cfg);
+        // A panic inside a job must not hang run_batch or kill the pool —
+        // the worker catches it and answers the seq with a `panicked`
+        // placeholder.
+        let pool = EnginePool::new(PoolConfig::with_workers(2));
         let shared = Arc::new(SharedTable::new(table(3)));
-        let res = pool.run_batch(vec![job(0, &shared), job(1, &shared), job(2, &shared)]);
+        let res = pool.run_batch(vec![
+            job(0, &shared),
+            job(PANIC_SWITCH, &shared),
+            job(2, &shared),
+        ]);
         assert_eq!(res.len(), 3, "batch completes despite the panic");
         for r in &res {
-            if r.switch_id == 1 {
+            if r.switch_id == PANIC_SWITCH {
                 assert!(r.panicked && r.stale, "crashed job reported honestly");
                 assert!(r.ids.is_empty() && r.results.is_empty());
             } else {

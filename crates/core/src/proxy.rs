@@ -119,11 +119,6 @@ pub struct MonitorProxy {
     dynamic: DynamicMonitor,
     steady: Option<SteadyMonitor>,
     steady_dirty: bool,
-    /// When set, `on_tick` never refreshes steady plans inline; an external
-    /// owner (the harness, batching over an [`crate::pool::EnginePool`])
-    /// polls [`Self::steady_needs_refresh`] and installs results through
-    /// [`Self::ingest_steady_results`].
-    external_steady_refresh: bool,
     /// Pending drop-postponed finalizations: token -> finalize FlowMod.
     pending_finalize: Vec<(u64, FlowMod)>,
     /// Rules for which steady-state probe generation failed (Table 2's
@@ -141,7 +136,6 @@ impl MonitorProxy {
             dynamic,
             steady,
             steady_dirty: false,
-            external_steady_refresh: false,
             pending_finalize: Vec::new(),
             unmonitorable: Vec::new(),
         }
@@ -272,7 +266,7 @@ impl MonitorProxy {
         let dyn_actions = self.dynamic.on_tick(now);
         let mut out = self.map_dynamic(now, dyn_actions);
         if self.steady.is_some() {
-            if !self.external_steady_refresh && self.steady_needs_refresh() {
+            if self.steady_needs_refresh() {
                 self.refresh_steady_plans();
             }
             let actions = self.steady.as_mut().unwrap().on_tick(now);
@@ -321,31 +315,12 @@ impl MonitorProxy {
     }
 
     /// Whether the steady plan cycle is stale and quiescent enough to
-    /// regenerate (same gate the inline refresh uses: no dynamic update in
-    /// flight racing the table snapshot).
-    pub fn steady_needs_refresh(&self) -> bool {
+    /// regenerate: no dynamic update in flight racing the expected table.
+    fn steady_needs_refresh(&self) -> bool {
         self.steady.is_some() && self.steady_dirty && self.dynamic.in_flight() == 0
     }
 
-    /// Hands steady plan refreshes to an external batcher: `on_tick` stops
-    /// regenerating plans inline and the owner is expected to poll
-    /// [`Self::steady_needs_refresh`] and install results via
-    /// [`Self::ingest_steady_results`] (typically batched across proxies on
-    /// an [`crate::pool::EnginePool`]).
-    pub fn set_external_steady_refresh(&mut self, on: bool) {
-        self.external_steady_refresh = on;
-    }
-
-    /// The rules a steady-state sweep covers: every production rule of the
-    /// expected table, skipping Monocle's own infrastructure rules
-    /// (catching, filter and drop-tag bands). Delegates to
-    /// [`crate::pool::monitorable_ids`] so this sweep set and the pool's
-    /// [`crate::pool::JobSpec::All`] set stay identical by construction.
-    pub fn steady_probe_ids(&self) -> Vec<RuleId> {
-        crate::pool::monitorable_ids(self.dynamic.expected().table())
-    }
-
-    /// The collection pins this proxy's probes carry (pool job plumbing).
+    /// The collection pins this proxy's probes carry.
     pub fn catch_spec(&self) -> &CatchSpec {
         &self.cfg.catch
     }
@@ -355,48 +330,35 @@ impl MonitorProxy {
         self.dynamic.expected().epoch()
     }
 
-    /// Installs externally generated steady-sweep results (e.g. from an
-    /// [`crate::pool::EnginePool`] batch planned against a snapshot of this
-    /// proxy's expected table): records unmonitorable rules and hands the
-    /// plan cycle to the steady monitor. `results` aligns with `ids`;
-    /// `epoch` is the expected-table epoch the plans were generated under.
-    /// Returns (found, total).
-    pub fn ingest_steady_results(
-        &mut self,
-        ids: &[RuleId],
-        results: Vec<Result<crate::plan::ProbePlan, crate::generator::ProbeError>>,
-        epoch: u32,
-    ) -> (usize, usize) {
-        self.steady_dirty = false;
-        self.unmonitorable = ids
-            .iter()
-            .zip(&results)
-            .filter_map(|(&id, r)| r.is_err().then_some(id))
-            .collect();
-        let total = ids.len();
-        let found = total - self.unmonitorable.len();
-        if let Some(s) = &mut self.steady {
-            s.ingest_batch(results, epoch);
-        }
-        (found, total)
-    }
-
-    /// Regenerates steady-state probe plans from the expected table,
-    /// skipping Monocle's own infrastructure rules. Returns (found, total).
+    /// Regenerates steady-state probe plans from the expected table for
+    /// every production rule, skipping Monocle's own infrastructure rules
+    /// (catching, filter and drop-tag bands —
+    /// [`crate::pool::monitorable_ids`]). Records the rules no probe was
+    /// found for in [`Self::unmonitorable`] and returns (found, total).
     ///
     /// Generation runs as one [`crate::engine::ProbeEngine::generate_batch`]
     /// through the proxy's shared engine, so a refresh after unrelated churn
     /// re-solves only the rules whose overlap neighborhood actually changed
     /// — steady-state re-probing of an unchanged table is pure cache hits.
-    /// (The sharded path — [`crate::harness::MonocleApp::refresh_steady_parallel`]
-    /// — plans the same [`Self::steady_probe_ids`] set on an
-    /// [`crate::pool::EnginePool`] and installs it via
-    /// [`Self::ingest_steady_results`].)
     pub fn refresh_steady_plans(&mut self) -> (usize, usize) {
         let epoch = self.dynamic.expected().epoch();
-        let ids = self.steady_probe_ids();
+        let ids = crate::pool::monitorable_ids(self.dynamic.expected().table());
         let results = self.dynamic.generate_batch_expected(&ids);
-        self.ingest_steady_results(&ids, results, epoch)
+        self.steady_dirty = false;
+        let total = ids.len();
+        let mut plans = Vec::with_capacity(total);
+        self.unmonitorable.clear();
+        for (id, r) in ids.into_iter().zip(results) {
+            match r {
+                Ok(plan) => plans.push(plan),
+                Err(_) => self.unmonitorable.push(id),
+            }
+        }
+        let found = plans.len();
+        if let Some(s) = &mut self.steady {
+            s.set_plans(plans, epoch);
+        }
+        (found, total)
     }
 
     fn map_dynamic(&mut self, now: u64, actions: Vec<DynAction>) -> Vec<ProxyOutput> {

@@ -20,7 +20,6 @@
 //! same interval), so switching modes redistributes the budget without
 //! raising it.
 
-use crate::generator::ProbeError;
 use crate::plan::{ProbePlan, Verdict};
 use monocle_openflow::RuleId;
 use monocle_sched::{AdaptiveScheduler, SchedConfig, SchedStats};
@@ -170,22 +169,6 @@ impl SteadyMonitor {
         if let Some(sched) = self.sched.as_mut() {
             sched.set_switch_cost(cost, backpressured);
         }
-    }
-
-    /// Replaces the sweep schedule from a
-    /// [`crate::engine::ProbeEngine::generate_batch`] run: successes become
-    /// the new plan cycle, failures are dropped. Returns `(found, total)` —
-    /// Table 2's "probes found" bookkeeping.
-    pub fn ingest_batch(
-        &mut self,
-        batch: Vec<Result<ProbePlan, ProbeError>>,
-        epoch: u32,
-    ) -> (usize, usize) {
-        let total = batch.len();
-        let plans: Vec<ProbePlan> = batch.into_iter().filter_map(Result::ok).collect();
-        let found = plans.len();
-        self.set_plans(plans, epoch);
-        (found, total)
     }
 
     /// The plans currently being cycled.

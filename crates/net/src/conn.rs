@@ -18,7 +18,7 @@
 //! forward controller traffic; dispatch resumes once the backlog drains
 //! below [`WRITE_LOW_WATER`] (see [`Connection::below_low_water`]). Paused
 //! injections must be revalidated against the switch epoch when finally
-//! flushed — see `monocle::pool` ("Transport consumers").
+//! flushed — see [`crate::proxy_app`] ("Backpressure").
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;

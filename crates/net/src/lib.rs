@@ -1,5 +1,6 @@
 //! Event-driven TCP runtime for the Monocle proxy.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod conn;

@@ -19,21 +19,28 @@
 //! ## Deferred planning
 //!
 //! Probe planning is SAT solving — milliseconds of CPU in the worst case —
-//! so it never runs on the I/O thread. [`MonitorProxy::take_plan_requests`]
-//! yields `(token, table, rule)` jobs whose table is the probed rule's
-//! overlap neighborhood ([`monocle::PlanRequest`]), not a copy of the
-//! switch's table: what the loop thread builds per FlowMod, and what the
-//! planner fingerprints per job, follows the size of the change, not the
-//! size of the table. Jobs are shipped over an mpsc channel to a planner
-//! thread owning an [`EnginePool`], which takes ownership of each job's
-//! table; finished plans come back through a second channel and the loop's
-//! waker, and are attached with [`MonitorProxy::attach_plan`]. No job
-//! carries a long-lived table, so there is no warm engine shard to protect:
-//! a switch's jobs all land on its one shard, whose engine delta-syncs
-//! between consecutive small tables. While a plan is in flight the update's
-//! FlowMod has already been forwarded — planning overlaps switch
-//! installation latency, which is where the multi-switch throughput scaling
-//! comes from.
+//! so per-update planning never runs on the I/O thread.
+//! [`MonitorProxy::take_plan_requests`] yields `(token, table, rule)` jobs
+//! whose table is the probed rule's overlap neighborhood
+//! ([`monocle::PlanRequest`]), not a copy of the switch's table: what the
+//! loop thread builds per FlowMod, and what the planner fingerprints per
+//! job, follows the size of the change, not the size of the table. Jobs are
+//! shipped over an mpsc channel to the planner thread — the one consumer of
+//! [`EnginePool`] — and each job's table moves into its [`ProbeJob`]: owned,
+//! immutable, dropped with the job. Finished plans come back through a
+//! second channel and the loop's waker, and are attached with
+//! [`MonitorProxy::attach_plan`]. A switch's jobs all land on its one pool
+//! shard, whose engine delta-syncs between consecutive small tables. While
+//! a plan is in flight the update's FlowMod has already been forwarded —
+//! planning overlaps switch installation latency, which is where the
+//! multi-switch throughput scaling comes from.
+//!
+//! **Not deferred:** with [`ProxyAppConfig::steady`] set, the steady-state
+//! refresh ([`MonitorProxy::refresh_steady_plans`], run from the proxy's
+//! tick once an update has dirtied the table and nothing is in flight)
+//! still plans the *whole table* on the loop thread. ROADMAP "Steady-state
+//! cost follows the change, not the table" replaces it with per-neighborhood
+//! re-plans over the same `PlanRequest` contract.
 //!
 //! ## Steady-state verdicts
 //!
@@ -46,8 +53,9 @@
 //! Probe injections are discretionary traffic: when a switch connection's
 //! write buffer passes the high-water mark they are parked per session and
 //! flushed on `Drained`, after revalidating each probe's epoch against the
-//! proxy's expected table (stale probes are dropped — same rule as
-//! `monocle::pool`'s "revalidate `JobResult.epoch` at injection time").
+//! proxy's expected table: the table may have moved on while the probe sat
+//! in the queue, and a stale probe injected would misattribute a verdict,
+//! so it is dropped; the update's next tick injects a current one.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -724,7 +732,7 @@ fn planner_main(
         while let Ok(j) = rx.try_recv() {
             jobs.push(j);
         }
-        // Each job's table moves into its `SharedTable`; only the return
+        // Each job's table moves into its `ProbeJob`; only the return
         // address stays behind.
         let (addrs, probe_jobs): (Vec<(u64, u64)>, Vec<ProbeJob>) = jobs
             .into_iter()

@@ -33,51 +33,11 @@
 //! an entry's trie position never goes stale. This behavior is pinned by
 //! `strict_ops_on_ternary_rules_use_wildcard_match`.
 //!
-//! ## Snapshot publication ([`SharedTable`])
+//! ## Tables handed to planners
 //!
-//! Concurrent consumers (the probe-engine worker pool) never share a
-//! mutable `FlowTable`. Instead a [`SharedTable`] owns the table behind a
-//! single-slot atomic publication cell and enforces this contract:
-//!
-//! * **Writer side (churn path).** All mutations go through
-//!   [`SharedTable::apply`] / [`SharedTable::update`], which clone the
-//!   current table (classifier included), mutate the private copy, and
-//!   atomically publish it as a new immutable [`TableSnapshot`] with a
-//!   strictly increasing `epoch`. Writers are serialized against each
-//!   other; a publication is all-or-nothing — readers can never observe a
-//!   half-applied `flow_mod` or a classifier out of lockstep with the rule
-//!   vector.
-//! * **Reader side (probe hot path).** [`SharedTable::snapshot`] returns an
-//!   `Arc<TableSnapshot>` **lock-free** (no mutex, no writer coordination;
-//!   see the vendored `arcswap` cell for the reclamation scheme). The
-//!   snapshot is immutable and stays valid for as long as the `Arc` is
-//!   held, no matter how much churn is published after it.
-//! * **Epoch validation.** Work planned against `snapshot.epoch` must be
-//!   revalidated against [`SharedTable::epoch`] *before its results are
-//!   acted upon*: if the epochs differ, the plan may be stale and must be
-//!   re-planned against a fresh snapshot — never dispatched. Epochs are
-//!   strictly monotone, so `epoch() == snapshot.epoch` proves no
-//!   publication intervened *up to the validating load*. Validation and
-//!   acting on the result are not atomic — a publication can land between
-//!   them — so the check bounds staleness rather than guaranteeing
-//!   freshness at dispatch; consumers that cannot tolerate even that
-//!   window must revalidate at the final injection point. (`epoch()` is a
-//!   single atomic load, cheap enough to call per probe batch, or per
-//!   probe.)
-//!
-//! ## Transport consumers
-//!
-//! The event-driven TCP runtime (`monocle_net`) stretches the
-//! validation→injection window further than any in-process consumer: a
-//! probe planned against epoch `E` may sit in a per-connection write
-//! buffer (backpressure) or a parked-injection queue for milliseconds
-//! while FlowMod churn keeps publishing. The rule above therefore applies
-//! at the *socket write*, not at plan attach: the transport re-checks the
-//! probe's recorded epoch (`ProbeMeta::epoch`) against the monitor's
-//! current expected-table epoch when a parked injection is finally
-//! flushed, and drops it as stale if they differ — a dropped probe is
-//! re-planned by the §4.2 invalidation machinery, an injected stale probe
-//! would misattribute a verdict.
+//! A `FlowTable` has one owner. A planning job on another thread gets a
+//! table of its own (the probed rule's [`FlowTable::neighborhood`], or a
+//! clone), wrapped in a [`SharedTable`]: immutable, never republished.
 
 use crate::action::{ActionError, ActionProgram, Forwarding, PortNo};
 use crate::classifier::TernaryClassifier;
@@ -85,8 +45,7 @@ use crate::flowmatch::{Match, Ternary};
 use crate::headerspace::HeaderVec;
 use crate::messages::{FlowMod, FlowModCommand};
 use std::cmp::Reverse;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Identifier of a rule within one table (unique per table instance).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -530,99 +489,36 @@ impl FlowTable {
     }
 }
 
-/// One immutable published version of a flow table (classifier included).
-///
-/// Produced by [`SharedTable`]; consumers hold it as `Arc<TableSnapshot>`
-/// and it stays valid regardless of later publications. See the
-/// module-level *Snapshot publication* section for the full contract.
+/// An immutable flow table as a planning job sees it.
 #[derive(Debug)]
 pub struct TableSnapshot {
-    /// Publication epoch: strictly increasing, starts at 0 for the initial
-    /// table, +1 per publication.
+    /// Always 0: a job's table is never republished. Kept, like
+    /// [`SharedTable`] itself, because `benchmark/` reads it.
     pub epoch: u64,
-    /// The table contents at that epoch.
+    /// The table.
     pub table: FlowTable,
 }
 
-/// A flow table behind a single-slot atomic publication cell: serialized
-/// copy-on-write writers, lock-free snapshot readers, monotone epochs.
-///
-/// This is the shared-state primitive that lets one churn path (the proxy
-/// applying `flow_mod`s) feed many concurrent probe workers without any
-/// lock on the read side — see the module-level *Snapshot publication*
-/// section for the writer/reader contract and the epoch-validation rule.
+/// The table a planning job (`monocle::pool::ProbeJob`) owns: immutable
+/// from construction, dropped with the job. A wrapper rather than a plain
+/// `Arc<FlowTable>` only because `benchmark/` is compiled against these
+/// names.
 #[derive(Debug)]
 pub struct SharedTable {
-    cell: arcswap::ArcSwap<TableSnapshot>,
-    /// Mirror of the published epoch for cheap validation (one atomic load
-    /// instead of a snapshot clone). Updated before the cell publication
-    /// completes, so `epoch() >= snapshot().epoch` always holds and equality
-    /// proves freshness.
-    epoch: AtomicU64,
-    /// Serializes the clone-mutate-publish sequence of writers.
-    writer: Mutex<()>,
+    snap: Arc<TableSnapshot>,
 }
 
 impl SharedTable {
-    /// Publishes `table` as epoch 0.
+    /// Wraps `table`.
     pub fn new(table: FlowTable) -> SharedTable {
         SharedTable {
-            cell: arcswap::ArcSwap::new(Arc::new(TableSnapshot { epoch: 0, table })),
-            epoch: AtomicU64::new(0),
-            writer: Mutex::new(()),
+            snap: Arc::new(TableSnapshot { epoch: 0, table }),
         }
     }
 
-    /// The currently published snapshot. Lock-free; the returned `Arc`
-    /// remains valid (and immutable) for as long as it is held.
+    /// The table, shared (an `Arc` clone).
     pub fn snapshot(&self) -> Arc<TableSnapshot> {
-        self.cell.load_full()
-    }
-
-    /// The latest published epoch. A plan computed against a snapshot `s`
-    /// is fresh iff `epoch() == s.epoch` — re-plan otherwise.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Applies an OF1.0 `flow_mod` and publishes the result as a new epoch.
-    /// On error nothing is published and the epoch does not move.
-    pub fn apply(&self, fm: &FlowMod) -> Result<ApplyResult, TableError> {
-        let _guard = self.writer.lock().unwrap();
-        let cur = self.cell.load_full();
-        let mut table = cur.table.clone();
-        let res = table.apply(fm)?;
-        self.publish(cur.epoch + 1, table);
-        Ok(res)
-    }
-
-    /// Clone-mutate-publish under an arbitrary edit: `f` receives the
-    /// private copy of the current table; whatever it leaves behind is
-    /// published as the next epoch (unconditionally — use [`Self::apply`]
-    /// for failure-atomic `flow_mod` semantics).
-    pub fn update<R>(&self, f: impl FnOnce(&mut FlowTable) -> R) -> R {
-        let _guard = self.writer.lock().unwrap();
-        let cur = self.cell.load_full();
-        let mut table = cur.table.clone();
-        let out = f(&mut table);
-        self.publish(cur.epoch + 1, table);
-        out
-    }
-
-    /// Caller must hold the writer lock.
-    fn publish(&self, epoch: u64, table: FlowTable) {
-        // Epoch mirror first: a validator that races the publication may see
-        // the new epoch with the old snapshot and spuriously re-plan (safe),
-        // but can never see the new snapshot with the old epoch and wrongly
-        // conclude a stale plan is fresh.
-        self.epoch.store(epoch, Ordering::Release);
-        self.cell.store(Arc::new(TableSnapshot { epoch, table }));
-    }
-}
-
-impl From<FlowTable> for SharedTable {
-    fn from(table: FlowTable) -> SharedTable {
-        SharedTable::new(table)
+        Arc::clone(&self.snap)
     }
 }
 
@@ -1028,139 +924,6 @@ mod tests {
             let lin: Vec<RuleId> = t.overlapping_linear(&r.tern).iter().map(|x| x.id).collect();
             assert_eq!(trie, lin, "overlap sets and order agree");
         }
-    }
-
-    #[test]
-    fn shared_table_publishes_monotone_epochs() {
-        let shared = SharedTable::new(figure1_table());
-        assert_eq!(shared.epoch(), 0);
-        let s0 = shared.snapshot();
-        assert_eq!(s0.epoch, 0);
-        assert_eq!(s0.table.len(), 2);
-        // A publication bumps the epoch; the old snapshot stays intact.
-        let res = shared
-            .apply(&fm(
-                FlowModCommand::Add,
-                20,
-                Match::any().with_nw_dst([10, 0, 0, 9], 32),
-                vec![Action::Output(3)],
-            ))
-            .unwrap();
-        assert_eq!(res.added.len(), 1);
-        assert_eq!(shared.epoch(), 1);
-        assert_eq!(s0.table.len(), 2, "held snapshot is immutable");
-        let s1 = shared.snapshot();
-        assert_eq!(s1.epoch, 1);
-        assert_eq!(s1.table.len(), 3);
-        // Epoch validation: a plan against s0 is stale, against s1 fresh.
-        assert_ne!(shared.epoch(), s0.epoch);
-        assert_eq!(shared.epoch(), s1.epoch);
-    }
-
-    #[test]
-    fn shared_table_failed_apply_publishes_nothing() {
-        let shared = SharedTable::new(figure1_table());
-        let mut f = fm(
-            FlowModCommand::Add,
-            10,
-            Match::any().with_nw_src([10, 0, 0, 0], 24),
-            vec![Action::Output(1)],
-        );
-        f.check_overlap = true;
-        assert!(matches!(shared.apply(&f), Err(TableError::Overlap(_))));
-        assert_eq!(shared.epoch(), 0, "error must not publish an epoch");
-        assert_eq!(shared.snapshot().table.len(), 2);
-    }
-
-    #[test]
-    fn shared_table_update_publishes_arbitrary_edits() {
-        let shared = SharedTable::new(FlowTable::new());
-        let id = shared.update(|t| {
-            t.add_rule(5, Match::any(), vec![Action::Output(1)])
-                .unwrap()
-        });
-        assert_eq!(shared.epoch(), 1);
-        assert!(shared.snapshot().table.get(id).is_some());
-        // Fault injection through update: remove_by_id is not a flow_mod.
-        shared.update(|t| t.remove_by_id(id));
-        assert_eq!(shared.epoch(), 2);
-        assert!(shared.snapshot().table.is_empty());
-    }
-
-    /// Writer churns while readers snapshot concurrently: every snapshot
-    /// must be internally consistent (classifier in lockstep with the rule
-    /// vector — no torn publication) and epochs monotone per reader. The
-    /// writer keeps churning until every reader has taken enough snapshots,
-    /// so the test exercises real interleavings even on one CPU.
-    #[test]
-    fn shared_table_concurrent_churn_no_torn_reads() {
-        use std::sync::atomic::{AtomicBool, AtomicU64};
-        let shared = Arc::new(SharedTable::new(figure1_table()));
-        let done = Arc::new(AtomicBool::new(false));
-        let progress: Vec<Arc<AtomicU64>> = (0..2).map(|_| Arc::new(AtomicU64::new(0))).collect();
-        let readers: Vec<_> = progress
-            .iter()
-            .map(|snaps| {
-                let shared = Arc::clone(&shared);
-                let done = Arc::clone(&done);
-                let snaps = Arc::clone(snaps);
-                std::thread::spawn(move || {
-                    let mut last_epoch = 0u64;
-                    while !done.load(Ordering::Acquire) {
-                        let s = shared.snapshot();
-                        assert!(s.epoch >= last_epoch, "epoch went backwards");
-                        last_epoch = s.epoch;
-                        // Consistency: the trie-backed lookup agrees with the
-                        // linear reference on this immutable snapshot.
-                        for probe in [
-                            pkt([10, 0, 0, 1], [9, 9, 9, 9]),
-                            pkt([10, 0, 0, 2], [9, 9, 9, 9]),
-                            pkt([172, 16, 0, 1], [9, 9, 9, 9]),
-                        ] {
-                            assert_eq!(
-                                s.table.lookup(&probe).map(|r| r.id),
-                                s.table.lookup_linear(&probe).map(|r| r.id),
-                                "torn snapshot: classifier out of lockstep"
-                            );
-                        }
-                        // The epoch mirror never lags a snapshot we hold.
-                        assert!(shared.epoch() >= s.epoch);
-                        snaps.fetch_add(1, Ordering::Release);
-                    }
-                })
-            })
-            .collect();
-        let mut ops = 0u64;
-        while ops < 200 || progress.iter().any(|s| s.load(Ordering::Acquire) < 10) {
-            // Cycle the edit pattern so reruns past 200 ops stay valid
-            // (re-adds replace identical match+priority rules).
-            let i = (ops % 600) as u16;
-            let m = Match::any().with_nw_dst([10, 1, (i % 8) as u8, (i % 251) as u8], 32);
-            if i % 3 == 2 {
-                shared
-                    .apply(&fm(FlowModCommand::Delete, 0, m, vec![]))
-                    .unwrap();
-            } else {
-                shared
-                    .apply(&fm(
-                        FlowModCommand::Add,
-                        10 + i % 4,
-                        m,
-                        vec![Action::Output(1 + i % 4)],
-                    ))
-                    .unwrap();
-            }
-            ops += 1;
-            if ops.is_multiple_of(16) {
-                std::thread::yield_now();
-            }
-            assert!(ops < 1_000_000, "readers starved");
-        }
-        done.store(true, Ordering::Release);
-        for r in readers {
-            r.join().unwrap();
-        }
-        assert_eq!(shared.epoch(), ops);
     }
 
     #[test]

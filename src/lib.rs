@@ -3,6 +3,8 @@
 //! Re-exports the public crates so examples and integration tests have a
 //! single dependency root. See the individual crates for documentation.
 
+#![forbid(unsafe_code)]
+
 pub use monocle;
 pub use monocle_datasets as datasets;
 pub use monocle_netgraph as netgraph;
