@@ -21,9 +21,16 @@ echo "== benchmark package: build, unit tests, smoke of every workload =="
 # benchmark/ is a workspace of its own that compiles against crates/*; an API
 # deletion there that breaks it must fail here, not in the driver.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
+# The binary exits 0 whatever its checks found; the verdict is the result
+# line, the last line of stdout.
 for w in tcp_large_table tcp_small_table plan_tables detect_breakage; do
-    cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
-        --workload "$w" --smoke
+    result=$(cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+        --workload "$w" --smoke | tail -n 1)
+    echo "$result"
+    if [[ "$result" != *'"correct": true'* || "$result" != *'"failed": 0,'* ]]; then
+        echo "benchmark smoke of $w failed its checks" >&2
+        exit 1
+    fi
 done
 
 echo "== perf baseline: Table 2 probe generation =="

@@ -24,7 +24,8 @@ use crate::engine::ProbeEngine;
 use crate::expect::ExpectedTable;
 use crate::generator::{GeneratorConfig, ProbeError};
 use crate::plan::{ProbePlan, Verdict};
-use monocle_openflow::{FlowMod, FlowModCommand, FlowTable, Rule, RuleId};
+use monocle_openflow::table::ApplyResult;
+use monocle_openflow::{FlowMod, FlowModCommand, FlowTable, Rule, RuleId, TableError};
 
 /// Dynamic-monitor configuration.
 #[derive(Debug, Clone)]
@@ -171,6 +172,8 @@ pub struct DynamicMonitor {
     /// Rules added or modified by updates started since the last
     /// [`Self::take_touched_rules`].
     touched: Vec<RuleId>,
+    /// Rules removed by them since the last [`Self::take_removed_rules`].
+    removed: Vec<RuleId>,
 }
 
 impl DynamicMonitor {
@@ -192,6 +195,7 @@ impl DynamicMonitor {
             awaiting: Vec::new(),
             pending_requests: Vec::new(),
             touched: Vec::new(),
+            removed: Vec::new(),
         }
     }
 
@@ -216,6 +220,11 @@ impl DynamicMonitor {
         std::mem::take(&mut self.touched)
     }
 
+    /// As [`Self::take_touched_rules`] for the rules those updates removed.
+    pub fn take_removed_rules(&mut self) -> Vec<RuleId> {
+        std::mem::take(&mut self.removed)
+    }
+
     /// Drains the plan requests produced since the last call. Transport
     /// drivers call this after every `on_flowmod`/`attach_plan`/`on_verdict`
     /// (a confirmation can release queued updates, which produce new
@@ -234,23 +243,28 @@ impl DynamicMonitor {
         &self.expected
     }
 
-    /// Mutable access for pre-installing rules outside the proxied stream
-    /// (catching rules). Callers mutating the table this way should also
-    /// push the delta via [`DynamicMonitor::engine_mut`]'s
-    /// [`ProbeEngine::note_delta`]; the engine's fingerprint check covers
-    /// forgotten notifications.
+    /// Mutable access to the expected table behind the shared engine's back:
+    /// its fingerprint check catches the change, at the price of a diff of
+    /// the whole table. [`Self::apply_expected`] is the announced way.
     pub fn expected_mut(&mut self) -> &mut ExpectedTable {
         &mut self.expected
+    }
+
+    /// Applies `fm` to the expected table with the shared engine told on
+    /// both sides of it: overlapping plans evicted before, the snapshot
+    /// delta named after. Neither probed nor forwarded — the one way the
+    /// table changes, for controller updates ([`Self::on_flowmod`]) and for
+    /// Monocle's own (preinstalls, drop-postponing finalizers) alike.
+    pub fn apply_expected(&mut self, fm: &FlowMod) -> Result<ApplyResult, TableError> {
+        self.engine.note_flowmod(fm);
+        let applied = self.expected.apply(fm)?;
+        self.engine.note_applied(&applied);
+        Ok(applied)
     }
 
     /// The shared probe engine (statistics inspection).
     pub fn engine(&self) -> &ProbeEngine {
         &self.engine
-    }
-
-    /// Mutable engine access (delta notifications, cache control).
-    pub fn engine_mut(&mut self) -> &mut ProbeEngine {
-        &mut self.engine
     }
 
     /// Batch-generates plans for rules of the *current* expected table
@@ -262,6 +276,12 @@ impl DynamicMonitor {
     ) -> Vec<Result<ProbePlan, ProbeError>> {
         self.engine
             .generate_batch(self.expected.table(), ids, &self.catch)
+    }
+
+    /// The rules of the current expected table whose plan the shared engine
+    /// evicted since the last call ([`ProbeEngine::take_evicted`]).
+    pub fn take_evicted_expected(&mut self) -> Vec<RuleId> {
+        self.engine.take_evicted(self.expected.table())
     }
 
     /// Number of unconfirmed (actively probed) updates.
@@ -391,11 +411,11 @@ impl DynamicMonitor {
             .map(|v| (self.expected.table().neighborhood(&v.tern), v.id));
         let old_version = self.modify_old_version(&fm);
         // The monitor's own engine serves steady sweeps of the full table:
-        // feed it the delta (incremental invalidation), then apply it.
-        self.engine.note_flowmod(&fm);
-        let applied = self.expected.apply(&fm).unwrap_or_default();
+        // feed it the delta (incremental invalidation) while applying it.
+        let applied = self.apply_expected(&fm).unwrap_or_default();
         self.touched
             .extend(applied.added.iter().chain(&applied.modified));
+        self.removed.extend(&applied.removed);
         let table = self.expected.table();
         // (table to plan on, rule to probe in it, confirming verdict, id the
         // plan is remapped to)

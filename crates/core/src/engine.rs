@@ -26,30 +26,39 @@
 //! ## Fingerprints and invalidation
 //!
 //! The engine never owns the flow table — every call takes `&FlowTable` and
-//! the engine lazily synchronizes to it. Synchronization is driven by a
-//! *table fingerprint* (order-sensitive hash of every rule's id, priority,
-//! ternary and forwarding behavior). When the fingerprint changes, the rule
-//! snapshot diff identifies exactly the added/removed/modified rules, and
-//! only cached plans whose rule **overlaps** a changed rule are dropped —
-//! the key soundness fact being that a generated plan depends solely on the
-//! probed rule's overlap neighborhood (any rule a probe can hit overlaps
-//! the probed rule by definition), the catch pins, and the generator
-//! config. Rules elsewhere in the table may influence *which* probe fresh
-//! generation would pick (spare-value selection), but never the validity of
-//! a cached one.
+//! the engine lazily synchronizes to it. Synchronization is driven by the
+//! table's own [`FlowTable::fingerprint`], which the table maintains under
+//! every mutation from per-rule signatures hashed once, so an unchanged
+//! table costs one comparison. When the fingerprint has moved, the engine
+//! diffs its id-keyed snapshot (signature and ternary per rule) against the
+//! table: first only the ids its owner named through
+//! [`ProbeEngine::note_applied`] — work proportional to the delta — and, if
+//! those do not account for the new fingerprint (a mutation nobody
+//! announced, or a different table altogether, as a planner sees between
+//! jobs), every rule, reading the stored signatures. Either way the diff
+//! identifies exactly the added/removed/modified rules, and only cached
+//! plans whose rule **overlaps** a changed rule are dropped — the key
+//! soundness fact being that a generated plan depends solely on the probed
+//! rule's overlap neighborhood (any rule a probe can hit overlaps the probed
+//! rule by definition), the catch pins, and the generator config. Rules
+//! elsewhere in the table may influence *which* probe fresh generation would
+//! pick (spare-value selection), but never the validity of a cached one.
 //!
 //! Consumers that proxy FlowMods ([`crate::proxy::MonitorProxy`], wired by
 //! the [`crate::harness`] Multiplexer) additionally push deltas via
-//! [`ProbeEngine::note_flowmod`], which evicts overlapping plans eagerly;
-//! the fingerprint check remains the safety net for out-of-band mutations.
+//! [`ProbeEngine::note_flowmod`], which evicts overlapping plans eagerly.
+//! Every eviction, eager or found by a diff, records the rule id it
+//! dropped; a consumer that keeps plans of its own (the proxy's steady
+//! cycle) drains them with [`ProbeEngine::take_evicted`] and regenerates
+//! only those.
 
 use crate::encode::{self, CatchSpec, EncodeSession, EncodingStyle};
 use crate::generator::{self, GenStats, GeneratorConfig, ProbeError};
 use crate::plan::ProbePlan;
-use monocle_openflow::headerspace::HEADER_BITS;
+use monocle_openflow::table::{fingerprint_term, ApplyResult};
 use monocle_openflow::{FlowMod, FlowTable, PortNo, Rule, RuleId, Ternary};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 
 /// Engine configuration.
@@ -85,9 +94,8 @@ struct CacheEntry {
 }
 
 /// Snapshot of one rule at last synchronization.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct RuleSnap {
-    id: RuleId,
     tern: Ternary,
     sig: u64,
 }
@@ -100,8 +108,8 @@ pub struct EngineStats {
     pub syncs_clean: u64,
     /// Delta synchronizations (snapshot diff + overlap invalidation).
     pub syncs_delta: u64,
-    /// Full resynchronizations (first sync, wholesale replacement, or
-    /// ambiguous reorder).
+    /// Full resynchronizations: the first sync, and the first after
+    /// [`ProbeEngine::clear`].
     pub syncs_full: u64,
     /// Plan-cache entries evicted by invalidation.
     pub plans_invalidated: u64,
@@ -132,10 +140,16 @@ pub struct EngineStats {
 pub struct ProbeEngine {
     cfg: EngineConfig,
     session: EncodeSession,
-    snapshot: Vec<RuleSnap>,
+    /// The table as of the last synchronization, and its fingerprint.
+    snapshot: HashMap<RuleId, RuleSnap>,
     table_fp: u64,
     synced: bool,
+    /// Ids named by [`Self::note_applied`] since the last synchronization.
+    told: Vec<RuleId>,
     plan_cache: HashMap<(RuleId, u64), CacheEntry>,
+    /// Rules whose cached plan was dropped and not yet reported by
+    /// [`Self::take_evicted`]; pruned to the table at every synchronization.
+    evicted: HashSet<RuleId>,
     total: GenStats,
     engine_stats: EngineStats,
 }
@@ -153,10 +167,12 @@ impl ProbeEngine {
         ProbeEngine {
             cfg,
             session: EncodeSession::new(),
-            snapshot: Vec::new(),
+            snapshot: HashMap::new(),
             table_fp: 0,
             synced: false,
+            told: Vec::new(),
             plan_cache: HashMap::new(),
+            evicted: HashSet::new(),
             total: GenStats::default(),
             engine_stats: EngineStats::default(),
         }
@@ -199,8 +215,12 @@ impl ProbeEngine {
     /// Drops all cached state; the next call resynchronizes from scratch.
     pub fn clear(&mut self) {
         self.session.reset();
-        self.plan_cache.clear();
+        self.engine_stats.plans_invalidated += self.plan_cache.len() as u64;
+        self.evicted
+            .extend(self.plan_cache.drain().map(|((id, _), _)| id));
         self.snapshot.clear();
+        self.table_fp = 0;
+        self.told.clear();
         self.synced = false;
     }
 
@@ -215,8 +235,34 @@ impl ProbeEngine {
 
     /// As [`Self::note_flowmod`] for an already-compiled match.
     pub fn note_delta(&mut self, tern: Ternary) {
-        let evicted = self.evict_overlapping(&[tern]);
-        self.engine_stats.plans_invalidated += evicted;
+        self.evict_overlapping(&[tern]);
+    }
+
+    /// Delta notification, second half: `res` is what applying a FlowMod to
+    /// the monitored table reported. The next synchronization then diffs
+    /// only the rules named here (O(delta)) instead of the whole table; the
+    /// fingerprint check still catches whatever was not announced.
+    pub fn note_applied(&mut self, res: &ApplyResult) {
+        if !self.synced {
+            return; // no snapshot to patch: the first sync reads the table
+        }
+        if self.told.len() > self.snapshot.len() {
+            // A backlog longer than the table is not worth keeping: drop it
+            // and let the fingerprint mismatch fall back to the full diff.
+            self.told.clear();
+        }
+        self.told
+            .extend(res.added.iter().chain(&res.modified).chain(&res.removed));
+    }
+
+    /// Synchronizes to `table` and drains the ids of the rules whose cached
+    /// plan was evicted since the last call (by a delta notification or by a
+    /// synchronization, this one included) and that are still in `table`. A
+    /// consumer holding plans from earlier calls regenerates exactly these,
+    /// plus whatever it never had a cacheable result for.
+    pub fn take_evicted(&mut self, table: &FlowTable) -> Vec<RuleId> {
+        self.sync(table);
+        self.evicted.drain().collect()
     }
 
     /// Generates (or retrieves) the probe plan for `id` in `table`.
@@ -278,8 +324,8 @@ impl ProbeEngine {
     /// probe's true wall-clock generation latency (measured around the
     /// per-rule work only — the one-off table synchronization is excluded,
     /// matching what a per-probe latency distribution means). This is the
-    /// bench instrumentation path: per-item timing without re-hashing the
-    /// table fingerprint per call.
+    /// bench instrumentation path: per-item timing without a
+    /// synchronization per call.
     pub fn generate_batch_timed(
         &mut self,
         table: &FlowTable,
@@ -427,80 +473,98 @@ impl ProbeEngine {
         None
     }
 
-    /// Lazily synchronizes cached state to `table`.
+    /// Lazily synchronizes cached state to `table`: O(1) when the table's
+    /// fingerprint has not moved, O(delta) when [`Self::note_applied`] named
+    /// everything that changed, a diff of the whole snapshot otherwise.
     fn sync(&mut self, table: &FlowTable) {
-        let fp = table_fingerprint(table);
+        let fp = table.fingerprint();
+        let told = std::mem::take(&mut self.told);
         if self.synced && fp == self.table_fp {
             self.engine_stats.syncs_clean += 1;
             return;
         }
-        if !self.synced {
-            self.engine_stats.syncs_full += 1;
-            self.full_resync(table, fp);
-            return;
-        }
-        // Delta: diff the rule snapshot by id+content signature.
-        let old: HashMap<RuleId, (u64, Ternary)> = self
-            .snapshot
-            .iter()
-            .map(|s| (s.id, (s.sig, s.tern)))
-            .collect();
         let mut changed: Vec<Ternary> = Vec::new();
-        let mut seen: std::collections::HashSet<RuleId> =
-            std::collections::HashSet::with_capacity(table.len());
-        for r in table.rules() {
-            seen.insert(r.id);
-            match old.get(&r.id) {
-                Some(&(sig, _)) if sig == rule_sig(r) => {}
-                Some(&(_, tern)) => {
-                    // Modified in place: both the old and the new footprint
-                    // define the affected neighborhood.
-                    changed.push(tern);
-                    changed.push(r.tern);
-                    self.session.invalidate(r.id);
-                }
-                None => changed.push(r.tern),
-            }
-        }
-        for s in &self.snapshot {
-            if !seen.contains(&s.id) {
-                changed.push(s.tern);
-                self.session.invalidate(s.id);
-            }
-        }
-        if changed.is_empty() {
-            // Same rules, different fingerprint: an equal-priority reorder.
-            // Plan validity can depend on tie order, so drop everything.
-            self.engine_stats.syncs_full += 1;
-            self.engine_stats.plans_invalidated += self.plan_cache.len() as u64;
-            self.plan_cache.clear();
-        } else {
+        if self.synced {
             self.engine_stats.syncs_delta += 1;
-            let evicted = self.evict_overlapping(&changed);
-            self.engine_stats.plans_invalidated += evicted;
+            for id in told {
+                self.resnap(id, table.get(id), &mut changed);
+            }
+        } else {
+            self.engine_stats.syncs_full += 1;
+            self.clear();
+            self.synced = true;
         }
-        self.snapshot = snapshot_of(table);
-        self.table_fp = fp;
+        if self.table_fp != fp {
+            // Not everything was announced (a first sync, an out-of-band
+            // edit, another table altogether): diff every rule by id and
+            // stored signature.
+            for r in table.rules() {
+                self.resnap(r.id, Some(r), &mut changed);
+            }
+            if self.snapshot.len() > table.len() {
+                let live: HashSet<RuleId> = table.rules().iter().map(|r| r.id).collect();
+                let gone: Vec<RuleId> = self
+                    .snapshot
+                    .keys()
+                    .filter(|id| !live.contains(id))
+                    .copied()
+                    .collect();
+                for id in gone {
+                    self.resnap(id, None, &mut changed);
+                }
+            }
+        }
+        // Rule order is a function of the rule set, so the fingerprint moves
+        // exactly when a rule does: the snapshot now hashes to the table's.
+        debug_assert_eq!(self.table_fp, fp);
+        debug_assert!(!changed.is_empty() || table.is_empty());
+        self.evict_overlapping(&changed);
+        self.evicted.retain(|id| self.snapshot.contains_key(id));
         self.maybe_compact(table.len());
     }
 
-    fn full_resync(&mut self, table: &FlowTable, fp: u64) {
-        self.engine_stats.plans_invalidated += self.plan_cache.len() as u64;
-        self.plan_cache.clear();
-        self.session.reset();
-        self.snapshot = snapshot_of(table);
-        self.table_fp = fp;
-        self.synced = true;
+    /// Brings the snapshot entry of rule `id` (and the snapshot's
+    /// fingerprint) up to `new`, the rule as the table has it now. If it
+    /// differs, both its footprints — a modified rule has two, an added or
+    /// removed one its only one — join the `changed` neighborhood, and a
+    /// rule that had an entry loses its match template.
+    fn resnap(&mut self, id: RuleId, new: Option<&Rule>, changed: &mut Vec<Ternary>) {
+        let snap = new.map(|r| RuleSnap {
+            tern: r.tern,
+            sig: r.sig(),
+        });
+        let old = match snap {
+            Some(s) => self.snapshot.insert(id, s),
+            None => self.snapshot.remove(&id),
+        };
+        if old.map(|o| o.sig) == snap.map(|s| s.sig) {
+            return;
+        }
+        if let Some(o) = old {
+            self.table_fp = self.table_fp.wrapping_sub(fingerprint_term(id, o.sig));
+            changed.push(o.tern);
+            self.session.invalidate(id);
+        }
+        if let Some(s) = snap {
+            self.table_fp = self.table_fp.wrapping_add(fingerprint_term(id, s.sig));
+            changed.push(s.tern);
+        }
     }
 
-    /// Evicts cached plans whose rule overlaps any of `terns`; returns the
-    /// eviction count. (Overlap is the exact dependency relation: a probe
-    /// for rule R can only interact with rules overlapping R.)
-    fn evict_overlapping(&mut self, terns: &[Ternary]) -> u64 {
+    /// Evicts cached plans whose rule overlaps any of `terns`, recording the
+    /// rule ids. (Overlap is the exact dependency relation: a probe for rule
+    /// R can only interact with rules overlapping R.)
+    fn evict_overlapping(&mut self, terns: &[Ternary]) {
         let before = self.plan_cache.len();
-        self.plan_cache
-            .retain(|_, e| !terns.iter().any(|t| t.overlaps(&e.tern)));
-        (before - self.plan_cache.len()) as u64
+        let evicted = &mut self.evicted;
+        self.plan_cache.retain(|(id, _), e| {
+            let hit = terns.iter().any(|t| t.overlaps(&e.tern));
+            if hit {
+                evicted.insert(*id);
+            }
+            !hit
+        });
+        self.engine_stats.plans_invalidated += (before - self.plan_cache.len()) as u64;
     }
 
     /// Resets the session variable pool when modify/delete churn has
@@ -511,39 +575,6 @@ impl ProbeEngine {
             self.session.reset();
         }
     }
-}
-
-/// Order-sensitive content fingerprint of a flow table.
-fn table_fingerprint(table: &FlowTable) -> u64 {
-    let mut h = DefaultHasher::new();
-    HEADER_BITS.hash(&mut h);
-    for r in table.rules() {
-        r.id.hash(&mut h);
-        rule_sig(r).hash(&mut h);
-    }
-    table.len().hash(&mut h);
-    h.finish()
-}
-
-/// Content signature of one rule: everything probe generation reads.
-fn rule_sig(r: &Rule) -> u64 {
-    let mut h = DefaultHasher::new();
-    r.priority.hash(&mut h);
-    r.tern.hash(&mut h);
-    r.fwd.hash(&mut h);
-    h.finish()
-}
-
-fn snapshot_of(table: &FlowTable) -> Vec<RuleSnap> {
-    table
-        .rules()
-        .iter()
-        .map(|r| RuleSnap {
-            id: r.id,
-            tern: r.tern,
-            sig: rule_sig(r),
-        })
-        .collect()
 }
 
 /// Cache key component for a catch spec (field offsets are unique, so this
@@ -735,6 +766,59 @@ mod tests {
         // The fingerprint safety net must invalidate and re-answer
         // consistently with stateless generation.
         assert_matches_stateless(&mut eng, &t);
+    }
+
+    #[test]
+    fn announced_deltas_sync_like_unannounced_ones() {
+        // Two engines over one churning table: `told` hears every delta
+        // (note_flowmod + note_applied, the proxy path), `untold` nothing
+        // (the fingerprint safety net). Same answers, same evictions — and
+        // a backlog of announcements longer than the table is simply
+        // dropped in favor of the full diff.
+        let src = |i: u8| Match::any().with_nw_src([10, 0, 0, i], 32);
+        let mut t = table_from(vec![
+            (30, src(1).with_nw_proto(6), vec![Action::Output(1)]),
+            (20, src(1), vec![Action::Output(2)]),
+            (20, src(2), vec![Action::Output(3)]),
+            (1, Match::any(), vec![Action::Output(2)]),
+        ]);
+        let (mut told, mut untold) = (ProbeEngine::default(), ProbeEngine::default());
+        assert_matches_stateless(&mut told, &t);
+        assert_matches_stateless(&mut untold, &t);
+        let mods = [
+            FlowMod::modify_strict(20, src(1), vec![Action::Output(5)]),
+            FlowMod::delete_strict(20, src(2)),
+            FlowMod::add(25, src(3), vec![Action::Output(6)]),
+            FlowMod::add(20, src(1), vec![Action::Output(7)]), // replaces
+        ];
+        for round in 0..3 {
+            // Round 0 syncs after every FlowMod, round 1 after all four,
+            // round 2 after the same four announced thrice over.
+            for fm in mods.iter().cycle().take(if round == 2 { 12 } else { 4 }) {
+                told.note_flowmod(fm);
+                let res = t.apply(fm).unwrap();
+                told.note_applied(&res);
+                if round == 0 {
+                    assert_matches_stateless(&mut told, &t);
+                    assert_matches_stateless(&mut untold, &t);
+                    assert_eq!(told.cached_plans(), untold.cached_plans());
+                }
+            }
+            assert_matches_stateless(&mut told, &t);
+            assert_matches_stateless(&mut untold, &t);
+            assert_eq!(told.cached_plans(), untold.cached_plans());
+        }
+        assert_eq!(told.engine_stats().syncs_full, 1);
+        assert_eq!(
+            told.engine_stats().syncs_delta,
+            untold.engine_stats().syncs_delta
+        );
+        // Every eviction was recorded; rules no longer in the table are not
+        // reported, and a drained log stays drained.
+        let evicted = told.take_evicted(&t);
+        assert!(!evicted.is_empty());
+        assert!(evicted.iter().all(|id| t.get(*id).is_some()));
+        assert!(told.take_evicted(&t).is_empty());
     }
 
     #[test]

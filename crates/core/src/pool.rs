@@ -42,7 +42,7 @@ use crate::encode::CatchSpec;
 use crate::engine::{EngineConfig, ProbeEngine};
 use crate::generator::{GenStats, ProbeError};
 use crate::plan::ProbePlan;
-use monocle_openflow::{FlowTable, RuleId, SharedTable};
+use monocle_openflow::{FlowTable, Rule, RuleId, SharedTable};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -285,16 +285,16 @@ impl EnginePool {
 /// [`crate::proxy::MonitorProxy::refresh_steady_plans`] resolve through it,
 /// so the two cannot drift if the infrastructure-rule bands change.
 pub fn monitorable_ids(table: &FlowTable) -> Vec<RuleId> {
-    table
-        .rules()
-        .iter()
-        .filter(|r| {
-            r.priority < DROP_TAG_PRIORITY
-                && r.priority != CATCH_PRIORITY
-                && r.priority != FILTER_PRIORITY
-        })
-        .map(|r| r.id)
-        .collect()
+    monitorable(table).map(|r| r.id).collect()
+}
+
+/// The rules behind [`monitorable_ids`], in table order.
+pub fn monitorable(table: &FlowTable) -> impl Iterator<Item = &Rule> {
+    table.rules().iter().filter(|r| {
+        r.priority < DROP_TAG_PRIORITY
+            && r.priority != CATCH_PRIORITY
+            && r.priority != FILTER_PRIORITY
+    })
 }
 
 fn worker_loop(

@@ -12,12 +12,13 @@ use crate::droppost::{self, DropTag};
 use crate::dynamic::{DynAction, DynamicConfig, DynamicMonitor};
 use crate::encode::CatchSpec;
 use crate::engine::EngineStats;
-use crate::generator::{GenStats, GeneratorConfig};
+use crate::generator::{GenStats, GeneratorConfig, ProbeError};
 use crate::plan::ProbePlan;
 use crate::steady::{SteadyAction, SteadyConfig, SteadyMonitor};
 use monocle_openflow::flowmatch::packet_to_headervec;
 use monocle_openflow::{ActionProgram, FlowMod, Match, PortNo, RuleId};
 use monocle_packet::{PacketFields, ProbeMeta};
+use std::collections::HashSet;
 
 /// Steady sequence numbers are tagged with this bit to share the probe-meta
 /// sequence space with dynamic probes.
@@ -119,11 +120,23 @@ pub struct MonitorProxy {
     dynamic: DynamicMonitor,
     steady: Option<SteadyMonitor>,
     steady_dirty: bool,
+    /// With steady monitoring on: rules whose steady plan, if any, predates
+    /// their current version (added or modified since the last refresh), or
+    /// whose last result is never cached ([`ProbeError::RepairFailed`]).
+    /// Together with what the engine evicted, the next refresh's work.
+    steady_stale: HashSet<RuleId>,
+    /// Rules the last refresh planned (or found unmonitorable) that have
+    /// left the expected table since.
+    steady_removed: Vec<RuleId>,
     /// Pending drop-postponed finalizations: token -> finalize FlowMod.
     pending_finalize: Vec<(u64, FlowMod)>,
     /// Rules for which steady-state probe generation failed (Table 2's
-    /// "probes not found" set).
+    /// "probes not found" set), in table order.
     pub unmonitorable: Vec<RuleId>,
+    /// Test oracle: refresh the steady plans the way every refresh once
+    /// worked, one batch over the whole table.
+    #[cfg(test)]
+    whole_table_oracle: bool,
 }
 
 impl MonitorProxy {
@@ -136,8 +149,12 @@ impl MonitorProxy {
             dynamic,
             steady,
             steady_dirty: false,
+            steady_stale: HashSet::new(),
+            steady_removed: Vec::new(),
             pending_finalize: Vec::new(),
             unmonitorable: Vec::new(),
+            #[cfg(test)]
+            whole_table_oracle: false,
         }
     }
 
@@ -174,15 +191,40 @@ impl MonitorProxy {
         match_: Match,
         actions: ActionProgram,
     ) -> Vec<ProxyOutput> {
-        let fm = FlowMod::add(priority, match_, actions);
-        self.dynamic.engine_mut().note_flowmod(&fm);
-        match self
-            .dynamic
-            .expected_mut()
-            .install(priority, match_, fm.actions.clone())
-        {
-            Ok(_) => vec![ProxyOutput::ToSwitch(fm)],
-            Err(_) => Vec::new(),
+        self.apply_own(FlowMod::add(priority, match_, actions))
+    }
+
+    /// Applies one of Monocle's own FlowMods (a preinstall, a drop-postponing
+    /// finalizer) to the expected table and forwards it. Like a controller
+    /// update it leaves the steady cycle stale and its footprint recorded;
+    /// unlike one it is neither probed nor reported to the adaptive
+    /// scheduler as churn.
+    fn apply_own(&mut self, fm: FlowMod) -> Vec<ProxyOutput> {
+        let Ok(applied) = self.dynamic.apply_expected(&fm) else {
+            return Vec::new();
+        };
+        let touched = [applied.added, applied.modified].concat();
+        self.note_steady_delta(&touched, &applied.removed);
+        vec![ProxyOutput::ToSwitch(fm)]
+    }
+
+    /// Records a change of the expected table (rules added or modified,
+    /// rules removed) for the next steady refresh. Both records stay within
+    /// the size of the table however long that refresh is in coming: a
+    /// removed rule leaves the stale set, and is only remembered if the last
+    /// refresh left something of it to drop.
+    fn note_steady_delta(&mut self, touched: &[RuleId], removed: &[RuleId]) {
+        let Some(steady) = &self.steady else { return };
+        if touched.is_empty() && removed.is_empty() {
+            return;
+        }
+        self.steady_dirty = true;
+        self.steady_stale.extend(touched);
+        for id in removed {
+            self.steady_stale.remove(id);
+            if steady.has_plan(*id) || self.unmonitorable.contains(id) {
+                self.steady_removed.push(*id);
+            }
         }
     }
 
@@ -330,35 +372,77 @@ impl MonitorProxy {
         self.dynamic.expected().epoch()
     }
 
-    /// Regenerates steady-state probe plans from the expected table for
-    /// every production rule, skipping Monocle's own infrastructure rules
-    /// (catching, filter and drop-tag bands —
-    /// [`crate::pool::monitorable_ids`]). Records the rules no probe was
-    /// found for in [`Self::unmonitorable`] and returns (found, total).
+    /// Brings the steady-state probe plans up to date with the expected
+    /// table and returns (rules with a plan, monitorable rules): the
+    /// production rules, not Monocle's own infrastructure (catching, filter
+    /// and drop-tag bands — [`crate::pool::monitorable_ids`]). Those no probe
+    /// was found for are listed in [`Self::unmonitorable`]. Without steady
+    /// monitoring configured there are no plans to keep: (0, 0).
     ///
-    /// Generation runs as one [`crate::engine::ProbeEngine::generate_batch`]
-    /// through the proxy's shared engine, so a refresh after unrelated churn
-    /// re-solves only the rules whose overlap neighborhood actually changed
-    /// — steady-state re-probing of an unchanged table is pure cache hits.
+    /// The work follows what changed since the last refresh, not the table:
+    /// only the rules whose plan the engine evicted (their overlap
+    /// neighborhood changed), the rules added or modified, and the rules
+    /// whose last failure is never cached go through
+    /// [`crate::engine::ProbeEngine::generate_batch`] again — in table
+    /// order, as a sweep of the whole table would reach them — and their
+    /// plans are patched into the cycle ([`SteadyMonitor::patch_plans`]).
+    /// The first refresh finds every rule added and none planned: the whole
+    /// table. What still reads the table is one pass putting the stale ids
+    /// in table order (a comparison per rule, nothing hashed or copied) and,
+    /// when the set of planned rules changed, the re-index behind
+    /// `patch_plans` and the unmonitorable list.
     pub fn refresh_steady_plans(&mut self) -> (usize, usize) {
-        let epoch = self.dynamic.expected().epoch();
-        let ids = crate::pool::monitorable_ids(self.dynamic.expected().table());
-        let results = self.dynamic.generate_batch_expected(&ids);
+        #[cfg(test)]
+        if self.whole_table_oracle {
+            return self.refresh_steady_plans_whole_table();
+        }
+        if self.steady.is_none() {
+            return (0, 0);
+        }
         self.steady_dirty = false;
-        let total = ids.len();
-        let mut plans = Vec::with_capacity(total);
-        self.unmonitorable.clear();
-        for (id, r) in ids.into_iter().zip(results) {
+        let epoch = self.dynamic.expected().epoch();
+        let mut stale: Vec<RuleId> = self.steady_stale.drain().collect();
+        stale.extend(self.dynamic.take_evicted_expected());
+        stale.sort_unstable();
+        let mut affected: Vec<RuleId> = Vec::new();
+        if !stale.is_empty() {
+            let monitorable = crate::pool::monitorable(self.dynamic.expected().table());
+            affected.extend(
+                monitorable
+                    .map(|r| r.id)
+                    .filter(|id| stale.binary_search(id).is_ok()),
+            );
+        }
+        let results = self.dynamic.generate_batch_expected(&affected);
+        let mut plans = Vec::new();
+        // Rules that must not have a plan after this refresh: the removed
+        // ones (each was planned or unmonitorable, see `note_steady_delta`)
+        // and those no probe was found for.
+        let mut unplanned = std::mem::take(&mut self.steady_removed);
+        let mut unmonitorable_moved = !unplanned.is_empty();
+        for (id, r) in affected.into_iter().zip(results) {
             match r {
                 Ok(plan) => plans.push(plan),
-                Err(_) => self.unmonitorable.push(id),
+                Err(e) => {
+                    unmonitorable_moved |= !self.unmonitorable.contains(&id);
+                    unplanned.push(id);
+                    if e == ProbeError::RepairFailed {
+                        self.steady_stale.insert(id);
+                    }
+                }
             }
         }
-        let found = plans.len();
-        if let Some(s) = &mut self.steady {
-            s.set_plans(plans, epoch);
+        let steady = self.steady.as_mut().expect("checked above");
+        if steady.patch_plans(plans, &unplanned, epoch) || unmonitorable_moved {
+            // Monitorable rules either have a plan or are unmonitorable.
+            let table = self.dynamic.expected().table();
+            self.unmonitorable = crate::pool::monitorable(table)
+                .map(|r| r.id)
+                .filter(|&id| !steady.has_plan(id))
+                .collect();
         }
-        (found, total)
+        let found = steady.plans().len();
+        (found, found + self.unmonitorable.len())
     }
 
     fn map_dynamic(&mut self, now: u64, actions: Vec<DynAction>) -> Vec<ProxyOutput> {
@@ -367,6 +451,8 @@ impl MonitorProxy {
         // the next refresh anyway) become hot. The ids come from the table's
         // own ApplyResult, not from a scan of the table.
         let touched = self.dynamic.take_touched_rules();
+        let removed = self.dynamic.take_removed_rules();
+        self.note_steady_delta(&touched, &removed);
         if let Some(steady) = self.steady.as_mut().filter(|s| s.is_adaptive()) {
             for id in touched {
                 steady.note_rule_modified(id, now);
@@ -385,9 +471,7 @@ impl MonitorProxy {
                     // Drop-postponing: on confirmation, swap in the real drop.
                     if let Some(pos) = self.pending_finalize.iter().position(|(t, _)| *t == token) {
                         let (_, finalize) = self.pending_finalize.remove(pos);
-                        self.dynamic.engine_mut().note_flowmod(&finalize);
-                        let _ = self.dynamic.expected_mut().apply(&finalize);
-                        out.push(ProxyOutput::ToSwitch(finalize));
+                        out.extend(self.apply_own(finalize));
                     }
                     out.push(ProxyOutput::Confirmed { token, verified });
                 }
@@ -591,5 +675,374 @@ mod tests {
             .find(|r| r.priority == 20)
             .unwrap();
         assert!(rule.fwd.is_drop());
+    }
+    fn steady_injections(outs: &[ProxyOutput]) -> Vec<u64> {
+        outs.iter()
+            .filter_map(|o| match o {
+                ProxyOutput::Inject(i) if i.meta.seq & STEADY_SEQ_BIT != 0 => Some(i.meta.rule_id),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn table_brought_up_by_preinstall_alone_gets_steady_plans() {
+        // Regression: preinstall never marked the steady cycle stale, so a
+        // table no controller FlowMod ever touched was never swept.
+        let cfg = ProxyConfig::new(7, CatchSpec::default()).with_steady(SteadyConfig::default());
+        let mut p = MonitorProxy::new(cfg);
+        p.preinstall(1, Match::any(), vec![Action::Output(9)]);
+        p.preinstall(
+            10,
+            Match::any().with_nw_dst([10, 0, 0, 1], 32),
+            vec![Action::Output(2)],
+        );
+        let mut probed = Vec::new();
+        for t in 0..10u64 {
+            probed.extend(steady_injections(&p.on_tick(t * 2_000_000)));
+        }
+        assert!(
+            !probed.is_empty(),
+            "no steady probe for a preinstalled table"
+        );
+    }
+
+    #[test]
+    fn preinstall_after_the_first_refresh_joins_the_steady_cycle() {
+        // Regression: a rule preinstalled once the cycle was running stayed
+        // out of it (and its neighbors kept plans made without it) until the
+        // next controller FlowMod.
+        let cfg = ProxyConfig::new(7, CatchSpec::default()).with_steady(SteadyConfig::default());
+        let mut p = MonitorProxy::new(cfg);
+        p.preinstall(1, Match::any(), vec![Action::Output(9)]);
+        p.on_controller_flowmod(0, 1, add_fm([10, 0, 0, 1], 2));
+        assert_eq!(p.refresh_steady_plans(), (2, 2));
+        let late = p.preinstall(
+            10,
+            Match::any().with_nw_dst([10, 0, 0, 2], 32),
+            vec![Action::Output(3)],
+        );
+        assert_eq!(late.len(), 1);
+        let late_id = p.expected().rules().iter().map(|r| r.id.0).max().unwrap();
+        // No controller FlowMod from here on: the tick alone must pick the
+        // new rule up (the add above is still unconfirmed, so confirm it).
+        let mut probed = Vec::new();
+        let mut now = 0;
+        for _ in 0..40 {
+            now += 2_000_000;
+            let outs = p.on_tick(now);
+            for o in &outs {
+                if let ProxyOutput::Inject(inj) = o {
+                    if inj.meta.seq & STEADY_SEQ_BIT == 0 {
+                        let hdr = packet_to_headervec(inj.in_port, &inj.fields);
+                        p.on_probe_return(now, &inj.meta, 2, &headervec_to_packet(&hdr));
+                    }
+                }
+            }
+            probed.extend(steady_injections(&outs));
+        }
+        assert_eq!(p.in_flight(), 0);
+        assert!(
+            probed.contains(&late_id),
+            "rule {late_id} preinstalled after the first refresh is never swept: {probed:?}"
+        );
+    }
+
+    // ---- differential: incremental refresh vs. the whole-table oracle ----
+
+    impl MonitorProxy {
+        /// The refresh [`Self::refresh_steady_plans`] replaced, kept as its
+        /// oracle: every monitorable rule through one batch, everything rebuilt.
+        pub(super) fn refresh_steady_plans_whole_table(&mut self) -> (usize, usize) {
+            let epoch = self.dynamic.expected().epoch();
+            let ids = crate::pool::monitorable_ids(self.dynamic.expected().table());
+            let results = self.dynamic.generate_batch_expected(&ids);
+            self.steady_dirty = false;
+            let total = ids.len();
+            let mut plans = Vec::with_capacity(total);
+            self.unmonitorable.clear();
+            for (id, r) in ids.into_iter().zip(results) {
+                match r {
+                    Ok(plan) => plans.push(plan),
+                    Err(_) => self.unmonitorable.push(id),
+                }
+            }
+            let found = plans.len();
+            if let Some(s) = &mut self.steady {
+                s.set_plans(plans, epoch);
+            }
+            (found, total)
+        }
+    }
+
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 >> 11) as usize % n
+        }
+
+        fn chance(&mut self, percent: usize) -> bool {
+            self.below(100) < percent
+        }
+    }
+
+    /// Two proxies fed the same inputs, one refreshing incrementally and one
+    /// through the whole-table oracle, plus the datapath their (identical)
+    /// outputs drive. Every call compares everything observable.
+    struct Twins {
+        new: MonitorProxy,
+        oracle: MonitorProxy,
+        datapath: monocle_openflow::FlowTable,
+        probes: Vec<ProbeInjection>,
+        now: u64,
+        token: u64,
+    }
+
+    impl Twins {
+        fn new(cfg: ProxyConfig) -> Twins {
+            let mut oracle = MonitorProxy::new(cfg.clone());
+            oracle.whole_table_oracle = true;
+            Twins {
+                new: MonitorProxy::new(cfg),
+                oracle,
+                datapath: monocle_openflow::FlowTable::new(),
+                probes: Vec::new(),
+                now: 0,
+                token: 0,
+            }
+        }
+
+        fn both<T: PartialEq + std::fmt::Debug>(
+            &mut self,
+            what: &str,
+            f: impl Fn(&mut MonitorProxy) -> T,
+        ) -> T {
+            let a = f(&mut self.new);
+            let b = f(&mut self.oracle);
+            assert_eq!(a, b, "{what} at t={}", self.now);
+            let (sa, sb) = (self.new.steady.as_ref(), self.oracle.steady.as_ref());
+            assert_eq!(
+                sa.map(|s| s.plans()),
+                sb.map(|s| s.plans()),
+                "plans after {what} at t={}",
+                self.now
+            );
+            assert_eq!(sa.map(|s| s.epoch), sb.map(|s| s.epoch), "steady epoch");
+            assert_eq!(
+                self.new.unmonitorable, self.oracle.unmonitorable,
+                "unmonitorable after {what} at t={}",
+                self.now
+            );
+            assert_eq!(self.new.steady_dirty, self.oracle.steady_dirty);
+            a
+        }
+
+        /// The switch installs at once; probes wait for [`Self::answer`].
+        fn absorb(&mut self, outs: Vec<ProxyOutput>) {
+            for o in outs {
+                match o {
+                    ProxyOutput::ToSwitch(fm) => {
+                        let _ = self.datapath.apply(&fm);
+                    }
+                    ProxyOutput::Inject(inj) => self.probes.push(inj),
+                    _ => {}
+                }
+            }
+        }
+
+        fn flowmod(&mut self, fm: FlowMod) {
+            self.token += 1;
+            let (now, token) = (self.now, self.token);
+            let outs = self.both("flowmod", |p| {
+                p.on_controller_flowmod(now, token, fm.clone())
+            });
+            self.absorb(outs);
+        }
+
+        fn preinstall(&mut self, priority: u16, m: Match, actions: ActionProgram) {
+            let outs = self.both("preinstall", |p| p.preinstall(priority, m, actions.clone()));
+            self.absorb(outs);
+        }
+
+        fn refresh(&mut self) {
+            self.both("refresh", |p| p.refresh_steady_plans());
+        }
+
+        fn tick(&mut self, advance: u64) {
+            self.now += advance;
+            let now = self.now;
+            let outs = self.both("tick", |p| p.on_tick(now));
+            self.absorb(outs);
+        }
+
+        /// Answers the pending probes from the datapath, losing `lose`% of them.
+        fn answer(&mut self, rng: &mut Rng, lose: usize) {
+            for inj in std::mem::take(&mut self.probes) {
+                if rng.chance(lose) {
+                    continue;
+                }
+                let hdr = packet_to_headervec(inj.in_port, &inj.fields);
+                for (port, out) in self.datapath.process(&hdr, 0) {
+                    let (now, fields) = (self.now, headervec_to_packet(&out));
+                    let outs = self.both("probe return", |p| {
+                        p.on_probe_return(now, &inj.meta, port, &fields)
+                    });
+                    self.absorb(outs);
+                }
+            }
+        }
+    }
+
+    fn steady_cfg(adaptive: bool, drop_postpone: bool) -> ProxyConfig {
+        let steady = SteadyConfig {
+            adaptive: adaptive.then(monocle_sched::SchedConfig::default),
+            ..SteadyConfig::default()
+        };
+        let mut cfg = ProxyConfig::new(7, CatchSpec::default()).with_steady(steady);
+        if drop_postpone {
+            cfg.drop_postpone = Some((DropTag(63), 4));
+        }
+        cfg
+    }
+
+    /// A small space of overlapping matches and few priorities, so strict
+    /// operations hit, ADDs replace, and non-strict ones sweep several rules.
+    fn random_match(rng: &mut Rng) -> Match {
+        let m = match rng.below(4) {
+            0 => Match::any().with_nw_dst([10, 0, 0, 0], 8),
+            1 => Match::any().with_nw_dst([10, rng.below(2) as u8, 0, 0], 16),
+            2 => Match::any().with_nw_dst([10, rng.below(2) as u8, rng.below(2) as u8, 0], 24),
+            _ => Match::any().with_nw_dst(
+                [
+                    10,
+                    rng.below(2) as u8,
+                    rng.below(2) as u8,
+                    rng.below(3) as u8,
+                ],
+                32,
+            ),
+        };
+        match rng.below(3) {
+            0 => m.with_nw_proto(6).with_tp_dst(80 + rng.below(2) as u16),
+            _ => m,
+        }
+    }
+
+    fn random_actions(rng: &mut Rng) -> ActionProgram {
+        match rng.below(8) {
+            0 => vec![], // a drop: postponed when drop-postponing is on
+            1 => vec![Action::SetNwTos(8), Action::Output(2 + rng.below(3) as u16)],
+            _ => vec![Action::Output(2 + rng.below(4) as u16)],
+        }
+    }
+
+    fn random_step(tw: &mut Twins, rng: &mut Rng) {
+        use monocle_openflow::FlowModCommand as C;
+        let priority = 10 + 10 * rng.below(4) as u16;
+        match rng.below(16) {
+            0..=3 => tw.flowmod(FlowMod::add(
+                priority,
+                random_match(rng),
+                random_actions(rng),
+            )),
+            4..=7 => {
+                // Strict or not, modify or delete; a MODIFY that hits
+                // nothing is an ADD.
+                let command =
+                    [C::Modify, C::ModifyStrict, C::Delete, C::DeleteStrict][rng.below(4)];
+                let fm = FlowMod::add(priority, random_match(rng), random_actions(rng));
+                tw.flowmod(FlowMod { command, ..fm });
+            }
+            8 => {
+                // Monocle's own rules: production band or infrastructure.
+                let priority = [priority, crate::catching::CATCH_PRIORITY][rng.below(2)];
+                tw.preinstall(priority, random_match(rng), vec![Action::Output(9)]);
+            }
+            // A refresh whenever, in-flight updates or not.
+            9 => tw.refresh(),
+            10..=12 => tw.answer(rng, 20),
+            _ => tw.tick(1_000_000 * (1 + rng.below(20) as u64)),
+        }
+    }
+
+    #[test]
+    fn incremental_refresh_matches_whole_table_oracle_on_random_scripts() {
+        for seed in 1..=40u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let mut tw = Twins::new(steady_cfg(seed % 2 == 0, seed % 3 != 0));
+            tw.preinstall(1, Match::any(), vec![Action::Output(9)]);
+            let (prio, m, acts) = droppost::drop_tag_rule(DropTag(63));
+            tw.preinstall(prio, m, acts);
+            for _ in 0..250 {
+                random_step(&mut tw, &mut rng);
+            }
+            // Drain: everything confirmed or alarmed, one last refresh.
+            for _ in 0..30 {
+                tw.answer(&mut rng, 0);
+                tw.tick(2_000_000);
+            }
+            assert!(tw.new.steady.as_ref().unwrap().epoch > 0, "seed {seed}");
+        }
+    }
+
+    /// The same differential once at paper size: the Stanford-like ACL table
+    /// (2755 rules and the default route) brought up by preinstall, then 60
+    /// updates with ticks, probe returns and stray refreshes between them.
+    #[test]
+    fn incremental_refresh_matches_whole_table_oracle_on_stanford_like_table() {
+        use monocle_datasets::acl::{generate, AclConfig};
+        let rules = generate(&AclConfig::stanford_like());
+        let mut rng = Rng(0x5747_4f5a);
+        let mut tw = Twins::new(steady_cfg(true, false));
+        for r in &rules {
+            tw.preinstall(r.priority, r.match_, r.actions.clone());
+        }
+        tw.tick(1_000_000);
+        assert_eq!(tw.new.expected().len(), rules.len());
+        assert!(tw.new.steady.as_ref().unwrap().plans().len() > rules.len() / 2);
+        let mut deleted = None;
+        for step in 0..60 {
+            let r = &rules[rng.below(rules.len())];
+            let fm = match step % 5 {
+                0 => {
+                    deleted = Some(r);
+                    FlowMod::delete_strict(r.priority, r.match_)
+                }
+                1 => {
+                    let r = deleted.take().unwrap();
+                    FlowMod::add(r.priority, r.match_, r.actions.clone())
+                }
+                // ADD over an existing (priority, match): a replace.
+                2 => FlowMod::add(r.priority, r.match_, vec![Action::Output(3)]),
+                _ => FlowMod::modify_strict(
+                    r.priority,
+                    r.match_,
+                    vec![Action::Output(2 + rng.below(14) as u16)],
+                ),
+            };
+            tw.flowmod(fm);
+            if rng.chance(25) {
+                tw.refresh(); // while the update is in flight
+            }
+            for _ in 0..1 + rng.below(4) {
+                tw.tick(1_000_000);
+                tw.answer(&mut rng, 10);
+            }
+        }
+        for _ in 0..20 {
+            tw.answer(&mut rng, 0);
+            tw.tick(2_000_000);
+        }
+        assert_eq!(tw.new.in_flight(), 0);
+        // The point of it all: the incremental proxy looked up a fraction of
+        // what the oracle did, and never fell back to a full resync.
+        let lookups =
+            |p: &MonitorProxy| p.engine_stats().cache_hits + p.engine_stats().cache_misses;
+        assert!(lookups(&tw.new) * 4 < lookups(&tw.oracle));
+        assert_eq!(tw.new.engine_lifecycle().syncs_full, 1);
     }
 }

@@ -23,7 +23,8 @@
 use crate::plan::{ProbePlan, Verdict};
 use monocle_openflow::RuleId;
 use monocle_sched::{AdaptiveScheduler, SchedConfig, SchedStats};
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Steady-state monitor configuration.
 #[derive(Debug, Clone)]
@@ -99,7 +100,8 @@ pub struct SteadyMonitor {
     /// Adaptive scheduler (None ⇒ fixed round-robin sweep). Its state is
     /// keyed by rule id and survives plan refreshes.
     sched: Option<AdaptiveScheduler>,
-    /// Rule id → index into `plans`, rebuilt on every `set_plans`.
+    /// Rule id → index into `plans`, rebuilt whenever the set of planned
+    /// rules changes.
     by_rule: HashMap<u64, usize>,
     /// Latest time observed via `on_tick`/`on_verdict`; used to stamp
     /// scheduler state when plans are swapped (set_plans carries no clock).
@@ -131,15 +133,61 @@ impl SteadyMonitor {
         self.sched.as_ref().map(|s| s.stats())
     }
 
-    /// Replaces the probe plans (regenerated after a table change);
-    /// outstanding probes from the prior epoch are discarded. In adaptive
-    /// mode, per-rule scheduler state (heat, deadlines, failure history)
-    /// carries over for rules that survive the refresh.
+    /// Replaces the probe plans wholesale, in the order given; outstanding
+    /// probes from the prior epoch are discarded. In adaptive mode, per-rule
+    /// scheduler state (heat, deadlines, failure history) carries over for
+    /// rules that survive the refresh.
     pub fn set_plans(&mut self, plans: Vec<ProbePlan>, epoch: u32) {
         self.plans = plans;
+        self.restart(epoch);
+        self.reindex();
+    }
+
+    /// Refreshes the plans after a table change that invalidated only some
+    /// of them: each plan of `upserts` (in table order: priority descending,
+    /// rule id ascending, the order the plan list is then kept in) replaces
+    /// its rule's plan or joins the cycle, and the rules of `drops` leave
+    /// it. Outstanding probes are discarded and the fixed sweep restarts, as
+    /// in [`Self::set_plans`]. Work follows `upserts` and `drops`, not the
+    /// plan list, as long as the set of planned rules stays the same; when
+    /// it does not, the list is re-merged and re-indexed and the adaptive
+    /// scheduler reconciled. Returns whether it changed.
+    pub fn patch_plans(&mut self, upserts: Vec<ProbePlan>, drops: &[RuleId], epoch: u32) -> bool {
+        self.restart(epoch);
+        let mut joining = Vec::new();
+        for plan in upserts {
+            match self.by_rule.get(&plan.rule_id.0) {
+                Some(&i) => self.plans[i] = plan,
+                None => joining.push(plan),
+            }
+        }
+        let leaving: HashSet<u64> = drops
+            .iter()
+            .map(|id| id.0)
+            .filter(|id| self.by_rule.contains_key(id))
+            .collect();
+        if leaving.is_empty() && joining.is_empty() {
+            return false;
+        }
+        self.plans.retain(|p| !leaving.contains(&p.rule_id.0));
+        self.plans.extend(joining);
+        // Two runs, each already in table order: the stable sort is one merge.
+        self.plans.sort_by_key(|p| (Reverse(p.priority), p.rule_id));
+        self.reindex();
+        true
+    }
+
+    /// The part of a refresh that does not depend on its size: new epoch,
+    /// prior epoch's outstanding probes discarded, fixed sweep restarted.
+    fn restart(&mut self, epoch: u32) {
         self.epoch = epoch;
         self.cursor = 0;
         self.outstanding.clear();
+    }
+
+    /// Rebuilds the rule index and reconciles the adaptive scheduler after
+    /// the set of planned rules changed.
+    fn reindex(&mut self) {
         self.by_rule = self
             .plans
             .iter()
@@ -150,6 +198,11 @@ impl SteadyMonitor {
             let keys: Vec<u64> = self.plans.iter().map(|p| p.rule_id.0).collect();
             sched.sync(&keys, self.now_hint);
         }
+    }
+
+    /// Whether `rule` has a plan in the cycle.
+    pub fn has_plan(&self, rule: RuleId) -> bool {
+        self.by_rule.contains_key(&rule.0)
     }
 
     /// Tells the scheduler `rule` was just modified by a flow_mod: its next

@@ -38,9 +38,15 @@
 //! **Not deferred:** with [`ProxyAppConfig::steady`] set, the steady-state
 //! refresh ([`MonitorProxy::refresh_steady_plans`], run from the proxy's
 //! tick once an update has dirtied the table and nothing is in flight)
-//! still plans the *whole table* on the loop thread. ROADMAP "Steady-state
-//! cost follows the change, not the table" replaces it with per-neighborhood
-//! re-plans over the same `PlanRequest` contract.
+//! still plans on the loop thread. It re-plans only what the FlowMods since
+//! the last refresh invalidated — the rules whose cached plan the proxy's
+//! engine evicted, the rules added or modified — and the engine it plans on
+//! synchronizes to the table in O(1) when nothing changed and in O(delta)
+//! otherwise, so its cost follows the change, not the table (the first
+//! refresh of a session, and a FlowMod that overlaps everything, such as a
+//! default route, are the whole table). Moving it onto the `PlanRequest`
+//! contract is ROADMAP "Steady-state cost follows the change, not the
+//! table".
 //!
 //! ## Steady-state verdicts
 //!

@@ -45,6 +45,8 @@ use crate::flowmatch::{Match, Ternary};
 use crate::headerspace::HeaderVec;
 use crate::messages::{FlowMod, FlowModCommand};
 use std::cmp::Reverse;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Identifier of a rule within one table (unique per table instance).
@@ -74,6 +76,9 @@ pub struct Rule {
     pub fwd: Forwarding,
     /// Controller-assigned cookie.
     pub cookie: u64,
+    /// [`Rule::signature`] of the fields above, hashed once when the rule is
+    /// built or modified.
+    sig: u64,
 }
 
 impl Rule {
@@ -86,16 +91,67 @@ impl Rule {
         cookie: u64,
     ) -> Result<Rule, TableError> {
         let fwd = Forwarding::compile(&actions).map_err(TableError::BadActions)?;
-        Ok(Rule {
-            id: RuleId(0),
+        Ok(Rule::from_parts(
             priority,
-            tern: match_.ternary(),
             match_,
+            match_.ternary(),
             actions,
             fwd,
             cookie,
-        })
+        ))
     }
+
+    fn from_parts(
+        priority: u16,
+        match_: Match,
+        tern: Ternary,
+        actions: ActionProgram,
+        fwd: Forwarding,
+        cookie: u64,
+    ) -> Rule {
+        Rule {
+            id: RuleId(0),
+            priority,
+            match_,
+            tern,
+            sig: Rule::signature(priority, &tern, &fwd),
+            actions,
+            fwd,
+            cookie,
+        }
+    }
+
+    /// Content signature: a hash of everything probe generation reads off a
+    /// rule (priority, ternary, forwarding behavior).
+    pub fn signature(priority: u16, tern: &Ternary, fwd: &Forwarding) -> u64 {
+        let mut h = DefaultHasher::new();
+        priority.hash(&mut h);
+        tern.hash(&mut h);
+        fwd.hash(&mut h);
+        h.finish()
+    }
+
+    /// The stored [`Rule::signature`] of this rule (never re-hashed on read;
+    /// carried by clones).
+    pub fn sig(&self) -> u64 {
+        self.sig
+    }
+
+    /// This rule's term of [`FlowTable::fingerprint`].
+    fn fp_term(&self) -> u64 {
+        fingerprint_term(self.id, self.sig)
+    }
+}
+
+/// One rule's term of [`FlowTable::fingerprint`]: the splitmix64 finalizer
+/// over (id, signature). Well-spread terms keep the wrapping sum as
+/// collision-resistant as a 64-bit hash can be. Public so that a holder of
+/// (id, signature) pairs can maintain the fingerprint of its own copy.
+pub fn fingerprint_term(id: RuleId, sig: u64) -> u64 {
+    let mut z = sig ^ id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// Errors surfaced by table operations.
@@ -141,6 +197,8 @@ pub struct FlowTable {
     /// Trie index over `rules`, kept in lockstep by every mutation.
     classifier: TernaryClassifier,
     next_id: u64,
+    /// See [`Self::fingerprint`]; kept in lockstep by every mutation.
+    fp: u64,
 }
 
 impl FlowTable {
@@ -167,6 +225,24 @@ impl FlowTable {
     /// Finds a rule by id.
     pub fn get(&self, id: RuleId) -> Option<&Rule> {
         self.rules.iter().find(|r| r.id == id)
+    }
+
+    /// Content fingerprint of the table: the wrapping sum of one well-mixed
+    /// term per rule over its id and stored [`Rule::sig`], maintained by
+    /// every mutation, so reading it is O(1). A commutative sum is enough
+    /// because rule order is a function of the rule set (priority desc, id
+    /// asc): two tables with the same (id, content) pairs are the same table.
+    pub fn fingerprint(&self) -> u64 {
+        self.fp
+    }
+
+    /// [`Self::fingerprint`] recomputed from the rules, every signature
+    /// re-hashed: the oracle the maintained value is tested against.
+    pub fn fingerprint_from_scratch(&self) -> u64 {
+        self.rules.iter().fold(0u64, |fp, r| {
+            let sig = Rule::signature(r.priority, &r.tern, &r.fwd);
+            fp.wrapping_add(fingerprint_term(r.id, sig))
+        })
     }
 
     /// Inserts a rule directly (ADD semantics without flags). Returns the
@@ -240,9 +316,12 @@ impl FlowTable {
                 tern.subsumes(&r.tern)
             };
             if hit {
+                self.fp = self.fp.wrapping_sub(r.fp_term());
                 r.actions = fm.actions.clone();
                 r.fwd = fwd.clone();
                 r.cookie = fm.cookie;
+                r.sig = Rule::signature(r.priority, &r.tern, &r.fwd);
+                self.fp = self.fp.wrapping_add(r.fp_term());
                 result.modified.push(r.id);
             }
         }
@@ -266,6 +345,7 @@ impl FlowTable {
             };
             if hit {
                 self.classifier.remove(r.id, &r.tern);
+                self.fp = self.fp.wrapping_sub(r.fp_term());
                 result.removed.push(r.id);
             }
         }
@@ -290,6 +370,7 @@ impl FlowTable {
         rule.id = RuleId(self.next_id);
         let id = rule.id;
         self.classifier.insert(rule.priority, rule.id, rule.tern);
+        self.fp = self.fp.wrapping_add(rule.fp_term());
         // First index with strictly lower priority: keeps insertion order
         // stable among equal priorities.
         let pos = self.rules.partition_point(|r| r.priority >= rule.priority);
@@ -301,6 +382,7 @@ impl FlowTable {
     fn remove_at(&mut self, pos: usize) -> Rule {
         let rule = self.rules.remove(pos);
         self.classifier.remove(rule.id, &rule.tern);
+        self.fp = self.fp.wrapping_sub(rule.fp_term());
         rule
     }
 
@@ -330,15 +412,14 @@ impl FlowTable {
         actions: ActionProgram,
     ) -> RuleId {
         let fwd = Forwarding::compile(&actions).expect("valid actions");
-        self.insert_sorted(Rule {
-            id: RuleId(0),
+        self.insert_sorted(Rule::from_parts(
             priority,
-            match_: Match::any(),
+            Match::any(),
             tern,
             actions,
             fwd,
-            cookie: 0,
-        })
+            0,
+        ))
     }
 
     /// Removes a rule by id (simulator fault injection uses this to model a
@@ -422,7 +503,8 @@ impl FlowTable {
     }
 
     /// The sub-table of rules overlapping `tern`, copied verbatim: same
-    /// [`RuleId`]s, same order, `next_id` carried over, own classifier.
+    /// [`RuleId`]s, same order, `next_id` carried over, own classifier, own
+    /// fingerprint summed from the stored signatures.
     ///
     /// Any rule that can match a header matching rule R overlaps R, so
     /// [`Self::lookup`], [`Self::lookup_excluding`] and [`Self::process`]
@@ -435,13 +517,16 @@ impl FlowTable {
     pub fn neighborhood(&self, tern: &Ternary) -> FlowTable {
         let rules: Vec<Rule> = self.overlapping(tern).into_iter().cloned().collect();
         let mut classifier = TernaryClassifier::new();
+        let mut fp = 0u64;
         for r in &rules {
             classifier.insert(r.priority, r.id, r.tern);
+            fp = fp.wrapping_add(r.fp_term());
         }
         FlowTable {
             rules,
             classifier,
             next_id: self.next_id,
+            fp,
         }
     }
 
@@ -831,18 +916,17 @@ mod tests {
         // still not divide by zero (regression: it used to panic on
         // `ecmp_choice % legs.len()`).
         let mut t = FlowTable::new();
-        t.insert_sorted(Rule {
-            id: RuleId(0),
-            priority: 5,
-            match_: Match::any(),
-            tern: Match::any().ternary(),
-            actions: vec![],
-            fwd: Forwarding {
+        t.insert_sorted(Rule::from_parts(
+            5,
+            Match::any(),
+            Match::any().ternary(),
+            vec![],
+            Forwarding {
                 kind: crate::action::ForwardingKind::Ecmp,
                 legs: vec![],
             },
-            cookie: 0,
-        });
+            0,
+        ));
         let p = pkt([1, 2, 3, 4], [5, 6, 7, 8]);
         assert!(t.process(&p, 7).is_empty(), "zero-leg ECMP is a drop");
         // And the constructible invariant: compile rejects the program that
