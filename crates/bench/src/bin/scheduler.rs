@@ -51,7 +51,6 @@ fn mk_plan(id: u64) -> ProbePlan {
             &HeaderVec::ZERO,
         ),
         uses_counting: false,
-        relevant_rules: 0,
     }
 }
 

@@ -250,13 +250,12 @@ impl DynamicMonitor {
         &mut self.expected
     }
 
-    /// Applies `fm` to the expected table with the shared engine told on
-    /// both sides of it: overlapping plans evicted before, the snapshot
-    /// delta named after. Neither probed nor forwarded — the one way the
+    /// Applies `fm` to the expected table and names the rules it touched to
+    /// the shared engine, whose next synchronization then diffs — and evicts
+    /// by — exactly those. Neither probed nor forwarded — the one way the
     /// table changes, for controller updates ([`Self::on_flowmod`]) and for
     /// Monocle's own (preinstalls, drop-postponing finalizers) alike.
     pub fn apply_expected(&mut self, fm: &FlowMod) -> Result<ApplyResult, TableError> {
-        self.engine.note_flowmod(fm);
         let applied = self.expected.apply(fm)?;
         self.engine.note_applied(&applied);
         Ok(applied)

@@ -7,8 +7,9 @@
 //! table has not changed. The engine amortizes that cost with three layers:
 //!
 //! 1. **Plan cache** — keyed by `(rule, catch-spec)` and invalidated by
-//!    table deltas. A steady-state re-probe of an unchanged rule is a pure
-//!    lookup: *zero* SAT solves, zero encoding work.
+//!    table deltas, a plan only when a delta reaches its probe. A
+//!    steady-state re-probe of such a rule is a pure lookup: *zero* SAT
+//!    solves, zero encoding work.
 //! 2. **Guess-and-verify fast path** — the probed rule's own sample packet
 //!    (pins applied, §5.2-repaired) is checked against the semantic oracle
 //!    ([`crate::plan::verify_probe`]) before any SAT instance is built.
@@ -36,21 +37,40 @@
 //! those do not account for the new fingerprint (a mutation nobody
 //! announced, or a different table altogether, as a planner sees between
 //! jobs), every rule, reading the stored signatures. Either way the diff
-//! identifies exactly the added/removed/modified rules, and only cached
-//! plans whose rule **overlaps** a changed rule are dropped — the key
-//! soundness fact being that a generated plan depends solely on the probed
-//! rule's overlap neighborhood (any rule a probe can hit overlaps the probed
-//! rule by definition), the catch pins, and the generator config. Rules
-//! elsewhere in the table may influence *which* probe fresh generation would
-//! pick (spare-value selection), but never the validity of a cached one.
+//! identifies exactly the added/removed/modified rules, and their old and
+//! new ternaries are the *changed footprints* the cache is held against.
 //!
-//! Consumers that proxy FlowMods ([`crate::proxy::MonitorProxy`], wired by
-//! the [`crate::harness`] Multiplexer) additionally push deltas via
-//! [`ProbeEngine::note_flowmod`], which evicts overlapping plans eagerly.
-//! Every eviction, eager or found by a diff, records the rule id it
-//! dropped; a consumer that keeps plans of its own (the proxy's steady
-//! cycle) drains them with [`ProbeEngine::take_evicted`] and regenerates
-//! only those.
+//! One invariant holds after every synchronization: **every cached `Ok`
+//! plan verifies on the synced table with the outcomes it promises, and
+//! every cached `Err` is what stateless generation returns there.** What
+//! keeps it is what each kind of result depends on:
+//!
+//! * A plan reads the table only through the rules its probe *packet*
+//!   matches: Hit, Distinguish (§3) and [`crate::plan::verify_probe`] are
+//!   lookups of the one point `plan.header`. If no changed footprint
+//!   contains that point, the rules matching it — ids, priorities, actions,
+//!   tie-break order — are the same before and after, so both outcomes
+//!   stand and the header is still a model of the new SAT instance (every
+//!   clause about a rule it does not match is vacuous). The plan is dropped
+//!   only when a footprint contains its header; a change to the probed rule
+//!   itself always does. Rules that overlap the probed *rule* elsewhere may
+//!   change which probe fresh generation would pick, never the validity of
+//!   the cached one.
+//! * A failure (Hidden, Indistinguishable, …) is an UNSAT or shadow result:
+//!   there is no witness point, it depends on the probed rule's whole
+//!   overlap neighborhood, and it is dropped when a footprint overlaps the
+//!   rule at all.
+//!
+//! [`EngineStats::plans_kept`] counts the plans the first rule saves: their
+//! rule overlapped a footprint, their header lay outside it.
+//!
+//! A consumer with no [`ApplyResult`] at hand can push a FlowMod through
+//! [`ProbeEngine::note_flowmod`] instead, which applies the same two rules
+//! eagerly with the mod's match — it subsumes every rule the mod can
+//! touch — as the footprint. Every eviction, eager or found by a diff,
+//! records the rule id it dropped; a consumer that keeps plans of its own
+//! (the proxy's steady cycle) drains them with
+//! [`ProbeEngine::take_evicted`] and regenerates only those.
 
 use crate::encode::{self, CatchSpec, EncodeSession, EncodingStyle};
 use crate::generator::{self, GenStats, GeneratorConfig, ProbeError};
@@ -85,8 +105,10 @@ impl Default for EngineConfig {
 /// `POOL_SLACK_FACTOR * table_len + 1024` stable variables.
 const POOL_SLACK_FACTOR: u64 = 4;
 
-/// One cached generation result plus the probed rule's ternary (used for
-/// overlap-based invalidation without consulting the table).
+/// One cached generation result with the footprint a change must touch to
+/// invalidate it: a plan's is its own `header`, a failure's — no witness
+/// point to go by — the probed rule's ternary, kept here so that no table is
+/// consulted (and, for plans, so that the survivors can be counted).
 #[derive(Debug, Clone)]
 struct CacheEntry {
     tern: Ternary,
@@ -113,6 +135,9 @@ pub struct EngineStats {
     pub syncs_full: u64,
     /// Plan-cache entries evicted by invalidation.
     pub plans_invalidated: u64,
+    /// Cached plans whose rule overlapped a changed footprint and that
+    /// survived because their probe header lies outside it.
+    pub plans_kept: u64,
 }
 
 /// Stateful, cache-aware probe generator for one switch's flow table.
@@ -126,12 +151,15 @@ pub struct EngineStats {
 ///
 /// For any table state, [`ProbeEngine::generate`] and the stateless
 /// [`crate::generator::generate_probe`] agree on success/failure and error
-/// classification, and every engine-produced plan passes the semantic
-/// oracle. (Probe
-/// *packets* may differ — both paths verify their candidate against
-/// [`crate::plan::verify_probe`], so both are sound; the property tests in
+/// classification, and every plan the engine returns — generated now or
+/// kept from an earlier table — passes the semantic oracle on the table it
+/// was asked about with exactly the outcomes it carries (the module docs
+/// say why a kept plan does). Probe *packets* may differ: both paths verify
+/// their candidate against [`crate::plan::verify_probe`], and a kept plan
+/// is a probe fresh generation might no longer pick. The property tests in
 /// `tests/prop_engine.rs` exercise this across randomized FlowMod edit
-/// sequences.)
+/// sequences, together with the converse: nothing is evicted that the edit
+/// did not reach.
 ///
 /// The engine encodes [`EncodingStyle::Implication`] only (`gen.style` is
 /// overridden at construction); [`EncodingStyle::IteChain`] is a Table 2 /
@@ -224,18 +252,18 @@ impl ProbeEngine {
         self.synced = false;
     }
 
-    /// Delta notification: a FlowMod is about to be (or was just) applied to
-    /// the monitored table. Eagerly evicts cached plans whose rule overlaps
-    /// the mod's match — the incremental-invalidation fast path; the
-    /// fingerprint check in [`Self::generate`] remains the safety net for
-    /// mutations that bypass this hook.
+    /// Delta notification for callers with no [`ApplyResult`] to hand to
+    /// [`Self::note_applied`]: a FlowMod is about to be (or was just) applied
+    /// to the monitored table. Eagerly evicts what its match — which subsumes
+    /// every rule it can touch — invalidates; the next synchronization finds
+    /// the exact footprints either way.
     pub fn note_flowmod(&mut self, fm: &FlowMod) {
         self.note_delta(fm.match_.ternary());
     }
 
     /// As [`Self::note_flowmod`] for an already-compiled match.
     pub fn note_delta(&mut self, tern: Ternary) {
-        self.evict_overlapping(&[tern]);
+        self.evict_changed(&[tern]);
     }
 
     /// Delta notification, second half: `res` is what applying a FlowMod to
@@ -370,9 +398,10 @@ impl ProbeEngine {
             return Err(ProbeError::NoSuchRule(id));
         };
         let result = self.generate_uncached(table, probed, catch, st);
-        // Cacheability: plans and the Hidden/Indistinguishable/CatchConflict/
+        // Cacheability: a plan stays valid while the rules matching its
+        // header do, and the Hidden/Indistinguishable/CatchConflict/
         // RewritesReserved/SolverBudget errors are fully determined by the
-        // rule's overlap neighborhood + pins, so overlap eviction keeps them
+        // rule's overlap neighborhood + pins, so `evict_changed` keeps both
         // exact. RepairFailed is the one outcome that also depends on
         // *disjoint* rules (spare-value / domain selection scans the whole
         // table), so caching it could pin a stale failure — regenerate it
@@ -399,7 +428,6 @@ impl ProbeEngine {
         if self.cfg.fast_path {
             if let Some(plan) = self.try_fast_path(table, probed, catch) {
                 st.fast_path_hits += 1;
-                st.relevant_rules += plan.relevant_rules;
                 return Ok(plan);
             }
         }
@@ -445,9 +473,8 @@ impl ProbeEngine {
         } else {
             &[repaired, sample]
         };
-        let relevant = table.overlapping_count_excluding(&probed.tern, probed.id);
         for &cand in candidates {
-            let Some(plan) = generator::finish(table, probed, &pins, cand, relevant) else {
+            let Some(plan) = generator::finish(table, probed, &pins, cand) else {
                 continue;
             };
             // Conservative Hit on the *normalized* header: no rule of equal
@@ -518,7 +545,7 @@ impl ProbeEngine {
         // exactly when a rule does: the snapshot now hashes to the table's.
         debug_assert_eq!(self.table_fp, fp);
         debug_assert!(!changed.is_empty() || table.is_empty());
-        self.evict_overlapping(&changed);
+        self.evict_changed(&changed);
         self.evicted.retain(|id| self.snapshot.contains_key(id));
         self.maybe_compact(table.len());
     }
@@ -551,20 +578,28 @@ impl ProbeEngine {
         }
     }
 
-    /// Evicts cached plans whose rule overlaps any of `terns`, recording the
-    /// rule ids. (Overlap is the exact dependency relation: a probe for rule
-    /// R can only interact with rules overlapping R.)
-    fn evict_overlapping(&mut self, terns: &[Ternary]) {
-        let before = self.plan_cache.len();
-        let evicted = &mut self.evicted;
+    /// Evicts, recording the rule ids, what a change inside `terns` can
+    /// invalidate (module docs, "Fingerprints and invalidation"): a plan
+    /// when a footprint contains its header, a failure when one overlaps
+    /// its rule.
+    fn evict_changed(&mut self, terns: &[Ternary]) {
+        let (evicted, stats) = (&mut self.evicted, &mut self.engine_stats);
         self.plan_cache.retain(|(id, _), e| {
-            let hit = terns.iter().any(|t| t.overlaps(&e.tern));
-            if hit {
+            if !terns.iter().any(|t| t.overlaps(&e.tern)) {
+                return true;
+            }
+            let keep = match &e.result {
+                Ok(plan) => !terns.iter().any(|t| t.matches(&plan.header)),
+                Err(_) => false,
+            };
+            if keep {
+                stats.plans_kept += 1;
+            } else {
+                stats.plans_invalidated += 1;
                 evicted.insert(*id);
             }
-            !hit
+            keep
         });
-        self.engine_stats.plans_invalidated += (before - self.plan_cache.len()) as u64;
     }
 
     /// Resets the session variable pool when modify/delete churn has
@@ -611,6 +646,15 @@ mod tests {
             ),
             (1, Match::any(), vec![Action::Output(2)]),
         ])
+    }
+
+    /// A default engine that has planned every rule of `t`, with the ids
+    /// and the results in table order.
+    fn plan_all(t: &FlowTable) -> (Vec<RuleId>, ProbeEngine, Vec<Result<ProbePlan, ProbeError>>) {
+        let ids: Vec<RuleId> = t.rules().iter().map(|r| r.id).collect();
+        let mut eng = ProbeEngine::default();
+        let plans = eng.generate_batch(t, &ids, &CatchSpec::default());
+        (ids, eng, plans)
     }
 
     #[test]
@@ -674,12 +718,9 @@ mod tests {
     #[test]
     fn flowmod_delta_invalidates_only_neighborhood() {
         // Two disjoint specific rules over a default route.
+        let dst1 = Match::any().with_nw_dst([10, 0, 0, 1], 32);
         let mut t = table_from(vec![
-            (
-                10,
-                Match::any().with_nw_dst([10, 0, 0, 1], 32),
-                vec![Action::Output(1)],
-            ),
+            (10, dst1, vec![Action::Output(1)]),
             (
                 10,
                 Match::any().with_nw_dst([10, 0, 0, 2], 32),
@@ -687,57 +728,64 @@ mod tests {
             ),
             (1, Match::any(), vec![Action::Output(2)]),
         ]);
-        let ids: Vec<RuleId> = t.rules().iter().map(|r| r.id).collect();
         let catch = CatchSpec::default();
-        let mut eng = ProbeEngine::default();
-        eng.generate_batch(&t, &ids, &catch);
+        let (ids, mut eng, plans) = plan_all(&t);
         assert_eq!(eng.cached_plans(), 3);
-        // Add a rule overlapping only the first specific rule.
-        let fm = FlowMod::add(
-            20,
-            Match::any().with_nw_dst([10, 0, 0, 1], 32).with_nw_proto(6),
-            vec![Action::Output(4)],
-        );
+        let h1 = plans[0].as_ref().unwrap().header;
+        // A rule above part of the first rule, away from its probe: the rule
+        // and the default route overlap it, neither probe can reach it, and
+        // every plan survives — the two neighbors counted as kept.
+        let beside = dst1.with_nw_proto(6);
+        assert!(!beside.ternary().matches(&h1));
+        let fm = FlowMod::add(20, beside, vec![Action::Output(4)]);
+        eng.note_flowmod(&fm);
+        assert_eq!(eng.engine_stats().plans_kept, 2);
+        t.apply(&fm).unwrap();
+        assert!(eng.take_evicted(&t).is_empty());
+        assert_eq!(eng.cached_plans(), 3);
+        assert_eq!(eng.engine_stats().plans_invalidated, 0);
+        // The same rule across the whole first rule takes its probe: that
+        // plan goes, the default route's (probing elsewhere) stays.
+        assert!(dst1.ternary().matches(&h1));
+        let fm = FlowMod::add(30, dst1, vec![Action::Output(4)]);
         eng.note_flowmod(&fm);
         t.apply(&fm).unwrap();
-        // The disjoint rule's plan survived the delta eviction; the
-        // overlapping ones (rule 1 and the default route) did not.
-        assert_eq!(eng.cached_plans(), 1);
-        let (_, st) = eng.generate_batch_with_stats(&t, &ids, &catch);
-        assert_eq!(st.cache_hits, 1, "disjoint rule re-probe is a cache hit");
-        assert_eq!(eng.engine_stats().syncs_delta, 1);
+        assert_eq!(eng.cached_plans(), 2);
+        assert_eq!(eng.take_evicted(&t), vec![ids[0]]);
+        let (res, st) = eng.generate_batch_with_stats(&t, &ids, &catch);
+        assert_eq!((st.cache_hits, st.cache_misses), (2, 1));
+        assert_eq!(res[0], Err(ProbeError::Hidden));
+        assert_eq!(res[1..], plans[1..], "kept plans are the cached ones");
+        assert_eq!(eng.engine_stats().syncs_delta, 2);
     }
 
     #[test]
     fn modify_as_add_invalidates_and_creates_plan_cache_entry() {
         // OF1.0 MODIFY with no matching entry behaves as ADD; the engine's
-        // FlowMod-delta invalidation must agree: cached plans overlapping
-        // the new rule are evicted, and the new rule gets a fresh plan
-        // identical to stateless generation.
+        // FlowMod-delta invalidation must agree: a cached plan goes exactly
+        // when the new rule matches its probe, and the new rule gets a
+        // fresh plan identical to stateless generation.
         use monocle_openflow::FlowModCommand;
         let mut t = fig1_table();
-        let ids: Vec<RuleId> = t.rules().iter().map(|r| r.id).collect();
         let catch = CatchSpec::default();
-        let mut eng = ProbeEngine::default();
-        eng.generate_batch(&t, &ids, &catch);
+        let (ids, mut eng, plans) = plan_all(&t);
         assert_eq!(eng.cached_plans(), 2);
-        // MODIFY that matches nothing: acts as ADD of a new specific rule.
-        let fm = FlowMod {
+        let default_plan = plans[1].clone().unwrap();
+        let modify_as_add = |m: Match| FlowMod {
             command: FlowModCommand::Modify,
-            ..FlowMod::add(
-                20,
-                Match::any().with_nw_src([10, 0, 0, 2], 32),
-                vec![Action::Output(7)],
-            )
+            ..FlowMod::add(20, m, vec![Action::Output(7)])
         };
+        // MODIFY that matches nothing: acts as ADD of a new specific rule.
+        let fm = modify_as_add(Match::any().with_nw_src([10, 0, 0, 2], 32));
+        assert!(!fm.match_.ternary().matches(&default_plan.header));
         eng.note_flowmod(&fm);
         let res = t.apply(&fm).unwrap();
         assert_eq!(res.added.len(), 1, "table reports an Add");
         assert!(res.modified.is_empty());
         let new_id = res.added[0];
-        // The new rule overlaps the default route (whose cached plan must
-        // go) but not the 10.0.0.1/32 rule (whose plan must survive).
-        assert_eq!(eng.cached_plans(), 1);
+        // The new rule overlaps the default route, whose probe it cannot
+        // match (the plan survives), and not the 10.0.0.1/32 rule.
+        assert_eq!(eng.cached_plans(), 2);
         let (engine_plan, st) = eng.generate_with_stats(&t, new_id, &catch);
         assert_eq!(st.cache_misses, 1, "new rule's plan is freshly created");
         let fresh = generate_probe(&t, new_id, &catch, &GeneratorConfig::default());
@@ -747,6 +795,125 @@ mod tests {
         // And it is now cached: the re-probe is a pure hit.
         let (_, st) = eng.generate_with_stats(&t, new_id, &catch);
         assert_eq!(st.cache_hits, 1);
+        assert_eq!(eng.engine_stats().plans_invalidated, 0);
+        // The other side: the same kind of rule right where the default
+        // route is probed takes that plan and no other.
+        let fm = modify_as_add(Match::any().with_dl_type(default_plan.fields.dl_type));
+        assert!(fm.match_.ternary().matches(&default_plan.header));
+        eng.note_flowmod(&fm);
+        t.apply(&fm).unwrap();
+        assert_eq!(eng.cached_plans(), 2);
+        assert_eq!(eng.take_evicted(&t), vec![ids[1]]);
+        let moved = eng.generate(&t, ids[1], &catch).unwrap();
+        assert_ne!(moved.header, default_plan.header);
+        assert!(crate::plan::verify_probe(&t, ids[1], &moved.header, &[]).is_some());
+    }
+
+    #[test]
+    fn unannounced_rule_over_a_cached_header_evicts_it() {
+        // The synchronization diff applies the same predicate as the eager
+        // hook: an out-of-band higher-priority rule evicts the plans whose
+        // header it matches and only those.
+        let src = |i: u8| Match::any().with_nw_src([10, 0, 0, i], 32);
+        let mut t = table_from(vec![
+            (10, src(1), vec![Action::Output(1)]),
+            (10, src(2), vec![Action::Output(3)]),
+            (1, Match::any(), vec![Action::Output(2)]),
+        ]);
+        let (ids, mut eng, plans) = plan_all(&t);
+        let h1 = plans[0].as_ref().unwrap().header;
+        let over = Match::any().with_nw_src([10, 0, 0, 0], 30);
+        assert!(over.ternary().matches(&h1));
+        t.add_rule(20, over, vec![Action::Output(4)]).unwrap();
+        let mut evicted = eng.take_evicted(&t);
+        evicted.sort_unstable();
+        assert_eq!(evicted, vec![ids[0], ids[1]]);
+        assert_eq!(
+            eng.cached_plans(),
+            1,
+            "the default route is probed elsewhere"
+        );
+        assert_eq!(eng.engine_stats().plans_kept, 1);
+        assert_matches_stateless(&mut eng, &t);
+    }
+
+    #[test]
+    fn deleting_the_shadow_of_a_hidden_rule_evicts_the_error() {
+        let src = Match::any().with_nw_src([10, 0, 0, 1], 32);
+        let mut t = table_from(vec![
+            (20, src, vec![Action::Output(1)]),
+            (10, src.with_nw_proto(6), vec![Action::Output(3)]),
+            (1, Match::any(), vec![Action::Output(2)]),
+        ]);
+        let catch = CatchSpec::default();
+        let (ids, mut eng, first) = plan_all(&t);
+        assert_eq!(first[1], Err(ProbeError::Hidden));
+        let res = t.apply(&FlowMod::delete_strict(20, src)).unwrap();
+        eng.note_applied(&res);
+        // The failure has no header to go by: it goes with its neighborhood.
+        // The removed rule's own entry goes (and is not reported: the rule
+        // is gone); the default route's plan never depended on either.
+        assert_eq!(eng.take_evicted(&t), vec![ids[1]]);
+        assert_eq!(eng.cached_plans(), 1);
+        assert_eq!(eng.engine_stats().plans_kept, 1);
+        let (plan, st) = eng.generate_with_stats(&t, ids[1], &catch);
+        assert_eq!(st.cache_misses, 1);
+        let plan = plan.expect("no longer hidden");
+        assert!(crate::plan::verify_probe(&t, ids[1], &plan.header, &[]).is_some());
+    }
+
+    #[test]
+    fn removed_rules_own_entry_always_goes() {
+        // Whatever the cached result: a plan's header lies inside its own
+        // rule, a failure's rule overlaps itself.
+        let src = Match::any().with_nw_src([10, 0, 0, 1], 32);
+        let mut t = table_from(vec![
+            (20, src, vec![Action::Output(1)]),
+            (10, src.with_nw_proto(6), vec![Action::Output(3)]),
+            (10, Match::any().with_nw_src([10, 0, 0, 2], 32), vec![]),
+            (1, Match::any(), vec![Action::Output(2)]),
+        ]);
+        let catch = CatchSpec::default();
+        let (ids, mut eng, first) = plan_all(&t);
+        assert!(first[1].is_err() && first[2].is_ok());
+        // The hidden rule announced, the planned one not.
+        let res = t
+            .apply(&FlowMod::delete_strict(10, src.with_nw_proto(6)))
+            .unwrap();
+        eng.note_applied(&res);
+        t.remove_by_id(ids[2]).unwrap();
+        assert!(
+            eng.take_evicted(&t).is_empty(),
+            "gone rules are not reported"
+        );
+        assert_eq!(eng.cached_plans(), 2);
+        for gone in [ids[1], ids[2]] {
+            assert_eq!(
+                eng.generate(&t, gone, &catch),
+                Err(ProbeError::NoSuchRule(gone))
+            );
+        }
+    }
+
+    #[test]
+    fn modify_restored_before_a_sync_leaves_the_cache_untouched() {
+        let mut t = fig1_table();
+        let catch = CatchSpec::default();
+        let (ids, mut eng, first) = plan_all(&t);
+        let m = Match::any().with_nw_src([10, 0, 0, 1], 32);
+        for out in [5, 1] {
+            let fm = FlowMod::modify_strict(10, m, vec![Action::Output(out)]);
+            let res = t.apply(&fm).unwrap();
+            assert_eq!(res.modified, vec![ids[0]]);
+            eng.note_applied(&res);
+        }
+        assert!(eng.take_evicted(&t).is_empty());
+        let (again, st) = eng.generate_batch_with_stats(&t, &ids, &catch);
+        assert_eq!((st.cache_hits, st.cache_misses), (2, 0));
+        assert_eq!(again, first);
+        let stats = eng.engine_stats();
+        assert_eq!((stats.plans_invalidated, stats.plans_kept), (0, 0));
+        assert_eq!(stats.syncs_delta, 0, "the fingerprint never moved");
     }
 
     #[test]

@@ -87,7 +87,8 @@ impl Default for GeneratorConfig {
 /// so benches can report cache behavior and session-vs-full re-encodes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GenStats {
-    /// Rules surviving the §5.4 pre-filter.
+    /// Rules surviving the §5.4 pre-filter (solver path: the engine's fast
+    /// path builds no instance and filters nothing).
     pub relevant_rules: usize,
     /// CNF size actually solved.
     pub clauses: usize,
@@ -212,8 +213,7 @@ pub(crate) fn solve_and_finish(
 ) -> Result<ProbePlan, ProbeError> {
     // Accumulate (don't assign): batch callers thread one GenStats through
     // many instances.
-    let relevant = inst.relevant_rules;
-    stats.relevant_rules += relevant;
+    stats.relevant_rules += inst.relevant_rules;
     stats.clauses += inst.cnf.num_clauses();
     let model = match solve_counted(&inst.cnf, cfg, stats) {
         SatResult::Sat(m) => m,
@@ -235,11 +235,11 @@ pub(crate) fn solve_and_finish(
 
     // Attempt 1: spare-value repair + normalization, then verify.
     let repaired = repair_header(table, catch, cfg, raw);
-    if let Some(plan) = finish(table, probed, &pins, repaired, relevant) {
+    if let Some(plan) = finish(table, probed, &pins, repaired) {
         return Ok(plan);
     }
     // Attempt 2: the unrepaired model (repair may have been the problem).
-    if let Some(plan) = finish(table, probed, &pins, raw, relevant) {
+    if let Some(plan) = finish(table, probed, &pins, raw) {
         return Ok(plan);
     }
     // Attempt 3: re-solve with explicit domain constraints (§5.2's
@@ -251,8 +251,9 @@ pub(crate) fn solve_and_finish(
     };
     add_domain_constraints(&mut cnf, table, catch, cfg);
     match solve_counted(&cnf, cfg, stats) {
-        SatResult::Sat(m) => finish(table, probed, &pins, model_to_header(&m), relevant)
-            .ok_or(ProbeError::RepairFailed),
+        SatResult::Sat(m) => {
+            finish(table, probed, &pins, model_to_header(&m)).ok_or(ProbeError::RepairFailed)
+        }
         SatResult::Unknown => Err(ProbeError::SolverBudget),
         SatResult::Unsat => Err(ProbeError::Indistinguishable),
     }
@@ -273,13 +274,11 @@ fn solve_counted(cnf: &Cnf, cfg: &GeneratorConfig, stats: &mut GenStats) -> SatR
 }
 
 /// Normalizes + verifies a candidate header; builds the plan on success.
-/// `relevant_rules` is the §5.4 pre-filter count recorded in the plan.
 pub(crate) fn finish(
     table: &FlowTable,
     probed: &Rule,
     pins: &[(Field, u64)],
     header: HeaderVec,
-    relevant_rules: usize,
 ) -> Option<ProbePlan> {
     // Round-trip through the abstract packet view: this applies the
     // conditionally-excluded-field elimination (Lemma 2) exactly as the
@@ -300,7 +299,6 @@ pub(crate) fn finish(
         present,
         absent,
         uses_counting,
-        relevant_rules,
     })
 }
 

@@ -114,8 +114,6 @@ pub struct ProbePlan {
     /// True when present/absent can only be separated by counting received
     /// probes (§3.4 exception).
     pub uses_counting: bool,
-    /// Rules that survived the overlap pre-filter (perf accounting).
-    pub relevant_rules: usize,
 }
 
 impl ProbePlan {
@@ -323,7 +321,6 @@ mod tests {
             present: ConcreteOutcome::of(&f1, &p),
             absent: ConcreteOutcome::of(&f2, &p),
             uses_counting: false,
-            relevant_rules: 0,
         };
         assert!(!plan.is_negative());
         assert_eq!(plan.classify(1, &p), Verdict::Present);

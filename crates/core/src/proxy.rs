@@ -380,9 +380,10 @@ impl MonitorProxy {
     /// monitoring configured there are no plans to keep: (0, 0).
     ///
     /// The work follows what changed since the last refresh, not the table:
-    /// only the rules whose plan the engine evicted (their overlap
-    /// neighborhood changed), the rules added or modified, and the rules
-    /// whose last failure is never cached go through
+    /// only the rules whose cached result the engine evicted (a changed rule
+    /// covers the plan's probe header, or overlaps a rule no probe was found
+    /// for), the rules added or modified, and the rules whose last failure
+    /// is never cached go through
     /// [`crate::engine::ProbeEngine::generate_batch`] again — in table
     /// order, as a sweep of the whole table would reach them — and their
     /// plans are patched into the cycle ([`SteadyMonitor::patch_plans`]).
@@ -897,6 +898,11 @@ mod tests {
         }
     }
 
+    /// Rules the proxy has asked its engine about, cached or not.
+    fn lookups(p: &MonitorProxy) -> u64 {
+        p.engine_stats().cache_hits + p.engine_stats().cache_misses
+    }
+
     fn steady_cfg(adaptive: bool, drop_postpone: bool) -> ProxyConfig {
         let steady = SteadyConfig {
             adaptive: adaptive.then(monocle_sched::SchedConfig::default),
@@ -1040,9 +1046,61 @@ mod tests {
         assert_eq!(tw.new.in_flight(), 0);
         // The point of it all: the incremental proxy looked up a fraction of
         // what the oracle did, and never fell back to a full resync.
-        let lookups =
-            |p: &MonitorProxy| p.engine_stats().cache_hits + p.engine_stats().cache_misses;
         assert!(lookups(&tw.new) * 4 < lookups(&tw.oracle));
         assert_eq!(tw.new.engine_lifecycle().syncs_full, 1);
+    }
+
+    /// The cost side at paper size, as counts: one strict modify of a rule
+    /// in a crowd evicts the plans whose probe it can reach — a fraction of
+    /// the rules it overlaps, the rest counted as kept — the refresh looks
+    /// up no more than those, and what the proxy then holds, re-planned or
+    /// kept, is valid on the table as it is now.
+    #[test]
+    fn strict_modify_re_plans_the_probes_it_reaches_on_stanford_like_table() {
+        use crate::plan::verify_probe;
+        use monocle_datasets::acl::{generate, AclConfig};
+        let mut p = MonitorProxy::new(steady_cfg(true, false));
+        for r in generate(&AclConfig::stanford_like()) {
+            p.preinstall(r.priority, r.match_, r.actions);
+        }
+        let (_, total) = p.refresh_steady_plans();
+        assert_eq!(total, p.expected().len());
+        let table = p.expected();
+        let victim = table
+            .rules()
+            .iter()
+            .find(|r| {
+                !p.unmonitorable.contains(&r.id)
+                    && (40..total / 2).contains(&table.overlapping(&r.tern).len())
+            })
+            .expect("a planned rule with 40 neighbours");
+        let neighbourhood = table.overlapping(&victim.tern).len() as u64;
+        let fm = FlowMod::modify_strict(victim.priority, victim.match_, vec![Action::Output(42)]);
+
+        let (looked_up, before) = (lookups(&p), p.engine_lifecycle());
+        p.on_controller_flowmod(1_000_000, 1, fm);
+        p.refresh_steady_plans();
+        let after = p.engine_lifecycle();
+        let evicted = after.plans_invalidated - before.plans_invalidated;
+        let kept = after.plans_kept - before.plans_kept;
+        assert!(
+            evicted >= 1 && evicted * 4 < neighbourhood,
+            "{evicted} evicted of {neighbourhood}"
+        );
+        assert_eq!(evicted + kept, neighbourhood, "one scan, every neighbour");
+        assert!(lookups(&p) - looked_up <= evicted);
+        assert_eq!(after.syncs_full, 1);
+
+        let (table, pins) = (p.expected(), p.catch_spec().all_pins());
+        let plans = p.steady.as_ref().unwrap().plans();
+        assert_eq!(plans.len() + p.unmonitorable.len(), total);
+        for plan in plans {
+            assert_eq!(
+                verify_probe(table, plan.rule_id, &plan.header, &pins),
+                Some((plan.present.clone(), plan.absent.clone())),
+                "stale plan for {}",
+                plan.rule_id
+            );
+        }
     }
 }

@@ -389,7 +389,6 @@ mod tests {
             present,
             absent,
             uses_counting: false,
-            relevant_rules: 0,
         }
     }
 

@@ -212,8 +212,10 @@ const GOLDEN: (u64, u64, usize, usize, u64) = (4842, 501, 17, 31, 0x04b6_48b1_1f
 
 /// The cost side, as counts: after one strict modify on the Stanford-like
 /// table a refresh looks up only the rules the modify can have affected —
-/// its overlap neighborhood, plus the rules whose failure is never cached
-/// (at most the unmonitorable ones) — and never falls back to a full
+/// at most its overlap neighborhood (the plans among them go only if the
+/// modified rule covers their probe: `proxy::tests::strict_modify_re_plans_…`
+/// pins that fraction), plus the rules whose failure is never cached (at
+/// most the unmonitorable ones) — and never falls back to a full
 /// resynchronization; a refresh with nothing changed looks nothing up.
 #[test]
 fn refresh_after_one_modify_looks_up_the_affected_rules_only() {

@@ -333,36 +333,6 @@ impl Node {
         }
     }
 
-    /// Counts entries overlapping `t` (no key collection or ordering).
-    fn count_overlapping(&self, t: &Ternary, skip: u64) -> usize {
-        match self {
-            Node::Leaf(es) => es
-                .iter()
-                .filter(|e| e.id.0 != skip && e.tern.overlaps(t))
-                .count(),
-            Node::Inner {
-                bit,
-                zero,
-                one,
-                star,
-                ..
-            } => {
-                let mut n = star.count_overlapping(t, skip);
-                if t.care.get(*bit as usize) {
-                    n += if t.value.get(*bit as usize) {
-                        one.count_overlapping(t, skip)
-                    } else {
-                        zero.count_overlapping(t, skip)
-                    };
-                } else {
-                    n += zero.count_overlapping(t, skip);
-                    n += one.count_overlapping(t, skip);
-                }
-                n
-            }
-        }
-    }
-
     /// Collects keys of entries overlapping `t`.
     fn overlapping(&self, t: &Ternary, skip: u64, out: &mut Vec<Key>) {
         match self {
@@ -512,13 +482,6 @@ impl TernaryClassifier {
     /// (priority descending, arrival ascending), as `(priority, id)`.
     pub fn overlapping(&self, tern: &Ternary) -> Vec<(u16, RuleId)> {
         self.overlapping_excluding(tern, RuleId(u64::MAX))
-    }
-
-    /// Number of entries overlapping `tern`, ignoring entry `skip` — for
-    /// callers that only need the neighborhood size (no sort, no key
-    /// materialization).
-    pub fn count_overlapping_excluding(&self, tern: &Ternary, skip: RuleId) -> usize {
-        self.root.count_overlapping(tern, skip.0)
     }
 
     /// As [`Self::overlapping`] but ignoring entry `skip`.

@@ -559,12 +559,6 @@ impl FlowTable {
         out
     }
 
-    /// Number of rules overlapping `tern` excluding rule `skip`, without
-    /// materializing or ordering the set (stats-only callers).
-    pub fn overlapping_count_excluding(&self, tern: &Ternary, skip: RuleId) -> usize {
-        self.classifier.count_overlapping_excluding(tern, skip)
-    }
-
     /// Linear-scan reference for [`Self::overlapping`].
     pub fn overlapping_linear(&self, tern: &Ternary) -> Vec<&Rule> {
         self.rules

@@ -13,6 +13,13 @@
 //! verified candidates), so equivalence is semantic, not structural. Half
 //! of the edits are applied *without* a `note_flowmod` delta notification
 //! to exercise the fingerprint-based invalidation safety net.
+//!
+//! Soundness alone would let the engine throw everything away on every
+//! edit, so a second property pins the eviction set itself: what
+//! `take_evicted` reports after an edit is exactly the plans whose probe
+//! header lies in a changed rule's footprint plus the failures whose rule
+//! overlaps one — no more (the cost of an update follows the change), no
+//! less.
 
 //! The same equivalence bar applies to the sharded
 //! [`monocle::pool::EnginePool`]: pool(N) answers must match the serial
@@ -29,10 +36,12 @@
 
 use monocle::encode::CatchSpec;
 use monocle::engine::{EngineConfig, ProbeEngine};
-use monocle::generator::{generate_probe, GeneratorConfig};
+use monocle::generator::{generate_probe, GeneratorConfig, ProbeError};
 use monocle::plan::verify_probe;
 use monocle::pool::{monitorable_ids, EnginePool, JobSpec, PoolConfig, ProbeJob};
-use monocle_openflow::{Action, FlowMod, FlowTable, Match, SharedTable};
+use monocle_openflow::{
+    Action, FlowMod, FlowModCommand, FlowTable, Match, RuleId, SharedTable, Ternary,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -125,6 +134,75 @@ fn to_flowmod(edit: &Edit, table: &FlowTable) -> Option<(FlowMod, bool)> {
             Some((FlowMod::modify_strict(r.priority, r.match_, a.clone()), *n))
         }
     }
+}
+
+/// The commands [`Edit`] does not reach: the non-strict ones, an ADD that
+/// replaces, a MODIFY that may find nothing to modify and then adds.
+#[derive(Debug, Clone)]
+enum Churn {
+    Strict(Edit),
+    AddReplace(usize, Vec<Action>),
+    ModifyAsAdd(u16, Match, Vec<Action>),
+    DeleteLoose(Match),
+    ModifyLoose(Match, Vec<Action>),
+}
+
+/// How the engine hears of an edit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Told {
+    Applied,
+    FlowMod,
+    Nothing,
+}
+
+fn arb_churn() -> impl Strategy<Value = (Churn, Told)> {
+    let churn = prop_oneof![
+        3 => arb_edit().prop_map(Churn::Strict),
+        1 => (any::<usize>(), arb_actions()).prop_map(|(i, a)| Churn::AddReplace(i, a)),
+        1 => (1u16..8, arb_match(), arb_actions()).prop_map(|(p, m, a)| Churn::ModifyAsAdd(p, m, a)),
+        1 => arb_match().prop_map(Churn::DeleteLoose),
+        1 => (arb_match(), arb_actions()).prop_map(|(m, a)| Churn::ModifyLoose(m, a)),
+    ];
+    let told = prop_oneof![
+        Just(Told::Applied),
+        Just(Told::FlowMod),
+        Just(Told::Nothing)
+    ];
+    (churn, told)
+}
+
+fn churn_flowmod(churn: &Churn, table: &FlowTable) -> Option<FlowMod> {
+    let with = |command, fm| FlowMod { command, ..fm };
+    match churn {
+        Churn::Strict(edit) => to_flowmod(edit, table).map(|(fm, _)| fm),
+        Churn::AddReplace(i, a) => {
+            let r = table.rules().get(i % table.len().max(1))?;
+            Some(FlowMod::add(r.priority, r.match_, a.clone()))
+        }
+        Churn::ModifyAsAdd(p, m, a) => Some(FlowMod::modify_strict(*p, *m, a.clone())),
+        Churn::DeleteLoose(m) => Some(with(FlowModCommand::Delete, FlowMod::delete_strict(0, *m))),
+        Churn::ModifyLoose(m, a) => Some(with(
+            FlowModCommand::Modify,
+            FlowMod::modify_strict(0, *m, a.clone()),
+        )),
+    }
+}
+
+/// The footprints of the rules that differ between two tables, found the
+/// slow way: every id of either, compared by what probe generation reads.
+fn changed_footprints(before: &FlowTable, after: &FlowTable) -> Vec<Ternary> {
+    let mut out = Vec::new();
+    for old in before.rules() {
+        match after.get(old.id) {
+            Some(new)
+                if (new.priority, new.tern, &new.fwd) == (old.priority, old.tern, &old.fwd) => {}
+            Some(new) => out.extend([old.tern, new.tern]),
+            None => out.push(old.tern),
+        }
+    }
+    let added = after.rules().iter().filter(|r| before.get(r.id).is_none());
+    out.extend(added.map(|r| r.tern));
+    out
 }
 
 /// Engine answers for every rule must match fresh stateless generation.
@@ -313,6 +391,59 @@ proptest! {
             }
             let _ = table.apply(&fm);
             let ctx = format!("after edit {step}: {edit:?}");
+            assert_equivalent(&mut engine, &table, &catch, &gen, &ctx)?;
+        }
+    }
+
+    /// The other half: nothing is evicted that the edit cannot have
+    /// reached, and everything that it can is. Computed from the results
+    /// the engine handed out before the edit and the two tables alone.
+    #[test]
+    fn evictions_are_exactly_what_the_change_reaches(
+        table in arb_table(),
+        churn in prop::collection::vec(arb_churn(), 1..8),
+    ) {
+        let catch = CatchSpec::default();
+        let gen = GeneratorConfig::default();
+        let mut table = table;
+        let mut engine = ProbeEngine::default();
+        assert_equivalent(&mut engine, &table, &catch, &gen, "initial")?;
+        for (step, (churn, told)) in churn.iter().enumerate() {
+            let Some(fm) = churn_flowmod(churn, &table) else {
+                continue;
+            };
+            let held: Vec<_> = table
+                .rules()
+                .iter()
+                .map(|r| (r.id, r.tern, engine.generate(&table, r.id, &catch)))
+                .collect();
+            let before = table.clone();
+            let mut changed = Vec::new();
+            if *told == Told::FlowMod {
+                engine.note_flowmod(&fm);
+                changed.push(fm.match_.ternary());
+            }
+            if let (Ok(res), Told::Applied) = (table.apply(&fm), told) {
+                engine.note_applied(&res);
+            }
+            changed.extend(changed_footprints(&before, &table));
+            let mut expected: Vec<RuleId> = held
+                .iter()
+                .filter(|(id, tern, result)| {
+                    table.get(*id).is_some()
+                        && match result {
+                            Ok(plan) => changed.iter().any(|t| t.matches(&plan.header)),
+                            Err(ProbeError::RepairFailed) => false, // never cached
+                            Err(_) => changed.iter().any(|t| t.overlaps(tern)),
+                        }
+                })
+                .map(|(id, ..)| *id)
+                .collect();
+            let mut evicted = engine.take_evicted(&table);
+            expected.sort_unstable();
+            evicted.sort_unstable();
+            let ctx = format!("after edit {step}: {churn:?}, {told:?}");
+            prop_assert_eq!(evicted, expected, "eviction set ({})", ctx);
             assert_equivalent(&mut engine, &table, &catch, &gen, &ctx)?;
         }
     }
