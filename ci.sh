@@ -20,6 +20,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== benchmark package: build, unit tests, smoke of every workload =="
 # benchmark/ is a workspace of its own that compiles against crates/*; an API
 # deletion there that breaks it must fail here, not in the driver.
+# Cargo rewrites the stale benchmark/Cargo.lock on every build, and nothing
+# under benchmark/ may change outside a benchmark PR: it is put back below.
+lock_snapshot=$(mktemp)
+cp benchmark/Cargo.lock "$lock_snapshot"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 # The binary exits 0 whatever its checks found; the verdict is the result
 # line, the last line of stdout.
@@ -41,6 +45,7 @@ done
 # engine keep plans across updates that overlap their rule — and the
 # benchmark's own oracle re-verifies every plan handed out (~258 k).
 bench_checked --workload plan_tables --seed 1 --seconds 15 --trace 0
+mv "$lock_snapshot" benchmark/Cargo.lock
 
 echo "== perf baseline: Table 2 probe generation =="
 # Capped rule count keeps CI fast while staying above the 500-rule floor the
@@ -81,5 +86,10 @@ echo "== smoke: Fig. 8 large-network simulation =="
 # Small-size end-to-end run of the packet-level simulator over the trie-
 # backed data plane (the full 2000-path figure takes minutes).
 ./target/release/fig8_large_network --paths 100 --batch 25 --interval-ms 10 --horizon-s 20
+
+echo "== the benchmark is untouched =="
+# A product PR that dirties benchmark/ or BENCHMARK.json fails here, not in
+# the driver.
+git diff --quiet -- benchmark BENCHMARK.json
 
 echo "CI OK"

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use monocle::encode::{build_instance, CatchSpec, EncodingStyle};
-use monocle::engine::{EngineConfig, ProbeEngine};
+use monocle::engine::ProbeEngine;
 use monocle::generator::{generate_probe, GeneratorConfig};
 use monocle_datasets::acl::{generate, AclConfig};
 use monocle_datasets::fib::l3_host_routes;
@@ -57,18 +57,6 @@ fn bench_probe_generation(c: &mut Criterion) {
                 black_box(eng.generate_batch(&table, &ids, &catch).len())
             })
         });
-        g.bench_function(
-            BenchmarkId::new("engine_cold_batch_no_fastpath", name),
-            |b| {
-                b.iter(|| {
-                    let mut eng = ProbeEngine::new(EngineConfig {
-                        fast_path: false,
-                        ..EngineConfig::default()
-                    });
-                    black_box(eng.generate_batch(&table, &ids, &catch).len())
-                })
-            },
-        );
     }
     g.finish();
 }

@@ -259,8 +259,8 @@ fn main() {
     let gs = app.probe_engine_stats();
     println!(
         "probe engines: {} solves, {} fast-path, {} cache hits / {} misses, \
-         {} session re-encodes",
-        gs.solver_calls, gs.fast_path_hits, gs.cache_hits, gs.cache_misses, gs.reencodes_session
+         {} instances built",
+        gs.solver_calls, gs.fast_path_hits, gs.cache_hits, gs.cache_misses, gs.instances_built
     );
 }
 

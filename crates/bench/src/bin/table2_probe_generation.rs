@@ -14,22 +14,20 @@
 //! * `stateless` — per-rule [`monocle::generator::generate_probe`], the
 //!   paper's §5.3 formulation (full re-encode per call);
 //! * `engine-batch` — one cold [`monocle::engine::ProbeEngine::generate_batch`]
-//!   over the same rules (shared session + guess-and-verify fast path, a
-//!   fresh solver per surviving instance);
+//!   over the same rules (guess-and-verify fast path, then the stateless
+//!   arm's own encode-and-solve for each surviving rule);
 //! * `engine-reprobe` — the batch again on the unchanged engine: the
 //!   steady-state §3 sweep, which must be pure cache hits (zero solves).
 //!
 //! The binary asserts engine ≡ stateless on probes found, and zero solver
 //! calls on the re-probe.
 //!
-//! Usage: `table2_probe_generation [--rules N] [--style ite] [--json PATH]
-//! [--no-fast-path]`
+//! Usage: `table2_probe_generation [--rules N] [--style ite] [--json PATH]`
 //!
-//! `--style ite` times the stateless arm only: the engine encodes
-//! Implication only, so the engine arms are skipped. `--no-fast-path` sends
-//! every engine probe to the solver. `--json` writes a machine-readable
-//! baseline (see `BENCH_probe_generation.json` at the repo root) so future
-//! changes have a perf trajectory.
+//! `--style ite` switches every arm to the paper's if-then-else chain.
+//! `--json` writes a machine-readable baseline (see
+//! `BENCH_probe_generation.json` at the repo root) so future changes have a
+//! perf trajectory.
 
 use monocle::encode::EncodingStyle;
 use monocle::engine::{EngineConfig, ProbeEngine};
@@ -52,7 +50,8 @@ struct ArmResult {
 struct DatasetResult {
     name: &'static str,
     rules: usize,
-    arms: Vec<ArmResult>,
+    /// `stateless`, `engine-batch`, `engine-reprobe`.
+    arms: [ArmResult; 3],
 }
 
 fn build_table(cfg: &AclConfig, limit: Option<usize>) -> (FlowTable, Vec<RuleId>) {
@@ -129,7 +128,6 @@ fn run_dataset(
     cfg: &AclConfig,
     limit: Option<usize>,
     style: EncodingStyle,
-    fast_path: bool,
 ) -> DatasetResult {
     let (table, ids) = build_table(cfg, limit);
     let gen_cfg = GeneratorConfig {
@@ -138,16 +136,11 @@ fn run_dataset(
     };
     let catch = CatchSpec::default();
 
-    let mut arms = vec![run_stateless(&table, &ids, &gen_cfg, &catch)];
-    if style == EncodingStyle::Implication {
-        let mut engine = ProbeEngine::new(EngineConfig {
-            gen: gen_cfg,
-            fast_path,
-        });
-        for label in ["engine-batch", "engine-reprobe"] {
-            arms.push(run_engine(&mut engine, label, &table, &ids, &catch));
-        }
-    }
+    let stateless = run_stateless(&table, &ids, &gen_cfg, &catch);
+    let mut engine = ProbeEngine::new(EngineConfig { gen: gen_cfg });
+    let [cold, warm] = ["engine-batch", "engine-reprobe"]
+        .map(|label| run_engine(&mut engine, label, &table, &ids, &catch));
+    let arms = [stateless, cold, warm];
 
     for arm in &arms {
         let props_per_solve = arm.stats.solver_propagations / arm.stats.solver_calls.max(1);
@@ -166,24 +159,23 @@ fn run_dataset(
             arm.stats.fast_path_hits,
         );
     }
-    if let [stateless, cold, warm] = &arms[..] {
-        println!(
-            "{name}\tspeedup: engine-batch {:.1}x vs stateless; re-probe solver calls: {}",
-            stateless.total_s / cold.total_s.max(1e-12),
-            warm.stats.solver_calls
-        );
-        // Acceptance: the engine finds exactly the probes stateless
-        // generation finds, and an unchanged table re-probes from the cache.
-        assert_eq!(
-            (cold.found, warm.found),
-            (stateless.found, stateless.found),
-            "{name}: engine and stateless disagree on probes found"
-        );
-        assert_eq!(
-            warm.stats.solver_calls, 0,
-            "{name}: re-probe must not solve"
-        );
-    }
+    let [stateless, cold, warm] = &arms;
+    println!(
+        "{name}\tspeedup: engine-batch {:.1}x vs stateless; re-probe solver calls: {}",
+        stateless.total_s / cold.total_s.max(1e-12),
+        warm.stats.solver_calls
+    );
+    // Acceptance: the engine finds exactly the probes stateless generation
+    // finds, and an unchanged table re-probes from the cache.
+    assert_eq!(
+        (cold.found, warm.found),
+        (stateless.found, stateless.found),
+        "{name}: engine and stateless disagree on probes found"
+    );
+    assert_eq!(
+        warm.stats.solver_calls, 0,
+        "{name}: re-probe must not solve"
+    );
     DatasetResult {
         name,
         rules: table.len(),
@@ -197,11 +189,15 @@ fn json_escape_free(s: &str) -> &str {
     s
 }
 
-fn write_json(path: &str, style: EncodingStyle, fast_path: bool, datasets: &[DatasetResult]) {
+fn write_json(path: &str, style: EncodingStyle, datasets: &[DatasetResult]) {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"table2_probe_generation\",\n");
     out.push_str(&format!("  \"style\": \"{style:?}\",\n"));
-    out.push_str(&format!("  \"fast_path\": {fast_path},\n"));
+    out.push_str(
+        "  \"notes\": \"the engine arms share the stateless arm's encoder and one-shot solver: \
+         engine-batch is the plan cache and the guess-and-verify fast path in front of the same \
+         per-rule generation\",\n",
+    );
     out.push_str("  \"datasets\": [\n");
     for (di, d) in datasets.iter().enumerate() {
         out.push_str("    {\n");
@@ -210,19 +206,18 @@ fn write_json(path: &str, style: EncodingStyle, fast_path: bool, datasets: &[Dat
             json_escape_free(d.name),
             d.rules
         ));
-        if let [stateless, cold, ..] = &d.arms[..] {
-            out.push_str(&format!(
-                "      \"speedup_engine_batch_vs_stateless\": {:.3},\n",
-                stateless.total_s / cold.total_s.max(1e-12)
-            ));
-        }
+        let [stateless, cold, _] = &d.arms;
+        out.push_str(&format!(
+            "      \"speedup_engine_batch_vs_stateless\": {:.3},\n",
+            stateless.total_s / cold.total_s.max(1e-12)
+        ));
         out.push_str("      \"arms\": [\n");
         for (ai, a) in d.arms.iter().enumerate() {
             out.push_str(&format!(
                 "        {{\"label\": \"{}\", \"total_s\": {:.6}, \"avg_ms\": {:.6}, \
                  \"max_ms\": {:.6}, \"found\": {}, \"total\": {}, \"solver_calls\": {}, \
                  \"cache_hits\": {}, \"cache_misses\": {}, \"fast_path_hits\": {}, \
-                 \"reencodes_session\": {}, \"reencodes_full\": {}, \
+                 \"instances_built\": {}, \
                  \"solver_propagations\": {}, \"arena_bytes\": {}, \
                  \"arena_reallocs\": {}}}{}\n",
                 json_escape_free(a.label),
@@ -235,8 +230,7 @@ fn write_json(path: &str, style: EncodingStyle, fast_path: bool, datasets: &[Dat
                 a.stats.cache_hits,
                 a.stats.cache_misses,
                 a.stats.fast_path_hits,
-                a.stats.reencodes_session,
-                a.stats.reencodes_full,
+                a.stats.instances_built,
                 a.stats.solver_propagations,
                 a.stats.arena_bytes,
                 a.stats.arena_reallocs,
@@ -259,7 +253,6 @@ fn main() {
     let mut limit = None;
     let mut style = EncodingStyle::Implication;
     let mut json_path: Option<String> = None;
-    let mut fast_path = true;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
@@ -279,25 +272,15 @@ fn main() {
                 json_path = Some(args[i + 1].clone());
                 i += 2;
             }
-            "--no-fast-path" => {
-                fast_path = false;
-                i += 1;
-            }
             other => panic!("unknown arg {other}"),
         }
     }
     println!("== Table 2: time Monocle takes to generate a probe ==");
     println!("(paper: Campus 4.03/5.29 ms, 10642/10958; Stanford 1.48/3.85 ms, 2442/2755)");
     println!("Data set\tarm\tavg [ms]\tmax [ms]\tprobes found");
-    let campus = run_dataset("Campus", &AclConfig::campus_like(), limit, style, fast_path);
-    let stanford = run_dataset(
-        "Stanford",
-        &AclConfig::stanford_like(),
-        limit,
-        style,
-        fast_path,
-    );
+    let campus = run_dataset("Campus", &AclConfig::campus_like(), limit, style);
+    let stanford = run_dataset("Stanford", &AclConfig::stanford_like(), limit, style);
     if let Some(path) = json_path {
-        write_json(&path, style, fast_path, &[campus, stanford]);
+        write_json(&path, style, &[campus, stanford]);
     }
 }

@@ -150,8 +150,8 @@ struct ActiveUpdate {
 }
 
 /// The per-switch dynamic monitor. Owns the expected table, the
-/// session-based [`ProbeEngine`] the proxy's steady-state sweeps of that
-/// table run through, and a second engine that only ever sees the small
+/// [`ProbeEngine`] the proxy's steady-state sweeps of that table run
+/// through, and a second engine that only ever sees the small
 /// [`PlanRequest`] tables of inline planning (syncing the first one to
 /// those would throw its warm cache away on every update).
 #[derive(Debug)]

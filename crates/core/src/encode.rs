@@ -17,12 +17,15 @@
 //! The `ablation_encodings` bench compares them; both must be semantically
 //! identical, which the property tests check by solving each against the
 //! semantic oracle.
+//!
+//! [`build_instance`] is the only encoder and keeps nothing between calls:
+//! stateless generation and the [`crate::engine::ProbeEngine`] both build
+//! one fresh instance per solve through it (§5.3–5.4).
 
 use crate::outcome::{BitCondition, OutcomeDiff};
 use monocle_openflow::headerspace::HEADER_BITS;
-use monocle_openflow::{Field, FlowTable, Forwarding, Rule, RuleId, Ternary};
-use monocle_sat::{encode_ite_chain, Cnf, Lit, Var};
-use std::collections::HashMap;
+use monocle_openflow::{Field, FlowTable, Forwarding, Rule, Ternary};
+use monocle_sat::{encode_ite_chain, Cnf, Lit};
 
 /// Which Distinguish encoding to emit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -174,10 +177,8 @@ fn push_hit_avoid<'a>(
 /// Emits the Implication-style Distinguish clauses. `match_lits[i]` is the
 /// `Matches(P, L_i)` literal of the i-th lower rule (`None` = constant
 /// true); `diffs` holds one [`OutcomeDiff`] per lower rule plus the virtual
-/// table miss as its last element. Shared verbatim between the stateless
-/// builder and [`EncodeSession::build_instance`] so the two encoders cannot
-/// drift apart.
-fn emit_distinguish_implication(cnf: &mut Cnf, match_lits: &[Option<Lit>], diffs: &[&OutcomeDiff]) {
+/// table miss as its last element.
+fn emit_distinguish_implication(cnf: &mut Cnf, match_lits: &[Option<Lit>], diffs: &[OutcomeDiff]) {
     let k = match_lits.len();
     debug_assert_eq!(diffs.len(), k + 1);
     let mut clause: Vec<Lit> = Vec::new();
@@ -378,8 +379,7 @@ pub fn build_instance(
                 .iter()
                 .map(|l| define_matches(&mut cnf, &l.tern))
                 .collect();
-            let diff_refs: Vec<&OutcomeDiff> = diffs.iter().collect();
-            emit_distinguish_implication(&mut cnf, &match_lits, &diff_refs);
+            emit_distinguish_implication(&mut cnf, &match_lits, &diffs);
         }
         EncodingStyle::IteChain => {
             // true_lit anchors constants.
@@ -427,193 +427,6 @@ pub fn build_hit_only(
     push_pins(&mut cnf, catch);
     push_hit_avoid(&mut cnf, &relevant_rules(table, probed), probed)?;
     Ok(cnf)
-}
-
-/// Cached per-rule `Matches` definition: the Tseitin literal (allocated from
-/// the session's stable pool) and its defining clauses. `tern` is stored so
-/// a stale template (rule id reused with different content) self-invalidates
-/// at lookup time.
-#[derive(Debug, Clone)]
-struct MatchTemplate {
-    tern: Ternary,
-    lit: Option<Lit>,
-    clauses: Cnf,
-}
-
-/// A shared, reusable encoding session (the [`crate::engine::ProbeEngine`]
-/// backend).
-///
-/// Stateless [`build_instance`] re-derives every lower rule's `Matches`
-/// Tseitin definition per probed rule — O(table · overlap) clause
-/// construction for a full-table sweep. The session instead allocates each
-/// rule's match literal once from a *stable variable pool* (above
-/// [`HEADER_BITS`]) and memoizes its defining clauses, so every instance in
-/// a batch splices the cached clause block in with a single `memcpy`-style
-/// [`Cnf::extend_from`]. [`OutcomeDiff`] computations are memoized per
-/// forwarding-behavior pair for the same reason (ACL-style tables draw
-/// actions from a small set, so the hit rate is high).
-///
-/// Templates validate themselves against the rule's current ternary, so
-/// FlowMod churn never yields stale encodings — at worst a changed rule
-/// costs one re-encode. The session encodes [`EncodingStyle::Implication`]
-/// only; the ITE chain (a paper-faithfulness ablation, not a production
-/// path) exists in the stateless builder alone.
-#[derive(Debug, Default)]
-pub struct EncodeSession {
-    templates: HashMap<RuleId, MatchTemplate>,
-    /// Memoized diffs keyed probed-fwd → lower-fwd (nested so lookups need
-    /// no owned key).
-    diffs: HashMap<Forwarding, HashMap<Forwarding, OutcomeDiff>>,
-    /// Next stable variable (0 = uninitialized; real pool starts above
-    /// `HEADER_BITS`).
-    next_var: Var,
-}
-
-impl EncodeSession {
-    /// Fresh session.
-    pub fn new() -> EncodeSession {
-        EncodeSession::default()
-    }
-
-    /// Drops all cached state (table replaced wholesale, or pool compaction).
-    pub fn reset(&mut self) {
-        self.templates.clear();
-        self.diffs.clear();
-        self.next_var = 0;
-    }
-
-    /// Number of cached per-rule match templates.
-    pub fn cached_templates(&self) -> usize {
-        self.templates.len()
-    }
-
-    /// High-water mark of the stable variable pool.
-    pub fn pool_vars(&self) -> u32 {
-        self.next_var.saturating_sub(HEADER_BITS as Var)
-    }
-
-    /// Drops the template of one rule (rule deleted or modified).
-    pub fn invalidate(&mut self, id: RuleId) {
-        self.templates.remove(&id);
-    }
-
-    fn alloc_var(&mut self) -> Var {
-        if self.next_var == 0 {
-            self.next_var = HEADER_BITS as Var;
-        }
-        self.next_var += 1;
-        self.next_var
-    }
-
-    /// Returns (creating or refreshing as needed) the match template of
-    /// `rule`.
-    fn template(&mut self, rule: &Rule) -> &MatchTemplate {
-        let stale = match self.templates.get(&rule.id) {
-            Some(t) => t.tern != rule.tern,
-            None => true,
-        };
-        if stale {
-            let mut lits = Vec::new();
-            for bit in rule.tern.care.iter_ones() {
-                let var = (bit + 1) as Lit;
-                lits.push(if rule.tern.value.get(bit) { var } else { -var });
-            }
-            let (lit, clauses) = match lits.len() {
-                0 => (None, Cnf::new()),
-                1 => (Some(lits[0]), Cnf::new()),
-                _ => {
-                    let m = self.alloc_var() as Lit;
-                    let mut cnf = Cnf::with_capacity(lits.len() * 3 + 2);
-                    for &l in &lits {
-                        cnf.add_clause(&[-m, l]);
-                    }
-                    let mut long: Vec<Lit> = lits.iter().map(|&l| -l).collect();
-                    long.push(m);
-                    cnf.add_clause(&long);
-                    (Some(m), cnf)
-                }
-            };
-            self.templates.insert(
-                rule.id,
-                MatchTemplate {
-                    tern: rule.tern,
-                    lit,
-                    clauses,
-                },
-            );
-        }
-        &self.templates[&rule.id]
-    }
-
-    fn diff(&mut self, a: &Forwarding, b: &Forwarding) -> &OutcomeDiff {
-        if !self.diffs.contains_key(a) {
-            self.diffs.insert(a.clone(), HashMap::new());
-        }
-        let inner = self.diffs.get_mut(a).unwrap();
-        if !inner.contains_key(b) {
-            inner.insert(b.clone(), OutcomeDiff::compute(a, b));
-        }
-        &inner[b]
-    }
-
-    /// Session-accelerated counterpart of [`build_instance`] (Implication
-    /// style). Semantically identical — only the auxiliary variable
-    /// numbering differs.
-    pub fn build_instance(
-        &mut self,
-        table: &FlowTable,
-        probed: &Rule,
-        catch: &CatchSpec,
-    ) -> Result<Instance, BuildError> {
-        check_catch_pins(probed, catch)?;
-
-        let relevant = relevant_rules(table, probed);
-        let mut cnf = Cnf::with_capacity(64 + relevant.len() * 8);
-        cnf.grow_vars(HEADER_BITS as Var);
-
-        // Hit + Collect + avoid (identical to the stateless builder).
-        push_units(&mut cnf, &probed.tern);
-        push_pins(&mut cnf, catch);
-        let lower = push_hit_avoid(&mut cnf, &relevant, probed)?;
-
-        // Distinguish: match literals come from the shared templates; their
-        // defining clauses are spliced in wholesale.
-        let mut match_lits: Vec<Option<Lit>> = Vec::with_capacity(lower.len());
-        for l in &lower {
-            let t = self.template(l);
-            match_lits.push(t.lit);
-            cnf.extend_from(&t.clauses);
-        }
-        // Instance-local fresh variables must not collide with the pool.
-        if self.next_var > 0 {
-            cnf.grow_vars(self.next_var);
-        }
-
-        // Ensure every (probed, lower) diff is memoized (needs `&mut self`),
-        // then collect borrowed references out of the memo table — cloning
-        // each `OutcomeDiff` (a `Cnf`-shaped condition in the worst case)
-        // into a per-probe working set was a measurable encode cost.
-        let miss = Forwarding::drop();
-        for l in &lower {
-            self.diff(&probed.fwd, &l.fwd);
-        }
-        self.diff(&probed.fwd, &miss);
-        let memo = &self.diffs[&probed.fwd];
-        let diffs: Vec<&OutcomeDiff> = lower
-            .iter()
-            .map(|l| &memo[&l.fwd])
-            .chain(std::iter::once(&memo[&miss]))
-            .collect();
-        let uses_counting = diffs.iter().any(|d| d.needs_counting());
-
-        emit_distinguish_implication(&mut cnf, &match_lits, &diffs);
-
-        Ok(Instance {
-            cnf,
-            uses_counting,
-            relevant_rules: relevant.len(),
-        })
-    }
 }
 
 #[cfg(test)]

@@ -1,10 +1,10 @@
-//! Session-based, cache-aware probe generation: the [`ProbeEngine`].
+//! Cache-aware probe generation: the [`ProbeEngine`].
 //!
 //! §5.3 makes probe generation the hot path of network-wide verification
 //! (Table 2, Fig. 8): the stateless [`crate::generator::generate_probe`]
-//! re-encodes the entire flow table into CNF on every call, so steady-state
-//! re-probing (§3) and large sweeps pay full encoding cost even when the
-//! table has not changed. The engine amortizes that cost with three layers:
+//! encodes and solves a SAT instance on every call, so steady-state
+//! re-probing (§3) and large sweeps pay that cost even when the table has
+//! not changed. The engine puts two layers in front of the same generator:
 //!
 //! 1. **Plan cache** — keyed by `(rule, catch-spec)` and invalidated by
 //!    table deltas, a plan only when a delta reaches its probe. A
@@ -18,11 +18,11 @@
 //!    engine's answers match stateless generation; the common ACL case
 //!    (unicast/drop rules distinguished by output port) never hits the
 //!    solver.
-//! 3. **Encoding session** — when the solver *is* needed, the instance is
-//!    assembled through a shared [`EncodeSession`]: per-rule `Matches`
-//!    Tseitin templates with stable variables, spliced rather than rebuilt,
-//!    plus a memoized [`crate::outcome::OutcomeDiff`] table. Each instance
-//!    goes to a fresh solver, as in the paper (§5.3–5.4).
+//!
+//! A rule neither layer answers goes through exactly the call stateless
+//! generation makes — one small pre-filtered instance, encoded from scratch
+//! and handed to a fresh solver, as in the paper (§5.3–5.4) — so on that
+//! path the engine's answer *is* the stateless one, header included.
 //!
 //! ## Fingerprints and invalidation
 //!
@@ -72,7 +72,7 @@
 //! (the proxy's steady cycle) drains them with
 //! [`ProbeEngine::take_evicted`] and regenerates only those.
 
-use crate::encode::{self, CatchSpec, EncodeSession, EncodingStyle};
+use crate::encode::{self, CatchSpec};
 use crate::generator::{self, GenStats, GeneratorConfig, ProbeError};
 use crate::plan::ProbePlan;
 use monocle_openflow::table::{fingerprint_term, ApplyResult};
@@ -82,28 +82,12 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 
 /// Engine configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
-    /// Generator settings (budget, ports; `style` is forced to Implication).
+    /// Generator settings (encoding style, budget, ports) for the rules
+    /// that reach the solver.
     pub gen: GeneratorConfig,
-    /// Enable the guess-and-verify fast path (§5.2 sample-repair + semantic
-    /// oracle). Sound and SAT-equivalent by construction; disable only to
-    /// force every generation through the solver (benchmark ablations).
-    pub fast_path: bool,
 }
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            gen: GeneratorConfig::default(),
-            fast_path: true,
-        }
-    }
-}
-
-/// The session variable pool is reset once it exceeds
-/// `POOL_SLACK_FACTOR * table_len + 1024` stable variables.
-const POOL_SLACK_FACTOR: u64 = 4;
 
 /// One cached generation result with the footprint a change must touch to
 /// invalidate it: a plan's is its own `header`, a failure's — no witness
@@ -156,18 +140,15 @@ pub struct EngineStats {
 /// was asked about with exactly the outcomes it carries (the module docs
 /// say why a kept plan does). Probe *packets* may differ: both paths verify
 /// their candidate against [`crate::plan::verify_probe`], and a kept plan
-/// is a probe fresh generation might no longer pick. The property tests in
-/// `tests/prop_engine.rs` exercise this across randomized FlowMod edit
-/// sequences, together with the converse: nothing is evicted that the edit
-/// did not reach.
-///
-/// The engine encodes [`EncodingStyle::Implication`] only (`gen.style` is
-/// overridden at construction); [`EncodingStyle::IteChain`] is a Table 2 /
-/// `ablation_encodings` reference reachable through stateless generation.
+/// is a probe fresh generation might no longer pick. The fast path is the
+/// only place the two can pick differently on the same table: a rule it does
+/// not answer is generated by the stateless generator's own code. The
+/// property tests in `tests/prop_engine.rs` exercise all of this across
+/// randomized FlowMod edit sequences, together with the converse: nothing
+/// is evicted that the edit did not reach.
 #[derive(Debug)]
 pub struct ProbeEngine {
     cfg: EngineConfig,
-    session: EncodeSession,
     /// The table as of the last synchronization, and its fingerprint.
     snapshot: HashMap<RuleId, RuleSnap>,
     table_fp: u64,
@@ -190,11 +171,9 @@ impl Default for ProbeEngine {
 
 impl ProbeEngine {
     /// Creates an engine.
-    pub fn new(mut cfg: EngineConfig) -> ProbeEngine {
-        cfg.gen.style = EncodingStyle::Implication;
+    pub fn new(cfg: EngineConfig) -> ProbeEngine {
         ProbeEngine {
             cfg,
-            session: EncodeSession::new(),
             snapshot: HashMap::new(),
             table_fp: 0,
             synced: false,
@@ -206,12 +185,9 @@ impl ProbeEngine {
         }
     }
 
-    /// Engine wrapping the given generator settings (fast path on).
+    /// Engine wrapping the given generator settings.
     pub fn with_gen(gen: GeneratorConfig) -> ProbeEngine {
-        ProbeEngine::new(EngineConfig {
-            gen,
-            ..EngineConfig::default()
-        })
+        ProbeEngine::new(EngineConfig { gen })
     }
 
     /// The generator configuration in use.
@@ -242,7 +218,6 @@ impl ProbeEngine {
 
     /// Drops all cached state; the next call resynchronizes from scratch.
     pub fn clear(&mut self) {
-        self.session.reset();
         self.engine_stats.plans_invalidated += self.plan_cache.len() as u64;
         self.evicted
             .extend(self.plan_cache.drain().map(|((id, _), _)| id));
@@ -318,8 +293,8 @@ impl ProbeEngine {
         (res, st)
     }
 
-    /// Batch generation: one synchronization, shared session, shared diff
-    /// cache across all `ids`. Returns results in input order.
+    /// Batch generation: one synchronization for all `ids`. Returns results
+    /// in input order.
     pub fn generate_batch(
         &mut self,
         table: &FlowTable,
@@ -419,25 +394,17 @@ impl ProbeEngine {
     }
 
     fn generate_uncached(
-        &mut self,
+        &self,
         table: &FlowTable,
         probed: &Rule,
         catch: &CatchSpec,
         st: &mut GenStats,
     ) -> Result<ProbePlan, ProbeError> {
-        if self.cfg.fast_path {
-            if let Some(plan) = self.try_fast_path(table, probed, catch) {
-                st.fast_path_hits += 1;
-                return Ok(plan);
-            }
+        if let Some(plan) = self.try_fast_path(table, probed, catch) {
+            st.fast_path_hits += 1;
+            return Ok(plan);
         }
-        match self.session.build_instance(table, probed, catch) {
-            Ok(inst) => {
-                st.reencodes_session += 1;
-                generator::solve_and_finish(table, probed, catch, &self.cfg.gen, inst, st)
-            }
-            Err(e) => Err(generator::map_build_error(e)),
-        }
+        generator::generate_for_rule(table, probed, catch, &self.cfg.gen, st)
     }
 
     /// Guess-and-verify: repair the probed rule's sample packet and check it
@@ -547,14 +514,12 @@ impl ProbeEngine {
         debug_assert!(!changed.is_empty() || table.is_empty());
         self.evict_changed(&changed);
         self.evicted.retain(|id| self.snapshot.contains_key(id));
-        self.maybe_compact(table.len());
     }
 
     /// Brings the snapshot entry of rule `id` (and the snapshot's
     /// fingerprint) up to `new`, the rule as the table has it now. If it
     /// differs, both its footprints — a modified rule has two, an added or
-    /// removed one its only one — join the `changed` neighborhood, and a
-    /// rule that had an entry loses its match template.
+    /// removed one its only one — join the `changed` neighborhood.
     fn resnap(&mut self, id: RuleId, new: Option<&Rule>, changed: &mut Vec<Ternary>) {
         let snap = new.map(|r| RuleSnap {
             tern: r.tern,
@@ -570,7 +535,6 @@ impl ProbeEngine {
         if let Some(o) = old {
             self.table_fp = self.table_fp.wrapping_sub(fingerprint_term(id, o.sig));
             changed.push(o.tern);
-            self.session.invalidate(id);
         }
         if let Some(s) = snap {
             self.table_fp = self.table_fp.wrapping_add(fingerprint_term(id, s.sig));
@@ -600,15 +564,6 @@ impl ProbeEngine {
             }
             keep
         });
-    }
-
-    /// Resets the session variable pool when modify/delete churn has
-    /// stranded too many stable variables.
-    fn maybe_compact(&mut self, table_len: usize) {
-        let budget = POOL_SLACK_FACTOR * table_len as u64 + 1024;
-        if u64::from(self.session.pool_vars()) > budget {
-            self.session.reset();
-        }
     }
 }
 
@@ -680,15 +635,21 @@ mod tests {
 
     #[test]
     fn unchanged_table_reprobe_is_pure_cache_hit() {
-        let t = fig1_table();
+        // The top rule differs from the default route only by its rewrite,
+        // which the fast path does not accept: the first pass must use the
+        // solver, proving the second pass's zero solver calls come from the
+        // cache alone.
+        let t = table_from(vec![
+            (
+                20,
+                Match::any().with_nw_src([10, 0, 0, 1], 32),
+                vec![Action::SetNwTos(0x2e), Action::Output(1)],
+            ),
+            (10, Match::any(), vec![Action::Output(1)]),
+        ]);
         let ids: Vec<RuleId> = t.rules().iter().map(|r| r.id).collect();
         let catch = CatchSpec::default();
-        // Fast path disabled: the first pass must use the solver, proving
-        // the second pass's zero solver calls come from the cache alone.
-        let mut eng = ProbeEngine::new(EngineConfig {
-            fast_path: false,
-            ..EngineConfig::default()
-        });
+        let mut eng = ProbeEngine::default();
         let (first, st1) = eng.generate_batch_with_stats(&t, &ids, &catch);
         assert!(st1.solver_calls > 0, "cold pass must solve");
         assert_eq!(st1.cache_misses, ids.len() as u64);
@@ -696,7 +657,7 @@ mod tests {
         assert_eq!(st2.solver_calls, 0, "warm re-probe must not touch SAT");
         assert_eq!(st2.cache_hits, ids.len() as u64);
         assert_eq!(st2.cache_misses, 0);
-        assert_eq!(st2.reencodes_session + st2.reencodes_full, 0);
+        assert_eq!(st2.instances_built, 0);
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a, b, "cached result must be identical");
         }
@@ -1015,41 +976,6 @@ mod tests {
                 assert!(crate::plan::verify_probe(t, r.id, &plan.header, &[]).is_some());
             }
         }
-    }
-
-    #[test]
-    fn churn_resets_the_session_pool_at_its_bound() {
-        // Every strict modify of the middle rule drops its match template;
-        // re-probing the rule above it then strands one more pool variable.
-        let src = Match::any().with_nw_src([10, 0, 0, 1], 32);
-        let mut t = table_from(vec![
-            (
-                30,
-                src.with_nw_dst([10, 0, 0, 2], 32),
-                vec![Action::Output(1)],
-            ),
-            (20, src, vec![Action::Output(2)]),
-            (1, Match::any(), vec![Action::Output(2)]),
-        ]);
-        let top = t.rules()[0].id;
-        let mut eng = ProbeEngine::new(EngineConfig {
-            fast_path: false, // every probe is encoded through the session
-            ..EngineConfig::default()
-        });
-        assert_matches_stateless(&mut eng, &t);
-        let budget = (POOL_SLACK_FACTOR * t.len() as u64 + 1024) as u32;
-        let mut high_water = eng.session.pool_vars();
-        let mut round = 0u16;
-        while eng.session.pool_vars() >= high_water {
-            high_water = eng.session.pool_vars();
-            assert!(high_water <= budget + 1, "pool outgrew its bound");
-            round += 1;
-            let out = vec![Action::Output(2 + round % 2)];
-            t.apply(&FlowMod::modify_strict(20, src, out)).unwrap();
-            assert!(eng.generate(&t, top, &CatchSpec::default()).is_ok());
-        }
-        assert!(high_water > budget, "no reset below the bound");
-        assert_matches_stateless(&mut eng, &t);
     }
 
     #[test]

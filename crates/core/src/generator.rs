@@ -84,7 +84,7 @@ impl Default for GeneratorConfig {
 
 /// Statistics from one generation call (Table 2 bookkeeping). Also used as
 /// an *aggregate* by [`crate::engine::ProbeEngine`] via [`GenStats::merge`],
-/// so benches can report cache behavior and session-vs-full re-encodes.
+/// so benches can report cache behavior.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GenStats {
     /// Rules surviving the §5.4 pre-filter (solver path: the engine's fast
@@ -104,11 +104,9 @@ pub struct GenStats {
     pub cache_misses: u64,
     /// Guess-and-verify fast-path successes (solver skipped entirely).
     pub fast_path_hits: u64,
-    /// Instances built through the engine's [`crate::encode::EncodeSession`]
-    /// (shared match templates and memoized diffs reused).
-    pub reencodes_session: u64,
-    /// Instances built from scratch (the stateless builder).
-    pub reencodes_full: u64,
+    /// SAT instances encoded for a first solve (one per generation that
+    /// reaches the solver).
+    pub instances_built: u64,
     /// Unit propagations performed by the solver, summed over all solves.
     pub solver_propagations: u64,
     /// High-water clause-arena footprint in bytes (a *gauge*: merged by max,
@@ -130,8 +128,7 @@ impl GenStats {
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.fast_path_hits += other.fast_path_hits;
-        self.reencodes_session += other.reencodes_session;
-        self.reencodes_full += other.reencodes_full;
+        self.instances_built += other.instances_built;
         self.solver_propagations += other.solver_propagations;
         self.arena_bytes = self.arena_bytes.max(other.arena_bytes);
         self.arena_reallocs += other.arena_reallocs;
@@ -178,32 +175,34 @@ pub fn generate_probe_with_stats(
     let probed = table
         .get(probed_id)
         .ok_or(ProbeError::NoSuchRule(probed_id))?;
-    let inst = match encode::build_instance(table, probed, catch, cfg.style) {
-        Ok(i) => i,
-        Err(e) => return Err(map_build_error(e)),
-    };
-    let mut stats = GenStats {
-        reencodes_full: 1,
-        ..Default::default()
-    };
-    let plan = solve_and_finish(table, probed, catch, cfg, inst, &mut stats)?;
+    let mut stats = GenStats::default();
+    let plan = generate_for_rule(table, probed, catch, cfg, &mut stats)?;
     Ok((plan, stats))
 }
 
-/// Maps constraint-construction failures onto the public error type.
-pub(crate) fn map_build_error(e: BuildError) -> ProbeError {
-    match e {
+/// The solver path for one rule, nothing kept between calls: encode one
+/// instance, hand it to [`solve_and_finish`]. Stateless generation is this;
+/// [`crate::engine::ProbeEngine`] puts its plan cache and fast path in front
+/// of the same call.
+pub(crate) fn generate_for_rule(
+    table: &FlowTable,
+    probed: &Rule,
+    catch: &CatchSpec,
+    cfg: &GeneratorConfig,
+    stats: &mut GenStats,
+) -> Result<ProbePlan, ProbeError> {
+    let inst = encode::build_instance(table, probed, catch, cfg.style).map_err(|e| match e {
         BuildError::Shadowed { .. } => ProbeError::Hidden,
         BuildError::CatchConflict(f) => ProbeError::CatchConflict(f),
         BuildError::RewritesReserved(f) => ProbeError::RewritesReserved(f),
-    }
+    })?;
+    stats.instances_built += 1;
+    solve_and_finish(table, probed, catch, cfg, inst, stats)
 }
 
 /// The post-encoding half of the §5.2 pipeline: solve `inst`, repair and
 /// verify the model, and fall back to the domain-strengthened re-solve.
-/// Shared between the stateless entry points and the session-backed
-/// [`crate::engine::ProbeEngine`].
-pub(crate) fn solve_and_finish(
+fn solve_and_finish(
     table: &FlowTable,
     probed: &Rule,
     catch: &CatchSpec,
@@ -508,8 +507,7 @@ mod tests {
             cache_hits: 5,
             cache_misses: 6,
             fast_path_hits: 7,
-            reencodes_session: 8,
-            reencodes_full: 9,
+            instances_built: 8,
             solver_propagations: 12,
             arena_bytes: 13,
             arena_reallocs: 14,
@@ -533,8 +531,7 @@ mod tests {
             cache_hits: 4,
             cache_misses: 5,
             fast_path_hits: 6,
-            reencodes_session: 7,
-            reencodes_full: 8,
+            instances_built: 7,
             solver_propagations: 11,
             arena_bytes: 12,
             arena_reallocs: 13,
@@ -548,8 +545,7 @@ mod tests {
             cache_hits: 40,
             cache_misses: 50,
             fast_path_hits: 60,
-            reencodes_session: 70,
-            reencodes_full: 80,
+            instances_built: 70,
             solver_propagations: 110,
             arena_bytes: 120,
             arena_reallocs: 130,
@@ -563,8 +559,7 @@ mod tests {
         assert_eq!(sum.cache_hits, 44);
         assert_eq!(sum.cache_misses, 55);
         assert_eq!(sum.fast_path_hits, 66);
-        assert_eq!(sum.reencodes_session, 77);
-        assert_eq!(sum.reencodes_full, 88);
+        assert_eq!(sum.instances_built, 77);
         assert_eq!(sum.solver_propagations, 121);
         assert_eq!(sum.arena_bytes, 120, "arena_bytes is a gauge: max, not sum");
         assert_eq!(sum.arena_reallocs, 143);

@@ -19,7 +19,7 @@
 //! | Table 1 constraints, §5.3/§5.4 encodings | [`encode`] |
 //! | §3.2/§3.4 DiffPorts/DiffRewrite, App. B Tables 3–4 | [`outcome`] |
 //! | §5.2 abstract→raw translation, spare values | [`generator`], `monocle-packet` |
-//! | session/cache-aware generation (hot path) | [`engine`] |
+//! | plan cache + fast path in front of the generator (hot path) | [`engine`] |
 //! | per-update planning jobs off the I/O thread (worker pool) | [`pool`] |
 //! | probe plans & semantic verification | [`plan`] |
 //! | §2 expected-state tracking | [`expect`] |

@@ -52,11 +52,6 @@ impl Cnf {
         self.num_clauses
     }
 
-    /// Total number of literal slots (excluding terminators).
-    pub fn num_lits(&self) -> usize {
-        self.data.len() - self.num_clauses
-    }
-
     /// Raw flat buffer (DIMACS body layout), mainly for I/O and tests.
     pub fn raw(&self) -> &[i32] {
         &self.data
@@ -136,20 +131,6 @@ impl Cnf {
             data: &self.data,
             pos: 0,
         }
-    }
-
-    /// Appends all clauses of `other` into `self`.
-    pub fn extend_from(&mut self, other: &Cnf) {
-        self.data.extend_from_slice(&other.data);
-        self.num_vars = self.num_vars.max(other.num_vars);
-        self.num_clauses += other.num_clauses;
-    }
-
-    /// Removes all clauses but keeps the allocation (reuse between probes).
-    pub fn clear(&mut self) {
-        self.data.clear();
-        self.num_vars = 0;
-        self.num_clauses = 0;
     }
 
     /// True when the formula contains an empty clause.
@@ -248,26 +229,5 @@ mod tests {
         assert_eq!(cnf.num_vars(), 10);
         cnf.grow_vars(4);
         assert_eq!(cnf.num_vars(), 10);
-    }
-
-    #[test]
-    fn extend_from_concatenates() {
-        let mut a = Cnf::new();
-        a.add_clause(&[1, 2]);
-        let mut b = Cnf::new();
-        b.add_clause(&[-3]);
-        a.extend_from(&b);
-        assert_eq!(a.num_clauses(), 2);
-        assert_eq!(a.num_vars(), 3);
-    }
-
-    #[test]
-    fn clear_keeps_capacity() {
-        let mut cnf = Cnf::with_capacity(64);
-        cnf.add_clause(&[1, 2, 3]);
-        let cap = cnf.data.capacity();
-        cnf.clear();
-        assert_eq!(cnf.num_clauses(), 0);
-        assert!(cnf.data.capacity() >= cap);
     }
 }

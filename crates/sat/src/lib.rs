@@ -15,9 +15,6 @@
 //!   restarts and learnt-clause database reduction.
 //! * [`dpll::DpllSolver`] — a small reference solver used for differential
 //!   testing and for the encoding ablation benchmarks.
-//! * [`tseitin`] — the equisatisfiable CNF transformations of Appendix B
-//!   (conjunction, disjunction with fresh variables, implication,
-//!   substitution, restricted negation).
 //! * [`ite`] — the quadratic if-then-else chain encoding of Velev that the
 //!   paper uses to mimic TCAM priority matching (§5.3, Appendix B).
 //! * [`dimacs`] — DIMACS CNF reader/writer for debugging and corpus tests.
@@ -30,13 +27,11 @@ pub mod dimacs;
 pub mod dpll;
 pub mod ite;
 pub mod solver;
-pub mod tseitin;
 
 pub use cnf::{Cnf, Lit, Var};
 pub use dpll::DpllSolver;
 pub use ite::encode_ite_chain;
 pub use solver::{CdclSolver, SolveOutcome, SolverStats};
-pub use tseitin::{Formula, TseitinEncoder};
 
 /// Result of a satisfiability query.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -15,12 +15,11 @@
 //! probed rule (§5.3–5.4) and hands each to a fresh solver.
 //!
 //! **Clause storage (arena).** Clauses live in one flat `u32` arena: a
-//! 4-word header (length + flags, capacity, epoch, activity) followed by the
-//! literals, and every reference — watchers and reason pointers — is a `u32`
-//! word offset (`CRef`) into that arena. Learnt-clause deletion tombstones
-//! slots in place (no reference ever dangles) and files them for size-class
-//! reuse; once a third of the arena is dead it is compacted and all
-//! references relocated.
+//! 2-word header (length + flags, activity) followed by the literals, and
+//! every reference — watchers and reason pointers — is a `u32` word offset
+//! (`CRef`) into that arena. Learnt-clause deletion copies the surviving
+//! clauses into a fresh arena and rebuilds the watch lists and reason
+//! pointers from it.
 
 use crate::cnf::Cnf;
 use crate::{Model, SatResult};
@@ -90,34 +89,22 @@ fn lit_value(assigns: &[LBool], l: ILit) -> LBool {
 /// Reference to a clause: the word offset of its header in the arena.
 type CRef = u32;
 
-/// Words in a clause slot header (length+flags, capacity, epoch, activity).
-const HEADER_WORDS: usize = 4;
+/// Words in a clause slot header (length+flags, activity).
+const HEADER_WORDS: usize = 2;
 /// Low bits of header word 0 holding the clause length.
 const LEN_MASK: u32 = (1 << 29) - 1;
-/// Slot is tombstoned: freed, awaiting size-class reuse or compaction.
-const FLAG_DEAD: u32 = 1 << 29;
 /// Clause was learnt (subject to activity-based deletion).
 const FLAG_LEARNT: u32 = 1 << 31;
 
-/// Flat clause storage. Each clause occupies `HEADER_WORDS + cap` words:
+/// Flat clause storage. Each clause occupies `HEADER_WORDS + len` words:
 ///
-/// * word 0 — `len | FLAG_DEAD | FLAG_LEARNT`
-/// * word 1 — `cap`, the slot's literal capacity (`len ≤ cap`; slack comes
-///   from size-class reuse and is skipped by slot walks)
-/// * word 2 — epoch, bumped when the slot is freed so stale watchers of the
-///   previous occupant never fire on a reused slot
-/// * word 3 — activity as `f32` bits (the clause-activity rescale threshold
+/// * word 0 — `len | FLAG_LEARNT`
+/// * word 1 — activity as `f32` bits (the clause-activity rescale threshold
 ///   of 1e20 is far below `f32::MAX`, so `f32` loses nothing)
-/// * words 4.. — `len` literals (internal `ILit` form)
+/// * words 2.. — `len` literals (internal `ILit` form)
 #[derive(Debug, Default)]
 struct ClauseArena {
     data: Vec<u32>,
-    /// `free[cap]` — tombstoned slots whose literal capacity is exactly
-    /// `cap`. Allocation tries `len..=len+2` (at most two words of slack)
-    /// before appending at the tail.
-    free: Vec<Vec<CRef>>,
-    /// Words occupied by dead slots (headers included); drives compaction.
-    wasted: usize,
     /// Times `data` had to grow its heap allocation.
     reallocs: u64,
 }
@@ -129,38 +116,37 @@ impl ClauseArena {
     }
 
     #[inline]
-    fn cap(&self, c: CRef) -> usize {
-        self.data[c as usize + 1] as usize
-    }
-
-    #[inline]
-    fn is_dead(&self, c: CRef) -> bool {
-        self.data[c as usize] & FLAG_DEAD != 0
-    }
-
-    #[inline]
     fn is_learnt(&self, c: CRef) -> bool {
         self.data[c as usize] & FLAG_LEARNT != 0
     }
 
     #[inline]
-    fn epoch(&self, c: CRef) -> u32 {
-        self.data[c as usize + 2]
-    }
-
-    #[inline]
     fn activity(&self, c: CRef) -> f32 {
-        f32::from_bits(self.data[c as usize + 3])
+        f32::from_bits(self.data[c as usize + 1])
     }
 
     #[inline]
     fn set_activity(&mut self, c: CRef, a: f32) {
-        self.data[c as usize + 3] = a.to_bits();
+        self.data[c as usize + 1] = a.to_bits();
     }
 
-    #[cfg(test)]
-    fn lit(&self, c: CRef, k: usize) -> ILit {
-        self.data[c as usize + HEADER_WORDS + k]
+    /// The literals of clause `c`.
+    #[inline]
+    fn lits(&self, c: CRef) -> &[ILit] {
+        let base = c as usize + HEADER_WORDS;
+        &self.data[base..base + self.len(c)]
+    }
+
+    /// Every clause, in address order.
+    fn refs(&self) -> impl Iterator<Item = CRef> + '_ {
+        let mut off = 0usize;
+        std::iter::from_fn(move || {
+            (off < self.data.len()).then(|| {
+                let c = off as CRef;
+                off += HEADER_WORDS + self.len(c);
+                c
+            })
+        })
     }
 
     /// Counts a heap reallocation if appending `extra` words would grow the
@@ -172,69 +158,21 @@ impl ClauseArena {
         }
     }
 
-    /// Allocates a slot for `lits`, reusing a tombstoned slot of a close
-    /// size class when one exists. A reused slot keeps its capacity and its
-    /// (free-time bumped) epoch; a fresh tail slot starts at epoch 0.
+    /// Appends a clause with zero activity.
     fn alloc(&mut self, lits: &[ILit], learnt: bool) -> CRef {
-        let len = lits.len();
-        debug_assert!(len as u32 <= LEN_MASK);
-        let mut flags = len as u32;
-        if learnt {
-            flags |= FLAG_LEARNT;
-        }
-        if len < self.free.len() {
-            let hi = (len + 2).min(self.free.len() - 1);
-            for cap in len..=hi {
-                if let Some(c) = self.free[cap].pop() {
-                    self.wasted -= HEADER_WORDS + cap;
-                    let h = c as usize;
-                    self.data[h] = flags;
-                    // word 1 (cap) and word 2 (epoch) carry over.
-                    self.data[h + 3] = 0f32.to_bits();
-                    let base = h + HEADER_WORDS;
-                    self.data[base..base + len].copy_from_slice(lits);
-                    return c;
-                }
-            }
-        }
-        self.note_growth(HEADER_WORDS + len);
+        debug_assert!(lits.len() as u32 <= LEN_MASK);
+        self.note_growth(HEADER_WORDS + lits.len());
         let c = self.data.len() as CRef;
-        self.data.push(flags);
-        self.data.push(len as u32);
-        self.data.push(0);
+        let flags = if learnt { FLAG_LEARNT } else { 0 };
+        self.data.push(lits.len() as u32 | flags);
         self.data.push(0f32.to_bits());
         self.data.extend_from_slice(lits);
         c
     }
 
-    /// Tombstones a slot: marks it dead, bumps its epoch (stale watchers of
-    /// the occupant drop lazily in `propagate`), and files it for reuse.
-    fn free(&mut self, c: CRef) {
-        let h = c as usize;
-        debug_assert!(self.data[h] & FLAG_DEAD == 0);
-        self.data[h] = FLAG_DEAD;
-        self.data[h + 2] = self.data[h + 2].wrapping_add(1);
-        let cap = self.data[h + 1] as usize;
-        if self.free.len() <= cap {
-            self.free.resize(cap + 1, Vec::new());
-        }
-        self.free[cap].push(c);
-        self.wasted += HEADER_WORDS + cap;
-    }
-
-    /// True when a compaction pass would reclaim enough to be worth the
-    /// relocation sweep: a third of a non-trivial arena is dead.
-    fn should_compact(&self) -> bool {
-        self.wasted * 3 > self.data.len() && self.data.len() >= 4096
-    }
-
-    /// Clears all clause storage, keeping allocations for reuse.
+    /// Clears all clause storage, keeping the allocation for reuse.
     fn reset(&mut self) {
         self.data.clear();
-        for f in &mut self.free {
-            f.clear();
-        }
-        self.wasted = 0;
         self.reallocs = 0;
     }
 }
@@ -245,10 +183,6 @@ struct Watcher {
     /// Any other literal of the clause; if it is already true the clause is
     /// satisfied and the watch list walk can skip touching the clause.
     blocker: ILit,
-    /// The clause slot's epoch when this watcher was pushed. A watcher whose
-    /// epoch no longer matches (the slot was tombstoned, maybe reused) is
-    /// stale and dropped lazily in `propagate`.
-    epoch: u32,
 }
 
 /// Counters reported after a [`CdclSolver::solve`] call (reset per call).
@@ -539,21 +473,8 @@ impl CdclSolver {
             _ => {
                 let data = &mut self.arena.data;
                 data[off] = len as u32;
-                data[off + 1] = len as u32;
-                data[off + 2] = 0;
-                data[off + 3] = 0f32.to_bits();
-                let cref = off as CRef;
-                let (l0, l1) = (data[base], data[base + 1]);
-                self.watches[l0 as usize].push(Watcher {
-                    clause: cref,
-                    blocker: l1,
-                    epoch: 0,
-                });
-                self.watches[l1 as usize].push(Watcher {
-                    clause: cref,
-                    blocker: l0,
-                    epoch: 0,
-                });
+                data[off + 1] = 0f32.to_bits();
+                self.watch(off as CRef);
                 self.num_problem += 1;
                 true
             }
@@ -623,26 +544,27 @@ impl CdclSolver {
         lit_value(&self.assigns, l)
     }
 
+    /// Watches the first two literals of clause `c` — by invariant the
+    /// watched positions, each the other's blocker.
+    fn watch(&mut self, c: CRef) {
+        let lits = self.arena.lits(c);
+        let (l0, l1) = (lits[0], lits[1]);
+        self.watches[l0 as usize].push(Watcher {
+            clause: c,
+            blocker: l1,
+        });
+        self.watches[l1 as usize].push(Watcher {
+            clause: c,
+            blocker: l0,
+        });
+    }
+
     /// Stores a learnt clause (asserting literal first) and watches its
     /// first two literals.
     fn attach_learnt(&mut self, lits: &[ILit]) -> CRef {
         debug_assert!(lits.len() >= 2);
-        let (l0, l1) = (lits[0], lits[1]);
-        // The arena reuses a tombstoned slot when one of a close size class
-        // is free; its epoch was already bumped at removal time, so stale
-        // watchers of the previous occupant never fire on the new clause.
         let cref = self.arena.alloc(lits, true);
-        let epoch = self.arena.epoch(cref);
-        self.watches[l0 as usize].push(Watcher {
-            clause: cref,
-            blocker: l1,
-            epoch,
-        });
-        self.watches[l1 as usize].push(Watcher {
-            clause: cref,
-            blocker: l0,
-            epoch,
-        });
+        self.watch(cref);
         self.num_learnts += 1;
         cref
     }
@@ -684,13 +606,6 @@ impl CdclSolver {
                     continue;
                 }
                 let cref = w.clause;
-                // Sweep out stale watchers (dropped by not copying them to
-                // position j): freeing a slot bumps its epoch, so a watcher
-                // of a tombstoned — possibly reused — slot no longer matches.
-                if w.epoch != self.arena.epoch(cref) {
-                    continue;
-                }
-                debug_assert!(!self.arena.is_dead(cref));
                 // Make sure the false literal is at position 1.
                 let base = cref as usize + HEADER_WORDS;
                 if self.arena.data[base] == false_lit {
@@ -702,7 +617,6 @@ impl CdclSolver {
                     ws[j] = Watcher {
                         clause: cref,
                         blocker: first,
-                        epoch: w.epoch,
                     };
                     j += 1;
                     continue;
@@ -716,7 +630,6 @@ impl CdclSolver {
                         self.watches[cand as usize].push(Watcher {
                             clause: cref,
                             blocker: first,
-                            epoch: w.epoch,
                         });
                         continue 'watchers;
                     }
@@ -725,7 +638,6 @@ impl CdclSolver {
                 ws[j] = Watcher {
                     clause: cref,
                     blocker: first,
-                    epoch: w.epoch,
                 };
                 j += 1;
                 if self.value_lit(first) == LBool::False {
@@ -849,17 +761,12 @@ impl CdclSolver {
         let a = self.arena.activity(c) + self.cla_inc as f32;
         self.arena.set_activity(c, a);
         if a > 1e20 {
-            // Rescale every live slot (dead slots are skipped; their
-            // activity word is rewritten on reuse anyway).
             let mut off = 0usize;
             while off < self.arena.data.len() {
-                let cref = off as CRef;
-                let cap = self.arena.cap(cref);
-                if !self.arena.is_dead(cref) {
-                    let scaled = self.arena.activity(cref) * 1e-20;
-                    self.arena.set_activity(cref, scaled);
-                }
-                off += HEADER_WORDS + cap;
+                let c = off as CRef;
+                let scaled = self.arena.activity(c) * 1e-20;
+                self.arena.set_activity(c, scaled);
+                off += HEADER_WORDS + self.arena.len(c);
             }
             self.cla_inc *= 1e-20;
         }
@@ -880,31 +787,19 @@ impl CdclSolver {
         None
     }
 
-    /// Removes the least active half of removable learnt clauses. Clauses
-    /// that are reasons of current assignments or binary are kept. Removal
-    /// is by tombstoning: the slot is marked dead, filed on a size-class
-    /// free list for reuse, and stale watchers are swept out lazily by
-    /// `propagate` — cost is proportional to the clause database, never to
-    /// the watch lists, and no reference moves (reasons stay valid). When a
-    /// third of the arena is dead afterwards, a compaction pass squeezes the
-    /// dead slots out (see [`Self::compact_arena`]).
+    /// Removes the least active half of removable learnt clauses; reasons
+    /// of current assignments and binary clauses are kept. The survivors are
+    /// copied into a fresh arena in address order, the watch lists rebuilt
+    /// from their first two literals and the reason pointers translated.
+    /// Saved phases, activities and the trail all survive.
     fn reduce_db(&mut self) {
         let locked: std::collections::HashSet<CRef> =
             self.reason.iter().flatten().copied().collect();
-        let mut removable: Vec<CRef> = Vec::new();
-        let mut off = 0usize;
-        while off < self.arena.data.len() {
-            let c = off as CRef;
-            let cap = self.arena.cap(c);
-            if !self.arena.is_dead(c)
-                && self.arena.is_learnt(c)
-                && self.arena.len(c) > 2
-                && !locked.contains(&c)
-            {
-                removable.push(c);
-            }
-            off += HEADER_WORDS + cap;
-        }
+        let mut removable: Vec<CRef> = self
+            .arena
+            .refs()
+            .filter(|&c| self.arena.is_learnt(c) && self.arena.len(c) > 2 && !locked.contains(&c))
+            .collect();
         removable.sort_by(|&a, &b| {
             self.arena
                 .activity(a)
@@ -913,78 +808,32 @@ impl CdclSolver {
         });
         removable.truncate(removable.len() / 2);
         self.num_learnts -= removable.len();
-        for c in removable {
-            self.arena.free(c);
-        }
-        if self.arena.should_compact() {
-            self.compact_arena();
-        }
-    }
+        let dropped: std::collections::HashSet<CRef> = removable.into_iter().collect();
 
-    /// Squeezes tombstoned slots out of the arena. Runs inside `reduce_db`
-    /// once a third of the arena is dead. Every live reference is rewritten
-    /// in one pass — watchers (stale ones are dropped using the same epoch
-    /// predicate propagation uses) and reason pointers (`reduce_db` never
-    /// frees a reason clause, so all of them are live) — then live slots
-    /// slide down in address order, each slot's capacity shrinking to its
-    /// length. Saved phases, activities and learnt clauses all survive.
-    fn compact_arena(&mut self) {
-        if self.arena.wasted == 0 {
-            return; // nothing dead: relocation would be the identity
-        }
-        // 1. Relocation map (old → new offset), ascending. Kept in a side
-        //    table: forwarding pointers written into the arena itself would
-        //    be clobbered by the ascending copy below.
-        let mut map: Vec<(CRef, CRef)> = Vec::new();
-        let mut old = 0usize;
-        let mut new_len = 0usize;
-        while old < self.arena.data.len() {
-            let c = old as CRef;
-            let cap = self.arena.cap(c);
-            if !self.arena.is_dead(c) {
-                map.push((c, new_len as CRef));
-                new_len += HEADER_WORDS + self.arena.len(c);
-            }
-            old += HEADER_WORDS + cap;
-        }
-        let translate = |c: CRef| -> CRef {
-            let i = map
-                .binary_search_by_key(&c, |&(o, _)| o)
-                .expect("live clause ref must be in the relocation map");
-            map[i].1
-        };
-        // 2. Watch lists first, while slot metadata is still readable at
-        //    the old offsets: drop stale watchers (same predicate
-        //    `propagate` uses), translate live ones.
-        let arena = &self.arena;
+        let old = std::mem::take(&mut self.arena.data);
+        self.arena.data.reserve(old.len());
         for ws in &mut self.watches {
-            ws.retain_mut(|w| {
-                let live = w.epoch == arena.epoch(w.clause);
-                if live {
-                    w.clause = translate(w.clause);
-                }
-                live
-            });
+            ws.clear();
         }
-        // 3. Reason pointers.
+        // Old → new offsets, ascending in both.
+        let mut moved: Vec<(CRef, CRef)> = Vec::new();
+        let mut off = 0usize;
+        while off < old.len() {
+            let words = HEADER_WORDS + (old[off] & LEN_MASK) as usize;
+            if !dropped.contains(&(off as CRef)) {
+                let new = self.arena.data.len() as CRef;
+                moved.push((off as CRef, new));
+                self.arena.data.extend_from_slice(&old[off..off + words]);
+                self.watch(new);
+            }
+            off += words;
+        }
         for r in self.reason.iter_mut().flatten() {
-            *r = translate(*r);
+            let i = moved
+                .binary_search_by_key(r, |&(o, _)| o)
+                .expect("a reason clause is never dropped");
+            *r = moved[i].1;
         }
-        // 4. Slide the data down (ascending, overlap-safe: new ≤ old and
-        //    earlier destinations never reach a later source), shrinking
-        //    each slot's capacity to its length.
-        for &(o, n) in &map {
-            let words = HEADER_WORDS + self.arena.len(o);
-            let (o, n) = (o as usize, n as usize);
-            self.arena.data.copy_within(o..o + words, n);
-            self.arena.data[n + 1] = (words - HEADER_WORDS) as u32; // cap := len
-        }
-        self.arena.data.truncate(new_len);
-        // 5. Dead slots are gone: free lists and the waste counter reset.
-        for f in &mut self.arena.free {
-            f.clear();
-        }
-        self.arena.wasted = 0;
     }
 
     /// Luby restart sequence (1,1,2,1,1,2,4,...), MiniSat formulation.
@@ -1011,9 +860,8 @@ impl CdclSolver {
             return SatResult::Unsat;
         }
         // Cap the learnt DB relative to the problem size. The floor is
-        // generous: reduce_db thrash (tombstoning is cheap, but the lost
-        // clauses are not) costs far more than the memory of a few thousand
-        // learnts.
+        // generous: reduce_db thrash (the lost clauses are not cheap) costs
+        // far more than the memory of a few thousand learnts.
         self.max_learnts = self.max_learnts.max(self.num_problem.max(4000));
         let mut restart_round: u64 = 0;
         loop {
@@ -1230,39 +1078,6 @@ mod tests {
         assert!(s.solve(&easy).is_sat());
     }
 
-    #[test]
-    fn arena_reuses_tombstoned_slots_by_size_class() {
-        let mut a = ClauseArena::default();
-        let c3 = a.alloc(&[0, 2, 4], false);
-        let c4 = a.alloc(&[1, 3, 5, 7], false);
-        let len_before = a.data.len();
-        a.free(c3);
-        assert!(a.is_dead(c3));
-        assert_eq!(a.epoch(c3), 1, "free bumps the slot epoch");
-        assert_eq!(a.wasted, HEADER_WORDS + 3);
-        // Exact size class: the tombstoned 3-cap slot is reused in place.
-        let c3b = a.alloc(&[6, 8, 10], false);
-        assert_eq!(c3b, c3);
-        assert_eq!(a.wasted, 0, "reuse reclaims the tombstone's waste");
-        assert_eq!(a.data.len(), len_before, "no tail growth on reuse");
-        assert_eq!(a.epoch(c3b), 1, "reused slot keeps its bumped epoch");
-        assert_eq!(a.len(c3b), 3);
-        assert_eq!([a.lit(c3b, 0), a.lit(c3b, 1), a.lit(c3b, 2)], [6, 8, 10]);
-        // Close size class: a 2-lit clause fits the freed 4-cap slot
-        // (at most two words of slack).
-        a.free(c4);
-        let c2 = a.alloc(&[9, 11], false);
-        assert_eq!(c2, c4);
-        assert_eq!(a.len(c2), 2);
-        assert_eq!(a.cap(c2), 4, "reused slot keeps its original capacity");
-        assert_eq!(a.wasted, 0);
-        assert_eq!(a.data.len(), len_before);
-        // Nothing free fits a 5-lit clause: it appends at the tail.
-        let c5 = a.alloc(&[0, 2, 4, 6, 8], false);
-        assert_eq!(c5 as usize, len_before);
-        assert!(a.data.len() > len_before);
-    }
-
     /// Resets a solver for `cnf`, attaches `garbage` 3-literal learnt
     /// clauses over fresh all-positive variables above the formula's own
     /// (every one removable unless it ends up a reason: learnt, longer than
@@ -1281,27 +1096,40 @@ mod tests {
         (s, r)
     }
 
-    /// Tombstones half the removable learnts with the trail (and its
-    /// reasons) in place, then relocates everything that is left — the
-    /// problem clauses slide down over the dead garbage in front of them.
-    fn reduce_and_compact(s: &mut CdclSolver) {
+    /// Forces a `reduce_db` with the trail (and its reasons) in place and
+    /// checks what it must leave behind: some learnts gone and every other
+    /// clause intact, every reason pointing at a clause that implies its
+    /// variable, every clause watched exactly twice, at its first two
+    /// literals.
+    fn reduce_and_check(s: &mut CdclSolver) {
+        let clauses = |s: &CdclSolver| -> Vec<Vec<ILit>> {
+            s.arena.refs().map(|c| s.arena.lits(c).to_vec()).collect()
+        };
+        let (learnts, before) = (s.num_learnts, clauses(s));
         s.reduce_db();
-        assert!(s.arena.wasted > 0, "tombstones must be accounted");
-        let (before, wasted) = (s.arena.data.len(), s.arena.wasted);
-        s.compact_arena();
-        assert_eq!(s.arena.wasted, 0);
-        assert_eq!(
-            s.arena.data.len(),
-            before - wasted,
-            "compaction reclaims exactly the tombstoned words"
-        );
-        // A reason clause implies its first literal; that must still hold
-        // at the relocated offset.
+        let after = clauses(s);
+        assert!(s.num_learnts < learnts, "garbage must be dropped");
+        assert_eq!(before.len() - after.len(), learnts - s.num_learnts);
+        let mut rest = before.iter();
+        for c in &after {
+            assert!(rest.any(|b| b == c), "survivors keep content and order");
+        }
         for (v, r) in s.reason.iter().enumerate() {
             if let Some(c) = *r {
-                assert_eq!(ivar(s.arena.lit(c, 0)), v as u32, "reason of var {v}");
+                assert_eq!(ivar(s.arena.lits(c)[0]), v as u32, "reason of var {v}");
             }
         }
+        let mut watched: Vec<(CRef, ILit)> = Vec::new();
+        for (l, ws) in s.watches.iter().enumerate() {
+            watched.extend(ws.iter().map(|w| (w.clause, l as ILit)));
+        }
+        watched.sort_unstable();
+        let mut expected: Vec<(CRef, ILit)> = Vec::new();
+        for c in s.arena.refs() {
+            let lits = s.arena.lits(c);
+            expected.extend([(c, lits[0].min(lits[1])), (c, lits[0].max(lits[1]))]);
+        }
+        assert_eq!(watched, expected);
     }
 
     #[test]
@@ -1324,9 +1152,9 @@ mod tests {
         }
         let (mut s, first) = search_behind_garbage(&cnf, 40);
         assert!(first.is_sat());
-        assert!(s.reason.iter().any(Option::is_some), "reasons to relocate");
-        reduce_and_compact(&mut s);
-        // Relocated watchers/reasons still drive correct answers.
+        assert!(s.reason.iter().any(Option::is_some), "reasons to translate");
+        reduce_and_check(&mut s);
+        // The rebuilt watchers and reasons still drive correct answers.
         s.backtrack(0);
         assert!(s.search().model().satisfies(&cnf));
         s.backtrack(0);
@@ -1340,9 +1168,9 @@ mod tests {
     }
 
     proptest! {
-        /// Tombstoning and relocation in the middle of a solver's life never
-        /// lose, duplicate or corrupt a clause or a watcher: a search resumed
-        /// after the churn still agrees with the DPLL reference.
+        /// A `reduce_db` in the middle of a solver's life never loses,
+        /// duplicates or corrupts a clause or a watcher: a search resumed
+        /// after it still agrees with the DPLL reference.
         #[test]
         fn search_after_compaction_matches_dpll(
             clauses in prop::collection::vec(
@@ -1359,7 +1187,7 @@ mod tests {
             let (mut s, first) = search_behind_garbage(&cnf, 20);
             prop_assert_eq!(first.is_sat(), expected);
             if expected {
-                reduce_and_compact(&mut s);
+                reduce_and_check(&mut s);
                 s.backtrack(0);
                 match s.search() {
                     SatResult::Sat(m) => prop_assert!(m.satisfies(&cnf)),

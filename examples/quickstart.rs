@@ -72,7 +72,7 @@ fn main() {
     println!("outcome check: probe on port A ⇒ rule OK; on port B ⇒ raise alarm (Figure 1)");
 
     // Steady-state monitoring re-probes the same rules continuously; the
-    // session-based ProbeEngine makes that cheap. The first pass generates
+    // ProbeEngine's plan cache makes that cheap. The first pass generates
     // (here without SAT, via its guess-and-verify fast path); the re-probe
     // of the unchanged table is a pure cache hit — zero solver calls.
     let mut engine = monocle::ProbeEngine::default();
