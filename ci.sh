@@ -45,6 +45,10 @@ done
 # engine keep plans across updates that overlap their rule — and the
 # benchmark's own oracle re-verifies every plan handed out (~258 k).
 bench_checked --workload plan_tables --seed 1 --seconds 15 --trace 0
+# The proxy's steady engine learns each update from the expected table's
+# change log; only a full-size detection run drives that path through enough
+# churn for a missed log entry to show as a stale plan or a wrong verdict.
+bench_checked --workload detect_breakage --seed 1 --seconds 15 --trace 0
 mv "$lock_snapshot" benchmark/Cargo.lock
 
 echo "== perf baseline: Table 2 probe generation =="

@@ -243,22 +243,20 @@ impl DynamicMonitor {
         &self.expected
     }
 
-    /// Mutable access to the expected table behind the shared engine's back:
-    /// its fingerprint check catches the change, at the price of a diff of
-    /// the whole table. [`Self::apply_expected`] is the announced way.
+    /// Mutable access to the expected table. Costs the shared engine no more
+    /// than [`Self::apply_expected`] does: the table logs every rule a
+    /// mutation touches, and the engine's next synchronization diffs — and
+    /// evicts by — exactly those.
     pub fn expected_mut(&mut self) -> &mut ExpectedTable {
         &mut self.expected
     }
 
-    /// Applies `fm` to the expected table and names the rules it touched to
-    /// the shared engine, whose next synchronization then diffs — and evicts
-    /// by — exactly those. Neither probed nor forwarded — the one way the
-    /// table changes, for controller updates ([`Self::on_flowmod`]) and for
-    /// Monocle's own (preinstalls, drop-postponing finalizers) alike.
+    /// Applies `fm` to the expected table. Neither probed nor forwarded —
+    /// the one way the table changes, for controller updates
+    /// ([`Self::on_flowmod`]) and for Monocle's own (preinstalls,
+    /// drop-postponing finalizers) alike.
     pub fn apply_expected(&mut self, fm: &FlowMod) -> Result<ApplyResult, TableError> {
-        let applied = self.expected.apply(fm)?;
-        self.engine.note_applied(&applied);
-        Ok(applied)
+        self.expected.apply(fm)
     }
 
     /// The shared probe engine (statistics inspection).

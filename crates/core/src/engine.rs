@@ -32,13 +32,16 @@
 //! every mutation from per-rule signatures hashed once, so an unchanged
 //! table costs one comparison. When the fingerprint has moved, the engine
 //! diffs its id-keyed snapshot (signature and ternary per rule) against the
-//! table: first only the ids its owner named through
-//! [`ProbeEngine::note_applied`] — work proportional to the delta — and, if
-//! those do not account for the new fingerprint (a mutation nobody
-//! announced, or a different table altogether, as a planner sees between
-//! jobs), every rule, reading the stored signatures. Either way the diff
-//! identifies exactly the added/removed/modified rules, and their old and
-//! new ternaries are the *changed footprints* the cache is held against.
+//! table: first only the ids the table itself logged since the engine last
+//! read it ([`FlowTable::changes_since`]) — work proportional to the delta,
+//! and nobody has to announce anything — and, if those do not account for
+//! the new fingerprint (the log no longer reaches back that far, or this is
+//! a different table altogether, as a planner sees between jobs), every
+//! rule, reading the stored signatures ([`EngineStats::syncs_fallback`]
+//! counts these). The log only makes the diff cheap; the fingerprint decides
+//! when it is complete. Either way the diff identifies exactly the
+//! added/removed/modified rules, and their old and new ternaries are the
+//! *changed footprints* the cache is held against.
 //!
 //! One invariant holds after every synchronization: **every cached `Ok`
 //! plan verifies on the synced table with the outcomes it promises, and
@@ -64,21 +67,21 @@
 //! [`EngineStats::plans_kept`] counts the plans the first rule saves: their
 //! rule overlapped a footprint, their header lay outside it.
 //!
-//! A consumer with no [`ApplyResult`] at hand can push a FlowMod through
-//! [`ProbeEngine::note_flowmod`] instead, which applies the same two rules
-//! eagerly with the mod's match — it subsumes every rule the mod can
-//! touch — as the footprint. Every eviction, eager or found by a diff,
-//! records the rule id it dropped; a consumer that keeps plans of its own
-//! (the proxy's steady cycle) drains them with
+//! Every eviction records the rule id it dropped; a consumer that keeps
+//! plans of its own (the proxy's steady cycle) drains them with
 //! [`ProbeEngine::take_evicted`] and regenerates only those.
+//!
+//! A cache hit hands out a clone of the cached result, which shares the
+//! plan's observation slices ([`crate::plan::ConcreteOutcome`]) instead of
+//! copying them: a warm re-plan of an unchanged table allocates nothing but
+//! the output vector.
 
 use crate::encode::{self, CatchSpec};
 use crate::generator::{self, GenStats, GeneratorConfig, ProbeError};
 use crate::plan::ProbePlan;
-use monocle_openflow::table::{fingerprint_term, ApplyResult};
+use monocle_openflow::table::{fingerprint_term, IdHashMap, IdHashSet};
 use monocle_openflow::{FlowMod, FlowTable, PortNo, Rule, RuleId, Ternary};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 
 /// Engine configuration.
@@ -117,6 +120,13 @@ pub struct EngineStats {
     /// Full resynchronizations: the first sync, and the first after
     /// [`ProbeEngine::clear`].
     pub syncs_full: u64,
+    /// Delta synchronizations the table's change log could not complete,
+    /// which fell back to diffing every rule: the log no longer reached back
+    /// to the engine's last read, or the table is not the one the engine
+    /// read last. An engine that follows one table stays at 0; a planner
+    /// pool's engines fall back on every job by design, because each job
+    /// brings a table of its own (a fresh neighborhood, no shared history).
+    pub syncs_fallback: u64,
     /// Plan-cache entries evicted by invalidation.
     pub plans_invalidated: u64,
     /// Cached plans whose rule overlapped a changed footprint and that
@@ -149,16 +159,16 @@ pub struct EngineStats {
 #[derive(Debug)]
 pub struct ProbeEngine {
     cfg: EngineConfig,
-    /// The table as of the last synchronization, and its fingerprint.
-    snapshot: HashMap<RuleId, RuleSnap>,
+    /// The table as of the last synchronization, its fingerprint, and its
+    /// [`FlowTable::version`].
+    snapshot: IdHashMap<RuleId, RuleSnap>,
     table_fp: u64,
+    table_version: u64,
     synced: bool,
-    /// Ids named by [`Self::note_applied`] since the last synchronization.
-    told: Vec<RuleId>,
-    plan_cache: HashMap<(RuleId, u64), CacheEntry>,
+    plan_cache: IdHashMap<(RuleId, u64), CacheEntry>,
     /// Rules whose cached plan was dropped and not yet reported by
     /// [`Self::take_evicted`]; pruned to the table at every synchronization.
-    evicted: HashSet<RuleId>,
+    evicted: IdHashSet<RuleId>,
     total: GenStats,
     engine_stats: EngineStats,
 }
@@ -174,12 +184,12 @@ impl ProbeEngine {
     pub fn new(cfg: EngineConfig) -> ProbeEngine {
         ProbeEngine {
             cfg,
-            snapshot: HashMap::new(),
+            snapshot: IdHashMap::default(),
             table_fp: 0,
+            table_version: 0,
             synced: false,
-            told: Vec::new(),
-            plan_cache: HashMap::new(),
-            evicted: HashSet::new(),
+            plan_cache: IdHashMap::default(),
+            evicted: IdHashSet::default(),
             total: GenStats::default(),
             engine_stats: EngineStats::default(),
         }
@@ -223,46 +233,19 @@ impl ProbeEngine {
             .extend(self.plan_cache.drain().map(|((id, _), _)| id));
         self.snapshot.clear();
         self.table_fp = 0;
-        self.told.clear();
         self.synced = false;
     }
 
-    /// Delta notification for callers with no [`ApplyResult`] to hand to
-    /// [`Self::note_applied`]: a FlowMod is about to be (or was just) applied
-    /// to the monitored table. Eagerly evicts what its match — which subsumes
-    /// every rule it can touch — invalidates; the next synchronization finds
-    /// the exact footprints either way.
-    pub fn note_flowmod(&mut self, fm: &FlowMod) {
-        self.note_delta(fm.match_.ternary());
-    }
-
-    /// As [`Self::note_flowmod`] for an already-compiled match.
-    pub fn note_delta(&mut self, tern: Ternary) {
-        self.evict_changed(&[tern]);
-    }
-
-    /// Delta notification, second half: `res` is what applying a FlowMod to
-    /// the monitored table reported. The next synchronization then diffs
-    /// only the rules named here (O(delta)) instead of the whole table; the
-    /// fingerprint check still catches whatever was not announced.
-    pub fn note_applied(&mut self, res: &ApplyResult) {
-        if !self.synced {
-            return; // no snapshot to patch: the first sync reads the table
-        }
-        if self.told.len() > self.snapshot.len() {
-            // A backlog longer than the table is not worth keeping: drop it
-            // and let the fingerprint mismatch fall back to the full diff.
-            self.told.clear();
-        }
-        self.told
-            .extend(res.added.iter().chain(&res.modified).chain(&res.removed));
-    }
+    /// Does nothing: the table logs its own changes, and the next
+    /// synchronization evicts by their exact footprints. Kept only because
+    /// `benchmark/` calls it.
+    pub fn note_flowmod(&mut self, _fm: &FlowMod) {}
 
     /// Synchronizes to `table` and drains the ids of the rules whose cached
-    /// plan was evicted since the last call (by a delta notification or by a
-    /// synchronization, this one included) and that are still in `table`. A
-    /// consumer holding plans from earlier calls regenerates exactly these,
-    /// plus whatever it never had a cacheable result for.
+    /// plan was evicted since the last call (by a synchronization, this one
+    /// included) and that are still in `table`. A consumer holding plans
+    /// from earlier calls regenerates exactly these, plus whatever it never
+    /// had a cacheable result for.
     pub fn take_evicted(&mut self, table: &FlowTable) -> Vec<RuleId> {
         self.sync(table);
         self.evicted.drain().collect()
@@ -468,20 +451,24 @@ impl ProbeEngine {
     }
 
     /// Lazily synchronizes cached state to `table`: O(1) when the table's
-    /// fingerprint has not moved, O(delta) when [`Self::note_applied`] named
-    /// everything that changed, a diff of the whole snapshot otherwise.
+    /// fingerprint has not moved, O(delta) when the ids the table logged
+    /// since the last synchronization account for the move, a diff of the
+    /// whole snapshot otherwise.
     fn sync(&mut self, table: &FlowTable) {
         let fp = table.fingerprint();
-        let told = std::mem::take(&mut self.told);
         if self.synced && fp == self.table_fp {
             self.engine_stats.syncs_clean += 1;
+            self.table_version = table.version();
             return;
         }
         let mut changed: Vec<Ternary> = Vec::new();
         if self.synced {
             self.engine_stats.syncs_delta += 1;
-            for id in told {
+            for &id in table.changes_since(self.table_version).unwrap_or_default() {
                 self.resnap(id, table.get(id), &mut changed);
+            }
+            if self.table_fp != fp {
+                self.engine_stats.syncs_fallback += 1;
             }
         } else {
             self.engine_stats.syncs_full += 1;
@@ -489,18 +476,17 @@ impl ProbeEngine {
             self.synced = true;
         }
         if self.table_fp != fp {
-            // Not everything was announced (a first sync, an out-of-band
-            // edit, another table altogether): diff every rule by id and
-            // stored signature.
+            // The log did not account for the change (a first sync, a log
+            // that no longer reaches back this far, another table
+            // altogether): diff every rule by id and stored signature.
             for r in table.rules() {
                 self.resnap(r.id, Some(r), &mut changed);
             }
             if self.snapshot.len() > table.len() {
-                let live: HashSet<RuleId> = table.rules().iter().map(|r| r.id).collect();
                 let gone: Vec<RuleId> = self
                     .snapshot
                     .keys()
-                    .filter(|id| !live.contains(id))
+                    .filter(|&&id| table.get(id).is_none())
                     .copied()
                     .collect();
                 for id in gone {
@@ -512,6 +498,7 @@ impl ProbeEngine {
         // exactly when a rule does: the snapshot now hashes to the table's.
         debug_assert_eq!(self.table_fp, fp);
         debug_assert!(!changed.is_empty() || table.is_empty());
+        self.table_version = table.version();
         self.evict_changed(&changed);
         self.evicted.retain(|id| self.snapshot.contains_key(id));
     }
@@ -519,19 +506,20 @@ impl ProbeEngine {
     /// Brings the snapshot entry of rule `id` (and the snapshot's
     /// fingerprint) up to `new`, the rule as the table has it now. If it
     /// differs, both its footprints — a modified rule has two, an added or
-    /// removed one its only one — join the `changed` neighborhood.
+    /// removed one its only one — join the `changed` neighborhood. An
+    /// unchanged rule costs one lookup.
     fn resnap(&mut self, id: RuleId, new: Option<&Rule>, changed: &mut Vec<Ternary>) {
         let snap = new.map(|r| RuleSnap {
             tern: r.tern,
             sig: r.sig(),
         });
+        if self.snapshot.get(&id).map(|o| o.sig) == snap.map(|s| s.sig) {
+            return;
+        }
         let old = match snap {
             Some(s) => self.snapshot.insert(id, s),
             None => self.snapshot.remove(&id),
         };
-        if old.map(|o| o.sig) == snap.map(|s| s.sig) {
-            return;
-        }
         if let Some(o) = old {
             self.table_fp = self.table_fp.wrapping_sub(fingerprint_term(id, o.sig));
             changed.push(o.tern);
@@ -699,20 +687,18 @@ mod tests {
         let beside = dst1.with_nw_proto(6);
         assert!(!beside.ternary().matches(&h1));
         let fm = FlowMod::add(20, beside, vec![Action::Output(4)]);
-        eng.note_flowmod(&fm);
-        assert_eq!(eng.engine_stats().plans_kept, 2);
         t.apply(&fm).unwrap();
         assert!(eng.take_evicted(&t).is_empty());
+        assert_eq!(eng.engine_stats().plans_kept, 2);
         assert_eq!(eng.cached_plans(), 3);
         assert_eq!(eng.engine_stats().plans_invalidated, 0);
         // The same rule across the whole first rule takes its probe: that
         // plan goes, the default route's (probing elsewhere) stays.
         assert!(dst1.ternary().matches(&h1));
         let fm = FlowMod::add(30, dst1, vec![Action::Output(4)]);
-        eng.note_flowmod(&fm);
         t.apply(&fm).unwrap();
-        assert_eq!(eng.cached_plans(), 2);
         assert_eq!(eng.take_evicted(&t), vec![ids[0]]);
+        assert_eq!(eng.cached_plans(), 2);
         let (res, st) = eng.generate_batch_with_stats(&t, &ids, &catch);
         assert_eq!((st.cache_hits, st.cache_misses), (2, 1));
         assert_eq!(res[0], Err(ProbeError::Hidden));
@@ -723,9 +709,9 @@ mod tests {
     #[test]
     fn modify_as_add_invalidates_and_creates_plan_cache_entry() {
         // OF1.0 MODIFY with no matching entry behaves as ADD; the engine's
-        // FlowMod-delta invalidation must agree: a cached plan goes exactly
-        // when the new rule matches its probe, and the new rule gets a
-        // fresh plan identical to stateless generation.
+        // synchronization must agree: a cached plan goes exactly when the
+        // new rule matches its probe, and the new rule gets a fresh plan
+        // identical to stateless generation.
         use monocle_openflow::FlowModCommand;
         let mut t = fig1_table();
         let catch = CatchSpec::default();
@@ -739,14 +725,15 @@ mod tests {
         // MODIFY that matches nothing: acts as ADD of a new specific rule.
         let fm = modify_as_add(Match::any().with_nw_src([10, 0, 0, 2], 32));
         assert!(!fm.match_.ternary().matches(&default_plan.header));
-        eng.note_flowmod(&fm);
         let res = t.apply(&fm).unwrap();
         assert_eq!(res.added.len(), 1, "table reports an Add");
         assert!(res.modified.is_empty());
         let new_id = res.added[0];
         // The new rule overlaps the default route, whose probe it cannot
         // match (the plan survives), and not the 10.0.0.1/32 rule.
+        assert!(eng.take_evicted(&t).is_empty());
         assert_eq!(eng.cached_plans(), 2);
+        assert_eq!(eng.engine_stats().plans_kept, 1);
         let (engine_plan, st) = eng.generate_with_stats(&t, new_id, &catch);
         assert_eq!(st.cache_misses, 1, "new rule's plan is freshly created");
         let fresh = generate_probe(&t, new_id, &catch, &GeneratorConfig::default());
@@ -761,10 +748,9 @@ mod tests {
         // route is probed takes that plan and no other.
         let fm = modify_as_add(Match::any().with_dl_type(default_plan.fields.dl_type));
         assert!(fm.match_.ternary().matches(&default_plan.header));
-        eng.note_flowmod(&fm);
         t.apply(&fm).unwrap();
-        assert_eq!(eng.cached_plans(), 2);
         assert_eq!(eng.take_evicted(&t), vec![ids[1]]);
+        assert_eq!(eng.cached_plans(), 2);
         let moved = eng.generate(&t, ids[1], &catch).unwrap();
         assert_ne!(moved.header, default_plan.header);
         assert!(crate::plan::verify_probe(&t, ids[1], &moved.header, &[]).is_some());
@@ -772,8 +758,7 @@ mod tests {
 
     #[test]
     fn unannounced_rule_over_a_cached_header_evicts_it() {
-        // The synchronization diff applies the same predicate as the eager
-        // hook: an out-of-band higher-priority rule evicts the plans whose
+        // A higher-priority rule nobody announced evicts the plans whose
         // header it matches and only those.
         let src = |i: u8| Match::any().with_nw_src([10, 0, 0, i], 32);
         let mut t = table_from(vec![
@@ -809,8 +794,7 @@ mod tests {
         let catch = CatchSpec::default();
         let (ids, mut eng, first) = plan_all(&t);
         assert_eq!(first[1], Err(ProbeError::Hidden));
-        let res = t.apply(&FlowMod::delete_strict(20, src)).unwrap();
-        eng.note_applied(&res);
+        t.apply(&FlowMod::delete_strict(20, src)).unwrap();
         // The failure has no header to go by: it goes with its neighborhood.
         // The removed rule's own entry goes (and is not reported: the rule
         // is gone); the default route's plan never depended on either.
@@ -837,11 +821,9 @@ mod tests {
         let catch = CatchSpec::default();
         let (ids, mut eng, first) = plan_all(&t);
         assert!(first[1].is_err() && first[2].is_ok());
-        // The hidden rule announced, the planned one not.
-        let res = t
-            .apply(&FlowMod::delete_strict(10, src.with_nw_proto(6)))
+        // The hidden rule deleted by a FlowMod, the planned one by id.
+        t.apply(&FlowMod::delete_strict(10, src.with_nw_proto(6)))
             .unwrap();
-        eng.note_applied(&res);
         t.remove_by_id(ids[2]).unwrap();
         assert!(
             eng.take_evicted(&t).is_empty(),
@@ -866,7 +848,6 @@ mod tests {
             let fm = FlowMod::modify_strict(10, m, vec![Action::Output(out)]);
             let res = t.apply(&fm).unwrap();
             assert_eq!(res.modified, vec![ids[0]]);
-            eng.note_applied(&res);
         }
         assert!(eng.take_evicted(&t).is_empty());
         let (again, st) = eng.generate_batch_with_stats(&t, &ids, &catch);
@@ -884,7 +865,7 @@ mod tests {
         let catch = CatchSpec::default();
         let mut eng = ProbeEngine::default();
         assert!(eng.generate(&t, id, &catch).is_ok());
-        // Out-of-band edit (no note_flowmod): a higher-priority shadow.
+        // An edit nobody tells the engine about: a higher-priority shadow.
         t.add_rule(
             20,
             Match::any().with_nw_src([10, 0, 0, 1], 32),
@@ -898,11 +879,12 @@ mod tests {
 
     #[test]
     fn announced_deltas_sync_like_unannounced_ones() {
-        // Two engines over one churning table: `told` hears every delta
-        // (note_flowmod + note_applied, the proxy path), `untold` nothing
-        // (the fingerprint safety net). Same answers, same evictions — and
-        // a backlog of announcements longer than the table is simply
-        // dropped in favor of the full diff.
+        // Two engines over one churning table: `logged` reads the table
+        // itself and learns each delta from its change log, `unlogged` reads
+        // a copy without history (the whole table as a neighborhood) and
+        // must diff every rule. Same answers, same evictions — and a log
+        // that no longer reaches back to the last sync falls back to the
+        // full diff.
         let src = |i: u8| Match::any().with_nw_src([10, 0, 0, i], 32);
         let mut t = table_from(vec![
             (30, src(1).with_nw_proto(6), vec![Action::Output(1)]),
@@ -910,9 +892,10 @@ mod tests {
             (20, src(2), vec![Action::Output(3)]),
             (1, Match::any(), vec![Action::Output(2)]),
         ]);
-        let (mut told, mut untold) = (ProbeEngine::default(), ProbeEngine::default());
-        assert_matches_stateless(&mut told, &t);
-        assert_matches_stateless(&mut untold, &t);
+        let copy = |t: &FlowTable| t.neighborhood(&Match::any().ternary());
+        let (mut logged, mut unlogged) = (ProbeEngine::default(), ProbeEngine::default());
+        assert_matches_stateless(&mut logged, &t);
+        assert_matches_stateless(&mut unlogged, &copy(&t));
         let mods = [
             FlowMod::modify_strict(20, src(1), vec![Action::Output(5)]),
             FlowMod::delete_strict(20, src(2)),
@@ -921,32 +904,32 @@ mod tests {
         ];
         for round in 0..3 {
             // Round 0 syncs after every FlowMod, round 1 after all four,
-            // round 2 after the same four announced thrice over.
-            for fm in mods.iter().cycle().take(if round == 2 { 12 } else { 4 }) {
-                told.note_flowmod(fm);
-                let res = t.apply(fm).unwrap();
-                told.note_applied(&res);
+            // round 2 after the same four thirty times over: more ids than
+            // the table keeps.
+            for fm in mods.iter().cycle().take(if round == 2 { 120 } else { 4 }) {
+                t.apply(fm).unwrap();
                 if round == 0 {
-                    assert_matches_stateless(&mut told, &t);
-                    assert_matches_stateless(&mut untold, &t);
-                    assert_eq!(told.cached_plans(), untold.cached_plans());
+                    assert_matches_stateless(&mut logged, &t);
+                    assert_matches_stateless(&mut unlogged, &copy(&t));
+                    assert_eq!(logged.cached_plans(), unlogged.cached_plans());
                 }
             }
-            assert_matches_stateless(&mut told, &t);
-            assert_matches_stateless(&mut untold, &t);
-            assert_eq!(told.cached_plans(), untold.cached_plans());
+            assert_matches_stateless(&mut logged, &t);
+            assert_matches_stateless(&mut unlogged, &copy(&t));
+            assert_eq!(logged.cached_plans(), unlogged.cached_plans());
         }
-        assert_eq!(told.engine_stats().syncs_full, 1);
-        assert_eq!(
-            told.engine_stats().syncs_delta,
-            untold.engine_stats().syncs_delta
-        );
+        let (l, u) = (logged.engine_stats(), unlogged.engine_stats());
+        assert_eq!(l.syncs_full, 1);
+        assert_eq!(l.syncs_delta, u.syncs_delta);
+        assert_eq!(l.syncs_fallback, 1, "only the overflowed log falls back");
+        assert_eq!(u.syncs_fallback, u.syncs_delta);
+        assert_eq!(l.plans_invalidated, u.plans_invalidated);
         // Every eviction was recorded; rules no longer in the table are not
         // reported, and a drained log stays drained.
-        let evicted = told.take_evicted(&t);
+        let evicted = logged.take_evicted(&t);
         assert!(!evicted.is_empty());
         assert!(evicted.iter().all(|id| t.get(*id).is_some()));
-        assert!(told.take_evicted(&t).is_empty());
+        assert!(logged.take_evicted(&t).is_empty());
     }
 
     #[test]

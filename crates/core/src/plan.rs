@@ -5,6 +5,7 @@
 use monocle_openflow::flowmatch::headervec_to_packet;
 use monocle_openflow::{FlowTable, Forwarding, ForwardingKind, HeaderVec, PortNo, RuleId};
 use monocle_packet::PacketFields;
+use std::sync::Arc;
 
 /// What the network observably does with a specific probe packet under one
 /// hypothesis (rule present / rule absent).
@@ -12,8 +13,9 @@ use monocle_packet::PacketFields;
 pub struct ConcreteOutcome {
     /// Multicast = all observations occur; ECMP = exactly one occurs.
     pub kind: ForwardingKind,
-    /// `(output port, rewritten header)` pairs. Empty = dropped.
-    pub observations: Vec<(PortNo, HeaderVec)>,
+    /// `(output port, rewritten header)` pairs. Empty = dropped. Immutable
+    /// and shared, so a cached plan is handed out without copying it.
+    pub observations: Arc<[(PortNo, HeaderVec)]>,
 }
 
 impl ConcreteOutcome {
@@ -33,7 +35,7 @@ impl ConcreteOutcome {
     pub fn dropped() -> ConcreteOutcome {
         ConcreteOutcome {
             kind: ForwardingKind::Multicast,
-            observations: Vec::new(),
+            observations: Arc::default(),
         }
     }
 
@@ -51,7 +53,7 @@ impl ConcreteOutcome {
 
     /// Deduplicated observation set.
     fn obs_set(&self) -> Vec<(PortNo, HeaderVec)> {
-        let mut v = self.observations.clone();
+        let mut v = self.observations.to_vec();
         v.sort_by_key(|(p, h)| (*p, h.0));
         v.dedup();
         v

@@ -21,8 +21,11 @@
 //!   `switch → ProbeEngine` map. Jobs hash to a *home* worker
 //!   (`switch % workers`), so a switch's jobs land on one engine, which
 //!   delta-syncs between consecutive tables (and serves an unchanged table
-//!   from its plan cache). Engines are never shared, so there is no engine
-//!   lock at all.
+//!   from its plan cache). A job's table is its own — a fresh neighborhood
+//!   carries no change history the engine has read — so that sync diffs
+//!   every rule of it: by design, each such job counts one
+//!   [`crate::engine::EngineStats::syncs_fallback`]. Engines are never
+//!   shared, so there is no engine lock at all.
 //! * **Work stealing** — an idle worker steals queued jobs from the most
 //!   loaded peer (from the back, preserving the victim's front-of-queue
 //!   affinity). A stolen switch builds a cold engine on the thief; that is

@@ -216,7 +216,9 @@ const GOLDEN: (u64, u64, usize, usize, u64) = (4842, 501, 17, 31, 0x04b6_48b1_1f
 /// modified rule covers their probe: `proxy::tests::strict_modify_re_plans_…`
 /// pins that fraction), plus the rules whose failure is never cached (at
 /// most the unmonitorable ones) — and never falls back to a full
-/// resynchronization; a refresh with nothing changed looks nothing up.
+/// resynchronization, nor to a diff of every rule: the expected table's own
+/// change log names the modified rule. A refresh with nothing changed looks
+/// nothing up.
 #[test]
 fn refresh_after_one_modify_looks_up_the_affected_rules_only() {
     let rules = generate(&AclConfig::stanford_like());
@@ -258,7 +260,10 @@ fn refresh_after_one_modify_looks_up_the_affected_rules_only() {
         (1..=budget).contains(&spent),
         "{spent} lookups, budget {budget}"
     );
-    assert_eq!(proxy.engine_lifecycle().syncs_full, 1);
+    let lifecycle = proxy.engine_lifecycle();
+    assert_eq!(lifecycle.syncs_full, 1);
+    assert!(lifecycle.syncs_delta >= 1);
+    assert_eq!(lifecycle.syncs_fallback, 0);
 
     let before = lookups(&proxy);
     assert_eq!(proxy.refresh_steady_plans(), (found, total));
@@ -268,4 +273,5 @@ fn refresh_after_one_modify_looks_up_the_affected_rules_only() {
         "nothing changed, nothing looked up"
     );
     assert_eq!(proxy.engine_lifecycle().syncs_full, 1);
+    assert_eq!(proxy.engine_lifecycle().syncs_fallback, 0);
 }

@@ -46,7 +46,8 @@ use crate::headerspace::HeaderVec;
 use crate::messages::{FlowMod, FlowModCommand};
 use std::cmp::Reverse;
 use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// Identifier of a rule within one table (unique per table instance).
@@ -58,6 +59,36 @@ impl std::fmt::Display for RuleId {
         write!(f, "r{}", self.0)
     }
 }
+
+/// Multiplicative (FxHash-style) hasher for maps keyed by [`RuleId`]s and
+/// other table-allocated integers. Such keys are counters this program
+/// hands out, never bytes read off the wire, so SipHash's protection against
+/// crafted collisions buys nothing there and costs most of a lookup.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` over [`IdHasher`].
+pub type IdHashMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+/// A `HashSet` over [`IdHasher`].
+pub type IdHashSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// A rule installed in a flow table, with its compiled forms cached.
 #[derive(Debug, Clone, PartialEq)]
@@ -187,6 +218,38 @@ pub struct ApplyResult {
     pub removed: Vec<RuleId>,
 }
 
+/// The ids whose [`FlowTable::fingerprint`] term moved, in order, as far
+/// back as the bound keeps them: entry `i` of `ids` is change number
+/// `base + i` of the table's history.
+#[derive(Debug, Clone, Default)]
+struct ChangeLog {
+    ids: Vec<RuleId>,
+    base: u64,
+}
+
+impl ChangeLog {
+    /// Logs `id`. Past `2·table_len + 64` ids the older half goes: a reader
+    /// that far behind re-reads the table instead, for about what the log
+    /// would have cost it, and the drain is amortized over as many pushes.
+    fn push(&mut self, id: RuleId, table_len: usize) {
+        self.ids.push(id);
+        if self.ids.len() > 2 * table_len + 64 {
+            let half = self.ids.len() / 2;
+            self.ids.drain(..half);
+            self.base += half as u64;
+        }
+    }
+
+    fn version(&self) -> u64 {
+        self.base + self.ids.len() as u64
+    }
+
+    fn since(&self, version: u64) -> Option<&[RuleId]> {
+        let off = usize::try_from(version.checked_sub(self.base)?).ok()?;
+        self.ids.get(off..)
+    }
+}
+
 /// A priority-ordered OpenFlow 1.0 flow table.
 #[derive(Debug, Clone, Default)]
 pub struct FlowTable {
@@ -194,11 +257,16 @@ pub struct FlowTable {
     /// monotonically, so this order equals (priority desc, id asc) — the
     /// key [`Self::rule_by_key`] binary-searches on.
     rules: Vec<Rule>,
+    /// Each rule's priority by id: with the sort key above, [`Self::get`]
+    /// in O(1 + log n). Kept in lockstep by every mutation.
+    priority_of: IdHashMap<RuleId, u16>,
     /// Trie index over `rules`, kept in lockstep by every mutation.
     classifier: TernaryClassifier,
     next_id: u64,
     /// See [`Self::fingerprint`]; kept in lockstep by every mutation.
     fp: u64,
+    /// See [`Self::changes_since`]; appended wherever `fp` moves.
+    log: ChangeLog,
 }
 
 impl FlowTable {
@@ -224,7 +292,8 @@ impl FlowTable {
 
     /// Finds a rule by id.
     pub fn get(&self, id: RuleId) -> Option<&Rule> {
-        self.rules.iter().find(|r| r.id == id)
+        let &priority = self.priority_of.get(&id)?;
+        Some(self.rule_by_key(priority, id))
     }
 
     /// Content fingerprint of the table: the wrapping sum of one well-mixed
@@ -243,6 +312,26 @@ impl FlowTable {
             let sig = Rule::signature(r.priority, &r.tern, &r.fwd);
             fp.wrapping_add(fingerprint_term(r.id, sig))
         })
+    }
+
+    /// Position in this table's change history: the number of
+    /// [`Self::fingerprint`] terms that have moved since it was created
+    /// (a clone carries the history; a [`Self::neighborhood`] starts its
+    /// own at 0).
+    pub fn version(&self) -> u64 {
+        self.log.version()
+    }
+
+    /// The ids whose fingerprint term moved since [`Self::version`] read
+    /// `version` — a rule added, removed, or modified in place, possibly
+    /// more than once and possibly back — or `None` when the table no
+    /// longer remembers that far (it keeps about `2·len + 64` ids) or never
+    /// reached `version`. Only a reader that last saw *this* table's history
+    /// at `version` learns the whole delta from it: a table cloned before
+    /// that point and edited since has a history of its own, which is why a
+    /// consumer checks the [`Self::fingerprint`] after applying these.
+    pub fn changes_since(&self, version: u64) -> Option<&[RuleId]> {
+        self.log.since(version)
     }
 
     /// Inserts a rule directly (ADD semantics without flags). Returns the
@@ -309,6 +398,7 @@ impl FlowTable {
         let fwd = Forwarding::compile(&fm.actions).map_err(TableError::BadActions)?;
         let tern = fm.match_.ternary();
         let mut result = ApplyResult::default();
+        let len = self.rules.len();
         for r in &mut self.rules {
             let hit = if strict {
                 r.priority == fm.priority && r.match_ == fm.match_
@@ -322,6 +412,7 @@ impl FlowTable {
                 r.cookie = fm.cookie;
                 r.sig = Rule::signature(r.priority, &r.tern, &r.fwd);
                 self.fp = self.fp.wrapping_add(r.fp_term());
+                self.log.push(r.id, len);
                 result.modified.push(r.id);
             }
         }
@@ -337,6 +428,7 @@ impl FlowTable {
         let mut result = ApplyResult::default();
         // Pre-pass: unindex the victims, then retain() in place so a no-op
         // delete allocates and moves nothing.
+        let len = self.rules.len();
         for r in &self.rules {
             let hit = if strict {
                 r.priority == fm.priority && r.match_ == fm.match_
@@ -345,7 +437,9 @@ impl FlowTable {
             };
             if hit {
                 self.classifier.remove(r.id, &r.tern);
+                self.priority_of.remove(&r.id);
                 self.fp = self.fp.wrapping_sub(r.fp_term());
+                self.log.push(r.id, len);
                 result.removed.push(r.id);
             }
         }
@@ -370,7 +464,9 @@ impl FlowTable {
         rule.id = RuleId(self.next_id);
         let id = rule.id;
         self.classifier.insert(rule.priority, rule.id, rule.tern);
+        self.priority_of.insert(id, rule.priority);
         self.fp = self.fp.wrapping_add(rule.fp_term());
+        self.log.push(id, self.rules.len() + 1);
         // First index with strictly lower priority: keeps insertion order
         // stable among equal priorities.
         let pos = self.rules.partition_point(|r| r.priority >= rule.priority);
@@ -382,18 +478,23 @@ impl FlowTable {
     fn remove_at(&mut self, pos: usize) -> Rule {
         let rule = self.rules.remove(pos);
         self.classifier.remove(rule.id, &rule.tern);
+        self.priority_of.remove(&rule.id);
         self.fp = self.fp.wrapping_sub(rule.fp_term());
+        self.log.push(rule.id, self.rules.len());
         rule
     }
 
-    /// Resolves a classifier answer back to its rule: binary search on the
-    /// (priority desc, id asc) sort key of the rule vector.
-    fn rule_by_key(&self, priority: u16, id: RuleId) -> &Rule {
-        let i = self
-            .rules
+    /// Position of an installed rule in the rule vector: binary search on
+    /// its (priority desc, id asc) sort key.
+    fn pos_by_key(&self, priority: u16, id: RuleId) -> usize {
+        self.rules
             .binary_search_by_key(&(Reverse(priority), id), |r| (Reverse(r.priority), r.id))
-            .expect("classifier entry must exist in the rule vector");
-        &self.rules[i]
+            .expect("indexed rule must exist in the rule vector")
+    }
+
+    /// Resolves a classifier (or id index) answer back to its rule.
+    fn rule_by_key(&self, priority: u16, id: RuleId) -> &Rule {
+        &self.rules[self.pos_by_key(priority, id)]
     }
 
     /// Inserts a rule from a raw bit-level ternary. OpenFlow 1.0 matches
@@ -425,8 +526,8 @@ impl FlowTable {
     /// Removes a rule by id (simulator fault injection uses this to model a
     /// rule silently vanishing from the data plane).
     pub fn remove_by_id(&mut self, id: RuleId) -> Option<Rule> {
-        let pos = self.rules.iter().position(|r| r.id == id)?;
-        Some(self.remove_at(pos))
+        let &priority = self.priority_of.get(&id)?;
+        Some(self.remove_at(self.pos_by_key(priority, id)))
     }
 
     /// Highest-priority rule matching `pkt` (ties: earliest installed).
@@ -504,7 +605,7 @@ impl FlowTable {
 
     /// The sub-table of rules overlapping `tern`, copied verbatim: same
     /// [`RuleId`]s, same order, `next_id` carried over, own classifier, own
-    /// fingerprint summed from the stored signatures.
+    /// fingerprint summed from the stored signatures, empty change history.
     ///
     /// Any rule that can match a header matching rule R overlaps R, so
     /// [`Self::lookup`], [`Self::lookup_excluding`] and [`Self::process`]
@@ -517,16 +618,21 @@ impl FlowTable {
     pub fn neighborhood(&self, tern: &Ternary) -> FlowTable {
         let rules: Vec<Rule> = self.overlapping(tern).into_iter().cloned().collect();
         let mut classifier = TernaryClassifier::new();
+        let mut priority_of = IdHashMap::default();
+        priority_of.reserve(rules.len());
         let mut fp = 0u64;
         for r in &rules {
             classifier.insert(r.priority, r.id, r.tern);
+            priority_of.insert(r.id, r.priority);
             fp = fp.wrapping_add(r.fp_term());
         }
         FlowTable {
             rules,
+            priority_of,
             classifier,
             next_id: self.next_id,
             fp,
+            log: ChangeLog::default(),
         }
     }
 

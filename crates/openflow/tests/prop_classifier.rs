@@ -2,7 +2,8 @@
 //! `lookup_excluding` and `overlapping` must be observationally identical
 //! to the retained linear-scan reference (`*_linear`) on randomized rule
 //! sets and under interleaved Add/Modify/Delete FlowMod sequences —
-//! including equal-priority arrival-order ties. `FlowTable::neighborhood`
+//! including equal-priority arrival-order ties — and so must the id index
+//! behind `FlowTable::get` to a linear find. `FlowTable::neighborhood`
 //! is held to the same reference: it is exactly `overlapping_linear` as a
 //! table, and answers every header inside the query like the full table.
 
@@ -35,6 +36,12 @@ fn probe_set(table: &FlowTable) -> Vec<HeaderVec> {
 fn assert_equivalent(table: &FlowTable) -> Result<(), TestCaseError> {
     let probes = probe_set(table);
     let ids: Vec<RuleId> = table.rules().iter().map(|r| r.id).collect();
+    // The id index against a linear find, over live and departed ids alike.
+    let top = ids.iter().map(|id| id.0).max().unwrap_or(0) + 2;
+    for id in (0..top).map(RuleId) {
+        let linear = table.rules().iter().find(|r| r.id == id);
+        prop_assert_eq!(table.get(id), linear, "get({}) diverges", id);
+    }
     for p in &probes {
         let trie = table.lookup(p).map(|r| r.id);
         let lin = table.lookup_linear(p).map(|r| r.id);
@@ -76,6 +83,10 @@ fn assert_neighborhood(table: &FlowTable, t: &Ternary) -> Result<(), TestCaseErr
     let nb = table.neighborhood(t);
     let lin: Vec<_> = table.overlapping_linear(t).into_iter().cloned().collect();
     prop_assert_eq!(nb.rules(), &lin[..], "neighborhood != overlap set");
+    for r in table.rules() {
+        let kept = lin.iter().find(|x| x.id == r.id);
+        prop_assert_eq!(nb.get(r.id), kept, "neighborhood get({})", r.id);
+    }
     // `next_id` carried over: the next rule gets the id the table would give.
     let fresh = Match::any().with_tp_src(4242);
     prop_assert_eq!(

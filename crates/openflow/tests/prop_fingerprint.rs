@@ -3,13 +3,18 @@
 //! re-hashed on read, so they are held here to a from-scratch recomputation
 //! (`fingerprint_from_scratch`, `Rule::signature`) after every step — and
 //! to what a content fingerprint is for: tables with the same rules agree,
-//! however they got there, and tables with different rules do not.
+//! however they got there, and tables with different rules do not. The
+//! change log beside the fingerprint (`version`, `changes_since`) is held to
+//! the same recomputation: it names every rule whose term moved.
 
 mod common;
 
 use common::{arb_actions, arb_flowmod, arb_match};
-use monocle_openflow::{Action, FlowMod, FlowTable, Forwarding, Match, Rule, RuleId, Ternary};
+use monocle_openflow::{
+    Action, FlowMod, FlowModCommand, FlowTable, Forwarding, Match, Rule, RuleId, Ternary,
+};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// What the fingerprint covers: which rules, and of each what probe
 /// generation reads (two action lists that forward alike are the same).
@@ -44,6 +49,40 @@ fn assert_maintained(table: &FlowTable) -> Result<(), TestCaseError> {
             nb.fingerprint() == table.fingerprint(),
             nb.len() == table.len()
         );
+    }
+    Ok(())
+}
+
+/// Each rule's fingerprint term, as (id, signature).
+fn terms(table: &FlowTable) -> BTreeMap<RuleId, u64> {
+    table.rules().iter().map(|r| (r.id, r.sig())).collect()
+}
+
+/// Records the table's present `(version, terms)` in `seen`, then: for
+/// every one seen that the table still remembers, `changes_since` is the
+/// last `version() - version` changes and names every id whose term
+/// differs between then and now; a clone remembers the same.
+fn step(
+    table: &FlowTable,
+    seen: &mut Vec<(u64, BTreeMap<RuleId, u64>)>,
+) -> Result<(), TestCaseError> {
+    seen.push((table.version(), terms(table)));
+    let v = table.version();
+    prop_assert_eq!(table.changes_since(v), Some(&[][..]));
+    prop_assert_eq!(table.changes_since(v + 1), None);
+    let now = terms(table);
+    let copy = table.clone();
+    for (then_v, then) in seen.iter() {
+        prop_assert_eq!(copy.changes_since(*then_v), table.changes_since(*then_v));
+        let Some(ids) = table.changes_since(*then_v) else {
+            continue;
+        };
+        prop_assert_eq!(ids.len() as u64, v - then_v);
+        for id in then.keys().chain(now.keys()) {
+            if then.get(id) != now.get(id) {
+                prop_assert!(ids.contains(id), "{} moved since {} unlogged", id, then_v);
+            }
+        }
     }
     Ok(())
 }
@@ -138,5 +177,65 @@ proptest! {
             round_trip.apply(&back).unwrap();
         }
         prop_assert_eq!(round_trip.fingerprint(), there);
+    }
+
+    /// The change log through every mutation path — `add_rule` (ADD-replace
+    /// included), `add_rule_ternary`, `apply` of every command, an in-place
+    /// non-strict MODIFY of every rule, `do_delete`'s pre-pass under a
+    /// non-strict DELETE, `remove_by_id` — and past its bound, after which
+    /// every version from before the overflow is answered `None`.
+    #[test]
+    fn change_log_names_every_rule_whose_term_moved(
+        seed_rules in prop::collection::vec((0u16..4, arb_match(), arb_actions()), 1..12),
+        mods in prop::collection::vec(arb_flowmod(), 0..20),
+        removals in prop::collection::vec(0usize..64, 0..4)
+    ) {
+        let mut t = FlowTable::new();
+        let mut seen = vec![(t.version(), terms(&t))];
+        for (i, (prio, m, a)) in seed_rules.into_iter().enumerate() {
+            if i % 3 == 0 {
+                t.add_rule_ternary(prio, m.ternary(), vec![Action::Output(1)]);
+            } else {
+                let _ = t.add_rule(prio, m, a);
+            }
+            step(&t, &mut seen)?;
+        }
+        for fm in &mods {
+            let _ = t.apply(fm);
+            step(&t, &mut seen)?;
+        }
+        let loose = |command, match_, actions| FlowMod {
+            command,
+            ..FlowMod::modify_strict(0, match_, actions)
+        };
+        let res = t.apply(&loose(FlowModCommand::Modify, Match::any(), vec![Action::Output(7)])).unwrap();
+        prop_assert_eq!(res.modified.len() + res.added.len(), t.len().max(1));
+        step(&t, &mut seen)?;
+        if let Some(r) = t.rules().last().cloned() {
+            let res = t.apply(&loose(FlowModCommand::Delete, r.match_, vec![])).unwrap();
+            prop_assert!(res.removed.contains(&r.id));
+            step(&t, &mut seen)?;
+        }
+        for pick in removals {
+            if t.is_empty() {
+                break;
+            }
+            let id = t.rules()[pick % t.len()].id;
+            t.remove_by_id(id);
+            step(&t, &mut seen)?;
+        }
+        let Some(r) = t.rules().first().cloned() else {
+            return Ok(());
+        };
+        let away = FlowMod::modify_strict(r.priority, r.match_, vec![Action::Output(4242)]);
+        let back = FlowMod::modify_strict(r.priority, r.match_, r.actions.clone());
+        for _ in 0..t.len() + 33 {
+            t.apply(&away).unwrap();
+            t.apply(&back).unwrap();
+        }
+        for (v, _) in &seen {
+            prop_assert_eq!(t.changes_since(*v), None, "version {} survived", v);
+        }
+        step(&t, &mut seen)?;
     }
 }

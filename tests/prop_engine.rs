@@ -12,16 +12,17 @@
 //! Probe packets may legitimately differ where the engine's fast path or a
 //! plan kept from an earlier table answered (both are verified candidates),
 //! so there equivalence is semantic, not structural; a rule the engine
-//! sends to the solver gets the stateless answer itself. Half of the edits
-//! are applied *without* a `note_flowmod` delta notification to exercise
-//! the fingerprint-based invalidation safety net.
+//! sends to the solver gets the stateless answer itself. Nobody tells the
+//! engine about an edit: it learns the delta from the table's change log,
+//! with the fingerprint as the safety net.
 //!
 //! Soundness alone would let the engine throw everything away on every
 //! edit, so a second property pins the eviction set itself: what
-//! `take_evicted` reports after an edit is exactly the plans whose probe
-//! header lies in a changed rule's footprint plus the failures whose rule
-//! overlaps one — no more (the cost of an update follows the change), no
-//! less.
+//! `take_evicted` reports after some edits is exactly the plans whose probe
+//! header lies in a footprint of a rule that differs from the last sync
+//! plus the failures whose rule overlaps one — no more (the cost of an
+//! update follows the change), no less — whether the log covers the edits,
+//! has overflowed, or belongs to a diverged copy of the table.
 
 //! The same equivalence bar applies to the sharded
 //! [`monocle::pool::EnginePool`]: pool(N) answers must match the serial
@@ -88,21 +89,19 @@ fn arb_actions() -> impl Strategy<Value = Vec<Action>> {
 }
 
 /// One edit of the FlowMod sequence. Delete/Modify address an existing rule
-/// by index (modulo the live table size at application time); `notify` says
-/// whether the engine gets the delta hint or must rely on its fingerprint.
+/// by index (modulo the live table size at application time).
 #[derive(Debug, Clone)]
 enum Edit {
-    Add(u16, Match, Vec<Action>, bool),
-    Delete(usize, bool),
-    Modify(usize, Vec<Action>, bool),
+    Add(u16, Match, Vec<Action>),
+    Delete(usize),
+    Modify(usize, Vec<Action>),
 }
 
 fn arb_edit() -> impl Strategy<Value = Edit> {
     prop_oneof![
-        (1u16..8, arb_match(), arb_actions(), any::<bool>())
-            .prop_map(|(p, m, a, n)| Edit::Add(p, m, a, n)),
-        (any::<usize>(), any::<bool>()).prop_map(|(i, n)| Edit::Delete(i, n)),
-        (any::<usize>(), arb_actions(), any::<bool>()).prop_map(|(i, a, n)| Edit::Modify(i, a, n)),
+        (1u16..8, arb_match(), arb_actions()).prop_map(|(p, m, a)| Edit::Add(p, m, a)),
+        any::<usize>().prop_map(Edit::Delete),
+        (any::<usize>(), arb_actions()).prop_map(|(i, a)| Edit::Modify(i, a)),
     ]
 }
 
@@ -122,22 +121,22 @@ fn arb_table_of(rules: std::ops::Range<usize>) -> impl Strategy<Value = FlowTabl
 
 /// Turns an [`Edit`] into a concrete FlowMod against the current table, or
 /// `None` when it has no target (empty table).
-fn to_flowmod(edit: &Edit, table: &FlowTable) -> Option<(FlowMod, bool)> {
+fn to_flowmod(edit: &Edit, table: &FlowTable) -> Option<FlowMod> {
     match edit {
-        Edit::Add(p, m, a, n) => Some((FlowMod::add(*p, *m, a.clone()), *n)),
-        Edit::Delete(i, n) => {
+        Edit::Add(p, m, a) => Some(FlowMod::add(*p, *m, a.clone())),
+        Edit::Delete(i) => {
             if table.is_empty() {
                 return None;
             }
             let r = &table.rules()[i % table.len()];
-            Some((FlowMod::delete_strict(r.priority, r.match_), *n))
+            Some(FlowMod::delete_strict(r.priority, r.match_))
         }
-        Edit::Modify(i, a, n) => {
+        Edit::Modify(i, a) => {
             if table.is_empty() {
                 return None;
             }
             let r = &table.rules()[i % table.len()];
-            Some((FlowMod::modify_strict(r.priority, r.match_, a.clone()), *n))
+            Some(FlowMod::modify_strict(r.priority, r.match_, a.clone()))
         }
     }
 }
@@ -153,34 +152,52 @@ enum Churn {
     ModifyLoose(Match, Vec<Action>),
 }
 
-/// How the engine hears of an edit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Told {
-    Applied,
-    FlowMod,
-    Nothing,
-}
-
-fn arb_churn() -> impl Strategy<Value = (Churn, Told)> {
-    let churn = prop_oneof![
+fn arb_churn() -> impl Strategy<Value = Churn> {
+    prop_oneof![
         3 => arb_edit().prop_map(Churn::Strict),
         1 => (any::<usize>(), arb_actions()).prop_map(|(i, a)| Churn::AddReplace(i, a)),
         1 => (1u16..8, arb_match(), arb_actions()).prop_map(|(p, m, a)| Churn::ModifyAsAdd(p, m, a)),
         1 => arb_match().prop_map(Churn::DeleteLoose),
         1 => (arb_match(), arb_actions()).prop_map(|(m, a)| Churn::ModifyLoose(m, a)),
-    ];
-    let told = prop_oneof![
-        Just(Told::Applied),
-        Just(Told::FlowMod),
-        Just(Told::Nothing)
-    ];
-    (churn, told)
+    ]
+}
+
+/// What happens to the table between two synchronizations of the engine.
+#[derive(Debug, Clone)]
+enum Between {
+    /// Some FlowMods on the table the engine read last.
+    Edits(Vec<Churn>),
+    /// Rule `i` modified away and back more often than the table's change
+    /// log keeps ids, then some FlowMods: the log no longer reaches back to
+    /// the last sync.
+    Overflow(usize, Vec<Churn>),
+    /// The FlowMods land on the table as of the sync *before* the last, and
+    /// the engine reads that copy from now on: the same lineage of ids, a
+    /// history of its own.
+    Diverge(Vec<Churn>),
+}
+
+fn arb_between() -> impl Strategy<Value = Between> {
+    let edits = || prop::collection::vec(arb_churn(), 1..4);
+    prop_oneof![
+        4 => edits().prop_map(Between::Edits),
+        1 => (any::<usize>(), edits()).prop_map(|(i, e)| Between::Overflow(i, e)),
+        1 => edits().prop_map(Between::Diverge),
+    ]
+}
+
+fn apply_churn(table: &mut FlowTable, churn: &[Churn]) {
+    for c in churn {
+        if let Some(fm) = churn_flowmod(c, table) {
+            let _ = table.apply(&fm);
+        }
+    }
 }
 
 fn churn_flowmod(churn: &Churn, table: &FlowTable) -> Option<FlowMod> {
     let with = |command, fm| FlowMod { command, ..fm };
     match churn {
-        Churn::Strict(edit) => to_flowmod(edit, table).map(|(fm, _)| fm),
+        Churn::Strict(edit) => to_flowmod(edit, table),
         Churn::AddReplace(i, a) => {
             let r = table.rules().get(i % table.len().max(1))?;
             Some(FlowMod::add(r.priority, r.match_, a.clone()))
@@ -389,50 +406,59 @@ proptest! {
         let mut engine = ProbeEngine::default();
         assert_equivalent(&mut engine, &table, &catch, &gen, "initial")?;
         for (step, edit) in edits.iter().enumerate() {
-            let Some((fm, notify)) = to_flowmod(edit, &table) else {
+            let Some(fm) = to_flowmod(edit, &table) else {
                 continue;
             };
-            if notify {
-                engine.note_flowmod(&fm);
-            }
             let _ = table.apply(&fm);
             let ctx = format!("after edit {step}: {edit:?}");
             assert_equivalent(&mut engine, &table, &catch, &gen, &ctx)?;
         }
     }
 
-    /// The other half: nothing is evicted that the edit cannot have
-    /// reached, and everything that it can is. Computed from the results
-    /// the engine handed out before the edit and the two tables alone.
+    /// The other half: nothing is evicted that the edits since the last
+    /// sync cannot have reached, and everything that they can is. Computed
+    /// from the results the engine handed out at that sync and the two
+    /// tables alone. A log that covers the edits never falls back to the
+    /// full diff; an overflowed one does whenever the table changed.
     #[test]
     fn evictions_are_exactly_what_the_change_reaches(
         table in arb_table(),
-        churn in prop::collection::vec(arb_churn(), 1..8),
+        steps in prop::collection::vec(arb_between(), 1..6),
     ) {
         let catch = CatchSpec::default();
         let gen = GeneratorConfig::default();
         let mut table = table;
         let mut engine = ProbeEngine::default();
         assert_equivalent(&mut engine, &table, &catch, &gen, "initial")?;
-        for (step, (churn, told)) in churn.iter().enumerate() {
-            let Some(fm) = churn_flowmod(churn, &table) else {
-                continue;
-            };
+        let mut earlier = table.clone();
+        for (step, between) in steps.iter().enumerate() {
             let held: Vec<_> = table
                 .rules()
                 .iter()
                 .map(|r| (r.id, r.tern, engine.generate(&table, r.id, &catch)))
                 .collect();
             let before = table.clone();
-            let mut changed = Vec::new();
-            if *told == Told::FlowMod {
-                engine.note_flowmod(&fm);
-                changed.push(fm.match_.ternary());
+            match between {
+                Between::Edits(churn) => apply_churn(&mut table, churn),
+                Between::Overflow(i, churn) => {
+                    if let Some(r) = table.rules().get(i % table.len().max(1)).cloned() {
+                        let away = FlowMod::modify_strict(r.priority, r.match_, vec![Action::Output(9)]);
+                        let back = FlowMod::modify_strict(r.priority, r.match_, r.actions);
+                        for _ in 0..table.len() + 33 {
+                            table.apply(&away).unwrap();
+                            table.apply(&back).unwrap();
+                        }
+                        prop_assert_eq!(table.changes_since(before.version()), None);
+                    }
+                    apply_churn(&mut table, churn);
+                }
+                Between::Diverge(churn) => {
+                    table = earlier.clone();
+                    apply_churn(&mut table, churn);
+                }
             }
-            if let (Ok(res), Told::Applied) = (table.apply(&fm), told) {
-                engine.note_applied(&res);
-            }
-            changed.extend(changed_footprints(&before, &table));
+            earlier = before.clone();
+            let changed = changed_footprints(&before, &table);
             let mut expected: Vec<RuleId> = held
                 .iter()
                 .filter(|(id, tern, result)| {
@@ -445,11 +471,18 @@ proptest! {
                 })
                 .map(|(id, ..)| *id)
                 .collect();
+            let fallbacks = engine.engine_stats().syncs_fallback;
             let mut evicted = engine.take_evicted(&table);
+            let fell_back = engine.engine_stats().syncs_fallback - fallbacks;
             expected.sort_unstable();
             evicted.sort_unstable();
-            let ctx = format!("after edit {step}: {churn:?}, {told:?}");
+            let ctx = format!("after step {step}: {between:?}");
             prop_assert_eq!(evicted, expected, "eviction set ({})", ctx);
+            if !matches!(between, Between::Diverge(_)) {
+                let covered = table.changes_since(before.version()).is_some();
+                let moved = table.fingerprint() != before.fingerprint();
+                prop_assert_eq!(fell_back, u64::from(!covered && moved), "fallback ({})", ctx);
+            }
             assert_equivalent(&mut engine, &table, &catch, &gen, &ctx)?;
         }
     }
@@ -527,7 +560,7 @@ proptest! {
         let mut reference = table;
         assert_pool_equivalent(&pool, &reference, "initial")?;
         for (step, edit) in edits.iter().enumerate() {
-            let Some((fm, _)) = to_flowmod(edit, &reference) else {
+            let Some(fm) = to_flowmod(edit, &reference) else {
                 continue;
             };
             let _ = reference.apply(&fm);
@@ -548,7 +581,7 @@ proptest! {
         let mut engine = ProbeEngine::default();
         assert_neighborhood_equivalent(&mut engine, &table, "initial")?;
         for (step, edit) in edits.iter().enumerate() {
-            let Some((fm, _)) = to_flowmod(edit, &table) else {
+            let Some(fm) = to_flowmod(edit, &table) else {
                 continue;
             };
             let _ = table.apply(&fm);
