@@ -11,6 +11,12 @@ cargo build --release --workspace --all-targets
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== deeper property pass: engine eviction and the Hidden oracle =="
+# Tier-1 runs these properties at 40-128 cases; the eviction predicate and
+# the header-space oracle for Hidden get a thousand here (a few seconds in
+# release).
+PROPTEST_CASES=1000 cargo test --release -q --test prop_engine --test prop_probe
+
 echo "== rustfmt =="
 cargo fmt --check
 

@@ -40,8 +40,14 @@
 //! rule, reading the stored signatures ([`EngineStats::syncs_fallback`]
 //! counts these). The log only makes the diff cheap; the fingerprint decides
 //! when it is complete. Either way the diff identifies exactly the
-//! added/removed/modified rules, and their old and new ternaries are the
-//! *changed footprints* the cache is held against.
+//! added/removed/modified rules, and their old and new sides — id, ternary,
+//! priority — are the *changed footprints* the cache is held against. A
+//! footprint is *removed* when its rule no longer covers that ternary at
+//! that priority: the rule left, or this is the old side of a modify that
+//! moved its match or priority. An action-only modify removes nothing, and a
+//! removed cover that a rule changed in the same synchronization puts back —
+//! the same ternary at the same priority, as an ADD that replaces its entry
+//! or a delete and a re-add leave it — is no loss.
 //!
 //! One invariant holds after every synchronization: **every cached `Ok`
 //! plan verifies on the synced table with the outcomes it promises, and
@@ -59,13 +65,24 @@
 //!   itself always does. Rules that overlap the probed *rule* elsewhere may
 //!   change which probe fresh generation would pick, never the validity of
 //!   the cached one.
-//! * A failure (Hidden, Indistinguishable, …) is an UNSAT or shadow result:
-//!   there is no witness point, it depends on the probed rule's whole
-//!   overlap neighborhood, and it is dropped when a footprint overlaps the
-//!   rule at all.
+//! * `Hidden` is a certificate: Hit + Collect is UNSAT, i.e. the rule minus
+//!   the union of the rules of priority ≥ its own that overlap it is empty
+//!   under the catch pins (§3.5). Adding a rule, of any priority, can only
+//!   add avoid clauses; an action change adds none; a lower rule is not in
+//!   Hit at all. Only a covering rule that leaves or moves can un-hide the
+//!   rule, so the entry is dropped when a footprint carries its own id, or
+//!   is removed, of priority ≥ its own, overlaps it and is not put back by
+//!   the same change. (This assumes the solver finishes; a budget-exhausted
+//!   solve is `SolverBudget`, which is not a certificate.)
+//! * Every other failure (Indistinguishable, SolverBudget, …) has no
+//!   witness point and no certificate: it depends on the probed rule's
+//!   whole overlap neighborhood — an `Indistinguishable` becomes `Hidden`
+//!   when a higher rule arrives — and is dropped when a footprint overlaps
+//!   the rule at all.
 //!
 //! [`EngineStats::plans_kept`] counts the plans the first rule saves: their
-//! rule overlapped a footprint, their header lay outside it.
+//! rule overlapped a footprint, their header lay outside it;
+//! [`EngineStats::hidden_kept`] the `Hidden` entries the second one does.
 //!
 //! Every eviction records the rule id it dropped; a consumer that keeps
 //! plans of its own (the proxy's steady cycle) drains them with
@@ -92,13 +109,17 @@ pub struct EngineConfig {
     pub gen: GeneratorConfig,
 }
 
-/// One cached generation result with the footprint a change must touch to
-/// invalidate it: a plan's is its own `header`, a failure's — no witness
-/// point to go by — the probed rule's ternary, kept here so that no table is
-/// consulted (and, for plans, so that the survivors can be counted).
+/// One cached generation result with what a change must touch to invalidate
+/// it: a plan's footprint is its own `header`; a `Hidden` certificate's is a
+/// removed rule of priority ≥ `priority` overlapping `tern`, or the rule
+/// itself; any other failure's — no witness point to go by — anything
+/// overlapping the probed rule's ternary. The probed rule's ternary and
+/// priority are kept here so that no table is consulted (and so that the
+/// survivors can be counted).
 #[derive(Debug, Clone)]
 struct CacheEntry {
     tern: Ternary,
+    priority: u16,
     result: Result<ProbePlan, ProbeError>,
 }
 
@@ -106,7 +127,20 @@ struct CacheEntry {
 #[derive(Debug, Clone, Copy)]
 struct RuleSnap {
     tern: Ternary,
+    priority: u16,
     sig: u64,
+}
+
+/// One side of a rule that differs between two synchronizations (module
+/// docs, "Fingerprints and invalidation").
+#[derive(Debug, Clone, Copy)]
+struct Footprint {
+    id: RuleId,
+    tern: Ternary,
+    priority: u16,
+    /// This rule no longer covers `tern` at `priority`: it left the table,
+    /// or this is the old side of a modify that moved its match or priority.
+    removed: bool,
 }
 
 /// Engine-level lifecycle counters (plan-cache and invalidation behavior);
@@ -132,6 +166,11 @@ pub struct EngineStats {
     /// Cached plans whose rule overlapped a changed footprint and that
     /// survived because their probe header lies outside it.
     pub plans_kept: u64,
+    /// Cached `Hidden` verdicts whose rule overlapped a changed footprint
+    /// and that survived on their certificate: the rule itself did not
+    /// change, and no rule of priority ≥ its own that overlapped it left or
+    /// moved without the same cover being put back.
+    pub hidden_kept: u64,
 }
 
 /// Stateful, cache-aware probe generator for one switch's flow table.
@@ -357,18 +396,20 @@ impl ProbeEngine {
         };
         let result = self.generate_uncached(table, probed, catch, st);
         // Cacheability: a plan stays valid while the rules matching its
-        // header do, and the Hidden/Indistinguishable/CatchConflict/
-        // RewritesReserved/SolverBudget errors are fully determined by the
-        // rule's overlap neighborhood + pins, so `evict_changed` keeps both
-        // exact. RepairFailed is the one outcome that also depends on
-        // *disjoint* rules (spare-value / domain selection scans the whole
-        // table), so caching it could pin a stale failure — regenerate it
-        // every time instead (it is rare by construction).
+        // header do, Hidden while its cover does, and the Indistinguishable/
+        // CatchConflict/RewritesReserved/SolverBudget errors are fully
+        // determined by the rule's overlap neighborhood + pins, so
+        // `evict_changed` keeps all three exact. RepairFailed is the one
+        // outcome that also depends on *disjoint* rules (spare-value /
+        // domain selection scans the whole table), so caching it could pin
+        // a stale failure — regenerate it every time instead (it is rare by
+        // construction).
         if !matches!(result, Err(ProbeError::RepairFailed)) {
             self.plan_cache.insert(
                 (id, catch_k),
                 CacheEntry {
                     tern: probed.tern,
+                    priority: probed.priority,
                     result: result.clone(),
                 },
             );
@@ -461,7 +502,7 @@ impl ProbeEngine {
             self.table_version = table.version();
             return;
         }
-        let mut changed: Vec<Ternary> = Vec::new();
+        let mut changed: Vec<Footprint> = Vec::new();
         if self.synced {
             self.engine_stats.syncs_delta += 1;
             for &id in table.changes_since(self.table_version).unwrap_or_default() {
@@ -506,11 +547,13 @@ impl ProbeEngine {
     /// Brings the snapshot entry of rule `id` (and the snapshot's
     /// fingerprint) up to `new`, the rule as the table has it now. If it
     /// differs, both its footprints — a modified rule has two, an added or
-    /// removed one its only one — join the `changed` neighborhood. An
-    /// unchanged rule costs one lookup.
-    fn resnap(&mut self, id: RuleId, new: Option<&Rule>, changed: &mut Vec<Ternary>) {
+    /// removed one its only one — join the `changed` neighborhood, the old
+    /// side marked removed unless the rule still has its match and priority.
+    /// An unchanged rule costs one lookup.
+    fn resnap(&mut self, id: RuleId, new: Option<&Rule>, changed: &mut Vec<Footprint>) {
         let snap = new.map(|r| RuleSnap {
             tern: r.tern,
+            priority: r.priority,
             sig: r.sig(),
         });
         if self.snapshot.get(&id).map(|o| o.sig) == snap.map(|s| s.sig) {
@@ -522,30 +565,59 @@ impl ProbeEngine {
         };
         if let Some(o) = old {
             self.table_fp = self.table_fp.wrapping_sub(fingerprint_term(id, o.sig));
-            changed.push(o.tern);
+            changed.push(Footprint {
+                id,
+                tern: o.tern,
+                priority: o.priority,
+                removed: snap.is_none_or(|s| (s.tern, s.priority) != (o.tern, o.priority)),
+            });
         }
         if let Some(s) = snap {
             self.table_fp = self.table_fp.wrapping_add(fingerprint_term(id, s.sig));
-            changed.push(s.tern);
+            changed.push(Footprint {
+                id,
+                tern: s.tern,
+                priority: s.priority,
+                removed: false,
+            });
         }
     }
 
-    /// Evicts, recording the rule ids, what a change inside `terns` can
-    /// invalidate (module docs, "Fingerprints and invalidation"): a plan
-    /// when a footprint contains its header, a failure when one overlaps
-    /// its rule.
-    fn evict_changed(&mut self, terns: &[Ternary]) {
+    /// Evicts, recording the rule ids, what a change described by
+    /// `footprints` can invalidate (module docs, "Fingerprints and
+    /// invalidation"): a plan when a footprint contains its header, a
+    /// `Hidden` when a footprint is the rule itself or a removed cover of
+    /// it that no changed rule puts back, any other failure when a
+    /// footprint overlaps its rule.
+    fn evict_changed(&mut self, footprints: &[Footprint]) {
         let (evicted, stats) = (&mut self.evicted, &mut self.engine_stats);
+        // A removed cover is lost unless a side not removed — a rule the
+        // table has now — has the same priority and ternary.
+        let lost = |f: &Footprint| {
+            !footprints
+                .iter()
+                .any(|g| !g.removed && g.priority == f.priority && g.tern == f.tern)
+        };
         self.plan_cache.retain(|(id, _), e| {
-            if !terns.iter().any(|t| t.overlaps(&e.tern)) {
+            if !footprints.iter().any(|f| f.tern.overlaps(&e.tern)) {
                 return true;
             }
             let keep = match &e.result {
-                Ok(plan) => !terns.iter().any(|t| t.matches(&plan.header)),
+                Ok(plan) => !footprints.iter().any(|f| f.tern.matches(&plan.header)),
+                Err(ProbeError::Hidden) => !footprints.iter().any(|f| {
+                    f.id == *id
+                        || (f.removed
+                            && f.priority >= e.priority
+                            && f.tern.overlaps(&e.tern)
+                            && lost(f))
+                }),
                 Err(_) => false,
             };
             if keep {
-                stats.plans_kept += 1;
+                match e.result {
+                    Ok(_) => stats.plans_kept += 1,
+                    Err(_) => stats.hidden_kept += 1,
+                }
             } else {
                 stats.plans_invalidated += 1;
                 evicted.insert(*id);
@@ -805,6 +877,89 @@ mod tests {
         assert_eq!(st.cache_misses, 1);
         let plan = plan.expect("no longer hidden");
         assert!(crate::plan::verify_probe(&t, ids[1], &plan.header, &[]).is_some());
+    }
+
+    /// A covered rule under its cover, over the default route: the Hidden
+    /// entry under test is `ids[1]`.
+    fn hidden_under_cover() -> (Match, FlowTable) {
+        let src = Match::any().with_nw_src([10, 0, 0, 1], 32);
+        let t = table_from(vec![
+            (20, src, vec![Action::Output(1)]),
+            (10, src.with_nw_proto(6), vec![Action::Output(3)]),
+            (1, Match::any(), vec![Action::Output(2)]),
+        ]);
+        (src, t)
+    }
+
+    /// `id`'s cached answer is served again: one hit, no miss.
+    fn assert_served_from_cache(eng: &mut ProbeEngine, t: &FlowTable, id: RuleId) {
+        let (res, st) = eng.generate_with_stats(t, id, &CatchSpec::default());
+        assert_eq!(res, Err(ProbeError::Hidden));
+        assert_eq!((st.cache_hits, st.cache_misses), (1, 0));
+    }
+
+    #[test]
+    fn a_hidden_verdict_outlives_changes_that_keep_its_cover() {
+        let (src, mut t) = hidden_under_cover();
+        let (ids, mut eng, first) = plan_all(&t);
+        assert_eq!(first[1], Err(ProbeError::Hidden));
+        // A strict modify of the cover: its probe goes, the certificate and
+        // the default route's plan (probed outside the cover) stay.
+        t.apply(&FlowMod::modify_strict(20, src, vec![Action::Output(5)]))
+            .unwrap();
+        assert_eq!(eng.take_evicted(&t), vec![ids[0]]);
+        assert_eq!(eng.engine_stats().hidden_kept, 1);
+        assert_eq!(eng.engine_stats().plans_kept, 1);
+        assert_served_from_cache(&mut eng, &t, ids[1]);
+        // An ADD that replaces the cover, then a delete and a re-add of it
+        // between two syncs: a new id each time, the same cover throughout.
+        t.apply(&FlowMod::add(20, src, vec![Action::Output(6)]))
+            .unwrap();
+        assert!(eng.take_evicted(&t).is_empty(), "the old id is gone");
+        assert_served_from_cache(&mut eng, &t, ids[1]);
+        t.apply(&FlowMod::delete_strict(20, src)).unwrap();
+        t.apply(&FlowMod::add(20, src, vec![Action::Output(1)]))
+            .unwrap();
+        assert!(eng.take_evicted(&t).is_empty());
+        assert_served_from_cache(&mut eng, &t, ids[1]);
+        assert_eq!(eng.engine_stats().hidden_kept, 3);
+        assert_matches_stateless(&mut eng, &t);
+    }
+
+    #[test]
+    fn a_hidden_verdict_outlives_a_new_rule_over_it_and_a_lower_one_leaving() {
+        let (src, mut t) = hidden_under_cover();
+        let (ids, mut eng, _) = plan_all(&t);
+        // A second, higher cover only adds avoid clauses.
+        t.add_rule(30, src.with_nw_proto(6), vec![Action::Output(4)])
+            .unwrap();
+        assert!(!eng.take_evicted(&t).contains(&ids[1]));
+        assert_served_from_cache(&mut eng, &t, ids[1]);
+        // A lower rule is not in Hit at all: the default route leaving takes
+        // the plans probed through it, not the certificate.
+        t.remove_by_id(ids[2]).unwrap();
+        assert!(!eng.take_evicted(&t).contains(&ids[1]));
+        assert_served_from_cache(&mut eng, &t, ids[1]);
+        assert_eq!(eng.engine_stats().hidden_kept, 2);
+        assert_matches_stateless(&mut eng, &t);
+    }
+
+    #[test]
+    fn modifying_the_hidden_rule_itself_evicts_it() {
+        let (src, mut t) = hidden_under_cover();
+        let catch = CatchSpec::default();
+        let (ids, mut eng, _) = plan_all(&t);
+        t.apply(&FlowMod::modify_strict(
+            10,
+            src.with_nw_proto(6),
+            vec![Action::Output(7)],
+        ))
+        .unwrap();
+        assert_eq!(eng.take_evicted(&t), vec![ids[1]]);
+        assert_eq!(eng.engine_stats().hidden_kept, 0);
+        let (res, st) = eng.generate_with_stats(&t, ids[1], &catch);
+        assert_eq!(res, Err(ProbeError::Hidden));
+        assert_eq!(st.cache_misses, 1);
     }
 
     #[test]

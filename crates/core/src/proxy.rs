@@ -16,6 +16,7 @@ use crate::generator::{GenStats, GeneratorConfig, ProbeError};
 use crate::plan::ProbePlan;
 use crate::steady::{SteadyAction, SteadyConfig, SteadyMonitor};
 use monocle_openflow::flowmatch::packet_to_headervec;
+use monocle_openflow::table::IdHashMap;
 use monocle_openflow::{ActionProgram, FlowMod, Match, PortNo, RuleId};
 use monocle_packet::{PacketFields, ProbeMeta};
 use std::collections::HashSet;
@@ -113,6 +114,41 @@ pub enum ProxyOutput {
     },
 }
 
+/// The monitorable rules of one switch by what the steady refresh found for
+/// them ([`MonitorProxy::coverage`]): a probe, or one of the reasons
+/// [`ProbeError`] gives for there being none. The first two failure classes
+/// are the table's own (§3.5), the rest are the pins' or ours.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Coverage {
+    /// Rules with a verified probe plan.
+    pub verified: usize,
+    /// [`ProbeError::Hidden`]: covered by higher-priority rules.
+    pub hidden: usize,
+    /// [`ProbeError::Indistinguishable`]: hit-able, no observable difference.
+    pub indistinguishable: usize,
+    /// [`ProbeError::CatchConflict`].
+    pub catch_conflict: usize,
+    /// [`ProbeError::RewritesReserved`].
+    pub reserved: usize,
+    /// [`ProbeError::SolverBudget`].
+    pub budget: usize,
+    /// [`ProbeError::RepairFailed`].
+    pub repair: usize,
+}
+
+impl Coverage {
+    /// Every class summed: the monitorable rules.
+    pub fn total(&self) -> usize {
+        self.verified
+            + self.hidden
+            + self.indistinguishable
+            + self.catch_conflict
+            + self.reserved
+            + self.budget
+            + self.repair
+    }
+}
+
 /// The per-switch Monitor proxy.
 #[derive(Debug)]
 pub struct MonitorProxy {
@@ -131,8 +167,12 @@ pub struct MonitorProxy {
     /// Pending drop-postponed finalizations: token -> finalize FlowMod.
     pending_finalize: Vec<(u64, FlowMod)>,
     /// Rules for which steady-state probe generation failed (Table 2's
-    /// "probes not found" set), in table order.
-    pub unmonitorable: Vec<RuleId>,
+    /// "probes not found" set) with the reason it gave, in table order.
+    /// [`Self::coverage`] counts them by reason.
+    pub unmonitorable: Vec<(RuleId, ProbeError)>,
+    /// [`Self::unmonitorable`] by id, kept by every refresh: the last
+    /// failure of each monitorable rule the last refresh left without a plan.
+    failures: IdHashMap<RuleId, ProbeError>,
     /// Test oracle: refresh the steady plans the way every refresh once
     /// worked, one batch over the whole table.
     #[cfg(test)]
@@ -153,6 +193,7 @@ impl MonitorProxy {
             steady_removed: Vec::new(),
             pending_finalize: Vec::new(),
             unmonitorable: Vec::new(),
+            failures: IdHashMap::default(),
             #[cfg(test)]
             whole_table_oracle: false,
         }
@@ -222,7 +263,7 @@ impl MonitorProxy {
         self.steady_stale.extend(touched);
         for id in removed {
             self.steady_stale.remove(id);
-            if steady.has_plan(*id) || self.unmonitorable.contains(id) {
+            if steady.has_plan(*id) || self.failures.contains_key(id) {
                 self.steady_removed.push(*id);
             }
         }
@@ -376,14 +417,16 @@ impl MonitorProxy {
     /// table and returns (rules with a plan, monitorable rules): the
     /// production rules, not Monocle's own infrastructure (catching, filter
     /// and drop-tag bands — [`crate::pool::monitorable_ids`]). Those no probe
-    /// was found for are listed in [`Self::unmonitorable`]. Without steady
-    /// monitoring configured there are no plans to keep: (0, 0).
+    /// was found for are listed in [`Self::unmonitorable`] with the reason.
+    /// Without steady monitoring configured there are no plans to keep:
+    /// (0, 0).
     ///
     /// The work follows what changed since the last refresh, not the table:
     /// only the rules whose cached result the engine evicted (a changed rule
-    /// covers the plan's probe header, or overlaps a rule no probe was found
-    /// for), the rules added or modified, and the rules whose last failure
-    /// is never cached go through
+    /// covers the plan's probe header; a rule that hid this one left or
+    /// moved; or a changed rule overlaps a rule no probe was found for for
+    /// another reason), the rules added or modified, and the rules whose
+    /// last failure is never cached go through
     /// [`crate::engine::ProbeEngine::generate_batch`] again — in table
     /// order, as a sweep of the whole table would reach them — and their
     /// plans are patched into the cycle ([`SteadyMonitor::patch_plans`]).
@@ -421,15 +464,21 @@ impl MonitorProxy {
         // and those no probe was found for.
         let mut unplanned = std::mem::take(&mut self.steady_removed);
         let mut unmonitorable_moved = !unplanned.is_empty();
+        for id in &unplanned {
+            self.failures.remove(id);
+        }
         for (id, r) in affected.into_iter().zip(results) {
             match r {
-                Ok(plan) => plans.push(plan),
+                Ok(plan) => {
+                    unmonitorable_moved |= self.failures.remove(&id).is_some();
+                    plans.push(plan);
+                }
                 Err(e) => {
-                    unmonitorable_moved |= !self.unmonitorable.contains(&id);
-                    unplanned.push(id);
                     if e == ProbeError::RepairFailed {
                         self.steady_stale.insert(id);
                     }
+                    unplanned.push(id);
+                    unmonitorable_moved |= self.failures.insert(id, e.clone()) != Some(e);
                 }
             }
         }
@@ -438,12 +487,37 @@ impl MonitorProxy {
             // Monitorable rules either have a plan or are unmonitorable.
             let table = self.dynamic.expected().table();
             self.unmonitorable = crate::pool::monitorable(table)
-                .map(|r| r.id)
-                .filter(|&id| !steady.has_plan(id))
+                .filter_map(|r| Some((r.id, self.failures.get(&r.id)?.clone())))
                 .collect();
+            debug_assert_eq!(
+                steady.plans().len() + self.unmonitorable.len(),
+                crate::pool::monitorable(table).count()
+            );
         }
         let found = steady.plans().len();
         (found, found + self.unmonitorable.len())
+    }
+
+    /// How the monitorable rules split by what the last steady refresh
+    /// found for them: a probe, or the reason there is none. All zero
+    /// without steady monitoring.
+    pub fn coverage(&self) -> Coverage {
+        let mut c = Coverage {
+            verified: self.steady.as_ref().map_or(0, |s| s.plans().len()),
+            ..Coverage::default()
+        };
+        for (_, e) in &self.unmonitorable {
+            *match e {
+                ProbeError::Hidden => &mut c.hidden,
+                ProbeError::Indistinguishable => &mut c.indistinguishable,
+                ProbeError::CatchConflict(_) => &mut c.catch_conflict,
+                ProbeError::RewritesReserved(_) => &mut c.reserved,
+                ProbeError::SolverBudget => &mut c.budget,
+                ProbeError::RepairFailed => &mut c.repair,
+                ProbeError::NoSuchRule(_) => unreachable!("a failure of a rule in the table"),
+            } += 1;
+        }
+        c
     }
 
     fn map_dynamic(&mut self, now: u64, actions: Vec<DynAction>) -> Vec<ProxyOutput> {
@@ -765,7 +839,7 @@ mod tests {
             for (id, r) in ids.into_iter().zip(results) {
                 match r {
                     Ok(plan) => plans.push(plan),
-                    Err(_) => self.unmonitorable.push(id),
+                    Err(e) => self.unmonitorable.push((id, e)),
                 }
             }
             let found = plans.len();
@@ -1070,7 +1144,7 @@ mod tests {
             .rules()
             .iter()
             .find(|r| {
-                !p.unmonitorable.contains(&r.id)
+                p.steady.as_ref().unwrap().has_plan(r.id)
                     && (40..total / 2).contains(&table.overlapping(&r.tern).len())
             })
             .expect("a planned rule with 40 neighbours");
@@ -1083,11 +1157,16 @@ mod tests {
         let after = p.engine_lifecycle();
         let evicted = after.plans_invalidated - before.plans_invalidated;
         let kept = after.plans_kept - before.plans_kept;
+        let hidden_kept = after.hidden_kept - before.hidden_kept;
         assert!(
             evicted >= 1 && evicted * 4 < neighbourhood,
             "{evicted} evicted of {neighbourhood}"
         );
-        assert_eq!(evicted + kept, neighbourhood, "one scan, every neighbour");
+        assert_eq!(
+            evicted + kept + hidden_kept,
+            neighbourhood,
+            "one scan, every neighbour"
+        );
         assert!(lookups(&p) - looked_up <= evicted);
         assert_eq!(after.syncs_full, 1);
 

@@ -2,13 +2,15 @@
 //! nothing else. Public API only, so the golden script below runs unchanged
 //! on the commit its digest was taken from.
 
-use monocle::proxy::{MonitorProxy, ProbeInjection, ProxyConfig, ProxyOutput};
+use monocle::generator::{generate_probe, GeneratorConfig, ProbeError};
+use monocle::pool::monitorable_ids;
+use monocle::proxy::{Coverage, MonitorProxy, ProbeInjection, ProxyConfig, ProxyOutput};
 use monocle::steady::SteadyConfig;
 use monocle::CatchSpec;
 use monocle_datasets::acl::{generate, AclConfig};
 use monocle_datasets::RuleSpec;
 use monocle_openflow::flowmatch::{headervec_to_packet, packet_to_headervec};
-use monocle_openflow::{Action, FlowMod, FlowTable};
+use monocle_openflow::{Action, FlowMod, FlowTable, RuleId};
 use monocle_sched::SchedConfig;
 use std::collections::VecDeque;
 
@@ -183,7 +185,7 @@ fn output_stream_of_a_fixed_script_is_pinned() {
         }
         w.tick();
     }
-    let unmonitorable = w.proxy.unmonitorable.clone();
+    let unmonitorable: Vec<RuleId> = w.proxy.unmonitorable.iter().map(|(id, _)| *id).collect();
     w.fold(&unmonitorable);
     println!(
         "outputs {} confirmed {} failed {} unmonitorable {} digest {:#018x}",
@@ -243,7 +245,7 @@ fn refresh_after_one_modify_looks_up_the_affected_rules_only() {
         .rules()
         .iter()
         .find(|r| {
-            !proxy.unmonitorable.contains(&r.id)
+            proxy.unmonitorable.iter().all(|(id, _)| *id != r.id)
                 && (2..200).contains(&table.overlapping(&r.tern).len())
         })
         .expect("a rule with a small neighborhood");
@@ -274,4 +276,98 @@ fn refresh_after_one_modify_looks_up_the_affected_rules_only() {
     );
     assert_eq!(proxy.engine_lifecycle().syncs_full, 1);
     assert_eq!(proxy.engine_lifecycle().syncs_fallback, 0);
+}
+
+/// Every "not verified" carries its reason: on the Stanford-like table
+/// brought up by preinstall, `unmonitorable` lists exactly the monitorable
+/// rules stateless generation finds no probe for, each with the error it
+/// returns, and the coverage classes count them and sum to the monitorable
+/// total. The same holds after the rules hiding others are deleted,
+/// re-added and modified — the churn whose `Hidden` verdicts the engine
+/// keeps on their certificate.
+#[test]
+fn coverage_classes_are_the_stateless_verdicts_on_stanford_like_table() {
+    let rules = generate(&AclConfig::stanford_like());
+    let mut w = World::new();
+    for r in &rules {
+        let outputs = w.proxy.preinstall(r.priority, r.match_, r.actions.clone());
+        w.handle(outputs);
+    }
+    let refreshed = w.proxy.refresh_steady_plans();
+    let hidden = assert_coverage_is_stateless(&w.proxy, refreshed);
+    // A rule of higher priority covering each of the first hidden rules.
+    let table = w.proxy.expected();
+    let covers: Vec<_> = hidden
+        .iter()
+        .filter_map(|&id| {
+            let h = table.get(id)?;
+            table
+                .overlapping(&h.tern)
+                .into_iter()
+                .find(|c| c.priority > h.priority && c.tern.subsumes(&h.tern))
+                .cloned()
+        })
+        .take(4)
+        .collect();
+    assert_eq!(covers.len(), 4);
+    let kept = w.proxy.engine_lifecycle().hidden_kept;
+    let mut token = 0;
+    for c in &covers {
+        for fm in [
+            FlowMod::delete_strict(c.priority, c.match_),
+            FlowMod::add(c.priority, c.match_, c.actions.clone()),
+            FlowMod::modify_strict(c.priority, c.match_, vec![Action::Output(42)]),
+        ] {
+            // One update at a time, each confirmed before the next: none
+            // waits behind another it conflicts with.
+            token += 1;
+            w.flowmod(token, fm);
+            while w.proxy.in_flight() > 0 {
+                assert!(w.now < 10_000 * MS, "update {token} never confirmed");
+                w.tick();
+            }
+            let (found, total) = w.proxy.refresh_steady_plans();
+            let coverage = w.proxy.coverage();
+            assert_eq!((coverage.verified, coverage.total()), (found, total));
+        }
+    }
+    assert!(w.proxy.engine_lifecycle().hidden_kept > kept);
+    let refreshed = w.proxy.refresh_steady_plans();
+    assert_coverage_is_stateless(&w.proxy, refreshed);
+}
+
+/// Checks the refresh's `(found, total)`, `unmonitorable` and `coverage()`
+/// against stateless generation on every monitorable rule; returns the
+/// hidden ones.
+fn assert_coverage_is_stateless(
+    proxy: &MonitorProxy,
+    (found, total): (usize, usize),
+) -> Vec<RuleId> {
+    let (table, catch) = (proxy.expected(), proxy.catch_spec());
+    let mut expected = Vec::new();
+    for id in monitorable_ids(table) {
+        if let Err(e) = generate_probe(table, id, catch, &GeneratorConfig::default()) {
+            expected.push((id, e));
+        }
+    }
+    assert_eq!(proxy.unmonitorable, expected);
+    let coverage = proxy.coverage();
+    let class = |f: fn(&ProbeError) -> bool| expected.iter().filter(|(_, e)| f(e)).count();
+    assert_eq!(
+        coverage,
+        Coverage {
+            verified: found,
+            hidden: class(|e| *e == ProbeError::Hidden),
+            indistinguishable: class(|e| *e == ProbeError::Indistinguishable),
+            catch_conflict: class(|e| matches!(e, ProbeError::CatchConflict(_))),
+            reserved: class(|e| matches!(e, ProbeError::RewritesReserved(_))),
+            budget: class(|e| *e == ProbeError::SolverBudget),
+            repair: class(|e| *e == ProbeError::RepairFailed),
+        }
+    );
+    assert_eq!(coverage.total(), total);
+    assert_eq!(total, monitorable_ids(table).len());
+    assert!(coverage.hidden > 0 && coverage.indistinguishable > 0);
+    let hidden = expected.iter().filter(|(_, e)| *e == ProbeError::Hidden);
+    hidden.map(|(id, _)| *id).collect()
 }

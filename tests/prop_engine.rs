@@ -19,10 +19,12 @@
 //! Soundness alone would let the engine throw everything away on every
 //! edit, so a second property pins the eviction set itself: what
 //! `take_evicted` reports after some edits is exactly the plans whose probe
-//! header lies in a footprint of a rule that differs from the last sync
-//! plus the failures whose rule overlaps one — no more (the cost of an
-//! update follows the change), no less — whether the log covers the edits,
-//! has overflowed, or belongs to a diverged copy of the table.
+//! header lies in a footprint of a rule that differs from the last sync,
+//! the `Hidden` rules that differ themselves or lost a cover of priority ≥
+//! their own that overlapped them, plus the other failures whose rule
+//! overlaps a footprint — no more (the cost of an update follows the
+//! change), no less — whether the log covers the edits, has overflowed, or
+//! belongs to a diverged copy of the table.
 
 //! The same equivalence bar applies to the sharded
 //! [`monocle::pool::EnginePool`]: pool(N) answers must match the serial
@@ -211,21 +213,41 @@ fn churn_flowmod(churn: &Churn, table: &FlowTable) -> Option<FlowMod> {
     }
 }
 
-/// The footprints of the rules that differ between two tables, found the
-/// slow way: every id of either, compared by what probe generation reads.
-fn changed_footprints(before: &FlowTable, after: &FlowTable) -> Vec<Ternary> {
-    let mut out = Vec::new();
-    for old in before.rules() {
-        match after.get(old.id) {
-            Some(new)
-                if (new.priority, new.tern, &new.fwd) == (old.priority, old.tern, &old.fwd) => {}
-            Some(new) => out.extend([old.tern, new.tern]),
-            None => out.push(old.tern),
-        }
+/// Whether rule `id` reads differently to probe generation in `after` than
+/// in `before` (added, removed or modified), compared field by field.
+fn differs(before: &FlowTable, after: &FlowTable, id: RuleId) -> bool {
+    let content = |t: &FlowTable| t.get(id).map(|r| (r.priority, r.tern, r.fwd.clone()));
+    content(before) != content(after)
+}
+
+/// The rules that differ between two tables, found the slow way: every id
+/// of either. Returns their footprints (old and new ternaries) and the
+/// covers, (priority, ternary), that went: the old side of a rule that left
+/// or moved its match or priority, unless the new table has a rule that
+/// differs and puts the same cover back.
+fn changed_footprints(
+    before: &FlowTable,
+    after: &FlowTable,
+) -> (Vec<Ternary>, Vec<(u16, Ternary)>) {
+    let (mut footprints, mut gone, mut present) = (Vec::new(), Vec::new(), Vec::new());
+    for old in before
+        .rules()
+        .iter()
+        .filter(|r| differs(before, after, r.id))
+    {
+        footprints.push(old.tern);
+        gone.push((old.priority, old.tern));
     }
-    let added = after.rules().iter().filter(|r| before.get(r.id).is_none());
-    out.extend(added.map(|r| r.tern));
-    out
+    for new in after
+        .rules()
+        .iter()
+        .filter(|r| differs(before, after, r.id))
+    {
+        footprints.push(new.tern);
+        present.push((new.priority, new.tern));
+    }
+    gone.retain(|cover| !present.contains(cover));
+    (footprints, gone)
 }
 
 /// Engine answers for every rule must match fresh stateless generation.
@@ -435,7 +457,7 @@ proptest! {
             let held: Vec<_> = table
                 .rules()
                 .iter()
-                .map(|r| (r.id, r.tern, engine.generate(&table, r.id, &catch)))
+                .map(|r| (r.id, r.priority, r.tern, engine.generate(&table, r.id, &catch)))
                 .collect();
             let before = table.clone();
             match between {
@@ -458,13 +480,19 @@ proptest! {
                 }
             }
             earlier = before.clone();
-            let changed = changed_footprints(&before, &table);
+            let (changed, gone) = changed_footprints(&before, &table);
             let mut expected: Vec<RuleId> = held
                 .iter()
-                .filter(|(id, tern, result)| {
+                .filter(|(id, priority, tern, result)| {
                     table.get(*id).is_some()
                         && match result {
                             Ok(plan) => changed.iter().any(|t| t.matches(&plan.header)),
+                            // A certificate: it goes with the rule itself or
+                            // with a cover of it.
+                            Err(ProbeError::Hidden) => {
+                                differs(&before, &table, *id)
+                                    || gone.iter().any(|(p, t)| p >= priority && t.overlaps(tern))
+                            }
                             Err(ProbeError::RepairFailed) => false, // never cached
                             Err(_) => changed.iter().any(|t| t.overlaps(tern)),
                         }
@@ -610,15 +638,71 @@ proptest! {
     }
 }
 
-/// The same check at paper size: every rule of the Stanford-like ACL table
-/// (2755 + the default route; ~15 s in a debug build).
-#[test]
-fn neighborhood_plans_equivalent_on_stanford_like_table() {
+/// The Stanford-like ACL table: 2755 rules and the default route.
+fn stanford_like_table() -> FlowTable {
     use monocle_datasets::acl::{generate, AclConfig};
     let mut table = FlowTable::new();
     for r in generate(&AclConfig::stanford_like()) {
         table.add_rule(r.priority, r.match_, r.actions).unwrap();
     }
+    table
+}
+
+/// `Hidden` certificates at paper size: the rules covering a few hidden
+/// rules of the Stanford-like table are deleted, re-added, modified and
+/// replaced by an ADD, with a sync and a re-plan of the table after each.
+/// Verdicts survive on their certificate (`hidden_kept`), and the engine
+/// still answers every rule as stateless generation does.
+#[test]
+fn hidden_verdicts_survive_cover_churn_on_stanford_like_table() {
+    let catch = CatchSpec::default();
+    let mut table = stanford_like_table();
+    let mut engine = ProbeEngine::default();
+    let ids: Vec<RuleId> = table.rules().iter().map(|r| r.id).collect();
+    let first = engine.generate_batch(&table, &ids, &catch);
+    let covers: Vec<_> = table
+        .rules()
+        .iter()
+        .zip(&first)
+        .filter(|(_, res)| **res == Err(ProbeError::Hidden))
+        .filter_map(|(h, _)| {
+            table
+                .overlapping(&h.tern)
+                .into_iter()
+                .find(|c| c.priority > h.priority && c.tern.subsumes(&h.tern))
+                .cloned()
+        })
+        .take(4)
+        .collect();
+    assert_eq!(covers.len(), 4);
+    for c in &covers {
+        for fm in [
+            FlowMod::delete_strict(c.priority, c.match_),
+            FlowMod::add(c.priority, c.match_, c.actions.clone()),
+            FlowMod::modify_strict(c.priority, c.match_, vec![Action::Output(42)]),
+            FlowMod::add(c.priority, c.match_, c.actions.clone()),
+        ] {
+            table.apply(&fm).unwrap();
+            let ids: Vec<RuleId> = table.rules().iter().map(|r| r.id).collect();
+            engine.generate_batch(&table, &ids, &catch);
+        }
+    }
+    assert!(engine.engine_stats().hidden_kept > 0);
+    assert_equivalent(
+        &mut engine,
+        &table,
+        &catch,
+        &GeneratorConfig::default(),
+        "after cover churn",
+    )
+    .unwrap();
+}
+
+/// The same check at paper size: every rule of the Stanford-like ACL table
+/// (2755 + the default route; ~15 s in a debug build).
+#[test]
+fn neighborhood_plans_equivalent_on_stanford_like_table() {
+    let table = stanford_like_table();
     let mut engine = ProbeEngine::default();
     let (found, not_found) =
         assert_neighborhood_equivalent(&mut engine, &table, "stanford-like").unwrap();

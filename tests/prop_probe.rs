@@ -8,7 +8,7 @@ use monocle::encode::{CatchSpec, EncodingStyle};
 use monocle::generator::{generate_probe, GeneratorConfig, ProbeError};
 use monocle::plan::verify_probe;
 use monocle_openflow::flowmatch::packet_to_headervec;
-use monocle_openflow::{Action, FlowTable, Match};
+use monocle_openflow::{Action, FlowMod, FlowTable, Match, Rule, RuleId, Ternary};
 use monocle_packet::{craft_packet, parse_packet, validate_packet};
 use proptest::prelude::*;
 
@@ -61,6 +61,90 @@ fn arb_table() -> impl Strategy<Value = FlowTable> {
         }
         t
     })
+}
+
+// ---- A header-space oracle for `Hidden` that shares no code with the
+// encoder: ternaries as sets of header points, cut apart bit by bit. ----
+
+/// Is there a header both ternaries match? (They agree on every bit both
+/// care about.)
+fn intersects(a: &Ternary, b: &Ternary) -> bool {
+    a.care.and(&b.care).and(&a.value.xor(&b.value)).is_zero()
+}
+
+/// Does every header `inner` matches also match `outer`?
+fn contains(outer: &Ternary, inner: &Ternary) -> bool {
+    outer.care.and(&inner.care.not()).is_zero() && intersects(outer, inner)
+}
+
+/// `a` minus `b` as disjoint ternaries, HSA-style: split `a` on each bit
+/// `b` cares about and `a` does not. The half that disagrees with `b`
+/// there lies outside `b` and is kept; the other half is split further,
+/// and what is left of it at the end lies inside `b`.
+fn difference(a: Ternary, b: &Ternary) -> Vec<Ternary> {
+    if !intersects(&a, b) {
+        return vec![a];
+    }
+    let mut pieces = Vec::new();
+    let mut rest = a;
+    for bit in b.care.and(&a.care.not()).iter_ones() {
+        let mut outside = rest;
+        outside.care.set(bit, true);
+        outside.value.set(bit, !b.value.get(bit));
+        pieces.push(outside);
+        rest.care.set(bit, true);
+        rest.value.set(bit, b.value.get(bit));
+    }
+    pieces
+}
+
+/// Is `piece` inside the union of `covers`? Whatever one cover leaves of
+/// it must be inside the union of the others.
+fn covered(piece: Ternary, covers: &[Ternary]) -> bool {
+    let overlapping: Vec<Ternary> = covers
+        .iter()
+        .filter(|c| intersects(c, &piece))
+        .copied()
+        .collect();
+    if overlapping.iter().any(|c| contains(c, &piece)) {
+        return true;
+    }
+    let Some((first, others)) = overlapping.split_first() else {
+        return false;
+    };
+    difference(piece, first)
+        .into_iter()
+        .all(|rest| covered(rest, others))
+}
+
+/// The oracle's verdict: is nothing left of `rule` once every other rule of
+/// priority ≥ its own is taken away (§3.5, "completely hidden")?
+fn hidden_by_cover(table: &FlowTable, rule: &Rule) -> bool {
+    let covers: Vec<Ternary> = table
+        .rules()
+        .iter()
+        .filter(|r| r.id != rule.id && r.priority >= rule.priority)
+        .map(|r| r.tern)
+        .collect();
+    covered(rule.tern, &covers)
+}
+
+#[test]
+fn the_difference_oracle_cuts_exactly() {
+    let dst = |a: [u8; 4], plen| Match::any().with_nw_dst(a, plen).ternary();
+    let (wide, narrow) = (dst([10, 0, 0, 0], 16), dst([10, 0, 1, 0], 24));
+    let outside = difference(wide, &narrow);
+    assert_eq!(outside.len(), 8, "one piece per bit the /24 adds");
+    for (i, p) in outside.iter().enumerate() {
+        assert!(contains(&wide, p) && !intersects(p, &narrow));
+        assert!(outside[i + 1..].iter().all(|q| !intersects(p, q)));
+    }
+    assert!(difference(narrow, &wide).is_empty());
+    assert_eq!(difference(narrow, &dst([10, 1, 0, 0], 16)), vec![narrow]);
+    // Two halves of a /16 cover it; one half does not.
+    let halves = [dst([10, 0, 0, 0], 17), dst([10, 0, 128, 0], 17)];
+    assert!(covered(wide, &halves));
+    assert!(!covered(wide, &halves[..1]));
 }
 
 proptest! {
@@ -139,6 +223,55 @@ proptest! {
                             && r.priority == rule.priority
                             && r.tern.overlaps(&rule.tern)),
                     "generator said Hidden but the rule wins its own sample");
+            }
+        }
+    }
+
+    /// `Hidden` is exactly "the rule minus the union of the rules of
+    /// priority ≥ its own is empty", decided by the header-space oracle
+    /// above rather than by a solver.
+    #[test]
+    fn hidden_iff_the_higher_rules_leave_nothing_of_it(table in arb_table()) {
+        let cfg = GeneratorConfig::default();
+        for rule in table.rules() {
+            let hidden = generate_probe(&table, rule.id, &CatchSpec::default(), &cfg)
+                == Err(ProbeError::Hidden);
+            prop_assert_eq!(hidden, hidden_by_cover(&table, rule),
+                "generator and oracle disagree on {:?}", rule.match_);
+        }
+    }
+
+    /// The monotonicity the engine's `Hidden` certificates rest on: a rule
+    /// stateless generation calls Hidden stays Hidden after any rule is
+    /// added (an ADD that replaces an entry puts the same cover back) and
+    /// after any action-only modify, the hidden rule's own included.
+    #[test]
+    fn hidden_survives_additions_and_action_changes(
+        table in arb_table(),
+        edits in prop::collection::vec(
+            (any::<bool>(), 1u16..8, arb_match(), arb_actions(), any::<usize>()),
+            1..6,
+        ),
+    ) {
+        let (cfg, catch) = (GeneratorConfig::default(), CatchSpec::default());
+        let mut table = table;
+        let hidden: Vec<RuleId> = table
+            .rules()
+            .iter()
+            .filter(|r| generate_probe(&table, r.id, &catch, &cfg) == Err(ProbeError::Hidden))
+            .map(|r| r.id)
+            .collect();
+        for (add, priority, m, actions, i) in edits {
+            let fm = if add {
+                FlowMod::add(priority, m, actions)
+            } else {
+                let r = &table.rules()[i % table.len()];
+                FlowMod::modify_strict(r.priority, r.match_, actions)
+            };
+            table.apply(&fm).unwrap();
+            for &id in hidden.iter().filter(|&&id| table.get(id).is_some()) {
+                prop_assert_eq!(generate_probe(&table, id, &catch, &cfg), Err(ProbeError::Hidden),
+                    "after {:?}", fm);
             }
         }
     }
