@@ -17,6 +17,13 @@ echo "== deeper property pass: engine eviction and the Hidden oracle =="
 # release).
 PROPTEST_CASES=1000 cargo test --release -q --test prop_engine --test prop_probe
 
+echo "== deeper property pass: dynamic monitoring (replica mirror, drain, order) =="
+# Tier-1 runs these at 64 cases: a replica fed the monitor's planning steps
+# is the expected table and its plans verify, inline and deferred planning
+# emit the same actions and keep the script's order, and every update drains
+# verified, optimistic or alarmed.
+PROPTEST_CASES=1000 cargo test --release -q -p monocle --lib dynamic::tests::props
+
 echo "== rustfmt =="
 cargo fmt --check
 
@@ -72,7 +79,8 @@ echo "== perf baseline: flow-table lookup (trie vs linear) =="
 echo "== smoke: TCP transport loopback (small) =="
 # End-to-end smoke of the event-driven runtime: controller -> proxy -> 8
 # simulated switches over real loopback TCP, probe-verified confirmations,
-# planner-pool planning. The binary asserts zero alarms and no deadline.
+# switch-pinned planner threads. The binary asserts zero alarms and no
+# deadline.
 ./target/release/transport_loopback --small
 
 echo "== perf baseline: TCP transport loopback (full sweep) =="

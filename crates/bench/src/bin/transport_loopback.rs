@@ -3,7 +3,8 @@
 //!
 //! Each arm runs a full three-loop deployment ([`monocle_net::run_loopback`]):
 //! the controller pipelines FlowMods, the proxy intercepts each one, plans
-//! its probe on the EnginePool planner thread, injects it as a PacketOut,
+//! its probe on the planner thread its switch is pinned to (on a replica of
+//! the switch's expected table), injects it as a PacketOut,
 //! absorbs the returning PacketIn and acks with a BarrierReply carrying
 //! the original xid. Switches apply rules only after `--install-latency-us`,
 //! so a single update's confirmation is latency-bound; scaling the switch
@@ -167,8 +168,11 @@ fn main() {
         out.push_str(&format!("  \"pool_workers\": {pool_workers},\n"));
         out.push_str(
             "  \"notes\": \"end-to-end over real TCP on loopback: one proxy event loop, \
-             per-switch Monocle monitors in deferred-planning mode, probe planning on an \
-             EnginePool planner thread; confirmations are install-latency-bound so fm/s \
+             per-switch Monocle monitors in deferred-planning mode, probe planning on \
+             pool_workers planner threads, each switch pinned to one that keeps a replica \
+             of its expected table (switch-pinned threads replaced a work-stealing engine \
+             pool here; compare rows from before that change with care); confirmations are \
+             install-latency-bound so fm/s \
              scales with overlapping switch sessions, not CPU. The workload is disjoint /32 \
              rules on an otherwise empty table (at most updates_per_switch + 1 rules, every \
              overlap neighborhood = the rule and the default route), so this sweep never \

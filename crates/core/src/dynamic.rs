@@ -10,12 +10,14 @@
 //! * §4.1 — additions, strict deletions (probe confirms when the *absent*
 //!   outcome appears) and strict modifications (probe built on a synthetic
 //!   table: lower-priority rules removed, the old version re-inserted just
-//!   below, per the paper's construction) — each planned against the
-//!   probed rule's overlap neighborhood, never a copy of the table (see
-//!   [`PlanRequest`]);
+//!   below, per the paper's construction) — each planned by the switch's one
+//!   warm planner on the expected table itself, or on a replica of it
+//!   ([`crate::planner`]);
 //! * §4.2 — concurrent updates: probes for non-overlapping updates proceed
-//!   in parallel; an update overlapping any unconfirmed one is queued until
-//!   the conflict clears (the paper's implementation policy);
+//!   in parallel; an update overlapping one in flight is queued until the
+//!   conflict clears (the paper's implementation policy), and so is one
+//!   overlapping a queued update it does not commute with, so that no update
+//!   overtakes another whose result it would change;
 //! * transient-inconsistency tolerance: a probe observing the "old" state
 //!   does not raise an alarm, it just keeps probing (§4.1).
 
@@ -24,8 +26,10 @@ use crate::engine::ProbeEngine;
 use crate::expect::ExpectedTable;
 use crate::generator::{GeneratorConfig, ProbeError};
 use crate::plan::{ProbePlan, Verdict};
+use crate::planner::{self, PlanKind, Step};
 use monocle_openflow::table::ApplyResult;
 use monocle_openflow::{FlowMod, FlowModCommand, FlowTable, Rule, RuleId, TableError};
+use std::collections::VecDeque;
 
 /// Dynamic-monitor configuration.
 #[derive(Debug, Clone)]
@@ -81,14 +85,15 @@ pub enum DynAction {
     },
 }
 
-/// One probe-planning request: everything a planner needs to produce the
-/// [`ProbePlan`] that proves update `token`.
+/// A [`Step::Plan`] in the form a stateless planner takes: the table to plan
+/// on and the rule to probe in it, for update `token`
+/// ([`DynamicMonitor::take_plan_requests`]).
 ///
-/// Every monitorable update becomes exactly one of these, in inline and in
-/// deferred mode alike (see [`DynamicMonitor::set_deferred_planning`] for
-/// who plans it). `table` is not the switch's table but the **overlap
-/// neighborhood** of the probed rule ([`FlowTable::neighborhood`]), captured
-/// at the point §4.1 prescribes:
+/// This is the reference the one warm planner is tested against, and the
+/// form `benchmark/` drives the proxy with; the product plans on the
+/// expected table or a replica of it instead. `table` is not the switch's
+/// table but the **overlap neighborhood** of the probed rule
+/// ([`FlowTable::neighborhood`]) at the point of the stream §4.1 prescribes:
 ///
 /// * delete — the *pre-delta* neighborhood of the victim (it must still be
 ///   there to be probed for absence);
@@ -99,14 +104,13 @@ pub enum DynAction {
 ///
 /// That is enough because any rule that can match a header matching rule R
 /// overlaps R: lookups, the Hit constraint and Distinguish are the same on
-/// the neighborhood and on the full table for every candidate probe of R
-/// (the fact [`crate::engine`] already relies on for cache invalidation).
+/// the neighborhood and on the full table for every candidate probe of R.
 /// The whole-table reads left in generation — spare-value selection in
 /// header repair and domain constraints — choose *which* value is tried,
-/// never whether a verified plan is valid. So the work per update follows
-/// the size of the change, not the size of the table. Rule ids in `table`
-/// are the expected table's own, except in the modify construction, which
-/// renumbers (the monitor maps the plan back on attach).
+/// never whether a verified plan is valid. Rule ids in `table` are the
+/// expected table's own, except in the modify construction, which renumbers
+/// ([`DynamicMonitor::attach_plan`] points the plan back at the update's
+/// rule).
 #[derive(Debug, Clone)]
 pub struct PlanRequest {
     /// Update token the resulting plan belongs to.
@@ -117,17 +121,33 @@ pub struct PlanRequest {
     pub rule_id: RuleId,
 }
 
-/// An update forwarded to the switch whose [`PlanRequest`] has not been
-/// answered yet. Participates in §4.2 conflict queueing exactly like an
-/// actively probed update.
+/// Whether applying `a` and `b` in either order leaves the same rules in
+/// any table: two deletes (each removes what it hits, whatever the other
+/// did), or two commands that each touch one (priority, match) entry only —
+/// ADD, strict MODIFY, strict DELETE — naming different entries (an ADD
+/// asking for the overlap check excepted: whether it fails depends on the
+/// other).
+fn commute(a: &FlowMod, b: &FlowMod) -> bool {
+    use FlowModCommand::{Add, Delete, DeleteStrict, ModifyStrict};
+    let one_entry =
+        |f: &FlowMod| matches!(f.command, Add | ModifyStrict | DeleteStrict) && !f.check_overlap;
+    let deletes = |f: &FlowMod| matches!(f.command, Delete | DeleteStrict);
+    (deletes(a) && deletes(b))
+        || (one_entry(a) && one_entry(b) && (a.priority, a.match_) != (b.priority, b.match_))
+}
+
+/// An update forwarded to the switch whose plan has not been attached yet.
+/// Participates in §4.2 conflict queueing exactly like an actively probed
+/// update.
 #[derive(Debug)]
 struct AwaitingUpdate {
     token: u64,
     fm: FlowMod,
     confirm_on: Verdict,
-    /// Rewrite `plan.rule_id` to this after attach (§4.1 modify plans carry
-    /// the renumbered construction's id).
-    remap_rule_id: Option<RuleId>,
+    /// The expected table's rule the update is proven by; the attached
+    /// plan is pointed at it (a §4.1 modify plan carries the construction's
+    /// id).
+    rule_id: RuleId,
 }
 
 #[derive(Debug)]
@@ -149,26 +169,30 @@ struct ActiveUpdate {
     live_seqs: Vec<u32>,
 }
 
-/// The per-switch dynamic monitor. Owns the expected table, the
-/// [`ProbeEngine`] the proxy's steady-state sweeps of that table run
-/// through, and a second engine that only ever sees the small
-/// [`PlanRequest`] tables of inline planning (syncing the first one to
-/// those would throw its warm cache away on every update).
+/// The per-switch dynamic monitor. Owns the expected table and the one
+/// [`ProbeEngine`] that plans on it: the proxy's steady-state sweeps and, in
+/// inline mode, every update's probe.
 #[derive(Debug)]
 pub struct DynamicMonitor {
     cfg: DynamicConfig,
     expected: ExpectedTable,
     catch: CatchSpec,
     engine: ProbeEngine,
-    inline_planner: ProbeEngine,
     active: Vec<ActiveUpdate>,
-    queued: std::collections::VecDeque<(u64, FlowMod)>,
+    queued: VecDeque<(u64, FlowMod)>,
     next_seq: u32,
-    /// Deferred planning: hand [`PlanRequest`]s out instead of answering
-    /// them here.
+    /// Deferred planning: record [`Step`]s for an external planner instead
+    /// of planning here.
     deferred: bool,
     awaiting: Vec<AwaitingUpdate>,
-    pending_requests: Vec<PlanRequest>,
+    /// Deferred mode: the steps recorded since the last take.
+    steps: Vec<Step>,
+    /// Inline mode: plans made as their update started, not yet attached,
+    /// in request order.
+    planned: VecDeque<(u64, Option<ProbePlan>)>,
+    /// [`Self::take_plan_requests`]' replica of the expected table (table
+    /// only: it builds requests, it plans nothing).
+    request_replica: FlowTable,
     /// Rules added or modified by updates started since the last
     /// [`Self::take_touched_rules`].
     touched: Vec<RuleId>,
@@ -181,35 +205,42 @@ impl DynamicMonitor {
     /// pins + injection port).
     pub fn new(cfg: DynamicConfig, catch: CatchSpec) -> DynamicMonitor {
         let engine = ProbeEngine::with_gen(cfg.gen.clone());
-        let inline_planner = ProbeEngine::with_gen(cfg.gen.clone());
         DynamicMonitor {
             cfg,
             expected: ExpectedTable::new(),
             catch,
             engine,
-            inline_planner,
             active: Vec::new(),
-            queued: std::collections::VecDeque::new(),
+            queued: VecDeque::new(),
             next_seq: 0,
             deferred: false,
             awaiting: Vec::new(),
-            pending_requests: Vec::new(),
+            steps: Vec::new(),
+            planned: VecDeque::new(),
+            request_replica: FlowTable::new(),
             touched: Vec::new(),
             removed: Vec::new(),
         }
     }
 
-    /// Chooses who answers the [`PlanRequest`]s. Both modes build the same
-    /// requests and complete them through [`Self::attach_plan`]. Inline
-    /// (the default; the simulator/harness path): the monitor plans each
-    /// request itself, synchronously, before the call that produced it
-    /// returns. Deferred (the transport path): requests are handed out via
-    /// [`Self::take_plan_requests`] and an external planner — in practice an
-    /// [`crate::pool::EnginePool`] fed from the event loop, so generation
-    /// for N switches overlaps the switches' install latencies — attaches
-    /// the plans later.
+    /// Chooses who plans the updates' probes. Inline (the default; the
+    /// simulator/harness path): the monitor, on its own engine and expected
+    /// table, as each update starts. Deferred (the transport path): an
+    /// external planner that replays the monitor's [`Step`]s
+    /// ([`Self::take_plan_steps`]) on a [`crate::planner::Replica`] — in
+    /// practice a planner thread per group of switches, so generation
+    /// overlaps the switches' install latencies — and attaches the plans
+    /// later ([`Self::attach_plan`]). Turning it on starts the stream: a
+    /// [`Step::Start`] with a copy of the expected table as it is now.
     pub fn set_deferred_planning(&mut self, on: bool) {
         self.deferred = on;
+        if on {
+            self.steps.push(Step::Start {
+                table: self.expected.table().clone(),
+                catch: self.catch.clone(),
+                gen: self.cfg.gen.clone(),
+            });
+        }
     }
 
     /// Drains the ids of rules added or modified by the updates started
@@ -225,12 +256,43 @@ impl DynamicMonitor {
         std::mem::take(&mut self.removed)
     }
 
-    /// Drains the plan requests produced since the last call. Transport
-    /// drivers call this after every `on_flowmod`/`attach_plan`/`on_verdict`
-    /// (a confirmation can release queued updates, which produce new
-    /// requests).
+    /// Drains the deferred planning steps recorded since the last call, in
+    /// order. Transport drivers call this after every
+    /// `on_flowmod`/`attach_plan`/`on_verdict`/`on_tick` (a confirmation
+    /// can release queued updates, which request plans) and hand the steps
+    /// to the switch's planner.
+    pub fn take_plan_steps(&mut self) -> Vec<Step> {
+        std::mem::take(&mut self.steps)
+    }
+
+    /// As [`Self::take_plan_steps`], each plan step turned into the
+    /// [`PlanRequest`] a stateless planner takes, built on a table-only
+    /// replica the monitor keeps for the purpose. For callers that plan
+    /// requests themselves; use one of the two, not both.
     pub fn take_plan_requests(&mut self) -> Vec<PlanRequest> {
-        std::mem::take(&mut self.pending_requests)
+        let mut requests = Vec::new();
+        for step in self.take_plan_steps() {
+            match step {
+                Step::Start { table, .. } => self.request_replica = table,
+                Step::Apply(fm) => {
+                    let _ = self.request_replica.apply(&fm);
+                }
+                Step::Plan {
+                    token,
+                    rule_id,
+                    kind,
+                } => {
+                    let (table, rule_id) =
+                        planner::request_table(&self.request_replica, rule_id, &kind);
+                    requests.push(PlanRequest {
+                        token,
+                        table,
+                        rule_id,
+                    });
+                }
+            }
+        }
+        requests
     }
 
     /// Updates forwarded to the switch whose plan is still being generated.
@@ -243,29 +305,25 @@ impl DynamicMonitor {
         &self.expected
     }
 
-    /// Mutable access to the expected table. Costs the shared engine no more
-    /// than [`Self::apply_expected`] does: the table logs every rule a
-    /// mutation touches, and the engine's next synchronization diffs — and
-    /// evicts by — exactly those.
-    pub fn expected_mut(&mut self) -> &mut ExpectedTable {
-        &mut self.expected
-    }
-
-    /// Applies `fm` to the expected table. Neither probed nor forwarded —
-    /// the one way the table changes, for controller updates
-    /// ([`Self::on_flowmod`]) and for Monocle's own (preinstalls,
-    /// drop-postponing finalizers) alike.
+    /// Applies `fm` to the expected table (and, in deferred mode, records it
+    /// for the planner's replica). Neither probed nor forwarded — the one
+    /// way the table changes, for controller updates ([`Self::on_flowmod`])
+    /// and for Monocle's own (preinstalls, drop-postponing finalizers)
+    /// alike, so no change escapes a replica.
     pub fn apply_expected(&mut self, fm: &FlowMod) -> Result<ApplyResult, TableError> {
+        if self.deferred {
+            self.steps.push(Step::Apply(fm.clone()));
+        }
         self.expected.apply(fm)
     }
 
-    /// The shared probe engine (statistics inspection).
+    /// The monitor's probe engine (statistics inspection).
     pub fn engine(&self) -> &ProbeEngine {
         &self.engine
     }
 
     /// Batch-generates plans for rules of the *current* expected table
-    /// through the shared engine under the monitor's own catch spec (the
+    /// through the monitor's engine under its own catch spec (the
     /// steady-state sweep entry point).
     pub fn generate_batch_expected(
         &mut self,
@@ -275,7 +333,7 @@ impl DynamicMonitor {
             .generate_batch(self.expected.table(), ids, &self.catch)
     }
 
-    /// The rules of the current expected table whose plan the shared engine
+    /// The rules of the current expected table whose plan the engine
     /// evicted since the last call ([`ProbeEngine::take_evicted`]).
     pub fn take_evicted_expected(&mut self) -> Vec<RuleId> {
         self.engine.take_evicted(self.expected.table())
@@ -301,26 +359,30 @@ impl DynamicMonitor {
 
     /// A FlowMod arrives from the controller.
     pub fn on_flowmod(&mut self, now: u64, token: u64, fm: FlowMod) -> Vec<DynAction> {
-        // §4.2: queue updates that overlap any unconfirmed one (actively
-        // probed, or still awaiting a deferred plan).
-        if self.conflicts_with_inflight(&fm) {
+        // §4.2: queue updates that conflict with an earlier unfinished one
+        // (actively probed, awaiting its plan, or queued itself).
+        if self.conflicts(&fm, &self.queued) {
             self.queued.push_back((token, fm));
             return Vec::new();
         }
         let mut actions = self.start_update(token, fm);
-        self.plan_pending_inline(now, &mut actions);
+        self.attach_planned(now, &mut actions);
         actions
     }
 
-    fn conflicts_with_inflight(&self, fm: &FlowMod) -> bool {
+    /// Whether `fm` must wait for an update that came before it and has not
+    /// finished: it overlaps one that is actively probed or awaiting its
+    /// plan (§4.2: their probes would see each other), or one of
+    /// `queued_ahead` that it does not commute with (overtaking that one
+    /// would change what the table ends up holding).
+    fn conflicts(&self, fm: &FlowMod, queued_ahead: &VecDeque<(u64, FlowMod)>) -> bool {
         let tern = fm.match_.ternary();
-        self.active
-            .iter()
-            .any(|a| a.fm.match_.ternary().overlaps(&tern))
-            || self
-                .awaiting
+        let overlaps = |other: &FlowMod| other.match_.ternary().overlaps(&tern);
+        self.active.iter().any(|a| overlaps(&a.fm))
+            || self.awaiting.iter().any(|a| overlaps(&a.fm))
+            || queued_ahead
                 .iter()
-                .any(|a| a.fm.match_.ternary().overlaps(&tern))
+                .any(|(_, q)| overlaps(q) && !commute(q, fm))
     }
 
     /// §4.1 delete victim selection: the rule this delete will actually
@@ -333,18 +395,23 @@ impl DynamicMonitor {
     /// This scan, [`Self::modify_old_version`]'s and the ones inside
     /// `FlowTable::apply` are the per-update O(table) reads left on the
     /// update path: a comparison per rule, no copy and no hashing.
-    fn delete_victim(&self, fm: &FlowMod) -> Option<&Rule> {
+    fn delete_victim(&self, fm: &FlowMod) -> Option<RuleId> {
         match fm.command {
             FlowModCommand::DeleteStrict | FlowModCommand::Delete => {
                 let strict = fm.command == FlowModCommand::DeleteStrict;
                 let tern = fm.match_.ternary();
-                self.expected.table().rules().iter().find(|r| {
-                    if strict {
-                        r.priority == fm.priority && r.match_ == fm.match_
-                    } else {
-                        tern.subsumes(&r.tern)
-                    }
-                })
+                self.expected
+                    .table()
+                    .rules()
+                    .iter()
+                    .find(|r| {
+                        if strict {
+                            r.priority == fm.priority && r.match_ == fm.match_
+                        } else {
+                            tern.subsumes(&r.tern)
+                        }
+                    })
+                    .map(|r| r.id)
             }
             _ => None,
         }
@@ -364,59 +431,45 @@ impl DynamicMonitor {
         }
     }
 
-    /// §4.1 synthetic table for a modify, built from a post-delta table
-    /// (outside tests: the neighborhood of the modified match): all rules of
-    /// lower priority removed, the OLD version re-inserted just below the
-    /// modified rule. The probe then always hits either version and must
-    /// tell them apart. Rules are re-added in order, so ids are renumbered;
-    /// returns the table and the modified rule's id *within it*.
-    fn build_synthetic(
-        table: &FlowTable,
-        fm: &FlowMod,
-        old_rule: Rule,
-    ) -> Option<(FlowTable, RuleId)> {
-        if fm.priority == 0 {
-            return None;
+    /// Asks the planner for update `token`'s probe, at this point of the
+    /// expected table's history: recorded as a [`Step::Plan`] in deferred
+    /// mode, planned at once on the monitor's engine and queued for
+    /// [`Self::attach_planned`] inline.
+    fn request_plan(&mut self, token: u64, rule_id: RuleId, kind: PlanKind) {
+        if self.deferred {
+            self.steps.push(Step::Plan {
+                token,
+                rule_id,
+                kind,
+            });
+        } else {
+            let table = self.expected.table();
+            let plan = planner::plan(&mut self.engine, table, rule_id, &kind, &self.catch);
+            self.planned.push_back((token, plan.ok()));
         }
-        let mut synth = FlowTable::new();
-        for r in table.rules() {
-            if r.priority >= fm.priority {
-                let _ = synth.add_rule(r.priority, r.match_, r.actions.clone());
-            }
-        }
-        let _ = synth.add_rule(fm.priority - 1, old_rule.match_, old_rule.actions);
-        let synth_id = synth
-            .rules()
-            .iter()
-            .find(|r| r.priority == fm.priority && r.match_ == fm.match_)
-            .map(|r| r.id)?;
-        Some((synth, synth_id))
     }
 
     /// Starts an update whose conflicts have cleared: applies it to the
-    /// expected table, forwards it, and either parks it behind the one
-    /// [`PlanRequest`] that can prove it or, when there is nothing to probe,
+    /// expected table, forwards it, and either parks it behind the one plan
+    /// request that can prove it or, when there is nothing to probe,
     /// acknowledges it optimistically. The single add/delete/modify case
     /// analysis, shared by inline and deferred mode.
     fn start_update(&mut self, token: u64, fm: FlowMod) -> Vec<DynAction> {
         // §4.1: a deletion is the opposite of an installation — its probe is
         // the victim's *pre-state* plan, awaited on the absent outcome, so
-        // its neighborhood is captured before the delta lands. Likewise a
-        // modify needs the version it replaces (that rule, not the table).
-        let delete_req = self
-            .delete_victim(&fm)
-            .map(|v| (self.expected.table().neighborhood(&v.tern), v.id));
+        // it is requested before the delta lands. Likewise a modify needs
+        // the version it replaces (that rule, not the table).
+        let victim = self.delete_victim(&fm);
+        if let Some(id) = victim {
+            self.request_plan(token, id, PlanKind::Absent);
+        }
         let old_version = self.modify_old_version(&fm);
-        // The monitor's own engine serves steady sweeps of the full table:
-        // feed it the delta (incremental invalidation) while applying it.
         let applied = self.apply_expected(&fm).unwrap_or_default();
         self.touched
             .extend(applied.added.iter().chain(&applied.modified));
         self.removed.extend(&applied.removed);
-        let table = self.expected.table();
-        // (table to plan on, rule to probe in it, confirming verdict, id the
-        // plan is remapped to)
-        let request: Option<(FlowTable, RuleId, Verdict, Option<RuleId>)> = match fm.command {
+        // The rule the update is proven by and the verdict that proves it.
+        let probed = match fm.command {
             // OF1.0: a MODIFY with no matching entry behaves as ADD; the
             // table reports it in ApplyResult::added (and nothing in
             // `modified`), so the guard routes it through the same
@@ -424,45 +477,35 @@ impl DynamicMonitor {
             FlowModCommand::Add | FlowModCommand::ModifyStrict | FlowModCommand::Modify
                 if !applied.added.is_empty() && applied.modified.is_empty() =>
             {
-                let tern = fm.match_.ternary();
-                Some((
-                    table.neighborhood(&tern),
-                    applied.added[0],
-                    Verdict::Present,
-                    None,
-                ))
+                self.request_plan(token, applied.added[0], PlanKind::Present);
+                Some((applied.added[0], Verdict::Present))
             }
             // An Add whose apply failed (bad actions / overlap flag): no
             // rule to probe.
             FlowModCommand::Add => None,
             FlowModCommand::DeleteStrict | FlowModCommand::Delete => {
-                delete_req.map(|(nb, id)| (nb, id, Verdict::Absent, None))
+                victim.map(|id| (id, Verdict::Absent))
             }
             // A modify keeps its rule's id, so the old version names the
-            // new one too; `modified` is empty when the apply failed.
+            // new one too; `modified` is empty when the apply failed, and a
+            // priority-0 rule has nowhere below it to put the old version.
             FlowModCommand::ModifyStrict | FlowModCommand::Modify => old_version
-                .filter(|_| !applied.modified.is_empty())
-                .and_then(|old| {
-                    let real_id = old.id;
-                    Self::build_synthetic(&table.neighborhood(&old.tern), &fm, old)
-                        .map(|(synth, synth_id)| (synth, synth_id, Verdict::Present, Some(real_id)))
+                .filter(|old| old.priority > 0 && !applied.modified.is_empty())
+                .map(|old| {
+                    let id = old.id;
+                    let old = Box::new(old);
+                    self.request_plan(token, id, PlanKind::Modify { old });
+                    (id, Verdict::Present)
                 }),
         };
         let mut actions = vec![DynAction::Forward(fm.clone())];
-        match request {
-            Some((table, rule_id, confirm_on, remap_rule_id)) => {
-                self.awaiting.push(AwaitingUpdate {
-                    token,
-                    fm,
-                    confirm_on,
-                    remap_rule_id,
-                });
-                self.pending_requests.push(PlanRequest {
-                    token,
-                    table,
-                    rule_id,
-                });
-            }
+        match probed {
+            Some((rule_id, confirm_on)) => self.awaiting.push(AwaitingUpdate {
+                token,
+                fm,
+                confirm_on,
+                rule_id,
+            }),
             // Unmonitorable update: acknowledge optimistically (the
             // controller can fall back to barriers for these).
             None => actions.push(DynAction::Confirmed {
@@ -473,20 +516,13 @@ impl DynamicMonitor {
         actions
     }
 
-    /// Inline mode's planner: answers every pending [`PlanRequest`] on the
-    /// monitor's own small-table engine and attaches the result at once —
-    /// what a transport driver does with [`Self::take_plan_requests`] and
-    /// [`Self::attach_plan`], synchronously. No-op in deferred mode.
-    fn plan_pending_inline(&mut self, now: u64, actions: &mut Vec<DynAction>) {
-        if self.deferred {
-            return;
-        }
-        for req in std::mem::take(&mut self.pending_requests) {
-            let plan = self
-                .inline_planner
-                .generate(&req.table, req.rule_id, &self.catch)
-                .ok();
-            actions.extend(self.attach_plan(now, req.token, plan));
+    /// Attaches the plans inline mode made, in request order, the ones
+    /// that attaching releases included — what a transport driver does with
+    /// [`Self::attach_plan`] as its planner answers the steps in order,
+    /// synchronously. Nothing to do in deferred mode.
+    fn attach_planned(&mut self, now: u64, actions: &mut Vec<DynAction>) {
+        while let Some((token, plan)) = self.planned.pop_front() {
+            actions.extend(self.attach_plan(now, token, plan));
         }
     }
 
@@ -522,11 +558,11 @@ impl DynamicMonitor {
         DynAction::Inject { token, seq }
     }
 
-    /// Completes a [`PlanRequest`]: the planner hands back the plan for
-    /// update `token` (`None` = generation failed → optimistic ack, like an
-    /// update with nothing to probe). An unmonitorable completion releases
-    /// conflict-queued updates, since the update never enters the actively
-    /// probed set.
+    /// Completes a plan request: the planner hands back the plan for update
+    /// `token` (`None` = generation failed → optimistic ack, like an update
+    /// with nothing to probe). The plan is pointed at the update's own rule.
+    /// An unmonitorable completion releases conflict-queued updates, since
+    /// the update never enters the actively probed set.
     pub fn attach_plan(&mut self, now: u64, token: u64, plan: Option<ProbePlan>) -> Vec<DynAction> {
         let Some(idx) = self.awaiting.iter().position(|a| a.token == token) else {
             return Vec::new(); // unknown or duplicate attach
@@ -534,11 +570,7 @@ impl DynamicMonitor {
         let a = self.awaiting.remove(idx);
         match plan {
             Some(mut plan) => {
-                if let Some(id) = a.remap_rule_id {
-                    // §4.1 modify plans carry the construction's id; point
-                    // it at the real rule.
-                    plan.rule_id = id;
-                }
+                plan.rule_id = a.rule_id;
                 vec![self.activate(now, a.token, a.fm, plan, a.confirm_on)]
             }
             None => {
@@ -610,21 +642,22 @@ impl DynamicMonitor {
         actions
     }
 
-    /// Starts every conflict-queued update whose conflicts have cleared (a
-    /// released update re-enters via the awaiting set and produces a new
-    /// [`PlanRequest`]).
+    /// Starts every conflict-queued update whose conflicts have cleared, in
+    /// queue order: one that overlaps an update still in flight, or one
+    /// queued ahead of it that stays queued, waits (a released update
+    /// re-enters via the awaiting set and requests its plan).
     fn release_queued(&mut self, now: u64) -> Vec<DynAction> {
         let mut actions = Vec::new();
-        let mut requeue = std::collections::VecDeque::new();
+        let mut requeue = VecDeque::new();
         while let Some((token, fm)) = self.queued.pop_front() {
-            if self.conflicts_with_inflight(&fm) {
+            if self.conflicts(&fm, &requeue) {
                 requeue.push_back((token, fm));
             } else {
                 actions.extend(self.start_update(token, fm));
             }
         }
         self.queued = requeue;
-        self.plan_pending_inline(now, &mut actions);
+        self.attach_planned(now, &mut actions);
         actions
     }
 
@@ -650,6 +683,7 @@ impl DynamicMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::Replica;
     use monocle_openflow::{Action, Match};
 
     fn add_fm(prio: u16, dst: [u8; 4], port: u16) -> FlowMod {
@@ -663,8 +697,7 @@ mod tests {
     fn monitor() -> DynamicMonitor {
         let mut m = DynamicMonitor::new(DynamicConfig::default(), CatchSpec::default());
         // A default route so additions are distinguishable from table miss.
-        m.expected_mut()
-            .install(1, Match::any(), vec![Action::Output(99)])
+        m.apply_expected(&FlowMod::add(1, Match::any(), vec![Action::Output(99)]))
             .unwrap();
         m
     }
@@ -897,6 +930,64 @@ mod tests {
     }
 
     #[test]
+    fn an_update_waits_behind_a_queued_one_it_does_not_commute_with() {
+        let mut m = monitor();
+        let dst = |host: u8, plen: u8| Match::any().with_nw_dst([10, 0, 0, host], plen);
+        let acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2));
+        let DynAction::Inject { seq, .. } = acts[1] else {
+            panic!("{acts:?}")
+        };
+        // Behind the add in flight: a non-strict delete of its /24.
+        let sweep = FlowMod {
+            command: FlowModCommand::Delete,
+            ..FlowMod::delete_strict(0, dst(0, 24))
+        };
+        assert!(m.on_flowmod(1, 2, sweep).is_empty());
+        // Inside the /24, clear of the add in flight: an add the sweep must
+        // not be overtaken by, then a strict delete of that very entry.
+        assert!(m.on_flowmod(2, 3, add_fm(5, [10, 0, 0, 2], 3)).is_empty());
+        assert!(m
+            .on_flowmod(3, 4, FlowMod::delete_strict(5, dst(2, 32)))
+            .is_empty());
+        assert_eq!(m.queued(), 3);
+        // Deletes commute with each other, and so do single-entry commands
+        // naming different entries: this one overtakes the queue (it
+        // removes nothing, so it is acked at once).
+        let acts = m.on_flowmod(4, 5, FlowMod::delete_strict(9, dst(4, 32)));
+        assert_eq!(
+            acts[1],
+            DynAction::Confirmed {
+                token: 5,
+                verified: false
+            }
+        );
+        assert_eq!(m.queued(), 3);
+        // Drain, confirming everything: the table ends as the script in
+        // order leaves it — the sweep took the first add, the strict delete
+        // the second.
+        let mut log = m.on_verdict(5, seq, Verdict::Present);
+        let mut answered = 0;
+        while answered < log.len() {
+            if let DynAction::Inject { seq, .. } = log[answered] {
+                for v in [Verdict::Present, Verdict::Absent] {
+                    let out = m.on_verdict(6, seq, v);
+                    log.extend(out);
+                }
+            }
+            answered += 1;
+        }
+        assert_eq!((m.in_flight(), m.queued(), m.awaiting_plans()), (0, 0, 0));
+        let prios: Vec<u16> = m
+            .expected()
+            .table()
+            .rules()
+            .iter()
+            .map(|r| r.priority)
+            .collect();
+        assert_eq!(prios, [1], "{log:?}");
+    }
+
+    #[test]
     fn unmonitorable_update_acked_optimistically() {
         let mut m = DynamicMonitor::new(DynamicConfig::default(), CatchSpec::default());
         // Empty table: adding a rule whose presence is indistinguishable
@@ -924,6 +1015,32 @@ mod tests {
         .ok()
     }
 
+    /// A deferred planner: replays `steps` on `replica` (begun by the
+    /// stream's [`Step::Start`]) and returns its answers, in order.
+    fn replay(replica: &mut Option<Replica>, steps: Vec<Step>) -> Vec<(u64, Option<ProbePlan>)> {
+        let mut answers = Vec::new();
+        for step in steps {
+            answers.extend(Replica::step(replica, step).map(|(token, plan)| (token, plan.ok())));
+        }
+        answers
+    }
+
+    /// A deferred monitor with one confirmed add (10.0.0.1/32 → port 2)
+    /// over the default route, and the replica planning for it.
+    fn deferred_with_one_rule() -> (DynamicMonitor, Option<Replica>) {
+        let mut m = monitor();
+        m.set_deferred_planning(true);
+        let mut replica = None;
+        m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2));
+        let answers = replay(&mut replica, m.take_plan_steps());
+        let acts = m.attach_plan(1, 1, answers[0].1.clone());
+        let DynAction::Inject { seq, .. } = acts[0] else {
+            panic!("{acts:?}")
+        };
+        m.on_verdict(2, seq, Verdict::Present);
+        (m, replica)
+    }
+
     #[test]
     fn deferred_add_roundtrip() {
         let mut m = monitor();
@@ -934,15 +1051,24 @@ mod tests {
         assert!(matches!(acts[0], DynAction::Forward(_)));
         assert_eq!(m.awaiting_plans(), 1);
         assert_eq!(m.in_flight(), 0);
-        let reqs = m.take_plan_requests();
-        assert_eq!(reqs.len(), 1);
-        assert_eq!(reqs[0].token, 1);
-        // The neighborhood is post-delta: it contains the new rule.
-        assert_eq!(reqs[0].table.len(), 2);
-        assert!(reqs[0].table.get(reqs[0].rule_id).is_some());
-        let plan = plan_request(&reqs[0]);
-        assert!(plan.is_some());
-        let acts = m.attach_plan(50, 1, plan);
+        let steps = m.take_plan_steps();
+        // The stream begins with the table deferral found (the default
+        // route); the add's request follows its FlowMod.
+        let [Step::Start { table, .. }, Step::Apply(fm), Step::Plan {
+            token: 1,
+            rule_id,
+            kind: PlanKind::Present,
+        }] = &steps[..]
+        else {
+            panic!("{steps:?}")
+        };
+        assert_eq!(table.len(), 1);
+        assert_eq!(fm.command, FlowModCommand::Add);
+        assert_eq!(m.expected().get(*rule_id).unwrap().priority, 10);
+        let mut replica = None;
+        let answers = replay(&mut replica, steps);
+        assert_eq!(answers.len(), 1);
+        let acts = m.attach_plan(50, 1, answers[0].1.clone());
         assert!(matches!(acts[0], DynAction::Inject { token: 1, .. }));
         assert_eq!(m.in_flight(), 1);
         assert_eq!(m.awaiting_plans(), 0);
@@ -961,37 +1087,34 @@ mod tests {
 
     #[test]
     fn deferred_delete_snapshots_pre_delta() {
-        let mut m = monitor();
-        m.set_deferred_planning(true);
-        let acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2));
-        let reqs = m.take_plan_requests();
-        let acts2 = m.attach_plan(1, 1, plan_request(&reqs[0]));
-        let DynAction::Inject { seq, .. } = acts2[0] else {
-            panic!("{acts:?} {acts2:?}")
-        };
-        m.on_verdict(2, seq, Verdict::Present);
-        // A disjoint bystander: in the table, in nobody's neighborhood.
-        m.expected_mut()
-            .install(10, Match::any().with_nw_dst([10, 0, 0, 2], 32), vec![])
-            .unwrap();
+        let (mut m, mut replica) = deferred_with_one_rule();
+        // A disjoint bystander, installed the way every change is.
+        let bystander = FlowMod::add(10, Match::any().with_nw_dst([10, 0, 0, 2], 32), vec![]);
+        m.apply_expected(&bystander).unwrap();
         let victim = m.expected().table().rules()[0].id;
-        // Delete: the request's table must still contain the victim.
         let del = FlowMod::delete_strict(10, Match::any().with_nw_dst([10, 0, 0, 1], 32));
         m.on_flowmod(10, 2, del);
         assert_eq!(m.expected().table().len(), 2, "delta applied immediately");
-        let reqs = m.take_plan_requests();
-        assert_eq!(reqs.len(), 1);
-        assert_eq!(
-            reqs[0].table.len(),
-            2,
-            "pre-delta neighborhood for deletes: victim + default route"
+        let steps = m.take_plan_steps();
+        // The victim's request comes before the delete: the replica still
+        // holds the victim when it plans the probe for its absence.
+        assert!(
+            matches!(&steps[..], [Step::Apply(b), Step::Plan {
+                token: 2,
+                rule_id,
+                kind: PlanKind::Absent,
+            }, Step::Apply(d)] if *b == bystander && *rule_id == victim
+                && d.command == FlowModCommand::DeleteStrict),
+            "{steps:?}"
         );
-        assert_eq!(reqs[0].rule_id, victim, "ids are the expected table's");
-        assert!(reqs[0].table.get(victim).is_some());
-        let acts = m.attach_plan(20, 2, plan_request(&reqs[0]));
+        let answers = replay(&mut replica, steps);
+        let replica = replica.unwrap();
+        assert_eq!(replica.table.rules(), m.expected().table().rules());
+        let acts = m.attach_plan(20, 2, answers[0].1.clone());
         let DynAction::Inject { seq, .. } = acts[0] else {
             panic!("{acts:?}")
         };
+        assert_eq!(m.plan_for_seq(seq).unwrap().rule_id, victim);
         let out = m.on_verdict(30, seq, Verdict::Absent);
         assert_eq!(
             out[0],
@@ -1004,45 +1127,38 @@ mod tests {
 
     #[test]
     fn deferred_modify_is_synthetic_and_remapped() {
-        let mut m = monitor();
-        m.set_deferred_planning(true);
-        m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2));
-        let reqs = m.take_plan_requests();
-        let acts = m.attach_plan(1, 1, plan_request(&reqs[0]));
-        let DynAction::Inject { seq, .. } = acts[0] else {
-            panic!()
-        };
-        m.on_verdict(2, seq, Verdict::Present);
+        let (mut m, mut replica) = deferred_with_one_rule();
         let fm = FlowMod::modify_strict(
             10,
             Match::any().with_nw_dst([10, 0, 0, 1], 32),
             vec![Action::Output(5)],
         );
         m.on_flowmod(10, 2, fm);
-        let reqs = m.take_plan_requests();
-        assert_eq!(reqs.len(), 1);
-        // §4.1 construction on the neighborhood: the new version, the old
-        // one re-inserted just below it, and nothing of lower priority (the
-        // default route is gone).
-        let prios: Vec<u16> = reqs[0].table.rules().iter().map(|r| r.priority).collect();
-        assert_eq!(prios, [10, 9], "modify plans on the synthetic table");
-        assert_eq!(reqs[0].table.get(reqs[0].rule_id).unwrap().priority, 10);
-        let plan = plan_request(&reqs[0]).expect("old port 2 vs new port 5 distinguishable");
+        let steps = m.take_plan_steps();
+        let [Step::Apply(applied), Step::Plan {
+            token: 2,
+            rule_id,
+            kind: PlanKind::Modify { old },
+        }] = &steps[..]
+        else {
+            panic!("{steps:?}")
+        };
+        assert_eq!(applied.command, FlowModCommand::ModifyStrict);
+        assert_eq!(old.actions, vec![Action::Output(2)], "the version replaced");
+        assert_eq!(*rule_id, old.id, "a modify keeps its rule's id");
+        let real_id = *rule_id;
+        let answers = replay(&mut replica, steps);
+        let plan = answers[0]
+            .1
+            .clone()
+            .expect("old port 2 vs new port 5 distinguishable");
+        assert_ne!(plan.rule_id, real_id, "an id of the renumbered §4.1 table");
         let acts = m.attach_plan(20, 2, Some(plan));
         let DynAction::Inject { seq, .. } = acts[0] else {
             panic!("{acts:?}")
         };
-        // The attached plan's rule id was remapped to the real table's rule.
-        let live = m.plan_for_seq(seq).unwrap();
-        let real_id = m
-            .expected()
-            .table()
-            .rules()
-            .iter()
-            .find(|r| r.priority == 10)
-            .unwrap()
-            .id;
-        assert_eq!(live.rule_id, real_id);
+        // The attached plan was pointed at the real table's rule.
+        assert_eq!(m.plan_for_seq(seq).unwrap().rule_id, real_id);
         let out = m.on_verdict(30, seq, Verdict::Present);
         assert!(matches!(out[0], DynAction::Confirmed { token: 2, .. }));
     }
@@ -1092,13 +1208,12 @@ mod tests {
         let mut m = monitor();
         for i in 0..2000u32 {
             let dst = [10, 1, (i >> 8) as u8, i as u8];
-            m.expected_mut()
-                .install(
-                    10,
-                    Match::any().with_nw_dst(dst, 32),
-                    vec![Action::Output(2)],
-                )
-                .unwrap();
+            m.apply_expected(&FlowMod::add(
+                10,
+                Match::any().with_nw_dst(dst, 32),
+                vec![Action::Output(2)],
+            ))
+            .unwrap();
         }
         m.set_deferred_planning(true);
         let host = Match::any().with_nw_dst([10, 1, 3, 7], 32);
@@ -1114,7 +1229,10 @@ mod tests {
             ),
         ];
         for (token, (fm, overlap_before)) in script.into_iter().enumerate() {
-            let tern = fm.match_.ternary();
+            let (tern, modify) = (
+                fm.match_.ternary(),
+                fm.command == FlowModCommand::ModifyStrict,
+            );
             assert_eq!(
                 m.expected().table().overlapping(&tern).len(),
                 overlap_before
@@ -1124,6 +1242,14 @@ mod tests {
             assert_eq!(reqs.len(), 1);
             let req = &reqs[0];
             assert_eq!(req.table.len(), 2, "victim/new rule + one neighbor");
+            if modify {
+                let prios: Vec<u16> = req.table.rules().iter().map(|r| r.priority).collect();
+                assert_eq!(
+                    prios,
+                    [10, 9],
+                    "the new version over the old, nothing below"
+                );
+            }
             assert!(req.table.len() <= overlap_before + 1);
             assert!(req.table.get(req.rule_id).is_some(), "rule_id resolves");
             let plan = plan_request(req);
@@ -1140,9 +1266,108 @@ mod tests {
         assert_eq!(m.expected().table().len(), 2001);
     }
 
+    /// A deterministic random script, driven through a deferred monitor and
+    /// a replica that follows it, with a burst of confirmations every few
+    /// updates.
+    fn random_flowmod(rng: &mut u64) -> FlowMod {
+        let mut draw = |n: u64| {
+            *rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (*rng >> 33) % n
+        };
+        let command = [
+            FlowModCommand::Add,
+            FlowModCommand::Add,
+            FlowModCommand::Modify,
+            FlowModCommand::ModifyStrict,
+            FlowModCommand::Delete,
+            FlowModCommand::DeleteStrict,
+        ][draw(6) as usize];
+        let dst = [10, draw(2) as u8, draw(4) as u8, draw(4) as u8];
+        let m = Match::any().with_nw_dst(dst, [16, 24, 32][draw(3) as usize]);
+        let actions = vec![Action::Output(1 + draw(4) as u16)];
+        FlowMod {
+            command,
+            ..FlowMod::add(2 + draw(4) as u16, m, actions)
+        }
+    }
+
+    /// Answers every outstanding injection with both verdicts (one of
+    /// them confirms) until the monitor goes quiet, planning whatever
+    /// the confirmations release.
+    fn confirm_all(
+        m: &mut DynamicMonitor,
+        planner: &mut Option<Replica>,
+        log: &mut Vec<DynAction>,
+        answered: &mut usize,
+    ) {
+        while *answered < log.len() {
+            let action = log[*answered].clone();
+            *answered += 1;
+            if let DynAction::Inject { seq, .. } = action {
+                for v in [Verdict::Present, Verdict::Absent] {
+                    let out = m.on_verdict(5, seq, v);
+                    log.extend(out);
+                    settle(m, planner, log, 5);
+                }
+            }
+        }
+    }
+
+    /// The transport driver's half of the deferred contract, run
+    /// synchronously: replay the monitor's steps on the replica, in
+    /// order, attach the answers, and go again for whatever the
+    /// attaches released. Inline mode records no steps.
+    fn settle(
+        m: &mut DynamicMonitor,
+        planner: &mut Option<Replica>,
+        log: &mut Vec<DynAction>,
+        now: u64,
+    ) {
+        loop {
+            let steps = m.take_plan_steps();
+            if steps.is_empty() {
+                return;
+            }
+            for (token, plan) in replay(planner, steps) {
+                log.extend(m.attach_plan(now, token, plan));
+            }
+        }
+    }
+
+    #[test]
+    fn a_replica_follows_a_long_script_on_one_full_sync() {
+        let mut m = monitor();
+        m.set_deferred_planning(true);
+        let mut replica = None;
+        let (mut rng, mut log, mut answered) = (7u64, Vec::new(), 0);
+        for token in 0..3000u64 {
+            log.extend(m.on_flowmod(1, token, random_flowmod(&mut rng)));
+            settle(&mut m, &mut replica, &mut log, 1);
+            if token % 4 == 3 {
+                confirm_all(&mut m, &mut replica, &mut log, &mut answered);
+            }
+        }
+        confirm_all(&mut m, &mut replica, &mut log, &mut answered);
+        assert_eq!((m.in_flight(), m.queued(), m.awaiting_plans()), (0, 0, 0));
+        let replica = replica.unwrap();
+        assert_eq!(replica.table.rules(), m.expected().table().rules());
+        let planned = replica.engine.stats().cache_hits + replica.engine.stats().cache_misses;
+        assert!(planned > 1000, "{planned} plans");
+        let stats = replica.engine.engine_stats();
+        assert_eq!(
+            (stats.syncs_full, stats.syncs_fallback),
+            (1, 0),
+            "{stats:?}"
+        );
+    }
+
     mod props {
         use super::*;
+        use crate::generator::generate_probe;
         use crate::plan::verify_probe;
+        use crate::planner::build_synthetic;
         use proptest::prelude::*;
 
         /// A small value space, so rules overlap and updates conflict.
@@ -1171,67 +1396,43 @@ mod tests {
             ]
         }
 
+        /// Every command, strict and not: over the small space ADDs replace,
+        /// MODIFYs that hit nothing add, and non-strict ones sweep several
+        /// rules.
         fn arb_flowmod() -> impl Strategy<Value = FlowMod> {
-            (0u8..5, 2u16..6, arb_match(), arb_actions()).prop_map(|(cmd, prio, m, a)| match cmd {
-                0 | 1 => FlowMod::add(prio, m, a),
-                2 => FlowMod::modify_strict(prio, m, a),
-                3 => FlowMod::delete_strict(prio, m),
-                _ => FlowMod {
-                    command: FlowModCommand::Delete,
-                    ..FlowMod::delete_strict(prio, m)
-                },
+            let command = prop_oneof![
+                2 => Just(FlowModCommand::Add),
+                1 => Just(FlowModCommand::Modify),
+                1 => Just(FlowModCommand::ModifyStrict),
+                1 => Just(FlowModCommand::Delete),
+                1 => Just(FlowModCommand::DeleteStrict),
+            ];
+            (command, 2u16..6, arb_match(), arb_actions()).prop_map(|(command, prio, m, a)| {
+                FlowMod {
+                    command,
+                    ..FlowMod::add(prio, m, a)
+                }
             })
         }
 
-        /// Answers every outstanding injection with both verdicts (one of
-        /// them confirms) until the monitor goes quiet, planning whatever
-        /// the confirmations release.
-        fn confirm_all(
-            m: &mut DynamicMonitor,
-            planner: &mut Option<ProbeEngine>,
-            log: &mut Vec<DynAction>,
-            answered: &mut usize,
-        ) {
-            while *answered < log.len() {
-                let action = log[*answered].clone();
-                *answered += 1;
-                if let DynAction::Inject { seq, .. } = action {
-                    for v in [Verdict::Present, Verdict::Absent] {
-                        let out = m.on_verdict(5, seq, v);
-                        log.extend(out);
-                        settle(m, planner, log);
-                    }
-                }
-            }
-        }
-
-        /// The transport driver's half of the deferred contract, run
-        /// synchronously and depth-first: plan each request with `planner`,
-        /// attach, and settle what the attach released before moving on.
-        fn settle(
-            m: &mut DynamicMonitor,
-            planner: &mut Option<ProbeEngine>,
-            log: &mut Vec<DynAction>,
-        ) {
-            for req in m.take_plan_requests() {
-                let plan = planner
-                    .as_mut()
-                    .expect("inline mode hands no requests out")
-                    .generate(&req.table, req.rule_id, &CatchSpec::default())
-                    .ok();
-                log.extend(m.attach_plan(1, req.token, plan));
-                settle(m, planner, log);
-            }
+        /// The rules of a table as content, ids and insertion order aside.
+        fn content(rules: &[Rule]) -> Vec<String> {
+            let mut v: Vec<String> = rules
+                .iter()
+                .map(|r| format!("{} {:?} {:?}", r.priority, r.match_, r.actions))
+                .collect();
+            v.sort();
+            v
         }
 
         fn run_script(script: &[FlowMod], deferred: bool) -> (Vec<DynAction>, Vec<Rule>) {
             let mut m = monitor();
             m.set_deferred_planning(deferred);
-            let mut planner = deferred.then(|| ProbeEngine::with_gen(DynamicConfig::default().gen));
+            let mut planner = None;
             let (mut log, mut answered) = (Vec::new(), 0);
             for (i, fm) in script.iter().enumerate() {
                 log.extend(m.on_flowmod(1, i as u64, fm.clone()));
-                settle(&mut m, &mut planner, &mut log);
+                settle(&mut m, &mut planner, &mut log, 1);
                 // Confirm in bursts, so overlapping updates queue in between.
                 if i % 3 == 2 {
                     confirm_all(&mut m, &mut planner, &mut log, &mut answered);
@@ -1242,13 +1443,183 @@ mod tests {
             (log, m.expected().table().rules().to_vec())
         }
 
+        /// The same script with attempts capped and some probes lost for
+        /// good: ticks re-probe, and an update whose probes all go missing
+        /// alarms. Runs until nothing is left in flight.
+        fn run_lossy(
+            script: &[FlowMod],
+            losses: &[bool],
+            deferred: bool,
+        ) -> (Vec<DynAction>, (usize, usize, usize)) {
+            let cfg = DynamicConfig {
+                max_attempts: 3,
+                ..DynamicConfig::default()
+            };
+            let mut m = DynamicMonitor::new(cfg, CatchSpec::default());
+            m.apply_expected(&FlowMod::add(1, Match::any(), vec![Action::Output(99)]))
+                .unwrap();
+            m.set_deferred_planning(deferred);
+            let mut planner = None;
+            let (mut log, mut answered, mut now) = (Vec::new(), 0, 0);
+            let mut lost = losses.iter().cycle();
+            for (i, fm) in script.iter().enumerate() {
+                log.extend(m.on_flowmod(now, i as u64, fm.clone()));
+                settle(&mut m, &mut planner, &mut log, now);
+            }
+            for _ in 0..500 {
+                while answered < log.len() {
+                    let action = log[answered].clone();
+                    answered += 1;
+                    let DynAction::Inject { seq, .. } = action else {
+                        continue;
+                    };
+                    if *lost.next().unwrap() {
+                        continue;
+                    }
+                    for v in [Verdict::Present, Verdict::Absent] {
+                        log.extend(m.on_verdict(now, seq, v));
+                        settle(&mut m, &mut planner, &mut log, now);
+                    }
+                }
+                if (m.in_flight(), m.queued(), m.awaiting_plans()) == (0, 0, 0) {
+                    break;
+                }
+                now += 1_000_000;
+                log.extend(m.on_tick(now));
+                settle(&mut m, &mut planner, &mut log, now);
+            }
+            (log, (m.in_flight(), m.queued(), m.awaiting_plans()))
+        }
+
+        /// One step of a mirror script: a controller update, one of
+        /// Monocle's own FlowMods (a preinstall or a drop-postponing
+        /// finalizer), deferral switched on, probes answered, a tick.
+        #[derive(Debug, Clone)]
+        enum Op {
+            Update(FlowMod),
+            Own(FlowMod),
+            Defer,
+            Answer,
+            Tick,
+        }
+
+        fn arb_op() -> impl Strategy<Value = Op> {
+            // Applies that fail: actions that do not compile, or an overlap
+            // the ADD asked to be checked.
+            let failing = (arb_flowmod(), any::<bool>()).prop_map(|(fm, bad_actions)| {
+                if bad_actions {
+                    FlowMod {
+                        actions: vec![Action::SelectOutput(vec![])],
+                        ..fm
+                    }
+                } else {
+                    FlowMod {
+                        command: FlowModCommand::Add,
+                        check_overlap: true,
+                        ..fm
+                    }
+                }
+            });
+            prop_oneof![
+                6 => arb_flowmod().prop_map(Op::Update),
+                1 => failing.prop_map(Op::Update),
+                1 => (2u16..6, arb_match())
+                    .prop_map(|(p, m)| Op::Own(FlowMod::add(p, m, vec![Action::Output(9)]))),
+                1 => (2u16..6, arb_match())
+                    .prop_map(|(p, m)| Op::Own(FlowMod::modify_strict(p, m, vec![]))),
+                1 => Just(Op::Defer),
+                2 => Just(Op::Answer),
+                1 => Just(Op::Tick),
+            ]
+        }
+
+        /// [`settle`] with every plan step checked on the way: the replica
+        /// answers it, a stateless planner answers the same step's
+        /// [`PlanRequest`] built on a table-only replica, and the two must
+        /// agree on found / not found and the error class; a replica plan
+        /// must verify, with the outcomes it promises, on the table it was
+        /// planned on — the full expected table at that point of the
+        /// stream, or the full §4.1 construction over it. After the steps,
+        /// replica and expected table are the same table.
+        fn settle_checked(
+            m: &mut DynamicMonitor,
+            replica: &mut Option<Replica>,
+            requests: &mut FlowTable,
+            log: &mut Vec<DynAction>,
+            now: u64,
+        ) -> Result<(), TestCaseError> {
+            let (catch, gen) = (CatchSpec::default(), GeneratorConfig::default());
+            loop {
+                let steps = m.take_plan_steps();
+                if steps.is_empty() {
+                    break;
+                }
+                let mut answers = Vec::new();
+                for step in steps {
+                    match step {
+                        Step::Start { ref table, .. } => {
+                            *requests = table.clone();
+                            Replica::step(replica, step);
+                        }
+                        Step::Apply(ref fm) => {
+                            let _ = requests.apply(fm);
+                            Replica::step(replica, step);
+                        }
+                        Step::Plan {
+                            token,
+                            rule_id,
+                            ref kind,
+                        } => {
+                            let (table, id) = planner::request_table(requests, rule_id, kind);
+                            let reference = generate_probe(&table, id, &catch, &gen);
+                            let kind = kind.clone();
+                            let (_, mirror) = Replica::step(replica, step).unwrap();
+                            let r = replica.as_ref().unwrap();
+                            prop_assert_eq!(mirror.as_ref().err(), reference.as_ref().err());
+                            if let Ok(plan) = &mirror {
+                                let oracle = match &kind {
+                                    PlanKind::Modify { old } => {
+                                        let (full, id) = build_synthetic(&r.table, old).unwrap();
+                                        verify_probe(&full, id, &plan.header, &catch.all_pins())
+                                    }
+                                    _ => verify_probe(
+                                        &r.table,
+                                        rule_id,
+                                        &plan.header,
+                                        &catch.all_pins(),
+                                    ),
+                                };
+                                prop_assert_eq!(
+                                    oracle,
+                                    Some((plan.present.clone(), plan.absent.clone()))
+                                );
+                            }
+                            answers.push((token, mirror.ok()));
+                        }
+                    }
+                }
+                for (token, plan) in answers {
+                    log.extend(m.attach_plan(now, token, plan));
+                }
+            }
+            if let Some(r) = replica {
+                let expected = m.expected().table();
+                prop_assert_eq!(r.table.rules(), expected.rules());
+                prop_assert_eq!(r.table.fingerprint(), expected.fingerprint());
+                prop_assert_eq!(requests.rules(), expected.rules());
+            }
+            Ok(())
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
             /// Inline planning is the deferred contract plus a synchronous
             /// planner: the same FlowMod script yields the same action
-            /// sequence (and expected table) in both modes when the deferred
-            /// plans come from the same planning function.
+            /// sequence (and expected table) in both modes, the deferred
+            /// plans coming from a replica of the expected table. And §4.2
+            /// queueing keeps the script's order where it matters: the final
+            /// table holds what applying the script in order gives.
             #[test]
             fn inline_and_deferred_emit_the_same_actions(
                 script in prop::collection::vec(arb_flowmod(), 1..16)
@@ -1256,7 +1627,81 @@ mod tests {
                 let (inline_log, inline_table) = run_script(&script, false);
                 let (deferred_log, deferred_table) = run_script(&script, true);
                 prop_assert_eq!(inline_log, deferred_log);
-                prop_assert_eq!(inline_table, deferred_table);
+                prop_assert_eq!(&inline_table, &deferred_table);
+                let mut model = monitor().expected().table().clone();
+                for fm in &script {
+                    let _ = model.apply(fm);
+                }
+                prop_assert_eq!(content(&inline_table), content(model.rules()));
+            }
+
+            /// Verified, optimistic or alarmed, every update finishes: with
+            /// attempts capped and some probes never answered, the monitor
+            /// drains to nothing in flight, queued or awaiting a plan, and
+            /// every update is answered exactly once — in both modes, with
+            /// the same actions.
+            #[test]
+            fn updates_drain_with_lost_probes(
+                script in prop::collection::vec(arb_flowmod(), 1..16),
+                losses in prop::collection::vec(any::<bool>(), 1..8),
+            ) {
+                let (inline_log, inline_left) = run_lossy(&script, &losses, false);
+                let (deferred_log, deferred_left) = run_lossy(&script, &losses, true);
+                prop_assert_eq!(inline_left, (0, 0, 0));
+                prop_assert_eq!(deferred_left, (0, 0, 0));
+                for token in 0..script.len() as u64 {
+                    let ends = inline_log
+                        .iter()
+                        .filter(|a| matches!(a, DynAction::Confirmed { token: t, .. } | DynAction::Alarm { token: t } if *t == token))
+                        .count();
+                    prop_assert_eq!(ends, 1, "update {} answered {} times", token, ends);
+                }
+                prop_assert_eq!(inline_log, deferred_log);
+            }
+
+            /// The mirror holds: over scripts of every command, failed
+            /// applies, Monocle's own FlowMods and deferral switched on
+            /// partway, a replica fed the steps is the expected table, its
+            /// plans agree with stateless planning on the reference
+            /// requests and verify on the full table — and its engine never
+            /// re-reads the whole table after the first time.
+            #[test]
+            fn a_replica_mirrors_the_expected_table_and_plans_on_it(
+                ops in prop::collection::vec(arb_op(), 1..40)
+            ) {
+                let mut m = monitor();
+                let (mut replica, mut requests) = (None, FlowTable::new());
+                let (mut log, mut answered, mut now) = (Vec::new(), 0, 0);
+                for (i, op) in ops.into_iter().enumerate() {
+                    match op {
+                        Op::Update(fm) => log.extend(m.on_flowmod(now, i as u64, fm)),
+                        Op::Own(fm) => {
+                            let _ = m.apply_expected(&fm);
+                        }
+                        Op::Defer => m.set_deferred_planning(true),
+                        Op::Answer => {
+                            while answered < log.len() {
+                                let action = log[answered].clone();
+                                answered += 1;
+                                if let DynAction::Inject { seq, .. } = action {
+                                    for v in [Verdict::Present, Verdict::Absent] {
+                                        log.extend(m.on_verdict(now, seq, v));
+                                        settle_checked(&mut m, &mut replica, &mut requests, &mut log, now)?;
+                                    }
+                                }
+                            }
+                        }
+                        Op::Tick => {
+                            now += 3_000_000;
+                            log.extend(m.on_tick(now));
+                        }
+                    }
+                    settle_checked(&mut m, &mut replica, &mut requests, &mut log, now)?;
+                }
+                if let Some(r) = &replica {
+                    let stats = r.engine.engine_stats();
+                    prop_assert!(stats.syncs_full <= 1 && stats.syncs_fallback == 0, "{:?}", stats);
+                }
             }
 
             /// The §4.1 construction applied to the neighborhood of the
@@ -1279,14 +1724,12 @@ mod tests {
                 let fm = FlowMod::modify_strict(old.priority, old.match_, new_actions);
                 table.apply(&fm).unwrap();
                 let nb = table.neighborhood(&old.tern);
-                let (small, small_id) =
-                    DynamicMonitor::build_synthetic(&nb, &fm, old.clone()).unwrap();
-                let (full, full_id) =
-                    DynamicMonitor::build_synthetic(&table, &fm, old).unwrap();
+                let (small, small_id) = build_synthetic(&nb, &old).unwrap();
+                let (full, full_id) = build_synthetic(&table, &old).unwrap();
                 prop_assert!(small.len() <= full.len());
                 let (catch, gen) = (CatchSpec::default(), GeneratorConfig::default());
-                let on_small = crate::generator::generate_probe(&small, small_id, &catch, &gen);
-                let on_full = crate::generator::generate_probe(&full, full_id, &catch, &gen);
+                let on_small = generate_probe(&small, small_id, &catch, &gen);
+                let on_full = generate_probe(&full, full_id, &catch, &gen);
                 prop_assert_eq!(on_small.is_ok(), on_full.is_ok(), "{:?} vs {:?}", on_small, on_full);
                 if let Ok(plan) = on_small {
                     let oracle = verify_probe(&full, full_id, &plan.header, &[]);
@@ -1303,8 +1746,7 @@ mod tests {
             ..DynamicConfig::default()
         };
         let mut m = DynamicMonitor::new(cfg, CatchSpec::default());
-        m.expected_mut()
-            .install(1, Match::any(), vec![Action::Output(99)])
+        m.apply_expected(&FlowMod::add(1, Match::any(), vec![Action::Output(99)]))
             .unwrap();
         m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2));
         let mut alarmed = false;
@@ -1326,10 +1768,9 @@ mod tests {
             ..DynamicConfig::default()
         };
         let mut m = DynamicMonitor::new(cfg, CatchSpec::default());
-        m.set_deferred_planning(true);
-        m.expected_mut()
-            .install(1, Match::any(), vec![Action::Output(99)])
+        m.apply_expected(&FlowMod::add(1, Match::any(), vec![Action::Output(99)]))
             .unwrap();
+        m.set_deferred_planning(true);
         // A is forwarded and probed; B overlaps A and queues behind it.
         let a = FlowMod::add(
             10,

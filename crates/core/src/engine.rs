@@ -36,7 +36,7 @@
 //! read it ([`FlowTable::changes_since`]) — work proportional to the delta,
 //! and nobody has to announce anything — and, if those do not account for
 //! the new fingerprint (the log no longer reaches back that far, or this is
-//! a different table altogether, as a planner sees between jobs), every
+//! a different table altogether, as a pool engine sees between jobs), every
 //! rule, reading the stored signatures ([`EngineStats::syncs_fallback`]
 //! counts these). The log only makes the diff cheap; the fingerprint decides
 //! when it is complete. Either way the diff identifies exactly the
@@ -157,9 +157,10 @@ pub struct EngineStats {
     /// Delta synchronizations the table's change log could not complete,
     /// which fell back to diffing every rule: the log no longer reached back
     /// to the engine's last read, or the table is not the one the engine
-    /// read last. An engine that follows one table stays at 0; a planner
-    /// pool's engines fall back on every job by design, because each job
-    /// brings a table of its own (a fresh neighborhood, no shared history).
+    /// read last. An engine that follows one table — a monitor's, or a
+    /// planner's replica of it ([`crate::planner::Replica`]) — stays at 0;
+    /// an [`crate::pool::EnginePool`] engine falls back on every job,
+    /// because each job brings a table of its own (no shared history).
     pub syncs_fallback: u64,
     /// Plan-cache entries evicted by invalidation.
     pub plans_invalidated: u64,

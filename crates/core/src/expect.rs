@@ -39,19 +39,6 @@ impl ExpectedTable {
         Ok(res)
     }
 
-    /// Direct insertion (used when Monocle itself installs rules, e.g.
-    /// catching rules).
-    pub fn install(
-        &mut self,
-        priority: u16,
-        match_: monocle_openflow::Match,
-        actions: monocle_openflow::ActionProgram,
-    ) -> Result<RuleId, TableError> {
-        let id = self.table.add_rule(priority, match_, actions)?;
-        self.epoch += 1;
-        Ok(id)
-    }
-
     /// Looks up a rule.
     pub fn get(&self, id: RuleId) -> Option<&Rule> {
         self.table.get(id)
@@ -72,7 +59,8 @@ mod tests {
     fn epoch_advances_on_changes() {
         let mut e = ExpectedTable::new();
         assert_eq!(e.epoch(), 0);
-        e.install(5, Match::any(), vec![Action::Output(1)]).unwrap();
+        e.apply(&FlowMod::add(5, Match::any(), vec![Action::Output(1)]))
+            .unwrap();
         assert_eq!(e.epoch(), 1);
         let fm = FlowMod::add(7, Match::any().with_tp_dst(80), vec![Action::Output(2)]);
         e.apply(&fm).unwrap();
@@ -94,8 +82,10 @@ mod tests {
     #[test]
     fn rule_ids_priority_order() {
         let mut e = ExpectedTable::new();
-        e.install(1, Match::any().with_tp_dst(1), vec![]).unwrap();
-        e.install(9, Match::any().with_tp_dst(2), vec![]).unwrap();
+        e.apply(&FlowMod::add(1, Match::any().with_tp_dst(1), vec![]))
+            .unwrap();
+        e.apply(&FlowMod::add(9, Match::any().with_tp_dst(2), vec![]))
+            .unwrap();
         let ids = e.rule_ids();
         assert_eq!(ids.len(), 2);
         assert_eq!(e.get(ids[0]).unwrap().priority, 9);

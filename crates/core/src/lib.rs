@@ -20,7 +20,8 @@
 //! | §3.2/§3.4 DiffPorts/DiffRewrite, App. B Tables 3–4 | [`outcome`] |
 //! | §5.2 abstract→raw translation, spare values | [`generator`], `monocle-packet` |
 //! | plan cache + fast path in front of the generator (hot path) | [`engine`] |
-//! | per-update planning jobs off the I/O thread (worker pool) | [`pool`] |
+//! | one warm planner per switch: the step stream, its replica | [`planner`] |
+//! | sharded engine worker pool (benchmark and tests only) | [`pool`] |
 //! | probe plans & semantic verification | [`plan`] |
 //! | §2 expected-state tracking | [`expect`] |
 //! | §3 steady-state monitoring | [`steady`] |
@@ -65,6 +66,7 @@ pub mod generator;
 pub mod harness;
 pub mod outcome;
 pub mod plan;
+pub mod planner;
 pub mod pool;
 pub mod proxy;
 pub mod reduction;

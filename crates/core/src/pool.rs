@@ -1,19 +1,16 @@
-//! Sharded [`ProbeEngine`] worker pool: the planning backend behind the TCP
-//! proxy's planner thread.
+//! Sharded [`ProbeEngine`] worker pool for batches of planning jobs, each
+//! with a table of its own.
 //!
-//! The paper's Multiplexer (§7) hands each per-switch Monitor one small,
-//! pre-filtered instance per probed rule (§5.3–5.4). A [`ProbeJob`] is that
-//! instance: the event-driven runtime (`monocle_net`) turns every update's
-//! [`crate::dynamic::PlanRequest`] into a single-rule [`JobSpec::Rules`] job
-//! whose table is the probed rule's overlap neighborhood — a few rules,
-//! **owned by the job**, immutable from the moment it is built and dropped
-//! with it. No table is shared between the pool and whoever applies
-//! FlowMods, so a job plans exactly once and its result cannot go out of
-//! date against its own table. Whether the *switch* moved on while the plan
-//! was queued is the consumer's question, answered where it matters: the
-//! transport re-checks a parked probe's `ProbeMeta::epoch` against
-//! [`crate::proxy::MonitorProxy::expected_epoch`] when it finally writes
-//! the PacketOut.
+//! No longer the product's planner: the TCP proxy plans every update on a
+//! replica of the switch's expected table ([`crate::planner`]). The pool is
+//! kept because `benchmark/` (its `pool.*` rows) and the property tests
+//! still drive it; [`monitorable`] / [`monitorable_ids`] are the product's
+//! sweep set and stay either way.
+//!
+//! A [`ProbeJob`] is one small, pre-filtered instance (§5.3–5.4): rules of a
+//! table **owned by the job**, immutable from the moment it is built and
+//! dropped with it, so a job plans exactly once and its result cannot go
+//! out of date against its own table.
 //!
 //! [`EnginePool`] shards the engines across OS threads:
 //!
@@ -21,15 +18,11 @@
 //!   `switch → ProbeEngine` map. Jobs hash to a *home* worker
 //!   (`switch % workers`), so a switch's jobs land on one engine, which
 //!   delta-syncs between consecutive tables (and serves an unchanged table
-//!   from its plan cache). A job's table is its own — a fresh neighborhood
-//!   carries no change history the engine has read — so that sync diffs
-//!   every rule of it: by design, each such job counts one
+//!   from its plan cache). A job's table is its own and carries no change
+//!   history the engine has read, so that sync diffs every rule of it: each
+//!   job with a new table counts one
 //!   [`crate::engine::EngineStats::syncs_fallback`]. Engines are never
 //!   shared, so there is no engine lock at all.
-//! * **Work stealing** — an idle worker steals queued jobs from the most
-//!   loaded peer (from the back, preserving the victim's front-of-queue
-//!   affinity). A stolen switch builds a cold engine on the thief; that is
-//!   a performance trade, never a correctness one.
 //! * **No lock across planning** — the only locks in the pool are the queue
 //!   mutex (released before a job runs) and the per-worker stats cell
 //!   (touched after generation finishes).
@@ -196,15 +189,10 @@ impl EnginePool {
         }
     }
 
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.handles.len()
-    }
-
     /// Runs `jobs` to completion and returns their results in input order.
     ///
-    /// Jobs are enqueued on their home worker (`switch_id % workers`); idle
-    /// workers steal. The calling thread blocks until every job finishes —
+    /// Jobs are enqueued on their home worker (`switch_id % workers`). The
+    /// calling thread blocks until every job finishes —
     /// concurrent `run_batch` calls from different threads are serialized.
     pub fn run_batch(&self, jobs: Vec<ProbeJob>) -> Vec<JobResult> {
         let n = jobs.len();
@@ -240,20 +228,12 @@ impl EnginePool {
             .collect()
     }
 
-    /// Per-worker aggregate generation statistics since pool creation.
-    pub fn worker_stats(&self) -> Vec<GenStats> {
-        self.shared
-            .stats
-            .iter()
-            .map(|m| *m.lock().unwrap())
-            .collect()
-    }
-
-    /// Pool-wide aggregate statistics (the per-worker stats merged).
+    /// Pool-wide aggregate statistics since pool creation (the per-worker
+    /// stats merged).
     pub fn stats(&self) -> GenStats {
         let mut total = GenStats::default();
-        for s in self.worker_stats() {
-            total += s;
+        for s in &self.shared.stats {
+            total += *s.lock().unwrap();
         }
         total
     }
@@ -269,16 +249,10 @@ impl Drop for EnginePool {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .shutdown = true;
-        self.cv_notify();
+        self.shared.cv.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
-    }
-}
-
-impl EnginePool {
-    fn cv_notify(&self) {
-        self.shared.cv.notify_all();
     }
 }
 
@@ -313,14 +287,6 @@ fn worker_loop(
             loop {
                 if let Some(t) = st.queues[me].pop_front() {
                     break Some(t);
-                }
-                // Steal from the most loaded peer, taking its newest job so
-                // the victim keeps its warm front-of-queue work.
-                let victim = (0..st.queues.len())
-                    .filter(|&i| i != me && !st.queues[i].is_empty())
-                    .max_by_key(|&i| st.queues[i].len());
-                if let Some(v) = victim {
-                    break st.queues[v].pop_back();
                 }
                 if st.shutdown {
                     break None;
@@ -455,10 +421,6 @@ mod tests {
 
     #[test]
     fn warm_engine_affinity_makes_resweeps_cache_hits() {
-        // One worker: no stealing, so home-affinity is a hard guarantee
-        // (with several workers an idle thief may take a job and answer it
-        // with a cold engine — correct, just slower; covered by the
-        // equivalence tests).
         let shared = Arc::new(SharedTable::new(table(6)));
         let pool = EnginePool::new(PoolConfig::with_workers(1));
         let cold = pool.run_batch(vec![job(4, &shared)]);

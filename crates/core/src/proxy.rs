@@ -32,9 +32,8 @@ pub struct ProxyConfig {
     pub switch_id: u32,
     /// Collection pins for this switch's probes.
     pub catch: CatchSpec,
-    /// Probe generation settings.
-    pub gen: GeneratorConfig,
-    /// Dynamic monitoring settings.
+    /// Dynamic monitoring settings, `gen` among them: how every probe of
+    /// this switch is generated, dynamic and steady alike.
     pub dynamic: DynamicConfig,
     /// Steady-state monitoring settings (None = dynamic only).
     pub steady: Option<SteadyConfig>,
@@ -51,8 +50,7 @@ impl ProxyConfig {
         };
         ProxyConfig {
             switch_id,
-            catch: catch.clone(),
-            gen: gen.clone(),
+            catch,
             dynamic: DynamicConfig {
                 gen,
                 ..DynamicConfig::default()
@@ -214,7 +212,9 @@ impl MonitorProxy {
         self.dynamic.in_flight()
     }
 
-    /// Aggregate probe-generation statistics of this proxy's engine.
+    /// Aggregate probe-generation statistics of this proxy's engine: the
+    /// steady refresh and, in inline mode, every update's probe (a §4.1
+    /// modify is planned on a table of its own and counted nowhere).
     pub fn engine_stats(&self) -> GenStats {
         self.dynamic.engine().stats()
     }
@@ -362,19 +362,25 @@ impl MonitorProxy {
         out
     }
 
-    /// Chooses who answers the dynamic monitor's
-    /// [`crate::dynamic::PlanRequest`]s (one per monitorable update, carrying
-    /// the probed rule's overlap neighborhood): the monitor itself,
-    /// synchronously (inline, the default — the simulator/harness path), or
-    /// a transport consumer, which drains them with
-    /// [`Self::take_plan_requests`] after every proxy call and completes
-    /// them via [`Self::attach_plan`] once an external planner (typically an
-    /// [`crate::pool::EnginePool`]) has produced the plan.
+    /// Chooses who plans the updates' probes: the proxy's own engine on the
+    /// expected table, synchronously (inline, the default — the
+    /// simulator/harness path), or a transport consumer's planner, which
+    /// replays the planning steps drained with [`Self::take_plan_steps`]
+    /// after every proxy call on a [`crate::planner::Replica`] and completes
+    /// each update via [`Self::attach_plan`]
+    /// ([`crate::dynamic::DynamicMonitor::set_deferred_planning`]).
     pub fn set_deferred_planning(&mut self, on: bool) {
         self.dynamic.set_deferred_planning(on);
     }
 
-    /// Drains the deferred plan requests produced since the last call.
+    /// Drains the deferred planning steps recorded since the last call.
+    pub fn take_plan_steps(&mut self) -> Vec<crate::planner::Step> {
+        self.dynamic.take_plan_steps()
+    }
+
+    /// Drains the deferred planning steps as the
+    /// [`crate::dynamic::PlanRequest`]s a stateless planner takes (instead
+    /// of [`Self::take_plan_steps`], not as well).
     pub fn take_plan_requests(&mut self) -> Vec<crate::dynamic::PlanRequest> {
         self.dynamic.take_plan_requests()
     }

@@ -1,5 +1,5 @@
 //! The Monocle proxy as an event-loop driver: N switch sessions, one
-//! upstream controller connection each, one planner thread.
+//! upstream controller connection each, a few planner threads.
 //!
 //! ## Session lifecycle
 //!
@@ -19,21 +19,30 @@
 //! ## Deferred planning
 //!
 //! Probe planning is SAT solving — milliseconds of CPU in the worst case —
-//! so per-update planning never runs on the I/O thread.
-//! [`MonitorProxy::take_plan_requests`] yields `(token, table, rule)` jobs
-//! whose table is the probed rule's overlap neighborhood
-//! ([`monocle::PlanRequest`]), not a copy of the switch's table: what the
-//! loop thread builds per FlowMod, and what the planner fingerprints per
-//! job, follows the size of the change, not the size of the table. Jobs are
-//! shipped over an mpsc channel to the planner thread — the one consumer of
-//! [`EnginePool`] — and each job's table moves into its [`ProbeJob`]: owned,
-//! immutable, dropped with the job. Finished plans come back through a
-//! second channel and the loop's waker, and are attached with
-//! [`MonitorProxy::attach_plan`]. A switch's jobs all land on its one pool
-//! shard, whose engine delta-syncs between consecutive small tables. While
-//! a plan is in flight the update's FlowMod has already been forwarded —
-//! planning overlaps switch installation latency, which is where the
-//! multi-switch throughput scaling comes from.
+//! so per-update planning never runs on the I/O thread. Each session's
+//! monitor runs in deferred mode and records its planning work as an
+//! ordered stream of [`Step`]s ([`MonitorProxy::take_plan_steps`]): a copy
+//! of the expected table when the session starts, every FlowMod applied to
+//! it since, and one plan request per monitorable update — a delete's
+//! before its FlowMod, an add's or a modify's after it. The loop thread
+//! forwards the steps, in order, to the planner thread the session is
+//! pinned to (`session % ProxyAppConfig::pool.workers`; the threads are
+//! spawned by [`ProxyApp::new`]). That thread keeps one [`Replica`] per
+//! session — a mirror of the expected table plus one warm
+//! [`monocle::ProbeEngine`] — advances it by each step and answers each
+//! request on it, so every update is planned on exactly the table §4.1
+//! prescribes, by an engine that synchronizes in O(delta) and keeps its
+//! plan cache across updates. Nothing the loop thread sends grows with the
+//! table but the one copy at the start. Finished plans come back through
+//! one channel and the loop's waker (once per burst a thread drains) and
+//! are attached with [`MonitorProxy::attach_plan`]. While a plan is in
+//! flight the update's FlowMod has already been forwarded — planning
+//! overlaps switch installation latency, which is where the multi-switch
+//! throughput scaling comes from.
+//!
+//! A step that panics costs only its session's replica: the thread catches
+//! the panic, drops the replica, and answers the session's later requests
+//! with no plan (optimistic acks); its other sessions never notice.
 //!
 //! **Not deferred:** with [`ProxyAppConfig::steady`] set, the steady-state
 //! refresh ([`MonitorProxy::refresh_steady_plans`], run from the proxy's
@@ -44,9 +53,8 @@
 //! synchronizes to the table in O(1) when nothing changed and in O(delta)
 //! otherwise, so its cost follows the change, not the table (the first
 //! refresh of a session, and a FlowMod that overlaps everything, such as a
-//! default route, are the whole table). Moving it onto the `PlanRequest`
-//! contract is ROADMAP "Steady-state cost follows the change, not the
-//! table".
+//! default route, are the whole table). Moving it onto the planner threads,
+//! whose replicas already hold the table, is the next step.
 //!
 //! ## Steady-state verdicts
 //!
@@ -69,11 +77,12 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
 use monocle::encode::CatchSpec;
+use monocle::planner::{Replica, Step};
 use monocle::proxy::{MonitorProxy, ProbeInjection, ProxyConfig, ProxyOutput};
 use monocle::steady::SteadyConfig;
-use monocle::{EnginePool, JobSpec, PoolConfig, ProbeJob};
+use monocle::PoolConfig;
 use monocle_openflow::messages::PORT_TABLE;
-use monocle_openflow::{Action, FlowTable, Match, OfMessage, PortNo, RuleId, SharedTable};
+use monocle_openflow::{Action, Match, OfMessage, PortNo};
 use monocle_packet::ProbeMeta;
 use monocle_sched::SwitchTelemetry;
 
@@ -94,17 +103,18 @@ const LIVENESS_MAGIC: &[u8] = b"MNCL-LIVE";
 /// Half-life for per-switch telemetry decay (churn, backpressure heat).
 const TELEMETRY_HALF_LIFE_NS: u64 = 1_000_000_000;
 
-/// A planning job shipped to the planner thread.
-struct PlanJob {
-    session: u64,
-    token: u64,
-    switch_id: u32,
-    rule_id: RuleId,
-    table: FlowTable,
-    catch: CatchSpec,
+/// A message to a planner thread.
+enum ToPlanner {
+    /// The next step of a session's planning stream.
+    Step { session: u64, step: Box<Step> },
+    /// The session is gone: drop its replica.
+    Close { session: u64 },
+    /// Test-only fault injection: panic while serving this session.
+    #[cfg(test)]
+    Panic { session: u64 },
 }
 
-/// A finished plan coming back from the planner thread.
+/// A finished plan coming back from a planner thread.
 struct PlanDone {
     session: u64,
     token: u64,
@@ -170,7 +180,9 @@ pub struct ProxyAppConfig {
     pub preinstall_default: Option<(u16, PortNo)>,
     /// Probe tick period.
     pub tick_ns: u64,
-    /// Planner pool configuration.
+    /// Planner threads: `pool.workers` of them, each serving the sessions
+    /// pinned to it (`pool.engine` is not read: every session plans with
+    /// its own monitor's generator settings).
     pub pool: PoolConfig,
     /// Stop the loop once all sessions have closed (after at least one
     /// session existed).
@@ -237,32 +249,43 @@ pub struct ProxyApp {
     /// Xid space for proxy-originated frames to the switch; high range so
     /// they can never collide with controller xids in logs.
     next_xid: u32,
-    planner_tx: Option<Sender<PlanJob>>,
+    /// One channel per planner thread; session `s` goes to
+    /// `planners[s % planners.len()]`. Emptied (closing the threads) on
+    /// exit.
+    planners: Vec<Sender<ToPlanner>>,
     results_rx: Receiver<PlanDone>,
-    planner: Option<std::thread::JoinHandle<()>>,
+    planner_threads: Vec<std::thread::JoinHandle<()>>,
     had_session: bool,
     listen_addr: Option<SocketAddr>,
     stats: SharedStats,
 }
 
 impl ProxyApp {
-    /// Creates the proxy app and its planner thread. `waker` must be the
-    /// event loop's waker (`EventLoop::waker()`), used by the planner to
-    /// signal finished plans.
+    /// Creates the proxy app and its planner threads (`cfg.pool.workers`,
+    /// at least one). `waker` must be the event loop's waker
+    /// (`EventLoop::waker()`), used by the planners to signal finished
+    /// plans.
     pub fn new(cfg: ProxyAppConfig, waker: Arc<mio::Waker>) -> Self {
-        let (job_tx, job_rx) = std::sync::mpsc::channel::<PlanJob>();
         let (done_tx, done_rx) = std::sync::mpsc::channel::<PlanDone>();
-        let pool_cfg = cfg.pool.clone();
-        let planner = std::thread::spawn(move || planner_main(pool_cfg, job_rx, done_tx, waker));
+        let (planners, planner_threads) = (0..cfg.pool.workers.max(1))
+            .map(|_| {
+                let (tx, rx) = std::sync::mpsc::channel::<ToPlanner>();
+                let (done, waker) = (done_tx.clone(), Arc::clone(&waker));
+                (
+                    tx,
+                    std::thread::spawn(move || planner_main(rx, done, waker)),
+                )
+            })
+            .unzip();
         Self {
             cfg,
             sessions: HashMap::new(),
             by_conn: HashMap::new(),
             next_session: 0,
             next_xid: 0x8000_0000,
-            planner_tx: Some(job_tx),
+            planners,
             results_rx: done_rx,
-            planner: Some(planner),
+            planner_threads,
             had_session: false,
             listen_addr: None,
             stats: Arc::new(Mutex::new(HashMap::new())),
@@ -294,8 +317,8 @@ impl ProxyApp {
         self.next_xid
     }
 
-    /// Applies proxy outputs for `session`, then drains any new plan
-    /// requests to the planner.
+    /// Applies proxy outputs for `session`, then sends any new planning
+    /// steps to its planner.
     fn process_outputs(&mut self, ctx: &mut IoCtx<'_>, session: u64, outputs: Vec<ProxyOutput>) {
         let now = ctx.now_ns();
         for o in outputs {
@@ -348,7 +371,14 @@ impl ProxyApp {
                 ProxyOutput::RuleRecovered { .. } => sess.stats.rules_recovered += 1,
             }
         }
-        self.drain_plan_requests(session);
+        let proxy = self
+            .sessions
+            .get_mut(&session)
+            .and_then(|s| s.proxy.as_mut());
+        for step in proxy.map(|p| p.take_plan_steps()).unwrap_or_default() {
+            let step = Box::new(step);
+            self.to_planner(session, ToPlanner::Step { session, step });
+        }
     }
 
     /// Sends `msg` upstream, or parks it until the controller handshake
@@ -383,30 +413,12 @@ impl ProxyApp {
         );
     }
 
-    /// Ships pending plan requests for `session` to the planner thread.
-    fn drain_plan_requests(&mut self, session: u64) {
-        let Some(sess) = self.sessions.get_mut(&session) else {
-            return;
-        };
-        let Some(proxy) = sess.proxy.as_mut() else {
-            return;
-        };
-        let requests = proxy.take_plan_requests();
-        if requests.is_empty() {
-            return;
-        }
-        let switch_id = proxy.switch_id();
-        let catch = proxy.catch_spec().clone();
-        let Some(tx) = &self.planner_tx else { return };
-        for req in requests {
-            let _ = tx.send(PlanJob {
-                session,
-                token: req.token,
-                switch_id,
-                rule_id: req.rule_id,
-                table: req.table,
-                catch: catch.clone(),
-            });
+    /// Sends `msg` to the planner thread `session` is pinned to (nowhere
+    /// once the threads are closed).
+    fn to_planner(&self, session: u64, msg: ToPlanner) {
+        let n = self.planners.len() as u64;
+        if n > 0 {
+            let _ = self.planners[(session % n) as usize].send(msg);
         }
     }
 
@@ -442,6 +454,10 @@ impl ProxyApp {
                     }
                 }
                 self.process_outputs(ctx, session, outputs);
+                #[cfg(test)]
+                if datapath_id == tests::PANIC_DPID {
+                    self.to_planner(session, ToPlanner::Panic { session });
+                }
             }
             OfMessage::PacketIn {
                 in_port, ref data, ..
@@ -631,6 +647,7 @@ impl ProxyApp {
     }
 
     fn teardown(&mut self, ctx: &mut IoCtx<'_>, session: u64) {
+        self.to_planner(session, ToPlanner::Close { session });
         if let Some(sess) = self.sessions.remove(&session) {
             self.by_conn.remove(&sess.switch_conn);
             ctx.close(sess.switch_conn);
@@ -641,9 +658,9 @@ impl ProxyApp {
             self.stats.lock().unwrap().insert(session, sess.stats);
         }
         if self.cfg.exit_when_idle && self.had_session && self.sessions.is_empty() {
-            // Dropping the sender ends the planner thread's recv loop.
-            self.planner_tx = None;
-            if let Some(h) = self.planner.take() {
+            // Dropping the senders ends the planner threads' recv loops.
+            self.planners.clear();
+            for h in self.planner_threads.drain(..) {
                 let _ = h.join();
             }
             ctx.stop();
@@ -722,42 +739,41 @@ impl Driver for ProxyApp {
     }
 }
 
-/// Planner thread main: drains job batches, runs them on the pool, ships
-/// plans back and wakes the loop. Exits when the job channel closes.
-fn planner_main(
-    cfg: PoolConfig,
-    rx: Receiver<PlanJob>,
-    tx: Sender<PlanDone>,
-    waker: Arc<mio::Waker>,
-) {
-    let pool = EnginePool::new(cfg);
+/// Planner thread main: keeps a [`Replica`] per session it serves, advances
+/// each by its session's steps in arrival order, and ships every plan back;
+/// wakes the loop once per burst of messages drained. Exits when the channel
+/// closes.
+fn planner_main(rx: Receiver<ToPlanner>, done: Sender<PlanDone>, waker: Arc<mio::Waker>) {
+    // `None`: no replica — the stream has not started, or a step panicked
+    // and took the replica with it.
+    let mut replicas: HashMap<u64, Option<Replica>> = HashMap::new();
     while let Ok(first) = rx.recv() {
-        let mut jobs = vec![first];
-        // Natural batching: everything already queued goes in one batch so
-        // pool shards fill and probe generation for many switches overlaps.
-        while let Ok(j) = rx.try_recv() {
-            jobs.push(j);
-        }
-        // Each job's table moves into its `ProbeJob`; only the return
-        // address stays behind.
-        let (addrs, probe_jobs): (Vec<(u64, u64)>, Vec<ProbeJob>) = jobs
-            .into_iter()
-            .map(|j| {
-                (
-                    (j.session, j.token),
-                    ProbeJob {
-                        switch_id: j.switch_id,
-                        table: Arc::new(SharedTable::new(j.table)),
-                        catch: j.catch,
-                        spec: JobSpec::Rules(vec![j.rule_id]),
-                    },
-                )
-            })
-            .unzip();
-        let results = pool.run_batch(probe_jobs);
-        for ((session, token), result) in addrs.into_iter().zip(results) {
-            let plan = result.results.into_iter().next().and_then(|r| r.ok());
-            if tx
+        let mut answered = false;
+        for msg in std::iter::once(first).chain(std::iter::from_fn(|| rx.try_recv().ok())) {
+            let (session, step) = match msg {
+                ToPlanner::Step { session, step } => (session, step),
+                ToPlanner::Close { session } => {
+                    replicas.remove(&session);
+                    continue;
+                }
+                #[cfg(test)]
+                ToPlanner::Panic { session } => {
+                    let slot = replicas.entry(session).or_default();
+                    guarded(slot, |_| -> Option<()> { panic!("injected planner panic") });
+                    continue;
+                }
+            };
+            let token = match *step {
+                Step::Plan { token, .. } => Some(token),
+                _ => None,
+            };
+            let slot = replicas.entry(session).or_default();
+            let answer = guarded(slot, |slot| Replica::step(slot, *step));
+            // Every request is answered: without a replica, or when
+            // planning panicked, with no plan.
+            let Some(token) = token else { continue };
+            let plan = answer.and_then(|(_, plan)| plan.ok());
+            if done
                 .send(PlanDone {
                     session,
                     token,
@@ -765,9 +781,94 @@ fn planner_main(
                 })
                 .is_err()
             {
-                return;
+                return; // the proxy is gone
             }
+            answered = true;
         }
-        let _ = waker.wake();
+        if answered {
+            let _ = waker.wake();
+        }
+    }
+}
+
+/// Runs `f` on a session's replica slot; if it panics, the replica (whose
+/// state may be mid-mutation) is dropped and the answer is `None`.
+fn guarded<T>(
+    slot: &mut Option<Replica>,
+    f: impl FnOnce(&mut Option<Replica>) -> Option<T>,
+) -> Option<T> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(slot))).unwrap_or_else(|_| {
+        *slot = None;
+        None
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::event_loop::EventLoop;
+    use crate::sim::{ControllerSim, ControllerSimConfig, SwitchSim, SwitchSimConfig};
+
+    /// Test-only fault injection: the planner panics while serving the
+    /// session of this datapath, right after its stream starts.
+    pub(super) const PANIC_DPID: u64 = 0xdead;
+
+    /// One planner thread serves four sessions and panics on one of them.
+    /// That session's updates are all still answered, each exactly once —
+    /// optimistically, its replica being gone; the other three sessions,
+    /// planned by the same thread, keep verifying every update; and the
+    /// run ends long before its deadline.
+    #[test]
+    fn a_planner_panic_costs_its_session_the_proofs_and_nothing_else() {
+        let dpids = vec![1, 2, PANIC_DPID, 4];
+        let updates = 12u64;
+        let mut controller_loop = EventLoop::new().unwrap();
+        let mut controller = ControllerSim::new(ControllerSimConfig {
+            switches: dpids.len(),
+            updates_per_switch: updates as usize,
+            deadline_ns: 30_000_000_000,
+        });
+        let controller_stats = controller.stats();
+        let controller_addr = controller_loop.with_ctx(|ctx| controller.start(ctx).unwrap());
+        let mut proxy_loop = EventLoop::new().unwrap();
+        let mut cfg = ProxyAppConfig::new(controller_addr);
+        cfg.pool = PoolConfig::with_workers(1);
+        let mut proxy = ProxyApp::new(cfg, proxy_loop.waker());
+        let proxy_stats = proxy.stats();
+        let proxy_addr = proxy_loop.with_ctx(|ctx| proxy.start(ctx).unwrap());
+        let mut switch_loop = EventLoop::new().unwrap();
+        let mut fleet = SwitchSim::new(SwitchSimConfig {
+            proxy_addr,
+            dpids: dpids.clone(),
+            install_latency_ns: 1_000_000,
+        });
+        let threads = [
+            std::thread::spawn(move || controller_loop.run(&mut controller).unwrap()),
+            std::thread::spawn(move || proxy_loop.run(&mut proxy).unwrap()),
+            std::thread::spawn(move || {
+                switch_loop.with_ctx(|ctx| fleet.start(ctx).unwrap());
+                switch_loop.run(&mut fleet).unwrap()
+            }),
+        ];
+        for t in threads {
+            t.join().unwrap();
+        }
+
+        let cs = controller_stats.lock().unwrap();
+        assert!(!cs.deadlined, "the run hit its deadline");
+        assert_eq!(cs.acks.len() as u64, dpids.len() as u64 * updates);
+        assert_eq!(cs.alarms, 0);
+        let ps = proxy_stats.lock().unwrap();
+        assert_eq!(ps.len(), dpids.len());
+        for sess in ps.values() {
+            assert_eq!(
+                (sess.flowmods, sess.confirmed),
+                (updates, updates),
+                "dpid {}: every update answered exactly once",
+                sess.dpid
+            );
+            let verified = if sess.dpid == PANIC_DPID { 0 } else { updates };
+            assert_eq!(sess.verified, verified, "dpid {}", sess.dpid);
+        }
     }
 }

@@ -3,7 +3,8 @@
 //!
 //! Controller, proxy and switch fleet each run their own event loop on
 //! their own thread. The controller pushes FlowMods; the proxy intercepts
-//! them, plans probes through the EnginePool planner thread, injects them
+//! them, plans probes on its planner threads (one replica of each switch's
+//! expected table, one warm engine on it), injects them
 //! as PacketOuts, absorbs the returning PacketIns, and acks each update
 //! with a BarrierReply carrying the FlowMod's original xid.
 

@@ -35,9 +35,10 @@
 //!
 //! ## Tables handed to planners
 //!
-//! A `FlowTable` has one owner. A planning job on another thread gets a
-//! table of its own (the probed rule's [`FlowTable::neighborhood`], or a
-//! clone), wrapped in a [`SharedTable`]: immutable, never republished.
+//! A `FlowTable` has one owner. A planner on another thread keeps a table of
+//! its own: a clone, advanced by the same FlowMods (`monocle::planner`), or,
+//! for a pool job, the probed rule's [`FlowTable::neighborhood`] wrapped in
+//! a [`SharedTable`]: immutable, never republished.
 
 use crate::action::{ActionError, ActionProgram, Forwarding, PortNo};
 use crate::classifier::TernaryClassifier;

@@ -6,8 +6,9 @@
 //! * a workload controller that pushes FlowMods and waits for
 //!   confirmations,
 //! * the Monocle proxy — one epoll loop multiplexing every switch session,
-//!   per-switch monitors in deferred-planning mode, probe planning on an
-//!   EnginePool planner thread,
+//!   per-switch monitors in deferred-planning mode, probe planning on
+//!   planner threads that each keep a replica of their switches' expected
+//!   tables,
 //! * a switch fleet applying rules only after a simulated install latency
 //!   and bouncing probe PacketOuts back as PacketIns (virtual catch-all
 //!   neighbor).

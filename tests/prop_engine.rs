@@ -34,7 +34,7 @@
 //!
 //! And to planning on a rule's overlap neighborhood
 //! ([`monocle_openflow::FlowTable::neighborhood`]) instead of the table —
-//! what every per-update `PlanRequest` carries: same found / not found and
+//! what the reference `PlanRequest` form carries: same found / not found and
 //! error class as planning on the full table, every neighborhood plan
 //! valid on the full table, and one long-lived engine handed consecutive
 //! unrelated neighborhoods (a pool worker's life) never serves a stale plan.
@@ -537,7 +537,7 @@ proptest! {
     /// pool(N) over randomized multi-switch tables is *structurally*
     /// identical to cold serial engines on the same snapshots: with one
     /// batch per switch every engine is cold wherever the job lands, so
-    /// worker count and stealing cannot change a single byte of output.
+    /// the worker count cannot change a single byte of output.
     /// The serial reference is built from the pool's own engine template.
     #[test]
     fn pool_structurally_matches_serial_on_random_tables(
@@ -575,9 +575,9 @@ proptest! {
     /// as a fresh owned job for the same switch, and the pooled sweep must
     /// agree with fresh stateless generation on it. The worker engine gets
     /// no `note_flowmod` between jobs, so this is its fingerprint safety
-    /// net across consecutive different tables (engines may be warm or cold
-    /// depending on stealing, so equivalence is semantic — same bar as the
-    /// serial engine's own invariant).
+    /// net across consecutive different tables (the home engine is warm, so
+    /// equivalence is semantic — same bar as the serial engine's own
+    /// invariant).
     #[test]
     fn pool_equivalent_across_shared_table_churn(
         table in arb_table(),
