@@ -11,11 +11,12 @@ cargo build --release --workspace --all-targets
 echo "== tests =="
 cargo test -q --workspace
 
-echo "== deeper property pass: engine eviction and the Hidden oracle =="
-# Tier-1 runs these properties at 40-128 cases; the eviction predicate and
-# the header-space oracle for Hidden get a thousand here (a few seconds in
-# release).
+echo "== deeper property pass: engine eviction, the Hidden oracle, the encoding oracle =="
+# Tier-1 runs these properties at 40-128 cases; the eviction predicate, the
+# header-space oracle for Hidden and the ITE-chain encoding the encoder must
+# agree with get a thousand here (a few seconds in release).
 PROPTEST_CASES=1000 cargo test --release -q --test prop_engine --test prop_probe
+PROPTEST_CASES=1000 cargo test --release -q -p monocle --lib encode::tests
 
 echo "== deeper property pass: dynamic monitoring (replica mirror, drain, order) =="
 # Tier-1 runs these at 64 cases: a replica fed the monitor's planning steps

@@ -1,9 +1,9 @@
 //! Criterion microbenchmarks: probe generation (per dataset), the §8.2
-//! encoding ablation (implication vs the paper's ITE chain vs DPLL solving),
-//! SAT solving, flow-table operations, coloring, and the wire codec.
+//! solver ablation (CDCL vs DPLL on the same instances), SAT solving,
+//! flow-table operations, coloring, and the wire codec.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use monocle::encode::{build_instance, CatchSpec, EncodingStyle};
+use monocle::encode::{build_instance, CatchSpec};
 use monocle::engine::ProbeEngine;
 use monocle::generator::{generate_probe, GeneratorConfig};
 use monocle_datasets::acl::{generate, AclConfig};
@@ -61,8 +61,8 @@ fn bench_probe_generation(c: &mut Criterion) {
     g.finish();
 }
 
-/// §8.2 ablation: encoding styles and solver choice on the same instances.
-fn bench_encoding_ablation(c: &mut Criterion) {
+/// §8.2 ablation: solver choice on the same instances.
+fn bench_solver_ablation(c: &mut Criterion) {
     let table = load_table(&AclConfig::stanford_like(), 1500);
     let probed: Vec<_> = table
         .rules()
@@ -72,24 +72,22 @@ fn bench_encoding_ablation(c: &mut Criterion) {
         .cloned()
         .collect();
     let catch = CatchSpec::default();
-    let mut g = c.benchmark_group("ablation_encodings");
+    let mut g = c.benchmark_group("ablation_solvers");
     g.sample_size(20);
-    for style in [EncodingStyle::Implication, EncodingStyle::IteChain] {
-        g.bench_function(BenchmarkId::new("build+cdcl", format!("{style:?}")), |b| {
-            b.iter(|| {
-                for r in &probed {
-                    if let Ok(inst) = build_instance(&table, r, &catch, style) {
-                        black_box(CdclSolver::new().solve(&inst.cnf));
-                    }
+    g.bench_function("build+cdcl/Implication", |b| {
+        b.iter(|| {
+            for r in &probed {
+                if let Ok(inst) = build_instance(&table, r, &catch) {
+                    black_box(CdclSolver::new().solve(&inst.cnf));
                 }
-            })
-        });
-    }
+            }
+        })
+    });
     // DPLL on the same instances (the "a simple solver suffices?" question).
     g.bench_function("build+dpll/Implication", |b| {
         b.iter(|| {
             for r in &probed {
-                if let Ok(inst) = build_instance(&table, r, &catch, EncodingStyle::Implication) {
+                if let Ok(inst) = build_instance(&table, r, &catch) {
                     black_box(
                         DpllSolver::new()
                             .with_decision_budget(100_000)
@@ -190,7 +188,7 @@ fn bench_wire_codec(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_probe_generation,
-    bench_encoding_ablation,
+    bench_solver_ablation,
     bench_sat_solver,
     bench_flow_table,
     bench_coloring,

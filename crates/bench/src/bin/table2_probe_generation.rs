@@ -22,15 +22,13 @@
 //! The binary asserts engine ≡ stateless on probes found, and zero solver
 //! calls on the re-probe.
 //!
-//! Usage: `table2_probe_generation [--rules N] [--style ite] [--json PATH]`
+//! Usage: `table2_probe_generation [--rules N] [--json PATH]`
 //!
-//! `--style ite` switches every arm to the paper's if-then-else chain.
 //! `--json` writes a machine-readable baseline (see
 //! `BENCH_probe_generation.json` at the repo root) so future changes have a
 //! perf trajectory.
 
-use monocle::encode::EncodingStyle;
-use monocle::engine::{EngineConfig, ProbeEngine};
+use monocle::engine::ProbeEngine;
 use monocle::generator::{generate_probe_with_stats, GenStats, GeneratorConfig};
 use monocle::CatchSpec;
 use monocle_datasets::acl::{generate, AclConfig};
@@ -123,21 +121,13 @@ fn run_engine(
     }
 }
 
-fn run_dataset(
-    name: &'static str,
-    cfg: &AclConfig,
-    limit: Option<usize>,
-    style: EncodingStyle,
-) -> DatasetResult {
+fn run_dataset(name: &'static str, cfg: &AclConfig, limit: Option<usize>) -> DatasetResult {
     let (table, ids) = build_table(cfg, limit);
-    let gen_cfg = GeneratorConfig {
-        style,
-        ..GeneratorConfig::default()
-    };
+    let gen_cfg = GeneratorConfig::default();
     let catch = CatchSpec::default();
 
     let stateless = run_stateless(&table, &ids, &gen_cfg, &catch);
-    let mut engine = ProbeEngine::new(EngineConfig { gen: gen_cfg });
+    let mut engine = ProbeEngine::with_gen(gen_cfg);
     let [cold, warm] = ["engine-batch", "engine-reprobe"]
         .map(|label| run_engine(&mut engine, label, &table, &ids, &catch));
     let arms = [stateless, cold, warm];
@@ -189,10 +179,9 @@ fn json_escape_free(s: &str) -> &str {
     s
 }
 
-fn write_json(path: &str, style: EncodingStyle, datasets: &[DatasetResult]) {
+fn write_json(path: &str, datasets: &[DatasetResult]) {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"table2_probe_generation\",\n");
-    out.push_str(&format!("  \"style\": \"{style:?}\",\n"));
     out.push_str(
         "  \"notes\": \"the engine arms share the stateless arm's encoder and one-shot solver: \
          engine-batch is the plan cache and the guess-and-verify fast path in front of the same \
@@ -251,21 +240,12 @@ fn write_json(path: &str, style: EncodingStyle, datasets: &[DatasetResult]) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let mut limit = None;
-    let mut style = EncodingStyle::Implication;
     let mut json_path: Option<String> = None;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
             "--rules" => {
                 limit = Some(args[i + 1].parse().expect("--rules N"));
-                i += 2;
-            }
-            "--style" => {
-                style = if args[i + 1] == "ite" {
-                    EncodingStyle::IteChain
-                } else {
-                    EncodingStyle::Implication
-                };
                 i += 2;
             }
             "--json" => {
@@ -278,9 +258,9 @@ fn main() {
     println!("== Table 2: time Monocle takes to generate a probe ==");
     println!("(paper: Campus 4.03/5.29 ms, 10642/10958; Stanford 1.48/3.85 ms, 2442/2755)");
     println!("Data set\tarm\tavg [ms]\tmax [ms]\tprobes found");
-    let campus = run_dataset("Campus", &AclConfig::campus_like(), limit, style);
-    let stanford = run_dataset("Stanford", &AclConfig::stanford_like(), limit, style);
+    let campus = run_dataset("Campus", &AclConfig::campus_like(), limit);
+    let stanford = run_dataset("Stanford", &AclConfig::stanford_like(), limit);
     if let Some(path) = json_path {
-        write_json(&path, style, &[campus, stanford]);
+        write_json(&path, &[campus, stanford]);
     }
 }

@@ -25,7 +25,7 @@ use crate::encode::CatchSpec;
 use crate::engine::ProbeEngine;
 use crate::expect::ExpectedTable;
 use crate::generator::{GeneratorConfig, ProbeError};
-use crate::plan::{ProbePlan, Verdict};
+use crate::plan::{take_seq, ProbePlan, Verdict};
 use crate::planner::{self, PlanKind, Step};
 use monocle_openflow::table::ApplyResult;
 use monocle_openflow::{FlowMod, FlowModCommand, FlowTable, Rule, RuleId, TableError};
@@ -180,6 +180,8 @@ pub struct DynamicMonitor {
     engine: ProbeEngine,
     active: Vec<ActiveUpdate>,
     queued: VecDeque<(u64, FlowMod)>,
+    /// The next probe's sequence number, below
+    /// [`crate::plan::STEADY_SEQ_BIT`] ([`take_seq`]).
     next_seq: u32,
     /// Deferred planning: record [`Step`]s for an external planner instead
     /// of planning here.
@@ -220,6 +222,15 @@ impl DynamicMonitor {
             request_replica: FlowTable::new(),
             touched: Vec::new(),
             removed: Vec::new(),
+        }
+    }
+
+    /// A monitor whose first probe gets sequence number `seq`.
+    #[cfg(test)]
+    pub(crate) fn with_first_seq(cfg: DynamicConfig, catch: CatchSpec, seq: u32) -> Self {
+        DynamicMonitor {
+            next_seq: seq,
+            ..DynamicMonitor::new(cfg, catch)
         }
     }
 
@@ -536,8 +547,7 @@ impl DynamicMonitor {
         plan: ProbePlan,
         confirm_on: Verdict,
     ) -> DynAction {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = take_seq(&mut self.next_seq);
         let confirming_outcome_is_drop = match confirm_on {
             Verdict::Present => plan.present.is_drop(),
             Verdict::Absent => plan.absent.is_drop(),
@@ -609,8 +619,7 @@ impl DynamicMonitor {
             }
             a.attempts += 1;
             a.next_probe_at = now + interval;
-            let seq = self.next_seq;
-            self.next_seq += 1;
+            let seq = take_seq(&mut self.next_seq);
             a.live_seqs.push(seq);
             actions.push(DynAction::Inject {
                 token: a.token,

@@ -4,19 +4,16 @@
 //! variable `i + 1`; auxiliary Tseitin variables are allocated above
 //! [`HEADER_BITS`].
 //!
-//! Two encodings of the Distinguish constraint are provided:
-//!
-//! * [`EncodingStyle::Implication`] — for each lower-priority rule `L_i`
-//!   (and the virtual table-miss rule), one clause
-//!   `(!m_i | m_1 | ... | m_{i-1} | d_i)` where `m_j ⇔ Matches(P, L_j)` are
-//!   Tseitin definitions. This is the linear encoding.
-//! * [`EncodingStyle::IteChain`] — the paper's formulation: the outcome is
-//!   an if-then-else chain mimicking TCAM priority matching, encoded with
-//!   Velev's construction (Appendix B). Quadratic but paper-faithful.
-//!
-//! The `ablation_encodings` bench compares them; both must be semantically
-//! identical, which the property tests check by solving each against the
-//! semantic oracle.
+//! The Distinguish constraint is the linear implication encoding: for each
+//! lower-priority rule `L_i` (and the virtual table-miss rule), one clause
+//! `(!m_i | m_1 | ... | m_{i-1} | d_i)` where `m_j ⇔ Matches(P, L_j)` are
+//! Tseitin definitions, the prefix shared through a chain of auxiliaries.
+//! The paper's own formulation — an if-then-else chain mimicking TCAM
+//! priority matching, encoded with Velev's quadratic construction
+//! (Appendix B) — is kept in this module's tests as the oracle: on every
+//! rule of a random table, the two instances must agree on SAT/UNSAT. It
+//! is not the encoder because it is slower on both Table 2 datasets (the
+//! README's "SAT engine internals" has the numbers).
 //!
 //! [`build_instance`] is the only encoder and keeps nothing between calls:
 //! stateless generation and the [`crate::engine::ProbeEngine`] both build
@@ -25,17 +22,7 @@
 use crate::outcome::{BitCondition, OutcomeDiff};
 use monocle_openflow::headerspace::HEADER_BITS;
 use monocle_openflow::{Field, FlowTable, Forwarding, Rule, Ternary};
-use monocle_sat::{encode_ite_chain, Cnf, Lit};
-
-/// Which Distinguish encoding to emit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EncodingStyle {
-    /// Linear implication encoding (default).
-    #[default]
-    Implication,
-    /// Paper's Velev if-then-else chain (§5.3, Appendix B).
-    IteChain,
-}
+use monocle_sat::{Cnf, Lit};
 
 /// Collection pins: exact values the probe must carry so the downstream
 /// catching rule (and only it) matches — plus the ingress port the prober
@@ -174,7 +161,7 @@ fn push_hit_avoid<'a>(
     Ok(lower)
 }
 
-/// Emits the Implication-style Distinguish clauses. `match_lits[i]` is the
+/// Emits the implication-encoded Distinguish clauses. `match_lits[i]` is the
 /// `Matches(P, L_i)` literal of the i-th lower rule (`None` = constant
 /// true); `diffs` holds one [`OutcomeDiff`] per lower rule plus the virtual
 /// table miss as its last element.
@@ -284,41 +271,6 @@ fn define_matches(cnf: &mut Cnf, tern: &Ternary) -> Option<Lit> {
     }
 }
 
-/// `v ⇔ clause` (define_or).
-fn define_or(cnf: &mut Cnf, clause: &[Lit]) -> Lit {
-    if clause.len() == 1 {
-        return clause[0];
-    }
-    let v = cnf.fresh_var() as Lit;
-    for &l in clause {
-        cnf.add_clause(&[v, -l]);
-    }
-    let mut long = clause.to_vec();
-    long.push(-v);
-    cnf.add_clause(&long);
-    v
-}
-
-/// Literal equivalent to a [`BitCondition`] (allocating auxiliaries).
-fn condition_literal(cnf: &mut Cnf, true_lit: Lit, cond: &BitCondition) -> Lit {
-    match cond {
-        BitCondition::Const(true) => true_lit,
-        BitCondition::Const(false) => -true_lit,
-        BitCondition::Clause(c) => define_or(cnf, c),
-        BitCondition::Cnf(cs) => {
-            let parts: Vec<Lit> = cs.iter().map(|c| define_or(cnf, c)).collect();
-            let v = cnf.fresh_var() as Lit;
-            for &p in &parts {
-                cnf.add_clause(&[-v, p]);
-            }
-            let mut long: Vec<Lit> = parts.iter().map(|&p| -p).collect();
-            long.push(v);
-            cnf.add_clause(&long);
-            v
-        }
-    }
-}
-
 /// Reserved-field discipline check shared by every build path: the probed
 /// rule must not rewrite pinned fields (§3.2), nor may its match contradict
 /// the pins.
@@ -344,7 +296,6 @@ pub fn build_instance(
     table: &FlowTable,
     probed: &Rule,
     catch: &CatchSpec,
-    style: EncodingStyle,
 ) -> Result<Instance, BuildError> {
     check_catch_pins(probed, catch)?;
 
@@ -372,39 +323,12 @@ pub fn build_instance(
         }
     }
 
-    match style {
-        EncodingStyle::Implication => {
-            // m_j literals, computed lazily in order.
-            let match_lits: Vec<Option<Lit>> = lower
-                .iter()
-                .map(|l| define_matches(&mut cnf, &l.tern))
-                .collect();
-            emit_distinguish_implication(&mut cnf, &match_lits, &diffs);
-        }
-        EncodingStyle::IteChain => {
-            // true_lit anchors constants.
-            let true_lit = cnf.fresh_var() as Lit;
-            cnf.add_clause(&[true_lit]);
-            let mut chain: Vec<(Lit, Lit)> = Vec::new();
-            let mut else_lit =
-                condition_literal(&mut cnf, true_lit, diffs[lower.len()].condition_ref());
-            for (i, l) in lower.iter().enumerate() {
-                let cond_lit = condition_literal(&mut cnf, true_lit, diffs[i].condition_ref());
-                match define_matches(&mut cnf, &l.tern) {
-                    Some(m) => chain.push((m, cond_lit)),
-                    None => {
-                        // Always-matching rule terminates the chain: it is
-                        // the else branch; anything below is unreachable.
-                        else_lit = cond_lit;
-                        break;
-                    }
-                }
-            }
-            let s = cnf.fresh_var() as Lit;
-            encode_ite_chain(&mut cnf, s, &chain, else_lit);
-            cnf.add_clause(&[s]);
-        }
-    }
+    // m_j literals, computed lazily in order.
+    let match_lits: Vec<Option<Lit>> = lower
+        .iter()
+        .map(|l| define_matches(&mut cnf, &l.tern))
+        .collect();
+    emit_distinguish_implication(&mut cnf, &match_lits, &diffs);
 
     Ok(Instance {
         cnf,
@@ -496,8 +420,7 @@ mod tests {
             ),
         ]);
         let probed2 = t2.rules().iter().find(|r| r.priority == 10).unwrap();
-        let inst =
-            build_instance(&t2, probed2, &downstream_catch, EncodingStyle::Implication).unwrap();
+        let inst = build_instance(&t2, probed2, &downstream_catch).unwrap();
         let model = solve(&inst.cnf).model();
         let h = probe_bits(&model);
         // Probe must: carry VLAN 3, have src 10.0.0.1, NOT have dst 10.0.0.2.
@@ -535,12 +458,10 @@ mod tests {
             (10, Match::any(), vec![Action::Output(1)]),
         ]);
         let probed = t.rules().iter().find(|r| r.priority == 30).unwrap();
-        for style in [EncodingStyle::Implication, EncodingStyle::IteChain] {
-            let inst = build_instance(&t, probed, &CatchSpec::default(), style).unwrap();
-            let res = solve(&inst.cnf);
-            let model = match res {
+        for (style, cnf) in both_encodings(&t, probed, &CatchSpec::default()) {
+            let model = match solve(&cnf) {
                 SatResult::Sat(m) => m,
-                other => panic!("{style:?}: expected SAT, got {other:?}"),
+                other => panic!("{style}: expected SAT, got {other:?}"),
             };
             let h = probe_bits(&model);
             // The ONLY valid probe matches both exact fields (Hit forces
@@ -569,9 +490,8 @@ mod tests {
             (10, Match::any(), vec![Action::Output(1)]),
         ]);
         let probed = t.rules().iter().find(|r| r.priority == 20).unwrap();
-        for style in [EncodingStyle::Implication, EncodingStyle::IteChain] {
-            let inst = build_instance(&t, probed, &CatchSpec::default(), style).unwrap();
-            assert_eq!(solve(&inst.cnf), SatResult::Unsat, "{style:?}");
+        for (style, cnf) in both_encodings(&t, probed, &CatchSpec::default()) {
+            assert_eq!(solve(&cnf), SatResult::Unsat, "{style}");
         }
     }
 
@@ -588,11 +508,9 @@ mod tests {
             (10, Match::any(), vec![Action::Output(1)]),
         ]);
         let probed = t.rules().iter().find(|r| r.priority == 20).unwrap();
-        for style in [EncodingStyle::Implication, EncodingStyle::IteChain] {
-            let inst = build_instance(&t, probed, &CatchSpec::default(), style).unwrap();
-            let model = solve(&inst.cnf).model();
-            let h = probe_bits(&model);
-            assert_ne!(h.field(Field::NwTos), 0x2e, "{style:?}: ToS must differ");
+        for (style, cnf) in both_encodings(&t, probed, &CatchSpec::default()) {
+            let h = probe_bits(&solve(&cnf).model());
+            assert_ne!(h.field(Field::NwTos), 0x2e, "{style}: ToS must differ");
         }
     }
 
@@ -612,13 +530,7 @@ mod tests {
         ]);
         let probed = t.rules().iter().find(|r| r.priority == 10).unwrap();
         assert_eq!(
-            build_instance(
-                &t,
-                probed,
-                &CatchSpec::default(),
-                EncodingStyle::Implication
-            )
-            .unwrap_err(),
+            build_instance(&t, probed, &CatchSpec::default()).unwrap_err(),
             BuildError::Shadowed { by_priority: 20 }
         );
     }
@@ -632,13 +544,7 @@ mod tests {
             (10, Match::any(), vec![Action::Output(1)]),
         ]);
         let probed = t.rules().iter().find(|r| r.priority == 20).unwrap();
-        let inst = build_instance(
-            &t,
-            probed,
-            &CatchSpec::default(),
-            EncodingStyle::Implication,
-        )
-        .unwrap();
+        let inst = build_instance(&t, probed, &CatchSpec::default()).unwrap();
         assert!(solve(&inst.cnf).is_sat());
     }
 
@@ -647,13 +553,7 @@ mod tests {
         // Drop rule over a drop-by-miss table: nothing observable either way.
         let t = table_from(vec![(20, Match::any().with_tp_dst(23), vec![])]);
         let probed = &t.rules()[0];
-        let inst = build_instance(
-            &t,
-            probed,
-            &CatchSpec::default(),
-            EncodingStyle::Implication,
-        )
-        .unwrap();
+        let inst = build_instance(&t, probed, &CatchSpec::default()).unwrap();
         assert_eq!(solve(&inst.cnf), SatResult::Unsat);
     }
 
@@ -667,7 +567,7 @@ mod tests {
         let probed = &t.rules()[0];
         let catch = CatchSpec::tag(Field::DlVlan, 3);
         assert_eq!(
-            build_instance(&t, probed, &catch, EncodingStyle::Implication).unwrap_err(),
+            build_instance(&t, probed, &catch).unwrap_err(),
             BuildError::CatchConflict(Field::DlVlan)
         );
     }
@@ -682,7 +582,7 @@ mod tests {
         let probed = &t.rules()[0];
         let catch = CatchSpec::tag(Field::DlVlan, 3);
         assert_eq!(
-            build_instance(&t, probed, &catch, EncodingStyle::Implication).unwrap_err(),
+            build_instance(&t, probed, &catch).unwrap_err(),
             BuildError::RewritesReserved(Field::DlVlan)
         );
     }
@@ -703,13 +603,7 @@ mod tests {
             (10, Match::any(), vec![Action::Output(2)]),
         ]);
         let probed = t.rules().iter().find(|r| r.priority == 30).unwrap();
-        let inst = build_instance(
-            &t,
-            probed,
-            &CatchSpec::default(),
-            EncodingStyle::Implication,
-        )
-        .unwrap();
+        let inst = build_instance(&t, probed, &CatchSpec::default()).unwrap();
         // The 99.0.0.1 rule is disjoint: filtered out.
         assert_eq!(inst.relevant_rules, 1);
     }
@@ -725,13 +619,7 @@ mod tests {
             (10, Match::any(), vec![Action::SelectOutput(vec![1, 2])]),
         ]);
         let probed = t.rules().iter().find(|r| r.priority == 20).unwrap();
-        let inst = build_instance(
-            &t,
-            probed,
-            &CatchSpec::default(),
-            EncodingStyle::Implication,
-        )
-        .unwrap();
+        let inst = build_instance(&t, probed, &CatchSpec::default()).unwrap();
         assert!(inst.uses_counting);
         assert!(solve(&inst.cnf).is_sat());
     }
@@ -748,15 +636,322 @@ mod tests {
         ]);
         let probed = t.rules().iter().find(|r| r.priority == 20).unwrap();
         // Full instance: UNSAT (indistinguishable); hit-only: SAT.
-        let full = build_instance(
-            &t,
-            probed,
-            &CatchSpec::default(),
-            EncodingStyle::Implication,
-        )
-        .unwrap();
+        let full = build_instance(&t, probed, &CatchSpec::default()).unwrap();
         assert_eq!(solve(&full.cnf), SatResult::Unsat);
         let hit = build_hit_only(&t, probed, &CatchSpec::default()).unwrap();
         assert!(solve(&hit).is_sat());
+    }
+
+    /// The instance [`build_instance`] emits and the ITE oracle's, labelled.
+    fn both_encodings(t: &FlowTable, probed: &Rule, catch: &CatchSpec) -> [(&'static str, Cnf); 2] {
+        [
+            ("implication", build_instance(t, probed, catch).unwrap().cnf),
+            ("ite", ite::build_instance_ite(t, probed, catch).unwrap()),
+        ]
+    }
+
+    // ---- The encoder against the oracle on random tables. ----
+
+    use proptest::prelude::*;
+
+    /// Matches over a deliberately small value space so rules overlap.
+    fn arb_match() -> impl Strategy<Value = Match> {
+        (
+            prop::option::of((0u8..4, 0u8..4, prop_oneof![Just(16u8), Just(24), Just(32)])),
+            prop::option::of((0u8..4, 0u8..4, prop_oneof![Just(16u8), Just(24), Just(32)])),
+            prop::option::of(prop_oneof![Just(6u8), Just(17u8)]),
+            prop::option::of(prop_oneof![Just(22u16), Just(80), Just(443)]),
+        )
+            .prop_map(|(src, dst, proto, port)| {
+                let mut m = Match::any();
+                if let Some((a, b, plen)) = src {
+                    m = m.with_nw_src([10, a, b, 1], plen);
+                }
+                if let Some((a, b, plen)) = dst {
+                    m = m.with_nw_dst([10, a, b, 2], plen);
+                }
+                if let Some(p) = proto {
+                    m = m.with_nw_proto(p);
+                }
+                if let Some(p) = port {
+                    // A transport match pins the protocol (OF 1.0.1).
+                    m = m.with_tp_dst(p);
+                    if m.nw_proto.is_none() {
+                        m = m.with_nw_proto(6);
+                    }
+                }
+                m
+            })
+    }
+
+    fn arb_actions() -> impl Strategy<Value = Vec<Action>> {
+        prop_oneof![
+            Just(vec![]),                                                        // drop
+            (1u16..5).prop_map(|p| vec![Action::Output(p)]),                     // unicast
+            (0u8..8).prop_map(|t| vec![Action::SetNwTos(t), Action::Output(1)]), // rewrite
+            Just(vec![Action::Output(1), Action::Output(2)]),                    // multicast
+            Just(vec![Action::SelectOutput(vec![3, 4])]),                        // ECMP
+        ]
+    }
+
+    fn arb_table() -> impl Strategy<Value = FlowTable> {
+        prop::collection::vec((arb_match(), arb_actions(), 1u16..8), 1..12).prop_map(|rules| {
+            let mut t = FlowTable::new();
+            for (m, a, p) in rules {
+                let _ = t.add_rule(p, m, a);
+            }
+            t
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The Implication and ITE instances of every rule of a random table
+        /// agree on SAT/UNSAT, and on the reason when neither can be built.
+        #[test]
+        fn encodings_agree(table in arb_table()) {
+            let catch = CatchSpec::default();
+            for rule in table.rules() {
+                let imp = build_instance(&table, rule, &catch).map(|i| solve(&i.cnf).is_sat());
+                let ite = ite::build_instance_ite(&table, rule, &catch).map(|c| solve(&c).is_sat());
+                prop_assert_eq!(imp, ite, "encodings disagree on {:?}", rule.match_);
+            }
+        }
+    }
+
+    /// The paper's Distinguish encoding (§5.3, Appendix B), the oracle
+    /// [`build_instance`] is checked against: the outcome of the first
+    /// lower-priority rule the probe matches, as the if-then-else chain
+    /// `s = if(m_1, d_1, if(m_2, d_2, ... if(m_n, d_n, d_miss)))`, encoded
+    /// with Velev's quadratic construction.
+    mod ite {
+        use super::*;
+        use monocle_sat::CdclSolver;
+
+        /// Maximum chain length encoded directly before a postfix is folded
+        /// into a fresh variable (keeps the quadratic clause count bounded).
+        const MAX_DIRECT_CHAIN: usize = 24;
+
+        /// The probe-generation instance of [`build_instance`] with the ITE
+        /// chain for Distinguish. Hit and Collect are the encoder's own.
+        pub(super) fn build_instance_ite(
+            table: &FlowTable,
+            probed: &Rule,
+            catch: &CatchSpec,
+        ) -> Result<Cnf, BuildError> {
+            check_catch_pins(probed, catch)?;
+            let mut cnf = build_hit_only(table, probed, catch)?;
+            let true_lit = cnf.fresh_var() as Lit;
+            cnf.add_clause(&[true_lit]);
+            let condition = |cnf: &mut Cnf, fwd: &Forwarding| {
+                condition_literal(
+                    cnf,
+                    true_lit,
+                    OutcomeDiff::compute(&probed.fwd, fwd).condition_ref(),
+                )
+            };
+            let mut else_lit = condition(&mut cnf, &Forwarding::drop());
+            let mut chain: Vec<(Lit, Lit)> = Vec::new();
+            for l in relevant_rules(table, probed) {
+                if l.priority >= probed.priority {
+                    continue;
+                }
+                let cond = condition(&mut cnf, &l.fwd);
+                match define_matches(&mut cnf, &l.tern) {
+                    Some(m) => chain.push((m, cond)),
+                    None => {
+                        // An always-matching rule ends the chain: it is the
+                        // else branch, and nothing below it is reachable.
+                        else_lit = cond;
+                        break;
+                    }
+                }
+            }
+            let s = cnf.fresh_var() as Lit;
+            encode_ite_chain(&mut cnf, s, &chain, else_lit);
+            cnf.add_clause(&[s]);
+            Ok(cnf)
+        }
+
+        /// `v ⇔ clause`.
+        fn define_or(cnf: &mut Cnf, clause: &[Lit]) -> Lit {
+            if clause.len() == 1 {
+                return clause[0];
+            }
+            let v = cnf.fresh_var() as Lit;
+            for &l in clause {
+                cnf.add_clause(&[v, -l]);
+            }
+            let mut long = clause.to_vec();
+            long.push(-v);
+            cnf.add_clause(&long);
+            v
+        }
+
+        /// Literal equivalent to a [`BitCondition`] (allocating auxiliaries).
+        fn condition_literal(cnf: &mut Cnf, true_lit: Lit, cond: &BitCondition) -> Lit {
+            match cond {
+                BitCondition::Const(true) => true_lit,
+                BitCondition::Const(false) => -true_lit,
+                BitCondition::Clause(c) => define_or(cnf, c),
+                BitCondition::Cnf(cs) => {
+                    let parts: Vec<Lit> = cs.iter().map(|c| define_or(cnf, c)).collect();
+                    let v = cnf.fresh_var() as Lit;
+                    for &p in &parts {
+                        cnf.add_clause(&[-v, p]);
+                    }
+                    let mut long: Vec<Lit> = parts.iter().map(|&p| -p).collect();
+                    long.push(v);
+                    cnf.add_clause(&long);
+                    v
+                }
+            }
+        }
+
+        /// Encodes `s ⇔ if(i1,t1, if(i2,t2, ... if(in,tn, else)))` where
+        /// `i*`, `t*`, `else_lit` and `s` are literals, as Appendix B's
+        /// clauses:
+        /// ```text
+        /// (!i1 | !t1 | s)(!i1 | t1 | !s)
+        /// (i1 | !i2 | !t2 | s)(i1 | !i2 | t2 | !s)
+        /// ...
+        /// (i1 | ... | in | !else | s)(i1 | ... | in | else | !s)
+        /// ```
+        /// The postfix beyond [`MAX_DIRECT_CHAIN`] is given a fresh output
+        /// variable, which becomes the `else` literal of the prefix.
+        fn encode_ite_chain(cnf: &mut Cnf, s: Lit, chain: &[(Lit, Lit)], else_lit: Lit) {
+            if chain.len() > MAX_DIRECT_CHAIN {
+                let (prefix, postfix) = chain.split_at(MAX_DIRECT_CHAIN);
+                let sub = cnf.fresh_var() as Lit;
+                encode_ite_chain(cnf, sub, postfix, else_lit);
+                encode_ite_chain_direct(cnf, s, prefix, sub);
+            } else {
+                encode_ite_chain_direct(cnf, s, chain, else_lit);
+            }
+        }
+
+        fn encode_ite_chain_direct(cnf: &mut Cnf, s: Lit, chain: &[(Lit, Lit)], else_lit: Lit) {
+            // The conditions passed so far: i1 | i2 | ... | ik.
+            let mut guard: Vec<Lit> = Vec::with_capacity(chain.len() + 3);
+            for &(cond, then) in chain {
+                guard.extend([-cond, -then, s]);
+                cnf.add_clause(&guard);
+                guard.truncate(guard.len() - 3);
+                guard.extend([-cond, then, -s]);
+                cnf.add_clause(&guard);
+                guard.truncate(guard.len() - 3);
+                guard.push(cond);
+            }
+            guard.extend([-else_lit, s]);
+            cnf.add_clause(&guard);
+            guard.truncate(guard.len() - 2);
+            guard.extend([else_lit, -s]);
+            cnf.add_clause(&guard);
+        }
+
+        /// The chain's value under an assignment: the semantics the
+        /// encoding is checked against.
+        fn eval_ite_chain(
+            assignment: &dyn Fn(Lit) -> bool,
+            chain: &[(Lit, Lit)],
+            else_lit: Lit,
+        ) -> bool {
+            for &(cond, then) in chain {
+                if assignment(cond) {
+                    return assignment(then);
+                }
+            }
+            assignment(else_lit)
+        }
+
+        /// Exhaustive check: for a chain over distinct input variables,
+        /// every assignment extends to exactly the output value the chain
+        /// semantics dictate.
+        fn check_chain(chain: &[(Lit, Lit)], else_lit: Lit, n_inputs: u32) {
+            for bits in 0..(1u32 << n_inputs) {
+                let value = |v: u32| bits >> (v - 1) & 1 == 1;
+                let assignment = |l: Lit| value(l.unsigned_abs()) == (l > 0);
+                let want = eval_ite_chain(&assignment, chain, else_lit);
+                let mut cnf = Cnf::new();
+                cnf.grow_vars(n_inputs);
+                let s = cnf.fresh_var() as Lit;
+                encode_ite_chain(&mut cnf, s, chain, else_lit);
+                // Pin the inputs.
+                for v in 1..=n_inputs {
+                    cnf.add_clause(&[if value(v) { v as Lit } else { -(v as Lit) }]);
+                }
+                // s must be forced to `want`: check both polarities.
+                let mut cnf_pos = cnf.clone();
+                cnf_pos.add_clause(&[s]);
+                let mut cnf_neg = cnf;
+                cnf_neg.add_clause(&[-s]);
+                let pos = CdclSolver::new().solve(&cnf_pos);
+                let neg = CdclSolver::new().solve(&cnf_neg);
+                assert_eq!(pos.is_sat(), want, "bits={bits:b} expected s={want}");
+                assert_eq!(neg.is_sat(), !want, "bits={bits:b} expected s={want}");
+            }
+        }
+
+        #[test]
+        fn single_link_chain() {
+            // s = if(x1, x2, x3)
+            check_chain(&[(1, 2)], 3, 3);
+        }
+
+        #[test]
+        fn two_link_chain_with_negations() {
+            // s = if(!x1, x2, if(x3, !x4, x1))
+            check_chain(&[(-1, 2), (3, -4)], 1, 4);
+        }
+
+        #[test]
+        fn three_link_chain() {
+            check_chain(&[(1, -2), (-3, 4), (2, 3)], -4, 4);
+        }
+
+        #[test]
+        fn long_chain_splits() {
+            // A chain longer than MAX_DIRECT_CHAIN; conditions all false
+            // except the last, so s must equal its `then` literal.
+            let n = (MAX_DIRECT_CHAIN + 5) as i32;
+            // vars 1..=n are conditions, var n+1 is the shared then, n+2 else.
+            let chain: Vec<(Lit, Lit)> = (1..=n).map(|v| (v, n + 1)).collect();
+            let mut cnf = Cnf::new();
+            cnf.grow_vars((n + 2) as u32);
+            let s = cnf.fresh_var() as Lit;
+            encode_ite_chain(&mut cnf, s, &chain, n + 2);
+            for v in 1..n {
+                cnf.add_clause(&[-v]);
+            }
+            cnf.add_clause(&[n]);
+            cnf.add_clause(&[n + 1]); // then = true
+            cnf.add_clause(&[-(n + 2)]); // else = false
+            cnf.add_clause(&[-s]); // claim s false -> must be UNSAT
+            assert_eq!(CdclSolver::new().solve(&cnf), SatResult::Unsat);
+        }
+
+        #[test]
+        fn empty_chain_is_else() {
+            // s = else
+            let mut cnf = Cnf::new();
+            cnf.grow_vars(1);
+            let s = cnf.fresh_var() as Lit;
+            encode_ite_chain(&mut cnf, s, &[], 1);
+            cnf.add_clause(&[1]);
+            cnf.add_clause(&[-s]);
+            assert_eq!(CdclSolver::new().solve(&cnf), SatResult::Unsat);
+        }
+
+        #[test]
+        fn quadratic_clause_count() {
+            let chain: Vec<(Lit, Lit)> = (1..=10).map(|v| (v, v + 10)).collect();
+            let mut cnf = Cnf::new();
+            cnf.grow_vars(21);
+            let s = cnf.fresh_var() as Lit;
+            encode_ite_chain(&mut cnf, s, &chain, 21);
+            // 2 clauses per link + 2 for else.
+            assert_eq!(cnf.num_clauses(), 2 * 10 + 2);
+        }
     }
 }

@@ -104,7 +104,7 @@ use std::hash::{Hash, Hasher};
 /// Engine configuration.
 #[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
-    /// Generator settings (encoding style, budget, ports) for the rules
+    /// Generator settings (solver budget, injection port) for the rules
     /// that reach the solver.
     pub gen: GeneratorConfig,
 }
@@ -159,8 +159,9 @@ pub struct EngineStats {
     /// to the engine's last read, or the table is not the one the engine
     /// read last. An engine that follows one table — a monitor's, or a
     /// planner's replica of it ([`crate::planner::Replica`]) — stays at 0;
-    /// an [`crate::pool::EnginePool`] engine falls back on every job,
-    /// because each job brings a table of its own (no shared history).
+    /// an [`crate::pool::EnginePool`] switch's engine falls back on every
+    /// job with a new table, because each job brings a table of its own (no
+    /// shared history).
     pub syncs_fallback: u64,
     /// Plan-cache entries evicted by invalidation.
     pub plans_invalidated: u64,

@@ -2,9 +2,13 @@
 //!
 //! Monocle intercepts every rule modification the controller issues and
 //! maintains the expected contents of each switch's flow table. The tracker
-//! also versions the table with an *epoch*: probes embed the epoch they were
-//! generated under, and any probe from an older epoch is discarded on
-//! return, which is the §4.2 in-flight probe invalidation mechanism.
+//! also counts the table's changes in an *epoch* (wrapping), which every
+//! probe carries in its metadata. It decides little on return. A dynamic
+//! probe is matched by its sequence number against the live probes of the
+//! update it was sent for, whatever its epoch. A steady probe is dropped
+//! when its epoch is not the last refresh's; every refresh discards the
+//! outstanding steady probes anyway. `monocle_net::ProxyApp` also drops a
+//! probe parked by backpressure whose epoch the table has moved past.
 
 use monocle_openflow::table::ApplyResult;
 use monocle_openflow::{FlowMod, FlowTable, Rule, RuleId, TableError};
@@ -35,7 +39,7 @@ impl ExpectedTable {
     /// Applies a proxied FlowMod, advancing the epoch.
     pub fn apply(&mut self, fm: &FlowMod) -> Result<ApplyResult, TableError> {
         let res = self.table.apply(fm)?;
-        self.epoch += 1;
+        self.epoch = self.epoch.wrapping_add(1);
         Ok(res)
     }
 

@@ -11,7 +11,7 @@
 //! with explicit domain constraints (§5.2's "must be one of following
 //! values" alternative). The result is sound by construction.
 
-use crate::encode::{self, BuildError, CatchSpec, EncodingStyle};
+use crate::encode::{self, BuildError, CatchSpec};
 use crate::plan::{header_to_probe, verify_probe, ConcreteOutcome, ProbePlan};
 use monocle_openflow::flowmatch::{packet_to_headervec, VLAN_NONE};
 use monocle_openflow::headerspace::HEADER_BITS;
@@ -63,8 +63,6 @@ impl std::error::Error for ProbeError {}
 /// Generator configuration.
 #[derive(Debug, Clone)]
 pub struct GeneratorConfig {
-    /// Distinguish-constraint encoding.
-    pub style: EncodingStyle,
     /// Solver conflict budget (instances are tiny; this is a safety net).
     pub conflict_budget: u64,
     /// Ingress port used when nothing pins `in_port` (the physical port the
@@ -75,7 +73,6 @@ pub struct GeneratorConfig {
 impl Default for GeneratorConfig {
     fn default() -> Self {
         GeneratorConfig {
-            style: EncodingStyle::Implication,
             conflict_budget: 200_000,
             default_in_port: 1,
         }
@@ -191,7 +188,7 @@ pub(crate) fn generate_for_rule(
     cfg: &GeneratorConfig,
     stats: &mut GenStats,
 ) -> Result<ProbePlan, ProbeError> {
-    let inst = encode::build_instance(table, probed, catch, cfg.style).map_err(|e| match e {
+    let inst = encode::build_instance(table, probed, catch).map_err(|e| match e {
         BuildError::Shadowed { .. } => ProbeError::Hidden,
         BuildError::CatchConflict(f) => ProbeError::CatchConflict(f),
         BuildError::RewritesReserved(f) => ProbeError::RewritesReserved(f),
@@ -244,7 +241,7 @@ fn solve_and_finish(
     // Attempt 3: re-solve with explicit domain constraints (§5.2's
     // small-domain alternative), then verify again.
     stats.strengthened = true;
-    let mut cnf = match encode::build_instance(table, probed, catch, cfg.style) {
+    let mut cnf = match encode::build_instance(table, probed, catch) {
         Ok(i) => i.cnf,
         Err(_) => return Err(ProbeError::RepairFailed),
     };
@@ -673,7 +670,7 @@ mod tests {
             ProbeError::Indistinguishable
         );
         // Both solves behind it are counted, with the work they did.
-        let inst = encode::build_instance(&t, probed, &catch, EncodingStyle::Implication).unwrap();
+        let inst = encode::build_instance(&t, probed, &catch).unwrap();
         let mut stats = GenStats::default();
         let res = solve_and_finish(&t, probed, &catch, &cfg(), inst, &mut stats);
         assert_eq!(res.unwrap_err(), ProbeError::Indistinguishable);
@@ -778,37 +775,5 @@ mod tests {
             generate_probe_with_stats(&t, t.rules()[0].id, &CatchSpec::default(), &cfg()).unwrap();
         assert_eq!(stats.relevant_rules, 1);
         assert!(stats.clauses > 0);
-    }
-
-    #[test]
-    fn both_styles_agree_on_feasibility() {
-        let t = table_from(vec![
-            (
-                30,
-                Match::any()
-                    .with_nw_src([10, 0, 0, 1], 32)
-                    .with_nw_dst([10, 0, 0, 2], 32),
-                vec![Action::Output(1)],
-            ),
-            (
-                20,
-                Match::any().with_nw_src([10, 0, 0, 1], 32),
-                vec![Action::Output(2)],
-            ),
-            (10, Match::any(), vec![Action::Output(1)]),
-        ]);
-        let probed = t.rules()[0].id;
-        let imp = generate_probe(&t, probed, &CatchSpec::default(), &cfg());
-        let ite = generate_probe(
-            &t,
-            probed,
-            &CatchSpec::default(),
-            &GeneratorConfig {
-                style: EncodingStyle::IteChain,
-                ..cfg()
-            },
-        );
-        assert!(imp.is_ok());
-        assert!(ite.is_ok());
     }
 }

@@ -16,12 +16,12 @@
 //!
 //! | Paper | Module |
 //! |---|---|
-//! | Table 1 constraints, §5.3/§5.4 encodings | [`encode`] |
+//! | Table 1 constraints, §5.3/§5.4 encoding (App. B's ITE chain: its test oracle) | [`encode`] |
 //! | §3.2/§3.4 DiffPorts/DiffRewrite, App. B Tables 3–4 | [`outcome`] |
 //! | §5.2 abstract→raw translation, spare values | [`generator`], `monocle-packet` |
 //! | plan cache + fast path in front of the generator (hot path) | [`engine`] |
 //! | one warm planner per switch: the step stream, its replica | [`planner`] |
-//! | sharded engine worker pool (benchmark and tests only) | [`pool`] |
+//! | the sweep set; a serial job-batch shim (benchmark and tests only) | [`pool`] |
 //! | probe plans & semantic verification | [`plan`] |
 //! | §2 expected-state tracking | [`expect`] |
 //! | §3 steady-state monitoring | [`steady`] |
@@ -73,7 +73,7 @@ pub mod reduction;
 pub mod steady;
 
 pub use dynamic::PlanRequest;
-pub use encode::{CatchSpec, EncodingStyle};
+pub use encode::CatchSpec;
 pub use engine::{EngineConfig, EngineStats, ProbeEngine};
 pub use generator::{generate_probe, GenStats, GeneratorConfig, ProbeError};
 pub use plan::{ConcreteOutcome, ProbePlan, Verdict};

@@ -96,6 +96,20 @@ pub enum Verdict {
     Inconclusive,
 }
 
+/// Dynamic and steady probes share the one `u32` sequence space of the
+/// probe metadata: the proxy tags steady probes with this bit and routes a
+/// returning probe by it, so each monitor numbers its probes below it
+/// ([`take_seq`]).
+pub(crate) const STEADY_SEQ_BIT: u32 = 1 << 31;
+
+/// Takes the next probe sequence number from `counter`, which wraps below
+/// [`STEADY_SEQ_BIT`].
+pub(crate) fn take_seq(counter: &mut u32) -> u32 {
+    let seq = *counter;
+    *counter = seq.wrapping_add(1) & !STEADY_SEQ_BIT;
+    seq
+}
+
 /// A complete, verified probe plan for one rule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProbePlan {

@@ -5,25 +5,23 @@
 //! path), tracks the expected flow table, generates and injects probes, and
 //! acknowledges updates to the controller once they are provably in the
 //! data plane. [`MonitorProxy`] is that component as a pure state machine;
-//! the transport (simulator, or a real OpenFlow connection) lives in
-//! [`crate::harness`], which plays the role of the paper's Multiplexer.
+//! the transport lives outside it: `monocle_net::ProxyApp` runs it over
+//! real OpenFlow TCP connections, and [`crate::harness`] runs it in the
+//! packet-level simulator, where it also plays the role of the paper's
+//! Multiplexer.
 
 use crate::droppost::{self, DropTag};
 use crate::dynamic::{DynAction, DynamicConfig, DynamicMonitor};
 use crate::encode::CatchSpec;
 use crate::engine::EngineStats;
 use crate::generator::{GenStats, GeneratorConfig, ProbeError};
-use crate::plan::ProbePlan;
+use crate::plan::{ProbePlan, STEADY_SEQ_BIT};
 use crate::steady::{SteadyAction, SteadyConfig, SteadyMonitor};
 use monocle_openflow::flowmatch::packet_to_headervec;
 use monocle_openflow::table::IdHashMap;
 use monocle_openflow::{ActionProgram, FlowMod, Match, PortNo, RuleId};
 use monocle_packet::{PacketFields, ProbeMeta};
 use std::collections::HashSet;
-
-/// Steady sequence numbers are tagged with this bit to share the probe-meta
-/// sequence space with dynamic probes.
-const STEADY_SEQ_BIT: u32 = 1 << 31;
 
 /// Proxy configuration.
 #[derive(Debug, Clone)]
@@ -324,7 +322,7 @@ impl MonitorProxy {
                 return Vec::new();
             };
             if meta.epoch != steady.epoch {
-                return Vec::new(); // §4.2 invalidation: stale probe
+                return Vec::new(); // sent before the last refresh
             }
             let hdr = packet_to_headervec(plan.in_port, fields);
             let verdict = plan.classify(out_port, &hdr);
@@ -679,6 +677,73 @@ mod tests {
         meta.switch_id = 99;
         let fields = headervec_to_packet(&packet_to_headervec(1, &inj.fields));
         assert!(p.on_probe_return(1, &meta, 2, &fields).is_empty());
+    }
+
+    /// The header a probe left with, as it comes back unmodified.
+    fn echo(inj: &ProbeInjection) -> PacketFields {
+        headervec_to_packet(&packet_to_headervec(inj.in_port, &inj.fields))
+    }
+
+    #[test]
+    fn dynamic_probes_numbered_past_the_steady_bit_still_confirm() {
+        let cfg = ProxyConfig::new(7, CatchSpec::default());
+        let mut p = MonitorProxy::new(cfg.clone());
+        // As if 2^31 - 1 dynamic probes had been sent already.
+        p.dynamic = DynamicMonitor::with_first_seq(cfg.dynamic, cfg.catch, STEADY_SEQ_BIT - 1);
+        p.preinstall(1, Match::any(), vec![Action::Output(9)]);
+        for token in 1..=3u8 {
+            let outs = p.on_controller_flowmod(0, token.into(), add_fm([10, 0, 0, token], 2));
+            let ProxyOutput::Inject(inj) = &outs[1] else {
+                panic!("expected inject: {outs:?}");
+            };
+            let outs = p.on_probe_return(1, &inj.meta, 2, &echo(inj));
+            assert!(
+                outs.contains(&ProxyOutput::Confirmed {
+                    token: token.into(),
+                    verified: true
+                }),
+                "update {token} (probe seq {}) never confirms: {outs:?}",
+                inj.meta.seq
+            );
+        }
+    }
+
+    #[test]
+    fn steady_probes_numbered_past_the_steady_bit_are_still_classified() {
+        let cfg = ProxyConfig::new(7, CatchSpec::default()).with_steady(SteadyConfig::default());
+        let mut p = MonitorProxy::new(cfg.clone());
+        // As if 2^31 - 2 steady probes had been sent already.
+        p.steady = Some(SteadyMonitor::with_first_seq(
+            cfg.steady.unwrap(),
+            STEADY_SEQ_BIT - 2,
+        ));
+        p.preinstall(1, Match::any(), vec![Action::Output(9)]);
+        p.preinstall(
+            10,
+            Match::any().with_nw_dst([10, 0, 0, 1], 32),
+            vec![Action::Output(2)],
+        );
+        // The fixed sweep alternates the two rules: the third probe is the
+        // specific rule's again, numbered past the boundary.
+        let mut probes = Vec::new();
+        let mut now = 0;
+        while probes.len() < 3 {
+            probes.extend(p.on_tick(now).into_iter().filter_map(|o| match o {
+                ProxyOutput::Inject(i) if i.meta.seq & STEADY_SEQ_BIT != 0 => Some(i),
+                _ => None,
+            }));
+            now += 2_000_000;
+        }
+        let third = &probes[2];
+        assert_eq!(third.meta.rule_id, probes[0].meta.rule_id);
+        // The switch lost the rule: the probe comes back by the default route.
+        let outs = p.on_probe_return(now, &third.meta, 9, &echo(third));
+        assert!(
+            outs.iter().any(|o| matches!(o,
+                ProxyOutput::RuleFailed { rule_id, .. } if rule_id.0 == third.meta.rule_id)),
+            "probe seq {:#x} was not classified: {outs:?}",
+            third.meta.seq
+        );
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! same interval), so switching modes redistributes the budget without
 //! raising it.
 
-use crate::plan::{ProbePlan, Verdict};
+use crate::plan::{take_seq, ProbePlan, Verdict};
 use monocle_openflow::RuleId;
 use monocle_sched::{AdaptiveScheduler, SchedConfig, SchedStats};
 use std::cmp::Reverse;
@@ -94,6 +94,9 @@ pub struct SteadyMonitor {
     next_inject_at: u64,
     outstanding: BTreeMap<u32, Outstanding>,
     failed: std::collections::BTreeSet<RuleId>,
+    /// The next probe's sequence number, below
+    /// [`crate::plan::STEADY_SEQ_BIT`] ([`take_seq`]); the proxy sets the
+    /// bit on the wire.
     next_seq: u32,
     /// Epoch the plans were generated under.
     pub epoch: u32,
@@ -120,6 +123,15 @@ impl SteadyMonitor {
             cfg,
             sched,
             ..Default::default()
+        }
+    }
+
+    /// A monitor whose first probe gets sequence number `seq`.
+    #[cfg(test)]
+    pub(crate) fn with_first_seq(cfg: SteadyConfig, seq: u32) -> Self {
+        SteadyMonitor {
+            next_seq: seq,
+            ..SteadyMonitor::new(cfg)
         }
     }
 
@@ -304,8 +316,7 @@ impl SteadyMonitor {
             };
             if let Some(plan_idx) = plan_idx {
                 self.next_inject_at = now + self.cfg.probe_interval;
-                let seq = self.next_seq;
-                self.next_seq += 1;
+                let seq = take_seq(&mut self.next_seq);
                 self.outstanding.insert(
                     seq,
                     Outstanding {

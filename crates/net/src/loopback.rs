@@ -21,7 +21,7 @@ pub struct LoopbackConfig {
     pub updates_per_switch: usize,
     /// Simulated rule-installation latency on each switch.
     pub install_latency_ns: u64,
-    /// Planner pool workers.
+    /// The proxy's planner threads (`ProxyAppConfig::pool.workers`).
     pub pool_workers: usize,
     /// Controller gives up after this long.
     pub deadline_ns: u64,

@@ -180,9 +180,9 @@ pub struct ProxyAppConfig {
     pub preinstall_default: Option<(u16, PortNo)>,
     /// Probe tick period.
     pub tick_ns: u64,
-    /// Planner threads: `pool.workers` of them, each serving the sessions
-    /// pinned to it (`pool.engine` is not read: every session plans with
-    /// its own monitor's generator settings).
+    /// Planner threads: `pool.workers` of them (at least one), each keeping
+    /// a [`Replica`] for every session pinned to it. Every session plans
+    /// with its own monitor's generator settings.
     pub pool: PoolConfig,
     /// Stop the loop once all sessions have closed (after at least one
     /// session existed).

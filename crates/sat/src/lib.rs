@@ -14,10 +14,11 @@
 //!   two-watched-literal propagation, VSIDS branching, phase saving, Luby
 //!   restarts and learnt-clause database reduction.
 //! * [`dpll::DpllSolver`] — a small reference solver used for differential
-//!   testing and for the encoding ablation benchmarks.
-//! * [`ite`] — the quadratic if-then-else chain encoding of Velev that the
-//!   paper uses to mimic TCAM priority matching (§5.3, Appendix B).
+//!   testing and for the solver ablation benchmark.
 //! * [`dimacs`] — DIMACS CNF reader/writer for debugging and corpus tests.
+//!
+//! The paper's if-then-else chain encoding (Velev's construction, §5.3 and
+//! Appendix B) is not here: it is the test oracle of `monocle::encode`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,12 +26,10 @@
 pub mod cnf;
 pub mod dimacs;
 pub mod dpll;
-pub mod ite;
 pub mod solver;
 
 pub use cnf::{Cnf, Lit, Var};
 pub use dpll::DpllSolver;
-pub use ite::encode_ite_chain;
 pub use solver::{CdclSolver, SolveOutcome, SolverStats};
 
 /// Result of a satisfiability query.

@@ -26,18 +26,16 @@
 //! change), no less — whether the log covers the edits, has overflowed, or
 //! belongs to a diverged copy of the table.
 
-//! The same equivalence bar applies to the sharded
-//! [`monocle::pool::EnginePool`]: pool(N) answers must match the serial
-//! path for randomized tables, and one switch's home-worker engine handed a
-//! differently edited table job after job (each table owned by its job)
-//! must never serve a plan from the table before.
+//! The same equivalence bar applies to [`monocle::pool::EnginePool`]: one
+//! switch's engine handed a differently edited table job after job (each
+//! table owned by its job) must never serve a plan from the table before.
 //!
 //! And to planning on a rule's overlap neighborhood
 //! ([`monocle_openflow::FlowTable::neighborhood`]) instead of the table —
 //! what the reference `PlanRequest` form carries: same found / not found and
 //! error class as planning on the full table, every neighborhood plan
 //! valid on the full table, and one long-lived engine handed consecutive
-//! unrelated neighborhoods (a pool worker's life) never serves a stale plan.
+//! unrelated neighborhoods never serves a stale plan.
 
 use monocle::encode::CatchSpec;
 use monocle::engine::ProbeEngine;
@@ -360,8 +358,8 @@ fn pool_job(sw: u32, shared: &Arc<SharedTable>) -> ProbeJob {
 }
 
 /// A pool result for `reference`, submitted as a fresh job that owns a copy
-/// of it — always for switch 0, so the same warm worker engine sees every
-/// table of a sequence — must be semantically equivalent to fresh stateless
+/// of it — always for switch 0, so the same warm engine sees every table of
+/// a sequence — must be semantically equivalent to fresh stateless
 /// generation on `reference`: identical monitorable set and per-rule
 /// status/error, and every pooled plan passes the oracle with the oracle's
 /// outcomes.
@@ -534,57 +532,20 @@ proptest! {
         }
     }
 
-    /// pool(N) over randomized multi-switch tables is *structurally*
-    /// identical to cold serial engines on the same snapshots: with one
-    /// batch per switch every engine is cold wherever the job lands, so
-    /// the worker count cannot change a single byte of output.
-    /// The serial reference is built from the pool's own engine template.
-    #[test]
-    fn pool_structurally_matches_serial_on_random_tables(
-        tables in prop::collection::vec(arb_table(), 2..6),
-        workers in 1usize..5,
-    ) {
-        let catch = CatchSpec::default();
-        let shareds: Vec<Arc<SharedTable>> = tables
-            .iter()
-            .map(|t| Arc::new(SharedTable::new(t.clone())))
-            .collect();
-        let pool_cfg = PoolConfig::with_workers(workers);
-        let engine_template = pool_cfg.engine.clone();
-        let pool = EnginePool::new(pool_cfg);
-        let jobs: Vec<ProbeJob> = shareds
-            .iter()
-            .enumerate()
-            .map(|(sw, s)| pool_job(sw as u32, s))
-            .collect();
-        let res = pool.run_batch(jobs);
-        prop_assert_eq!(res.len(), tables.len());
-        for (sw, (r, table)) in res.iter().zip(&tables).enumerate() {
-            prop_assert!(!r.stale);
-            prop_assert_eq!(r.switch_id, sw as u32, "submission order preserved");
-            let ids = monitorable_ids(table);
-            let mut serial = ProbeEngine::new(engine_template.clone());
-            let reference = serial.generate_batch(table, &ids, &catch);
-            prop_assert_eq!(&r.ids, &ids);
-            prop_assert_eq!(&r.results, &reference, "switch {} diverged", sw);
-        }
-    }
-
-    /// pool(N) stays plan-equivalent to the serial path across interleaved
-    /// Add/Modify/Delete churn: after every edit the edited table goes in
-    /// as a fresh owned job for the same switch, and the pooled sweep must
-    /// agree with fresh stateless generation on it. The worker engine gets
-    /// no `note_flowmod` between jobs, so this is its fingerprint safety
-    /// net across consecutive different tables (the home engine is warm, so
-    /// equivalence is semantic — same bar as the serial engine's own
-    /// invariant).
+    /// The pool stays plan-equivalent to stateless generation across
+    /// interleaved Add/Modify/Delete churn: after every edit the edited
+    /// table goes in as a fresh owned job for the same switch, and the
+    /// pooled sweep must agree with fresh stateless generation on it. The
+    /// switch's engine gets no `note_flowmod` between jobs, and each job's
+    /// table has no change history it has read, so this is its fingerprint
+    /// safety net across consecutive different tables (the engine is warm,
+    /// so equivalence is semantic — same bar as the engine's own invariant).
     #[test]
     fn pool_equivalent_across_shared_table_churn(
         table in arb_table(),
         edits in prop::collection::vec(arb_edit(), 1..6),
-        workers in 1usize..4,
     ) {
-        let pool = EnginePool::new(PoolConfig::with_workers(workers));
+        let pool = EnginePool::new(PoolConfig::default());
         let mut reference = table;
         assert_pool_equivalent(&pool, &reference, "initial")?;
         for (step, edit) in edits.iter().enumerate() {
