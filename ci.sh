@@ -31,6 +31,11 @@ cargo fmt --check
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (deny warnings) =="
+# A doc link to an item that was deleted or made private fails here instead
+# of rotting.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== benchmark package: build, unit tests, smoke of every workload =="
 # benchmark/ is a workspace of its own that compiles against crates/*; an API
 # deletion there that breaks it must fail here, not in the driver.

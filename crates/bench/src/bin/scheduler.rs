@@ -175,7 +175,7 @@ fn run_arm(
         ..SteadyConfig::default()
     };
     let mut m = SteadyMonitor::new(cfg);
-    m.set_plans((0..rules as u64).map(mk_plan).collect(), 0);
+    m.set_plans((0..rules as u64).map(mk_plan).collect());
 
     let mut broken: HashSet<u64> = HashSet::new();
     let mut break_at: HashMap<u64, u64> = HashMap::new();

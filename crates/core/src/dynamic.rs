@@ -11,8 +11,9 @@
 //!   outcome appears) and strict modifications (probe built on a synthetic
 //!   table: lower-priority rules removed, the old version re-inserted just
 //!   below, per the paper's construction) — each planned by the switch's one
-//!   warm planner on the expected table itself, or on a replica of it
-//!   ([`crate::planner`]);
+//!   warm planner: inline, by the monitor itself, whose expected table,
+//!   engine and catch pins are one [`Replica`]; deferred, by whoever replays
+//!   its planning steps on a replica of their own ([`crate::planner`]);
 //! * §4.2 — concurrent updates: probes for non-overlapping updates proceed
 //!   in parallel; an update overlapping one in flight is queued until the
 //!   conflict clears (the paper's implementation policy), and so is one
@@ -23,10 +24,9 @@
 
 use crate::encode::CatchSpec;
 use crate::engine::ProbeEngine;
-use crate::expect::ExpectedTable;
 use crate::generator::{GeneratorConfig, ProbeError};
 use crate::plan::{take_seq, ProbePlan, Verdict};
-use crate::planner::{self, PlanKind, Step};
+use crate::planner::{self, PlanKind, Replica, Step};
 use monocle_openflow::table::ApplyResult;
 use monocle_openflow::{FlowMod, FlowModCommand, FlowTable, Rule, RuleId, TableError};
 use std::collections::VecDeque;
@@ -169,15 +169,14 @@ struct ActiveUpdate {
     live_seqs: Vec<u32>,
 }
 
-/// The per-switch dynamic monitor. Owns the expected table and the one
-/// [`ProbeEngine`] that plans on it: the proxy's steady-state sweeps and, in
-/// inline mode, every update's probe.
+/// The per-switch dynamic monitor. Its expected table, the one
+/// [`ProbeEngine`] that plans on it (the proxy's steady-state sweeps and, in
+/// inline mode, every update's probe) and the catch pins are one
+/// [`Replica`].
 #[derive(Debug)]
 pub struct DynamicMonitor {
     cfg: DynamicConfig,
-    expected: ExpectedTable,
-    catch: CatchSpec,
-    engine: ProbeEngine,
+    replica: Replica,
     active: Vec<ActiveUpdate>,
     queued: VecDeque<(u64, FlowMod)>,
     /// The next probe's sequence number, below
@@ -206,12 +205,10 @@ impl DynamicMonitor {
     /// Creates a monitor; `catch` is the per-switch collection spec (tag
     /// pins + injection port).
     pub fn new(cfg: DynamicConfig, catch: CatchSpec) -> DynamicMonitor {
-        let engine = ProbeEngine::with_gen(cfg.gen.clone());
+        let replica = Replica::new(FlowTable::new(), catch, cfg.gen.clone());
         DynamicMonitor {
             cfg,
-            expected: ExpectedTable::new(),
-            catch,
-            engine,
+            replica,
             active: Vec::new(),
             queued: VecDeque::new(),
             next_seq: 0,
@@ -235,8 +232,8 @@ impl DynamicMonitor {
     }
 
     /// Chooses who plans the updates' probes. Inline (the default; the
-    /// simulator/harness path): the monitor, on its own engine and expected
-    /// table, as each update starts. Deferred (the transport path): an
+    /// simulator/harness path): the monitor, on itself (`Replica::plan`),
+    /// as each update starts. Deferred (the transport path): an
     /// external planner that replays the monitor's [`Step`]s
     /// ([`Self::take_plan_steps`]) on a [`crate::planner::Replica`] — in
     /// practice a planner thread per group of switches, so generation
@@ -247,8 +244,8 @@ impl DynamicMonitor {
         self.deferred = on;
         if on {
             self.steps.push(Step::Start {
-                table: self.expected.table().clone(),
-                catch: self.catch.clone(),
+                table: self.replica.table.clone(),
+                catch: self.replica.catch.clone(),
                 gen: self.cfg.gen.clone(),
             });
         }
@@ -312,8 +309,8 @@ impl DynamicMonitor {
     }
 
     /// The expected table (shared view for steady-state plan refresh etc.).
-    pub fn expected(&self) -> &ExpectedTable {
-        &self.expected
+    pub fn expected(&self) -> &FlowTable {
+        &self.replica.table
     }
 
     /// Applies `fm` to the expected table (and, in deferred mode, records it
@@ -325,12 +322,12 @@ impl DynamicMonitor {
         if self.deferred {
             self.steps.push(Step::Apply(fm.clone()));
         }
-        self.expected.apply(fm)
+        self.replica.table.apply(fm)
     }
 
     /// The monitor's probe engine (statistics inspection).
     pub fn engine(&self) -> &ProbeEngine {
-        &self.engine
+        &self.replica.engine
     }
 
     /// Batch-generates plans for rules of the *current* expected table
@@ -340,14 +337,14 @@ impl DynamicMonitor {
         &mut self,
         ids: &[RuleId],
     ) -> Vec<Result<ProbePlan, ProbeError>> {
-        self.engine
-            .generate_batch(self.expected.table(), ids, &self.catch)
+        let r = &mut self.replica;
+        r.engine.generate_batch(&r.table, ids, &r.catch)
     }
 
     /// The rules of the current expected table whose plan the engine
     /// evicted since the last call ([`ProbeEngine::take_evicted`]).
     pub fn take_evicted_expected(&mut self) -> Vec<RuleId> {
-        self.engine.take_evicted(self.expected.table())
+        self.replica.engine.take_evicted(&self.replica.table)
     }
 
     /// Number of unconfirmed (actively probed) updates.
@@ -411,8 +408,8 @@ impl DynamicMonitor {
             FlowModCommand::DeleteStrict | FlowModCommand::Delete => {
                 let strict = fm.command == FlowModCommand::DeleteStrict;
                 let tern = fm.match_.ternary();
-                self.expected
-                    .table()
+                self.replica
+                    .table
                     .rules()
                     .iter()
                     .find(|r| {
@@ -432,8 +429,8 @@ impl DynamicMonitor {
     fn modify_old_version(&self, fm: &FlowMod) -> Option<Rule> {
         match fm.command {
             FlowModCommand::ModifyStrict | FlowModCommand::Modify => self
-                .expected
-                .table()
+                .replica
+                .table
                 .rules()
                 .iter()
                 .find(|r| r.priority == fm.priority && r.match_ == fm.match_)
@@ -444,7 +441,7 @@ impl DynamicMonitor {
 
     /// Asks the planner for update `token`'s probe, at this point of the
     /// expected table's history: recorded as a [`Step::Plan`] in deferred
-    /// mode, planned at once on the monitor's engine and queued for
+    /// mode, planned at once on the monitor itself and queued for
     /// [`Self::attach_planned`] inline.
     fn request_plan(&mut self, token: u64, rule_id: RuleId, kind: PlanKind) {
         if self.deferred {
@@ -454,8 +451,7 @@ impl DynamicMonitor {
                 kind,
             });
         } else {
-            let table = self.expected.table();
-            let plan = planner::plan(&mut self.engine, table, rule_id, &kind, &self.catch);
+            let plan = self.replica.plan(rule_id, &kind);
             self.planned.push_back((token, plan.ok()));
         }
     }
@@ -692,7 +688,6 @@ impl DynamicMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::Replica;
     use monocle_openflow::{Action, Match};
 
     fn add_fm(prio: u16, dst: [u8; 4], port: u16) -> FlowMod {
@@ -718,7 +713,7 @@ mod tests {
         assert!(matches!(acts[0], DynAction::Forward(_)));
         assert!(matches!(acts[1], DynAction::Inject { token: 1, .. }));
         assert_eq!(m.in_flight(), 1);
-        assert_eq!(m.expected().table().len(), 2);
+        assert_eq!(m.expected().len(), 2);
     }
 
     #[test]
@@ -780,7 +775,7 @@ mod tests {
                 verified: true
             }
         );
-        assert_eq!(m.expected().table().len(), 1);
+        assert_eq!(m.expected().len(), 1);
     }
 
     #[test]
@@ -835,7 +830,7 @@ mod tests {
             "MODIFY-as-ADD must be probed like an install: {acts:?}"
         );
         assert_eq!(m.in_flight(), 1);
-        assert_eq!(m.expected().table().len(), 2, "rule was added");
+        assert_eq!(m.expected().len(), 2, "rule was added");
         let DynAction::Inject { seq, .. } = acts[1] else {
             panic!()
         };
@@ -856,7 +851,7 @@ mod tests {
         };
         let acts = m.on_flowmod(200, 8, fm2);
         assert!(matches!(acts[1], DynAction::Inject { token: 8, .. }));
-        assert_eq!(m.expected().table().len(), 2, "no second rule added");
+        assert_eq!(m.expected().len(), 2, "no second rule added");
     }
 
     #[test]
@@ -891,7 +886,7 @@ mod tests {
             "no-op strict delete acks optimistically instead of probing a survivor: {acts:?}"
         );
         assert_eq!(m.in_flight(), 0);
-        assert_eq!(m.expected().table().len(), 2, "nothing was deleted");
+        assert_eq!(m.expected().len(), 2, "nothing was deleted");
     }
 
     #[test]
@@ -918,13 +913,13 @@ mod tests {
         let acts = m.on_flowmod(5, 3, r3);
         assert!(acts.is_empty(), "queued, not forwarded: {acts:?}");
         assert_eq!(m.queued(), 1);
-        assert_eq!(m.expected().table().len(), 2, "queued fm not yet applied");
+        assert_eq!(m.expected().len(), 2, "queued fm not yet applied");
         // Confirm R1 -> R3 is released (forwarded + probed).
         let out = m.on_verdict(100, seq1, Verdict::Present);
         assert!(matches!(out[0], DynAction::Confirmed { token: 1, .. }));
         assert!(out.iter().any(|a| matches!(a, DynAction::Forward(_))));
         assert_eq!(m.queued(), 0);
-        assert_eq!(m.expected().table().len(), 3);
+        assert_eq!(m.expected().len(), 3);
     }
 
     #[test]
@@ -986,13 +981,7 @@ mod tests {
             answered += 1;
         }
         assert_eq!((m.in_flight(), m.queued(), m.awaiting_plans()), (0, 0, 0));
-        let prios: Vec<u16> = m
-            .expected()
-            .table()
-            .rules()
-            .iter()
-            .map(|r| r.priority)
-            .collect();
+        let prios: Vec<u16> = m.expected().rules().iter().map(|r| r.priority).collect();
         assert_eq!(prios, [1], "{log:?}");
     }
 
@@ -1100,10 +1089,10 @@ mod tests {
         // A disjoint bystander, installed the way every change is.
         let bystander = FlowMod::add(10, Match::any().with_nw_dst([10, 0, 0, 2], 32), vec![]);
         m.apply_expected(&bystander).unwrap();
-        let victim = m.expected().table().rules()[0].id;
+        let victim = m.expected().rules()[0].id;
         let del = FlowMod::delete_strict(10, Match::any().with_nw_dst([10, 0, 0, 1], 32));
         m.on_flowmod(10, 2, del);
-        assert_eq!(m.expected().table().len(), 2, "delta applied immediately");
+        assert_eq!(m.expected().len(), 2, "delta applied immediately");
         let steps = m.take_plan_steps();
         // The victim's request comes before the delete: the replica still
         // holds the victim when it plans the probe for its absence.
@@ -1118,7 +1107,7 @@ mod tests {
         );
         let answers = replay(&mut replica, steps);
         let replica = replica.unwrap();
-        assert_eq!(replica.table.rules(), m.expected().table().rules());
+        assert_eq!(replica.table.rules(), m.expected().rules());
         let acts = m.attach_plan(20, 2, answers[0].1.clone());
         let DynAction::Inject { seq, .. } = acts[0] else {
             panic!("{acts:?}")
@@ -1242,10 +1231,7 @@ mod tests {
                 fm.match_.ternary(),
                 fm.command == FlowModCommand::ModifyStrict,
             );
-            assert_eq!(
-                m.expected().table().overlapping(&tern).len(),
-                overlap_before
-            );
+            assert_eq!(m.expected().overlapping(&tern).len(), overlap_before);
             m.on_flowmod(0, token as u64, fm);
             let reqs = m.take_plan_requests();
             assert_eq!(reqs.len(), 1);
@@ -1272,7 +1258,7 @@ mod tests {
             m.on_verdict(2, seq, Verdict::Absent);
             assert_eq!(m.in_flight(), 0);
         }
-        assert_eq!(m.expected().table().len(), 2001);
+        assert_eq!(m.expected().len(), 2001);
     }
 
     /// A deterministic random script, driven through a deferred monitor and
@@ -1361,7 +1347,7 @@ mod tests {
         confirm_all(&mut m, &mut replica, &mut log, &mut answered);
         assert_eq!((m.in_flight(), m.queued(), m.awaiting_plans()), (0, 0, 0));
         let replica = replica.unwrap();
-        assert_eq!(replica.table.rules(), m.expected().table().rules());
+        assert_eq!(replica.table.rules(), m.expected().rules());
         let planned = replica.engine.stats().cache_hits + replica.engine.stats().cache_misses;
         assert!(planned > 1000, "{planned} plans");
         let stats = replica.engine.engine_stats();
@@ -1449,7 +1435,7 @@ mod tests {
             }
             confirm_all(&mut m, &mut planner, &mut log, &mut answered);
             assert_eq!((m.in_flight(), m.queued(), m.awaiting_plans()), (0, 0, 0));
-            (log, m.expected().table().rules().to_vec())
+            (log, m.expected().rules().to_vec())
         }
 
         /// The same script with attempts capped and some probes lost for
@@ -1612,7 +1598,7 @@ mod tests {
                 }
             }
             if let Some(r) = replica {
-                let expected = m.expected().table();
+                let expected = m.expected();
                 prop_assert_eq!(r.table.rules(), expected.rules());
                 prop_assert_eq!(r.table.fingerprint(), expected.fingerprint());
                 prop_assert_eq!(requests.rules(), expected.rules());
@@ -1637,7 +1623,7 @@ mod tests {
                 let (deferred_log, deferred_table) = run_script(&script, true);
                 prop_assert_eq!(inline_log, deferred_log);
                 prop_assert_eq!(&inline_table, &deferred_table);
-                let mut model = monitor().expected().table().clone();
+                let mut model = monitor().expected().clone();
                 for fm in &script {
                     let _ = model.apply(fm);
                 }

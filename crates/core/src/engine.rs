@@ -256,7 +256,7 @@ impl ProbeEngine {
         self.engine_stats
     }
 
-    /// Zeroes the aggregate counters (bench epochs).
+    /// Zeroes the aggregate counters (between the phases of a bench).
     pub fn reset_stats(&mut self) {
         self.total = GenStats::default();
         self.engine_stats = EngineStats::default();

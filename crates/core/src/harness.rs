@@ -105,8 +105,6 @@ pub struct HarnessConfig {
     /// Steady-state config applied to monitored switches (None = dynamic
     /// monitoring only).
     pub steady: Option<SteadyConfig>,
-    /// Catching strategy.
-    pub strategy: Strategy,
     /// Budget for the exact coloring solver.
     pub coloring_budget: u64,
     /// Enable §4.3 drop-postponing with this tag: drop installs become
@@ -121,7 +119,6 @@ impl Default for HarnessConfig {
         HarnessConfig {
             tick: 2_000_000, // 2 ms ⇒ 500 probes/s per switch
             steady: None,
-            strategy: Strategy::OneField,
             coloring_budget: 100_000,
             drop_postpone: None,
         }
@@ -156,11 +153,6 @@ impl<E: Experiment> MonocleApp<E> {
     /// is implemented at the planning level ([`crate::catching`], evaluated
     /// in the Fig. 9 harness) but not as a live probe path.
     pub fn build(experiment: E, net: &Network, monitored: &[usize], cfg: HarnessConfig) -> Self {
-        assert!(
-            cfg.strategy == Strategy::OneField,
-            "the live harness implements catching strategy 1; strategy 2 is \
-             available for planning/coloring evaluation only"
-        );
         // Switch-switch adjacency + topology graph.
         let mut adjacency = HashMap::new();
         let mut graph = monocle_netgraph::Graph::new(net.num_switches());
@@ -171,7 +163,7 @@ impl<E: Experiment> MonocleApp<E> {
                 graph.add_edge(sa, sb);
             }
         }
-        let catch_plan = catching::plan(&graph, cfg.strategy, cfg.coloring_budget);
+        let catch_plan = catching::plan(&graph, Strategy::OneField, cfg.coloring_budget);
         let mut proxies = HashMap::new();
         let mut upstream = HashMap::new();
         for &sw in monitored {
@@ -184,7 +176,7 @@ impl<E: Experiment> MonocleApp<E> {
                 .unwrap_or_else(|| panic!("switch {sw} has no switch neighbor to inject from"));
             let catch =
                 CatchSpec::tag(Field::DlVlan, catch_plan.probe_tag(sw)).with_in_port(in_port);
-            let mut pcfg = ProxyConfig::new(sw as u32, catch);
+            let mut pcfg = ProxyConfig::new(sw as u64, catch);
             if let Some(s) = &cfg.steady {
                 pcfg = pcfg.with_steady(s.clone());
             }

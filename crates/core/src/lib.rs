@@ -20,10 +20,9 @@
 //! | §3.2/§3.4 DiffPorts/DiffRewrite, App. B Tables 3–4 | [`outcome`] |
 //! | §5.2 abstract→raw translation, spare values | [`generator`], `monocle-packet` |
 //! | plan cache + fast path in front of the generator (hot path) | [`engine`] |
-//! | one warm planner per switch: the step stream, its replica | [`planner`] |
+//! | §2 expected-state tracking, one warm planner per switch: the expected table, its engine and pins as one [`planner::Replica`]; the step stream that mirrors it | [`dynamic`], [`planner`] |
 //! | the sweep set; a serial job-batch shim (benchmark and tests only) | [`pool`] |
 //! | probe plans & semantic verification | [`plan`] |
-//! | §2 expected-state tracking | [`expect`] |
 //! | §3 steady-state monitoring | [`steady`] |
 //! | §4.1–4.2 update monitoring, overlap queuing | [`dynamic`] |
 //! | §4.3 drop-postponing | [`droppost`] |
@@ -61,7 +60,6 @@ pub mod droppost;
 pub mod dynamic;
 pub mod encode;
 pub mod engine;
-pub mod expect;
 pub mod generator;
 pub mod harness;
 pub mod outcome;

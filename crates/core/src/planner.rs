@@ -1,21 +1,22 @@
 //! One warm planner per switch: dynamic monitoring's probe planning as a
 //! function of the switch's expected table (§2, §4.1, §7).
 //!
-//! A [`crate::dynamic::DynamicMonitor`] describes its planning work as an
-//! ordered stream of [`Step`]s, pushed in the order its expected table
-//! changes: the table as it stood when the stream began, every FlowMod
-//! applied to it since (controller updates and Monocle's own alike), and one
-//! plan request per monitorable update. A delete's request comes *before*
-//! its FlowMod (the victim must still be there to be probed for absence), an
-//! add's or a modify's *after* it. So whoever replays the stream in order
-//! plans every update on exactly the table §4.1 prescribes, and one function
-//! (`plan`) answers a request, wherever it runs:
+//! A [`Replica`] is a flow table, the one warm engine that plans on it and
+//! the switch's catch pins, and `Replica::plan` answers a plan request on
+//! it. A [`crate::dynamic::DynamicMonitor`] *is* such a replica: its
+//! expected table, engine and pins are one, and inline it plans each update
+//! on itself the moment the update starts.
 //!
-//! * inline, on the monitor's own engine and expected table, the moment the
-//!   request is pushed;
-//! * deferred, on a [`Replica`] — a copy of the expected table advanced by
-//!   the same stream, plus one engine — kept by whichever thread owns the
-//!   switch (`monocle_net`'s planner threads).
+//! Deferred, it describes its planning work instead as an ordered stream of
+//! [`Step`]s, pushed in the order its expected table changes: the table as it
+//! stood when the stream began, every FlowMod applied to it since
+//! (controller updates and Monocle's own alike), and one plan request per
+//! monitorable update. A delete's request comes *before* its FlowMod (the
+//! victim must still be there to be probed for absence), an add's or a
+//! modify's *after* it. Whoever replays the stream in order on a replica of
+//! its own ([`Replica::step`]; `monocle_net`'s planner threads keep one per
+//! switch) therefore plans every update on exactly the table §4.1
+//! prescribes, with the same `Replica::plan`.
 //!
 //! Either way one engine follows one table through its own change log, so
 //! it synchronizes in O(delta) and its plan cache stays warm across updates:
@@ -37,7 +38,8 @@ pub enum PlanKind {
     /// absent outcome.
     Absent,
     /// A modify of `old`: the new version told apart from `old` on the §4.1
-    /// construction ([`build_synthetic`]).
+    /// construction (lower priorities dropped, `old` re-inserted just below
+    /// the new version).
     Modify {
         /// The version the modify replaced.
         old: Box<Rule>,
@@ -70,28 +72,6 @@ pub enum Step {
         /// What the probe must show.
         kind: PlanKind,
     },
-}
-
-/// Plans the probe for `rule_id` of `table` as `kind` asks: through `engine`
-/// on the table itself for an add or a delete, and for a modify on the §4.1
-/// construction built from the modified match's neighborhood — a table of
-/// its own, used once, so it gets a short-lived engine with `engine`'s
-/// settings (the fast path included) rather than `engine`'s cache.
-pub(crate) fn plan(
-    engine: &mut ProbeEngine,
-    table: &FlowTable,
-    rule_id: RuleId,
-    kind: &PlanKind,
-    catch: &CatchSpec,
-) -> Result<ProbePlan, ProbeError> {
-    match kind {
-        PlanKind::Present | PlanKind::Absent => engine.generate(table, rule_id, catch),
-        PlanKind::Modify { old } => {
-            let (synth, synth_id) =
-                modify_table(table, old).ok_or(ProbeError::NoSuchRule(rule_id))?;
-            ProbeEngine::with_gen(engine.gen_config().clone()).generate(&synth, synth_id, catch)
-        }
-    }
 }
 
 /// The §4.1 table for a modify of `old`, built from the neighborhood of its
@@ -128,7 +108,7 @@ pub(crate) fn build_synthetic(table: &FlowTable, old: &Rule) -> Option<(FlowTabl
 /// `table` ([`crate::dynamic::PlanRequest`]): the probed rule's overlap
 /// neighborhood for an add or a delete, the §4.1 table for a modify; an
 /// empty table when the rule is not there (planning it then fails, as
-/// `plan` does).
+/// `Replica::plan` does).
 pub(crate) fn request_table(
     table: &FlowTable,
     rule_id: RuleId,
@@ -143,18 +123,55 @@ pub(crate) fn request_table(
     request.unwrap_or_else(|| (FlowTable::new(), rule_id))
 }
 
-/// A planner's mirror of one switch's expected table and the one warm
-/// engine that plans on it. Built by a [`Step::Start`] and advanced by the
+/// One switch's flow table, the one warm engine that plans on it and the
+/// catch pins its probes carry: the dynamic monitor's expected table, or a
+/// planner's mirror of it — built by a [`Step::Start`] and advanced by the
 /// steps after it, it holds the same rules under the same ids as the
 /// expected table at the same point of the stream.
 #[derive(Debug)]
 pub struct Replica {
     pub(crate) table: FlowTable,
     pub(crate) engine: ProbeEngine,
-    catch: CatchSpec,
+    pub(crate) catch: CatchSpec,
 }
 
 impl Replica {
+    /// A replica of `table`, planning with the `catch` pins and the `gen`
+    /// settings.
+    pub(crate) fn new(table: FlowTable, catch: CatchSpec, gen: GeneratorConfig) -> Replica {
+        Replica {
+            table,
+            engine: ProbeEngine::with_gen(gen),
+            catch,
+        }
+    }
+
+    /// Plans the probe for `rule_id` as `kind` asks: through the engine on
+    /// the table itself for an add or a delete, and for a modify on the §4.1
+    /// construction built from the modified match's neighborhood — a table
+    /// of its own, used once, so it gets a short-lived engine with this
+    /// one's settings (the fast path included) rather than this one's cache.
+    pub(crate) fn plan(
+        &mut self,
+        rule_id: RuleId,
+        kind: &PlanKind,
+    ) -> Result<ProbePlan, ProbeError> {
+        match kind {
+            PlanKind::Present | PlanKind::Absent => {
+                self.engine.generate(&self.table, rule_id, &self.catch)
+            }
+            PlanKind::Modify { old } => {
+                let (synth, synth_id) =
+                    modify_table(&self.table, old).ok_or(ProbeError::NoSuchRule(rule_id))?;
+                ProbeEngine::with_gen(self.engine.gen_config().clone()).generate(
+                    &synth,
+                    synth_id,
+                    &self.catch,
+                )
+            }
+        }
+    }
+
     /// Advances a switch's replica by one step: a [`Step::Start`] builds it
     /// (anew), a [`Step::Apply`] applies, and a [`Step::Plan`] is answered,
     /// `(token, plan)`, on the table as it stands. Before the first `Start`
@@ -165,12 +182,7 @@ impl Replica {
     ) -> Option<(u64, Result<ProbePlan, ProbeError>)> {
         match step {
             Step::Start { table, catch, gen } => {
-                let engine = ProbeEngine::with_gen(gen);
-                *replica = Some(Replica {
-                    table,
-                    engine,
-                    catch,
-                });
+                *replica = Some(Replica::new(table, catch, gen));
                 None
             }
             Step::Apply(fm) => {
@@ -181,13 +193,7 @@ impl Replica {
                 token,
                 rule_id,
                 kind,
-            } => {
-                let r = replica.as_mut()?;
-                Some((
-                    token,
-                    plan(&mut r.engine, &r.table, rule_id, &kind, &r.catch),
-                ))
-            }
+            } => Some((token, replica.as_mut()?.plan(rule_id, &kind))),
         }
     }
 }

@@ -26,8 +26,8 @@ use std::collections::HashSet;
 /// Proxy configuration.
 #[derive(Debug, Clone)]
 pub struct ProxyConfig {
-    /// Identifier embedded in probe metadata.
-    pub switch_id: u32,
+    /// Identifier embedded in probe metadata (the switch's datapath id).
+    pub switch_id: u64,
     /// Collection pins for this switch's probes.
     pub catch: CatchSpec,
     /// Dynamic monitoring settings, `gen` among them: how every probe of
@@ -41,7 +41,7 @@ pub struct ProxyConfig {
 
 impl ProxyConfig {
     /// Minimal config for one switch.
-    pub fn new(switch_id: u32, catch: CatchSpec) -> ProxyConfig {
+    pub fn new(switch_id: u64, catch: CatchSpec) -> ProxyConfig {
         let gen = GeneratorConfig {
             default_in_port: catch.in_port.unwrap_or(1),
             ..GeneratorConfig::default()
@@ -69,7 +69,7 @@ impl ProxyConfig {
 /// PacketOut it so it enters the probed switch on `in_port`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProbeInjection {
-    /// Payload metadata (switch, rule, epoch, sequence).
+    /// Payload metadata (switch, rule, sequence).
     pub meta: ProbeMeta,
     /// Abstract probe header.
     pub fields: PacketFields,
@@ -196,13 +196,13 @@ impl MonitorProxy {
     }
 
     /// The switch id.
-    pub fn switch_id(&self) -> u32 {
+    pub fn switch_id(&self) -> u64 {
         self.cfg.switch_id
     }
 
     /// The expected flow table.
     pub fn expected(&self) -> &monocle_openflow::FlowTable {
-        self.dynamic.expected().table()
+        self.dynamic.expected()
     }
 
     /// Unconfirmed dynamic updates.
@@ -302,7 +302,10 @@ impl MonitorProxy {
     }
 
     /// A probe came back: `out_port` is the probed switch's output port the
-    /// observation maps to, `fields` the received header.
+    /// observation maps to, `fields` the received header. Its answer counts
+    /// exactly when its sequence number is live: that of a probe of an update
+    /// still unconfirmed, or of a steady probe still outstanding (every
+    /// steady refresh discards those).
     pub fn on_probe_return(
         &mut self,
         now: u64,
@@ -321,9 +324,6 @@ impl MonitorProxy {
             let Some(plan) = steady.plan_for_seq(seq) else {
                 return Vec::new();
             };
-            if meta.epoch != steady.epoch {
-                return Vec::new(); // sent before the last refresh
-            }
             let hdr = packet_to_headervec(plan.in_port, fields);
             let verdict = plan.classify(out_port, &hdr);
             let actions = steady.on_verdict(now, seq, verdict);
@@ -412,11 +412,6 @@ impl MonitorProxy {
         &self.cfg.catch
     }
 
-    /// The expected table's update epoch (stamped into probe metadata).
-    pub fn expected_epoch(&self) -> u32 {
-        self.dynamic.expected().epoch()
-    }
-
     /// Brings the steady-state probe plans up to date with the expected
     /// table and returns (rules with a plan, monitorable rules): the
     /// production rules, not Monocle's own infrastructure (catching, filter
@@ -448,13 +443,12 @@ impl MonitorProxy {
             return (0, 0);
         }
         self.steady_dirty = false;
-        let epoch = self.dynamic.expected().epoch();
         let mut stale: Vec<RuleId> = self.steady_stale.drain().collect();
         stale.extend(self.dynamic.take_evicted_expected());
         stale.sort_unstable();
         let mut affected: Vec<RuleId> = Vec::new();
         if !stale.is_empty() {
-            let monitorable = crate::pool::monitorable(self.dynamic.expected().table());
+            let monitorable = crate::pool::monitorable(self.dynamic.expected());
             affected.extend(
                 monitorable
                     .map(|r| r.id)
@@ -487,9 +481,9 @@ impl MonitorProxy {
             }
         }
         let steady = self.steady.as_mut().expect("checked above");
-        if steady.patch_plans(plans, &unplanned, epoch) || unmonitorable_moved {
+        if steady.patch_plans(plans, &unplanned) || unmonitorable_moved {
             // Monitorable rules either have a plan or are unmonitorable.
-            let table = self.dynamic.expected().table();
+            let table = self.dynamic.expected();
             self.unmonitorable = crate::pool::monitorable(table)
                 .filter_map(|r| Some((r.id, self.failures.get(&r.id)?.clone())))
                 .collect();
@@ -563,13 +557,10 @@ impl MonitorProxy {
     fn map_steady_action(&self, a: SteadyAction) -> Option<ProxyOutput> {
         match a {
             SteadyAction::Inject { seq, plan_idx } => {
-                let steady = self.steady.as_ref()?;
-                let plan = steady.plans().get(plan_idx)?;
-                Some(ProxyOutput::Inject(self.injection_with_epoch(
-                    plan,
-                    seq | STEADY_SEQ_BIT,
-                    steady.epoch,
-                )))
+                let plan = self.steady.as_ref()?.plans().get(plan_idx)?;
+                Some(ProxyOutput::Inject(
+                    self.injection(plan, seq | STEADY_SEQ_BIT),
+                ))
             }
             SteadyAction::RuleFailed { rule_id, at } => {
                 Some(ProxyOutput::RuleFailed { rule_id, at })
@@ -579,17 +570,11 @@ impl MonitorProxy {
     }
 
     fn injection(&self, plan: &ProbePlan, seq: u32) -> ProbeInjection {
-        self.injection_with_epoch(plan, seq, self.dynamic.expected().epoch())
-    }
-
-    fn injection_with_epoch(&self, plan: &ProbePlan, seq: u32, epoch: u32) -> ProbeInjection {
         ProbeInjection {
             meta: ProbeMeta {
                 switch_id: self.cfg.switch_id,
                 rule_id: plan.rule_id.0,
-                epoch,
                 seq,
-                expected_code: plan.present.observations.len() as u32,
             },
             fields: plan.fields,
             in_port: plan.in_port,
@@ -746,6 +731,73 @@ mod tests {
         );
     }
 
+    /// A probe's answer counts exactly when its sequence number is live: a
+    /// steady probe's until the next refresh, a dynamic probe's until its
+    /// update confirms — whatever else changed in the table meanwhile.
+    #[test]
+    fn an_answer_counts_while_its_sequence_number_is_live() {
+        let cfg = ProxyConfig::new(7, CatchSpec::default()).with_steady(SteadyConfig::default());
+        let mut p = MonitorProxy::new(cfg);
+        p.preinstall(1, Match::any(), vec![Action::Output(9)]);
+        for (host, port) in [(1, 2), (2, 3)] {
+            p.preinstall(
+                10,
+                Match::any().with_nw_dst([10, 0, 0, host], 32),
+                vec![Action::Output(port)],
+            );
+        }
+        let inject = |outs: Vec<ProxyOutput>| -> ProbeInjection {
+            let mut injections = outs.into_iter().filter_map(|o| match o {
+                ProxyOutput::Inject(i) => Some(i),
+                _ => None,
+            });
+            injections.next().expect("an injection")
+        };
+        // The first refresh, then the sweep: the two specific rules in turn.
+        let first = inject(p.on_tick(0));
+        let second = inject(p.on_tick(2_000_000));
+        assert_ne!(first.meta.rule_id, second.meta.rule_id);
+        assert_eq!(p.steady.as_ref().unwrap().plans().len(), 3);
+        // Back by the default route, before any refresh: the rule failed.
+        let outs = p.on_probe_return(2_500_000, &first.meta, 9, &echo(&first));
+        assert!(
+            matches!(&outs[..], [ProxyOutput::RuleFailed { rule_id, .. }]
+                if rule_id.0 == first.meta.rule_id),
+            "{outs:?}"
+        );
+
+        // An update, and an unrelated one landing while its probe is out.
+        let add = |host, port| add_fm([10, 0, 0, host], port);
+        let update = inject(p.on_controller_flowmod(3_000_000, 1, add(4, 4)));
+        let bystander = inject(p.on_controller_flowmod(3_000_000, 2, add(5, 5)));
+        let outs = p.on_probe_return(3_500_000, &update.meta, 4, &echo(&update));
+        assert_eq!(
+            outs,
+            [ProxyOutput::Confirmed {
+                token: 1,
+                verified: true
+            }]
+        );
+        p.on_probe_return(3_500_000, &bystander.meta, 5, &echo(&bystander));
+        assert_eq!(p.in_flight(), 0);
+
+        // The tick refreshes the steady plans (the two new rules join); the
+        // second steady probe was sent before that, so the same answer that
+        // failed the first rule is now ignored.
+        p.on_tick(4_000_000);
+        assert_eq!(p.steady.as_ref().unwrap().plans().len(), 5);
+        let outs = p.on_probe_return(4_500_000, &second.meta, 9, &echo(&second));
+        assert!(outs.is_empty(), "{outs:?}");
+        let failed: Vec<u64> = p
+            .steady
+            .as_ref()
+            .unwrap()
+            .failed_rules()
+            .map(|r| r.0)
+            .collect();
+        assert_eq!(failed, [first.meta.rule_id]);
+    }
+
     #[test]
     fn steady_cycle_and_failure() {
         let cfg = ProxyConfig::new(7, CatchSpec::default()).with_steady(SteadyConfig::default());
@@ -900,8 +952,7 @@ mod tests {
         /// The refresh [`Self::refresh_steady_plans`] replaced, kept as its
         /// oracle: every monitorable rule through one batch, everything rebuilt.
         pub(super) fn refresh_steady_plans_whole_table(&mut self) -> (usize, usize) {
-            let epoch = self.dynamic.expected().epoch();
-            let ids = crate::pool::monitorable_ids(self.dynamic.expected().table());
+            let ids = crate::pool::monitorable_ids(self.dynamic.expected());
             let results = self.dynamic.generate_batch_expected(&ids);
             self.steady_dirty = false;
             let total = ids.len();
@@ -915,7 +966,7 @@ mod tests {
             }
             let found = plans.len();
             if let Some(s) = &mut self.steady {
-                s.set_plans(plans, epoch);
+                s.set_plans(plans);
             }
             (found, total)
         }
@@ -977,7 +1028,6 @@ mod tests {
                 "plans after {what} at t={}",
                 self.now
             );
-            assert_eq!(sa.map(|s| s.epoch), sb.map(|s| s.epoch), "steady epoch");
             assert_eq!(
                 self.new.unmonitorable, self.oracle.unmonitorable,
                 "unmonitorable after {what} at t={}",
@@ -1136,7 +1186,10 @@ mod tests {
                 tw.answer(&mut rng, 0);
                 tw.tick(2_000_000);
             }
-            assert!(tw.new.steady.as_ref().unwrap().epoch > 0, "seed {seed}");
+            assert!(
+                !tw.new.steady.as_ref().unwrap().plans().is_empty(),
+                "seed {seed}: no refresh"
+            );
         }
     }
 

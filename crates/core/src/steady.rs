@@ -98,8 +98,6 @@ pub struct SteadyMonitor {
     /// [`crate::plan::STEADY_SEQ_BIT`] ([`take_seq`]); the proxy sets the
     /// bit on the wire.
     next_seq: u32,
-    /// Epoch the plans were generated under.
-    pub epoch: u32,
     /// Adaptive scheduler (None ⇒ fixed round-robin sweep). Its state is
     /// keyed by rule id and survives plan refreshes.
     sched: Option<AdaptiveScheduler>,
@@ -146,12 +144,12 @@ impl SteadyMonitor {
     }
 
     /// Replaces the probe plans wholesale, in the order given; outstanding
-    /// probes from the prior epoch are discarded. In adaptive mode, per-rule
-    /// scheduler state (heat, deadlines, failure history) carries over for
-    /// rules that survive the refresh.
-    pub fn set_plans(&mut self, plans: Vec<ProbePlan>, epoch: u32) {
+    /// probes are discarded, so an answer to a probe sent before is ignored.
+    /// In adaptive mode, per-rule scheduler state (heat, deadlines, failure
+    /// history) carries over for rules that survive the refresh.
+    pub fn set_plans(&mut self, plans: Vec<ProbePlan>) {
         self.plans = plans;
-        self.restart(epoch);
+        self.restart();
         self.reindex();
     }
 
@@ -164,8 +162,8 @@ impl SteadyMonitor {
     /// plan list, as long as the set of planned rules stays the same; when
     /// it does not, the list is re-merged and re-indexed and the adaptive
     /// scheduler reconciled. Returns whether it changed.
-    pub fn patch_plans(&mut self, upserts: Vec<ProbePlan>, drops: &[RuleId], epoch: u32) -> bool {
-        self.restart(epoch);
+    pub fn patch_plans(&mut self, upserts: Vec<ProbePlan>, drops: &[RuleId]) -> bool {
+        self.restart();
         let mut joining = Vec::new();
         for plan in upserts {
             match self.by_rule.get(&plan.rule_id.0) {
@@ -189,10 +187,11 @@ impl SteadyMonitor {
         true
     }
 
-    /// The part of a refresh that does not depend on its size: new epoch,
-    /// prior epoch's outstanding probes discarded, fixed sweep restarted.
-    fn restart(&mut self, epoch: u32) {
-        self.epoch = epoch;
+    /// The part of a refresh that does not depend on its size: outstanding
+    /// probes discarded (a sequence number comes round again only 2³¹
+    /// probes later, so no answer to one of them counts from here on), fixed
+    /// sweep restarted.
+    fn restart(&mut self) {
         self.cursor = 0;
         self.outstanding.clear();
     }
@@ -336,7 +335,7 @@ impl SteadyMonitor {
     pub fn on_verdict(&mut self, now: u64, seq: u32, verdict: Verdict) -> Vec<SteadyAction> {
         self.now_hint = self.now_hint.max(now);
         let Some(o) = self.outstanding.get(&seq) else {
-            return Vec::new(); // stale epoch or duplicate
+            return Vec::new(); // sent before the last refresh, or a duplicate
         };
         let plan_idx = o.plan_idx;
         let rule_id = self.plans[plan_idx].rule_id;
@@ -408,7 +407,7 @@ mod tests {
     #[test]
     fn cycles_through_rules() {
         let mut m = SteadyMonitor::new(SteadyConfig::default());
-        m.set_plans(vec![mk_plan(1, false), mk_plan(2, false)], 0);
+        m.set_plans(vec![mk_plan(1, false), mk_plan(2, false)]);
         let a0 = m.on_tick(0);
         assert!(matches!(a0[0], SteadyAction::Inject { plan_idx: 0, .. }));
         let a1 = m.on_tick(2 * MS);
@@ -420,7 +419,7 @@ mod tests {
     #[test]
     fn present_verdict_clears_outstanding() {
         let mut m = SteadyMonitor::new(SteadyConfig::default());
-        m.set_plans(vec![mk_plan(1, false)], 0);
+        m.set_plans(vec![mk_plan(1, false)]);
         let a = m.on_tick(0);
         let SteadyAction::Inject { seq, .. } = a[0] else {
             panic!()
@@ -439,7 +438,7 @@ mod tests {
     #[test]
     fn timeout_raises_failure_and_retries_first() {
         let mut m = SteadyMonitor::new(SteadyConfig::default());
-        m.set_plans(vec![mk_plan(7, false)], 0);
+        m.set_plans(vec![mk_plan(7, false)]);
         let a = m.on_tick(0);
         let SteadyAction::Inject { seq, .. } = a[0] else {
             panic!()
@@ -462,7 +461,7 @@ mod tests {
     #[test]
     fn absent_verdict_fails_immediately() {
         let mut m = SteadyMonitor::new(SteadyConfig::default());
-        m.set_plans(vec![mk_plan(3, false)], 0);
+        m.set_plans(vec![mk_plan(3, false)]);
         let a = m.on_tick(0);
         let SteadyAction::Inject { seq, .. } = a[0] else {
             panic!()
@@ -476,7 +475,7 @@ mod tests {
     #[test]
     fn negative_probe_silence_is_ok_and_reply_is_failure() {
         let mut m = SteadyMonitor::new(SteadyConfig::default());
-        m.set_plans(vec![mk_plan(5, true)], 0);
+        m.set_plans(vec![mk_plan(5, true)]);
         let a = m.on_tick(0);
         let SteadyAction::Inject { seq, .. } = a[0] else {
             panic!()
@@ -505,7 +504,7 @@ mod tests {
     #[test]
     fn recovery_reported() {
         let mut m = SteadyMonitor::new(SteadyConfig::default());
-        m.set_plans(vec![mk_plan(1, false)], 0);
+        m.set_plans(vec![mk_plan(1, false)]);
         let a = m.on_tick(0);
         let SteadyAction::Inject { seq, .. } = a[0] else {
             panic!()
@@ -532,7 +531,7 @@ mod tests {
     #[test]
     fn probe_rate_respected() {
         let mut m = SteadyMonitor::new(SteadyConfig::default());
-        m.set_plans((0..10).map(|i| mk_plan(i, false)).collect(), 0);
+        m.set_plans((0..10).map(|i| mk_plan(i, false)).collect());
         let mut injections = 0;
         // Tick every 1 ms for 20 ms: interval is 2 ms -> ~10 injections.
         for t in 0..20 {
@@ -559,8 +558,8 @@ mod tests {
         // inject more probes than the fixed sweep at the same interval.
         let mut fixed = SteadyMonitor::new(SteadyConfig::default());
         let mut adapt = SteadyMonitor::new(adaptive());
-        fixed.set_plans((0..10).map(|i| mk_plan(i, false)).collect(), 0);
-        adapt.set_plans((0..10).map(|i| mk_plan(i, false)).collect(), 0);
+        fixed.set_plans((0..10).map(|i| mk_plan(i, false)).collect());
+        adapt.set_plans((0..10).map(|i| mk_plan(i, false)).collect());
         let count = |m: &mut SteadyMonitor| {
             let mut n = 0;
             for t in 0..100 {
@@ -581,7 +580,7 @@ mod tests {
     #[test]
     fn adaptive_modified_rule_probed_before_cold_rules() {
         let mut m = SteadyMonitor::new(adaptive());
-        m.set_plans((0..50).map(|i| mk_plan(i, false)).collect(), 0);
+        m.set_plans((0..50).map(|i| mk_plan(i, false)).collect());
         // Burn the initial everybody-is-new burst; answer each probe so no
         // failure heat accumulates.
         for t in 0..200u64 {
@@ -614,7 +613,7 @@ mod tests {
         // The retry path is scheduler-independent: timeouts still resend
         // up to max_retries and then raise RuleFailed.
         let mut m = SteadyMonitor::new(adaptive());
-        m.set_plans(vec![mk_plan(7, false)], 0);
+        m.set_plans(vec![mk_plan(7, false)]);
         let a = m.on_tick(0);
         let SteadyAction::Inject { seq, .. } = a[0] else {
             panic!()
@@ -649,7 +648,7 @@ mod tests {
     #[test]
     fn adaptive_recovery_path_reports_and_clears() {
         let mut m = SteadyMonitor::new(adaptive());
-        m.set_plans(vec![mk_plan(1, false)], 0);
+        m.set_plans(vec![mk_plan(1, false)]);
         let a = m.on_tick(0);
         let SteadyAction::Inject { seq, .. } = a[0] else {
             panic!()
@@ -682,14 +681,13 @@ mod tests {
     #[test]
     fn set_plans_clears_outstanding() {
         let mut m = SteadyMonitor::new(SteadyConfig::default());
-        m.set_plans(vec![mk_plan(1, false)], 0);
+        m.set_plans(vec![mk_plan(1, false)]);
         m.on_tick(0);
-        m.set_plans(vec![mk_plan(2, false)], 1);
+        m.set_plans(vec![mk_plan(2, false)]);
         // Old seq is gone; no spurious failure later.
         let acts = m.on_tick(200 * MS);
         assert!(!acts
             .iter()
             .any(|x| matches!(x, SteadyAction::RuleFailed { .. })));
-        assert_eq!(m.epoch, 1);
     }
 }

@@ -16,9 +16,8 @@
 //! [`WRITE_HIGH_WATER`] bytes are queued. The proxy uses this to pause
 //! *discretionary* traffic (probe injections) per switch while continuing to
 //! forward controller traffic; dispatch resumes once the backlog drains
-//! below [`WRITE_LOW_WATER`] (see [`Connection::below_low_water`]). Paused
-//! injections must be revalidated against the switch epoch when finally
-//! flushed — see [`crate::proxy_app`] ("Backpressure").
+//! below [`WRITE_LOW_WATER`] (see [`Connection::below_low_water`]); see
+//! [`crate::proxy_app`] ("Backpressure").
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;

@@ -66,10 +66,10 @@
 //!
 //! Probe injections are discretionary traffic: when a switch connection's
 //! write buffer passes the high-water mark they are parked per session and
-//! flushed on `Drained`, after revalidating each probe's epoch against the
-//! proxy's expected table: the table may have moved on while the probe sat
-//! in the queue, and a stale probe injected would misattribute a verdict,
-//! so it is dropped; the update's next tick injects a current one.
+//! flushed, in order, on `Drained`. A parked probe needs no revalidation:
+//! when it comes back its answer is matched by sequence number like any
+//! other, so it counts only if that number is still live (its update
+//! unconfirmed, or its steady probe still outstanding).
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -140,8 +140,6 @@ pub struct SessionStats {
     pub alarms: u64,
     /// Injections parked by write backpressure.
     pub paused: u64,
-    /// Parked injections dropped stale at flush time.
-    pub dropped_stale: u64,
     /// EWMA of FlowMod→confirmation latency, nanoseconds (0 until the
     /// first sample).
     pub ack_rtt_ewma_ns: f64,
@@ -431,7 +429,7 @@ impl ProxyApp {
             OfMessage::FeaturesReply { datapath_id, .. } if sess.proxy.is_none() => {
                 sess.dpid = datapath_id;
                 sess.stats.dpid = datapath_id;
-                let mut pcfg = ProxyConfig::new(datapath_id as u32, self.cfg.catch.clone());
+                let mut pcfg = ProxyConfig::new(datapath_id, self.cfg.catch.clone());
                 if let Some(sc) = &self.cfg.steady {
                     pcfg = pcfg.with_steady(sc.clone());
                 }
@@ -466,7 +464,7 @@ impl ProxyApp {
                 // everything else is production traffic for the controller.
                 if let Ok((fields, payload)) = monocle_packet::parse_packet(data) {
                     if let Some(meta) = ProbeMeta::decode(&payload) {
-                        if meta.switch_id as u64 == sess.dpid {
+                        if meta.switch_id == sess.dpid {
                             sess.stats.probes_returned += 1;
                             let now = ctx.now_ns();
                             let outputs = sess
@@ -576,7 +574,7 @@ impl ProxyApp {
     }
 
     /// Flushes backpressure-parked injections once the switch connection
-    /// drained, dropping probes whose epoch went stale while parked.
+    /// drained.
     fn flush_paused(&mut self, ctx: &mut IoCtx<'_>, session: u64) {
         let Some(sess) = self.sessions.get_mut(&session) else {
             return;
@@ -584,19 +582,11 @@ impl ProxyApp {
         if sess.paused_injections.is_empty() || !ctx.below_low_water(sess.switch_conn) {
             return;
         }
-        let Some(proxy) = sess.proxy.as_ref() else {
-            return;
-        };
-        let epoch = proxy.expected_epoch();
         let parked = std::mem::take(&mut sess.paused_injections);
         for inj in parked {
             let Some(sess) = self.sessions.get_mut(&session) else {
                 return;
             };
-            if inj.meta.epoch != epoch {
-                sess.stats.dropped_stale += 1;
-                continue;
-            }
             if ctx.over_high_water(sess.switch_conn) {
                 sess.paused_injections.push(inj);
                 continue;
@@ -807,26 +797,28 @@ fn guarded<T>(
 mod tests {
     use super::*;
     use crate::event_loop::EventLoop;
-    use crate::sim::{ControllerSim, ControllerSimConfig, SwitchSim, SwitchSimConfig};
+    use crate::sim::{
+        ControllerSim, ControllerSimConfig, ControllerStats, SwitchSim, SwitchSimConfig,
+    };
 
     /// Test-only fault injection: the planner panics while serving the
     /// session of this datapath, right after its stream starts.
     pub(super) const PANIC_DPID: u64 = 0xdead;
 
-    /// One planner thread serves four sessions and panics on one of them.
-    /// That session's updates are all still answered, each exactly once —
-    /// optimistically, its replica being gone; the other three sessions,
-    /// planned by the same thread, keep verifying every update; and the
-    /// run ends long before its deadline.
-    #[test]
-    fn a_planner_panic_costs_its_session_the_proofs_and_nothing_else() {
-        let dpids = vec![1, 2, PANIC_DPID, 4];
-        let updates = 12u64;
+    /// Runs a controller sending `updates` FlowMods to each switch of
+    /// `dpids`, the proxy with one planner thread, and the switch fleet over
+    /// loopback TCP, to the end; returns the controller's results and the
+    /// proxy's per-session counters.
+    fn run(
+        dpids: Vec<u64>,
+        updates: u64,
+        deadline_ns: u64,
+    ) -> (ControllerStats, HashMap<u64, SessionStats>) {
         let mut controller_loop = EventLoop::new().unwrap();
         let mut controller = ControllerSim::new(ControllerSimConfig {
             switches: dpids.len(),
             updates_per_switch: updates as usize,
-            deadline_ns: 30_000_000_000,
+            deadline_ns,
         });
         let controller_stats = controller.stats();
         let controller_addr = controller_loop.with_ctx(|ctx| controller.start(ctx).unwrap());
@@ -839,7 +831,7 @@ mod tests {
         let mut switch_loop = EventLoop::new().unwrap();
         let mut fleet = SwitchSim::new(SwitchSimConfig {
             proxy_addr,
-            dpids: dpids.clone(),
+            dpids,
             install_latency_ns: 1_000_000,
         });
         let threads = [
@@ -853,12 +845,24 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
+        let cs = std::mem::take(&mut *controller_stats.lock().unwrap());
+        let ps = std::mem::take(&mut *proxy_stats.lock().unwrap());
+        (cs, ps)
+    }
 
-        let cs = controller_stats.lock().unwrap();
+    /// One planner thread serves four sessions and panics on one of them.
+    /// That session's updates are all still answered, each exactly once —
+    /// optimistically, its replica being gone; the other three sessions,
+    /// planned by the same thread, keep verifying every update; and the
+    /// run ends long before its deadline.
+    #[test]
+    fn a_planner_panic_costs_its_session_the_proofs_and_nothing_else() {
+        let dpids = vec![1, 2, PANIC_DPID, 4];
+        let updates = 12u64;
+        let (cs, ps) = run(dpids.clone(), updates, 30_000_000_000);
         assert!(!cs.deadlined, "the run hit its deadline");
         assert_eq!(cs.acks.len() as u64, dpids.len() as u64 * updates);
         assert_eq!(cs.alarms, 0);
-        let ps = proxy_stats.lock().unwrap();
         assert_eq!(ps.len(), dpids.len());
         for sess in ps.values() {
             assert_eq!(
@@ -870,5 +874,26 @@ mod tests {
             let verified = if sess.dpid == PANIC_DPID { 0 } else { updates };
             assert_eq!(sess.verified, verified, "dpid {}", sess.dpid);
         }
+    }
+
+    /// A datapath id above 2³², as the MAC-derived ids of real switches
+    /// are: the proxy stamps the whole id into its probes and recognizes
+    /// them when they come back, so every update is verified and acked
+    /// once, and none is left to the controller's deadline.
+    #[test]
+    fn a_switch_with_a_64_bit_datapath_id_verifies() {
+        let dpid = 0x1_0000_0001;
+        let updates = 4u64;
+        let (cs, ps) = run(vec![dpid], updates, 10_000_000_000);
+        assert!(!cs.deadlined, "the run hit its deadline");
+        assert_eq!(cs.acks.len() as u64, updates);
+        assert_eq!(cs.alarms, 0);
+        let sess = ps.values().next().expect("one session");
+        assert_eq!(sess.dpid, dpid);
+        assert_eq!(
+            (sess.flowmods, sess.confirmed, sess.verified),
+            (updates, updates, updates)
+        );
+        assert!(sess.probes_returned > 0);
     }
 }

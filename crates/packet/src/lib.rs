@@ -17,9 +17,9 @@
 //!   translates an abstract view into a valid raw packet (conditionally
 //!   excluded fields are dropped per the §5.2 lemma) and
 //!   [`craft::parse_packet`] inverts it.
-//! * [`meta::ProbeMeta`] — the probe payload metadata of §4.2 (rule under
-//!   test, expected result, epoch) that switches cannot touch, letting the
-//!   collector pinpoint which rule a returning probe was testing.
+//! * [`meta::ProbeMeta`] — the probe payload metadata of §4.2 (switch and
+//!   rule under test, sequence number) that switches cannot touch, letting
+//!   the collector pinpoint which rule a returning probe was testing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

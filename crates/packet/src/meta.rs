@@ -1,12 +1,15 @@
 //! Probe payload metadata (paper §4.2).
 //!
 //! Monocle monitors many rules in parallel; when a probe returns, the
-//! collector must know *which* rule it was testing and against which version
-//! of the flow table it was generated. The paper solves this by embedding
-//! metadata "such as rule under test and expected result to the probe packet
-//! payload that cannot be touched by the switches". [`ProbeMeta`] is that
-//! record: a fixed 32-byte block with magic, version and its own checksum so
-//! corrupted or foreign payloads are never misattributed.
+//! collector must know *which* rule it was testing. The paper solves this by
+//! embedding metadata "such as rule under test and expected result to the
+//! probe packet payload that cannot be touched by the switches".
+//! [`ProbeMeta`] is that record: the switch and rule under test and a
+//! per-probe sequence number, in a fixed 32-byte block with magic, version
+//! and its own checksum so corrupted or foreign payloads are never
+//! misattributed. The expected result stays with the monitor: it keys its
+//! live probes by sequence number, so a returning probe's answer counts
+//! exactly when its sequence number is still live there.
 
 use crate::checksum;
 
@@ -14,26 +17,24 @@ use crate::checksum;
 pub const MAGIC: [u8; 4] = *b"MNCL";
 
 /// Format version.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 
 /// Encoded size in bytes.
 pub const ENCODED_LEN: usize = 32;
 
 /// Metadata carried in every probe's payload.
+///
+/// Wire layout: magic (0..4), version (4), reserved (5..8), `switch_id`
+/// (8..16), `rule_id` (16..24), `seq` (24..28), reserved (28..30), checksum
+/// (30..32); integers big-endian, reserved bytes zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProbeMeta {
-    /// Identifier of the switch under test.
-    pub switch_id: u32,
+    /// Identifier of the switch under test (its OpenFlow datapath id).
+    pub switch_id: u64,
     /// Identifier of the rule under test (monitor-local).
     pub rule_id: u64,
-    /// Flow-table epoch at generation time; probes from stale epochs are
-    /// discarded (the §4.2 in-flight invalidation mechanism).
-    pub epoch: u32,
-    /// Per-probe sequence number (disambiguates retransmissions).
+    /// Per-probe sequence number: what the monitor matches the answer by.
     pub seq: u32,
-    /// Compact code of the outcome the monitor expects (present-state port
-    /// set hash); lets a collector classify without a lookup.
-    pub expected_code: u32,
 }
 
 impl ProbeMeta {
@@ -42,12 +43,9 @@ impl ProbeMeta {
         let mut out = [0u8; ENCODED_LEN];
         out[0..4].copy_from_slice(&MAGIC);
         out[4] = VERSION;
-        // out[5..8] reserved (zero)
-        out[8..12].copy_from_slice(&self.switch_id.to_be_bytes());
-        out[12..20].copy_from_slice(&self.rule_id.to_be_bytes());
-        out[20..24].copy_from_slice(&self.epoch.to_be_bytes());
+        out[8..16].copy_from_slice(&self.switch_id.to_be_bytes());
+        out[16..24].copy_from_slice(&self.rule_id.to_be_bytes());
         out[24..28].copy_from_slice(&self.seq.to_be_bytes());
-        out[28..30].copy_from_slice(&(self.expected_code as u16).to_be_bytes());
         let ck = checksum::checksum(&out[0..30]);
         out[30..32].copy_from_slice(&ck.to_be_bytes());
         out
@@ -68,11 +66,9 @@ impl ProbeMeta {
             return None;
         }
         Some(ProbeMeta {
-            switch_id: u32::from_be_bytes(buf[8..12].try_into().unwrap()),
-            rule_id: u64::from_be_bytes(buf[12..20].try_into().unwrap()),
-            epoch: u32::from_be_bytes(buf[20..24].try_into().unwrap()),
+            switch_id: u64::from_be_bytes(buf[8..16].try_into().unwrap()),
+            rule_id: u64::from_be_bytes(buf[16..24].try_into().unwrap()),
             seq: u32::from_be_bytes(buf[24..28].try_into().unwrap()),
-            expected_code: u32::from(u16::from_be_bytes(buf[28..30].try_into().unwrap())),
         })
     }
 }
@@ -83,11 +79,9 @@ mod tests {
 
     fn sample() -> ProbeMeta {
         ProbeMeta {
-            switch_id: 7,
+            switch_id: 0x0000_0a0b_0c0d_0e0f,
             rule_id: 0xdead_beef_cafe,
-            epoch: 42,
             seq: 1001,
-            expected_code: 0x1234,
         }
     }
 

@@ -62,13 +62,11 @@ proptest! {
     }
 
     #[test]
-    fn probe_meta_survives_crafting(fields in arb_fields(), rule_id in any::<u64>(), epoch in any::<u32>()) {
+    fn probe_meta_survives_crafting(fields in arb_fields(), switch_id in any::<u64>(), rule_id in any::<u64>()) {
         let meta = ProbeMeta {
-            switch_id: 3,
+            switch_id,
             rule_id,
-            epoch,
             seq: 9,
-            expected_code: 0xab,
         };
         let raw = craft_packet(&fields, &meta.encode()).unwrap();
         let (_, payload) = parse_packet(&raw).unwrap();
@@ -81,7 +79,7 @@ proptest! {
         bit in 0u8..8,
         rule_id in any::<u64>(),
     ) {
-        let meta = ProbeMeta { switch_id: 1, rule_id, epoch: 5, seq: 0, expected_code: 0 };
+        let meta = ProbeMeta { switch_id: 1, rule_id, seq: 0 };
         let mut enc = meta.encode().to_vec();
         enc[corrupt_at] ^= 1 << bit;
         // Either rejected, or (never) decoded to a different record.

@@ -15,7 +15,6 @@
 //!   restarts and learnt-clause database reduction.
 //! * [`dpll::DpllSolver`] — a small reference solver used for differential
 //!   testing and for the solver ablation benchmark.
-//! * [`dimacs`] — DIMACS CNF reader/writer for debugging and corpus tests.
 //!
 //! The paper's if-then-else chain encoding (Velev's construction, §5.3 and
 //! Appendix B) is not here: it is the test oracle of `monocle::encode`.
@@ -24,7 +23,6 @@
 #![warn(missing_docs)]
 
 pub mod cnf;
-pub mod dimacs;
 pub mod dpll;
 pub mod solver;
 

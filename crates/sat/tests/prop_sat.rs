@@ -1,8 +1,8 @@
 //! Property-based tests for the SAT toolkit: differential testing of the
-//! CDCL solver against the DPLL reference and a brute-force oracle, model
-//! validity, and DIMACS roundtrips.
+//! CDCL solver against the DPLL reference and a brute-force oracle, and model
+//! validity.
 
-use monocle_sat::{dimacs, solve, CdclSolver, Cnf, DpllSolver, SatResult};
+use monocle_sat::{solve, CdclSolver, Cnf, DpllSolver, SatResult};
 use proptest::prelude::*;
 
 /// Generates a random CNF with up to `max_vars` variables and `max_clauses`
@@ -72,14 +72,6 @@ proptest! {
         if let SatResult::Sat(m) = d {
             prop_assert!(m.satisfies(&cnf));
         }
-    }
-
-    #[test]
-    fn dimacs_roundtrip(cnf in arb_cnf(15, 40)) {
-        let text = dimacs::emit(&cnf);
-        let back = dimacs::parse(&text).unwrap();
-        prop_assert_eq!(back.raw(), cnf.raw());
-        prop_assert_eq!(back.num_clauses(), cnf.num_clauses());
     }
 
     #[test]

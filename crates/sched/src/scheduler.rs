@@ -132,11 +132,6 @@ impl AdaptiveScheduler {
         }
     }
 
-    /// The configuration in effect.
-    pub fn config(&self) -> &SchedConfig {
-        &self.cfg
-    }
-
     /// Scheduler counters.
     pub fn stats(&self) -> SchedStats {
         self.stats
@@ -152,8 +147,8 @@ impl AdaptiveScheduler {
         self.rules.is_empty()
     }
 
-    /// Reconciles the rule set with `keys` (the monitorable rules of the
-    /// current plan epoch). Rules already known keep their telemetry and
+    /// Reconciles the rule set with `keys` (the rules the current steady
+    /// plans cover). Rules already known keep their telemetry and
     /// deadline across plan refreshes; new rules are due immediately
     /// (freshly planned rules are exactly the recently-modified ones);
     /// rules that vanished are dropped.
@@ -318,19 +313,6 @@ impl AdaptiveScheduler {
             self.heap.push(Reverse((st.deadline, st.gen, key)));
             self.rules.insert(key, st);
             return Some(key);
-        }
-        None
-    }
-
-    /// Time the most urgent live entry is due (monitoring/introspection).
-    pub fn next_deadline(&mut self) -> Option<u64> {
-        while let Some(&Reverse((deadline, gen, key))) = self.heap.peek() {
-            match self.rules.get(&key) {
-                Some(st) if st.gen == gen => return Some(deadline),
-                _ => {
-                    self.heap.pop();
-                }
-            }
         }
         None
     }

@@ -62,9 +62,7 @@ fn main() {
     let meta = ProbeMeta {
         switch_id: 1,
         rule_id: rule_1.0,
-        epoch: 0,
         seq: 1,
-        expected_code: 0,
     };
     let frame = craft_packet(&plan.fields, &meta.encode()).unwrap();
     validate_packet(&frame).unwrap();
