@@ -175,7 +175,7 @@ fn run_arm(
         ..SteadyConfig::default()
     };
     let mut m = SteadyMonitor::new(cfg);
-    m.set_plans((0..rules as u64).map(mk_plan).collect());
+    m.patch_plans((0..rules as u64).map(mk_plan).collect(), &[]);
 
     let mut broken: HashSet<u64> = HashSet::new();
     let mut break_at: HashMap<u64, u64> = HashMap::new();
@@ -208,9 +208,9 @@ fn run_arm(
         }
         for a in m.on_tick(now) {
             match a {
-                SteadyAction::Inject { seq, plan_idx } => {
+                SteadyAction::Inject { seq, rule_id } => {
                     probes += 1;
-                    let v = if broken.contains(&(plan_idx as u64)) {
+                    let v = if broken.contains(&rule_id.0) {
                         Verdict::Absent
                     } else {
                         Verdict::Present

@@ -261,7 +261,7 @@ impl MonitorProxy {
         self.steady_stale.extend(touched);
         for id in removed {
             self.steady_stale.remove(id);
-            if steady.has_plan(*id) || self.failures.contains_key(id) {
+            if steady.plans().contains_key(id) || self.failures.contains_key(id) {
                 self.steady_removed.push(*id);
             }
         }
@@ -296,9 +296,9 @@ impl MonitorProxy {
         }
     }
 
-    /// Scheduler counters of the steady monitor, when adaptive.
+    /// Scheduler counters of the steady monitor, when there is one.
     pub fn steady_sched_stats(&self) -> Option<monocle_sched::SchedStats> {
-        self.steady.as_ref().and_then(|s| s.sched_stats())
+        self.steady.as_ref().map(SteadyMonitor::sched_stats)
     }
 
     /// A probe came back: `out_port` is the probed switch's output port the
@@ -526,7 +526,7 @@ impl MonitorProxy {
         let touched = self.dynamic.take_touched_rules();
         let removed = self.dynamic.take_removed_rules();
         self.note_steady_delta(&touched, &removed);
-        if let Some(steady) = self.steady.as_mut().filter(|s| s.is_adaptive()) {
+        if let Some(steady) = self.steady.as_mut() {
             for id in touched {
                 steady.note_rule_modified(id, now);
             }
@@ -556,8 +556,8 @@ impl MonitorProxy {
 
     fn map_steady_action(&self, a: SteadyAction) -> Option<ProxyOutput> {
         match a {
-            SteadyAction::Inject { seq, plan_idx } => {
-                let plan = self.steady.as_ref()?.plans().get(plan_idx)?;
+            SteadyAction::Inject { seq, rule_id } => {
+                let plan = self.steady.as_ref()?.plans().get(&rule_id)?;
                 Some(ProxyOutput::Inject(
                     self.injection(plan, seq | STEADY_SEQ_BIT),
                 ))
@@ -966,7 +966,14 @@ mod tests {
             }
             let found = plans.len();
             if let Some(s) = &mut self.steady {
-                s.set_plans(plans);
+                let kept: HashSet<RuleId> = plans.iter().map(|p| p.rule_id).collect();
+                let drops: Vec<RuleId> = s
+                    .plans()
+                    .keys()
+                    .filter(|id| !kept.contains(id))
+                    .copied()
+                    .collect();
+                s.patch_plans(plans, &drops);
             }
             (found, total)
         }
@@ -1268,7 +1275,7 @@ mod tests {
             .rules()
             .iter()
             .find(|r| {
-                p.steady.as_ref().unwrap().has_plan(r.id)
+                p.steady.as_ref().unwrap().plans().contains_key(&r.id)
                     && (40..total / 2).contains(&table.overlapping(&r.tern).len())
             })
             .expect("a planned rule with 40 neighbours");
@@ -1297,7 +1304,7 @@ mod tests {
         let (table, pins) = (p.expected(), p.catch_spec().all_pins());
         let plans = p.steady.as_ref().unwrap().plans();
         assert_eq!(plans.len() + p.unmonitorable.len(), total);
-        for plan in plans {
+        for plan in plans.values() {
             assert_eq!(
                 verify_probe(table, plan.rule_id, &plan.header, &pins),
                 Some((plan.present.clone(), plan.absent.clone())),

@@ -8,23 +8,24 @@
 //! This is a pure, time-driven state machine: the harness feeds it ticks
 //! and classified probe verdicts and executes the actions it returns.
 //!
-//! # Scheduling modes
+//! # One scheduler, two configurations
 //!
-//! With [`SteadyConfig::adaptive`] unset, injections walk the plan list
-//! round-robin (the paper's fixed sweep). With it set, a
-//! [`monocle_sched::AdaptiveScheduler`] picks which rule each injection
-//! slot goes to — recently-modified, high-churn and failing rules are
-//! probed more often while every rule still meets the staleness SLO. The
-//! injection *pacing* is identical in both modes (one probe per
-//! `probe_interval`, and the scheduler's token bucket is derived from the
-//! same interval), so switching modes redistributes the budget without
-//! raising it.
+//! A [`monocle_sched::AdaptiveScheduler`] picks which rule each injection
+//! slot goes to. With [`SteadyConfig::adaptive`] unset it runs its
+//! round-robin configuration (`slo_ns = 0`, `min_interval_ns = 0`: every
+//! rule always due, released in the order it last was): the paper's fixed
+//! sweep, in the order the rules joined it. With a [`SchedConfig`] set,
+//! recently-modified, high-churn and failing rules are probed more often
+//! while every rule still meets the staleness SLO. The injection *pacing*
+//! is the same either way (one probe per `probe_interval`, and the
+//! scheduler's token bucket is derived from the same interval), so the
+//! configuration redistributes the budget without raising it.
 
 use crate::plan::{take_seq, ProbePlan, Verdict};
+use monocle_openflow::table::IdHashMap;
 use monocle_openflow::RuleId;
 use monocle_sched::{AdaptiveScheduler, SchedConfig, SchedStats};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Steady-state monitor configuration.
 #[derive(Debug, Clone)]
@@ -35,9 +36,9 @@ pub struct SteadyConfig {
     pub timeout: u64,
     /// Maximum number of resends within the window (default 3).
     pub max_retries: u32,
-    /// Adaptive scheduling; `None` (default) keeps the fixed round-robin
-    /// sweep. The scheduler's probe budget is overridden to
-    /// `1e9 / probe_interval` so both modes spend the same budget.
+    /// The scheduler's configuration; `None` (default) is its round-robin
+    /// configuration, the paper's fixed sweep. Either way the probe budget
+    /// is overridden to `1e9 / probe_interval`, so both spend the same.
     pub adaptive: Option<SchedConfig>,
 }
 
@@ -55,12 +56,12 @@ impl Default for SteadyConfig {
 /// Actions the steady monitor asks the harness to perform.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SteadyAction {
-    /// Inject the probe for `plan` with this sequence number.
+    /// Inject the probe of `rule_id`'s plan with this sequence number.
     Inject {
         /// Probe sequence number (echoed back in the verdict).
         seq: u32,
-        /// Index into the monitor's plan list.
-        plan_idx: usize,
+        /// The probed rule: its plan is [`SteadyMonitor::plans`]' entry.
+        rule_id: RuleId,
     },
     /// The rule failed verification (missing or misbehaving in the data
     /// plane).
@@ -79,48 +80,50 @@ pub enum SteadyAction {
 
 #[derive(Debug, Clone)]
 struct Outstanding {
-    plan_idx: usize,
+    rule_id: RuleId,
     first_sent: u64,
     last_sent: u64,
     attempts: u32,
 }
 
 /// The per-switch steady-state monitor.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SteadyMonitor {
     cfg: SteadyConfig,
-    plans: Vec<ProbePlan>,
-    cursor: usize,
+    plans: IdHashMap<RuleId, ProbePlan>,
     next_inject_at: u64,
     outstanding: BTreeMap<u32, Outstanding>,
-    failed: std::collections::BTreeSet<RuleId>,
+    failed: BTreeSet<RuleId>,
     /// The next probe's sequence number, below
     /// [`crate::plan::STEADY_SEQ_BIT`] ([`take_seq`]); the proxy sets the
     /// bit on the wire.
     next_seq: u32,
-    /// Adaptive scheduler (None ⇒ fixed round-robin sweep). Its state is
-    /// keyed by rule id and survives plan refreshes.
-    sched: Option<AdaptiveScheduler>,
-    /// Rule id → index into `plans`, rebuilt whenever the set of planned
-    /// rules changes.
-    by_rule: HashMap<u64, usize>,
-    /// Latest time observed via `on_tick`/`on_verdict`; used to stamp
-    /// scheduler state when plans are swapped (set_plans carries no clock).
+    /// Holds exactly the planned rules; its state survives plan refreshes.
+    sched: AdaptiveScheduler,
+    /// Latest time observed via `on_tick`/`on_verdict`; stamps the rules
+    /// joining the scheduler (`patch_plans` carries no clock).
     now_hint: u64,
 }
 
 impl SteadyMonitor {
     /// Creates a monitor with the given configuration.
     pub fn new(cfg: SteadyConfig) -> SteadyMonitor {
-        let sched = cfg.adaptive.clone().map(|mut sc| {
-            // Same budget as the fixed sweep, whatever the caller put in.
-            sc.budget_pps = 1e9 / cfg.probe_interval.max(1) as f64;
-            AdaptiveScheduler::new(sc)
+        let mut sc = cfg.adaptive.clone().unwrap_or(SchedConfig {
+            slo_ns: 0,
+            min_interval_ns: 0,
+            ..SchedConfig::default()
         });
+        // Same budget in both configurations, whatever the caller put in.
+        sc.budget_pps = 1e9 / cfg.probe_interval.max(1) as f64;
         SteadyMonitor {
             cfg,
-            sched,
-            ..Default::default()
+            plans: IdHashMap::default(),
+            next_inject_at: 0,
+            outstanding: BTreeMap::new(),
+            failed: BTreeSet::new(),
+            next_seq: 0,
+            sched: AdaptiveScheduler::new(sc),
+            now_hint: 0,
         }
     }
 
@@ -133,110 +136,53 @@ impl SteadyMonitor {
         }
     }
 
-    /// Whether injections are driven by the adaptive scheduler.
-    pub fn is_adaptive(&self) -> bool {
-        self.sched.is_some()
+    /// Scheduler counters.
+    pub fn sched_stats(&self) -> SchedStats {
+        self.sched.stats()
     }
 
-    /// Scheduler counters, when adaptive.
-    pub fn sched_stats(&self) -> Option<SchedStats> {
-        self.sched.as_ref().map(|s| s.stats())
-    }
-
-    /// Replaces the probe plans wholesale, in the order given; outstanding
-    /// probes are discarded, so an answer to a probe sent before is ignored.
-    /// In adaptive mode, per-rule scheduler state (heat, deadlines, failure
-    /// history) carries over for rules that survive the refresh.
-    pub fn set_plans(&mut self, plans: Vec<ProbePlan>) {
-        self.plans = plans;
-        self.restart();
-        self.reindex();
-    }
-
-    /// Refreshes the plans after a table change that invalidated only some
-    /// of them: each plan of `upserts` (in table order: priority descending,
-    /// rule id ascending, the order the plan list is then kept in) replaces
-    /// its rule's plan or joins the cycle, and the rules of `drops` leave
-    /// it. Outstanding probes are discarded and the fixed sweep restarts, as
-    /// in [`Self::set_plans`]. Work follows `upserts` and `drops`, not the
-    /// plan list, as long as the set of planned rules stays the same; when
-    /// it does not, the list is re-merged and re-indexed and the adaptive
-    /// scheduler reconciled. Returns whether it changed.
+    /// Refreshes the plans: each plan of `upserts` replaces its rule's plan
+    /// or joins the cycle (at its back, in the order given), and the rules
+    /// of `drops` leave it. Outstanding probes are discarded, so an answer
+    /// to a probe sent before is ignored. Work follows `upserts` and
+    /// `drops`, not the plan list; the scheduler's per-rule state carries
+    /// over for every rule that stays. Returns whether the set of planned
+    /// rules changed.
     pub fn patch_plans(&mut self, upserts: Vec<ProbePlan>, drops: &[RuleId]) -> bool {
-        self.restart();
-        let mut joining = Vec::new();
+        self.outstanding.clear();
+        let mut changed = false;
         for plan in upserts {
-            match self.by_rule.get(&plan.rule_id.0) {
-                Some(&i) => self.plans[i] = plan,
-                None => joining.push(plan),
+            let id = plan.rule_id;
+            if self.plans.insert(id, plan).is_none() {
+                self.sched.insert(id.0, self.now_hint);
+                changed = true;
             }
         }
-        let leaving: HashSet<u64> = drops
-            .iter()
-            .map(|id| id.0)
-            .filter(|id| self.by_rule.contains_key(id))
-            .collect();
-        if leaving.is_empty() && joining.is_empty() {
-            return false;
+        for id in drops {
+            if self.plans.remove(id).is_some() {
+                self.sched.remove(id.0);
+                changed = true;
+            }
         }
-        self.plans.retain(|p| !leaving.contains(&p.rule_id.0));
-        self.plans.extend(joining);
-        // Two runs, each already in table order: the stable sort is one merge.
-        self.plans.sort_by_key(|p| (Reverse(p.priority), p.rule_id));
-        self.reindex();
-        true
-    }
-
-    /// The part of a refresh that does not depend on its size: outstanding
-    /// probes discarded (a sequence number comes round again only 2³¹
-    /// probes later, so no answer to one of them counts from here on), fixed
-    /// sweep restarted.
-    fn restart(&mut self) {
-        self.cursor = 0;
-        self.outstanding.clear();
-    }
-
-    /// Rebuilds the rule index and reconciles the adaptive scheduler after
-    /// the set of planned rules changed.
-    fn reindex(&mut self) {
-        self.by_rule = self
-            .plans
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.rule_id.0, i))
-            .collect();
-        if let Some(sched) = self.sched.as_mut() {
-            let keys: Vec<u64> = self.plans.iter().map(|p| p.rule_id.0).collect();
-            sched.sync(&keys, self.now_hint);
-        }
-    }
-
-    /// Whether `rule` has a plan in the cycle.
-    pub fn has_plan(&self, rule: RuleId) -> bool {
-        self.by_rule.contains_key(&rule.0)
+        changed
     }
 
     /// Tells the scheduler `rule` was just modified by a flow_mod: its next
-    /// probe is pulled forward and its churn heat bumped. No-op in fixed
-    /// mode or for rules without a plan.
+    /// probe is pulled forward and its churn heat bumped (no reordering in
+    /// the round-robin configuration). No-op for rules without a plan.
     pub fn note_rule_modified(&mut self, rule: RuleId, now: u64) {
         self.now_hint = self.now_hint.max(now);
-        if let Some(sched) = self.sched.as_mut() {
-            sched.note_modified(rule.0, now);
-        }
+        self.sched.note_modified(rule.0, now);
     }
 
     /// Updates the per-switch cost factor and backpressure flag feeding the
-    /// scheduler (see [`monocle_sched::SwitchTelemetry::cost`]). No-op in
-    /// fixed mode.
+    /// scheduler (see [`monocle_sched::SwitchTelemetry::cost`]).
     pub fn set_switch_cost(&mut self, cost: f64, backpressured: bool) {
-        if let Some(sched) = self.sched.as_mut() {
-            sched.set_switch_cost(cost, backpressured);
-        }
+        self.sched.set_switch_cost(cost, backpressured);
     }
 
-    /// The plans currently being cycled.
-    pub fn plans(&self) -> &[ProbePlan] {
+    /// The plans currently being cycled, by rule.
+    pub fn plans(&self) -> &IdHashMap<RuleId, ProbePlan> {
         &self.plans
     }
 
@@ -255,33 +201,25 @@ impl SteadyMonitor {
         let mut to_remove = Vec::new();
         let mut to_resend = Vec::new();
         for (&seq, o) in &self.outstanding {
-            let plan = &self.plans[o.plan_idx];
+            let rule_id = o.rule_id;
+            let negative = self.plans[&rule_id].is_negative();
             if now >= o.first_sent + self.cfg.timeout {
                 // Window expired with no conclusive observation.
-                if plan.is_negative() {
+                if negative {
                     // Negative probing (§3.3): silence is the (weak)
                     // confirmation that the drop rule is present.
-                    if let Some(sched) = self.sched.as_mut() {
-                        sched.note_verdict(plan.rule_id.0, now, true);
-                    }
-                    if self.failed.remove(&plan.rule_id) {
-                        actions.push(SteadyAction::RuleRecovered {
-                            rule_id: plan.rule_id,
-                        });
+                    self.sched.note_verdict(rule_id.0, now, true);
+                    if self.failed.remove(&rule_id) {
+                        actions.push(SteadyAction::RuleRecovered { rule_id });
                     }
                 } else {
-                    if let Some(sched) = self.sched.as_mut() {
-                        sched.note_verdict(plan.rule_id.0, now, false);
-                    }
-                    if self.failed.insert(plan.rule_id) {
-                        actions.push(SteadyAction::RuleFailed {
-                            rule_id: plan.rule_id,
-                            at: now,
-                        });
+                    self.sched.note_verdict(rule_id.0, now, false);
+                    if self.failed.insert(rule_id) {
+                        actions.push(SteadyAction::RuleFailed { rule_id, at: now });
                     }
                 }
                 to_remove.push(seq);
-            } else if !plan.is_negative()
+            } else if !negative
                 && o.attempts <= self.cfg.max_retries
                 && now >= o.last_sent + retry_after
             {
@@ -295,37 +233,27 @@ impl SteadyMonitor {
             let o = self.outstanding.get_mut(&seq).unwrap();
             o.attempts += 1;
             o.last_sent = now;
-            let plan_idx = o.plan_idx;
-            actions.push(SteadyAction::Inject { seq, plan_idx });
+            let rule_id = o.rule_id;
+            actions.push(SteadyAction::Inject { seq, rule_id });
         }
-        // 2. Inject into this pacing slot: next rule in the cycle (fixed)
-        //    or the most urgent due rule (adaptive; the slot stays open if
-        //    nothing is due, so an idle scheduler underspends the budget
-        //    but never exceeds it).
+        // 2. Inject into this pacing slot the rule the scheduler releases
+        //    (the slot stays open if nothing is due, so an idle scheduler
+        //    underspends the budget but never exceeds it).
         if !self.plans.is_empty() && now >= self.next_inject_at {
-            let plan_idx = match self.sched.as_mut() {
-                Some(sched) => sched
-                    .next_due(now)
-                    .and_then(|key| self.by_rule.get(&key).copied()),
-                None => {
-                    let idx = self.cursor;
-                    self.cursor = (self.cursor + 1) % self.plans.len();
-                    Some(idx)
-                }
-            };
-            if let Some(plan_idx) = plan_idx {
+            if let Some(key) = self.sched.next_due(now) {
+                let rule_id = RuleId(key);
                 self.next_inject_at = now + self.cfg.probe_interval;
                 let seq = take_seq(&mut self.next_seq);
                 self.outstanding.insert(
                     seq,
                     Outstanding {
-                        plan_idx,
+                        rule_id,
                         first_sent: now,
                         last_sent: now,
                         attempts: 1,
                     },
                 );
-                actions.push(SteadyAction::Inject { seq, plan_idx });
+                actions.push(SteadyAction::Inject { seq, rule_id });
             }
         }
         actions
@@ -335,26 +263,21 @@ impl SteadyMonitor {
     pub fn on_verdict(&mut self, now: u64, seq: u32, verdict: Verdict) -> Vec<SteadyAction> {
         self.now_hint = self.now_hint.max(now);
         let Some(o) = self.outstanding.get(&seq) else {
-            return Vec::new(); // sent before the last refresh, or a duplicate
+            return Vec::new(); // no longer outstanding, or a duplicate
         };
-        let plan_idx = o.plan_idx;
-        let rule_id = self.plans[plan_idx].rule_id;
+        let rule_id = o.rule_id;
         let mut actions = Vec::new();
         match verdict {
             Verdict::Present => {
                 self.outstanding.remove(&seq);
-                if let Some(sched) = self.sched.as_mut() {
-                    sched.note_verdict(rule_id.0, now, true);
-                }
+                self.sched.note_verdict(rule_id.0, now, true);
                 if self.failed.remove(&rule_id) {
                     actions.push(SteadyAction::RuleRecovered { rule_id });
                 }
             }
             Verdict::Absent => {
                 self.outstanding.remove(&seq);
-                if let Some(sched) = self.sched.as_mut() {
-                    sched.note_verdict(rule_id.0, now, false);
-                }
+                self.sched.note_verdict(rule_id.0, now, false);
                 if self.failed.insert(rule_id) {
                     actions.push(SteadyAction::RuleFailed { rule_id, at: now });
                 }
@@ -366,7 +289,7 @@ impl SteadyMonitor {
 
     /// The plan for an outstanding sequence number (harness lookup).
     pub fn plan_for_seq(&self, seq: u32) -> Option<&ProbePlan> {
-        self.outstanding.get(&seq).map(|o| &self.plans[o.plan_idx])
+        self.outstanding.get(&seq).map(|o| &self.plans[&o.rule_id])
     }
 }
 
@@ -402,24 +325,57 @@ mod tests {
         }
     }
 
+    /// A monitor with `plans` joined in the order given.
+    fn monitor(cfg: SteadyConfig, plans: Vec<ProbePlan>) -> SteadyMonitor {
+        let mut m = SteadyMonitor::new(cfg);
+        m.patch_plans(plans, &[]);
+        m
+    }
+
+    fn injected(actions: &[SteadyAction]) -> Option<(u32, RuleId)> {
+        actions.iter().find_map(|a| match *a {
+            SteadyAction::Inject { seq, rule_id } => Some((seq, rule_id)),
+            _ => None,
+        })
+    }
+
     const MS: u64 = 1_000_000;
 
     #[test]
     fn cycles_through_rules() {
-        let mut m = SteadyMonitor::new(SteadyConfig::default());
-        m.set_plans(vec![mk_plan(1, false), mk_plan(2, false)]);
+        let mut m = monitor(
+            SteadyConfig::default(),
+            vec![mk_plan(1, false), mk_plan(2, false)],
+        );
         let a0 = m.on_tick(0);
-        assert!(matches!(a0[0], SteadyAction::Inject { plan_idx: 0, .. }));
+        assert!(matches!(
+            a0[0],
+            SteadyAction::Inject {
+                rule_id: RuleId(1),
+                ..
+            }
+        ));
         let a1 = m.on_tick(2 * MS);
-        assert!(matches!(a1[0], SteadyAction::Inject { plan_idx: 1, .. }));
+        assert!(matches!(
+            a1[0],
+            SteadyAction::Inject {
+                rule_id: RuleId(2),
+                ..
+            }
+        ));
         let a2 = m.on_tick(4 * MS);
-        assert!(matches!(a2[0], SteadyAction::Inject { plan_idx: 0, .. }));
+        assert!(matches!(
+            a2[0],
+            SteadyAction::Inject {
+                rule_id: RuleId(1),
+                ..
+            }
+        ));
     }
 
     #[test]
     fn present_verdict_clears_outstanding() {
-        let mut m = SteadyMonitor::new(SteadyConfig::default());
-        m.set_plans(vec![mk_plan(1, false)]);
+        let mut m = monitor(SteadyConfig::default(), vec![mk_plan(1, false)]);
         let a = m.on_tick(0);
         let SteadyAction::Inject { seq, .. } = a[0] else {
             panic!()
@@ -437,8 +393,7 @@ mod tests {
 
     #[test]
     fn timeout_raises_failure_and_retries_first() {
-        let mut m = SteadyMonitor::new(SteadyConfig::default());
-        m.set_plans(vec![mk_plan(7, false)]);
+        let mut m = monitor(SteadyConfig::default(), vec![mk_plan(7, false)]);
         let a = m.on_tick(0);
         let SteadyAction::Inject { seq, .. } = a[0] else {
             panic!()
@@ -460,8 +415,7 @@ mod tests {
 
     #[test]
     fn absent_verdict_fails_immediately() {
-        let mut m = SteadyMonitor::new(SteadyConfig::default());
-        m.set_plans(vec![mk_plan(3, false)]);
+        let mut m = monitor(SteadyConfig::default(), vec![mk_plan(3, false)]);
         let a = m.on_tick(0);
         let SteadyAction::Inject { seq, .. } = a[0] else {
             panic!()
@@ -474,37 +428,22 @@ mod tests {
 
     #[test]
     fn negative_probe_silence_is_ok_and_reply_is_failure() {
-        let mut m = SteadyMonitor::new(SteadyConfig::default());
-        m.set_plans(vec![mk_plan(5, true)]);
-        let a = m.on_tick(0);
-        let SteadyAction::Inject { seq, .. } = a[0] else {
-            panic!()
-        };
+        let mut m = monitor(SteadyConfig::default(), vec![mk_plan(5, true)]);
+        m.on_tick(0);
         // Timeout without observation: fine for a drop rule. The same tick
         // also injects the next probe in the cycle.
         let acts = m.on_tick(151 * MS);
         assert!(!acts
             .iter()
             .any(|x| matches!(x, SteadyAction::RuleFailed { .. })));
-        let SteadyAction::Inject { seq: seq2, .. } = acts
-            .iter()
-            .find_map(|x| match x {
-                SteadyAction::Inject { .. } => Some(x.clone()),
-                _ => None,
-            })
-            .unwrap()
-        else {
-            panic!()
-        };
-        let _ = seq;
+        let (seq2, _) = injected(&acts).unwrap();
         let acts = m.on_verdict(153 * MS, seq2, Verdict::Absent);
         assert!(matches!(acts[0], SteadyAction::RuleFailed { .. }));
     }
 
     #[test]
     fn recovery_reported() {
-        let mut m = SteadyMonitor::new(SteadyConfig::default());
-        m.set_plans(vec![mk_plan(1, false)]);
+        let mut m = monitor(SteadyConfig::default(), vec![mk_plan(1, false)]);
         let a = m.on_tick(0);
         let SteadyAction::Inject { seq, .. } = a[0] else {
             panic!()
@@ -512,17 +451,7 @@ mod tests {
         m.on_verdict(1, seq, Verdict::Absent);
         assert_eq!(m.failed_rules().count(), 1);
         // Next probe of the same rule succeeds -> recovered.
-        let a = m.on_tick(3 * MS);
-        let SteadyAction::Inject { seq, .. } = a
-            .iter()
-            .find_map(|x| match x {
-                SteadyAction::Inject { .. } => Some(x.clone()),
-                _ => None,
-            })
-            .unwrap()
-        else {
-            panic!()
-        };
+        let (seq, _) = injected(&m.on_tick(3 * MS)).unwrap();
         let acts = m.on_verdict(4 * MS, seq, Verdict::Present);
         assert!(matches!(acts[0], SteadyAction::RuleRecovered { .. }));
         assert_eq!(m.failed_rules().count(), 0);
@@ -530,8 +459,10 @@ mod tests {
 
     #[test]
     fn probe_rate_respected() {
-        let mut m = SteadyMonitor::new(SteadyConfig::default());
-        m.set_plans((0..10).map(|i| mk_plan(i, false)).collect());
+        let mut m = monitor(
+            SteadyConfig::default(),
+            (0..10).map(|i| mk_plan(i, false)).collect(),
+        );
         let mut injections = 0;
         // Tick every 1 ms for 20 ms: interval is 2 ms -> ~10 injections.
         for t in 0..20 {
@@ -556,10 +487,9 @@ mod tests {
     fn adaptive_pacing_matches_fixed_sweep() {
         // Equal budget: over the same window, the adaptive monitor may not
         // inject more probes than the fixed sweep at the same interval.
-        let mut fixed = SteadyMonitor::new(SteadyConfig::default());
-        let mut adapt = SteadyMonitor::new(adaptive());
-        fixed.set_plans((0..10).map(|i| mk_plan(i, false)).collect());
-        adapt.set_plans((0..10).map(|i| mk_plan(i, false)).collect());
+        let plans = || (0..10).map(|i| mk_plan(i, false)).collect();
+        let mut fixed = monitor(SteadyConfig::default(), plans());
+        let mut adapt = monitor(adaptive(), plans());
         let count = |m: &mut SteadyMonitor| {
             let mut n = 0;
             for t in 0..100 {
@@ -579,8 +509,7 @@ mod tests {
 
     #[test]
     fn adaptive_modified_rule_probed_before_cold_rules() {
-        let mut m = SteadyMonitor::new(adaptive());
-        m.set_plans((0..50).map(|i| mk_plan(i, false)).collect());
+        let mut m = monitor(adaptive(), (0..50).map(|i| mk_plan(i, false)).collect());
         // Burn the initial everybody-is-new burst; answer each probe so no
         // failure heat accumulates.
         for t in 0..200u64 {
@@ -597,23 +526,21 @@ mod tests {
         let mut first = None;
         let mut t = t0 + 51 * MS;
         while first.is_none() && t < t0 + 400 * MS {
-            for a in m.on_tick(t) {
-                if let SteadyAction::Inject { plan_idx, .. } = a {
-                    first = Some(plan_idx);
-                    break;
-                }
-            }
+            first = injected(&m.on_tick(t)).map(|(_, rule)| rule);
             t += 2 * MS;
         }
-        assert_eq!(first, Some(33), "modified rule did not jump the queue");
+        assert_eq!(
+            first,
+            Some(RuleId(33)),
+            "modified rule did not jump the queue"
+        );
     }
 
     #[test]
     fn adaptive_timeout_retries_then_fails_like_fixed() {
         // The retry path is scheduler-independent: timeouts still resend
         // up to max_retries and then raise RuleFailed.
-        let mut m = SteadyMonitor::new(adaptive());
-        m.set_plans(vec![mk_plan(7, false)]);
+        let mut m = monitor(adaptive(), vec![mk_plan(7, false)]);
         let a = m.on_tick(0);
         let SteadyAction::Inject { seq, .. } = a[0] else {
             panic!()
@@ -630,8 +557,7 @@ mod tests {
         ));
         // The failure fed the scheduler: the rule's next probe comes at the
         // floor interval, well before the SLO.
-        let stats = m.sched_stats().unwrap();
-        assert!(stats.released >= 1);
+        assert!(m.sched_stats().released >= 1);
         let mut reprobed = false;
         for t in 152..260u64 {
             if m.on_tick(t * MS)
@@ -647,8 +573,7 @@ mod tests {
 
     #[test]
     fn adaptive_recovery_path_reports_and_clears() {
-        let mut m = SteadyMonitor::new(adaptive());
-        m.set_plans(vec![mk_plan(1, false)]);
+        let mut m = monitor(adaptive(), vec![mk_plan(1, false)]);
         let a = m.on_tick(0);
         let SteadyAction::Inject { seq, .. } = a[0] else {
             panic!()
@@ -680,14 +605,37 @@ mod tests {
 
     #[test]
     fn set_plans_clears_outstanding() {
-        let mut m = SteadyMonitor::new(SteadyConfig::default());
-        m.set_plans(vec![mk_plan(1, false)]);
+        let mut m = monitor(SteadyConfig::default(), vec![mk_plan(1, false)]);
         m.on_tick(0);
-        m.set_plans(vec![mk_plan(2, false)]);
+        m.patch_plans(vec![mk_plan(2, false)], &[RuleId(1)]);
         // Old seq is gone; no spurious failure later.
         let acts = m.on_tick(200 * MS);
         assert!(!acts
             .iter()
             .any(|x| matches!(x, SteadyAction::RuleFailed { .. })));
+    }
+
+    /// The round-robin configuration keeps its place across a refresh:
+    /// rules that stay keep their turn (a replaced plan included), a joiner
+    /// queues at the back and a rule that leaves drops out.
+    #[test]
+    fn a_refresh_keeps_the_sweep_position() {
+        let mut m = monitor(
+            SteadyConfig::default(),
+            (1..=4).map(|i| mk_plan(i, false)).collect(),
+        );
+        let mut order = Vec::new();
+        let mut t = 0;
+        let mut tick = |m: &mut SteadyMonitor, order: &mut Vec<u64>| {
+            order.push(injected(&m.on_tick(t)).unwrap().1 .0);
+            t += 2 * MS;
+        };
+        tick(&mut m, &mut order);
+        tick(&mut m, &mut order);
+        m.patch_plans(vec![mk_plan(5, false), mk_plan(3, false)], &[RuleId(4)]);
+        for _ in 0..5 {
+            tick(&mut m, &mut order);
+        }
+        assert_eq!(order, [1, 2, 3, 1, 2, 5, 3]);
     }
 }

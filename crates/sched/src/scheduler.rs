@@ -21,6 +21,16 @@
 //! The queue is a lazy-deletion binary heap: reschedules push a fresh
 //! generation-stamped entry and stale entries are discarded when popped,
 //! keeping every operation O(log n) without a decrease-key primitive.
+//!
+//! # The fixed sweep as a configuration
+//!
+//! With `slo_ns = 0` and `min_interval_ns = 0` every interval is zero: a
+//! released rule is due again at once, behind the rules released before it,
+//! and every rule is always SLO-critical, so neither scores nor backpressure
+//! reorder anything. Releases then go by (last release, insertion order) —
+//! a round-robin over the rules in the order they joined, rules that leave
+//! dropping out and rules that join queuing at the back. That is the
+//! paper's fixed sweep (`tests/prop_sched.rs` checks it against a queue).
 
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
@@ -148,29 +158,39 @@ impl AdaptiveScheduler {
     }
 
     /// Reconciles the rule set with `keys` (the rules the current steady
-    /// plans cover). Rules already known keep their telemetry and
-    /// deadline across plan refreshes; new rules are due immediately
-    /// (freshly planned rules are exactly the recently-modified ones);
-    /// rules that vanished are dropped.
+    /// plans cover): rules that vanished are dropped ([`Self::remove`]) and
+    /// new ones join in `keys` order ([`Self::insert`]).
     pub fn sync(&mut self, keys: &[RuleKey], now: u64) {
         let keep: std::collections::HashSet<RuleKey> = keys.iter().copied().collect();
         self.rules.retain(|k, _| keep.contains(k));
         for &key in keys {
-            if let Entry::Vacant(slot) = self.rules.entry(key) {
-                let gen = self.next_gen;
-                self.next_gen += 1;
-                slot.insert(RuleState {
-                    last_probed: now,
-                    last_modified: None,
-                    heat: DecayCounter::new(self.cfg.half_life_ns),
-                    verdicts: WindowedRatio::new(8),
-                    consec_fails: 0,
-                    deadline: now,
-                    gen,
-                });
-                self.heap.push(Reverse((now, gen, key)));
-            }
+            self.insert(key, now);
         }
+    }
+
+    /// Puts `key` under management, due at `now` behind every rule already
+    /// due by then (a freshly planned rule is exactly a recently-modified
+    /// one). A rule already known keeps its telemetry and deadline.
+    pub fn insert(&mut self, key: RuleKey, now: u64) {
+        if let Entry::Vacant(slot) = self.rules.entry(key) {
+            let gen = self.next_gen;
+            self.next_gen += 1;
+            slot.insert(RuleState {
+                last_probed: now,
+                last_modified: None,
+                heat: DecayCounter::new(self.cfg.half_life_ns),
+                verdicts: WindowedRatio::new(8),
+                consec_fails: 0,
+                deadline: now,
+                gen,
+            });
+            self.heap.push(Reverse((now, gen, key)));
+        }
+    }
+
+    /// Drops `key` and its state; its queued entries go stale.
+    pub fn remove(&mut self, key: RuleKey) {
+        self.rules.remove(&key);
     }
 
     /// Whether `key` is under management.
