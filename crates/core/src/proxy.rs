@@ -304,8 +304,9 @@ impl MonitorProxy {
     /// A probe came back: `out_port` is the probed switch's output port the
     /// observation maps to, `fields` the received header. Its answer counts
     /// exactly when its sequence number is live: that of a probe of an update
-    /// still unconfirmed, or of a steady probe still outstanding (every
-    /// steady refresh discards those).
+    /// still unconfirmed, or of a steady probe still outstanding — until its
+    /// window closes, or a refresh drops or replaces the plan it was made
+    /// for ([`SteadyMonitor::patch_plans`]).
     pub fn on_probe_return(
         &mut self,
         now: u64,
@@ -732,8 +733,9 @@ mod tests {
     }
 
     /// A probe's answer counts exactly when its sequence number is live: a
-    /// steady probe's until the next refresh, a dynamic probe's until its
-    /// update confirms — whatever else changed in the table meanwhile.
+    /// steady probe's while the plan it was made for is held, a dynamic
+    /// probe's until its update confirms — whatever else changed in the
+    /// table meanwhile.
     #[test]
     fn an_answer_counts_while_its_sequence_number_is_live() {
         let cfg = ProxyConfig::new(7, CatchSpec::default()).with_steady(SteadyConfig::default());
@@ -781,21 +783,50 @@ mod tests {
         p.on_probe_return(3_500_000, &bystander.meta, 5, &echo(&bystander));
         assert_eq!(p.in_flight(), 0);
 
-        // The tick refreshes the steady plans (the two new rules join); the
-        // second steady probe was sent before that, so the same answer that
-        // failed the first rule is now ignored.
+        // The tick refreshes the steady plans (the two new rules join). The
+        // second steady probe was sent before that, but its plan was kept:
+        // the same answer that failed the first rule fails the second.
         p.on_tick(4_000_000);
         assert_eq!(p.steady.as_ref().unwrap().plans().len(), 5);
         let outs = p.on_probe_return(4_500_000, &second.meta, 9, &echo(&second));
+        assert!(
+            matches!(&outs[..], [ProxyOutput::RuleFailed { rule_id, .. }]
+                if rule_id.0 == second.meta.rule_id),
+            "{outs:?}"
+        );
+        let failed = |p: &MonitorProxy| -> Vec<u64> {
+            let steady = p.steady.as_ref().unwrap();
+            steady.failed_rules().map(|r| r.0).collect()
+        };
+        assert_eq!(failed(&p), [first.meta.rule_id, second.meta.rule_id]);
+
+        // A steady probe of the first rule is out when an update replaces
+        // the rule's actions: the refresh replaces its plan, and an answer
+        // to the probe made for the old one is ignored — even the one the
+        // new plan calls present.
+        let mut now = 4_000_000;
+        let old = loop {
+            now += 2_000_000;
+            let outs = p.on_tick(now);
+            if let Some(i) = outs.into_iter().find_map(|o| match o {
+                ProxyOutput::Inject(i) if i.meta.rule_id == first.meta.rule_id => Some(i),
+                _ => None,
+            }) {
+                break i;
+            }
+        };
+        let host1 = Match::any().with_nw_dst([10, 0, 0, 1], 32);
+        let fm = FlowMod::modify_strict(10, host1, vec![Action::Output(7)]);
+        let modify = inject(p.on_controller_flowmod(now, 3, fm));
+        let outs = p.on_probe_return(now, &modify.meta, 7, &echo(&modify));
+        assert!(outs.contains(&ProxyOutput::Confirmed {
+            token: 3,
+            verified: true
+        }));
+        p.on_tick(now + 1_000_000);
+        let outs = p.on_probe_return(now + 1_500_000, &old.meta, 7, &echo(&old));
         assert!(outs.is_empty(), "{outs:?}");
-        let failed: Vec<u64> = p
-            .steady
-            .as_ref()
-            .unwrap()
-            .failed_rules()
-            .map(|r| r.0)
-            .collect();
-        assert_eq!(failed, [first.meta.rule_id]);
+        assert_eq!(failed(&p), [first.meta.rule_id, second.meta.rule_id]);
     }
 
     #[test]

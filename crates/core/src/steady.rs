@@ -22,7 +22,7 @@
 //! configuration redistributes the budget without raising it.
 
 use crate::plan::{take_seq, ProbePlan, Verdict};
-use monocle_openflow::table::IdHashMap;
+use monocle_openflow::table::{IdHashMap, IdHashSet};
 use monocle_openflow::RuleId;
 use monocle_sched::{AdaptiveScheduler, SchedConfig, SchedStats};
 use std::collections::{BTreeMap, BTreeSet};
@@ -143,26 +143,40 @@ impl SteadyMonitor {
 
     /// Refreshes the plans: each plan of `upserts` replaces its rule's plan
     /// or joins the cycle (at its back, in the order given), and the rules
-    /// of `drops` leave it. Outstanding probes are discarded, so an answer
-    /// to a probe sent before is ignored. Work follows `upserts` and
-    /// `drops`, not the plan list; the scheduler's per-rule state carries
-    /// over for every rule that stays. Returns whether the set of planned
-    /// rules changed.
+    /// of `drops` leave it, their failure and scheduler state with them.
+    /// A rule's outstanding probes are discarded — an answer to one is then
+    /// ignored — when it leaves or its plan is replaced by a different one;
+    /// a plan kept, or replaced by an equal one, keeps its probes, their
+    /// retries and its place in the cycle. Work follows `upserts` and
+    /// `drops`, not the plan list. Returns whether the set of planned rules
+    /// changed.
     pub fn patch_plans(&mut self, upserts: Vec<ProbePlan>, drops: &[RuleId]) -> bool {
-        self.outstanding.clear();
+        let mut discard = IdHashSet::default();
         let mut changed = false;
         for plan in upserts {
             let id = plan.rule_id;
-            if self.plans.insert(id, plan).is_none() {
-                self.sched.insert(id.0, self.now_hint);
+            match self.plans.insert(id, plan) {
+                Some(old) if old != self.plans[&id] => {
+                    discard.insert(id);
+                }
+                Some(_) => {}
+                None => {
+                    self.sched.insert(id.0, self.now_hint);
+                    changed = true;
+                }
+            }
+        }
+        for &id in drops {
+            if self.plans.remove(&id).is_some() {
+                self.sched.remove(id.0);
+                self.failed.remove(&id);
+                discard.insert(id);
                 changed = true;
             }
         }
-        for id in drops {
-            if self.plans.remove(id).is_some() {
-                self.sched.remove(id.0);
-                changed = true;
-            }
+        if !discard.is_empty() {
+            self.outstanding
+                .retain(|_, o| !discard.contains(&o.rule_id));
         }
         changed
     }
@@ -603,16 +617,54 @@ mod tests {
         assert_eq!(m.failed_rules().count(), 0);
     }
 
+    fn failures(actions: &[SteadyAction]) -> Vec<RuleId> {
+        let failed = actions.iter().filter_map(|a| match *a {
+            SteadyAction::RuleFailed { rule_id, .. } => Some(rule_id),
+            _ => None,
+        });
+        failed.collect()
+    }
+
+    /// A refresh that carries a rule's plan unchanged leaves its probe out:
+    /// the window it was sent in still ends in a verdict.
     #[test]
-    fn set_plans_clears_outstanding() {
+    fn a_kept_plan_keeps_its_probe_across_a_refresh() {
         let mut m = monitor(SteadyConfig::default(), vec![mk_plan(1, false)]);
-        m.on_tick(0);
-        m.patch_plans(vec![mk_plan(2, false)], &[RuleId(1)]);
-        // Old seq is gone; no spurious failure later.
-        let acts = m.on_tick(200 * MS);
-        assert!(!acts
-            .iter()
-            .any(|x| matches!(x, SteadyAction::RuleFailed { .. })));
+        let (seq, _) = injected(&m.on_tick(0)).unwrap();
+        m.patch_plans(vec![mk_plan(1, false), mk_plan(2, false)], &[]);
+        assert!(m.plan_for_seq(seq).is_some());
+        assert_eq!(failures(&m.on_tick(151 * MS)), [RuleId(1)]);
+    }
+
+    /// A probe made for a plan the refresh replaced says nothing about the
+    /// rule as it is now: it is discarded, and its silence raises nothing.
+    #[test]
+    fn a_replaced_plan_loses_its_probe() {
+        let mut m = monitor(SteadyConfig::default(), vec![mk_plan(1, false)]);
+        let (seq, _) = injected(&m.on_tick(0)).unwrap();
+        let replaced = ProbePlan {
+            in_port: 2,
+            ..mk_plan(1, false)
+        };
+        m.patch_plans(vec![replaced], &[]);
+        assert!(m.plan_for_seq(seq).is_none());
+        assert!(m.on_verdict(MS, seq, Verdict::Absent).is_empty());
+        assert_eq!(failures(&m.on_tick(151 * MS)), []);
+    }
+
+    /// A rule that leaves takes its probes and its failure with it.
+    #[test]
+    fn a_dropped_rule_leaves_the_failed_set_and_loses_its_probe() {
+        let plans = vec![mk_plan(1, false), mk_plan(2, false)];
+        let mut m = monitor(SteadyConfig::default(), plans);
+        let (first, _) = injected(&m.on_tick(0)).unwrap();
+        m.on_verdict(MS, first, Verdict::Absent);
+        let (second, _) = injected(&m.on_tick(2 * MS)).unwrap();
+        assert_eq!(m.failed_rules().collect::<Vec<_>>(), [RuleId(1)]);
+        m.patch_plans(Vec::new(), &[RuleId(1), RuleId(2)]);
+        assert_eq!(m.failed_rules().count(), 0);
+        assert!(m.plan_for_seq(second).is_none());
+        assert!(m.on_tick(200 * MS).is_empty());
     }
 
     /// The round-robin configuration keeps its place across a refresh:
