@@ -197,8 +197,6 @@ pub struct DynamicMonitor {
     /// Rules added or modified by updates started since the last
     /// [`Self::take_touched_rules`].
     touched: Vec<RuleId>,
-    /// Rules removed by them since the last [`Self::take_removed_rules`].
-    removed: Vec<RuleId>,
 }
 
 impl DynamicMonitor {
@@ -218,7 +216,6 @@ impl DynamicMonitor {
             planned: VecDeque::new(),
             request_replica: FlowTable::new(),
             touched: Vec::new(),
-            removed: Vec::new(),
         }
     }
 
@@ -257,11 +254,6 @@ impl DynamicMonitor {
     /// [`monocle_openflow::table::ApplyResult`].
     pub fn take_touched_rules(&mut self) -> Vec<RuleId> {
         std::mem::take(&mut self.touched)
-    }
-
-    /// As [`Self::take_touched_rules`] for the rules those updates removed.
-    pub fn take_removed_rules(&mut self) -> Vec<RuleId> {
-        std::mem::take(&mut self.removed)
     }
 
     /// Drains the deferred planning steps recorded since the last call, in
@@ -474,7 +466,6 @@ impl DynamicMonitor {
         let applied = self.apply_expected(&fm).unwrap_or_default();
         self.touched
             .extend(applied.added.iter().chain(&applied.modified));
-        self.removed.extend(&applied.removed);
         // The rule the update is proven by and the verdict that proves it.
         let probed = match fm.command {
             // OF1.0: a MODIFY with no matching entry behaves as ADD; the

@@ -21,7 +21,6 @@ use monocle_openflow::flowmatch::packet_to_headervec;
 use monocle_openflow::table::IdHashMap;
 use monocle_openflow::{ActionProgram, FlowMod, Match, PortNo, RuleId};
 use monocle_packet::{PacketFields, ProbeMeta};
-use std::collections::HashSet;
 
 /// Proxy configuration.
 #[derive(Debug, Clone)]
@@ -151,15 +150,9 @@ pub struct MonitorProxy {
     cfg: ProxyConfig,
     dynamic: DynamicMonitor,
     steady: Option<SteadyMonitor>,
-    steady_dirty: bool,
-    /// With steady monitoring on: rules whose steady plan, if any, predates
-    /// their current version (added or modified since the last refresh), or
-    /// whose last result is never cached ([`ProbeError::RepairFailed`]).
-    /// Together with what the engine evicted, the next refresh's work.
-    steady_stale: HashSet<RuleId>,
-    /// Rules the last refresh planned (or found unmonitorable) that have
-    /// left the expected table since.
-    steady_removed: Vec<RuleId>,
+    /// The expected table's [`monocle_openflow::FlowTable::version`] at the
+    /// last steady refresh: its change log since then is the next one's work.
+    steady_version: u64,
     /// Pending drop-postponed finalizations: token -> finalize FlowMod.
     pending_finalize: Vec<(u64, FlowMod)>,
     /// Rules for which steady-state probe generation failed (Table 2's
@@ -184,9 +177,7 @@ impl MonitorProxy {
             cfg,
             dynamic,
             steady,
-            steady_dirty: false,
-            steady_stale: HashSet::new(),
-            steady_removed: Vec::new(),
+            steady_version: 0,
             pending_finalize: Vec::new(),
             unmonitorable: Vec::new(),
             failures: IdHashMap::default(),
@@ -235,41 +226,18 @@ impl MonitorProxy {
 
     /// Applies one of Monocle's own FlowMods (a preinstall, a drop-postponing
     /// finalizer) to the expected table and forwards it. Like a controller
-    /// update it leaves the steady cycle stale and its footprint recorded;
-    /// unlike one it is neither probed nor reported to the adaptive
+    /// update it lands in the table's change log, which the next steady
+    /// refresh reads; unlike one it is neither probed nor reported to the
     /// scheduler as churn.
     fn apply_own(&mut self, fm: FlowMod) -> Vec<ProxyOutput> {
-        let Ok(applied) = self.dynamic.apply_expected(&fm) else {
+        if self.dynamic.apply_expected(&fm).is_err() {
             return Vec::new();
-        };
-        let touched = [applied.added, applied.modified].concat();
-        self.note_steady_delta(&touched, &applied.removed);
+        }
         vec![ProxyOutput::ToSwitch(fm)]
-    }
-
-    /// Records a change of the expected table (rules added or modified,
-    /// rules removed) for the next steady refresh. Both records stay within
-    /// the size of the table however long that refresh is in coming: a
-    /// removed rule leaves the stale set, and is only remembered if the last
-    /// refresh left something of it to drop.
-    fn note_steady_delta(&mut self, touched: &[RuleId], removed: &[RuleId]) {
-        let Some(steady) = &self.steady else { return };
-        if touched.is_empty() && removed.is_empty() {
-            return;
-        }
-        self.steady_dirty = true;
-        self.steady_stale.extend(touched);
-        for id in removed {
-            self.steady_stale.remove(id);
-            if steady.plans().contains_key(id) || self.failures.contains_key(id) {
-                self.steady_removed.push(*id);
-            }
-        }
     }
 
     /// A FlowMod from the controller.
     pub fn on_controller_flowmod(&mut self, now: u64, token: u64, fm: FlowMod) -> Vec<ProxyOutput> {
-        self.steady_dirty = true;
         // §4.3: intercept drop installs when drop-postponing is on.
         let fm = match self.cfg.drop_postpone {
             Some((tag, port)) if droppost::is_drop_install(&fm) => {
@@ -402,10 +370,13 @@ impl MonitorProxy {
         self.dynamic.awaiting_plans()
     }
 
-    /// Whether the steady plan cycle is stale and quiescent enough to
-    /// regenerate: no dynamic update in flight racing the expected table.
+    /// Whether the steady plan cycle is stale (the expected table changed
+    /// since the last refresh) and quiescent enough to regenerate: no
+    /// dynamic update in flight racing the expected table.
     fn steady_needs_refresh(&self) -> bool {
-        self.steady.is_some() && self.steady_dirty && self.dynamic.in_flight() == 0
+        self.steady.is_some()
+            && self.dynamic.expected().version() != self.steady_version
+            && self.dynamic.in_flight() == 0
     }
 
     /// The collection pins this proxy's probes carry.
@@ -422,50 +393,69 @@ impl MonitorProxy {
     /// (0, 0).
     ///
     /// The work follows what changed since the last refresh, not the table:
-    /// only the rules whose cached result the engine evicted (a changed rule
-    /// covers the plan's probe header; a rule that hid this one left or
-    /// moved; or a changed rule overlaps a rule no probe was found for for
-    /// another reason), the rules added or modified, and the rules whose
-    /// last failure is never cached go through
+    /// the rules the expected table's change log names since then
+    /// ([`monocle_openflow::FlowTable::changes_since`]; every rule, planned
+    /// or not, when the log no longer reaches back that far), the rules
+    /// whose cached result the engine evicted (a changed rule covers the
+    /// plan's probe header; a rule that hid this one left or moved; or a
+    /// changed rule overlaps a rule no probe was found for for another
+    /// reason), and the rules whose last failure is never cached
+    /// ([`ProbeError::RepairFailed`]). Those still in the table go through
     /// [`crate::engine::ProbeEngine::generate_batch`] again — in table
     /// order, as a sweep of the whole table would reach them — and their
-    /// plans are patched into the cycle ([`SteadyMonitor::patch_plans`]).
-    /// The first refresh finds every rule added and none planned: the whole
-    /// table. What still reads the table is one pass putting the stale ids
+    /// plans are patched into the cycle ([`SteadyMonitor::patch_plans`]);
+    /// those gone leave it. The first refresh finds every rule added: the
+    /// whole table. What still reads the table is one pass putting the work
     /// in table order (a comparison per rule, nothing hashed or copied) and,
-    /// when the set of planned rules changed, the re-index behind
-    /// `patch_plans` and the unmonitorable list.
+    /// when the set of planned rules changed, the unmonitorable list.
     pub fn refresh_steady_plans(&mut self) -> (usize, usize) {
         #[cfg(test)]
         if self.whole_table_oracle {
             return self.refresh_steady_plans_whole_table();
         }
-        if self.steady.is_none() {
+        let Some(steady) = &self.steady else {
             return (0, 0);
-        }
-        self.steady_dirty = false;
-        let mut stale: Vec<RuleId> = self.steady_stale.drain().collect();
-        stale.extend(self.dynamic.take_evicted_expected());
-        stale.sort_unstable();
-        let mut affected: Vec<RuleId> = Vec::new();
-        if !stale.is_empty() {
-            let monitorable = crate::pool::monitorable(self.dynamic.expected());
-            affected.extend(
-                monitorable
+        };
+        let table = self.dynamic.expected();
+        let mut work: Vec<RuleId> = match table.changes_since(self.steady_version) {
+            Some(changed) => changed.to_vec(),
+            None => {
+                let planned = steady.plans().keys().chain(self.failures.keys());
+                table
+                    .rules()
+                    .iter()
                     .map(|r| r.id)
-                    .filter(|id| stale.binary_search(id).is_ok()),
-            );
+                    .chain(planned.copied())
+                    .collect()
+            }
+        };
+        self.steady_version = table.version();
+        work.extend(self.dynamic.take_evicted_expected());
+        work.extend(
+            self.failures
+                .iter()
+                .filter(|(_, e)| **e == ProbeError::RepairFailed)
+                .map(|(id, _)| *id),
+        );
+        work.sort_unstable();
+        work.dedup();
+        let table = self.dynamic.expected();
+        let affected: Vec<RuleId> = crate::pool::monitorable(table)
+            .map(|r| r.id)
+            .filter(|id| work.binary_search(id).is_ok())
+            .collect();
+        // Rules that must not have a plan after this refresh: the removed
+        // ones and those no probe was found for.
+        let mut unplanned: Vec<RuleId> = work
+            .into_iter()
+            .filter(|id| table.get(*id).is_none())
+            .collect();
+        let mut unmonitorable_moved = false;
+        for id in &unplanned {
+            unmonitorable_moved |= self.failures.remove(id).is_some();
         }
         let results = self.dynamic.generate_batch_expected(&affected);
         let mut plans = Vec::new();
-        // Rules that must not have a plan after this refresh: the removed
-        // ones (each was planned or unmonitorable, see `note_steady_delta`)
-        // and those no probe was found for.
-        let mut unplanned = std::mem::take(&mut self.steady_removed);
-        let mut unmonitorable_moved = !unplanned.is_empty();
-        for id in &unplanned {
-            self.failures.remove(id);
-        }
         for (id, r) in affected.into_iter().zip(results) {
             match r {
                 Ok(plan) => {
@@ -473,9 +463,6 @@ impl MonitorProxy {
                     plans.push(plan);
                 }
                 Err(e) => {
-                    if e == ProbeError::RepairFailed {
-                        self.steady_stale.insert(id);
-                    }
                     unplanned.push(id);
                     unmonitorable_moved |= self.failures.insert(id, e.clone()) != Some(e);
                 }
@@ -520,13 +507,12 @@ impl MonitorProxy {
     }
 
     fn map_dynamic(&mut self, now: u64, actions: Vec<DynAction>) -> Vec<ProxyOutput> {
-        // Adaptive steady scheduling: rules touched by the updates these
-        // actions started (added or modified — deletes leave the sweep at
-        // the next refresh anyway) become hot. The ids come from the table's
-        // own ApplyResult, not from a scan of the table.
+        // The steady scheduler: rules touched by the updates these actions
+        // started (added or modified — deletes leave the sweep at the next
+        // refresh anyway) become hot, unless it runs round-robin. The ids
+        // come from the table's own ApplyResult, not from a scan of the
+        // table.
         let touched = self.dynamic.take_touched_rules();
-        let removed = self.dynamic.take_removed_rules();
-        self.note_steady_delta(&touched, &removed);
         if let Some(steady) = self.steady.as_mut() {
             for id in touched {
                 steady.note_rule_modified(id, now);
@@ -588,6 +574,7 @@ mod tests {
     use super::*;
     use monocle_openflow::flowmatch::headervec_to_packet;
     use monocle_openflow::{Action, Match};
+    use std::collections::HashSet;
 
     fn proxy() -> MonitorProxy {
         let mut p = MonitorProxy::new(ProxyConfig::new(7, CatchSpec::default()));
@@ -985,7 +972,7 @@ mod tests {
         pub(super) fn refresh_steady_plans_whole_table(&mut self) -> (usize, usize) {
             let ids = crate::pool::monitorable_ids(self.dynamic.expected());
             let results = self.dynamic.generate_batch_expected(&ids);
-            self.steady_dirty = false;
+            self.steady_version = self.dynamic.expected().version();
             let total = ids.len();
             let mut plans = Vec::with_capacity(total);
             self.unmonitorable.clear();
@@ -1071,7 +1058,7 @@ mod tests {
                 "unmonitorable after {what} at t={}",
                 self.now
             );
-            assert_eq!(self.new.steady_dirty, self.oracle.steady_dirty);
+            assert_eq!(self.new.steady_version, self.oracle.steady_version);
             a
         }
 
@@ -1208,6 +1195,36 @@ mod tests {
         }
     }
 
+    /// Random steps with no refresh between them — no tick, no explicit
+    /// refresh — until the expected table's change log no longer reaches
+    /// back to the last refresh, then a refresh: the one that has to fall
+    /// back to the whole table.
+    fn overflow_the_change_log(tw: &mut Twins, rng: &mut Rng) {
+        let mut steps = 0;
+        while tw
+            .new
+            .expected()
+            .changes_since(tw.new.steady_version)
+            .is_some()
+        {
+            let priority = 10 + 10 * rng.below(4) as u16;
+            match rng.below(4) {
+                0 => tw.answer(rng, 0),
+                1 => {
+                    use monocle_openflow::FlowModCommand as C;
+                    let command = [C::Add, C::Modify, C::Delete, C::DeleteStrict][rng.below(4)];
+                    let fm = FlowMod::add(priority, random_match(rng), random_actions(rng));
+                    tw.flowmod(FlowMod { command, ..fm });
+                }
+                // An ADD over an existing entry replaces it in place.
+                _ => tw.preinstall(priority, random_match(rng), random_actions(rng)),
+            }
+            steps += 1;
+            assert!(steps < 10_000, "the change log never overflowed");
+        }
+        tw.refresh();
+    }
+
     #[test]
     fn incremental_refresh_matches_whole_table_oracle_on_random_scripts() {
         for seed in 1..=40u64 {
@@ -1216,7 +1233,10 @@ mod tests {
             tw.preinstall(1, Match::any(), vec![Action::Output(9)]);
             let (prio, m, acts) = droppost::drop_tag_rule(DropTag(63));
             tw.preinstall(prio, m, acts);
-            for _ in 0..250 {
+            for step in 0..250 {
+                if step == 125 {
+                    overflow_the_change_log(&mut tw, &mut rng);
+                }
                 random_step(&mut tw, &mut rng);
             }
             // Drain: everything confirmed or alarmed, one last refresh.
