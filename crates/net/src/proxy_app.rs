@@ -100,7 +100,7 @@ const ECHO_TOKEN_BASE: u64 = 1 << 32;
 /// relayed on behalf of the controller.
 const LIVENESS_MAGIC: &[u8] = b"MNCL-LIVE";
 
-/// Half-life for per-switch telemetry decay (churn, backpressure heat).
+/// Half-life for per-switch telemetry decay (backpressure heat).
 const TELEMETRY_HALF_LIFE_NS: u64 = 1_000_000_000;
 
 /// A message to a planner thread.
@@ -539,7 +539,6 @@ impl ProxyApp {
                 sess.stats.flowmods += 1;
                 let now = ctx.now_ns();
                 sess.flowmod_sent.insert(xid, now);
-                sess.telemetry.flowmod_churn.bump(now);
                 let outputs = sess
                     .proxy
                     .as_mut()
@@ -614,8 +613,8 @@ impl ProxyApp {
         let ids: Vec<u64> = self.sessions.keys().copied().collect();
         let now = ctx.now_ns();
         for id in ids {
-            // Refresh the adaptive scheduler's view of this switch before
-            // ticking: RTT/churn-derived cost plus live backpressure.
+            // Refresh the steady scheduler's view of this switch before
+            // ticking: RTT-derived cost plus live backpressure.
             if let Some(sess) = self.sessions.get_mut(&id) {
                 let bp = ctx.over_high_water(sess.switch_conn);
                 let cost = sess.telemetry.cost(now);

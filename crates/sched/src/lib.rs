@@ -8,12 +8,14 @@
 //! polling and Dynamic Network Probes' on-demand placement (PAPERS.md):
 //!
 //! * [`telemetry`] — O(1) streaming estimators (EWMA, decayed counters,
-//!   windowed ratios) aggregated per switch in
-//!   [`telemetry::SwitchTelemetry`], fed from the transport layer
-//!   (`monocle_net::SessionStats`) and from probe verdicts;
+//!   windowed ratios); the per-switch ones (RTT, backpressure) are
+//!   aggregated in [`telemetry::SwitchTelemetry`], fed from the transport
+//!   layer (`monocle_net::SessionStats`), the per-rule ones live in the
+//!   scheduler, fed from probe verdicts;
 //! * [`scheduler`] — [`scheduler::AdaptiveScheduler`], an
 //!   earliest-deadline-first priority queue under a token-bucket probe
-//!   budget and a per-rule staleness SLO.
+//!   budget and a per-rule staleness SLO. Its round-robin configuration
+//!   is the fixed sweep itself.
 //!
 //! The crate is dependency-free and keyed by raw `u64` rule ids so both
 //! `monocle` (core) and `monocle_net` can use it without cycles.

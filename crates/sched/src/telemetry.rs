@@ -9,9 +9,9 @@
 //!   rates (ack RTT, echo RTT);
 //! * [`DecayCounter`] — an exponentially decayed event counter whose value
 //!   is a "heat" score: recent events dominate, old ones fade with a
-//!   configurable half-life (flow_mod churn, backpressure pauses);
+//!   configurable half-life (flow_mod churn per rule, backpressure pauses);
 //! * [`WindowedRatio`] — success ratio over the last N boolean outcomes
-//!   (probe verdicts per rule, probe returns per switch).
+//!   (probe verdicts per rule).
 //!
 //! [`SwitchTelemetry`] bundles the per-switch estimators and condenses them
 //! into a single scalar *cost* the scheduler uses to stretch probe
@@ -180,24 +180,18 @@ pub struct SwitchTelemetry {
     pub ack_rtt_ns: Ewma,
     /// Echo-request liveness RTT, ns.
     pub echo_rtt_ns: Ewma,
-    /// Flow_mod churn heat.
-    pub flowmod_churn: DecayCounter,
     /// Backpressure-pause heat (write buffer over high water).
     pub backpressure: DecayCounter,
-    /// Probe return ratio over the recent window.
-    pub probe_returns: WindowedRatio,
 }
 
 impl SwitchTelemetry {
     /// Creates per-switch telemetry with sensible half-lives: RTT EWMAs at
-    /// α = 0.2, churn/backpressure heat halving every `half_life_ns`.
+    /// α = 0.2, backpressure heat halving every `half_life_ns`.
     pub fn new(half_life_ns: u64) -> SwitchTelemetry {
         SwitchTelemetry {
             ack_rtt_ns: Ewma::new(0.2),
             echo_rtt_ns: Ewma::new(0.2),
-            flowmod_churn: DecayCounter::new(half_life_ns),
             backpressure: DecayCounter::new(half_life_ns),
-            probe_returns: WindowedRatio::new(64),
         }
     }
 
