@@ -25,6 +25,12 @@ echo "== deeper property pass: dynamic monitoring (replica mirror, drain, order)
 # verified, optimistic or alarmed.
 PROPTEST_CASES=1000 cargo test --release -q -p monocle --lib dynamic::tests::props
 
+echo "== deeper property pass: the steady scheduler (budget, SLO, round-robin queue) =="
+# Tier-1 runs these at 64 cases: the token bucket bounds releases, every rule
+# meets the staleness SLO, and the round-robin configuration — the fixed
+# steady sweep — releases exactly what a queue of the rules predicts.
+PROPTEST_CASES=1000 cargo test --release -q -p monocle_sched --test prop_sched
+
 echo "== rustfmt =="
 cargo fmt --check
 
