@@ -256,8 +256,9 @@ impl MonitorProxy {
     }
 
     /// Feeds the per-switch transport cost (RTT-derived factor ≥ 1.0 plus a
-    /// backpressure flag) into the adaptive steady scheduler. No-op in
-    /// fixed-sweep or dynamic-only configurations.
+    /// backpressure flag) into the steady scheduler (its round-robin
+    /// configuration reorders nothing for it). No-op without steady
+    /// monitoring.
     pub fn set_switch_cost(&mut self, cost: f64, backpressured: bool) {
         if let Some(steady) = &mut self.steady {
             steady.set_switch_cost(cost, backpressured);

@@ -46,15 +46,16 @@
 //!
 //! **Not deferred:** with [`ProxyAppConfig::steady`] set, the steady-state
 //! refresh ([`MonitorProxy::refresh_steady_plans`], run from the proxy's
-//! tick once an update has dirtied the table and nothing is in flight)
+//! tick once the expected table has changed and nothing is in flight)
 //! still plans on the loop thread. It re-plans only what the FlowMods since
 //! the last refresh invalidated — the rules whose cached plan the proxy's
-//! engine evicted, the rules added or modified — and the engine it plans on
-//! synchronizes to the table in O(1) when nothing changed and in O(delta)
-//! otherwise, so its cost follows the change, not the table (the first
-//! refresh of a session, and a FlowMod that overlaps everything, such as a
-//! default route, are the whole table). Moving it onto the planner threads,
-//! whose replicas already hold the table, is the next step.
+//! engine evicted, the rules the table's change log names — and the engine
+//! it plans on synchronizes to the table in O(1) when nothing changed and
+//! in O(delta) otherwise, so its cost follows the change, not the table
+//! (the first refresh of a session, and a FlowMod that overlaps everything,
+//! such as a default route, are the whole table). Moving it onto the
+//! planner threads, whose replicas already hold the table, is the next
+//! step.
 //!
 //! ## Steady-state verdicts
 //!
@@ -68,8 +69,9 @@
 //! write buffer passes the high-water mark they are parked per session and
 //! flushed, in order, on `Drained`. A parked probe needs no revalidation:
 //! when it comes back its answer is matched by sequence number like any
-//! other, so it counts only if that number is still live (its update
-//! unconfirmed, or its steady probe still outstanding).
+//! other, so it counts only if that number is still live: its update
+//! unconfirmed, or, for a steady probe, its window open and the plan it was
+//! made for still held — a refresh that keeps the plan keeps the probe.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -186,8 +188,8 @@ pub struct ProxyAppConfig {
     /// session existed).
     pub exit_when_idle: bool,
     /// Steady-state monitoring config applied to every per-switch monitor
-    /// (`None` disables steady probing; set `adaptive` inside for the
-    /// priority scheduler).
+    /// (`None` disables steady probing; `adaptive` inside picks the
+    /// scheduler's configuration, round-robin by default).
     pub steady: Option<SteadyConfig>,
     /// Liveness echo period per switch session (0 disables).
     pub echo_interval_ns: u64,
