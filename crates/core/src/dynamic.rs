@@ -11,9 +11,9 @@
 //!   outcome appears) and strict modifications (probe built on a synthetic
 //!   table: lower-priority rules removed, the old version re-inserted just
 //!   below, per the paper's construction) — each planned by the switch's one
-//!   warm planner: inline, by the monitor itself, whose expected table,
-//!   engine and catch pins are one [`Replica`]; deferred, by whoever replays
-//!   its planning steps on a replica of their own ([`crate::planner`]);
+//!   warm planner: inline, by the monitor itself, on its expected table with
+//!   its own engine; deferred, by whoever replays its planning steps on a
+//!   [`Replica`] of their own ([`crate::planner`]);
 //! * §4.2 — concurrent updates: probes for non-overlapping updates proceed
 //!   in parallel; an update overlapping one in flight is queued until the
 //!   conflict clears (the paper's implementation policy), and so is one
@@ -24,9 +24,9 @@
 
 use crate::encode::CatchSpec;
 use crate::engine::ProbeEngine;
-use crate::generator::{GeneratorConfig, ProbeError};
+use crate::generator::GeneratorConfig;
 use crate::plan::{take_seq, ProbePlan, Verdict};
-use crate::planner::{self, PlanKind, Replica, Step};
+use crate::planner::{self, PlanKind, Refreshed, Step};
 use monocle_openflow::table::ApplyResult;
 use monocle_openflow::{FlowMod, FlowModCommand, FlowTable, Rule, RuleId, TableError};
 use std::collections::VecDeque;
@@ -169,22 +169,26 @@ struct ActiveUpdate {
     live_seqs: Vec<u32>,
 }
 
-/// The per-switch dynamic monitor. Its expected table, the one
-/// [`ProbeEngine`] that plans on it (the proxy's steady-state sweeps and, in
-/// inline mode, every update's probe) and the catch pins are one
-/// [`Replica`].
+/// The per-switch dynamic monitor: the expected table, the catch pins, and
+/// — planning inline — the one [`ProbeEngine`] that plans on them, every
+/// update's probe and every steady refresh of the proxy. Deferred, it keeps
+/// the table and the pins but no engine: the switch's planner, replaying its
+/// [`Step`]s on a [`crate::planner::Replica`], holds the only one.
 #[derive(Debug)]
 pub struct DynamicMonitor {
     cfg: DynamicConfig,
-    replica: Replica,
+    /// The expected table.
+    pub(crate) table: FlowTable,
+    /// The collection pins every probe of this switch carries.
+    pub(crate) catch: CatchSpec,
+    /// Inline planning: the engine on `table`. `None`: deferred
+    /// planning, the work recorded as [`Step`]s for an external planner.
+    pub(crate) engine: Option<ProbeEngine>,
     active: Vec<ActiveUpdate>,
     queued: VecDeque<(u64, FlowMod)>,
     /// The next probe's sequence number, below
     /// [`crate::plan::STEADY_SEQ_BIT`] ([`take_seq`]).
     next_seq: u32,
-    /// Deferred planning: record [`Step`]s for an external planner instead
-    /// of planning here.
-    deferred: bool,
     awaiting: Vec<AwaitingUpdate>,
     /// Deferred mode: the steps recorded since the last take.
     steps: Vec<Step>,
@@ -203,14 +207,14 @@ impl DynamicMonitor {
     /// Creates a monitor; `catch` is the per-switch collection spec (tag
     /// pins + injection port).
     pub fn new(cfg: DynamicConfig, catch: CatchSpec) -> DynamicMonitor {
-        let replica = Replica::new(FlowTable::new(), catch, cfg.gen.clone());
         DynamicMonitor {
+            engine: Some(ProbeEngine::with_gen(cfg.gen.clone())),
             cfg,
-            replica,
+            table: FlowTable::new(),
+            catch,
             active: Vec::new(),
             queued: VecDeque::new(),
             next_seq: 0,
-            deferred: false,
             awaiting: Vec::new(),
             steps: Vec::new(),
             planned: VecDeque::new(),
@@ -228,23 +232,27 @@ impl DynamicMonitor {
         }
     }
 
-    /// Chooses who plans the updates' probes. Inline (the default; the
-    /// simulator/harness path): the monitor, on itself (`Replica::plan`),
-    /// as each update starts. Deferred (the transport path): an
-    /// external planner that replays the monitor's [`Step`]s
-    /// ([`Self::take_plan_steps`]) on a [`crate::planner::Replica`] — in
-    /// practice a planner thread per group of switches, so generation
-    /// overlaps the switches' install latencies — and attaches the plans
-    /// later ([`Self::attach_plan`]). Turning it on starts the stream: a
+    /// Chooses who plans the updates' probes and the steady refreshes.
+    /// Inline (the default; the simulator/harness path): the monitor, on
+    /// itself with its own engine, as each update starts or a refresh is
+    /// asked for. Deferred (the transport path): an external planner that
+    /// replays the monitor's [`Step`]s ([`Self::take_plan_steps`]) on a
+    /// [`crate::planner::Replica`] — in practice a planner thread per group
+    /// of switches, so generation overlaps the switches' install latencies
+    /// and never runs on the I/O thread — and hands the answers back later
+    /// ([`Self::attach_plan`], `MonitorProxy::attach_refresh`). Turning it
+    /// on drops the monitor's engine and starts the stream: a
     /// [`Step::Start`] with a copy of the expected table as it is now.
     pub fn set_deferred_planning(&mut self, on: bool) {
-        self.deferred = on;
         if on {
+            self.engine = None;
             self.steps.push(Step::Start {
-                table: self.replica.table.clone(),
-                catch: self.replica.catch.clone(),
+                table: self.table.clone(),
+                catch: self.catch.clone(),
                 gen: self.cfg.gen.clone(),
             });
+        } else if self.engine.is_none() {
+            self.engine = Some(ProbeEngine::with_gen(self.cfg.gen.clone()));
         }
     }
 
@@ -274,6 +282,7 @@ impl DynamicMonitor {
         for step in self.take_plan_steps() {
             match step {
                 Step::Start { table, .. } => self.request_replica = table,
+                Step::Refresh { .. } => {}
                 Step::Apply(fm) => {
                     let _ = self.request_replica.apply(&fm);
                 }
@@ -302,7 +311,7 @@ impl DynamicMonitor {
 
     /// The expected table (shared view for steady-state plan refresh etc.).
     pub fn expected(&self) -> &FlowTable {
-        &self.replica.table
+        &self.table
     }
 
     /// Applies `fm` to the expected table (and, in deferred mode, records it
@@ -311,32 +320,23 @@ impl DynamicMonitor {
     /// and for Monocle's own (preinstalls, drop-postponing finalizers)
     /// alike, so no change escapes a replica.
     pub fn apply_expected(&mut self, fm: &FlowMod) -> Result<ApplyResult, TableError> {
-        if self.deferred {
+        if self.engine.is_none() {
             self.steps.push(Step::Apply(fm.clone()));
         }
-        self.replica.table.apply(fm)
+        self.table.apply(fm)
     }
 
-    /// The monitor's probe engine (statistics inspection).
-    pub fn engine(&self) -> &ProbeEngine {
-        &self.replica.engine
-    }
-
-    /// Batch-generates plans for rules of the *current* expected table
-    /// through the monitor's engine under its own catch spec (the
-    /// steady-state sweep entry point).
-    pub fn generate_batch_expected(
-        &mut self,
-        ids: &[RuleId],
-    ) -> Vec<Result<ProbePlan, ProbeError>> {
-        let r = &mut self.replica;
-        r.engine.generate_batch(&r.table, ids, &r.catch)
-    }
-
-    /// The rules of the current expected table whose plan the engine
-    /// evicted since the last call ([`ProbeEngine::take_evicted`]).
-    pub fn take_evicted_expected(&mut self) -> Vec<RuleId> {
-        self.replica.engine.take_evicted(&self.replica.table)
+    /// Asks the planner to re-plan the steady probes of `work` on the
+    /// expected table as it is now (a [`Step::Refresh`]): answered at once
+    /// inline, recorded for the external planner when deferred (`None`).
+    pub fn request_refresh(&mut self, work: Vec<RuleId>) -> Option<Refreshed> {
+        match &mut self.engine {
+            Some(engine) => Some(planner::refresh(&self.table, engine, &self.catch, work)),
+            None => {
+                self.steps.push(Step::Refresh { work });
+                None
+            }
+        }
     }
 
     /// Number of unconfirmed (actively probed) updates.
@@ -400,8 +400,7 @@ impl DynamicMonitor {
             FlowModCommand::DeleteStrict | FlowModCommand::Delete => {
                 let strict = fm.command == FlowModCommand::DeleteStrict;
                 let tern = fm.match_.ternary();
-                self.replica
-                    .table
+                self.table
                     .rules()
                     .iter()
                     .find(|r| {
@@ -421,7 +420,6 @@ impl DynamicMonitor {
     fn modify_old_version(&self, fm: &FlowMod) -> Option<Rule> {
         match fm.command {
             FlowModCommand::ModifyStrict | FlowModCommand::Modify => self
-                .replica
                 .table
                 .rules()
                 .iter()
@@ -436,15 +434,16 @@ impl DynamicMonitor {
     /// mode, planned at once on the monitor itself and queued for
     /// [`Self::attach_planned`] inline.
     fn request_plan(&mut self, token: u64, rule_id: RuleId, kind: PlanKind) {
-        if self.deferred {
-            self.steps.push(Step::Plan {
+        match &mut self.engine {
+            Some(engine) => {
+                let plan = planner::plan(&self.table, engine, &self.catch, rule_id, &kind);
+                self.planned.push_back((token, plan.ok()));
+            }
+            None => self.steps.push(Step::Plan {
                 token,
                 rule_id,
                 kind,
-            });
-        } else {
-            let plan = self.replica.plan(rule_id, &kind);
-            self.planned.push_back((token, plan.ok()));
+            }),
         }
     }
 
@@ -679,6 +678,7 @@ impl DynamicMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::{Answer, Replica};
     use monocle_openflow::{Action, Match};
 
     fn add_fm(prio: u16, dst: [u8; 4], port: u16) -> FlowMod {
@@ -1009,7 +1009,9 @@ mod tests {
     fn replay(replica: &mut Option<Replica>, steps: Vec<Step>) -> Vec<(u64, Option<ProbePlan>)> {
         let mut answers = Vec::new();
         for step in steps {
-            answers.extend(Replica::step(replica, step).map(|(token, plan)| (token, plan.ok())));
+            if let Some(Answer::Plan { token, plan }) = Replica::step(replica, step) {
+                answers.push((token, plan.ok()));
+            }
         }
         answers
     }
@@ -1411,9 +1413,9 @@ mod tests {
             v
         }
 
-        fn run_script(script: &[FlowMod], deferred: bool) -> (Vec<DynAction>, Vec<Rule>) {
+        fn run_script(script: &[FlowMod], defer: bool) -> (Vec<DynAction>, Vec<Rule>) {
             let mut m = monitor();
-            m.set_deferred_planning(deferred);
+            m.set_deferred_planning(defer);
             let mut planner = None;
             let (mut log, mut answered) = (Vec::new(), 0);
             for (i, fm) in script.iter().enumerate() {
@@ -1435,7 +1437,7 @@ mod tests {
         fn run_lossy(
             script: &[FlowMod],
             losses: &[bool],
-            deferred: bool,
+            defer: bool,
         ) -> (Vec<DynAction>, (usize, usize, usize)) {
             let cfg = DynamicConfig {
                 max_attempts: 3,
@@ -1444,7 +1446,7 @@ mod tests {
             let mut m = DynamicMonitor::new(cfg, CatchSpec::default());
             m.apply_expected(&FlowMod::add(1, Match::any(), vec![Action::Output(99)]))
                 .unwrap();
-            m.set_deferred_planning(deferred);
+            m.set_deferred_planning(defer);
             let mut planner = None;
             let (mut log, mut answered, mut now) = (Vec::new(), 0, 0);
             let mut lost = losses.iter().cycle();
@@ -1551,6 +1553,7 @@ mod tests {
                             let _ = requests.apply(fm);
                             Replica::step(replica, step);
                         }
+                        Step::Refresh { .. } => unreachable!("no steady refresh here"),
                         Step::Plan {
                             token,
                             rule_id,
@@ -1559,7 +1562,11 @@ mod tests {
                             let (table, id) = planner::request_table(requests, rule_id, kind);
                             let reference = generate_probe(&table, id, &catch, &gen);
                             let kind = kind.clone();
-                            let (_, mirror) = Replica::step(replica, step).unwrap();
+                            let Some(Answer::Plan { plan: mirror, .. }) =
+                                Replica::step(replica, step)
+                            else {
+                                panic!("a plan step is answered with a plan");
+                            };
                             let r = replica.as_ref().unwrap();
                             prop_assert_eq!(mirror.as_ref().err(), reference.as_ref().err());
                             if let Ok(plan) = &mirror {

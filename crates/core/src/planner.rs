@@ -1,31 +1,39 @@
-//! One warm planner per switch: dynamic monitoring's probe planning as a
-//! function of the switch's expected table (§2, §4.1, §7).
+//! One warm planner per switch: dynamic monitoring's probe planning and the
+//! steady refresh as functions of the switch's expected table (§2, §3, §4.1,
+//! §7).
 //!
-//! A [`Replica`] is a flow table, the one warm engine that plans on it and
-//! the switch's catch pins, and `Replica::plan` answers a plan request on
-//! it. A [`crate::dynamic::DynamicMonitor`] *is* such a replica: its
-//! expected table, engine and pins are one, and inline it plans each update
-//! on itself the moment the update starts.
+//! A planner is a flow table, the one warm engine that plans on it and the
+//! switch's catch pins. `plan` answers a plan request on it, and
+//! `refresh` re-plans the steady probes a refresh asks for. A
+//! [`crate::dynamic::DynamicMonitor`] planning inline *is* such a planner:
+//! its expected table, engine and pins are one, and it plans each update on
+//! itself the moment the update starts, and each steady refresh the moment
+//! the proxy asks.
 //!
-//! Deferred, it describes its planning work instead as an ordered stream of
-//! [`Step`]s, pushed in the order its expected table changes: the table as it
-//! stood when the stream began, every FlowMod applied to it since
-//! (controller updates and Monocle's own alike), and one plan request per
-//! monitorable update. A delete's request comes *before* its FlowMod (the
-//! victim must still be there to be probed for absence), an add's or a
-//! modify's *after* it. Whoever replays the stream in order on a replica of
-//! its own ([`Replica::step`]; `monocle_net`'s planner threads keep one per
-//! switch) therefore plans every update on exactly the table §4.1
-//! prescribes, with the same `Replica::plan`.
+//! Deferred, the monitor keeps the table and the pins but no engine, and
+//! describes its planning work instead as an ordered stream of [`Step`]s,
+//! pushed in the order its expected table changes: the table as it stood
+//! when the stream began, every FlowMod applied to it since (controller
+//! updates and Monocle's own alike), one plan request per monitorable
+//! update, and one refresh request whenever the proxy's steady plans are due.
+//! A delete's request comes *before* its FlowMod (the victim must still be
+//! there to be probed for absence), an add's or a modify's *after* it, and a
+//! refresh is answered on the table as of the FlowMods before it. Whoever
+//! replays the stream in order on a [`Replica`] of its own
+//! ([`Replica::step`]; `monocle_net`'s planner threads keep one per switch)
+//! therefore plans every update on exactly the table §4.1 prescribes and
+//! every refresh on the table the proxy asked about, with the same `plan`
+//! and `refresh`.
 //!
 //! Either way one engine follows one table through its own change log, so
-//! it synchronizes in O(delta) and its plan cache stays warm across updates:
-//! a delete of a rule planned before is a cache hit.
+//! it synchronizes in O(delta) and its plan cache stays warm across updates
+//! and refreshes: a delete of a rule planned before is a cache hit.
 
 use crate::encode::CatchSpec;
 use crate::engine::ProbeEngine;
 use crate::generator::{GeneratorConfig, ProbeError};
 use crate::plan::ProbePlan;
+use crate::pool::monitorable;
 use monocle_openflow::{FlowMod, FlowTable, Rule, RuleId};
 
 /// What an update's probe must show, and so what it is planned on.
@@ -72,6 +80,43 @@ pub enum Step {
         /// What the probe must show.
         kind: PlanKind,
     },
+    /// Re-plan the steady probes of `work` and of the rules whose cached
+    /// result the engine evicted since the last refresh, answered with a
+    /// [`Refreshed`] on the table at this point of the stream.
+    Refresh {
+        /// What the proxy knows changed since its last refresh: the rules
+        /// the expected table's change log names (or, past its reach, every
+        /// rule planned, failed or in the table), and the rules whose last
+        /// failure is never cached ([`ProbeError::RepairFailed`]).
+        work: Vec<RuleId>,
+    },
+}
+
+/// A planner's answer to a step that asks for one.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Answer {
+    /// A [`Step::Plan`]'s: the probe for update `token`, or why there is
+    /// none.
+    Plan {
+        /// The update.
+        token: u64,
+        /// Its probe.
+        plan: Result<ProbePlan, ProbeError>,
+    },
+    /// A [`Step::Refresh`]'s.
+    Refresh(Refreshed),
+}
+
+/// The steady plans a refresh asked for, at one version of the table.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Refreshed {
+    /// The [`FlowTable::version`] of the table they were planned on.
+    pub version: u64,
+    /// The monitorable rules of the work, in table order, each with its
+    /// plan or the reason there is none.
+    pub results: Vec<(RuleId, Result<ProbePlan, ProbeError>)>,
+    /// The rules of the work no longer in the table.
+    pub gone: Vec<RuleId>,
 }
 
 /// The §4.1 table for a modify of `old`, built from the neighborhood of its
@@ -108,7 +153,7 @@ pub(crate) fn build_synthetic(table: &FlowTable, old: &Rule) -> Option<(FlowTabl
 /// `table` ([`crate::dynamic::PlanRequest`]): the probed rule's overlap
 /// neighborhood for an add or a delete, the §4.1 table for a modify; an
 /// empty table when the rule is not there (planning it then fails, as
-/// `Replica::plan` does).
+/// `plan` does).
 pub(crate) fn request_table(
     table: &FlowTable,
     rule_id: RuleId,
@@ -123,11 +168,67 @@ pub(crate) fn request_table(
     request.unwrap_or_else(|| (FlowTable::new(), rule_id))
 }
 
-/// One switch's flow table, the one warm engine that plans on it and the
-/// catch pins its probes carry: the dynamic monitor's expected table, or a
-/// planner's mirror of it — built by a [`Step::Start`] and advanced by the
-/// steps after it, it holds the same rules under the same ids as the
-/// expected table at the same point of the stream.
+/// Plans the probe for `rule_id` of `table` as `kind` asks: through
+/// `engine` on the table itself for an add or a delete, and for a modify on
+/// the §4.1 construction built from the modified match's neighborhood — a
+/// table of its own, used once, so it gets a short-lived engine with
+/// `engine`'s settings (the fast path included) rather than its cache.
+pub(crate) fn plan(
+    table: &FlowTable,
+    engine: &mut ProbeEngine,
+    catch: &CatchSpec,
+    rule_id: RuleId,
+    kind: &PlanKind,
+) -> Result<ProbePlan, ProbeError> {
+    match kind {
+        PlanKind::Present | PlanKind::Absent => engine.generate(table, rule_id, catch),
+        PlanKind::Modify { old } => {
+            let (synth, synth_id) =
+                modify_table(table, old).ok_or(ProbeError::NoSuchRule(rule_id))?;
+            ProbeEngine::with_gen(engine.gen_config().clone()).generate(&synth, synth_id, catch)
+        }
+    }
+}
+
+/// Answers a [`Step::Refresh`] on `table`, inline or on a [`Replica`]:
+/// `work`, plus the rules whose
+/// cached result `engine` evicted since the last refresh
+/// ([`ProbeEngine::take_evicted`]: a changed rule covers the plan's probe
+/// header, a rule that hid this one left or moved, or a changed rule
+/// overlaps a rule no probe was found for for another reason), goes through
+/// [`ProbeEngine::generate_batch`] again where it is monitorable — in table
+/// order, as a sweep of the whole table would reach it — and is reported
+/// gone where it left the table. What still reads the table is one pass
+/// putting the work in table order: a comparison per rule, nothing hashed
+/// or copied.
+pub(crate) fn refresh(
+    table: &FlowTable,
+    engine: &mut ProbeEngine,
+    catch: &CatchSpec,
+    mut work: Vec<RuleId>,
+) -> Refreshed {
+    work.extend(engine.take_evicted(table));
+    work.sort_unstable();
+    work.dedup();
+    let ids: Vec<RuleId> = monitorable(table)
+        .map(|r| r.id)
+        .filter(|id| work.binary_search(id).is_ok())
+        .collect();
+    let gone = work.into_iter().filter(|id| table.get(*id).is_none());
+    let gone = gone.collect();
+    let results = engine.generate_batch(table, &ids, catch);
+    Refreshed {
+        version: table.version(),
+        results: ids.into_iter().zip(results).collect(),
+        gone,
+    }
+}
+
+/// A planner's mirror of one switch's expected table, with the one warm
+/// engine that plans on it and the catch pins its probes carry: built by a
+/// [`Step::Start`] and advanced by the steps after it, it holds the same
+/// rules under the same ids as the expected table at the same point of the
+/// stream.
 #[derive(Debug)]
 pub struct Replica {
     pub(crate) table: FlowTable,
@@ -136,53 +237,19 @@ pub struct Replica {
 }
 
 impl Replica {
-    /// A replica of `table`, planning with the `catch` pins and the `gen`
-    /// settings.
-    pub(crate) fn new(table: FlowTable, catch: CatchSpec, gen: GeneratorConfig) -> Replica {
-        Replica {
-            table,
-            engine: ProbeEngine::with_gen(gen),
-            catch,
-        }
-    }
-
-    /// Plans the probe for `rule_id` as `kind` asks: through the engine on
-    /// the table itself for an add or a delete, and for a modify on the §4.1
-    /// construction built from the modified match's neighborhood — a table
-    /// of its own, used once, so it gets a short-lived engine with this
-    /// one's settings (the fast path included) rather than this one's cache.
-    pub(crate) fn plan(
-        &mut self,
-        rule_id: RuleId,
-        kind: &PlanKind,
-    ) -> Result<ProbePlan, ProbeError> {
-        match kind {
-            PlanKind::Present | PlanKind::Absent => {
-                self.engine.generate(&self.table, rule_id, &self.catch)
-            }
-            PlanKind::Modify { old } => {
-                let (synth, synth_id) =
-                    modify_table(&self.table, old).ok_or(ProbeError::NoSuchRule(rule_id))?;
-                ProbeEngine::with_gen(self.engine.gen_config().clone()).generate(
-                    &synth,
-                    synth_id,
-                    &self.catch,
-                )
-            }
-        }
-    }
-
     /// Advances a switch's replica by one step: a [`Step::Start`] builds it
-    /// (anew), a [`Step::Apply`] applies, and a [`Step::Plan`] is answered,
-    /// `(token, plan)`, on the table as it stands. Before the first `Start`
-    /// there is nothing to apply to or plan on.
-    pub fn step(
-        replica: &mut Option<Replica>,
-        step: Step,
-    ) -> Option<(u64, Result<ProbePlan, ProbeError>)> {
+    /// (anew), a [`Step::Apply`] applies, and a [`Step::Plan`] or a
+    /// [`Step::Refresh`] is answered on the table as it stands. Before the
+    /// first `Start` there is nothing to apply to or plan on.
+    pub fn step(replica: &mut Option<Replica>, step: Step) -> Option<Answer> {
         match step {
             Step::Start { table, catch, gen } => {
-                *replica = Some(Replica::new(table, catch, gen));
+                let engine = ProbeEngine::with_gen(gen);
+                *replica = Some(Replica {
+                    table,
+                    engine,
+                    catch,
+                });
                 None
             }
             Step::Apply(fm) => {
@@ -193,7 +260,16 @@ impl Replica {
                 token,
                 rule_id,
                 kind,
-            } => Some((token, replica.as_mut()?.plan(rule_id, &kind))),
+            } => {
+                let r = replica.as_mut()?;
+                let plan = plan(&r.table, &mut r.engine, &r.catch, rule_id, &kind);
+                Some(Answer::Plan { token, plan })
+            }
+            Step::Refresh { work } => {
+                let r = replica.as_mut()?;
+                let refreshed = refresh(&r.table, &mut r.engine, &r.catch, work);
+                Some(Answer::Refresh(refreshed))
+            }
         }
     }
 }

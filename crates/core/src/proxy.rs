@@ -13,9 +13,11 @@
 use crate::droppost::{self, DropTag};
 use crate::dynamic::{DynAction, DynamicConfig, DynamicMonitor};
 use crate::encode::CatchSpec;
-use crate::engine::EngineStats;
+use crate::engine::{EngineStats, ProbeEngine};
 use crate::generator::{GenStats, GeneratorConfig, ProbeError};
 use crate::plan::{ProbePlan, STEADY_SEQ_BIT};
+use crate::planner::{Refreshed, Step};
+use crate::pool::monitorable;
 use crate::steady::{SteadyAction, SteadyConfig, SteadyMonitor};
 use monocle_openflow::flowmatch::packet_to_headervec;
 use monocle_openflow::table::IdHashMap;
@@ -151,8 +153,16 @@ pub struct MonitorProxy {
     dynamic: DynamicMonitor,
     steady: Option<SteadyMonitor>,
     /// The expected table's [`monocle_openflow::FlowTable::version`] at the
-    /// last steady refresh: its change log since then is the next one's work.
+    /// last steady refresh asked for: its change log since then is the next
+    /// one's work.
     steady_version: u64,
+    /// Deferred planning: a refresh was asked for and its answer has not
+    /// been attached yet ([`Self::attach_refresh`]).
+    refresh_outstanding: bool,
+    /// Deferred planning: the last tick found the steady refresh due but
+    /// for updates awaiting their plans; it is taken once the last of them
+    /// is attached, if nothing is in flight then.
+    refresh_when_planned: bool,
     /// Pending drop-postponed finalizations: token -> finalize FlowMod.
     pending_finalize: Vec<(u64, FlowMod)>,
     /// Rules for which steady-state probe generation failed (Table 2's
@@ -178,6 +188,8 @@ impl MonitorProxy {
             dynamic,
             steady,
             steady_version: 0,
+            refresh_outstanding: false,
+            refresh_when_planned: false,
             pending_finalize: Vec::new(),
             unmonitorable: Vec::new(),
             failures: IdHashMap::default(),
@@ -202,15 +214,20 @@ impl MonitorProxy {
     }
 
     /// Aggregate probe-generation statistics of this proxy's engine: the
-    /// steady refresh and, in inline mode, every update's probe (a §4.1
-    /// modify is planned on a table of its own and counted nowhere).
+    /// steady refresh and every update's probe (a §4.1 modify is planned on
+    /// a table of its own and counted nowhere). Inline only: a deferred
+    /// proxy's engine counters live on its planner thread and read as
+    /// defaults here.
     pub fn engine_stats(&self) -> GenStats {
-        self.dynamic.engine().stats()
+        let engine = self.dynamic.engine.as_ref();
+        engine.map(ProbeEngine::stats).unwrap_or_default()
     }
 
-    /// Engine cache/invalidation lifecycle counters.
+    /// Engine cache/invalidation lifecycle counters; inline only, as
+    /// [`Self::engine_stats`].
     pub fn engine_lifecycle(&self) -> EngineStats {
-        self.dynamic.engine().engine_stats()
+        let engine = self.dynamic.engine.as_ref();
+        engine.map(ProbeEngine::engine_stats).unwrap_or_default()
     }
 
     /// Preinstalls a Monocle-owned rule (catching/filter/drop-tag rules):
@@ -317,7 +334,12 @@ impl MonitorProxy {
         let dyn_actions = self.dynamic.on_tick(now);
         let mut out = self.map_dynamic(now, dyn_actions);
         if self.steady.is_some() {
-            if self.steady_needs_refresh() {
+            // An update still awaiting its plan is in flight as well, unless
+            // the plan finds nothing to probe: inline it is known by now,
+            // deferred the refresh waits for it.
+            let due = self.steady_needs_refresh();
+            self.refresh_when_planned = due && self.dynamic.awaiting_plans() > 0;
+            if due && !self.refresh_when_planned {
                 self.refresh_steady_plans();
             }
             let actions = self.steady.as_mut().unwrap().on_tick(now);
@@ -330,25 +352,27 @@ impl MonitorProxy {
         out
     }
 
-    /// Chooses who plans the updates' probes: the proxy's own engine on the
-    /// expected table, synchronously (inline, the default — the
-    /// simulator/harness path), or a transport consumer's planner, which
-    /// replays the planning steps drained with [`Self::take_plan_steps`]
-    /// after every proxy call on a [`crate::planner::Replica`] and completes
-    /// each update via [`Self::attach_plan`]
+    /// Chooses who plans the updates' probes and the steady refreshes: the
+    /// proxy's own engine on the expected table, synchronously (inline, the
+    /// default — the simulator/harness path), or a transport consumer's
+    /// planner, which replays the planning steps drained with
+    /// [`Self::take_plan_steps`] after every proxy call on a
+    /// [`crate::planner::Replica`] and hands each answer back through
+    /// [`Self::attach_plan`] or [`Self::attach_refresh`]
     /// ([`crate::dynamic::DynamicMonitor::set_deferred_planning`]).
     pub fn set_deferred_planning(&mut self, on: bool) {
         self.dynamic.set_deferred_planning(on);
     }
 
     /// Drains the deferred planning steps recorded since the last call.
-    pub fn take_plan_steps(&mut self) -> Vec<crate::planner::Step> {
+    pub fn take_plan_steps(&mut self) -> Vec<Step> {
         self.dynamic.take_plan_steps()
     }
 
     /// Drains the deferred planning steps as the
     /// [`crate::dynamic::PlanRequest`]s a stateless planner takes (instead
-    /// of [`Self::take_plan_steps`], not as well).
+    /// of [`Self::take_plan_steps`], not as well), skipping the steady
+    /// refreshes: for a proxy without steady monitoring.
     pub fn take_plan_requests(&mut self) -> Vec<crate::dynamic::PlanRequest> {
         self.dynamic.take_plan_requests()
     }
@@ -363,7 +387,25 @@ impl MonitorProxy {
         plan: Option<ProbePlan>,
     ) -> Vec<ProxyOutput> {
         let actions = self.dynamic.attach_plan(now, token, plan);
-        self.map_dynamic(now, actions)
+        let out = self.map_dynamic(now, actions);
+        if self.refresh_when_planned && self.dynamic.awaiting_plans() == 0 {
+            self.refresh_when_planned = false;
+            if self.steady_needs_refresh() {
+                self.refresh_steady_plans();
+            }
+        }
+        out
+    }
+
+    /// Hands a deferred steady refresh's answer back (a
+    /// [`Step::Refresh`]'s, replayed by the switch's planner) and patches it
+    /// in. An answer planned at an older version of the expected table than
+    /// the current one is applied all the same: plans are keyed by rule, and
+    /// the refresh it left due covers what changed since, at the next tick
+    /// with nothing in flight.
+    pub fn attach_refresh(&mut self, refreshed: Refreshed) {
+        self.refresh_outstanding = false;
+        self.apply_refresh(refreshed);
     }
 
     /// Updates forwarded to the switch whose deferred plan is still pending.
@@ -373,7 +415,9 @@ impl MonitorProxy {
 
     /// Whether the steady plan cycle is stale (the expected table changed
     /// since the last refresh) and quiescent enough to regenerate: no
-    /// dynamic update in flight racing the expected table.
+    /// dynamic update in flight racing the expected table. A refresh whose
+    /// answer is outstanding puts the next one off until it lands
+    /// ([`Self::refresh_steady_plans`]).
     fn steady_needs_refresh(&self) -> bool {
         self.steady.is_some()
             && self.dynamic.expected().version() != self.steady_version
@@ -396,68 +440,62 @@ impl MonitorProxy {
     /// The work follows what changed since the last refresh, not the table:
     /// the rules the expected table's change log names since then
     /// ([`monocle_openflow::FlowTable::changes_since`]; every rule, planned
-    /// or not, when the log no longer reaches back that far), the rules
-    /// whose cached result the engine evicted (a changed rule covers the
-    /// plan's probe header; a rule that hid this one left or moved; or a
-    /// changed rule overlaps a rule no probe was found for for another
-    /// reason), and the rules whose last failure is never cached
-    /// ([`ProbeError::RepairFailed`]). Those still in the table go through
-    /// [`crate::engine::ProbeEngine::generate_batch`] again — in table
-    /// order, as a sweep of the whole table would reach them — and their
-    /// plans are patched into the cycle ([`SteadyMonitor::patch_plans`]);
-    /// those gone leave it. The first refresh finds every rule added: the
-    /// whole table. What still reads the table is one pass putting the work
-    /// in table order (a comparison per rule, nothing hashed or copied) and,
-    /// when the set of planned rules changed, the unmonitorable list.
+    /// or not, when the log no longer reaches back that far) and the rules
+    /// whose last failure is never cached ([`ProbeError::RepairFailed`]).
+    /// The planner adds the rules whose cached result its engine evicted,
+    /// re-plans those still monitorable and reports those gone
+    /// ([`Step::Refresh`]); the answer is patched into the cycle
+    /// ([`SteadyMonitor::patch_plans`]). The first refresh finds every rule
+    /// added: the whole table.
+    ///
+    /// Inline only: a deferred proxy asks its planner (once, until the
+    /// answer is attached with [`Self::attach_refresh`]) and returns what it
+    /// holds meanwhile.
     pub fn refresh_steady_plans(&mut self) -> (usize, usize) {
         #[cfg(test)]
         if self.whole_table_oracle {
             return self.refresh_steady_plans_whole_table();
         }
-        let Some(steady) = &self.steady else {
-            return (0, 0);
-        };
-        let table = self.dynamic.expected();
-        let mut work: Vec<RuleId> = match table.changes_since(self.steady_version) {
-            Some(changed) => changed.to_vec(),
-            None => {
-                let planned = steady.plans().keys().chain(self.failures.keys());
-                table
-                    .rules()
+        if let (Some(steady), false) = (&self.steady, self.refresh_outstanding) {
+            let table = self.dynamic.expected();
+            let mut work: Vec<RuleId> = match table.changes_since(self.steady_version) {
+                Some(changed) => changed.to_vec(),
+                None => {
+                    let planned = steady.plans().keys().chain(self.failures.keys());
+                    let ids = table.rules().iter().map(|r| r.id);
+                    ids.chain(planned.copied()).collect()
+                }
+            };
+            self.steady_version = table.version();
+            work.extend(
+                self.failures
                     .iter()
-                    .map(|r| r.id)
-                    .chain(planned.copied())
-                    .collect()
+                    .filter(|(_, e)| **e == ProbeError::RepairFailed)
+                    .map(|(id, _)| *id),
+            );
+            match self.dynamic.request_refresh(work) {
+                Some(refreshed) => self.apply_refresh(refreshed),
+                None => self.refresh_outstanding = true,
             }
+        }
+        let found = self.steady.as_ref().map_or(0, |s| s.plans().len());
+        (found, found + self.unmonitorable.len())
+    }
+
+    /// Patches a refresh's answer into the cycle, [`Self::unmonitorable`]
+    /// and the failures behind it: plans for the rules it found one for, and
+    /// out with the rules gone or left without one.
+    fn apply_refresh(&mut self, refreshed: Refreshed) {
+        let Some(steady) = self.steady.as_mut() else {
+            return;
         };
-        self.steady_version = table.version();
-        work.extend(self.dynamic.take_evicted_expected());
-        work.extend(
-            self.failures
-                .iter()
-                .filter(|(_, e)| **e == ProbeError::RepairFailed)
-                .map(|(id, _)| *id),
-        );
-        work.sort_unstable();
-        work.dedup();
-        let table = self.dynamic.expected();
-        let affected: Vec<RuleId> = crate::pool::monitorable(table)
-            .map(|r| r.id)
-            .filter(|id| work.binary_search(id).is_ok())
-            .collect();
-        // Rules that must not have a plan after this refresh: the removed
-        // ones and those no probe was found for.
-        let mut unplanned: Vec<RuleId> = work
-            .into_iter()
-            .filter(|id| table.get(*id).is_none())
-            .collect();
         let mut unmonitorable_moved = false;
-        for id in &unplanned {
+        for id in &refreshed.gone {
             unmonitorable_moved |= self.failures.remove(id).is_some();
         }
-        let results = self.dynamic.generate_batch_expected(&affected);
+        let mut unplanned = refreshed.gone;
         let mut plans = Vec::new();
-        for (id, r) in affected.into_iter().zip(results) {
+        for (id, r) in refreshed.results {
             match r {
                 Ok(plan) => {
                     unmonitorable_moved |= self.failures.remove(&id).is_some();
@@ -469,20 +507,26 @@ impl MonitorProxy {
                 }
             }
         }
-        let steady = self.steady.as_mut().expect("checked above");
         if steady.patch_plans(plans, &unplanned) || unmonitorable_moved {
-            // Monitorable rules either have a plan or are unmonitorable.
+            // The monitorable rules of the table the answer was planned on
+            // either have a plan or are unmonitorable: those still in the
+            // table in table order, then those removed since, by id.
             let table = self.dynamic.expected();
-            self.unmonitorable = crate::pool::monitorable(table)
-                .filter_map(|r| Some((r.id, self.failures.get(&r.id)?.clone())))
+            let mut removed: Vec<(RuleId, ProbeError)> = (self.failures.iter())
+                .filter(|(id, _)| table.get(**id).is_none())
+                .map(|(id, e)| (*id, e.clone()))
                 .collect();
-            debug_assert_eq!(
-                steady.plans().len() + self.unmonitorable.len(),
-                crate::pool::monitorable(table).count()
+            removed.sort_unstable_by_key(|(id, _)| *id);
+            self.unmonitorable = monitorable(table)
+                .filter_map(|r| Some((r.id, self.failures.get(&r.id)?.clone())))
+                .chain(removed)
+                .collect();
+            debug_assert!(
+                refreshed.version != table.version()
+                    || steady.plans().len() + self.unmonitorable.len()
+                        == monitorable(table).count()
             );
         }
-        let found = steady.plans().len();
-        (found, found + self.unmonitorable.len())
     }
 
     /// How the monitorable rules split by what the last steady refresh
@@ -573,8 +617,11 @@ impl MonitorProxy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::verify_probe;
+    use crate::planner::{Answer, Replica};
+    use crate::pool::monitorable_ids;
     use monocle_openflow::flowmatch::headervec_to_packet;
-    use monocle_openflow::{Action, Match};
+    use monocle_openflow::{Action, FlowTable, Match};
     use std::collections::HashSet;
 
     fn proxy() -> MonitorProxy {
@@ -971,9 +1018,11 @@ mod tests {
         /// The refresh [`Self::refresh_steady_plans`] replaced, kept as its
         /// oracle: every monitorable rule through one batch, everything rebuilt.
         pub(super) fn refresh_steady_plans_whole_table(&mut self) -> (usize, usize) {
-            let ids = crate::pool::monitorable_ids(self.dynamic.expected());
-            let results = self.dynamic.generate_batch_expected(&ids);
-            self.steady_version = self.dynamic.expected().version();
+            let d = &mut self.dynamic;
+            let engine = d.engine.as_mut().expect("the oracle plans inline");
+            let ids = crate::pool::monitorable_ids(&d.table);
+            let results = engine.generate_batch(&d.table, &ids, &d.catch);
+            self.steady_version = d.table.version();
             let total = ids.len();
             let mut plans = Vec::with_capacity(total);
             self.unmonitorable.clear();
@@ -1015,14 +1064,157 @@ mod tests {
 
     /// Two proxies fed the same inputs, one refreshing incrementally and one
     /// through the whole-table oracle, plus the datapath their (identical)
-    /// outputs drive. Every call compares everything observable.
+    /// outputs drive. Every call compares everything observable. With a
+    /// [`Deferred`] twin, a third proxy is fed the same inputs too.
     struct Twins {
         new: MonitorProxy,
         oracle: MonitorProxy,
-        datapath: monocle_openflow::FlowTable,
+        datapath: FlowTable,
         probes: Vec<ProbeInjection>,
         now: u64,
         token: u64,
+        twin: Option<Deferred>,
+    }
+
+    /// What the updates see of an output stream: FlowMods, acks and alarms,
+    /// and a dynamic probe by its metadata alone (its header is the
+    /// planner's choice). The steady outputs are left out.
+    fn update_view(outs: &[ProxyOutput]) -> Vec<String> {
+        let steady = |o: &ProxyOutput| match o {
+            ProxyOutput::Inject(i) => i.meta.seq & STEADY_SEQ_BIT != 0,
+            ProxyOutput::RuleFailed { .. } | ProxyOutput::RuleRecovered { .. } => true,
+            _ => false,
+        };
+        let view = |o: &ProxyOutput| match o {
+            ProxyOutput::Inject(i) => format!("{:?}", i.meta),
+            o => format!("{o:?}"),
+        };
+        outs.iter().filter(|o| !steady(o)).map(view).collect()
+    }
+
+    /// A proxy planning deferred, fed what the twins are fed, against a
+    /// datapath its own FlowMods drive. A replica of the test's own answers
+    /// its steps in order: plans are attached at once, as a planner that
+    /// keeps up would; each refresh answer is delivered 0 to `max_delay`
+    /// [`Twins`] calls late, and checked against the table it was planned
+    /// on when it lands.
+    struct Deferred {
+        proxy: MonitorProxy,
+        replica: Option<Replica>,
+        datapath: FlowTable,
+        probes: Vec<ProbeInjection>,
+        /// The refresh answer on its way: calls left before it lands, the
+        /// table it was planned on, the answer.
+        answer: Option<(usize, FlowTable, Refreshed)>,
+        max_delay: usize,
+        rng: Rng,
+        /// Whether the last call asked for a refresh.
+        asked: bool,
+    }
+
+    impl Deferred {
+        fn new(cfg: ProxyConfig, max_delay: usize, seed: u64) -> Deferred {
+            let mut proxy = MonitorProxy::new(cfg);
+            proxy.set_deferred_planning(true);
+            Deferred {
+                proxy,
+                replica: None,
+                datapath: FlowTable::new(),
+                probes: Vec::new(),
+                answer: None,
+                max_delay,
+                rng: Rng(seed.wrapping_mul(0x2545_F491_4F6C_DD1D) | 1),
+                asked: false,
+            }
+        }
+
+        /// Takes in what a call put out, replays the steps it recorded and
+        /// attaches the plans (taking in what that puts out, in turn);
+        /// returns the [`update_view`] of it all.
+        fn absorb(&mut self, now: u64, mut outs: Vec<ProxyOutput>) -> Vec<String> {
+            let mut view = Vec::new();
+            loop {
+                view.extend(update_view(&outs));
+                for o in outs.drain(..) {
+                    match o {
+                        ProxyOutput::ToSwitch(fm) => {
+                            let _ = self.datapath.apply(&fm);
+                        }
+                        ProxyOutput::Inject(inj) => self.probes.push(inj),
+                        _ => {}
+                    }
+                }
+                let steps = self.proxy.take_plan_steps();
+                if steps.is_empty() {
+                    return view;
+                }
+                for step in steps {
+                    match Replica::step(&mut self.replica, step) {
+                        Some(Answer::Plan { token, plan }) => {
+                            outs.extend(self.proxy.attach_plan(now, token, plan.ok()));
+                        }
+                        Some(Answer::Refresh(refreshed)) => {
+                            assert!(self.answer.is_none(), "a second refresh while one is out");
+                            let table = self.replica.as_ref().unwrap().table.clone();
+                            let delay = self.rng.below(self.max_delay + 1);
+                            self.answer = Some((delay, table, refreshed));
+                            self.asked = true;
+                        }
+                        None => {}
+                    }
+                }
+            }
+        }
+
+        /// Answers the pending probes from the datapath but the dynamic ones
+        /// `lost` (the steady ones all come back).
+        fn answer(&mut self, now: u64, lost: &[u32]) -> Vec<String> {
+            let mut view = Vec::new();
+            for inj in std::mem::take(&mut self.probes) {
+                if inj.meta.seq & STEADY_SEQ_BIT == 0 && lost.contains(&inj.meta.seq) {
+                    continue;
+                }
+                let hdr = packet_to_headervec(inj.in_port, &inj.fields);
+                for (port, out) in self.datapath.process(&hdr, 0) {
+                    let fields = headervec_to_packet(&out);
+                    let outs = self.proxy.on_probe_return(now, &inj.meta, port, &fields);
+                    view.extend(self.absorb(now, outs));
+                }
+            }
+            view
+        }
+
+        /// Lands the refresh answer once its delay is up (or at once, with
+        /// `now`). What the proxy then holds must be right for the table the
+        /// answer was planned on: every plan verifies on it, and the planned
+        /// and unmonitorable rules are its monitorable rules.
+        fn deliver(&mut self, now: bool) {
+            match &mut self.answer {
+                Some((left, ..)) if *left > 0 && !now => *left -= 1,
+                Some(_) => {
+                    let (_, table, refreshed) = self.answer.take().unwrap();
+                    self.proxy.attach_refresh(refreshed);
+                    let plans = self.proxy.steady.as_ref().unwrap().plans();
+                    let pins = self.proxy.catch_spec().all_pins();
+                    for plan in plans.values() {
+                        assert_eq!(
+                            verify_probe(&table, plan.rule_id, &plan.header, &pins),
+                            Some((plan.present.clone(), plan.absent.clone())),
+                            "stale plan for {}",
+                            plan.rule_id
+                        );
+                    }
+                    let unmonitorable = self.proxy.unmonitorable.iter().map(|(id, _)| *id);
+                    let mut held: Vec<RuleId> =
+                        plans.keys().copied().chain(unmonitorable).collect();
+                    let mut monitorable = monitorable_ids(&table);
+                    held.sort_unstable();
+                    monitorable.sort_unstable();
+                    assert_eq!(held, monitorable);
+                }
+                None => {}
+            }
+        }
     }
 
     impl Twins {
@@ -1032,11 +1224,70 @@ mod tests {
             Twins {
                 new: MonitorProxy::new(cfg),
                 oracle,
-                datapath: monocle_openflow::FlowTable::new(),
+                datapath: FlowTable::new(),
                 probes: Vec::new(),
                 now: 0,
                 token: 0,
+                twin: None,
             }
+        }
+
+        /// Gives the deferred twin the call `f` makes and checks it puts out
+        /// what the inline twins did (`inline`) for the updates.
+        fn shadow(
+            &mut self,
+            what: &str,
+            inline: &[String],
+            f: impl FnOnce(&mut Deferred) -> Vec<String>,
+        ) {
+            let Some(d) = &mut self.twin else {
+                return;
+            };
+            d.asked = false;
+            let view = f(d);
+            // Answered late, a refresh leaves the replica caching plans the
+            // inline engine made at another time, and a delete may then
+            // confirm by silence on one side only: the updates agree only
+            // when answers land at once.
+            if d.max_delay == 0 {
+                assert_eq!(view, inline, "deferred {what} at t={}", self.now);
+            }
+            d.deliver(false);
+        }
+
+        /// Once the twins are quiet and every refresh has landed, the
+        /// deferred twin plans the rules the inline one does, and finds the
+        /// same rules unmonitorable for the same reasons.
+        fn assert_deferred_agrees(&mut self) {
+            if self.new.steady_version != self.new.expected().version() {
+                self.refresh();
+            }
+            let now = self.now;
+            let Some(d) = &mut self.twin else {
+                return;
+            };
+            d.deliver(true);
+            if d.max_delay > 0 {
+                return;
+            }
+            while d.proxy.steady_version != d.proxy.expected().version() {
+                d.proxy.refresh_steady_plans();
+                d.absorb(now, Vec::new());
+                d.deliver(true);
+            }
+            assert_eq!(d.proxy.expected().rules(), self.new.expected().rules());
+            let planned = |p: &MonitorProxy| {
+                let mut ids: Vec<RuleId> =
+                    p.steady.as_ref().unwrap().plans().keys().copied().collect();
+                ids.sort_unstable();
+                ids
+            };
+            let classes = |p: &MonitorProxy| -> Vec<_> {
+                let class = |(id, e): &(RuleId, ProbeError)| (*id, std::mem::discriminant(e));
+                p.unmonitorable.iter().map(class).collect()
+            };
+            assert_eq!(planned(&d.proxy), planned(&self.new));
+            assert_eq!(classes(&d.proxy), classes(&self.new));
         }
 
         fn both<T: PartialEq + std::fmt::Debug>(
@@ -1082,29 +1333,55 @@ mod tests {
             let outs = self.both("flowmod", |p| {
                 p.on_controller_flowmod(now, token, fm.clone())
             });
+            self.shadow("flowmod", &update_view(&outs), |d| {
+                let outs = d.proxy.on_controller_flowmod(now, token, fm);
+                d.absorb(now, outs)
+            });
             self.absorb(outs);
         }
 
         fn preinstall(&mut self, priority: u16, m: Match, actions: ActionProgram) {
             let outs = self.both("preinstall", |p| p.preinstall(priority, m, actions.clone()));
+            let now = self.now;
+            self.shadow("preinstall", &update_view(&outs), |d| {
+                let outs = d.proxy.preinstall(priority, m, actions);
+                d.absorb(now, outs)
+            });
             self.absorb(outs);
         }
 
         fn refresh(&mut self) {
             self.both("refresh", |p| p.refresh_steady_plans());
+            let now = self.now;
+            self.shadow("refresh", &[], |d| {
+                d.proxy.refresh_steady_plans();
+                d.absorb(now, Vec::new())
+            });
         }
 
+        /// A tick. With the deferred twin's answers landing at once, it asks
+        /// for a refresh on exactly the ticks the inline twins refresh on.
         fn tick(&mut self, advance: u64) {
             self.now += advance;
-            let now = self.now;
+            let (now, version) = (self.now, self.new.steady_version);
             let outs = self.both("tick", |p| p.on_tick(now));
+            let refreshed = self.new.steady_version != version;
+            self.shadow("tick", &update_view(&outs), |d| {
+                let outs = d.proxy.on_tick(now);
+                d.absorb(now, outs)
+            });
+            if let Some(d) = self.twin.as_ref().filter(|d| d.max_delay == 0) {
+                assert_eq!(d.asked, refreshed, "refresh at t={now}");
+            }
             self.absorb(outs);
         }
 
         /// Answers the pending probes from the datapath, losing `lose`% of them.
         fn answer(&mut self, rng: &mut Rng, lose: usize) {
+            let (mut view, mut lost) = (Vec::new(), Vec::new());
             for inj in std::mem::take(&mut self.probes) {
                 if rng.chance(lose) {
+                    lost.push(inj.meta.seq);
                     continue;
                 }
                 let hdr = packet_to_headervec(inj.in_port, &inj.fields);
@@ -1113,9 +1390,12 @@ mod tests {
                     let outs = self.both("probe return", |p| {
                         p.on_probe_return(now, &inj.meta, port, &fields)
                     });
+                    view.extend(update_view(&outs));
                     self.absorb(outs);
                 }
             }
+            let now = self.now;
+            self.shadow("probe returns", &view, |d| d.answer(now, &lost));
         }
     }
 
@@ -1226,30 +1506,113 @@ mod tests {
         tw.refresh();
     }
 
+    /// One random script through the twins and a deferred twin whose
+    /// refresh answers land up to `max_delay` calls late.
+    fn random_script(seed: u64, max_delay: usize) {
+        let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let cfg = steady_cfg(seed % 2 == 0, seed % 3 != 0);
+        let mut tw = Twins::new(cfg.clone());
+        tw.twin = Some(Deferred::new(cfg, max_delay, seed));
+        tw.preinstall(1, Match::any(), vec![Action::Output(9)]);
+        let (prio, m, acts) = droppost::drop_tag_rule(DropTag(63));
+        tw.preinstall(prio, m, acts);
+        for step in 0..250 {
+            if step == 125 {
+                overflow_the_change_log(&mut tw, &mut rng);
+            }
+            random_step(&mut tw, &mut rng);
+        }
+        // Drain: everything confirmed or alarmed, one last refresh.
+        for _ in 0..30 {
+            tw.answer(&mut rng, 0);
+            tw.tick(2_000_000);
+        }
+        assert!(
+            !tw.new.steady.as_ref().unwrap().plans().is_empty(),
+            "seed {seed}: no refresh"
+        );
+        tw.assert_deferred_agrees();
+    }
+
+    /// Scripts to run: `PROPTEST_CASES` of them (the deeper pass in
+    /// `ci.sh`), 40 by default.
+    fn script_count() -> u64 {
+        let cases = std::env::var("PROPTEST_CASES").ok();
+        cases.and_then(|c| c.parse().ok()).unwrap_or(40)
+    }
+
     #[test]
     fn incremental_refresh_matches_whole_table_oracle_on_random_scripts() {
-        for seed in 1..=40u64 {
-            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let mut tw = Twins::new(steady_cfg(seed % 2 == 0, seed % 3 != 0));
-            tw.preinstall(1, Match::any(), vec![Action::Output(9)]);
-            let (prio, m, acts) = droppost::drop_tag_rule(DropTag(63));
-            tw.preinstall(prio, m, acts);
-            for step in 0..250 {
-                if step == 125 {
-                    overflow_the_change_log(&mut tw, &mut rng);
-                }
-                random_step(&mut tw, &mut rng);
-            }
-            // Drain: everything confirmed or alarmed, one last refresh.
-            for _ in 0..30 {
-                tw.answer(&mut rng, 0);
-                tw.tick(2_000_000);
-            }
-            assert!(
-                !tw.new.steady.as_ref().unwrap().plans().is_empty(),
-                "seed {seed}: no refresh"
-            );
+        for seed in 1..=script_count() {
+            random_script(seed, 3);
         }
+    }
+
+    /// The staleness window does not widen: answered at once, a deferred
+    /// proxy asks for its refresh on exactly the ticks an inline one
+    /// refreshes on (checked in [`Twins::tick`]).
+    #[test]
+    fn a_deferred_refresh_is_asked_for_on_the_ticks_an_inline_one_runs() {
+        for seed in 1..=8 {
+            random_script(seed, 0);
+        }
+    }
+
+    /// Replays `steps` on `replica`, returning the answers.
+    fn replay(replica: &mut Option<Replica>, steps: Vec<Step>) -> Vec<Answer> {
+        let answers = steps.into_iter().map(|s| Replica::step(replica, s));
+        answers.flatten().collect()
+    }
+
+    #[test]
+    fn a_late_refresh_answer_is_applied_and_the_next_is_due_at_once() {
+        const MS: u64 = 1_000_000;
+        let mut p = MonitorProxy::new(steady_cfg(false, false));
+        p.set_deferred_planning(true);
+        let mut replica = None;
+        let host = |h| Match::any().with_nw_dst([10, 0, 0, h], 32);
+        let planned = |p: &MonitorProxy| p.steady.as_ref().unwrap().plans().len();
+        p.preinstall(1, Match::any(), vec![Action::Output(9)]);
+        p.preinstall(10, host(1), vec![Action::Output(2)]);
+        // The first tick asks for the first refresh, planned on two rules.
+        p.on_tick(0);
+        let Some(Answer::Refresh(first)) = replay(&mut replica, p.take_plan_steps()).pop() else {
+            panic!("no refresh asked for");
+        };
+        assert_eq!(
+            (first.results.len(), first.version),
+            (2, p.expected().version())
+        );
+        // A third rule before the answer lands: the refresh is due again by
+        // the old rule, but not asked for while the first is out.
+        p.preinstall(10, host(2), vec![Action::Output(3)]);
+        for t in 1..=3 {
+            p.on_tick(t * MS);
+            let steps = p.take_plan_steps();
+            assert!(
+                !steps.iter().any(|s| matches!(s, Step::Refresh { .. })),
+                "{steps:?}"
+            );
+            replay(&mut replica, steps);
+        }
+        assert_eq!(planned(&p), 0);
+        // It lands at a later version and is applied all the same.
+        assert!(first.version < p.expected().version());
+        p.attach_refresh(first);
+        assert_eq!(planned(&p), 2);
+        // The next refresh is due at once, on the very next tick, and brings
+        // the third rule in.
+        p.on_tick(4 * MS);
+        let answers = replay(&mut replica, p.take_plan_steps());
+        let [Answer::Refresh(second)] = &answers[..] else {
+            panic!("{answers:?}");
+        };
+        let third = p.expected().rules().iter().find(|r| r.match_ == host(2));
+        let third = third.unwrap().id;
+        assert!(second.results.iter().any(|(id, _)| *id == third));
+        p.attach_refresh(second.clone());
+        assert_eq!(planned(&p), 3);
+        assert_eq!(p.refresh_steady_plans(), (3, 3));
     }
 
     /// The same differential once at paper size: the Stanford-like ACL table

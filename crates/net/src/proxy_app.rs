@@ -44,18 +44,10 @@
 //! the panic, drops the replica, and answers the session's later requests
 //! with no plan (optimistic acks); its other sessions never notice.
 //!
-//! **Not deferred:** with [`ProxyAppConfig::steady`] set, the steady-state
-//! refresh ([`MonitorProxy::refresh_steady_plans`], run from the proxy's
-//! tick once the expected table has changed and nothing is in flight)
-//! still plans on the loop thread. It re-plans only what the FlowMods since
-//! the last refresh invalidated — the rules whose cached plan the proxy's
-//! engine evicted, the rules the table's change log names — and the engine
-//! it plans on synchronizes to the table in O(1) when nothing changed and
-//! in O(delta) otherwise, so its cost follows the change, not the table
-//! (the first refresh of a session, and a FlowMod that overlaps everything,
-//! such as a default route, are the whole table). Moving it onto the
-//! planner threads, whose replicas already hold the table, is the next
-//! step.
+//! The steady refresh is one more step: with [`ProxyAppConfig::steady`]
+//! set, the monitor asks for it when its plans are due, the thread answers
+//! it on the same replica, and [`MonitorProxy::attach_refresh`] patches the
+//! answer in.
 //!
 //! ## Steady-state verdicts
 //!
@@ -79,10 +71,10 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
 use monocle::encode::CatchSpec;
-use monocle::planner::{Replica, Step};
+use monocle::planner::{Answer, Refreshed, Replica, Step};
 use monocle::proxy::{MonitorProxy, ProbeInjection, ProxyConfig, ProxyOutput};
 use monocle::steady::SteadyConfig;
-use monocle::PoolConfig;
+use monocle::{PoolConfig, ProbeError};
 use monocle_openflow::messages::PORT_TABLE;
 use monocle_openflow::{Action, Match, OfMessage, PortNo};
 use monocle_packet::ProbeMeta;
@@ -119,8 +111,7 @@ enum ToPlanner {
 /// A finished plan coming back from a planner thread.
 struct PlanDone {
     session: u64,
-    token: u64,
-    plan: Option<monocle::ProbePlan>,
+    answer: Answer,
 }
 
 /// Per-switch counters, exposed through [`ProxyApp::stats`].
@@ -602,11 +593,14 @@ impl ProxyApp {
                 continue;
             };
             let now = ctx.now_ns();
-            let outputs = sess
-                .proxy
-                .as_mut()
-                .map(|p| p.attach_plan(now, done.token, done.plan))
-                .unwrap_or_default();
+            let outputs = match (sess.proxy.as_mut(), done.answer) {
+                (Some(p), Answer::Plan { token, plan }) => p.attach_plan(now, token, plan.ok()),
+                (Some(p), Answer::Refresh(refreshed)) => {
+                    p.attach_refresh(refreshed);
+                    Vec::new()
+                }
+                (None, _) => Vec::new(),
+            };
             self.process_outputs(ctx, done.session, outputs);
         }
     }
@@ -630,9 +624,8 @@ impl ProxyApp {
                 .and_then(|s| s.proxy.as_mut())
                 .map(|p| p.on_tick(now))
                 .unwrap_or_default();
-            if !outputs.is_empty() {
-                self.process_outputs(ctx, id, outputs);
-            }
+            // A tick that put nothing out may have asked for a refresh.
+            self.process_outputs(ctx, id, outputs);
         }
         ctx.schedule_in(self.cfg.tick_ns, TICK_TOKEN);
     }
@@ -754,24 +747,22 @@ fn planner_main(rx: Receiver<ToPlanner>, done: Sender<PlanDone>, waker: Arc<mio:
                     continue;
                 }
             };
-            let token = match *step {
-                Step::Plan { token, .. } => Some(token),
-                _ => None,
+            // Every request is answered: without a replica, or when planning
+            // panicked, with no plan and with nothing refreshed.
+            let unanswered = match *step {
+                Step::Plan { token, rule_id, .. } => Some(Answer::Plan {
+                    token,
+                    plan: Err(ProbeError::NoSuchRule(rule_id)),
+                }),
+                Step::Refresh { .. } => Some(Answer::Refresh(Refreshed::default())),
+                Step::Start { .. } | Step::Apply(_) => None,
             };
             let slot = replicas.entry(session).or_default();
             let answer = guarded(slot, |slot| Replica::step(slot, *step));
-            // Every request is answered: without a replica, or when
-            // planning panicked, with no plan.
-            let Some(token) = token else { continue };
-            let plan = answer.and_then(|(_, plan)| plan.ok());
-            if done
-                .send(PlanDone {
-                    session,
-                    token,
-                    plan,
-                })
-                .is_err()
-            {
+            let Some(answer) = answer.or(unanswered) else {
+                continue;
+            };
+            if done.send(PlanDone { session, answer }).is_err() {
                 return; // the proxy is gone
             }
             answered = true;
