@@ -25,6 +25,14 @@ echo "== deeper property pass: dynamic monitoring (replica mirror, drain, order)
 # verified, optimistic or alarmed.
 PROPTEST_CASES=1000 cargo test --release -q -p monocle --lib dynamic::tests::props
 
+echo "== deeper differential: the steady refresh, inline and deferred =="
+# Tier-1 runs 40 random scripts: the incremental refresh matches the
+# whole-table oracle, and a deferred twin whose refresh answers land up to
+# three calls late holds valid plans at every landing and, once quiet, what a
+# fresh whole-table plan of its table finds.
+PROPTEST_CASES=1000 cargo test --release -q -p monocle --lib \
+    proxy::tests::incremental_refresh_matches_whole_table_oracle_on_random_scripts
+
 echo "== deeper property pass: the steady scheduler (budget, SLO, round-robin queue) =="
 # Tier-1 runs these at 64 cases: the token bucket bounds releases, every rule
 # meets the staleness SLO, and the round-robin configuration — the fixed

@@ -242,7 +242,8 @@ impl DynamicMonitor {
     /// and never runs on the I/O thread — and hands the answers back later
     /// ([`Self::attach_plan`], `MonitorProxy::attach_refresh`). Turning it
     /// on drops the monitor's engine and starts the stream: a
-    /// [`Step::Start`] with a copy of the expected table as it is now.
+    /// [`Step::Start`] with a copy of the expected table as it is now. It is
+    /// one-way: `false` leaves the monitor as it is.
     pub fn set_deferred_planning(&mut self, on: bool) {
         if on {
             self.engine = None;
@@ -251,8 +252,6 @@ impl DynamicMonitor {
                 catch: self.catch.clone(),
                 gen: self.cfg.gen.clone(),
             });
-        } else if self.engine.is_none() {
-            self.engine = Some(ProbeEngine::with_gen(self.cfg.gen.clone()));
         }
     }
 
@@ -329,14 +328,12 @@ impl DynamicMonitor {
     /// Asks the planner to re-plan the steady probes of `work` on the
     /// expected table as it is now (a [`Step::Refresh`]): answered at once
     /// inline, recorded for the external planner when deferred (`None`).
-    pub fn request_refresh(&mut self, work: Vec<RuleId>) -> Option<Refreshed> {
-        match &mut self.engine {
-            Some(engine) => Some(planner::refresh(&self.table, engine, &self.catch, work)),
-            None => {
-                self.steps.push(Step::Refresh { work });
-                None
-            }
-        }
+    pub(crate) fn request_refresh(&mut self, work: Vec<RuleId>) -> Option<Refreshed> {
+        let Some(engine) = &mut self.engine else {
+            self.steps.push(Step::Refresh { work });
+            return None;
+        };
+        Some(planner::refresh(&self.table, engine, &self.catch, work))
     }
 
     /// Number of unconfirmed (actively probed) updates.

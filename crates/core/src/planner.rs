@@ -103,8 +103,10 @@ pub enum Answer {
         /// Its probe.
         plan: Result<ProbePlan, ProbeError>,
     },
-    /// A [`Step::Refresh`]'s.
-    Refresh(Refreshed),
+    /// A [`Step::Refresh`]'s; `None` from a planner that lost the switch's
+    /// table (`monocle_net`'s planner threads, when a step panics), which
+    /// answers every request all the same.
+    Refresh(Option<Refreshed>),
 }
 
 /// The steady plans a refresh asked for, at one version of the table.
@@ -214,13 +216,14 @@ pub(crate) fn refresh(
         .map(|r| r.id)
         .filter(|id| work.binary_search(id).is_ok())
         .collect();
-    let gone = work.into_iter().filter(|id| table.get(*id).is_none());
-    let gone = gone.collect();
     let results = engine.generate_batch(table, &ids, catch);
     Refreshed {
         version: table.version(),
         results: ids.into_iter().zip(results).collect(),
-        gone,
+        gone: work
+            .into_iter()
+            .filter(|id| table.get(*id).is_none())
+            .collect(),
     }
 }
 
@@ -244,10 +247,9 @@ impl Replica {
     pub fn step(replica: &mut Option<Replica>, step: Step) -> Option<Answer> {
         match step {
             Step::Start { table, catch, gen } => {
-                let engine = ProbeEngine::with_gen(gen);
                 *replica = Some(Replica {
                     table,
-                    engine,
+                    engine: ProbeEngine::with_gen(gen),
                     catch,
                 });
                 None
@@ -268,7 +270,7 @@ impl Replica {
             Step::Refresh { work } => {
                 let r = replica.as_mut()?;
                 let refreshed = refresh(&r.table, &mut r.engine, &r.catch, work);
-                Some(Answer::Refresh(refreshed))
+                Some(Answer::Refresh(Some(refreshed)))
             }
         }
     }

@@ -159,10 +159,9 @@ pub struct MonitorProxy {
     /// Deferred planning: a refresh was asked for and its answer has not
     /// been attached yet ([`Self::attach_refresh`]).
     refresh_outstanding: bool,
-    /// Deferred planning: the last tick found the steady refresh due but
-    /// for updates awaiting their plans; it is taken once the last of them
-    /// is attached, if nothing is in flight then.
-    refresh_when_planned: bool,
+    /// A tick made the steady refresh due; it is taken once no update awaits
+    /// its plan ([`Self::take_due_refresh`]).
+    refresh_due: bool,
     /// Pending drop-postponed finalizations: token -> finalize FlowMod.
     pending_finalize: Vec<(u64, FlowMod)>,
     /// Rules for which steady-state probe generation failed (Table 2's
@@ -189,7 +188,7 @@ impl MonitorProxy {
             steady,
             steady_version: 0,
             refresh_outstanding: false,
-            refresh_when_planned: false,
+            refresh_due: false,
             pending_finalize: Vec::new(),
             unmonitorable: Vec::new(),
             failures: IdHashMap::default(),
@@ -334,14 +333,8 @@ impl MonitorProxy {
         let dyn_actions = self.dynamic.on_tick(now);
         let mut out = self.map_dynamic(now, dyn_actions);
         if self.steady.is_some() {
-            // An update still awaiting its plan is in flight as well, unless
-            // the plan finds nothing to probe: inline it is known by now,
-            // deferred the refresh waits for it.
-            let due = self.steady_needs_refresh();
-            self.refresh_when_planned = due && self.dynamic.awaiting_plans() > 0;
-            if due && !self.refresh_when_planned {
-                self.refresh_steady_plans();
-            }
+            self.refresh_due = true;
+            self.take_due_refresh();
             let actions = self.steady.as_mut().unwrap().on_tick(now);
             out.extend(
                 actions
@@ -388,24 +381,8 @@ impl MonitorProxy {
     ) -> Vec<ProxyOutput> {
         let actions = self.dynamic.attach_plan(now, token, plan);
         let out = self.map_dynamic(now, actions);
-        if self.refresh_when_planned && self.dynamic.awaiting_plans() == 0 {
-            self.refresh_when_planned = false;
-            if self.steady_needs_refresh() {
-                self.refresh_steady_plans();
-            }
-        }
+        self.take_due_refresh();
         out
-    }
-
-    /// Hands a deferred steady refresh's answer back (a
-    /// [`Step::Refresh`]'s, replayed by the switch's planner) and patches it
-    /// in. An answer planned at an older version of the expected table than
-    /// the current one is applied all the same: plans are keyed by rule, and
-    /// the refresh it left due covers what changed since, at the next tick
-    /// with nothing in flight.
-    pub fn attach_refresh(&mut self, refreshed: Refreshed) {
-        self.refresh_outstanding = false;
-        self.apply_refresh(refreshed);
     }
 
     /// Updates forwarded to the switch whose deferred plan is still pending.
@@ -413,15 +390,22 @@ impl MonitorProxy {
         self.dynamic.awaiting_plans()
     }
 
-    /// Whether the steady plan cycle is stale (the expected table changed
-    /// since the last refresh) and quiescent enough to regenerate: no
-    /// dynamic update in flight racing the expected table. A refresh whose
-    /// answer is outstanding puts the next one off until it lands
-    /// ([`Self::refresh_steady_plans`]).
-    fn steady_needs_refresh(&self) -> bool {
-        self.steady.is_some()
-            && self.dynamic.expected().version() != self.steady_version
-            && self.dynamic.in_flight() == 0
+    /// Takes the steady refresh a tick made due, once no update awaits its
+    /// plan — inline at once, deferred when the last plan lands — if the
+    /// plan cycle is stale (the expected table changed since the last
+    /// refresh) and quiescent enough to regenerate: no dynamic update in
+    /// flight racing the expected table. An update awaiting its plan is in
+    /// flight as well, unless the plan finds nothing to probe, which only
+    /// its plan tells. A refresh whose answer is outstanding puts the next
+    /// one off until it lands ([`Self::refresh_steady_plans`]).
+    fn take_due_refresh(&mut self) {
+        let d = &self.dynamic;
+        if self.refresh_due && d.awaiting_plans() == 0 {
+            self.refresh_due = false;
+            if d.expected().version() != self.steady_version && d.in_flight() == 0 {
+                self.refresh_steady_plans();
+            }
+        }
     }
 
     /// The collection pins this proxy's probes carry.
@@ -456,25 +440,23 @@ impl MonitorProxy {
         if self.whole_table_oracle {
             return self.refresh_steady_plans_whole_table();
         }
-        if let (Some(steady), false) = (&self.steady, self.refresh_outstanding) {
+        if self.steady.is_some() && !self.refresh_outstanding {
             let table = self.dynamic.expected();
             let mut work: Vec<RuleId> = match table.changes_since(self.steady_version) {
                 Some(changed) => changed.to_vec(),
                 None => {
-                    let planned = steady.plans().keys().chain(self.failures.keys());
                     let ids = table.rules().iter().map(|r| r.id);
-                    ids.chain(planned.copied()).collect()
+                    ids.chain(self.held()).collect()
                 }
             };
             self.steady_version = table.version();
-            work.extend(
-                self.failures
-                    .iter()
-                    .filter(|(_, e)| **e == ProbeError::RepairFailed)
-                    .map(|(id, _)| *id),
-            );
+            let repair = self
+                .failures
+                .iter()
+                .filter(|(_, e)| **e == ProbeError::RepairFailed);
+            work.extend(repair.map(|(id, _)| *id));
             match self.dynamic.request_refresh(work) {
-                Some(refreshed) => self.apply_refresh(refreshed),
+                Some(refreshed) => self.attach_refresh(Some(refreshed)),
                 None => self.refresh_outstanding = true,
             }
         }
@@ -482,10 +464,23 @@ impl MonitorProxy {
         (found, found + self.unmonitorable.len())
     }
 
-    /// Patches a refresh's answer into the cycle, [`Self::unmonitorable`]
-    /// and the failures behind it: plans for the rules it found one for, and
-    /// out with the rules gone or left without one.
-    fn apply_refresh(&mut self, refreshed: Refreshed) {
+    /// Patches a steady refresh's answer into the cycle,
+    /// [`Self::unmonitorable`] and the failures behind it: plans for the
+    /// rules it found one for, and out with the rules gone or left without
+    /// one. Inline, [`Self::refresh_steady_plans`] calls it at once;
+    /// deferred, the transport hands back the answer of the
+    /// [`Step::Refresh`] the switch's planner replayed. An answer planned at
+    /// an older version of the expected table is applied all the same:
+    /// plans are keyed by rule, and the refresh it left due covers what
+    /// changed since. `None`, from a planner that lost the table, drops
+    /// every plan and failure: the proxy keeps no steady proofs and raises
+    /// no verdicts.
+    pub fn attach_refresh(&mut self, refreshed: Option<Refreshed>) {
+        self.refresh_outstanding = false;
+        let refreshed = refreshed.unwrap_or_else(|| Refreshed {
+            gone: self.held().collect(),
+            ..Refreshed::default()
+        });
         let Some(steady) = self.steady.as_mut() else {
             return;
         };
@@ -493,40 +488,39 @@ impl MonitorProxy {
         for id in &refreshed.gone {
             unmonitorable_moved |= self.failures.remove(id).is_some();
         }
-        let mut unplanned = refreshed.gone;
-        let mut plans = Vec::new();
+        let (mut plans, mut unplanned) = (Vec::new(), refreshed.gone);
         for (id, r) in refreshed.results {
-            match r {
+            unmonitorable_moved |= match r {
                 Ok(plan) => {
-                    unmonitorable_moved |= self.failures.remove(&id).is_some();
                     plans.push(plan);
+                    self.failures.remove(&id).is_some()
                 }
                 Err(e) => {
                     unplanned.push(id);
-                    unmonitorable_moved |= self.failures.insert(id, e.clone()) != Some(e);
+                    self.failures.insert(id, e.clone()) != Some(e)
                 }
-            }
+            };
         }
         if steady.patch_plans(plans, &unplanned) || unmonitorable_moved {
             // The monitorable rules of the table the answer was planned on
             // either have a plan or are unmonitorable: those still in the
             // table in table order, then those removed since, by id.
             let table = self.dynamic.expected();
-            let mut removed: Vec<(RuleId, ProbeError)> = (self.failures.iter())
-                .filter(|(id, _)| table.get(**id).is_none())
-                .map(|(id, e)| (*id, e.clone()))
+            let mut removed: Vec<RuleId> = (self.failures.keys())
+                .filter(|id| table.get(**id).is_none())
+                .copied()
                 .collect();
-            removed.sort_unstable_by_key(|(id, _)| *id);
-            self.unmonitorable = monitorable(table)
-                .filter_map(|r| Some((r.id, self.failures.get(&r.id)?.clone())))
-                .chain(removed)
+            removed.sort_unstable();
+            self.unmonitorable = (monitorable(table).map(|r| r.id).chain(removed))
+                .filter_map(|id| Some((id, self.failures.get(&id)?.clone())))
                 .collect();
-            debug_assert!(
-                refreshed.version != table.version()
-                    || steady.plans().len() + self.unmonitorable.len()
-                        == monitorable(table).count()
-            );
         }
+    }
+
+    /// The rules the steady cycle holds a plan or a failure for.
+    fn held(&self) -> impl Iterator<Item = RuleId> + '_ {
+        let planned = self.steady.iter().flat_map(|s| s.plans().keys());
+        planned.chain(self.failures.keys()).copied()
     }
 
     /// How the monitorable rules split by what the last steady refresh
@@ -1153,13 +1147,14 @@ mod tests {
                         Some(Answer::Plan { token, plan }) => {
                             outs.extend(self.proxy.attach_plan(now, token, plan.ok()));
                         }
-                        Some(Answer::Refresh(refreshed)) => {
+                        Some(Answer::Refresh(Some(refreshed))) => {
                             assert!(self.answer.is_none(), "a second refresh while one is out");
                             let table = self.replica.as_ref().unwrap().table.clone();
                             let delay = self.rng.below(self.max_delay + 1);
                             self.answer = Some((delay, table, refreshed));
                             self.asked = true;
                         }
+                        Some(Answer::Refresh(None)) => unreachable!("the replica is never lost"),
                         None => {}
                     }
                 }
@@ -1193,7 +1188,7 @@ mod tests {
                 Some((left, ..)) if *left > 0 && !now => *left -= 1,
                 Some(_) => {
                     let (_, table, refreshed) = self.answer.take().unwrap();
-                    self.proxy.attach_refresh(refreshed);
+                    self.proxy.attach_refresh(Some(refreshed));
                     let plans = self.proxy.steady.as_ref().unwrap().plans();
                     let pins = self.proxy.catch_spec().all_pins();
                     for plan in plans.values() {
@@ -1267,27 +1262,40 @@ mod tests {
                 return;
             };
             d.deliver(true);
-            if d.max_delay > 0 {
-                return;
-            }
             while d.proxy.steady_version != d.proxy.expected().version() {
                 d.proxy.refresh_steady_plans();
                 d.absorb(now, Vec::new());
                 d.deliver(true);
             }
-            assert_eq!(d.proxy.expected().rules(), self.new.expected().rules());
-            let planned = |p: &MonitorProxy| {
+            let class = |(id, e): &(RuleId, ProbeError)| (*id, std::mem::discriminant(e));
+            let held = |p: &MonitorProxy| {
                 let mut ids: Vec<RuleId> =
                     p.steady.as_ref().unwrap().plans().keys().copied().collect();
                 ids.sort_unstable();
-                ids
+                (ids, p.unmonitorable.iter().map(class).collect::<Vec<_>>())
             };
-            let classes = |p: &MonitorProxy| -> Vec<_> {
-                let class = |(id, e): &(RuleId, ProbeError)| (*id, std::mem::discriminant(e));
-                p.unmonitorable.iter().map(class).collect()
-            };
-            assert_eq!(planned(&d.proxy), planned(&self.new));
-            assert_eq!(classes(&d.proxy), classes(&self.new));
+            // Answered late, the replica's cache holds plans made at other
+            // times than the inline engine's: a delete may confirm by
+            // silence on one side only, so the twins agree only when answers
+            // land at once. Either way the deferred proxy holds what a fresh
+            // whole-table plan of its own expected table finds.
+            if d.max_delay == 0 {
+                assert_eq!(d.proxy.expected().rules(), self.new.expected().rules());
+                assert_eq!(held(&d.proxy), held(&self.new));
+            }
+            let table = d.proxy.expected();
+            let ids = monitorable_ids(table);
+            let mut fresh = ProbeEngine::with_gen(d.proxy.cfg.dynamic.gen.clone());
+            let results = fresh.generate_batch(table, &ids, d.proxy.catch_spec());
+            let (mut planned, mut failed) = (Vec::new(), Vec::new());
+            for (id, r) in ids.into_iter().zip(results) {
+                match r {
+                    Ok(_) => planned.push(id),
+                    Err(e) => failed.push(class(&(id, e))),
+                }
+            }
+            planned.sort_unstable();
+            assert_eq!(held(&d.proxy), (planned, failed), "against a fresh plan");
         }
 
         fn both<T: PartialEq + std::fmt::Debug>(
@@ -1510,7 +1518,7 @@ mod tests {
     /// refresh answers land up to `max_delay` calls late.
     fn random_script(seed: u64, max_delay: usize) {
         let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let cfg = steady_cfg(seed % 2 == 0, seed % 3 != 0);
+        let cfg = steady_cfg(seed.is_multiple_of(2), !seed.is_multiple_of(3));
         let mut tw = Twins::new(cfg.clone());
         tw.twin = Some(Deferred::new(cfg, max_delay, seed));
         tw.preinstall(1, Match::any(), vec![Action::Output(9)]);
@@ -1576,7 +1584,8 @@ mod tests {
         p.preinstall(10, host(1), vec![Action::Output(2)]);
         // The first tick asks for the first refresh, planned on two rules.
         p.on_tick(0);
-        let Some(Answer::Refresh(first)) = replay(&mut replica, p.take_plan_steps()).pop() else {
+        let Some(Answer::Refresh(Some(first))) = replay(&mut replica, p.take_plan_steps()).pop()
+        else {
             panic!("no refresh asked for");
         };
         assert_eq!(
@@ -1598,21 +1607,66 @@ mod tests {
         assert_eq!(planned(&p), 0);
         // It lands at a later version and is applied all the same.
         assert!(first.version < p.expected().version());
-        p.attach_refresh(first);
+        p.attach_refresh(Some(first));
         assert_eq!(planned(&p), 2);
         // The next refresh is due at once, on the very next tick, and brings
         // the third rule in.
         p.on_tick(4 * MS);
         let answers = replay(&mut replica, p.take_plan_steps());
-        let [Answer::Refresh(second)] = &answers[..] else {
+        let [Answer::Refresh(Some(second))] = &answers[..] else {
             panic!("{answers:?}");
         };
         let third = p.expected().rules().iter().find(|r| r.match_ == host(2));
         let third = third.unwrap().id;
         assert!(second.results.iter().any(|(id, _)| *id == third));
-        p.attach_refresh(second.clone());
+        p.attach_refresh(Some(second.clone()));
         assert_eq!(planned(&p), 3);
         assert_eq!(p.refresh_steady_plans(), (3, 3));
+    }
+
+    /// A planner that lost the switch's table answers a refresh with
+    /// `None`. The proxy then drops every steady plan and failure: it keeps
+    /// probing nothing the planner can no longer re-plan, and raises no
+    /// verdict, not even for the probes still out. The next refresh is asked
+    /// for as usual.
+    #[test]
+    fn a_lost_refresh_answer_drops_every_steady_plan() {
+        const MS: u64 = 1_000_000;
+        let mut p = MonitorProxy::new(steady_cfg(false, false));
+        p.set_deferred_planning(true);
+        let mut replica = None;
+        let host = |h| Match::any().with_nw_dst([10, 0, 0, h], 32);
+        p.preinstall(1, Match::any(), vec![Action::Output(9)]);
+        p.preinstall(10, host(1), vec![Action::Output(2)]);
+        p.preinstall(5, host(1), vec![Action::Output(3)]); // hidden
+        p.on_tick(0);
+        let Some(Answer::Refresh(first)) = replay(&mut replica, p.take_plan_steps()).pop() else {
+            panic!("no refresh asked for");
+        };
+        p.attach_refresh(first);
+        assert_eq!(p.steady.as_ref().unwrap().plans().len(), 2);
+        assert_eq!(p.unmonitorable.len(), 1);
+        let outs = p.on_tick(MS);
+        assert!(!steady_injections(&outs).is_empty(), "{outs:?}");
+        // A new rule; its refresh is answered by a planner that lost the
+        // table.
+        p.preinstall(10, host(2), vec![Action::Output(3)]);
+        p.on_tick(2 * MS);
+        let steps = p.take_plan_steps();
+        assert!(steps.iter().any(|s| matches!(s, Step::Refresh { .. })));
+        p.attach_refresh(None);
+        assert!(p.steady.as_ref().unwrap().plans().is_empty());
+        assert!(p.unmonitorable.is_empty());
+        // Past every probe's timeout and retries: nothing injected, nothing
+        // failed.
+        for t in 3..2_000 {
+            let outs = p.on_tick(t * MS);
+            assert!(outs.is_empty(), "{outs:?}");
+        }
+        p.preinstall(10, host(3), vec![Action::Output(4)]);
+        p.on_tick(2_000 * MS);
+        let steps = p.take_plan_steps();
+        assert!(steps.iter().any(|s| matches!(s, Step::Refresh { .. })));
     }
 
     /// The same differential once at paper size: the Stanford-like ACL table

@@ -19,7 +19,8 @@
 //! ## Deferred planning
 //!
 //! Probe planning is SAT solving — milliseconds of CPU in the worst case —
-//! so per-update planning never runs on the I/O thread. Each session's
+//! so it never runs on the I/O thread, for updates and steady refreshes
+//! alike; a session's monitor keeps no engine at all. Each session's
 //! monitor runs in deferred mode and records its planning work as an
 //! ordered stream of [`Step`]s ([`MonitorProxy::take_plan_steps`]): a copy
 //! of the expected table when the session starts, every FlowMod applied to
@@ -40,14 +41,20 @@
 //! overlaps switch installation latency, which is where the multi-switch
 //! throughput scaling comes from.
 //!
+//! The steady refresh is one more step: with [`ProxyAppConfig::steady`]
+//! set, the monitor asks for it on the tick its plans fall due (the
+//! expected table moved and no update is in flight), the thread answers it
+//! on the same replica, in stream order with the plan requests, and
+//! [`MonitorProxy::attach_refresh`] patches the answer in when it lands.
+//! While one is outstanding the monitor asks for no other; an answer
+//! planned on an older table is applied all the same, and the next refresh
+//! is then due at once.
+//!
 //! A step that panics costs only its session's replica: the thread catches
 //! the panic, drops the replica, and answers the session's later requests
-//! with no plan (optimistic acks); its other sessions never notice.
-//!
-//! The steady refresh is one more step: with [`ProxyAppConfig::steady`]
-//! set, the monitor asks for it when its plans are due, the thread answers
-//! it on the same replica, and [`MonitorProxy::attach_refresh`] patches the
-//! answer in.
+//! with no plan (optimistic acks) and its refreshes with the table lost, on
+//! which the session drops its steady plans; its other sessions never
+//! notice.
 //!
 //! ## Steady-state verdicts
 //!
@@ -71,7 +78,7 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
 use monocle::encode::CatchSpec;
-use monocle::planner::{Answer, Refreshed, Replica, Step};
+use monocle::planner::{Answer, Replica, Step};
 use monocle::proxy::{MonitorProxy, ProbeInjection, ProxyConfig, ProxyOutput};
 use monocle::steady::SteadyConfig;
 use monocle::{PoolConfig, ProbeError};
@@ -108,7 +115,7 @@ enum ToPlanner {
     Panic { session: u64 },
 }
 
-/// A finished plan coming back from a planner thread.
+/// A planner thread's answer for a session: a plan or a steady refresh.
 struct PlanDone {
     session: u64,
     answer: Answer,
@@ -366,7 +373,7 @@ impl ProxyApp {
             .sessions
             .get_mut(&session)
             .and_then(|s| s.proxy.as_mut());
-        for step in proxy.map(|p| p.take_plan_steps()).unwrap_or_default() {
+        for step in proxy.map(MonitorProxy::take_plan_steps).unwrap_or_default() {
             let step = Box::new(step);
             self.to_planner(session, ToPlanner::Step { session, step });
         }
@@ -589,17 +596,16 @@ impl ProxyApp {
 
     fn on_notified(&mut self, ctx: &mut IoCtx<'_>) {
         while let Ok(done) = self.results_rx.try_recv() {
-            let Some(sess) = self.sessions.get_mut(&done.session) else {
+            let sess = self.sessions.get_mut(&done.session);
+            let Some(p) = sess.and_then(|s| s.proxy.as_mut()) else {
                 continue;
             };
-            let now = ctx.now_ns();
-            let outputs = match (sess.proxy.as_mut(), done.answer) {
-                (Some(p), Answer::Plan { token, plan }) => p.attach_plan(now, token, plan.ok()),
-                (Some(p), Answer::Refresh(refreshed)) => {
+            let outputs = match done.answer {
+                Answer::Plan { token, plan } => p.attach_plan(ctx.now_ns(), token, plan.ok()),
+                Answer::Refresh(refreshed) => {
                     p.attach_refresh(refreshed);
                     Vec::new()
                 }
-                (None, _) => Vec::new(),
             };
             self.process_outputs(ctx, done.session, outputs);
         }
@@ -609,21 +615,20 @@ impl ProxyApp {
         let ids: Vec<u64> = self.sessions.keys().copied().collect();
         let now = ctx.now_ns();
         for id in ids {
+            let Some(sess) = self.sessions.get_mut(&id) else {
+                continue;
+            };
             // Refresh the steady scheduler's view of this switch before
             // ticking: RTT-derived cost plus live backpressure.
-            if let Some(sess) = self.sessions.get_mut(&id) {
-                let bp = ctx.over_high_water(sess.switch_conn);
-                let cost = sess.telemetry.cost(now);
-                if let Some(p) = sess.proxy.as_mut() {
-                    p.set_switch_cost(cost, bp);
-                }
-            }
-            let outputs = self
-                .sessions
-                .get_mut(&id)
-                .and_then(|s| s.proxy.as_mut())
-                .map(|p| p.on_tick(now))
-                .unwrap_or_default();
+            let (cost, bp) = (
+                sess.telemetry.cost(now),
+                ctx.over_high_water(sess.switch_conn),
+            );
+            let Some(p) = sess.proxy.as_mut() else {
+                continue;
+            };
+            p.set_switch_cost(cost, bp);
+            let outputs = p.on_tick(now);
             // A tick that put nothing out may have asked for a refresh.
             self.process_outputs(ctx, id, outputs);
         }
@@ -724,7 +729,7 @@ impl Driver for ProxyApp {
 }
 
 /// Planner thread main: keeps a [`Replica`] per session it serves, advances
-/// each by its session's steps in arrival order, and ships every plan back;
+/// each by its session's steps in arrival order, and ships every answer back;
 /// wakes the loop once per burst of messages drained. Exits when the channel
 /// closes.
 fn planner_main(rx: Receiver<ToPlanner>, done: Sender<PlanDone>, waker: Arc<mio::Waker>) {
@@ -748,13 +753,13 @@ fn planner_main(rx: Receiver<ToPlanner>, done: Sender<PlanDone>, waker: Arc<mio:
                 }
             };
             // Every request is answered: without a replica, or when planning
-            // panicked, with no plan and with nothing refreshed.
+            // panicked, with no plan, and with the table lost to the refresh.
             let unanswered = match *step {
                 Step::Plan { token, rule_id, .. } => Some(Answer::Plan {
                     token,
                     plan: Err(ProbeError::NoSuchRule(rule_id)),
                 }),
-                Step::Refresh { .. } => Some(Answer::Refresh(Refreshed::default())),
+                Step::Refresh { .. } => Some(Answer::Refresh(None)),
                 Step::Start { .. } | Step::Apply(_) => None,
             };
             let slot = replicas.entry(session).or_default();
@@ -798,13 +803,14 @@ mod tests {
     pub(super) const PANIC_DPID: u64 = 0xdead;
 
     /// Runs a controller sending `updates` FlowMods to each switch of
-    /// `dpids`, the proxy with one planner thread, and the switch fleet over
-    /// loopback TCP, to the end; returns the controller's results and the
-    /// proxy's per-session counters.
+    /// `dpids`, the proxy with one planner thread and `steady` monitoring,
+    /// and the switch fleet over loopback TCP, to the end; returns the
+    /// controller's results and the proxy's per-session counters.
     fn run(
         dpids: Vec<u64>,
         updates: u64,
         deadline_ns: u64,
+        steady: Option<SteadyConfig>,
     ) -> (ControllerStats, HashMap<u64, SessionStats>) {
         let mut controller_loop = EventLoop::new().unwrap();
         let mut controller = ControllerSim::new(ControllerSimConfig {
@@ -817,6 +823,7 @@ mod tests {
         let mut proxy_loop = EventLoop::new().unwrap();
         let mut cfg = ProxyAppConfig::new(controller_addr);
         cfg.pool = PoolConfig::with_workers(1);
+        cfg.steady = steady;
         let mut proxy = ProxyApp::new(cfg, proxy_loop.waker());
         let proxy_stats = proxy.stats();
         let proxy_addr = proxy_loop.with_ctx(|ctx| proxy.start(ctx).unwrap());
@@ -846,25 +853,31 @@ mod tests {
     /// That session's updates are all still answered, each exactly once —
     /// optimistically, its replica being gone; the other three sessions,
     /// planned by the same thread, keep verifying every update; and the
-    /// run ends long before its deadline.
+    /// run ends long before its deadline. With steady monitoring on (the
+    /// round-robin configuration), the same, and the lost session's steady
+    /// refreshes, answered with the table lost, raise no verdict.
     #[test]
     fn a_planner_panic_costs_its_session_the_proofs_and_nothing_else() {
         let dpids = vec![1, 2, PANIC_DPID, 4];
         let updates = 12u64;
-        let (cs, ps) = run(dpids.clone(), updates, 30_000_000_000);
-        assert!(!cs.deadlined, "the run hit its deadline");
-        assert_eq!(cs.acks.len() as u64, dpids.len() as u64 * updates);
-        assert_eq!(cs.alarms, 0);
-        assert_eq!(ps.len(), dpids.len());
-        for sess in ps.values() {
-            assert_eq!(
-                (sess.flowmods, sess.confirmed),
-                (updates, updates),
-                "dpid {}: every update answered exactly once",
-                sess.dpid
-            );
-            let verified = if sess.dpid == PANIC_DPID { 0 } else { updates };
-            assert_eq!(sess.verified, verified, "dpid {}", sess.dpid);
+        for steady in [None, Some(SteadyConfig::default())] {
+            let on = steady.is_some();
+            let (cs, ps) = run(dpids.clone(), updates, 30_000_000_000, steady);
+            assert!(!cs.deadlined, "steady {on}: the run hit its deadline");
+            assert_eq!(cs.acks.len() as u64, dpids.len() as u64 * updates);
+            assert_eq!(cs.alarms, 0);
+            assert_eq!(ps.len(), dpids.len());
+            for sess in ps.values() {
+                assert_eq!(
+                    (sess.flowmods, sess.confirmed),
+                    (updates, updates),
+                    "steady {on}, dpid {}: every update answered exactly once",
+                    sess.dpid
+                );
+                let verified = if sess.dpid == PANIC_DPID { 0 } else { updates };
+                assert_eq!(sess.verified, verified, "steady {on}, dpid {}", sess.dpid);
+                assert_eq!(sess.rules_failed, 0, "steady {on}, dpid {}", sess.dpid);
+            }
         }
     }
 
@@ -876,7 +889,7 @@ mod tests {
     fn a_switch_with_a_64_bit_datapath_id_verifies() {
         let dpid = 0x1_0000_0001;
         let updates = 4u64;
-        let (cs, ps) = run(vec![dpid], updates, 10_000_000_000);
+        let (cs, ps) = run(vec![dpid], updates, 10_000_000_000, None);
         assert!(!cs.deadlined, "the run hit its deadline");
         assert_eq!(cs.acks.len() as u64, updates);
         assert_eq!(cs.alarms, 0);
