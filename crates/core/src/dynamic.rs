@@ -431,17 +431,15 @@ impl DynamicMonitor {
     /// mode, planned at once on the monitor itself and queued for
     /// [`Self::attach_planned`] inline.
     fn request_plan(&mut self, token: u64, rule_id: RuleId, kind: PlanKind) {
-        match &mut self.engine {
-            Some(engine) => {
-                let plan = planner::plan(&self.table, engine, &self.catch, rule_id, &kind);
-                self.planned.push_back((token, plan.ok()));
-            }
-            None => self.steps.push(Step::Plan {
+        let Some(engine) = &mut self.engine else {
+            return self.steps.push(Step::Plan {
                 token,
                 rule_id,
                 kind,
-            }),
-        }
+            });
+        };
+        let plan = planner::plan(&self.table, engine, &self.catch, rule_id, &kind);
+        self.planned.push_back((token, plan.ok()));
     }
 
     /// Starts an update whose conflicts have cleared: applies it to the

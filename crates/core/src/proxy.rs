@@ -17,7 +17,6 @@ use crate::engine::{EngineStats, ProbeEngine};
 use crate::generator::{GenStats, GeneratorConfig, ProbeError};
 use crate::plan::{ProbePlan, STEADY_SEQ_BIT};
 use crate::planner::{Refreshed, Step};
-use crate::pool::monitorable;
 use crate::steady::{SteadyAction, SteadyConfig, SteadyMonitor};
 use monocle_openflow::flowmatch::packet_to_headervec;
 use monocle_openflow::table::IdHashMap;
@@ -400,11 +399,10 @@ impl MonitorProxy {
     /// one off until it lands ([`Self::refresh_steady_plans`]).
     fn take_due_refresh(&mut self) {
         let d = &self.dynamic;
-        if self.refresh_due && d.awaiting_plans() == 0 {
-            self.refresh_due = false;
-            if d.expected().version() != self.steady_version && d.in_flight() == 0 {
-                self.refresh_steady_plans();
-            }
+        let due = self.refresh_due && d.awaiting_plans() == 0;
+        self.refresh_due &= !due;
+        if due && d.expected().version() != self.steady_version && d.in_flight() == 0 {
+            self.refresh_steady_plans();
         }
     }
 
@@ -481,9 +479,6 @@ impl MonitorProxy {
             gone: self.held().collect(),
             ..Refreshed::default()
         });
-        let Some(steady) = self.steady.as_mut() else {
-            return;
-        };
         let mut unmonitorable_moved = false;
         for id in &refreshed.gone {
             unmonitorable_moved |= self.failures.remove(id).is_some();
@@ -501,17 +496,16 @@ impl MonitorProxy {
                 }
             };
         }
-        if steady.patch_plans(plans, &unplanned) || unmonitorable_moved {
+        let steady = self.steady.as_mut();
+        if steady.is_some_and(|s| s.patch_plans(plans, &unplanned)) || unmonitorable_moved {
             // The monitorable rules of the table the answer was planned on
             // either have a plan or are unmonitorable: those still in the
             // table in table order, then those removed since, by id.
             let table = self.dynamic.expected();
-            let mut removed: Vec<RuleId> = (self.failures.keys())
-                .filter(|id| table.get(**id).is_none())
-                .copied()
-                .collect();
+            let gone = |id: &&RuleId| table.get(**id).is_none();
+            let mut removed: Vec<RuleId> = self.failures.keys().filter(gone).copied().collect();
             removed.sort_unstable();
-            self.unmonitorable = (monitorable(table).map(|r| r.id).chain(removed))
+            self.unmonitorable = (crate::pool::monitorable(table).map(|r| r.id).chain(removed))
                 .filter_map(|id| Some((id, self.failures.get(&id)?.clone())))
                 .collect();
         }
