@@ -13,7 +13,7 @@
 //!   below, per the paper's construction) — each planned by the switch's one
 //!   warm planner: inline, by the monitor itself, on its expected table with
 //!   its own engine; deferred, by whoever replays its planning steps on a
-//!   [`Replica`] of their own ([`crate::planner`]);
+//!   [`crate::planner::Replica`] of their own;
 //! * §4.2 — concurrent updates: probes for non-overlapping updates proceed
 //!   in parallel; an update overlapping one in flight is queued until the
 //!   conflict clears (the paper's implementation policy), and so is one

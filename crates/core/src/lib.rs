@@ -20,7 +20,7 @@
 //! | §3.2/§3.4 DiffPorts/DiffRewrite, App. B Tables 3–4 | [`outcome`] |
 //! | §5.2 abstract→raw translation, spare values | [`generator`], `monocle-packet` |
 //! | plan cache + fast path in front of the generator (hot path) | [`engine`] |
-//! | §2 expected-state tracking, one warm planner per switch: the expected table, its engine and pins as one [`planner::Replica`]; the step stream that mirrors it | [`dynamic`], [`planner`] |
+//! | §2 expected-state tracking, one warm planner per switch: the expected table and pins, planned on by the monitor's own engine inline or by a [`planner::Replica`] replaying the step stream that mirrors it; update plans and steady refreshes alike | [`dynamic`], [`planner`] |
 //! | the sweep set; a serial job-batch shim (benchmark and tests only) | [`pool`] |
 //! | probe plans & semantic verification | [`plan`] |
 //! | §3 steady-state monitoring | [`steady`] |
