@@ -105,8 +105,10 @@ echo "== smoke: TCP transport loopback (small) =="
 
 echo "== perf baseline: TCP transport loopback (full sweep) =="
 # The committed baseline: proxied flow_mods/sec and confirmation RTT as the
-# switch-connection count grows 1..64 on one proxy event loop. The whole
-# sweep is install-latency-bound, not CPU-bound, so it stays sub-second.
+# switch-connection count grows 1..64 on one proxy event loop. Installs are
+# serial, so up to 8 switches the sweep is install-bound; from 16 on, the
+# 2 ms re-probing of every waiting update saturates the loops and the 32-
+# and 64-switch arms take tens of seconds (see the JSON's notes).
 ./target/release/transport_loopback --json BENCH_transport.json
 
 echo "== smoke: adaptive scheduler (small) =="

@@ -6,11 +6,13 @@
 //! its probe on the planner thread its switch is pinned to (on a replica of
 //! the switch's expected table), injects it as a PacketOut,
 //! absorbs the returning PacketIn and acks with a BarrierReply carrying
-//! the original xid. Switches apply rules only after `--install-latency-us`,
-//! so a single update's confirmation is latency-bound; scaling the switch
-//! count shows the event loop overlapping those waits — proxied
-//! flow_mods/sec should grow with connections on one I/O thread, no
-//! per-connection threads anywhere.
+//! the original xid. Each switch is `switchsim`'s model on the ideal
+//! profile with `--install-latency-us` as its per-rule install time; its
+//! install pipeline commits one rule at a time, so one switch confirms at
+//! most one update per install time and the updates sent to it queue.
+//! Scaling the switch count shows the event loop overlapping those
+//! pipelines — proxied flow_mods/sec should grow with connections on one
+//! I/O thread, no per-connection threads anywhere.
 //!
 //! Reported per arm: confirmed flow_mods/sec, probe confirmation RTT
 //! (p50/p95/max), probes injected, and verified/optimistic split.
@@ -18,7 +20,7 @@
 //! Usage: `transport_loopback [--switch-counts 1,2,4,8,...] [--updates N]
 //! [--install-latency-us U] [--pool-workers N] [--small] [--json PATH]`
 
-use monocle_net::{run_loopback, LoopbackConfig, LoopbackReport};
+use monocle_net::{run_loopback, LoopbackConfig, LoopbackReport, SwitchProfile};
 
 struct ArmResult {
     switches: usize,
@@ -116,7 +118,10 @@ fn main() {
         let cfg = LoopbackConfig {
             switches,
             updates_per_switch: updates,
-            install_latency_ns: install_latency_us * 1_000,
+            profile: SwitchProfile {
+                dataplane_install_time: install_latency_us * 1_000,
+                ..SwitchProfile::ideal()
+            },
             pool_workers,
             deadline_ns: 120_000_000_000,
         };
@@ -171,9 +176,21 @@ fn main() {
              per-switch Monocle monitors in deferred-planning mode, probe planning on \
              pool_workers planner threads, each switch pinned to one that keeps a replica \
              of its expected table (switch-pinned threads replaced a work-stealing engine \
-             pool here; compare rows from before that change with care); confirmations are \
-             install-latency-bound so fm/s \
-             scales with overlapping switch sessions, not CPU. The workload is disjoint /32 \
+             pool here; compare rows from before that change with care). Each switch is \
+             the switchsim model on the ideal profile with install_latency_us as its \
+             per-rule install time, committed one rule at a time, so a switch confirms at \
+             most one update per install time and fm/s scales with overlapping switch \
+             sessions, not CPU, up to about 8 switches. The proxy re-probes every \
+             unconfirmed update each 2 ms, and an update waits behind every install \
+             queued ahead of it, so probes per update grow with the queue. From 16 \
+             switches on, that probe traffic can saturate the loops on a 2-CPU host, and \
+             then lateness breeds more probes: those rows are bistable and differ by up \
+             to 40x between runs, and probes still in flight when such a run ends account \
+             for probes_returned < probes_injected there. Below that, the few missing \
+             returns are probes the table dropped before the default route committed. \
+             Rows from before the switch fleet became this model are not comparable: \
+             that fleet applied every FlowMod on its own timer after a fixed latency, in \
+             parallel. The workload is disjoint /32 \
              rules on an otherwise empty table (at most updates_per_switch + 1 rules, every \
              overlap neighborhood = the rule and the default route), so this sweep never \
              exercises table size: a change to the per-update O(table) work shows on the \

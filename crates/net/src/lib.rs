@@ -1,4 +1,8 @@
 //! Event-driven TCP runtime for the Monocle proxy.
+//!
+//! The loopback switch fleet ([`SwitchSim`]) runs `monocle_switchsim`'s
+//! switch model, so [`SwitchProfile`] and [`SwitchStats`] are re-exported
+//! for its callers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -13,5 +17,7 @@ pub mod timer;
 pub use conn::Connection;
 pub use event_loop::{ConnId, Driver, EventLoop, IoCtx, TransportEvent};
 pub use loopback::{run_loopback, LoopbackConfig, LoopbackReport};
+pub use monocle_switchsim::switch::SwitchStats;
+pub use monocle_switchsim::SwitchProfile;
 pub use proxy_app::{ProxyApp, ProxyAppConfig, SessionStats};
 pub use sim::{ControllerSim, ControllerSimConfig, SwitchSim, SwitchSimConfig};

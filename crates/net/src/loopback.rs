@@ -2,15 +2,18 @@
 //! on its own event-loop thread, connected over real TCP on 127.0.0.1.
 //!
 //! Used by the transport benchmark and `examples/tcp_proxy.rs`; the e2e
-//! test builds the same topology by hand to assert on wiring details.
+//! test builds the same topology by hand to assert on wiring details. Every
+//! switch of the fleet runs the same [`SwitchProfile`] (see [`crate::sim`]
+//! for the model: serial installs, the profile's barrier behaviour).
 
 use std::collections::HashMap;
 
+use monocle_switchsim::switch::SwitchStats;
+use monocle_switchsim::SwitchProfile;
+
 use crate::event_loop::EventLoop;
 use crate::proxy_app::{ProxyApp, ProxyAppConfig, SessionStats};
-use crate::sim::{
-    ControllerSim, ControllerSimConfig, ControllerStats, SwitchSim, SwitchSimConfig, SwitchSimStats,
-};
+use crate::sim::{ControllerSim, ControllerSimConfig, ControllerStats, SwitchSim, SwitchSimConfig};
 
 /// Parameters of a loopback deployment run.
 #[derive(Debug, Clone)]
@@ -19,8 +22,9 @@ pub struct LoopbackConfig {
     pub switches: usize,
     /// FlowMods the controller sends per switch.
     pub updates_per_switch: usize,
-    /// Simulated rule-installation latency on each switch.
-    pub install_latency_ns: u64,
+    /// Behaviour of every switch; its `dataplane_install_time` is the
+    /// per-rule install time of the serial install pipeline.
+    pub profile: SwitchProfile,
     /// The proxy's planner threads (`ProxyAppConfig::pool.workers`).
     pub pool_workers: usize,
     /// Controller gives up after this long.
@@ -32,7 +36,10 @@ impl Default for LoopbackConfig {
         Self {
             switches: 8,
             updates_per_switch: 20,
-            install_latency_ns: 2_000_000,
+            profile: SwitchProfile {
+                dataplane_install_time: 2_000_000,
+                ..SwitchProfile::ideal()
+            },
             pool_workers: 4,
             deadline_ns: 60_000_000_000,
         }
@@ -46,8 +53,8 @@ pub struct LoopbackReport {
     pub controller: ControllerStats,
     /// Proxy per-session counters (keyed by session id).
     pub proxy: HashMap<u64, SessionStats>,
-    /// Switch fleet counters.
-    pub switches: SwitchSimStats,
+    /// Switch counters by datapath id.
+    pub switches: HashMap<u64, SwitchStats>,
 }
 
 impl LoopbackReport {
@@ -93,8 +100,9 @@ pub fn run_loopback(cfg: &LoopbackConfig) -> std::io::Result<LoopbackReport> {
     let mut switch_loop = EventLoop::new()?;
     let mut fleet = SwitchSim::new(SwitchSimConfig {
         proxy_addr,
-        dpids: (1..=cfg.switches as u64).collect(),
-        install_latency_ns: cfg.install_latency_ns,
+        switches: (1..=cfg.switches as u64)
+            .map(|dpid| (dpid, cfg.profile.clone()))
+            .collect(),
     });
     let switch_stats = fleet.stats();
 

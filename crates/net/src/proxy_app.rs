@@ -797,6 +797,7 @@ mod tests {
     use crate::sim::{
         ControllerSim, ControllerSimConfig, ControllerStats, SwitchSim, SwitchSimConfig,
     };
+    use monocle_switchsim::SwitchProfile;
 
     /// Test-only fault injection: the planner panics while serving the
     /// session of this datapath, right after its stream starts.
@@ -828,10 +829,13 @@ mod tests {
         let proxy_stats = proxy.stats();
         let proxy_addr = proxy_loop.with_ctx(|ctx| proxy.start(ctx).unwrap());
         let mut switch_loop = EventLoop::new().unwrap();
+        let profile = SwitchProfile {
+            dataplane_install_time: 1_000_000,
+            ..SwitchProfile::ideal()
+        };
         let mut fleet = SwitchSim::new(SwitchSimConfig {
             proxy_addr,
-            dpids,
-            install_latency_ns: 1_000_000,
+            switches: dpids.into_iter().map(|d| (d, profile.clone())).collect(),
         });
         let threads = [
             std::thread::spawn(move || controller_loop.run(&mut controller).unwrap()),

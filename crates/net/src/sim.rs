@@ -8,27 +8,40 @@
 //!
 //! ## The simulated switch
 //!
-//! Each switch session owns a real [`FlowTable`] (`monocle_openflow`'s
-//! datapath model) and behaves as a *virtual catch-all neighbor*: a
-//! `PacketOut` whose action list outputs to [`PORT_TABLE`] is submitted to
-//! the flow table, and every frame the table emits on egress port `p` comes
-//! straight back to the proxy as a `PacketIn` with `in_port = p`. This
-//! models the paper's deployment where every neighbor of the probed switch
-//! carries a catching rule, collapsed onto a single control channel.
+//! [`SwitchSim`] is a TCP shell around [`SimSwitch`], the switch model the
+//! in-process [`monocle_switchsim::Network`] drives: one switch per datapath
+//! id, each with its own [`SwitchProfile`]. The shell keeps each switch's
+//! pending [`Effect`]s in time order, with the loop's `now_ns` as the
+//! switch's clock. On every message or timer it runs each due entry at its
+//! own virtual time, sends what leaves the switch, and arms one loop timer
+//! for the next entry; agent costs below the loop's millisecond timer
+//! resolution therefore add up in virtual time.
 //!
-//! FlowMods take effect only after a configurable install latency —
-//! mirroring the hundreds-of-microseconds-to-milliseconds rule-installation
-//! delay the paper measures on hardware — so probe-based confirmation is
-//! *latency-bound*, not CPU-bound, and many switch sessions overlap their
-//! waits on one event loop.
+//! Installs are serial, as on the paper's switches: the agent takes one
+//! message at a time at its profile's cost, then the install pipeline
+//! commits one rule per `dataplane_install_time`. The profile decides
+//! whether barriers are truthful or premature and whether installs are
+//! reordered; [`SwitchProfile::hp5406zl`] and [`SwitchProfile::pica8`] lie.
+//!
+//! Each switch is a *virtual catch-all neighbor*: a `PacketOut` that
+//! outputs to `PORT_TABLE` goes through the switch's own data plane, and
+//! every frame the data plane emits on port `p` comes straight back to the
+//! proxy as a `PacketIn` with `in_port = p`. This models the paper's
+//! deployment where every neighbor of the probed switch carries a catching
+//! rule, collapsed onto a single control channel.
+//!
+//! Messages a controller never sends a switch (`FeaturesReply`, `PacketIn`,
+//! `BarrierReply`, …) are outside input from the TCP peer: the shell drops
+//! them instead of handing them to the model.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 
-use monocle_openflow::flowmatch::{headervec_to_packet, packet_to_headervec};
-use monocle_openflow::messages::PORT_TABLE;
-use monocle_openflow::{Action, FlowMod, FlowTable, Match, OfMessage};
+use monocle_openflow::messages::PacketInReason;
+use monocle_openflow::{Action, FlowMod, Match, OfMessage};
+use monocle_switchsim::switch::{Effect, SwitchStats};
+use monocle_switchsim::{SimSwitch, SimTime, SwitchProfile};
 
 use crate::event_loop::{ConnId, Driver, IoCtx, TransportEvent};
 
@@ -37,52 +50,85 @@ use crate::event_loop::{ConnId, Driver, IoCtx, TransportEvent};
 pub struct SwitchSimConfig {
     /// Address of the proxy's switch-facing listener.
     pub proxy_addr: SocketAddr,
-    /// Datapath ids to connect (one TCP session each).
-    pub dpids: Vec<u64>,
-    /// Delay between receiving a FlowMod and it taking effect in the
-    /// datapath.
-    pub install_latency_ns: u64,
+    /// One switch (and TCP session) per entry: datapath id and profile.
+    pub switches: Vec<(u64, SwitchProfile)>,
 }
 
-#[derive(Debug, Default, Clone)]
-struct SwitchCounters {
-    flowmods: u64,
-    packet_outs: u64,
-    packet_ins: u64,
+/// One switch of the fleet and the effects it has yet to run.
+struct Shell {
+    conn: ConnId,
+    sw: SimSwitch,
+    /// Pending effects by `(time, arrival)`.
+    due: BTreeMap<(SimTime, u64), Effect>,
+    arrivals: u64,
+    /// Deadline of the earliest loop timer still armed for this switch.
+    armed: Option<SimTime>,
+    /// When a FlowMod carrying each cookie last committed to the data plane.
+    commits: HashMap<u64, SimTime>,
 }
 
-/// Aggregate counters of a [`SwitchSim`] run.
-#[derive(Debug, Default, Clone)]
-pub struct SwitchSimStats {
-    /// FlowMods received (after the proxy), per dpid.
-    pub flowmods: HashMap<u64, u64>,
-    /// PacketOuts received, per dpid.
-    pub packet_outs: HashMap<u64, u64>,
-    /// PacketIns emitted, per dpid.
-    pub packet_ins: HashMap<u64, u64>,
+impl Shell {
+    fn push(&mut self, effects: Vec<Effect>) {
+        for effect in effects {
+            let at = match effect {
+                Effect::WakeAgentAt(at) | Effect::InstallTickAt(at) => at,
+                Effect::ToController { at, .. } | Effect::EmitFrame { at, .. } => at,
+            };
+            self.arrivals += 1;
+            self.due.insert((at, self.arrivals), effect);
+        }
+    }
+
+    /// Runs every entry due by now at its own time, sends what leaves the
+    /// switch, and arms timer `token` for the next entry.
+    fn run_due(&mut self, ctx: &mut IoCtx<'_>, token: u64) {
+        let now = ctx.now_ns();
+        self.armed = self.armed.filter(|&t| t > now);
+        while let Some(entry) = self.due.first_entry().filter(|e| e.key().0 <= now) {
+            let ((at, _), effect) = entry.remove_entry();
+            let (msg, xid) = match effect {
+                Effect::WakeAgentAt(_) => {
+                    let fx = self.sw.agent_step(at);
+                    self.push(fx);
+                    continue;
+                }
+                Effect::InstallTickAt(_) => {
+                    if let Some(fm) = self.sw.next_commit() {
+                        self.commits.insert(fm.cookie, at);
+                    }
+                    let fx = self.sw.install_tick(at);
+                    self.push(fx);
+                    continue;
+                }
+                Effect::ToController { msg, xid, .. } => (msg, xid),
+                Effect::EmitFrame { port, frame, .. } => {
+                    let packet_in = OfMessage::PacketIn {
+                        buffer_id: 0xffff_ffff,
+                        in_port: port,
+                        reason: PacketInReason::Action,
+                        data: frame,
+                    };
+                    (packet_in, 0)
+                }
+            };
+            let _ = ctx.send(self.conn, &msg, xid);
+        }
+        if let Some(&(next, _)) = self.due.keys().next() {
+            if self.armed.is_none_or(|t| next < t) {
+                ctx.schedule_at(next, token);
+                self.armed = Some(next);
+            }
+        }
+    }
 }
 
-struct SwitchSession {
-    dpid: u64,
-    table: FlowTable,
-    /// FlowMods whose install latency has not elapsed yet.
-    pending_installs: usize,
-    /// Barrier xids queued behind pending installs (truthful barriers).
-    queued_barriers: Vec<u32>,
-    counters: SwitchCounters,
-}
-
-/// Driver simulating `dpids.len()` switches, one TCP session each.
+/// Driver simulating a fleet of switches, one TCP session each; the index
+/// of a switch in [`SwitchSimConfig::switches`] is its timer token.
 pub struct SwitchSim {
     cfg: SwitchSimConfig,
-    sessions: HashMap<ConnId, SwitchSession>,
-    /// conn -> dpid for connections not yet `Connected`.
-    dialing: HashMap<ConnId, u64>,
-    /// timer token -> (conn, delayed FlowMod).
-    installs: HashMap<u64, (ConnId, FlowMod)>,
-    next_install: u64,
-    opened: usize,
-    stats: Arc<Mutex<SwitchSimStats>>,
+    shells: Vec<Shell>,
+    by_conn: HashMap<ConnId, usize>,
+    stats: Arc<Mutex<HashMap<u64, SwitchStats>>>,
 }
 
 impl SwitchSim {
@@ -90,167 +136,91 @@ impl SwitchSim {
     pub fn new(cfg: SwitchSimConfig) -> Self {
         Self {
             cfg,
-            sessions: HashMap::new(),
-            dialing: HashMap::new(),
-            installs: HashMap::new(),
-            next_install: 0,
-            opened: 0,
-            stats: Arc::new(Mutex::new(SwitchSimStats::default())),
+            shells: Vec::new(),
+            by_conn: HashMap::new(),
+            stats: Arc::new(Mutex::new(HashMap::new())),
         }
     }
 
-    /// Shared handle to the run counters.
-    pub fn stats(&self) -> Arc<Mutex<SwitchSimStats>> {
+    /// Shared handle to each switch's counters by datapath id, filled in
+    /// when its session closes.
+    pub fn stats(&self) -> Arc<Mutex<HashMap<u64, SwitchStats>>> {
         Arc::clone(&self.stats)
     }
 
-    /// Dials one connection per configured dpid.
+    /// Dials one connection per configured switch.
     pub fn start(&mut self, ctx: &mut IoCtx<'_>) -> std::io::Result<()> {
-        for dpid in self.cfg.dpids.clone() {
+        for (i, (dpid, profile)) in self.cfg.switches.iter().enumerate() {
             let conn = ctx.connect(self.cfg.proxy_addr)?;
-            self.dialing.insert(conn, dpid);
+            let mut sw = SimSwitch::new(i, profile.clone(), (1..=8).collect());
+            sw.datapath_id = *dpid;
+            self.by_conn.insert(conn, i);
+            self.shells.push(Shell {
+                conn,
+                sw,
+                due: BTreeMap::new(),
+                arrivals: 0,
+                armed: None,
+                commits: HashMap::new(),
+            });
         }
         Ok(())
     }
 
-    fn on_switch_msg(&mut self, ctx: &mut IoCtx<'_>, conn: ConnId, msg: OfMessage, xid: u32) {
-        let Some(sess) = self.sessions.get_mut(&conn) else {
-            return;
-        };
-        match msg {
-            OfMessage::Hello => {}
-            OfMessage::FeaturesRequest => {
-                let _ = ctx.send(
-                    conn,
-                    &OfMessage::FeaturesReply {
-                        datapath_id: sess.dpid,
-                        n_tables: 1,
-                        ports: (1..=8).collect(),
-                    },
-                    xid,
-                );
-            }
-            OfMessage::EchoRequest(data) => {
-                let _ = ctx.send(conn, &OfMessage::EchoReply(data), xid);
-            }
-            OfMessage::FlowMod(fm) => {
-                sess.counters.flowmods += 1;
-                if self.cfg.install_latency_ns == 0 {
-                    let _ = sess.table.apply(&fm);
-                } else {
-                    sess.pending_installs += 1;
-                    let token = self.next_install;
-                    self.next_install += 1;
-                    self.installs.insert(token, (conn, fm));
-                    ctx.schedule_in(self.cfg.install_latency_ns, token);
-                }
-            }
-            OfMessage::BarrierRequest => {
-                if sess.pending_installs == 0 {
-                    let _ = ctx.send(conn, &OfMessage::BarrierReply, xid);
-                } else {
-                    sess.queued_barriers.push(xid);
-                }
-            }
-            OfMessage::PacketOut {
-                in_port,
-                actions,
-                data,
-            } => {
-                sess.counters.packet_outs += 1;
-                if !actions.contains(&Action::Output(PORT_TABLE)) {
-                    return;
-                }
-                for packet_in in datapath_packet_ins(&sess.table, in_port, &data) {
-                    sess.counters.packet_ins += 1;
-                    let _ = ctx.send(conn, &packet_in, xid);
-                }
-            }
-            _ => {}
-        }
+    /// The switch with datapath id `dpid`.
+    pub fn switch(&self, dpid: u64) -> Option<&SimSwitch> {
+        self.shells
+            .iter()
+            .map(|s| &s.sw)
+            .find(|sw| sw.datapath_id == dpid)
     }
 
-    fn finish_install(&mut self, ctx: &mut IoCtx<'_>, token: u64) {
-        let Some((conn, fm)) = self.installs.remove(&token) else {
-            return;
-        };
-        let Some(sess) = self.sessions.get_mut(&conn) else {
-            return;
-        };
-        let _ = sess.table.apply(&fm);
-        sess.pending_installs -= 1;
-        if sess.pending_installs == 0 {
-            for xid in std::mem::take(&mut sess.queued_barriers) {
-                let _ = ctx.send(conn, &OfMessage::BarrierReply, xid);
-            }
-        }
+    /// Loop time at which the last FlowMod carrying `cookie` committed to
+    /// the data plane of switch `dpid`.
+    pub fn committed_at(&self, dpid: u64, cookie: u64) -> Option<u64> {
+        let shell = self.shells.iter().find(|s| s.sw.datapath_id == dpid)?;
+        shell.commits.get(&cookie).copied()
     }
-
-    fn teardown(&mut self, ctx: &mut IoCtx<'_>, conn: ConnId) {
-        if let Some(sess) = self.sessions.remove(&conn) {
-            let mut stats = self.stats.lock().unwrap();
-            stats.flowmods.insert(sess.dpid, sess.counters.flowmods);
-            stats
-                .packet_outs
-                .insert(sess.dpid, sess.counters.packet_outs);
-            stats.packet_ins.insert(sess.dpid, sess.counters.packet_ins);
-        }
-        self.dialing.remove(&conn);
-        if self.opened > 0 && self.sessions.is_empty() && self.dialing.is_empty() {
-            ctx.stop();
-        }
-    }
-}
-
-/// The virtual catch-all neighbor: submits the frame of a `PacketOut` to
-/// `table` on `in_port` and returns one `PacketIn` per egress leg, with
-/// `in_port` = the egress port (ECMP picks leg 0, deterministically, matching
-/// the expected table the proxy plans against). Unparseable frames, table
-/// misses and drops yield nothing.
-pub fn datapath_packet_ins(table: &FlowTable, in_port: u16, data: &[u8]) -> Vec<OfMessage> {
-    let Ok((fields, payload)) = monocle_packet::parse_packet(data) else {
-        return Vec::new();
-    };
-    let hdr = packet_to_headervec(in_port, &fields);
-    table
-        .process(&hdr, 0)
-        .into_iter()
-        .filter_map(|(port, out_hdr)| {
-            let frame =
-                monocle_packet::craft_packet(&headervec_to_packet(&out_hdr), &payload).ok()?;
-            Some(OfMessage::PacketIn {
-                buffer_id: 0xffff_ffff,
-                in_port: port,
-                reason: monocle_openflow::messages::PacketInReason::Action,
-                data: frame,
-            })
-        })
-        .collect()
 }
 
 impl Driver for SwitchSim {
     fn handle(&mut self, ctx: &mut IoCtx<'_>, ev: TransportEvent) {
         match ev {
-            TransportEvent::Connected { conn } => {
-                if let Some(dpid) = self.dialing.remove(&conn) {
-                    self.opened += 1;
-                    self.sessions.insert(
-                        conn,
-                        SwitchSession {
-                            dpid,
-                            table: FlowTable::new(),
-                            pending_installs: 0,
-                            queued_barriers: Vec::new(),
-                            counters: SwitchCounters::default(),
-                        },
-                    );
+            TransportEvent::Message { conn, msg, xid } => {
+                let Some(&i) = self.by_conn.get(&conn) else {
+                    return;
+                };
+                let shell = &mut self.shells[i];
+                let modeled = matches!(
+                    msg,
+                    OfMessage::Hello
+                        | OfMessage::FeaturesRequest
+                        | OfMessage::EchoRequest(_)
+                        | OfMessage::FlowMod(_)
+                        | OfMessage::PacketOut { .. }
+                        | OfMessage::BarrierRequest
+                );
+                if modeled {
+                    let fx = shell.sw.enqueue_ctrl(ctx.now_ns(), msg, xid);
+                    shell.push(fx);
+                }
+                shell.run_due(ctx, i as u64);
+            }
+            TransportEvent::Timer { token } => {
+                if let Some(shell) = self.shells.get_mut(token as usize) {
+                    shell.run_due(ctx, token);
                 }
             }
-            TransportEvent::Message { conn, msg, xid } => {
-                self.on_switch_msg(ctx, conn, msg, xid);
+            TransportEvent::Closed { conn } => {
+                if let Some(i) = self.by_conn.remove(&conn) {
+                    let sw = &self.shells[i].sw;
+                    let mut stats = self.stats.lock().expect("no holder of the stats panics");
+                    stats.insert(sw.datapath_id, sw.stats);
+                    if self.by_conn.is_empty() {
+                        ctx.stop();
+                    }
+                }
             }
-            TransportEvent::Timer { token } => self.finish_install(ctx, token),
-            TransportEvent::Closed { conn } => self.teardown(ctx, conn),
             _ => {}
         }
     }

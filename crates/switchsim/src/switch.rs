@@ -2,7 +2,8 @@
 //!
 //! A [`SimSwitch`] is a passive state machine; the [`crate::Network`] event
 //! loop drives it and translates returned [`Effect`]s into scheduled events.
-//! The split mirrors a real OpenFlow switch:
+//! `monocle_net::sim::SwitchSim` drives the same model over TCP, one switch
+//! per datapath id. The split mirrors a real OpenFlow switch:
 //!
 //! * the **agent** (switch CPU) decodes controller messages and processes
 //!   them serially, each message type with its profile-derived cost — this
@@ -14,11 +15,14 @@
 //!   as soon as the agent has seen the barrier (\[16\]); Pica8-style switches
 //!   additionally commit pending rules highest-priority-first instead of in
 //!   arrival order;
-//! * the **data plane** is a [`FlowTable`] processing real frames.
+//! * the **data plane** is a [`FlowTable`] processing real frames, from
+//!   links or from a `PacketOut` that outputs to `PORT_TABLE` (submitted
+//!   on the PacketOut's `in_port`, as OpenFlow 1.0 specifies).
 
 use crate::profile::SwitchProfile;
 use crate::SimTime;
 use monocle_openflow::flowmatch::{headervec_to_packet, packet_to_headervec};
+use monocle_openflow::messages::PORT_TABLE;
 use monocle_openflow::{action, FlowMod, FlowTable, HeaderVec, OfMessage, PortNo, RuleId};
 use monocle_packet::{parse_packet, validate_packet};
 
@@ -230,21 +234,30 @@ impl SimSwitch {
                 }
             }
             OfMessage::PacketOut {
-                in_port: _,
+                in_port,
                 actions,
                 data,
             } => {
                 finish = start + self.profile.packetout_cost;
                 self.stats.packetouts += 1;
                 // Apply the action list to the frame (probes use a single
-                // Output; rewrites are honored for completeness).
+                // Output; rewrites are honored for completeness). An output
+                // to `PORT_TABLE` submits the frame to this switch's own
+                // data plane as if it had arrived on the PacketOut's
+                // `in_port` (OpenFlow 1.0); it sees the table as it stands
+                // when the agent takes the PacketOut.
                 match parse_packet(&data) {
                     Ok((fields, payload)) => {
                         let hdr = packet_to_headervec(0, &fields);
                         if let Ok(fwd) = action::Forwarding::compile(&actions) {
                             for leg in &fwd.legs {
                                 let out_hdr = leg.rewrite.apply(&hdr);
-                                if let Some(frame) = reframe(&data, &hdr, &out_hdr, &payload) {
+                                let Some(frame) = reframe(&data, &hdr, &out_hdr, &payload) else {
+                                    continue;
+                                };
+                                if leg.port == PORT_TABLE {
+                                    effects.extend(self.handle_frame(finish, in_port, &frame, 0));
+                                } else {
                                     effects.push(Effect::EmitFrame {
                                         port: leg.port,
                                         frame,
@@ -288,11 +301,35 @@ impl SimSwitch {
                 panic!("switch {} received unexpected {}", self.id, other.kind());
             }
         }
-        self.agent_busy_until = finish;
+        // `max`: a PacketOut run through the data plane may have stalled the
+        // agent past `finish` (PacketIn interference).
+        self.agent_busy_until = self.agent_busy_until.max(finish);
         if !self.inbox.is_empty() {
             effects.push(Effect::WakeAgentAt(finish));
         }
         effects
+    }
+
+    /// Index in `pending` of the install the next tick commits.
+    fn next_install(&self) -> usize {
+        if !self.profile.reorders_installs {
+            return 0;
+        }
+        // Pica8: highest priority first (\[16\]); ties by arrival.
+        let mut best = 0;
+        for i in 1..self.pending.len() {
+            let (bp, bo) = (self.pending[best].flow_mod.priority, self.pending[best].op);
+            let (ip, io) = (self.pending[i].flow_mod.priority, self.pending[i].op);
+            if (ip, std::cmp::Reverse(io)) > (bp, std::cmp::Reverse(bo)) {
+                best = i;
+            }
+        }
+        best
+    }
+
+    /// The FlowMod the next [`SimSwitch::install_tick`] commits, if any.
+    pub fn next_commit(&self) -> Option<&FlowMod> {
+        self.pending.get(self.next_install()).map(|p| &p.flow_mod)
     }
 
     /// Commits one pending install (ordering per profile) and reschedules.
@@ -302,21 +339,7 @@ impl SimSwitch {
         if self.pending.is_empty() {
             return effects;
         }
-        let idx = if self.profile.reorders_installs {
-            // Pica8: highest priority first (\[16\]); ties by arrival.
-            let mut best = 0;
-            for i in 1..self.pending.len() {
-                let (bp, bo) = (self.pending[best].flow_mod.priority, self.pending[best].op);
-                let (ip, io) = (self.pending[i].flow_mod.priority, self.pending[i].op);
-                if (ip, std::cmp::Reverse(io)) > (bp, std::cmp::Reverse(bo)) {
-                    best = i;
-                }
-            }
-            best
-        } else {
-            0
-        };
-        let PendingInstall { op, flow_mod } = self.pending.remove(idx);
+        let PendingInstall { op, flow_mod } = self.pending.remove(self.next_install());
         if self.swallow_installs > 0 {
             // Swallowed: the pipeline "completes" (barriers fire) but the
             // data plane never changes.
@@ -641,6 +664,31 @@ mod tests {
             }
         }
         assert_eq!(sw.dataplane().len(), 2);
+    }
+
+    #[test]
+    fn packet_out_to_table_runs_the_dataplane_at_its_in_port() {
+        let mut sw = mk_switch(SwitchProfile::ideal());
+        sw.dataplane_mut()
+            .add_rule(5, Match::any().with_in_port(2), vec![Action::Output(3)])
+            .unwrap();
+        let probe = |in_port| OfMessage::PacketOut {
+            in_port,
+            actions: vec![Action::Output(PORT_TABLE)],
+            data: frame([10, 0, 0, 1]),
+        };
+        sw.enqueue_ctrl(0, probe(2), 1);
+        let fx = sw.agent_step(0);
+        assert!(
+            matches!(&fx[..], [Effect::EmitFrame { port: 3, .. }]),
+            "{fx:?}"
+        );
+        // Another ingress port misses the rule: nothing leaves.
+        let fx = sw.enqueue_ctrl(1_000_000, probe(1), 2);
+        assert!(drain(&mut sw, fx).is_empty());
+        assert_eq!(sw.stats.packetouts, 2);
+        assert_eq!(sw.stats.frames_processed, 2);
+        assert_eq!(sw.stats.frames_dropped, 1);
     }
 
     #[test]

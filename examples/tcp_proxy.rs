@@ -9,9 +9,11 @@
 //!   per-switch monitors in deferred-planning mode, probe planning on
 //!   planner threads that each keep a replica of their switches' expected
 //!   tables,
-//! * a switch fleet applying rules only after a simulated install latency
-//!   and bouncing probe PacketOuts back as PacketIns (virtual catch-all
-//!   neighbor).
+//! * a switch fleet: `switchsim`'s switch model behind a TCP shell, one
+//!   switch per datapath id on the ideal profile with a 2 ms per-rule
+//!   install time. Installs are serial, barriers truthful, and probe
+//!   PacketOuts run through the switch's data plane and come back as
+//!   PacketIns (virtual catch-all neighbor).
 //!
 //! Run with: `cargo run --release --example tcp_proxy [switches] [updates]`
 
@@ -25,12 +27,10 @@ fn main() {
     let cfg = LoopbackConfig {
         switches,
         updates_per_switch: updates,
-        install_latency_ns: 2_000_000,
-        pool_workers: 4,
-        deadline_ns: 60_000_000_000,
+        ..LoopbackConfig::default()
     };
     println!(
-        "tcp_proxy: {switches} switches x {updates} updates, 2ms install latency, \
+        "tcp_proxy: {switches} switches x {updates} updates, 2ms serial installs, \
          proxy on one event loop\n"
     );
 
