@@ -580,7 +580,6 @@ fn acl_script_over_tcp_on_pica8_barriers_lie_acks_do_not() {
 struct OddPeer {
     fleet: SwitchSim,
     peer: Option<ConnId>,
-    dpid: u64,
     barrier_replied: bool,
 }
 
@@ -643,7 +642,6 @@ fn switch_bound_odd_messages_never_panic_the_fleet() {
                 switches: vec![(dpid, SwitchProfile::ideal())],
             }),
             peer: None,
-            dpid,
             barrier_replied: false,
         };
         ev_loop.with_ctx(|ctx| peer.fleet.start(ctx).unwrap());
@@ -652,7 +650,7 @@ fn switch_bound_odd_messages_never_panic_the_fleet() {
     });
     let peer = fleet_thread.join().expect("the fleet thread panicked");
     assert!(peer.barrier_replied, "the fleet stopped answering");
-    let sw = peer.fleet.switch(peer.dpid).unwrap();
+    let sw = peer.fleet.switch(dpid).unwrap();
     assert_eq!(sw.stats.flowmods_processed, 1);
     assert_eq!(
         sw.dataplane().len(),
