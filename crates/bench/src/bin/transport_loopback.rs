@@ -20,7 +20,7 @@
 //! Usage: `transport_loopback [--switch-counts 1,2,4,8,...] [--updates N]
 //! [--install-latency-us U] [--pool-workers N] [--small] [--json PATH]`
 
-use monocle_net::{run_loopback, LoopbackConfig, LoopbackReport, SwitchProfile};
+use monocle_net::{run_loopback, LoopbackConfig, LoopbackReport};
 
 struct ArmResult {
     switches: usize,
@@ -118,10 +118,7 @@ fn main() {
         let cfg = LoopbackConfig {
             switches,
             updates_per_switch: updates,
-            profile: SwitchProfile {
-                dataplane_install_time: install_latency_us * 1_000,
-                ..SwitchProfile::ideal()
-            },
+            install_time_ns: install_latency_us * 1_000,
             pool_workers,
             deadline_ns: 120_000_000_000,
         };

@@ -3,8 +3,9 @@
 //!
 //! Used by the transport benchmark and `examples/tcp_proxy.rs`; the e2e
 //! test builds the same topology by hand to assert on wiring details. Every
-//! switch of the fleet runs the same [`SwitchProfile`] (see [`crate::sim`]
-//! for the model: serial installs, the profile's barrier behaviour).
+//! switch of the fleet is the ideal [`SwitchProfile`] with the configured
+//! per-rule install time (see [`crate::sim`] for the model: serial
+//! installs, truthful barriers).
 
 use std::collections::HashMap;
 
@@ -22,9 +23,8 @@ pub struct LoopbackConfig {
     pub switches: usize,
     /// FlowMods the controller sends per switch.
     pub updates_per_switch: usize,
-    /// Behaviour of every switch; its `dataplane_install_time` is the
-    /// per-rule install time of the serial install pipeline.
-    pub profile: SwitchProfile,
+    /// Per-rule install time of every switch's serial install pipeline, ns.
+    pub install_time_ns: u64,
     /// The proxy's planner threads (`ProxyAppConfig::pool.workers`).
     pub pool_workers: usize,
     /// Controller gives up after this long.
@@ -36,10 +36,7 @@ impl Default for LoopbackConfig {
         Self {
             switches: 8,
             updates_per_switch: 20,
-            profile: SwitchProfile {
-                dataplane_install_time: 2_000_000,
-                ..SwitchProfile::ideal()
-            },
+            install_time_ns: 2_000_000,
             pool_workers: 4,
             deadline_ns: 60_000_000_000,
         }
@@ -98,10 +95,14 @@ pub fn run_loopback(cfg: &LoopbackConfig) -> std::io::Result<LoopbackReport> {
     let proxy_addr = proxy_loop.with_ctx(|ctx| proxy.start(ctx))?;
 
     let mut switch_loop = EventLoop::new()?;
+    let profile = SwitchProfile {
+        dataplane_install_time: cfg.install_time_ns,
+        ..SwitchProfile::ideal()
+    };
     let mut fleet = SwitchSim::new(SwitchSimConfig {
         proxy_addr,
         switches: (1..=cfg.switches as u64)
-            .map(|dpid| (dpid, cfg.profile.clone()))
+            .map(|dpid| (dpid, profile.clone()))
             .collect(),
     });
     let switch_stats = fleet.stats();

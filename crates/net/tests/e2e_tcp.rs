@@ -402,10 +402,9 @@ impl Driver for ScriptedEndpoints {
 /// 300 ACL rules with real overlap are loaded through the proxy onto a
 /// switch with `profile`, then a third of them are strictly deleted,
 /// re-added and modified, with eight updates outstanding so overlapping
-/// ones queue behind each other. The same things hold on every profile,
-/// truthful or not; returns how many passthrough BarrierReplies came back
-/// before their FlowMod committed.
-fn acl_script_over_tcp(profile: SwitchProfile) -> usize {
+/// ones queue behind each other. Asserts what holds on every profile,
+/// truthful or not, and returns what the acks and barriers showed.
+fn acl_script_over_tcp(profile: SwitchProfile) -> AclRun {
     use monocle_datasets::acl::{generate, AclConfig};
     let name = profile.name;
     let rules = generate(&AclConfig {
@@ -437,8 +436,9 @@ fn acl_script_over_tcp(profile: SwitchProfile) -> usize {
     // The model: the proxy's preinstalled default route, then the script in
     // order (strict operations on different rules commute, and the proxy
     // keeps operations on one rule in order). On the way, mark the updates
-    // whose confirming outcome may be a drop: a drop rule's add, or the
-    // delete of a rule over a lower-priority drop rule.
+    // whose confirming outcome may be a drop, which the proxy confirms by
+    // silence (§3.3): a drop rule's add, or the delete of a rule over a
+    // lower-priority drop rule.
     let mut model = FlowTable::new();
     model
         .add_rule(1, Match::any(), vec![Action::Output(2)])
@@ -512,21 +512,10 @@ fn acl_script_over_tcp(profile: SwitchProfile) -> usize {
         "{name}: only {} of {n} updates were probe-verified",
         sess.verified
     );
-    // A verified ack never precedes the commit it vouches for; only the
-    // optimistic acks (nothing to probe) may. The proxy confirms an update
-    // whose confirming outcome is a drop by silence (§3.3: no contrary
-    // probe for 12 ms), and a switch agent that holds probes behind slow
-    // FlowMods fakes that silence: those acks are counted apart.
     let before_commit = |at: &[u64], i: usize| at[i] < report.installed_at[i];
-    let (silent_early, early): (Vec<usize>, Vec<usize>) = (0..n)
+    let early_acks: Vec<usize> = (0..n)
         .filter(|&i| before_commit(&report.acked_at, i))
-        .partition(|&i| silent[i]);
-    assert!(
-        early.len() as u64 <= sess.confirmed - sess.verified,
-        "{name}: {} observable acks before commit, {} optimistic",
-        early.len(),
-        sess.confirmed - sess.verified
-    );
+        .collect();
     // The datapath ended where the script says.
     let rows = |t: &FlowTable| {
         let mut rows: Vec<String> = t
@@ -542,37 +531,95 @@ fn acl_script_over_tcp(profile: SwitchProfile) -> usize {
         report.barrier_at.iter().all(|&t| t > 0),
         "{name}: a barrier went unanswered"
     );
-    let early_barriers = (0..n)
-        .filter(|&i| before_commit(&report.barrier_at, i))
-        .count();
+    let run = AclRun {
+        name,
+        optimistic: sess.confirmed - sess.verified,
+        early_acks: early_acks.len(),
+        early_silent: early_acks.iter().filter(|&&i| silent[i]).count(),
+        early_barriers: (0..n)
+            .filter(|&i| before_commit(&report.barrier_at, i))
+            .count(),
+    };
     eprintln!(
-        "{name}: {n} updates, {} optimistic, {} other acks before commit, {} silence-confirmed \
-         ({} before commit), {early_barriers} barrier replies before commit",
-        sess.confirmed - sess.verified,
-        early.len(),
+        "{name}: {n} updates, {} optimistic, {} acks before commit ({} of {} silence-confirmed \
+         ones), {} barrier replies before commit",
+        run.optimistic,
+        run.early_acks,
+        run.early_silent,
         silent.iter().filter(|&&s| s).count(),
-        silent_early.len()
+        run.early_barriers
     );
-    early_barriers
+    run
+}
+
+/// What the acks and the passthrough barriers of one ACL run showed.
+struct AclRun {
+    name: &'static str,
+    /// Acks given with nothing to probe.
+    optimistic: u64,
+    /// Updates acked before the switch committed them.
+    early_acks: usize,
+    /// Of those, the ones the proxy confirmed by silence.
+    early_silent: usize,
+    /// Passthrough BarrierReplies that came back before their FlowMod
+    /// committed (the control arm).
+    early_barriers: usize,
+}
+
+impl AclRun {
+    /// A verified ack never precedes the commit it vouches for; only the
+    /// optimistic acks (nothing to probe) may.
+    fn assert_no_verified_ack_precedes_its_commit(&self) {
+        assert!(
+            self.early_acks as u64 <= self.optimistic,
+            "{}: {} acks before commit ({} confirmed by silence), {} optimistic",
+            self.name,
+            self.early_acks,
+            self.early_silent,
+            self.optimistic
+        );
+    }
 }
 
 #[test]
 fn acl_table_delete_readd_modify_over_tcp() {
-    acl_script_over_tcp(SwitchProfile::ideal());
+    acl_script_over_tcp(SwitchProfile::ideal()).assert_no_verified_ack_precedes_its_commit();
 }
 
 /// HP 5406zl answers barriers before its TCAM commits (\[16\]): a controller
 /// trusting the passthrough BarrierReplies sees rules that are not there
-/// yet; the proxy's acks still wait for proof.
+/// yet, so the commit-time check below can fail.
 #[test]
-fn acl_script_over_tcp_on_hp5406zl_barriers_lie_acks_do_not() {
-    assert!(acl_script_over_tcp(SwitchProfile::hp5406zl()) > 0);
+fn acl_script_over_tcp_on_hp5406zl_barriers_lie() {
+    assert!(acl_script_over_tcp(SwitchProfile::hp5406zl()).early_barriers > 0);
 }
 
 /// Pica8 answers barriers early and reorders installs by priority.
 #[test]
-fn acl_script_over_tcp_on_pica8_barriers_lie_acks_do_not() {
-    assert!(acl_script_over_tcp(SwitchProfile::pica8()) > 0);
+fn acl_script_over_tcp_on_pica8_barriers_lie() {
+    assert!(acl_script_over_tcp(SwitchProfile::pica8()).early_barriers > 0);
+}
+
+/// Known defect: silence is no proof on HP 5406zl. Its agent takes a
+/// FlowMod in 3.3 ms, so with eight updates outstanding a probe PacketOut
+/// waits behind them longer than the proxy's 12 ms silence window, and
+/// about 90 of the 115 updates the proxy confirms by silence are acked
+/// before they commit.
+#[test]
+#[ignore = "fails: silence-confirmed acks precede their commit (ROADMAP item 4)"]
+fn acl_script_over_tcp_on_hp5406zl_acks_do_not_precede_commits() {
+    acl_script_over_tcp(SwitchProfile::hp5406zl()).assert_no_verified_ack_precedes_its_commit();
+}
+
+/// Known defect: silence is no proof on Pica8. Highest-priority-first
+/// commits starve the proxy's priority-1 default route until the install
+/// queue drains, so until then the old state drops probes too, and about
+/// 90 of the 115 updates the proxy confirms by silence are acked before
+/// they commit.
+#[test]
+#[ignore = "fails: silence-confirmed acks precede their commit (ROADMAP item 4)"]
+fn acl_script_over_tcp_on_pica8_acks_do_not_precede_commits() {
+    acl_script_over_tcp(SwitchProfile::pica8()).assert_no_verified_ack_precedes_its_commit();
 }
 
 /// Plays the proxy toward a fleet of one: after the handshake it sends the
