@@ -606,7 +606,7 @@ fn acl_script_over_tcp_on_pica8_barriers_lie() {
 /// about 90 of the 115 updates the proxy confirms by silence are acked
 /// before they commit.
 #[test]
-#[ignore = "fails: silence-confirmed acks precede their commit (ROADMAP item 4)"]
+#[ignore = "known defect: silence-confirmed acks precede their commit here"]
 fn acl_script_over_tcp_on_hp5406zl_acks_do_not_precede_commits() {
     acl_script_over_tcp(SwitchProfile::hp5406zl()).assert_no_verified_ack_precedes_its_commit();
 }
@@ -617,7 +617,7 @@ fn acl_script_over_tcp_on_hp5406zl_acks_do_not_precede_commits() {
 /// 90 of the 115 updates the proxy confirms by silence are acked before
 /// they commit.
 #[test]
-#[ignore = "fails: silence-confirmed acks precede their commit (ROADMAP item 4)"]
+#[ignore = "known defect: silence-confirmed acks precede their commit here"]
 fn acl_script_over_tcp_on_pica8_acks_do_not_precede_commits() {
     acl_script_over_tcp(SwitchProfile::pica8()).assert_no_verified_ack_precedes_its_commit();
 }
