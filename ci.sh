@@ -82,6 +82,12 @@ bench_checked --workload plan_tables --seed 1 --seconds 15 --trace 0
 # change log; only a full-size detection run drives that path through enough
 # churn for a missed log entry to show as a stale plan or a wrong verdict.
 bench_checked --workload detect_breakage --seed 1 --seconds 15 --trace 0
+# The proxy's own barrier replies race its acks: each reply re-probes the
+# updates it covers and opens their silence window. The smoke run has too few
+# updates for that race to show; at full size (64 outstanding, ~50 k updates)
+# the run's checks see any ack before its install (early_acks), a missing,
+# duplicate or stray ack, and any datapath/model mismatch.
+bench_checked --workload tcp_small_table --seed 1 --seconds 15 --trace 0
 mv "$lock_snapshot" benchmark/Cargo.lock
 
 echo "== perf baseline: Table 2 probe generation =="
@@ -106,9 +112,11 @@ echo "== smoke: TCP transport loopback (small) =="
 echo "== perf baseline: TCP transport loopback (full sweep) =="
 # The committed baseline: proxied flow_mods/sec and confirmation RTT as the
 # switch-connection count grows 1..64 on one proxy event loop. Installs are
-# serial, so up to 8 switches the sweep is install-bound; from 16 on, the
-# 2 ms re-probing of every waiting update saturates the loops and the 32-
-# and 64-switch arms take tens of seconds (see the JSON's notes).
+# serial, so up to 8 switches the sweep is install-bound. An update is
+# re-probed at once when the switch answers the proxy's barrier and with
+# backoff before that, but from 32 switches on (16 in some runs) the 2 ms
+# re-probes after a reply still saturate the loops and those arms take tens
+# of seconds (see the JSON's notes).
 ./target/release/transport_loopback --json BENCH_transport.json
 
 echo "== smoke: adaptive scheduler (small) =="

@@ -177,14 +177,19 @@ fn main() {
              the switchsim model on the ideal profile with install_latency_us as its \
              per-rule install time, committed one rule at a time, so a switch confirms at \
              most one update per install time and fm/s scales with overlapping switch \
-             sessions, not CPU, up to about 8 switches. The proxy re-probes every \
-             unconfirmed update each 2 ms, and an update waits behind every install \
-             queued ahead of it, so probes per update grow with the queue. From 16 \
-             switches on, that probe traffic can saturate the loops on a 2-CPU host, and \
-             then lateness breeds more probes: those rows are bistable and differ by up \
-             to 40x between runs, and probes still in flight when such a run ends account \
-             for probes_returned < probes_injected there. Below that, the few missing \
-             returns are probes the table dropped before the default route committed. \
+             sessions, not CPU, up to about 8 switches. The proxy follows each batch of \
+             FlowMods it forwards with a barrier of its own and re-probes the updates a \
+             reply covers at once; until then an update waiting behind the install queue \
+             is re-probed with backoff (gaps of 2, 4, 8, then 12 ms), so probes per update \
+             no longer grow with the queue: about 6 at one switch, against about 14 when \
+             every waiting update was re-probed each 2 ms. From 32 switches on (16 in \
+             some runs) the loops still saturate on a 2-CPU host: the probes that remain \
+             are the 2 ms re-probes after a reply, whose returns lag on saturated loops, \
+             and lateness then breeds more probes. Those rows are bistable and differ by \
+             up to 40x between runs, and probes still in flight when such a run ends \
+             account for probes_returned < probes_injected there. Below that, the few \
+             missing returns are probes the table dropped before the default route \
+             committed. \
              Rows from before the switch fleet became this model are not comparable: \
              that fleet applied every FlowMod on its own timer after a fixed latency, in \
              parallel. The workload is disjoint /32 \

@@ -20,7 +20,16 @@
 //!   overlapping a queued update it does not commute with, so that no update
 //!   overtakes another whose result it would change;
 //! * transient-inconsistency tolerance: a probe observing the "old" state
-//!   does not raise an alarm, it just keeps probing (§4.1).
+//!   does not raise an alarm, it just keeps probing (§4.1);
+//! * the switch's own claims: a driver that follows its FlowMods with a
+//!   barrier tells the monitor when the switch says they are processed
+//!   ([`DynamicMonitor::on_claim`]). A claim is a hint, never proof — some
+//!   switches answer barriers before the commit (\[16\]) — but a truthful
+//!   one says exactly when a probe can first succeed, so each covered update
+//!   is re-probed at once instead of on the clock. Once claims flow, §3.3
+//!   silence counts only from an update's claim, an unclaimed update is
+//!   never confirmed by silence, and its clock-driven re-probes back off. A
+//!   monitor that never hears a claim probes on the clock alone.
 
 use crate::encode::CatchSpec;
 use crate::engine::ProbeEngine;
@@ -61,8 +70,14 @@ impl Default for DynamicConfig {
 /// Actions the dynamic monitor asks the harness to perform.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DynAction {
-    /// Forward this FlowMod to the switch now.
-    Forward(FlowMod),
+    /// Forward update `token`'s FlowMod to the switch now; the driver numbers
+    /// it among the FlowMods it sends ([`DynamicMonitor::note_forwarded`]).
+    Forward {
+        /// Update token.
+        token: u64,
+        /// The FlowMod.
+        fm: FlowMod,
+    },
     /// Inject the probe for update `token` (sequence number `seq`).
     Inject {
         /// Update token.
@@ -148,6 +163,17 @@ struct AwaitingUpdate {
     /// plan is pointed at it (a §4.1 modify plan carries the construction's
     /// id).
     rule_id: RuleId,
+    claim: Claim,
+}
+
+/// Where an update's FlowMod stands in the switch's own account.
+#[derive(Debug, Clone, Copy, Default)]
+struct Claim {
+    /// The FlowMod's number among those sent to the switch, from 1
+    /// ([`DynamicMonitor::note_forwarded`]).
+    forwarded: Option<u64>,
+    /// When a claim first covered it ([`DynamicMonitor::on_claim`]).
+    at: Option<u64>,
 }
 
 #[derive(Debug)]
@@ -164,6 +190,7 @@ struct ActiveUpdate {
     /// Time of the most recent probe observing the *old* state.
     last_contrary: u64,
     started: u64,
+    claim: Claim,
     attempts: u32,
     next_probe_at: u64,
     live_seqs: Vec<u32>,
@@ -201,6 +228,9 @@ pub struct DynamicMonitor {
     /// Rules added or modified by updates started since the last
     /// [`Self::take_touched_rules`].
     touched: Vec<RuleId>,
+    /// A claim has been heard ([`Self::on_claim`]): silence counts from
+    /// claims, and unclaimed updates re-probe with backoff.
+    claims_heard: bool,
 }
 
 impl DynamicMonitor {
@@ -220,6 +250,7 @@ impl DynamicMonitor {
             planned: VecDeque::new(),
             request_replica: FlowTable::new(),
             touched: Vec::new(),
+            claims_heard: false,
         }
     }
 
@@ -490,13 +521,17 @@ impl DynamicMonitor {
                     (id, Verdict::Present)
                 }),
         };
-        let mut actions = vec![DynAction::Forward(fm.clone())];
+        let mut actions = vec![DynAction::Forward {
+            token,
+            fm: fm.clone(),
+        }];
         match probed {
             Some((rule_id, confirm_on)) => self.awaiting.push(AwaitingUpdate {
                 token,
                 fm,
                 confirm_on,
                 rule_id,
+                claim: Claim::default(),
             }),
             // Unmonitorable update: acknowledge optimistically (the
             // controller can fall back to barriers for these).
@@ -520,33 +555,30 @@ impl DynamicMonitor {
 
     /// Registers a planned update as actively probed and emits its first
     /// injection.
-    fn activate(
-        &mut self,
-        now: u64,
-        token: u64,
-        fm: FlowMod,
-        plan: ProbePlan,
-        confirm_on: Verdict,
-    ) -> DynAction {
+    fn activate(&mut self, now: u64, a: AwaitingUpdate, plan: ProbePlan) -> DynAction {
         let seq = take_seq(&mut self.next_seq);
-        let confirming_outcome_is_drop = match confirm_on {
+        let confirming_outcome_is_drop = match a.confirm_on {
             Verdict::Present => plan.present.is_drop(),
             Verdict::Absent => plan.absent.is_drop(),
             Verdict::Inconclusive => false,
         };
         self.active.push(ActiveUpdate {
-            token,
-            fm,
+            token: a.token,
+            fm: a.fm,
             plan,
-            confirm_on,
+            confirm_on: a.confirm_on,
             silent_confirm: confirming_outcome_is_drop,
             last_contrary: now,
             started: now,
+            claim: a.claim,
             attempts: 1,
             next_probe_at: now + self.cfg.probe_interval,
             live_seqs: vec![seq],
         });
-        DynAction::Inject { token, seq }
+        DynAction::Inject {
+            token: a.token,
+            seq,
+        }
     }
 
     /// Completes a plan request: the planner hands back the plan for update
@@ -562,7 +594,7 @@ impl DynamicMonitor {
         match plan {
             Some(mut plan) => {
                 plan.rule_id = a.rule_id;
-                vec![self.activate(now, a.token, a.fm, plan, a.confirm_on)]
+                vec![self.activate(now, a, plan)]
             }
             None => {
                 let mut actions = vec![DynAction::Confirmed {
@@ -575,17 +607,72 @@ impl DynamicMonitor {
         }
     }
 
+    /// The driver sent update `token`'s FlowMod as the `number`-th FlowMod
+    /// to the switch (from 1, the driver's own FlowMods counted too), the
+    /// number a claim covers ([`Self::on_claim`]).
+    pub fn note_forwarded(&mut self, token: u64, number: u64) {
+        let awaiting = self.awaiting.iter_mut().map(|a| (a.token, &mut a.claim));
+        let mut claims = awaiting.chain(self.active.iter_mut().map(|a| (a.token, &mut a.claim)));
+        if let Some((_, claim)) = claims.find(|(t, _)| *t == token) {
+            claim.forwarded = Some(number);
+        }
+    }
+
+    /// The switch claims it has processed the first `covered` FlowMods sent
+    /// to it (the reply to a barrier sent after them). A claim is a hint,
+    /// never proof: it confirms nothing. Each unconfirmed update it is the
+    /// first to cover is probed once now — its earlier probes may all have
+    /// met the old state — and re-probed `probe_interval` later; an update
+    /// still awaiting its plan is probed when the plan lands. From the first
+    /// claim on, silence counts only from an update's claim ([`Self::on_tick`]).
+    pub fn on_claim(&mut self, now: u64, covered: u64) -> Vec<DynAction> {
+        self.claims_heard = true;
+        let newly = |c: &mut Claim| {
+            let hit = c.at.is_none() && c.forwarded.is_some_and(|n| n <= covered);
+            if hit {
+                c.at = Some(now);
+            }
+            hit
+        };
+        for a in &mut self.awaiting {
+            newly(&mut a.claim);
+        }
+        let mut actions = Vec::new();
+        for a in &mut self.active {
+            if newly(&mut a.claim) {
+                a.attempts += 1;
+                a.next_probe_at = now + self.cfg.probe_interval;
+                let seq = take_seq(&mut self.next_seq);
+                a.live_seqs.push(seq);
+                actions.push(DynAction::Inject {
+                    token: a.token,
+                    seq,
+                });
+            }
+        }
+        actions
+    }
+
     /// Periodic tick: re-inject probes for unconfirmed updates; confirm
-    /// silence-based (negative-probed) updates whose window elapsed.
+    /// silence-based (negative-probed) updates whose window elapsed. Once
+    /// claims flow, the window opens at an update's claim (an unclaimed
+    /// update is never confirmed by silence), and an unclaimed update's
+    /// re-probes back off: each gap doubles from `probe_interval`, capped at
+    /// the window.
     pub fn on_tick(&mut self, now: u64) -> Vec<DynAction> {
         let mut actions = Vec::new();
         let max_attempts = self.cfg.max_attempts;
         let interval = self.cfg.probe_interval;
         let window = self.cfg.negative_confirm_window;
+        let claims_heard = self.claims_heard;
         let mut alarmed: Vec<u64> = Vec::new();
         let mut silent_done: Vec<u64> = Vec::new();
         for a in &mut self.active {
-            if a.silent_confirm && a.attempts >= 2 && now >= a.last_contrary.max(a.started) + window
+            let quiet_since = match (claims_heard, a.claim.at) {
+                (false, _) => Some(a.last_contrary.max(a.started)),
+                (true, claimed) => claimed.map(|c| c.max(a.last_contrary).max(a.started)),
+            };
+            if a.silent_confirm && a.attempts >= 2 && quiet_since.is_some_and(|t| now >= t + window)
             {
                 // §3.3 negative probing: enough probes went quiet.
                 silent_done.push(a.token);
@@ -599,7 +686,13 @@ impl DynamicMonitor {
                 continue;
             }
             a.attempts += 1;
-            a.next_probe_at = now + interval;
+            a.next_probe_at = now
+                + if claims_heard && a.claim.at.is_none() {
+                    let doubled = interval.saturating_mul(1 << (a.attempts - 1).min(63));
+                    doubled.min(window.max(interval))
+                } else {
+                    interval
+                };
             let seq = take_seq(&mut self.next_seq);
             a.live_seqs.push(seq);
             actions.push(DynAction::Inject {
@@ -696,7 +789,7 @@ mod tests {
     fn add_forwards_and_probes() {
         let mut m = monitor();
         let acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2));
-        assert!(matches!(acts[0], DynAction::Forward(_)));
+        assert!(matches!(acts[0], DynAction::Forward { .. }));
         assert!(matches!(acts[1], DynAction::Inject { token: 1, .. }));
         assert_eq!(m.in_flight(), 1);
         assert_eq!(m.expected().len(), 2);
@@ -746,7 +839,7 @@ mod tests {
         // Now delete it.
         let del = FlowMod::delete_strict(10, Match::any().with_nw_dst([10, 0, 0, 1], 32));
         let acts = m.on_flowmod(10, 2, del);
-        assert!(matches!(acts[0], DynAction::Forward(_)));
+        assert!(matches!(acts[0], DynAction::Forward { .. }));
         let DynAction::Inject { seq, .. } = acts[1] else {
             panic!("expected inject, got {acts:?}")
         };
@@ -779,7 +872,7 @@ mod tests {
             vec![Action::Output(5)],
         );
         let acts = m.on_flowmod(10, 2, fm);
-        assert!(matches!(acts[0], DynAction::Forward(_)));
+        assert!(matches!(acts[0], DynAction::Forward { .. }));
         assert!(
             matches!(acts[1], DynAction::Inject { .. }),
             "modification must be probeable (old port 2 vs new port 5): {acts:?}"
@@ -810,7 +903,7 @@ mod tests {
             ..add_fm(10, [10, 0, 0, 1], 2)
         };
         let acts = m.on_flowmod(0, 7, fm);
-        assert!(matches!(acts[0], DynAction::Forward(_)));
+        assert!(matches!(acts[0], DynAction::Forward { .. }));
         assert!(
             matches!(acts[1], DynAction::Inject { token: 7, .. }),
             "MODIFY-as-ADD must be probed like an install: {acts:?}"
@@ -862,7 +955,7 @@ mod tests {
         // the update (and queueing everything overlapping behind it).
         let del = FlowMod::delete_strict(5, Match::any().with_nw_dst([10, 0, 0, 0], 24));
         let acts = m.on_flowmod(10, 2, del);
-        assert!(matches!(acts[0], DynAction::Forward(_)));
+        assert!(matches!(acts[0], DynAction::Forward { .. }));
         assert_eq!(
             acts[1],
             DynAction::Confirmed {
@@ -903,7 +996,7 @@ mod tests {
         // Confirm R1 -> R3 is released (forwarded + probed).
         let out = m.on_verdict(100, seq1, Verdict::Present);
         assert!(matches!(out[0], DynAction::Confirmed { token: 1, .. }));
-        assert!(out.iter().any(|a| matches!(a, DynAction::Forward(_))));
+        assert!(out.iter().any(|a| matches!(a, DynAction::Forward { .. })));
         assert_eq!(m.queued(), 0);
         assert_eq!(m.expected().len(), 3);
     }
@@ -978,7 +1071,7 @@ mod tests {
         // from a table miss (drop rule over drop-by-miss).
         let fm = FlowMod::add(10, Match::any().with_tp_dst(23), vec![]);
         let acts = m.on_flowmod(0, 9, fm);
-        assert!(matches!(acts[0], DynAction::Forward(_)));
+        assert!(matches!(acts[0], DynAction::Forward { .. }));
         assert_eq!(
             acts[1],
             DynAction::Confirmed {
@@ -1034,7 +1127,7 @@ mod tests {
         let acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2));
         // Forward only — the probe is not planned yet.
         assert_eq!(acts.len(), 1);
-        assert!(matches!(acts[0], DynAction::Forward(_)));
+        assert!(matches!(acts[0], DynAction::Forward { .. }));
         assert_eq!(m.awaiting_plans(), 1);
         assert_eq!(m.in_flight(), 0);
         let steps = m.take_plan_steps();
@@ -1181,7 +1274,7 @@ mod tests {
             token: 1,
             verified: false
         }));
-        assert!(acts.iter().any(|a| matches!(a, DynAction::Forward(_))));
+        assert!(acts.iter().any(|a| matches!(a, DynAction::Forward { .. })));
         assert_eq!(m.queued(), 0);
         assert_eq!(m.awaiting_plans(), 1, "released update awaits its plan");
         assert_eq!(m.take_plan_requests().len(), 1);
@@ -1727,6 +1820,31 @@ mod tests {
         }
     }
 
+    /// Probes sent for one update no claim covers, ticking every ms for
+    /// 60 ms with no answer (2 ms interval, 12 ms window).
+    fn probes_of_an_unclaimed_update(claims_flow: bool) -> usize {
+        let mut m = monitor();
+        if claims_flow {
+            assert!(m.on_claim(0, 0).is_empty(), "a claim covering nothing");
+        }
+        let mut acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2));
+        for ms in 1..=60u64 {
+            acts.extend(m.on_tick(ms * 1_000_000));
+        }
+        let injects = acts
+            .iter()
+            .filter(|a| matches!(a, DynAction::Inject { .. }));
+        injects.count()
+    }
+
+    #[test]
+    fn an_unclaimed_update_backs_off_once_claims_flow() {
+        // On the clock alone: the first probe, then one every 2 ms.
+        assert_eq!(probes_of_an_unclaimed_update(false), 31);
+        // Gaps 2, 4, 8, 12, 12, 12 ms: probes at 0, 2, 6, 14, 26, 38, 50.
+        assert_eq!(probes_of_an_unclaimed_update(true), 7);
+    }
+
     #[test]
     fn alarm_after_attempt_budget() {
         let cfg = DynamicConfig {
@@ -1786,7 +1904,7 @@ mod tests {
         let acts = m.on_tick(20_000_000);
         assert!(acts.contains(&DynAction::Alarm { token: 1 }), "{acts:?}");
         assert!(
-            acts.iter().any(|x| matches!(x, DynAction::Forward(_))),
+            acts.iter().any(|x| matches!(x, DynAction::Forward { .. })),
             "B released by the alarm: {acts:?}"
         );
         assert_eq!(

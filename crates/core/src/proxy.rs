@@ -163,6 +163,9 @@ pub struct MonitorProxy {
     refresh_due: bool,
     /// Pending drop-postponed finalizations: token -> finalize FlowMod.
     pending_finalize: Vec<(u64, FlowMod)>,
+    /// FlowMods emitted as [`ProxyOutput::ToSwitch`] so far, Monocle's own
+    /// included: the numbers a barrier claim covers.
+    flowmods_sent: u64,
     /// Rules for which steady-state probe generation failed (Table 2's
     /// "probes not found" set) with the reason it gave, in table order.
     /// [`Self::coverage`] counts them by reason.
@@ -189,6 +192,7 @@ impl MonitorProxy {
             refresh_outstanding: false,
             refresh_due: false,
             pending_finalize: Vec::new(),
+            flowmods_sent: 0,
             unmonitorable: Vec::new(),
             failures: IdHashMap::default(),
             #[cfg(test)]
@@ -248,7 +252,27 @@ impl MonitorProxy {
         if self.dynamic.apply_expected(&fm).is_err() {
             return Vec::new();
         }
+        self.flowmods_sent += 1;
         vec![ProxyOutput::ToSwitch(fm)]
+    }
+
+    /// How many FlowMods this proxy has emitted as
+    /// [`ProxyOutput::ToSwitch`], its own preinstalls and finalizers
+    /// included. A driver that follows them with a barrier passes this count
+    /// to [`Self::on_barrier_reply`] when the barrier is answered.
+    pub fn flowmods_sent(&self) -> u64 {
+        self.flowmods_sent
+    }
+
+    /// The switch answered a barrier sent after the first `covered` FlowMods
+    /// this proxy emitted ([`Self::flowmods_sent`]): it claims to have
+    /// processed them. A hint, never proof — it confirms nothing by itself
+    /// — but each unconfirmed update it covers is re-probed at once, and
+    /// from then on §3.3 silence counts from an update's claim
+    /// ([`DynamicMonitor::on_claim`]).
+    pub fn on_barrier_reply(&mut self, now: u64, covered: u64) -> Vec<ProxyOutput> {
+        let actions = self.dynamic.on_claim(now, covered);
+        self.map_dynamic(now, actions)
     }
 
     /// A FlowMod from the controller.
@@ -554,7 +578,11 @@ impl MonitorProxy {
         let mut out = Vec::new();
         for a in actions {
             match a {
-                DynAction::Forward(fm) => out.push(ProxyOutput::ToSwitch(fm)),
+                DynAction::Forward { token, fm } => {
+                    self.flowmods_sent += 1;
+                    self.dynamic.note_forwarded(token, self.flowmods_sent);
+                    out.push(ProxyOutput::ToSwitch(fm));
+                }
                 DynAction::Inject { seq, .. } => {
                     if let Some(plan) = self.dynamic.plan_for_seq(seq) {
                         out.push(ProxyOutput::Inject(self.injection(plan, seq)));
@@ -928,6 +956,186 @@ mod tests {
             .unwrap();
         assert!(rule.fwd.is_drop());
     }
+
+    fn injections(outs: &[ProxyOutput]) -> Vec<ProbeInjection> {
+        outs.iter()
+            .filter_map(|o| match o {
+                ProxyOutput::Inject(i) => Some(i.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A drop rule over the default route, clear of [`add_fm`]'s: its
+    /// confirming outcome is a drop, so only §3.3 silence confirms it.
+    fn drop_fm(port: u16) -> FlowMod {
+        let m = Match::any().with_nw_dst([10, 9, 0, 0], 16);
+        FlowMod::add(20, m.with_nw_proto(6).with_tp_dst(port), vec![])
+    }
+
+    #[test]
+    fn a_claim_re_probes_each_update_it_covers_once() {
+        let mut p = proxy();
+        assert_eq!(p.flowmods_sent(), 1, "the default route");
+        let first = p.on_controller_flowmod(0, 1, add_fm([10, 0, 0, 1], 2));
+        let second = p.on_controller_flowmod(0, 2, add_fm([10, 0, 0, 2], 3));
+        let (r1, r2) = (
+            injections(&first)[0].meta.rule_id,
+            injections(&second)[0].meta.rule_id,
+        );
+        // The barrier goes out here, after FlowMod 3; update 3 follows it.
+        let barrier = p.flowmods_sent();
+        let third = p.on_controller_flowmod(100_000, 3, add_fm([10, 0, 0, 3], 4));
+        let r3 = injections(&third)[0].meta.rule_id;
+        let rules = |outs: &[ProxyOutput]| {
+            let mut ids: Vec<u64> = injections(outs).iter().map(|i| i.meta.rule_id).collect();
+            ids.sort_unstable();
+            ids
+        };
+        // Each update the reply covers is probed once, now; the one
+        // forwarded after the barrier is not.
+        let outs = p.on_barrier_reply(500_000, barrier);
+        assert_eq!(rules(&outs), [r1, r2], "{outs:?}");
+        assert!(injections(&outs)
+            .iter()
+            .all(|i| i.meta.seq & STEADY_SEQ_BIT == 0));
+        // A later reply re-probes only what no claim covered before.
+        assert!(p.on_barrier_reply(600_000, barrier).is_empty());
+        assert_eq!(rules(&p.on_barrier_reply(700_000, p.flowmods_sent())), [r3]);
+        assert!(p.on_barrier_reply(800_000, p.flowmods_sent()).is_empty());
+        // The clock takes over `probe_interval` after each claim.
+        assert_eq!(rules(&p.on_tick(2_600_000)), [r1, r2]);
+        assert_eq!(rules(&p.on_tick(2_700_000)), [r3]);
+    }
+
+    #[test]
+    fn a_claim_covers_an_update_awaiting_its_plan_and_its_first_probe_suffices() {
+        let mut p = proxy();
+        p.set_deferred_planning(true);
+        p.on_controller_flowmod(0, 1, add_fm([10, 0, 0, 1], 2));
+        let mut replica = None;
+        let answers = replay(&mut replica, p.take_plan_steps());
+        // Claimed before the plan lands: nothing to probe yet.
+        assert!(p.on_barrier_reply(100, p.flowmods_sent()).is_empty());
+        let Some(Answer::Plan { token, plan }) = answers.into_iter().next() else {
+            panic!("a plan answer")
+        };
+        assert_eq!(injections(&p.attach_plan(200, token, plan.ok())).len(), 1);
+        assert!(p.on_barrier_reply(300, p.flowmods_sent()).is_empty());
+    }
+
+    #[test]
+    fn a_claim_never_confirms_by_itself() {
+        let mut p = proxy();
+        p.on_controller_flowmod(0, 1, add_fm([10, 0, 0, 1], 2));
+        p.on_controller_flowmod(0, 2, drop_fm(23));
+        let mut now = 0;
+        let mut outs = p.on_barrier_reply(now, p.flowmods_sent());
+        assert_eq!(injections(&outs).len(), 2);
+        // No probe ever comes back; the drop update may confirm by silence
+        // after the window, the forwarding one never does.
+        while now < 100_000_000 {
+            now += 1_000_000;
+            outs.extend(p.on_tick(now));
+        }
+        let confirmed: Vec<u64> = outs
+            .iter()
+            .filter_map(|o| match o {
+                ProxyOutput::Confirmed { token, .. } => Some(*token),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(confirmed, [2], "{outs:?}");
+        assert_eq!(p.in_flight(), 1);
+    }
+
+    /// The tick at which update `token` is confirmed, ticking every ms up to
+    /// `until`, with no probe answered.
+    fn confirmed_at(p: &mut MonitorProxy, mut now: u64, until: u64, token: u64) -> Option<u64> {
+        while now < until {
+            now += 1_000_000;
+            let outs = p.on_tick(now);
+            if outs
+                .iter()
+                .any(|o| matches!(o, ProxyOutput::Confirmed { token: t, .. } if *t == token))
+            {
+                return Some(now);
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn silence_counts_from_the_claim_once_claims_flow() {
+        let window = DynamicConfig::default().negative_confirm_window;
+        // Without claims, silence counts from the first probe.
+        let mut p = proxy();
+        p.on_controller_flowmod(0, 1, drop_fm(23));
+        assert_eq!(confirmed_at(&mut p, 0, 100_000_000, 1), Some(window));
+
+        // A lying claim, 5 ms after the forward and before any commit: the
+        // probe it sends meets the old state, and silence counts from then.
+        let mut p = proxy();
+        let outs = p.on_controller_flowmod(0, 1, drop_fm(23));
+        let first = &injections(&outs)[0];
+        let claim = 5_000_000;
+        let covered = p.flowmods_sent();
+        // Update 2 is forwarded after the barrier, so no claim covers it.
+        p.on_controller_flowmod(1_000_000, 2, drop_fm(24));
+        let outs = p.on_barrier_reply(claim, covered);
+        let probe = &injections(&outs)[0];
+        assert_eq!(probe.meta.rule_id, first.meta.rule_id);
+        // Back by the default route: the drop is not there yet.
+        assert!(p
+            .on_probe_return(claim + 100_000, &probe.meta, 9, &echo(probe))
+            .is_empty());
+        assert_eq!(
+            confirmed_at(&mut p, claim, 200_000_000, 1),
+            Some(claim + 1_000_000 + window),
+            "the window reopens at the contrary answer"
+        );
+        // The unclaimed drop update is never confirmed by silence...
+        assert_eq!(confirmed_at(&mut p, 200_000_000, 300_000_000, 2), None);
+        // ... until a claim covers it.
+        p.on_barrier_reply(300_000_000, p.flowmods_sent());
+        assert_eq!(
+            confirmed_at(&mut p, 300_000_000, 400_000_000, 2),
+            Some(300_000_000 + window)
+        );
+    }
+
+    /// The FlowMods a claim covers are numbered in the order the proxy
+    /// emits them: a drop-postponing finalizer goes out before the update
+    /// its confirmation releases, and is numbered before it.
+    #[test]
+    fn flowmods_are_numbered_in_emission_order() {
+        let mut cfg = ProxyConfig::new(7, CatchSpec::default());
+        cfg.drop_postpone = Some((DropTag(63), 4));
+        let mut p = MonitorProxy::new(cfg);
+        p.preinstall(1, Match::any(), vec![Action::Output(9)]);
+        let drop = FlowMod::add(20, Match::any().with_tp_dst(23).with_nw_proto(6), vec![]);
+        let inj = injections(&p.on_controller_flowmod(0, 5, drop))[0].clone();
+        // Overlaps the stand-in: queued until it confirms.
+        let queued = FlowMod::add(30, Match::any().with_nw_proto(6), vec![Action::Output(3)]);
+        assert!(p.on_controller_flowmod(1, 6, queued).is_empty());
+        let mut tagged = packet_to_headervec(inj.in_port, &inj.fields);
+        tagged.set_field(monocle_openflow::Field::NwTos, 63);
+        let outs = p.on_probe_return(50, &inj.meta, 4, &headervec_to_packet(&tagged));
+        let sent: Vec<&FlowMod> = outs
+            .iter()
+            .filter_map(|o| match o {
+                ProxyOutput::ToSwitch(fm) => Some(fm),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sent.len(), 2, "{outs:?}");
+        assert_eq!(sent[1].priority, 30, "the finalizer first: {outs:?}");
+        assert_eq!(p.flowmods_sent(), 4);
+        // A claim up to the finalizer does not cover the released update.
+        assert!(p.on_barrier_reply(100, 3).is_empty());
+        assert_eq!(injections(&p.on_barrier_reply(200, 4)).len(), 1);
+    }
+
     fn steady_injections(outs: &[ProxyOutput]) -> Vec<u64> {
         outs.iter()
             .filter_map(|o| match o {

@@ -14,7 +14,15 @@
 //!    directions, except the frames Monocle consumes or originates:
 //!    FlowMods are intercepted, probes are injected as `PacketOut`s,
 //!    probe `PacketIn`s are absorbed, and confirmations surface as
-//!    `BarrierReply { xid = flowmod xid }` (alarms as `Error`).
+//!    `BarrierReply { xid = flowmod xid }` (alarms as `Error`). Every batch
+//!    of FlowMods the proxy forwards is followed by a `BarrierRequest` of
+//!    its own; its reply never leaves the proxy. It tells the monitor that
+//!    the switch claims those FlowMods processed
+//!    ([`MonitorProxy::on_barrier_reply`]), a hint that re-probes the
+//!    updates it covers at once and opens their §3.3 silence window — never
+//!    a confirmation. The controller's own `BarrierRequest`s go to the
+//!    switch under a proxy xid too, so the two can never be confused, and
+//!    their replies go back upstream under the controller's xid.
 //!
 //! ## Deferred planning
 //!
@@ -92,6 +100,9 @@ use crate::event_loop::{ConnId, Driver, IoCtx, TransportEvent};
 /// Timer token for the global probe tick.
 const TICK_TOKEN: u64 = 0;
 
+/// Probe tick period.
+const TICK_NS: u64 = 1_000_000;
+
 /// Echo liveness timers live above this base; the low bits carry the
 /// session id (`ECHO_TOKEN_BASE + session`).
 const ECHO_TOKEN_BASE: u64 = 1 << 32;
@@ -157,6 +168,9 @@ pub struct SessionStats {
     pub rules_failed: u64,
     /// Steady-state: failed rules that verified again.
     pub rules_recovered: u64,
+    /// The proxy's own barriers answered by the switch (claims fed to the
+    /// monitor).
+    pub claims: u64,
 }
 
 /// Shared view of all sessions' counters (keyed by session id).
@@ -176,8 +190,6 @@ pub struct ProxyAppConfig {
     /// absent-path so confirmations are positive rather than
     /// silence-window based.
     pub preinstall_default: Option<(u16, PortNo)>,
-    /// Probe tick period.
-    pub tick_ns: u64,
     /// Planner threads: `pool.workers` of them (at least one), each keeping
     /// a [`Replica`] for every session pinned to it. Every session plans
     /// with its own monitor's generator settings.
@@ -201,7 +213,6 @@ impl ProxyAppConfig {
             controller_addr,
             catch: CatchSpec::default(),
             preinstall_default: Some((1, 2)),
-            tick_ns: 1_000_000,
             pool: PoolConfig::with_workers(4),
             exit_when_idle: true,
             steady: None,
@@ -213,6 +224,14 @@ impl ProxyAppConfig {
 enum Side {
     Switch,
     Controller,
+}
+
+/// What the reply to a `BarrierRequest` the proxy sent the switch answers.
+enum Barrier {
+    /// The proxy's own, sent once the first `covered` FlowMods were.
+    Own { covered: u64 },
+    /// The controller's, sent under its xid.
+    Relayed { xid: u32 },
 }
 
 struct Session {
@@ -229,6 +248,8 @@ struct Session {
     paused_injections: Vec<ProbeInjection>,
     /// FlowMod xid → send time, for ack RTT measurement.
     flowmod_sent: HashMap<u32, u64>,
+    /// Barriers sent to the switch and not answered yet, by proxy xid.
+    barriers: HashMap<u32, Barrier>,
     /// Rolling per-switch estimators feeding the adaptive scheduler's
     /// switch-cost term.
     telemetry: SwitchTelemetry,
@@ -301,7 +322,7 @@ impl ProxyApp {
         let l = ctx.listen(&self.cfg.listen_addr)?;
         let addr = ctx.listener_addr(l)?;
         self.listen_addr = Some(addr);
-        ctx.schedule_in(self.cfg.tick_ns, TICK_TOKEN);
+        ctx.schedule_in(TICK_NS, TICK_TOKEN);
         Ok(addr)
     }
 
@@ -315,10 +336,12 @@ impl ProxyApp {
         self.next_xid
     }
 
-    /// Applies proxy outputs for `session`, then sends any new planning
-    /// steps to its planner.
+    /// Applies proxy outputs for `session` — FlowMods forwarded are
+    /// followed by one barrier of the proxy's own — then sends any new
+    /// planning steps to its planner.
     fn process_outputs(&mut self, ctx: &mut IoCtx<'_>, session: u64, outputs: Vec<ProxyOutput>) {
         let now = ctx.now_ns();
+        let mut forwarded = false;
         for o in outputs {
             let Some(sess) = self.sessions.get_mut(&session) else {
                 return;
@@ -328,6 +351,7 @@ impl ProxyApp {
                     let conn = sess.switch_conn;
                     let xid = self.xid();
                     let _ = ctx.send(conn, &OfMessage::FlowMod(fm), xid);
+                    forwarded = true;
                 }
                 ProxyOutput::Inject(inj) => {
                     if ctx.over_high_water(sess.switch_conn) {
@@ -373,7 +397,14 @@ impl ProxyApp {
             .sessions
             .get_mut(&session)
             .and_then(|s| s.proxy.as_mut());
-        for step in proxy.map(MonitorProxy::take_plan_steps).unwrap_or_default() {
+        let Some(proxy) = proxy else {
+            return;
+        };
+        let (covered, steps) = (proxy.flowmods_sent(), proxy.take_plan_steps());
+        if forwarded {
+            self.send_barrier(ctx, session, Barrier::Own { covered });
+        }
+        for step in steps {
             let step = Box::new(step);
             self.to_planner(session, ToPlanner::Step { session, step });
         }
@@ -387,6 +418,16 @@ impl ProxyApp {
                 let _ = ctx.send(cc, &msg, xid);
             }
             _ => sess.to_controller.push((msg, xid)),
+        }
+    }
+
+    /// Sends the switch a `BarrierRequest` under a fresh proxy xid and
+    /// remembers what its reply answers.
+    fn send_barrier(&mut self, ctx: &mut IoCtx<'_>, session: u64, barrier: Barrier) {
+        let xid = self.xid();
+        if let Some(sess) = self.sessions.get_mut(&session) {
+            sess.barriers.insert(xid, barrier);
+            let _ = ctx.send(sess.switch_conn, &OfMessage::BarrierRequest, xid);
         }
     }
 
@@ -495,7 +536,23 @@ impl ProxyApp {
                     }
                 }
             }
-            // BarrierReply, FlowRemoved, Error, …: pass through unchanged.
+            OfMessage::BarrierReply => match sess.barriers.remove(&xid) {
+                Some(Barrier::Own { covered }) => {
+                    sess.stats.claims += 1;
+                    let now = ctx.now_ns();
+                    let outputs = sess
+                        .proxy
+                        .as_mut()
+                        .map(|p| p.on_barrier_reply(now, covered))
+                        .unwrap_or_default();
+                    self.process_outputs(ctx, session, outputs);
+                }
+                Some(Barrier::Relayed { xid }) => {
+                    self.forward_to_controller(ctx, session, msg, xid);
+                }
+                None => self.forward_to_controller(ctx, session, msg, xid),
+            },
+            // FlowRemoved, Error, …: pass through unchanged.
             other => self.forward_to_controller(ctx, session, other, xid),
         }
     }
@@ -551,7 +608,8 @@ impl ProxyApp {
                     let _ = ctx.send(cc, &OfMessage::EchoReply(data), xid);
                 }
             }
-            // BarrierRequest, PacketOut, …: pass through to the switch.
+            OfMessage::BarrierRequest => self.send_barrier(ctx, session, Barrier::Relayed { xid }),
+            // PacketOut, …: pass through to the switch.
             other => {
                 let conn = sess.switch_conn;
                 let _ = ctx.send(conn, &other, xid);
@@ -632,7 +690,7 @@ impl ProxyApp {
             // A tick that put nothing out may have asked for a refresh.
             self.process_outputs(ctx, id, outputs);
         }
-        ctx.schedule_in(self.cfg.tick_ns, TICK_TOKEN);
+        ctx.schedule_in(TICK_NS, TICK_TOKEN);
     }
 
     fn teardown(&mut self, ctx: &mut IoCtx<'_>, session: u64) {
@@ -676,6 +734,7 @@ impl Driver for ProxyApp {
                         to_controller: Vec::new(),
                         paused_injections: Vec::new(),
                         flowmod_sent: HashMap::new(),
+                        barriers: HashMap::new(),
                         telemetry: SwitchTelemetry::new(TELEMETRY_HALF_LIFE_NS),
                         echo_pending: None,
                         stats: SessionStats::default(),
@@ -821,6 +880,22 @@ mod tests {
         });
         let controller_stats = controller.stats();
         let controller_addr = controller_loop.with_ctx(|ctx| controller.start(ctx).unwrap());
+        let ps = deploy(controller_loop, controller, controller_addr, dpids, steady);
+        let cs = std::mem::take(&mut *controller_stats.lock().unwrap());
+        (cs, ps)
+    }
+
+    /// Runs `controller` on its loop, listening at `controller_addr`, the
+    /// proxy with one planner thread and `steady` monitoring, and a fleet of
+    /// `dpids` (1 ms installs) to the end; returns the proxy's per-session
+    /// counters.
+    fn deploy<C: Driver + Send + 'static>(
+        mut controller_loop: EventLoop,
+        mut controller: C,
+        controller_addr: SocketAddr,
+        dpids: Vec<u64>,
+        steady: Option<SteadyConfig>,
+    ) -> HashMap<u64, SessionStats> {
         let mut proxy_loop = EventLoop::new().unwrap();
         let mut cfg = ProxyAppConfig::new(controller_addr);
         cfg.pool = PoolConfig::with_workers(1);
@@ -848,9 +923,8 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        let cs = std::mem::take(&mut *controller_stats.lock().unwrap());
         let ps = std::mem::take(&mut *proxy_stats.lock().unwrap());
-        (cs, ps)
+        ps
     }
 
     /// One planner thread serves four sessions and panics on one of them.
@@ -904,5 +978,87 @@ mod tests {
             (updates, updates, updates)
         );
         assert!(sess.probes_returned > 0);
+    }
+
+    /// Set in the xids of [`BarrierController`]'s own barriers: the top of
+    /// the xid space, where the proxy numbers the frames it originates.
+    const CONTROLLER_BARRIER: u32 = 0x8000_0000;
+    const SETTLED: u64 = 1;
+    const GIVE_UP: u64 = 2;
+
+    /// A controller that follows each of its FlowMods (xid `i`) with a
+    /// barrier of its own (xid `CONTROLLER_BARRIER | i`), while the proxy's
+    /// barrier for that FlowMod is still out, and records the xid of every
+    /// `BarrierReply` it is sent until a while after the last one it
+    /// expects.
+    struct BarrierController {
+        updates: u32,
+        replies: Arc<Mutex<Vec<u32>>>,
+    }
+
+    impl Driver for BarrierController {
+        fn handle(&mut self, ctx: &mut IoCtx<'_>, ev: TransportEvent) {
+            match ev {
+                TransportEvent::Accepted { conn, .. } => {
+                    let _ = ctx.send(conn, &OfMessage::Hello, 0);
+                    let _ = ctx.send(conn, &OfMessage::FeaturesRequest, 0);
+                }
+                TransportEvent::Message {
+                    conn,
+                    msg: OfMessage::FeaturesReply { .. },
+                    ..
+                } => {
+                    for i in 1..=self.updates {
+                        let fm = ControllerSim::workload_flowmod(i as usize);
+                        let _ = ctx.send(conn, &OfMessage::FlowMod(fm), i);
+                        let _ = ctx.send(conn, &OfMessage::BarrierRequest, CONTROLLER_BARRIER | i);
+                    }
+                }
+                TransportEvent::Message {
+                    msg: OfMessage::BarrierReply,
+                    xid,
+                    ..
+                } => {
+                    let mut replies = self.replies.lock().unwrap();
+                    replies.push(xid);
+                    if replies.len() == 2 * self.updates as usize {
+                        ctx.schedule_in(50_000_000, SETTLED);
+                    }
+                }
+                TransportEvent::Timer { .. } => ctx.stop(),
+                _ => {}
+            }
+        }
+    }
+
+    /// The proxy's own barriers stay inside it: the controller gets one
+    /// `BarrierReply` per FlowMod (the ack) and one per barrier it sent,
+    /// under that barrier's xid — never one for a barrier the proxy sent,
+    /// even with the controller numbering its barriers in the proxy's xid
+    /// range.
+    #[test]
+    fn the_proxys_barriers_stay_inside_the_proxy() {
+        let updates = 24u32;
+        let replies = Arc::new(Mutex::new(Vec::new()));
+        let mut controller_loop = EventLoop::new().unwrap();
+        let controller_addr = controller_loop.with_ctx(|ctx| {
+            let l = ctx.listen("127.0.0.1:0").unwrap();
+            ctx.schedule_in(30_000_000_000, GIVE_UP);
+            ctx.listener_addr(l).unwrap()
+        });
+        let controller = BarrierController {
+            updates,
+            replies: Arc::clone(&replies),
+        };
+        let ps = deploy(controller_loop, controller, controller_addr, vec![1], None);
+        let mut got = std::mem::take(&mut *replies.lock().unwrap());
+        got.sort_unstable();
+        let acks = 1..=updates;
+        let barriers = (1..=updates).map(|i| CONTROLLER_BARRIER | i);
+        assert_eq!(got, acks.chain(barriers).collect::<Vec<_>>());
+        let sess = ps.values().next().expect("one session");
+        let updates = u64::from(updates);
+        assert_eq!((sess.confirmed, sess.verified), (updates, updates));
+        assert!(sess.claims > 0, "no claim reached the monitor");
     }
 }

@@ -588,7 +588,7 @@ fn acl_table_delete_readd_modify_over_tcp() {
 
 /// HP 5406zl answers barriers before its TCAM commits (\[16\]): a controller
 /// trusting the passthrough BarrierReplies sees rules that are not there
-/// yet, so the commit-time check below can fail.
+/// yet, where the proxy's acks wait for the commit (below).
 #[test]
 fn acl_script_over_tcp_on_hp5406zl_barriers_lie() {
     assert!(acl_script_over_tcp(SwitchProfile::hp5406zl()).early_barriers > 0);
@@ -600,24 +600,26 @@ fn acl_script_over_tcp_on_pica8_barriers_lie() {
     assert!(acl_script_over_tcp(SwitchProfile::pica8()).early_barriers > 0);
 }
 
-/// Known defect: silence is no proof on HP 5406zl. Its agent takes a
-/// FlowMod in 3.3 ms, so with eight updates outstanding a probe PacketOut
-/// waits behind them longer than the proxy's 12 ms silence window, and
-/// about 90 of the 115 updates the proxy confirms by silence are acked
-/// before they commit.
+/// HP 5406zl's agent takes a FlowMod in 3.3 ms, so with eight updates
+/// outstanding a probe PacketOut waits behind them longer than the proxy's
+/// 12 ms silence window. Silence still proves nothing early here: the
+/// window opens only at the switch's claim (the reply to the proxy's own
+/// barrier), and the probe the claim sends meets the old state until the
+/// commit.
 #[test]
-#[ignore = "known defect: silence-confirmed acks precede their commit here"]
 fn acl_script_over_tcp_on_hp5406zl_acks_do_not_precede_commits() {
     acl_script_over_tcp(SwitchProfile::hp5406zl()).assert_no_verified_ack_precedes_its_commit();
 }
 
-/// Known defect: silence is no proof on Pica8. Highest-priority-first
-/// commits starve the proxy's priority-1 default route until the install
-/// queue drains, so until then the old state drops probes too, and about
-/// 90 of the 115 updates the proxy confirms by silence are acked before
-/// they commit.
+/// Known defect: silence is no proof on Pica8. Its claims come early, and
+/// highest-priority-first commits starve the proxy's priority-1 default
+/// route until the install queue drains, so until then the old state drops
+/// probes too: about 120 updates are acked before they commit, against 38
+/// optimistic acks, 93 of them among the 115 updates the proxy confirms by
+/// silence.
 #[test]
-#[ignore = "known defect: silence-confirmed acks precede their commit here"]
+#[ignore = "known defect: Pica8 claims early and commits the default route last, so \
+            silence-confirmed acks precede their commit"]
 fn acl_script_over_tcp_on_pica8_acks_do_not_precede_commits() {
     acl_script_over_tcp(SwitchProfile::pica8()).assert_no_verified_ack_precedes_its_commit();
 }
