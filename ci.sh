@@ -34,9 +34,14 @@ PROPTEST_CASES=1000 cargo test --release -q -p monocle --lib \
     proxy::tests::incremental_refresh_matches_whole_table_oracle_on_random_scripts
 
 echo "== deeper property pass: the steady scheduler (budget, SLO, round-robin queue) =="
-# Tier-1 runs these at 64 cases: the token bucket bounds releases, every rule
-# meets the staleness SLO, and the round-robin configuration — the fixed
-# steady sweep — releases exactly what a queue of the rules predicts.
+# Tier-1 runs these at 64 cases. The budget invariant is checked on
+# SteadyMonitor, the scheduler's caller: in both configurations no two new
+# probes go out closer than the probe interval under random refreshes,
+# modifications, verdicts and jittered ticks, and no planned rule waits past
+# its SLO plus one slot per rule. On the scheduler itself, every rule meets
+# the staleness SLO, and the round-robin configuration — the fixed steady
+# sweep — releases exactly what a queue of the rules predicts.
+PROPTEST_CASES=1000 cargo test --release -q -p monocle --lib steady::tests::props
 PROPTEST_CASES=1000 cargo test --release -q -p monocle_sched --test prop_sched
 
 echo "== rustfmt =="

@@ -5,7 +5,7 @@
 //! one adaptive — through the same workload schedule: rule modifications
 //! (flow_mod churn) and rule breakages, with probe verdicts returned after
 //! a fixed RTT. Measured: time from a rule breaking to the monitor's
-//! `RuleFailed` report. Both arms pace one probe per `probe_interval`, and
+//! `RuleFailed` report. Both arms pace one probe per `PROBE_INTERVAL`, and
 //! the adaptive arm's staleness SLO is set to the fixed arm's cycle time
 //! (`rules x interval`), so neither arm gets more budget or a laxer
 //! worst-case revisit than the other.
@@ -24,7 +24,7 @@
 //! [--json PATH]`
 
 use monocle::plan::{ConcreteOutcome, ProbePlan, Verdict};
-use monocle::steady::{SteadyAction, SteadyConfig, SteadyMonitor};
+use monocle::steady::{SteadyAction, SteadyConfig, SteadyMonitor, PROBE_INTERVAL};
 use monocle_openflow::{Action, Forwarding, HeaderVec, RuleId};
 use monocle_packet::PacketFields;
 use monocle_sched::SchedConfig;
@@ -164,15 +164,12 @@ fn run_arm(
     horizon: u64,
     rtt_ns: u64,
 ) -> ArmResult {
-    let probe_interval = 2 * MS; // 500 probes/s, §3
     let cfg = SteadyConfig {
-        probe_interval,
         adaptive: adaptive.then(|| SchedConfig {
             // Same worst-case revisit as the fixed sweep's cycle time.
-            slo_ns: (rules as u64 * probe_interval).max(100 * MS),
+            slo_ns: (rules as u64 * PROBE_INTERVAL).max(100 * MS),
             ..SchedConfig::default()
         }),
-        ..SteadyConfig::default()
     };
     let mut m = SteadyMonitor::new(cfg);
     m.patch_plans((0..rules as u64).map(mk_plan).collect(), &[]);

@@ -40,31 +40,21 @@ use monocle_openflow::table::ApplyResult;
 use monocle_openflow::{FlowMod, FlowModCommand, FlowTable, Rule, RuleId, TableError};
 use std::collections::VecDeque;
 
+/// Interval between probe (re)injections for an unconfirmed update, ns.
+const PROBE_INTERVAL: u64 = 2_000_000;
+/// Silence window for negative probing (§3.3): when the confirming outcome
+/// is a drop (unobservable), the update is confirmed once no contrary probe
+/// has returned for this long, ns.
+pub(crate) const NEGATIVE_CONFIRM_WINDOW: u64 = 12_000_000;
+
 /// Dynamic-monitor configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DynamicConfig {
-    /// Interval between probe (re)injections for an unconfirmed update, ns.
-    pub probe_interval: u64,
     /// Give-up threshold: after this many probes without confirmation an
-    /// alarm is raised (0 = never give up).
+    /// alarm is raised (0, the default, = never give up).
     pub max_attempts: u32,
-    /// Silence window for negative probing (§3.3): when the confirming
-    /// outcome is a drop (unobservable), the update is confirmed once no
-    /// contrary probe has returned for this long, ns.
-    pub negative_confirm_window: u64,
     /// Probe generation settings.
     pub gen: GeneratorConfig,
-}
-
-impl Default for DynamicConfig {
-    fn default() -> Self {
-        DynamicConfig {
-            probe_interval: 2_000_000, // 2 ms
-            max_attempts: 0,
-            negative_confirm_window: 12_000_000, // 12 ms
-            gen: GeneratorConfig::default(),
-        }
-    }
 }
 
 /// Actions the dynamic monitor asks the harness to perform.
@@ -572,7 +562,7 @@ impl DynamicMonitor {
             started: now,
             claim: a.claim,
             attempts: 1,
-            next_probe_at: now + self.cfg.probe_interval,
+            next_probe_at: now + PROBE_INTERVAL,
             live_seqs: vec![seq],
         });
         DynAction::Inject {
@@ -622,7 +612,7 @@ impl DynamicMonitor {
     /// to it (the reply to a barrier sent after them). A claim is a hint,
     /// never proof: it confirms nothing. Each unconfirmed update it is the
     /// first to cover is probed once now — its earlier probes may all have
-    /// met the old state — and re-probed `probe_interval` later; an update
+    /// met the old state — and re-probed `PROBE_INTERVAL` later; an update
     /// still awaiting its plan is probed when the plan lands. From the first
     /// claim on, silence counts only from an update's claim ([`Self::on_tick`]).
     pub fn on_claim(&mut self, now: u64, covered: u64) -> Vec<DynAction> {
@@ -641,7 +631,7 @@ impl DynamicMonitor {
         for a in &mut self.active {
             if newly(&mut a.claim) {
                 a.attempts += 1;
-                a.next_probe_at = now + self.cfg.probe_interval;
+                a.next_probe_at = now + PROBE_INTERVAL;
                 let seq = take_seq(&mut self.next_seq);
                 a.live_seqs.push(seq);
                 actions.push(DynAction::Inject {
@@ -657,13 +647,11 @@ impl DynamicMonitor {
     /// silence-based (negative-probed) updates whose window elapsed. Once
     /// claims flow, the window opens at an update's claim (an unclaimed
     /// update is never confirmed by silence), and an unclaimed update's
-    /// re-probes back off: each gap doubles from `probe_interval`, capped at
+    /// re-probes back off: each gap doubles from `PROBE_INTERVAL`, capped at
     /// the window.
     pub fn on_tick(&mut self, now: u64) -> Vec<DynAction> {
         let mut actions = Vec::new();
         let max_attempts = self.cfg.max_attempts;
-        let interval = self.cfg.probe_interval;
-        let window = self.cfg.negative_confirm_window;
         let claims_heard = self.claims_heard;
         let mut alarmed: Vec<u64> = Vec::new();
         let mut silent_done: Vec<u64> = Vec::new();
@@ -672,7 +660,9 @@ impl DynamicMonitor {
                 (false, _) => Some(a.last_contrary.max(a.started)),
                 (true, claimed) => claimed.map(|c| c.max(a.last_contrary).max(a.started)),
             };
-            if a.silent_confirm && a.attempts >= 2 && quiet_since.is_some_and(|t| now >= t + window)
+            if a.silent_confirm
+                && a.attempts >= 2
+                && quiet_since.is_some_and(|t| now >= t + NEGATIVE_CONFIRM_WINDOW)
             {
                 // §3.3 negative probing: enough probes went quiet.
                 silent_done.push(a.token);
@@ -688,10 +678,10 @@ impl DynamicMonitor {
             a.attempts += 1;
             a.next_probe_at = now
                 + if claims_heard && a.claim.at.is_none() {
-                    let doubled = interval.saturating_mul(1 << (a.attempts - 1).min(63));
-                    doubled.min(window.max(interval))
+                    let doubled = PROBE_INTERVAL.saturating_mul(1 << (a.attempts - 1).min(63));
+                    doubled.min(NEGATIVE_CONFIRM_WINDOW)
                 } else {
-                    interval
+                    PROBE_INTERVAL
                 };
             let seq = take_seq(&mut self.next_seq);
             a.live_seqs.push(seq);

@@ -60,11 +60,13 @@ impl std::fmt::Display for ProbeError {
 
 impl std::error::Error for ProbeError {}
 
+/// Solver conflict budget per solve (instances are tiny; this is a safety
+/// net).
+const CONFLICT_BUDGET: u64 = 200_000;
+
 /// Generator configuration.
 #[derive(Debug, Clone)]
 pub struct GeneratorConfig {
-    /// Solver conflict budget (instances are tiny; this is a safety net).
-    pub conflict_budget: u64,
     /// Ingress port used when nothing pins `in_port` (the physical port the
     /// prober injects on).
     pub default_in_port: u16,
@@ -72,10 +74,7 @@ pub struct GeneratorConfig {
 
 impl Default for GeneratorConfig {
     fn default() -> Self {
-        GeneratorConfig {
-            conflict_budget: 200_000,
-            default_in_port: 1,
-        }
+        GeneratorConfig { default_in_port: 1 }
     }
 }
 
@@ -211,14 +210,14 @@ fn solve_and_finish(
     // many instances.
     stats.relevant_rules += inst.relevant_rules;
     stats.clauses += inst.cnf.num_clauses();
-    let model = match solve_counted(&inst.cnf, cfg, stats) {
+    let model = match solve_counted(&inst.cnf, stats) {
         SatResult::Sat(m) => m,
         SatResult::Unknown => return Err(ProbeError::SolverBudget),
         SatResult::Unsat => {
             // Classify: can the rule be hit at all?
             let hit =
                 encode::build_hit_only(table, probed, catch).map_err(|_| ProbeError::Hidden)?;
-            return Err(match solve_counted(&hit, cfg, stats) {
+            return Err(match solve_counted(&hit, stats) {
                 SatResult::Sat(_) => ProbeError::Indistinguishable,
                 SatResult::Unsat => ProbeError::Hidden,
                 SatResult::Unknown => ProbeError::SolverBudget,
@@ -246,7 +245,7 @@ fn solve_and_finish(
         Err(_) => return Err(ProbeError::RepairFailed),
     };
     add_domain_constraints(&mut cnf, table, catch, cfg);
-    match solve_counted(&cnf, cfg, stats) {
+    match solve_counted(&cnf, stats) {
         SatResult::Sat(m) => {
             finish(table, probed, &pins, model_to_header(&m)).ok_or(ProbeError::RepairFailed)
         }
@@ -257,9 +256,9 @@ fn solve_and_finish(
 
 /// One solve on a fresh, budgeted solver, counted into `stats` whatever the
 /// answer: per-solve averages must cover UNSAT and budget-exhausted solves.
-fn solve_counted(cnf: &Cnf, cfg: &GeneratorConfig, stats: &mut GenStats) -> SatResult {
+fn solve_counted(cnf: &Cnf, stats: &mut GenStats) -> SatResult {
     let out = CdclSolver::new()
-        .with_conflict_budget(cfg.conflict_budget)
+        .with_conflict_budget(CONFLICT_BUDGET)
         .solve_with_stats(cnf);
     stats.solver_calls += 1;
     stats.conflicts += out.stats.conflicts;

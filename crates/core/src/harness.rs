@@ -97,32 +97,23 @@ pub enum HarnessEvent {
     },
 }
 
+/// Proxy tick period, ns: one steady probe slot per tick (500 probes/s per
+/// switch).
+const TICK: SimTime = 2_000_000;
+/// Budget for the exact coloring solver of the catch plan.
+const COLORING_BUDGET: u64 = 100_000;
+
 /// Harness configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HarnessConfig {
-    /// Proxy tick period (probe pacing), ns.
-    pub tick: SimTime,
     /// Steady-state config applied to monitored switches (None = dynamic
     /// monitoring only).
     pub steady: Option<SteadyConfig>,
-    /// Budget for the exact coloring solver.
-    pub coloring_budget: u64,
     /// Enable §4.3 drop-postponing with this tag: drop installs become
     /// rewrite-and-forward stand-ins (positively probeable), finalized into
     /// real drops after confirmation. Drop-tag rules are preinstalled on
     /// every switch.
     pub drop_postpone: Option<DropTag>,
-}
-
-impl Default for HarnessConfig {
-    fn default() -> Self {
-        HarnessConfig {
-            tick: 2_000_000, // 2 ms ⇒ 500 probes/s per switch
-            steady: None,
-            coloring_budget: 100_000,
-            drop_postpone: None,
-        }
-    }
 }
 
 /// The Monocle-enabled controller application.
@@ -163,7 +154,7 @@ impl<E: Experiment> MonocleApp<E> {
                 graph.add_edge(sa, sb);
             }
         }
-        let catch_plan = catching::plan(&graph, Strategy::OneField, cfg.coloring_budget);
+        let catch_plan = catching::plan(&graph, Strategy::OneField, COLORING_BUDGET);
         let mut proxies = HashMap::new();
         let mut upstream = HashMap::new();
         for &sw in monitored {
@@ -345,7 +336,7 @@ impl<E: Experiment> ControlApp for MonocleApp<E> {
                 }
             }
         }
-        ctx.timer_at(ctx.now + self.cfg.tick, TICK_TOKEN);
+        ctx.timer_at(ctx.now + TICK, TICK_TOKEN);
         let mut io = ExpIo::new(ctx.now);
         self.experiment.on_start(&mut io);
         self.apply_exp_io(ctx, io);
@@ -401,7 +392,7 @@ impl<E: Experiment> ControlApp for MonocleApp<E> {
                 let outputs = self.proxies.get_mut(&sw).unwrap().on_tick(ctx.now);
                 self.emit_outputs(ctx, sw, outputs);
             }
-            ctx.timer_at(ctx.now + self.cfg.tick, TICK_TOKEN);
+            ctx.timer_at(ctx.now + TICK, TICK_TOKEN);
         } else {
             let mut io = ExpIo::new(ctx.now);
             self.experiment.on_timer(&mut io, token);
@@ -621,7 +612,6 @@ mod tests {
         let cfg = HarnessConfig {
             steady: Some(SteadyConfig {
                 adaptive: Some(monocle_sched::SchedConfig::default()),
-                ..SteadyConfig::default()
             }),
             ..Default::default()
         };

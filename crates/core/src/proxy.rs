@@ -44,7 +44,6 @@ impl ProxyConfig {
     pub fn new(switch_id: u64, catch: CatchSpec) -> ProxyConfig {
         let gen = GeneratorConfig {
             default_in_port: catch.in_port.unwrap_or(1),
-            ..GeneratorConfig::default()
         };
         ProxyConfig {
             switch_id,
@@ -1003,7 +1002,7 @@ mod tests {
         assert!(p.on_barrier_reply(600_000, barrier).is_empty());
         assert_eq!(rules(&p.on_barrier_reply(700_000, p.flowmods_sent())), [r3]);
         assert!(p.on_barrier_reply(800_000, p.flowmods_sent()).is_empty());
-        // The clock takes over `probe_interval` after each claim.
+        // The clock takes over `PROBE_INTERVAL` after each claim.
         assert_eq!(rules(&p.on_tick(2_600_000)), [r1, r2]);
         assert_eq!(rules(&p.on_tick(2_700_000)), [r3]);
     }
@@ -1067,7 +1066,7 @@ mod tests {
 
     #[test]
     fn silence_counts_from_the_claim_once_claims_flow() {
-        let window = DynamicConfig::default().negative_confirm_window;
+        let window = crate::dynamic::NEGATIVE_CONFIRM_WINDOW;
         // Without claims, silence counts from the first probe.
         let mut p = proxy();
         p.on_controller_flowmod(0, 1, drop_fm(23));
@@ -1617,7 +1616,6 @@ mod tests {
     fn steady_cfg(adaptive: bool, drop_postpone: bool) -> ProxyConfig {
         let steady = SteadyConfig {
             adaptive: adaptive.then(monocle_sched::SchedConfig::default),
-            ..SteadyConfig::default()
         };
         let mut cfg = ProxyConfig::new(7, CatchSpec::default()).with_steady(steady);
         if drop_postpone {

@@ -1,25 +1,28 @@
 //! Steady-state monitoring (§3, evaluated in §8.1.1 / Fig. 4).
 //!
 //! The monitor cycles through all monitorable rules of one switch at a
-//! configured probe rate, tracks outstanding probes, retries within the
-//! detection window and reports per-rule failures. The Fig. 4 parameters
-//! (500 probes/s, 150 ms timeout, up to 3 resends) are the defaults.
+//! fixed probe rate, tracks outstanding probes, retries within the
+//! detection window and reports per-rule failures. The rate, window and
+//! resends are Fig. 4's: 500 probes/s ([`PROBE_INTERVAL`]), a 150 ms
+//! timeout and up to 3 resends.
 //!
 //! This is a pure, time-driven state machine: the harness feeds it ticks
 //! and classified probe verdicts and executes the actions it returns.
 //!
-//! # One scheduler, two configurations
+//! # One budget, two configurations
 //!
-//! A [`monocle_sched::AdaptiveScheduler`] picks which rule each injection
-//! slot goes to. With [`SteadyConfig::adaptive`] unset it runs its
-//! round-robin configuration (`slo_ns = 0`, `min_interval_ns = 0`: every
-//! rule always due, released in the order it last was): the paper's fixed
-//! sweep, in the order the rules joined it. With a [`SchedConfig`] set,
+//! The monitor opens one injection slot per [`PROBE_INTERVAL`]: a new
+//! probe's first injection is never closer than that to the previous one.
+//! That slot is the one release-rate limit. A
+//! [`monocle_sched::AdaptiveScheduler`] only picks which rule each slot goes
+//! to. With [`SteadyConfig::adaptive`] unset it runs its round-robin
+//! configuration (`slo_ns = 0`, `min_interval_ns = 0`: every rule always
+//! due, released in the order it last was): the paper's fixed sweep, in the
+//! order the rules joined it. With a [`SchedConfig`] set,
 //! recently-modified, high-churn and failing rules are probed more often
-//! while every rule still meets the staleness SLO. The injection *pacing*
-//! is the same either way (one probe per `probe_interval`, and the
-//! scheduler's token bucket is derived from the same interval), so the
-//! configuration redistributes the budget without raising it.
+//! while every rule still meets the staleness SLO. The configuration
+//! redistributes the budget without raising it (`tests::props` checks the
+//! pacing and each rule's longest wait in both).
 
 use crate::plan::{take_seq, ProbePlan, Verdict};
 use monocle_openflow::table::{IdHashMap, IdHashSet};
@@ -27,30 +30,20 @@ use monocle_openflow::RuleId;
 use monocle_sched::{AdaptiveScheduler, SchedConfig, SchedStats};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Steady-state monitor configuration.
-#[derive(Debug, Clone)]
-pub struct SteadyConfig {
-    /// Time between consecutive probe injections, ns (default 2 ms ⇒ 500/s).
-    pub probe_interval: u64,
-    /// Detection window from the first injection, ns (default 150 ms).
-    pub timeout: u64,
-    /// Maximum number of resends within the window (default 3).
-    pub max_retries: u32,
-    /// The scheduler's configuration; `None` (default) is its round-robin
-    /// configuration, the paper's fixed sweep. Either way the probe budget
-    /// is overridden to `1e9 / probe_interval`, so both spend the same.
-    pub adaptive: Option<SchedConfig>,
-}
+/// Time between consecutive first injections, ns: 2 ms ⇒ 500 probes/s.
+pub const PROBE_INTERVAL: u64 = 2_000_000;
+/// Detection window from a probe's first injection, ns.
+const TIMEOUT: u64 = 150_000_000;
+/// Resends within the detection window, one every `TIMEOUT / 4`.
+const MAX_RETRIES: u32 = 3;
 
-impl Default for SteadyConfig {
-    fn default() -> Self {
-        SteadyConfig {
-            probe_interval: 2_000_000,
-            timeout: 150_000_000,
-            max_retries: 3,
-            adaptive: None,
-        }
-    }
+/// Steady-state monitor configuration.
+#[derive(Debug, Clone, Default)]
+pub struct SteadyConfig {
+    /// The scheduler's configuration; `None` (default) is its round-robin
+    /// configuration, the paper's fixed sweep. Either way one probe goes
+    /// out per [`PROBE_INTERVAL`], so both spend the same.
+    pub adaptive: Option<SchedConfig>,
 }
 
 /// Actions the steady monitor asks the harness to perform.
@@ -89,7 +82,6 @@ struct Outstanding {
 /// The per-switch steady-state monitor.
 #[derive(Debug)]
 pub struct SteadyMonitor {
-    cfg: SteadyConfig,
     plans: IdHashMap<RuleId, ProbePlan>,
     next_inject_at: u64,
     outstanding: BTreeMap<u32, Outstanding>,
@@ -108,15 +100,11 @@ pub struct SteadyMonitor {
 impl SteadyMonitor {
     /// Creates a monitor with the given configuration.
     pub fn new(cfg: SteadyConfig) -> SteadyMonitor {
-        let mut sc = cfg.adaptive.clone().unwrap_or(SchedConfig {
+        let sc = cfg.adaptive.unwrap_or(SchedConfig {
             slo_ns: 0,
             min_interval_ns: 0,
-            ..SchedConfig::default()
         });
-        // Same budget in both configurations, whatever the caller put in.
-        sc.budget_pps = 1e9 / cfg.probe_interval.max(1) as f64;
         SteadyMonitor {
-            cfg,
             plans: IdHashMap::default(),
             next_inject_at: 0,
             outstanding: BTreeMap::new(),
@@ -211,13 +199,13 @@ impl SteadyMonitor {
         self.now_hint = self.now_hint.max(now);
         let mut actions = Vec::new();
         // 1. Handle timeouts / retries.
-        let retry_after = self.cfg.timeout / u64::from(self.cfg.max_retries + 1);
+        let retry_after = TIMEOUT / u64::from(MAX_RETRIES + 1);
         let mut to_remove = Vec::new();
         let mut to_resend = Vec::new();
         for (&seq, o) in &self.outstanding {
             let rule_id = o.rule_id;
             let negative = self.plans[&rule_id].is_negative();
-            if now >= o.first_sent + self.cfg.timeout {
+            if now >= o.first_sent + TIMEOUT {
                 // Window expired with no conclusive observation.
                 if negative {
                     // Negative probing (§3.3): silence is the (weak)
@@ -233,10 +221,7 @@ impl SteadyMonitor {
                     }
                 }
                 to_remove.push(seq);
-            } else if !negative
-                && o.attempts <= self.cfg.max_retries
-                && now >= o.last_sent + retry_after
-            {
+            } else if !negative && o.attempts <= MAX_RETRIES && now >= o.last_sent + retry_after {
                 to_resend.push(seq);
             }
         }
@@ -252,11 +237,12 @@ impl SteadyMonitor {
         }
         // 2. Inject into this pacing slot the rule the scheduler releases
         //    (the slot stays open if nothing is due, so an idle scheduler
-        //    underspends the budget but never exceeds it).
+        //    underspends the budget but never exceeds it). At most one
+        //    release per slot: the slot is the scheduler's rate limit.
         if !self.plans.is_empty() && now >= self.next_inject_at {
             if let Some(key) = self.sched.next_due(now) {
                 let rule_id = RuleId(key);
-                self.next_inject_at = now + self.cfg.probe_interval;
+                self.next_inject_at = now + PROBE_INTERVAL;
                 let seq = take_seq(&mut self.next_seq);
                 self.outstanding.insert(
                     seq,
@@ -493,7 +479,6 @@ mod tests {
     fn adaptive() -> SteadyConfig {
         SteadyConfig {
             adaptive: Some(SchedConfig::default()),
-            ..SteadyConfig::default()
         }
     }
 
@@ -553,7 +538,7 @@ mod tests {
     #[test]
     fn adaptive_timeout_retries_then_fails_like_fixed() {
         // The retry path is scheduler-independent: timeouts still resend
-        // up to max_retries and then raise RuleFailed.
+        // up to MAX_RETRIES and then raise RuleFailed.
         let mut m = monitor(adaptive(), vec![mk_plan(7, false)]);
         let a = m.on_tick(0);
         let SteadyAction::Inject { seq, .. } = a[0] else {
@@ -689,5 +674,172 @@ mod tests {
             tick(&mut m, &mut order);
         }
         assert_eq!(order, [1, 2, 3, 1, 2, 5, 3]);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::HashMap;
+
+        /// Rule ids are drawn below this, so at most this many are planned.
+        const RULES: u64 = 8;
+        /// Ticks come 0.5–3 ms apart.
+        const MAX_TICK: u64 = 3 * MS;
+
+        /// One call into the monitor.
+        #[derive(Debug, Clone)]
+        enum Op {
+            /// The clock advances this far, then the monitor ticks; a new
+            /// probe the tick sends is answered at once, if at all.
+            Tick(u64, Option<Verdict>),
+            /// The `i`-th latest probe sent (mod their count) is answered;
+            /// an answer to a probe no longer outstanding is ignored.
+            Answer(usize, Verdict),
+            /// A refresh: upsert `(rule, variant)` plans, drop rules.
+            Patch(Vec<(u64, u16)>, Vec<u64>),
+            /// A flow_mod touched the rule.
+            Modify(u64),
+        }
+
+        fn arb_upserts() -> impl Strategy<Value = Vec<(u64, u16)>> {
+            prop::collection::vec((0..RULES, 1u16..3), 0..6)
+        }
+
+        fn arb_op() -> impl Strategy<Value = Op> {
+            let verdict = || {
+                prop_oneof![
+                    Just(Verdict::Present),
+                    Just(Verdict::Absent),
+                    Just(Verdict::Inconclusive),
+                ]
+            };
+            // Mostly healthy answers and modifications that mostly miss the
+            // planned rules, so that some rules cool down and the SLO, not
+            // the floor, paces them.
+            let answer = prop_oneof![
+                30 => Just(Some(Verdict::Present)),
+                1 => prop::option::of(verdict()),
+            ];
+            prop_oneof![
+                16 => (MS / 2..MAX_TICK + 1, answer).prop_map(|(dt, v)| Op::Tick(dt, v)),
+                2 => (0usize..8, verdict()).prop_map(|(i, v)| Op::Answer(i, v)),
+                1 => (arb_upserts(), prop::collection::vec(0..RULES, 0..3))
+                    .prop_map(|(up, drop)| Op::Patch(up, drop)),
+                1 => (0..16 * RULES).prop_map(Op::Modify),
+            ]
+        }
+
+        /// Rule `rule`'s plan; a different `variant` is a replaced plan.
+        /// Every third rule is a drop rule, confirmed by silence.
+        fn plan(rule: u64, variant: u16) -> ProbePlan {
+            ProbePlan {
+                in_port: variant,
+                ..mk_plan(rule, rule.is_multiple_of(3))
+            }
+        }
+
+        /// Drives a monitor planned with `initial` through `ops` and checks
+        /// after every call:
+        /// * no two new probes went out closer than [`PROBE_INTERVAL`]
+        ///   (resends reuse their probe's number and ride outside the slot);
+        /// * no planned rule has waited for a new probe longer than its SLO
+        ///   (0 in the round-robin configuration) plus one slot for itself
+        ///   and each other rule — a slot being at most one interval plus
+        ///   one tick. A rule is late only behind rules due no later than
+        ///   it, and each of those goes at most once before it.
+        fn run(
+            cfg: SteadyConfig,
+            initial: Vec<(u64, u16)>,
+            ops: Vec<Op>,
+        ) -> Result<(), TestCaseError> {
+            let slo = cfg.adaptive.as_ref().map_or(0, |c| c.slo_ns);
+            let longest_wait = slo + RULES * (PROBE_INTERVAL + MAX_TICK);
+            let mut m = SteadyMonitor::new(cfg);
+            let mut now = 0;
+            // Planned rule -> when it joined or last got a new probe.
+            let mut since: HashMap<RuleId, u64> = HashMap::new();
+            let mut sent: Vec<u32> = Vec::new();
+            let mut last_new: Option<u64> = None;
+            for op in std::iter::once(Op::Patch(initial, Vec::new())).chain(ops) {
+                match op {
+                    Op::Tick(dt, answer) => {
+                        now += dt;
+                        for a in m.on_tick(now) {
+                            let SteadyAction::Inject { seq, rule_id } = a else {
+                                continue;
+                            };
+                            if sent.contains(&seq) {
+                                continue; // a resend
+                            }
+                            if let Some(prev) = last_new {
+                                prop_assert!(
+                                    now - prev >= PROBE_INTERVAL,
+                                    "new probes {}ns apart at {}",
+                                    now - prev,
+                                    now
+                                );
+                            }
+                            last_new = Some(now);
+                            sent.push(seq);
+                            since.insert(rule_id, now);
+                            if let Some(v) = answer {
+                                m.on_verdict(now, seq, v);
+                            }
+                        }
+                    }
+                    Op::Answer(i, v) => {
+                        if !sent.is_empty() {
+                            m.on_verdict(now, sent[sent.len() - 1 - i % sent.len()], v);
+                        }
+                    }
+                    Op::Patch(up, drop) => {
+                        let plans = up.into_iter().map(|(r, v)| plan(r, v)).collect();
+                        let drop: Vec<RuleId> = drop.into_iter().map(RuleId).collect();
+                        m.patch_plans(plans, &drop);
+                        since.retain(|rule, _| m.plans().contains_key(rule));
+                        for &rule in m.plans().keys() {
+                            since.entry(rule).or_insert(now);
+                        }
+                    }
+                    Op::Modify(rule) => m.note_rule_modified(RuleId(rule), now),
+                }
+                for (rule, &t) in &since {
+                    prop_assert!(
+                        now - t <= longest_wait,
+                        "{:?} unprobed for {}ms at {}ms",
+                        rule,
+                        (now - t) / MS,
+                        now / MS
+                    );
+                }
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The round-robin configuration, the paper's fixed sweep.
+            #[test]
+            fn fixed_sweep_keeps_the_probe_interval(
+                initial in arb_upserts(),
+                ops in prop::collection::vec(arb_op(), 1..1500),
+            ) {
+                run(SteadyConfig::default(), initial, ops)?;
+            }
+
+            /// The adaptive configuration: the same pacing, and the SLO
+            /// however modifications and failures skew the scores.
+            #[test]
+            fn adaptive_keeps_the_probe_interval_and_the_slo(
+                initial in arb_upserts(),
+                ops in prop::collection::vec(arb_op(), 1..1500),
+            ) {
+                let cfg = SteadyConfig {
+                    adaptive: Some(SchedConfig { slo_ns: 100 * MS, min_interval_ns: 20 * MS }),
+                };
+                run(cfg, initial, ops)?;
+            }
+        }
     }
 }

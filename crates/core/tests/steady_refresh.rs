@@ -23,7 +23,6 @@ const PROBE_RTT_NS: u64 = 3 * MS;
 fn adaptive_proxy() -> MonitorProxy {
     let steady = SteadyConfig {
         adaptive: Some(SchedConfig::default()),
-        ..SteadyConfig::default()
     };
     MonitorProxy::new(ProxyConfig::new(1, CatchSpec::default()).with_steady(steady))
 }

@@ -181,7 +181,6 @@ fn echo_liveness_and_adaptive_steady_over_tcp() {
     cfg.echo_interval_ns = 1_000_000;
     cfg.steady = Some(monocle::steady::SteadyConfig {
         adaptive: Some(monocle_sched::SchedConfig::default()),
-        ..Default::default()
     });
     let mut proxy = ProxyApp::new(cfg, proxy_loop.waker());
     let proxy_stats = proxy.stats();

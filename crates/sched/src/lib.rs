@@ -13,9 +13,11 @@
 //!   layer (`monocle_net::SessionStats`), the per-rule ones live in the
 //!   scheduler, fed from probe verdicts;
 //! * [`scheduler`] — [`scheduler::AdaptiveScheduler`], an
-//!   earliest-deadline-first priority queue under a token-bucket probe
-//!   budget and a per-rule staleness SLO. Its round-robin configuration
-//!   is the fixed sweep itself.
+//!   earliest-deadline-first priority queue under a per-rule staleness
+//!   SLO. It picks which rule an injection slot goes to; the slots, and so
+//!   the probe budget, are the caller's (`monocle::steady::SteadyMonitor`
+//!   opens one per probe interval). Its round-robin configuration is the
+//!   fixed sweep itself.
 //!
 //! The crate is dependency-free and keyed by raw `u64` rule ids so both
 //! `monocle` (core) and `monocle_net` can use it without cycles.
@@ -27,4 +29,4 @@ pub mod scheduler;
 pub mod telemetry;
 
 pub use scheduler::{AdaptiveScheduler, RuleKey, SchedConfig, SchedStats};
-pub use telemetry::{DecayCounter, Ewma, SwitchTelemetry, WindowedRatio};
+pub use telemetry::{DecayCounter, Ewma, SwitchTelemetry};

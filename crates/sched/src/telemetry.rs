@@ -10,8 +10,8 @@
 //! * [`DecayCounter`] — an exponentially decayed event counter whose value
 //!   is a "heat" score: recent events dominate, old ones fade with a
 //!   configurable half-life (flow_mod churn per rule, backpressure pauses);
-//! * [`WindowedRatio`] — success ratio over the last N boolean outcomes
-//!   (probe verdicts per rule).
+//! * `WindowedRatio` — success ratio over the last N boolean outcomes
+//!   (probe verdicts per rule; private to the scheduler, its one user).
 //!
 //! [`SwitchTelemetry`] bundles the per-switch estimators and condenses them
 //! into a single scalar *cost* the scheduler uses to stretch probe
@@ -114,7 +114,7 @@ impl DecayCounter {
 
 /// Success ratio over a fixed-size ring of boolean outcomes.
 #[derive(Debug, Clone)]
-pub struct WindowedRatio {
+pub(crate) struct WindowedRatio {
     ring: Vec<bool>,
     len: usize,
     head: usize,
@@ -123,7 +123,7 @@ pub struct WindowedRatio {
 
 impl WindowedRatio {
     /// Creates a window over the last `capacity` outcomes.
-    pub fn new(capacity: usize) -> WindowedRatio {
+    pub(crate) fn new(capacity: usize) -> WindowedRatio {
         WindowedRatio {
             ring: vec![false; capacity.max(1)],
             len: 0,
@@ -133,7 +133,7 @@ impl WindowedRatio {
     }
 
     /// Records one outcome.
-    pub fn record(&mut self, ok: bool) {
+    pub(crate) fn record(&mut self, ok: bool) {
         if self.len == self.ring.len() {
             // Evict the oldest outcome (the slot we are about to overwrite).
             if self.ring[self.head] {
@@ -151,22 +151,12 @@ impl WindowedRatio {
 
     /// Fraction of successes in the window; 1.0 while empty (innocent until
     /// proven failing — an empty history must not look urgent).
-    pub fn ratio(&self) -> f64 {
+    pub(crate) fn ratio(&self) -> f64 {
         if self.len == 0 {
             1.0
         } else {
             self.successes as f64 / self.len as f64
         }
-    }
-
-    /// Outcomes currently held.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no outcome has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 
@@ -256,7 +246,7 @@ mod tests {
         w.record(true);
         w.record(true);
         assert!((w.ratio() - 1.0).abs() < 1e-9);
-        assert_eq!(w.len(), 4);
+        assert_eq!(w.len, 4);
     }
 
     #[test]
