@@ -18,18 +18,21 @@ echo "== deeper property pass: engine eviction, the Hidden oracle, the encoding 
 PROPTEST_CASES=1000 cargo test --release -q --test prop_engine --test prop_probe
 PROPTEST_CASES=1000 cargo test --release -q -p monocle --lib encode::tests
 
-echo "== deeper property pass: dynamic monitoring (replica mirror, drain, order) =="
+echo "== deeper property pass: dynamic monitoring (replica and switch mirror, drain, order) =="
 # Tier-1 runs these at 64 cases: a replica fed the monitor's planning steps
-# is the expected table and its plans verify, inline and deferred planning
-# emit the same actions and keep the script's order, and every update drains
-# verified, optimistic or alarmed.
+# is the expected table and its plans verify; after every call the FlowMods
+# the monitor sent, applied in the order sent, are the expected table too,
+# with drop installs postponed (§4.3 finalizers) in half the cases; inline
+# and deferred planning emit the same outputs and keep the script's order;
+# and every update drains verified, optimistic or alarmed.
 PROPTEST_CASES=1000 cargo test --release -q -p monocle --lib dynamic::tests::props
 
 echo "== deeper differential: the steady refresh, inline and deferred =="
 # Tier-1 runs 40 random scripts: the incremental refresh matches the
-# whole-table oracle, and a deferred twin whose refresh answers land up to
-# three calls late holds valid plans at every landing and, once quiet, what a
-# fresh whole-table plan of its table finds.
+# whole-table oracle, the switch the proxies' FlowMods drive holds their
+# expected table after every call, and a deferred twin whose refresh answers
+# land up to three calls late holds valid plans at every landing and, once
+# quiet, what a fresh whole-table plan of its table finds.
 PROPTEST_CASES=1000 cargo test --release -q -p monocle --lib \
     proxy::tests::incremental_refresh_matches_whole_table_oracle_on_random_scripts
 
@@ -43,6 +46,9 @@ echo "== deeper property pass: the steady scheduler (budget, SLO, round-robin qu
 # sweep — releases exactly what a queue of the rules predicts.
 PROPTEST_CASES=1000 cargo test --release -q -p monocle --lib steady::tests::props
 PROPTEST_CASES=1000 cargo test --release -q -p monocle_sched --test prop_sched
+
+echo "== product lines (informational, not gated) =="
+scripts/product_lines.sh
 
 echo "== rustfmt =="
 cargo fmt --check

@@ -30,12 +30,27 @@
 //!   silence counts only from an update's claim, an unclaimed update is
 //!   never confirmed by silence, and its clock-driven re-probes back off. A
 //!   monitor that never hears a claim probes on the clock alone.
+//!
+//! ## What reaches the switch, and in which order
+//!
+//! The monitor owns every FlowMod sent to its switch: a controller update's
+//! as the update starts, a §4.3 drop-postponing finalizer as its update
+//! confirms, and Monocle's own rules ([`DynamicMonitor::apply_own`]). Each
+//! is applied to the expected table (and recorded for a deferred planner),
+//! numbered ([`DynamicMonitor::flowmods_sent`]) and emitted as
+//! [`ProxyOutput::ToSwitch`] in one step, so the switch, the expected table
+//! and the planner's replica see one order. A confirmation emits the
+//! update's finalizer, then its [`ProxyOutput::Confirmed`], then whatever it
+//! released from the §4.2 queue. Probes go out as [`ProxyOutput::Inject`],
+//! built where the plan is in hand. The outputs are the proxy's own:
+//! `MonitorProxy` passes them on unchanged.
 
 use crate::encode::CatchSpec;
 use crate::engine::ProbeEngine;
 use crate::generator::GeneratorConfig;
 use crate::plan::{take_seq, ProbePlan, Verdict};
 use crate::planner::{self, PlanKind, Refreshed, Step};
+use crate::proxy::{ProbeInjection, ProxyOutput};
 use monocle_openflow::table::ApplyResult;
 use monocle_openflow::{FlowMod, FlowModCommand, FlowTable, Rule, RuleId, TableError};
 use std::collections::VecDeque;
@@ -55,39 +70,6 @@ pub struct DynamicConfig {
     pub max_attempts: u32,
     /// Probe generation settings.
     pub gen: GeneratorConfig,
-}
-
-/// Actions the dynamic monitor asks the harness to perform.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DynAction {
-    /// Forward update `token`'s FlowMod to the switch now; the driver numbers
-    /// it among the FlowMods it sends ([`DynamicMonitor::note_forwarded`]).
-    Forward {
-        /// Update token.
-        token: u64,
-        /// The FlowMod.
-        fm: FlowMod,
-    },
-    /// Inject the probe for update `token` (sequence number `seq`).
-    Inject {
-        /// Update token.
-        token: u64,
-        /// Probe sequence.
-        seq: u32,
-    },
-    /// The update is provably in the data plane.
-    Confirmed {
-        /// Update token.
-        token: u64,
-        /// True when confirmed by probing; false when the update was
-        /// unmonitorable and is acknowledged optimistically on forward.
-        verified: bool,
-    },
-    /// The update did not confirm within the attempt budget.
-    Alarm {
-        /// Update token.
-        token: u64,
-    },
 }
 
 /// A [`Step::Plan`] in the form a stateless planner takes: the table to plan
@@ -141,49 +123,59 @@ fn commute(a: &FlowMod, b: &FlowMod) -> bool {
         || (one_entry(a) && one_entry(b) && (a.priority, a.match_) != (b.priority, b.match_))
 }
 
-/// An update forwarded to the switch whose plan has not been attached yet.
-/// Participates in §4.2 conflict queueing exactly like an actively probed
-/// update.
+/// A conflict-queued update (§4.2): its token, its FlowMod, and the §4.3
+/// finalizer to send when it confirms.
+type Queued = (u64, FlowMod, Option<FlowMod>);
+
+/// One started update, from its FlowMod's forward to its confirmation or
+/// alarm: awaiting its plan while `plan` is `None`, actively probed after.
+/// Awaiting or probed, it takes part in §4.2 conflict queueing.
 #[derive(Debug)]
-struct AwaitingUpdate {
+struct Update {
     token: u64,
     fm: FlowMod,
+    /// The verdict that confirms it (Present for add/modify, Absent for
+    /// delete).
     confirm_on: Verdict,
-    /// The expected table's rule the update is proven by; the attached
-    /// plan is pointed at it (a §4.1 modify plan carries the construction's
-    /// id).
+    /// The expected table's rule it is proven by; the attached plan is
+    /// pointed at it (a §4.1 modify plan carries the construction's id).
     rule_id: RuleId,
-    claim: Claim,
-}
-
-/// Where an update's FlowMod stands in the switch's own account.
-#[derive(Debug, Clone, Copy, Default)]
-struct Claim {
-    /// The FlowMod's number among those sent to the switch, from 1
-    /// ([`DynamicMonitor::note_forwarded`]).
-    forwarded: Option<u64>,
-    /// When a claim first covered it ([`DynamicMonitor::on_claim`]).
-    at: Option<u64>,
-}
-
-#[derive(Debug)]
-struct ActiveUpdate {
-    token: u64,
-    fm: FlowMod,
-    plan: ProbePlan,
-    /// The verdict that confirms this update (Present for add/modify,
-    /// Absent for delete).
-    confirm_on: Verdict,
-    /// True when the confirming outcome is a drop: confirmation is then
-    /// silence-based (§3.3 negative probing).
-    silent_confirm: bool,
+    /// §4.3: the FlowMod that turns its stand-in into the real drop.
+    finalize: Option<FlowMod>,
+    /// Its FlowMod's number among those sent to the switch, from 1: what a
+    /// claim covers ([`DynamicMonitor::on_claim`]).
+    forwarded: u64,
+    /// When a claim first covered it.
+    claimed: Option<u64>,
+    plan: Option<ProbePlan>,
     /// Time of the most recent probe observing the *old* state.
     last_contrary: u64,
+    /// When its plan was attached.
     started: u64,
-    claim: Claim,
     attempts: u32,
     next_probe_at: u64,
     live_seqs: Vec<u32>,
+}
+
+impl Update {
+    /// Whether the confirming outcome is a drop: confirmation is then
+    /// silence-based (§3.3 negative probing).
+    fn silent_confirm(&self) -> bool {
+        match (&self.plan, self.confirm_on) {
+            (Some(plan), Verdict::Present) => plan.present.is_drop(),
+            (Some(plan), Verdict::Absent) => plan.absent.is_drop(),
+            _ => false,
+        }
+    }
+
+    /// One more probe of its plan, under a fresh sequence number.
+    fn probe(&mut self, switch_id: u64, next_seq: &mut u32) -> ProxyOutput {
+        let seq = take_seq(next_seq);
+        self.attempts += 1;
+        self.live_seqs.push(seq);
+        let plan = self.plan.as_ref().expect("a probed update has its plan");
+        ProxyOutput::Inject(ProbeInjection::new(switch_id, plan, seq))
+    }
 }
 
 /// The per-switch dynamic monitor: the expected table, the catch pins, and
@@ -194,6 +186,8 @@ struct ActiveUpdate {
 #[derive(Debug)]
 pub struct DynamicMonitor {
     cfg: DynamicConfig,
+    /// The switch's datapath id, stamped into every probe.
+    switch_id: u64,
     /// The expected table.
     pub(crate) table: FlowTable,
     /// The collection pins every probe of this switch carries.
@@ -201,12 +195,14 @@ pub struct DynamicMonitor {
     /// Inline planning: the engine on `table`. `None`: deferred
     /// planning, the work recorded as [`Step`]s for an external planner.
     pub(crate) engine: Option<ProbeEngine>,
-    active: Vec<ActiveUpdate>,
-    queued: VecDeque<(u64, FlowMod)>,
+    /// The started, unfinished updates, one record each, in start order.
+    updates: Vec<Update>,
+    queued: VecDeque<Queued>,
     /// The next probe's sequence number, below
     /// [`crate::plan::STEADY_SEQ_BIT`] ([`take_seq`]).
-    next_seq: u32,
-    awaiting: Vec<AwaitingUpdate>,
+    pub(crate) next_seq: u32,
+    /// FlowMods emitted so far (see [`Self::flowmods_sent`]).
+    flowmods_sent: u64,
     /// Deferred mode: the steps recorded since the last take.
     steps: Vec<Step>,
     /// Inline mode: plans made as their update started, not yet attached,
@@ -224,32 +220,25 @@ pub struct DynamicMonitor {
 }
 
 impl DynamicMonitor {
-    /// Creates a monitor; `catch` is the per-switch collection spec (tag
-    /// pins + injection port).
-    pub fn new(cfg: DynamicConfig, catch: CatchSpec) -> DynamicMonitor {
+    /// Creates the monitor of switch `switch_id` (the datapath id its probes
+    /// carry); `catch` is the per-switch collection spec (tag pins +
+    /// injection port).
+    pub fn new(cfg: DynamicConfig, catch: CatchSpec, switch_id: u64) -> DynamicMonitor {
         DynamicMonitor {
             engine: Some(ProbeEngine::with_gen(cfg.gen.clone())),
             cfg,
+            switch_id,
             table: FlowTable::new(),
             catch,
-            active: Vec::new(),
+            updates: Vec::new(),
             queued: VecDeque::new(),
             next_seq: 0,
-            awaiting: Vec::new(),
+            flowmods_sent: 0,
             steps: Vec::new(),
             planned: VecDeque::new(),
             request_replica: FlowTable::new(),
             touched: Vec::new(),
             claims_heard: false,
-        }
-    }
-
-    /// A monitor whose first probe gets sequence number `seq`.
-    #[cfg(test)]
-    pub(crate) fn with_first_seq(cfg: DynamicConfig, catch: CatchSpec, seq: u32) -> Self {
-        DynamicMonitor {
-            next_seq: seq,
-            ..DynamicMonitor::new(cfg, catch)
         }
     }
 
@@ -326,7 +315,7 @@ impl DynamicMonitor {
 
     /// Updates forwarded to the switch whose plan is still being generated.
     pub fn awaiting_plans(&self) -> usize {
-        self.awaiting.len()
+        self.updates.iter().filter(|u| u.plan.is_none()).count()
     }
 
     /// The expected table (shared view for steady-state plan refresh etc.).
@@ -335,15 +324,43 @@ impl DynamicMonitor {
     }
 
     /// Applies `fm` to the expected table (and, in deferred mode, records it
-    /// for the planner's replica). Neither probed nor forwarded — the one
-    /// way the table changes, for controller updates ([`Self::on_flowmod`])
-    /// and for Monocle's own (preinstalls, drop-postponing finalizers)
-    /// alike, so no change escapes a replica.
+    /// for the planner's replica). Neither probed nor sent — the one way the
+    /// table changes, for controller updates ([`Self::on_flowmod`]) and for
+    /// Monocle's own ([`Self::apply_own`]) alike, so no change escapes a
+    /// replica.
     pub fn apply_expected(&mut self, fm: &FlowMod) -> Result<ApplyResult, TableError> {
         if self.engine.is_none() {
             self.steps.push(Step::Apply(fm.clone()));
         }
         self.table.apply(fm)
+    }
+
+    /// Applies one of Monocle's own FlowMods (a preinstall, a drop-postponing
+    /// finalizer) to the expected table and sends it to the switch. Like a
+    /// controller update it lands in the table's change log, which the next
+    /// steady refresh reads; unlike one it is neither probed nor reported as
+    /// churn. One the table refuses is not sent.
+    pub fn apply_own(&mut self, fm: FlowMod) -> Vec<ProxyOutput> {
+        let mut out = Vec::new();
+        if self.apply_expected(&fm).is_ok() {
+            self.send(fm, &mut out);
+        }
+        out
+    }
+
+    /// Numbers `fm` among the FlowMods sent to the switch and emits it;
+    /// returns its number.
+    fn send(&mut self, fm: FlowMod, out: &mut Vec<ProxyOutput>) -> u64 {
+        self.flowmods_sent += 1;
+        out.push(ProxyOutput::ToSwitch(fm));
+        self.flowmods_sent
+    }
+
+    /// How many FlowMods this monitor has emitted as
+    /// [`ProxyOutput::ToSwitch`], Monocle's own included: the numbers a
+    /// claim covers ([`Self::on_claim`]).
+    pub fn flowmods_sent(&self) -> u64 {
+        self.flowmods_sent
     }
 
     /// Asks the planner to re-plan the steady probes of `work` on the
@@ -359,7 +376,7 @@ impl DynamicMonitor {
 
     /// Number of unconfirmed (actively probed) updates.
     pub fn in_flight(&self) -> usize {
-        self.active.len()
+        self.updates.iter().filter(|u| u.plan.is_some()).count()
     }
 
     /// Number of queued (conflict-delayed) updates.
@@ -367,40 +384,51 @@ impl DynamicMonitor {
         self.queued.len()
     }
 
-    /// The plan for a live probe sequence number.
-    pub fn plan_for_seq(&self, seq: u32) -> Option<&ProbePlan> {
-        self.active
-            .iter()
-            .find(|a| a.live_seqs.contains(&seq))
-            .map(|a| &a.plan)
+    /// Whether update `token` is queued or started and not finished yet.
+    pub(crate) fn is_unfinished(&self, token: u64) -> bool {
+        self.updates.iter().any(|u| u.token == token) || self.queued.iter().any(|q| q.0 == token)
     }
 
-    /// A FlowMod arrives from the controller.
-    pub fn on_flowmod(&mut self, now: u64, token: u64, fm: FlowMod) -> Vec<DynAction> {
+    /// The plan for a live probe sequence number.
+    pub fn plan_for_seq(&self, seq: u32) -> Option<&ProbePlan> {
+        let update = self.updates.iter().find(|u| u.live_seqs.contains(&seq));
+        update?.plan.as_ref()
+    }
+
+    /// A FlowMod arrives from the controller as update `token`, which must
+    /// not name another unfinished update. `finalize`: §4.3's FlowMod that
+    /// turns the stand-in `fm` into the real drop, sent when it confirms.
+    pub fn on_flowmod(
+        &mut self,
+        now: u64,
+        token: u64,
+        fm: FlowMod,
+        finalize: Option<FlowMod>,
+    ) -> Vec<ProxyOutput> {
+        let mut out = Vec::new();
         // §4.2: queue updates that conflict with an earlier unfinished one
         // (actively probed, awaiting its plan, or queued itself).
         if self.conflicts(&fm, &self.queued) {
-            self.queued.push_back((token, fm));
-            return Vec::new();
+            self.queued.push_back((token, fm, finalize));
+        } else {
+            self.start_update(token, fm, finalize, &mut out);
+            self.attach_planned(now, &mut out);
         }
-        let mut actions = self.start_update(token, fm);
-        self.attach_planned(now, &mut actions);
-        actions
+        out
     }
 
     /// Whether `fm` must wait for an update that came before it and has not
-    /// finished: it overlaps one that is actively probed or awaiting its
-    /// plan (§4.2: their probes would see each other), or one of
-    /// `queued_ahead` that it does not commute with (overtaking that one
-    /// would change what the table ends up holding).
-    fn conflicts(&self, fm: &FlowMod, queued_ahead: &VecDeque<(u64, FlowMod)>) -> bool {
+    /// finished: it overlaps one that is started (§4.2: their probes would
+    /// see each other), or one of `queued_ahead` that it does not commute
+    /// with (overtaking that one would change what the table ends up
+    /// holding).
+    fn conflicts(&self, fm: &FlowMod, queued_ahead: &VecDeque<Queued>) -> bool {
         let tern = fm.match_.ternary();
         let overlaps = |other: &FlowMod| other.match_.ternary().overlaps(&tern);
-        self.active.iter().any(|a| overlaps(&a.fm))
-            || self.awaiting.iter().any(|a| overlaps(&a.fm))
+        self.updates.iter().any(|u| overlaps(&u.fm))
             || queued_ahead
                 .iter()
-                .any(|(_, q)| overlaps(q) && !commute(q, fm))
+                .any(|(_, q, _)| overlaps(q) && !commute(q, fm))
     }
 
     /// §4.1 delete victim selection: the rule this delete will actually
@@ -464,11 +492,17 @@ impl DynamicMonitor {
     }
 
     /// Starts an update whose conflicts have cleared: applies it to the
-    /// expected table, forwards it, and either parks it behind the one plan
+    /// expected table, sends it, and either records it behind the one plan
     /// request that can prove it or, when there is nothing to probe,
     /// acknowledges it optimistically. The single add/delete/modify case
     /// analysis, shared by inline and deferred mode.
-    fn start_update(&mut self, token: u64, fm: FlowMod) -> Vec<DynAction> {
+    fn start_update(
+        &mut self,
+        token: u64,
+        fm: FlowMod,
+        finalize: Option<FlowMod>,
+        out: &mut Vec<ProxyOutput>,
+    ) {
         // §4.1: a deletion is the opposite of an installation — its probe is
         // the victim's *pre-state* plan, awaited on the absent outcome, so
         // it is requested before the delta lands. Likewise a modify needs
@@ -511,101 +545,66 @@ impl DynamicMonitor {
                     (id, Verdict::Present)
                 }),
         };
-        let mut actions = vec![DynAction::Forward {
-            token,
-            fm: fm.clone(),
-        }];
-        match probed {
-            Some((rule_id, confirm_on)) => self.awaiting.push(AwaitingUpdate {
-                token,
-                fm,
-                confirm_on,
-                rule_id,
-                claim: Claim::default(),
-            }),
+        let forwarded = self.send(fm.clone(), out);
+        let Some((rule_id, confirm_on)) = probed else {
             // Unmonitorable update: acknowledge optimistically (the
             // controller can fall back to barriers for these).
-            None => actions.push(DynAction::Confirmed {
-                token,
-                verified: false,
-            }),
-        }
-        actions
+            return self.acknowledge(token, finalize, false, out);
+        };
+        self.updates.push(Update {
+            token,
+            fm,
+            confirm_on,
+            rule_id,
+            finalize,
+            forwarded,
+            claimed: None,
+            plan: None,
+            last_contrary: 0,
+            started: 0,
+            attempts: 0,
+            next_probe_at: 0,
+            live_seqs: Vec::new(),
+        });
     }
 
     /// Attaches the plans inline mode made, in request order, the ones
     /// that attaching releases included — what a transport driver does with
     /// [`Self::attach_plan`] as its planner answers the steps in order,
     /// synchronously. Nothing to do in deferred mode.
-    fn attach_planned(&mut self, now: u64, actions: &mut Vec<DynAction>) {
+    fn attach_planned(&mut self, now: u64, out: &mut Vec<ProxyOutput>) {
         while let Some((token, plan)) = self.planned.pop_front() {
-            actions.extend(self.attach_plan(now, token, plan));
-        }
-    }
-
-    /// Registers a planned update as actively probed and emits its first
-    /// injection.
-    fn activate(&mut self, now: u64, a: AwaitingUpdate, plan: ProbePlan) -> DynAction {
-        let seq = take_seq(&mut self.next_seq);
-        let confirming_outcome_is_drop = match a.confirm_on {
-            Verdict::Present => plan.present.is_drop(),
-            Verdict::Absent => plan.absent.is_drop(),
-            Verdict::Inconclusive => false,
-        };
-        self.active.push(ActiveUpdate {
-            token: a.token,
-            fm: a.fm,
-            plan,
-            confirm_on: a.confirm_on,
-            silent_confirm: confirming_outcome_is_drop,
-            last_contrary: now,
-            started: now,
-            claim: a.claim,
-            attempts: 1,
-            next_probe_at: now + PROBE_INTERVAL,
-            live_seqs: vec![seq],
-        });
-        DynAction::Inject {
-            token: a.token,
-            seq,
+            out.extend(self.attach_plan(now, token, plan));
         }
     }
 
     /// Completes a plan request: the planner hands back the plan for update
     /// `token` (`None` = generation failed → optimistic ack, like an update
-    /// with nothing to probe). The plan is pointed at the update's own rule.
-    /// An unmonitorable completion releases conflict-queued updates, since
-    /// the update never enters the actively probed set.
-    pub fn attach_plan(&mut self, now: u64, token: u64, plan: Option<ProbePlan>) -> Vec<DynAction> {
-        let Some(idx) = self.awaiting.iter().position(|a| a.token == token) else {
-            return Vec::new(); // unknown or duplicate attach
+    /// with nothing to probe). The plan is pointed at the update's own rule
+    /// and its first probe goes out. An unmonitorable completion releases
+    /// conflict-queued updates, since the update is finished.
+    pub fn attach_plan(
+        &mut self,
+        now: u64,
+        token: u64,
+        plan: Option<ProbePlan>,
+    ) -> Vec<ProxyOutput> {
+        let mut out = Vec::new();
+        let awaiting = |u: &Update| u.token == token && u.plan.is_none();
+        let Some(idx) = self.updates.iter().position(awaiting) else {
+            return out; // unknown or duplicate attach
         };
-        let a = self.awaiting.remove(idx);
-        match plan {
-            Some(mut plan) => {
-                plan.rule_id = a.rule_id;
-                vec![self.activate(now, a, plan)]
-            }
-            None => {
-                let mut actions = vec![DynAction::Confirmed {
-                    token,
-                    verified: false,
-                }];
-                actions.extend(self.release_queued(now));
-                actions
-            }
-        }
-    }
-
-    /// The driver sent update `token`'s FlowMod as the `number`-th FlowMod
-    /// to the switch (from 1, the driver's own FlowMods counted too), the
-    /// number a claim covers ([`Self::on_claim`]).
-    pub fn note_forwarded(&mut self, token: u64, number: u64) {
-        let awaiting = self.awaiting.iter_mut().map(|a| (a.token, &mut a.claim));
-        let mut claims = awaiting.chain(self.active.iter_mut().map(|a| (a.token, &mut a.claim)));
-        if let Some((_, claim)) = claims.find(|(t, _)| *t == token) {
-            claim.forwarded = Some(number);
-        }
+        let Some(mut plan) = plan else {
+            self.finish(now, idx, false, &mut out);
+            return out;
+        };
+        let u = &mut self.updates[idx];
+        plan.rule_id = u.rule_id;
+        u.plan = Some(plan);
+        (u.last_contrary, u.started) = (now, now);
+        u.next_probe_at = now + PROBE_INTERVAL;
+        out.push(u.probe(self.switch_id, &mut self.next_seq));
+        out
     }
 
     /// The switch claims it has processed the first `covered` FlowMods sent
@@ -615,32 +614,20 @@ impl DynamicMonitor {
     /// met the old state — and re-probed `PROBE_INTERVAL` later; an update
     /// still awaiting its plan is probed when the plan lands. From the first
     /// claim on, silence counts only from an update's claim ([`Self::on_tick`]).
-    pub fn on_claim(&mut self, now: u64, covered: u64) -> Vec<DynAction> {
+    pub fn on_claim(&mut self, now: u64, covered: u64) -> Vec<ProxyOutput> {
         self.claims_heard = true;
-        let newly = |c: &mut Claim| {
-            let hit = c.at.is_none() && c.forwarded.is_some_and(|n| n <= covered);
-            if hit {
-                c.at = Some(now);
+        let mut out = Vec::new();
+        for u in &mut self.updates {
+            if u.claimed.is_some() || u.forwarded > covered {
+                continue;
             }
-            hit
-        };
-        for a in &mut self.awaiting {
-            newly(&mut a.claim);
-        }
-        let mut actions = Vec::new();
-        for a in &mut self.active {
-            if newly(&mut a.claim) {
-                a.attempts += 1;
-                a.next_probe_at = now + PROBE_INTERVAL;
-                let seq = take_seq(&mut self.next_seq);
-                a.live_seqs.push(seq);
-                actions.push(DynAction::Inject {
-                    token: a.token,
-                    seq,
-                });
+            u.claimed = Some(now);
+            if u.plan.is_some() {
+                u.next_probe_at = now + PROBE_INTERVAL;
+                out.push(u.probe(self.switch_id, &mut self.next_seq));
             }
         }
-        actions
+        out
     }
 
     /// Periodic tick: re-inject probes for unconfirmed updates; confirm
@@ -649,107 +636,116 @@ impl DynamicMonitor {
     /// update is never confirmed by silence), and an unclaimed update's
     /// re-probes back off: each gap doubles from `PROBE_INTERVAL`, capped at
     /// the window.
-    pub fn on_tick(&mut self, now: u64) -> Vec<DynAction> {
-        let mut actions = Vec::new();
+    pub fn on_tick(&mut self, now: u64) -> Vec<ProxyOutput> {
+        let mut out = Vec::new();
         let max_attempts = self.cfg.max_attempts;
         let claims_heard = self.claims_heard;
         let mut alarmed: Vec<u64> = Vec::new();
         let mut silent_done: Vec<u64> = Vec::new();
-        for a in &mut self.active {
-            let quiet_since = match (claims_heard, a.claim.at) {
-                (false, _) => Some(a.last_contrary.max(a.started)),
-                (true, claimed) => claimed.map(|c| c.max(a.last_contrary).max(a.started)),
+        for u in self.updates.iter_mut().filter(|u| u.plan.is_some()) {
+            let quiet_since = match (claims_heard, u.claimed) {
+                (false, _) => Some(u.last_contrary.max(u.started)),
+                (true, claimed) => claimed.map(|c| c.max(u.last_contrary).max(u.started)),
             };
-            if a.silent_confirm
-                && a.attempts >= 2
+            if u.silent_confirm()
+                && u.attempts >= 2
                 && quiet_since.is_some_and(|t| now >= t + NEGATIVE_CONFIRM_WINDOW)
             {
                 // §3.3 negative probing: enough probes went quiet.
-                silent_done.push(a.token);
+                silent_done.push(u.token);
                 continue;
             }
-            if now < a.next_probe_at {
+            if now < u.next_probe_at {
                 continue;
             }
-            if max_attempts > 0 && a.attempts >= max_attempts {
-                alarmed.push(a.token);
+            if max_attempts > 0 && u.attempts >= max_attempts {
+                alarmed.push(u.token);
                 continue;
             }
-            a.attempts += 1;
-            a.next_probe_at = now
-                + if claims_heard && a.claim.at.is_none() {
-                    let doubled = PROBE_INTERVAL.saturating_mul(1 << (a.attempts - 1).min(63));
+            out.push(u.probe(self.switch_id, &mut self.next_seq));
+            u.next_probe_at = now
+                + if claims_heard && u.claimed.is_none() {
+                    let doubled = PROBE_INTERVAL.saturating_mul(1 << (u.attempts - 1).min(63));
                     doubled.min(NEGATIVE_CONFIRM_WINDOW)
                 } else {
                     PROBE_INTERVAL
                 };
-            let seq = take_seq(&mut self.next_seq);
-            a.live_seqs.push(seq);
-            actions.push(DynAction::Inject {
-                token: a.token,
-                seq,
-            });
         }
         for token in silent_done {
-            let idx = self.active.iter().position(|a| a.token == token).unwrap();
-            self.active.remove(idx);
-            actions.extend(self.confirm_and_release(now, token));
+            let idx = self.updates.iter().position(|u| u.token == token).unwrap();
+            self.finish(now, idx, true, &mut out);
         }
         if !alarmed.is_empty() {
-            self.active.retain(|a| !alarmed.contains(&a.token));
-            actions.extend(alarmed.into_iter().map(|token| DynAction::Alarm { token }));
+            self.updates.retain(|u| !alarmed.contains(&u.token));
+            out.extend(
+                alarmed
+                    .into_iter()
+                    .map(|token| ProxyOutput::Alarm { token }),
+            );
             // An alarmed update is as terminal as a confirmed one: whatever
             // was conflict-queued behind it must not wait for an unrelated
-            // confirmation.
-            actions.extend(self.release_queued(now));
+            // confirmation. Its finalizer is never sent.
+            self.release_queued(now, &mut out);
         }
-        actions
+        out
     }
 
-    fn confirm_and_release(&mut self, now: u64, token: u64) -> Vec<DynAction> {
-        let mut actions = vec![DynAction::Confirmed {
-            token,
-            verified: true,
-        }];
-        actions.extend(self.release_queued(now));
-        actions
+    /// Update `idx` is confirmed: out of the record, acknowledged, and
+    /// whatever was queued behind it released.
+    fn finish(&mut self, now: u64, idx: usize, verified: bool, out: &mut Vec<ProxyOutput>) {
+        let u = self.updates.remove(idx);
+        self.acknowledge(u.token, u.finalize, verified, out);
+        self.release_queued(now, out);
+    }
+
+    /// Acknowledges update `token`, after sending its §4.3 finalizer: the
+    /// real drop reaches the switch, and the expected table, before any
+    /// update the acknowledgment releases.
+    fn acknowledge(
+        &mut self,
+        token: u64,
+        finalize: Option<FlowMod>,
+        verified: bool,
+        out: &mut Vec<ProxyOutput>,
+    ) {
+        if let Some(fm) = finalize {
+            out.extend(self.apply_own(fm));
+        }
+        out.push(ProxyOutput::Confirmed { token, verified });
     }
 
     /// Starts every conflict-queued update whose conflicts have cleared, in
-    /// queue order: one that overlaps an update still in flight, or one
-    /// queued ahead of it that stays queued, waits (a released update
-    /// re-enters via the awaiting set and requests its plan).
-    fn release_queued(&mut self, now: u64) -> Vec<DynAction> {
-        let mut actions = Vec::new();
+    /// queue order: one that overlaps a started update, or one queued ahead
+    /// of it that stays queued, waits (a released update requests its plan).
+    fn release_queued(&mut self, now: u64, out: &mut Vec<ProxyOutput>) {
         let mut requeue = VecDeque::new();
-        while let Some((token, fm)) = self.queued.pop_front() {
+        while let Some((token, fm, finalize)) = self.queued.pop_front() {
             if self.conflicts(&fm, &requeue) {
-                requeue.push_back((token, fm));
+                requeue.push_back((token, fm, finalize));
             } else {
-                actions.extend(self.start_update(token, fm));
+                self.start_update(token, fm, finalize, out);
             }
         }
         self.queued = requeue;
-        self.attach_planned(now, &mut actions);
-        actions
+        self.attach_planned(now, out);
     }
 
     /// A probe observation classified against its plan comes back.
-    pub fn on_verdict(&mut self, now: u64, seq: u32, verdict: Verdict) -> Vec<DynAction> {
-        let Some(idx) = self.active.iter().position(|a| a.live_seqs.contains(&seq)) else {
-            return Vec::new(); // stale
+    pub fn on_verdict(&mut self, now: u64, seq: u32, verdict: Verdict) -> Vec<ProxyOutput> {
+        let mut out = Vec::new();
+        let Some(idx) = self.updates.iter().position(|u| u.live_seqs.contains(&seq)) else {
+            return out; // stale
         };
-        if verdict != self.active[idx].confirm_on {
+        let u = &mut self.updates[idx];
+        if verdict == u.confirm_on {
+            self.finish(now, idx, true, &mut out);
+        } else if verdict != Verdict::Inconclusive {
             // Transient inconsistency (§4.1): e.g. the rule is not installed
             // *yet*. Not an alarm; keep probing (and push the silence window
             // out — the old state is demonstrably still active).
-            if verdict != Verdict::Inconclusive {
-                self.active[idx].last_contrary = now;
-            }
-            return Vec::new();
+            u.last_contrary = now;
         }
-        let confirmed = self.active.remove(idx);
-        self.confirm_and_release(now, confirmed.token)
+        out
     }
 }
 
@@ -768,19 +764,38 @@ mod tests {
     }
 
     fn monitor() -> DynamicMonitor {
-        let mut m = DynamicMonitor::new(DynamicConfig::default(), CatchSpec::default());
+        let mut m = DynamicMonitor::new(DynamicConfig::default(), CatchSpec::default(), 7);
         // A default route so additions are distinguishable from table miss.
         m.apply_expected(&FlowMod::add(1, Match::any(), vec![Action::Output(99)]))
             .unwrap();
         m
     }
 
+    /// The sequence number of the probe `o` injects, if it is one.
+    fn injected(o: &ProxyOutput) -> Option<u32> {
+        match o {
+            ProxyOutput::Inject(inj) => Some(inj.meta.seq),
+            _ => None,
+        }
+    }
+
+    /// The sequence number of the probe `outs[i]` injects.
+    fn seq_of(outs: &[ProxyOutput], i: usize) -> u32 {
+        injected(&outs[i]).unwrap_or_else(|| panic!("no injection at {i}: {outs:?}"))
+    }
+
     #[test]
     fn add_forwards_and_probes() {
         let mut m = monitor();
-        let acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2));
-        assert!(matches!(acts[0], DynAction::Forward { .. }));
-        assert!(matches!(acts[1], DynAction::Inject { token: 1, .. }));
+        let acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2), None);
+        assert!(matches!(acts[0], ProxyOutput::ToSwitch(_)));
+        let ProxyOutput::Inject(inj) = &acts[1] else {
+            panic!("{acts:?}")
+        };
+        // The probe names the switch and the rule the update added.
+        let added = m.expected().rules().iter().find(|r| r.priority == 10);
+        assert_eq!(inj.meta.switch_id, 7);
+        assert_eq!(inj.meta.rule_id, added.unwrap().id.0);
         assert_eq!(m.in_flight(), 1);
         assert_eq!(m.expected().len(), 2);
     }
@@ -788,14 +803,12 @@ mod tests {
     #[test]
     fn present_verdict_confirms_add() {
         let mut m = monitor();
-        let acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2));
-        let DynAction::Inject { seq, .. } = acts[1] else {
-            panic!()
-        };
+        let acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2), None);
+        let seq = seq_of(&acts, 1);
         let out = m.on_verdict(100, seq, Verdict::Present);
         assert_eq!(
             out[0],
-            DynAction::Confirmed {
+            ProxyOutput::Confirmed {
                 token: 1,
                 verified: true
             }
@@ -806,40 +819,34 @@ mod tests {
     #[test]
     fn absent_verdict_keeps_probing_add() {
         let mut m = monitor();
-        let acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2));
-        let DynAction::Inject { seq, .. } = acts[1] else {
-            panic!()
-        };
+        let acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2), None);
+        let seq = seq_of(&acts, 1);
         // The switch hasn't installed yet: probe observed the old state.
         assert!(m.on_verdict(100, seq, Verdict::Absent).is_empty());
         assert_eq!(m.in_flight(), 1);
         // Tick re-injects.
         let acts = m.on_tick(10_000_000);
-        assert!(matches!(acts[0], DynAction::Inject { token: 1, .. }));
+        assert!(matches!(acts[0], ProxyOutput::Inject(_)));
     }
 
     #[test]
     fn delete_confirms_on_absent() {
         let mut m = monitor();
-        let acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2));
-        let DynAction::Inject { seq, .. } = acts[1] else {
-            panic!()
-        };
+        let acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2), None);
+        let seq = seq_of(&acts, 1);
         m.on_verdict(1, seq, Verdict::Present);
         // Now delete it.
         let del = FlowMod::delete_strict(10, Match::any().with_nw_dst([10, 0, 0, 1], 32));
-        let acts = m.on_flowmod(10, 2, del);
-        assert!(matches!(acts[0], DynAction::Forward { .. }));
-        let DynAction::Inject { seq, .. } = acts[1] else {
-            panic!("expected inject, got {acts:?}")
-        };
+        let acts = m.on_flowmod(10, 2, del, None);
+        assert!(matches!(acts[0], ProxyOutput::ToSwitch(_)));
+        let seq = seq_of(&acts, 1);
         // Probe still sees the rule: not confirmed.
         assert!(m.on_verdict(20, seq, Verdict::Present).is_empty());
         // Probe sees the without-rule outcome: confirmed.
         let out = m.on_verdict(30, seq, Verdict::Absent);
         assert_eq!(
             out[0],
-            DynAction::Confirmed {
+            ProxyOutput::Confirmed {
                 token: 2,
                 verified: true
             }
@@ -850,10 +857,8 @@ mod tests {
     #[test]
     fn modify_probes_new_version() {
         let mut m = monitor();
-        let acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2));
-        let DynAction::Inject { seq, .. } = acts[1] else {
-            panic!()
-        };
+        let acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2), None);
+        let seq = seq_of(&acts, 1);
         m.on_verdict(1, seq, Verdict::Present);
         // Modify the rule to forward elsewhere.
         let fm = FlowMod::modify_strict(
@@ -861,19 +866,17 @@ mod tests {
             Match::any().with_nw_dst([10, 0, 0, 1], 32),
             vec![Action::Output(5)],
         );
-        let acts = m.on_flowmod(10, 2, fm);
-        assert!(matches!(acts[0], DynAction::Forward { .. }));
+        let acts = m.on_flowmod(10, 2, fm, None);
+        assert!(matches!(acts[0], ProxyOutput::ToSwitch(_)));
         assert!(
-            matches!(acts[1], DynAction::Inject { .. }),
+            matches!(acts[1], ProxyOutput::Inject(_)),
             "modification must be probeable (old port 2 vs new port 5): {acts:?}"
         );
-        let DynAction::Inject { seq, .. } = acts[1] else {
-            panic!()
-        };
+        let seq = seq_of(&acts, 1);
         let out = m.on_verdict(20, seq, Verdict::Present);
         assert_eq!(
             out[0],
-            DynAction::Confirmed {
+            ProxyOutput::Confirmed {
                 token: 2,
                 verified: true
             }
@@ -892,22 +895,20 @@ mod tests {
             command: FlowModCommand::Modify,
             ..add_fm(10, [10, 0, 0, 1], 2)
         };
-        let acts = m.on_flowmod(0, 7, fm);
-        assert!(matches!(acts[0], DynAction::Forward { .. }));
+        let acts = m.on_flowmod(0, 7, fm, None);
+        assert!(matches!(acts[0], ProxyOutput::ToSwitch(_)));
         assert!(
-            matches!(acts[1], DynAction::Inject { token: 7, .. }),
+            matches!(acts[1], ProxyOutput::Inject(_)),
             "MODIFY-as-ADD must be probed like an install: {acts:?}"
         );
         assert_eq!(m.in_flight(), 1);
         assert_eq!(m.expected().len(), 2, "rule was added");
-        let DynAction::Inject { seq, .. } = acts[1] else {
-            panic!()
-        };
+        let seq = seq_of(&acts, 1);
         // Present confirms, exactly like an Add.
         let out = m.on_verdict(100, seq, Verdict::Present);
         assert_eq!(
             out[0],
-            DynAction::Confirmed {
+            ProxyOutput::Confirmed {
                 token: 7,
                 verified: true
             }
@@ -918,8 +919,8 @@ mod tests {
             command: FlowModCommand::Modify,
             ..add_fm(10, [10, 0, 0, 1], 5)
         };
-        let acts = m.on_flowmod(200, 8, fm2);
-        assert!(matches!(acts[1], DynAction::Inject { token: 8, .. }));
+        let acts = m.on_flowmod(200, 8, fm2, None);
+        assert!(matches!(acts[1], ProxyOutput::Inject(_)));
         assert_eq!(m.expected().len(), 2, "no second rule added");
     }
 
@@ -933,10 +934,8 @@ mod tests {
             Match::any().with_nw_dst([10, 0, 0, 1], 32),
             vec![Action::Output(2)],
         );
-        let acts = m.on_flowmod(0, 1, specific);
-        let DynAction::Inject { seq, .. } = acts[1] else {
-            panic!()
-        };
+        let acts = m.on_flowmod(0, 1, specific, None);
+        let seq = seq_of(&acts, 1);
         m.on_verdict(1, seq, Verdict::Present);
         // DeleteStrict(5, 10.0.0.0/24): removes nothing (no rule has that
         // exact match+priority). The specific rule's tern IS subsumed by
@@ -944,11 +943,11 @@ mod tests {
         // probe would await an Absent outcome that never comes, wedging
         // the update (and queueing everything overlapping behind it).
         let del = FlowMod::delete_strict(5, Match::any().with_nw_dst([10, 0, 0, 0], 24));
-        let acts = m.on_flowmod(10, 2, del);
-        assert!(matches!(acts[0], DynAction::Forward { .. }));
+        let acts = m.on_flowmod(10, 2, del, None);
+        assert!(matches!(acts[0], ProxyOutput::ToSwitch(_)));
         assert_eq!(
             acts[1],
-            DynAction::Confirmed {
+            ProxyOutput::Confirmed {
                 token: 2,
                 verified: false
             },
@@ -967,10 +966,8 @@ mod tests {
             Match::any().with_nw_src([10, 0, 0, 1], 32),
             vec![Action::Output(2)],
         );
-        let acts = m.on_flowmod(0, 1, r1);
-        let DynAction::Inject { seq: seq1, .. } = acts[1] else {
-            panic!()
-        };
+        let acts = m.on_flowmod(0, 1, r1, None);
+        let seq1 = seq_of(&acts, 1);
         // R3 overlaps R1 (drop for 10.0.0.0/24 x 10.0.0.0/24): queued.
         let r3 = FlowMod::add(
             15,
@@ -979,14 +976,14 @@ mod tests {
                 .with_nw_dst([10, 0, 0, 0], 24),
             vec![],
         );
-        let acts = m.on_flowmod(5, 3, r3);
+        let acts = m.on_flowmod(5, 3, r3, None);
         assert!(acts.is_empty(), "queued, not forwarded: {acts:?}");
         assert_eq!(m.queued(), 1);
         assert_eq!(m.expected().len(), 2, "queued fm not yet applied");
         // Confirm R1 -> R3 is released (forwarded + probed).
         let out = m.on_verdict(100, seq1, Verdict::Present);
-        assert!(matches!(out[0], DynAction::Confirmed { token: 1, .. }));
-        assert!(out.iter().any(|a| matches!(a, DynAction::Forward { .. })));
+        assert!(matches!(out[0], ProxyOutput::Confirmed { token: 1, .. }));
+        assert!(out.iter().any(|a| matches!(a, ProxyOutput::ToSwitch(_))));
         assert_eq!(m.queued(), 0);
         assert_eq!(m.expected().len(), 3);
     }
@@ -994,10 +991,13 @@ mod tests {
     #[test]
     fn non_overlapping_updates_run_in_parallel() {
         let mut m = monitor();
-        let a1 = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2));
-        let a2 = m.on_flowmod(0, 2, add_fm(10, [10, 0, 0, 2], 3));
-        assert!(matches!(a1[1], DynAction::Inject { token: 1, .. }));
-        assert!(matches!(a2[1], DynAction::Inject { token: 2, .. }));
+        let a1 = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2), None);
+        let a2 = m.on_flowmod(0, 2, add_fm(10, [10, 0, 0, 2], 3), None);
+        let rule = |acts: &[ProxyOutput]| match &acts[1] {
+            ProxyOutput::Inject(inj) => inj.meta.rule_id,
+            o => panic!("{o:?}"),
+        };
+        assert_ne!(rule(&a1), rule(&a2), "each update probes its own rule");
         assert_eq!(m.in_flight(), 2);
         assert_eq!(m.queued(), 0);
     }
@@ -1006,30 +1006,30 @@ mod tests {
     fn an_update_waits_behind_a_queued_one_it_does_not_commute_with() {
         let mut m = monitor();
         let dst = |host: u8, plen: u8| Match::any().with_nw_dst([10, 0, 0, host], plen);
-        let acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2));
-        let DynAction::Inject { seq, .. } = acts[1] else {
-            panic!("{acts:?}")
-        };
+        let acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2), None);
+        let seq = seq_of(&acts, 1);
         // Behind the add in flight: a non-strict delete of its /24.
         let sweep = FlowMod {
             command: FlowModCommand::Delete,
             ..FlowMod::delete_strict(0, dst(0, 24))
         };
-        assert!(m.on_flowmod(1, 2, sweep).is_empty());
+        assert!(m.on_flowmod(1, 2, sweep, None).is_empty());
         // Inside the /24, clear of the add in flight: an add the sweep must
         // not be overtaken by, then a strict delete of that very entry.
-        assert!(m.on_flowmod(2, 3, add_fm(5, [10, 0, 0, 2], 3)).is_empty());
         assert!(m
-            .on_flowmod(3, 4, FlowMod::delete_strict(5, dst(2, 32)))
+            .on_flowmod(2, 3, add_fm(5, [10, 0, 0, 2], 3), None)
+            .is_empty());
+        assert!(m
+            .on_flowmod(3, 4, FlowMod::delete_strict(5, dst(2, 32)), None)
             .is_empty());
         assert_eq!(m.queued(), 3);
         // Deletes commute with each other, and so do single-entry commands
         // naming different entries: this one overtakes the queue (it
         // removes nothing, so it is acked at once).
-        let acts = m.on_flowmod(4, 5, FlowMod::delete_strict(9, dst(4, 32)));
+        let acts = m.on_flowmod(4, 5, FlowMod::delete_strict(9, dst(4, 32)), None);
         assert_eq!(
             acts[1],
-            DynAction::Confirmed {
+            ProxyOutput::Confirmed {
                 token: 5,
                 verified: false
             }
@@ -1041,7 +1041,7 @@ mod tests {
         let mut log = m.on_verdict(5, seq, Verdict::Present);
         let mut answered = 0;
         while answered < log.len() {
-            if let DynAction::Inject { seq, .. } = log[answered] {
+            if let Some(seq) = injected(&log[answered]) {
                 for v in [Verdict::Present, Verdict::Absent] {
                     let out = m.on_verdict(6, seq, v);
                     log.extend(out);
@@ -1056,15 +1056,15 @@ mod tests {
 
     #[test]
     fn unmonitorable_update_acked_optimistically() {
-        let mut m = DynamicMonitor::new(DynamicConfig::default(), CatchSpec::default());
+        let mut m = DynamicMonitor::new(DynamicConfig::default(), CatchSpec::default(), 7);
         // Empty table: adding a rule whose presence is indistinguishable
         // from a table miss (drop rule over drop-by-miss).
         let fm = FlowMod::add(10, Match::any().with_tp_dst(23), vec![]);
-        let acts = m.on_flowmod(0, 9, fm);
-        assert!(matches!(acts[0], DynAction::Forward { .. }));
+        let acts = m.on_flowmod(0, 9, fm, None);
+        assert!(matches!(acts[0], ProxyOutput::ToSwitch(_)));
         assert_eq!(
             acts[1],
-            DynAction::Confirmed {
+            ProxyOutput::Confirmed {
                 token: 9,
                 verified: false
             }
@@ -1100,12 +1100,10 @@ mod tests {
         let mut m = monitor();
         m.set_deferred_planning(true);
         let mut replica = None;
-        m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2));
+        m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2), None);
         let answers = replay(&mut replica, m.take_plan_steps());
         let acts = m.attach_plan(1, 1, answers[0].1.clone());
-        let DynAction::Inject { seq, .. } = acts[0] else {
-            panic!("{acts:?}")
-        };
+        let seq = seq_of(&acts, 0);
         m.on_verdict(2, seq, Verdict::Present);
         (m, replica)
     }
@@ -1114,10 +1112,10 @@ mod tests {
     fn deferred_add_roundtrip() {
         let mut m = monitor();
         m.set_deferred_planning(true);
-        let acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2));
+        let acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2), None);
         // Forward only — the probe is not planned yet.
         assert_eq!(acts.len(), 1);
-        assert!(matches!(acts[0], DynAction::Forward { .. }));
+        assert!(matches!(acts[0], ProxyOutput::ToSwitch(_)));
         assert_eq!(m.awaiting_plans(), 1);
         assert_eq!(m.in_flight(), 0);
         let steps = m.take_plan_steps();
@@ -1138,16 +1136,14 @@ mod tests {
         let answers = replay(&mut replica, steps);
         assert_eq!(answers.len(), 1);
         let acts = m.attach_plan(50, 1, answers[0].1.clone());
-        assert!(matches!(acts[0], DynAction::Inject { token: 1, .. }));
+        assert!(matches!(acts[0], ProxyOutput::Inject(_)));
         assert_eq!(m.in_flight(), 1);
         assert_eq!(m.awaiting_plans(), 0);
-        let DynAction::Inject { seq, .. } = acts[0] else {
-            panic!()
-        };
+        let seq = seq_of(&acts, 0);
         let out = m.on_verdict(100, seq, Verdict::Present);
         assert_eq!(
             out[0],
-            DynAction::Confirmed {
+            ProxyOutput::Confirmed {
                 token: 1,
                 verified: true
             }
@@ -1162,7 +1158,7 @@ mod tests {
         m.apply_expected(&bystander).unwrap();
         let victim = m.expected().rules()[0].id;
         let del = FlowMod::delete_strict(10, Match::any().with_nw_dst([10, 0, 0, 1], 32));
-        m.on_flowmod(10, 2, del);
+        m.on_flowmod(10, 2, del, None);
         assert_eq!(m.expected().len(), 2, "delta applied immediately");
         let steps = m.take_plan_steps();
         // The victim's request comes before the delete: the replica still
@@ -1180,14 +1176,12 @@ mod tests {
         let replica = replica.unwrap();
         assert_eq!(replica.table.rules(), m.expected().rules());
         let acts = m.attach_plan(20, 2, answers[0].1.clone());
-        let DynAction::Inject { seq, .. } = acts[0] else {
-            panic!("{acts:?}")
-        };
+        let seq = seq_of(&acts, 0);
         assert_eq!(m.plan_for_seq(seq).unwrap().rule_id, victim);
         let out = m.on_verdict(30, seq, Verdict::Absent);
         assert_eq!(
             out[0],
-            DynAction::Confirmed {
+            ProxyOutput::Confirmed {
                 token: 2,
                 verified: true
             }
@@ -1202,7 +1196,7 @@ mod tests {
             Match::any().with_nw_dst([10, 0, 0, 1], 32),
             vec![Action::Output(5)],
         );
-        m.on_flowmod(10, 2, fm);
+        m.on_flowmod(10, 2, fm, None);
         let steps = m.take_plan_steps();
         let [Step::Apply(applied), Step::Plan {
             token: 2,
@@ -1223,13 +1217,11 @@ mod tests {
             .expect("old port 2 vs new port 5 distinguishable");
         assert_ne!(plan.rule_id, real_id, "an id of the renumbered §4.1 table");
         let acts = m.attach_plan(20, 2, Some(plan));
-        let DynAction::Inject { seq, .. } = acts[0] else {
-            panic!("{acts:?}")
-        };
+        let seq = seq_of(&acts, 0);
         // The attached plan was pointed at the real table's rule.
         assert_eq!(m.plan_for_seq(seq).unwrap().rule_id, real_id);
         let out = m.on_verdict(30, seq, Verdict::Present);
-        assert!(matches!(out[0], DynAction::Confirmed { token: 2, .. }));
+        assert!(matches!(out[0], ProxyOutput::Confirmed { token: 2, .. }));
     }
 
     #[test]
@@ -1241,7 +1233,7 @@ mod tests {
             Match::any().with_nw_src([10, 0, 0, 1], 32),
             vec![Action::Output(2)],
         );
-        m.on_flowmod(0, 1, r1);
+        m.on_flowmod(0, 1, r1, None);
         assert_eq!(m.awaiting_plans(), 1);
         // Overlapping update while the first one's plan is still pending:
         // must queue, not start.
@@ -1252,7 +1244,7 @@ mod tests {
                 .with_nw_dst([10, 0, 0, 0], 24),
             vec![],
         );
-        let acts = m.on_flowmod(5, 2, r2);
+        let acts = m.on_flowmod(5, 2, r2, None);
         assert!(acts.is_empty());
         assert_eq!(m.queued(), 1);
         // The first update turns out unmonitorable: optimistic ack AND the
@@ -1260,11 +1252,11 @@ mod tests {
         let reqs = m.take_plan_requests();
         assert_eq!(reqs.len(), 1);
         let acts = m.attach_plan(10, 1, None);
-        assert!(acts.contains(&DynAction::Confirmed {
+        assert!(acts.contains(&ProxyOutput::Confirmed {
             token: 1,
             verified: false
         }));
-        assert!(acts.iter().any(|a| matches!(a, DynAction::Forward { .. })));
+        assert!(acts.iter().any(|a| matches!(a, ProxyOutput::ToSwitch(_))));
         assert_eq!(m.queued(), 0);
         assert_eq!(m.awaiting_plans(), 1, "released update awaits its plan");
         assert_eq!(m.take_plan_requests().len(), 1);
@@ -1303,7 +1295,7 @@ mod tests {
                 fm.command == FlowModCommand::ModifyStrict,
             );
             assert_eq!(m.expected().overlapping(&tern).len(), overlap_before);
-            m.on_flowmod(0, token as u64, fm);
+            m.on_flowmod(0, token as u64, fm, None);
             let reqs = m.take_plan_requests();
             assert_eq!(reqs.len(), 1);
             let req = &reqs[0];
@@ -1321,9 +1313,7 @@ mod tests {
             let plan = plan_request(req);
             assert!(plan.is_some(), "update {token} is monitorable");
             let acts = m.attach_plan(1, token as u64, plan);
-            let DynAction::Inject { seq, .. } = acts[0] else {
-                panic!("{acts:?}")
-            };
+            let seq = seq_of(&acts, 0);
             // Both verdicts: whichever confirms this update does.
             m.on_verdict(2, seq, Verdict::Present);
             m.on_verdict(2, seq, Verdict::Absent);
@@ -1365,13 +1355,13 @@ mod tests {
     fn confirm_all(
         m: &mut DynamicMonitor,
         planner: &mut Option<Replica>,
-        log: &mut Vec<DynAction>,
+        log: &mut Vec<ProxyOutput>,
         answered: &mut usize,
     ) {
         while *answered < log.len() {
-            let action = log[*answered].clone();
+            let probe = injected(&log[*answered]);
             *answered += 1;
-            if let DynAction::Inject { seq, .. } = action {
+            if let Some(seq) = probe {
                 for v in [Verdict::Present, Verdict::Absent] {
                     let out = m.on_verdict(5, seq, v);
                     log.extend(out);
@@ -1388,7 +1378,7 @@ mod tests {
     fn settle(
         m: &mut DynamicMonitor,
         planner: &mut Option<Replica>,
-        log: &mut Vec<DynAction>,
+        log: &mut Vec<ProxyOutput>,
         now: u64,
     ) {
         loop {
@@ -1409,7 +1399,7 @@ mod tests {
         let mut replica = None;
         let (mut rng, mut log, mut answered) = (7u64, Vec::new(), 0);
         for token in 0..3000u64 {
-            log.extend(m.on_flowmod(1, token, random_flowmod(&mut rng)));
+            log.extend(m.on_flowmod(1, token, random_flowmod(&mut rng), None));
             settle(&mut m, &mut replica, &mut log, 1);
             if token % 4 == 3 {
                 confirm_all(&mut m, &mut replica, &mut log, &mut answered);
@@ -1431,6 +1421,7 @@ mod tests {
 
     mod props {
         use super::*;
+        use crate::droppost::{self, DropTag};
         use crate::generator::generate_probe;
         use crate::plan::verify_probe;
         use crate::planner::build_synthetic;
@@ -1491,13 +1482,13 @@ mod tests {
             v
         }
 
-        fn run_script(script: &[FlowMod], defer: bool) -> (Vec<DynAction>, Vec<Rule>) {
+        fn run_script(script: &[FlowMod], defer: bool) -> (Vec<ProxyOutput>, Vec<Rule>) {
             let mut m = monitor();
             m.set_deferred_planning(defer);
             let mut planner = None;
             let (mut log, mut answered) = (Vec::new(), 0);
             for (i, fm) in script.iter().enumerate() {
-                log.extend(m.on_flowmod(1, i as u64, fm.clone()));
+                log.extend(m.on_flowmod(1, i as u64, fm.clone(), None));
                 settle(&mut m, &mut planner, &mut log, 1);
                 // Confirm in bursts, so overlapping updates queue in between.
                 if i % 3 == 2 {
@@ -1516,12 +1507,12 @@ mod tests {
             script: &[FlowMod],
             losses: &[bool],
             defer: bool,
-        ) -> (Vec<DynAction>, (usize, usize, usize)) {
+        ) -> (Vec<ProxyOutput>, (usize, usize, usize)) {
             let cfg = DynamicConfig {
                 max_attempts: 3,
                 ..DynamicConfig::default()
             };
-            let mut m = DynamicMonitor::new(cfg, CatchSpec::default());
+            let mut m = DynamicMonitor::new(cfg, CatchSpec::default(), 7);
             m.apply_expected(&FlowMod::add(1, Match::any(), vec![Action::Output(99)]))
                 .unwrap();
             m.set_deferred_planning(defer);
@@ -1529,14 +1520,14 @@ mod tests {
             let (mut log, mut answered, mut now) = (Vec::new(), 0, 0);
             let mut lost = losses.iter().cycle();
             for (i, fm) in script.iter().enumerate() {
-                log.extend(m.on_flowmod(now, i as u64, fm.clone()));
+                log.extend(m.on_flowmod(now, i as u64, fm.clone(), None));
                 settle(&mut m, &mut planner, &mut log, now);
             }
             for _ in 0..500 {
                 while answered < log.len() {
-                    let action = log[answered].clone();
+                    let probe = injected(&log[answered]);
                     answered += 1;
-                    let DynAction::Inject { seq, .. } = action else {
+                    let Some(seq) = probe else {
                         continue;
                     };
                     if *lost.next().unwrap() {
@@ -1599,6 +1590,24 @@ mod tests {
             ]
         }
 
+        /// Applies the FlowMods sent since the last call to `switch` (the
+        /// table and how much of `log` it has seen), in the order sent: the
+        /// switch then holds what the monitor expects it to.
+        fn mirror(
+            m: &DynamicMonitor,
+            log: &[ProxyOutput],
+            switch: &mut (FlowTable, usize),
+        ) -> Result<(), TestCaseError> {
+            for o in &log[switch.1..] {
+                if let ProxyOutput::ToSwitch(fm) = o {
+                    let _ = switch.0.apply(fm);
+                }
+            }
+            switch.1 = log.len();
+            prop_assert_eq!(switch.0.rules(), m.expected().rules());
+            Ok(())
+        }
+
         /// [`settle`] with every plan step checked on the way: the replica
         /// answers it, a stateless planner answers the same step's
         /// [`PlanRequest`] built on a table-only replica, and the two must
@@ -1611,7 +1620,7 @@ mod tests {
             m: &mut DynamicMonitor,
             replica: &mut Option<Replica>,
             requests: &mut FlowTable,
-            log: &mut Vec<DynAction>,
+            log: &mut Vec<ProxyOutput>,
             now: u64,
         ) -> Result<(), TestCaseError> {
             let (catch, gen) = (CatchSpec::default(), GeneratorConfig::default());
@@ -1686,9 +1695,9 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
             /// Inline planning is the deferred contract plus a synchronous
-            /// planner: the same FlowMod script yields the same action
-            /// sequence (and expected table) in both modes, the deferred
-            /// plans coming from a replica of the expected table. And §4.2
+            /// planner: the same FlowMod script yields the same output stream
+            /// (and expected table) in both modes, the deferred plans coming
+            /// from a replica of the expected table. And §4.2
             /// queueing keeps the script's order where it matters: the final
             /// table holds what applying the script in order gives.
             #[test]
@@ -1710,7 +1719,7 @@ mod tests {
             /// attempts capped and some probes never answered, the monitor
             /// drains to nothing in flight, queued or awaiting a plan, and
             /// every update is answered exactly once — in both modes, with
-            /// the same actions.
+            /// the same outputs.
             #[test]
             fn updates_drain_with_lost_probes(
                 script in prop::collection::vec(arb_flowmod(), 1..16),
@@ -1723,7 +1732,7 @@ mod tests {
                 for token in 0..script.len() as u64 {
                     let ends = inline_log
                         .iter()
-                        .filter(|a| matches!(a, DynAction::Confirmed { token: t, .. } | DynAction::Alarm { token: t } if *t == token))
+                        .filter(|a| matches!(a, ProxyOutput::Confirmed { token: t, .. } | ProxyOutput::Alarm { token: t } if *t == token))
                         .count();
                     prop_assert_eq!(ends, 1, "update {} answered {} times", token, ends);
                 }
@@ -1731,33 +1740,45 @@ mod tests {
             }
 
             /// The mirror holds: over scripts of every command, failed
-            /// applies, Monocle's own FlowMods and deferral switched on
-            /// partway, a replica fed the steps is the expected table, its
-            /// plans agree with stateless planning on the reference
-            /// requests and verify on the full table — and its engine never
-            /// re-reads the whole table after the first time.
+            /// applies, Monocle's own FlowMods, deferral switched on partway
+            /// and, in half the cases, drop installs postponed (§4.3), a
+            /// replica fed the steps is the expected table, its plans agree
+            /// with stateless planning on the reference requests and verify
+            /// on the full table — and its engine never re-reads the whole
+            /// table after the first time. And after every call, the
+            /// FlowMods sent so far, applied in the order sent, are the
+            /// expected table.
             #[test]
             fn a_replica_mirrors_the_expected_table_and_plans_on_it(
-                ops in prop::collection::vec(arb_op(), 1..40)
+                ops in prop::collection::vec(arb_op(), 1..40),
+                postpone in any::<bool>(),
             ) {
                 let mut m = monitor();
                 let (mut replica, mut requests) = (None, FlowTable::new());
                 let (mut log, mut answered, mut now) = (Vec::new(), 0, 0);
+                let mut switch = (m.expected().clone(), 0);
                 for (i, op) in ops.into_iter().enumerate() {
                     match op {
-                        Op::Update(fm) => log.extend(m.on_flowmod(now, i as u64, fm)),
-                        Op::Own(fm) => {
-                            let _ = m.apply_expected(&fm);
+                        Op::Update(fm) => {
+                            let postponed = postpone
+                                .then(|| droppost::postpone(&fm, DropTag(63), 4))
+                                .flatten();
+                            log.extend(match postponed {
+                                Some(p) => m.on_flowmod(now, i as u64, p.stand_in, Some(p.finalize)),
+                                None => m.on_flowmod(now, i as u64, fm, None),
+                            });
                         }
+                        Op::Own(fm) => log.extend(m.apply_own(fm)),
                         Op::Defer => m.set_deferred_planning(true),
                         Op::Answer => {
                             while answered < log.len() {
-                                let action = log[answered].clone();
+                                let probe = injected(&log[answered]);
                                 answered += 1;
-                                if let DynAction::Inject { seq, .. } = action {
+                                if let Some(seq) = probe {
                                     for v in [Verdict::Present, Verdict::Absent] {
                                         log.extend(m.on_verdict(now, seq, v));
                                         settle_checked(&mut m, &mut replica, &mut requests, &mut log, now)?;
+                                        mirror(&m, &log, &mut switch)?;
                                     }
                                 }
                             }
@@ -1768,6 +1789,7 @@ mod tests {
                         }
                     }
                     settle_checked(&mut m, &mut replica, &mut requests, &mut log, now)?;
+                    mirror(&m, &log, &mut switch)?;
                 }
                 if let Some(r) = &replica {
                     let stats = r.engine.engine_stats();
@@ -1817,13 +1839,11 @@ mod tests {
         if claims_flow {
             assert!(m.on_claim(0, 0).is_empty(), "a claim covering nothing");
         }
-        let mut acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2));
+        let mut acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2), None);
         for ms in 1..=60u64 {
             acts.extend(m.on_tick(ms * 1_000_000));
         }
-        let injects = acts
-            .iter()
-            .filter(|a| matches!(a, DynAction::Inject { .. }));
+        let injects = acts.iter().filter(|a| matches!(a, ProxyOutput::Inject(_)));
         injects.count()
     }
 
@@ -1841,14 +1861,14 @@ mod tests {
             max_attempts: 3,
             ..DynamicConfig::default()
         };
-        let mut m = DynamicMonitor::new(cfg, CatchSpec::default());
+        let mut m = DynamicMonitor::new(cfg, CatchSpec::default(), 7);
         m.apply_expected(&FlowMod::add(1, Match::any(), vec![Action::Output(99)]))
             .unwrap();
-        m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2));
+        m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2), None);
         let mut alarmed = false;
         for i in 1..10u64 {
             for a in m.on_tick(i * 10_000_000) {
-                if matches!(a, DynAction::Alarm { token: 1 }) {
+                if matches!(a, ProxyOutput::Alarm { token: 1 }) {
                     alarmed = true;
                 }
             }
@@ -1863,7 +1883,7 @@ mod tests {
             max_attempts: 2,
             ..DynamicConfig::default()
         };
-        let mut m = DynamicMonitor::new(cfg, CatchSpec::default());
+        let mut m = DynamicMonitor::new(cfg, CatchSpec::default(), 7);
         m.apply_expected(&FlowMod::add(1, Match::any(), vec![Action::Output(99)]))
             .unwrap();
         m.set_deferred_planning(true);
@@ -1873,7 +1893,7 @@ mod tests {
             Match::any().with_nw_src([10, 0, 0, 1], 32),
             vec![Action::Output(2)],
         );
-        m.on_flowmod(0, 1, a);
+        m.on_flowmod(0, 1, a, None);
         let reqs = m.take_plan_requests();
         m.attach_plan(0, 1, plan_request(&reqs[0]));
         let b = FlowMod::add(
@@ -1883,18 +1903,18 @@ mod tests {
                 .with_nw_dst([10, 0, 0, 0], 24),
             vec![Action::Output(3)],
         );
-        assert!(m.on_flowmod(1, 2, b).is_empty());
+        assert!(m.on_flowmod(1, 2, b, None).is_empty());
         assert_eq!((m.in_flight(), m.queued()), (1, 1));
         // A's probes never return: second attempt, then the alarm — and in
         // that same tick B is forwarded and asks for its plan.
         assert!(!m
             .on_tick(10_000_000)
             .iter()
-            .any(|x| matches!(x, DynAction::Alarm { .. })));
+            .any(|x| matches!(x, ProxyOutput::Alarm { .. })));
         let acts = m.on_tick(20_000_000);
-        assert!(acts.contains(&DynAction::Alarm { token: 1 }), "{acts:?}");
+        assert!(acts.contains(&ProxyOutput::Alarm { token: 1 }), "{acts:?}");
         assert!(
-            acts.iter().any(|x| matches!(x, DynAction::Forward { .. })),
+            acts.iter().any(|x| matches!(x, ProxyOutput::ToSwitch(_))),
             "B released by the alarm: {acts:?}"
         );
         assert_eq!(
@@ -1905,9 +1925,7 @@ mod tests {
         let reqs = m.take_plan_requests();
         assert_eq!(reqs.len(), 1, "B's PlanRequest in the same on_tick");
         let acts = m.attach_plan(20_000_000, 2, plan_request(&reqs[0]));
-        let DynAction::Inject { seq, .. } = acts[0] else {
-            panic!("B is monitorable: {acts:?}")
-        };
+        let seq = seq_of(&acts, 0);
         m.on_verdict(21_000_000, seq, Verdict::Present);
         assert_eq!((m.in_flight(), m.queued(), m.awaiting_plans()), (0, 0, 0));
     }

@@ -9,9 +9,19 @@
 //! real OpenFlow TCP connections, and [`crate::harness`] runs it in the
 //! packet-level simulator, where it also plays the role of the paper's
 //! Multiplexer.
+//!
+//! What reaches the switch is decided in one place: the proxy's
+//! [`DynamicMonitor`] numbers, applies and emits every FlowMod in emission
+//! order — controller updates as they start, §4.3 finalizers as their update
+//! confirms, and the proxy's own preinstalls — and emits the dynamic probes,
+//! acks and alarms. The proxy passes those outputs on unchanged. Of its own
+//! it adds the §4.3 rewrite of a drop install into a stand-in and its
+//! finalizer (both handed to the monitor with the update), hands the rules
+//! each update touched to the steady scheduler, and emits the steady
+//! probes and verdicts.
 
 use crate::droppost::{self, DropTag};
-use crate::dynamic::{DynAction, DynamicConfig, DynamicMonitor};
+use crate::dynamic::{DynamicConfig, DynamicMonitor};
 use crate::encode::CatchSpec;
 use crate::engine::{EngineStats, ProbeEngine};
 use crate::generator::{GenStats, GeneratorConfig, ProbeError};
@@ -74,6 +84,21 @@ pub struct ProbeInjection {
     pub fields: PacketFields,
     /// Ingress port at the probed switch.
     pub in_port: u16,
+}
+
+impl ProbeInjection {
+    /// Probe `seq` of `plan`, on the switch with datapath id `switch_id`.
+    pub(crate) fn new(switch_id: u64, plan: &ProbePlan, seq: u32) -> ProbeInjection {
+        ProbeInjection {
+            meta: ProbeMeta {
+                switch_id,
+                rule_id: plan.rule_id.0,
+                seq,
+            },
+            fields: plan.fields,
+            in_port: plan.in_port,
+        }
+    }
 }
 
 /// Outputs of the proxy state machine.
@@ -160,11 +185,6 @@ pub struct MonitorProxy {
     /// A tick made the steady refresh due; it is taken once no update awaits
     /// its plan ([`Self::take_due_refresh`]).
     refresh_due: bool,
-    /// Pending drop-postponed finalizations: token -> finalize FlowMod.
-    pending_finalize: Vec<(u64, FlowMod)>,
-    /// FlowMods emitted as [`ProxyOutput::ToSwitch`] so far, Monocle's own
-    /// included: the numbers a barrier claim covers.
-    flowmods_sent: u64,
     /// Rules for which steady-state probe generation failed (Table 2's
     /// "probes not found" set) with the reason it gave, in table order.
     /// [`Self::coverage`] counts them by reason.
@@ -181,7 +201,7 @@ pub struct MonitorProxy {
 impl MonitorProxy {
     /// Creates the proxy.
     pub fn new(cfg: ProxyConfig) -> MonitorProxy {
-        let dynamic = DynamicMonitor::new(cfg.dynamic.clone(), cfg.catch.clone());
+        let dynamic = DynamicMonitor::new(cfg.dynamic.clone(), cfg.catch.clone(), cfg.switch_id);
         let steady = cfg.steady.clone().map(SteadyMonitor::new);
         MonitorProxy {
             cfg,
@@ -190,8 +210,6 @@ impl MonitorProxy {
             steady_version: 0,
             refresh_outstanding: false,
             refresh_due: false,
-            pending_finalize: Vec::new(),
-            flowmods_sent: 0,
             unmonitorable: Vec::new(),
             failures: IdHashMap::default(),
             #[cfg(test)]
@@ -232,27 +250,16 @@ impl MonitorProxy {
     }
 
     /// Preinstalls a Monocle-owned rule (catching/filter/drop-tag rules):
-    /// recorded in the expected table and forwarded, but not probed.
+    /// recorded in the expected table and forwarded, but not probed
+    /// ([`DynamicMonitor::apply_own`]).
     pub fn preinstall(
         &mut self,
         priority: u16,
         match_: Match,
         actions: ActionProgram,
     ) -> Vec<ProxyOutput> {
-        self.apply_own(FlowMod::add(priority, match_, actions))
-    }
-
-    /// Applies one of Monocle's own FlowMods (a preinstall, a drop-postponing
-    /// finalizer) to the expected table and forwards it. Like a controller
-    /// update it lands in the table's change log, which the next steady
-    /// refresh reads; unlike one it is neither probed nor reported to the
-    /// scheduler as churn.
-    fn apply_own(&mut self, fm: FlowMod) -> Vec<ProxyOutput> {
-        if self.dynamic.apply_expected(&fm).is_err() {
-            return Vec::new();
-        }
-        self.flowmods_sent += 1;
-        vec![ProxyOutput::ToSwitch(fm)]
+        self.dynamic
+            .apply_own(FlowMod::add(priority, match_, actions))
     }
 
     /// How many FlowMods this proxy has emitted as
@@ -260,7 +267,7 @@ impl MonitorProxy {
     /// included. A driver that follows them with a barrier passes this count
     /// to [`Self::on_barrier_reply`] when the barrier is answered.
     pub fn flowmods_sent(&self) -> u64 {
-        self.flowmods_sent
+        self.dynamic.flowmods_sent()
     }
 
     /// The switch answered a barrier sent after the first `covered` FlowMods
@@ -270,27 +277,30 @@ impl MonitorProxy {
     /// from then on §3.3 silence counts from an update's claim
     /// ([`DynamicMonitor::on_claim`]).
     pub fn on_barrier_reply(&mut self, now: u64, covered: u64) -> Vec<ProxyOutput> {
-        let actions = self.dynamic.on_claim(now, covered);
-        self.map_dynamic(now, actions)
+        self.dynamic.on_claim(now, covered)
     }
 
-    /// A FlowMod from the controller.
+    /// A FlowMod from the controller, as update `token`: the token its
+    /// [`ProxyOutput::Confirmed`] or [`ProxyOutput::Alarm`] carries. A token
+    /// names one update until that answer: it must not be reused while the
+    /// update it named is unfinished (queued, awaiting its plan, or probed).
     pub fn on_controller_flowmod(&mut self, now: u64, token: u64, fm: FlowMod) -> Vec<ProxyOutput> {
-        // §4.3: intercept drop installs when drop-postponing is on.
-        let fm = match self.cfg.drop_postpone {
-            Some((tag, port)) if droppost::is_drop_install(&fm) => {
-                match droppost::postpone(&fm, tag, port) {
-                    Some(p) => {
-                        self.pending_finalize.push((token, p.finalize));
-                        p.stand_in
-                    }
-                    None => fm,
-                }
-            }
-            _ => fm,
+        debug_assert!(
+            !self.dynamic.is_unfinished(token),
+            "update token {token} reused while its update is unfinished"
+        );
+        // §4.3: a drop install goes out as its stand-in when drop-postponing
+        // is on; the finalizer rides with the update until it confirms.
+        let postponed = self
+            .cfg
+            .drop_postpone
+            .and_then(|(tag, port)| droppost::postpone(&fm, tag, port));
+        let (fm, finalize) = match postponed {
+            Some(p) => (p.stand_in, Some(p.finalize)),
+            None => (fm, None),
         };
-        let actions = self.dynamic.on_flowmod(now, token, fm);
-        self.map_dynamic(now, actions)
+        let out = self.dynamic.on_flowmod(now, token, fm, finalize);
+        self.note_touched(now, out)
     }
 
     /// Feeds the per-switch transport cost (RTT-derived factor ≥ 1.0 plus a
@@ -345,15 +355,15 @@ impl MonitorProxy {
             };
             let hdr = packet_to_headervec(plan.in_port, fields);
             let verdict = plan.classify(out_port, &hdr);
-            let actions = self.dynamic.on_verdict(now, meta.seq, verdict);
-            self.map_dynamic(now, actions)
+            let out = self.dynamic.on_verdict(now, meta.seq, verdict);
+            self.note_touched(now, out)
         }
     }
 
     /// Periodic tick: dynamic re-probes, steady cycle, lazy plan refresh.
     pub fn on_tick(&mut self, now: u64) -> Vec<ProxyOutput> {
-        let dyn_actions = self.dynamic.on_tick(now);
-        let mut out = self.map_dynamic(now, dyn_actions);
+        let out = self.dynamic.on_tick(now);
+        let mut out = self.note_touched(now, out);
         if self.steady.is_some() {
             self.refresh_due = true;
             self.take_due_refresh();
@@ -401,8 +411,8 @@ impl MonitorProxy {
         token: u64,
         plan: Option<ProbePlan>,
     ) -> Vec<ProxyOutput> {
-        let actions = self.dynamic.attach_plan(now, token, plan);
-        let out = self.map_dynamic(now, actions);
+        let out = self.dynamic.attach_plan(now, token, plan);
+        let out = self.note_touched(now, out);
         self.take_due_refresh();
         out
     }
@@ -562,40 +572,16 @@ impl MonitorProxy {
         c
     }
 
-    fn map_dynamic(&mut self, now: u64, actions: Vec<DynAction>) -> Vec<ProxyOutput> {
-        // The steady scheduler: rules touched by the updates these actions
-        // started (added or modified — deletes leave the sweep at the next
-        // refresh anyway) become hot, unless it runs round-robin. The ids
-        // come from the table's own ApplyResult, not from a scan of the
-        // table.
+    /// Passes on the outputs of a dynamic call that may have started
+    /// updates, after handing the rules they added or modified to the steady
+    /// scheduler, which makes them hot unless it runs round-robin (deletes
+    /// leave the sweep at the next refresh anyway). The ids come from the
+    /// table's own ApplyResult, not from a scan of the table.
+    fn note_touched(&mut self, now: u64, out: Vec<ProxyOutput>) -> Vec<ProxyOutput> {
         let touched = self.dynamic.take_touched_rules();
         if let Some(steady) = self.steady.as_mut() {
             for id in touched {
                 steady.note_rule_modified(id, now);
-            }
-        }
-        let mut out = Vec::new();
-        for a in actions {
-            match a {
-                DynAction::Forward { token, fm } => {
-                    self.flowmods_sent += 1;
-                    self.dynamic.note_forwarded(token, self.flowmods_sent);
-                    out.push(ProxyOutput::ToSwitch(fm));
-                }
-                DynAction::Inject { seq, .. } => {
-                    if let Some(plan) = self.dynamic.plan_for_seq(seq) {
-                        out.push(ProxyOutput::Inject(self.injection(plan, seq)));
-                    }
-                }
-                DynAction::Confirmed { token, verified } => {
-                    // Drop-postponing: on confirmation, swap in the real drop.
-                    if let Some(pos) = self.pending_finalize.iter().position(|(t, _)| *t == token) {
-                        let (_, finalize) = self.pending_finalize.remove(pos);
-                        out.extend(self.apply_own(finalize));
-                    }
-                    out.push(ProxyOutput::Confirmed { token, verified });
-                }
-                DynAction::Alarm { token } => out.push(ProxyOutput::Alarm { token }),
             }
         }
         out
@@ -605,26 +591,13 @@ impl MonitorProxy {
         match a {
             SteadyAction::Inject { seq, rule_id } => {
                 let plan = self.steady.as_ref()?.plans().get(&rule_id)?;
-                Some(ProxyOutput::Inject(
-                    self.injection(plan, seq | STEADY_SEQ_BIT),
-                ))
+                let probe = ProbeInjection::new(self.cfg.switch_id, plan, seq | STEADY_SEQ_BIT);
+                Some(ProxyOutput::Inject(probe))
             }
             SteadyAction::RuleFailed { rule_id, at } => {
                 Some(ProxyOutput::RuleFailed { rule_id, at })
             }
             SteadyAction::RuleRecovered { rule_id } => Some(ProxyOutput::RuleRecovered { rule_id }),
-        }
-    }
-
-    fn injection(&self, plan: &ProbePlan, seq: u32) -> ProbeInjection {
-        ProbeInjection {
-            meta: ProbeMeta {
-                switch_id: self.cfg.switch_id,
-                rule_id: plan.rule_id.0,
-                seq,
-            },
-            fields: plan.fields,
-            in_port: plan.in_port,
         }
     }
 }
@@ -722,10 +695,9 @@ mod tests {
 
     #[test]
     fn dynamic_probes_numbered_past_the_steady_bit_still_confirm() {
-        let cfg = ProxyConfig::new(7, CatchSpec::default());
-        let mut p = MonitorProxy::new(cfg.clone());
+        let mut p = MonitorProxy::new(ProxyConfig::new(7, CatchSpec::default()));
         // As if 2^31 - 1 dynamic probes had been sent already.
-        p.dynamic = DynamicMonitor::with_first_seq(cfg.dynamic, cfg.catch, STEADY_SEQ_BIT - 1);
+        p.dynamic.next_seq = STEADY_SEQ_BIT - 1;
         p.preinstall(1, Match::any(), vec![Action::Output(9)]);
         for token in 1..=3u8 {
             let outs = p.on_controller_flowmod(0, token.into(), add_fm([10, 0, 0, token], 2));
@@ -1135,6 +1107,52 @@ mod tests {
         assert_eq!(injections(&p.on_barrier_reply(200, 4)).len(), 1);
     }
 
+    /// A drop-postponed add, then a delete of the same entry queued behind
+    /// its stand-in: when the stand-in confirms, the finalizer reaches the
+    /// switch before the delete, and the expected table takes them in that
+    /// order too. Applied in order, what the proxy sent is what it expects.
+    #[test]
+    fn a_finalizer_reaches_the_expected_table_in_the_order_it_is_sent() {
+        let mut cfg = ProxyConfig::new(7, CatchSpec::default());
+        cfg.drop_postpone = Some((DropTag(63), 4));
+        let mut p = MonitorProxy::new(cfg);
+        let mut switch = FlowTable::new();
+        let mut send = |outs: &[ProxyOutput]| {
+            for o in outs {
+                if let ProxyOutput::ToSwitch(fm) = o {
+                    let _ = switch.apply(fm);
+                }
+            }
+        };
+        send(&p.preinstall(1, Match::any(), vec![Action::Output(9)]));
+        let m = Match::any().with_nw_proto(6).with_tp_dst(23);
+        let outs = p.on_controller_flowmod(0, 1, FlowMod::add(20, m, vec![]));
+        send(&outs);
+        let inj = injections(&outs)[0].clone();
+        assert!(p
+            .on_controller_flowmod(1, 2, FlowMod::delete_strict(20, m))
+            .is_empty());
+        let mut tagged = packet_to_headervec(inj.in_port, &inj.fields);
+        tagged.set_field(monocle_openflow::Field::NwTos, 63);
+        let outs = p.on_probe_return(50, &inj.meta, 4, &headervec_to_packet(&tagged));
+        let kinds: Vec<String> = outs
+            .iter()
+            .map(|o| match o {
+                ProxyOutput::ToSwitch(fm) => format!("{:?}", fm.command),
+                ProxyOutput::Confirmed { token, .. } => format!("Confirmed {token}"),
+                ProxyOutput::Inject(_) => "Inject".into(),
+                o => format!("{o:?}"),
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            ["ModifyStrict", "Confirmed 1", "DeleteStrict", "Inject"]
+        );
+        send(&outs);
+        assert_eq!(switch.len(), 1, "only the default route is left");
+        assert_eq!(p.expected().rules(), switch.rules());
+    }
+
     fn steady_injections(outs: &[ProxyOutput]) -> Vec<u64> {
         outs.iter()
             .filter_map(|o| match o {
@@ -1259,7 +1277,8 @@ mod tests {
 
     /// Two proxies fed the same inputs, one refreshing incrementally and one
     /// through the whole-table oracle, plus the datapath their (identical)
-    /// outputs drive. Every call compares everything observable. With a
+    /// outputs drive. Every call compares everything observable, and the
+    /// datapath with the expected table ([`Twins::absorb`]). With a
     /// [`Deferred`] twin, a third proxy is fed the same inputs too.
     struct Twins {
         new: MonitorProxy,
@@ -1339,6 +1358,7 @@ mod tests {
                         _ => {}
                     }
                 }
+                assert_eq!(self.datapath.rules(), self.proxy.expected().rules());
                 let steps = self.proxy.take_plan_steps();
                 if steps.is_empty() {
                     return view;
@@ -1524,6 +1544,8 @@ mod tests {
         }
 
         /// The switch installs at once; probes wait for [`Self::answer`].
+        /// The FlowMods a call sent, applied in the order sent, leave the
+        /// switch holding what the proxy expects it to.
         fn absorb(&mut self, outs: Vec<ProxyOutput>) {
             for o in outs {
                 match o {
@@ -1534,6 +1556,8 @@ mod tests {
                     _ => {}
                 }
             }
+            let expected = self.new.expected().rules();
+            assert_eq!(self.datapath.rules(), expected, "mirror at t={}", self.now);
         }
 
         fn flowmod(&mut self, fm: FlowMod) {

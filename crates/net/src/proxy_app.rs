@@ -132,7 +132,8 @@ struct PlanDone {
     answer: Answer,
 }
 
-/// Per-switch counters, exposed through [`ProxyApp::stats`].
+/// Per-switch counters, exposed through [`ProxyApp::stats`] once the session
+/// closes.
 #[derive(Debug, Default, Clone)]
 pub struct SessionStats {
     /// Datapath id of the session.
@@ -173,7 +174,8 @@ pub struct SessionStats {
     pub claims: u64,
 }
 
-/// Shared view of all sessions' counters (keyed by session id).
+/// Shared view of the closed sessions' counters (keyed by session id): a
+/// session's counters are published when it closes, and not before.
 pub type SharedStats = Arc<Mutex<HashMap<u64, SessionStats>>>;
 
 /// Configuration of the TCP proxy application.
@@ -246,8 +248,12 @@ struct Session {
     to_controller: Vec<(OfMessage, u32)>,
     /// Injections parked by backpressure, flushed on `Drained`.
     paused_injections: Vec<ProbeInjection>,
-    /// FlowMod xid → send time, for ack RTT measurement.
-    flowmod_sent: HashMap<u32, u64>,
+    /// Update token → the FlowMod's xid, which its ack or alarm is sent
+    /// under, and when the FlowMod came, for the ack RTT. The token is the
+    /// FlowMod's number in the session (`stats.flowmods`): each FlowMod is an
+    /// update of its own whatever xid it came under, and the monitor's
+    /// tokens must be unique while their update is unfinished.
+    updates: HashMap<u64, (u32, u64)>,
     /// Barriers sent to the switch and not answered yet, by proxy xid.
     barriers: HashMap<u32, Barrier>,
     /// Rolling per-switch estimators feeding the adaptive scheduler's
@@ -311,7 +317,8 @@ impl ProxyApp {
         }
     }
 
-    /// Shared handle to per-session counters.
+    /// Shared handle to per-session counters. A session's counters appear
+    /// when the session closes: its teardown is the only writer.
     pub fn stats(&self) -> SharedStats {
         Arc::clone(&self.stats)
     }
@@ -367,27 +374,24 @@ impl ProxyApp {
                     if verified {
                         sess.stats.verified += 1;
                     }
-                    if let Some(sent) = sess.flowmod_sent.remove(&(token as u32)) {
+                    if let Some((xid, sent)) = sess.updates.remove(&token) {
                         sess.telemetry
                             .ack_rtt_ns
                             .update(now.saturating_sub(sent) as f64);
                         sess.stats.ack_rtt_ewma_ns = sess.telemetry.ack_rtt_ns.get();
                         sess.stats.ack_rtt_samples += 1;
+                        Self::send_to_controller(ctx, sess, OfMessage::BarrierReply, xid);
                     }
-                    Self::send_to_controller(ctx, sess, OfMessage::BarrierReply, token as u32);
                 }
                 ProxyOutput::Alarm { token } => {
                     sess.stats.alarms += 1;
-                    sess.flowmod_sent.remove(&(token as u32));
-                    Self::send_to_controller(
-                        ctx,
-                        sess,
-                        OfMessage::Error {
+                    if let Some((xid, _)) = sess.updates.remove(&token) {
+                        let error = OfMessage::Error {
                             err_type: 5, // OFPET_FLOW_MOD_FAILED
                             code: 0,
-                        },
-                        token as u32,
-                    );
+                        };
+                        Self::send_to_controller(ctx, sess, error, xid);
+                    }
                 }
                 ProxyOutput::RuleFailed { .. } => sess.stats.rules_failed += 1,
                 ProxyOutput::RuleRecovered { .. } => sess.stats.rules_recovered += 1,
@@ -594,12 +598,12 @@ impl ProxyApp {
             }
             OfMessage::FlowMod(fm) => {
                 sess.stats.flowmods += 1;
-                let now = ctx.now_ns();
-                sess.flowmod_sent.insert(xid, now);
+                let (now, token) = (ctx.now_ns(), sess.stats.flowmods);
+                sess.updates.insert(token, (xid, now));
                 let outputs = sess
                     .proxy
                     .as_mut()
-                    .map(|p| p.on_controller_flowmod(now, u64::from(xid), fm))
+                    .map(|p| p.on_controller_flowmod(now, token, fm))
                     .unwrap_or_default();
                 self.process_outputs(ctx, session, outputs);
             }
@@ -733,7 +737,7 @@ impl Driver for ProxyApp {
                         proxy: None,
                         to_controller: Vec::new(),
                         paused_injections: Vec::new(),
-                        flowmod_sent: HashMap::new(),
+                        updates: HashMap::new(),
                         barriers: HashMap::new(),
                         telemetry: SwitchTelemetry::new(TELEMETRY_HALF_LIFE_NS),
                         echo_pending: None,
@@ -1060,5 +1064,72 @@ mod tests {
         let updates = u64::from(updates);
         assert_eq!((sess.confirmed, sess.verified), (updates, updates));
         assert!(sess.claims > 0, "no claim reached the monitor");
+    }
+
+    /// A controller that sends `updates` non-overlapping FlowMods, all under
+    /// one xid, and records the xid of every `BarrierReply` it is sent until
+    /// a while after the last one it expects.
+    struct OneXidController {
+        updates: usize,
+        replies: Arc<Mutex<Vec<u32>>>,
+    }
+
+    const SHARED_XID: u32 = 5;
+
+    impl Driver for OneXidController {
+        fn handle(&mut self, ctx: &mut IoCtx<'_>, ev: TransportEvent) {
+            match ev {
+                TransportEvent::Accepted { conn, .. } => {
+                    let _ = ctx.send(conn, &OfMessage::Hello, 0);
+                    let _ = ctx.send(conn, &OfMessage::FeaturesRequest, 0);
+                }
+                TransportEvent::Message {
+                    conn,
+                    msg: OfMessage::FeaturesReply { .. },
+                    ..
+                } => {
+                    for i in 1..=self.updates {
+                        let fm = ControllerSim::workload_flowmod(i);
+                        let _ = ctx.send(conn, &OfMessage::FlowMod(fm), SHARED_XID);
+                    }
+                }
+                TransportEvent::Message {
+                    msg: OfMessage::BarrierReply,
+                    xid,
+                    ..
+                } => {
+                    let mut replies = self.replies.lock().unwrap();
+                    replies.push(xid);
+                    if replies.len() == self.updates {
+                        ctx.schedule_in(50_000_000, SETTLED);
+                    }
+                }
+                TransportEvent::Timer { .. } => ctx.stop(),
+                _ => {}
+            }
+        }
+    }
+
+    /// The controller's xid is not the monitor's update token: two FlowMods
+    /// under one xid are two updates, each verified and acked under that
+    /// xid.
+    #[test]
+    fn two_flowmods_under_one_xid_are_two_updates() {
+        let replies = Arc::new(Mutex::new(Vec::new()));
+        let mut controller_loop = EventLoop::new().unwrap();
+        let controller_addr = controller_loop.with_ctx(|ctx| {
+            let l = ctx.listen("127.0.0.1:0").unwrap();
+            ctx.schedule_in(30_000_000_000, GIVE_UP);
+            ctx.listener_addr(l).unwrap()
+        });
+        let controller = OneXidController {
+            updates: 2,
+            replies: Arc::clone(&replies),
+        };
+        let ps = deploy(controller_loop, controller, controller_addr, vec![1], None);
+        assert_eq!(*replies.lock().unwrap(), [SHARED_XID, SHARED_XID]);
+        let sess = ps.values().next().expect("one session");
+        assert_eq!((sess.flowmods, sess.confirmed, sess.verified), (2, 2, 2));
+        assert_eq!(sess.ack_rtt_samples, 2);
     }
 }
