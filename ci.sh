@@ -140,6 +140,10 @@ echo "== perf baseline: adaptive scheduler vs fixed sweep =="
 # churn/correlated/storm workloads, adaptive vs fixed at equal probe budget
 # (500/s) and equal worst-case revisit (SLO = fixed cycle time).
 ./target/release/scheduler --json BENCH_scheduler.json
+# The run is in virtual time, so the file comes out byte-identical: it pins
+# the steady monitor's behaviour (sweep order, pacing, retries, verdicts). A
+# change that means to move it commits the new file and says why.
+git diff --quiet -- BENCH_scheduler.json
 
 echo "== smoke: Fig. 8 large-network simulation =="
 # Small-size end-to-end run of the packet-level simulator over the trie-

@@ -24,7 +24,8 @@
 //! [--json PATH]`
 
 use monocle::plan::{ConcreteOutcome, ProbePlan, Verdict};
-use monocle::steady::{SteadyAction, SteadyConfig, SteadyMonitor, PROBE_INTERVAL};
+use monocle::proxy::ProxyOutput;
+use monocle::steady::{SteadyConfig, SteadyMonitor, PROBE_INTERVAL};
 use monocle_openflow::{Action, Forwarding, HeaderVec, RuleId};
 use monocle_packet::PacketFields;
 use monocle_sched::SchedConfig;
@@ -171,7 +172,8 @@ fn run_arm(
             ..SchedConfig::default()
         }),
     };
-    let mut m = SteadyMonitor::new(cfg);
+    // One switch, datapath id 1.
+    let mut m = SteadyMonitor::new(cfg, 1);
     m.patch_plans((0..rules as u64).map(mk_plan).collect(), &[]);
 
     let mut broken: HashSet<u64> = HashSet::new();
@@ -195,31 +197,31 @@ fn run_arm(
         }
         while in_flight.front().is_some_and(|&(d, _, _)| d <= now) {
             let (_, seq, v) = in_flight.pop_front().unwrap();
-            for a in m.on_verdict(now, seq, v) {
-                if let SteadyAction::RuleFailed { rule_id, at } = a {
+            for o in m.on_verdict(now, seq, v) {
+                if let ProxyOutput::RuleFailed { rule_id, at } = o {
                     if let Some(t0) = break_at.remove(&rule_id.0) {
                         detect_ms.push(at.saturating_sub(t0) as f64 / MS as f64);
                     }
                 }
             }
         }
-        for a in m.on_tick(now) {
-            match a {
-                SteadyAction::Inject { seq, rule_id } => {
+        for o in m.on_tick(now) {
+            match o {
+                ProxyOutput::Inject(probe) => {
                     probes += 1;
-                    let v = if broken.contains(&rule_id.0) {
+                    let v = if broken.contains(&probe.meta.rule_id) {
                         Verdict::Absent
                     } else {
                         Verdict::Present
                     };
-                    in_flight.push_back((now + rtt_ns, seq, v));
+                    in_flight.push_back((now + rtt_ns, probe.meta.seq, v));
                 }
-                SteadyAction::RuleFailed { rule_id, at } => {
+                ProxyOutput::RuleFailed { rule_id, at } => {
                     if let Some(t0) = break_at.remove(&rule_id.0) {
                         detect_ms.push(at.saturating_sub(t0) as f64 / MS as f64);
                     }
                 }
-                SteadyAction::RuleRecovered { .. } => {}
+                _ => {}
             }
         }
         now += MS;

@@ -42,8 +42,9 @@
 //! and the planner's replica see one order. A confirmation emits the
 //! update's finalizer, then its [`ProxyOutput::Confirmed`], then whatever it
 //! released from the §4.2 queue. Probes go out as [`ProxyOutput::Inject`],
-//! built where the plan is in hand. The outputs are the proxy's own:
-//! `MonitorProxy` passes them on unchanged.
+//! built where the plan is in hand, and their returns are judged against
+//! that plan here ([`DynamicMonitor::on_probe_return`]). The outputs are
+//! the proxy's own: `MonitorProxy` passes them on unchanged.
 
 use crate::encode::CatchSpec;
 use crate::engine::ProbeEngine;
@@ -52,7 +53,8 @@ use crate::plan::{take_seq, ProbePlan, Verdict};
 use crate::planner::{self, PlanKind, Refreshed, Step};
 use crate::proxy::{ProbeInjection, ProxyOutput};
 use monocle_openflow::table::ApplyResult;
-use monocle_openflow::{FlowMod, FlowModCommand, FlowTable, Rule, RuleId, TableError};
+use monocle_openflow::{FlowMod, FlowModCommand, FlowTable, PortNo, Rule, RuleId, TableError};
+use monocle_packet::PacketFields;
 use std::collections::VecDeque;
 
 /// Interval between probe (re)injections for an unconfirmed update, ns.
@@ -387,12 +389,6 @@ impl DynamicMonitor {
     /// Whether update `token` is queued or started and not finished yet.
     pub(crate) fn is_unfinished(&self, token: u64) -> bool {
         self.updates.iter().any(|u| u.token == token) || self.queued.iter().any(|q| q.0 == token)
-    }
-
-    /// The plan for a live probe sequence number.
-    pub fn plan_for_seq(&self, seq: u32) -> Option<&ProbePlan> {
-        let update = self.updates.iter().find(|u| u.live_seqs.contains(&seq));
-        update?.plan.as_ref()
     }
 
     /// A FlowMod arrives from the controller as update `token`, which must
@@ -730,7 +726,27 @@ impl DynamicMonitor {
         self.attach_planned(now, out);
     }
 
-    /// A probe observation classified against its plan comes back.
+    /// Probe `seq` came back: `out_port` is the probed switch's output port
+    /// the observation maps to, `fields` the received header. It is judged
+    /// against its update's plan while its sequence number is live — until
+    /// the update confirms or alarms — and ignored after.
+    pub fn on_probe_return(
+        &mut self,
+        now: u64,
+        seq: u32,
+        out_port: PortNo,
+        fields: &PacketFields,
+    ) -> Vec<ProxyOutput> {
+        let update = self.updates.iter().find(|u| u.live_seqs.contains(&seq));
+        let Some(plan) = update.and_then(|u| u.plan.as_ref()) else {
+            return Vec::new();
+        };
+        let verdict = plan.classify(out_port, fields);
+        self.on_verdict(now, seq, verdict)
+    }
+
+    /// Feeds the verdict on probe `seq` back: the verdict-level entry
+    /// behind [`Self::on_probe_return`].
     pub fn on_verdict(&mut self, now: u64, seq: u32, verdict: Verdict) -> Vec<ProxyOutput> {
         let mut out = Vec::new();
         let Some(idx) = self.updates.iter().position(|u| u.live_seqs.contains(&seq)) else {
@@ -782,6 +798,15 @@ mod tests {
     /// The sequence number of the probe `outs[i]` injects.
     fn seq_of(outs: &[ProxyOutput], i: usize) -> u32 {
         injected(&outs[i]).unwrap_or_else(|| panic!("no injection at {i}: {outs:?}"))
+    }
+
+    /// The rule the first probe of `outs` is planned for.
+    fn probed_rule(outs: &[ProxyOutput]) -> RuleId {
+        let rule = outs.iter().find_map(|o| match o {
+            ProxyOutput::Inject(inj) => Some(RuleId(inj.meta.rule_id)),
+            _ => None,
+        });
+        rule.unwrap_or_else(|| panic!("no injection: {outs:?}"))
     }
 
     #[test]
@@ -1177,7 +1202,7 @@ mod tests {
         assert_eq!(replica.table.rules(), m.expected().rules());
         let acts = m.attach_plan(20, 2, answers[0].1.clone());
         let seq = seq_of(&acts, 0);
-        assert_eq!(m.plan_for_seq(seq).unwrap().rule_id, victim);
+        assert_eq!(probed_rule(&acts), victim);
         let out = m.on_verdict(30, seq, Verdict::Absent);
         assert_eq!(
             out[0],
@@ -1219,7 +1244,7 @@ mod tests {
         let acts = m.attach_plan(20, 2, Some(plan));
         let seq = seq_of(&acts, 0);
         // The attached plan was pointed at the real table's rule.
-        assert_eq!(m.plan_for_seq(seq).unwrap().rule_id, real_id);
+        assert_eq!(probed_rule(&acts), real_id);
         let out = m.on_verdict(30, seq, Verdict::Present);
         assert!(matches!(out[0], ProxyOutput::Confirmed { token: 2, .. }));
     }

@@ -246,7 +246,7 @@ impl ProbeEngine {
         &self.cfg.gen
     }
 
-    /// Aggregate generation statistics since construction (or [`Self::reset_stats`]).
+    /// Aggregate generation statistics since construction.
     pub fn stats(&self) -> GenStats {
         self.total
     }
@@ -254,12 +254,6 @@ impl ProbeEngine {
     /// Engine lifecycle counters.
     pub fn engine_stats(&self) -> EngineStats {
         self.engine_stats
-    }
-
-    /// Zeroes the aggregate counters (between the phases of a bench).
-    pub fn reset_stats(&mut self) {
-        self.total = GenStats::default();
-        self.engine_stats = EngineStats::default();
     }
 
     /// Number of cached plans (success and failure entries).

@@ -23,7 +23,7 @@
 //! | §2 expected-state tracking, one warm planner per switch: the expected table and pins, planned on by the monitor's own engine inline or by a [`planner::Replica`] replaying the step stream that mirrors it; update plans and steady refreshes alike | [`dynamic`], [`planner`] |
 //! | the sweep set; a serial job-batch shim (benchmark and tests only) | [`pool`] |
 //! | probe plans & semantic verification | [`plan`] |
-//! | §3 steady-state monitoring | [`steady`] |
+//! | §3 steady-state monitoring: the sweep, its probes and their verdicts (`RuleFailed` / `RuleRecovered`), emitted as the proxy's outputs | [`steady`] |
 //! | §4.1–4.2 update monitoring, overlap queuing | [`dynamic`] |
 //! | §4.3 drop-postponing | [`droppost`] |
 //! | §6 catching rules & coloring strategies | [`catching`] |

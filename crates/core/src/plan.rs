@@ -2,7 +2,7 @@
 //! the semantic verifier used both at generation time (soundness net under
 //! the §5.2 spare-value repair) and as the property-test oracle.
 
-use monocle_openflow::flowmatch::headervec_to_packet;
+use monocle_openflow::flowmatch::{headervec_to_packet, packet_to_headervec};
 use monocle_openflow::{FlowTable, Forwarding, ForwardingKind, HeaderVec, PortNo, RuleId};
 use monocle_packet::PacketFields;
 use std::sync::Arc;
@@ -97,9 +97,9 @@ pub enum Verdict {
 }
 
 /// Dynamic and steady probes share the one `u32` sequence space of the
-/// probe metadata: the proxy tags steady probes with this bit and routes a
-/// returning probe by it, so each monitor numbers its probes below it
-/// ([`take_seq`]).
+/// probe metadata: the steady monitor numbers its probes with this bit set,
+/// the dynamic monitor below it (both count with [`take_seq`]), and the
+/// proxy routes a returning probe by it.
 pub(crate) const STEADY_SEQ_BIT: u32 = 1 << 31;
 
 /// Takes the next probe sequence number from `counter`, which wraps below
@@ -141,10 +141,13 @@ impl ProbePlan {
         self.present.is_drop()
     }
 
-    /// Classifies a single received observation.
-    pub fn classify(&self, port: PortNo, hdr: &HeaderVec) -> Verdict {
-        let p = self.present.may_produce(port, hdr);
-        let a = self.absent.may_produce(port, hdr);
+    /// Classifies a single received observation: the probe left the
+    /// probed switch on `port` with header `fields` (read at the plan's
+    /// ingress port).
+    pub fn classify(&self, port: PortNo, fields: &PacketFields) -> Verdict {
+        let hdr = packet_to_headervec(self.in_port, fields);
+        let p = self.present.may_produce(port, &hdr);
+        let a = self.absent.may_produce(port, &hdr);
         match (p, a) {
             (true, false) => Verdict::Present,
             (false, true) => Verdict::Absent,
@@ -201,7 +204,6 @@ pub fn header_to_probe(h: &HeaderVec) -> (u16, PacketFields) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use monocle_openflow::flowmatch::packet_to_headervec;
     use monocle_openflow::{Action, Match};
 
     fn hdr(dst: [u8; 4]) -> HeaderVec {
@@ -339,8 +341,10 @@ mod tests {
             uses_counting: false,
         };
         assert!(!plan.is_negative());
-        assert_eq!(plan.classify(1, &p), Verdict::Present);
-        assert_eq!(plan.classify(2, &p), Verdict::Absent);
-        assert_eq!(plan.classify(3, &p), Verdict::Inconclusive);
+        // The probe as received: its header, read back at the ingress port.
+        let received = headervec_to_packet(&p);
+        assert_eq!(plan.classify(1, &received), Verdict::Present);
+        assert_eq!(plan.classify(2, &received), Verdict::Absent);
+        assert_eq!(plan.classify(3, &received), Verdict::Inconclusive);
     }
 }

@@ -10,15 +10,19 @@
 //! packet-level simulator, where it also plays the role of the paper's
 //! Multiplexer.
 //!
-//! What reaches the switch is decided in one place: the proxy's
-//! [`DynamicMonitor`] numbers, applies and emits every FlowMod in emission
-//! order — controller updates as they start, §4.3 finalizers as their update
-//! confirms, and the proxy's own preinstalls — and emits the dynamic probes,
-//! acks and alarms. The proxy passes those outputs on unchanged. Of its own
-//! it adds the §4.3 rewrite of a drop install into a stand-in and its
-//! finalizer (both handed to the monitor with the update), hands the rules
-//! each update touched to the steady scheduler, and emits the steady
-//! probes and verdicts.
+//! Each of the proxy's two monitors owns its probes: it numbers them, builds
+//! each [`ProxyOutput::Inject`] where the plan is in hand, judges each
+//! returning probe against the plan it was made for, and emits its verdicts.
+//! The [`DynamicMonitor`] also numbers, applies and emits every FlowMod in
+//! emission order — controller updates as they start, §4.3 finalizers as
+//! their update confirms, and the proxy's own preinstalls — and emits the
+//! acks and alarms; the [`SteadyMonitor`] emits `RuleFailed` and
+//! `RuleRecovered`. The proxy routes a returning probe to its monitor by the
+//! sequence number's steady bit (bit 31) and passes both monitors' outputs
+//! on unchanged. Of its own it adds the §4.3 rewrite of a drop install into
+//! a stand-in and its finalizer (both handed to the dynamic monitor with the
+//! update), hands the rules each update touched to the steady scheduler,
+//! and keeps the steady plans up to date with the expected table.
 
 use crate::droppost::{self, DropTag};
 use crate::dynamic::{DynamicConfig, DynamicMonitor};
@@ -27,8 +31,7 @@ use crate::engine::{EngineStats, ProbeEngine};
 use crate::generator::{GenStats, GeneratorConfig, ProbeError};
 use crate::plan::{ProbePlan, STEADY_SEQ_BIT};
 use crate::planner::{Refreshed, Step};
-use crate::steady::{SteadyAction, SteadyConfig, SteadyMonitor};
-use monocle_openflow::flowmatch::packet_to_headervec;
+use crate::steady::{SteadyConfig, SteadyMonitor};
 use monocle_openflow::table::IdHashMap;
 use monocle_openflow::{ActionProgram, FlowMod, Match, PortNo, RuleId};
 use monocle_packet::{PacketFields, ProbeMeta};
@@ -43,7 +46,8 @@ pub struct ProxyConfig {
     /// Dynamic monitoring settings, `gen` among them: how every probe of
     /// this switch is generated, dynamic and steady alike.
     pub dynamic: DynamicConfig,
-    /// Steady-state monitoring settings (None = dynamic only).
+    /// Steady-state monitoring settings (None = dynamic only: no refresh
+    /// ever gives the steady monitor a plan).
     pub steady: Option<SteadyConfig>,
     /// Enable §4.3 drop-postponing with this tag and neighbor port.
     pub drop_postpone: Option<(DropTag, PortNo)>,
@@ -174,7 +178,8 @@ impl Coverage {
 pub struct MonitorProxy {
     cfg: ProxyConfig,
     dynamic: DynamicMonitor,
-    steady: Option<SteadyMonitor>,
+    /// Holds plans only with [`ProxyConfig::steady`] set.
+    steady: SteadyMonitor,
     /// The expected table's [`monocle_openflow::FlowTable::version`] at the
     /// last steady refresh asked for: its change log since then is the next
     /// one's work.
@@ -202,7 +207,7 @@ impl MonitorProxy {
     /// Creates the proxy.
     pub fn new(cfg: ProxyConfig) -> MonitorProxy {
         let dynamic = DynamicMonitor::new(cfg.dynamic.clone(), cfg.catch.clone(), cfg.switch_id);
-        let steady = cfg.steady.clone().map(SteadyMonitor::new);
+        let steady = SteadyMonitor::new(cfg.steady.clone().unwrap_or_default(), cfg.switch_id);
         MonitorProxy {
             cfg,
             dynamic,
@@ -215,11 +220,6 @@ impl MonitorProxy {
             #[cfg(test)]
             whole_table_oracle: false,
         }
-    }
-
-    /// The switch id.
-    pub fn switch_id(&self) -> u64 {
-        self.cfg.switch_id
     }
 
     /// The expected flow table.
@@ -305,25 +305,23 @@ impl MonitorProxy {
 
     /// Feeds the per-switch transport cost (RTT-derived factor ≥ 1.0 plus a
     /// backpressure flag) into the steady scheduler (its round-robin
-    /// configuration reorders nothing for it). No-op without steady
-    /// monitoring.
+    /// configuration reorders nothing for it).
     pub fn set_switch_cost(&mut self, cost: f64, backpressured: bool) {
-        if let Some(steady) = &mut self.steady {
-            steady.set_switch_cost(cost, backpressured);
-        }
+        self.steady.set_switch_cost(cost, backpressured);
     }
 
-    /// Scheduler counters of the steady monitor, when there is one.
+    /// Scheduler counters of the steady monitor, with steady monitoring
+    /// configured.
     pub fn steady_sched_stats(&self) -> Option<monocle_sched::SchedStats> {
-        self.steady.as_ref().map(SteadyMonitor::sched_stats)
+        self.cfg.steady.is_some().then(|| self.steady.sched_stats())
     }
 
-    /// A probe came back: `out_port` is the probed switch's output port the
-    /// observation maps to, `fields` the received header. Its answer counts
-    /// exactly when its sequence number is live: that of a probe of an update
-    /// still unconfirmed, or of a steady probe still outstanding — until its
-    /// window closes, or a refresh drops or replaces the plan it was made
-    /// for ([`SteadyMonitor::patch_plans`]).
+    /// A probe of this switch came back: `out_port` is the probed switch's
+    /// output port the observation maps to, `fields` the received header.
+    /// The sequence number's steady bit (bit 31) says which monitor sent it,
+    /// and that monitor judges it ([`DynamicMonitor::on_probe_return`],
+    /// [`SteadyMonitor::on_probe_return`]). A probe of another switch is
+    /// ignored.
     pub fn on_probe_return(
         &mut self,
         now: u64,
@@ -335,45 +333,23 @@ impl MonitorProxy {
             return Vec::new();
         }
         if meta.seq & STEADY_SEQ_BIT != 0 {
-            let seq = meta.seq & !STEADY_SEQ_BIT;
-            let Some(steady) = &mut self.steady else {
-                return Vec::new();
-            };
-            let Some(plan) = steady.plan_for_seq(seq) else {
-                return Vec::new();
-            };
-            let hdr = packet_to_headervec(plan.in_port, fields);
-            let verdict = plan.classify(out_port, &hdr);
-            let actions = steady.on_verdict(now, seq, verdict);
-            actions
-                .into_iter()
-                .filter_map(|a| self.map_steady_action(a))
-                .collect()
-        } else {
-            let Some(plan) = self.dynamic.plan_for_seq(meta.seq) else {
-                return Vec::new();
-            };
-            let hdr = packet_to_headervec(plan.in_port, fields);
-            let verdict = plan.classify(out_port, &hdr);
-            let out = self.dynamic.on_verdict(now, meta.seq, verdict);
-            self.note_touched(now, out)
+            return self.steady.on_probe_return(now, meta.seq, out_port, fields);
         }
+        let out = self
+            .dynamic
+            .on_probe_return(now, meta.seq, out_port, fields);
+        self.note_touched(now, out)
     }
 
     /// Periodic tick: dynamic re-probes, steady cycle, lazy plan refresh.
     pub fn on_tick(&mut self, now: u64) -> Vec<ProxyOutput> {
         let out = self.dynamic.on_tick(now);
         let mut out = self.note_touched(now, out);
-        if self.steady.is_some() {
+        if self.cfg.steady.is_some() {
             self.refresh_due = true;
             self.take_due_refresh();
-            let actions = self.steady.as_mut().unwrap().on_tick(now);
-            out.extend(
-                actions
-                    .into_iter()
-                    .filter_map(|a| self.map_steady_action(a)),
-            );
         }
+        out.extend(self.steady.on_tick(now));
         out
     }
 
@@ -471,7 +447,7 @@ impl MonitorProxy {
         if self.whole_table_oracle {
             return self.refresh_steady_plans_whole_table();
         }
-        if self.steady.is_some() && !self.refresh_outstanding {
+        if self.cfg.steady.is_some() && !self.refresh_outstanding {
             let table = self.dynamic.expected();
             let mut work: Vec<RuleId> = match table.changes_since(self.steady_version) {
                 Some(changed) => changed.to_vec(),
@@ -491,7 +467,7 @@ impl MonitorProxy {
                 None => self.refresh_outstanding = true,
             }
         }
-        let found = self.steady.as_ref().map_or(0, |s| s.plans().len());
+        let found = self.steady.plans().len();
         (found, found + self.unmonitorable.len())
     }
 
@@ -529,8 +505,7 @@ impl MonitorProxy {
                 }
             };
         }
-        let steady = self.steady.as_mut();
-        if steady.is_some_and(|s| s.patch_plans(plans, &unplanned)) || unmonitorable_moved {
+        if self.steady.patch_plans(plans, &unplanned) || unmonitorable_moved {
             // The monitorable rules of the table the answer was planned on
             // either have a plan or are unmonitorable: those still in the
             // table in table order, then those removed since, by id.
@@ -546,7 +521,7 @@ impl MonitorProxy {
 
     /// The rules the steady cycle holds a plan or a failure for.
     fn held(&self) -> impl Iterator<Item = RuleId> + '_ {
-        let planned = self.steady.iter().flat_map(|s| s.plans().keys());
+        let planned = self.steady.plans().keys();
         planned.chain(self.failures.keys()).copied()
     }
 
@@ -555,7 +530,7 @@ impl MonitorProxy {
     /// without steady monitoring.
     pub fn coverage(&self) -> Coverage {
         let mut c = Coverage {
-            verified: self.steady.as_ref().map_or(0, |s| s.plans().len()),
+            verified: self.steady.plans().len(),
             ..Coverage::default()
         };
         for (_, e) in &self.unmonitorable {
@@ -578,27 +553,10 @@ impl MonitorProxy {
     /// leave the sweep at the next refresh anyway). The ids come from the
     /// table's own ApplyResult, not from a scan of the table.
     fn note_touched(&mut self, now: u64, out: Vec<ProxyOutput>) -> Vec<ProxyOutput> {
-        let touched = self.dynamic.take_touched_rules();
-        if let Some(steady) = self.steady.as_mut() {
-            for id in touched {
-                steady.note_rule_modified(id, now);
-            }
+        for id in self.dynamic.take_touched_rules() {
+            self.steady.note_rule_modified(id, now);
         }
         out
-    }
-
-    fn map_steady_action(&self, a: SteadyAction) -> Option<ProxyOutput> {
-        match a {
-            SteadyAction::Inject { seq, rule_id } => {
-                let plan = self.steady.as_ref()?.plans().get(&rule_id)?;
-                let probe = ProbeInjection::new(self.cfg.switch_id, plan, seq | STEADY_SEQ_BIT);
-                Some(ProxyOutput::Inject(probe))
-            }
-            SteadyAction::RuleFailed { rule_id, at } => {
-                Some(ProxyOutput::RuleFailed { rule_id, at })
-            }
-            SteadyAction::RuleRecovered { rule_id } => Some(ProxyOutput::RuleRecovered { rule_id }),
-        }
     }
 }
 
@@ -608,7 +566,7 @@ mod tests {
     use crate::plan::verify_probe;
     use crate::planner::{Answer, Replica};
     use crate::pool::monitorable_ids;
-    use monocle_openflow::flowmatch::headervec_to_packet;
+    use monocle_openflow::flowmatch::{headervec_to_packet, packet_to_headervec};
     use monocle_openflow::{Action, FlowTable, Match};
     use std::collections::HashSet;
 
@@ -719,12 +677,9 @@ mod tests {
     #[test]
     fn steady_probes_numbered_past_the_steady_bit_are_still_classified() {
         let cfg = ProxyConfig::new(7, CatchSpec::default()).with_steady(SteadyConfig::default());
-        let mut p = MonitorProxy::new(cfg.clone());
+        let mut p = MonitorProxy::new(cfg);
         // As if 2^31 - 2 steady probes had been sent already.
-        p.steady = Some(SteadyMonitor::with_first_seq(
-            cfg.steady.unwrap(),
-            STEADY_SEQ_BIT - 2,
-        ));
+        p.steady.next_seq = STEADY_SEQ_BIT - 2;
         p.preinstall(1, Match::any(), vec![Action::Output(9)]);
         p.preinstall(
             10,
@@ -781,7 +736,7 @@ mod tests {
         let first = inject(p.on_tick(0));
         let second = inject(p.on_tick(2_000_000));
         assert_ne!(first.meta.rule_id, second.meta.rule_id);
-        assert_eq!(p.steady.as_ref().unwrap().plans().len(), 3);
+        assert_eq!(p.steady.plans().len(), 3);
         // Back by the default route, before any refresh: the rule failed.
         let outs = p.on_probe_return(2_500_000, &first.meta, 9, &echo(&first));
         assert!(
@@ -809,17 +764,15 @@ mod tests {
         // second steady probe was sent before that, but its plan was kept:
         // the same answer that failed the first rule fails the second.
         p.on_tick(4_000_000);
-        assert_eq!(p.steady.as_ref().unwrap().plans().len(), 5);
+        assert_eq!(p.steady.plans().len(), 5);
         let outs = p.on_probe_return(4_500_000, &second.meta, 9, &echo(&second));
         assert!(
             matches!(&outs[..], [ProxyOutput::RuleFailed { rule_id, .. }]
                 if rule_id.0 == second.meta.rule_id),
             "{outs:?}"
         );
-        let failed = |p: &MonitorProxy| -> Vec<u64> {
-            let steady = p.steady.as_ref().unwrap();
-            steady.failed_rules().map(|r| r.0).collect()
-        };
+        let failed =
+            |p: &MonitorProxy| -> Vec<u64> { p.steady.failed_rules().map(|r| r.0).collect() };
         assert_eq!(failed(&p), [first.meta.rule_id, second.meta.rule_id]);
 
         // A steady probe of the first rule is out when an update replaces
@@ -1246,8 +1199,9 @@ mod tests {
                 }
             }
             let found = plans.len();
-            if let Some(s) = &mut self.steady {
+            if self.cfg.steady.is_some() {
                 let kept: HashSet<RuleId> = plans.iter().map(|p| p.rule_id).collect();
+                let s = &mut self.steady;
                 let drops: Vec<RuleId> = s
                     .plans()
                     .keys()
@@ -1410,7 +1364,7 @@ mod tests {
                 Some(_) => {
                     let (_, table, refreshed) = self.answer.take().unwrap();
                     self.proxy.attach_refresh(Some(refreshed));
-                    let plans = self.proxy.steady.as_ref().unwrap().plans();
+                    let plans = self.proxy.steady.plans();
                     let pins = self.proxy.catch_spec().all_pins();
                     for plan in plans.values() {
                         assert_eq!(
@@ -1490,8 +1444,7 @@ mod tests {
             }
             let class = |(id, e): &(RuleId, ProbeError)| (*id, std::mem::discriminant(e));
             let held = |p: &MonitorProxy| {
-                let mut ids: Vec<RuleId> =
-                    p.steady.as_ref().unwrap().plans().keys().copied().collect();
+                let mut ids: Vec<RuleId> = p.steady.plans().keys().copied().collect();
                 ids.sort_unstable();
                 (ids, p.unmonitorable.iter().map(class).collect::<Vec<_>>())
             };
@@ -1527,10 +1480,9 @@ mod tests {
             let a = f(&mut self.new);
             let b = f(&mut self.oracle);
             assert_eq!(a, b, "{what} at t={}", self.now);
-            let (sa, sb) = (self.new.steady.as_ref(), self.oracle.steady.as_ref());
             assert_eq!(
-                sa.map(|s| s.plans()),
-                sb.map(|s| s.plans()),
+                self.new.steady.plans(),
+                self.oracle.steady.plans(),
                 "plans after {what} at t={}",
                 self.now
             );
@@ -1759,10 +1711,7 @@ mod tests {
             tw.answer(&mut rng, 0);
             tw.tick(2_000_000);
         }
-        assert!(
-            !tw.new.steady.as_ref().unwrap().plans().is_empty(),
-            "seed {seed}: no refresh"
-        );
+        assert!(!tw.new.steady.plans().is_empty(), "seed {seed}: no refresh");
         tw.assert_deferred_agrees();
     }
 
@@ -1803,7 +1752,7 @@ mod tests {
         p.set_deferred_planning(true);
         let mut replica = None;
         let host = |h| Match::any().with_nw_dst([10, 0, 0, h], 32);
-        let planned = |p: &MonitorProxy| p.steady.as_ref().unwrap().plans().len();
+        let planned = |p: &MonitorProxy| p.steady.plans().len();
         p.preinstall(1, Match::any(), vec![Action::Output(9)]);
         p.preinstall(10, host(1), vec![Action::Output(2)]);
         // The first tick asks for the first refresh, planned on two rules.
@@ -1868,7 +1817,7 @@ mod tests {
             panic!("no refresh asked for");
         };
         p.attach_refresh(first);
-        assert_eq!(p.steady.as_ref().unwrap().plans().len(), 2);
+        assert_eq!(p.steady.plans().len(), 2);
         assert_eq!(p.unmonitorable.len(), 1);
         let outs = p.on_tick(MS);
         assert!(!steady_injections(&outs).is_empty(), "{outs:?}");
@@ -1879,7 +1828,7 @@ mod tests {
         let steps = p.take_plan_steps();
         assert!(steps.iter().any(|s| matches!(s, Step::Refresh { .. })));
         p.attach_refresh(None);
-        assert!(p.steady.as_ref().unwrap().plans().is_empty());
+        assert!(p.steady.plans().is_empty());
         assert!(p.unmonitorable.is_empty());
         // Past every probe's timeout and retries: nothing injected, nothing
         // failed.
@@ -1907,7 +1856,7 @@ mod tests {
         }
         tw.tick(1_000_000);
         assert_eq!(tw.new.expected().len(), rules.len());
-        assert!(tw.new.steady.as_ref().unwrap().plans().len() > rules.len() / 2);
+        assert!(tw.new.steady.plans().len() > rules.len() / 2);
         let mut deleted = None;
         for step in 0..60 {
             let r = &rules[rng.below(rules.len())];
@@ -1968,7 +1917,7 @@ mod tests {
             .rules()
             .iter()
             .find(|r| {
-                p.steady.as_ref().unwrap().plans().contains_key(&r.id)
+                p.steady.plans().contains_key(&r.id)
                     && (40..total / 2).contains(&table.overlapping(&r.tern).len())
             })
             .expect("a planned rule with 40 neighbours");
@@ -1995,7 +1944,7 @@ mod tests {
         assert_eq!(after.syncs_full, 1);
 
         let (table, pins) = (p.expected(), p.catch_spec().all_pins());
-        let plans = p.steady.as_ref().unwrap().plans();
+        let plans = p.steady.plans();
         assert_eq!(plans.len() + p.unmonitorable.len(), total);
         for plan in plans.values() {
             assert_eq!(

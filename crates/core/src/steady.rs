@@ -6,8 +6,13 @@
 //! resends are Fig. 4's: 500 probes/s ([`PROBE_INTERVAL`]), a 150 ms
 //! timeout and up to 3 resends.
 //!
-//! This is a pure, time-driven state machine: the harness feeds it ticks
-//! and classified probe verdicts and executes the actions it returns.
+//! This is a pure, time-driven state machine that emits the proxy's own
+//! outputs: it builds each [`ProxyOutput::Inject`] where the plan is in
+//! hand, numbering its probes with the steady bit (bit 31) set, judges each
+//! returning probe against the plan it was made for
+//! ([`SteadyMonitor::on_probe_return`]), and raises
+//! [`ProxyOutput::RuleFailed`] and [`ProxyOutput::RuleRecovered`].
+//! `MonitorProxy` passes them on unchanged.
 //!
 //! # One budget, two configurations
 //!
@@ -24,9 +29,11 @@
 //! redistributes the budget without raising it (`tests::props` checks the
 //! pacing and each rule's longest wait in both).
 
-use crate::plan::{take_seq, ProbePlan, Verdict};
+use crate::plan::{take_seq, ProbePlan, Verdict, STEADY_SEQ_BIT};
+use crate::proxy::{ProbeInjection, ProxyOutput};
 use monocle_openflow::table::{IdHashMap, IdHashSet};
-use monocle_openflow::RuleId;
+use monocle_openflow::{PortNo, RuleId};
+use monocle_packet::PacketFields;
 use monocle_sched::{AdaptiveScheduler, SchedConfig, SchedStats};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -46,31 +53,6 @@ pub struct SteadyConfig {
     pub adaptive: Option<SchedConfig>,
 }
 
-/// Actions the steady monitor asks the harness to perform.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SteadyAction {
-    /// Inject the probe of `rule_id`'s plan with this sequence number.
-    Inject {
-        /// Probe sequence number (echoed back in the verdict).
-        seq: u32,
-        /// The probed rule: its plan is [`SteadyMonitor::plans`]' entry.
-        rule_id: RuleId,
-    },
-    /// The rule failed verification (missing or misbehaving in the data
-    /// plane).
-    RuleFailed {
-        /// The failed rule.
-        rule_id: RuleId,
-        /// Time of detection.
-        at: u64,
-    },
-    /// A previously failed rule now verifies again.
-    RuleRecovered {
-        /// The recovered rule.
-        rule_id: RuleId,
-    },
-}
-
 #[derive(Debug, Clone)]
 struct Outstanding {
     rule_id: RuleId,
@@ -82,14 +64,16 @@ struct Outstanding {
 /// The per-switch steady-state monitor.
 #[derive(Debug)]
 pub struct SteadyMonitor {
+    /// The switch's datapath id, stamped into every probe.
+    switch_id: u64,
     plans: IdHashMap<RuleId, ProbePlan>,
     next_inject_at: u64,
+    /// By the probe's sequence number on the wire ([`STEADY_SEQ_BIT`] set).
     outstanding: BTreeMap<u32, Outstanding>,
     failed: BTreeSet<RuleId>,
-    /// The next probe's sequence number, below
-    /// [`crate::plan::STEADY_SEQ_BIT`] ([`take_seq`]); the proxy sets the
-    /// bit on the wire.
-    next_seq: u32,
+    /// Counts the probes below [`STEADY_SEQ_BIT`] ([`take_seq`]); a probe's
+    /// number is the count with the bit set.
+    pub(crate) next_seq: u32,
     /// Holds exactly the planned rules; its state survives plan refreshes.
     sched: AdaptiveScheduler,
     /// Latest time observed via `on_tick`/`on_verdict`; stamps the rules
@@ -98,13 +82,15 @@ pub struct SteadyMonitor {
 }
 
 impl SteadyMonitor {
-    /// Creates a monitor with the given configuration.
-    pub fn new(cfg: SteadyConfig) -> SteadyMonitor {
+    /// Creates the monitor of switch `switch_id` (the datapath id its
+    /// probes carry) with the given configuration.
+    pub fn new(cfg: SteadyConfig, switch_id: u64) -> SteadyMonitor {
         let sc = cfg.adaptive.unwrap_or(SchedConfig {
             slo_ns: 0,
             min_interval_ns: 0,
         });
         SteadyMonitor {
+            switch_id,
             plans: IdHashMap::default(),
             next_inject_at: 0,
             outstanding: BTreeMap::new(),
@@ -112,15 +98,6 @@ impl SteadyMonitor {
             next_seq: 0,
             sched: AdaptiveScheduler::new(sc),
             now_hint: 0,
-        }
-    }
-
-    /// A monitor whose first probe gets sequence number `seq`.
-    #[cfg(test)]
-    pub(crate) fn with_first_seq(cfg: SteadyConfig, seq: u32) -> Self {
-        SteadyMonitor {
-            next_seq: seq,
-            ..SteadyMonitor::new(cfg)
         }
     }
 
@@ -193,11 +170,17 @@ impl SteadyMonitor {
         self.failed.iter().copied()
     }
 
-    /// Periodic tick; `now` must be monotone. Returns actions (at most one
+    /// Probe `seq` of `rule_id`'s plan.
+    fn inject(&self, seq: u32, rule_id: RuleId) -> ProxyOutput {
+        let plan = &self.plans[&rule_id];
+        ProxyOutput::Inject(ProbeInjection::new(self.switch_id, plan, seq))
+    }
+
+    /// Periodic tick; `now` must be monotone. Returns outputs (at most one
     /// new injection per tick plus any timeout consequences).
-    pub fn on_tick(&mut self, now: u64) -> Vec<SteadyAction> {
+    pub fn on_tick(&mut self, now: u64) -> Vec<ProxyOutput> {
         self.now_hint = self.now_hint.max(now);
-        let mut actions = Vec::new();
+        let mut out = Vec::new();
         // 1. Handle timeouts / retries.
         let retry_after = TIMEOUT / u64::from(MAX_RETRIES + 1);
         let mut to_remove = Vec::new();
@@ -212,12 +195,12 @@ impl SteadyMonitor {
                     // confirmation that the drop rule is present.
                     self.sched.note_verdict(rule_id.0, now, true);
                     if self.failed.remove(&rule_id) {
-                        actions.push(SteadyAction::RuleRecovered { rule_id });
+                        out.push(ProxyOutput::RuleRecovered { rule_id });
                     }
                 } else {
                     self.sched.note_verdict(rule_id.0, now, false);
                     if self.failed.insert(rule_id) {
-                        actions.push(SteadyAction::RuleFailed { rule_id, at: now });
+                        out.push(ProxyOutput::RuleFailed { rule_id, at: now });
                     }
                 }
                 to_remove.push(seq);
@@ -233,7 +216,7 @@ impl SteadyMonitor {
             o.attempts += 1;
             o.last_sent = now;
             let rule_id = o.rule_id;
-            actions.push(SteadyAction::Inject { seq, rule_id });
+            out.push(self.inject(seq, rule_id));
         }
         // 2. Inject into this pacing slot the rule the scheduler releases
         //    (the slot stays open if nothing is due, so an idle scheduler
@@ -243,7 +226,7 @@ impl SteadyMonitor {
             if let Some(key) = self.sched.next_due(now) {
                 let rule_id = RuleId(key);
                 self.next_inject_at = now + PROBE_INTERVAL;
-                let seq = take_seq(&mut self.next_seq);
+                let seq = take_seq(&mut self.next_seq) | STEADY_SEQ_BIT;
                 self.outstanding.insert(
                     seq,
                     Outstanding {
@@ -253,43 +236,58 @@ impl SteadyMonitor {
                         attempts: 1,
                     },
                 );
-                actions.push(SteadyAction::Inject { seq, rule_id });
+                out.push(self.inject(seq, rule_id));
             }
         }
-        actions
+        out
     }
 
-    /// Feed a classified probe observation back.
-    pub fn on_verdict(&mut self, now: u64, seq: u32, verdict: Verdict) -> Vec<SteadyAction> {
+    /// Probe `seq` came back: `out_port` is the probed switch's output port
+    /// the observation maps to, `fields` the received header. It is judged
+    /// against the plan it was made for while it is outstanding — until its
+    /// window closes, or a refresh drops or replaces that plan
+    /// ([`Self::patch_plans`]) — and ignored after.
+    pub fn on_probe_return(
+        &mut self,
+        now: u64,
+        seq: u32,
+        out_port: PortNo,
+        fields: &PacketFields,
+    ) -> Vec<ProxyOutput> {
+        let Some(o) = self.outstanding.get(&seq) else {
+            return Vec::new();
+        };
+        let verdict = self.plans[&o.rule_id].classify(out_port, fields);
+        self.on_verdict(now, seq, verdict)
+    }
+
+    /// Feeds the verdict on probe `seq` back: the verdict-level entry
+    /// behind [`Self::on_probe_return`].
+    pub fn on_verdict(&mut self, now: u64, seq: u32, verdict: Verdict) -> Vec<ProxyOutput> {
         self.now_hint = self.now_hint.max(now);
         let Some(o) = self.outstanding.get(&seq) else {
             return Vec::new(); // no longer outstanding, or a duplicate
         };
         let rule_id = o.rule_id;
-        let mut actions = Vec::new();
+        let mut out = Vec::new();
         match verdict {
             Verdict::Present => {
                 self.outstanding.remove(&seq);
                 self.sched.note_verdict(rule_id.0, now, true);
                 if self.failed.remove(&rule_id) {
-                    actions.push(SteadyAction::RuleRecovered { rule_id });
+                    out.push(ProxyOutput::RuleRecovered { rule_id });
                 }
             }
             Verdict::Absent => {
                 self.outstanding.remove(&seq);
                 self.sched.note_verdict(rule_id.0, now, false);
                 if self.failed.insert(rule_id) {
-                    actions.push(SteadyAction::RuleFailed { rule_id, at: now });
+                    out.push(ProxyOutput::RuleFailed { rule_id, at: now });
                 }
             }
             Verdict::Inconclusive => {}
         }
-        actions
-    }
-
-    /// The plan for an outstanding sequence number (harness lookup).
-    pub fn plan_for_seq(&self, seq: u32) -> Option<&ProbePlan> {
-        self.outstanding.get(&seq).map(|o| &self.plans[&o.rule_id])
+        out
     }
 }
 
@@ -297,46 +295,56 @@ impl SteadyMonitor {
 mod tests {
     use super::*;
     use crate::plan::ConcreteOutcome;
-    use monocle_openflow::{Action, Forwarding, HeaderVec};
-    use monocle_packet::PacketFields;
+    use monocle_openflow::flowmatch::{headervec_to_packet, packet_to_headervec};
+    use monocle_openflow::{Action, Forwarding};
 
+    /// The datapath id of the switch every test monitor watches.
+    const SWITCH: u64 = 7;
+
+    /// Rule `rule`'s plan: present ⇒ out port 1 (nothing, for a drop
+    /// rule), absent ⇒ out port 2, the header unchanged either way.
     fn mk_plan(rule: u64, negative: bool) -> ProbePlan {
-        let present = if negative {
-            ConcreteOutcome::dropped()
-        } else {
-            ConcreteOutcome::of(
-                &Forwarding::compile(&[Action::Output(1)]).unwrap(),
-                &HeaderVec::ZERO,
-            )
-        };
-        let absent = ConcreteOutcome::of(
-            &Forwarding::compile(&[Action::Output(2)]).unwrap(),
-            &HeaderVec::ZERO,
-        );
+        let fields = PacketFields::default();
+        let header = packet_to_headervec(1, &fields);
+        let port =
+            |p| ConcreteOutcome::of(&Forwarding::compile(&[Action::Output(p)]).unwrap(), &header);
         ProbePlan {
             rule_id: RuleId(rule),
             priority: 10,
-            fields: PacketFields::default(),
-            header: HeaderVec::ZERO,
+            fields,
+            header,
             in_port: 1,
-            present,
-            absent,
+            present: if negative {
+                ConcreteOutcome::dropped()
+            } else {
+                port(1)
+            },
+            absent: port(2),
             uses_counting: false,
         }
     }
 
     /// A monitor with `plans` joined in the order given.
     fn monitor(cfg: SteadyConfig, plans: Vec<ProbePlan>) -> SteadyMonitor {
-        let mut m = SteadyMonitor::new(cfg);
+        let mut m = SteadyMonitor::new(cfg, SWITCH);
         m.patch_plans(plans, &[]);
         m
     }
 
-    fn injected(actions: &[SteadyAction]) -> Option<(u32, RuleId)> {
-        actions.iter().find_map(|a| match *a {
-            SteadyAction::Inject { seq, rule_id } => Some((seq, rule_id)),
-            _ => None,
-        })
+    /// The probe `o` injects, as (sequence number, rule), checked to be
+    /// this monitor's: stamped with its switch, numbered with the steady bit.
+    fn probe(o: &ProxyOutput) -> Option<(u32, RuleId)> {
+        let ProxyOutput::Inject(inj) = o else {
+            return None;
+        };
+        assert_eq!(inj.meta.switch_id, SWITCH, "{inj:?}");
+        assert_ne!(inj.meta.seq & STEADY_SEQ_BIT, 0, "{inj:?}");
+        Some((inj.meta.seq, RuleId(inj.meta.rule_id)))
+    }
+
+    /// The first probe `out` injects.
+    fn injected(out: &[ProxyOutput]) -> Option<(u32, RuleId)> {
+        out.iter().find_map(probe)
     }
 
     const MS: u64 = 1_000_000;
@@ -347,68 +355,65 @@ mod tests {
             SteadyConfig::default(),
             vec![mk_plan(1, false), mk_plan(2, false)],
         );
-        let a0 = m.on_tick(0);
-        assert!(matches!(
-            a0[0],
-            SteadyAction::Inject {
-                rule_id: RuleId(1),
-                ..
-            }
-        ));
-        let a1 = m.on_tick(2 * MS);
-        assert!(matches!(
-            a1[0],
-            SteadyAction::Inject {
-                rule_id: RuleId(2),
-                ..
-            }
-        ));
-        let a2 = m.on_tick(4 * MS);
-        assert!(matches!(
-            a2[0],
-            SteadyAction::Inject {
-                rule_id: RuleId(1),
-                ..
-            }
-        ));
+        let rule = |out: Vec<ProxyOutput>| probe(&out[0]).map(|(_, rule)| rule);
+        assert_eq!(rule(m.on_tick(0)), Some(RuleId(1)));
+        assert_eq!(rule(m.on_tick(2 * MS)), Some(RuleId(2)));
+        assert_eq!(rule(m.on_tick(4 * MS)), Some(RuleId(1)));
     }
 
     #[test]
     fn present_verdict_clears_outstanding() {
         let mut m = monitor(SteadyConfig::default(), vec![mk_plan(1, false)]);
-        let a = m.on_tick(0);
-        let SteadyAction::Inject { seq, .. } = a[0] else {
-            panic!()
-        };
-        assert!(m.plan_for_seq(seq).is_some());
+        let (seq, _) = probe(&m.on_tick(0)[0]).unwrap();
+        assert!(m.outstanding.contains_key(&seq));
         let out = m.on_verdict(MS, seq, Verdict::Present);
         assert!(out.is_empty());
-        assert!(m.plan_for_seq(seq).is_none());
+        assert!(!m.outstanding.contains_key(&seq));
         // No failure after the timeout window.
         let later = m.on_tick(200 * MS);
         assert!(!later
             .iter()
-            .any(|x| matches!(x, SteadyAction::RuleFailed { .. })));
+            .any(|x| matches!(x, ProxyOutput::RuleFailed { .. })));
+    }
+
+    /// A returning probe is judged against the plan it was made for, once:
+    /// back on the present path it clears, on the absent path it fails the
+    /// rule, and a second copy of it finds nothing outstanding.
+    #[test]
+    fn a_returning_probe_is_judged_against_its_plan() {
+        let mut m = monitor(SteadyConfig::default(), vec![mk_plan(1, false)]);
+        let received = headervec_to_packet(&m.plans()[&RuleId(1)].header);
+        let (seq, _) = injected(&m.on_tick(0)).unwrap();
+        assert!(m.on_probe_return(MS, seq, 1, &received).is_empty());
+        assert!(!m.outstanding.contains_key(&seq));
+        let (seq, _) = injected(&m.on_tick(2 * MS)).unwrap();
+        // Out of a port neither outcome names: inconclusive, still out.
+        assert!(m.on_probe_return(3 * MS, seq, 3, &received).is_empty());
+        assert!(m.outstanding.contains_key(&seq));
+        assert_eq!(
+            m.on_probe_return(3 * MS, seq, 2, &received),
+            [ProxyOutput::RuleFailed {
+                rule_id: RuleId(1),
+                at: 3 * MS
+            }]
+        );
+        assert!(m.on_probe_return(3 * MS, seq, 2, &received).is_empty());
     }
 
     #[test]
     fn timeout_raises_failure_and_retries_first() {
         let mut m = monitor(SteadyConfig::default(), vec![mk_plan(7, false)]);
-        let a = m.on_tick(0);
-        let SteadyAction::Inject { seq, .. } = a[0] else {
-            panic!()
-        };
+        let (seq, _) = probe(&m.on_tick(0)[0]).unwrap();
         // Retries at ~37.5ms intervals (150/4).
         let acts = m.on_tick(40 * MS);
         assert!(
-            acts.iter()
-                .any(|x| matches!(x, SteadyAction::Inject { seq: s, .. } if *s == seq)),
+            acts.iter().filter_map(probe).any(|(s, _)| s == seq),
             "expected a resend, got {acts:?}"
         );
         // After the full window: failure.
         let acts = m.on_tick(151 * MS);
         assert!(acts.iter().any(
-            |x| matches!(x, SteadyAction::RuleFailed { rule_id, .. } if *rule_id == RuleId(7))
+            |x| matches!(x, ProxyOutput::RuleFailed { rule_id, .. } if *rule_id == RuleId(7))
         ));
         assert_eq!(m.failed_rules().collect::<Vec<_>>(), vec![RuleId(7)]);
     }
@@ -416,14 +421,9 @@ mod tests {
     #[test]
     fn absent_verdict_fails_immediately() {
         let mut m = monitor(SteadyConfig::default(), vec![mk_plan(3, false)]);
-        let a = m.on_tick(0);
-        let SteadyAction::Inject { seq, .. } = a[0] else {
-            panic!()
-        };
+        let (seq, _) = probe(&m.on_tick(0)[0]).unwrap();
         let acts = m.on_verdict(5 * MS, seq, Verdict::Absent);
-        assert!(
-            matches!(acts[0], SteadyAction::RuleFailed { rule_id, .. } if rule_id == RuleId(3))
-        );
+        assert!(matches!(acts[0], ProxyOutput::RuleFailed { rule_id, .. } if rule_id == RuleId(3)));
     }
 
     #[test]
@@ -435,25 +435,22 @@ mod tests {
         let acts = m.on_tick(151 * MS);
         assert!(!acts
             .iter()
-            .any(|x| matches!(x, SteadyAction::RuleFailed { .. })));
+            .any(|x| matches!(x, ProxyOutput::RuleFailed { .. })));
         let (seq2, _) = injected(&acts).unwrap();
         let acts = m.on_verdict(153 * MS, seq2, Verdict::Absent);
-        assert!(matches!(acts[0], SteadyAction::RuleFailed { .. }));
+        assert!(matches!(acts[0], ProxyOutput::RuleFailed { .. }));
     }
 
     #[test]
     fn recovery_reported() {
         let mut m = monitor(SteadyConfig::default(), vec![mk_plan(1, false)]);
-        let a = m.on_tick(0);
-        let SteadyAction::Inject { seq, .. } = a[0] else {
-            panic!()
-        };
+        let (seq, _) = probe(&m.on_tick(0)[0]).unwrap();
         m.on_verdict(1, seq, Verdict::Absent);
         assert_eq!(m.failed_rules().count(), 1);
         // Next probe of the same rule succeeds -> recovered.
         let (seq, _) = injected(&m.on_tick(3 * MS)).unwrap();
         let acts = m.on_verdict(4 * MS, seq, Verdict::Present);
-        assert!(matches!(acts[0], SteadyAction::RuleRecovered { .. }));
+        assert!(matches!(acts[0], ProxyOutput::RuleRecovered { .. }));
         assert_eq!(m.failed_rules().count(), 0);
     }
 
@@ -466,11 +463,7 @@ mod tests {
         let mut injections = 0;
         // Tick every 1 ms for 20 ms: interval is 2 ms -> ~10 injections.
         for t in 0..20 {
-            for a in m.on_tick(t * MS) {
-                if matches!(a, SteadyAction::Inject { .. }) {
-                    injections += 1;
-                }
-            }
+            injections += m.on_tick(t * MS).iter().filter_map(probe).count();
         }
         assert!(injections <= 11, "rate limiting failed: {injections}");
         assert!(injections >= 9);
@@ -490,15 +483,8 @@ mod tests {
         let mut fixed = monitor(SteadyConfig::default(), plans());
         let mut adapt = monitor(adaptive(), plans());
         let count = |m: &mut SteadyMonitor| {
-            let mut n = 0;
-            for t in 0..100 {
-                for a in m.on_tick(t * MS) {
-                    if matches!(a, SteadyAction::Inject { .. }) {
-                        n += 1;
-                    }
-                }
-            }
-            n
+            let ticks = (0..100).map(|t| m.on_tick(t * MS).iter().filter_map(probe).count());
+            ticks.sum::<usize>()
         };
         let nf = count(&mut fixed);
         let na = count(&mut adapt);
@@ -512,10 +498,8 @@ mod tests {
         // Burn the initial everybody-is-new burst; answer each probe so no
         // failure heat accumulates.
         for t in 0..200u64 {
-            for a in m.on_tick(t * 2 * MS) {
-                if let SteadyAction::Inject { seq, .. } = a {
-                    m.on_verdict(t * 2 * MS + 1, seq, Verdict::Present);
-                }
+            for (seq, _) in m.on_tick(t * 2 * MS).iter().filter_map(probe) {
+                m.on_verdict(t * 2 * MS + 1, seq, Verdict::Present);
             }
         }
         let t0 = 500 * MS;
@@ -540,29 +524,22 @@ mod tests {
         // The retry path is scheduler-independent: timeouts still resend
         // up to MAX_RETRIES and then raise RuleFailed.
         let mut m = monitor(adaptive(), vec![mk_plan(7, false)]);
-        let a = m.on_tick(0);
-        let SteadyAction::Inject { seq, .. } = a[0] else {
-            panic!()
-        };
+        let (seq, _) = probe(&m.on_tick(0)[0]).unwrap();
         let acts = m.on_tick(40 * MS);
         assert!(
-            acts.iter()
-                .any(|x| matches!(x, SteadyAction::Inject { seq: s, .. } if *s == seq)),
+            acts.iter().filter_map(probe).any(|(s, _)| s == seq),
             "expected a resend, got {acts:?}"
         );
         let acts = m.on_tick(151 * MS);
         assert!(acts.iter().any(
-            |x| matches!(x, SteadyAction::RuleFailed { rule_id, .. } if *rule_id == RuleId(7))
+            |x| matches!(x, ProxyOutput::RuleFailed { rule_id, .. } if *rule_id == RuleId(7))
         ));
         // The failure fed the scheduler: the rule's next probe comes at the
         // floor interval, well before the SLO.
         assert!(m.sched_stats().released >= 1);
         let mut reprobed = false;
         for t in 152..260u64 {
-            if m.on_tick(t * MS)
-                .iter()
-                .any(|x| matches!(x, SteadyAction::Inject { .. }))
-            {
+            if injected(&m.on_tick(t * MS)).is_some() {
                 reprobed = true;
                 break;
             }
@@ -573,25 +550,19 @@ mod tests {
     #[test]
     fn adaptive_recovery_path_reports_and_clears() {
         let mut m = monitor(adaptive(), vec![mk_plan(1, false)]);
-        let a = m.on_tick(0);
-        let SteadyAction::Inject { seq, .. } = a[0] else {
-            panic!()
-        };
+        let (seq, _) = probe(&m.on_tick(0)[0]).unwrap();
         m.on_verdict(1, seq, Verdict::Absent);
         assert_eq!(m.failed_rules().count(), 1);
         // The scheduler reprobes the failing rule at the floor; answer it.
         let mut recovered = false;
         for t in 1..300u64 {
-            let acts = m.on_tick(t * MS);
-            for a in acts {
-                if let SteadyAction::Inject { seq, .. } = a {
-                    let out = m.on_verdict(t * MS + 1, seq, Verdict::Present);
-                    if out
-                        .iter()
-                        .any(|x| matches!(x, SteadyAction::RuleRecovered { .. }))
-                    {
-                        recovered = true;
-                    }
+            for (seq, _) in m.on_tick(t * MS).iter().filter_map(probe) {
+                let out = m.on_verdict(t * MS + 1, seq, Verdict::Present);
+                if out
+                    .iter()
+                    .any(|x| matches!(x, ProxyOutput::RuleRecovered { .. }))
+                {
+                    recovered = true;
                 }
             }
             if recovered {
@@ -602,9 +573,9 @@ mod tests {
         assert_eq!(m.failed_rules().count(), 0);
     }
 
-    fn failures(actions: &[SteadyAction]) -> Vec<RuleId> {
-        let failed = actions.iter().filter_map(|a| match *a {
-            SteadyAction::RuleFailed { rule_id, .. } => Some(rule_id),
+    fn failures(out: &[ProxyOutput]) -> Vec<RuleId> {
+        let failed = out.iter().filter_map(|o| match *o {
+            ProxyOutput::RuleFailed { rule_id, .. } => Some(rule_id),
             _ => None,
         });
         failed.collect()
@@ -617,7 +588,7 @@ mod tests {
         let mut m = monitor(SteadyConfig::default(), vec![mk_plan(1, false)]);
         let (seq, _) = injected(&m.on_tick(0)).unwrap();
         m.patch_plans(vec![mk_plan(1, false), mk_plan(2, false)], &[]);
-        assert!(m.plan_for_seq(seq).is_some());
+        assert!(m.outstanding.contains_key(&seq));
         assert_eq!(failures(&m.on_tick(151 * MS)), [RuleId(1)]);
     }
 
@@ -632,7 +603,7 @@ mod tests {
             ..mk_plan(1, false)
         };
         m.patch_plans(vec![replaced], &[]);
-        assert!(m.plan_for_seq(seq).is_none());
+        assert!(!m.outstanding.contains_key(&seq));
         assert!(m.on_verdict(MS, seq, Verdict::Absent).is_empty());
         assert_eq!(failures(&m.on_tick(151 * MS)), []);
     }
@@ -648,7 +619,7 @@ mod tests {
         assert_eq!(m.failed_rules().collect::<Vec<_>>(), [RuleId(1)]);
         m.patch_plans(Vec::new(), &[RuleId(1), RuleId(2)]);
         assert_eq!(m.failed_rules().count(), 0);
-        assert!(m.plan_for_seq(second).is_none());
+        assert!(!m.outstanding.contains_key(&second));
         assert!(m.on_tick(200 * MS).is_empty());
     }
 
@@ -754,7 +725,7 @@ mod tests {
         ) -> Result<(), TestCaseError> {
             let slo = cfg.adaptive.as_ref().map_or(0, |c| c.slo_ns);
             let longest_wait = slo + RULES * (PROBE_INTERVAL + MAX_TICK);
-            let mut m = SteadyMonitor::new(cfg);
+            let mut m = SteadyMonitor::new(cfg, SWITCH);
             let mut now = 0;
             // Planned rule -> when it joined or last got a new probe.
             let mut since: HashMap<RuleId, u64> = HashMap::new();
@@ -764,10 +735,7 @@ mod tests {
                 match op {
                     Op::Tick(dt, answer) => {
                         now += dt;
-                        for a in m.on_tick(now) {
-                            let SteadyAction::Inject { seq, rule_id } = a else {
-                                continue;
-                            };
+                        for (seq, rule_id) in m.on_tick(now).iter().filter_map(probe) {
                             if sent.contains(&seq) {
                                 continue; // a resend
                             }

@@ -13,7 +13,9 @@
 //! 4. From then on every frame is proxied xid-preserving in both
 //!    directions, except the frames Monocle consumes or originates:
 //!    FlowMods are intercepted, probes are injected as `PacketOut`s,
-//!    probe `PacketIn`s are absorbed, and confirmations surface as
+//!    probe `PacketIn`s are absorbed (a probe stamped with another
+//!    datapath id — a neighbour's, caught here — is dropped: it is never
+//!    production traffic), and confirmations surface as
 //!    `BarrierReply { xid = flowmod xid }` (alarms as `Error`). Every batch
 //!    of FlowMods the proxy forwards is followed by a `BarrierRequest` of
 //!    its own; its reply never leaves the proxy. It tells the monitor that
@@ -69,6 +71,10 @@
 //! `RuleFailed` / `RuleRecovered` have no OpenFlow message to ride on; they
 //! are counted per session ([`SessionStats::rules_failed`],
 //! [`SessionStats::rules_recovered`]).
+//!
+//! 5. When a session closes, its counters are published
+//!    ([`ProxyApp::stats`]); once every session that came has closed, the
+//!    proxy closes its planner threads and stops the loop.
 //!
 //! ## Backpressure
 //!
@@ -196,9 +202,6 @@ pub struct ProxyAppConfig {
     /// a [`Replica`] for every session pinned to it. Every session plans
     /// with its own monitor's generator settings.
     pub pool: PoolConfig,
-    /// Stop the loop once all sessions have closed (after at least one
-    /// session existed).
-    pub exit_when_idle: bool,
     /// Steady-state monitoring config applied to every per-switch monitor
     /// (`None` disables steady probing; `adaptive` inside picks the
     /// scheduler's configuration, round-robin by default).
@@ -216,7 +219,6 @@ impl ProxyAppConfig {
             catch: CatchSpec::default(),
             preinstall_default: Some((1, 2)),
             pool: PoolConfig::with_workers(4),
-            exit_when_idle: true,
             steady: None,
             echo_interval_ns: 250_000_000,
         }
@@ -505,8 +507,10 @@ impl ProxyApp {
             OfMessage::PacketIn {
                 in_port, ref data, ..
             } => {
-                // Probe payloads are self-identifying (magic + checksum);
-                // everything else is production traffic for the controller.
+                // Probe payloads are self-identifying (magic + checksum):
+                // this switch's go to its monitor, another switch's are
+                // dropped, and everything else is production traffic for the
+                // controller.
                 if let Ok((fields, payload)) = monocle_packet::parse_packet(data) {
                     if let Some(meta) = ProbeMeta::decode(&payload) {
                         if meta.switch_id == sess.dpid {
@@ -518,8 +522,8 @@ impl ProxyApp {
                                 .map(|p| p.on_probe_return(now, &meta, in_port, &fields))
                                 .unwrap_or_default();
                             self.process_outputs(ctx, session, outputs);
-                            return;
                         }
+                        return;
                     }
                 }
                 self.forward_to_controller(ctx, session, msg, xid);
@@ -708,7 +712,7 @@ impl ProxyApp {
             }
             self.stats.lock().unwrap().insert(session, sess.stats);
         }
-        if self.cfg.exit_when_idle && self.had_session && self.sessions.is_empty() {
+        if self.had_session && self.sessions.is_empty() {
             // Dropping the senders ends the planner threads' recv loops.
             self.planners.clear();
             for h in self.planner_threads.drain(..) {
@@ -1131,5 +1135,113 @@ mod tests {
         let sess = ps.values().next().expect("one session");
         assert_eq!((sess.flowmods, sess.confirmed, sess.verified), (2, 2, 2));
         assert_eq!(sess.ack_rtt_samples, 2);
+    }
+
+    /// The payload of the ordinary `PacketIn` [`StrayProbeSwitch`] sends.
+    const PRODUCTION: &[u8] = b"production traffic";
+
+    /// A switch (datapath id 1) that answers the proxy's `FeaturesRequest`
+    /// and then sends two `PacketIn`s: a probe stamped with datapath id 2 —
+    /// a neighbour's probe, caught here — and an ordinary packet. It stops
+    /// when the proxy hangs up.
+    struct StrayProbeSwitch;
+
+    impl Driver for StrayProbeSwitch {
+        fn handle(&mut self, ctx: &mut IoCtx<'_>, ev: TransportEvent) {
+            match ev {
+                TransportEvent::Message {
+                    conn,
+                    msg: OfMessage::FeaturesRequest,
+                    xid,
+                } => {
+                    let features = OfMessage::FeaturesReply {
+                        datapath_id: 1,
+                        n_tables: 1,
+                        ports: (1..=8).collect(),
+                    };
+                    let _ = ctx.send(conn, &features, xid);
+                    let meta = ProbeMeta {
+                        switch_id: 2,
+                        rule_id: 1,
+                        seq: 1,
+                    };
+                    let fields = monocle_packet::PacketFields::default();
+                    for payload in [meta.encode().to_vec(), PRODUCTION.to_vec()] {
+                        let packet_in = OfMessage::PacketIn {
+                            buffer_id: 0xffff_ffff,
+                            in_port: 3,
+                            reason: monocle_openflow::messages::PacketInReason::Action,
+                            data: monocle_packet::craft_packet(&fields, &payload).unwrap(),
+                        };
+                        let _ = ctx.send(conn, &packet_in, 0);
+                    }
+                }
+                TransportEvent::Closed { .. } => ctx.stop(),
+                _ => {}
+            }
+        }
+    }
+
+    /// A controller that records the payload of every `PacketIn` it is sent
+    /// until a while after the ordinary one.
+    struct PacketInController {
+        payloads: Arc<Mutex<Vec<Vec<u8>>>>,
+    }
+
+    impl Driver for PacketInController {
+        fn handle(&mut self, ctx: &mut IoCtx<'_>, ev: TransportEvent) {
+            match ev {
+                TransportEvent::Accepted { conn, .. } => {
+                    let _ = ctx.send(conn, &OfMessage::Hello, 0);
+                    let _ = ctx.send(conn, &OfMessage::FeaturesRequest, 0);
+                }
+                TransportEvent::Message {
+                    msg: OfMessage::PacketIn { data, .. },
+                    ..
+                } => {
+                    let (_, payload) = monocle_packet::parse_packet(&data).unwrap();
+                    if payload == PRODUCTION {
+                        ctx.schedule_in(50_000_000, SETTLED);
+                    }
+                    self.payloads.lock().unwrap().push(payload);
+                }
+                TransportEvent::Timer { .. } => ctx.stop(),
+                _ => {}
+            }
+        }
+    }
+
+    /// A probe another switch stamped is never production traffic: the
+    /// proxy drops it, and the controller gets the ordinary `PacketIn` only.
+    #[test]
+    fn a_probe_of_another_switch_never_reaches_the_controller() {
+        let payloads = Arc::new(Mutex::new(Vec::new()));
+        let mut controller_loop = EventLoop::new().unwrap();
+        let controller_addr = controller_loop.with_ctx(|ctx| {
+            let l = ctx.listen("127.0.0.1:0").unwrap();
+            ctx.schedule_in(30_000_000_000, GIVE_UP);
+            ctx.listener_addr(l).unwrap()
+        });
+        let mut controller = PacketInController {
+            payloads: Arc::clone(&payloads),
+        };
+        let mut proxy_loop = EventLoop::new().unwrap();
+        let mut cfg = ProxyAppConfig::new(controller_addr);
+        cfg.pool = PoolConfig::with_workers(1);
+        let mut proxy = ProxyApp::new(cfg, proxy_loop.waker());
+        let proxy_addr = proxy_loop.with_ctx(|ctx| proxy.start(ctx).unwrap());
+        let mut switch_loop = EventLoop::new().unwrap();
+        let threads = [
+            std::thread::spawn(move || controller_loop.run(&mut controller).unwrap()),
+            std::thread::spawn(move || proxy_loop.run(&mut proxy).unwrap()),
+            std::thread::spawn(move || {
+                switch_loop.with_ctx(|ctx| ctx.connect(proxy_addr).unwrap());
+                switch_loop.run(&mut StrayProbeSwitch).unwrap()
+            }),
+        ];
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(*payloads.lock().unwrap(), [PRODUCTION]);
     }
 }

@@ -53,15 +53,6 @@ pub struct EthernetHeader {
 }
 
 impl EthernetHeader {
-    /// Byte length of this header on the wire (14 or 18).
-    pub fn wire_len(&self) -> usize {
-        if self.vlan.is_some() {
-            18
-        } else {
-            14
-        }
-    }
-
     /// Serializes the header into `out`.
     pub fn emit(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.dst.0);

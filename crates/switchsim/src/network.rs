@@ -252,18 +252,6 @@ impl Network {
         p
     }
 
-    /// The port `node` uses on `link`.
-    pub fn port_on_link(&self, link: LinkId, node: NodeRef) -> Option<PortNo> {
-        let l = &self.links[link];
-        if l.a.0 == node {
-            Some(l.a.1)
-        } else if l.b.0 == node {
-            Some(l.b.1)
-        } else {
-            None
-        }
-    }
-
     /// The link attached to `(node, port)`, if any.
     pub fn link_at(&self, node: NodeRef, port: PortNo) -> Option<LinkId> {
         self.port_links.get(&(node, port)).copied()
