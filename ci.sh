@@ -49,6 +49,8 @@ PROPTEST_CASES=1000 cargo test --release -q -p monocle_sched --test prop_sched
 
 echo "== product lines (informational, not gated) =="
 scripts/product_lines.sh
+# The scheduler crate too, so its simplifications show.
+scripts/product_lines.sh crates/sched/src/*.rs
 
 echo "== rustfmt =="
 cargo fmt --check

@@ -74,5 +74,5 @@ pub use dynamic::PlanRequest;
 pub use encode::CatchSpec;
 pub use engine::{EngineConfig, EngineStats, ProbeEngine};
 pub use generator::{generate_probe, GenStats, GeneratorConfig, ProbeError};
-pub use plan::{ConcreteOutcome, ProbePlan, Verdict};
+pub use plan::{ConcreteOutcome, ProbePlan, Verdict, STEADY_SEQ_BIT};
 pub use pool::{EnginePool, JobResult, JobSpec, PoolConfig, ProbeJob};

@@ -98,9 +98,14 @@ pub enum Verdict {
 
 /// Dynamic and steady probes share the one `u32` sequence space of the
 /// probe metadata: the steady monitor numbers its probes with this bit set,
-/// the dynamic monitor below it (both count with [`take_seq`]), and the
+/// the dynamic monitor below it (both count with `take_seq`), and the
 /// proxy routes a returning probe by it.
-pub(crate) const STEADY_SEQ_BIT: u32 = 1 << 31;
+///
+/// This is a wire contract: a probe's `ProbeMeta::seq` has this bit set if
+/// and only if the steady monitor sent it, so anything that sees the
+/// probes — a switch model, a capture, a load generator — can tell §3's
+/// steady sweep from §4's update probes without asking the monitor.
+pub const STEADY_SEQ_BIT: u32 = 1 << 31;
 
 /// Takes the next probe sequence number from `counter`, which wraps below
 /// [`STEADY_SEQ_BIT`].

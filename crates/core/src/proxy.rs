@@ -303,13 +303,6 @@ impl MonitorProxy {
         self.note_touched(now, out)
     }
 
-    /// Feeds the per-switch transport cost (RTT-derived factor ≥ 1.0 plus a
-    /// backpressure flag) into the steady scheduler (its round-robin
-    /// configuration reorders nothing for it).
-    pub fn set_switch_cost(&mut self, cost: f64, backpressured: bool) {
-        self.steady.set_switch_cost(cost, backpressured);
-    }
-
     /// Scheduler counters of the steady monitor, with steady monitoring
     /// configured.
     pub fn steady_sched_stats(&self) -> Option<monocle_sched::SchedStats> {

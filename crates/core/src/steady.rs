@@ -154,12 +154,6 @@ impl SteadyMonitor {
         self.sched.note_modified(rule.0, now);
     }
 
-    /// Updates the per-switch cost factor and backpressure flag feeding the
-    /// scheduler (see [`monocle_sched::SwitchTelemetry::cost`]).
-    pub fn set_switch_cost(&mut self, cost: f64, backpressured: bool) {
-        self.sched.set_switch_cost(cost, backpressured);
-    }
-
     /// The plans currently being cycled, by rule.
     pub fn plans(&self) -> &IdHashMap<RuleId, ProbePlan> {
         &self.plans

@@ -1,12 +1,13 @@
 //! The steady refresh follows the change, not the table — and changes
 //! nothing else. Public API only, so the golden script below runs unchanged
-//! on the commit its digest was taken from.
+//! on the commit its digest was taken from (with the `STEADY_SEQ_BIT` test,
+//! which needs that constant public, left out).
 
 use monocle::generator::{generate_probe, GeneratorConfig, ProbeError};
 use monocle::pool::monitorable_ids;
 use monocle::proxy::{Coverage, MonitorProxy, ProbeInjection, ProxyConfig, ProxyOutput};
 use monocle::steady::SteadyConfig;
-use monocle::CatchSpec;
+use monocle::{CatchSpec, STEADY_SEQ_BIT};
 use monocle_datasets::acl::{generate, AclConfig};
 use monocle_datasets::RuleSpec;
 use monocle_openflow::flowmatch::{headervec_to_packet, packet_to_headervec};
@@ -42,6 +43,8 @@ struct World {
     events: VecDeque<(u64, Event)>,
     confirmed: u64,
     failed: Vec<u64>,
+    /// Every probe injected, in order.
+    injected: Vec<ProbeInjection>,
     outputs: u64,
     digest: u64,
 }
@@ -55,6 +58,7 @@ impl World {
             events: VecDeque::new(),
             confirmed: 0,
             failed: Vec::new(),
+            injected: Vec::new(),
             outputs: 0,
             digest: 0xcbf2_9ce4_8422_2325,
         }
@@ -74,9 +78,11 @@ impl World {
                 ProxyOutput::ToSwitch(fm) => self
                     .events
                     .push_back((self.now + INSTALL_NS, Event::Install(fm))),
-                ProxyOutput::Inject(inj) => self
-                    .events
-                    .push_back((self.now + PROBE_RTT_NS, Event::Probe(inj))),
+                ProxyOutput::Inject(inj) => {
+                    self.injected.push(inj.clone());
+                    self.events
+                        .push_back((self.now + PROBE_RTT_NS, Event::Probe(inj)))
+                }
                 ProxyOutput::Confirmed { .. } => self.confirmed += 1,
                 ProxyOutput::RuleFailed { rule_id, .. } => self.failed.push(rule_id.0),
                 ProxyOutput::RuleRecovered { .. } | ProxyOutput::Alarm { .. } => {}
@@ -218,6 +224,55 @@ fn output_stream_of_a_fixed_script_is_pinned() {
 /// 4842 → 4878 outputs), while the same 17 rules fail in the same order and
 /// the other counts stay.
 const GOLDEN: (u64, u64, usize, usize, u64) = (4878, 501, 17, 31, 0xcc4e_8856_e904_fb7b);
+
+/// The steady bit on the wire tells the two monitors' probes apart: with no
+/// update in flight every probe the proxy injects carries it (the §3 sweep),
+/// and the probes an update adds (§4) do not, all of them for the rule the
+/// update modified.
+#[test]
+fn the_steady_bit_tells_sweep_probes_from_update_probes() {
+    let steady = |inj: &ProbeInjection| inj.meta.seq & STEADY_SEQ_BIT != 0;
+    let rules = acl(40);
+    let mut w = World::new();
+    let mut token = 0u64;
+    for r in &rules {
+        token += 1;
+        w.flowmod(token, FlowMod::add(r.priority, r.match_, r.actions.clone()));
+    }
+    while w.confirmed < token {
+        w.tick();
+    }
+    assert!(w.injected.iter().any(|i| !steady(i)), "no update probe");
+
+    w.injected.clear();
+    for _ in 0..500 {
+        w.tick();
+    }
+    assert!(!w.injected.is_empty(), "no sweep probe");
+    assert!(
+        w.injected.iter().all(steady),
+        "an update probe with no update"
+    );
+
+    w.injected.clear();
+    let r = &rules[0];
+    token += 1;
+    w.flowmod(
+        token,
+        FlowMod::modify_strict(r.priority, r.match_, vec![Action::Output(9)]),
+    );
+    while w.confirmed < token {
+        w.tick();
+    }
+    let update: Vec<u64> = w
+        .injected
+        .iter()
+        .filter(|i| !steady(i))
+        .map(|i| i.meta.rule_id)
+        .collect();
+    assert!(!update.is_empty(), "the modify sent no update probe");
+    assert!(update.iter().all(|&id| id == update[0]), "{update:?}");
+}
 
 /// The cost side, as counts: after one strict modify on the Stanford-like
 /// table a refresh looks up only the rules the modify can have affected —

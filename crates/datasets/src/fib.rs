@@ -30,26 +30,6 @@ pub fn l3_host_routes(n: usize, ports: u16, seed: u64) -> Vec<RuleSpec> {
     out
 }
 
-/// Generates `n` /24 subnet routes with unique prefixes.
-pub fn l3_subnet_routes(n: usize, ports: u16, seed: u64) -> Vec<RuleSpec> {
-    assert!(n <= 1 << 16, "prefix space exhausted");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut used = std::collections::BTreeSet::new();
-    let mut out = Vec::with_capacity(n);
-    while out.len() < n {
-        let subnet: u32 = 0x0a00_0000 | (rng.random_range(0..(1u32 << 16)) << 8);
-        if !used.insert(subnet) {
-            continue;
-        }
-        out.push(RuleSpec {
-            priority: 50,
-            match_: Match::any().with_nw_dst(subnet.to_be_bytes(), 24),
-            actions: vec![Action::Output(rng.random_range(1..=ports))],
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,19 +58,6 @@ mod tests {
                 Action::Output(p) => assert!((1..=4).contains(p)),
                 other => panic!("unexpected action {other:?}"),
             }
-        }
-    }
-
-    #[test]
-    fn subnet_routes_unique() {
-        let rules = l3_subnet_routes(500, 8, 3);
-        assert_eq!(rules.len(), 500);
-        let mut t = FlowTable::new();
-        for r in &rules {
-            t.add_rule(r.priority, r.match_, r.actions.clone()).unwrap();
-        }
-        for r in t.rules().iter().take(50) {
-            assert_eq!(t.overlapping(&r.tern).len(), 1);
         }
     }
 

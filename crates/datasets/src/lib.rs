@@ -15,8 +15,7 @@
 //! * [`fib`] — plain L3 forwarding tables (the 1000-rule table of Fig. 4).
 //! * [`corpus`] — topology corpora with Zoo-like and Rocketfuel-like size
 //!   and degree distributions for the Fig. 9 coloring study.
-//! * [`workload`] — path-based flow workloads (300-flow reroute of Fig. 5,
-//!   2000-path batched update of Fig. 8).
+//! * [`workload`] — flow workloads (the 300-flow reroute of Fig. 5).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,18 +1,15 @@
-//! Flow/path workloads for the dynamic experiments.
+//! Flow workloads for the dynamic experiments.
 
 use monocle_openflow::{Action, Match};
 use monocle_packet::PacketFields;
 
-/// One end-to-end flow: unique (src, dst) IP pair plus the per-switch rules
-/// along a path.
+/// One end-to-end flow: a unique (src, dst) IP pair.
 #[derive(Debug, Clone)]
 pub struct FlowPath {
     /// Flow index (also used as host-traffic tag).
     pub id: u32,
     /// Abstract header of the flow's packets.
     pub fields: PacketFields,
-    /// Switch sequence the flow traverses.
-    pub path: Vec<usize>,
 }
 
 /// Builds the Fig. 5 workload: `n` flows from H1 to H2, distinguished by
@@ -28,7 +25,6 @@ pub fn reroute_flows(n: usize) -> Vec<FlowPath> {
                     nw_dst: [10, 1, (i >> 8) as u8, i as u8],
                     ..Default::default()
                 },
-                path: Vec::new(),
             }
         })
         .collect()
@@ -44,16 +40,6 @@ pub fn flow_match(f: &FlowPath) -> Match {
 /// The forwarding action toward `port`.
 pub fn forward_to(port: u16) -> Vec<Action> {
     vec![Action::Output(port)]
-}
-
-/// Assigns flows to paths over a topology: flow `i` takes `paths[i %
-/// paths.len()]`.
-pub fn flows_on_paths(mut flows: Vec<FlowPath>, paths: &[Vec<usize>]) -> Vec<FlowPath> {
-    assert!(!paths.is_empty());
-    for (i, f) in flows.iter_mut().enumerate() {
-        f.path = paths[i % paths.len()].clone();
-    }
-    flows
 }
 
 #[cfg(test)]
@@ -77,15 +63,5 @@ mod tests {
         let m = flow_match(&flows[3]);
         assert!(m.matches_packet(1, &flows[3].fields));
         assert!(!m.matches_packet(1, &flows[4].fields));
-    }
-
-    #[test]
-    fn path_assignment_round_robins() {
-        let flows = reroute_flows(5);
-        let paths = vec![vec![0, 1], vec![0, 2, 1]];
-        let flows = flows_on_paths(flows, &paths);
-        assert_eq!(flows[0].path, vec![0, 1]);
-        assert_eq!(flows[1].path, vec![0, 2, 1]);
-        assert_eq!(flows[4].path, vec![0, 1]);
     }
 }

@@ -24,7 +24,13 @@
 //!    updates it covers at once and opens their §3.3 silence window — never
 //!    a confirmation. The controller's own `BarrierRequest`s go to the
 //!    switch under a proxy xid too, so the two can never be confused, and
-//!    their replies go back upstream under the controller's xid.
+//!    their replies go back upstream under the controller's xid. Each
+//!    side's `EchoRequest` (OpenFlow keepalive) is answered by the proxy
+//!    under its xid and never crosses to the other side.
+//!
+//! Every session's monitor catches with [`CatchSpec::default`]: one global
+//! spec cannot carry §6's per-switch catching tags, which wait for a
+//! topology-aware layer over the sessions.
 //!
 //! ## Deferred planning
 //!
@@ -80,7 +86,9 @@
 //!
 //! Probe injections are discretionary traffic: when a switch connection's
 //! write buffer passes the high-water mark they are parked per session and
-//! flushed, in order, on `Drained`. A parked probe needs no revalidation:
+//! flushed, in order, on `Drained`. That parking is the proxy's only
+//! backpressure mechanism: the steady scheduler is told nothing about the
+//! switch. A parked probe needs no revalidation:
 //! when it comes back its answer is matched by sequence number like any
 //! other, so it counts only if that number is still live: its update
 //! unconfirmed, or, for a steady probe, its window open and the plan it was
@@ -99,7 +107,7 @@ use monocle::{PoolConfig, ProbeError};
 use monocle_openflow::messages::PORT_TABLE;
 use monocle_openflow::{Action, Match, OfMessage, PortNo};
 use monocle_packet::ProbeMeta;
-use monocle_sched::SwitchTelemetry;
+use monocle_sched::Ewma;
 
 use crate::event_loop::{ConnId, Driver, IoCtx, TransportEvent};
 
@@ -108,18 +116,6 @@ const TICK_TOKEN: u64 = 0;
 
 /// Probe tick period.
 const TICK_NS: u64 = 1_000_000;
-
-/// Echo liveness timers live above this base; the low bits carry the
-/// session id (`ECHO_TOKEN_BASE + session`).
-const ECHO_TOKEN_BASE: u64 = 1 << 32;
-
-/// Payload marking proxy-originated liveness echoes, so replies are
-/// consumed here rather than forwarded and can't be confused with echoes
-/// relayed on behalf of the controller.
-const LIVENESS_MAGIC: &[u8] = b"MNCL-LIVE";
-
-/// Half-life for per-switch telemetry decay (backpressure heat).
-const TELEMETRY_HALF_LIFE_NS: u64 = 1_000_000_000;
 
 /// A message to a planner thread.
 enum ToPlanner {
@@ -163,14 +159,6 @@ pub struct SessionStats {
     pub ack_rtt_ewma_ns: f64,
     /// Confirmations that contributed an ack RTT sample.
     pub ack_rtt_samples: u64,
-    /// EWMA of liveness echo round-trip time, nanoseconds.
-    pub echo_rtt_ewma_ns: f64,
-    /// Liveness EchoRequests sent to the switch.
-    pub echo_sent: u64,
-    /// Liveness EchoReplies received.
-    pub echo_replies: u64,
-    /// Liveness echoes still unanswered when the next one was due.
-    pub echo_timeouts: u64,
     /// Steady-state: rules that stopped verifying.
     pub rules_failed: u64,
     /// Steady-state: failed rules that verified again.
@@ -191,8 +179,6 @@ pub struct ProxyAppConfig {
     pub listen_addr: String,
     /// Upstream controller address.
     pub controller_addr: SocketAddr,
-    /// Catching spec handed to every per-switch monitor.
-    pub catch: CatchSpec,
     /// Low-priority default route preinstalled on every switch
     /// (`(priority, output port)`); gives probes a distinguishable
     /// absent-path so confirmations are positive rather than
@@ -206,8 +192,6 @@ pub struct ProxyAppConfig {
     /// (`None` disables steady probing; `adaptive` inside picks the
     /// scheduler's configuration, round-robin by default).
     pub steady: Option<SteadyConfig>,
-    /// Liveness echo period per switch session (0 disables).
-    pub echo_interval_ns: u64,
 }
 
 impl ProxyAppConfig {
@@ -216,11 +200,9 @@ impl ProxyAppConfig {
         Self {
             listen_addr: "127.0.0.1:0".to_string(),
             controller_addr,
-            catch: CatchSpec::default(),
             preinstall_default: Some((1, 2)),
             pool: PoolConfig::with_workers(4),
             steady: None,
-            echo_interval_ns: 250_000_000,
         }
     }
 }
@@ -258,11 +240,9 @@ struct Session {
     updates: HashMap<u64, (u32, u64)>,
     /// Barriers sent to the switch and not answered yet, by proxy xid.
     barriers: HashMap<u32, Barrier>,
-    /// Rolling per-switch estimators feeding the adaptive scheduler's
-    /// switch-cost term.
-    telemetry: SwitchTelemetry,
-    /// Outstanding liveness echo: (xid, send time).
-    echo_pending: Option<(u32, u64)>,
+    /// FlowMod→confirmation latency, α 0.2 (`stats.ack_rtt_ewma_ns` and
+    /// `stats.ack_rtt_samples` copy it).
+    ack_rtt: Ewma,
     stats: SessionStats,
 }
 
@@ -365,7 +345,6 @@ impl ProxyApp {
                 ProxyOutput::Inject(inj) => {
                     if ctx.over_high_water(sess.switch_conn) {
                         sess.stats.paused += 1;
-                        sess.telemetry.backpressure.bump(now);
                         sess.paused_injections.push(inj);
                     } else {
                         self.send_injection(ctx, session, &inj);
@@ -377,11 +356,9 @@ impl ProxyApp {
                         sess.stats.verified += 1;
                     }
                     if let Some((xid, sent)) = sess.updates.remove(&token) {
-                        sess.telemetry
-                            .ack_rtt_ns
-                            .update(now.saturating_sub(sent) as f64);
-                        sess.stats.ack_rtt_ewma_ns = sess.telemetry.ack_rtt_ns.get();
-                        sess.stats.ack_rtt_samples += 1;
+                        sess.ack_rtt.update(now.saturating_sub(sent) as f64);
+                        sess.stats.ack_rtt_ewma_ns = sess.ack_rtt.get();
+                        sess.stats.ack_rtt_samples = sess.ack_rtt.samples();
                         Self::send_to_controller(ctx, sess, OfMessage::BarrierReply, xid);
                     }
                 }
@@ -476,7 +453,7 @@ impl ProxyApp {
             OfMessage::FeaturesReply { datapath_id, .. } if sess.proxy.is_none() => {
                 sess.dpid = datapath_id;
                 sess.stats.dpid = datapath_id;
-                let mut pcfg = ProxyConfig::new(datapath_id, self.cfg.catch.clone());
+                let mut pcfg = ProxyConfig::new(datapath_id, CatchSpec::default());
                 if let Some(sc) = &self.cfg.steady {
                     pcfg = pcfg.with_steady(sc.clone());
                 }
@@ -532,18 +509,6 @@ impl ProxyApp {
                 let conn = sess.switch_conn;
                 let _ = ctx.send(conn, &OfMessage::EchoReply(data), xid);
             }
-            OfMessage::EchoReply(ref data) if data.as_slice() == LIVENESS_MAGIC => {
-                // Our own liveness probe coming home; consume it.
-                if let Some((exid, sent_ns)) = sess.echo_pending {
-                    if exid == xid {
-                        sess.echo_pending = None;
-                        let rtt = ctx.now_ns().saturating_sub(sent_ns);
-                        sess.telemetry.echo_rtt_ns.update(rtt as f64);
-                        sess.stats.echo_rtt_ewma_ns = sess.telemetry.echo_rtt_ns.get();
-                        sess.stats.echo_replies += 1;
-                    }
-                }
-            }
             OfMessage::BarrierReply => match sess.barriers.remove(&xid) {
                 Some(Barrier::Own { covered }) => {
                     sess.stats.claims += 1;
@@ -563,25 +528,6 @@ impl ProxyApp {
             // FlowRemoved, Error, …: pass through unchanged.
             other => self.forward_to_controller(ctx, session, other, xid),
         }
-    }
-
-    /// Fires the per-session liveness timer: counts an unanswered echo as
-    /// a timeout, sends the next one, re-arms. The timer dies with the
-    /// session (no re-arm once the session is gone).
-    fn on_echo_timer(&mut self, ctx: &mut IoCtx<'_>, session: u64) {
-        let now = ctx.now_ns();
-        let xid = self.xid();
-        let Some(sess) = self.sessions.get_mut(&session) else {
-            return;
-        };
-        if sess.echo_pending.take().is_some() {
-            sess.stats.echo_timeouts += 1;
-        }
-        let conn = sess.switch_conn;
-        sess.echo_pending = Some((xid, now));
-        sess.stats.echo_sent += 1;
-        let _ = ctx.send(conn, &OfMessage::EchoRequest(LIVENESS_MAGIC.to_vec()), xid);
-        ctx.schedule_in(self.cfg.echo_interval_ns, ECHO_TOKEN_BASE + session);
     }
 
     fn on_controller_msg(&mut self, ctx: &mut IoCtx<'_>, session: u64, msg: OfMessage, xid: u32) {
@@ -681,19 +627,10 @@ impl ProxyApp {
         let ids: Vec<u64> = self.sessions.keys().copied().collect();
         let now = ctx.now_ns();
         for id in ids {
-            let Some(sess) = self.sessions.get_mut(&id) else {
+            let proxy = self.sessions.get_mut(&id).and_then(|s| s.proxy.as_mut());
+            let Some(p) = proxy else {
                 continue;
             };
-            // Refresh the steady scheduler's view of this switch before
-            // ticking: RTT-derived cost plus live backpressure.
-            let (cost, bp) = (
-                sess.telemetry.cost(now),
-                ctx.over_high_water(sess.switch_conn),
-            );
-            let Some(p) = sess.proxy.as_mut() else {
-                continue;
-            };
-            p.set_switch_cost(cost, bp);
             let outputs = p.on_tick(now);
             // A tick that put nothing out may have asked for a refresh.
             self.process_outputs(ctx, id, outputs);
@@ -743,17 +680,13 @@ impl Driver for ProxyApp {
                         paused_injections: Vec::new(),
                         updates: HashMap::new(),
                         barriers: HashMap::new(),
-                        telemetry: SwitchTelemetry::new(TELEMETRY_HALF_LIFE_NS),
-                        echo_pending: None,
+                        ack_rtt: Ewma::new(0.2),
                         stats: SessionStats::default(),
                     },
                 );
                 let _ = ctx.send(conn, &OfMessage::Hello, 0);
                 let xid = self.xid();
                 let _ = ctx.send(conn, &OfMessage::FeaturesRequest, xid);
-                if self.cfg.echo_interval_ns > 0 {
-                    ctx.schedule_in(self.cfg.echo_interval_ns, ECHO_TOKEN_BASE + id);
-                }
             }
             TransportEvent::Connected { conn } => {
                 // Controller dial completed: introduce ourselves and flush
@@ -786,9 +719,6 @@ impl Driver for ProxyApp {
                 }
             }
             TransportEvent::Timer { token: TICK_TOKEN } => self.on_tick(ctx),
-            TransportEvent::Timer { token } if token >= ECHO_TOKEN_BASE => {
-                self.on_echo_timer(ctx, token - ECHO_TOKEN_BASE)
-            }
             TransportEvent::Timer { .. } => {}
             TransportEvent::Notified => self.on_notified(ctx),
         }
@@ -1243,5 +1173,117 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(*payloads.lock().unwrap(), [PRODUCTION]);
+    }
+
+    /// The echo frames one side of the proxy was sent, with their xids.
+    type Echoes = Arc<Mutex<Vec<(OfMessage, u32)>>>;
+
+    fn record_echo(echoes: &Echoes, msg: OfMessage, xid: u32) {
+        if matches!(msg, OfMessage::EchoRequest(_) | OfMessage::EchoReply(_)) {
+            echoes.lock().unwrap().push((msg, xid));
+        }
+    }
+
+    /// A switch (datapath id 1) that answers the proxy's `FeaturesRequest`,
+    /// sends an `EchoRequest(b"ka")` under xid 77, and records every echo
+    /// frame it is sent. It stops when the proxy hangs up.
+    struct KeepaliveSwitch {
+        echoes: Echoes,
+    }
+
+    impl Driver for KeepaliveSwitch {
+        fn handle(&mut self, ctx: &mut IoCtx<'_>, ev: TransportEvent) {
+            match ev {
+                TransportEvent::Message {
+                    conn,
+                    msg: OfMessage::FeaturesRequest,
+                    xid,
+                } => {
+                    let features = OfMessage::FeaturesReply {
+                        datapath_id: 1,
+                        n_tables: 1,
+                        ports: (1..=8).collect(),
+                    };
+                    let _ = ctx.send(conn, &features, xid);
+                    let _ = ctx.send(conn, &OfMessage::EchoRequest(b"ka".to_vec()), 77);
+                }
+                TransportEvent::Message { msg, xid, .. } => record_echo(&self.echoes, msg, xid),
+                TransportEvent::Closed { .. } => ctx.stop(),
+                _ => {}
+            }
+        }
+    }
+
+    /// A controller that sends an `EchoRequest(b"ctl")` under xid 78 once
+    /// the handshake is done, and records every echo frame it is sent until
+    /// a while after its reply.
+    struct KeepaliveController {
+        echoes: Echoes,
+    }
+
+    impl Driver for KeepaliveController {
+        fn handle(&mut self, ctx: &mut IoCtx<'_>, ev: TransportEvent) {
+            match ev {
+                TransportEvent::Accepted { conn, .. } => {
+                    let _ = ctx.send(conn, &OfMessage::Hello, 0);
+                    let _ = ctx.send(conn, &OfMessage::FeaturesRequest, 0);
+                }
+                TransportEvent::Message {
+                    conn,
+                    msg: OfMessage::FeaturesReply { .. },
+                    ..
+                } => {
+                    let _ = ctx.send(conn, &OfMessage::EchoRequest(b"ctl".to_vec()), 78);
+                }
+                TransportEvent::Message { msg, xid, .. } => {
+                    if matches!(msg, OfMessage::EchoReply(_)) {
+                        ctx.schedule_in(50_000_000, SETTLED);
+                    }
+                    record_echo(&self.echoes, msg, xid);
+                }
+                TransportEvent::Timer { .. } => ctx.stop(),
+                _ => {}
+            }
+        }
+    }
+
+    /// OpenFlow keepalive: the proxy answers each side's `EchoRequest`
+    /// itself, with the request's payload under its xid, and neither echo
+    /// crosses to the other side.
+    #[test]
+    fn echo_requests_are_answered_on_their_own_side() {
+        let (switch_echoes, controller_echoes) = (Echoes::default(), Echoes::default());
+        let mut controller_loop = EventLoop::new().unwrap();
+        let controller_addr = controller_loop.with_ctx(|ctx| {
+            let l = ctx.listen("127.0.0.1:0").unwrap();
+            ctx.schedule_in(30_000_000_000, GIVE_UP);
+            ctx.listener_addr(l).unwrap()
+        });
+        let mut controller = KeepaliveController {
+            echoes: Arc::clone(&controller_echoes),
+        };
+        let mut switch = KeepaliveSwitch {
+            echoes: Arc::clone(&switch_echoes),
+        };
+        let mut proxy_loop = EventLoop::new().unwrap();
+        let mut cfg = ProxyAppConfig::new(controller_addr);
+        cfg.pool = PoolConfig::with_workers(1);
+        let mut proxy = ProxyApp::new(cfg, proxy_loop.waker());
+        let proxy_addr = proxy_loop.with_ctx(|ctx| proxy.start(ctx).unwrap());
+        let mut switch_loop = EventLoop::new().unwrap();
+        let threads = [
+            std::thread::spawn(move || controller_loop.run(&mut controller).unwrap()),
+            std::thread::spawn(move || proxy_loop.run(&mut proxy).unwrap()),
+            std::thread::spawn(move || {
+                switch_loop.with_ctx(|ctx| ctx.connect(proxy_addr).unwrap());
+                switch_loop.run(&mut switch).unwrap()
+            }),
+        ];
+        for t in threads {
+            t.join().unwrap();
+        }
+        let reply = |payload: &[u8], xid| (OfMessage::EchoReply(payload.to_vec()), xid);
+        assert_eq!(*switch_echoes.lock().unwrap(), [reply(b"ka", 77)]);
+        assert_eq!(*controller_echoes.lock().unwrap(), [reply(b"ctl", 78)]);
     }
 }

@@ -156,11 +156,9 @@ fn eight_switches_verified_over_tcp() {
 }
 
 #[test]
-fn echo_liveness_and_adaptive_steady_over_tcp() {
-    // Same topology, but with per-session liveness echoes on a tight
-    // period and adaptive steady-state monitoring enabled, so the run
-    // exercises the telemetry path end to end: echo RTT estimation, ack
-    // RTT estimation, and scheduler-driven steady probes over real TCP.
+fn adaptive_steady_over_tcp() {
+    // Same topology, with adaptive steady-state monitoring enabled: ack RTT
+    // estimation and scheduler-driven steady probes over real TCP.
     let switches = 2;
     let updates = 8;
 
@@ -175,10 +173,6 @@ fn echo_liveness_and_adaptive_steady_over_tcp() {
 
     let mut proxy_loop = EventLoop::new().unwrap();
     let mut cfg = ProxyAppConfig::new(controller_addr);
-    // 1ms: the pipelined run is only install-latency-bound (~2-5ms wall
-    // clock), so the interval must sit well inside that window for the
-    // timer to fire before teardown regardless of scheduler load.
-    cfg.echo_interval_ns = 1_000_000;
     cfg.steady = Some(monocle::steady::SteadyConfig {
         adaptive: Some(monocle_sched::SchedConfig::default()),
     });
@@ -213,10 +207,6 @@ fn echo_liveness_and_adaptive_steady_over_tcp() {
     let ps = proxy_stats.lock().unwrap();
     assert_eq!(ps.len(), switches);
     for sess in ps.values() {
-        // Liveness echoes flowed and came home with a measurable RTT.
-        assert!(sess.echo_sent > 0, "dpid {}: no echoes sent", sess.dpid);
-        assert!(sess.echo_replies > 0, "dpid {}: no echo replies", sess.dpid);
-        assert!(sess.echo_rtt_ewma_ns > 0.0);
         // Every confirmation produced an ack RTT sample, and the install
         // latency (2ms) bounds the estimate from below.
         assert_eq!(sess.ack_rtt_samples, sess.confirmed);

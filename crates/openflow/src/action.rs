@@ -250,11 +250,6 @@ impl Forwarding {
         self.legs.is_empty()
     }
 
-    /// Is this a plain unicast rule (one multicast leg)?
-    pub fn is_unicast(&self) -> bool {
-        self.kind == ForwardingKind::Multicast && self.legs.len() == 1
-    }
-
     /// Rewrite observed on `port` (`RewriteOnPort` of §3.4). For multicast
     /// rules with several legs to the same port, the first leg wins (the
     /// simulator emits all legs; the theory only consults this for
@@ -290,7 +285,6 @@ mod tests {
     #[test]
     fn unicast_with_rewrite() {
         let f = Forwarding::compile(&[Action::SetNwTos(0x2e), Action::Output(3)]).unwrap();
-        assert!(f.is_unicast());
         let leg = &f.legs[0];
         assert_eq!(leg.port, 3);
         assert!(leg.rewrite.touches(Field::NwTos));

@@ -87,11 +87,6 @@ impl Ipv4Header {
     }
 }
 
-/// Formats an IPv4 address for diagnostics.
-pub fn fmt_addr(a: [u8; 4]) -> String {
-    format!("{}.{}.{}.{}", a[0], a[1], a[2], a[3])
-}
-
 /// Parses dotted-quad notation (test/dataset helper).
 pub fn parse_addr(s: &str) -> Option<[u8; 4]> {
     let mut out = [0u8; 4];
@@ -175,6 +170,5 @@ mod tests {
         assert_eq!(parse_addr("1.2.3"), None);
         assert_eq!(parse_addr("1.2.3.4.5"), None);
         assert_eq!(parse_addr("1.2.3.x"), None);
-        assert_eq!(fmt_addr([8, 8, 4, 4]), "8.8.4.4");
     }
 }

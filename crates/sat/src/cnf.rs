@@ -107,11 +107,6 @@ impl Cnf {
         true
     }
 
-    /// Begins an in-place clause; push literals with [`Cnf::push_lit`] and
-    /// finish with [`Cnf::end_clause`]. This is the zero-allocation hot path
-    /// used by the probe-constraint encoder.
-    pub fn begin_clause(&mut self) {}
-
     /// Pushes one literal of the clause currently being built.
     pub fn push_lit(&mut self, l: Lit) {
         debug_assert!(l != 0);
@@ -195,7 +190,6 @@ mod tests {
         let mut a = Cnf::new();
         a.add_clause(&[5, -6]);
         let mut b = Cnf::new();
-        b.begin_clause();
         b.push_lit(5);
         b.push_lit(-6);
         b.end_clause();

@@ -4,14 +4,13 @@
 //! fixed rate, which spends most of the probe budget re-verifying rules
 //! that have not changed in ages while recently-modified, high-churn or
 //! previously-failing rules wait a full sweep period. This crate supplies
-//! the two pieces that fix that, in the spirit of CeMon's cost-aware
-//! polling and Dynamic Network Probes' on-demand placement (PAPERS.md):
+//! the two pieces that fix that, in the spirit of Dynamic Network Probes'
+//! on-demand placement (PAPERS.md):
 //!
-//! * [`telemetry`] — O(1) streaming estimators (EWMA, decayed counters,
-//!   windowed ratios); the per-switch ones (RTT, backpressure) are
-//!   aggregated in [`telemetry::SwitchTelemetry`], fed from the transport
-//!   layer (`monocle_net::SessionStats`), the per-rule ones live in the
-//!   scheduler, fed from probe verdicts;
+//! * [`telemetry`] — O(1) streaming estimators: [`Ewma`], whose one user
+//!   is the TCP proxy's per-session ack latency
+//!   (`monocle_net::SessionStats`), and the per-rule churn heat and verdict
+//!   window the scheduler keeps, fed from modifications and probe verdicts;
 //! * [`scheduler`] — [`scheduler::AdaptiveScheduler`], an
 //!   earliest-deadline-first priority queue under a per-rule staleness
 //!   SLO. It picks which rule an injection slot goes to; the slots, and so
@@ -29,4 +28,4 @@ pub mod scheduler;
 pub mod telemetry;
 
 pub use scheduler::{AdaptiveScheduler, RuleKey, SchedConfig, SchedStats};
-pub use telemetry::{DecayCounter, Ewma, SwitchTelemetry};
+pub use telemetry::Ewma;

@@ -3,15 +3,14 @@
 //! The fixed steady-state sweep (§3 of the paper) spends its probe budget
 //! uniformly: a rule modified a millisecond ago waits as long as one that
 //! has verified unchanged for an hour. This scheduler spends the *same*
-//! budget where the data plane is most likely to be wrong, following
-//! CeMon-style cost-aware polling:
+//! budget where the data plane is most likely to be wrong:
 //!
 //! * every rule carries a **deadline** — `last_probed + interval` where the
 //!   interval shrinks from the staleness SLO toward a floor as the rule's
 //!   urgency *score* grows;
 //! * the score blends recency of modification (exponential decay), churn
-//!   heat, and failure history, damped by the per-switch cost (RTT,
-//!   backpressure) from [`crate::telemetry::SwitchTelemetry`];
+//!   heat, and failure history, divided by a per-switch cost that stays 1
+//!   on the product path (see [`AdaptiveScheduler::set_switch_cost`]);
 //! * the staleness SLO is the safety net: scores only ever *shorten*
 //!   intervals, so a rule is due again at most `slo_ns` after its last
 //!   release, and past that it waits only behind rules due no later than
@@ -89,9 +88,11 @@ pub struct SchedStats {
     /// because the benchmark's `detect_breakage` report reads it.
     pub throttled: u64,
     /// Releases deferred because the switch was backpressured and the rule
-    /// was not yet SLO-critical.
+    /// was not yet SLO-critical. Always 0 on the product path, which never
+    /// calls [`AdaptiveScheduler::set_switch_cost`].
     pub deferred_backpressure: u64,
     /// Releases forced through backpressure because the SLO was at stake.
+    /// Always 0 on the product path, like `deferred_backpressure`.
     pub slo_forced: u64,
 }
 
@@ -194,9 +195,12 @@ impl AdaptiveScheduler {
         self.rules.contains_key(&key)
     }
 
-    /// Updates the switch cost factor (≥ 1.0) and backpressure flag; see
-    /// [`crate::telemetry::SwitchTelemetry::cost`]. While backpressured,
-    /// only SLO-critical probes are released.
+    /// Updates the switch cost factor (≥ 1.0, dividing every score) and the
+    /// backpressure flag (while set, only SLO-critical probes are
+    /// released). No product caller feeds them: the steady monitor leaves
+    /// the cost at 1 and the flag clear, and the TCP proxy parks injections
+    /// itself under backpressure. The benchmark's scheduler layer and
+    /// `tests/prop_sched.rs` drive them.
     pub fn set_switch_cost(&mut self, cost: f64, backpressured: bool) {
         self.switch_cost = cost.max(1.0);
         self.backpressured = backpressured;
@@ -242,8 +246,8 @@ impl AdaptiveScheduler {
         }
     }
 
-    /// Urgency score: higher ⇒ probe more often. Damped by switch cost so
-    /// congested/slow switches relax toward SLO-paced coverage.
+    /// Urgency score: higher ⇒ probe more often, divided by the switch
+    /// cost.
     fn score(&self, st: &mut RuleState, now: u64) -> f64 {
         let mut score = 0.0;
         if let Some(tm) = st.last_modified {

@@ -1,21 +1,16 @@
-//! Streaming estimators: the telemetry primitives the scheduler feeds on.
+//! Streaming estimators, O(1) per update and allocation-free after
+//! construction:
 //!
-//! Everything here is O(1) per update and allocation-free after
-//! construction, because updates happen on the transport hot path (per
-//! flow_mod ack, per probe verdict). Three primitives cover the signals
-//! named in the roadmap:
-//!
-//! * [`Ewma`] — exponentially weighted moving average for latencies and
-//!   rates (ack RTT, echo RTT);
-//! * [`DecayCounter`] — an exponentially decayed event counter whose value
-//!   is a "heat" score: recent events dominate, old ones fade with a
-//!   configurable half-life (flow_mod churn per rule, backpressure pauses);
+//! * [`Ewma`] — exponentially weighted moving average; `monocle_net` keeps
+//!   one per switch session for the FlowMod→confirmation latency
+//!   (`SessionStats::ack_rtt_ewma_ns`);
+//! * `DecayCounter` — an exponentially decayed event counter ("heat"):
+//!   recent events dominate, old ones fade with a half-life (flow_mod churn
+//!   per rule);
 //! * `WindowedRatio` — success ratio over the last N boolean outcomes
-//!   (probe verdicts per rule; private to the scheduler, its one user).
+//!   (probe verdicts per rule).
 //!
-//! [`SwitchTelemetry`] bundles the per-switch estimators and condenses them
-//! into a single scalar *cost* the scheduler uses to stretch probe
-//! intervals on slow or congested switches.
+//! The last two are the scheduler's and private to the crate.
 
 /// Exponentially weighted moving average.
 ///
@@ -62,11 +57,11 @@ impl Ewma {
 
 /// Exponentially decayed event counter ("heat").
 ///
-/// Each [`DecayCounter::bump`] adds 1; the accumulated value halves every
+/// Each `bump` adds 1; the accumulated value halves every
 /// `half_life_ns`. Querying decays lazily from the last touch, so idle
 /// counters cost nothing.
 #[derive(Debug, Clone)]
-pub struct DecayCounter {
+pub(crate) struct DecayCounter {
     half_life_ns: u64,
     value: f64,
     last_ns: u64,
@@ -74,7 +69,7 @@ pub struct DecayCounter {
 
 impl DecayCounter {
     /// Creates a counter with the given half-life.
-    pub fn new(half_life_ns: u64) -> DecayCounter {
+    pub(crate) fn new(half_life_ns: u64) -> DecayCounter {
         DecayCounter {
             half_life_ns: half_life_ns.max(1),
             value: 0.0,
@@ -95,18 +90,13 @@ impl DecayCounter {
     }
 
     /// Records one event at time `now` (monotone ns).
-    pub fn bump(&mut self, now: u64) {
-        self.add(now, 1.0);
-    }
-
-    /// Records `weight` events at time `now`.
-    pub fn add(&mut self, now: u64, weight: f64) {
+    pub(crate) fn bump(&mut self, now: u64) {
         self.decay_to(now);
-        self.value += weight;
+        self.value += 1.0;
     }
 
     /// Decayed count as of `now`.
-    pub fn get(&mut self, now: u64) -> f64 {
+    pub(crate) fn get(&mut self, now: u64) -> f64 {
         self.decay_to(now);
         self.value
     }
@@ -157,40 +147,6 @@ impl WindowedRatio {
         } else {
             self.successes as f64 / self.len as f64
         }
-    }
-}
-
-/// RTT above which a switch starts looking expensive (5 ms).
-const RTT_COST_SCALE_NS: f64 = 5_000_000.0;
-
-/// Per-switch rolling telemetry, fed from the transport layer.
-#[derive(Debug, Clone)]
-pub struct SwitchTelemetry {
-    /// Controller→switch flow_mod ack RTT (barrier/confirm), ns.
-    pub ack_rtt_ns: Ewma,
-    /// Echo-request liveness RTT, ns.
-    pub echo_rtt_ns: Ewma,
-    /// Backpressure-pause heat (write buffer over high water).
-    pub backpressure: DecayCounter,
-}
-
-impl SwitchTelemetry {
-    /// Creates per-switch telemetry with sensible half-lives: RTT EWMAs at
-    /// α = 0.2, backpressure heat halving every `half_life_ns`.
-    pub fn new(half_life_ns: u64) -> SwitchTelemetry {
-        SwitchTelemetry {
-            ack_rtt_ns: Ewma::new(0.2),
-            echo_rtt_ns: Ewma::new(0.2),
-            backpressure: DecayCounter::new(half_life_ns),
-        }
-    }
-
-    /// Condensed switch cost ≥ 1.0: how much to stretch non-critical probe
-    /// intervals on this switch. RTT contributes linearly above 5 ms;
-    /// backpressure heat adds one unit per recent pause.
-    pub fn cost(&mut self, now: u64) -> f64 {
-        let rtt = self.ack_rtt_ns.get().max(self.echo_rtt_ns.get());
-        1.0 + rtt / RTT_COST_SCALE_NS + self.backpressure.get(now)
     }
 }
 
@@ -247,16 +203,5 @@ mod tests {
         w.record(true);
         assert!((w.ratio() - 1.0).abs() < 1e-9);
         assert_eq!(w.len, 4);
-    }
-
-    #[test]
-    fn switch_cost_grows_with_rtt_and_backpressure() {
-        let mut t = SwitchTelemetry::new(1_000_000_000);
-        let base = t.cost(0);
-        assert!((base - 1.0).abs() < 1e-9);
-        t.ack_rtt_ns.update(10_000_000.0); // 10 ms
-        assert!(t.cost(0) > 2.9);
-        t.backpressure.bump(0);
-        assert!(t.cost(0) > 3.9);
     }
 }
