@@ -11,9 +11,10 @@
 //!   outcome appears) and strict modifications (probe built on a synthetic
 //!   table: lower-priority rules removed, the old version re-inserted just
 //!   below, per the paper's construction) — each planned by the switch's one
-//!   warm planner: inline, by the monitor itself, on its expected table with
-//!   its own engine; deferred, by whoever replays its planning steps on a
-//!   [`crate::planner::Replica`] of their own;
+//!   warm planner, to which the monitor hands every piece of planning work
+//!   as a [`Step`] through one funnel: inline, the monitor answers it at once
+//!   on its expected table with its own engine; deferred, whoever replays the
+//!   steps on a [`crate::planner::Replica`] of their own answers it later;
 //! * §4.2 — concurrent updates: probes for non-overlapping updates proceed
 //!   in parallel; an update overlapping one in flight is queued until the
 //!   conflict clears (the paper's implementation policy), and so is one
@@ -21,6 +22,9 @@
 //!   overtakes another whose result it would change;
 //! * transient-inconsistency tolerance: a probe observing the "old" state
 //!   does not raise an alarm, it just keeps probing (§4.1);
+//! * the switch's own refusals: an update whose FlowMod the switch rejects
+//!   ends with an alarm, as one out of probing budget does
+//!   ([`DynamicMonitor::on_rejected`]);
 //! * the switch's own claims: a driver that follows its FlowMods with a
 //!   barrier tells the monitor when the switch says they are processed
 //!   ([`DynamicMonitor::on_claim`]). A claim is a hint, never proof — some
@@ -48,9 +52,8 @@
 
 use crate::encode::CatchSpec;
 use crate::engine::ProbeEngine;
-use crate::generator::GeneratorConfig;
 use crate::plan::{take_seq, ProbePlan, Verdict};
-use crate::planner::{self, PlanKind, Refreshed, Step};
+use crate::planner::{self, Answer, PlanKind, Step};
 use crate::proxy::{ProbeInjection, ProxyOutput};
 use monocle_openflow::table::ApplyResult;
 use monocle_openflow::{FlowMod, FlowModCommand, FlowTable, PortNo, Rule, RuleId, TableError};
@@ -70,8 +73,6 @@ pub struct DynamicConfig {
     /// Give-up threshold: after this many probes without confirmation an
     /// alarm is raised (0, the default, = never give up).
     pub max_attempts: u32,
-    /// Probe generation settings.
-    pub gen: GeneratorConfig,
 }
 
 /// A [`Step::Plan`] in the form a stateless planner takes: the table to plan
@@ -184,7 +185,8 @@ impl Update {
 /// — planning inline — the one [`ProbeEngine`] that plans on them, every
 /// update's probe and every steady refresh of the proxy. Deferred, it keeps
 /// the table and the pins but no engine: the switch's planner, replaying its
-/// [`Step`]s on a [`crate::planner::Replica`], holds the only one.
+/// [`Step`]s on a [`crate::planner::Replica`], holds the only one. Which of
+/// the two it is, only its one funnel for planning work asks.
 #[derive(Debug)]
 pub struct DynamicMonitor {
     cfg: DynamicConfig,
@@ -207,9 +209,9 @@ pub struct DynamicMonitor {
     flowmods_sent: u64,
     /// Deferred mode: the steps recorded since the last take.
     steps: Vec<Step>,
-    /// Inline mode: plans made as their update started, not yet attached,
-    /// in request order.
-    planned: VecDeque<(u64, Option<ProbePlan>)>,
+    /// Inline mode: the answers to the steps, not handed back yet, in
+    /// request order.
+    pub(crate) answers: VecDeque<Answer>,
     /// [`Self::take_plan_requests`]' replica of the expected table (table
     /// only: it builds requests, it plans nothing).
     request_replica: FlowTable,
@@ -227,7 +229,7 @@ impl DynamicMonitor {
     /// injection port).
     pub fn new(cfg: DynamicConfig, catch: CatchSpec, switch_id: u64) -> DynamicMonitor {
         DynamicMonitor {
-            engine: Some(ProbeEngine::with_gen(cfg.gen.clone())),
+            engine: Some(planner::engine(&catch)),
             cfg,
             switch_id,
             table: FlowTable::new(),
@@ -237,33 +239,50 @@ impl DynamicMonitor {
             next_seq: 0,
             flowmods_sent: 0,
             steps: Vec::new(),
-            planned: VecDeque::new(),
+            answers: VecDeque::new(),
             request_replica: FlowTable::new(),
             touched: Vec::new(),
             claims_heard: false,
         }
     }
 
-    /// Chooses who plans the updates' probes and the steady refreshes.
-    /// Inline (the default; the simulator/harness path): the monitor, on
-    /// itself with its own engine, as each update starts or a refresh is
-    /// asked for. Deferred (the transport path): an external planner that
-    /// replays the monitor's [`Step`]s ([`Self::take_plan_steps`]) on a
-    /// [`crate::planner::Replica`] — in practice a planner thread per group
-    /// of switches, so generation overlaps the switches' install latencies
-    /// and never runs on the I/O thread — and hands the answers back later
-    /// ([`Self::attach_plan`], `MonitorProxy::attach_refresh`). Turning it
-    /// on drops the monitor's engine and starts the stream: a
+    /// Chooses who answers the planning steps, for the updates' probes and
+    /// the steady refreshes alike. Inline (the default; the simulator/harness
+    /// path): the monitor, on itself with its own engine, the moment each
+    /// step is pushed. Deferred (the transport path): an
+    /// external planner that replays the monitor's [`Step`]s
+    /// ([`Self::take_plan_steps`]) on a [`crate::planner::Replica`] — in
+    /// practice a planner thread per group of switches, so generation
+    /// overlaps the switches' install latencies and never runs on the I/O
+    /// thread — and hands the answers back later (`MonitorProxy::answer`).
+    /// Turning it on drops the monitor's engine and starts the stream: a
     /// [`Step::Start`] with a copy of the expected table as it is now. It is
     /// one-way: `false` leaves the monitor as it is.
     pub fn set_deferred_planning(&mut self, on: bool) {
         if on {
             self.engine = None;
-            self.steps.push(Step::Start {
+            self.step(Step::Start {
                 table: self.table.clone(),
                 catch: self.catch.clone(),
-                gen: self.cfg.gen.clone(),
             });
+        }
+    }
+
+    /// Hands one piece of planning work to the switch's planner, in stream
+    /// order: deferred, it is recorded for the external planner
+    /// ([`Self::take_plan_steps`]); inline, it is answered at once
+    /// ([`planner::answer`]) on the expected table — which stands at exactly
+    /// this point of the stream — with the monitor's own engine and pins, and
+    /// the answer queued to be handed back: a plan by
+    /// [`Self::attach_answers`], a refresh by `MonitorProxy::answer`. The one
+    /// place the two modes differ.
+    pub(crate) fn step(&mut self, step: Step) {
+        match &mut self.engine {
+            None => self.steps.push(step),
+            Some(engine) => {
+                let planner = Some((&self.table, engine, &self.catch));
+                self.answers.extend(planner::answer(planner, step));
+            }
         }
     }
 
@@ -277,9 +296,9 @@ impl DynamicMonitor {
 
     /// Drains the deferred planning steps recorded since the last call, in
     /// order. Transport drivers call this after every
-    /// `on_flowmod`/`attach_plan`/`on_verdict`/`on_tick` (a confirmation
-    /// can release queued updates, which request plans) and hand the steps
-    /// to the switch's planner.
+    /// `on_flowmod`/`attach_plan`/`on_verdict`/`on_tick`/`on_rejected` (a
+    /// confirmation or an alarm can release queued updates, which request
+    /// plans) and hand the steps to the switch's planner.
     pub fn take_plan_steps(&mut self) -> Vec<Step> {
         std::mem::take(&mut self.steps)
     }
@@ -331,9 +350,7 @@ impl DynamicMonitor {
     /// Monocle's own ([`Self::apply_own`]) alike, so no change escapes a
     /// replica.
     pub fn apply_expected(&mut self, fm: &FlowMod) -> Result<ApplyResult, TableError> {
-        if self.engine.is_none() {
-            self.steps.push(Step::Apply(fm.clone()));
-        }
+        self.step(Step::Apply(fm.clone()));
         self.table.apply(fm)
     }
 
@@ -363,17 +380,6 @@ impl DynamicMonitor {
     /// claim covers ([`Self::on_claim`]).
     pub fn flowmods_sent(&self) -> u64 {
         self.flowmods_sent
-    }
-
-    /// Asks the planner to re-plan the steady probes of `work` on the
-    /// expected table as it is now (a [`Step::Refresh`]): answered at once
-    /// inline, recorded for the external planner when deferred (`None`).
-    pub(crate) fn request_refresh(&mut self, work: Vec<RuleId>) -> Option<Refreshed> {
-        let Some(engine) = &mut self.engine else {
-            self.steps.push(Step::Refresh { work });
-            return None;
-        };
-        Some(planner::refresh(&self.table, engine, &self.catch, work))
     }
 
     /// Number of unconfirmed (actively probed) updates.
@@ -408,7 +414,7 @@ impl DynamicMonitor {
             self.queued.push_back((token, fm, finalize));
         } else {
             self.start_update(token, fm, finalize, &mut out);
-            self.attach_planned(now, &mut out);
+            self.attach_answers(now, &mut out);
         }
         out
     }
@@ -472,19 +478,13 @@ impl DynamicMonitor {
     }
 
     /// Asks the planner for update `token`'s probe, at this point of the
-    /// expected table's history: recorded as a [`Step::Plan`] in deferred
-    /// mode, planned at once on the monitor itself and queued for
-    /// [`Self::attach_planned`] inline.
+    /// expected table's history (a [`Step::Plan`]).
     fn request_plan(&mut self, token: u64, rule_id: RuleId, kind: PlanKind) {
-        let Some(engine) = &mut self.engine else {
-            return self.steps.push(Step::Plan {
-                token,
-                rule_id,
-                kind,
-            });
-        };
-        let plan = planner::plan(&self.table, engine, &self.catch, rule_id, &kind);
-        self.planned.push_back((token, plan.ok()));
+        self.step(Step::Plan {
+            token,
+            rule_id,
+            kind,
+        });
     }
 
     /// Starts an update whose conflicts have cleared: applies it to the
@@ -564,13 +564,17 @@ impl DynamicMonitor {
         });
     }
 
-    /// Attaches the plans inline mode made, in request order, the ones
-    /// that attaching releases included — what a transport driver does with
-    /// [`Self::attach_plan`] as its planner answers the steps in order,
-    /// synchronously. Nothing to do in deferred mode.
-    fn attach_planned(&mut self, now: u64, out: &mut Vec<ProxyOutput>) {
-        while let Some((token, plan)) = self.planned.pop_front() {
-            out.extend(self.attach_plan(now, token, plan));
+    /// Hands the inline planner's plan answers back, in request order, the
+    /// ones that handing back releases included — what a transport driver
+    /// does with [`Self::attach_plan`] as its planner answers the steps in
+    /// order. It runs where an update starts or is released, so a tick that
+    /// confirms several updates hands back what each releases before the
+    /// next confirmation, where a deferred planner can answer only after the
+    /// tick. Deferred, there are none. A refresh is asked for, and its answer
+    /// taken, within one `MonitorProxy` call, so none waits here.
+    fn attach_answers(&mut self, now: u64, out: &mut Vec<ProxyOutput>) {
+        while let Some(Answer::Plan { token, plan }) = self.answers.pop_front() {
+            out.extend(self.attach_plan(now, token, plan.ok()));
         }
     }
 
@@ -672,18 +676,33 @@ impl DynamicMonitor {
             self.finish(now, idx, true, &mut out);
         }
         if !alarmed.is_empty() {
-            self.updates.retain(|u| !alarmed.contains(&u.token));
-            out.extend(
-                alarmed
-                    .into_iter()
-                    .map(|token| ProxyOutput::Alarm { token }),
-            );
-            // An alarmed update is as terminal as a confirmed one: whatever
-            // was conflict-queued behind it must not wait for an unrelated
-            // confirmation. Its finalizer is never sent.
-            self.release_queued(now, &mut out);
+            self.alarm(now, alarmed, &mut out);
         }
         out
+    }
+
+    /// The switch rejected the FlowMod numbered `number` among those sent to
+    /// it ([`Self::flowmods_sent`]): the unfinished update it started, if
+    /// any, ends with an alarm. Its plan, should one still arrive, is
+    /// ignored. An error for one of Monocle's own FlowMods, or for an update
+    /// already answered, changes nothing. The expected table keeps the
+    /// FlowMod: it holds what the controller asked for.
+    pub fn on_rejected(&mut self, now: u64, number: u64) -> Vec<ProxyOutput> {
+        let mut out = Vec::new();
+        if let Some(u) = self.updates.iter().find(|u| u.forwarded == number) {
+            self.alarm(now, vec![u.token], &mut out);
+        }
+        out
+    }
+
+    /// Ends the updates `tokens` with an alarm each. An alarmed update is as
+    /// terminal as a confirmed one: whatever was conflict-queued behind it
+    /// must not wait for an unrelated confirmation. Its finalizer is never
+    /// sent.
+    fn alarm(&mut self, now: u64, tokens: Vec<u64>, out: &mut Vec<ProxyOutput>) {
+        self.updates.retain(|u| !tokens.contains(&u.token));
+        out.extend(tokens.into_iter().map(|token| ProxyOutput::Alarm { token }));
+        self.release_queued(now, out);
     }
 
     /// Update `idx` is confirmed: out of the record, acknowledged, and
@@ -723,7 +742,7 @@ impl DynamicMonitor {
             }
         }
         self.queued = requeue;
-        self.attach_planned(now, out);
+        self.attach_answers(now, out);
     }
 
     /// Probe `seq` came back: `out_port` is the probed switch's output port
@@ -768,7 +787,8 @@ impl DynamicMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::{Answer, Replica};
+    use crate::generator::GeneratorConfig;
+    use crate::planner::Replica;
     use monocle_openflow::{Action, Match};
 
     fn add_fm(prio: u16, dst: [u8; 4], port: u16) -> FlowMod {
@@ -1533,10 +1553,7 @@ mod tests {
             losses: &[bool],
             defer: bool,
         ) -> (Vec<ProxyOutput>, (usize, usize, usize)) {
-            let cfg = DynamicConfig {
-                max_attempts: 3,
-                ..DynamicConfig::default()
-            };
+            let cfg = DynamicConfig { max_attempts: 3 };
             let mut m = DynamicMonitor::new(cfg, CatchSpec::default(), 7);
             m.apply_expected(&FlowMod::add(1, Match::any(), vec![Action::Output(99)]))
                 .unwrap();
@@ -1882,10 +1899,7 @@ mod tests {
 
     #[test]
     fn alarm_after_attempt_budget() {
-        let cfg = DynamicConfig {
-            max_attempts: 3,
-            ..DynamicConfig::default()
-        };
+        let cfg = DynamicConfig { max_attempts: 3 };
         let mut m = DynamicMonitor::new(cfg, CatchSpec::default(), 7);
         m.apply_expected(&FlowMod::add(1, Match::any(), vec![Action::Output(99)]))
             .unwrap();
@@ -1904,10 +1918,7 @@ mod tests {
 
     #[test]
     fn alarm_releases_updates_queued_behind_it() {
-        let cfg = DynamicConfig {
-            max_attempts: 2,
-            ..DynamicConfig::default()
-        };
+        let cfg = DynamicConfig { max_attempts: 2 };
         let mut m = DynamicMonitor::new(cfg, CatchSpec::default(), 7);
         m.apply_expected(&FlowMod::add(1, Match::any(), vec![Action::Output(99)]))
             .unwrap();

@@ -3,27 +3,28 @@
 //! §7).
 //!
 //! A planner is a flow table, the one warm engine that plans on it and the
-//! switch's catch pins. `plan` answers a plan request on it, and
-//! `refresh` re-plans the steady probes a refresh asks for. A
-//! [`crate::dynamic::DynamicMonitor`] planning inline *is* such a planner:
-//! its expected table, engine and pins are one, and it plans each update on
-//! itself the moment the update starts, and each steady refresh the moment
-//! the proxy asks.
+//! switch's catch pins. A [`crate::dynamic::DynamicMonitor`] describes all
+//! its planning work as an ordered stream of [`Step`]s, pushed in the order
+//! its expected table changes: the table as it stood when the stream began,
+//! every FlowMod applied to it since (controller updates and Monocle's own
+//! alike), one plan request per monitorable update, and one refresh request
+//! whenever the proxy's steady plans are due. A delete's request comes
+//! *before* its FlowMod (the victim must still be there to be probed for
+//! absence), an add's or a modify's *after* it, and a refresh is answered on
+//! the table as of the FlowMods before it.
 //!
-//! Deferred, the monitor keeps the table and the pins but no engine, and
-//! describes its planning work instead as an ordered stream of [`Step`]s,
-//! pushed in the order its expected table changes: the table as it stood
-//! when the stream began, every FlowMod applied to it since (controller
-//! updates and Monocle's own alike), one plan request per monitorable
-//! update, and one refresh request whenever the proxy's steady plans are due.
-//! A delete's request comes *before* its FlowMod (the victim must still be
-//! there to be probed for absence), an add's or a modify's *after* it, and a
-//! refresh is answered on the table as of the FlowMods before it. Whoever
-//! replays the stream in order on a [`Replica`] of its own
-//! ([`Replica::step`]; `monocle_net`'s planner threads keep one per switch)
-//! therefore plans every update on exactly the table §4.1 prescribes and
-//! every refresh on the table the proxy asked about, with the same `plan`
-//! and `refresh`.
+//! One function, `answer`, answers a plan or a refresh request on a
+//! planner, and every planner answers with it. Inline, the monitor *is* the
+//! planner: its expected table, engine and pins are one, and each request
+//! is answered on them the moment it is pushed — when the table stands at
+//! exactly that point of the stream. Deferred, the monitor keeps the table
+//! and the pins but no engine, and whoever replays the stream in order on a
+//! [`Replica`] of its own ([`Replica::step`]; `monocle_net`'s planner
+//! threads keep one per switch) answers each request on the replica at the
+//! same point. Either way every update is planned on exactly the table §4.1
+//! prescribes and every refresh on the table the proxy asked about. A
+//! planner without the table — no replica yet, or one lost — answers too:
+//! no plan, and the table lost to a refresh.
 //!
 //! Either way one engine follows one table through its own change log, so
 //! it synchronizes in O(delta) and its plan cache stays warm across updates
@@ -58,15 +59,13 @@ pub enum PlanKind {
 #[derive(Debug, Clone)]
 pub enum Step {
     /// The stream begins: the expected table at this point, and the catch
-    /// pins and generator settings every probe of this switch is planned
-    /// with.
+    /// pins every probe of this switch is planned with (they also set how its
+    /// probes are generated).
     Start {
         /// A copy of the expected table.
         table: FlowTable,
         /// The monitor's collection pins.
         catch: CatchSpec,
-        /// The monitor's generator settings.
-        gen: GeneratorConfig,
     },
     /// A FlowMod applied to the expected table (whether or not it applied
     /// cleanly: a replica fails it the same way).
@@ -103,9 +102,8 @@ pub enum Answer {
         /// Its probe.
         plan: Result<ProbePlan, ProbeError>,
     },
-    /// A [`Step::Refresh`]'s; `None` from a planner that lost the switch's
-    /// table (`monocle_net`'s planner threads, when a step panics), which
-    /// answers every request all the same.
+    /// A [`Step::Refresh`]'s; `None` from a planner without the switch's
+    /// table.
     Refresh(Option<Refreshed>),
 }
 
@@ -227,6 +225,43 @@ pub(crate) fn refresh(
     }
 }
 
+/// The one warm engine of a switch's planner: it generates with the
+/// settings `catch` implies — probes enter on the pinned injection port, or
+/// on port 1.
+pub(crate) fn engine(catch: &CatchSpec) -> ProbeEngine {
+    ProbeEngine::with_gen(GeneratorConfig {
+        default_in_port: catch.in_port.unwrap_or(1),
+    })
+}
+
+/// Answers `step` on a planner: a [`Step::Plan`] with [`plan`] and a
+/// [`Step::Refresh`] with [`refresh`], on `planner`'s table, engine and
+/// pins. Without them (`None`: no replica, or one lost) a plan request is
+/// answered with no plan and a refresh with the table lost. A
+/// [`Step::Start`] or a [`Step::Apply`] asks for no answer.
+pub(crate) fn answer(
+    planner: Option<(&FlowTable, &mut ProbeEngine, &CatchSpec)>,
+    step: Step,
+) -> Option<Answer> {
+    Some(match step {
+        Step::Start { .. } | Step::Apply(_) => return None,
+        Step::Plan {
+            token,
+            rule_id,
+            kind,
+        } => Answer::Plan {
+            token,
+            plan: match planner {
+                Some((table, engine, catch)) => plan(table, engine, catch, rule_id, &kind),
+                None => Err(ProbeError::NoSuchRule(rule_id)),
+            },
+        },
+        Step::Refresh { work } => Answer::Refresh(
+            planner.map(|(table, engine, catch)| refresh(table, engine, catch, work)),
+        ),
+    })
+}
+
 /// A planner's mirror of one switch's expected table, with the one warm
 /// engine that plans on it and the catch pins its probes carry: built by a
 /// [`Step::Start`] and advanced by the steps after it, it holds the same
@@ -242,36 +277,25 @@ pub struct Replica {
 impl Replica {
     /// Advances a switch's replica by one step: a [`Step::Start`] builds it
     /// (anew), a [`Step::Apply`] applies, and a [`Step::Plan`] or a
-    /// [`Step::Refresh`] is answered on the table as it stands. Before the
-    /// first `Start` there is nothing to apply to or plan on.
+    /// [`Step::Refresh`] is answered on the table as it stands, as every
+    /// planner answers it. Before the first `Start` there is nothing to
+    /// apply to, and a request is answered as a lost replica answers it.
     pub fn step(replica: &mut Option<Replica>, step: Step) -> Option<Answer> {
-        match step {
-            Step::Start { table, catch, gen } => {
+        match (step, replica.as_mut()) {
+            (Step::Start { table, catch }, _) => {
+                let engine = engine(&catch);
                 *replica = Some(Replica {
                     table,
-                    engine: ProbeEngine::with_gen(gen),
+                    engine,
                     catch,
                 });
                 None
             }
-            Step::Apply(fm) => {
-                let _ = replica.as_mut()?.table.apply(&fm);
+            (Step::Apply(fm), Some(r)) => {
+                let _ = r.table.apply(&fm);
                 None
             }
-            Step::Plan {
-                token,
-                rule_id,
-                kind,
-            } => {
-                let r = replica.as_mut()?;
-                let plan = plan(&r.table, &mut r.engine, &r.catch, rule_id, &kind);
-                Some(Answer::Plan { token, plan })
-            }
-            Step::Refresh { work } => {
-                let r = replica.as_mut()?;
-                let refreshed = refresh(&r.table, &mut r.engine, &r.catch, work);
-                Some(Answer::Refresh(Some(refreshed)))
-            }
+            (step, r) => answer(r.map(|r| (&r.table, &mut r.engine, &r.catch)), step),
         }
     }
 }

@@ -28,9 +28,9 @@ use crate::droppost::{self, DropTag};
 use crate::dynamic::{DynamicConfig, DynamicMonitor};
 use crate::encode::CatchSpec;
 use crate::engine::{EngineStats, ProbeEngine};
-use crate::generator::{GenStats, GeneratorConfig, ProbeError};
+use crate::generator::{GenStats, ProbeError};
 use crate::plan::{ProbePlan, STEADY_SEQ_BIT};
-use crate::planner::{Refreshed, Step};
+use crate::planner::{Answer, Refreshed, Step};
 use crate::steady::{SteadyConfig, SteadyMonitor};
 use monocle_openflow::table::IdHashMap;
 use monocle_openflow::{ActionProgram, FlowMod, Match, PortNo, RuleId};
@@ -41,10 +41,11 @@ use monocle_packet::{PacketFields, ProbeMeta};
 pub struct ProxyConfig {
     /// Identifier embedded in probe metadata (the switch's datapath id).
     pub switch_id: u64,
-    /// Collection pins for this switch's probes.
+    /// Collection pins for this switch's probes. They also set how every
+    /// probe of this switch is generated, dynamic and steady alike: it
+    /// enters on the pinned injection port, or on port 1.
     pub catch: CatchSpec,
-    /// Dynamic monitoring settings, `gen` among them: how every probe of
-    /// this switch is generated, dynamic and steady alike.
+    /// Dynamic monitoring settings.
     pub dynamic: DynamicConfig,
     /// Steady-state monitoring settings (None = dynamic only: no refresh
     /// ever gives the steady monitor a plan).
@@ -56,16 +57,10 @@ pub struct ProxyConfig {
 impl ProxyConfig {
     /// Minimal config for one switch.
     pub fn new(switch_id: u64, catch: CatchSpec) -> ProxyConfig {
-        let gen = GeneratorConfig {
-            default_in_port: catch.in_port.unwrap_or(1),
-        };
         ProxyConfig {
             switch_id,
             catch,
-            dynamic: DynamicConfig {
-                gen,
-                ..DynamicConfig::default()
-            },
+            dynamic: DynamicConfig::default(),
             steady: None,
             drop_postpone: None,
         }
@@ -280,6 +275,16 @@ impl MonitorProxy {
         self.dynamic.on_claim(now, covered)
     }
 
+    /// The switch answered the FlowMod numbered `number` among those this
+    /// proxy emitted ([`Self::flowmods_sent`]) with an error: the update it
+    /// started, if still unfinished, ends with [`ProxyOutput::Alarm`], which
+    /// releases the updates queued behind it ([`DynamicMonitor::on_rejected`]).
+    /// An error for one of the proxy's own FlowMods puts nothing out.
+    pub fn on_flowmod_error(&mut self, now: u64, number: u64) -> Vec<ProxyOutput> {
+        let out = self.dynamic.on_rejected(now, number);
+        self.note_touched(now, out)
+    }
+
     /// A FlowMod from the controller, as update `token`: the token its
     /// [`ProxyOutput::Confirmed`] or [`ProxyOutput::Alarm`] carries. A token
     /// names one update until that answer: it must not be reused while the
@@ -352,7 +357,7 @@ impl MonitorProxy {
     /// planner, which replays the planning steps drained with
     /// [`Self::take_plan_steps`] after every proxy call on a
     /// [`crate::planner::Replica`] and hands each answer back through
-    /// [`Self::attach_plan`] or [`Self::attach_refresh`]
+    /// [`Self::answer`]
     /// ([`crate::dynamic::DynamicMonitor::set_deferred_planning`]).
     pub fn set_deferred_planning(&mut self, on: bool) {
         self.dynamic.set_deferred_planning(on);
@@ -369,6 +374,21 @@ impl MonitorProxy {
     /// refreshes: for a proxy without steady monitoring.
     pub fn take_plan_requests(&mut self) -> Vec<crate::dynamic::PlanRequest> {
         self.dynamic.take_plan_requests()
+    }
+
+    /// Hands a planner's answer back: the one way back for every answer,
+    /// inline and deferred. A plan goes to the update it was requested for
+    /// ([`Self::attach_plan`]), a refresh into the steady cycle (which reads
+    /// no clock). A plan for an update that awaits none — unknown, or
+    /// answered already — puts nothing out.
+    pub fn answer(&mut self, now: u64, answer: Answer) -> Vec<ProxyOutput> {
+        match answer {
+            Answer::Plan { token, plan } => self.attach_plan(now, token, plan.ok()),
+            Answer::Refresh(refreshed) => {
+                self.attach_refresh(refreshed);
+                Vec::new()
+            }
+        }
     }
 
     /// Hands a deferred plan (or a generation failure, `None`) back to the
@@ -432,9 +452,10 @@ impl MonitorProxy {
     /// ([`SteadyMonitor::patch_plans`]). The first refresh finds every rule
     /// added: the whole table.
     ///
-    /// Inline only: a deferred proxy asks its planner (once, until the
-    /// answer is attached with [`Self::attach_refresh`]) and returns what it
-    /// holds meanwhile.
+    /// The refresh is asked for as a [`Step::Refresh`] and its answer comes
+    /// back through [`Self::answer`]: inline at once, deferred when the
+    /// transport hands it back. Until then a deferred proxy asks for no
+    /// other and returns what it holds meanwhile.
     pub fn refresh_steady_plans(&mut self) -> (usize, usize) {
         #[cfg(test)]
         if self.whole_table_oracle {
@@ -455,9 +476,11 @@ impl MonitorProxy {
                 .iter()
                 .filter(|(_, e)| **e == ProbeError::RepairFailed);
             work.extend(repair.map(|(id, _)| *id));
-            match self.dynamic.request_refresh(work) {
-                Some(refreshed) => self.attach_refresh(Some(refreshed)),
-                None => self.refresh_outstanding = true,
+            self.refresh_outstanding = true;
+            self.dynamic.step(Step::Refresh { work });
+            // Inline, the answer is in already (and reads no clock).
+            while let Some(answer) = self.dynamic.answers.pop_front() {
+                self.answer(0, answer);
             }
         }
         let found = self.steady.plans().len();
@@ -467,15 +490,14 @@ impl MonitorProxy {
     /// Patches a steady refresh's answer into the cycle,
     /// [`Self::unmonitorable`] and the failures behind it: plans for the
     /// rules it found one for, and out with the rules gone or left without
-    /// one. Inline, [`Self::refresh_steady_plans`] calls it at once;
-    /// deferred, the transport hands back the answer of the
+    /// one, whenever [`Self::answer`] hands back the answer of the
     /// [`Step::Refresh`] the switch's planner replayed. An answer planned at
     /// an older version of the expected table is applied all the same:
     /// plans are keyed by rule, and the refresh it left due covers what
     /// changed since. `None`, from a planner that lost the table, drops
     /// every plan and failure: the proxy keeps no steady proofs and raises
     /// no verdicts.
-    pub fn attach_refresh(&mut self, refreshed: Option<Refreshed>) {
+    pub(crate) fn attach_refresh(&mut self, refreshed: Option<Refreshed>) {
         self.refresh_outstanding = false;
         let refreshed = refreshed.unwrap_or_else(|| Refreshed {
             gone: self.held().collect(),
@@ -1452,7 +1474,7 @@ mod tests {
             }
             let table = d.proxy.expected();
             let ids = monitorable_ids(table);
-            let mut fresh = ProbeEngine::with_gen(d.proxy.cfg.dynamic.gen.clone());
+            let mut fresh = crate::planner::engine(d.proxy.catch_spec());
             let results = fresh.generate_batch(table, &ids, d.proxy.catch_spec());
             let (mut planned, mut failed) = (Vec::new(), Vec::new());
             for (id, r) in ids.into_iter().zip(results) {
@@ -1727,7 +1749,7 @@ mod tests {
     /// refreshes on (checked in [`Twins::tick`]).
     #[test]
     fn a_deferred_refresh_is_asked_for_on_the_ticks_an_inline_one_runs() {
-        for seed in 1..=8 {
+        for seed in 1..=script_count() {
             random_script(seed, 0);
         }
     }
@@ -1833,6 +1855,45 @@ mod tests {
         p.on_tick(2_000 * MS);
         let steps = p.take_plan_steps();
         assert!(steps.iter().any(|s| matches!(s, Step::Refresh { .. })));
+    }
+
+    /// Through the one way back, inline and deferred alike: a plan answer
+    /// that no update awaits — for a token never started, for an update
+    /// still queued, or a second one for an update already answered — puts
+    /// nothing out and changes no count.
+    #[test]
+    fn a_plan_answer_no_update_awaits_changes_nothing() {
+        for deferred in [false, true] {
+            let mut p = proxy();
+            p.set_deferred_planning(deferred);
+            let subnet = Match::any().with_nw_dst([10, 0, 0, 0], 24);
+            p.on_controller_flowmod(0, 1, FlowMod::add(5, subnet, vec![Action::Output(2)]));
+            // Overlaps update 1: queued behind it.
+            p.on_controller_flowmod(0, 2, add_fm([10, 0, 0, 1], 3));
+            let mut replica = None;
+            for answer in replay(&mut replica, p.take_plan_steps()) {
+                assert_eq!(injections(&p.answer(1, answer)).len(), 1);
+            }
+            let counts = |p: &MonitorProxy| (p.in_flight(), p.dynamic.queued(), p.awaiting_plans());
+            assert_eq!(counts(&p), (1, 1, 0), "deferred {deferred}");
+            let id = p.expected().rules().iter().find(|r| r.priority == 5);
+            let plan = crate::planner::engine(p.catch_spec()).generate(
+                p.expected(),
+                id.unwrap().id,
+                p.catch_spec(),
+            );
+            assert!(plan.is_ok());
+            for token in [1, 2, 99] {
+                for plan in [plan.clone(), Err(ProbeError::Hidden)] {
+                    let outs = p.answer(2, Answer::Plan { token, plan });
+                    assert!(
+                        outs.is_empty(),
+                        "deferred {deferred}, token {token}: {outs:?}"
+                    );
+                    assert_eq!(counts(&p), (1, 1, 0), "deferred {deferred}, token {token}");
+                }
+            }
+        }
     }
 
     /// The same differential once at paper size: the Stanford-like ACL table

@@ -10,16 +10,18 @@
 //!    catching/default rules, and dials the upstream controller.
 //! 3. The upstream handshake mirrors a real switch: the controller's
 //!    `FeaturesRequest` is answered with the cached datapath id.
-//! 4. From then on every frame is proxied xid-preserving in both
-//!    directions, except the frames Monocle consumes or originates:
-//!    FlowMods are intercepted, probes are injected as `PacketOut`s,
-//!    probe `PacketIn`s are absorbed (a probe stamped with another
-//!    datapath id — a neighbour's, caught here — is dropped: it is never
-//!    production traffic), and confirmations surface as
-//!    `BarrierReply { xid = flowmod xid }` (alarms as `Error`). Every batch
-//!    of FlowMods the proxy forwards is followed by a `BarrierRequest` of
-//!    its own; its reply never leaves the proxy. It tells the monitor that
-//!    the switch claims those FlowMods processed
+//! 4. From then on frames pass through under their own xid in both
+//!    directions, except the frames Monocle consumes, originates or
+//!    renumbers. FlowMods are intercepted: the monitor sends each to the
+//!    switch (its own preinstalls and finalizers too) under a fresh proxy
+//!    xid, and the update's ack surfaces as
+//!    `BarrierReply { xid = flowmod xid }` (its alarm as `Error`, under the
+//!    same xid). Probes are injected as `PacketOut`s under proxy xids, and
+//!    probe `PacketIn`s are absorbed (a probe stamped with another datapath
+//!    id — a neighbour's, caught here — is dropped: it is never production
+//!    traffic). Every batch of FlowMods the proxy forwards is followed by a
+//!    `BarrierRequest` of its own; its reply never leaves the proxy. It
+//!    tells the monitor that the switch claims those FlowMods processed
 //!    ([`MonitorProxy::on_barrier_reply`]), a hint that re-probes the
 //!    updates it covers at once and opens their §3.3 silence window — never
 //!    a confirmation. The controller's own `BarrierRequest`s go to the
@@ -27,6 +29,16 @@
 //!    their replies go back upstream under the controller's xid. Each
 //!    side's `EchoRequest` (OpenFlow keepalive) is answered by the proxy
 //!    under its xid and never crosses to the other side.
+//!
+//! An `Error` the switch sends for a FlowMod the proxy forwarded is the
+//! monitor's, not the controller's: the session remembers each forwarded
+//! FlowMod's proxy xid with its number among the monitor's FlowMods
+//! ([`MonitorProxy::flowmods_sent`]) until a claim covers it, and an error
+//! under one of those xids goes to [`MonitorProxy::on_flowmod_error`]. The
+//! update that FlowMod started ends with an alarm — one `Error` to the
+//! controller under its FlowMod's xid, and no ack — and the updates queued
+//! behind it are released. An error for one of Monocle's own FlowMods goes
+//! no further. Any other `Error` passes through under its xid.
 //!
 //! Every session's monitor catches with [`CatchSpec::default`]: one global
 //! spec cannot carry §6's per-switch catching tags, which wait for a
@@ -50,27 +62,27 @@
 //! request on it, so every update is planned on exactly the table §4.1
 //! prescribes, by an engine that synchronizes in O(delta) and keeps its
 //! plan cache across updates. Nothing the loop thread sends grows with the
-//! table but the one copy at the start. Finished plans come back through
-//! one channel and the loop's waker (once per burst a thread drains) and
-//! are attached with [`MonitorProxy::attach_plan`]. While a plan is in
-//! flight the update's FlowMod has already been forwarded — planning
-//! overlaps switch installation latency, which is where the multi-switch
-//! throughput scaling comes from.
+//! table but the one copy at the start. Answers come back through one
+//! channel and the loop's waker (once per burst a thread drains) and are
+//! handed to [`MonitorProxy::answer`], the one way back for plans and
+//! refreshes alike. While a plan is in flight the update's FlowMod has
+//! already been forwarded — planning overlaps switch installation latency,
+//! which is where the multi-switch throughput scaling comes from.
 //!
 //! The steady refresh is one more step: with [`ProxyAppConfig::steady`]
 //! set, the monitor asks for it on the tick its plans fall due (the
 //! expected table moved and no update is in flight), the thread answers it
-//! on the same replica, in stream order with the plan requests, and
-//! [`MonitorProxy::attach_refresh`] patches the answer in when it lands.
+//! on the same replica, in stream order with the plan requests, and the
+//! monitor patches the answer in when it lands.
 //! While one is outstanding the monitor asks for no other; an answer
 //! planned on an older table is applied all the same, and the next refresh
 //! is then due at once.
 //!
 //! A step that panics costs only its session's replica: the thread catches
-//! the panic, drops the replica, and answers the session's later requests
-//! with no plan (optimistic acks) and its refreshes with the table lost, on
-//! which the session drops its steady plans; its other sessions never
-//! notice.
+//! the panic, drops the replica, and answers that step and the session's
+//! later ones as a planner without the table does — requests with no plan
+//! (optimistic acks) and refreshes with the table lost, on which the
+//! session drops its steady plans; its other sessions never notice.
 //!
 //! ## Steady-state verdicts
 //!
@@ -103,7 +115,7 @@ use monocle::encode::CatchSpec;
 use monocle::planner::{Answer, Replica, Step};
 use monocle::proxy::{MonitorProxy, ProbeInjection, ProxyConfig, ProxyOutput};
 use monocle::steady::SteadyConfig;
-use monocle::{PoolConfig, ProbeError};
+use monocle::PoolConfig;
 use monocle_openflow::messages::PORT_TABLE;
 use monocle_openflow::{Action, Match, OfMessage, PortNo};
 use monocle_packet::ProbeMeta;
@@ -240,6 +252,11 @@ struct Session {
     updates: HashMap<u64, (u32, u64)>,
     /// Barriers sent to the switch and not answered yet, by proxy xid.
     barriers: HashMap<u32, Barrier>,
+    /// FlowMods sent to the switch, by proxy xid: each one's number among
+    /// the monitor's ([`MonitorProxy::flowmods_sent`]), kept until a claim
+    /// covers it — the switch sends an error for a FlowMod before its reply
+    /// to any barrier sent after it.
+    flowmod_numbers: HashMap<u32, u64>,
     /// FlowMod→confirmation latency, α 0.2 (`stats.ack_rtt_ewma_ns` and
     /// `stats.ack_rtt_samples` copy it).
     ack_rtt: Ewma,
@@ -325,12 +342,30 @@ impl ProxyApp {
         self.next_xid
     }
 
+    /// Calls `f` on `session`'s monitor, if it has one, with the loop's
+    /// clock, and applies what it puts out.
+    fn drive(
+        &mut self,
+        ctx: &mut IoCtx<'_>,
+        session: u64,
+        f: impl FnOnce(&mut MonitorProxy, u64) -> Vec<ProxyOutput>,
+    ) {
+        let now = ctx.now_ns();
+        let proxy = self
+            .sessions
+            .get_mut(&session)
+            .and_then(|s| s.proxy.as_mut());
+        if let Some(outputs) = proxy.map(|p| f(p, now)) {
+            self.process_outputs(ctx, session, outputs);
+        }
+    }
+
     /// Applies proxy outputs for `session` — FlowMods forwarded are
     /// followed by one barrier of the proxy's own — then sends any new
     /// planning steps to its planner.
     fn process_outputs(&mut self, ctx: &mut IoCtx<'_>, session: u64, outputs: Vec<ProxyOutput>) {
         let now = ctx.now_ns();
-        let mut forwarded = false;
+        let mut forwarded = Vec::new();
         for o in outputs {
             let Some(sess) = self.sessions.get_mut(&session) else {
                 return;
@@ -340,7 +375,7 @@ impl ProxyApp {
                     let conn = sess.switch_conn;
                     let xid = self.xid();
                     let _ = ctx.send(conn, &OfMessage::FlowMod(fm), xid);
-                    forwarded = true;
+                    forwarded.push(xid);
                 }
                 ProxyOutput::Inject(inj) => {
                     if ctx.over_high_water(sess.switch_conn) {
@@ -376,15 +411,18 @@ impl ProxyApp {
                 ProxyOutput::RuleRecovered { .. } => sess.stats.rules_recovered += 1,
             }
         }
-        let proxy = self
-            .sessions
-            .get_mut(&session)
-            .and_then(|s| s.proxy.as_mut());
-        let Some(proxy) = proxy else {
+        let Some(sess) = self.sessions.get_mut(&session) else {
+            return;
+        };
+        let Some(proxy) = sess.proxy.as_mut() else {
             return;
         };
         let (covered, steps) = (proxy.flowmods_sent(), proxy.take_plan_steps());
-        if forwarded {
+        // The FlowMods just sent are the last ones the monitor numbered.
+        let first = covered + 1 - forwarded.len() as u64;
+        sess.flowmod_numbers
+            .extend(forwarded.iter().copied().zip(first..));
+        if !forwarded.is_empty() {
             self.send_barrier(ctx, session, Barrier::Own { covered });
         }
         for step in steps {
@@ -492,18 +530,14 @@ impl ProxyApp {
                     if let Some(meta) = ProbeMeta::decode(&payload) {
                         if meta.switch_id == sess.dpid {
                             sess.stats.probes_returned += 1;
-                            let now = ctx.now_ns();
-                            let outputs = sess
-                                .proxy
-                                .as_mut()
-                                .map(|p| p.on_probe_return(now, &meta, in_port, &fields))
-                                .unwrap_or_default();
-                            self.process_outputs(ctx, session, outputs);
+                            self.drive(ctx, session, |p, now| {
+                                p.on_probe_return(now, &meta, in_port, &fields)
+                            });
                         }
                         return;
                     }
                 }
-                self.forward_to_controller(ctx, session, msg, xid);
+                Self::send_to_controller(ctx, sess, msg, xid);
             }
             OfMessage::EchoRequest(data) => {
                 let conn = sess.switch_conn;
@@ -512,21 +546,18 @@ impl ProxyApp {
             OfMessage::BarrierReply => match sess.barriers.remove(&xid) {
                 Some(Barrier::Own { covered }) => {
                     sess.stats.claims += 1;
-                    let now = ctx.now_ns();
-                    let outputs = sess
-                        .proxy
-                        .as_mut()
-                        .map(|p| p.on_barrier_reply(now, covered))
-                        .unwrap_or_default();
-                    self.process_outputs(ctx, session, outputs);
+                    sess.flowmod_numbers.retain(|_, number| *number > covered);
+                    self.drive(ctx, session, |p, now| p.on_barrier_reply(now, covered));
                 }
-                Some(Barrier::Relayed { xid }) => {
-                    self.forward_to_controller(ctx, session, msg, xid);
-                }
-                None => self.forward_to_controller(ctx, session, msg, xid),
+                Some(Barrier::Relayed { xid }) => Self::send_to_controller(ctx, sess, msg, xid),
+                None => Self::send_to_controller(ctx, sess, msg, xid),
             },
-            // FlowRemoved, Error, …: pass through unchanged.
-            other => self.forward_to_controller(ctx, session, other, xid),
+            OfMessage::Error { .. } => match sess.flowmod_numbers.remove(&xid) {
+                Some(number) => self.drive(ctx, session, |p, now| p.on_flowmod_error(now, number)),
+                None => Self::send_to_controller(ctx, sess, msg, xid),
+            },
+            // FlowRemoved, …: pass through unchanged.
+            other => Self::send_to_controller(ctx, sess, other, xid),
         }
     }
 
@@ -548,14 +579,11 @@ impl ProxyApp {
             }
             OfMessage::FlowMod(fm) => {
                 sess.stats.flowmods += 1;
-                let (now, token) = (ctx.now_ns(), sess.stats.flowmods);
-                sess.updates.insert(token, (xid, now));
-                let outputs = sess
-                    .proxy
-                    .as_mut()
-                    .map(|p| p.on_controller_flowmod(now, token, fm))
-                    .unwrap_or_default();
-                self.process_outputs(ctx, session, outputs);
+                let token = sess.stats.flowmods;
+                sess.updates.insert(token, (xid, ctx.now_ns()));
+                self.drive(ctx, session, |p, now| {
+                    p.on_controller_flowmod(now, token, fm)
+                });
             }
             OfMessage::EchoRequest(data) => {
                 if let Some(cc) = sess.controller_conn {
@@ -569,19 +597,6 @@ impl ProxyApp {
                 let _ = ctx.send(conn, &other, xid);
             }
         }
-    }
-
-    fn forward_to_controller(
-        &mut self,
-        ctx: &mut IoCtx<'_>,
-        session: u64,
-        msg: OfMessage,
-        xid: u32,
-    ) {
-        let Some(sess) = self.sessions.get_mut(&session) else {
-            return;
-        };
-        Self::send_to_controller(ctx, sess, msg, xid);
     }
 
     /// Flushes backpressure-parked injections once the switch connection
@@ -607,33 +622,16 @@ impl ProxyApp {
     }
 
     fn on_notified(&mut self, ctx: &mut IoCtx<'_>) {
-        while let Ok(done) = self.results_rx.try_recv() {
-            let sess = self.sessions.get_mut(&done.session);
-            let Some(p) = sess.and_then(|s| s.proxy.as_mut()) else {
-                continue;
-            };
-            let outputs = match done.answer {
-                Answer::Plan { token, plan } => p.attach_plan(ctx.now_ns(), token, plan.ok()),
-                Answer::Refresh(refreshed) => {
-                    p.attach_refresh(refreshed);
-                    Vec::new()
-                }
-            };
-            self.process_outputs(ctx, done.session, outputs);
+        while let Ok(PlanDone { session, answer }) = self.results_rx.try_recv() {
+            self.drive(ctx, session, |p, now| p.answer(now, answer));
         }
     }
 
     fn on_tick(&mut self, ctx: &mut IoCtx<'_>) {
         let ids: Vec<u64> = self.sessions.keys().copied().collect();
-        let now = ctx.now_ns();
         for id in ids {
-            let proxy = self.sessions.get_mut(&id).and_then(|s| s.proxy.as_mut());
-            let Some(p) = proxy else {
-                continue;
-            };
-            let outputs = p.on_tick(now);
             // A tick that put nothing out may have asked for a refresh.
-            self.process_outputs(ctx, id, outputs);
+            self.drive(ctx, id, |p, now| p.on_tick(now));
         }
         ctx.schedule_in(TICK_NS, TICK_TOKEN);
     }
@@ -680,6 +678,7 @@ impl Driver for ProxyApp {
                         paused_injections: Vec::new(),
                         updates: HashMap::new(),
                         barriers: HashMap::new(),
+                        flowmod_numbers: HashMap::new(),
                         ack_rtt: Ewma::new(0.2),
                         stats: SessionStats::default(),
                     },
@@ -733,6 +732,8 @@ fn planner_main(rx: Receiver<ToPlanner>, done: Sender<PlanDone>, waker: Arc<mio:
     // `None`: no replica — the stream has not started, or a step panicked
     // and took the replica with it.
     let mut replicas: HashMap<u64, Option<Replica>> = HashMap::new();
+    #[cfg(test)]
+    let mut poisoned = std::collections::HashSet::new();
     while let Ok(first) = rx.recv() {
         let mut answered = false;
         for msg in std::iter::once(first).chain(std::iter::from_fn(|| rx.try_recv().ok())) {
@@ -744,24 +745,26 @@ fn planner_main(rx: Receiver<ToPlanner>, done: Sender<PlanDone>, waker: Arc<mio:
                 }
                 #[cfg(test)]
                 ToPlanner::Panic { session } => {
-                    let slot = replicas.entry(session).or_default();
-                    guarded(slot, |_| -> Option<()> { panic!("injected planner panic") });
+                    poisoned.insert(session);
                     continue;
                 }
             };
-            // Every request is answered: without a replica, or when planning
-            // panicked, with no plan, and with the table lost to the refresh.
-            let unanswered = match *step {
-                Step::Plan { token, rule_id, .. } => Some(Answer::Plan {
-                    token,
-                    plan: Err(ProbeError::NoSuchRule(rule_id)),
-                }),
-                Step::Refresh { .. } => Some(Answer::Refresh(None)),
-                Step::Start { .. } | Step::Apply(_) => None,
-            };
             let slot = replicas.entry(session).or_default();
-            let answer = guarded(slot, |slot| Replica::step(slot, *step));
-            let Some(answer) = answer.or(unanswered) else {
+            let attempt = (*step).clone();
+            let advanced = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                #[cfg(test)]
+                if matches!(attempt, Step::Plan { .. }) && poisoned.remove(&session) {
+                    panic!("injected planner panic");
+                }
+                Replica::step(slot, attempt)
+            }));
+            // A step that panicked may have left the replica mid-mutation:
+            // it is dropped, and the step answered as a lost replica answers.
+            let answer = advanced.unwrap_or_else(|_| {
+                *slot = None;
+                Replica::step(slot, *step)
+            });
+            let Some(answer) = answer else {
                 continue;
             };
             if done.send(PlanDone { session, answer }).is_err() {
@@ -775,18 +778,6 @@ fn planner_main(rx: Receiver<ToPlanner>, done: Sender<PlanDone>, waker: Arc<mio:
     }
 }
 
-/// Runs `f` on a session's replica slot; if it panics, the replica (whose
-/// state may be mid-mutation) is dropped and the answer is `None`.
-fn guarded<T>(
-    slot: &mut Option<Replica>,
-    f: impl FnOnce(&mut Option<Replica>) -> Option<T>,
-) -> Option<T> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(slot))).unwrap_or_else(|_| {
-        *slot = None;
-        None
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -794,10 +785,11 @@ mod tests {
     use crate::sim::{
         ControllerSim, ControllerSimConfig, ControllerStats, SwitchSim, SwitchSimConfig,
     };
+    use monocle_openflow::FlowMod;
     use monocle_switchsim::SwitchProfile;
 
-    /// Test-only fault injection: the planner panics while serving the
-    /// session of this datapath, right after its stream starts.
+    /// Test-only fault injection: the planner panics on the first plan
+    /// request of the session of this datapath.
     pub(super) const PANIC_DPID: u64 = 0xdead;
 
     /// Runs a controller sending `updates` FlowMods to each switch of
@@ -1146,19 +1138,32 @@ mod tests {
     #[test]
     fn a_probe_of_another_switch_never_reaches_the_controller() {
         let payloads = Arc::new(Mutex::new(Vec::new()));
+        let controller = PacketInController {
+            payloads: Arc::clone(&payloads),
+        };
+        between(controller, StrayProbeSwitch);
+        assert_eq!(*payloads.lock().unwrap(), [PRODUCTION]);
+    }
+
+    /// Runs `controller` (listening, with a 30 s deadline), the proxy with
+    /// one planner thread, and one hand-written `switch` dialing the proxy,
+    /// to the end; returns the proxy's per-session counters.
+    fn between<C, S>(mut controller: C, mut switch: S) -> HashMap<u64, SessionStats>
+    where
+        C: Driver + Send + 'static,
+        S: Driver + Send + 'static,
+    {
         let mut controller_loop = EventLoop::new().unwrap();
         let controller_addr = controller_loop.with_ctx(|ctx| {
             let l = ctx.listen("127.0.0.1:0").unwrap();
             ctx.schedule_in(30_000_000_000, GIVE_UP);
             ctx.listener_addr(l).unwrap()
         });
-        let mut controller = PacketInController {
-            payloads: Arc::clone(&payloads),
-        };
         let mut proxy_loop = EventLoop::new().unwrap();
         let mut cfg = ProxyAppConfig::new(controller_addr);
         cfg.pool = PoolConfig::with_workers(1);
         let mut proxy = ProxyApp::new(cfg, proxy_loop.waker());
+        let proxy_stats = proxy.stats();
         let proxy_addr = proxy_loop.with_ctx(|ctx| proxy.start(ctx).unwrap());
         let mut switch_loop = EventLoop::new().unwrap();
         let threads = [
@@ -1166,13 +1171,14 @@ mod tests {
             std::thread::spawn(move || proxy_loop.run(&mut proxy).unwrap()),
             std::thread::spawn(move || {
                 switch_loop.with_ctx(|ctx| ctx.connect(proxy_addr).unwrap());
-                switch_loop.run(&mut StrayProbeSwitch).unwrap()
+                switch_loop.run(&mut switch).unwrap()
             }),
         ];
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(*payloads.lock().unwrap(), [PRODUCTION]);
+        let ps = std::mem::take(&mut *proxy_stats.lock().unwrap());
+        ps
     }
 
     /// The echo frames one side of the proxy was sent, with their xids.
@@ -1253,37 +1259,121 @@ mod tests {
     #[test]
     fn echo_requests_are_answered_on_their_own_side() {
         let (switch_echoes, controller_echoes) = (Echoes::default(), Echoes::default());
-        let mut controller_loop = EventLoop::new().unwrap();
-        let controller_addr = controller_loop.with_ctx(|ctx| {
-            let l = ctx.listen("127.0.0.1:0").unwrap();
-            ctx.schedule_in(30_000_000_000, GIVE_UP);
-            ctx.listener_addr(l).unwrap()
-        });
-        let mut controller = KeepaliveController {
+        let controller = KeepaliveController {
             echoes: Arc::clone(&controller_echoes),
         };
-        let mut switch = KeepaliveSwitch {
+        let switch = KeepaliveSwitch {
             echoes: Arc::clone(&switch_echoes),
         };
-        let mut proxy_loop = EventLoop::new().unwrap();
-        let mut cfg = ProxyAppConfig::new(controller_addr);
-        cfg.pool = PoolConfig::with_workers(1);
-        let mut proxy = ProxyApp::new(cfg, proxy_loop.waker());
-        let proxy_addr = proxy_loop.with_ctx(|ctx| proxy.start(ctx).unwrap());
-        let mut switch_loop = EventLoop::new().unwrap();
-        let threads = [
-            std::thread::spawn(move || controller_loop.run(&mut controller).unwrap()),
-            std::thread::spawn(move || proxy_loop.run(&mut proxy).unwrap()),
-            std::thread::spawn(move || {
-                switch_loop.with_ctx(|ctx| ctx.connect(proxy_addr).unwrap());
-                switch_loop.run(&mut switch).unwrap()
-            }),
-        ];
-        for t in threads {
-            t.join().unwrap();
-        }
+        between(controller, switch);
         let reply = |payload: &[u8], xid| (OfMessage::EchoReply(payload.to_vec()), xid);
         assert_eq!(*switch_echoes.lock().unwrap(), [reply(b"ka", 77)]);
         assert_eq!(*controller_echoes.lock().unwrap(), [reply(b"ctl", 78)]);
+    }
+
+    /// The priorities [`RejectingSwitch`] answers with an `Error`: the
+    /// proxy's default route and the controller's first update.
+    const REJECTED: [u16; 2] = [1, 10];
+
+    /// A switch (datapath id 1) that answers the proxy's `FeaturesRequest`
+    /// and barriers, records the priority of every FlowMod it is sent, and
+    /// rejects those of [`REJECTED`] priority with an `Error` under the
+    /// FlowMod's xid. It never returns a probe, and stops when the proxy
+    /// hangs up.
+    struct RejectingSwitch {
+        installs: Arc<Mutex<Vec<u16>>>,
+    }
+
+    impl Driver for RejectingSwitch {
+        fn handle(&mut self, ctx: &mut IoCtx<'_>, ev: TransportEvent) {
+            let TransportEvent::Message { conn, msg, xid } = ev else {
+                if matches!(ev, TransportEvent::Closed { .. }) {
+                    ctx.stop();
+                }
+                return;
+            };
+            let reply = match msg {
+                OfMessage::FeaturesRequest => OfMessage::FeaturesReply {
+                    datapath_id: 1,
+                    n_tables: 1,
+                    ports: (1..=8).collect(),
+                },
+                OfMessage::BarrierRequest => OfMessage::BarrierReply,
+                OfMessage::FlowMod(fm) => {
+                    self.installs.lock().unwrap().push(fm.priority);
+                    if !REJECTED.contains(&fm.priority) {
+                        return;
+                    }
+                    OfMessage::Error {
+                        err_type: 5, // OFPET_FLOW_MOD_FAILED
+                        code: 1,
+                    }
+                }
+                _ => return,
+            };
+            let _ = ctx.send(conn, &reply, xid);
+        }
+    }
+
+    /// A controller that sends two overlapping FlowMods, under xids 1 and 2,
+    /// and records every `Error` and `BarrierReply` it is sent, with its
+    /// xid, until a while after the first `Error`.
+    struct RejectedController {
+        answers: Arc<Mutex<Vec<(&'static str, u32)>>>,
+    }
+
+    impl Driver for RejectedController {
+        fn handle(&mut self, ctx: &mut IoCtx<'_>, ev: TransportEvent) {
+            match ev {
+                TransportEvent::Accepted { conn, .. } => {
+                    let _ = ctx.send(conn, &OfMessage::Hello, 0);
+                    let _ = ctx.send(conn, &OfMessage::FeaturesRequest, 0);
+                }
+                TransportEvent::Message {
+                    conn,
+                    msg: OfMessage::FeaturesReply { .. },
+                    ..
+                } => {
+                    let subnet = Match::any().with_nw_dst([10, 0, 0, 0], 24);
+                    let host = Match::any().with_nw_dst([10, 0, 0, 1], 32);
+                    // Both forward off the default route (port 2): monitorable.
+                    let first = FlowMod::add(10, subnet, vec![Action::Output(3)]);
+                    let second = FlowMod::add(20, host, vec![Action::Output(4)]);
+                    let _ = ctx.send(conn, &OfMessage::FlowMod(first), 1);
+                    let _ = ctx.send(conn, &OfMessage::FlowMod(second), 2);
+                }
+                TransportEvent::Message { msg, xid, .. } => {
+                    if matches!(msg, OfMessage::Error { .. }) {
+                        ctx.schedule_in(100_000_000, SETTLED);
+                    }
+                    if matches!(msg, OfMessage::Error { .. } | OfMessage::BarrierReply) {
+                        self.answers.lock().unwrap().push((msg.kind(), xid));
+                    }
+                }
+                TransportEvent::Timer { .. } => ctx.stop(),
+                _ => {}
+            }
+        }
+    }
+
+    /// The switch rejects the proxy's default route and the controller's
+    /// first FlowMod. The controller hears of the second only: one `Error`,
+    /// under its FlowMod's xid, and no ack. The monitor ends that update
+    /// with an alarm instead of probing it forever, and the update queued
+    /// behind it reaches the switch.
+    #[test]
+    fn a_rejected_flowmod_alarms_its_update_under_the_controllers_xid() {
+        let (answers, installs) = (Arc::default(), Arc::default());
+        let controller = RejectedController {
+            answers: Arc::clone(&answers),
+        };
+        let switch = RejectingSwitch {
+            installs: Arc::clone(&installs),
+        };
+        let ps = between(controller, switch);
+        assert_eq!(*answers.lock().unwrap(), [("Error", 1)]);
+        assert_eq!(*installs.lock().unwrap(), [1, 10, 20]);
+        let sess = ps.values().next().expect("one session");
+        assert_eq!((sess.flowmods, sess.alarms, sess.confirmed), (2, 1, 0));
     }
 }
