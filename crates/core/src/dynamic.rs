@@ -209,9 +209,15 @@ pub struct DynamicMonitor {
     flowmods_sent: u64,
     /// Deferred mode: the steps recorded since the last take.
     steps: Vec<Step>,
-    /// Inline mode: the answers to the steps, not handed back yet, in
+    /// Inline mode: the plans answered, by update, not handed back yet, in
     /// request order.
-    pub(crate) answers: VecDeque<Answer>,
+    answers: VecDeque<(u64, Option<ProbePlan>)>,
+    /// The controller updates' FlowMods no claim has covered yet, as
+    /// `(number, token)` in number order: a switch rejects a FlowMod before
+    /// it answers a later barrier, so these are the ones a rejection can
+    /// name ([`Self::on_rejected`]). A driver that reports no claims (and so
+    /// no rejections either) keeps one entry per update.
+    unclaimed: VecDeque<(u64, u64)>,
     /// [`Self::take_plan_requests`]' replica of the expected table (table
     /// only: it builds requests, it plans nothing).
     request_replica: FlowTable,
@@ -240,6 +246,7 @@ impl DynamicMonitor {
             flowmods_sent: 0,
             steps: Vec::new(),
             answers: VecDeque::new(),
+            unclaimed: VecDeque::new(),
             request_replica: FlowTable::new(),
             touched: Vec::new(),
             claims_heard: false,
@@ -261,7 +268,7 @@ impl DynamicMonitor {
     pub fn set_deferred_planning(&mut self, on: bool) {
         if on {
             self.engine = None;
-            self.step(Step::Start {
+            let _ = self.step(Step::Start {
                 table: self.table.clone(),
                 catch: self.catch.clone(),
             });
@@ -270,20 +277,17 @@ impl DynamicMonitor {
 
     /// Hands one piece of planning work to the switch's planner, in stream
     /// order: deferred, it is recorded for the external planner
-    /// ([`Self::take_plan_steps`]); inline, it is answered at once
-    /// ([`planner::answer`]) on the expected table — which stands at exactly
-    /// this point of the stream — with the monitor's own engine and pins, and
-    /// the answer queued to be handed back: a plan by
-    /// [`Self::attach_answers`], a refresh by `MonitorProxy::answer`. The one
-    /// place the two modes differ.
-    pub(crate) fn step(&mut self, step: Step) {
-        match &mut self.engine {
-            None => self.steps.push(step),
-            Some(engine) => {
-                let planner = Some((&self.table, engine, &self.catch));
-                self.answers.extend(planner::answer(planner, step));
-            }
-        }
+    /// ([`Self::take_plan_steps`]) and `None` returned; inline, it is
+    /// answered at once ([`planner::answer`]) on the expected table — which
+    /// stands at exactly this point of the stream — with the monitor's own
+    /// engine and pins, and the answer returned. The one place the two modes
+    /// differ.
+    pub(crate) fn step(&mut self, step: Step) -> Option<Answer> {
+        let Some(engine) = &mut self.engine else {
+            self.steps.push(step);
+            return None;
+        };
+        planner::answer(Some((&self.table, engine, &self.catch)), &step)
     }
 
     /// Drains the ids of rules added or modified by the updates started
@@ -350,7 +354,7 @@ impl DynamicMonitor {
     /// Monocle's own ([`Self::apply_own`]) alike, so no change escapes a
     /// replica.
     pub fn apply_expected(&mut self, fm: &FlowMod) -> Result<ApplyResult, TableError> {
-        self.step(Step::Apply(fm.clone()));
+        let _ = self.step(Step::Apply(fm.clone()));
         self.table.apply(fm)
     }
 
@@ -478,13 +482,17 @@ impl DynamicMonitor {
     }
 
     /// Asks the planner for update `token`'s probe, at this point of the
-    /// expected table's history (a [`Step::Plan`]).
+    /// expected table's history (a [`Step::Plan`]). An inline answer waits
+    /// for [`Self::attach_answers`].
     fn request_plan(&mut self, token: u64, rule_id: RuleId, kind: PlanKind) {
-        self.step(Step::Plan {
+        let step = Step::Plan {
             token,
             rule_id,
             kind,
-        });
+        };
+        if let Some(Answer::Plan { plan, .. }) = self.step(step) {
+            self.answers.push_back((token, plan.ok()));
+        }
     }
 
     /// Starts an update whose conflicts have cleared: applies it to the
@@ -542,6 +550,7 @@ impl DynamicMonitor {
                 }),
         };
         let forwarded = self.send(fm.clone(), out);
+        self.unclaimed.push_back((forwarded, token));
         let Some((rule_id, confirm_on)) = probed else {
             // Unmonitorable update: acknowledge optimistically (the
             // controller can fall back to barriers for these).
@@ -570,11 +579,10 @@ impl DynamicMonitor {
     /// order. It runs where an update starts or is released, so a tick that
     /// confirms several updates hands back what each releases before the
     /// next confirmation, where a deferred planner can answer only after the
-    /// tick. Deferred, there are none. A refresh is asked for, and its answer
-    /// taken, within one `MonitorProxy` call, so none waits here.
+    /// tick. Deferred, there are none.
     fn attach_answers(&mut self, now: u64, out: &mut Vec<ProxyOutput>) {
-        while let Some(Answer::Plan { token, plan }) = self.answers.pop_front() {
-            out.extend(self.attach_plan(now, token, plan.ok()));
+        while let Some((token, plan)) = self.answers.pop_front() {
+            out.extend(self.attach_plan(now, token, plan));
         }
     }
 
@@ -616,6 +624,8 @@ impl DynamicMonitor {
     /// claim on, silence counts only from an update's claim ([`Self::on_tick`]).
     pub fn on_claim(&mut self, now: u64, covered: u64) -> Vec<ProxyOutput> {
         self.claims_heard = true;
+        let claimed = self.unclaimed.partition_point(|(n, _)| *n <= covered);
+        self.unclaimed.drain(..claimed);
         let mut out = Vec::new();
         for u in &mut self.updates {
             if u.claimed.is_some() || u.forwarded > covered {
@@ -682,17 +692,23 @@ impl DynamicMonitor {
     }
 
     /// The switch rejected the FlowMod numbered `number` among those sent to
-    /// it ([`Self::flowmods_sent`]): the unfinished update it started, if
-    /// any, ends with an alarm. Its plan, should one still arrive, is
-    /// ignored. An error for one of Monocle's own FlowMods, or for an update
-    /// already answered, changes nothing. The expected table keeps the
-    /// FlowMod: it holds what the controller asked for.
-    pub fn on_rejected(&mut self, now: u64, number: u64) -> Vec<ProxyOutput> {
+    /// it ([`Self::flowmods_sent`]), before any claim covered it. Returns the
+    /// token of the controller update that FlowMod carried — the controller
+    /// is owed the switch's error, whether or not the update is answered
+    /// already — or `None` for one of Monocle's own or one a claim has
+    /// covered, which changes nothing. An update still unfinished ends with
+    /// an alarm; its plan, should one still arrive, is ignored. The expected
+    /// table keeps the FlowMod: it holds what the controller asked for.
+    pub fn on_rejected(&mut self, now: u64, number: u64) -> (Option<u64>, Vec<ProxyOutput>) {
         let mut out = Vec::new();
-        if let Some(u) = self.updates.iter().find(|u| u.forwarded == number) {
-            self.alarm(now, vec![u.token], &mut out);
+        let Ok(i) = self.unclaimed.binary_search_by_key(&number, |(n, _)| *n) else {
+            return (None, out);
+        };
+        let token = self.unclaimed[i].1;
+        if self.updates.iter().any(|u| u.forwarded == number) {
+            self.alarm(now, vec![token], &mut out);
         }
-        out
+        (Some(token), out)
     }
 
     /// Ends the updates `tokens` with an alarm each. An alarmed update is as
@@ -1872,6 +1888,40 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A rejection names the controller update its FlowMod carried until a
+    /// claim covers that FlowMod: an unfinished update alarms, which releases
+    /// the one queued behind it; one acked already is only named; Monocle's
+    /// own FlowMod names none.
+    #[test]
+    fn a_rejection_names_its_update_until_a_claim_covers_it() {
+        let mut m = monitor();
+        // FlowMod #1 is Monocle's own, #2 update 1's; update 2 waits behind 1.
+        assert_eq!(m.apply_own(add_fm(5, [10, 0, 0, 9], 3)).len(), 1);
+        m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2), None);
+        m.on_flowmod(0, 2, add_fm(20, [10, 0, 0, 1], 4), None);
+        // #3: the expected table refuses it, so it is acked at once.
+        let mut refused = add_fm(1, [10, 0, 0, 7], 5);
+        refused.check_overlap = true;
+        let acked = m.on_flowmod(0, 3, refused, None);
+        let ack = ProxyOutput::Confirmed {
+            token: 3,
+            verified: false,
+        };
+        assert!(acked.contains(&ack), "{acked:?}");
+        assert_eq!(m.on_rejected(1, 1), (None, vec![]));
+        assert_eq!(m.on_rejected(1, 3), (Some(3), vec![]));
+        let (token, out) = m.on_rejected(1, 2);
+        assert_eq!(
+            (token, &out[0]),
+            (Some(1), &ProxyOutput::Alarm { token: 1 })
+        );
+        assert!(matches!(out[1], ProxyOutput::ToSwitch(_)), "{out:?}"); // #4
+        assert_eq!((m.in_flight(), m.queued()), (1, 0));
+        m.on_claim(2, m.flowmods_sent());
+        assert_eq!(m.on_rejected(3, 4), (None, vec![]));
+        assert_eq!(m.in_flight(), 1);
     }
 
     /// Probes sent for one update no claim covers, ticking every ms for

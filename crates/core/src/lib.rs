@@ -20,7 +20,7 @@
 //! | §3.2/§3.4 DiffPorts/DiffRewrite, App. B Tables 3–4 | [`outcome`] |
 //! | §5.2 abstract→raw translation, spare values | [`generator`], `monocle-packet` |
 //! | plan cache + fast path in front of the generator (hot path) | [`engine`] |
-//! | §2 expected-state tracking, one warm planner per switch: the expected table and pins; all planning work, update plans and steady refreshes alike, one stream of [`planner::Step`]s answered by one function — at once on the monitor itself inline, or on a [`planner::Replica`] replaying the stream — and handed back through one entry (`MonitorProxy::answer`) | [`dynamic`], [`planner`] |
+//! | §2 expected-state tracking, one warm planner per switch: the expected table and pins; all planning work, update plans and steady refreshes alike, one stream of [`planner::Step`]s answered by one function — at once on the monitor itself inline, or on a [`planner::Replica`] replaying the stream — a deferred planner's answers handed back through one entry (`MonitorProxy::answer`) | [`dynamic`], [`planner`] |
 //! | the sweep set; a serial job-batch shim (benchmark and tests only) | [`pool`] |
 //! | probe plans & semantic verification | [`plan`] |
 //! | §3 steady-state monitoring: the sweep, its probes and their verdicts (`RuleFailed` / `RuleRecovered`), emitted as the proxy's outputs | [`steady`] |

@@ -13,7 +13,7 @@
 //! absence), an add's or a modify's *after* it, and a refresh is answered on
 //! the table as of the FlowMods before it.
 //!
-//! One function, `answer`, answers a plan or a refresh request on a
+//! One function, [`answer`], answers a plan or a refresh request on a
 //! planner, and every planner answers with it. Inline, the monitor *is* the
 //! planner: its expected table, engine and pins are one, and each request
 //! is answered on them the moment it is pushed — when the table stands at
@@ -205,8 +205,9 @@ pub(crate) fn refresh(
     table: &FlowTable,
     engine: &mut ProbeEngine,
     catch: &CatchSpec,
-    mut work: Vec<RuleId>,
+    work: &[RuleId],
 ) -> Refreshed {
+    let mut work = work.to_vec();
     work.extend(engine.take_evicted(table));
     work.sort_unstable();
     work.dedup();
@@ -234,14 +235,15 @@ pub(crate) fn engine(catch: &CatchSpec) -> ProbeEngine {
     })
 }
 
-/// Answers `step` on a planner: a [`Step::Plan`] with [`plan`] and a
-/// [`Step::Refresh`] with [`refresh`], on `planner`'s table, engine and
-/// pins. Without them (`None`: no replica, or one lost) a plan request is
-/// answered with no plan and a refresh with the table lost. A
-/// [`Step::Start`] or a [`Step::Apply`] asks for no answer.
-pub(crate) fn answer(
+/// Answers `step` on a planner — a [`Step::Plan`] with the update's probe
+/// and a [`Step::Refresh`] with the steady plans — on `planner`'s table,
+/// engine and pins, inline and on a [`Replica`] alike. Without them
+/// (`None`: no replica yet, or one lost) a plan request is answered with no
+/// plan and a refresh with the table lost. A [`Step::Start`] or a
+/// [`Step::Apply`] asks for no answer.
+pub fn answer(
     planner: Option<(&FlowTable, &mut ProbeEngine, &CatchSpec)>,
-    step: Step,
+    step: &Step,
 ) -> Option<Answer> {
     Some(match step {
         Step::Start { .. } | Step::Apply(_) => return None,
@@ -250,10 +252,10 @@ pub(crate) fn answer(
             rule_id,
             kind,
         } => Answer::Plan {
-            token,
+            token: *token,
             plan: match planner {
-                Some((table, engine, catch)) => plan(table, engine, catch, rule_id, &kind),
-                None => Err(ProbeError::NoSuchRule(rule_id)),
+                Some((table, engine, catch)) => plan(table, engine, catch, *rule_id, kind),
+                None => Err(ProbeError::NoSuchRule(*rule_id)),
             },
         },
         Step::Refresh { work } => Answer::Refresh(
@@ -295,7 +297,7 @@ impl Replica {
                 let _ = r.table.apply(&fm);
                 None
             }
-            (step, r) => answer(r.map(|r| (&r.table, &mut r.engine, &r.catch)), step),
+            (step, r) => answer(r.map(|r| (&r.table, &mut r.engine, &r.catch)), &step),
         }
     }
 }

@@ -276,13 +276,15 @@ impl MonitorProxy {
     }
 
     /// The switch answered the FlowMod numbered `number` among those this
-    /// proxy emitted ([`Self::flowmods_sent`]) with an error: the update it
-    /// started, if still unfinished, ends with [`ProxyOutput::Alarm`], which
+    /// proxy emitted ([`Self::flowmods_sent`]) with an error, before any
+    /// claim covered it. Returns the token of the controller update that
+    /// FlowMod carried, which the switch's error belongs to even when the
+    /// update is answered already, or `None` for one of the proxy's own. The
+    /// update, if still unfinished, ends with [`ProxyOutput::Alarm`], which
     /// releases the updates queued behind it ([`DynamicMonitor::on_rejected`]).
-    /// An error for one of the proxy's own FlowMods puts nothing out.
-    pub fn on_flowmod_error(&mut self, now: u64, number: u64) -> Vec<ProxyOutput> {
-        let out = self.dynamic.on_rejected(now, number);
-        self.note_touched(now, out)
+    pub fn on_flowmod_error(&mut self, now: u64, number: u64) -> (Option<u64>, Vec<ProxyOutput>) {
+        let (token, out) = self.dynamic.on_rejected(now, number);
+        (token, self.note_touched(now, out))
     }
 
     /// A FlowMod from the controller, as update `token`: the token its
@@ -376,8 +378,9 @@ impl MonitorProxy {
         self.dynamic.take_plan_requests()
     }
 
-    /// Hands a planner's answer back: the one way back for every answer,
-    /// inline and deferred. A plan goes to the update it was requested for
+    /// Hands a planner's answer back: the one way back for a deferred
+    /// planner's answers and for the inline refresh (an inline plan is handed
+    /// back inside the monitor). A plan goes to the update it was requested for
     /// ([`Self::attach_plan`]), a refresh into the steady cycle (which reads
     /// no clock). A plan for an update that awaits none — unknown, or
     /// answered already — puts nothing out.
@@ -477,9 +480,9 @@ impl MonitorProxy {
                 .filter(|(_, e)| **e == ProbeError::RepairFailed);
             work.extend(repair.map(|(id, _)| *id));
             self.refresh_outstanding = true;
-            self.dynamic.step(Step::Refresh { work });
-            // Inline, the answer is in already (and reads no clock).
-            while let Some(answer) = self.dynamic.answers.pop_front() {
+            // Inline, the answer is in already; a refresh answer reads no
+            // clock and puts nothing out.
+            if let Some(answer) = self.dynamic.step(Step::Refresh { work }) {
                 self.answer(0, answer);
             }
         }

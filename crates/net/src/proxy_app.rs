@@ -30,15 +30,18 @@
 //!    side's `EchoRequest` (OpenFlow keepalive) is answered by the proxy
 //!    under its xid and never crosses to the other side.
 //!
-//! An `Error` the switch sends for a FlowMod the proxy forwarded is the
-//! monitor's, not the controller's: the session remembers each forwarded
-//! FlowMod's proxy xid with its number among the monitor's FlowMods
-//! ([`MonitorProxy::flowmods_sent`]) until a claim covers it, and an error
-//! under one of those xids goes to [`MonitorProxy::on_flowmod_error`]. The
-//! update that FlowMod started ends with an alarm — one `Error` to the
-//! controller under its FlowMod's xid, and no ack — and the updates queued
-//! behind it are released. An error for one of Monocle's own FlowMods goes
-//! no further. Any other `Error` passes through under its xid.
+//! An `Error` the switch sends for a FlowMod it was sent goes through the
+//! monitor: the session remembers each FlowMod's proxy xid with its number
+//! among the monitor's FlowMods ([`MonitorProxy::flowmods_sent`]) until a
+//! claim covers it, and an error under one of those xids goes to
+//! [`MonitorProxy::on_flowmod_error`], which names the controller update the
+//! FlowMod carried. The controller gets the switch's `Error` as the switch
+//! sent it, under its FlowMod's xid. An update not answered yet gets no ack:
+//! it ends with an alarm (the error stands in for the proxy's own), and the
+//! updates queued behind it are released. One answered already — an update
+//! with nothing to probe is acked at once — gets the error after its ack.
+//! An error for one of Monocle's own FlowMods goes no further. Any other
+//! `Error` passes through under its xid.
 //!
 //! Every session's monitor catches with [`CatchSpec::default`]: one global
 //! spec cannot carry §6's per-switch catching tags, which wait for a
@@ -112,7 +115,7 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
 use monocle::encode::CatchSpec;
-use monocle::planner::{Answer, Replica, Step};
+use monocle::planner::{self, Answer, Replica, Step};
 use monocle::proxy::{MonitorProxy, ProbeInjection, ProxyConfig, ProxyOutput};
 use monocle::steady::SteadyConfig;
 use monocle::PoolConfig;
@@ -244,12 +247,10 @@ struct Session {
     to_controller: Vec<(OfMessage, u32)>,
     /// Injections parked by backpressure, flushed on `Drained`.
     paused_injections: Vec<ProbeInjection>,
-    /// Update token → the FlowMod's xid, which its ack or alarm is sent
-    /// under, and when the FlowMod came, for the ack RTT. The token is the
-    /// FlowMod's number in the session (`stats.flowmods`): each FlowMod is an
-    /// update of its own whatever xid it came under, and the monitor's
-    /// tokens must be unique while their update is unfinished.
-    updates: HashMap<u64, (u32, u64)>,
+    /// Unanswered update token → when its FlowMod came, for the ack RTT.
+    /// A token's low 32 bits are the FlowMod's xid, which its ack, alarm or
+    /// error goes back under.
+    updates: HashMap<u64, u64>,
     /// Barriers sent to the switch and not answered yet, by proxy xid.
     barriers: HashMap<u32, Barrier>,
     /// FlowMods sent to the switch, by proxy xid: each one's number among
@@ -390,21 +391,22 @@ impl ProxyApp {
                     if verified {
                         sess.stats.verified += 1;
                     }
-                    if let Some((xid, sent)) = sess.updates.remove(&token) {
+                    if let Some(sent) = sess.updates.remove(&token) {
                         sess.ack_rtt.update(now.saturating_sub(sent) as f64);
                         sess.stats.ack_rtt_ewma_ns = sess.ack_rtt.get();
                         sess.stats.ack_rtt_samples = sess.ack_rtt.samples();
+                        let xid = token as u32;
                         Self::send_to_controller(ctx, sess, OfMessage::BarrierReply, xid);
                     }
                 }
                 ProxyOutput::Alarm { token } => {
                     sess.stats.alarms += 1;
-                    if let Some((xid, _)) = sess.updates.remove(&token) {
+                    if sess.updates.remove(&token).is_some() {
                         let error = OfMessage::Error {
                             err_type: 5, // OFPET_FLOW_MOD_FAILED
                             code: 0,
                         };
-                        Self::send_to_controller(ctx, sess, error, xid);
+                        Self::send_to_controller(ctx, sess, error, token as u32);
                     }
                 }
                 ProxyOutput::RuleFailed { .. } => sess.stats.rules_failed += 1,
@@ -552,10 +554,22 @@ impl ProxyApp {
                 Some(Barrier::Relayed { xid }) => Self::send_to_controller(ctx, sess, msg, xid),
                 None => Self::send_to_controller(ctx, sess, msg, xid),
             },
-            OfMessage::Error { .. } => match sess.flowmod_numbers.remove(&xid) {
-                Some(number) => self.drive(ctx, session, |p, now| p.on_flowmod_error(now, number)),
-                None => Self::send_to_controller(ctx, sess, msg, xid),
-            },
+            OfMessage::Error { .. } => {
+                let number = sess.flowmod_numbers.remove(&xid);
+                let Some((number, proxy)) = number.zip(sess.proxy.as_mut()) else {
+                    return Self::send_to_controller(ctx, sess, msg, xid);
+                };
+                // A FlowMod the monitor sent: a controller's error goes back
+                // as the switch sent it, under the FlowMod's xid, in place of
+                // the update's ack or alarm if it has none yet; one for
+                // Monocle's own goes no further.
+                let (token, outputs) = proxy.on_flowmod_error(ctx.now_ns(), number);
+                if let Some(token) = token {
+                    sess.updates.remove(&token);
+                    Self::send_to_controller(ctx, sess, msg, token as u32);
+                }
+                self.process_outputs(ctx, session, outputs);
+            }
             // FlowRemoved, …: pass through unchanged.
             other => Self::send_to_controller(ctx, sess, other, xid),
         }
@@ -579,8 +593,11 @@ impl ProxyApp {
             }
             OfMessage::FlowMod(fm) => {
                 sess.stats.flowmods += 1;
-                let token = sess.stats.flowmods;
-                sess.updates.insert(token, (xid, ctx.now_ns()));
+                // Each FlowMod is an update of its own whatever xid it came
+                // under: its token is its number in the session, above the
+                // xid its answer goes back under.
+                let token = sess.stats.flowmods << 32 | u64::from(xid);
+                sess.updates.insert(token, ctx.now_ns());
                 self.drive(ctx, session, |p, now| {
                     p.on_controller_flowmod(now, token, fm)
                 });
@@ -750,19 +767,19 @@ fn planner_main(rx: Receiver<ToPlanner>, done: Sender<PlanDone>, waker: Arc<mio:
                 }
             };
             let slot = replicas.entry(session).or_default();
-            let attempt = (*step).clone();
+            // A step that panics may leave the replica mid-mutation: it is
+            // dropped, and the step answered as a lost replica answers it.
+            let lost = planner::answer(None, &step);
             let advanced = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 #[cfg(test)]
-                if matches!(attempt, Step::Plan { .. }) && poisoned.remove(&session) {
+                if matches!(*step, Step::Plan { .. }) && poisoned.remove(&session) {
                     panic!("injected planner panic");
                 }
-                Replica::step(slot, attempt)
+                Replica::step(slot, *step)
             }));
-            // A step that panicked may have left the replica mid-mutation:
-            // it is dropped, and the step answered as a lost replica answers.
             let answer = advanced.unwrap_or_else(|_| {
                 *slot = None;
-                Replica::step(slot, *step)
+                lost
             });
             let Some(answer) = answer else {
                 continue;
@@ -1272,12 +1289,20 @@ mod tests {
     }
 
     /// The priorities [`RejectingSwitch`] answers with an `Error`: the
-    /// proxy's default route and the controller's first update.
+    /// proxy's default route's, and so the controller's first and third
+    /// updates.
     const REJECTED: [u16; 2] = [1, 10];
+
+    /// The `Error` [`RejectingSwitch`] answers with: not the one the proxy
+    /// makes up for an alarm (code 0).
+    const REJECTION: OfMessage = OfMessage::Error {
+        err_type: 5, // OFPET_FLOW_MOD_FAILED
+        code: 1,     // OFPFMFC_OVERLAP
+    };
 
     /// A switch (datapath id 1) that answers the proxy's `FeaturesRequest`
     /// and barriers, records the priority of every FlowMod it is sent, and
-    /// rejects those of [`REJECTED`] priority with an `Error` under the
+    /// rejects those of [`REJECTED`] priority with [`REJECTION`] under the
     /// FlowMod's xid. It never returns a probe, and stops when the proxy
     /// hangs up.
     struct RejectingSwitch {
@@ -1304,10 +1329,7 @@ mod tests {
                     if !REJECTED.contains(&fm.priority) {
                         return;
                     }
-                    OfMessage::Error {
-                        err_type: 5, // OFPET_FLOW_MOD_FAILED
-                        code: 1,
-                    }
+                    REJECTION
                 }
                 _ => return,
             };
@@ -1316,10 +1338,13 @@ mod tests {
     }
 
     /// A controller that sends two overlapping FlowMods, under xids 1 and 2,
-    /// and records every `Error` and `BarrierReply` it is sent, with its
-    /// xid, until a while after the first `Error`.
+    /// then under xid 3 one that overlaps neither but asks the switch to
+    /// check for overlaps at the default route's priority — the expected
+    /// table refuses it, so there is nothing to probe — and records every
+    /// `Error` and `BarrierReply` it is sent, with its xid, until a while
+    /// after the first `Error`.
     struct RejectedController {
-        answers: Arc<Mutex<Vec<(&'static str, u32)>>>,
+        answers: Arc<Mutex<Vec<(u32, OfMessage)>>>,
     }
 
     impl Driver for RejectedController {
@@ -1339,15 +1364,19 @@ mod tests {
                     // Both forward off the default route (port 2): monitorable.
                     let first = FlowMod::add(10, subnet, vec![Action::Output(3)]);
                     let second = FlowMod::add(20, host, vec![Action::Output(4)]);
+                    let other = Match::any().with_nw_dst([10, 0, 1, 0], 24);
+                    let mut third = FlowMod::add(1, other, vec![Action::Output(4)]);
+                    third.check_overlap = true;
                     let _ = ctx.send(conn, &OfMessage::FlowMod(first), 1);
                     let _ = ctx.send(conn, &OfMessage::FlowMod(second), 2);
+                    let _ = ctx.send(conn, &OfMessage::FlowMod(third), 3);
                 }
                 TransportEvent::Message { msg, xid, .. } => {
                     if matches!(msg, OfMessage::Error { .. }) {
                         ctx.schedule_in(100_000_000, SETTLED);
                     }
                     if matches!(msg, OfMessage::Error { .. } | OfMessage::BarrierReply) {
-                        self.answers.lock().unwrap().push((msg.kind(), xid));
+                        self.answers.lock().unwrap().push((xid, msg));
                     }
                 }
                 TransportEvent::Timer { .. } => ctx.stop(),
@@ -1357,10 +1386,12 @@ mod tests {
     }
 
     /// The switch rejects the proxy's default route and the controller's
-    /// first FlowMod. The controller hears of the second only: one `Error`,
-    /// under its FlowMod's xid, and no ack. The monitor ends that update
-    /// with an alarm instead of probing it forever, and the update queued
-    /// behind it reaches the switch.
+    /// first and third FlowMods. The controller hears nothing of the first
+    /// rejection. Of the second it hears the switch's own `Error`, under its
+    /// FlowMod's xid, and no ack: the monitor ends that update with an alarm
+    /// instead of probing it forever, and the update queued behind it
+    /// reaches the switch. The third, with nothing to probe, was acked at
+    /// once; the switch's `Error` for it follows the ack, under its xid.
     #[test]
     fn a_rejected_flowmod_alarms_its_update_under_the_controllers_xid() {
         let (answers, installs) = (Arc::default(), Arc::default());
@@ -1371,9 +1402,12 @@ mod tests {
             installs: Arc::clone(&installs),
         };
         let ps = between(controller, switch);
-        assert_eq!(*answers.lock().unwrap(), [("Error", 1)]);
-        assert_eq!(*installs.lock().unwrap(), [1, 10, 20]);
+        let mut answers = answers.lock().unwrap().clone();
+        answers.sort_by_key(|(xid, _)| *xid); // stable: per xid, as sent
+        let expected = [(1, REJECTION), (3, OfMessage::BarrierReply), (3, REJECTION)];
+        assert_eq!(answers, expected);
+        assert_eq!(*installs.lock().unwrap(), [1, 10, 1, 20]);
         let sess = ps.values().next().expect("one session");
-        assert_eq!((sess.flowmods, sess.alarms, sess.confirmed), (2, 1, 0));
+        assert_eq!((sess.flowmods, sess.alarms, sess.confirmed), (3, 1, 1));
     }
 }
