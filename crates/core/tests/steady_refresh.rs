@@ -1,7 +1,8 @@
 //! The steady refresh follows the change, not the table — and changes
 //! nothing else. Public API only, so the golden script below runs unchanged
-//! on the commit its digest was taken from (with the `STEADY_SEQ_BIT` test,
-//! which needs that constant public, left out).
+//! on older commits (with the `STEADY_SEQ_BIT` test, which needs that
+//! constant public, left out): its output stream is committed next to this
+//! file, one line per output, and a change that moves it moves lines there.
 
 use monocle::generator::{generate_probe, GeneratorConfig, ProbeError};
 use monocle::pool::monitorable_ids;
@@ -35,7 +36,7 @@ enum Event {
 
 /// A sans-IO proxy on a virtual clock (1 ms tick, 2 ms install, 3 ms probe
 /// round trip) against a datapath table of the test's own, every
-/// `ProxyOutput` folded into an FNV-1a digest of its `Debug` form.
+/// `ProxyOutput` written down as one line of the stream ([`line`]).
 struct World {
     proxy: MonitorProxy,
     datapath: FlowTable,
@@ -45,6 +46,8 @@ struct World {
     failed: Vec<u64>,
     /// Every probe injected, in order.
     injected: Vec<ProbeInjection>,
+    /// Every output, as [`line`] writes it.
+    stream: Vec<String>,
     outputs: u64,
     digest: u64,
 }
@@ -59,6 +62,7 @@ impl World {
             confirmed: 0,
             failed: Vec::new(),
             injected: Vec::new(),
+            stream: Vec::new(),
             outputs: 0,
             digest: 0xcbf2_9ce4_8422_2325,
         }
@@ -74,6 +78,7 @@ impl World {
         for o in outputs {
             self.outputs += 1;
             self.fold(&o);
+            self.stream.push(line(self.now, &o));
             match o {
                 ProxyOutput::ToSwitch(fm) => self
                     .events
@@ -125,6 +130,67 @@ impl World {
     }
 }
 
+/// 64-bit FNV-1a of `item`'s `Debug` form.
+fn fnv1a(item: &impl std::fmt::Debug) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in format!("{item:?}").bytes() {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// One output as a line of the golden stream: the virtual ms it went out
+/// at, its kind, the token or rule id it names, the probe's sequence number
+/// (a FlowMod's command and priority, an ack's `verified`), and the hash of
+/// its whole `Debug` form, so that the line pins every byte of it.
+fn line(now: u64, o: &ProxyOutput) -> String {
+    let what = match o {
+        ProxyOutput::ToSwitch(fm) => format!("ToSwitch {:?} p{}", fm.command, fm.priority),
+        ProxyOutput::Inject(inj) => format!("Inject r{} s{}", inj.meta.rule_id, inj.meta.seq),
+        ProxyOutput::Confirmed { token, verified } => format!("Confirmed t{token} {verified}"),
+        ProxyOutput::RuleFailed { rule_id, .. } => format!("RuleFailed {rule_id}"),
+        ProxyOutput::RuleRecovered { rule_id } => format!("RuleRecovered {rule_id}"),
+        ProxyOutput::Alarm { token } => format!("Alarm t{token}"),
+    };
+    format!("{} {what} {:016x}", now / MS, fnv1a(o))
+}
+
+/// The committed output stream of [`output_stream_of_a_fixed_script_is_pinned`].
+const GOLDEN_STREAM: &str = "tests/output_stream.golden";
+
+/// Checks `stream` line by line against [`GOLDEN_STREAM`]. On a mismatch
+/// the stream produced is written under the test target's scratch directory
+/// and the first lines that differ are printed: re-pinning is copying that
+/// file over the committed one, and the diff is the explanation.
+fn assert_matches_golden_stream(stream: &[String]) {
+    let committed = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_STREAM);
+    let golden = std::fs::read_to_string(&committed).unwrap_or_default();
+    let golden: Vec<&str> = golden.lines().collect();
+    if golden == stream {
+        return;
+    }
+    let produced = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("output_stream.golden");
+    std::fs::write(&produced, stream.join("\n") + "\n").expect("write the produced stream");
+    println!("produced stream: {}", produced.display());
+    println!("committed stream: {}", committed.display());
+    let len = golden.len().max(stream.len());
+    let differing =
+        (0..len).filter(|&i| golden.get(i).copied() != stream.get(i).map(String::as_str));
+    for i in differing.take(10) {
+        println!("line {}:", i + 1);
+        println!("  committed {}", golden.get(i).unwrap_or(&"(none)"));
+        println!(
+            "  produced  {}",
+            stream.get(i).map_or("(none)", String::as_str)
+        );
+    }
+    panic!(
+        "the output stream moved ({} lines committed, {} produced)",
+        golden.len(),
+        stream.len()
+    );
+}
+
 fn acl(rules: usize) -> Vec<RuleSpec> {
     generate(&AclConfig {
         rules,
@@ -136,8 +202,10 @@ fn acl(rules: usize) -> Vec<RuleSpec> {
 /// preload, then ten virtual seconds of strict modifies, strict deletes
 /// and re-adds every 50 ms with every probe answered by the datapath, and a
 /// rule silently lost from the datapath every 400 ms — must produce the
-/// `ProxyOutput` stream it produced at the parent commit (68dddec, where
-/// every refresh re-planned the whole table), to the byte.
+/// committed `ProxyOutput` stream ([`GOLDEN_STREAM`]), every output in
+/// order and to the byte, and end with the same unmonitorable rules. The
+/// stream was first taken at 68dddec, where every refresh re-planned the
+/// whole table.
 #[test]
 fn output_stream_of_a_fixed_script_is_pinned() {
     let rules = acl(300);
@@ -192,6 +260,9 @@ fn output_stream_of_a_fixed_script_is_pinned() {
     }
     let unmonitorable: Vec<RuleId> = w.proxy.unmonitorable.iter().map(|(id, _)| *id).collect();
     w.fold(&unmonitorable);
+    let ids: Vec<String> = unmonitorable.iter().map(RuleId::to_string).collect();
+    w.stream.push(format!("unmonitorable {}", ids.join(" ")));
+    assert_matches_golden_stream(&w.stream);
     println!(
         "outputs {} confirmed {} failed {} unmonitorable {} digest {:#018x}",
         w.outputs,
