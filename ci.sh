@@ -28,13 +28,16 @@ echo "== deeper property pass: dynamic monitoring (replica and switch mirror, dr
 PROPTEST_CASES=1000 cargo test --release -q -p monocle --lib dynamic::tests::props
 
 echo "== deeper differential: the steady refresh, inline and deferred =="
-# Tier-1 runs 40 random scripts: the incremental refresh matches the
+# Tier-1 runs 40 random scripts of each: the incremental refresh matches the
 # whole-table oracle, the switch the proxies' FlowMods drive holds their
 # expected table after every call, and a deferred twin whose refresh answers
 # land up to three calls late holds valid plans at every landing and, once
-# quiet, what a fresh whole-table plan of its table finds.
-PROPTEST_CASES=1000 cargo test --release -q -p monocle --lib \
-    proxy::tests::incremental_refresh_matches_whole_table_oracle_on_random_scripts
+# quiet, what a fresh whole-table plan of its table finds. A deferred twin
+# whose answers all land at once puts out what the inline proxy does, in the
+# same order, and asks for its refresh on the ticks the inline one runs it.
+PROPTEST_CASES=1000 cargo test --release -q -p monocle --lib -- \
+    proxy::tests::incremental_refresh_matches_whole_table_oracle_on_random_scripts \
+    proxy::tests::a_deferred_refresh_is_asked_for_on_the_ticks_an_inline_one_runs
 
 echo "== deeper property pass: the steady scheduler (budget, SLO, round-robin queue) =="
 # Tier-1 runs these at 64 cases. The budget invariant is checked on

@@ -49,6 +49,15 @@
 //! built where the plan is in hand, and their returns are judged against
 //! that plan here ([`DynamicMonitor::on_probe_return`]). The outputs are
 //! the proxy's own: `MonitorProxy` passes them on unchanged.
+//!
+//! A call's own outputs come first, then the probes (or optimistic acks) of
+//! the updates it started, in request order: an update's plan, inline or
+//! deferred, is handed back only after the call that asked for it
+//! ([`DynamicMonitor::attach_plan`]), so a tick that confirms several updates
+//! puts out every confirmation before the first probe of an update they
+//! released. Inline, `MonitorProxy` hands the answers back at the end of
+//! each call (`attach_answers`); deferred, the transport does as its
+//! planner answers. The two put out one order.
 
 use crate::encode::CatchSpec;
 use crate::engine::ProbeEngine;
@@ -256,8 +265,9 @@ impl DynamicMonitor {
     /// Chooses who answers the planning steps, for the updates' probes and
     /// the steady refreshes alike. Inline (the default; the simulator/harness
     /// path): the monitor, on itself with its own engine, the moment each
-    /// step is pushed. Deferred (the transport path): an
-    /// external planner that replays the monitor's [`Step`]s
+    /// step is pushed, its plan answers handed back after the call
+    /// (`attach_answers`). Deferred (the transport path): an external
+    /// planner that replays the monitor's [`Step`]s
     /// ([`Self::take_plan_steps`]) on a [`crate::planner::Replica`] — in
     /// practice a planner thread per group of switches, so generation
     /// overlaps the switches' install latencies and never runs on the I/O
@@ -281,7 +291,8 @@ impl DynamicMonitor {
     /// answered at once ([`planner::answer`]) on the expected table — which
     /// stands at exactly this point of the stream — with the monitor's own
     /// engine and pins, and the answer returned. The one place the two modes
-    /// differ.
+    /// differ: either way an update's plan lands after the call that asked
+    /// for it, inline through [`Self::attach_answers`].
     pub(crate) fn step(&mut self, step: Step) -> Option<Answer> {
         let Some(engine) = &mut self.engine else {
             self.steps.push(step);
@@ -404,9 +415,9 @@ impl DynamicMonitor {
     /// A FlowMod arrives from the controller as update `token`, which must
     /// not name another unfinished update. `finalize`: §4.3's FlowMod that
     /// turns the stand-in `fm` into the real drop, sent when it confirms.
+    /// Its probe goes out when its plan is handed back, after this call.
     pub fn on_flowmod(
         &mut self,
-        now: u64,
         token: u64,
         fm: FlowMod,
         finalize: Option<FlowMod>,
@@ -418,7 +429,6 @@ impl DynamicMonitor {
             self.queued.push_back((token, fm, finalize));
         } else {
             self.start_update(token, fm, finalize, &mut out);
-            self.attach_answers(now, &mut out);
         }
         out
     }
@@ -574,16 +584,20 @@ impl DynamicMonitor {
     }
 
     /// Hands the inline planner's plan answers back, in request order, the
-    /// ones that handing back releases included — what a transport driver
-    /// does with [`Self::attach_plan`] as its planner answers the steps in
-    /// order. It runs where an update starts or is released, so a tick that
-    /// confirms several updates hands back what each releases before the
-    /// next confirmation, where a deferred planner can answer only after the
-    /// tick. Deferred, there are none.
-    fn attach_answers(&mut self, now: u64, out: &mut Vec<ProxyOutput>) {
+    /// ones that handing back requests included (an unmonitorable answer
+    /// finishes its update, which can release queued ones), and returns what
+    /// that puts out — what a transport driver does with
+    /// [`Self::attach_plan`] after the call, as its planner answers the
+    /// steps in order. `MonitorProxy` calls it after every call that can
+    /// start an update, so an inline answer lands where a deferred one
+    /// answered at once does: after the call's own outputs. Deferred, there
+    /// are none.
+    pub(crate) fn attach_answers(&mut self, now: u64) -> Vec<ProxyOutput> {
+        let mut out = Vec::new();
         while let Some((token, plan)) = self.answers.pop_front() {
             out.extend(self.attach_plan(now, token, plan));
         }
+        out
     }
 
     /// Completes a plan request: the planner hands back the plan for update
@@ -603,7 +617,7 @@ impl DynamicMonitor {
             return out; // unknown or duplicate attach
         };
         let Some(mut plan) = plan else {
-            self.finish(now, idx, false, &mut out);
+            self.finish(idx, false, &mut out);
             return out;
         };
         let u = &mut self.updates[idx];
@@ -683,10 +697,10 @@ impl DynamicMonitor {
         }
         for token in silent_done {
             let idx = self.updates.iter().position(|u| u.token == token).unwrap();
-            self.finish(now, idx, true, &mut out);
+            self.finish(idx, true, &mut out);
         }
         if !alarmed.is_empty() {
-            self.alarm(now, alarmed, &mut out);
+            self.alarm(alarmed, &mut out);
         }
         out
     }
@@ -699,14 +713,14 @@ impl DynamicMonitor {
     /// covered, which changes nothing. An update still unfinished ends with
     /// an alarm; its plan, should one still arrive, is ignored. The expected
     /// table keeps the FlowMod: it holds what the controller asked for.
-    pub fn on_rejected(&mut self, now: u64, number: u64) -> (Option<u64>, Vec<ProxyOutput>) {
+    pub fn on_rejected(&mut self, number: u64) -> (Option<u64>, Vec<ProxyOutput>) {
         let mut out = Vec::new();
         let Ok(i) = self.unclaimed.binary_search_by_key(&number, |(n, _)| *n) else {
             return (None, out);
         };
         let token = self.unclaimed[i].1;
         if self.updates.iter().any(|u| u.forwarded == number) {
-            self.alarm(now, vec![token], &mut out);
+            self.alarm(vec![token], &mut out);
         }
         (Some(token), out)
     }
@@ -715,18 +729,18 @@ impl DynamicMonitor {
     /// terminal as a confirmed one: whatever was conflict-queued behind it
     /// must not wait for an unrelated confirmation. Its finalizer is never
     /// sent.
-    fn alarm(&mut self, now: u64, tokens: Vec<u64>, out: &mut Vec<ProxyOutput>) {
+    fn alarm(&mut self, tokens: Vec<u64>, out: &mut Vec<ProxyOutput>) {
         self.updates.retain(|u| !tokens.contains(&u.token));
         out.extend(tokens.into_iter().map(|token| ProxyOutput::Alarm { token }));
-        self.release_queued(now, out);
+        self.release_queued(out);
     }
 
     /// Update `idx` is confirmed: out of the record, acknowledged, and
     /// whatever was queued behind it released.
-    fn finish(&mut self, now: u64, idx: usize, verified: bool, out: &mut Vec<ProxyOutput>) {
+    fn finish(&mut self, idx: usize, verified: bool, out: &mut Vec<ProxyOutput>) {
         let u = self.updates.remove(idx);
         self.acknowledge(u.token, u.finalize, verified, out);
-        self.release_queued(now, out);
+        self.release_queued(out);
     }
 
     /// Acknowledges update `token`, after sending its §4.3 finalizer: the
@@ -748,7 +762,7 @@ impl DynamicMonitor {
     /// Starts every conflict-queued update whose conflicts have cleared, in
     /// queue order: one that overlaps a started update, or one queued ahead
     /// of it that stays queued, waits (a released update requests its plan).
-    fn release_queued(&mut self, now: u64, out: &mut Vec<ProxyOutput>) {
+    fn release_queued(&mut self, out: &mut Vec<ProxyOutput>) {
         let mut requeue = VecDeque::new();
         while let Some((token, fm, finalize)) = self.queued.pop_front() {
             if self.conflicts(&fm, &requeue) {
@@ -758,7 +772,6 @@ impl DynamicMonitor {
             }
         }
         self.queued = requeue;
-        self.attach_answers(now, out);
     }
 
     /// Probe `seq` came back: `out_port` is the probed switch's output port
@@ -789,7 +802,7 @@ impl DynamicMonitor {
         };
         let u = &mut self.updates[idx];
         if verdict == u.confirm_on {
-            self.finish(now, idx, true, &mut out);
+            self.finish(idx, true, &mut out);
         } else if verdict != Verdict::Inconclusive {
             // Transient inconsistency (§4.1): e.g. the rule is not installed
             // *yet*. Not an alarm; keep probing (and push the silence window
@@ -823,6 +836,14 @@ mod tests {
         m
     }
 
+    /// Update `token` through [`DynamicMonitor::on_flowmod`], with the
+    /// inline answers handed back after the call, as `MonitorProxy` does.
+    fn flowmod(m: &mut DynamicMonitor, now: u64, token: u64, fm: FlowMod) -> Vec<ProxyOutput> {
+        let mut out = m.on_flowmod(token, fm, None);
+        out.extend(m.attach_answers(now));
+        out
+    }
+
     /// The sequence number of the probe `o` injects, if it is one.
     fn injected(o: &ProxyOutput) -> Option<u32> {
         match o {
@@ -848,7 +869,7 @@ mod tests {
     #[test]
     fn add_forwards_and_probes() {
         let mut m = monitor();
-        let acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2), None);
+        let acts = flowmod(&mut m, 0, 1, add_fm(10, [10, 0, 0, 1], 2));
         assert!(matches!(acts[0], ProxyOutput::ToSwitch(_)));
         let ProxyOutput::Inject(inj) = &acts[1] else {
             panic!("{acts:?}")
@@ -864,7 +885,7 @@ mod tests {
     #[test]
     fn present_verdict_confirms_add() {
         let mut m = monitor();
-        let acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2), None);
+        let acts = flowmod(&mut m, 0, 1, add_fm(10, [10, 0, 0, 1], 2));
         let seq = seq_of(&acts, 1);
         let out = m.on_verdict(100, seq, Verdict::Present);
         assert_eq!(
@@ -880,7 +901,7 @@ mod tests {
     #[test]
     fn absent_verdict_keeps_probing_add() {
         let mut m = monitor();
-        let acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2), None);
+        let acts = flowmod(&mut m, 0, 1, add_fm(10, [10, 0, 0, 1], 2));
         let seq = seq_of(&acts, 1);
         // The switch hasn't installed yet: probe observed the old state.
         assert!(m.on_verdict(100, seq, Verdict::Absent).is_empty());
@@ -893,12 +914,12 @@ mod tests {
     #[test]
     fn delete_confirms_on_absent() {
         let mut m = monitor();
-        let acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2), None);
+        let acts = flowmod(&mut m, 0, 1, add_fm(10, [10, 0, 0, 1], 2));
         let seq = seq_of(&acts, 1);
         m.on_verdict(1, seq, Verdict::Present);
         // Now delete it.
         let del = FlowMod::delete_strict(10, Match::any().with_nw_dst([10, 0, 0, 1], 32));
-        let acts = m.on_flowmod(10, 2, del, None);
+        let acts = flowmod(&mut m, 10, 2, del);
         assert!(matches!(acts[0], ProxyOutput::ToSwitch(_)));
         let seq = seq_of(&acts, 1);
         // Probe still sees the rule: not confirmed.
@@ -918,7 +939,7 @@ mod tests {
     #[test]
     fn modify_probes_new_version() {
         let mut m = monitor();
-        let acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2), None);
+        let acts = flowmod(&mut m, 0, 1, add_fm(10, [10, 0, 0, 1], 2));
         let seq = seq_of(&acts, 1);
         m.on_verdict(1, seq, Verdict::Present);
         // Modify the rule to forward elsewhere.
@@ -927,7 +948,7 @@ mod tests {
             Match::any().with_nw_dst([10, 0, 0, 1], 32),
             vec![Action::Output(5)],
         );
-        let acts = m.on_flowmod(10, 2, fm, None);
+        let acts = flowmod(&mut m, 10, 2, fm);
         assert!(matches!(acts[0], ProxyOutput::ToSwitch(_)));
         assert!(
             matches!(acts[1], ProxyOutput::Inject(_)),
@@ -956,7 +977,7 @@ mod tests {
             command: FlowModCommand::Modify,
             ..add_fm(10, [10, 0, 0, 1], 2)
         };
-        let acts = m.on_flowmod(0, 7, fm, None);
+        let acts = flowmod(&mut m, 0, 7, fm);
         assert!(matches!(acts[0], ProxyOutput::ToSwitch(_)));
         assert!(
             matches!(acts[1], ProxyOutput::Inject(_)),
@@ -980,7 +1001,7 @@ mod tests {
             command: FlowModCommand::Modify,
             ..add_fm(10, [10, 0, 0, 1], 5)
         };
-        let acts = m.on_flowmod(200, 8, fm2, None);
+        let acts = flowmod(&mut m, 200, 8, fm2);
         assert!(matches!(acts[1], ProxyOutput::Inject(_)));
         assert_eq!(m.expected().len(), 2, "no second rule added");
     }
@@ -995,7 +1016,7 @@ mod tests {
             Match::any().with_nw_dst([10, 0, 0, 1], 32),
             vec![Action::Output(2)],
         );
-        let acts = m.on_flowmod(0, 1, specific, None);
+        let acts = flowmod(&mut m, 0, 1, specific);
         let seq = seq_of(&acts, 1);
         m.on_verdict(1, seq, Verdict::Present);
         // DeleteStrict(5, 10.0.0.0/24): removes nothing (no rule has that
@@ -1004,7 +1025,7 @@ mod tests {
         // probe would await an Absent outcome that never comes, wedging
         // the update (and queueing everything overlapping behind it).
         let del = FlowMod::delete_strict(5, Match::any().with_nw_dst([10, 0, 0, 0], 24));
-        let acts = m.on_flowmod(10, 2, del, None);
+        let acts = flowmod(&mut m, 10, 2, del);
         assert!(matches!(acts[0], ProxyOutput::ToSwitch(_)));
         assert_eq!(
             acts[1],
@@ -1027,7 +1048,7 @@ mod tests {
             Match::any().with_nw_src([10, 0, 0, 1], 32),
             vec![Action::Output(2)],
         );
-        let acts = m.on_flowmod(0, 1, r1, None);
+        let acts = flowmod(&mut m, 0, 1, r1);
         let seq1 = seq_of(&acts, 1);
         // R3 overlaps R1 (drop for 10.0.0.0/24 x 10.0.0.0/24): queued.
         let r3 = FlowMod::add(
@@ -1037,7 +1058,7 @@ mod tests {
                 .with_nw_dst([10, 0, 0, 0], 24),
             vec![],
         );
-        let acts = m.on_flowmod(5, 3, r3, None);
+        let acts = flowmod(&mut m, 5, 3, r3);
         assert!(acts.is_empty(), "queued, not forwarded: {acts:?}");
         assert_eq!(m.queued(), 1);
         assert_eq!(m.expected().len(), 2, "queued fm not yet applied");
@@ -1052,8 +1073,8 @@ mod tests {
     #[test]
     fn non_overlapping_updates_run_in_parallel() {
         let mut m = monitor();
-        let a1 = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2), None);
-        let a2 = m.on_flowmod(0, 2, add_fm(10, [10, 0, 0, 2], 3), None);
+        let a1 = flowmod(&mut m, 0, 1, add_fm(10, [10, 0, 0, 1], 2));
+        let a2 = flowmod(&mut m, 0, 2, add_fm(10, [10, 0, 0, 2], 3));
         let rule = |acts: &[ProxyOutput]| match &acts[1] {
             ProxyOutput::Inject(inj) => inj.meta.rule_id,
             o => panic!("{o:?}"),
@@ -1067,27 +1088,23 @@ mod tests {
     fn an_update_waits_behind_a_queued_one_it_does_not_commute_with() {
         let mut m = monitor();
         let dst = |host: u8, plen: u8| Match::any().with_nw_dst([10, 0, 0, host], plen);
-        let acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2), None);
+        let acts = flowmod(&mut m, 0, 1, add_fm(10, [10, 0, 0, 1], 2));
         let seq = seq_of(&acts, 1);
         // Behind the add in flight: a non-strict delete of its /24.
         let sweep = FlowMod {
             command: FlowModCommand::Delete,
             ..FlowMod::delete_strict(0, dst(0, 24))
         };
-        assert!(m.on_flowmod(1, 2, sweep, None).is_empty());
+        assert!(flowmod(&mut m, 1, 2, sweep).is_empty());
         // Inside the /24, clear of the add in flight: an add the sweep must
         // not be overtaken by, then a strict delete of that very entry.
-        assert!(m
-            .on_flowmod(2, 3, add_fm(5, [10, 0, 0, 2], 3), None)
-            .is_empty());
-        assert!(m
-            .on_flowmod(3, 4, FlowMod::delete_strict(5, dst(2, 32)), None)
-            .is_empty());
+        assert!(flowmod(&mut m, 2, 3, add_fm(5, [10, 0, 0, 2], 3)).is_empty());
+        assert!(flowmod(&mut m, 3, 4, FlowMod::delete_strict(5, dst(2, 32))).is_empty());
         assert_eq!(m.queued(), 3);
         // Deletes commute with each other, and so do single-entry commands
         // naming different entries: this one overtakes the queue (it
         // removes nothing, so it is acked at once).
-        let acts = m.on_flowmod(4, 5, FlowMod::delete_strict(9, dst(4, 32)), None);
+        let acts = flowmod(&mut m, 4, 5, FlowMod::delete_strict(9, dst(4, 32)));
         assert_eq!(
             acts[1],
             ProxyOutput::Confirmed {
@@ -1100,12 +1117,14 @@ mod tests {
         // order leaves it — the sweep took the first add, the strict delete
         // the second.
         let mut log = m.on_verdict(5, seq, Verdict::Present);
+        log.extend(m.attach_answers(5));
         let mut answered = 0;
         while answered < log.len() {
             if let Some(seq) = injected(&log[answered]) {
                 for v in [Verdict::Present, Verdict::Absent] {
                     let out = m.on_verdict(6, seq, v);
                     log.extend(out);
+                    log.extend(m.attach_answers(6));
                 }
             }
             answered += 1;
@@ -1121,7 +1140,7 @@ mod tests {
         // Empty table: adding a rule whose presence is indistinguishable
         // from a table miss (drop rule over drop-by-miss).
         let fm = FlowMod::add(10, Match::any().with_tp_dst(23), vec![]);
-        let acts = m.on_flowmod(0, 9, fm, None);
+        let acts = flowmod(&mut m, 0, 9, fm);
         assert!(matches!(acts[0], ProxyOutput::ToSwitch(_)));
         assert_eq!(
             acts[1],
@@ -1161,7 +1180,7 @@ mod tests {
         let mut m = monitor();
         m.set_deferred_planning(true);
         let mut replica = None;
-        m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2), None);
+        m.on_flowmod(1, add_fm(10, [10, 0, 0, 1], 2), None);
         let answers = replay(&mut replica, m.take_plan_steps());
         let acts = m.attach_plan(1, 1, answers[0].1.clone());
         let seq = seq_of(&acts, 0);
@@ -1173,7 +1192,7 @@ mod tests {
     fn deferred_add_roundtrip() {
         let mut m = monitor();
         m.set_deferred_planning(true);
-        let acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2), None);
+        let acts = m.on_flowmod(1, add_fm(10, [10, 0, 0, 1], 2), None);
         // Forward only — the probe is not planned yet.
         assert_eq!(acts.len(), 1);
         assert!(matches!(acts[0], ProxyOutput::ToSwitch(_)));
@@ -1219,7 +1238,7 @@ mod tests {
         m.apply_expected(&bystander).unwrap();
         let victim = m.expected().rules()[0].id;
         let del = FlowMod::delete_strict(10, Match::any().with_nw_dst([10, 0, 0, 1], 32));
-        m.on_flowmod(10, 2, del, None);
+        m.on_flowmod(2, del, None);
         assert_eq!(m.expected().len(), 2, "delta applied immediately");
         let steps = m.take_plan_steps();
         // The victim's request comes before the delete: the replica still
@@ -1257,7 +1276,7 @@ mod tests {
             Match::any().with_nw_dst([10, 0, 0, 1], 32),
             vec![Action::Output(5)],
         );
-        m.on_flowmod(10, 2, fm, None);
+        m.on_flowmod(2, fm, None);
         let steps = m.take_plan_steps();
         let [Step::Apply(applied), Step::Plan {
             token: 2,
@@ -1294,7 +1313,7 @@ mod tests {
             Match::any().with_nw_src([10, 0, 0, 1], 32),
             vec![Action::Output(2)],
         );
-        m.on_flowmod(0, 1, r1, None);
+        m.on_flowmod(1, r1, None);
         assert_eq!(m.awaiting_plans(), 1);
         // Overlapping update while the first one's plan is still pending:
         // must queue, not start.
@@ -1305,7 +1324,7 @@ mod tests {
                 .with_nw_dst([10, 0, 0, 0], 24),
             vec![],
         );
-        let acts = m.on_flowmod(5, 2, r2, None);
+        let acts = m.on_flowmod(2, r2, None);
         assert!(acts.is_empty());
         assert_eq!(m.queued(), 1);
         // The first update turns out unmonitorable: optimistic ack AND the
@@ -1356,7 +1375,7 @@ mod tests {
                 fm.command == FlowModCommand::ModifyStrict,
             );
             assert_eq!(m.expected().overlapping(&tern).len(), overlap_before);
-            m.on_flowmod(0, token as u64, fm, None);
+            m.on_flowmod(token as u64, fm, None);
             let reqs = m.take_plan_requests();
             assert_eq!(reqs.len(), 1);
             let req = &reqs[0];
@@ -1432,16 +1451,19 @@ mod tests {
         }
     }
 
-    /// The transport driver's half of the deferred contract, run
-    /// synchronously: replay the monitor's steps on the replica, in
-    /// order, attach the answers, and go again for whatever the
-    /// attaches released. Inline mode records no steps.
+    /// What `MonitorProxy` does after every call: inline, hand the
+    /// monitor's answers back; deferred, the transport driver's half of the
+    /// contract, run synchronously: replay the monitor's steps on the
+    /// replica, in order, attach the answers, and go again for whatever the
+    /// attaches released. Inline mode records no steps, and deferred mode
+    /// answers none itself.
     fn settle(
         m: &mut DynamicMonitor,
         planner: &mut Option<Replica>,
         log: &mut Vec<ProxyOutput>,
         now: u64,
     ) {
+        log.extend(m.attach_answers(now));
         loop {
             let steps = m.take_plan_steps();
             if steps.is_empty() {
@@ -1460,7 +1482,7 @@ mod tests {
         let mut replica = None;
         let (mut rng, mut log, mut answered) = (7u64, Vec::new(), 0);
         for token in 0..3000u64 {
-            log.extend(m.on_flowmod(1, token, random_flowmod(&mut rng), None));
+            log.extend(m.on_flowmod(token, random_flowmod(&mut rng), None));
             settle(&mut m, &mut replica, &mut log, 1);
             if token % 4 == 3 {
                 confirm_all(&mut m, &mut replica, &mut log, &mut answered);
@@ -1549,7 +1571,7 @@ mod tests {
             let mut planner = None;
             let (mut log, mut answered) = (Vec::new(), 0);
             for (i, fm) in script.iter().enumerate() {
-                log.extend(m.on_flowmod(1, i as u64, fm.clone(), None));
+                log.extend(m.on_flowmod(i as u64, fm.clone(), None));
                 settle(&mut m, &mut planner, &mut log, 1);
                 // Confirm in bursts, so overlapping updates queue in between.
                 if i % 3 == 2 {
@@ -1578,7 +1600,7 @@ mod tests {
             let (mut log, mut answered, mut now) = (Vec::new(), 0, 0);
             let mut lost = losses.iter().cycle();
             for (i, fm) in script.iter().enumerate() {
-                log.extend(m.on_flowmod(now, i as u64, fm.clone(), None));
+                log.extend(m.on_flowmod(i as u64, fm.clone(), None));
                 settle(&mut m, &mut planner, &mut log, now);
             }
             for _ in 0..500 {
@@ -1682,6 +1704,7 @@ mod tests {
             now: u64,
         ) -> Result<(), TestCaseError> {
             let (catch, gen) = (CatchSpec::default(), GeneratorConfig::default());
+            log.extend(m.attach_answers(now));
             loop {
                 let steps = m.take_plan_steps();
                 if steps.is_empty() {
@@ -1822,8 +1845,8 @@ mod tests {
                                 .then(|| droppost::postpone(&fm, DropTag(63), 4))
                                 .flatten();
                             log.extend(match postponed {
-                                Some(p) => m.on_flowmod(now, i as u64, p.stand_in, Some(p.finalize)),
-                                None => m.on_flowmod(now, i as u64, fm, None),
+                                Some(p) => m.on_flowmod(i as u64, p.stand_in, Some(p.finalize)),
+                                None => m.on_flowmod(i as u64, fm, None),
                             });
                         }
                         Op::Own(fm) => log.extend(m.apply_own(fm)),
@@ -1899,20 +1922,21 @@ mod tests {
         let mut m = monitor();
         // FlowMod #1 is Monocle's own, #2 update 1's; update 2 waits behind 1.
         assert_eq!(m.apply_own(add_fm(5, [10, 0, 0, 9], 3)).len(), 1);
-        m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2), None);
-        m.on_flowmod(0, 2, add_fm(20, [10, 0, 0, 1], 4), None);
+        flowmod(&mut m, 0, 1, add_fm(10, [10, 0, 0, 1], 2));
+        flowmod(&mut m, 0, 2, add_fm(20, [10, 0, 0, 1], 4));
         // #3: the expected table refuses it, so it is acked at once.
         let mut refused = add_fm(1, [10, 0, 0, 7], 5);
         refused.check_overlap = true;
-        let acked = m.on_flowmod(0, 3, refused, None);
+        let acked = flowmod(&mut m, 0, 3, refused);
         let ack = ProxyOutput::Confirmed {
             token: 3,
             verified: false,
         };
         assert!(acked.contains(&ack), "{acked:?}");
-        assert_eq!(m.on_rejected(1, 1), (None, vec![]));
-        assert_eq!(m.on_rejected(1, 3), (Some(3), vec![]));
-        let (token, out) = m.on_rejected(1, 2);
+        assert_eq!(m.on_rejected(1), (None, vec![]));
+        assert_eq!(m.on_rejected(3), (Some(3), vec![]));
+        let (token, mut out) = m.on_rejected(2);
+        out.extend(m.attach_answers(1));
         assert_eq!(
             (token, &out[0]),
             (Some(1), &ProxyOutput::Alarm { token: 1 })
@@ -1920,7 +1944,7 @@ mod tests {
         assert!(matches!(out[1], ProxyOutput::ToSwitch(_)), "{out:?}"); // #4
         assert_eq!((m.in_flight(), m.queued()), (1, 0));
         m.on_claim(2, m.flowmods_sent());
-        assert_eq!(m.on_rejected(3, 4), (None, vec![]));
+        assert_eq!(m.on_rejected(4), (None, vec![]));
         assert_eq!(m.in_flight(), 1);
     }
 
@@ -1931,7 +1955,7 @@ mod tests {
         if claims_flow {
             assert!(m.on_claim(0, 0).is_empty(), "a claim covering nothing");
         }
-        let mut acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2), None);
+        let mut acts = flowmod(&mut m, 0, 1, add_fm(10, [10, 0, 0, 1], 2));
         for ms in 1..=60u64 {
             acts.extend(m.on_tick(ms * 1_000_000));
         }
@@ -1953,7 +1977,7 @@ mod tests {
         let mut m = DynamicMonitor::new(cfg, CatchSpec::default(), 7);
         m.apply_expected(&FlowMod::add(1, Match::any(), vec![Action::Output(99)]))
             .unwrap();
-        m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2), None);
+        flowmod(&mut m, 0, 1, add_fm(10, [10, 0, 0, 1], 2));
         let mut alarmed = false;
         for i in 1..10u64 {
             for a in m.on_tick(i * 10_000_000) {
@@ -1979,7 +2003,7 @@ mod tests {
             Match::any().with_nw_src([10, 0, 0, 1], 32),
             vec![Action::Output(2)],
         );
-        m.on_flowmod(0, 1, a, None);
+        m.on_flowmod(1, a, None);
         let reqs = m.take_plan_requests();
         m.attach_plan(0, 1, plan_request(&reqs[0]));
         let b = FlowMod::add(
@@ -1989,7 +2013,7 @@ mod tests {
                 .with_nw_dst([10, 0, 0, 0], 24),
             vec![Action::Output(3)],
         );
-        assert!(m.on_flowmod(1, 2, b, None).is_empty());
+        assert!(m.on_flowmod(2, b, None).is_empty());
         assert_eq!((m.in_flight(), m.queued()), (1, 1));
         // A's probes never return: second attempt, then the alarm — and in
         // that same tick B is forwarded and asks for its plan.

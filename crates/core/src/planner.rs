@@ -22,7 +22,10 @@
 //! [`Replica`] of its own ([`Replica::step`]; `monocle_net`'s planner
 //! threads keep one per switch) answers each request on the replica at the
 //! same point. Either way every update is planned on exactly the table §4.1
-//! prescribes and every refresh on the table the proxy asked about. A
+//! prescribes and every refresh on the table the proxy asked about, and the
+//! plan answers reach the monitor after the call that asked, in request
+//! order: the proxy hands inline ones back at the end of each call, where a
+//! deferred planner that keeps up hands its own back. A
 //! planner without the table — no replica yet, or one lost — answers too:
 //! no plan, and the table lost to a refresh.
 //!
