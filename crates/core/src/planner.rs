@@ -25,9 +25,9 @@
 //! prescribes and every refresh on the table the proxy asked about, and the
 //! plan answers reach the monitor after the call that asked, in request
 //! order: the proxy hands inline ones back at the end of each call, where a
-//! deferred planner that keeps up hands its own back. A
-//! planner without the table — no replica yet, or one lost — answers too:
-//! no plan, and the table lost to a refresh.
+//! deferred planner that keeps up hands its own back. A planner without the
+//! table — no replica yet, or one lost — answers too: no plan, and the table
+//! lost to a refresh.
 //!
 //! Either way one engine follows one table through its own change log, so
 //! it synchronizes in O(delta) and its plan cache stays warm across updates

@@ -380,11 +380,11 @@ impl MonitorProxy {
 
     /// Hands a planner's answer back: the one way back for a deferred
     /// planner's answers and for the inline refresh (an inline plan is handed
-    /// back by the proxy itself, at the end of the call that asked for it). A
-    /// plan goes to the update it was requested for
-    /// ([`Self::attach_plan`]), a refresh into the steady cycle (which reads
-    /// no clock). A plan for an update that awaits none — unknown, or
-    /// answered already — puts nothing out.
+    /// back by the proxy itself, at the end of the call that asked for it).
+    /// A plan goes to the update it was requested for ([`Self::attach_plan`]),
+    /// a refresh into the steady cycle (which reads no clock). A plan for an
+    /// update that awaits none — unknown, or answered already — puts nothing
+    /// out.
     pub fn answer(&mut self, now: u64, answer: Answer) -> Vec<ProxyOutput> {
         match answer {
             Answer::Plan { token, plan } => self.attach_plan(now, token, plan.ok()),
