@@ -18,13 +18,18 @@ echo "== deeper property pass: engine eviction, the Hidden oracle, the encoding 
 PROPTEST_CASES=1000 cargo test --release -q --test prop_engine --test prop_probe
 PROPTEST_CASES=1000 cargo test --release -q -p monocle --lib encode::tests
 
-echo "== deeper property pass: dynamic monitoring (replica and switch mirror, drain, order) =="
+echo "== deeper property pass: dynamic monitoring (replica and switch mirror, claims, drain, order) =="
 # Tier-1 runs these at 64 cases: a replica fed the monitor's planning steps
 # is the expected table and its plans verify; after every call the FlowMods
 # the monitor sent, applied in the order sent, are the expected table too,
 # with drop installs postponed (§4.3 finalizers) in half the cases; inline
 # and deferred planning emit the same outputs and keep the script's order;
-# and every update drains verified, optimistic or alarmed.
+# and every update drains verified, optimistic or alarmed. The mirror
+# scripts run as a claims driver's in half the cases (the announce, then
+# claims of random prefixes of the FlowMods sent) and claimless in the
+# other: either way every update is answered exactly once, none is
+# confirmed by silence before its claim plus the window, and a claimless
+# monitor keeps no rejection record.
 PROPTEST_CASES=1000 cargo test --release -q -p monocle --lib dynamic::tests::props
 
 echo "== deeper differential: the steady refresh, inline and deferred =="
@@ -129,10 +134,10 @@ echo "== perf baseline: TCP transport loopback (full sweep) =="
 # The committed baseline: proxied flow_mods/sec and confirmation RTT as the
 # switch-connection count grows 1..64 on one proxy event loop. Installs are
 # serial, so up to 8 switches the sweep is install-bound. An update is
-# re-probed at once when the switch answers the proxy's barrier and with
-# backoff before that, but from 32 switches on (16 in some runs) the 2 ms
-# re-probes after a reply still saturate the loops and those arms take tens
-# of seconds (see the JSON's notes).
+# probed when its plan lands, re-probed at once when the switch answers the
+# proxy's barrier and not on the clock before that, but from 32 switches on
+# (16 in some runs) the 2 ms re-probes after a reply still saturate the
+# loops and those arms take tens of seconds (see the JSON's notes).
 ./target/release/transport_loopback --json BENCH_transport.json
 
 echo "== smoke: adaptive scheduler (small) =="

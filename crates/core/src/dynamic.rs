@@ -24,36 +24,37 @@
 //!   does not raise an alarm, it just keeps probing (§4.1);
 //! * the switch's own refusals: an update whose FlowMod the switch rejects
 //!   ends with an alarm, as one out of probing budget does
-//!   ([`DynamicMonitor::on_rejected`]);
+//!   (`DynamicMonitor::on_rejected`);
 //! * the switch's own claims: a driver that follows its FlowMods with a
 //!   barrier tells the monitor when the switch says they are processed
-//!   ([`DynamicMonitor::on_claim`]). A claim is a hint, never proof — some
+//!   (`DynamicMonitor::on_claim`). A claim is a hint, never proof — some
 //!   switches answer barriers before the commit (\[16\]) — but a truthful
-//!   one says exactly when a probe can first succeed, so each covered update
-//!   is re-probed at once instead of on the clock. Once claims flow, §3.3
-//!   silence counts only from an update's claim, an unclaimed update is
-//!   never confirmed by silence, and its clock-driven re-probes back off. A
-//!   monitor that never hears a claim probes on the clock alone.
+//!   one says exactly when a probe can first succeed. Every update has one
+//!   claim: the switch's, where claims flow, or its own start, in a driver
+//!   that reports none. An update is probed when its plan lands, once at
+//!   its claim, and every `PROBE_INTERVAL` after it; §3.3 silence counts
+//!   from the claim too, so an update no claim covers yet is neither
+//!   re-probed on the clock nor confirmed by silence.
 //!
 //! ## What reaches the switch, and in which order
 //!
 //! The monitor owns every FlowMod sent to its switch: a controller update's
 //! as the update starts, a §4.3 drop-postponing finalizer as its update
-//! confirms, and Monocle's own rules ([`DynamicMonitor::apply_own`]). Each
+//! confirms, and Monocle's own rules (`DynamicMonitor::apply_own`). Each
 //! is applied to the expected table (and recorded for a deferred planner),
-//! numbered ([`DynamicMonitor::flowmods_sent`]) and emitted as
+//! numbered (`DynamicMonitor::flowmods_sent`) and emitted as
 //! [`ProxyOutput::ToSwitch`] in one step, so the switch, the expected table
 //! and the planner's replica see one order. A confirmation emits the
 //! update's finalizer, then its [`ProxyOutput::Confirmed`], then whatever it
 //! released from the §4.2 queue. Probes go out as [`ProxyOutput::Inject`],
 //! built where the plan is in hand, and their returns are judged against
-//! that plan here ([`DynamicMonitor::on_probe_return`]). The outputs are
+//! that plan here (`DynamicMonitor::on_probe_return`). The outputs are
 //! the proxy's own: `MonitorProxy` passes them on unchanged.
 //!
 //! A call's own outputs come first, then the probes (or optimistic acks) of
 //! the updates it started, in request order: an update's plan, inline or
 //! deferred, is handed back only after the call that asked for it
-//! ([`DynamicMonitor::attach_plan`]), so a tick that confirms several updates
+//! (`DynamicMonitor::attach_plan`), so a tick that confirms several updates
 //! puts out every confirmation before the first probe of an update they
 //! released. Inline, `MonitorProxy` hands the answers back at the end of
 //! each call (`attach_answers`); deferred, the transport does as its
@@ -86,7 +87,7 @@ pub struct DynamicConfig {
 
 /// A [`Step::Plan`] in the form a stateless planner takes: the table to plan
 /// on and the rule to probe in it, for update `token`
-/// ([`DynamicMonitor::take_plan_requests`]).
+/// ([`crate::proxy::MonitorProxy::take_plan_requests`]).
 ///
 /// This is the reference the one warm planner is tested against, and the
 /// form `benchmark/` drives the proxy with; the product plans on the
@@ -108,8 +109,8 @@ pub struct DynamicConfig {
 /// header repair and domain constraints — choose *which* value is tried,
 /// never whether a verified plan is valid. Rule ids in `table` are the
 /// expected table's own, except in the modify construction, which renumbers
-/// ([`DynamicMonitor::attach_plan`] points the plan back at the update's
-/// rule).
+/// ([`crate::proxy::MonitorProxy::attach_plan`] points the plan back at the
+/// update's rule).
 #[derive(Debug, Clone)]
 pub struct PlanRequest {
     /// Update token the resulting plan belongs to.
@@ -157,15 +158,14 @@ struct Update {
     /// Its FlowMod's number among those sent to the switch, from 1: what a
     /// claim covers ([`DynamicMonitor::on_claim`]).
     forwarded: u64,
-    /// When a claim first covered it.
-    claimed: Option<u64>,
+    /// `None` until it is claimed; from then on, when §3.3 silence started
+    /// counting: the latest of its claim, its plan's landing and its last
+    /// contrary verdict. In a driver that reports no claims it is claimed
+    /// as it starts, before its plan lands: 0.
+    quiet_since: Option<u64>,
     plan: Option<ProbePlan>,
-    /// Time of the most recent probe observing the *old* state.
-    last_contrary: u64,
-    /// When its plan was attached.
-    started: u64,
-    attempts: u32,
     next_probe_at: u64,
+    /// Its probes' sequence numbers, one per probe sent.
     live_seqs: Vec<u32>,
 }
 
@@ -183,7 +183,6 @@ impl Update {
     /// One more probe of its plan, under a fresh sequence number.
     fn probe(&mut self, switch_id: u64, next_seq: &mut u32) -> ProxyOutput {
         let seq = take_seq(next_seq);
-        self.attempts += 1;
         self.live_seqs.push(seq);
         let plan = self.plan.as_ref().expect("a probed update has its plan");
         ProxyOutput::Inject(ProbeInjection::new(switch_id, plan, seq))
@@ -197,7 +196,7 @@ impl Update {
 /// [`Step`]s on a [`crate::planner::Replica`], holds the only one. Which of
 /// the two it is, only its one funnel for planning work asks.
 #[derive(Debug)]
-pub struct DynamicMonitor {
+pub(crate) struct DynamicMonitor {
     cfg: DynamicConfig,
     /// The switch's datapath id, stamped into every probe.
     switch_id: u64,
@@ -210,7 +209,8 @@ pub struct DynamicMonitor {
     pub(crate) engine: Option<ProbeEngine>,
     /// The started, unfinished updates, one record each, in start order.
     updates: Vec<Update>,
-    queued: VecDeque<Queued>,
+    /// The conflict-queued updates (§4.2), in arrival order.
+    pub(crate) queued: VecDeque<Queued>,
     /// The next probe's sequence number, below
     /// [`crate::plan::STEADY_SEQ_BIT`] ([`take_seq`]).
     pub(crate) next_seq: u32,
@@ -224,8 +224,8 @@ pub struct DynamicMonitor {
     /// The controller updates' FlowMods no claim has covered yet, as
     /// `(number, token)` in number order: a switch rejects a FlowMod before
     /// it answers a later barrier, so these are the ones a rejection can
-    /// name ([`Self::on_rejected`]). A driver that reports no claims (and so
-    /// no rejections either) keeps one entry per update.
+    /// name ([`Self::on_rejected`]). Empty in a driver that reports no
+    /// claims (and so no rejections either).
     unclaimed: VecDeque<(u64, u64)>,
     /// [`Self::take_plan_requests`]' replica of the expected table (table
     /// only: it builds requests, it plans nothing).
@@ -233,8 +233,10 @@ pub struct DynamicMonitor {
     /// Rules added or modified by updates started since the last
     /// [`Self::take_touched_rules`].
     touched: Vec<RuleId>,
-    /// A claim has been heard ([`Self::on_claim`]): silence counts from
-    /// claims, and unclaimed updates re-probe with backoff.
+    /// A claim has been heard ([`Self::on_claim`]): the driver reports
+    /// claims, so an update starts unclaimed and waits for the switch's.
+    /// Read as an update starts ([`Self::start_update`]), and by the first
+    /// claim, which must come before any FlowMod.
     claims_heard: bool,
 }
 
@@ -242,7 +244,7 @@ impl DynamicMonitor {
     /// Creates the monitor of switch `switch_id` (the datapath id its probes
     /// carry); `catch` is the per-switch collection spec (tag pins +
     /// injection port).
-    pub fn new(cfg: DynamicConfig, catch: CatchSpec, switch_id: u64) -> DynamicMonitor {
+    pub(crate) fn new(cfg: DynamicConfig, catch: CatchSpec, switch_id: u64) -> DynamicMonitor {
         DynamicMonitor {
             engine: Some(planner::engine(&catch)),
             cfg,
@@ -275,7 +277,7 @@ impl DynamicMonitor {
     /// Turning it on drops the monitor's engine and starts the stream: a
     /// [`Step::Start`] with a copy of the expected table as it is now. It is
     /// one-way: `false` leaves the monitor as it is.
-    pub fn set_deferred_planning(&mut self, on: bool) {
+    pub(crate) fn set_deferred_planning(&mut self, on: bool) {
         if on {
             self.engine = None;
             let _ = self.step(Step::Start {
@@ -305,7 +307,7 @@ impl DynamicMonitor {
     /// since the last call (the adaptive steady scheduler's "recently
     /// touched" signal), as resolved by the table's own
     /// [`monocle_openflow::table::ApplyResult`].
-    pub fn take_touched_rules(&mut self) -> Vec<RuleId> {
+    pub(crate) fn take_touched_rules(&mut self) -> Vec<RuleId> {
         std::mem::take(&mut self.touched)
     }
 
@@ -314,7 +316,7 @@ impl DynamicMonitor {
     /// `on_flowmod`/`attach_plan`/`on_verdict`/`on_tick`/`on_rejected` (a
     /// confirmation or an alarm can release queued updates, which request
     /// plans) and hand the steps to the switch's planner.
-    pub fn take_plan_steps(&mut self) -> Vec<Step> {
+    pub(crate) fn take_plan_steps(&mut self) -> Vec<Step> {
         std::mem::take(&mut self.steps)
     }
 
@@ -322,7 +324,7 @@ impl DynamicMonitor {
     /// [`PlanRequest`] a stateless planner takes, built on a table-only
     /// replica the monitor keeps for the purpose. For callers that plan
     /// requests themselves; use one of the two, not both.
-    pub fn take_plan_requests(&mut self) -> Vec<PlanRequest> {
+    pub(crate) fn take_plan_requests(&mut self) -> Vec<PlanRequest> {
         let mut requests = Vec::new();
         for step in self.take_plan_steps() {
             match step {
@@ -350,12 +352,12 @@ impl DynamicMonitor {
     }
 
     /// Updates forwarded to the switch whose plan is still being generated.
-    pub fn awaiting_plans(&self) -> usize {
+    pub(crate) fn awaiting_plans(&self) -> usize {
         self.updates.iter().filter(|u| u.plan.is_none()).count()
     }
 
     /// The expected table (shared view for steady-state plan refresh etc.).
-    pub fn expected(&self) -> &FlowTable {
+    pub(crate) fn expected(&self) -> &FlowTable {
         &self.table
     }
 
@@ -364,7 +366,7 @@ impl DynamicMonitor {
     /// table changes, for controller updates ([`Self::on_flowmod`]) and for
     /// Monocle's own ([`Self::apply_own`]) alike, so no change escapes a
     /// replica.
-    pub fn apply_expected(&mut self, fm: &FlowMod) -> Result<ApplyResult, TableError> {
+    pub(crate) fn apply_expected(&mut self, fm: &FlowMod) -> Result<ApplyResult, TableError> {
         let _ = self.step(Step::Apply(fm.clone()));
         self.table.apply(fm)
     }
@@ -374,7 +376,7 @@ impl DynamicMonitor {
     /// controller update it lands in the table's change log, which the next
     /// steady refresh reads; unlike one it is neither probed nor reported as
     /// churn. One the table refuses is not sent.
-    pub fn apply_own(&mut self, fm: FlowMod) -> Vec<ProxyOutput> {
+    pub(crate) fn apply_own(&mut self, fm: FlowMod) -> Vec<ProxyOutput> {
         let mut out = Vec::new();
         if self.apply_expected(&fm).is_ok() {
             self.send(fm, &mut out);
@@ -393,18 +395,13 @@ impl DynamicMonitor {
     /// How many FlowMods this monitor has emitted as
     /// [`ProxyOutput::ToSwitch`], Monocle's own included: the numbers a
     /// claim covers ([`Self::on_claim`]).
-    pub fn flowmods_sent(&self) -> u64 {
+    pub(crate) fn flowmods_sent(&self) -> u64 {
         self.flowmods_sent
     }
 
     /// Number of unconfirmed (actively probed) updates.
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         self.updates.iter().filter(|u| u.plan.is_some()).count()
-    }
-
-    /// Number of queued (conflict-delayed) updates.
-    pub fn queued(&self) -> usize {
-        self.queued.len()
     }
 
     /// Whether update `token` is queued or started and not finished yet.
@@ -416,7 +413,7 @@ impl DynamicMonitor {
     /// not name another unfinished update. `finalize`: §4.3's FlowMod that
     /// turns the stand-in `fm` into the real drop, sent when it confirms.
     /// Its probe goes out when its plan is handed back, after this call.
-    pub fn on_flowmod(
+    pub(crate) fn on_flowmod(
         &mut self,
         token: u64,
         fm: FlowMod,
@@ -560,7 +557,9 @@ impl DynamicMonitor {
                 }),
         };
         let forwarded = self.send(fm.clone(), out);
-        self.unclaimed.push_back((forwarded, token));
+        if self.claims_heard {
+            self.unclaimed.push_back((forwarded, token));
+        }
         let Some((rule_id, confirm_on)) = probed else {
             // Unmonitorable update: acknowledge optimistically (the
             // controller can fall back to barriers for these).
@@ -573,11 +572,10 @@ impl DynamicMonitor {
             rule_id,
             finalize,
             forwarded,
-            claimed: None,
+            // Where claims flow, the update waits for the switch's; where
+            // none do, it counts as claimed now.
+            quiet_since: (!self.claims_heard).then_some(0),
             plan: None,
-            last_contrary: 0,
-            started: 0,
-            attempts: 0,
             next_probe_at: 0,
             live_seqs: Vec::new(),
         });
@@ -605,7 +603,7 @@ impl DynamicMonitor {
     /// with nothing to probe). The plan is pointed at the update's own rule
     /// and its first probe goes out. An unmonitorable completion releases
     /// conflict-queued updates, since the update is finished.
-    pub fn attach_plan(
+    pub(crate) fn attach_plan(
         &mut self,
         now: u64,
         token: u64,
@@ -623,7 +621,7 @@ impl DynamicMonitor {
         let u = &mut self.updates[idx];
         plan.rule_id = u.rule_id;
         u.plan = Some(plan);
-        (u.last_contrary, u.started) = (now, now);
+        u.quiet_since = u.quiet_since.map(|t| t.max(now));
         u.next_probe_at = now + PROBE_INTERVAL;
         out.push(u.probe(self.switch_id, &mut self.next_seq));
         out
@@ -632,20 +630,26 @@ impl DynamicMonitor {
     /// The switch claims it has processed the first `covered` FlowMods sent
     /// to it (the reply to a barrier sent after them). A claim is a hint,
     /// never proof: it confirms nothing. Each unconfirmed update it is the
-    /// first to cover is probed once now — its earlier probes may all have
-    /// met the old state — and re-probed `PROBE_INTERVAL` later; an update
-    /// still awaiting its plan is probed when the plan lands. From the first
-    /// claim on, silence counts only from an update's claim ([`Self::on_tick`]).
-    pub fn on_claim(&mut self, now: u64, covered: u64) -> Vec<ProxyOutput> {
+    /// first to cover is claimed: probed once now — its earlier probe may
+    /// have met the old state — and on the clock from then on
+    /// ([`Self::on_tick`]), and its silence counts from now; an update still
+    /// awaiting its plan is probed when the plan lands. A driver that
+    /// reports claims reports its first before its first FlowMod (a claim
+    /// covering none will do), so that every update starts unclaimed.
+    pub(crate) fn on_claim(&mut self, now: u64, covered: u64) -> Vec<ProxyOutput> {
+        debug_assert!(
+            self.claims_heard || self.flowmods_sent == 0,
+            "the first claim comes before the first FlowMod"
+        );
         self.claims_heard = true;
         let claimed = self.unclaimed.partition_point(|(n, _)| *n <= covered);
         self.unclaimed.drain(..claimed);
         let mut out = Vec::new();
         for u in &mut self.updates {
-            if u.claimed.is_some() || u.forwarded > covered {
+            if u.quiet_since.is_some() || u.forwarded > covered {
                 continue;
             }
-            u.claimed = Some(now);
+            u.quiet_since = Some(now);
             if u.plan.is_some() {
                 u.next_probe_at = now + PROBE_INTERVAL;
                 out.push(u.probe(self.switch_id, &mut self.next_seq));
@@ -654,27 +658,21 @@ impl DynamicMonitor {
         out
     }
 
-    /// Periodic tick: re-inject probes for unconfirmed updates; confirm
-    /// silence-based (negative-probed) updates whose window elapsed. Once
-    /// claims flow, the window opens at an update's claim (an unclaimed
-    /// update is never confirmed by silence), and an unclaimed update's
-    /// re-probes back off: each gap doubles from `PROBE_INTERVAL`, capped at
-    /// the window.
-    pub fn on_tick(&mut self, now: u64) -> Vec<ProxyOutput> {
+    /// Periodic tick, over the claimed updates that hold their plan:
+    /// confirm a silence-based (negative-probed) one whose window since
+    /// [`Update::quiet_since`] elapsed, and re-probe each one
+    /// `PROBE_INTERVAL` after its last clock or claim probe. An update no
+    /// claim covers yet is left alone.
+    pub(crate) fn on_tick(&mut self, now: u64) -> Vec<ProxyOutput> {
         let mut out = Vec::new();
-        let max_attempts = self.cfg.max_attempts;
-        let claims_heard = self.claims_heard;
         let mut alarmed: Vec<u64> = Vec::new();
         let mut silent_done: Vec<u64> = Vec::new();
         for u in self.updates.iter_mut().filter(|u| u.plan.is_some()) {
-            let quiet_since = match (claims_heard, u.claimed) {
-                (false, _) => Some(u.last_contrary.max(u.started)),
-                (true, claimed) => claimed.map(|c| c.max(u.last_contrary).max(u.started)),
+            let Some(quiet_since) = u.quiet_since else {
+                continue;
             };
-            if u.silent_confirm()
-                && u.attempts >= 2
-                && quiet_since.is_some_and(|t| now >= t + NEGATIVE_CONFIRM_WINDOW)
-            {
+            let probes = u.live_seqs.len();
+            if u.silent_confirm() && probes >= 2 && now >= quiet_since + NEGATIVE_CONFIRM_WINDOW {
                 // §3.3 negative probing: enough probes went quiet.
                 silent_done.push(u.token);
                 continue;
@@ -682,18 +680,12 @@ impl DynamicMonitor {
             if now < u.next_probe_at {
                 continue;
             }
-            if max_attempts > 0 && u.attempts >= max_attempts {
+            if self.cfg.max_attempts > 0 && probes >= self.cfg.max_attempts as usize {
                 alarmed.push(u.token);
                 continue;
             }
             out.push(u.probe(self.switch_id, &mut self.next_seq));
-            u.next_probe_at = now
-                + if claims_heard && u.claimed.is_none() {
-                    let doubled = PROBE_INTERVAL.saturating_mul(1 << (u.attempts - 1).min(63));
-                    doubled.min(NEGATIVE_CONFIRM_WINDOW)
-                } else {
-                    PROBE_INTERVAL
-                };
+            u.next_probe_at = now + PROBE_INTERVAL;
         }
         for token in silent_done {
             let idx = self.updates.iter().position(|u| u.token == token).unwrap();
@@ -713,7 +705,7 @@ impl DynamicMonitor {
     /// covered, which changes nothing. An update still unfinished ends with
     /// an alarm; its plan, should one still arrive, is ignored. The expected
     /// table keeps the FlowMod: it holds what the controller asked for.
-    pub fn on_rejected(&mut self, number: u64) -> (Option<u64>, Vec<ProxyOutput>) {
+    pub(crate) fn on_rejected(&mut self, number: u64) -> (Option<u64>, Vec<ProxyOutput>) {
         let mut out = Vec::new();
         let Ok(i) = self.unclaimed.binary_search_by_key(&number, |(n, _)| *n) else {
             return (None, out);
@@ -778,7 +770,7 @@ impl DynamicMonitor {
     /// the observation maps to, `fields` the received header. It is judged
     /// against its update's plan while its sequence number is live — until
     /// the update confirms or alarms — and ignored after.
-    pub fn on_probe_return(
+    pub(crate) fn on_probe_return(
         &mut self,
         now: u64,
         seq: u32,
@@ -795,7 +787,7 @@ impl DynamicMonitor {
 
     /// Feeds the verdict on probe `seq` back: the verdict-level entry
     /// behind [`Self::on_probe_return`].
-    pub fn on_verdict(&mut self, now: u64, seq: u32, verdict: Verdict) -> Vec<ProxyOutput> {
+    pub(crate) fn on_verdict(&mut self, now: u64, seq: u32, verdict: Verdict) -> Vec<ProxyOutput> {
         let mut out = Vec::new();
         let Some(idx) = self.updates.iter().position(|u| u.live_seqs.contains(&seq)) else {
             return out; // stale
@@ -807,7 +799,7 @@ impl DynamicMonitor {
             // Transient inconsistency (§4.1): e.g. the rule is not installed
             // *yet*. Not an alarm; keep probing (and push the silence window
             // out — the old state is demonstrably still active).
-            u.last_contrary = now;
+            u.quiet_since = u.quiet_since.map(|t| t.max(now));
         }
         out
     }
@@ -1060,13 +1052,13 @@ mod tests {
         );
         let acts = flowmod(&mut m, 5, 3, r3);
         assert!(acts.is_empty(), "queued, not forwarded: {acts:?}");
-        assert_eq!(m.queued(), 1);
+        assert_eq!(m.queued.len(), 1);
         assert_eq!(m.expected().len(), 2, "queued fm not yet applied");
         // Confirm R1 -> R3 is released (forwarded + probed).
         let out = m.on_verdict(100, seq1, Verdict::Present);
         assert!(matches!(out[0], ProxyOutput::Confirmed { token: 1, .. }));
         assert!(out.iter().any(|a| matches!(a, ProxyOutput::ToSwitch(_))));
-        assert_eq!(m.queued(), 0);
+        assert_eq!(m.queued.len(), 0);
         assert_eq!(m.expected().len(), 3);
     }
 
@@ -1081,7 +1073,7 @@ mod tests {
         };
         assert_ne!(rule(&a1), rule(&a2), "each update probes its own rule");
         assert_eq!(m.in_flight(), 2);
-        assert_eq!(m.queued(), 0);
+        assert_eq!(m.queued.len(), 0);
     }
 
     #[test]
@@ -1100,7 +1092,7 @@ mod tests {
         // not be overtaken by, then a strict delete of that very entry.
         assert!(flowmod(&mut m, 2, 3, add_fm(5, [10, 0, 0, 2], 3)).is_empty());
         assert!(flowmod(&mut m, 3, 4, FlowMod::delete_strict(5, dst(2, 32))).is_empty());
-        assert_eq!(m.queued(), 3);
+        assert_eq!(m.queued.len(), 3);
         // Deletes commute with each other, and so do single-entry commands
         // naming different entries: this one overtakes the queue (it
         // removes nothing, so it is acked at once).
@@ -1112,7 +1104,7 @@ mod tests {
                 verified: false
             }
         );
-        assert_eq!(m.queued(), 3);
+        assert_eq!(m.queued.len(), 3);
         // Drain, confirming everything: the table ends as the script in
         // order leaves it — the sweep took the first add, the strict delete
         // the second.
@@ -1129,7 +1121,10 @@ mod tests {
             }
             answered += 1;
         }
-        assert_eq!((m.in_flight(), m.queued(), m.awaiting_plans()), (0, 0, 0));
+        assert_eq!(
+            (m.in_flight(), m.queued.len(), m.awaiting_plans()),
+            (0, 0, 0)
+        );
         let prios: Vec<u16> = m.expected().rules().iter().map(|r| r.priority).collect();
         assert_eq!(prios, [1], "{log:?}");
     }
@@ -1326,7 +1321,7 @@ mod tests {
         );
         let acts = m.on_flowmod(2, r2, None);
         assert!(acts.is_empty());
-        assert_eq!(m.queued(), 1);
+        assert_eq!(m.queued.len(), 1);
         // The first update turns out unmonitorable: optimistic ack AND the
         // queued conflicting update is released (as a new plan request).
         let reqs = m.take_plan_requests();
@@ -1337,7 +1332,7 @@ mod tests {
             verified: false
         }));
         assert!(acts.iter().any(|a| matches!(a, ProxyOutput::ToSwitch(_))));
-        assert_eq!(m.queued(), 0);
+        assert_eq!(m.queued.len(), 0);
         assert_eq!(m.awaiting_plans(), 1, "released update awaits its plan");
         assert_eq!(m.take_plan_requests().len(), 1);
     }
@@ -1489,7 +1484,10 @@ mod tests {
             }
         }
         confirm_all(&mut m, &mut replica, &mut log, &mut answered);
-        assert_eq!((m.in_flight(), m.queued(), m.awaiting_plans()), (0, 0, 0));
+        assert_eq!(
+            (m.in_flight(), m.queued.len(), m.awaiting_plans()),
+            (0, 0, 0)
+        );
         let replica = replica.unwrap();
         assert_eq!(replica.table.rules(), m.expected().rules());
         let planned = replica.engine.stats().cache_hits + replica.engine.stats().cache_misses;
@@ -1579,7 +1577,10 @@ mod tests {
                 }
             }
             confirm_all(&mut m, &mut planner, &mut log, &mut answered);
-            assert_eq!((m.in_flight(), m.queued(), m.awaiting_plans()), (0, 0, 0));
+            assert_eq!(
+                (m.in_flight(), m.queued.len(), m.awaiting_plans()),
+                (0, 0, 0)
+            );
             (log, m.expected().rules().to_vec())
         }
 
@@ -1618,19 +1619,20 @@ mod tests {
                         settle(&mut m, &mut planner, &mut log, now);
                     }
                 }
-                if (m.in_flight(), m.queued(), m.awaiting_plans()) == (0, 0, 0) {
+                if (m.in_flight(), m.queued.len(), m.awaiting_plans()) == (0, 0, 0) {
                     break;
                 }
                 now += 1_000_000;
                 log.extend(m.on_tick(now));
                 settle(&mut m, &mut planner, &mut log, now);
             }
-            (log, (m.in_flight(), m.queued(), m.awaiting_plans()))
+            (log, (m.in_flight(), m.queued.len(), m.awaiting_plans()))
         }
 
         /// One step of a mirror script: a controller update, one of
         /// Monocle's own FlowMods (a preinstall or a drop-postponing
-        /// finalizer), deferral switched on, probes answered, a tick.
+        /// finalizer), deferral switched on, probes answered, a tick, a
+        /// claim (all FlowMods sent but the last `n % (sent + 1)`).
         #[derive(Debug, Clone)]
         enum Op {
             Update(FlowMod),
@@ -1638,6 +1640,7 @@ mod tests {
             Defer,
             Answer,
             Tick,
+            Claim(u64),
         }
 
         fn arb_op() -> impl Strategy<Value = Op> {
@@ -1667,6 +1670,7 @@ mod tests {
                 1 => Just(Op::Defer),
                 2 => Just(Op::Answer),
                 1 => Just(Op::Tick),
+                1 => any::<u64>().prop_map(Op::Claim),
             ]
         }
 
@@ -1772,6 +1776,136 @@ mod tests {
             Ok(())
         }
 
+        /// Runs a mirror script and returns its outputs, checking the mirror
+        /// ([`settle_checked`], [`mirror`]) after every call. `deferred`:
+        /// `None` switches deferral on where the script says, `Some` plans
+        /// inline or deferred throughout. With `claims`, the driver reports
+        /// claims: it announces them before its first FlowMod and makes the
+        /// script's; without, it makes none and the monitor keeps no
+        /// rejection record. Either way no update is confirmed by silence
+        /// before its claim (its FlowMod's send, without claims) plus the
+        /// window, and once everything is claimed and answered, every update
+        /// is answered exactly once.
+        fn run_mirrored(
+            ops: &[Op],
+            postpone: bool,
+            claims: bool,
+            deferred: Option<bool>,
+        ) -> Result<Vec<ProxyOutput>, TestCaseError> {
+            let mut m = monitor();
+            if claims {
+                prop_assert!(m.on_claim(0, 0).is_empty());
+            }
+            m.set_deferred_planning(deferred == Some(true));
+            let (mut replica, mut requests) = (None, FlowTable::new());
+            let (mut log, mut answered, mut now) = (Vec::new(), 0, 0);
+            let mut switch = (m.expected().clone(), 0);
+            // By FlowMod number, from 1: when it was first claimed.
+            let mut claimed_at: Vec<Option<u64>> = Vec::new();
+            // The script, then a claim of everything and the answers.
+            let drain = [Op::Claim(0), Op::Answer];
+            for (i, op) in ops.iter().chain(&drain).enumerate() {
+                match op {
+                    Op::Update(fm) => {
+                        let postponed = postpone
+                            .then(|| droppost::postpone(fm, DropTag(63), 4))
+                            .flatten();
+                        log.extend(match postponed {
+                            Some(p) => m.on_flowmod(i as u64, p.stand_in, Some(p.finalize)),
+                            None => m.on_flowmod(i as u64, fm.clone(), None),
+                        });
+                    }
+                    Op::Own(fm) => log.extend(m.apply_own(fm.clone())),
+                    Op::Defer => {
+                        if deferred.is_none() {
+                            m.set_deferred_planning(true);
+                        }
+                    }
+                    Op::Answer => {
+                        while answered < log.len() {
+                            let probe = injected(&log[answered]);
+                            answered += 1;
+                            if let Some(seq) = probe {
+                                for v in [Verdict::Present, Verdict::Absent] {
+                                    log.extend(m.on_verdict(now, seq, v));
+                                    settle_checked(
+                                        &mut m,
+                                        &mut replica,
+                                        &mut requests,
+                                        &mut log,
+                                        now,
+                                    )?;
+                                    mirror(&m, &log, &mut switch)?;
+                                }
+                            }
+                        }
+                    }
+                    Op::Tick => {
+                        now += 3_000_000;
+                        let sent: Vec<(u64, u64)> =
+                            m.updates.iter().map(|u| (u.token, u.forwarded)).collect();
+                        let outs = m.on_tick(now);
+                        for o in &outs {
+                            // Those a tick confirms, it confirms by silence.
+                            let ProxyOutput::Confirmed {
+                                token,
+                                verified: true,
+                            } = o
+                            else {
+                                continue;
+                            };
+                            let number = sent.iter().find(|(t, _)| t == token).unwrap().1;
+                            let claim = claimed_at[number as usize - 1];
+                            prop_assert!(
+                                claim.is_some_and(|c| now >= c + NEGATIVE_CONFIRM_WINDOW),
+                                "update {} confirmed at {} ms, claimed at {:?}",
+                                token,
+                                now / 1_000_000,
+                                claim
+                            );
+                        }
+                        log.extend(outs);
+                    }
+                    Op::Claim(n) => {
+                        if claims {
+                            let sent = m.flowmods_sent();
+                            let covered = sent - n % (sent + 1);
+                            log.extend(m.on_claim(now, covered));
+                            for c in &mut claimed_at[..covered as usize] {
+                                c.get_or_insert(now);
+                            }
+                        }
+                    }
+                }
+                settle_checked(&mut m, &mut replica, &mut requests, &mut log, now)?;
+                mirror(&m, &log, &mut switch)?;
+                // What this call sent: claimed now, where no claims flow.
+                claimed_at.resize(m.flowmods_sent() as usize, (!claims).then_some(now));
+                prop_assert!(claims || m.unclaimed.is_empty(), "{:?}", m.unclaimed);
+            }
+            if let Some(r) = &replica {
+                let stats = r.engine.engine_stats();
+                prop_assert!(
+                    stats.syncs_full <= 1 && stats.syncs_fallback == 0,
+                    "{:?}",
+                    stats
+                );
+            }
+            prop_assert_eq!(
+                (m.in_flight(), m.queued.len(), m.awaiting_plans()),
+                (0, 0, 0)
+            );
+            for (token, op) in ops.iter().enumerate() {
+                if let Op::Update(_) = op {
+                    let answers = log.iter().filter(|o| {
+                        matches!(o, ProxyOutput::Confirmed { token: t, .. } | ProxyOutput::Alarm { token: t } if *t == token as u64)
+                    });
+                    prop_assert_eq!(answers.count(), 1, "update {}", token);
+                }
+            }
+            Ok(log)
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -1828,54 +1962,21 @@ mod tests {
             /// on the full table — and its engine never re-reads the whole
             /// table after the first time. And after every call, the
             /// FlowMods sent so far, applied in the order sent, are the
-            /// expected table.
+            /// expected table. In half the cases the script runs as a claims
+            /// driver's (the checks of [`run_mirrored`] hold either way), and
+            /// planning inline throughout puts out what planning deferred
+            /// throughout does (deferral switched on partway starts a cold
+            /// engine, which may find other probes).
             #[test]
             fn a_replica_mirrors_the_expected_table_and_plans_on_it(
                 ops in prop::collection::vec(arb_op(), 1..40),
                 postpone in any::<bool>(),
+                claims in any::<bool>(),
             ) {
-                let mut m = monitor();
-                let (mut replica, mut requests) = (None, FlowTable::new());
-                let (mut log, mut answered, mut now) = (Vec::new(), 0, 0);
-                let mut switch = (m.expected().clone(), 0);
-                for (i, op) in ops.into_iter().enumerate() {
-                    match op {
-                        Op::Update(fm) => {
-                            let postponed = postpone
-                                .then(|| droppost::postpone(&fm, DropTag(63), 4))
-                                .flatten();
-                            log.extend(match postponed {
-                                Some(p) => m.on_flowmod(i as u64, p.stand_in, Some(p.finalize)),
-                                None => m.on_flowmod(i as u64, fm, None),
-                            });
-                        }
-                        Op::Own(fm) => log.extend(m.apply_own(fm)),
-                        Op::Defer => m.set_deferred_planning(true),
-                        Op::Answer => {
-                            while answered < log.len() {
-                                let probe = injected(&log[answered]);
-                                answered += 1;
-                                if let Some(seq) = probe {
-                                    for v in [Verdict::Present, Verdict::Absent] {
-                                        log.extend(m.on_verdict(now, seq, v));
-                                        settle_checked(&mut m, &mut replica, &mut requests, &mut log, now)?;
-                                        mirror(&m, &log, &mut switch)?;
-                                    }
-                                }
-                            }
-                        }
-                        Op::Tick => {
-                            now += 3_000_000;
-                            log.extend(m.on_tick(now));
-                        }
-                    }
-                    settle_checked(&mut m, &mut replica, &mut requests, &mut log, now)?;
-                    mirror(&m, &log, &mut switch)?;
-                }
-                if let Some(r) = &replica {
-                    let stats = r.engine.engine_stats();
-                    prop_assert!(stats.syncs_full <= 1 && stats.syncs_fallback == 0, "{:?}", stats);
-                }
+                run_mirrored(&ops, postpone, claims, None)?;
+                let inline = run_mirrored(&ops, postpone, claims, Some(false))?;
+                let deferred = run_mirrored(&ops, postpone, claims, Some(true))?;
+                prop_assert_eq!(inline, deferred);
             }
 
             /// The §4.1 construction applied to the neighborhood of the
@@ -1920,6 +2021,7 @@ mod tests {
     #[test]
     fn a_rejection_names_its_update_until_a_claim_covers_it() {
         let mut m = monitor();
+        assert!(m.on_claim(0, 0).is_empty(), "claims are reported");
         // FlowMod #1 is Monocle's own, #2 update 1's; update 2 waits behind 1.
         assert_eq!(m.apply_own(add_fm(5, [10, 0, 0, 9], 3)).len(), 1);
         flowmod(&mut m, 0, 1, add_fm(10, [10, 0, 0, 1], 2));
@@ -1942,33 +2044,56 @@ mod tests {
             (Some(1), &ProxyOutput::Alarm { token: 1 })
         );
         assert!(matches!(out[1], ProxyOutput::ToSwitch(_)), "{out:?}"); // #4
-        assert_eq!((m.in_flight(), m.queued()), (1, 0));
+        assert_eq!((m.in_flight(), m.queued.len()), (1, 0));
         m.on_claim(2, m.flowmods_sent());
         assert_eq!(m.on_rejected(4), (None, vec![]));
         assert_eq!(m.in_flight(), 1);
     }
 
-    /// Probes sent for one update no claim covers, ticking every ms for
-    /// 60 ms with no answer (2 ms interval, 12 ms window).
-    fn probes_of_an_unclaimed_update(claims_flow: bool) -> usize {
-        let mut m = monitor();
-        if claims_flow {
-            assert!(m.on_claim(0, 0).is_empty(), "a claim covering nothing");
-        }
-        let mut acts = flowmod(&mut m, 0, 1, add_fm(10, [10, 0, 0, 1], 2));
+    /// Probes sent for update 1, an add nobody answers, started now and
+    /// ticked every ms for 60 ms (2 ms interval, 12 ms window).
+    fn probes_in_60_ms(m: &mut DynamicMonitor) -> usize {
+        let mut acts = flowmod(m, 0, 1, add_fm(10, [10, 0, 0, 1], 2));
         for ms in 1..=60u64 {
             acts.extend(m.on_tick(ms * 1_000_000));
         }
-        let injects = acts.iter().filter(|a| matches!(a, ProxyOutput::Inject(_)));
-        injects.count()
+        acts.iter().filter_map(injected).count()
     }
 
     #[test]
-    fn an_unclaimed_update_backs_off_once_claims_flow() {
-        // On the clock alone: the first probe, then one every 2 ms.
-        assert_eq!(probes_of_an_unclaimed_update(false), 31);
-        // Gaps 2, 4, 8, 12, 12, 12 ms: probes at 0, 2, 6, 14, 26, 38, 50.
-        assert_eq!(probes_of_an_unclaimed_update(true), 7);
+    fn an_unclaimed_update_waits_for_its_claim() {
+        // No claims: claimed as it starts, the first probe, then one every
+        // 2 ms.
+        assert_eq!(probes_in_60_ms(&mut monitor()), 31);
+        // Claims flow: the first probe as its plan lands, none on the clock
+        // until its claim, one at the claim, then one every 2 ms.
+        let mut m = monitor();
+        assert!(m.on_claim(0, 0).is_empty(), "claims are reported");
+        assert_eq!(probes_in_60_ms(&mut m), 1);
+        let claim = m.on_claim(60_000_000, m.flowmods_sent());
+        assert_eq!(claim.iter().filter_map(injected).count(), 1);
+        let ticks: Vec<usize> = (61..=66u64)
+            .map(|ms| {
+                m.on_tick(ms * 1_000_000)
+                    .iter()
+                    .filter_map(injected)
+                    .count()
+            })
+            .collect();
+        assert_eq!(ticks, [0, 1, 0, 1, 0, 1]);
+    }
+
+    /// A driver that reports no claims reports no rejections either: its
+    /// monitor keeps no record for one to name.
+    #[test]
+    fn a_claimless_monitor_keeps_no_rejection_record() {
+        let mut m = monitor();
+        for token in 0..100u64 {
+            let acts = flowmod(&mut m, token, token, add_fm(10, [10, 1, 0, token as u8], 2));
+            m.on_verdict(token, seq_of(&acts, 1), Verdict::Present);
+        }
+        assert_eq!(m.in_flight(), 0);
+        assert!(m.unclaimed.is_empty(), "{:?}", m.unclaimed);
     }
 
     #[test]
@@ -2014,7 +2139,7 @@ mod tests {
             vec![Action::Output(3)],
         );
         assert!(m.on_flowmod(2, b, None).is_empty());
-        assert_eq!((m.in_flight(), m.queued()), (1, 1));
+        assert_eq!((m.in_flight(), m.queued.len()), (1, 1));
         // A's probes never return: second attempt, then the alarm — and in
         // that same tick B is forwarded and asks for its plan.
         assert!(!m
@@ -2028,7 +2153,7 @@ mod tests {
             "B released by the alarm: {acts:?}"
         );
         assert_eq!(
-            (m.in_flight(), m.queued(), m.awaiting_plans()),
+            (m.in_flight(), m.queued.len(), m.awaiting_plans()),
             (0, 0, 1),
             "B awaits its plan"
         );
@@ -2037,6 +2162,9 @@ mod tests {
         let acts = m.attach_plan(20_000_000, 2, plan_request(&reqs[0]));
         let seq = seq_of(&acts, 0);
         m.on_verdict(21_000_000, seq, Verdict::Present);
-        assert_eq!((m.in_flight(), m.queued(), m.awaiting_plans()), (0, 0, 0));
+        assert_eq!(
+            (m.in_flight(), m.queued.len(), m.awaiting_plans()),
+            (0, 0, 0)
+        );
     }
 }

@@ -3,7 +3,7 @@
 //! §7).
 //!
 //! A planner is a flow table, the one warm engine that plans on it and the
-//! switch's catch pins. A [`crate::dynamic::DynamicMonitor`] describes all
+//! switch's catch pins. A switch's dynamic monitor describes all
 //! its planning work as an ordered stream of [`Step`]s, pushed in the order
 //! its expected table changes: the table as it stood when the stream began,
 //! every FlowMod applied to it since (controller updates and Monocle's own

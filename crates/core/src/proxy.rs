@@ -13,7 +13,7 @@
 //! Each of the proxy's two monitors owns its probes: it numbers them, builds
 //! each [`ProxyOutput::Inject`] where the plan is in hand, judges each
 //! returning probe against the plan it was made for, and emits its verdicts.
-//! The [`DynamicMonitor`] also numbers, applies and emits every FlowMod in
+//! The dynamic monitor also numbers, applies and emits every FlowMod in
 //! emission order — controller updates as they start, §4.3 finalizers as
 //! their update confirms, and the proxy's own preinstalls — and emits the
 //! acks and alarms; the [`SteadyMonitor`] emits `RuleFailed` and
@@ -126,7 +126,8 @@ pub enum ProxyOutput {
         /// The rule.
         rule_id: RuleId,
     },
-    /// An update never confirmed within its budget.
+    /// An update that failed: the switch rejected its FlowMod, or it was
+    /// never confirmed within its budget.
     Alarm {
         /// Its token.
         token: u64,
@@ -245,8 +246,7 @@ impl MonitorProxy {
     }
 
     /// Preinstalls a Monocle-owned rule (catching/filter/drop-tag rules):
-    /// recorded in the expected table and forwarded, but not probed
-    /// ([`DynamicMonitor::apply_own`]).
+    /// recorded in the expected table and forwarded, but not probed.
     pub fn preinstall(
         &mut self,
         priority: u16,
@@ -268,9 +268,16 @@ impl MonitorProxy {
     /// The switch answered a barrier sent after the first `covered` FlowMods
     /// this proxy emitted ([`Self::flowmods_sent`]): it claims to have
     /// processed them. A hint, never proof — it confirms nothing by itself
-    /// — but each unconfirmed update it covers is re-probed at once, and
-    /// from then on §3.3 silence counts from an update's claim
-    /// ([`DynamicMonitor::on_claim`]).
+    /// — but each unconfirmed update it is the first to cover is claimed:
+    /// re-probed at once, on the clock from then on, and its §3.3 silence
+    /// counts from the claim.
+    ///
+    /// Every update has one claim. A driver that reports claims reports its
+    /// first before its first FlowMod — a claim covering none, `covered` 0,
+    /// will do — so that each update waits for the switch's claim before it
+    /// is re-probed on the clock or confirmed by silence. A driver that
+    /// reports none never calls this: each update counts as claimed as it
+    /// starts.
     pub fn on_barrier_reply(&mut self, now: u64, covered: u64) -> Vec<ProxyOutput> {
         self.dynamic.on_claim(now, covered)
     }
@@ -281,7 +288,9 @@ impl MonitorProxy {
     /// FlowMod carried, which the switch's error belongs to even when the
     /// update is answered already, or `None` for one of the proxy's own. The
     /// update, if still unfinished, ends with [`ProxyOutput::Alarm`], which
-    /// releases the updates queued behind it ([`DynamicMonitor::on_rejected`]).
+    /// releases the updates queued behind it. A proxy that hears no claims
+    /// ([`Self::on_barrier_reply`]) keeps no record of what it sent, and
+    /// names none.
     pub fn on_flowmod_error(&mut self, now: u64, number: u64) -> (Option<u64>, Vec<ProxyOutput>) {
         let (token, out) = self.dynamic.on_rejected(number);
         (token, self.note_touched(now, out))
@@ -319,9 +328,7 @@ impl MonitorProxy {
     /// A probe of this switch came back: `out_port` is the probed switch's
     /// output port the observation maps to, `fields` the received header.
     /// The sequence number's steady bit (bit 31) says which monitor sent it,
-    /// and that monitor judges it ([`DynamicMonitor::on_probe_return`],
-    /// [`SteadyMonitor::on_probe_return`]). A probe of another switch is
-    /// ignored.
+    /// and that monitor judges it. A probe of another switch is ignored.
     pub fn on_probe_return(
         &mut self,
         now: u64,
@@ -359,8 +366,8 @@ impl MonitorProxy {
     /// planner, which replays the planning steps drained with
     /// [`Self::take_plan_steps`] after every proxy call on a
     /// [`crate::planner::Replica`] and hands each answer back through
-    /// [`Self::answer`]
-    /// ([`crate::dynamic::DynamicMonitor::set_deferred_planning`]).
+    /// [`Self::answer`]. Turning it on starts the stream with a
+    /// [`Step::Start`]; it is one-way.
     pub fn set_deferred_planning(&mut self, on: bool) {
         self.dynamic.set_deferred_planning(on);
     }
@@ -595,8 +602,18 @@ mod tests {
     use std::collections::HashSet;
 
     fn proxy() -> MonitorProxy {
+        with_default_route(MonitorProxy::new(ProxyConfig::new(7, CatchSpec::default())))
+    }
+
+    /// [`proxy`] in a driver that reports claims: it announces them, with a
+    /// claim covering nothing, before its first FlowMod.
+    fn claims_proxy() -> MonitorProxy {
         let mut p = MonitorProxy::new(ProxyConfig::new(7, CatchSpec::default()));
-        // default route
+        assert!(p.on_barrier_reply(0, 0).is_empty());
+        with_default_route(p)
+    }
+
+    fn with_default_route(mut p: MonitorProxy) -> MonitorProxy {
         let outs = p.preinstall(1, Match::any(), vec![Action::Output(9)]);
         assert_eq!(outs.len(), 1);
         p
@@ -923,7 +940,7 @@ mod tests {
 
     #[test]
     fn a_claim_re_probes_each_update_it_covers_once() {
-        let mut p = proxy();
+        let mut p = claims_proxy();
         assert_eq!(p.flowmods_sent(), 1, "the default route");
         let first = p.on_controller_flowmod(0, 1, add_fm([10, 0, 0, 1], 2));
         let second = p.on_controller_flowmod(0, 2, add_fm([10, 0, 0, 2], 3));
@@ -958,7 +975,7 @@ mod tests {
 
     #[test]
     fn a_claim_covers_an_update_awaiting_its_plan_and_its_first_probe_suffices() {
-        let mut p = proxy();
+        let mut p = claims_proxy();
         p.set_deferred_planning(true);
         p.on_controller_flowmod(0, 1, add_fm([10, 0, 0, 1], 2));
         let mut replica = None;
@@ -974,7 +991,7 @@ mod tests {
 
     #[test]
     fn a_claim_never_confirms_by_itself() {
-        let mut p = proxy();
+        let mut p = claims_proxy();
         p.on_controller_flowmod(0, 1, add_fm([10, 0, 0, 1], 2));
         p.on_controller_flowmod(0, 2, drop_fm(23));
         let mut now = 0;
@@ -1023,7 +1040,7 @@ mod tests {
 
         // A lying claim, 5 ms after the forward and before any commit: the
         // probe it sends meets the old state, and silence counts from then.
-        let mut p = proxy();
+        let mut p = claims_proxy();
         let outs = p.on_controller_flowmod(0, 1, drop_fm(23));
         let first = &injections(&outs)[0];
         let claim = 5_000_000;
@@ -1060,6 +1077,7 @@ mod tests {
         let mut cfg = ProxyConfig::new(7, CatchSpec::default());
         cfg.drop_postpone = Some((DropTag(63), 4));
         let mut p = MonitorProxy::new(cfg);
+        assert!(p.on_barrier_reply(0, 0).is_empty(), "claims are reported");
         p.preinstall(1, Match::any(), vec![Action::Output(9)]);
         let drop = FlowMod::add(20, Match::any().with_tp_dst(23).with_nw_proto(6), vec![]);
         let inj = injections(&p.on_controller_flowmod(0, 5, drop))[0].clone();
@@ -1886,7 +1904,8 @@ mod tests {
             for answer in replay(&mut replica, p.take_plan_steps()) {
                 assert_eq!(injections(&p.answer(1, answer)).len(), 1);
             }
-            let counts = |p: &MonitorProxy| (p.in_flight(), p.dynamic.queued(), p.awaiting_plans());
+            let counts =
+                |p: &MonitorProxy| (p.in_flight(), p.dynamic.queued.len(), p.awaiting_plans());
             assert_eq!(counts(&p), (1, 1, 0), "deferred {deferred}");
             let id = p.expected().rules().iter().find(|r| r.priority == 5);
             let plan = crate::planner::engine(p.catch_spec()).generate(

@@ -6,8 +6,9 @@
 //! 1. A switch connects to the proxy's listener; the proxy (acting as a
 //!    controller) sends `Hello` + `FeaturesRequest`.
 //! 2. The `FeaturesReply` carries the datapath id: the proxy instantiates a
-//!    [`MonitorProxy`] in deferred-planning mode, preinstalls the
-//!    catching/default rules, and dials the upstream controller.
+//!    [`MonitorProxy`] in deferred-planning mode, announces that the session
+//!    reports claims (step 4), preinstalls the catching/default rules, and
+//!    dials the upstream controller.
 //! 3. The upstream handshake mirrors a real switch: the controller's
 //!    `FeaturesRequest` is answered with the cached datapath id.
 //! 4. From then on frames pass through under their own xid in both
@@ -24,11 +25,15 @@
 //!    tells the monitor that the switch claims those FlowMods processed
 //!    ([`MonitorProxy::on_barrier_reply`]), a hint that re-probes the
 //!    updates it covers at once and opens their §3.3 silence window — never
-//!    a confirmation. The controller's own `BarrierRequest`s go to the
-//!    switch under a proxy xid too, so the two can never be confused, and
-//!    their replies go back upstream under the controller's xid. Each
-//!    side's `EchoRequest` (OpenFlow keepalive) is answered by the proxy
-//!    under its xid and never crosses to the other side.
+//!    a confirmation. Until its claim an update is probed only when its
+//!    plan lands. The session announces this before its first FlowMod with
+//!    a claim covering none (step 2), so even the updates that start before
+//!    the switch answers its first barrier wait for their claim. The
+//!    controller's own `BarrierRequest`s go to the switch under a proxy xid
+//!    too, so the two can never be confused, and their replies go back
+//!    upstream under the controller's xid. Each side's `EchoRequest`
+//!    (OpenFlow keepalive) is answered by the proxy under its xid and never
+//!    crosses to the other side.
 //!
 //! An `Error` the switch sends for a FlowMod it was sent goes through the
 //! monitor: the session remembers each FlowMod's proxy xid with its number
@@ -499,6 +504,10 @@ impl ProxyApp {
                 }
                 let mut proxy = MonitorProxy::new(pcfg);
                 proxy.set_deferred_planning(true);
+                // The session reports claims: it says so before its first
+                // FlowMod, so every update waits for the switch's claim (a
+                // claim covering nothing puts nothing out).
+                let _ = proxy.on_barrier_reply(ctx.now_ns(), 0);
                 let mut outputs = Vec::new();
                 if let Some((prio, port)) = self.cfg.preinstall_default {
                     outputs = proxy.preinstall(prio, Match::any(), vec![Action::Output(port)]);

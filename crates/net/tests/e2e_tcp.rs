@@ -18,7 +18,7 @@ use std::time::Duration;
 use monocle_net::sim::ControllerStats;
 use monocle_net::{
     ConnId, ControllerSim, ControllerSimConfig, Driver, EventLoop, IoCtx, ProxyApp, ProxyAppConfig,
-    SwitchProfile, SwitchSim, SwitchSimConfig, SwitchStats, TransportEvent,
+    SessionStats, SwitchProfile, SwitchSim, SwitchSimConfig, SwitchStats, TransportEvent,
 };
 use monocle_openflow::messages::PacketInReason;
 use monocle_openflow::{Action, FlowMod, FlowModCommand, FlowTable, Match, OfMessage};
@@ -386,6 +386,72 @@ impl Driver for ScriptedEndpoints {
     }
 }
 
+/// Runs `script` through a proxy with [`ProxyAppConfig::new`]'s settings (a
+/// priority-1 default route to port 2 preinstalled) onto a switch with
+/// `profile`, through [`ScriptedEndpoints`]. Returns what the endpoints saw
+/// and the proxy's counters for the session.
+fn run_script(script: Vec<FlowMod>, profile: SwitchProfile) -> (ScriptReport, SessionStats) {
+    let n = script.len();
+    let report = Arc::new(Mutex::new(ScriptReport {
+        acks: vec![0; n],
+        acked_at: vec![0; n],
+        barrier_at: vec![0; n],
+        installed_at: vec![0; n],
+        ..Default::default()
+    }));
+    let mut ends_loop = EventLoop::new().unwrap();
+    let controller_addr = ends_loop.with_ctx(|ctx| {
+        let l = ctx.listen("127.0.0.1:0").unwrap();
+        ctx.schedule_in(60_000_000_000, DEADLINE);
+        ctx.listener_addr(l).unwrap()
+    });
+    let mut proxy_loop = EventLoop::new().unwrap();
+    let mut proxy = ProxyApp::new(ProxyAppConfig::new(controller_addr), proxy_loop.waker());
+    let proxy_stats = proxy.stats();
+    let proxy_addr = proxy_loop.with_ctx(|ctx| proxy.start(ctx).unwrap());
+    let mut endpoints = ScriptedEndpoints {
+        script,
+        sent: 0,
+        acked: 0,
+        controller_conn: None,
+        fleet: SwitchSim::new(SwitchSimConfig {
+            proxy_addr,
+            switches: vec![(DPID, profile)],
+        }),
+        report: Arc::clone(&report),
+    };
+    ends_loop.with_ctx(|ctx| endpoints.fleet.start(ctx).unwrap());
+    let pt = std::thread::spawn(move || proxy_loop.run(&mut proxy).unwrap());
+    ends_loop.run(&mut endpoints).unwrap();
+    drop(ends_loop); // closes both sockets; the proxy exits when idle
+    pt.join().unwrap();
+    let sess = proxy_stats.lock().unwrap().values().next().cloned();
+    let report = std::mem::take(&mut *report.lock().unwrap());
+    (report, sess.expect("the session's counters"))
+}
+
+/// The first claim races the first updates. The switch's barriers are
+/// truthful, but its installs are serial and take 40 ms, so the reply to the
+/// barrier after the proxy's default route — the session's first claim from
+/// the switch — comes at about 40 ms. The controller's one FlowMod, a drop
+/// the default route makes distinguishable, is forwarded a few ms in; until
+/// the default route commits a table miss drops every probe, so only §3.3
+/// silence can confirm it. Silence must count from the drop's own claim
+/// (about 80 ms), not from its start: the ack follows the commit.
+#[test]
+fn an_update_forwarded_before_the_first_claim_waits_for_its_own() {
+    let drop = FlowMod::add(10, Match::any().with_nw_dst([10, 0, 0, 1], 32), vec![]);
+    let (report, sess) = run_script(vec![drop], ideal_installing_in(40_000_000));
+    assert!(!report.deadlined && report.alarms == 0, "{report:?}");
+    assert_eq!((report.acks[0], sess.verified), (1, 1), "{sess:?}");
+    assert!(
+        report.acked_at[0] >= report.installed_at[0],
+        "acked at {} ms, committed at {} ms",
+        report.acked_at[0] / 1_000_000,
+        report.installed_at[0] / 1_000_000
+    );
+}
+
 /// The disjoint-/32 workloads above never make a neighborhood bigger than
 /// two rules, so a wrong pre-/post-delta choice could not show there. Here
 /// 300 ACL rules with real overlap are loaded through the proxy onto a
@@ -444,41 +510,7 @@ fn acl_script_over_tcp(profile: SwitchProfile) -> AclRun {
         model.apply(fm).unwrap();
     }
 
-    let report = Arc::new(Mutex::new(ScriptReport {
-        acks: vec![0; n],
-        acked_at: vec![0; n],
-        barrier_at: vec![0; n],
-        installed_at: vec![0; n],
-        ..Default::default()
-    }));
-    let mut ends_loop = EventLoop::new().unwrap();
-    let controller_addr = ends_loop.with_ctx(|ctx| {
-        let l = ctx.listen("127.0.0.1:0").unwrap();
-        ctx.schedule_in(60_000_000_000, DEADLINE);
-        ctx.listener_addr(l).unwrap()
-    });
-    let mut proxy_loop = EventLoop::new().unwrap();
-    let mut proxy = ProxyApp::new(ProxyAppConfig::new(controller_addr), proxy_loop.waker());
-    let proxy_stats = proxy.stats();
-    let proxy_addr = proxy_loop.with_ctx(|ctx| proxy.start(ctx).unwrap());
-    let mut endpoints = ScriptedEndpoints {
-        script,
-        sent: 0,
-        acked: 0,
-        controller_conn: None,
-        fleet: SwitchSim::new(SwitchSimConfig {
-            proxy_addr,
-            switches: vec![(DPID, profile)],
-        }),
-        report: Arc::clone(&report),
-    };
-    ends_loop.with_ctx(|ctx| endpoints.fleet.start(ctx).unwrap());
-    let pt = std::thread::spawn(move || proxy_loop.run(&mut proxy).unwrap());
-    ends_loop.run(&mut endpoints).unwrap();
-    drop(ends_loop); // closes both sockets; the proxy exits when idle
-    pt.join().unwrap();
-
-    let report = report.lock().unwrap();
+    let (report, sess) = run_script(script, profile);
     assert!(
         !report.deadlined,
         "{name}: run hit its deadline or lost a socket"
@@ -489,8 +521,6 @@ fn acl_script_over_tcp(profile: SwitchProfile) -> AclRun {
         "{name}: every FlowMod acked exactly once: {:?}",
         report.acks
     );
-    let ps = proxy_stats.lock().unwrap();
-    let sess = ps.values().next().unwrap();
     assert_eq!(sess.flowmods as usize, n, "{name}");
     assert_eq!(sess.confirmed as usize, n, "{name}");
     // About an eighth of the generated ACL is shadowed or indistinct by
