@@ -27,10 +27,26 @@ echo "== deeper property pass: dynamic monitoring (replica and switch mirror, cl
 # and every update drains verified, optimistic or alarmed. The mirror
 # scripts run as a claims driver's in half the cases (the announce, then
 # claims of random prefixes of the FlowMods sent) and claimless in the
-# other: either way every update is answered exactly once, none is
-# confirmed by silence before its claim plus the window, and a claimless
-# monitor keeps no rejection record.
+# other: either way every update is answered exactly once, no update holds
+# more than two live probes, none is confirmed by silence before two probes
+# sent since its claim (and its last contrary return) have each gone the
+# probe timeout then in force unanswered, and a claimless monitor keeps no
+# rejection record.
 PROPTEST_CASES=1000 cargo test --release -q -p monocle --lib dynamic::tests::props
+
+echo "== the TCP ACL arms: acks before commit against optimistic acks, 3 runs =="
+# The ideal and hp5406zl arms of e2e_tcp, in release, three times: each run
+# prints its acks before commit against the optimistic acks (the arm fails
+# if the first exceeds the second). On hp5406zl the two are equal (36-38),
+# so a change to when silence confirms shows here first. One test thread,
+# so the arms do not share the CPUs.
+for run in 1 2 3; do
+    echo "-- run $run"
+    cargo test --release -q -p monocle_net --test e2e_tcp -- --exact --test-threads 1 \
+        --nocapture acl_table_delete_readd_modify_over_tcp \
+        acl_script_over_tcp_on_hp5406zl_acks_do_not_precede_commits 2>&1 |
+        grep -E 'acks before commit|test result'
+done
 
 echo "== deeper differential: the steady refresh, inline and deferred =="
 # Tier-1 runs 40 random scripts of each: the incremental refresh matches the
@@ -104,9 +120,11 @@ bench_checked --workload plan_tables --seed 1 --seconds 15 --trace 0
 # churn for a missed log entry to show as a stale plan or a wrong verdict.
 bench_checked --workload detect_breakage --seed 1 --seconds 15 --trace 0
 # The proxy's own barrier replies race its acks: each reply re-probes the
-# updates it covers and opens their silence window. The smoke run has too few
-# updates for that race to show; at full size (64 outstanding, ~50 k updates)
-# the run's checks see any ack before its install (early_acks), a missing,
+# updates it covers and starts their silence count, and a drop-confirmed
+# update is acked two probe timeouts later (the timeout follows the session's
+# probe round trip: about 2 ms on loopback). The smoke run has too few updates
+# for that race to show; at full size (64 outstanding, ~60 k updates) the
+# run's checks see any ack before its install (early_acks), a missing,
 # duplicate or stray ack, and any datapath/model mismatch.
 bench_checked --workload tcp_small_table --seed 1 --seconds 15 --trace 0
 mv "$lock_snapshot" benchmark/Cargo.lock
@@ -135,9 +153,10 @@ echo "== perf baseline: TCP transport loopback (full sweep) =="
 # switch-connection count grows 1..64 on one proxy event loop. Installs are
 # serial, so up to 8 switches the sweep is install-bound. An update is
 # probed when its plan lands, re-probed at once when the switch answers the
-# proxy's barrier and not on the clock before that, but from 32 switches on
-# (16 in some runs) the 2 ms re-probes after a reply still saturate the
-# loops and those arms take tens of seconds (see the JSON's notes).
+# proxy's barrier and not before that, and after it again each time its
+# last probe returns with the old state or times out; the timeout follows
+# each session's probe round trip, so a saturated loop whose returns lag
+# probes less often (see the JSON's notes for what the rows still show).
 ./target/release/transport_loopback --json BENCH_transport.json
 
 echo "== smoke: adaptive scheduler (small) =="

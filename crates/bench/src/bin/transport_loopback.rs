@@ -179,17 +179,26 @@ fn main() {
              most one update per install time and fm/s scales with overlapping switch \
              sessions, not CPU, up to about 8 switches. The proxy follows each batch of \
              FlowMods it forwards with a barrier of its own and re-probes the updates a \
-             reply covers at once; until then an update waiting behind the install queue \
-             is re-probed with backoff (gaps of 2, 4, 8, then 12 ms), so probes per update \
-             no longer grow with the queue: about 6 at one switch, against about 14 when \
-             every waiting update was re-probed each 2 ms. From 32 switches on (16 in \
-             some runs) the loops still saturate on a 2-CPU host: the probes that remain \
-             are the 2 ms re-probes after a reply, whose returns lag on saturated loops, \
-             and lateness then breeds more probes. Those rows are bistable and differ by \
-             up to 40x between runs, and probes still in flight when such a run ends \
-             account for probes_returned < probes_injected there. Below that, the few \
-             missing returns are probes the table dropped before the default route \
-             committed. \
+             reply covers at once; before that an update is probed only when its plan \
+             lands. After the reply an update has one probe outstanding: the next goes \
+             when the last returns with the old state or times out, and the timeout \
+             follows each session's measured probe round trip (RFC 6298: max(2 ms, SRTT \
+             + 4 RTTVAR), 6 ms before the first return), the wait doubling while an \
+             update's probes keep timing out. So probes per verified update \
+             are about 2 (the plan's probe and the claim's), and a \
+             saturated loop whose returns lag probes less often instead of more: the \
+             16-64-switch rows no longer collapse, as they did when every claimed \
+             update was re-probed each 2 ms (then 208-1680 fm/s at 16-32 switches, \
+             52-128 at 64, with up to 1332 probes per update). Without the doubling, a \
+             loop whose returns lagged past two timeouts gave every probe up before it \
+             came back, and the 64-switch arm once ran into its deadline. On a 2-CPU host \
+             four earlier sweeps of this code read 4188-6095 fm/s at 16 switches, \
+             4583-8016 at 32 and 5033-8226 at 64, with 2.0-2.7 probes per update at every \
+             row, and this file's rows are one more sweep; the spread is the host's (the \
+             install-bound 4- and 8-switch rows moved by 12-16 % too). Probes \
+             still in flight when a run \
+             ends, and probes the table dropped before the default route committed, \
+             account for probes_returned < probes_injected. \
              Rows from before the switch fleet became this model are not comparable: \
              that fleet applied every FlowMod on its own timer after a fixed latency, in \
              parallel. The workload is disjoint /32 \

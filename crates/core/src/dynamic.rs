@@ -31,10 +31,21 @@
 //!   switches answer barriers before the commit (\[16\]) — but a truthful
 //!   one says exactly when a probe can first succeed. Every update has one
 //!   claim: the switch's, where claims flow, or its own start, in a driver
-//!   that reports none. An update is probed when its plan lands, once at
-//!   its claim, and every `PROBE_INTERVAL` after it; §3.3 silence counts
-//!   from the claim too, so an update no claim covers yet is neither
-//!   re-probed on the clock nor confirmed by silence.
+//!   that reports none. An update is probed when its plan lands and once at
+//!   its claim; §3.3 silence counts from the claim too, so an update no
+//!   claim covers yet is neither re-probed nor confirmed by silence;
+//! * closed-loop probing: the monitor keeps an RFC 6298 estimate of its
+//!   switch's probe round trip (SRTT and RTTVAR, from each probe's injection
+//!   to its return) and times its probes out after `T = max(2 ms, SRTT +
+//!   4·RTTVAR)`, or 6 ms before the first return. After its claim an update
+//!   has one probe outstanding: the next goes once the last has returned
+//!   with the old state or timed out, and never sooner than `T` after it was
+//!   sent, so a switch whose returns lag is probed less often; while its
+//!   probes keep timing out, the wait doubles (RFC 6298 §5.5), so one stays
+//!   live until its late return comes back. An update confirmed by a drop
+//!   is confirmed by silence once its two live probes, both sent since
+//!   silence started counting, have each gone `T` unanswered — at its
+//!   claim plus `2·T` when nothing contradicts it.
 //!
 //! ## What reaches the switch, and in which order
 //!
@@ -70,12 +81,58 @@ use monocle_openflow::{FlowMod, FlowModCommand, FlowTable, PortNo, Rule, RuleId,
 use monocle_packet::PacketFields;
 use std::collections::VecDeque;
 
-/// Interval between probe (re)injections for an unconfirmed update, ns.
-const PROBE_INTERVAL: u64 = 2_000_000;
-/// Silence window for negative probing (§3.3): when the confirming outcome
-/// is a drop (unobservable), the update is confirmed once no contrary probe
-/// has returned for this long, ns.
-pub(crate) const NEGATIVE_CONFIRM_WINDOW: u64 = 12_000_000;
+/// The probe timeout before the switch's first probe returns, ns: silence
+/// on a switch the monitor knows nothing about takes 12 ms from the claim.
+const FIRST_TIMEOUT: u64 = 6_000_000;
+/// The least probe timeout, ns, however fast the switch answers.
+const MIN_TIMEOUT: u64 = 2_000_000;
+/// The most times an update's wait for its next probe doubles (RFC 6298
+/// §5.5), which caps it at `T · 2¹⁵` — over a minute at the 2 ms floor.
+const MAX_BACKOFF: u32 = 15;
+
+/// The switch's probe round trip, estimated as RFC 6298 does a TCP
+/// connection's (α = 1/8, β = 1/4), in ns, from each dynamic probe's
+/// injection to its return.
+#[derive(Debug, Default)]
+struct RoundTrip {
+    /// Smoothed round trip (SRTT).
+    srtt: u64,
+    /// Round-trip variation (RTTVAR).
+    rttvar: u64,
+    /// Returns sampled so far.
+    samples: u64,
+}
+
+impl RoundTrip {
+    fn sample(&mut self, rtt: u64) {
+        if self.samples == 0 {
+            (self.srtt, self.rttvar) = (rtt, rtt / 2);
+        } else {
+            self.rttvar = (3 * self.rttvar + self.srtt.abs_diff(rtt)) / 4;
+            self.srtt = (7 * self.srtt + rtt) / 8;
+        }
+        self.samples += 1;
+    }
+
+    /// The probe timeout `T`: how long a probe may go unanswered before the
+    /// next one goes, and before its silence counts (§3.3).
+    fn timeout(&self) -> u64 {
+        match self.samples {
+            0 => FIRST_TIMEOUT,
+            _ => (self.srtt + 4 * self.rttvar).max(MIN_TIMEOUT),
+        }
+    }
+}
+
+/// One of an update's live probes.
+#[derive(Debug, Clone, Copy)]
+struct Sent {
+    seq: u32,
+    /// When it was injected.
+    at: u64,
+    /// Whether it has come back (with any verdict).
+    answered: bool,
+}
 
 /// Dynamic-monitor configuration.
 #[derive(Debug, Clone, Default)]
@@ -164,9 +221,16 @@ struct Update {
     /// as it starts, before its plan lands: 0.
     quiet_since: Option<u64>,
     plan: Option<ProbePlan>,
-    next_probe_at: u64,
-    /// Its probes' sequence numbers, one per probe sent.
-    live_seqs: Vec<u32>,
+    /// Its last two probes, oldest first: the ones whose returns are still
+    /// judged.
+    live: Vec<Sent>,
+    /// Probes sent in all (what [`DynamicConfig::max_attempts`] caps).
+    probes: u32,
+    /// How many clock probes in a row went out while the one before was
+    /// unanswered: the next waits `T · 2^backoff` after the last (RFC 6298
+    /// §5.5), so a probe whose return lags several timeouts is still live
+    /// when it comes back.
+    backoff: u32,
 }
 
 impl Update {
@@ -180,10 +244,40 @@ impl Update {
         }
     }
 
-    /// One more probe of its plan, under a fresh sequence number.
-    fn probe(&mut self, switch_id: u64, next_seq: &mut u32) -> ProxyOutput {
+    /// Whether probe `seq` is one of its live ones.
+    fn is_live(&self, seq: u32) -> bool {
+        self.live.iter().any(|s| s.seq == seq)
+    }
+
+    /// §3.3: whether silence confirms it at `now` under probe timeout `t`.
+    /// Its confirming outcome is a drop, and its two live probes were both
+    /// sent since silence started counting and have each gone `t`
+    /// unanswered.
+    fn quiet(&self, now: u64, t: u64) -> bool {
+        let Some(since) = self.quiet_since else {
+            return false;
+        };
+        self.silent_confirm()
+            && self.live.len() == 2
+            && self
+                .live
+                .iter()
+                .all(|s| !s.answered && s.at >= since && now >= s.at + t)
+    }
+
+    /// One more probe of its plan, sent at `now` under a fresh sequence
+    /// number; its oldest live probe, if it had two, is given up.
+    fn probe(&mut self, now: u64, switch_id: u64, next_seq: &mut u32) -> ProxyOutput {
         let seq = take_seq(next_seq);
-        self.live_seqs.push(seq);
+        if self.live.len() == 2 {
+            self.live.remove(0);
+        }
+        self.live.push(Sent {
+            seq,
+            at: now,
+            answered: false,
+        });
+        self.probes += 1;
         let plan = self.plan.as_ref().expect("a probed update has its plan");
         ProxyOutput::Inject(ProbeInjection::new(switch_id, plan, seq))
     }
@@ -238,6 +332,8 @@ pub(crate) struct DynamicMonitor {
     /// Read as an update starts ([`Self::start_update`]), and by the first
     /// claim, which must come before any FlowMod.
     claims_heard: bool,
+    /// The switch's probe round trip, which sets the probe timeout.
+    rtt: RoundTrip,
 }
 
 impl DynamicMonitor {
@@ -261,6 +357,7 @@ impl DynamicMonitor {
             request_replica: FlowTable::new(),
             touched: Vec::new(),
             claims_heard: false,
+            rtt: RoundTrip::default(),
         }
     }
 
@@ -576,8 +673,9 @@ impl DynamicMonitor {
             // none do, it counts as claimed now.
             quiet_since: (!self.claims_heard).then_some(0),
             plan: None,
-            next_probe_at: 0,
-            live_seqs: Vec::new(),
+            live: Vec::with_capacity(2),
+            probes: 0,
+            backoff: 0,
         });
     }
 
@@ -622,8 +720,7 @@ impl DynamicMonitor {
         plan.rule_id = u.rule_id;
         u.plan = Some(plan);
         u.quiet_since = u.quiet_since.map(|t| t.max(now));
-        u.next_probe_at = now + PROBE_INTERVAL;
-        out.push(u.probe(self.switch_id, &mut self.next_seq));
+        out.push(u.probe(now, self.switch_id, &mut self.next_seq));
         out
     }
 
@@ -631,9 +728,10 @@ impl DynamicMonitor {
     /// to it (the reply to a barrier sent after them). A claim is a hint,
     /// never proof: it confirms nothing. Each unconfirmed update it is the
     /// first to cover is claimed: probed once now — its earlier probe may
-    /// have met the old state — and on the clock from then on
-    /// ([`Self::on_tick`]), and its silence counts from now; an update still
-    /// awaiting its plan is probed when the plan lands. A driver that
+    /// have met the old state — and again each time its last probe is
+    /// answered or times out ([`Self::on_tick`]), and its silence counts
+    /// from now; an update still awaiting its plan is probed when the plan
+    /// lands. A driver that
     /// reports claims reports its first before its first FlowMod (a claim
     /// covering none will do), so that every update starts unclaimed.
     pub(crate) fn on_claim(&mut self, now: u64, covered: u64) -> Vec<ProxyOutput> {
@@ -651,41 +749,49 @@ impl DynamicMonitor {
             }
             u.quiet_since = Some(now);
             if u.plan.is_some() {
-                u.next_probe_at = now + PROBE_INTERVAL;
-                out.push(u.probe(self.switch_id, &mut self.next_seq));
+                out.push(u.probe(now, self.switch_id, &mut self.next_seq));
             }
         }
         out
     }
 
-    /// Periodic tick, over the claimed updates that hold their plan:
-    /// confirm a silence-based (negative-probed) one whose window since
-    /// [`Update::quiet_since`] elapsed, and re-probe each one
-    /// `PROBE_INTERVAL` after its last clock or claim probe. An update no
-    /// claim covers yet is left alone.
+    /// Periodic tick, over the claimed updates that hold their plan, with
+    /// the probe timeout `T` the round trip sets now: confirm a silence-based
+    /// (negative-probed) one whose two live probes went quiet
+    /// ([`Update::quiet`]), and probe again each one whose last probe went
+    /// out `T` ago or more — by then it has returned with the old state or
+    /// timed out — doubling that wait while its probes keep timing out
+    /// ([`Update::backoff`]). An update no claim covers yet is left alone.
     pub(crate) fn on_tick(&mut self, now: u64) -> Vec<ProxyOutput> {
+        let timeout = self.rtt.timeout();
         let mut out = Vec::new();
         let mut alarmed: Vec<u64> = Vec::new();
         let mut silent_done: Vec<u64> = Vec::new();
-        for u in self.updates.iter_mut().filter(|u| u.plan.is_some()) {
-            let Some(quiet_since) = u.quiet_since else {
-                continue;
+        for u in self.updates.iter_mut() {
+            let Some(last) = u.live.last() else {
+                continue; // awaiting its plan
             };
-            let probes = u.live_seqs.len();
-            if u.silent_confirm() && probes >= 2 && now >= quiet_since + NEGATIVE_CONFIRM_WINDOW {
+            if u.quiet_since.is_none() || now < last.at + timeout {
+                continue;
+            }
+            if u.quiet(now, timeout) {
                 // §3.3 negative probing: enough probes went quiet.
                 silent_done.push(u.token);
                 continue;
             }
-            if now < u.next_probe_at {
+            if now < last.at + (timeout << u.backoff) {
                 continue;
             }
-            if self.cfg.max_attempts > 0 && probes >= self.cfg.max_attempts as usize {
+            if self.cfg.max_attempts > 0 && u.probes >= self.cfg.max_attempts {
                 alarmed.push(u.token);
                 continue;
             }
-            out.push(u.probe(self.switch_id, &mut self.next_seq));
-            u.next_probe_at = now + PROBE_INTERVAL;
+            u.backoff = if last.answered {
+                0
+            } else {
+                (u.backoff + 1).min(MAX_BACKOFF)
+            };
+            out.push(u.probe(now, self.switch_id, &mut self.next_seq));
         }
         for token in silent_done {
             let idx = self.updates.iter().position(|u| u.token == token).unwrap();
@@ -777,7 +883,7 @@ impl DynamicMonitor {
         out_port: PortNo,
         fields: &PacketFields,
     ) -> Vec<ProxyOutput> {
-        let update = self.updates.iter().find(|u| u.live_seqs.contains(&seq));
+        let update = self.updates.iter().find(|u| u.is_live(seq));
         let Some(plan) = update.and_then(|u| u.plan.as_ref()) else {
             return Vec::new();
         };
@@ -786,22 +892,40 @@ impl DynamicMonitor {
     }
 
     /// Feeds the verdict on probe `seq` back: the verdict-level entry
-    /// behind [`Self::on_probe_return`].
+    /// behind [`Self::on_probe_return`]. A live probe's first return is a
+    /// round-trip sample.
     pub(crate) fn on_verdict(&mut self, now: u64, seq: u32, verdict: Verdict) -> Vec<ProxyOutput> {
         let mut out = Vec::new();
-        let Some(idx) = self.updates.iter().position(|u| u.live_seqs.contains(&seq)) else {
+        let Some(idx) = self.updates.iter().position(|u| u.is_live(seq)) else {
             return out; // stale
         };
         let u = &mut self.updates[idx];
+        let sent = u.live.iter_mut().find(|s| s.seq == seq).unwrap();
+        if !sent.answered {
+            sent.answered = true;
+            self.rtt.sample(now.saturating_sub(sent.at));
+        }
         if verdict == u.confirm_on {
             self.finish(idx, true, &mut out);
         } else if verdict != Verdict::Inconclusive {
             // Transient inconsistency (§4.1): e.g. the rule is not installed
-            // *yet*. Not an alarm; keep probing (and push the silence window
-            // out — the old state is demonstrably still active).
+            // *yet*. Not an alarm; keep probing (and restart the silence
+            // count — the old state is demonstrably still active).
             u.quiet_since = u.quiet_since.map(|t| t.max(now));
         }
         out
+    }
+
+    /// The probe timeout `T` in force: `max(2 ms, SRTT + 4·RTTVAR)` of the
+    /// switch's probe round trip, or 6 ms before its first probe returned.
+    pub(crate) fn probe_timeout(&self) -> u64 {
+        self.rtt.timeout()
+    }
+
+    /// The probe returns the round-trip estimate behind
+    /// [`Self::probe_timeout`] has sampled.
+    pub(crate) fn probe_rtt_samples(&self) -> u64 {
+        self.rtt.samples
     }
 }
 
@@ -1782,10 +1906,12 @@ mod tests {
         /// inline or deferred throughout. With `claims`, the driver reports
         /// claims: it announces them before its first FlowMod and makes the
         /// script's; without, it makes none and the monitor keeps no
-        /// rejection record. Either way no update is confirmed by silence
-        /// before its claim (its FlowMod's send, without claims) plus the
-        /// window, and once everything is claimed and answered, every update
-        /// is answered exactly once.
+        /// rejection record. Either way no update holds more than two live
+        /// probes, none is confirmed by silence before two probes sent since
+        /// its claim (its FlowMod's send, without claims) and its last
+        /// contrary return have each gone the timeout then in force
+        /// unanswered, and once everything is claimed and answered, every
+        /// update is answered exactly once.
         fn run_mirrored(
             ops: &[Op],
             postpone: bool,
@@ -1802,8 +1928,9 @@ mod tests {
             let mut switch = (m.expected().clone(), 0);
             // By FlowMod number, from 1: when it was first claimed.
             let mut claimed_at: Vec<Option<u64>> = Vec::new();
-            // The script, then a claim of everything and the answers.
-            let drain = [Op::Claim(0), Op::Answer];
+            // The script, then a claim of everything, 9 ms in which silence
+            // may confirm what the claim covered, and the answers.
+            let drain = [Op::Claim(0), Op::Tick, Op::Tick, Op::Tick, Op::Answer];
             for (i, op) in ops.iter().chain(&drain).enumerate() {
                 match op {
                     Op::Update(fm) => {
@@ -1842,11 +1969,16 @@ mod tests {
                     }
                     Op::Tick => {
                         now += 3_000_000;
-                        let sent: Vec<(u64, u64)> =
-                            m.updates.iter().map(|u| (u.token, u.forwarded)).collect();
+                        let before: Vec<(u64, u64, Option<u64>, Vec<Sent>)> = (m.updates.iter())
+                            .map(|u| (u.token, u.forwarded, u.quiet_since, u.live.clone()))
+                            .collect();
+                        let timeout = m.probe_timeout();
                         let outs = m.on_tick(now);
                         for o in &outs {
-                            // Those a tick confirms, it confirms by silence.
+                            // Those a tick confirms, it confirms by silence:
+                            // two probes, both sent since silence started
+                            // counting (and so since the claim), have each
+                            // gone the timeout unanswered.
                             let ProxyOutput::Confirmed {
                                 token,
                                 verified: true,
@@ -1854,14 +1986,25 @@ mod tests {
                             else {
                                 continue;
                             };
-                            let number = sent.iter().find(|(t, _)| t == token).unwrap().1;
-                            let claim = claimed_at[number as usize - 1];
+                            let (_, number, since, live) =
+                                before.iter().find(|(t, ..)| t == token).unwrap();
+                            let claim = claimed_at[*number as usize - 1];
+                            let quiet = |s: &Sent| {
+                                !s.answered
+                                    && since.is_some_and(|q| s.at >= q)
+                                    && claim.is_some_and(|c| s.at >= c)
+                                    && now >= s.at + timeout
+                            };
                             prop_assert!(
-                                claim.is_some_and(|c| now >= c + NEGATIVE_CONFIRM_WINDOW),
-                                "update {} confirmed at {} ms, claimed at {:?}",
+                                live.len() == 2 && live.iter().all(quiet),
+                                "update {} confirmed at {} ms, claimed at {:?}, quiet since \
+                                 {:?}, timeout {}: {:?}",
                                 token,
                                 now / 1_000_000,
-                                claim
+                                claim,
+                                since,
+                                timeout,
+                                live
                             );
                         }
                         log.extend(outs);
@@ -1882,6 +2025,7 @@ mod tests {
                 // What this call sent: claimed now, where no claims flow.
                 claimed_at.resize(m.flowmods_sent() as usize, (!claims).then_some(now));
                 prop_assert!(claims || m.unclaimed.is_empty(), "{:?}", m.unclaimed);
+                prop_assert!(m.updates.iter().all(|u| u.live.len() <= 2));
             }
             if let Some(r) = &replica {
                 let stats = r.engine.engine_stats();
@@ -2051,7 +2195,7 @@ mod tests {
     }
 
     /// Probes sent for update 1, an add nobody answers, started now and
-    /// ticked every ms for 60 ms (2 ms interval, 12 ms window).
+    /// ticked every ms for 60 ms (no return: a 6 ms timeout).
     fn probes_in_60_ms(m: &mut DynamicMonitor) -> usize {
         let mut acts = flowmod(m, 0, 1, add_fm(10, [10, 0, 0, 1], 2));
         for ms in 1..=60u64 {
@@ -2062,17 +2206,19 @@ mod tests {
 
     #[test]
     fn an_unclaimed_update_waits_for_its_claim() {
-        // No claims: claimed as it starts, the first probe, then one every
-        // 2 ms.
-        assert_eq!(probes_in_60_ms(&mut monitor()), 31);
+        // No claims: claimed as it starts, the first probe, then one each
+        // time the last times out (6 ms: no probe has returned), the wait
+        // doubling after each: at 0, 6, 18 and 42 ms.
+        assert_eq!(probes_in_60_ms(&mut monitor()), 4);
         // Claims flow: the first probe as its plan lands, none on the clock
-        // until its claim, one at the claim, then one every 2 ms.
+        // until its claim, one at the claim, then one a timeout later, and
+        // the next two timeouts after that.
         let mut m = monitor();
         assert!(m.on_claim(0, 0).is_empty(), "claims are reported");
         assert_eq!(probes_in_60_ms(&mut m), 1);
         let claim = m.on_claim(60_000_000, m.flowmods_sent());
         assert_eq!(claim.iter().filter_map(injected).count(), 1);
-        let ticks: Vec<usize> = (61..=66u64)
+        let ticks: Vec<usize> = (61..=72u64)
             .map(|ms| {
                 m.on_tick(ms * 1_000_000)
                     .iter()
@@ -2080,7 +2226,148 @@ mod tests {
                     .count()
             })
             .collect();
-        assert_eq!(ticks, [0, 1, 0, 1, 0, 1]);
+        assert_eq!(ticks, [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(m.on_tick(78_000_000).iter().filter_map(injected).count(), 1);
+    }
+
+    /// The tick, every ms from `from` up to `until`, at which update
+    /// `token` is confirmed, with no probe answered.
+    fn confirmed_at(m: &mut DynamicMonitor, from: u64, until: u64, token: u64) -> Option<u64> {
+        (from / MS + 1..=until / MS).map(|ms| ms * MS).find(|&now| {
+            (m.on_tick(now).iter())
+                .any(|o| matches!(o, ProxyOutput::Confirmed { token: t, .. } if *t == token))
+        })
+    }
+
+    const MS: u64 = 1_000_000;
+
+    /// A claims monitor that has seen `n` forwarding updates' probes come
+    /// back `rtt` after they were sent, the last at `rtt`.
+    fn taught(n: u64, rtt: u64) -> DynamicMonitor {
+        let mut m = monitor();
+        assert!(m.on_claim(0, 0).is_empty(), "claims are reported");
+        for token in 100..100 + n {
+            let acts = flowmod(&mut m, 0, token, add_fm(10, [10, 1, 0, token as u8], 2));
+            let out = m.on_verdict(rtt, seq_of(&acts, 1), Verdict::Present);
+            assert!(matches!(out[0], ProxyOutput::Confirmed { .. }), "{out:?}");
+        }
+        assert_eq!(m.probe_rtt_samples(), n);
+        m
+    }
+
+    /// A drop rule over the default route: only §3.3 silence confirms it.
+    fn drop_add() -> FlowMod {
+        FlowMod::add(20, Match::any().with_nw_dst([10, 9, 0, 0], 16), vec![])
+    }
+
+    /// On a switch whose probes come back after 20 ms, a contrary return 15
+    /// ms after the claim is a return on time, not a late one: silence has
+    /// not confirmed the drop before it (a fixed 12 ms window did), and
+    /// counts afresh from it.
+    #[test]
+    fn silence_waits_for_a_slow_switchs_round_trip() {
+        let mut m = taught(8, 20 * MS);
+        let before = m.probe_timeout();
+        assert!((20 * MS..30 * MS).contains(&before), "{before}");
+        let acts = flowmod(&mut m, 20 * MS, 1, drop_add());
+        assert_eq!(acts.iter().filter_map(injected).count(), 1);
+        let t = 21 * MS;
+        let claim = m.on_claim(t, m.flowmods_sent());
+        let seq = seq_of(&claim, 0);
+        assert_eq!(confirmed_at(&mut m, t, t + 15 * MS, 1), None);
+        // The claim's probe meets the old state: the default route.
+        assert!(m.on_verdict(t + 15 * MS, seq, Verdict::Absent).is_empty());
+        let timeout = m.probe_timeout();
+        let at = confirmed_at(&mut m, t + 15 * MS, t + 200 * MS, 1).expect("silence confirms");
+        assert!(
+            at >= t + 15 * MS + 2 * timeout,
+            "confirmed at {at}, T {timeout}"
+        );
+    }
+
+    /// On a switch whose probes come back in 100 µs the timeout is its 2 ms
+    /// floor, and a drop add nothing contradicts is confirmed by silence two
+    /// timeouts after its claim, within a tick, and not before.
+    #[test]
+    fn silence_follows_a_fast_switchs_round_trip() {
+        let mut m = taught(1, MS / 10);
+        let timeout = m.probe_timeout();
+        assert_eq!(timeout, 2 * MS);
+        flowmod(&mut m, 5 * MS, 1, drop_add());
+        let claim = 10 * MS + MS / 2;
+        assert_eq!(m.on_claim(claim, m.flowmods_sent()).len(), 1);
+        let at = confirmed_at(&mut m, 10 * MS, 100 * MS, 1).expect("silence confirms");
+        assert!(
+            (claim + 2 * timeout..=claim + 2 * timeout + MS).contains(&at),
+            "confirmed at {at}"
+        );
+    }
+
+    /// A probe that came back is not a quiet one, even when it came back
+    /// with the old state at the instant silence started counting: the two
+    /// quiet probes are the two after it.
+    #[test]
+    fn an_answered_probe_is_not_a_quiet_one() {
+        let mut m = taught(1, MS / 10);
+        let timeout = m.probe_timeout();
+        flowmod(&mut m, 5 * MS, 1, drop_add());
+        let claim = 10 * MS;
+        let seq = seq_of(&m.on_claim(claim, m.flowmods_sent()), 0);
+        assert!(m.on_verdict(claim, seq, Verdict::Absent).is_empty());
+        let at = confirmed_at(&mut m, claim, 100 * MS, 1);
+        assert_eq!(at, Some(claim + 3 * timeout));
+    }
+
+    /// A switch whose every return comes three timeouts after its probe: a
+    /// fixed timeout would have given each probe up (two live ones) before
+    /// it came back, for ever; the doubling wait keeps one live until its
+    /// return, which confirms.
+    #[test]
+    fn an_update_whose_returns_lag_past_two_timeouts_confirms() {
+        let mut m = taught(1, MS / 10);
+        let timeout = m.probe_timeout();
+        flowmod(&mut m, 0, 1, add_fm(10, [10, 0, 0, 1], 2));
+        let mut returns: VecDeque<(u64, u32)> = VecDeque::new();
+        let mut outs = m.on_claim(0, m.flowmods_sent());
+        for now in (0..=200u64).map(|ms| ms * MS) {
+            let sent = outs.iter().filter_map(injected);
+            returns.extend(sent.map(|seq| (now + 3 * timeout, seq)));
+            outs = Vec::new();
+            while returns.front().is_some_and(|&(at, _)| at <= now) {
+                let (_, seq) = returns.pop_front().unwrap();
+                outs.extend(m.on_verdict(now, seq, Verdict::Present));
+            }
+            if outs.contains(&ProxyOutput::Confirmed {
+                token: 1,
+                verified: true,
+            }) {
+                assert!(now <= 30 * MS, "confirmed at {now}");
+                return;
+            }
+            outs.extend(m.on_tick(now + MS / 2));
+        }
+        panic!("never confirmed");
+    }
+
+    /// An update answered with the old state each ms has at most two live
+    /// probes, and after its claim probes again exactly when its last probe
+    /// went out a timeout ago.
+    #[test]
+    fn each_probe_goes_a_timeout_after_the_last() {
+        let mut m = taught(1, MS / 10);
+        flowmod(&mut m, 0, 1, add_fm(10, [10, 0, 0, 1], 2));
+        let claim = m.on_claim(0, m.flowmods_sent());
+        let (mut last, mut sent_at) = (seq_of(&claim, 0), 0);
+        for now in (1..=40u64).map(|ms| ms * MS) {
+            m.on_verdict(now, last, Verdict::Absent);
+            let timeout = m.probe_timeout();
+            let probe = m.on_tick(now).iter().find_map(injected);
+            assert_eq!(probe.is_some(), now >= sent_at + timeout, "at {now}");
+            if let Some(seq) = probe {
+                (last, sent_at) = (seq, now);
+            }
+            assert!(m.updates.iter().all(|u| u.live.len() <= 2));
+        }
     }
 
     /// A driver that reports no claims reports no rejections either: its
@@ -2140,13 +2427,15 @@ mod tests {
         );
         assert!(m.on_flowmod(2, b, None).is_empty());
         assert_eq!((m.in_flight(), m.queued.len()), (1, 1));
-        // A's probes never return: second attempt, then the alarm — and in
-        // that same tick B is forwarded and asks for its plan.
+        // A's probes never return: second attempt, then (its wait doubled)
+        // the alarm — and in that same tick B is forwarded and asks for its
+        // plan.
         assert!(!m
             .on_tick(10_000_000)
             .iter()
             .any(|x| matches!(x, ProxyOutput::Alarm { .. })));
-        let acts = m.on_tick(20_000_000);
+        assert!(m.on_tick(20_000_000).is_empty());
+        let acts = m.on_tick(30_000_000);
         assert!(acts.contains(&ProxyOutput::Alarm { token: 1 }), "{acts:?}");
         assert!(
             acts.iter().any(|x| matches!(x, ProxyOutput::ToSwitch(_))),
@@ -2159,9 +2448,9 @@ mod tests {
         );
         let reqs = m.take_plan_requests();
         assert_eq!(reqs.len(), 1, "B's PlanRequest in the same on_tick");
-        let acts = m.attach_plan(20_000_000, 2, plan_request(&reqs[0]));
+        let acts = m.attach_plan(30_000_000, 2, plan_request(&reqs[0]));
         let seq = seq_of(&acts, 0);
-        m.on_verdict(21_000_000, seq, Verdict::Present);
+        m.on_verdict(31_000_000, seq, Verdict::Present);
         assert_eq!(
             (m.in_flight(), m.queued.len(), m.awaiting_plans()),
             (0, 0, 0)

@@ -228,6 +228,21 @@ impl MonitorProxy {
         self.dynamic.in_flight()
     }
 
+    /// The dynamic probe timeout `T` in force, ns: how long an update's
+    /// probe may go unanswered before the next one goes, and before its
+    /// silence counts (§3.3). It is `max(2 ms, SRTT + 4·RTTVAR)` of this
+    /// switch's probe round trip, or 6 ms until the first probe returns, so a
+    /// drop-confirmed update is acked about `2·T` after its claim.
+    pub fn probe_timeout(&self) -> u64 {
+        self.dynamic.probe_timeout()
+    }
+
+    /// How many dynamic probe returns [`Self::probe_timeout`]'s round-trip
+    /// estimate has sampled.
+    pub fn probe_rtt_samples(&self) -> u64 {
+        self.dynamic.probe_rtt_samples()
+    }
+
     /// Aggregate probe-generation statistics of this proxy's engine: the
     /// steady refresh and every update's probe (a §4.1 modify is planned on
     /// a table of its own and counted nowhere). Inline only: a deferred
@@ -269,13 +284,14 @@ impl MonitorProxy {
     /// this proxy emitted ([`Self::flowmods_sent`]): it claims to have
     /// processed them. A hint, never proof — it confirms nothing by itself
     /// — but each unconfirmed update it is the first to cover is claimed:
-    /// re-probed at once, on the clock from then on, and its §3.3 silence
-    /// counts from the claim.
+    /// re-probed at once, and again each time its last probe returns with
+    /// the old state or times out ([`Self::probe_timeout`]), and its §3.3
+    /// silence counts from the claim.
     ///
     /// Every update has one claim. A driver that reports claims reports its
     /// first before its first FlowMod — a claim covering none, `covered` 0,
     /// will do — so that each update waits for the switch's claim before it
-    /// is re-probed on the clock or confirmed by silence. A driver that
+    /// is re-probed or confirmed by silence. A driver that
     /// reports none never calls this: each update counts as claimed as it
     /// starts.
     pub fn on_barrier_reply(&mut self, now: u64, covered: u64) -> Vec<ProxyOutput> {
@@ -968,9 +984,12 @@ mod tests {
         assert!(p.on_barrier_reply(600_000, barrier).is_empty());
         assert_eq!(rules(&p.on_barrier_reply(700_000, p.flowmods_sent())), [r3]);
         assert!(p.on_barrier_reply(800_000, p.flowmods_sent()).is_empty());
-        // The clock takes over `PROBE_INTERVAL` after each claim.
-        assert_eq!(rules(&p.on_tick(2_600_000)), [r1, r2]);
-        assert_eq!(rules(&p.on_tick(2_700_000)), [r3]);
+        // Each probes again once its claim's probe has gone the timeout
+        // unanswered (6 ms: no probe has returned yet).
+        assert_eq!(p.probe_timeout(), 6_000_000);
+        assert!(p.on_tick(6_400_000).is_empty());
+        assert_eq!(rules(&p.on_tick(6_500_000)), [r1, r2]);
+        assert_eq!(rules(&p.on_tick(6_700_000)), [r3]);
     }
 
     #[test]
@@ -998,7 +1017,7 @@ mod tests {
         let mut outs = p.on_barrier_reply(now, p.flowmods_sent());
         assert_eq!(injections(&outs).len(), 2);
         // No probe ever comes back; the drop update may confirm by silence
-        // after the window, the forwarding one never does.
+        // after two timeouts, the forwarding one never does.
         while now < 100_000_000 {
             now += 1_000_000;
             outs.extend(p.on_tick(now));
@@ -1032,11 +1051,12 @@ mod tests {
 
     #[test]
     fn silence_counts_from_the_claim_once_claims_flow() {
-        let window = crate::dynamic::NEGATIVE_CONFIRM_WINDOW;
-        // Without claims, silence counts from the first probe.
+        // Without claims, silence counts from the first probe, and takes two
+        // timeouts: 6 ms each while no probe has returned.
         let mut p = proxy();
         p.on_controller_flowmod(0, 1, drop_fm(23));
-        assert_eq!(confirmed_at(&mut p, 0, 100_000_000, 1), Some(window));
+        assert_eq!(p.probe_timeout(), 6_000_000);
+        assert_eq!(confirmed_at(&mut p, 0, 100_000_000, 1), Some(12_000_000));
 
         // A lying claim, 5 ms after the forward and before any commit: the
         // probe it sends meets the old state, and silence counts from then.
@@ -1050,22 +1070,27 @@ mod tests {
         let outs = p.on_barrier_reply(claim, covered);
         let probe = &injections(&outs)[0];
         assert_eq!(probe.meta.rule_id, first.meta.rule_id);
-        // Back by the default route: the drop is not there yet.
+        // Back by the default route in 100 µs: the drop is not there yet,
+        // and the round trip sets the timeout to its 2 ms floor.
         assert!(p
             .on_probe_return(claim + 100_000, &probe.meta, 9, &echo(probe))
             .is_empty());
+        let timeout = p.probe_timeout();
+        assert_eq!((timeout, p.probe_rtt_samples()), (2_000_000, 1));
+        // The next probe goes a timeout after the claim's, the one after it
+        // a timeout later, and both are quiet a timeout after that.
         assert_eq!(
             confirmed_at(&mut p, claim, 200_000_000, 1),
-            Some(claim + 1_000_000 + window),
-            "the window reopens at the contrary answer"
+            Some(claim + 3 * timeout),
+            "silence counts afresh from the contrary answer"
         );
         // The unclaimed drop update is never confirmed by silence...
         assert_eq!(confirmed_at(&mut p, 200_000_000, 300_000_000, 2), None);
-        // ... until a claim covers it.
+        // ... until a claim covers it: its probe and the next are quiet.
         p.on_barrier_reply(300_000_000, p.flowmods_sent());
         assert_eq!(
             confirmed_at(&mut p, 300_000_000, 400_000_000, 2),
-            Some(300_000_000 + window)
+            Some(300_000_000 + 2 * timeout)
         );
     }
 

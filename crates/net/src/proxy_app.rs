@@ -24,9 +24,15 @@
 //!    `BarrierRequest` of its own; its reply never leaves the proxy. It
 //!    tells the monitor that the switch claims those FlowMods processed
 //!    ([`MonitorProxy::on_barrier_reply`]), a hint that re-probes the
-//!    updates it covers at once and opens their §3.3 silence window — never
+//!    updates it covers at once and starts their §3.3 silence count — never
 //!    a confirmation. Until its claim an update is probed only when its
-//!    plan lands. The session announces this before its first FlowMod with
+//!    plan lands; after it, again each time its last probe returns with the
+//!    old state or times out (the wait doubling while its probes keep
+//!    timing out). The timeout follows the session's own probe
+//!    round trip ([`MonitorProxy::probe_timeout`], published as
+//!    [`SessionStats::probe_timeout_ns`]), and a drop-confirmed update is
+//!    acked once two probes sent since its claim have each gone that long
+//!    unanswered. The session announces this before its first FlowMod with
 //!    a claim covering none (step 2), so even the updates that start before
 //!    the switch answers its first barrier wait for their claim. The
 //!    controller's own `BarrierRequest`s go to the switch under a proxy xid
@@ -186,6 +192,13 @@ pub struct SessionStats {
     /// The proxy's own barriers answered by the switch (claims fed to the
     /// monitor).
     pub claims: u64,
+    /// The monitor's dynamic probe timeout when the session closed, ns
+    /// ([`MonitorProxy::probe_timeout`]): a drop-confirmed update is acked
+    /// about twice this after its claim.
+    pub probe_timeout_ns: u64,
+    /// Probe returns the round-trip estimate behind `probe_timeout_ns`
+    /// sampled.
+    pub probe_rtt_samples: u64,
 }
 
 /// Shared view of the closed sessions' counters (keyed by session id): a
@@ -664,7 +677,11 @@ impl ProxyApp {
 
     fn teardown(&mut self, ctx: &mut IoCtx<'_>, session: u64) {
         self.to_planner(session, ToPlanner::Close { session });
-        if let Some(sess) = self.sessions.remove(&session) {
+        if let Some(mut sess) = self.sessions.remove(&session) {
+            if let Some(p) = &sess.proxy {
+                sess.stats.probe_timeout_ns = p.probe_timeout();
+                sess.stats.probe_rtt_samples = p.probe_rtt_samples();
+            }
             self.by_conn.remove(&sess.switch_conn);
             ctx.close(sess.switch_conn);
             if let Some(cc) = sess.controller_conn {
@@ -934,6 +951,12 @@ mod tests {
             (updates, updates, updates)
         );
         assert!(sess.probes_returned > 0);
+        // The probe timeout the session closed with, and what it rests on:
+        // the returns of its dynamic probes, on a loopback switch well
+        // under the 2 ms floor.
+        assert!(sess.probe_rtt_samples > 0, "{sess:?}");
+        assert!(sess.probe_rtt_samples <= sess.probes_returned, "{sess:?}");
+        assert!(sess.probe_timeout_ns >= 2_000_000, "{sess:?}");
     }
 
     /// Set in the xids of [`BarrierController`]'s own barriers: the top of

@@ -620,11 +620,11 @@ fn acl_script_over_tcp_on_pica8_barriers_lie() {
 }
 
 /// HP 5406zl's agent takes a FlowMod in 3.3 ms, so with eight updates
-/// outstanding a probe PacketOut waits behind them longer than the proxy's
-/// 12 ms silence window. Silence still proves nothing early here: the
-/// window opens only at the switch's claim (the reply to the proxy's own
-/// barrier), and the probe the claim sends meets the old state until the
-/// commit.
+/// outstanding a probe PacketOut waits behind them for tens of ms. Silence
+/// still proves nothing early here: it counts only from the switch's claim
+/// (the reply to the proxy's own barrier), the probe the claim sends meets
+/// the old state until the commit, and the probe timeout follows the
+/// session's measured round trip, which those queued probes lengthen.
 #[test]
 fn acl_script_over_tcp_on_hp5406zl_acks_do_not_precede_commits() {
     acl_script_over_tcp(SwitchProfile::hp5406zl()).assert_no_verified_ack_precedes_its_commit();
