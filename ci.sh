@@ -37,9 +37,11 @@ PROPTEST_CASES=1000 cargo test --release -q -p monocle --lib dynamic::tests::pro
 echo "== the TCP ACL arms: acks before commit against optimistic acks, 3 runs =="
 # The ideal and hp5406zl arms of e2e_tcp, in release, three times: each run
 # prints its acks before commit against the optimistic acks (the arm fails
-# if the first exceeds the second). On hp5406zl the two are equal (36-38),
-# so a change to when silence confirms shows here first. One test thread,
-# so the arms do not share the CPUs.
+# if the first exceeds the second). With the loop's timers kept to the
+# microsecond, ideal read 6-13 acks before commit against 38-39 optimistic
+# over three runs; on hp5406zl the two are equal (36-37, 11 of them among
+# the silence-confirmed updates), so a change to when silence confirms shows
+# here first. One test thread, so the arms do not share the CPUs.
 for run in 1 2 3; do
     echo "-- run $run"
     cargo test --release -q -p monocle_net --test e2e_tcp -- --exact --test-threads 1 \

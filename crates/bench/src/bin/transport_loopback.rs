@@ -191,11 +191,15 @@ fn main() {
              update was re-probed each 2 ms (then 208-1680 fm/s at 16-32 switches, \
              52-128 at 64, with up to 1332 probes per update). Without the doubling, a \
              loop whose returns lagged past two timeouts gave every probe up before it \
-             came back, and the 64-switch arm once ran into its deadline. On a 2-CPU host \
-             four earlier sweeps of this code read 4188-6095 fm/s at 16 switches, \
-             4583-8016 at 32 and 5033-8226 at 64, with 2.0-2.7 probes per update at every \
-             row, and this file's rows are one more sweep; the spread is the host's (the \
-             install-bound 4- and 8-switch rows moved by 12-16 % too). Probes \
+             came back, and the 64-switch arm once ran into its deadline. Every event loop \
+             keeps its timers to the nanosecond (epoll_pwait2), so a switch's agent and \
+             install timers fire some 60-90 us after their due time; a millisecond wait \
+             rounded up made them up to 1 ms late before. On a 2-CPU host three sweeps \
+             with these timers read 3418-3774 fm/s at 8 switches, 5524-6351 at 16, \
+             6677-10446 at 32 and 8203-9519 at 64, with 2.0-2.4 probes per update at \
+             every row, and this file's rows are one more sweep. The install-bound 1- to \
+             4-switch rows repeat to within 1 % across those sweeps; the 32-switch row \
+             spread -27 %/+14 % of its mean, which is the host's. Probes \
              still in flight when a run \
              ends, and probes the table dropped before the default route committed, \
              account for probes_returned < probes_injected. \

@@ -685,6 +685,58 @@ mod tests {
         assert_eq!(t.fired, 5);
     }
 
+    /// Lateness driver: arms a timer `delay_ns` ahead, records how late
+    /// each one fires, and re-arms until `trials` have fired.
+    struct Lateness {
+        delay_ns: u64,
+        deadline_ns: u64,
+        late_ns: Vec<u64>,
+        trials: usize,
+    }
+
+    impl Lateness {
+        fn arm(&mut self, ctx: &mut IoCtx<'_>) {
+            self.deadline_ns = ctx.now_ns() + self.delay_ns;
+            ctx.schedule_at(self.deadline_ns, 7);
+        }
+    }
+
+    impl Driver for Lateness {
+        fn handle(&mut self, ctx: &mut IoCtx<'_>, ev: TransportEvent) {
+            if let TransportEvent::Timer { .. } = ev {
+                self.late_ns.push(ctx.now_ns() - self.deadline_ns);
+                if self.late_ns.len() >= self.trials {
+                    ctx.stop();
+                } else {
+                    self.arm(ctx);
+                }
+            }
+        }
+    }
+
+    /// A timer between two milliseconds fires at its deadline, not at the
+    /// next whole millisecond: a millisecond-resolution wait would sleep
+    /// 2 ms for this 1.1 ms timer and fire it about 0.9–1 ms late.
+    #[test]
+    fn a_sub_millisecond_timer_fires_on_time() {
+        let mut el = EventLoop::new().unwrap();
+        let mut d = Lateness {
+            delay_ns: 1_100_000,
+            deadline_ns: 0,
+            late_ns: Vec::new(),
+            trials: 5,
+        };
+        el.with_ctx(|ctx| d.arm(ctx));
+        el.run(&mut d).unwrap();
+        d.late_ns.sort_unstable();
+        let median = d.late_ns[d.trials / 2];
+        assert!(
+            median < 300_000,
+            "median lateness {median} ns over {:?}",
+            d.late_ns
+        );
+    }
+
     /// Notification driver: stops on the first waker event.
     struct StopOnNotify {
         notified: bool,

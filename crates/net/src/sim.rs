@@ -14,8 +14,10 @@
 //! pending [`Effect`]s in time order, with the loop's `now_ns` as the
 //! switch's clock. On every message or timer it runs each due entry at its
 //! own virtual time, sends what leaves the switch, and arms one loop timer
-//! for the next entry; agent costs below the loop's millisecond timer
-//! resolution therefore add up in virtual time.
+//! for the next entry. The loop keeps that timer to the microsecond, so an
+//! entry runs close to its own time; the wakeup's own lateness (tens of
+//! microseconds) does not add up either, since every entry is run at the
+//! virtual time it was due, not at the time the loop woke.
 //!
 //! Installs are serial, as on the paper's switches: the agent takes one
 //! message at a time at its profile's cost, then the install pipeline

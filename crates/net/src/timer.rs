@@ -1,7 +1,8 @@
 //! Monotonic timer queue for the event loop.
 //!
 //! A thin min-heap of `(deadline_ns, token)` pairs. The event loop asks
-//! [`TimerQueue::next_deadline`] to bound its `epoll_wait` timeout and then
+//! [`TimerQueue::next_deadline`] to bound its `epoll_pwait2` timeout (kept
+//! to the nanosecond, see [`mio::Poll::poll`]) and then
 //! drains [`TimerQueue::expired`] after every wakeup. Timers are one-shot;
 //! periodic behaviour is built by re-arming from the handler (which is what
 //! the proxy's `on_tick` driver does).
