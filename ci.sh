@@ -31,16 +31,20 @@ echo "== deeper property pass: dynamic monitoring (replica and switch mirror, cl
 # more than two live probes, none is confirmed by silence before two probes
 # sent since its claim (and its last contrary return) have each gone the
 # probe timeout then in force unanswered, and a claimless monitor keeps no
-# rejection record.
+# rejection record. And after every call §4.2 holds, checked on the FlowMods
+# the monitor was given: no two started, unfinished updates overlap, and no
+# update starts while an earlier one it overlaps and does not commute with
+# is still queued.
 PROPTEST_CASES=1000 cargo test --release -q -p monocle --lib dynamic::tests::props
 
 echo "== the TCP ACL arms: acks before commit against optimistic acks, 3 runs =="
 # The ideal and hp5406zl arms of e2e_tcp, in release, three times: each run
 # prints its acks before commit against the optimistic acks (the arm fails
-# if the first exceeds the second). With the loop's timers kept to the
-# microsecond, ideal read 6-13 acks before commit against 38-39 optimistic
-# over three runs; on hp5406zl the two are equal (36-37, 11 of them among
-# the silence-confirmed updates), so a change to when silence confirms shows
+# if the first exceeds the second). With the §4.2 queue's ternaries compiled
+# once per update, ideal read 12-32 acks before commit against 36-37
+# optimistic over three runs (the code before that read 7-23 against 36-38
+# over six); on hp5406zl the two are equal (37, 11 of them among the
+# silence-confirmed updates), so a change to when silence confirms shows
 # here first. One test thread, so the arms do not share the CPUs.
 for run in 1 2 3; do
     echo "-- run $run"
@@ -125,7 +129,7 @@ bench_checked --workload detect_breakage --seed 1 --seconds 15 --trace 0
 # updates it covers and starts their silence count, and a drop-confirmed
 # update is acked two probe timeouts later (the timeout follows the session's
 # probe round trip: about 2 ms on loopback). The smoke run has too few updates
-# for that race to show; at full size (64 outstanding, ~60 k updates) the
+# for that race to show; at full size (64 outstanding, ~100 k updates) the
 # run's checks see any ack before its install (early_acks), a missing,
 # duplicate or stray ack, and any datapath/model mismatch.
 bench_checked --workload tcp_small_table --seed 1 --seconds 15 --trace 0

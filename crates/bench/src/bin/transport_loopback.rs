@@ -195,12 +195,12 @@ fn main() {
              keeps its timers to the nanosecond (epoll_pwait2), so a switch's agent and \
              install timers fire some 60-90 us after their due time; a millisecond wait \
              rounded up made them up to 1 ms late before. On a 2-CPU host three sweeps \
-             with these timers read 3418-3774 fm/s at 8 switches, 5524-6351 at 16, \
-             6677-10446 at 32 and 8203-9519 at 64, with 2.0-2.4 probes per update at \
-             every row, and this file's rows are one more sweep. The install-bound 1- to \
-             4-switch rows repeat to within 1 % across those sweeps; the 32-switch row \
-             spread -27 %/+14 % of its mean, which is the host's. Probes \
-             still in flight when a run \
+             read 3598-3849 fm/s at 8 switches, 5836-6454 at 16, 6078-9437 at 32 and \
+             5385-10358 at 64, with 2.0-2.8 probes per update at every row, and this \
+             file's rows are one more sweep. The install-bound 1- to 4-switch rows \
+             repeat to within 2 % across those sweeps; from 16 switches on the loop's \
+             CPU bounds the rate, and the 32- and 64-switch rows spread -26 %/+15 % and \
+             -29 %/+37 % of their means. Probes still in flight when a run \
              ends, and probes the table dropped before the default route committed, \
              account for probes_returned < probes_injected. \
              Rows from before the switch fleet became this model are not comparable: \

@@ -19,7 +19,9 @@
 //!   in parallel; an update overlapping one in flight is queued until the
 //!   conflict clears (the paper's implementation policy), and so is one
 //!   overlapping a queued update it does not commute with, so that no update
-//!   overtakes another whose result it would change;
+//!   overtakes another whose result it would change. Each update's match is
+//!   compiled to its ternary once, as it arrives, and kept while the update
+//!   is queued and started: those ternaries are what the checks compare;
 //! * transient-inconsistency tolerance: a probe observing the "old" state
 //!   does not raise an alarm, it just keeps probing (§4.1);
 //! * the switch's own refusals: an update whose FlowMod the switch rejects
@@ -77,7 +79,9 @@ use crate::plan::{take_seq, ProbePlan, Verdict};
 use crate::planner::{self, Answer, PlanKind, Step};
 use crate::proxy::{ProbeInjection, ProxyOutput};
 use monocle_openflow::table::ApplyResult;
-use monocle_openflow::{FlowMod, FlowModCommand, FlowTable, PortNo, Rule, RuleId, TableError};
+use monocle_openflow::{
+    FlowMod, FlowModCommand, FlowTable, PortNo, Rule, RuleId, TableError, Ternary,
+};
 use monocle_packet::PacketFields;
 use std::collections::VecDeque;
 
@@ -193,9 +197,20 @@ fn commute(a: &FlowMod, b: &FlowMod) -> bool {
         || (one_entry(a) && one_entry(b) && (a.priority, a.match_) != (b.priority, b.match_))
 }
 
-/// A conflict-queued update (§4.2): its token, its FlowMod, and the §4.3
-/// finalizer to send when it confirms.
-type Queued = (u64, FlowMod, Option<FlowMod>);
+/// A controller update not started yet: just arrived, or conflict-queued
+/// (§4.2) behind an earlier one.
+#[derive(Debug)]
+pub(crate) struct Queued {
+    token: u64,
+    fm: FlowMod,
+    /// Its FlowMod's match, compiled once as it arrived
+    /// ([`DynamicMonitor::on_flowmod`]): what the §4.2 checks compare, and
+    /// what its [`Update`] keeps once it starts.
+    tern: Ternary,
+    /// §4.3: the FlowMod that turns its stand-in into the real drop, sent
+    /// when it confirms.
+    finalize: Option<FlowMod>,
+}
 
 /// One started update, from its FlowMod's forward to its confirmation or
 /// alarm: awaiting its plan while `plan` is `None`, actively probed after.
@@ -203,7 +218,9 @@ type Queued = (u64, FlowMod, Option<FlowMod>);
 #[derive(Debug)]
 struct Update {
     token: u64,
-    fm: FlowMod,
+    /// Its FlowMod's match as compiled on arrival: what a later update's
+    /// §4.2 check compares ([`DynamicMonitor::conflicts`]).
+    tern: Ternary,
     /// The verdict that confirms it (Present for add/modify, Absent for
     /// delete).
     confirm_on: Verdict,
@@ -503,7 +520,8 @@ impl DynamicMonitor {
 
     /// Whether update `token` is queued or started and not finished yet.
     pub(crate) fn is_unfinished(&self, token: u64) -> bool {
-        self.updates.iter().any(|u| u.token == token) || self.queued.iter().any(|q| q.0 == token)
+        self.updates.iter().any(|u| u.token == token)
+            || self.queued.iter().any(|q| q.token == token)
     }
 
     /// A FlowMod arrives from the controller as update `token`, which must
@@ -517,28 +535,33 @@ impl DynamicMonitor {
         finalize: Option<FlowMod>,
     ) -> Vec<ProxyOutput> {
         let mut out = Vec::new();
+        let update = Queued {
+            token,
+            tern: fm.match_.ternary(),
+            fm,
+            finalize,
+        };
         // §4.2: queue updates that conflict with an earlier unfinished one
         // (actively probed, awaiting its plan, or queued itself).
-        if self.conflicts(&fm, &self.queued) {
-            self.queued.push_back((token, fm, finalize));
+        if self.conflicts(&update, &self.queued) {
+            self.queued.push_back(update);
         } else {
-            self.start_update(token, fm, finalize, &mut out);
+            self.start_update(update, &mut out);
         }
         out
     }
 
-    /// Whether `fm` must wait for an update that came before it and has not
+    /// Whether `update` must wait for one that came before it and has not
     /// finished: it overlaps one that is started (§4.2: their probes would
     /// see each other), or one of `queued_ahead` that it does not commute
     /// with (overtaking that one would change what the table ends up
-    /// holding).
-    fn conflicts(&self, fm: &FlowMod, queued_ahead: &VecDeque<Queued>) -> bool {
-        let tern = fm.match_.ternary();
-        let overlaps = |other: &FlowMod| other.match_.ternary().overlaps(&tern);
-        self.updates.iter().any(|u| overlaps(&u.fm))
+    /// holding). Overlap compares the ternaries compiled as each update
+    /// arrived, so the check compiles nothing.
+    fn conflicts(&self, update: &Queued, queued_ahead: &VecDeque<Queued>) -> bool {
+        self.updates.iter().any(|u| u.tern.overlaps(&update.tern))
             || queued_ahead
                 .iter()
-                .any(|(_, q, _)| overlaps(q) && !commute(q, fm))
+                .any(|q| q.tern.overlaps(&update.tern) && !commute(&q.fm, &update.fm))
     }
 
     /// §4.1 delete victim selection: the rule this delete will actually
@@ -546,16 +569,15 @@ impl DynamicMonitor {
     /// exact (priority, match), non-strict = subsumption. Selecting by
     /// subsumption for a strict delete could probe a surviving rule for
     /// absence — an update that would never confirm. `None` for non-deletes
-    /// and no-op deletes.
+    /// and no-op deletes. `tern` is `fm`'s match, compiled.
     ///
     /// This scan, [`Self::modify_old_version`]'s and the ones inside
     /// `FlowTable::apply` are the per-update O(table) reads left on the
     /// update path: a comparison per rule, no copy and no hashing.
-    fn delete_victim(&self, fm: &FlowMod) -> Option<RuleId> {
+    fn delete_victim(&self, fm: &FlowMod, tern: &Ternary) -> Option<RuleId> {
         match fm.command {
             FlowModCommand::DeleteStrict | FlowModCommand::Delete => {
                 let strict = fm.command == FlowModCommand::DeleteStrict;
-                let tern = fm.match_.ternary();
                 self.table
                     .rules()
                     .iter()
@@ -604,27 +626,21 @@ impl DynamicMonitor {
     /// request that can prove it or, when there is nothing to probe,
     /// acknowledges it optimistically. The single add/delete/modify case
     /// analysis, shared by inline and deferred mode.
-    fn start_update(
-        &mut self,
-        token: u64,
-        fm: FlowMod,
-        finalize: Option<FlowMod>,
-        out: &mut Vec<ProxyOutput>,
-    ) {
+    fn start_update(&mut self, update: Queued, out: &mut Vec<ProxyOutput>) {
         // §4.1: a deletion is the opposite of an installation — its probe is
         // the victim's *pre-state* plan, awaited on the absent outcome, so
         // it is requested before the delta lands. Likewise a modify needs
         // the version it replaces (that rule, not the table).
-        let victim = self.delete_victim(&fm);
+        let victim = self.delete_victim(&update.fm, &update.tern);
         if let Some(id) = victim {
-            self.request_plan(token, id, PlanKind::Absent);
+            self.request_plan(update.token, id, PlanKind::Absent);
         }
-        let old_version = self.modify_old_version(&fm);
-        let applied = self.apply_expected(&fm).unwrap_or_default();
+        let old_version = self.modify_old_version(&update.fm);
+        let applied = self.apply_expected(&update.fm).unwrap_or_default();
         self.touched
             .extend(applied.added.iter().chain(&applied.modified));
         // The rule the update is proven by and the verdict that proves it.
-        let probed = match fm.command {
+        let probed = match update.fm.command {
             // OF1.0: a MODIFY with no matching entry behaves as ADD; the
             // table reports it in ApplyResult::added (and nothing in
             // `modified`), so the guard routes it through the same
@@ -632,7 +648,7 @@ impl DynamicMonitor {
             FlowModCommand::Add | FlowModCommand::ModifyStrict | FlowModCommand::Modify
                 if !applied.added.is_empty() && applied.modified.is_empty() =>
             {
-                self.request_plan(token, applied.added[0], PlanKind::Present);
+                self.request_plan(update.token, applied.added[0], PlanKind::Present);
                 Some((applied.added[0], Verdict::Present))
             }
             // An Add whose apply failed (bad actions / overlap flag): no
@@ -649,25 +665,25 @@ impl DynamicMonitor {
                 .map(|old| {
                     let id = old.id;
                     let old = Box::new(old);
-                    self.request_plan(token, id, PlanKind::Modify { old });
+                    self.request_plan(update.token, id, PlanKind::Modify { old });
                     (id, Verdict::Present)
                 }),
         };
-        let forwarded = self.send(fm.clone(), out);
+        let forwarded = self.send(update.fm, out);
         if self.claims_heard {
-            self.unclaimed.push_back((forwarded, token));
+            self.unclaimed.push_back((forwarded, update.token));
         }
         let Some((rule_id, confirm_on)) = probed else {
             // Unmonitorable update: acknowledge optimistically (the
             // controller can fall back to barriers for these).
-            return self.acknowledge(token, finalize, false, out);
+            return self.acknowledge(update.token, update.finalize, false, out);
         };
         self.updates.push(Update {
-            token,
-            fm,
+            token: update.token,
+            tern: update.tern,
             confirm_on,
             rule_id,
-            finalize,
+            finalize: update.finalize,
             forwarded,
             // Where claims flow, the update waits for the switch's; where
             // none do, it counts as claimed now.
@@ -862,11 +878,11 @@ impl DynamicMonitor {
     /// of it that stays queued, waits (a released update requests its plan).
     fn release_queued(&mut self, out: &mut Vec<ProxyOutput>) {
         let mut requeue = VecDeque::new();
-        while let Some((token, fm, finalize)) = self.queued.pop_front() {
-            if self.conflicts(&fm, &requeue) {
-                requeue.push_back((token, fm, finalize));
+        while let Some(update) = self.queued.pop_front() {
+            if self.conflicts(&update, &requeue) {
+                requeue.push_back(update);
             } else {
-                self.start_update(token, fm, finalize, out);
+                self.start_update(update, out);
             }
         }
         self.queued = requeue;
@@ -1631,6 +1647,7 @@ mod tests {
         use crate::plan::verify_probe;
         use crate::planner::build_synthetic;
         use proptest::prelude::*;
+        use std::collections::BTreeMap;
 
         /// A small value space, so rules overlap and updates conflict.
         fn arb_match() -> impl Strategy<Value = Match> {
@@ -1816,6 +1833,58 @@ mod tests {
             Ok(())
         }
 
+        /// §4.2, checked after every call against the FlowMods the monitor
+        /// was given, compiled here: the started, unfinished updates are
+        /// pairwise non-overlapping, and an update that started since the
+        /// last check (it left the queue, or never entered it) has no
+        /// earlier update still queued that it overlaps and does not
+        /// commute with.
+        #[derive(Default)]
+        struct ConflictCheck {
+            /// Each update's FlowMod as the monitor got it, by token (tokens
+            /// number the updates in arrival order).
+            given: BTreeMap<u64, FlowMod>,
+            /// The updates queued at the last check, or arrived since.
+            waiting: Vec<u64>,
+        }
+
+        impl ConflictCheck {
+            fn arrive(&mut self, token: u64, fm: &FlowMod) {
+                self.given.insert(token, fm.clone());
+                self.waiting.push(token);
+            }
+
+            fn check(&mut self, m: &DynamicMonitor) -> Result<(), TestCaseError> {
+                let tern = |t: u64| self.given[&t].match_.ternary();
+                let started: Vec<u64> = m.updates.iter().map(|u| u.token).collect();
+                for (i, &a) in started.iter().enumerate() {
+                    for &b in &started[i + 1..] {
+                        prop_assert!(
+                            !tern(a).overlaps(&tern(b)),
+                            "started updates {} and {} overlap",
+                            a,
+                            b
+                        );
+                    }
+                }
+                let queued: Vec<u64> = m.queued.iter().map(|q| q.token).collect();
+                for &s in self.waiting.iter().filter(|t| !queued.contains(t)) {
+                    for &q in queued.iter().filter(|&&q| q < s) {
+                        prop_assert!(
+                            !tern(q).overlaps(&tern(s))
+                                || commute(&self.given[&q], &self.given[&s]),
+                            "update {} started ahead of {}, still queued, which it overlaps \
+                             and does not commute with",
+                            s,
+                            q
+                        );
+                    }
+                }
+                self.waiting = queued;
+                Ok(())
+            }
+        }
+
         /// [`settle`] with every plan step checked on the way: the replica
         /// answers it, a stateless planner answers the same step's
         /// [`PlanRequest`] built on a table-only replica, and the two must
@@ -1823,16 +1892,21 @@ mod tests {
         /// must verify, with the outcomes it promises, on the table it was
         /// planned on — the full expected table at that point of the
         /// stream, or the full §4.1 construction over it. After the steps,
-        /// replica and expected table are the same table.
+        /// replica and expected table are the same table. §4.2 holds after
+        /// the call that came before and after each hand-back
+        /// ([`ConflictCheck`]).
         fn settle_checked(
             m: &mut DynamicMonitor,
             replica: &mut Option<Replica>,
             requests: &mut FlowTable,
             log: &mut Vec<ProxyOutput>,
             now: u64,
+            conflicts: &mut ConflictCheck,
         ) -> Result<(), TestCaseError> {
             let (catch, gen) = (CatchSpec::default(), GeneratorConfig::default());
+            conflicts.check(m)?;
             log.extend(m.attach_answers(now));
+            conflicts.check(m)?;
             loop {
                 let steps = m.take_plan_steps();
                 if steps.is_empty() {
@@ -1889,6 +1963,7 @@ mod tests {
                 }
                 for (token, plan) in answers {
                     log.extend(m.attach_plan(now, token, plan));
+                    conflicts.check(m)?;
                 }
             }
             if let Some(r) = replica {
@@ -1926,6 +2001,7 @@ mod tests {
             let (mut replica, mut requests) = (None, FlowTable::new());
             let (mut log, mut answered, mut now) = (Vec::new(), 0, 0);
             let mut switch = (m.expected().clone(), 0);
+            let mut conflicts = ConflictCheck::default();
             // By FlowMod number, from 1: when it was first claimed.
             let mut claimed_at: Vec<Option<u64>> = Vec::new();
             // The script, then a claim of everything, 9 ms in which silence
@@ -1937,10 +2013,12 @@ mod tests {
                         let postponed = postpone
                             .then(|| droppost::postpone(fm, DropTag(63), 4))
                             .flatten();
-                        log.extend(match postponed {
-                            Some(p) => m.on_flowmod(i as u64, p.stand_in, Some(p.finalize)),
-                            None => m.on_flowmod(i as u64, fm.clone(), None),
-                        });
+                        let (fm, finalize) = match postponed {
+                            Some(p) => (p.stand_in, Some(p.finalize)),
+                            None => (fm.clone(), None),
+                        };
+                        conflicts.arrive(i as u64, &fm);
+                        log.extend(m.on_flowmod(i as u64, fm, finalize));
                     }
                     Op::Own(fm) => log.extend(m.apply_own(fm.clone())),
                     Op::Defer => {
@@ -1961,6 +2039,7 @@ mod tests {
                                         &mut requests,
                                         &mut log,
                                         now,
+                                        &mut conflicts,
                                     )?;
                                     mirror(&m, &log, &mut switch)?;
                                 }
@@ -2020,7 +2099,14 @@ mod tests {
                         }
                     }
                 }
-                settle_checked(&mut m, &mut replica, &mut requests, &mut log, now)?;
+                settle_checked(
+                    &mut m,
+                    &mut replica,
+                    &mut requests,
+                    &mut log,
+                    now,
+                    &mut conflicts,
+                )?;
                 mirror(&m, &log, &mut switch)?;
                 // What this call sent: claimed now, where no claims flow.
                 claimed_at.resize(m.flowmods_sent() as usize, (!claims).then_some(now));
@@ -2106,11 +2192,13 @@ mod tests {
             /// on the full table — and its engine never re-reads the whole
             /// table after the first time. And after every call, the
             /// FlowMods sent so far, applied in the order sent, are the
-            /// expected table. In half the cases the script runs as a claims
-            /// driver's (the checks of [`run_mirrored`] hold either way), and
-            /// planning inline throughout puts out what planning deferred
-            /// throughout does (deferral switched on partway starts a cold
-            /// engine, which may find other probes).
+            /// expected table, and §4.2 holds: no two started updates
+            /// overlap, and none starts ahead of a queued one it conflicts
+            /// with ([`ConflictCheck`]). In half the cases the script runs
+            /// as a claims driver's (the checks of [`run_mirrored`] hold
+            /// either way), and planning inline throughout puts out what
+            /// planning deferred throughout does (deferral switched on
+            /// partway starts a cold engine, which may find other probes).
             #[test]
             fn a_replica_mirrors_the_expected_table_and_plans_on_it(
                 ops in prop::collection::vec(arb_op(), 1..40),

@@ -10,7 +10,8 @@
 //!    reports claims (step 4), preinstalls the catching/default rules, and
 //!    dials the upstream controller.
 //! 3. The upstream handshake mirrors a real switch: the controller's
-//!    `FeaturesRequest` is answered with the cached datapath id.
+//!    `FeaturesRequest` is answered, under its xid, with the switch's own
+//!    datapath id, table count and ports, kept from its `FeaturesReply`.
 //! 4. From then on frames pass through under their own xid in both
 //!    directions, except the frames Monocle consumes, originates or
 //!    renumbers. FlowMods are intercepted: the monitor sends each to the
@@ -255,6 +256,9 @@ enum Barrier {
 
 struct Session {
     dpid: u64,
+    /// The switch's `FeaturesReply`: the controller's `FeaturesRequest` is
+    /// answered with it.
+    features: Option<OfMessage>,
     switch_conn: ConnId,
     controller_conn: Option<ConnId>,
     /// The controller dial's handshake completed; until then nothing may
@@ -510,6 +514,7 @@ impl ProxyApp {
             OfMessage::Hello => {}
             OfMessage::FeaturesReply { datapath_id, .. } if sess.proxy.is_none() => {
                 sess.dpid = datapath_id;
+                sess.features = Some(msg);
                 sess.stats.dpid = datapath_id;
                 let mut pcfg = ProxyConfig::new(datapath_id, CatchSpec::default());
                 if let Some(sc) = &self.cfg.steady {
@@ -604,13 +609,8 @@ impl ProxyApp {
         match msg {
             OfMessage::Hello => {}
             OfMessage::FeaturesRequest => {
-                let reply = OfMessage::FeaturesReply {
-                    datapath_id: sess.dpid,
-                    n_tables: 1,
-                    ports: (1..=8).collect(),
-                };
-                if let Some(cc) = sess.controller_conn {
-                    let _ = ctx.send(cc, &reply, xid);
+                if let (Some(cc), Some(features)) = (sess.controller_conn, &sess.features) {
+                    let _ = ctx.send(cc, features, xid);
                 }
             }
             OfMessage::FlowMod(fm) => {
@@ -713,6 +713,7 @@ impl Driver for ProxyApp {
                     id,
                     Session {
                         dpid: 0,
+                        features: None,
                         switch_conn: conn,
                         controller_conn: None,
                         controller_ready: false,
@@ -1192,6 +1193,73 @@ mod tests {
         };
         between(controller, StrayProbeSwitch);
         assert_eq!(*payloads.lock().unwrap(), [PRODUCTION]);
+    }
+
+    /// A switch (datapath id 1) with 2 tables and 16 ports that answers the
+    /// proxy's `FeaturesRequest` and stops when the proxy hangs up.
+    struct SixteenPortSwitch;
+
+    /// What [`SixteenPortSwitch`] reports.
+    fn sixteen_ports() -> OfMessage {
+        OfMessage::FeaturesReply {
+            datapath_id: 1,
+            n_tables: 2,
+            ports: (1..=16).collect(),
+        }
+    }
+
+    impl Driver for SixteenPortSwitch {
+        fn handle(&mut self, ctx: &mut IoCtx<'_>, ev: TransportEvent) {
+            match ev {
+                TransportEvent::Message {
+                    conn,
+                    msg: OfMessage::FeaturesRequest,
+                    xid,
+                } => {
+                    let _ = ctx.send(conn, &sixteen_ports(), xid);
+                }
+                TransportEvent::Closed { .. } => ctx.stop(),
+                _ => {}
+            }
+        }
+    }
+
+    /// A controller that asks for the switch's features under xid 9 and
+    /// records every `FeaturesReply` it is sent, with its xid, until a while
+    /// after the first.
+    struct FeaturesController {
+        replies: Arc<Mutex<Vec<(OfMessage, u32)>>>,
+    }
+
+    impl Driver for FeaturesController {
+        fn handle(&mut self, ctx: &mut IoCtx<'_>, ev: TransportEvent) {
+            match ev {
+                TransportEvent::Accepted { conn, .. } => {
+                    let _ = ctx.send(conn, &OfMessage::Hello, 0);
+                    let _ = ctx.send(conn, &OfMessage::FeaturesRequest, 9);
+                }
+                TransportEvent::Message { msg, xid, .. } => {
+                    if let OfMessage::FeaturesReply { .. } = msg {
+                        ctx.schedule_in(50_000_000, SETTLED);
+                        self.replies.lock().unwrap().push((msg, xid));
+                    }
+                }
+                TransportEvent::Timer { .. } => ctx.stop(),
+                _ => {}
+            }
+        }
+    }
+
+    /// The controller sees the switch's own features, under its own xid:
+    /// the proxy makes up neither the table count nor the ports.
+    #[test]
+    fn the_controller_sees_the_switchs_own_features() {
+        let replies = Arc::new(Mutex::new(Vec::new()));
+        let controller = FeaturesController {
+            replies: Arc::clone(&replies),
+        };
+        between(controller, SixteenPortSwitch);
+        assert_eq!(*replies.lock().unwrap(), [(sixteen_ports(), 9)]);
     }
 
     /// Runs `controller` (listening, with a 30 s deadline), the proxy with
