@@ -11,12 +11,15 @@ cargo build --release --workspace --all-targets
 echo "== tests =="
 cargo test -q --workspace
 
-echo "== deeper property pass: engine eviction, the Hidden oracle, the encoding oracle =="
+echo "== deeper property pass: engine eviction, the Hidden oracle, the encoding oracle, table upkeep =="
 # Tier-1 runs these properties at 40-128 cases; the eviction predicate, the
 # header-space oracle for Hidden and the ITE-chain encoding the encoder must
 # agree with get a thousand here (a few seconds in release).
 PROPTEST_CASES=1000 cargo test --release -q --test prop_engine --test prop_probe
 PROPTEST_CASES=1000 cargo test --release -q -p monocle --lib encode::tests
+# The table's maintained fingerprint, change log and per-field care counts
+# against their from-scratch recomputations, after every random mutation.
+PROPTEST_CASES=1000 cargo test --release -q -p monocle_openflow --test prop_fingerprint
 
 echo "== deeper property pass: dynamic monitoring (replica and switch mirror, claims, drain, order) =="
 # Tier-1 runs these at 64 cases: a replica fed the monitor's planning steps

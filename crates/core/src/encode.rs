@@ -273,9 +273,9 @@ fn define_matches(cnf: &mut Cnf, tern: &Ternary) -> Option<Lit> {
 
 /// Reserved-field discipline check shared by every build path: the probed
 /// rule must not rewrite pinned fields (§3.2), nor may its match contradict
-/// the pins.
-pub fn check_catch_pins(probed: &Rule, catch: &CatchSpec) -> Result<(), BuildError> {
-    for &(field, value) in &catch.all_pins() {
+/// the pins (`pins` as [`CatchSpec::all_pins`] lists them).
+pub fn check_catch_pins(probed: &Rule, pins: &[(Field, u64)]) -> Result<(), BuildError> {
+    for &(field, value) in pins {
         if field != Field::InPort && probed.fwd.touches_field(field) {
             return Err(BuildError::RewritesReserved(field));
         }
@@ -297,7 +297,7 @@ pub fn build_instance(
     probed: &Rule,
     catch: &CatchSpec,
 ) -> Result<Instance, BuildError> {
-    check_catch_pins(probed, catch)?;
+    check_catch_pins(probed, &catch.all_pins())?;
 
     let relevant = relevant_rules(table, probed);
     let mut cnf = Cnf::with_capacity(64 + relevant.len() * 8);
@@ -740,7 +740,7 @@ mod tests {
             probed: &Rule,
             catch: &CatchSpec,
         ) -> Result<Cnf, BuildError> {
-            check_catch_pins(probed, catch)?;
+            check_catch_pins(probed, &catch.all_pins())?;
             let mut cnf = build_hit_only(table, probed, catch)?;
             let true_lit = cnf.fresh_var() as Lit;
             cnf.add_clause(&[true_lit]);

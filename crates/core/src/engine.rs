@@ -97,7 +97,7 @@ use crate::encode::{self, CatchSpec};
 use crate::generator::{self, GenStats, GeneratorConfig, ProbeError};
 use crate::plan::ProbePlan;
 use monocle_openflow::table::{fingerprint_term, IdHashMap, IdHashSet};
-use monocle_openflow::{FlowMod, FlowTable, PortNo, Rule, RuleId, Ternary};
+use monocle_openflow::{Field, FlowMod, FlowTable, PortNo, Rule, RuleId, Ternary};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
@@ -304,9 +304,10 @@ impl ProbeEngine {
         catch: &CatchSpec,
     ) -> (Result<ProbePlan, ProbeError>, GenStats) {
         self.sync(table);
-        let catch_k = catch_key(catch);
+        let pins = catch.all_pins();
+        let catch_k = catch_key(&pins);
         let mut st = GenStats::default();
-        let res = self.generate_inner(table, id, catch, catch_k, &mut st);
+        let res = self.generate_inner(table, id, catch, &pins, catch_k, &mut st);
         self.total.merge(&st);
         (res, st)
     }
@@ -331,11 +332,12 @@ impl ProbeEngine {
         catch: &CatchSpec,
     ) -> (Vec<Result<ProbePlan, ProbeError>>, GenStats) {
         self.sync(table);
-        let catch_k = catch_key(catch);
+        let pins = catch.all_pins();
+        let catch_k = catch_key(&pins);
         let mut st = GenStats::default();
         let out = ids
             .iter()
-            .map(|&id| self.generate_inner(table, id, catch, catch_k, &mut st))
+            .map(|&id| self.generate_inner(table, id, catch, &pins, catch_k, &mut st))
             .collect();
         self.total.merge(&st);
         (out, st)
@@ -358,13 +360,14 @@ impl ProbeEngine {
         GenStats,
     ) {
         self.sync(table);
-        let catch_k = catch_key(catch);
+        let pins = catch.all_pins();
+        let catch_k = catch_key(&pins);
         let mut st = GenStats::default();
         let mut times = Vec::with_capacity(ids.len());
         let mut out = Vec::with_capacity(ids.len());
         for &id in ids {
             let t0 = std::time::Instant::now();
-            out.push(self.generate_inner(table, id, catch, catch_k, &mut st));
+            out.push(self.generate_inner(table, id, catch, &pins, catch_k, &mut st));
             times.push(t0.elapsed());
         }
         self.total.merge(&st);
@@ -373,11 +376,15 @@ impl ProbeEngine {
 
     // ---- internals -----------------------------------------------------
 
+    /// One rule's plan: from the cache, else generated and cached. `pins`
+    /// is `catch.all_pins()` and `catch_k` its [`catch_key`], both built
+    /// once per public call.
     fn generate_inner(
         &mut self,
         table: &FlowTable,
         id: RuleId,
         catch: &CatchSpec,
+        pins: &[(Field, u64)],
         catch_k: u64,
         st: &mut GenStats,
     ) -> Result<ProbePlan, ProbeError> {
@@ -390,16 +397,16 @@ impl ProbeEngine {
             // Not cached: there is no ternary to invalidate by.
             return Err(ProbeError::NoSuchRule(id));
         };
-        let result = self.generate_uncached(table, probed, catch, st);
+        let result = self.generate_uncached(table, probed, catch, pins, st);
         // Cacheability: a plan stays valid while the rules matching its
         // header do, Hidden while its cover does, and the Indistinguishable/
         // CatchConflict/RewritesReserved/SolverBudget errors are fully
         // determined by the rule's overlap neighborhood + pins, so
         // `evict_changed` keeps all three exact. RepairFailed is the one
         // outcome that also depends on *disjoint* rules (spare-value /
-        // domain selection scans the whole table), so caching it could pin
-        // a stale failure — regenerate it every time instead (it is rare by
-        // construction).
+        // domain selection reads every rule of the table), so caching it
+        // could pin a stale failure — regenerate it every time instead (it
+        // is rare by construction).
         if !matches!(result, Err(ProbeError::RepairFailed)) {
             self.plan_cache.insert(
                 (id, catch_k),
@@ -418,13 +425,14 @@ impl ProbeEngine {
         table: &FlowTable,
         probed: &Rule,
         catch: &CatchSpec,
+        pins: &[(Field, u64)],
         st: &mut GenStats,
     ) -> Result<ProbePlan, ProbeError> {
-        if let Some(plan) = self.try_fast_path(table, probed, catch) {
+        if let Some(plan) = self.try_fast_path(table, probed, pins) {
             st.fast_path_hits += 1;
             return Ok(plan);
         }
-        generator::generate_for_rule(table, probed, catch, &self.cfg.gen, st)
+        generator::generate_for_rule(table, probed, catch, pins, &self.cfg.gen, st)
     }
 
     /// Guess-and-verify: repair the probed rule's sample packet and check it
@@ -442,36 +450,38 @@ impl ProbeEngine {
     ///
     /// Anything subtler (rewrite-only differences, ECMP/multicast,
     /// counting) falls through to the solver.
+    ///
+    /// The table is read through classifier lookups and, in the repair, its
+    /// [`FlowTable::rules_caring`] counts; rules are scanned only for a
+    /// spare `dl_type` or `dl_vlan` value when the sample's is not valid on
+    /// the wire and some rule matches that field.
     fn try_fast_path(
         &self,
         table: &FlowTable,
         probed: &Rule,
-        catch: &CatchSpec,
+        pins: &[(Field, u64)],
     ) -> Option<ProbePlan> {
-        encode::check_catch_pins(probed, catch).ok()?;
-        let pins = catch.all_pins();
+        encode::check_catch_pins(probed, pins).ok()?;
         let mut sample = probed.tern.sample_packet();
-        for &(f, v) in &pins {
+        for &(f, v) in pins {
             sample.set_field(f, v);
         }
-        let repaired = generator::repair_header(table, catch, &self.cfg.gen, sample);
+        let repaired = generator::repair_header(table, pins, &self.cfg.gen, sample);
         let candidates: &[_] = if repaired == sample {
             &[sample]
         } else {
             &[repaired, sample]
         };
         for &cand in candidates {
-            let Some(plan) = generator::finish(table, probed, &pins, cand) else {
+            let Some((plan, absent_priority)) = generator::finish(table, probed, pins, cand) else {
                 continue;
             };
             // Conservative Hit on the *normalized* header: no rule of equal
             // or higher priority (other than the probed one) may match. The
-            // classifier's best other match answers this in one query.
-            let conservative_hit = match table.lookup_excluding(&plan.header, probed.id) {
-                Some(r) => r.priority < probed.priority,
-                None => true,
-            };
-            if !conservative_hit {
+            // verifier's absent-side lookup was the best other match for
+            // this very header, so its priority answers this with no query
+            // of its own.
+            if absent_priority.is_some_and(|p| p >= probed.priority) {
                 continue;
             }
             // Port-set distinguishing over simple outcomes only.
@@ -623,11 +633,12 @@ impl ProbeEngine {
     }
 }
 
-/// Cache key component for a catch spec (field offsets are unique, so this
-/// is collision-free across distinct pin sets in practice).
-fn catch_key(catch: &CatchSpec) -> u64 {
+/// Cache key component for a catch spec, from its `all_pins()` (field
+/// offsets are unique, so this is collision-free across distinct pin sets in
+/// practice).
+fn catch_key(pins: &[(Field, u64)]) -> u64 {
     let mut h = DefaultHasher::new();
-    for (f, v) in catch.all_pins() {
+    for &(f, v) in pins {
         f.offset().hash(&mut h);
         v.hash(&mut h);
     }

@@ -12,7 +12,7 @@
 //! values" alternative). The result is sound by construction.
 
 use crate::encode::{self, BuildError, CatchSpec};
-use crate::plan::{header_to_probe, verify_probe, ConcreteOutcome, ProbePlan};
+use crate::plan::{header_to_probe, verify_rule_probe, ConcreteOutcome, ProbePlan};
 use monocle_openflow::flowmatch::{packet_to_headervec, VLAN_NONE};
 use monocle_openflow::headerspace::HEADER_BITS;
 use monocle_openflow::{Field, FlowTable, ForwardingKind, HeaderVec, Rule, RuleId};
@@ -172,18 +172,19 @@ pub fn generate_probe_with_stats(
         .get(probed_id)
         .ok_or(ProbeError::NoSuchRule(probed_id))?;
     let mut stats = GenStats::default();
-    let plan = generate_for_rule(table, probed, catch, cfg, &mut stats)?;
+    let plan = generate_for_rule(table, probed, catch, &catch.all_pins(), cfg, &mut stats)?;
     Ok((plan, stats))
 }
 
 /// The solver path for one rule, nothing kept between calls: encode one
 /// instance, hand it to [`solve_and_finish`]. Stateless generation is this;
 /// [`crate::engine::ProbeEngine`] puts its plan cache and fast path in front
-/// of the same call.
+/// of the same call. `pins` is `catch.all_pins()`, built once by the caller.
 pub(crate) fn generate_for_rule(
     table: &FlowTable,
     probed: &Rule,
     catch: &CatchSpec,
+    pins: &[(Field, u64)],
     cfg: &GeneratorConfig,
     stats: &mut GenStats,
 ) -> Result<ProbePlan, ProbeError> {
@@ -193,7 +194,7 @@ pub(crate) fn generate_for_rule(
         BuildError::RewritesReserved(f) => ProbeError::RewritesReserved(f),
     })?;
     stats.instances_built += 1;
-    solve_and_finish(table, probed, catch, cfg, inst, stats)
+    solve_and_finish(table, probed, catch, pins, cfg, inst, stats)
 }
 
 /// The post-encoding half of the §5.2 pipeline: solve `inst`, repair and
@@ -202,6 +203,7 @@ fn solve_and_finish(
     table: &FlowTable,
     probed: &Rule,
     catch: &CatchSpec,
+    pins: &[(Field, u64)],
     cfg: &GeneratorConfig,
     inst: encode::Instance,
     stats: &mut GenStats,
@@ -226,15 +228,14 @@ fn solve_and_finish(
     };
 
     let raw = model_to_header(&model);
-    let pins = catch.all_pins();
 
     // Attempt 1: spare-value repair + normalization, then verify.
-    let repaired = repair_header(table, catch, cfg, raw);
-    if let Some(plan) = finish(table, probed, &pins, repaired) {
+    let repaired = repair_header(table, pins, cfg, raw);
+    if let Some((plan, _)) = finish(table, probed, pins, repaired) {
         return Ok(plan);
     }
     // Attempt 2: the unrepaired model (repair may have been the problem).
-    if let Some(plan) = finish(table, probed, &pins, raw) {
+    if let Some((plan, _)) = finish(table, probed, pins, raw) {
         return Ok(plan);
     }
     // Attempt 3: re-solve with explicit domain constraints (§5.2's
@@ -244,11 +245,11 @@ fn solve_and_finish(
         Ok(i) => i.cnf,
         Err(_) => return Err(ProbeError::RepairFailed),
     };
-    add_domain_constraints(&mut cnf, table, catch, cfg);
+    add_domain_constraints(&mut cnf, table, pins, cfg);
     match solve_counted(&cnf, stats) {
-        SatResult::Sat(m) => {
-            finish(table, probed, &pins, model_to_header(&m)).ok_or(ProbeError::RepairFailed)
-        }
+        SatResult::Sat(m) => finish(table, probed, pins, model_to_header(&m))
+            .map(|(plan, _)| plan)
+            .ok_or(ProbeError::RepairFailed),
         SatResult::Unknown => Err(ProbeError::SolverBudget),
         SatResult::Unsat => Err(ProbeError::Indistinguishable),
     }
@@ -268,24 +269,26 @@ fn solve_counted(cnf: &Cnf, stats: &mut GenStats) -> SatResult {
     out.result
 }
 
-/// Normalizes + verifies a candidate header; builds the plan on success.
+/// Normalizes + verifies a candidate header; builds the plan on success,
+/// together with the priority of the rule that takes the probe when the
+/// probed rule is absent (`None`: a table miss), as the verifier found it.
 pub(crate) fn finish(
     table: &FlowTable,
     probed: &Rule,
     pins: &[(Field, u64)],
     header: HeaderVec,
-) -> Option<ProbePlan> {
+) -> Option<(ProbePlan, Option<u16>)> {
     // Round-trip through the abstract packet view: this applies the
     // conditionally-excluded-field elimination (Lemma 2) exactly as the
     // wire crafter will, so we verify what the switch will actually see.
     let (in_port, fields) = header_to_probe(&header);
     let wire_view = packet_to_headervec(in_port, &fields);
-    let (present, absent) = verify_probe(table, probed.id, &wire_view, pins)?;
+    let (present, absent, absent_priority) = verify_rule_probe(table, probed, &wire_view, pins)?;
     // The plan classifies against the *concrete* absent outcome, so only
     // the concrete pair decides whether counting is needed (the SAT-level
     // flag in `Instance` is conservative over unreachable alternatives).
     let uses_counting = concrete_needs_counting(&present, &absent);
-    Some(ProbePlan {
+    let plan = ProbePlan {
         rule_id: probed.id,
         priority: probed.priority,
         fields,
@@ -294,7 +297,8 @@ pub(crate) fn finish(
         present,
         absent,
         uses_counting,
-    })
+    };
+    Some((plan, absent_priority))
 }
 
 fn concrete_needs_counting(a: &ConcreteOutcome, b: &ConcreteOutcome) -> bool {
@@ -319,40 +323,39 @@ fn model_to_header(model: &monocle_sat::Model) -> HeaderVec {
 
 /// §5.2 spare-value repair for limited-domain fields. Only substitutes when
 /// the current value is invalid on the wire; the substitute is a valid value
-/// no rule uses (the lemma's precondition).
+/// no rule uses (the lemma's precondition). Fields in `pins` (the catch
+/// spec's) are left alone.
+///
+/// Whether any rule cares about a field is read off the table's maintained
+/// [`FlowTable::rules_caring`] count, so a repair reads no rule unless some
+/// rule does constrain `dl_type` or `dl_vlan` and the model's value there
+/// needs replacing ([`spare_value`]).
 pub(crate) fn repair_header(
     table: &FlowTable,
-    catch: &CatchSpec,
+    pins: &[(Field, u64)],
     cfg: &GeneratorConfig,
     mut h: HeaderVec,
 ) -> HeaderVec {
-    let pinned: Vec<Field> = catch.all_pins().iter().map(|&(f, _)| f).collect();
+    let pinned = |f: Field| pins.iter().any(|&(p, _)| p == f);
     // in_port: pin to the injection port when nothing constrained it and no
     // rule cares about it.
-    if !pinned.contains(&Field::InPort) && !any_rule_cares(table, Field::InPort) {
+    if !pinned(Field::InPort) && table.rules_caring(Field::InPort) == 0 {
         h.set_field(Field::InPort, u64::from(cfg.default_in_port));
     }
     // dl_type: must be a real EtherType (>= 0x600) and not the VLAN TPID.
-    if !pinned.contains(&Field::DlType) {
+    if !pinned(Field::DlType) {
         let v = h.field(Field::DlType);
         if v < 0x600 || v == 0x8100 {
-            if let Some(spare) = spare_value(
-                table,
-                Field::DlType,
-                [ethertype::IPV4, 0x88b5, 0x88b6, 0x9000, ethertype::ARP]
-                    .iter()
-                    .map(|&x| u64::from(x)),
-            ) {
+            if let Some(spare) = spare_value(table, Field::DlType, spare_dl_types()) {
                 h.set_field(Field::DlType, spare);
             }
         }
     }
     // dl_vlan: 0..=0xfff or VLAN_NONE.
-    if !pinned.contains(&Field::DlVlan) {
+    if !pinned(Field::DlVlan) {
         let v = h.field(Field::DlVlan);
         if v > 0x0fff && v != u64::from(VLAN_NONE) {
-            let candidates = std::iter::once(u64::from(VLAN_NONE)).chain(0xf00..0x1000u64);
-            if let Some(spare) = spare_value(table, Field::DlVlan, candidates) {
+            if let Some(spare) = spare_value(table, Field::DlVlan, spare_vlans()) {
                 h.set_field(Field::DlVlan, spare);
             }
         }
@@ -360,25 +363,33 @@ pub(crate) fn repair_header(
     h
 }
 
-fn any_rule_cares(table: &FlowTable, f: Field) -> bool {
-    let off = f.offset();
-    table
-        .rules()
-        .iter()
-        .any(|r| (0..f.width()).any(|i| r.tern.care.get(off + i)))
+/// The EtherTypes a repair may substitute, in order of preference.
+fn spare_dl_types() -> impl Iterator<Item = u64> {
+    [ethertype::IPV4, 0x88b5, 0x88b6, 0x9000, ethertype::ARP]
+        .into_iter()
+        .map(u64::from)
+}
+
+/// The VLAN ids a repair may substitute, in order of preference: untagged,
+/// then 0xf00..=0xfff.
+fn spare_vlans() -> impl Iterator<Item = u64> {
+    std::iter::once(u64::from(VLAN_NONE)).chain(0xf00..0x1000u64)
 }
 
 /// First candidate value not used by any rule's match on `f` (also accepts
 /// values that *are* used only as full-field wildcards, per the lemma).
-fn spare_value(table: &FlowTable, f: Field, candidates: impl Iterator<Item = u64>) -> Option<u64> {
-    let off = f.offset();
-    let used: std::collections::BTreeSet<u64> = table
-        .rules()
-        .iter()
-        .filter(|r| (0..f.width()).any(|i| r.tern.care.get(off + i)))
-        .map(|r| r.tern.value.get_bits(off, f.width()))
-        .collect();
-    candidates.into_iter().find(|v| !used.contains(v))
+/// When no rule cares about `f` ([`FlowTable::rules_caring`]) no value is
+/// used, and the first candidate is the answer without reading a rule.
+fn spare_value(
+    table: &FlowTable,
+    f: Field,
+    mut candidates: impl Iterator<Item = u64>,
+) -> Option<u64> {
+    if table.rules_caring(f) == 0 {
+        return candidates.next();
+    }
+    let used = used_values(table, f);
+    candidates.find(|v| used.binary_search(v).is_err())
 }
 
 /// Adds "must be one of" domain constraints for the small-domain fields
@@ -386,14 +397,14 @@ fn spare_value(table: &FlowTable, f: Field, candidates: impl Iterator<Item = u64
 fn add_domain_constraints(
     cnf: &mut Cnf,
     table: &FlowTable,
-    catch: &CatchSpec,
+    pins: &[(Field, u64)],
     cfg: &GeneratorConfig,
 ) {
-    let pinned: Vec<Field> = catch.all_pins().iter().map(|&(f, _)| f).collect();
-    if !pinned.contains(&Field::InPort) {
+    let pinned = |f: Field| pins.iter().any(|&(p, _)| p == f);
+    if !pinned(Field::InPort) {
         add_field_equals(cnf, Field::InPort, u64::from(cfg.default_in_port));
     }
-    if !pinned.contains(&Field::DlType) {
+    if !pinned(Field::DlType) {
         let mut values: Vec<u64> = used_values(table, Field::DlType)
             .into_iter()
             .filter(|&v| v >= 0x600 && v != 0x8100)
@@ -405,7 +416,7 @@ fn add_domain_constraints(
         }
         add_domain(cnf, Field::DlType, &values);
     }
-    if !pinned.contains(&Field::DlVlan) {
+    if !pinned(Field::DlVlan) {
         let mut values: Vec<u64> = used_values(table, Field::DlVlan)
             .into_iter()
             .filter(|&v| v <= 0x0fff || v == u64::from(VLAN_NONE))
@@ -421,10 +432,10 @@ fn add_domain_constraints(
     // OF 1.0.1 forbids but a defensive implementation must survive): when
     // any rule cares about transport bits, force a wire shape under which
     // those bits actually exist.
-    if (any_rule_cares(table, Field::TpSrc) || any_rule_cares(table, Field::TpDst))
-        && !pinned.contains(&Field::NwProto)
+    if (table.rules_caring(Field::TpSrc) > 0 || table.rules_caring(Field::TpDst) > 0)
+        && !pinned(Field::NwProto)
     {
-        if !pinned.contains(&Field::DlType) {
+        if !pinned(Field::DlType) {
             add_field_equals(cnf, Field::DlType, u64::from(ethertype::IPV4));
         }
         add_domain(cnf, Field::NwProto, &[1, 6, 17]);
@@ -449,13 +460,14 @@ fn add_domain_constraints(
     }
 }
 
+/// The distinct values of `f` in the matches of the rules that care about
+/// it, sorted.
 fn used_values(table: &FlowTable, f: Field) -> Vec<u64> {
-    let off = f.offset();
     let mut vals: Vec<u64> = table
         .rules()
         .iter()
-        .filter(|r| (0..f.width()).any(|i| r.tern.care.get(off + i)))
-        .map(|r| r.tern.value.get_bits(off, f.width()))
+        .filter(|r| r.tern.care.intersects(f.mask()))
+        .map(|r| r.tern.value.field(f))
         .collect();
     vals.sort_unstable();
     vals.dedup();
@@ -490,7 +502,7 @@ fn add_domain(cnf: &mut Cnf, f: Field, values: &[u64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use monocle_openflow::{Action, Match};
+    use monocle_openflow::{Action, FlowMod, FlowModCommand, Match};
 
     #[test]
     fn genstats_default_is_identity_for_merge() {
@@ -671,7 +683,7 @@ mod tests {
         // Both solves behind it are counted, with the work they did.
         let inst = encode::build_instance(&t, probed, &catch).unwrap();
         let mut stats = GenStats::default();
-        let res = solve_and_finish(&t, probed, &catch, &cfg(), inst, &mut stats);
+        let res = solve_and_finish(&t, probed, &catch, &[], &cfg(), inst, &mut stats);
         assert_eq!(res.unwrap_err(), ProbeError::Indistinguishable);
         assert_eq!(stats.solver_calls, 2);
         assert!(stats.solver_propagations > 0);
@@ -758,6 +770,136 @@ mod tests {
         }
         let raw = monocle_packet::craft_packet(&plan.fields, b"x").unwrap();
         monocle_packet::validate_packet(&raw).unwrap();
+    }
+
+    /// Whether any rule cares about `f`, read off every rule bit by bit: the
+    /// scan the repair made before the table kept care counts.
+    fn cares_by_scan(table: &FlowTable, f: Field) -> bool {
+        let off = f.offset();
+        table
+            .rules()
+            .iter()
+            .any(|r| (0..f.width()).any(|i| r.tern.care.get(off + i)))
+    }
+
+    /// `spare_value` by that scan: collect every used value, then take the
+    /// first candidate outside them.
+    fn spare_by_scan(
+        table: &FlowTable,
+        f: Field,
+        candidates: impl Iterator<Item = u64>,
+    ) -> Option<u64> {
+        let off = f.offset();
+        let used: std::collections::BTreeSet<u64> = table
+            .rules()
+            .iter()
+            .filter(|r| (0..f.width()).any(|i| r.tern.care.get(off + i)))
+            .map(|r| r.tern.value.get_bits(off, f.width()))
+            .collect();
+        candidates.into_iter().find(|v| !used.contains(v))
+    }
+
+    /// `repair_header` by that scan, for an empty catch spec.
+    fn repair_by_scan(table: &FlowTable, mut h: HeaderVec) -> HeaderVec {
+        if !cares_by_scan(table, Field::InPort) {
+            h.set_field(Field::InPort, u64::from(cfg().default_in_port));
+        }
+        let v = h.field(Field::DlType);
+        if v < 0x600 || v == 0x8100 {
+            if let Some(spare) = spare_by_scan(table, Field::DlType, spare_dl_types()) {
+                h.set_field(Field::DlType, spare);
+            }
+        }
+        let v = h.field(Field::DlVlan);
+        if v > 0x0fff && v != u64::from(VLAN_NONE) {
+            if let Some(spare) = spare_by_scan(table, Field::DlVlan, spare_vlans()) {
+                h.set_field(Field::DlVlan, spare);
+            }
+        }
+        h
+    }
+
+    /// A model no switch could be sent as is: in_port 7, an EtherType below
+    /// 0x600 and a VLAN id past 0xfff.
+    fn unrepaired() -> HeaderVec {
+        let mut h = packet_to_headervec(7, &Default::default());
+        h.set_field(Field::DlType, 0x42);
+        h.set_field(Field::DlVlan, 0x2000);
+        h
+    }
+
+    #[test]
+    fn repair_header_gives_what_the_rule_scan_gave() {
+        let in_port_3 = Match::any().with_in_port(3);
+        let mut t = table_from(vec![
+            (
+                10,
+                Match::any().with_nw_src([10, 0, 0, 1], 32),
+                vec![Action::Output(1)],
+            ),
+            (1, Match::any(), vec![Action::Output(2)]),
+        ]);
+        let h = unrepaired();
+        let check = |t: &FlowTable, pinned: bool| {
+            let repaired = repair_header(t, &[], &cfg(), h);
+            assert_eq!(repaired, repair_by_scan(t, h));
+            let want = if pinned { cfg().default_in_port } else { 7 };
+            assert_eq!(repaired.field(Field::InPort), u64::from(want));
+            assert_eq!(repaired.field(Field::DlVlan), u64::from(VLAN_NONE));
+        };
+        // No rule matches in_port: the probe is pinned to the injection port.
+        assert_eq!(t.rules_caring(Field::InPort), 0);
+        check(&t, true);
+        // A rule matching in_port = 3: the model's in_port stays.
+        t.add_rule(5, in_port_3, vec![Action::Output(3)]).unwrap();
+        check(&t, false);
+        // A neighborhood that leaves that rule out pins again.
+        let nb = t.neighborhood(&Match::any().with_in_port(4).ternary());
+        assert_eq!(nb.len(), 2);
+        check(&nb, true);
+        // Strict-deleting the rule pins again.
+        let removed = t
+            .apply(&FlowMod {
+                command: FlowModCommand::DeleteStrict,
+                priority: 5,
+                match_: in_port_3,
+                actions: vec![],
+                cookie: 0,
+                idle_timeout: 0,
+                hard_timeout: 0,
+                check_overlap: false,
+            })
+            .unwrap()
+            .removed;
+        assert_eq!(removed.len(), 1);
+        check(&t, true);
+    }
+
+    #[test]
+    fn spare_value_gives_what_the_rule_scan_gave() {
+        let mut t = table_from(vec![(1, Match::any(), vec![Action::Output(2)])]);
+        let spare = |t: &FlowTable| {
+            let v = spare_value(t, Field::DlType, spare_dl_types());
+            assert_eq!(v, spare_by_scan(t, Field::DlType, spare_dl_types()));
+            v
+        };
+        // No rule matches dl_type: the first candidate, no rule read.
+        assert_eq!(t.rules_caring(Field::DlType), 0);
+        assert_eq!(spare(&t), Some(u64::from(ethertype::IPV4)));
+        // A rule matching dl_type = IPv4 takes that value out.
+        t.add_rule(
+            10,
+            Match::any().with_dl_type(ethertype::IPV4),
+            vec![Action::Output(1)],
+        )
+        .unwrap();
+        assert_eq!(t.rules_caring(Field::DlType), 1);
+        assert_eq!(spare(&t), Some(0x88b5));
+        // As a repaired probe: the spare EtherType lands in the header.
+        assert_eq!(
+            repair_header(&t, &[], &cfg(), unrepaired()).field(Field::DlType),
+            0x88b5
+        );
     }
 
     #[test]

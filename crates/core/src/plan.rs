@@ -3,7 +3,9 @@
 //! the §5.2 spare-value repair) and as the property-test oracle.
 
 use monocle_openflow::flowmatch::{headervec_to_packet, packet_to_headervec};
-use monocle_openflow::{FlowTable, Forwarding, ForwardingKind, HeaderVec, PortNo, RuleId};
+use monocle_openflow::{
+    Field, FlowTable, Forwarding, ForwardingKind, HeaderVec, PortNo, Rule, RuleId,
+};
 use monocle_packet::PacketFields;
 use std::sync::Arc;
 
@@ -173,9 +175,23 @@ pub fn verify_probe(
     table: &FlowTable,
     probed_id: RuleId,
     probe: &HeaderVec,
-    pins: &[(monocle_openflow::Field, u64)],
+    pins: &[(Field, u64)],
 ) -> Option<(ConcreteOutcome, ConcreteOutcome)> {
     let probed = table.get(probed_id)?;
+    verify_rule_probe(table, probed, probe, pins).map(|(present, absent, _)| (present, absent))
+}
+
+/// [`verify_probe`] for `probed`, a rule of `table`, also returning the
+/// priority of the rule that takes the probe when `probed` is absent
+/// (`None`: a table miss). That one classifier query is also the best
+/// match other than `probed`, which is all a caller needs to ask whether
+/// any other rule of equal or higher priority matches the probe.
+pub(crate) fn verify_rule_probe(
+    table: &FlowTable,
+    probed: &Rule,
+    probe: &HeaderVec,
+    pins: &[(Field, u64)],
+) -> Option<(ConcreteOutcome, ConcreteOutcome, Option<u16>)> {
     // (2) pins
     for &(field, value) in pins {
         if probe.field(field) != value {
@@ -184,17 +200,18 @@ pub fn verify_probe(
     }
     // (1) highest match
     let hit = table.lookup(probe)?;
-    if hit.id != probed_id {
+    if hit.id != probed.id {
         return None;
     }
     let present = ConcreteOutcome::of(&probed.fwd, probe);
     // (3) outcome without the rule
-    let absent = match table.lookup_excluding(probe, probed_id) {
+    let other = table.lookup_excluding(probe, probed.id);
+    let absent = match other {
         Some(r) => ConcreteOutcome::of(&r.fwd, probe),
         None => ConcreteOutcome::dropped(),
     };
     if outcomes_distinguishable(&present, &absent) {
-        Some((present, absent))
+        Some((present, absent, other.map(|r| r.priority)))
     } else {
         None
     }
@@ -202,7 +219,7 @@ pub fn verify_probe(
 
 /// Converts a probe header into abstract packet fields plus ingress port.
 pub fn header_to_probe(h: &HeaderVec) -> (u16, PacketFields) {
-    let in_port = h.field(monocle_openflow::Field::InPort) as u16;
+    let in_port = h.field(Field::InPort) as u16;
     (in_port, headervec_to_packet(h))
 }
 
@@ -252,7 +269,7 @@ mod tests {
         let b = ConcreteOutcome::of(&plain, &p_clean);
         assert!(outcomes_distinguishable(&a, &b));
         let mut p_marked = p_clean;
-        p_marked.set_field(monocle_openflow::Field::NwTos, 0x2e);
+        p_marked.set_field(Field::NwTos, 0x2e);
         let a = ConcreteOutcome::of(&marked, &p_marked);
         let b = ConcreteOutcome::of(&plain, &p_marked);
         assert!(!outcomes_distinguishable(&a, &b));
@@ -327,7 +344,7 @@ mod tests {
         let bad = hdr([9, 9, 9, 9]);
         assert!(verify_probe(&t, probed, &bad, &[]).is_none());
         // Pins are enforced.
-        assert!(verify_probe(&t, probed, &good, &[(monocle_openflow::Field::DlVlan, 3)]).is_none());
+        assert!(verify_probe(&t, probed, &good, &[(Field::DlVlan, 3)]).is_none());
     }
 
     #[test]

@@ -95,6 +95,12 @@ impl Field {
         }
     }
 
+    /// The field's bits as a header-space mask (precomputed per field), so
+    /// whether a vector touches the field is a few word-wise ANDs.
+    pub fn mask(self) -> &'static HeaderVec {
+        &FIELD_MASKS[self as usize]
+    }
+
     /// Human-readable OpenFlow field name.
     pub const fn name(self) -> &'static str {
         match self {
@@ -129,6 +135,21 @@ pub const FIELDS: [Field; 12] = [
     Field::TpSrc,
     Field::TpDst,
 ];
+
+/// Each field's bits as a [`HeaderVec`], in [`FIELDS`] order.
+static FIELD_MASKS: [HeaderVec; FIELDS.len()] = {
+    let mut masks = [HeaderVec::ZERO; FIELDS.len()];
+    let mut f = 0;
+    while f < FIELDS.len() {
+        let mut i = FIELDS[f].offset();
+        while i < FIELDS[f].offset() + FIELDS[f].width() {
+            masks[f].0[i / 64] |= 1 << (i % 64);
+            i += 1;
+        }
+        f += 1;
+    }
+    masks
+};
 
 /// Fixed-size bitset over the header space. Bit `i` of the header is bit
 /// `i % 64` of word `i / 64`. Field values are stored little-endian within
@@ -245,6 +266,12 @@ impl HeaderVec {
         v
     }
 
+    /// True when `self` and `o` have a set bit in common.
+    #[inline]
+    pub fn intersects(&self, o: &HeaderVec) -> bool {
+        (0..WORDS).any(|i| self.0[i] & o.0[i] != 0)
+    }
+
     /// True when no bit is set.
     #[inline]
     pub fn is_zero(&self) -> bool {
@@ -323,6 +350,22 @@ mod tests {
             let max = (1u64 << f.width()) - 1;
             let val = (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1)) & max;
             assert_eq!(h.field(*f), val, "field {} clobbered", f.name());
+        }
+    }
+
+    #[test]
+    fn field_masks_cover_exactly_their_field() {
+        for f in FIELDS {
+            let bits: Vec<usize> = f.mask().iter_ones().collect();
+            let want: Vec<usize> = (f.offset()..f.offset() + f.width()).collect();
+            assert_eq!(bits, want, "field {}", f.name());
+            let mut h = HeaderVec::ZERO;
+            h.set_field(f, 1);
+            assert!(h.intersects(f.mask()));
+            assert!(FIELDS
+                .iter()
+                .filter(|&&g| g != f)
+                .all(|g| !h.intersects(g.mask())));
         }
     }
 

@@ -43,7 +43,7 @@
 use crate::action::{ActionError, ActionProgram, Forwarding, PortNo};
 use crate::classifier::TernaryClassifier;
 use crate::flowmatch::{Match, Ternary};
-use crate::headerspace::HeaderVec;
+use crate::headerspace::{Field, HeaderVec, FIELDS};
 use crate::messages::{FlowMod, FlowModCommand};
 use std::cmp::Reverse;
 use std::collections::hash_map::DefaultHasher;
@@ -268,6 +268,24 @@ pub struct FlowTable {
     fp: u64,
     /// See [`Self::changes_since`]; appended wherever `fp` moves.
     log: ChangeLog,
+    /// Per field, in [`FIELDS`] order: how many rules care about at least
+    /// one bit of it. See [`Self::rules_caring`]; kept in lockstep by every
+    /// mutation, like `fp`.
+    care_counts: [usize; FIELDS.len()],
+}
+
+/// Adds one to (`add`), or takes one from, the count of each field `tern`
+/// cares about, reading each field through its word mask.
+fn tally_cares(counts: &mut [usize; FIELDS.len()], tern: &Ternary, add: bool) {
+    for (n, f) in counts.iter_mut().zip(FIELDS) {
+        if tern.care.intersects(f.mask()) {
+            if add {
+                *n += 1;
+            } else {
+                *n -= 1;
+            }
+        }
+    }
 }
 
 impl FlowTable {
@@ -312,6 +330,27 @@ impl FlowTable {
         self.rules.iter().fold(0u64, |fp, r| {
             let sig = Rule::signature(r.priority, &r.tern, &r.fwd);
             fp.wrapping_add(fingerprint_term(r.id, sig))
+        })
+    }
+
+    /// How many rules care about at least one bit of `f`: maintained by every
+    /// mutation, so reading it is O(1). Probe repair (§5.2) asks it whether
+    /// any rule constrains a field before it scans the rules for the values
+    /// they use.
+    pub fn rules_caring(&self, f: Field) -> usize {
+        self.care_counts[f as usize]
+    }
+
+    /// [`Self::rules_caring`] for every field, in [`FIELDS`] order, recounted
+    /// from the rules bit by bit: the oracle the maintained counts are tested
+    /// against.
+    pub fn care_counts_from_scratch(&self) -> [usize; FIELDS.len()] {
+        FIELDS.map(|f| {
+            let off = f.offset();
+            self.rules
+                .iter()
+                .filter(|r| (0..f.width()).any(|i| r.tern.care.get(off + i)))
+                .count()
         })
     }
 
@@ -440,6 +479,7 @@ impl FlowTable {
                 self.classifier.remove(r.id, &r.tern);
                 self.priority_of.remove(&r.id);
                 self.fp = self.fp.wrapping_sub(r.fp_term());
+                tally_cares(&mut self.care_counts, &r.tern, false);
                 self.log.push(r.id, len);
                 result.removed.push(r.id);
             }
@@ -467,6 +507,7 @@ impl FlowTable {
         self.classifier.insert(rule.priority, rule.id, rule.tern);
         self.priority_of.insert(id, rule.priority);
         self.fp = self.fp.wrapping_add(rule.fp_term());
+        tally_cares(&mut self.care_counts, &rule.tern, true);
         self.log.push(id, self.rules.len() + 1);
         // First index with strictly lower priority: keeps insertion order
         // stable among equal priorities.
@@ -481,6 +522,7 @@ impl FlowTable {
         self.classifier.remove(rule.id, &rule.tern);
         self.priority_of.remove(&rule.id);
         self.fp = self.fp.wrapping_sub(rule.fp_term());
+        tally_cares(&mut self.care_counts, &rule.tern, false);
         self.log.push(rule.id, self.rules.len());
         rule
     }
@@ -606,7 +648,8 @@ impl FlowTable {
 
     /// The sub-table of rules overlapping `tern`, copied verbatim: same
     /// [`RuleId`]s, same order, `next_id` carried over, own classifier, own
-    /// fingerprint summed from the stored signatures, empty change history.
+    /// fingerprint summed from the stored signatures, own
+    /// [`Self::rules_caring`] counts, empty change history.
     ///
     /// Any rule that can match a header matching rule R overlaps R, so
     /// [`Self::lookup`], [`Self::lookup_excluding`] and [`Self::process`]
@@ -622,10 +665,12 @@ impl FlowTable {
         let mut priority_of = IdHashMap::default();
         priority_of.reserve(rules.len());
         let mut fp = 0u64;
+        let mut care_counts = [0; FIELDS.len()];
         for r in &rules {
             classifier.insert(r.priority, r.id, r.tern);
             priority_of.insert(r.id, r.priority);
             fp = fp.wrapping_add(r.fp_term());
+            tally_cares(&mut care_counts, &r.tern, true);
         }
         FlowTable {
             rules,
@@ -634,6 +679,7 @@ impl FlowTable {
             next_id: self.next_id,
             fp,
             log: ChangeLog::default(),
+            care_counts,
         }
     }
 

@@ -5,13 +5,15 @@
 //! to what a content fingerprint is for: tables with the same rules agree,
 //! however they got there, and tables with different rules do not. The
 //! change log beside the fingerprint (`version`, `changes_since`) is held to
-//! the same recomputation: it names every rule whose term moved.
+//! the same recomputation: it names every rule whose term moved. So are the
+//! per-field care counts (`rules_caring`), against a bit-by-bit recount
+//! (`care_counts_from_scratch`).
 
 mod common;
 
 use common::{arb_actions, arb_flowmod, arb_match};
 use monocle_openflow::{
-    Action, FlowMod, FlowModCommand, FlowTable, Forwarding, Match, Rule, RuleId, Ternary,
+    Action, FlowMod, FlowModCommand, FlowTable, Forwarding, Match, Rule, RuleId, Ternary, FIELDS,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -24,6 +26,11 @@ fn content(table: &FlowTable) -> Vec<(RuleId, u16, Ternary, Forwarding)> {
         .iter()
         .map(|r| (r.id, r.priority, r.tern, r.fwd.clone()))
         .collect()
+}
+
+/// The maintained care count of every field, in `FIELDS` order.
+fn care_counts(table: &FlowTable) -> [usize; FIELDS.len()] {
+    FIELDS.map(|f| table.rules_caring(f))
 }
 
 /// The maintained values equal a recomputation, and travel with the copies
@@ -39,11 +46,15 @@ fn assert_maintained(table: &FlowTable) -> Result<(), TestCaseError> {
     }
     prop_assert_eq!(table.fingerprint(), table.fingerprint_from_scratch());
     prop_assert_eq!(table.clone().fingerprint(), table.fingerprint());
+    prop_assert_eq!(care_counts(table), table.care_counts_from_scratch());
+    prop_assert_eq!(care_counts(&table.clone()), care_counts(table));
     let all = table.neighborhood(&Match::any().ternary());
     prop_assert_eq!(all.fingerprint(), table.fingerprint());
+    prop_assert_eq!(care_counts(&all), care_counts(table));
     for r in table.rules() {
         let nb = table.neighborhood(&r.tern);
         prop_assert_eq!(nb.fingerprint(), nb.fingerprint_from_scratch());
+        prop_assert_eq!(care_counts(&nb), nb.care_counts_from_scratch());
         // A proper sub-table is a different table.
         prop_assert_eq!(
             nb.fingerprint() == table.fingerprint(),

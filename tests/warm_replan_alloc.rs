@@ -1,14 +1,15 @@
 //! A warm re-plan of an unchanged table is a lookup: the engine hands out its
 //! cached plans without copying them, so the only allocation a warm
-//! `generate_batch` makes is its output vector. Counted by a global
-//! allocator wrapping `System`, per thread, so that the test harness's own
-//! threads do not count.
+//! `generate_batch` makes is its output vector. A cold plan that the fast
+//! path answers allocates a fixed handful, whatever the table and the pins.
+//! Counted by a global allocator wrapping `System`, per thread, so that the
+//! test harness's own threads do not count.
 
 use monocle::encode::CatchSpec;
 use monocle::engine::ProbeEngine;
 use monocle::generator::ProbeError;
 use monocle_datasets::acl::{generate, AclConfig};
-use monocle_openflow::FlowTable;
+use monocle_openflow::{Action, Field, FlowTable, Match};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -86,4 +87,29 @@ fn warm_generate_batch_allocates_only_its_output() {
     assert_eq!(warm, cold);
     assert_eq!(engine.stats().cache_hits, ids.len() as u64);
     assert_eq!(allocated, 1, "the output Vec and nothing per hit");
+}
+
+#[test]
+fn cold_fast_path_plan_allocates_a_fixed_count() {
+    let mut table = FlowTable::new();
+    let probed = table
+        .add_rule(
+            10,
+            Match::any().with_nw_src([10, 0, 0, 1], 32),
+            vec![Action::Output(1)],
+        )
+        .unwrap();
+    table
+        .add_rule(1, Match::any(), vec![Action::Output(2)])
+        .unwrap();
+    let catch = CatchSpec::tag(Field::DlVlan, 0xf03);
+    let mut engine = ProbeEngine::default();
+    // The first synchronization reads the whole table; it is not planning.
+    assert!(engine.take_evicted(&table).is_empty());
+    let (plan, allocated) = allocations(|| engine.generate(&table, probed, &catch));
+    assert!(plan.is_ok());
+    assert_eq!(engine.stats().fast_path_hits, 1);
+    // One pin list for the call; the verifier's two outcomes and the two
+    // observation sets it compares; the plan cache's first entry.
+    assert_eq!(allocated, 6, "the pin list is built once per call");
 }
