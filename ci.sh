@@ -33,11 +33,13 @@ echo "== deeper property pass: dynamic monitoring (replica and switch mirror, cl
 # other: either way every update is answered exactly once, no update holds
 # more than two live probes, none is confirmed by silence before two probes
 # sent since its claim (and its last contrary return) have each gone the
-# probe timeout then in force unanswered, and a claimless monitor keeps no
-# rejection record. And after every call §4.2 holds, checked on the FlowMods
-# the monitor was given: no two started, unfinished updates overlap, and no
-# update starts while an earlier one it overlaps and does not commute with
-# is still queued.
+# probe timeout then in force unanswered, none outlives its claim plus
+# UPDATE_DEADLINE by more than a tick (some ticks jump two deadlines), and
+# a claimless monitor keeps no rejection record; with probes lost, the
+# deadline drains the monitor. And after every call §4.2 holds, checked on
+# the FlowMods the monitor was given: no two started, unfinished updates
+# overlap, and no update starts while an earlier one it overlaps and does not
+# commute with is still queued.
 PROPTEST_CASES=1000 cargo test --release -q -p monocle --lib dynamic::tests::props
 
 echo "== the TCP ACL arms: acks before commit against optimistic acks, 3 runs =="
@@ -166,7 +168,10 @@ echo "== perf baseline: TCP transport loopback (full sweep) =="
 # last probe returns with the old state or times out; the timeout follows
 # each session's probe round trip, so a saturated loop whose returns lag
 # probes less often (see the JSON's notes for what the rows still show).
-./target/release/transport_loopback --json BENCH_transport.json
+# 300 updates per switch, so that even the shortest row lasts about 0.6 s:
+# at 30 the rows lasted 0.06-0.46 s and from 16 switches on spread beyond
+# +-25 % of their mean from sweep to sweep.
+./target/release/transport_loopback --updates 300 --json BENCH_transport.json
 
 echo "== smoke: adaptive scheduler (small) =="
 # Quick sanity run of the adaptive-vs-fixed detection-latency comparison;

@@ -9,13 +9,17 @@
 //!
 //! * **negative probing** — Monocle (wrongly) confirms the swallowed rule;
 //! * **drop-postponing** — the stand-in must return a positively tagged
-//!   probe, so the swallowed install is never confirmed (the controller
-//!   can alarm/retry instead of proceeding with a broken policy).
+//!   probe, so the swallowed install is never confirmed: it alarms once
+//!   [`UPDATE_DEADLINE`] has passed since it started, and the controller
+//!   can retry instead of proceeding with a broken policy.
+//!
+//! Each scenario runs 1 s past the drop rule's deadline.
 //!
 //! Usage: `ablation_drop_postponing`
 
 use monocle::droppost::DropTag;
 use monocle::harness::{ExpIo, Experiment, HarnessConfig, HarnessEvent, MonocleApp};
+use monocle::UPDATE_DEADLINE;
 use monocle_openflow::{Action, FlowMod, Match};
 use monocle_switchsim::{time, Network, NetworkConfig, NodeRef, SwitchProfile};
 
@@ -51,9 +55,9 @@ enum Fault {
     SwallowAndLoss,
 }
 
-/// Runs one scenario; returns (confirmed?, confirmation time, rule really
+/// Runs one scenario; returns (confirmation time, alarm time, rule really
 /// in the data plane?).
-fn run(postpone: bool, fault: Fault) -> (bool, Option<f64>, bool) {
+fn run(postpone: bool, fault: Fault) -> (Option<f64>, Option<f64>, bool) {
     let mut net = Network::new(NetworkConfig::default());
     let s0 = net.add_switch(SwitchProfile::ideal());
     let s1 = net.add_switch(SwitchProfile::ideal());
@@ -79,9 +83,13 @@ fn run(postpone: bool, fault: Fault) -> (bool, Option<f64>, bool) {
             }
         }
     }
-    net.run_for(&mut app, time::s(3));
+    net.run_until(&mut app, time::ms(100) + UPDATE_DEADLINE + time::s(1));
     let confirmed = app.events.iter().find_map(|e| match e {
         HarnessEvent::Confirmed { token: 2, at, .. } => Some(*at),
+        _ => None,
+    });
+    let alarmed = app.events.iter().find_map(|e| match e {
+        HarnessEvent::Alarm { token: 2, at, .. } => Some(*at),
         _ => None,
     });
     let in_dataplane = net
@@ -91,8 +99,8 @@ fn run(postpone: bool, fault: Fault) -> (bool, Option<f64>, bool) {
         .iter()
         .any(|r| r.priority == 10 && r.fwd.is_drop());
     (
-        confirmed.is_some(),
         confirmed.map(time::to_secs),
+        alarmed.map(time::to_secs),
         in_dataplane,
     )
 }
@@ -100,28 +108,27 @@ fn run(postpone: bool, fault: Fault) -> (bool, Option<f64>, bool) {
 fn main() {
     println!("== §3.3/§4.3 ablation: confirming drop-rule installation ==");
     println!("(fault: the switch acknowledges but silently swallows installs)");
-    println!("method\tfault\tconfirmed?\tin dataplane?\tverdict");
+    println!("method\tfault\tconfirmed?\talarmed?\tin dataplane?\tverdict");
     for (postpone, label) in [(false, "negative probing"), (true, "drop-postponing")] {
         for (fault, fname) in [
             (Fault::None, "healthy"),
             (Fault::Swallow, "swallowed"),
             (Fault::SwallowAndLoss, "swallowed+lossy"),
         ] {
-            let (confirmed, at, present) = run(postpone, fault);
-            let verdict = match (confirmed, present) {
-                (true, true) => "correct confirm",
-                (true, false) => "FALSE POSITIVE",
-                (false, false) => "correctly withheld",
-                (false, true) => "missed confirm",
+            let (confirmed, alarmed, present) = run(postpone, fault);
+            let verdict = match (confirmed.is_some(), alarmed.is_some(), present) {
+                (true, _, true) => "correct confirm",
+                (true, _, false) => "FALSE POSITIVE",
+                (false, true, false) => "correctly alarmed",
+                (false, false, false) => "correctly withheld",
+                (false, _, true) => "missed confirm",
             };
+            let at =
+                |t: Option<f64>, what: &str| t.map_or("no".into(), |t| format!("{what} @{t:.3}s"));
             println!(
-                "{label}\t{fname}\t{}\t{}\t{}",
-                match (confirmed, at) {
-                    (true, Some(t)) => format!("yes @{t:.3}s"),
-                    _ => "no".into(),
-                },
-                present,
-                verdict
+                "{label}\t{fname}\t{}\t{}\t{present}\t{verdict}",
+                at(confirmed, "yes"),
+                at(alarmed, "alarmed"),
             );
         }
     }

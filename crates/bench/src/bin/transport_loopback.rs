@@ -194,13 +194,14 @@ fn main() {
              came back, and the 64-switch arm once ran into its deadline. Every event loop \
              keeps its timers to the nanosecond (epoll_pwait2), so a switch's agent and \
              install timers fire some 60-90 us after their due time; a millisecond wait \
-             rounded up made them up to 1 ms late before. On a 2-CPU host three sweeps \
-             read 3598-3849 fm/s at 8 switches, 5836-6454 at 16, 6078-9437 at 32 and \
-             5385-10358 at 64, with 2.0-2.8 probes per update at every row, and this \
-             file's rows are one more sweep. The install-bound 1- to 4-switch rows \
-             repeat to within 2 % across those sweeps; from 16 switches on the loop's \
-             CPU bounds the rate, and the 32- and 64-switch rows spread -26 %/+15 % and \
-             -29 %/+37 % of their means. Probes still in flight when a run \
+             rounded up made them up to 1 ms late before. The sweep runs 300 updates \
+             per switch, so its shortest row lasts about 0.6 s: rows of files made at 30 \
+             updates per switch (0.06-0.46 s each) are not comparable with these, and \
+             spread up to +49 % of their mean from 16 switches on. On a 2-CPU host three \
+             sweeps at 300 read 496-498 fm/s at 1 switch, 1487-1764 at 4, 2763-2794 at \
+             8, 4039-4275 at 16, 5339-5665 at 32 and 5493-5951 at 64, every row within \
+             -10 %/+8 % of its mean, with 2.0-2.6 probes per verified update at every \
+             row, and this file's rows are one more sweep. Probes still in flight when a run \
              ends, and probes the table dropped before the default route committed, \
              account for probes_returned < probes_injected. \
              Rows from before the switch fleet became this model are not comparable: \

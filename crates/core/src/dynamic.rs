@@ -90,9 +90,13 @@ use std::collections::VecDeque;
 const FIRST_TIMEOUT: u64 = 6_000_000;
 /// The least probe timeout, ns, however fast the switch answers.
 const MIN_TIMEOUT: u64 = 2_000_000;
-/// The most times an update's wait for its next probe doubles (RFC 6298
-/// §5.5), which caps it at `T · 2¹⁵` — over a minute at the 2 ms floor.
-const MAX_BACKOFF: u32 = 15;
+/// How long an update may stay unfinished after its claim, ns: one neither
+/// confirmed nor alarmed by then ends with an alarm (§4). It is over four
+/// times the longest claim-to-ack measured over loopback TCP (2.15 s, in the
+/// 64-switch row of a `transport_loopback --updates 300` sweep). An update
+/// lives at most this long after its claim, so its wait between probes
+/// doubles at most log2(`UPDATE_DEADLINE` / `MIN_TIMEOUT`) + 1 times.
+pub const UPDATE_DEADLINE: u64 = 10_000_000_000;
 
 /// The switch's probe round trip, estimated as RFC 6298 does a TCP
 /// connection's (α = 1/8, β = 1/4), in ns, from each dynamic probe's
@@ -136,14 +140,6 @@ struct Sent {
     at: u64,
     /// Whether it has come back (with any verdict).
     answered: bool,
-}
-
-/// Dynamic-monitor configuration.
-#[derive(Debug, Clone, Default)]
-pub struct DynamicConfig {
-    /// Give-up threshold: after this many probes without confirmation an
-    /// alarm is raised (0, the default, = never give up).
-    pub max_attempts: u32,
 }
 
 /// A [`Step::Plan`] in the form a stateless planner takes: the table to plan
@@ -232,17 +228,17 @@ struct Update {
     /// Its FlowMod's number among those sent to the switch, from 1: what a
     /// claim covers ([`DynamicMonitor::on_claim`]).
     forwarded: u64,
-    /// `None` until it is claimed; from then on, when §3.3 silence started
-    /// counting: the latest of its claim, its plan's landing and its last
-    /// contrary verdict. In a driver that reports no claims it is claimed
-    /// as it starts, before its plan lands: 0.
-    quiet_since: Option<u64>,
+    /// When it was claimed, `None` until then; its deadline is
+    /// [`UPDATE_DEADLINE`] later. In a driver that reports no claims it is
+    /// claimed as it starts.
+    claimed: Option<u64>,
+    /// Once it is claimed, when §3.3 silence started counting: the latest of
+    /// its claim, its plan's landing and its last contrary verdict.
+    quiet_since: u64,
     plan: Option<ProbePlan>,
     /// Its last two probes, oldest first: the ones whose returns are still
     /// judged.
     live: Vec<Sent>,
-    /// Probes sent in all (what [`DynamicConfig::max_attempts`] caps).
-    probes: u32,
     /// How many clock probes in a row went out while the one before was
     /// unanswered: the next waits `T · 2^backoff` after the last (RFC 6298
     /// §5.5), so a probe whose return lags several timeouts is still live
@@ -271,15 +267,12 @@ impl Update {
     /// sent since silence started counting and have each gone `t`
     /// unanswered.
     fn quiet(&self, now: u64, t: u64) -> bool {
-        let Some(since) = self.quiet_since else {
-            return false;
-        };
         self.silent_confirm()
             && self.live.len() == 2
             && self
                 .live
                 .iter()
-                .all(|s| !s.answered && s.at >= since && now >= s.at + t)
+                .all(|s| !s.answered && s.at >= self.quiet_since && now >= s.at + t)
     }
 
     /// One more probe of its plan, sent at `now` under a fresh sequence
@@ -294,7 +287,6 @@ impl Update {
             at: now,
             answered: false,
         });
-        self.probes += 1;
         let plan = self.plan.as_ref().expect("a probed update has its plan");
         ProxyOutput::Inject(ProbeInjection::new(switch_id, plan, seq))
     }
@@ -308,7 +300,6 @@ impl Update {
 /// the two it is, only its one funnel for planning work asks.
 #[derive(Debug)]
 pub(crate) struct DynamicMonitor {
-    cfg: DynamicConfig,
     /// The switch's datapath id, stamped into every probe.
     switch_id: u64,
     /// The expected table.
@@ -357,10 +348,9 @@ impl DynamicMonitor {
     /// Creates the monitor of switch `switch_id` (the datapath id its probes
     /// carry); `catch` is the per-switch collection spec (tag pins +
     /// injection port).
-    pub(crate) fn new(cfg: DynamicConfig, catch: CatchSpec, switch_id: u64) -> DynamicMonitor {
+    pub(crate) fn new(catch: CatchSpec, switch_id: u64) -> DynamicMonitor {
         DynamicMonitor {
             engine: Some(planner::engine(&catch)),
-            cfg,
             switch_id,
             table: FlowTable::new(),
             catch,
@@ -524,12 +514,14 @@ impl DynamicMonitor {
             || self.queued.iter().any(|q| q.token == token)
     }
 
-    /// A FlowMod arrives from the controller as update `token`, which must
-    /// not name another unfinished update. `finalize`: §4.3's FlowMod that
-    /// turns the stand-in `fm` into the real drop, sent when it confirms.
-    /// Its probe goes out when its plan is handed back, after this call.
+    /// A FlowMod arrives from the controller at `now` as update `token`,
+    /// which must not name another unfinished update. `finalize`: §4.3's
+    /// FlowMod that turns the stand-in `fm` into the real drop, sent when it
+    /// confirms. Its probe goes out when its plan is handed back, after this
+    /// call.
     pub(crate) fn on_flowmod(
         &mut self,
+        now: u64,
         token: u64,
         fm: FlowMod,
         finalize: Option<FlowMod>,
@@ -546,7 +538,7 @@ impl DynamicMonitor {
         if self.conflicts(&update, &self.queued) {
             self.queued.push_back(update);
         } else {
-            self.start_update(update, &mut out);
+            self.start_update(now, update, &mut out);
         }
         out
     }
@@ -621,12 +613,12 @@ impl DynamicMonitor {
         }
     }
 
-    /// Starts an update whose conflicts have cleared: applies it to the
-    /// expected table, sends it, and either records it behind the one plan
-    /// request that can prove it or, when there is nothing to probe,
+    /// Starts an update whose conflicts have cleared at `now`: applies it to
+    /// the expected table, sends it, and either records it behind the one
+    /// plan request that can prove it or, when there is nothing to probe,
     /// acknowledges it optimistically. The single add/delete/modify case
     /// analysis, shared by inline and deferred mode.
-    fn start_update(&mut self, update: Queued, out: &mut Vec<ProxyOutput>) {
+    fn start_update(&mut self, now: u64, update: Queued, out: &mut Vec<ProxyOutput>) {
         // §4.1: a deletion is the opposite of an installation — its probe is
         // the victim's *pre-state* plan, awaited on the absent outcome, so
         // it is requested before the delta lands. Likewise a modify needs
@@ -687,10 +679,10 @@ impl DynamicMonitor {
             forwarded,
             // Where claims flow, the update waits for the switch's; where
             // none do, it counts as claimed now.
-            quiet_since: (!self.claims_heard).then_some(0),
+            claimed: (!self.claims_heard).then_some(now),
+            quiet_since: now,
             plan: None,
             live: Vec::with_capacity(2),
-            probes: 0,
             backoff: 0,
         });
     }
@@ -729,13 +721,13 @@ impl DynamicMonitor {
             return out; // unknown or duplicate attach
         };
         let Some(mut plan) = plan else {
-            self.finish(idx, false, &mut out);
+            self.finish(now, idx, false, &mut out);
             return out;
         };
         let u = &mut self.updates[idx];
         plan.rule_id = u.rule_id;
         u.plan = Some(plan);
-        u.quiet_since = u.quiet_since.map(|t| t.max(now));
+        u.quiet_since = u.quiet_since.max(now);
         out.push(u.probe(now, self.switch_id, &mut self.next_seq));
         out
     }
@@ -760,10 +752,11 @@ impl DynamicMonitor {
         self.unclaimed.drain(..claimed);
         let mut out = Vec::new();
         for u in &mut self.updates {
-            if u.quiet_since.is_some() || u.forwarded > covered {
+            if u.claimed.is_some() || u.forwarded > covered {
                 continue;
             }
-            u.quiet_since = Some(now);
+            u.claimed = Some(now);
+            u.quiet_since = now;
             if u.plan.is_some() {
                 out.push(u.probe(now, self.switch_id, &mut self.next_seq));
             }
@@ -771,8 +764,10 @@ impl DynamicMonitor {
         out
     }
 
-    /// Periodic tick, over the claimed updates that hold their plan, with
-    /// the probe timeout `T` the round trip sets now: confirm a silence-based
+    /// Periodic tick, over the claimed updates, with the probe timeout `T`
+    /// the round trip sets now: alarm each one still unfinished
+    /// [`UPDATE_DEADLINE`] after its claim, its plan landed or not; of the
+    /// others that hold their plan, confirm a silence-based
     /// (negative-probed) one whose two live probes went quiet
     /// ([`Update::quiet`]), and probe again each one whose last probe went
     /// out `T` ago or more — by then it has returned with the old state or
@@ -784,10 +779,17 @@ impl DynamicMonitor {
         let mut alarmed: Vec<u64> = Vec::new();
         let mut silent_done: Vec<u64> = Vec::new();
         for u in self.updates.iter_mut() {
+            let Some(claimed) = u.claimed else {
+                continue;
+            };
+            if now >= claimed + UPDATE_DEADLINE {
+                alarmed.push(u.token);
+                continue;
+            }
             let Some(last) = u.live.last() else {
                 continue; // awaiting its plan
             };
-            if u.quiet_since.is_none() || now < last.at + timeout {
+            if now < last.at + timeout {
                 continue;
             }
             if u.quiet(now, timeout) {
@@ -798,23 +800,15 @@ impl DynamicMonitor {
             if now < last.at + (timeout << u.backoff) {
                 continue;
             }
-            if self.cfg.max_attempts > 0 && u.probes >= self.cfg.max_attempts {
-                alarmed.push(u.token);
-                continue;
-            }
-            u.backoff = if last.answered {
-                0
-            } else {
-                (u.backoff + 1).min(MAX_BACKOFF)
-            };
+            u.backoff = if last.answered { 0 } else { u.backoff + 1 };
             out.push(u.probe(now, self.switch_id, &mut self.next_seq));
         }
         for token in silent_done {
             let idx = self.updates.iter().position(|u| u.token == token).unwrap();
-            self.finish(idx, true, &mut out);
+            self.finish(now, idx, true, &mut out);
         }
         if !alarmed.is_empty() {
-            self.alarm(alarmed, &mut out);
+            self.alarm(now, alarmed, &mut out);
         }
         out
     }
@@ -827,14 +821,14 @@ impl DynamicMonitor {
     /// covered, which changes nothing. An update still unfinished ends with
     /// an alarm; its plan, should one still arrive, is ignored. The expected
     /// table keeps the FlowMod: it holds what the controller asked for.
-    pub(crate) fn on_rejected(&mut self, number: u64) -> (Option<u64>, Vec<ProxyOutput>) {
+    pub(crate) fn on_rejected(&mut self, now: u64, number: u64) -> (Option<u64>, Vec<ProxyOutput>) {
         let mut out = Vec::new();
         let Ok(i) = self.unclaimed.binary_search_by_key(&number, |(n, _)| *n) else {
             return (None, out);
         };
         let token = self.unclaimed[i].1;
         if self.updates.iter().any(|u| u.forwarded == number) {
-            self.alarm(vec![token], &mut out);
+            self.alarm(now, vec![token], &mut out);
         }
         (Some(token), out)
     }
@@ -843,18 +837,18 @@ impl DynamicMonitor {
     /// terminal as a confirmed one: whatever was conflict-queued behind it
     /// must not wait for an unrelated confirmation. Its finalizer is never
     /// sent.
-    fn alarm(&mut self, tokens: Vec<u64>, out: &mut Vec<ProxyOutput>) {
+    fn alarm(&mut self, now: u64, tokens: Vec<u64>, out: &mut Vec<ProxyOutput>) {
         self.updates.retain(|u| !tokens.contains(&u.token));
         out.extend(tokens.into_iter().map(|token| ProxyOutput::Alarm { token }));
-        self.release_queued(out);
+        self.release_queued(now, out);
     }
 
-    /// Update `idx` is confirmed: out of the record, acknowledged, and
-    /// whatever was queued behind it released.
-    fn finish(&mut self, idx: usize, verified: bool, out: &mut Vec<ProxyOutput>) {
+    /// Update `idx` is confirmed at `now`: out of the record, acknowledged,
+    /// and whatever was queued behind it released.
+    fn finish(&mut self, now: u64, idx: usize, verified: bool, out: &mut Vec<ProxyOutput>) {
         let u = self.updates.remove(idx);
         self.acknowledge(u.token, u.finalize, verified, out);
-        self.release_queued(out);
+        self.release_queued(now, out);
     }
 
     /// Acknowledges update `token`, after sending its §4.3 finalizer: the
@@ -876,13 +870,13 @@ impl DynamicMonitor {
     /// Starts every conflict-queued update whose conflicts have cleared, in
     /// queue order: one that overlaps a started update, or one queued ahead
     /// of it that stays queued, waits (a released update requests its plan).
-    fn release_queued(&mut self, out: &mut Vec<ProxyOutput>) {
+    fn release_queued(&mut self, now: u64, out: &mut Vec<ProxyOutput>) {
         let mut requeue = VecDeque::new();
         while let Some(update) = self.queued.pop_front() {
             if self.conflicts(&update, &requeue) {
                 requeue.push_back(update);
             } else {
-                self.start_update(update, out);
+                self.start_update(now, update, out);
             }
         }
         self.queued = requeue;
@@ -922,12 +916,13 @@ impl DynamicMonitor {
             self.rtt.sample(now.saturating_sub(sent.at));
         }
         if verdict == u.confirm_on {
-            self.finish(idx, true, &mut out);
+            self.finish(now, idx, true, &mut out);
         } else if verdict != Verdict::Inconclusive {
             // Transient inconsistency (§4.1): e.g. the rule is not installed
             // *yet*. Not an alarm; keep probing (and restart the silence
-            // count — the old state is demonstrably still active).
-            u.quiet_since = u.quiet_since.map(|t| t.max(now));
+            // count — the old state is demonstrably still active). The
+            // deadline stays where the claim put it.
+            u.quiet_since = u.quiet_since.max(now);
         }
         out
     }
@@ -961,7 +956,7 @@ mod tests {
     }
 
     fn monitor() -> DynamicMonitor {
-        let mut m = DynamicMonitor::new(DynamicConfig::default(), CatchSpec::default(), 7);
+        let mut m = DynamicMonitor::new(CatchSpec::default(), 7);
         // A default route so additions are distinguishable from table miss.
         m.apply_expected(&FlowMod::add(1, Match::any(), vec![Action::Output(99)]))
             .unwrap();
@@ -971,7 +966,7 @@ mod tests {
     /// Update `token` through [`DynamicMonitor::on_flowmod`], with the
     /// inline answers handed back after the call, as `MonitorProxy` does.
     fn flowmod(m: &mut DynamicMonitor, now: u64, token: u64, fm: FlowMod) -> Vec<ProxyOutput> {
-        let mut out = m.on_flowmod(token, fm, None);
+        let mut out = m.on_flowmod(now, token, fm, None);
         out.extend(m.attach_answers(now));
         out
     }
@@ -1271,7 +1266,7 @@ mod tests {
 
     #[test]
     fn unmonitorable_update_acked_optimistically() {
-        let mut m = DynamicMonitor::new(DynamicConfig::default(), CatchSpec::default(), 7);
+        let mut m = DynamicMonitor::new(CatchSpec::default(), 7);
         // Empty table: adding a rule whose presence is indistinguishable
         // from a table miss (drop rule over drop-by-miss).
         let fm = FlowMod::add(10, Match::any().with_tp_dst(23), vec![]);
@@ -1315,7 +1310,7 @@ mod tests {
         let mut m = monitor();
         m.set_deferred_planning(true);
         let mut replica = None;
-        m.on_flowmod(1, add_fm(10, [10, 0, 0, 1], 2), None);
+        m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2), None);
         let answers = replay(&mut replica, m.take_plan_steps());
         let acts = m.attach_plan(1, 1, answers[0].1.clone());
         let seq = seq_of(&acts, 0);
@@ -1327,7 +1322,7 @@ mod tests {
     fn deferred_add_roundtrip() {
         let mut m = monitor();
         m.set_deferred_planning(true);
-        let acts = m.on_flowmod(1, add_fm(10, [10, 0, 0, 1], 2), None);
+        let acts = m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2), None);
         // Forward only — the probe is not planned yet.
         assert_eq!(acts.len(), 1);
         assert!(matches!(acts[0], ProxyOutput::ToSwitch(_)));
@@ -1373,7 +1368,7 @@ mod tests {
         m.apply_expected(&bystander).unwrap();
         let victim = m.expected().rules()[0].id;
         let del = FlowMod::delete_strict(10, Match::any().with_nw_dst([10, 0, 0, 1], 32));
-        m.on_flowmod(2, del, None);
+        m.on_flowmod(0, 2, del, None);
         assert_eq!(m.expected().len(), 2, "delta applied immediately");
         let steps = m.take_plan_steps();
         // The victim's request comes before the delete: the replica still
@@ -1411,7 +1406,7 @@ mod tests {
             Match::any().with_nw_dst([10, 0, 0, 1], 32),
             vec![Action::Output(5)],
         );
-        m.on_flowmod(2, fm, None);
+        m.on_flowmod(0, 2, fm, None);
         let steps = m.take_plan_steps();
         let [Step::Apply(applied), Step::Plan {
             token: 2,
@@ -1448,7 +1443,7 @@ mod tests {
             Match::any().with_nw_src([10, 0, 0, 1], 32),
             vec![Action::Output(2)],
         );
-        m.on_flowmod(1, r1, None);
+        m.on_flowmod(0, 1, r1, None);
         assert_eq!(m.awaiting_plans(), 1);
         // Overlapping update while the first one's plan is still pending:
         // must queue, not start.
@@ -1459,7 +1454,7 @@ mod tests {
                 .with_nw_dst([10, 0, 0, 0], 24),
             vec![],
         );
-        let acts = m.on_flowmod(2, r2, None);
+        let acts = m.on_flowmod(0, 2, r2, None);
         assert!(acts.is_empty());
         assert_eq!(m.queued.len(), 1);
         // The first update turns out unmonitorable: optimistic ack AND the
@@ -1510,7 +1505,7 @@ mod tests {
                 fm.command == FlowModCommand::ModifyStrict,
             );
             assert_eq!(m.expected().overlapping(&tern).len(), overlap_before);
-            m.on_flowmod(token as u64, fm, None);
+            m.on_flowmod(0, token as u64, fm, None);
             let reqs = m.take_plan_requests();
             assert_eq!(reqs.len(), 1);
             let req = &reqs[0];
@@ -1617,7 +1612,7 @@ mod tests {
         let mut replica = None;
         let (mut rng, mut log, mut answered) = (7u64, Vec::new(), 0);
         for token in 0..3000u64 {
-            log.extend(m.on_flowmod(token, random_flowmod(&mut rng), None));
+            log.extend(m.on_flowmod(1, token, random_flowmod(&mut rng), None));
             settle(&mut m, &mut replica, &mut log, 1);
             if token % 4 == 3 {
                 confirm_all(&mut m, &mut replica, &mut log, &mut answered);
@@ -1710,7 +1705,7 @@ mod tests {
             let mut planner = None;
             let (mut log, mut answered) = (Vec::new(), 0);
             for (i, fm) in script.iter().enumerate() {
-                log.extend(m.on_flowmod(i as u64, fm.clone(), None));
+                log.extend(m.on_flowmod(1, i as u64, fm.clone(), None));
                 settle(&mut m, &mut planner, &mut log, 1);
                 // Confirm in bursts, so overlapping updates queue in between.
                 if i % 3 == 2 {
@@ -1725,27 +1720,25 @@ mod tests {
             (log, m.expected().rules().to_vec())
         }
 
-        /// The same script with attempts capped and some probes lost for
-        /// good: ticks re-probe, and an update whose probes all go missing
-        /// alarms. Runs until nothing is left in flight.
+        /// The same script with some probes lost for good: ticks re-probe,
+        /// and an update whose probes all go missing alarms on its deadline.
+        /// The clock jumps from one tick that can act to the next
+        /// ([`next_due`]) until nothing is left in flight.
         fn run_lossy(
             script: &[FlowMod],
             losses: &[bool],
             defer: bool,
         ) -> (Vec<ProxyOutput>, (usize, usize, usize)) {
-            let cfg = DynamicConfig { max_attempts: 3 };
-            let mut m = DynamicMonitor::new(cfg, CatchSpec::default(), 7);
-            m.apply_expected(&FlowMod::add(1, Match::any(), vec![Action::Output(99)]))
-                .unwrap();
+            let mut m = monitor();
             m.set_deferred_planning(defer);
             let mut planner = None;
             let (mut log, mut answered, mut now) = (Vec::new(), 0, 0);
             let mut lost = losses.iter().cycle();
             for (i, fm) in script.iter().enumerate() {
-                log.extend(m.on_flowmod(i as u64, fm.clone(), None));
+                log.extend(m.on_flowmod(now, i as u64, fm.clone(), None));
                 settle(&mut m, &mut planner, &mut log, now);
             }
-            for _ in 0..500 {
+            loop {
                 while answered < log.len() {
                     let probe = injected(&log[answered]);
                     answered += 1;
@@ -1760,15 +1753,39 @@ mod tests {
                         settle(&mut m, &mut planner, &mut log, now);
                     }
                 }
-                if (m.in_flight(), m.queued.len(), m.awaiting_plans()) == (0, 0, 0) {
+                let Some(due) = next_due(&m, now) else {
                     break;
-                }
-                now += 1_000_000;
+                };
+                now = due;
                 log.extend(m.on_tick(now));
                 settle(&mut m, &mut planner, &mut log, now);
+                let live = |u: &Update| u.claimed.is_some_and(|c| now < c + UPDATE_DEADLINE);
+                assert!(
+                    m.updates.iter().all(live),
+                    "an update outlived its deadline"
+                );
             }
             (log, (m.in_flight(), m.queued.len(), m.awaiting_plans()))
         }
+
+        /// The first time after `now` at which a tick can act on a started
+        /// update of `m`: a timeout or the doubled wait after its last
+        /// probe, or its deadline. `None` with no update started.
+        fn next_due(m: &DynamicMonitor, now: u64) -> Option<u64> {
+            let t = m.probe_timeout();
+            let due = |u: &Update| {
+                let deadline = u.claimed? + UPDATE_DEADLINE;
+                let last = u.live.last().map_or(deadline, |s| s.at);
+                [last + t, last + (t << u.backoff), deadline]
+                    .into_iter()
+                    .filter(|&at| at > now)
+                    .min()
+            };
+            m.updates.iter().filter_map(due).min()
+        }
+
+        /// The mirror scripts' short tick.
+        const TICK: u64 = 3_000_000;
 
         /// One step of a mirror script: a controller update, one of
         /// Monocle's own FlowMods (a preinstall or a drop-postponing
@@ -1780,7 +1797,8 @@ mod tests {
             Own(FlowMod),
             Defer,
             Answer,
-            Tick,
+            /// A tick 3 ms on, or (`true`) two update deadlines on.
+            Tick(bool),
             Claim(u64),
         }
 
@@ -1810,7 +1828,7 @@ mod tests {
                     .prop_map(|(p, m)| Op::Own(FlowMod::modify_strict(p, m, vec![]))),
                 1 => Just(Op::Defer),
                 2 => Just(Op::Answer),
-                1 => Just(Op::Tick),
+                1 => any::<bool>().prop_map(Op::Tick),
                 1 => any::<u64>().prop_map(Op::Claim),
             ]
         }
@@ -1985,8 +2003,9 @@ mod tests {
         /// probes, none is confirmed by silence before two probes sent since
         /// its claim (its FlowMod's send, without claims) and its last
         /// contrary return have each gone the timeout then in force
-        /// unanswered, and once everything is claimed and answered, every
-        /// update is answered exactly once.
+        /// unanswered, none is left unfinished a tick past its claim plus
+        /// [`UPDATE_DEADLINE`], and once everything is claimed and answered,
+        /// every update is answered exactly once.
         fn run_mirrored(
             ops: &[Op],
             postpone: bool,
@@ -2006,7 +2025,8 @@ mod tests {
             let mut claimed_at: Vec<Option<u64>> = Vec::new();
             // The script, then a claim of everything, 9 ms in which silence
             // may confirm what the claim covered, and the answers.
-            let drain = [Op::Claim(0), Op::Tick, Op::Tick, Op::Tick, Op::Answer];
+            let tick = Op::Tick(false);
+            let drain = [Op::Claim(0), tick.clone(), tick.clone(), tick, Op::Answer];
             for (i, op) in ops.iter().chain(&drain).enumerate() {
                 match op {
                     Op::Update(fm) => {
@@ -2018,7 +2038,7 @@ mod tests {
                             None => (fm.clone(), None),
                         };
                         conflicts.arrive(i as u64, &fm);
-                        log.extend(m.on_flowmod(i as u64, fm, finalize));
+                        log.extend(m.on_flowmod(now, i as u64, fm, finalize));
                     }
                     Op::Own(fm) => log.extend(m.apply_own(fm.clone())),
                     Op::Defer => {
@@ -2046,10 +2066,17 @@ mod tests {
                             }
                         }
                     }
-                    Op::Tick => {
-                        now += 3_000_000;
+                    Op::Tick(long) => {
+                        now += if *long { 2 * UPDATE_DEADLINE } else { TICK };
                         let before: Vec<(u64, u64, Option<u64>, Vec<Sent>)> = (m.updates.iter())
-                            .map(|u| (u.token, u.forwarded, u.quiet_since, u.live.clone()))
+                            .map(|u| {
+                                (
+                                    u.token,
+                                    u.forwarded,
+                                    u.claimed.map(|_| u.quiet_since),
+                                    u.live.clone(),
+                                )
+                            })
                             .collect();
                         let timeout = m.probe_timeout();
                         let outs = m.on_tick(now);
@@ -2112,6 +2139,16 @@ mod tests {
                 claimed_at.resize(m.flowmods_sent() as usize, (!claims).then_some(now));
                 prop_assert!(claims || m.unclaimed.is_empty(), "{:?}", m.unclaimed);
                 prop_assert!(m.updates.iter().all(|u| u.live.len() <= 2));
+                for u in &m.updates {
+                    let deadline = u.claimed.map(|c| c + UPDATE_DEADLINE + TICK);
+                    prop_assert!(
+                        deadline.is_none_or(|d| now <= d),
+                        "update {} claimed at {:?}, still unfinished at {}",
+                        u.token,
+                        u.claimed,
+                        now
+                    );
+                }
             }
             if let Some(r) = &replica {
                 let stats = r.engine.engine_stats();
@@ -2161,10 +2198,10 @@ mod tests {
             }
 
             /// Verified, optimistic or alarmed, every update finishes: with
-            /// attempts capped and some probes never answered, the monitor
-            /// drains to nothing in flight, queued or awaiting a plan, and
-            /// every update is answered exactly once — in both modes, with
-            /// the same outputs.
+            /// some probes never answered, the deadline drains the monitor
+            /// to nothing in flight, queued or awaiting a plan, and every
+            /// update is answered exactly once — in both modes, with the
+            /// same outputs.
             #[test]
             fn updates_drain_with_lost_probes(
                 script in prop::collection::vec(arb_flowmod(), 1..16),
@@ -2267,9 +2304,9 @@ mod tests {
             verified: false,
         };
         assert!(acked.contains(&ack), "{acked:?}");
-        assert_eq!(m.on_rejected(1), (None, vec![]));
-        assert_eq!(m.on_rejected(3), (Some(3), vec![]));
-        let (token, mut out) = m.on_rejected(2);
+        assert_eq!(m.on_rejected(1, 1), (None, vec![]));
+        assert_eq!(m.on_rejected(1, 3), (Some(3), vec![]));
+        let (token, mut out) = m.on_rejected(1, 2);
         out.extend(m.attach_answers(1));
         assert_eq!(
             (token, &out[0]),
@@ -2278,7 +2315,7 @@ mod tests {
         assert!(matches!(out[1], ProxyOutput::ToSwitch(_)), "{out:?}"); // #4
         assert_eq!((m.in_flight(), m.queued.len()), (1, 0));
         m.on_claim(2, m.flowmods_sent());
-        assert_eq!(m.on_rejected(4), (None, vec![]));
+        assert_eq!(m.on_rejected(2, 4), (None, vec![]));
         assert_eq!(m.in_flight(), 1);
     }
 
@@ -2471,39 +2508,125 @@ mod tests {
         assert!(m.unclaimed.is_empty(), "{:?}", m.unclaimed);
     }
 
+    /// Ticks `m` every 10 ms from `from` (exclusive) to `until`
+    /// (inclusive) and returns the outputs, with no probe answered.
+    fn ticks(m: &mut DynamicMonitor, from: u64, until: u64) -> Vec<ProxyOutput> {
+        let step = 10 * MS;
+        let times = (from / step + 1..=until / step).map(|i| i * step);
+        times.flat_map(|now| m.on_tick(now)).collect()
+    }
+
+    /// An update nobody answers alarms on the tick that reaches its deadline,
+    /// not before; its probes, their wait doubling, stay few.
     #[test]
-    fn alarm_after_attempt_budget() {
-        let cfg = DynamicConfig { max_attempts: 3 };
-        let mut m = DynamicMonitor::new(cfg, CatchSpec::default(), 7);
-        m.apply_expected(&FlowMod::add(1, Match::any(), vec![Action::Output(99)]))
-            .unwrap();
-        flowmod(&mut m, 0, 1, add_fm(10, [10, 0, 0, 1], 2));
-        let mut alarmed = false;
-        for i in 1..10u64 {
-            for a in m.on_tick(i * 10_000_000) {
-                if matches!(a, ProxyOutput::Alarm { token: 1 }) {
-                    alarmed = true;
-                }
-            }
-        }
-        assert!(alarmed);
+    fn alarm_at_the_update_deadline() {
+        let mut m = monitor();
+        let mut acts = flowmod(&mut m, 0, 1, add_fm(10, [10, 0, 0, 1], 2));
+        acts.extend(ticks(&mut m, 0, UPDATE_DEADLINE - 10 * MS));
+        assert!(!acts.contains(&ProxyOutput::Alarm { token: 1 }));
+        let probes = acts.iter().filter_map(injected).count() as u32;
+        assert!(
+            probes <= (UPDATE_DEADLINE / MIN_TIMEOUT).ilog2() + 2,
+            "{probes}"
+        );
+        assert_eq!(
+            m.on_tick(UPDATE_DEADLINE),
+            [ProxyOutput::Alarm { token: 1 }]
+        );
         assert_eq!(m.in_flight(), 0);
     }
 
+    /// An update the switch keeps answering with the old state moves its
+    /// silence count, never its deadline.
+    #[test]
+    fn contrary_verdicts_do_not_push_the_deadline_back() {
+        let mut m = monitor();
+        let acts = flowmod(&mut m, 0, 1, add_fm(10, [10, 0, 0, 1], 2));
+        let mut last = seq_of(&acts, 1);
+        for now in (1..UPDATE_DEADLINE / MS).map(|ms| ms * MS) {
+            assert!(m.on_verdict(now, last, Verdict::Absent).is_empty());
+            let out = m.on_tick(now);
+            assert!(out.iter().all(|o| injected(o).is_some()), "{out:?}");
+            last = out.iter().find_map(injected).unwrap_or(last);
+        }
+        assert_eq!(
+            m.on_tick(UPDATE_DEADLINE),
+            [ProxyOutput::Alarm { token: 1 }]
+        );
+    }
+
+    /// The deadline counts from the switch's claim: of two updates claimed
+    /// at 5 ms, the one confirmed a tick before its deadline is acked, and
+    /// the other alarms on the deadline.
+    #[test]
+    fn an_update_confirmed_a_tick_before_its_deadline_is_acked() {
+        let mut m = monitor();
+        assert!(m.on_claim(0, 0).is_empty(), "claims are reported");
+        let acts = flowmod(&mut m, 0, 1, add_fm(10, [10, 0, 0, 1], 2));
+        flowmod(&mut m, 0, 2, add_fm(10, [10, 0, 0, 2], 2));
+        let deadline = 5 * MS + UPDATE_DEADLINE;
+        let mut out = m.on_claim(5 * MS, m.flowmods_sent());
+        out.extend(ticks(&mut m, 5 * MS, deadline - 10 * MS));
+        assert!(out.iter().all(|o| injected(o).is_some()), "{out:?}");
+        // Update 1's last probe.
+        let rule = probed_rule(&acts).0;
+        let last = out.iter().rev().find_map(|o| match o {
+            ProxyOutput::Inject(inj) if inj.meta.rule_id == rule => Some(inj.meta.seq),
+            _ => None,
+        });
+        let out = m.on_verdict(deadline - MS, last.unwrap(), Verdict::Present);
+        let ack = ProxyOutput::Confirmed {
+            token: 1,
+            verified: true,
+        };
+        assert_eq!(out, [ack]);
+        assert!(m
+            .on_tick(deadline - MS)
+            .iter()
+            .all(|o| injected(o).is_some()));
+        assert_eq!(m.on_tick(deadline), [ProxyOutput::Alarm { token: 2 }]);
+    }
+
+    /// An update whose plan has not landed by its deadline alarms all the
+    /// same, and releases the one queued behind it; the plan, when it lands,
+    /// is dropped.
+    #[test]
+    fn an_update_awaiting_its_plan_at_its_deadline_alarms() {
+        let mut m = monitor();
+        m.set_deferred_planning(true);
+        let mut replica = None;
+        m.on_flowmod(0, 1, add_fm(10, [10, 0, 0, 1], 2), None);
+        let late = replay(&mut replica, m.take_plan_steps());
+        assert!(m
+            .on_flowmod(0, 2, add_fm(20, [10, 0, 0, 1], 3), None)
+            .is_empty());
+        assert!(m.on_tick(UPDATE_DEADLINE - MS).is_empty());
+        let acts = m.on_tick(UPDATE_DEADLINE);
+        assert_eq!(acts[0], ProxyOutput::Alarm { token: 1 });
+        assert!(matches!(acts[1..], [ProxyOutput::ToSwitch(_)]), "{acts:?}");
+        let (table, state) = (m.expected().clone(), (m.awaiting_plans(), m.queued.len()));
+        assert_eq!(state, (1, 0), "update 2 started and awaits its plan");
+        let [(1, plan)] = &late[..] else {
+            panic!("{late:?}")
+        };
+        assert!(plan.is_some());
+        assert!(m.attach_plan(UPDATE_DEADLINE, 1, plan.clone()).is_empty());
+        assert_eq!((m.awaiting_plans(), m.queued.len()), state);
+        assert_eq!(m.expected().rules(), table.rules());
+    }
+
+    /// A, probed and never answered, holds B, which overlaps it, in the
+    /// queue until A's deadline; the alarm releases B in the same tick.
     #[test]
     fn alarm_releases_updates_queued_behind_it() {
-        let cfg = DynamicConfig { max_attempts: 2 };
-        let mut m = DynamicMonitor::new(cfg, CatchSpec::default(), 7);
-        m.apply_expected(&FlowMod::add(1, Match::any(), vec![Action::Output(99)]))
-            .unwrap();
+        let mut m = monitor();
         m.set_deferred_planning(true);
-        // A is forwarded and probed; B overlaps A and queues behind it.
         let a = FlowMod::add(
             10,
             Match::any().with_nw_src([10, 0, 0, 1], 32),
             vec![Action::Output(2)],
         );
-        m.on_flowmod(1, a, None);
+        m.on_flowmod(0, 1, a, None);
         let reqs = m.take_plan_requests();
         m.attach_plan(0, 1, plan_request(&reqs[0]));
         let b = FlowMod::add(
@@ -2513,20 +2636,14 @@ mod tests {
                 .with_nw_dst([10, 0, 0, 0], 24),
             vec![Action::Output(3)],
         );
-        assert!(m.on_flowmod(2, b, None).is_empty());
+        assert!(m.on_flowmod(0, 2, b, None).is_empty());
         assert_eq!((m.in_flight(), m.queued.len()), (1, 1));
-        // A's probes never return: second attempt, then (its wait doubled)
-        // the alarm — and in that same tick B is forwarded and asks for its
-        // plan.
-        assert!(!m
-            .on_tick(10_000_000)
-            .iter()
-            .any(|x| matches!(x, ProxyOutput::Alarm { .. })));
-        assert!(m.on_tick(20_000_000).is_empty());
-        let acts = m.on_tick(30_000_000);
-        assert!(acts.contains(&ProxyOutput::Alarm { token: 1 }), "{acts:?}");
+        let acts = ticks(&mut m, 0, UPDATE_DEADLINE - 10 * MS);
+        assert!(acts.iter().all(|o| injected(o).is_some()), "{acts:?}");
+        let acts = m.on_tick(UPDATE_DEADLINE);
+        assert_eq!(acts[0], ProxyOutput::Alarm { token: 1 });
         assert!(
-            acts.iter().any(|x| matches!(x, ProxyOutput::ToSwitch(_))),
+            matches!(acts[1..], [ProxyOutput::ToSwitch(_)]),
             "B released by the alarm: {acts:?}"
         );
         assert_eq!(
@@ -2536,9 +2653,9 @@ mod tests {
         );
         let reqs = m.take_plan_requests();
         assert_eq!(reqs.len(), 1, "B's PlanRequest in the same on_tick");
-        let acts = m.attach_plan(30_000_000, 2, plan_request(&reqs[0]));
+        let acts = m.attach_plan(UPDATE_DEADLINE, 2, plan_request(&reqs[0]));
         let seq = seq_of(&acts, 0);
-        m.on_verdict(31_000_000, seq, Verdict::Present);
+        m.on_verdict(UPDATE_DEADLINE + MS, seq, Verdict::Present);
         assert_eq!(
             (m.in_flight(), m.queued.len(), m.awaiting_plans()),
             (0, 0, 0)

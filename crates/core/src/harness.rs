@@ -86,6 +86,16 @@ pub enum HarnessEvent {
         /// Probe-verified?
         verified: bool,
     },
+    /// Update alarmed: the monitor gave it up unconfirmed, its
+    /// [`crate::dynamic::UPDATE_DEADLINE`] past.
+    Alarm {
+        /// Switch.
+        sw: usize,
+        /// Token.
+        token: u64,
+        /// Time.
+        at: SimTime,
+    },
     /// Rule failure detected.
     RuleFailed {
         /// Switch.
@@ -270,7 +280,10 @@ impl<E: Experiment> MonocleApp<E> {
                 ProxyOutput::RuleRecovered { rule_id } => {
                     self.experiment.on_rule_recovered(&mut exp_io, sw, rule_id);
                 }
-                ProxyOutput::Alarm { .. } => {}
+                ProxyOutput::Alarm { token } => {
+                    let at = ctx.now;
+                    self.events.push(HarnessEvent::Alarm { sw, token, at });
+                }
             }
         }
         self.apply_exp_io(ctx, exp_io);
@@ -540,6 +553,45 @@ mod tests {
         );
         // The data plane really holds the rules (catch rules + 2 production).
         assert!(net.switch(0).dataplane().len() >= 3);
+    }
+
+    /// The default route at start, then at 100 ms one more rule.
+    struct LateUpdate;
+    impl Experiment for LateUpdate {
+        fn on_start(&mut self, io: &mut ExpIo) {
+            io.send_flowmod(0, 1, FlowMod::add(5, Match::any(), vec![Action::Output(1)]));
+            io.timer_at(time::ms(100), 0);
+        }
+
+        fn on_timer(&mut self, io: &mut ExpIo, _token: u64) {
+            let specific = Match::any().with_nw_dst([10, 9, 9, 9], 32);
+            io.send_flowmod(0, 2, FlowMod::add(10, specific, vec![Action::Output(2)]));
+        }
+    }
+
+    /// A switch that acknowledges an install and swallows it: the update is
+    /// never confirmed, and alarms on the first tick of its deadline.
+    #[test]
+    fn a_swallowed_install_alarms_on_its_deadline() {
+        let mut net = triangle_net(SwitchProfile::ideal());
+        let mut app = MonocleApp::build(LateUpdate, &net, &[0], HarnessConfig::default());
+        net.start(&mut app);
+        net.run_for(&mut app, time::ms(50));
+        net.switch_mut(0).swallow_next_installs(1);
+        let deadline = time::ms(100) + crate::dynamic::UPDATE_DEADLINE;
+        net.run_until(&mut app, deadline + TICK);
+        let ends: Vec<&HarnessEvent> = (app.events.iter())
+            .filter(|e| {
+                matches!(
+                    e,
+                    HarnessEvent::Confirmed { token: 2, .. } | HarnessEvent::Alarm { .. }
+                )
+            })
+            .collect();
+        assert!(
+            matches!(ends[..], [HarnessEvent::Alarm { sw: 0, token: 2, at }] if *at >= deadline),
+            "{ends:?}"
+        );
     }
 
     #[test]

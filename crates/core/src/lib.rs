@@ -70,7 +70,7 @@ pub mod proxy;
 pub mod reduction;
 pub mod steady;
 
-pub use dynamic::PlanRequest;
+pub use dynamic::{PlanRequest, UPDATE_DEADLINE};
 pub use encode::CatchSpec;
 pub use engine::{EngineConfig, EngineStats, ProbeEngine};
 pub use generator::{generate_probe, GenStats, GeneratorConfig, ProbeError};

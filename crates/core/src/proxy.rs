@@ -25,7 +25,7 @@
 //! and keeps the steady plans up to date with the expected table.
 
 use crate::droppost::{self, DropTag};
-use crate::dynamic::{DynamicConfig, DynamicMonitor};
+use crate::dynamic::DynamicMonitor;
 use crate::encode::CatchSpec;
 use crate::engine::{EngineStats, ProbeEngine};
 use crate::generator::{GenStats, ProbeError};
@@ -45,8 +45,6 @@ pub struct ProxyConfig {
     /// probe of this switch is generated, dynamic and steady alike: it
     /// enters on the pinned injection port, or on port 1.
     pub catch: CatchSpec,
-    /// Dynamic monitoring settings.
-    pub dynamic: DynamicConfig,
     /// Steady-state monitoring settings (None = dynamic only: no refresh
     /// ever gives the steady monitor a plan).
     pub steady: Option<SteadyConfig>,
@@ -60,7 +58,6 @@ impl ProxyConfig {
         ProxyConfig {
             switch_id,
             catch,
-            dynamic: DynamicConfig::default(),
             steady: None,
             drop_postpone: None,
         }
@@ -202,7 +199,7 @@ pub struct MonitorProxy {
 impl MonitorProxy {
     /// Creates the proxy.
     pub fn new(cfg: ProxyConfig) -> MonitorProxy {
-        let dynamic = DynamicMonitor::new(cfg.dynamic.clone(), cfg.catch.clone(), cfg.switch_id);
+        let dynamic = DynamicMonitor::new(cfg.catch.clone(), cfg.switch_id);
         let steady = SteadyMonitor::new(cfg.steady.clone().unwrap_or_default(), cfg.switch_id);
         MonitorProxy {
             cfg,
@@ -285,8 +282,9 @@ impl MonitorProxy {
     /// processed them. A hint, never proof — it confirms nothing by itself
     /// — but each unconfirmed update it is the first to cover is claimed:
     /// re-probed at once, and again each time its last probe returns with
-    /// the old state or times out ([`Self::probe_timeout`]), and its §3.3
-    /// silence counts from the claim.
+    /// the old state or times out ([`Self::probe_timeout`]), its §3.3
+    /// silence counts from the claim, and so does its deadline
+    /// ([`Self::on_tick`]).
     ///
     /// Every update has one claim. A driver that reports claims reports its
     /// first before its first FlowMod — a claim covering none, `covered` 0,
@@ -308,7 +306,7 @@ impl MonitorProxy {
     /// ([`Self::on_barrier_reply`]) keeps no record of what it sent, and
     /// names none.
     pub fn on_flowmod_error(&mut self, now: u64, number: u64) -> (Option<u64>, Vec<ProxyOutput>) {
-        let (token, out) = self.dynamic.on_rejected(number);
+        let (token, out) = self.dynamic.on_rejected(now, number);
         (token, self.note_touched(now, out))
     }
 
@@ -331,7 +329,7 @@ impl MonitorProxy {
             Some(p) => (p.stand_in, Some(p.finalize)),
             None => (fm, None),
         };
-        let out = self.dynamic.on_flowmod(token, fm, finalize);
+        let out = self.dynamic.on_flowmod(now, token, fm, finalize);
         self.note_touched(now, out)
     }
 
@@ -364,7 +362,13 @@ impl MonitorProxy {
         self.note_touched(now, out)
     }
 
-    /// Periodic tick: dynamic re-probes, steady cycle, lazy plan refresh.
+    /// Periodic tick: dynamic re-probes and silence confirmations, steady
+    /// cycle, lazy plan refresh. And the deadline every update ends on: one
+    /// still unconfirmed [`crate::dynamic::UPDATE_DEADLINE`] after its claim
+    /// ([`Self::on_barrier_reply`]; its start, in a driver that reports no
+    /// claims) ends with [`ProxyOutput::Alarm`], which releases the updates
+    /// queued behind it. So every update is acked or alarmed within that
+    /// deadline of its claim, plus one tick.
     pub fn on_tick(&mut self, now: u64) -> Vec<ProxyOutput> {
         let out = self.dynamic.on_tick(now);
         let mut out = self.note_touched(now, out);

@@ -33,7 +33,11 @@
 //!    round trip ([`MonitorProxy::probe_timeout`], published as
 //!    [`SessionStats::probe_timeout_ns`]), and a drop-confirmed update is
 //!    acked once two probes sent since its claim have each gone that long
-//!    unanswered. The session announces this before its first FlowMod with
+//!    unanswered. Every update ends in an ack or an alarm within
+//!    [`monocle::dynamic::UPDATE_DEADLINE`] of its claim (plus one probe
+//!    tick): one the switch claims but never installs is alarmed then, and
+//!    the controller gets an `Error` under its FlowMod's xid, with no ack.
+//!    The session announces this before its first FlowMod with
 //!    a claim covering none (step 2), so even the updates that start before
 //!    the switch answers its first barrier wait for their claim. The
 //!    controller's own `BarrierRequest`s go to the switch under a proxy xid
@@ -50,7 +54,8 @@
 //! FlowMod carried. The controller gets the switch's `Error` as the switch
 //! sent it, under its FlowMod's xid. An update not answered yet gets no ack:
 //! it ends with an alarm (the error stands in for the proxy's own), and the
-//! updates queued behind it are released. One answered already — an update
+//! updates queued behind it are released. An update alarmed on its deadline
+//! instead (step 4) gets the proxy's own `Error`, under the same xid. One answered already — an update
 //! with nothing to probe is acked at once — gets the error after its ack.
 //! An error for one of Monocle's own FlowMods goes no further. Any other
 //! `Error` passes through under its xid.
@@ -1489,7 +1494,7 @@ mod tests {
     /// first and third FlowMods. The controller hears nothing of the first
     /// rejection. Of the second it hears the switch's own `Error`, under its
     /// FlowMod's xid, and no ack: the monitor ends that update with an alarm
-    /// instead of probing it forever, and the update queued behind it
+    /// at once, not on its deadline, and the update queued behind it
     /// reaches the switch. The third, with nothing to probe, was acked at
     /// once; the switch's `Error` for it follows the ack, under its xid.
     #[test]

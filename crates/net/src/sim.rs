@@ -169,11 +169,12 @@ impl SwitchSim {
         Ok(())
     }
 
-    /// The switch with datapath id `dpid`.
-    pub fn switch(&self, dpid: u64) -> Option<&SimSwitch> {
+    /// The switch with datapath id `dpid`, to read or to inject a fault
+    /// into ([`SimSwitch::swallow_next_installs`]).
+    pub fn switch(&mut self, dpid: u64) -> Option<&mut SimSwitch> {
         self.shells
-            .iter()
-            .map(|s| &s.sw)
+            .iter_mut()
+            .map(|s| &mut s.sw)
             .find(|sw| sw.datapath_id == dpid)
     }
 

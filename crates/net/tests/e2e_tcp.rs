@@ -264,6 +264,8 @@ struct ScriptReport {
     barrier_at: Vec<u64>,
     /// Time the switch committed script entry `i` to its data plane.
     installed_at: Vec<u64>,
+    /// Time the proxy's `Error` for script entry `i` came (its alarm).
+    alarmed_at: Vec<u64>,
     alarms: u64,
     deadlined: bool,
     /// The datapath's table when the run ended.
@@ -273,6 +275,8 @@ struct ScriptReport {
 const DEADLINE: u64 = u64::MAX;
 /// Timer that ends the run a little after the last ack.
 const SETTLED: u64 = u64::MAX - 1;
+/// Timer that looks again whether the script may start.
+const HOLD: u64 = u64::MAX - 2;
 const WINDOW: usize = 8;
 /// Set in the xid of the BarrierRequest that follows each FlowMod.
 const BARRIER_XID: u32 = 0x8000_0000;
@@ -284,9 +288,15 @@ const DPID: u64 = 1;
 /// (the proxy forwards under a new xid but keeps the cookie) and followed by
 /// a BarrierRequest the proxy passes through; the switch side is a
 /// [`SwitchSim`] fleet of one, which reports when each cookie committed.
+/// With `swallow_first`, the switch swallows the script's first FlowMod: the
+/// script starts once the proxy's default route has committed, so that
+/// FlowMod is the next install, and the switch acknowledges it but never
+/// installs it.
 struct ScriptedEndpoints {
     script: Vec<FlowMod>,
+    swallow_first: bool,
     sent: usize,
+    /// Script entries acked or alarmed.
     acked: usize,
     controller_conn: Option<ConnId>,
     fleet: SwitchSim,
@@ -335,9 +345,34 @@ impl ScriptedEndpoints {
         ctx.stop();
     }
 
+    /// Starts the script, with `swallow_first` once the switch has
+    /// committed the proxy's default route; until then, looks again later.
+    fn hold(&mut self, ctx: &mut IoCtx<'_>) {
+        if !self.swallow_first {
+            return self.send_window(ctx);
+        }
+        match self.fleet.switch(DPID) {
+            Some(sw) if sw.stats.installs_committed > 0 => {
+                sw.swallow_next_installs(1);
+                self.send_window(ctx);
+            }
+            _ => ctx.schedule_in(1_000_000, HOLD),
+        }
+    }
+
+    /// One more script entry is answered, acked or alarmed.
+    fn answered(&mut self, ctx: &mut IoCtx<'_>) {
+        self.acked += 1;
+        if self.acked == self.script.len() {
+            // Let a duplicate answer, if any, arrive before stopping.
+            ctx.schedule_in(20_000_000, SETTLED);
+        }
+        self.send_window(ctx);
+    }
+
     fn on_controller_msg(&mut self, ctx: &mut IoCtx<'_>, msg: OfMessage, xid: u32) {
         match msg {
-            OfMessage::FeaturesReply { .. } => self.send_window(ctx),
+            OfMessage::FeaturesReply { .. } => self.hold(ctx),
             OfMessage::BarrierReply if xid & BARRIER_XID != 0 => {
                 let i = (xid & !BARRIER_XID) as usize - 1;
                 let mut report = self.report.lock().unwrap();
@@ -354,14 +389,17 @@ impl ScriptedEndpoints {
                 }
                 report.acked_at[i] = ctx.now_ns();
                 drop(report);
-                self.acked += 1;
-                if self.acked == self.script.len() {
-                    // Let a duplicate ack, if any, arrive before stopping.
-                    ctx.schedule_in(20_000_000, SETTLED);
-                }
-                self.send_window(ctx);
+                self.answered(ctx);
             }
-            OfMessage::Error { .. } => self.report.lock().unwrap().alarms += 1,
+            OfMessage::Error { .. } => {
+                let mut report = self.report.lock().unwrap();
+                report.alarms += 1;
+                if let Some(at) = report.alarmed_at.get_mut((xid as usize).wrapping_sub(1)) {
+                    *at = ctx.now_ns();
+                }
+                drop(report);
+                self.answered(ctx);
+            }
             _ => {}
         }
     }
@@ -380,6 +418,7 @@ impl Driver for ScriptedEndpoints {
             }
             TransportEvent::Timer { token: DEADLINE } => self.finish(ctx, true),
             TransportEvent::Timer { token: SETTLED } => self.settle(ctx),
+            TransportEvent::Timer { token: HOLD } => self.hold(ctx),
             TransportEvent::Closed { .. } => self.finish(ctx, true),
             ev => self.fleet.handle(ctx, ev),
         }
@@ -388,15 +427,20 @@ impl Driver for ScriptedEndpoints {
 
 /// Runs `script` through a proxy with [`ProxyAppConfig::new`]'s settings (a
 /// priority-1 default route to port 2 preinstalled) onto a switch with
-/// `profile`, through [`ScriptedEndpoints`]. Returns what the endpoints saw
-/// and the proxy's counters for the session.
-fn run_script(script: Vec<FlowMod>, profile: SwitchProfile) -> (ScriptReport, SessionStats) {
+/// `profile`, through [`ScriptedEndpoints`] (`swallow_first` is its own).
+/// Returns what the endpoints saw and the proxy's counters for the session.
+fn run_script(
+    script: Vec<FlowMod>,
+    profile: SwitchProfile,
+    swallow_first: bool,
+) -> (ScriptReport, SessionStats) {
     let n = script.len();
     let report = Arc::new(Mutex::new(ScriptReport {
         acks: vec![0; n],
         acked_at: vec![0; n],
         barrier_at: vec![0; n],
         installed_at: vec![0; n],
+        alarmed_at: vec![0; n],
         ..Default::default()
     }));
     let mut ends_loop = EventLoop::new().unwrap();
@@ -411,6 +455,7 @@ fn run_script(script: Vec<FlowMod>, profile: SwitchProfile) -> (ScriptReport, Se
     let proxy_addr = proxy_loop.with_ctx(|ctx| proxy.start(ctx).unwrap());
     let mut endpoints = ScriptedEndpoints {
         script,
+        swallow_first,
         sent: 0,
         acked: 0,
         controller_conn: None,
@@ -441,7 +486,7 @@ fn run_script(script: Vec<FlowMod>, profile: SwitchProfile) -> (ScriptReport, Se
 #[test]
 fn an_update_forwarded_before_the_first_claim_waits_for_its_own() {
     let drop = FlowMod::add(10, Match::any().with_nw_dst([10, 0, 0, 1], 32), vec![]);
-    let (report, sess) = run_script(vec![drop], ideal_installing_in(40_000_000));
+    let (report, sess) = run_script(vec![drop], ideal_installing_in(40_000_000), false);
     assert!(!report.deadlined && report.alarms == 0, "{report:?}");
     assert_eq!((report.acks[0], sess.verified), (1, 1), "{sess:?}");
     assert!(
@@ -450,6 +495,52 @@ fn an_update_forwarded_before_the_first_claim_waits_for_its_own() {
         report.acked_at[0] / 1_000_000,
         report.installed_at[0] / 1_000_000
     );
+}
+
+/// The switch claims the controller's first FlowMod but never installs it,
+/// and a second FlowMod, which overlaps it, waits behind it in the proxy
+/// (§4.2). The update ends on its deadline: the controller gets an `Error`
+/// under the first FlowMod's xid and no ack, within the deadline (plus two
+/// probe timeouts and a tick of slack) of the switch's claim, which comes at
+/// the swallowed commit or before it; then the second FlowMod is forwarded,
+/// installed and acked.
+fn a_swallowed_flowmod_alarms_on_its_deadline(profile: SwitchProfile) {
+    let name = profile.name;
+    let dst = Match::any().with_nw_dst([10, 0, 0, 1], 32);
+    let script = vec![
+        FlowMod::add(10, dst, vec![Action::Output(3)]),
+        FlowMod::add(20, dst, vec![Action::Output(4)]),
+    ];
+    let (report, sess) = run_script(script, profile, true);
+    assert!(!report.deadlined, "{name}: {report:?}");
+    assert_eq!((report.acks, report.alarms), (vec![0, 1], 1), "{name}");
+    // The proxy's probe tick is 1 ms.
+    let slack = 2 * sess.probe_timeout_ns + 1_000_000;
+    let (claimed_by, alarmed) = (report.installed_at[0], report.alarmed_at[0]);
+    assert!(
+        alarmed > 0 && alarmed <= claimed_by + monocle::UPDATE_DEADLINE + slack,
+        "{name}: swallowed at {claimed_by} ns, alarmed at {alarmed} ns"
+    );
+    let (installed, acked) = (report.installed_at[1], report.acked_at[1]);
+    assert!(
+        alarmed < installed && installed <= acked,
+        "{name}: alarmed at {alarmed} ns, then installed at {installed} and acked at {acked}"
+    );
+}
+
+#[test]
+fn a_swallowed_flowmod_alarms_on_its_deadline_on_ideal() {
+    a_swallowed_flowmod_alarms_on_its_deadline(SwitchProfile::ideal());
+}
+
+#[test]
+fn a_swallowed_flowmod_alarms_on_its_deadline_on_hp5406zl() {
+    a_swallowed_flowmod_alarms_on_its_deadline(SwitchProfile::hp5406zl());
+}
+
+#[test]
+fn a_swallowed_flowmod_alarms_on_its_deadline_on_pica8() {
+    a_swallowed_flowmod_alarms_on_its_deadline(SwitchProfile::pica8());
 }
 
 /// The disjoint-/32 workloads above never make a neighborhood bigger than
@@ -510,7 +601,7 @@ fn acl_script_over_tcp(profile: SwitchProfile) -> AclRun {
         model.apply(fm).unwrap();
     }
 
-    let (report, sess) = run_script(script, profile);
+    let (report, sess) = run_script(script, profile, false);
     assert!(
         !report.deadlined,
         "{name}: run hit its deadline or lost a socket"
@@ -716,7 +807,7 @@ fn switch_bound_odd_messages_never_panic_the_fleet() {
         ev_loop.run(&mut peer).unwrap();
         peer
     });
-    let peer = fleet_thread.join().expect("the fleet thread panicked");
+    let mut peer = fleet_thread.join().expect("the fleet thread panicked");
     assert!(peer.barrier_replied, "the fleet stopped answering");
     let sw = peer.fleet.switch(dpid).unwrap();
     assert_eq!(sw.stats.flowmods_processed, 1);
