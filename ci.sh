@@ -11,7 +11,7 @@ cargo build --release --workspace --all-targets
 echo "== tests =="
 cargo test -q --workspace
 
-echo "== deeper property pass: engine eviction, the Hidden oracle, the encoding oracle, table upkeep =="
+echo "== deeper property pass: engine eviction, the Hidden oracle, the encoding oracle, table upkeep, the wire codec =="
 # Tier-1 runs these properties at 40-128 cases; the eviction predicate, the
 # header-space oracle for Hidden and the ITE-chain encoding the encoder must
 # agree with get a thousand here (a few seconds in release).
@@ -20,6 +20,10 @@ PROPTEST_CASES=1000 cargo test --release -q -p monocle --lib encode::tests
 # The table's maintained fingerprint, change log and per-field care counts
 # against their from-scratch recomputations, after every random mutation.
 PROPTEST_CASES=1000 cargo test --release -q -p monocle_openflow --test prop_fingerprint
+# The wire codec: every message round-trips, `encode_into` appends exactly
+# one frame after whatever the buffer held, and damaged or truncated input
+# errors instead of panicking.
+PROPTEST_CASES=1000 cargo test --release -q -p monocle_openflow --test prop_wire --test prop_openflow
 
 echo "== deeper property pass: dynamic monitoring (replica and switch mirror, claims, drain, order) =="
 # Tier-1 runs these at 64 cases: a replica fed the monitor's planning steps
@@ -86,6 +90,8 @@ echo "== product lines (informational, not gated) =="
 scripts/product_lines.sh
 # The scheduler crate too, so its simplifications show.
 scripts/product_lines.sh crates/sched/src/*.rs
+# And the wire codec every proxied frame passes through.
+scripts/product_lines.sh crates/openflow/src/wire.rs
 
 echo "== rustfmt =="
 cargo fmt --check

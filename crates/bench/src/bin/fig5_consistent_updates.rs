@@ -13,7 +13,7 @@
 //!
 //! Usage: `fig5_consistent_updates [--flows N] [--pps N] [--profile hp|pica8]`
 
-use monocle::harness::{BarrierApp, ExpIo, Experiment, HarnessConfig, MonocleApp};
+use monocle::harness::{ExpIo, Experiment, HarnessConfig, MonocleApp};
 use monocle_datasets::workload::{flow_match, forward_to, reroute_flows, FlowPath};
 use monocle_openflow::FlowMod;
 use monocle_switchsim::{time, ControlApp, Network, NetworkConfig, NodeRef, SwitchProfile};
@@ -155,7 +155,7 @@ fn run(mode: &str, profile: SwitchProfile, flows: usize, pps: u64) -> RunResult 
             )
         }
         _ => {
-            let mut app = BarrierApp::new(exp);
+            let mut app = MonocleApp::unmonitored(exp);
             net.start(&mut app);
             net.run_until(&mut app, time::s(6));
             let done = app

@@ -240,7 +240,7 @@ fn main() {
 
     // Ideal baseline: truthful barriers everywhere, no Monocle.
     let (mut net, exp, _) = build(paths_n, batch, time::ms(interval_ms), true);
-    let mut app = monocle::harness::BarrierApp::new(exp);
+    let mut app = MonocleApp::unmonitored(exp);
     net.start(&mut app);
     net.run_until(&mut app, time::s(horizon_s));
     let t_ideal = summarize("ideal", &app.experiment.done_at);

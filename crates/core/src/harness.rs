@@ -5,13 +5,15 @@
 //! metadata to the right Monitor, turns probe injections into PacketOuts at
 //! the upstream switch, and preinstalls the catching rules of the §6 plan.
 //!
-//! Experiments implement [`Experiment`]; two drivers exist:
+//! Experiments implement [`Experiment`]; [`MonocleApp`] drives them two ways:
 //!
-//! * [`MonocleApp`] — updates flow through the proxies; confirmations are
-//!   probe-verified (rule provably in the data plane);
-//! * [`BarrierApp`] — the baseline: every FlowMod is followed by a
-//!   BarrierRequest, and the BarrierReply is taken as confirmation (which
+//! * [`MonocleApp::build`] — updates to monitored switches flow through the
+//!   proxies; confirmations are probe-verified (rule provably in the data
+//!   plane);
+//! * [`MonocleApp::unmonitored`] — the baseline: every FlowMod is followed by
+//!   a BarrierRequest, and the BarrierReply is taken as confirmation (which
 //!   premature-ack switches render false, recreating the Fig. 5 blackholes).
+//!   `build` treats every switch it does not monitor the same way.
 
 use crate::catching::{self, CatchPlan, Strategy};
 use crate::droppost::{drop_tag_rule, DropTag};
@@ -190,12 +192,25 @@ impl<E: Experiment> MonocleApp<E> {
             upstream.insert(sw, up);
         }
         MonocleApp {
-            experiment,
             cfg,
             proxies,
             adjacency,
             upstream,
             catch_plan,
+            ..MonocleApp::unmonitored(experiment)
+        }
+    }
+
+    /// The baseline app: monitors no switch, preinstalls nothing and runs no
+    /// probe tick, so every update is confirmed by its barrier alone.
+    pub fn unmonitored(experiment: E) -> Self {
+        MonocleApp {
+            experiment,
+            cfg: HarnessConfig::default(),
+            proxies: HashMap::new(),
+            adjacency: HashMap::new(),
+            upstream: HashMap::new(),
+            catch_plan: catching::plan(&monocle_netgraph::Graph::new(0), Strategy::OneField, 0),
             barrier_waits: HashMap::new(),
             next_xid: 1,
             events: Vec::new(),
@@ -349,7 +364,9 @@ impl<E: Experiment> ControlApp for MonocleApp<E> {
                 }
             }
         }
-        ctx.timer_at(ctx.now + TICK, TICK_TOKEN);
+        if !self.proxies.is_empty() {
+            ctx.timer_at(ctx.now + TICK, TICK_TOKEN);
+        }
         let mut io = ExpIo::new(ctx.now);
         self.experiment.on_start(&mut io);
         self.apply_exp_io(ctx, io);
@@ -411,76 +428,6 @@ impl<E: Experiment> ControlApp for MonocleApp<E> {
             self.experiment.on_timer(&mut io, token);
             self.apply_exp_io(ctx, io);
         }
-    }
-}
-
-/// The baseline controller: barrier-based confirmations only (no Monocle).
-pub struct BarrierApp<E: Experiment> {
-    /// The experiment logic.
-    pub experiment: E,
-    barrier_waits: HashMap<u32, (usize, u64)>,
-    next_xid: u32,
-    /// Timestamped confirmations.
-    pub events: Vec<HarnessEvent>,
-}
-
-impl<E: Experiment> BarrierApp<E> {
-    /// Wraps an experiment.
-    pub fn new(experiment: E) -> Self {
-        BarrierApp {
-            experiment,
-            barrier_waits: HashMap::new(),
-            next_xid: 1,
-            events: Vec::new(),
-        }
-    }
-
-    fn xid(&mut self) -> u32 {
-        self.next_xid += 1;
-        self.next_xid
-    }
-
-    fn apply_exp_io(&mut self, ctx: &mut AppCtx, io: ExpIo) {
-        for (at, token) in io.timers {
-            ctx.timer_at(at, token);
-        }
-        for (sw, token, fm) in io.flowmods {
-            let xid = self.xid();
-            ctx.send(sw, xid, OfMessage::FlowMod(fm));
-            let bxid = self.xid();
-            ctx.send(sw, bxid, OfMessage::BarrierRequest);
-            self.barrier_waits.insert(bxid, (sw, token));
-        }
-    }
-}
-
-impl<E: Experiment> ControlApp for BarrierApp<E> {
-    fn on_start(&mut self, ctx: &mut AppCtx) {
-        let mut io = ExpIo::new(ctx.now);
-        self.experiment.on_start(&mut io);
-        self.apply_exp_io(ctx, io);
-    }
-
-    fn on_message(&mut self, ctx: &mut AppCtx, _sw: usize, xid: u32, msg: OfMessage) {
-        if matches!(msg, OfMessage::BarrierReply) {
-            if let Some((sw, token)) = self.barrier_waits.remove(&xid) {
-                self.events.push(HarnessEvent::Confirmed {
-                    sw,
-                    token,
-                    at: ctx.now,
-                    verified: false,
-                });
-                let mut io = ExpIo::new(ctx.now);
-                self.experiment.on_confirmed(&mut io, sw, token, false);
-                self.apply_exp_io(ctx, io);
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut AppCtx, token: u64) {
-        let mut io = ExpIo::new(ctx.now);
-        self.experiment.on_timer(&mut io, token);
-        self.apply_exp_io(ctx, io);
     }
 }
 
@@ -693,7 +640,7 @@ mod tests {
     #[test]
     fn barrier_baseline_confirms_via_barrier() {
         let mut net = triangle_net(SwitchProfile::ideal());
-        let mut app = BarrierApp::new(OneUpdate { sent: false });
+        let mut app = MonocleApp::unmonitored(OneUpdate { sent: false });
         net.start(&mut app);
         net.run_for(&mut app, time::s(1));
         assert_eq!(app.events.len(), 2);

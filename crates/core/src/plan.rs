@@ -52,38 +52,36 @@ impl ConcreteOutcome {
             .iter()
             .any(|(p, h)| *p == port && h == hdr)
     }
-
-    /// Deduplicated observation set.
-    fn obs_set(&self) -> Vec<(PortNo, HeaderVec)> {
-        let mut v = self.observations.to_vec();
-        v.sort_by_key(|(p, h)| (*p, h.0));
-        v.dedup();
-        v
-    }
 }
 
 /// Concrete (per-probe) distinguishability of two outcomes — the semantic
-/// mirror of §3.4's `DiffOutcome`, used for verification.
+/// mirror of §3.4's `DiffOutcome`, used for verification. Observations are
+/// compared as sets, in place: an outcome may list one twice.
 pub fn outcomes_distinguishable(a: &ConcreteOutcome, b: &ConcreteOutcome) -> bool {
     use ForwardingKind::*;
-    let sa = a.obs_set();
-    let sb = b.obs_set();
+    let (sa, sb) = (&a.observations[..], &b.observations[..]);
     match (a.kind, b.kind) {
         // Both multicast: the full observation sets are visible.
-        (Multicast, Multicast) => sa != sb,
+        (Multicast, Multicast) => escapes(sa, sb) || escapes(sb, sa),
         // Both ECMP: one arbitrary element of each set is visible; need
         // no possible collision.
         (Ecmp, Ecmp) => sa.iter().all(|x| !sb.contains(x)),
         // Mixed: all-of-M vs one-of-E.
-        (Multicast, Ecmp) => mixed_distinguishable(&sa, &sb),
-        (Ecmp, Multicast) => mixed_distinguishable(&sb, &sa),
+        (Multicast, Ecmp) => mixed_distinguishable(sa, sb),
+        (Ecmp, Multicast) => mixed_distinguishable(sb, sa),
     }
+}
+
+/// Whether `a` holds an observation that `b` lacks.
+fn escapes(a: &[(PortNo, HeaderVec)], b: &[(PortNo, HeaderVec)]) -> bool {
+    a.iter().any(|x| !b.contains(x))
 }
 
 fn mixed_distinguishable(m: &[(PortNo, HeaderVec)], e: &[(PortNo, HeaderVec)]) -> bool {
     // An M-observation outside E's possible set is conclusive; otherwise
-    // only counting (|M| != 1) separates "all of M" from "one of E".
-    m.iter().any(|x| !e.contains(x)) || m.len() != 1
+    // only counting (|M| != 1 as a set: M is empty or holds two different
+    // observations) separates "all of M" from "one of E".
+    escapes(m, e) || m.first().is_none_or(|x| m.iter().any(|y| y != x))
 }
 
 /// Classification verdicts when a probe observation arrives.
@@ -368,5 +366,65 @@ mod tests {
         assert_eq!(plan.classify(1, &received), Verdict::Present);
         assert_eq!(plan.classify(2, &received), Verdict::Absent);
         assert_eq!(plan.classify(3, &received), Verdict::Inconclusive);
+    }
+
+    /// The sorted-set reading of [`outcomes_distinguishable`]: each
+    /// outcome's observations copied, sorted and deduplicated, then compared.
+    fn distinguishable_by_sets(a: &ConcreteOutcome, b: &ConcreteOutcome) -> bool {
+        use ForwardingKind::*;
+        let set = |o: &ConcreteOutcome| {
+            let mut v = o.observations.to_vec();
+            v.sort_by_key(|(p, h)| (*p, h.0));
+            v.dedup();
+            v
+        };
+        let (sa, sb) = (set(a), set(b));
+        let mixed = |m: &[(PortNo, HeaderVec)], e: &[(PortNo, HeaderVec)]| {
+            m.iter().any(|x| !e.contains(x)) || m.len() != 1
+        };
+        match (a.kind, b.kind) {
+            (Multicast, Multicast) => sa != sb,
+            (Ecmp, Ecmp) => sa.iter().all(|x| !sb.contains(x)),
+            (Multicast, Ecmp) => mixed(&sa, &sb),
+            (Ecmp, Multicast) => mixed(&sb, &sa),
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Observations over two ports and two headers, so that they repeat
+        /// within an outcome and collide across outcomes.
+        fn arb_observations() -> impl Strategy<Value = Vec<(PortNo, HeaderVec)>> {
+            prop::collection::vec((1u16..3, 0u64..2), 0..5).prop_map(|obs| {
+                obs.into_iter()
+                    .map(|(port, v)| {
+                        let mut h = HeaderVec::ZERO;
+                        h.0[0] = v;
+                        (port, h)
+                    })
+                    .collect()
+            })
+        }
+
+        proptest! {
+            #[test]
+            fn in_place_comparison_agrees_with_the_sorted_sets(
+                a in arb_observations(),
+                b in arb_observations(),
+            ) {
+                use ForwardingKind::*;
+                for (ka, kb) in [(Multicast, Multicast), (Multicast, Ecmp), (Ecmp, Multicast), (Ecmp, Ecmp)] {
+                    let oa = ConcreteOutcome { kind: ka, observations: a.clone().into() };
+                    let ob = ConcreteOutcome { kind: kb, observations: b.clone().into() };
+                    prop_assert_eq!(
+                        outcomes_distinguishable(&oa, &ob),
+                        distinguishable_by_sets(&oa, &ob),
+                        "{:?} {:?}", oa, ob
+                    );
+                }
+            }
+        }
     }
 }

@@ -5,8 +5,10 @@
 //!
 //! * an incremental [`Framer`] that reassembles length-prefixed OpenFlow
 //!   frames from whatever byte boundaries `read(2)` hands us, and
-//! * a write buffer that absorbs frames the kernel would not accept yet
-//!   (`EWOULDBLOCK`), flushed on writability events.
+//! * a write buffer that every frame is encoded straight into and that
+//!   keeps what the kernel would not accept yet (`EWOULDBLOCK`), flushed on
+//!   writability events. [`Connection::send`] is "append, then flush if
+//!   nothing was queued".
 //!
 //! # Backpressure
 //!
@@ -70,30 +72,16 @@ impl Connection {
         &self.stream
     }
 
-    /// Encodes `msg` with `xid` and writes it, buffering whatever the
-    /// kernel does not accept immediately.
+    /// Appends `msg`'s frame to the write buffer, then flushes if nothing
+    /// was queued before it: an idle socket gets the frame in one
+    /// `write(2)`, and a frame behind queued output waits its turn, so
+    /// frames never reorder.
     pub fn send(&mut self, msg: &OfMessage, xid: u32) -> io::Result<()> {
-        let frame = monocle_openflow::wire::encode(msg, xid);
-        let mut bytes: &[u8] = frame.as_ref();
-        // Opportunistic direct write — only valid while nothing is queued,
-        // otherwise frames would reorder.
-        if self.pending() == 0 {
-            loop {
-                match self.stream.write(bytes) {
-                    Ok(0) => break,
-                    Ok(n) => {
-                        bytes = &bytes[n..];
-                        if bytes.is_empty() {
-                            return Ok(());
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e),
-                }
-            }
+        let idle = self.pending() == 0;
+        monocle_openflow::wire::encode_into(&mut self.out, msg, xid);
+        if idle {
+            self.flush()?;
         }
-        self.out.extend_from_slice(bytes);
         Ok(())
     }
 
@@ -228,6 +216,34 @@ mod tests {
         assert_eq!(conn.pending(), 0);
         assert!(conn.below_low_water());
         assert_eq!(got, xid as usize);
+    }
+
+    #[test]
+    fn frames_sent_behind_queued_output_arrive_in_order() {
+        let (mut conn, peer) = pair();
+        // The peer reads nothing until the backlog is past the high-water
+        // mark, so all but the first frames are appended behind queued bytes.
+        let mut sent = Vec::new();
+        while !conn.over_high_water() {
+            let xid = sent.len() as u32;
+            let msg = OfMessage::EchoRequest(vec![xid as u8; 4096 + xid as usize % 7]);
+            conn.send(&msg, xid).unwrap();
+            sent.push((msg, xid));
+            assert!(xid < 1_000_000, "kernel never pushed back");
+        }
+        for msg in [OfMessage::BarrierReply, OfMessage::EchoReply(vec![9])] {
+            let xid = sent.len() as u32;
+            conn.send(&msg, xid).unwrap();
+            sent.push((msg, xid));
+        }
+        let mut peer_conn = Connection::new(peer).unwrap();
+        let mut got = Vec::new();
+        while got.len() < sent.len() {
+            conn.flush().unwrap();
+            got.extend(peer_conn.handle_readable().unwrap());
+        }
+        assert_eq!(got, sent);
+        assert_eq!(conn.pending(), 0);
     }
 
     #[test]

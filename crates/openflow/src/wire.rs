@@ -6,14 +6,17 @@
 //! and the action TLVs. The ECMP extension action travels as a vendor action
 //! (`OFPAT_VENDOR`) under the vendor id `0x4d4e434c` ("MNCL").
 //!
-//! The codec is exercised by roundtrip property tests; the simulator runs
-//! every control-plane message through it so that Monocle-the-proxy parses
-//! actual bytes, as the real system would.
+//! [`encode_into`] appends exactly one frame to a caller's buffer (a
+//! connection's write buffer, say) and never touches the bytes already in
+//! it; [`encode`] is the same frame in a `Vec` of its own.
+//!
+//! The codec is pinned by hex frames and exercised by roundtrip property
+//! tests; the simulator runs every control-plane message through it so that
+//! Monocle-the-proxy parses actual bytes, as the real system would.
 
 use crate::action::{Action, ActionProgram, PortNo};
 use crate::flowmatch::Match;
 use crate::messages::{FlowMod, FlowModCommand, OfMessage, PacketInReason};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use monocle_packet::MacAddr;
 
 /// OpenFlow protocol version byte.
@@ -101,16 +104,31 @@ impl std::fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// Encodes a message with the given transaction id into OF1.0 wire bytes.
-pub fn encode(msg: &OfMessage, xid: u32) -> Bytes {
-    let mut body = BytesMut::with_capacity(64);
+pub fn encode(msg: &OfMessage, xid: u32) -> Vec<u8> {
+    // Room for a FlowMod with a few actions or a probe PacketOut.
+    let mut out = Vec::with_capacity(128);
+    encode_into(&mut out, msg, xid);
+    out
+}
+
+/// Appends the OF1.0 frame of `msg` with transaction id `xid` to `out`.
+///
+/// Exactly one frame is appended and the bytes already in `out` are never
+/// touched: the header and body are written in place, and the header's
+/// `length` (and a `PacketOut`'s `actions_len`) are patched inside the new
+/// frame once its size is known.
+pub fn encode_into(out: &mut Vec<u8>, msg: &OfMessage, xid: u32) {
+    let start = out.len();
+    out.extend_from_slice(&[OFP_VERSION, 0, 0, 0]); // type and length patched below
+    out.put_u32(xid);
     let ty = match msg {
         OfMessage::Hello => msg_type::HELLO,
         OfMessage::EchoRequest(data) => {
-            body.put_slice(data);
+            out.extend_from_slice(data);
             msg_type::ECHO_REQUEST
         }
         OfMessage::EchoReply(data) => {
-            body.put_slice(data);
+            out.extend_from_slice(data);
             msg_type::ECHO_REPLY
         }
         OfMessage::FeaturesRequest => msg_type::FEATURES_REQUEST,
@@ -119,34 +137,34 @@ pub fn encode(msg: &OfMessage, xid: u32) -> Bytes {
             n_tables,
             ports,
         } => {
-            body.put_u64(*datapath_id);
-            body.put_u32(256); // n_buffers
-            body.put_u8(*n_tables);
-            body.put_bytes(0, 3); // pad
-            body.put_u32(0); // capabilities
-            body.put_u32(0xfff); // supported actions
+            out.put_u64(*datapath_id);
+            out.put_u32(256); // n_buffers
+            out.put_u8(*n_tables);
+            out.put_zeros(3); // pad
+            out.put_u32(0); // capabilities
+            out.put_u32(0xfff); // supported actions
             for &p in ports {
-                put_phy_port(&mut body, p);
+                put_phy_port(out, p);
             }
             msg_type::FEATURES_REPLY
         }
         OfMessage::FlowMod(fm) => {
-            put_match(&mut body, &fm.match_);
-            body.put_u64(fm.cookie);
-            body.put_u16(match fm.command {
+            put_match(out, &fm.match_);
+            out.put_u64(fm.cookie);
+            out.put_u16(match fm.command {
                 FlowModCommand::Add => 0,
                 FlowModCommand::Modify => 1,
                 FlowModCommand::ModifyStrict => 2,
                 FlowModCommand::Delete => 3,
                 FlowModCommand::DeleteStrict => 4,
             });
-            body.put_u16(fm.idle_timeout);
-            body.put_u16(fm.hard_timeout);
-            body.put_u16(fm.priority);
-            body.put_u32(0xffff_ffff); // buffer_id: none
-            body.put_u16(0xffff); // out_port: none
-            body.put_u16(if fm.check_overlap { 0x2 } else { 0 }); // flags
-            put_actions(&mut body, &fm.actions);
+            out.put_u16(fm.idle_timeout);
+            out.put_u16(fm.hard_timeout);
+            out.put_u16(fm.priority);
+            out.put_u32(0xffff_ffff); // buffer_id: none
+            out.put_u16(0xffff); // out_port: none
+            out.put_u16(if fm.check_overlap { 0x2 } else { 0 }); // flags
+            put_actions(out, &fm.actions);
             msg_type::FLOW_MOD
         }
         OfMessage::BarrierRequest => msg_type::BARRIER_REQUEST,
@@ -156,13 +174,13 @@ pub fn encode(msg: &OfMessage, xid: u32) -> Bytes {
             actions,
             data,
         } => {
-            body.put_u32(0xffff_ffff); // buffer_id: none
-            body.put_u16(*in_port);
-            let mut acts = BytesMut::new();
-            put_actions(&mut acts, actions);
-            body.put_u16(acts.len() as u16);
-            body.put_slice(&acts);
-            body.put_slice(data);
+            out.put_u32(0xffff_ffff); // buffer_id: none
+            out.put_u16(*in_port);
+            let at = out.len();
+            out.put_u16(0); // actions_len, patched below
+            put_actions(out, actions);
+            patch_len(out, at, at + 2);
+            out.extend_from_slice(data);
             msg_type::PACKET_OUT
         }
         OfMessage::PacketIn {
@@ -171,15 +189,15 @@ pub fn encode(msg: &OfMessage, xid: u32) -> Bytes {
             reason,
             data,
         } => {
-            body.put_u32(*buffer_id);
-            body.put_u16(data.len() as u16);
-            body.put_u16(*in_port);
-            body.put_u8(match reason {
+            out.put_u32(*buffer_id);
+            out.put_u16(data.len() as u16);
+            out.put_u16(*in_port);
+            out.put_u8(match reason {
                 PacketInReason::NoMatch => 0,
                 PacketInReason::Action => 1,
             });
-            body.put_u8(0); // pad
-            body.put_slice(data);
+            out.put_u8(0); // pad
+            out.extend_from_slice(data);
             msg_type::PACKET_IN
         }
         OfMessage::FlowRemoved {
@@ -188,32 +206,91 @@ pub fn encode(msg: &OfMessage, xid: u32) -> Bytes {
             cookie,
             reason,
         } => {
-            put_match(&mut body, match_);
-            body.put_u64(*cookie);
-            body.put_u16(*priority);
-            body.put_u8(*reason);
-            body.put_u8(0); // pad
-            body.put_u32(0); // duration_sec
-            body.put_u32(0); // duration_nsec
-            body.put_u16(0); // idle_timeout
-            body.put_bytes(0, 2); // pad
-            body.put_u64(0); // packet_count
-            body.put_u64(0); // byte_count
+            put_match(out, match_);
+            out.put_u64(*cookie);
+            out.put_u16(*priority);
+            out.put_u8(*reason);
+            out.put_u8(0); // pad
+            out.put_u32(0); // duration_sec
+            out.put_u32(0); // duration_nsec
+            out.put_u16(0); // idle_timeout
+            out.put_zeros(2); // pad
+            out.put_u64(0); // packet_count
+            out.put_u64(0); // byte_count
             msg_type::FLOW_REMOVED
         }
         OfMessage::Error { err_type, code } => {
-            body.put_u16(*err_type);
-            body.put_u16(*code);
+            out.put_u16(*err_type);
+            out.put_u16(*code);
             msg_type::ERROR
         }
     };
-    let mut out = BytesMut::with_capacity(8 + body.len());
-    out.put_u8(OFP_VERSION);
-    out.put_u8(ty);
-    out.put_u16(8 + body.len() as u16);
-    out.put_u32(xid);
-    out.put_slice(&body);
-    out.freeze()
+    out[start + 1] = ty;
+    patch_len(out, start + 2, start);
+}
+
+/// Big-endian appends to a frame under construction.
+trait Put {
+    fn put_u8(&mut self, v: u8);
+    fn put_u16(&mut self, v: u16);
+    fn put_u32(&mut self, v: u32);
+    fn put_u64(&mut self, v: u64);
+    fn put_zeros(&mut self, n: usize);
+}
+
+impl Put for Vec<u8> {
+    fn put_u8(&mut self, v: u8) {
+        self.push(v);
+    }
+    fn put_u16(&mut self, v: u16) {
+        self.extend_from_slice(&v.to_be_bytes());
+    }
+    fn put_u32(&mut self, v: u32) {
+        self.extend_from_slice(&v.to_be_bytes());
+    }
+    fn put_u64(&mut self, v: u64) {
+        self.extend_from_slice(&v.to_be_bytes());
+    }
+    fn put_zeros(&mut self, n: usize) {
+        self.resize(self.len() + n, 0);
+    }
+}
+
+/// Writes the length of `out[from..]` into the big-endian u16 length field
+/// at `out[field..field + 2]` (truncated to 16 bits, as the field is).
+fn patch_len(out: &mut [u8], field: usize, from: usize) {
+    let len = (out.len() - from) as u16;
+    out[field..field + 2].copy_from_slice(&len.to_be_bytes());
+}
+
+/// Big-endian reads off the front of a slice. The callers check the length
+/// before they read: a read past the end panics.
+trait Get {
+    fn get_bytes<const N: usize>(&mut self) -> [u8; N];
+    fn skip(&mut self, n: usize);
+    fn get_u8(&mut self) -> u8 {
+        u8::from_be_bytes(self.get_bytes())
+    }
+    fn get_u16(&mut self) -> u16 {
+        u16::from_be_bytes(self.get_bytes())
+    }
+    fn get_u32(&mut self) -> u32 {
+        u32::from_be_bytes(self.get_bytes())
+    }
+    fn get_u64(&mut self) -> u64 {
+        u64::from_be_bytes(self.get_bytes())
+    }
+}
+
+impl Get for &[u8] {
+    fn get_bytes<const N: usize>(&mut self) -> [u8; N] {
+        let (head, rest) = self.split_first_chunk().expect("length checked");
+        *self = rest;
+        *head
+    }
+    fn skip(&mut self, n: usize) {
+        *self = &self[n..];
+    }
 }
 
 /// Decodes one message from `buf`; returns `(msg, xid, bytes_consumed)`.
@@ -241,15 +318,15 @@ pub fn decode(buf: &[u8]) -> Result<(OfMessage, u32, usize), CodecError> {
         msg_type::ECHO_REPLY => OfMessage::EchoReply(body.to_vec()),
         msg_type::FEATURES_REQUEST => OfMessage::FeaturesRequest,
         msg_type::FEATURES_REPLY => {
-            if body.remaining() < 24 {
+            if body.len() < 24 {
                 return Err(CodecError::Truncated);
             }
             let datapath_id = body.get_u64();
             let _n_buffers = body.get_u32();
             let n_tables = body.get_u8();
-            body.advance(3 + 4 + 4);
+            body.skip(3 + 4 + 4);
             let mut ports = Vec::new();
-            while body.remaining() >= 48 {
+            while body.len() >= 48 {
                 ports.push(get_phy_port(&mut body));
             }
             OfMessage::FeaturesReply {
@@ -260,7 +337,7 @@ pub fn decode(buf: &[u8]) -> Result<(OfMessage, u32, usize), CodecError> {
         }
         msg_type::FLOW_MOD => {
             let match_ = get_match(&mut body)?;
-            if body.remaining() < 24 {
+            if body.len() < 24 {
                 return Err(CodecError::Truncated);
             }
             let cookie = body.get_u64();
@@ -294,18 +371,18 @@ pub fn decode(buf: &[u8]) -> Result<(OfMessage, u32, usize), CodecError> {
         msg_type::BARRIER_REQUEST => OfMessage::BarrierRequest,
         msg_type::BARRIER_REPLY => OfMessage::BarrierReply,
         msg_type::PACKET_OUT => {
-            if body.remaining() < 8 {
+            if body.len() < 8 {
                 return Err(CodecError::Truncated);
             }
             let _buffer_id = body.get_u32();
             let in_port = body.get_u16();
             let actions_len = body.get_u16() as usize;
-            if body.remaining() < actions_len {
+            if body.len() < actions_len {
                 return Err(CodecError::Truncated);
             }
             let mut acts = &body[..actions_len];
             let actions = get_actions(&mut acts)?;
-            body.advance(actions_len);
+            body.skip(actions_len);
             OfMessage::PacketOut {
                 in_port,
                 actions,
@@ -313,7 +390,7 @@ pub fn decode(buf: &[u8]) -> Result<(OfMessage, u32, usize), CodecError> {
             }
         }
         msg_type::PACKET_IN => {
-            if body.remaining() < 10 {
+            if body.len() < 10 {
                 return Err(CodecError::Truncated);
             }
             let buffer_id = body.get_u32();
@@ -323,7 +400,7 @@ pub fn decode(buf: &[u8]) -> Result<(OfMessage, u32, usize), CodecError> {
                 0 => PacketInReason::NoMatch,
                 _ => PacketInReason::Action,
             };
-            body.advance(1);
+            body.skip(1);
             OfMessage::PacketIn {
                 buffer_id,
                 in_port,
@@ -333,7 +410,7 @@ pub fn decode(buf: &[u8]) -> Result<(OfMessage, u32, usize), CodecError> {
         }
         msg_type::FLOW_REMOVED => {
             let match_ = get_match(&mut body)?;
-            if body.remaining() < 40 {
+            if body.len() < 40 {
                 return Err(CodecError::Truncated);
             }
             let cookie = body.get_u64();
@@ -347,7 +424,7 @@ pub fn decode(buf: &[u8]) -> Result<(OfMessage, u32, usize), CodecError> {
             }
         }
         msg_type::ERROR => {
-            if body.remaining() < 4 {
+            if body.len() < 4 {
                 return Err(CodecError::Truncated);
             }
             let err_type = body.get_u16();
@@ -359,13 +436,13 @@ pub fn decode(buf: &[u8]) -> Result<(OfMessage, u32, usize), CodecError> {
     Ok((msg, xid, len))
 }
 
-fn put_phy_port(out: &mut BytesMut, port: PortNo) {
+fn put_phy_port(out: &mut Vec<u8>, port: PortNo) {
     out.put_u16(port);
-    out.put_slice(&[0x02, 0, 0, 0, (port >> 8) as u8, port as u8]); // hw_addr
+    out.extend_from_slice(&[0x02, 0, 0, 0, (port >> 8) as u8, port as u8]); // hw_addr
     let name = format!("port{port}");
     let mut name_bytes = [0u8; 16];
     name_bytes[..name.len().min(15)].copy_from_slice(&name.as_bytes()[..name.len().min(15)]);
-    out.put_slice(&name_bytes);
+    out.extend_from_slice(&name_bytes);
     out.put_u32(0); // config
     out.put_u32(0); // state
     out.put_u32(0); // curr
@@ -376,12 +453,12 @@ fn put_phy_port(out: &mut BytesMut, port: PortNo) {
 
 fn get_phy_port(body: &mut &[u8]) -> PortNo {
     let port = body.get_u16();
-    body.advance(46);
+    body.skip(46);
     port
 }
 
 /// Serializes the 40-byte `ofp_match`.
-pub fn put_match(out: &mut BytesMut, m: &Match) {
+fn put_match(out: &mut Vec<u8>, m: &Match) {
     let mut w: u32 = 0;
     if m.in_port.is_none() {
         w |= wildcard::IN_PORT;
@@ -425,15 +502,15 @@ pub fn put_match(out: &mut BytesMut, m: &Match) {
     }
     out.put_u32(w);
     out.put_u16(m.in_port.unwrap_or(0));
-    out.put_slice(&m.dl_src.unwrap_or_default().0);
-    out.put_slice(&m.dl_dst.unwrap_or_default().0);
+    out.extend_from_slice(&m.dl_src.unwrap_or_default().0);
+    out.extend_from_slice(&m.dl_dst.unwrap_or_default().0);
     out.put_u16(m.dl_vlan.unwrap_or(0));
     out.put_u8(m.dl_pcp.unwrap_or(0));
     out.put_u8(0); // pad
     out.put_u16(m.dl_type.unwrap_or(0));
     out.put_u8(m.nw_tos.unwrap_or(0) << 2); // wire carries DSCP<<2
     out.put_u8(m.nw_proto.unwrap_or(0));
-    out.put_bytes(0, 2); // pad
+    out.put_zeros(2); // pad
     out.put_u32(m.nw_src.map(|(a, _)| a).unwrap_or(0));
     out.put_u32(m.nw_dst.map(|(a, _)| a).unwrap_or(0));
     out.put_u16(m.tp_src.unwrap_or(0));
@@ -441,23 +518,21 @@ pub fn put_match(out: &mut BytesMut, m: &Match) {
 }
 
 /// Parses the 40-byte `ofp_match`.
-pub fn get_match(body: &mut &[u8]) -> Result<Match, CodecError> {
-    if body.remaining() < 40 {
+fn get_match(body: &mut &[u8]) -> Result<Match, CodecError> {
+    if body.len() < 40 {
         return Err(CodecError::Truncated);
     }
     let w = body.get_u32();
     let in_port = body.get_u16();
-    let mut dl_src = [0u8; 6];
-    body.copy_to_slice(&mut dl_src);
-    let mut dl_dst = [0u8; 6];
-    body.copy_to_slice(&mut dl_dst);
+    let dl_src = body.get_bytes();
+    let dl_dst = body.get_bytes();
     let dl_vlan = body.get_u16();
     let dl_pcp = body.get_u8();
-    body.advance(1);
+    body.skip(1);
     let dl_type = body.get_u16();
     let nw_tos = body.get_u8() >> 2;
     let nw_proto = body.get_u8();
-    body.advance(2);
+    body.skip(2);
     let nw_src = body.get_u32();
     let nw_dst = body.get_u32();
     let tp_src = body.get_u16();
@@ -480,7 +555,7 @@ pub fn get_match(body: &mut &[u8]) -> Result<Match, CodecError> {
     })
 }
 
-fn put_actions(out: &mut BytesMut, actions: &ActionProgram) {
+fn put_actions(out: &mut Vec<u8>, actions: &ActionProgram) {
     for a in actions {
         match a {
             Action::Output(p) => {
@@ -493,7 +568,7 @@ fn put_actions(out: &mut BytesMut, actions: &ActionProgram) {
                 out.put_u16(action_type::ENQUEUE);
                 out.put_u16(16);
                 out.put_u16(*p);
-                out.put_bytes(0, 6);
+                out.put_zeros(6);
                 out.put_u32(*q);
             }
             Action::SelectOutput(ports) => {
@@ -507,64 +582,64 @@ fn put_actions(out: &mut BytesMut, actions: &ActionProgram) {
                 for &p in ports {
                     out.put_u16(p);
                 }
-                out.put_bytes(0, padded - raw);
+                out.put_zeros(padded - raw);
             }
             Action::SetVlanVid(v) => {
                 out.put_u16(action_type::SET_VLAN_VID);
                 out.put_u16(8);
                 out.put_u16(*v);
-                out.put_bytes(0, 2);
+                out.put_zeros(2);
             }
             Action::SetVlanPcp(p) => {
                 out.put_u16(action_type::SET_VLAN_PCP);
                 out.put_u16(8);
                 out.put_u8(*p);
-                out.put_bytes(0, 3);
+                out.put_zeros(3);
             }
             Action::StripVlan => {
                 out.put_u16(action_type::STRIP_VLAN);
                 out.put_u16(8);
-                out.put_bytes(0, 4);
+                out.put_zeros(4);
             }
             Action::SetDlSrc(m) => {
                 out.put_u16(action_type::SET_DL_SRC);
                 out.put_u16(16);
-                out.put_slice(&m.0);
-                out.put_bytes(0, 6);
+                out.extend_from_slice(&m.0);
+                out.put_zeros(6);
             }
             Action::SetDlDst(m) => {
                 out.put_u16(action_type::SET_DL_DST);
                 out.put_u16(16);
-                out.put_slice(&m.0);
-                out.put_bytes(0, 6);
+                out.extend_from_slice(&m.0);
+                out.put_zeros(6);
             }
             Action::SetNwSrc(a4) => {
                 out.put_u16(action_type::SET_NW_SRC);
                 out.put_u16(8);
-                out.put_slice(a4);
+                out.extend_from_slice(a4);
             }
             Action::SetNwDst(a4) => {
                 out.put_u16(action_type::SET_NW_DST);
                 out.put_u16(8);
-                out.put_slice(a4);
+                out.extend_from_slice(a4);
             }
             Action::SetNwTos(t) => {
                 out.put_u16(action_type::SET_NW_TOS);
                 out.put_u16(8);
                 out.put_u8(*t << 2);
-                out.put_bytes(0, 3);
+                out.put_zeros(3);
             }
             Action::SetTpSrc(p) => {
                 out.put_u16(action_type::SET_TP_SRC);
                 out.put_u16(8);
                 out.put_u16(*p);
-                out.put_bytes(0, 2);
+                out.put_zeros(2);
             }
             Action::SetTpDst(p) => {
                 out.put_u16(action_type::SET_TP_DST);
                 out.put_u16(8);
                 out.put_u16(*p);
-                out.put_bytes(0, 2);
+                out.put_zeros(2);
             }
         }
     }
@@ -572,10 +647,10 @@ fn put_actions(out: &mut BytesMut, actions: &ActionProgram) {
 
 fn get_actions(body: &mut &[u8]) -> Result<ActionProgram, CodecError> {
     let mut actions = Vec::new();
-    while body.remaining() >= 4 {
+    while body.len() >= 4 {
         let ty = body.get_u16();
         let len = body.get_u16() as usize;
-        if len < 8 || !len.is_multiple_of(8) || body.remaining() < len - 4 {
+        if len < 8 || !len.is_multiple_of(8) || body.len() < len - 4 {
             return Err(CodecError::BadAction(ty));
         }
         // Per-type minimum payload (beyond the 4-byte TLV header): a
@@ -591,7 +666,7 @@ fn get_actions(body: &mut &[u8]) -> Result<ActionProgram, CodecError> {
             return Err(CodecError::BadAction(ty));
         }
         let mut payload = &body[..len - 4];
-        body.advance(len - 4);
+        body.skip(len - 4);
         let action = match ty {
             action_type::OUTPUT => {
                 let p = payload.get_u16();
@@ -600,7 +675,7 @@ fn get_actions(body: &mut &[u8]) -> Result<ActionProgram, CodecError> {
             }
             action_type::ENQUEUE => {
                 let p = payload.get_u16();
-                payload.advance(6);
+                payload.skip(6);
                 let q = payload.get_u32();
                 Action::Enqueue(p, q)
             }
@@ -610,7 +685,7 @@ fn get_actions(body: &mut &[u8]) -> Result<ActionProgram, CodecError> {
                     return Err(CodecError::BadAction(ty));
                 }
                 let n = payload.get_u16() as usize;
-                if payload.remaining() < 2 * n {
+                if payload.len() < 2 * n {
                     return Err(CodecError::BadAction(ty));
                 }
                 let ports = (0..n).map(|_| payload.get_u16()).collect();
@@ -619,26 +694,10 @@ fn get_actions(body: &mut &[u8]) -> Result<ActionProgram, CodecError> {
             action_type::SET_VLAN_VID => Action::SetVlanVid(payload.get_u16()),
             action_type::SET_VLAN_PCP => Action::SetVlanPcp(payload.get_u8()),
             action_type::STRIP_VLAN => Action::StripVlan,
-            action_type::SET_DL_SRC => {
-                let mut m = [0u8; 6];
-                payload.copy_to_slice(&mut m);
-                Action::SetDlSrc(MacAddr(m))
-            }
-            action_type::SET_DL_DST => {
-                let mut m = [0u8; 6];
-                payload.copy_to_slice(&mut m);
-                Action::SetDlDst(MacAddr(m))
-            }
-            action_type::SET_NW_SRC => {
-                let mut a = [0u8; 4];
-                payload.copy_to_slice(&mut a);
-                Action::SetNwSrc(a)
-            }
-            action_type::SET_NW_DST => {
-                let mut a = [0u8; 4];
-                payload.copy_to_slice(&mut a);
-                Action::SetNwDst(a)
-            }
+            action_type::SET_DL_SRC => Action::SetDlSrc(MacAddr(payload.get_bytes())),
+            action_type::SET_DL_DST => Action::SetDlDst(MacAddr(payload.get_bytes())),
+            action_type::SET_NW_SRC => Action::SetNwSrc(payload.get_bytes()),
+            action_type::SET_NW_DST => Action::SetNwDst(payload.get_bytes()),
             action_type::SET_NW_TOS => Action::SetNwTos(payload.get_u8() >> 2),
             action_type::SET_TP_SRC => Action::SetTpSrc(payload.get_u16()),
             action_type::SET_TP_DST => Action::SetTpDst(payload.get_u16()),
@@ -891,10 +950,10 @@ mod tests {
     #[test]
     fn decode_rejects_garbage() {
         assert_eq!(decode(&[0u8; 4]).unwrap_err(), CodecError::Truncated);
-        let mut bytes = encode(&OfMessage::Hello, 1).to_vec();
+        let mut bytes = encode(&OfMessage::Hello, 1);
         bytes[0] = 0x04; // OF1.3 version
         assert_eq!(decode(&bytes).unwrap_err(), CodecError::BadVersion(0x04));
-        let mut bytes = encode(&OfMessage::Hello, 1).to_vec();
+        let mut bytes = encode(&OfMessage::Hello, 1);
         bytes[1] = 99;
         assert_eq!(decode(&bytes).unwrap_err(), CodecError::UnknownType(99));
     }
@@ -930,11 +989,10 @@ mod tests {
             action_type::SET_DL_DST,
             action_type::VENDOR,
         ] {
-            let good = encode(
+            let mut bytes = encode(
                 &OfMessage::FlowMod(FlowMod::add(1, Match::any(), vec![])),
                 9,
             );
-            let mut bytes = good.to_vec();
             // Append an 8-byte action TLV of the victim type.
             bytes.extend_from_slice(&ty.to_be_bytes());
             bytes.extend_from_slice(&8u16.to_be_bytes());

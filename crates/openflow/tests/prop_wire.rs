@@ -3,8 +3,9 @@
 //! The incremental [`Framer`] trusts two codec guarantees: (1) `encode` →
 //! `decode` is the identity on every [`OfMessage`] variant, and (2) `decode`
 //! on truncated, mutated or garbage-prefixed input returns a [`CodecError`]
-//! — it never panics. These properties pin both, plus the framer's
-//! reassembly across arbitrary read boundaries.
+//! — it never panics. These properties pin both, plus `encode_into`'s
+//! append-only contract and the framer's reassembly across arbitrary read
+//! boundaries.
 
 use monocle_openflow::messages::PacketInReason;
 use monocle_openflow::wire::{self, CodecError};
@@ -171,6 +172,20 @@ proptest! {
         prop_assert_eq!(used, bytes.len());
     }
 
+    /// `encode_into` appends exactly the frame `encode` returns and leaves
+    /// whatever the buffer already held as it was.
+    #[test]
+    fn encode_into_appends_one_frame(
+        prefix in prop::collection::vec(any::<u8>(), 0..64),
+        msg in arb_message(),
+        xid in any::<u32>(),
+    ) {
+        let mut out = prefix.clone();
+        wire::encode_into(&mut out, &msg, xid);
+        prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
+        prop_assert_eq!(&out[prefix.len()..], &wire::encode(&msg, xid)[..]);
+    }
+
     /// Any strict prefix of a valid encoding is Truncated — never a panic,
     /// never a spurious success.
     #[test]
@@ -199,7 +214,7 @@ proptest! {
         msg in arb_message(),
         flips in prop::collection::vec((any::<usize>(), any::<u8>()), 1..8),
     ) {
-        let mut bytes = wire::encode(&msg, 1).to_vec();
+        let mut bytes = wire::encode(&msg, 1);
         for (pos, val) in flips {
             let idx = pos % bytes.len();
             bytes[idx] = val;
@@ -210,7 +225,7 @@ proptest! {
     /// A non-OF1.0 version byte is always rejected as BadVersion.
     #[test]
     fn bad_version_rejected(msg in arb_message(), v in 2u8..=255) {
-        let mut bytes = wire::encode(&msg, 1).to_vec();
+        let mut bytes = wire::encode(&msg, 1);
         bytes[0] = v;
         prop_assert_eq!(wire::decode(&bytes).unwrap_err(), CodecError::BadVersion(v));
     }

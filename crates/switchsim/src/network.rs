@@ -37,8 +37,6 @@ pub struct NetworkConfig {
     pub link_latency: SimTime,
     /// Record host packet arrivals into the trace.
     pub record_host_trace: bool,
-    /// Record per-switch frame arrivals into the trace (heavier).
-    pub record_switch_trace: bool,
 }
 
 impl Default for NetworkConfig {
@@ -48,7 +46,6 @@ impl Default for NetworkConfig {
             ctrl_latency: crate::time::us(500),
             link_latency: crate::time::us(50),
             record_host_trace: false,
-            record_switch_trace: false,
         }
     }
 }
@@ -84,7 +81,7 @@ struct Host {
 pub struct TraceEvent {
     /// When it happened.
     pub time: SimTime,
-    /// Host arrivals carry the host id, switch arrivals the switch id.
+    /// The receiving host.
     pub node: NodeRef,
     /// Ingress port (hosts: the access port, always 1).
     pub in_port: PortNo,
@@ -160,7 +157,7 @@ pub struct Network {
     next_port: std::collections::HashMap<NodeRef, PortNo>,
     rng: StdRng,
     ecmp_salt: u64,
-    /// Observation trace (host/switch arrivals), if enabled.
+    /// Observation trace (host arrivals), if enabled.
     pub trace: Vec<TraceEvent>,
     /// Messages delivered to the app are also counted here.
     pub app_messages: u64,
@@ -328,7 +325,7 @@ impl Network {
     /// App-side send: encodes the message and schedules delivery at the
     /// switch after the control-channel latency.
     pub fn app_send(&mut self, sw: usize, xid: u32, msg: &OfMessage) {
-        let bytes = wire::encode(msg, xid).to_vec();
+        let bytes = wire::encode(msg, xid);
         self.push(self.cfg.ctrl_latency, Ev::CtrlToSwitch { sw, bytes });
     }
 
@@ -407,15 +404,6 @@ impl Network {
             }
             Ev::FrameAt { node, port, frame } => match node {
                 NodeRef::Switch(sw) => {
-                    if self.cfg.record_switch_trace {
-                        let tag = parse_tag(&frame);
-                        self.trace.push(TraceEvent {
-                            time: self.now,
-                            node,
-                            in_port: port,
-                            flow_tag: tag,
-                        });
-                    }
                     let fx = self.switches[sw].handle_frame(self.now, port, &frame, self.ecmp_salt);
                     self.apply_effects(sw, fx);
                 }
@@ -464,7 +452,7 @@ impl Network {
                 Effect::WakeAgentAt(at) => self.push_at(at, Ev::AgentWake { sw }),
                 Effect::InstallTickAt(at) => self.push_at(at, Ev::InstallTick { sw }),
                 Effect::ToController { msg, xid, at } => {
-                    let bytes = wire::encode(&msg, xid).to_vec();
+                    let bytes = wire::encode(&msg, xid);
                     self.push_at(at + self.cfg.ctrl_latency, Ev::CtrlToApp { sw, bytes });
                 }
                 Effect::EmitFrame { port, frame, at } => {

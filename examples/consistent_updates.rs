@@ -8,7 +8,7 @@
 //!
 //! Run: `cargo run --release --example consistent_updates`
 
-use monocle::harness::{BarrierApp, ExpIo, Experiment, HarnessConfig, MonocleApp};
+use monocle::harness::{ExpIo, Experiment, HarnessConfig, MonocleApp};
 use monocle_datasets::workload::{flow_match, forward_to, reroute_flows, FlowPath};
 use monocle_openflow::FlowMod;
 use monocle_switchsim::{time, Network, NetworkConfig, NodeRef, SwitchProfile};
@@ -89,7 +89,7 @@ fn main() {
     println!("rerouting {FLOWS} flows through a premature-ack switch; ~{sent} packets in flight");
 
     let (mut net, _h1, h2) = build();
-    let mut app = BarrierApp::new(Reroute {
+    let mut app = MonocleApp::unmonitored(Reroute {
         flows: reroute_flows(FLOWS),
     });
     net.start(&mut app);

@@ -109,7 +109,7 @@ fn cold_fast_path_plan_allocates_a_fixed_count() {
     let (plan, allocated) = allocations(|| engine.generate(&table, probed, &catch));
     assert!(plan.is_ok());
     assert_eq!(engine.stats().fast_path_hits, 1);
-    // One pin list for the call; the verifier's two outcomes and the two
-    // observation sets it compares; the plan cache's first entry.
-    assert_eq!(allocated, 6, "the pin list is built once per call");
+    // One pin list for the call; the verifier's two outcomes, which it
+    // compares in place; the plan cache's first entry.
+    assert_eq!(allocated, 4, "the pin list is built once per call");
 }
