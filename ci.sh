@@ -46,22 +46,38 @@ echo "== deeper property pass: dynamic monitoring (replica and switch mirror, cl
 # commute with is still queued.
 PROPTEST_CASES=1000 cargo test --release -q -p monocle --lib dynamic::tests::props
 
-echo "== the TCP ACL arms: acks before commit against optimistic acks, 3 runs =="
+echo "== the TCP ACL arms: acks and barrier replies before commit, 3 runs =="
 # The ideal and hp5406zl arms of e2e_tcp, in release, three times: each run
 # prints its acks before commit against the optimistic acks (the arm fails
-# if the first exceeds the second). With the §4.2 queue's ternaries compiled
-# once per update, ideal read 12-32 acks before commit against 36-37
-# optimistic over three runs (the code before that read 7-23 against 36-38
-# over six); on hp5406zl the two are equal (37, 11 of them among the
-# silence-confirmed updates), so a change to when silence confirms shows
-# here first. One test thread, so the arms do not share the CPUs.
+# if the first exceeds the second), and how many replies to the
+# controller's barriers came before the commit of the FlowMod sent just
+# before each. The proxy answers those barriers itself, never before the
+# acks or alarms of the FlowMods before them and never before the switch
+# has answered a barrier of the proxy's sent after them, so on ideal (whose
+# barriers are truthful) the arm fails unless that count is 0. With the
+# §4.2 queue's ternaries compiled once per update, ideal read 12-32 acks
+# before commit against 36-37 optimistic over three runs (the code before
+# that read 7-23 against 36-38 over six); on hp5406zl the two are equal
+# (37, 11 of them among the silence-confirmed updates), so a change to when
+# silence confirms shows here first. One test thread, so the arms do not
+# share the CPUs.
 for run in 1 2 3; do
     echo "-- run $run"
     cargo test --release -q -p monocle_net --test e2e_tcp -- --exact --test-threads 1 \
         --nocapture acl_table_delete_readd_modify_over_tcp \
         acl_script_over_tcp_on_hp5406zl_acks_do_not_precede_commits 2>&1 |
-        grep -E 'acks before commit|test result'
+        grep -E 'acks before commit|barrier replies before commit|test result'
 done
+
+echo "== deeper property pass: one OpenFlow session (channel) against the switch model =="
+# Tier-1 runs this at 64 cases: random controller scripts of FlowMods (some
+# sharing an xid), barriers, echoes and pass-through PacketOuts run through
+# one channel to switchsim's ideal, hp5406zl and pica8 switches on a virtual
+# clock, the planner answering from a replica after a seeded delay. Every
+# update is answered exactly once under its xid, every barrier and echo
+# once, no BarrierReply comes before the answers of the FlowMods sent before
+# its request, and on ideal none before their commits.
+PROPTEST_CASES=1000 cargo test --release -q -p monocle --lib channel::tests::props
 
 echo "== deeper differential: the steady refresh, inline and deferred =="
 # Tier-1 runs 40 random scripts of each: the incremental refresh matches the
@@ -194,10 +210,18 @@ echo "== perf baseline: adaptive scheduler vs fixed sweep =="
 # change that means to move it commits the new file and says why.
 git diff --quiet -- BENCH_scheduler.json
 
-echo "== smoke: Fig. 8 large-network simulation =="
+echo "== smoke: Fig. 8 large-network simulation, twice =="
 # Small-size end-to-end run of the packet-level simulator over the trie-
-# backed data plane (the full 2000-path figure takes minutes).
-./target/release/fig8_large_network --paths 100 --batch 25 --interval-ms 10 --horizon-s 20
+# backed data plane (the full 2000-path figure takes minutes). The
+# simulator runs on a virtual clock and ticks its proxies in switch order,
+# so two runs of one build print the same thing.
+fig8_runs=$(mktemp -d)
+for run in 1 2; do
+    ./target/release/fig8_large_network --paths 100 --batch 25 --interval-ms 10 --horizon-s 20 |
+        tee "$fig8_runs/$run"
+done
+diff "$fig8_runs/1" "$fig8_runs/2"
+rm -r "$fig8_runs"
 
 echo "== the benchmark is untouched =="
 # A product PR that dirties benchmark/ or BENCHMARK.json fails here, not in

@@ -25,8 +25,8 @@
 //! * transient-inconsistency tolerance: a probe observing the "old" state
 //!   does not raise an alarm, it just keeps probing (§4.1);
 //! * the switch's own refusals: an update whose FlowMod the switch rejects
-//!   ends with an alarm, as one out of probing budget does
-//!   (`DynamicMonitor::on_rejected`);
+//!   ends with an alarm, as one still unconfirmed past its
+//!   [`UPDATE_DEADLINE`] does (`DynamicMonitor::on_rejected`);
 //! * the switch's own claims: a driver that follows its FlowMods with a
 //!   barrier tells the monitor when the switch says they are processed
 //!   (`DynamicMonitor::on_claim`). A claim is a hint, never proof — some

@@ -23,7 +23,7 @@ use crate::steady::SteadyConfig;
 use monocle_openflow::{Field, FlowMod, OfMessage, PortNo, RuleId};
 use monocle_packet::ProbeMeta;
 use monocle_switchsim::{AppCtx, ControlApp, Network, NodeRef, SimTime};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Timer token reserved for the harness's probe tick.
 const TICK_TOKEN: u64 = u64::MAX;
@@ -133,7 +133,9 @@ pub struct MonocleApp<E: Experiment> {
     /// The experiment logic.
     pub experiment: E,
     cfg: HarnessConfig,
-    proxies: HashMap<usize, MonitorProxy>,
+    /// By switch: the probe tick goes through them in switch order, so a
+    /// run repeats itself.
+    proxies: BTreeMap<usize, MonitorProxy>,
     /// (switch, port) -> (peer switch, peer port), switch-switch links only.
     adjacency: HashMap<(usize, PortNo), (usize, PortNo)>,
     /// Per monitored switch: (upstream switch, upstream port toward probed).
@@ -167,7 +169,7 @@ impl<E: Experiment> MonocleApp<E> {
             }
         }
         let catch_plan = catching::plan(&graph, Strategy::OneField, COLORING_BUDGET);
-        let mut proxies = HashMap::new();
+        let mut proxies = BTreeMap::new();
         let mut upstream = HashMap::new();
         for &sw in monitored {
             // Injection point: the first switch-facing port.
@@ -207,7 +209,7 @@ impl<E: Experiment> MonocleApp<E> {
         MonocleApp {
             experiment,
             cfg: HarnessConfig::default(),
-            proxies: HashMap::new(),
+            proxies: BTreeMap::new(),
             adjacency: HashMap::new(),
             upstream: HashMap::new(),
             catch_plan: catching::plan(&monocle_netgraph::Graph::new(0), Strategy::OneField, 0),
@@ -635,6 +637,48 @@ mod tests {
         );
         let stats = app.proxy(0).unwrap().steady_sched_stats().unwrap();
         assert!(stats.released > 0, "scheduler actually drove probes");
+    }
+
+    /// On each of two switches, a default route and a drop rule over it,
+    /// which only §3.3 silence confirms: on a tick, the same tick on both.
+    struct DropsOnTwo;
+    impl Experiment for DropsOnTwo {
+        fn on_start(&mut self, io: &mut ExpIo) {
+            for sw in [0, 1] {
+                io.send_flowmod(
+                    sw,
+                    1,
+                    FlowMod::add(5, Match::any(), vec![Action::Output(1)]),
+                );
+                let drop = Match::any().with_nw_dst([10, 9, 9, 9], 32);
+                io.send_flowmod(sw, 2, FlowMod::add(10, drop, vec![]));
+            }
+        }
+    }
+
+    /// Two monitored switches whose updates confirm on the same ticks: the
+    /// probe tick goes through the proxies in switch order, so every run of
+    /// one build puts out the same events in the same order.
+    #[test]
+    fn a_run_with_two_monitored_switches_repeats_itself() {
+        let run = || {
+            let mut net = triangle_net(SwitchProfile::ideal());
+            let cfg = HarnessConfig::default();
+            let mut app = MonocleApp::build(DropsOnTwo, &net, &[0, 1], cfg);
+            net.start(&mut app);
+            net.run_for(&mut app, time::ms(200));
+            app.events
+        };
+        let first = run();
+        let confirmed = |sw| {
+            let on =
+                |e: &&HarnessEvent| matches!(e, HarnessEvent::Confirmed { sw: s, .. } if *s == sw);
+            first.iter().filter(on).count()
+        };
+        assert_eq!((confirmed(0), confirmed(1)), (2, 2), "{first:?}");
+        for _ in 0..4 {
+            assert_eq!(run(), first);
+        }
     }
 
     #[test]

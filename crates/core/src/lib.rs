@@ -27,7 +27,7 @@
 //! | §4.1–4.2 update monitoring, overlap queuing | [`dynamic`] |
 //! | §4.3 drop-postponing | [`droppost`] |
 //! | §6 catching rules & coloring strategies | [`catching`] |
-//! | §7 proxy architecture (Monitor + Multiplexer) | [`proxy`], [`harness`] |
+//! | §7 proxy architecture (Monitor + Multiplexer): the monitor, one OpenFlow session around it (sans-IO), the simulator's wiring | [`proxy`], [`channel`], [`harness`] |
 //! | Appendix A NP-hardness reduction | [`reduction`] |
 //!
 //! ## Quick start
@@ -56,6 +56,7 @@
 #![warn(missing_docs)]
 
 pub mod catching;
+pub mod channel;
 pub mod droppost;
 pub mod dynamic;
 pub mod encode;

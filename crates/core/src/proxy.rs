@@ -5,10 +5,10 @@
 //! path), tracks the expected flow table, generates and injects probes, and
 //! acknowledges updates to the controller once they are provably in the
 //! data plane. [`MonitorProxy`] is that component as a pure state machine;
-//! the transport lives outside it: `monocle_net::ProxyApp` runs it over
-//! real OpenFlow TCP connections, and [`crate::harness`] runs it in the
-//! packet-level simulator, where it also plays the role of the paper's
-//! Multiplexer.
+//! the transport lives outside it: [`crate::channel::Channel`] runs it in
+//! one OpenFlow session (which `monocle_net::ProxyApp` carries over real TCP
+//! connections), and [`crate::harness`] runs it in the packet-level
+//! simulator, where it also plays the role of the paper's Multiplexer.
 //!
 //! Each of the proxy's two monitors owns its probes: it numbers them, builds
 //! each [`ProxyOutput::Inject`] where the plan is in hand, judges each
@@ -124,7 +124,7 @@ pub enum ProxyOutput {
         rule_id: RuleId,
     },
     /// An update that failed: the switch rejected its FlowMod, or it was
-    /// never confirmed within its budget.
+    /// still unconfirmed past its [`crate::dynamic::UPDATE_DEADLINE`].
     Alarm {
         /// Its token.
         token: u64,
@@ -273,7 +273,7 @@ impl MonitorProxy {
     /// [`ProxyOutput::ToSwitch`], its own preinstalls and finalizers
     /// included. A driver that follows them with a barrier passes this count
     /// to [`Self::on_barrier_reply`] when the barrier is answered.
-    pub fn flowmods_sent(&self) -> u64 {
+    pub(crate) fn flowmods_sent(&self) -> u64 {
         self.dynamic.flowmods_sent()
     }
 
@@ -292,7 +292,7 @@ impl MonitorProxy {
     /// is re-probed or confirmed by silence. A driver that
     /// reports none never calls this: each update counts as claimed as it
     /// starts.
-    pub fn on_barrier_reply(&mut self, now: u64, covered: u64) -> Vec<ProxyOutput> {
+    pub(crate) fn on_barrier_reply(&mut self, now: u64, covered: u64) -> Vec<ProxyOutput> {
         self.dynamic.on_claim(now, covered)
     }
 
@@ -305,7 +305,11 @@ impl MonitorProxy {
     /// releases the updates queued behind it. A proxy that hears no claims
     /// ([`Self::on_barrier_reply`]) keeps no record of what it sent, and
     /// names none.
-    pub fn on_flowmod_error(&mut self, now: u64, number: u64) -> (Option<u64>, Vec<ProxyOutput>) {
+    pub(crate) fn on_flowmod_error(
+        &mut self,
+        now: u64,
+        number: u64,
+    ) -> (Option<u64>, Vec<ProxyOutput>) {
         let (token, out) = self.dynamic.on_rejected(now, number);
         (token, self.note_touched(now, out))
     }
@@ -365,8 +369,9 @@ impl MonitorProxy {
     /// Periodic tick: dynamic re-probes and silence confirmations, steady
     /// cycle, lazy plan refresh. And the deadline every update ends on: one
     /// still unconfirmed [`crate::dynamic::UPDATE_DEADLINE`] after its claim
-    /// ([`Self::on_barrier_reply`]; its start, in a driver that reports no
-    /// claims) ends with [`ProxyOutput::Alarm`], which releases the updates
+    /// (the switch's reply to a barrier sent after its FlowMod, in a driver
+    /// that reports claims, as [`crate::channel::Channel`] does; its start,
+    /// in one that reports none) ends with [`ProxyOutput::Alarm`], which releases the updates
     /// queued behind it. So every update is acked or alarmed within that
     /// deadline of its claim, plus one tick.
     pub fn on_tick(&mut self, now: u64) -> Vec<ProxyOutput> {

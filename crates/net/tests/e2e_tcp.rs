@@ -10,8 +10,11 @@
 //!
 //! The switches are `monocle_switchsim`'s model behind a TCP shell, so the
 //! same runs can face switches whose barriers lie (`hp5406zl`, `pica8`).
+//! The controller's own barriers never reach the switch: the proxy answers
+//! them, once every FlowMod before them is acked or alarmed and the switch
+//! has answered a barrier of the proxy's sent after them.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -22,6 +25,8 @@ use monocle_net::{
 };
 use monocle_openflow::messages::PacketInReason;
 use monocle_openflow::{Action, FlowMod, FlowModCommand, FlowTable, Match, OfMessage};
+use monocle_switchsim::switch::Effect;
+use monocle_switchsim::SimSwitch;
 
 struct Deployment {
     controller_stats: Arc<Mutex<ControllerStats>>,
@@ -259,8 +264,9 @@ struct ScriptReport {
     acks: Vec<u32>,
     /// First confirmation time per script index.
     acked_at: Vec<u64>,
-    /// Time the passthrough BarrierReply sent after script entry `i` came
-    /// back (the control arm: what a barrier-trusting controller sees).
+    /// Time the reply to the BarrierRequest sent after script entry `i`
+    /// came back: the proxy's answer, what a barrier-trusting controller
+    /// sees.
     barrier_at: Vec<u64>,
     /// Time the switch committed script entry `i` to its data plane.
     installed_at: Vec<u64>,
@@ -286,7 +292,7 @@ const DPID: u64 = 1;
 /// commit time compare): the controller side sends a FlowMod script with
 /// `WINDOW` updates outstanding, FlowMod `i` carrying xid and cookie `i + 1`
 /// (the proxy forwards under a new xid but keeps the cookie) and followed by
-/// a BarrierRequest the proxy passes through; the switch side is a
+/// a BarrierRequest the proxy answers; the switch side is a
 /// [`SwitchSim`] fleet of one, which reports when each cookie committed.
 /// With `swallow_first`, the switch swallows the script's first FlowMod: the
 /// script starts once the proxy's default route has committed, so that
@@ -641,6 +647,18 @@ fn acl_script_over_tcp(profile: SwitchProfile) -> AclRun {
         report.barrier_at.iter().all(|&t| t > 0),
         "{name}: a barrier went unanswered"
     );
+    // The controller's barrier is Monocle's: its reply never comes before
+    // the ack or alarm of a FlowMod sent before it.
+    let mut answered = 0;
+    for i in 0..n {
+        answered = answered.max(report.acked_at[i].max(report.alarmed_at[i]));
+        assert!(
+            report.barrier_at[i] >= answered,
+            "{name}: the barrier after update {i} was answered at {} ns, before an update up to \
+             it was (at {answered} ns)",
+            report.barrier_at[i]
+        );
+    }
     let run = AclRun {
         name,
         optimistic: sess.confirmed - sess.verified,
@@ -652,17 +670,20 @@ fn acl_script_over_tcp(profile: SwitchProfile) -> AclRun {
     };
     eprintln!(
         "{name}: {n} updates, {} optimistic, {} acks before commit ({} of {} silence-confirmed \
-         ones), {} barrier replies before commit",
+         ones)",
         run.optimistic,
         run.early_acks,
         run.early_silent,
         silent.iter().filter(|&&s| s).count(),
+    );
+    eprintln!(
+        "{name}: {} barrier replies before commit",
         run.early_barriers
     );
     run
 }
 
-/// What the acks and the passthrough barriers of one ACL run showed.
+/// What the acks and the controller's barriers of one ACL run showed.
 struct AclRun {
     name: &'static str,
     /// Acks given with nothing to probe.
@@ -671,8 +692,8 @@ struct AclRun {
     early_acks: usize,
     /// Of those, the ones the proxy confirmed by silence.
     early_silent: usize,
-    /// Passthrough BarrierReplies that came back before their FlowMod
-    /// committed (the control arm).
+    /// Replies to the controller's barriers that came back before the
+    /// FlowMod sent just before each committed.
     early_barriers: usize,
 }
 
@@ -691,23 +712,84 @@ impl AclRun {
     }
 }
 
+/// On a truthful switch the proxy's answer to a barrier is never weaker
+/// than the switch's own: no reply comes before the commit of a FlowMod
+/// sent before its request.
 #[test]
 fn acl_table_delete_readd_modify_over_tcp() {
-    acl_script_over_tcp(SwitchProfile::ideal()).assert_no_verified_ack_precedes_its_commit();
+    let run = acl_script_over_tcp(SwitchProfile::ideal());
+    run.assert_no_verified_ack_precedes_its_commit();
+    assert_eq!(run.early_barriers, 0, "barrier replies before commit");
 }
 
-/// HP 5406zl answers barriers before its TCAM commits (\[16\]): a controller
-/// trusting the passthrough BarrierReplies sees rules that are not there
-/// yet, where the proxy's acks wait for the commit (below).
+/// Sends a switch with `profile` a FlowMod and a barrier straight, in
+/// process: no proxy, no TCP. Returns when the barrier's reply left the
+/// switch and when the rule committed, in ns.
+fn barrier_reply_and_commit(profile: SwitchProfile) -> (u64, u64) {
+    let mut sw = SimSwitch::new(0, profile, (1..=8).collect());
+    let fm = FlowMod::add(10, Match::any().with_nw_dst([10, 0, 0, 1], 32), vec![]);
+    let mut effects = sw.enqueue_ctrl(0, OfMessage::FlowMod(fm), 1);
+    effects.extend(sw.enqueue_ctrl(0, OfMessage::BarrierRequest, 2));
+    // Pending effects by (time, arrival).
+    let (mut due, mut arrivals) = (BTreeMap::new(), 0);
+    let (mut reply, mut commit) = (None, None);
+    loop {
+        for effect in effects.drain(..) {
+            let at = match effect {
+                Effect::WakeAgentAt(at) | Effect::InstallTickAt(at) => at,
+                Effect::ToController { at, .. } | Effect::EmitFrame { at, .. } => at,
+            };
+            arrivals += 1;
+            due.insert((at, arrivals), effect);
+        }
+        if let (Some(reply), Some(commit)) = (reply, commit) {
+            return (reply, commit);
+        }
+        let ((at, _), effect) = due.pop_first().expect("the switch went idle");
+        match effect {
+            Effect::WakeAgentAt(_) => effects = sw.agent_step(at),
+            Effect::InstallTickAt(_) => {
+                commit = Some(at);
+                effects = sw.install_tick(at);
+            }
+            Effect::ToController {
+                msg: OfMessage::BarrierReply,
+                ..
+            } => reply = Some(at),
+            _ => {}
+        }
+    }
+}
+
+/// HP 5406zl answers barriers before its TCAM commits (\[16\]): sent
+/// straight to the switch, a barrier's reply comes before the commit of the
+/// FlowMod before it. Through the proxy the controller's barrier is the
+/// proxy's: its reply waits for the acks before it (checked in
+/// [`acl_script_over_tcp`]), and the run prints how many replies still came
+/// before a commit. An ack that comes early (an optimistic one, which does
+/// not wait for the switch's claim yet: ROADMAP item 3(b)) lets one, so the
+/// count is printed, not bounded.
 #[test]
 fn acl_script_over_tcp_on_hp5406zl_barriers_lie() {
-    assert!(acl_script_over_tcp(SwitchProfile::hp5406zl()).early_barriers > 0);
+    let (reply, commit) = barrier_reply_and_commit(SwitchProfile::hp5406zl());
+    assert!(
+        reply < commit,
+        "replied at {reply} ns, committed at {commit} ns"
+    );
+    acl_script_over_tcp(SwitchProfile::hp5406zl());
 }
 
-/// Pica8 answers barriers early and reorders installs by priority.
+/// Pica8 answers barriers early and reorders installs by priority: the
+/// same, on its profile. Its silence-confirmed acks come early too (ROADMAP
+/// item 2(b)), and with them some replies: printed, not bounded.
 #[test]
 fn acl_script_over_tcp_on_pica8_barriers_lie() {
-    assert!(acl_script_over_tcp(SwitchProfile::pica8()).early_barriers > 0);
+    let (reply, commit) = barrier_reply_and_commit(SwitchProfile::pica8());
+    assert!(
+        reply < commit,
+        "replied at {reply} ns, committed at {commit} ns"
+    );
+    acl_script_over_tcp(SwitchProfile::pica8());
 }
 
 /// HP 5406zl's agent takes a FlowMod in 3.3 ms, so with eight updates
