@@ -11,12 +11,17 @@ cargo build --release --workspace --all-targets
 echo "== tests =="
 cargo test -q --workspace
 
-echo "== deeper property pass: engine eviction, the Hidden oracle, the encoding oracle, table upkeep, the wire codec =="
-# Tier-1 runs these properties at 40-128 cases; the eviction predicate, the
-# header-space oracle for Hidden and the ITE-chain encoding the encoder must
-# agree with get a thousand here (a few seconds in release).
+echo "== deeper property pass: engine eviction, the Hidden oracle, the encoding oracles, the solver, table upkeep, the wire codec =="
+# Tier-1 runs these properties at 40-256 cases; the eviction predicate, the
+# header-space oracle for Hidden, the ITE-chain encoding and the full
+# Tseitin definitions the encoder must agree with get a thousand here (a few
+# seconds in release).
 PROPTEST_CASES=1000 cargo test --release -q --test prop_engine --test prop_probe
 PROPTEST_CASES=1000 cargo test --release -q -p monocle --lib encode::tests
+# The solver against DPLL and brute force, and one solver reused across a
+# random run of formulas (budget-exhausted ones among them) against a fresh
+# solver per formula: the same answers, models and search.
+PROPTEST_CASES=1000 cargo test --release -q -p monocle_sat --test prop_sat
 # The table's maintained fingerprint, change log and per-field care counts
 # against their from-scratch recomputations, after every random mutation.
 PROPTEST_CASES=1000 cargo test --release -q -p monocle_openflow --test prop_fingerprint

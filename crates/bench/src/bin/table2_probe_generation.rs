@@ -183,9 +183,13 @@ fn write_json(path: &str, datasets: &[DatasetResult]) {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"table2_probe_generation\",\n");
     out.push_str(
-        "  \"notes\": \"the engine arms share the stateless arm's encoder and one-shot solver: \
-         engine-batch is the plan cache and the guess-and-verify fast path in front of the same \
-         per-rule generation\",\n",
+        "  \"notes\": \"the engine arms share the stateless arm's encoder: engine-batch is the \
+         plan cache and the guess-and-verify fast path in front of the same per-rule generation, \
+         its instances solved on the one solver the engine keeps where stateless makes a solver \
+         per call; a solver sizes its clause arena from each formula at load, so arena_reallocs \
+         (arena growths) is one per solve on the stateless arm and near 0 on the engine arm, \
+         whose arena grows only past the batch's largest instance so far; clauses counts the \
+         clauses encoded for the first solve of each instance\",\n",
     );
     out.push_str("  \"datasets\": [\n");
     for (di, d) in datasets.iter().enumerate() {
@@ -206,7 +210,7 @@ fn write_json(path: &str, datasets: &[DatasetResult]) {
                 "        {{\"label\": \"{}\", \"total_s\": {:.6}, \"avg_ms\": {:.6}, \
                  \"max_ms\": {:.6}, \"found\": {}, \"total\": {}, \"solver_calls\": {}, \
                  \"cache_hits\": {}, \"cache_misses\": {}, \"fast_path_hits\": {}, \
-                 \"instances_built\": {}, \
+                 \"instances_built\": {}, \"clauses\": {}, \
                  \"solver_propagations\": {}, \"arena_bytes\": {}, \
                  \"arena_reallocs\": {}}}{}\n",
                 json_escape_free(a.label),
@@ -220,6 +224,7 @@ fn write_json(path: &str, datasets: &[DatasetResult]) {
                 a.stats.cache_misses,
                 a.stats.fast_path_hits,
                 a.stats.instances_built,
+                a.stats.clauses,
                 a.stats.solver_propagations,
                 a.stats.arena_bytes,
                 a.stats.arena_reallocs,

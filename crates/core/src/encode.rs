@@ -15,14 +15,26 @@
 //! is not the encoder because it is slower on both Table 2 datasets (the
 //! README's "SAT engine internals" has the numbers).
 //!
+//! Each `m_j ⇔ Matches(P, L_j)` is defined under the probed rule's cube:
+//! Hit pins every bit the probed rule cares about with a unit clause, and a
+//! relevant rule agrees with it on those bits, so only the bits `L_j` cares
+//! about and the probed rule leaves free are encoded. A definition over all
+//! of `L_j`'s bits is the tests' oracle: it allocates the same variables, and
+//! the clauses it adds beyond the cube's are the ones the solver drops at
+//! load as satisfied by the units, so both lead the solver through the same
+//! search.
+//!
 //! [`build_instance`] is the only encoder and keeps nothing between calls:
 //! stateless generation and the [`crate::engine::ProbeEngine`] both build
-//! one fresh instance per solve through it (§5.3–5.4).
+//! one fresh instance per probed rule through it (§5.3–5.4). Every solve of
+//! a rule is of that instance: its Hit + Collect prefix
+//! ([`Instance::hit_end`]) classifies an UNSAT answer (§3.5), and the §5.2
+//! domain-strengthened re-solve adds its clauses to it.
 
 use crate::outcome::{BitCondition, OutcomeDiff};
 use monocle_openflow::headerspace::HEADER_BITS;
-use monocle_openflow::{Field, FlowTable, Forwarding, Rule, Ternary};
-use monocle_sat::{Cnf, Lit};
+use monocle_openflow::{Field, FlowTable, Forwarding, HeaderVec, Rule, Ternary};
+use monocle_sat::{Cnf, CnfMark, Lit};
 
 /// Collection pins: exact values the probe must carry so the downstream
 /// catching rule (and only it) matches — plus the ingress port the prober
@@ -82,6 +94,10 @@ pub enum BuildError {
 pub struct Instance {
     /// The CNF over header-bit variables (1..=257) and auxiliaries.
     pub cnf: Cnf,
+    /// Where the Hit + Collect clauses end: truncated to this mark, `cnf`
+    /// asks whether any packet under the catch pins reaches the probed rule
+    /// at all, which is how an UNSAT instance is classified (§3.5).
+    pub hit_end: CnfMark,
     /// True when distinguishing relies on the §3.4 counting exception for
     /// at least one alternative outcome.
     pub uses_counting: bool,
@@ -96,35 +112,30 @@ pub fn relevant_rules<'a>(table: &'a FlowTable, probed: &Rule) -> Vec<&'a Rule> 
     table.overlapping_excluding(&probed.tern, probed.id)
 }
 
+/// Calls `f` with the literal "header bit `i` equals `value`'s bit `i`" for
+/// every bit `i` of `bits`, in bit order. Walks whole words.
+#[inline]
+fn for_each_bit_lit(bits: &HeaderVec, value: &HeaderVec, mut f: impl FnMut(Lit)) {
+    for (w, (&word, &val)) in bits.0.iter().zip(&value.0).enumerate() {
+        let mut word = word;
+        while word != 0 {
+            let b = word.trailing_zeros();
+            let var = (w * 64) as Lit + b as Lit + 1;
+            f(if val >> b & 1 == 1 { var } else { -var });
+            word &= word - 1;
+        }
+    }
+}
+
 /// Pushes unit clauses for every cared bit of `tern`.
 fn push_units(cnf: &mut Cnf, tern: &Ternary) {
-    for bit in tern.care.iter_ones() {
-        let var = (bit + 1) as Lit;
-        cnf.add_clause(&[if tern.value.get(bit) { var } else { -var }]);
-    }
+    for_each_bit_lit(&tern.care, &tern.value, |l| cnf.add_clause(&[l]));
 }
 
-/// The single clause `!Matches(P, H)` given the probed rule's pins: a
-/// disjunction of bit-mismatch literals over bits `H` cares about but the
-/// probed rule does not. Returns `None` when the clause would be empty
-/// (i.e. `H` subsumes the probed rule: shadowed).
-fn not_matches_clause(h: &Ternary, probed: &Ternary) -> Option<Vec<Lit>> {
-    let mut clause = Vec::new();
-    let free = h.care.and(&probed.care.not());
-    for bit in free.iter_ones() {
-        let var = (bit + 1) as Lit;
-        clause.push(if h.value.get(bit) { -var } else { var });
-    }
-    if clause.is_empty() {
-        None
-    } else {
-        Some(clause)
-    }
-}
-
-/// Pushes the Collect constraint: unit clauses for every catch pin.
-fn push_pins(cnf: &mut Cnf, catch: &CatchSpec) {
-    for (field, value) in catch.all_pins() {
+/// Pushes the Collect constraint: unit clauses for every catch pin (`pins`
+/// as [`CatchSpec::all_pins`] lists them).
+fn push_pins(cnf: &mut Cnf, pins: &[(Field, u64)]) {
+    for &(field, value) in pins {
         let off = field.offset();
         for i in 0..field.width() {
             let var = (off + i + 1) as Lit;
@@ -138,22 +149,27 @@ fn push_pins(cnf: &mut Cnf, catch: &CatchSpec) {
 /// spec, footnote 1, so those are conservatively avoided too) and returns
 /// the lower-priority rules in table order. `Shadowed` when some higher
 /// rule fully covers the probed one.
+///
+/// The avoid clause of `H` is `!Matches(P, H)` under the probed rule's
+/// pins: a bit-mismatch literal for every bit `H` cares about and the probed
+/// rule leaves `open`. None means `H` subsumes the probed rule.
 fn push_hit_avoid<'a>(
     cnf: &mut Cnf,
     relevant: &[&'a Rule],
     probed: &Rule,
+    open: &HeaderVec,
 ) -> Result<Vec<&'a Rule>, BuildError> {
     let mut lower: Vec<&Rule> = Vec::new();
     for &r in relevant {
         if r.priority >= probed.priority {
-            match not_matches_clause(&r.tern, &probed.tern) {
-                Some(clause) => cnf.add_clause(&clause),
-                None => {
-                    return Err(BuildError::Shadowed {
-                        by_priority: r.priority,
-                    })
-                }
+            let free = r.tern.care.and(open);
+            if free.is_zero() {
+                return Err(BuildError::Shadowed {
+                    by_priority: r.priority,
+                });
             }
+            for_each_bit_lit(&free, &r.tern.value, |l| cnf.push_lit(-l));
+            cnf.end_clause();
         } else {
             lower.push(r);
         }
@@ -247,25 +263,29 @@ fn emit_distinguish_implication(cnf: &mut Cnf, match_lits: &[Option<Lit>], diffs
     }
 }
 
-/// `m ⇔ Matches(P, L)` over L's cared bits; `None` means constant true
-/// (match-anything rule).
-fn define_matches(cnf: &mut Cnf, tern: &Ternary) -> Option<Lit> {
-    let mut lits = Vec::new();
-    for bit in tern.care.iter_ones() {
-        let var = (bit + 1) as Lit;
-        lits.push(if tern.value.get(bit) { var } else { -var });
-    }
-    match lits.len() {
+/// `m ⇔ Matches(P, L)` under the probed rule's cube: a relevant `L`
+/// overlaps the probed rule, so the bits both care about agree and the
+/// probed rule's unit clauses make them true; only the bits `L` cares about
+/// and the probed rule leaves `open` are encoded. `m` is allocated in the
+/// cases a definition over every bit `L` cares about allocates it (two or
+/// more), so the variables are numbered alike and, once the solver has
+/// dropped what the units satisfy, the two load the same clauses. `None`
+/// means constant true (match-anything rule).
+fn define_matches(cnf: &mut Cnf, tern: &Ternary, open: &HeaderVec) -> Option<Lit> {
+    match tern.care.count_ones() {
         0 => None,
-        1 => Some(lits[0]),
+        1 => {
+            let mut lit = 0;
+            for_each_bit_lit(&tern.care, &tern.value, |l| lit = l);
+            Some(lit)
+        }
         _ => {
+            let free = tern.care.and(open);
             let m = cnf.fresh_var() as Lit;
-            for &l in &lits {
-                cnf.add_clause(&[-m, l]);
-            }
-            let mut long: Vec<Lit> = lits.iter().map(|&l| -l).collect();
-            long.push(m);
-            cnf.add_clause(&long);
+            for_each_bit_lit(&free, &tern.value, |l| cnf.add_clause(&[-m, l]));
+            for_each_bit_lit(&free, &tern.value, |l| cnf.push_lit(-l));
+            cnf.push_lit(m);
+            cnf.end_clause();
             Some(m)
         }
     }
@@ -297,67 +317,81 @@ pub fn build_instance(
     probed: &Rule,
     catch: &CatchSpec,
 ) -> Result<Instance, BuildError> {
-    check_catch_pins(probed, &catch.all_pins())?;
+    build_instance_with(table, probed, catch, define_matches)
+}
+
+/// [`build_instance`] with `define` as the `m ⇔ Matches(P, L)` encoder
+/// (given `L` and the bits the probed rule leaves open): the tests hand it
+/// the definition over every bit `L` cares about.
+fn build_instance_with(
+    table: &FlowTable,
+    probed: &Rule,
+    catch: &CatchSpec,
+    mut define: impl FnMut(&mut Cnf, &Ternary, &HeaderVec) -> Option<Lit>,
+) -> Result<Instance, BuildError> {
+    let pins = catch.all_pins();
+    check_catch_pins(probed, &pins)?;
 
     let relevant = relevant_rules(table, probed);
-    let mut cnf = Cnf::with_capacity(64 + relevant.len() * 8);
+    let open = probed.tern.care.not();
+    // Literal slots, terminators included: two per unit clause; per higher
+    // rule its open bits and a terminator (the avoid clause); per lower rule
+    // its open bits four times over (the definition's binaries and its long
+    // clause) plus a few for their ends and its Distinguish clause.
+    let unit_bits = probed.tern.care.count_ones() as usize
+        + pins.iter().map(|&(f, _)| f.width()).sum::<usize>();
+    let rule_lits: usize = relevant
+        .iter()
+        .map(|r| {
+            let free = r.tern.care.and(&open).count_ones() as usize;
+            if r.priority >= probed.priority {
+                free + 1
+            } else {
+                4 * free + 8
+            }
+        })
+        .sum();
+    let mut cnf = Cnf::with_capacity(2 * unit_bits + rule_lits + 16);
     cnf.grow_vars(HEADER_BITS as u32);
 
     // ---- Hit: match the probed rule, carry the Collect pins, avoid all
     // higher-priority overlapping rules. ----
     push_units(&mut cnf, &probed.tern);
-    push_pins(&mut cnf, catch);
-    let lower = push_hit_avoid(&mut cnf, &relevant, probed)?;
+    push_pins(&mut cnf, &pins);
+    let lower = push_hit_avoid(&mut cnf, &relevant, probed, &open)?;
+    let hit_end = cnf.mark();
 
     // ---- Distinguish over lower-priority rules + virtual table miss. ----
     let miss = Forwarding::drop();
-    let mut uses_counting = false;
     let diffs: Vec<OutcomeDiff> = lower
         .iter()
         .map(|l| OutcomeDiff::compute(&probed.fwd, &l.fwd))
         .chain(std::iter::once(OutcomeDiff::compute(&probed.fwd, &miss)))
         .collect();
-    for d in &diffs {
-        if d.needs_counting() {
-            uses_counting = true;
-        }
-    }
+    let uses_counting = diffs.iter().any(OutcomeDiff::needs_counting);
 
-    // m_j literals, computed lazily in order.
     let match_lits: Vec<Option<Lit>> = lower
         .iter()
-        .map(|l| define_matches(&mut cnf, &l.tern))
+        .map(|l| {
+            debug_assert!(l.tern.overlaps(&probed.tern), "relevant rules overlap");
+            define(&mut cnf, &l.tern, &open)
+        })
         .collect();
     emit_distinguish_implication(&mut cnf, &match_lits, &diffs);
 
     Ok(Instance {
         cnf,
+        hit_end,
         uses_counting,
         relevant_rules: relevant.len(),
     })
-}
-
-/// Builds only Hit + Collect (used to classify UNSAT results: if this
-/// sub-instance is already unsatisfiable the rule is hidden/conflicting;
-/// otherwise it is indistinguishable, §3.5).
-pub fn build_hit_only(
-    table: &FlowTable,
-    probed: &Rule,
-    catch: &CatchSpec,
-) -> Result<Cnf, BuildError> {
-    let mut cnf = Cnf::new();
-    cnf.grow_vars(HEADER_BITS as u32);
-    push_units(&mut cnf, &probed.tern);
-    push_pins(&mut cnf, catch);
-    push_hit_avoid(&mut cnf, &relevant_rules(table, probed), probed)?;
-    Ok(cnf)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use monocle_openflow::{Action, FlowTable, Match};
-    use monocle_sat::{solve, SatResult};
+    use monocle_sat::{solve, CdclSolver, SatResult, SolverStats};
 
     fn table_from(rules: Vec<(u16, Match, Vec<Action>)>) -> FlowTable {
         let mut t = FlowTable::new();
@@ -635,11 +669,69 @@ mod tests {
             (10, Match::any(), vec![Action::Output(1)]),
         ]);
         let probed = t.rules().iter().find(|r| r.priority == 20).unwrap();
-        // Full instance: UNSAT (indistinguishable); hit-only: SAT.
-        let full = build_instance(&t, probed, &CatchSpec::default()).unwrap();
-        assert_eq!(solve(&full.cnf), SatResult::Unsat);
-        let hit = build_hit_only(&t, probed, &CatchSpec::default()).unwrap();
-        assert!(solve(&hit).is_sat());
+        // Full instance: UNSAT (indistinguishable); its Hit + Collect
+        // prefix, the hit-only instance: SAT.
+        let mut inst = build_instance(&t, probed, &CatchSpec::default()).unwrap();
+        assert_eq!(solve(&inst.cnf), SatResult::Unsat);
+        inst.cnf.truncate(inst.hit_end);
+        assert_eq!(
+            inst.cnf,
+            build_hit_only(&t, probed, &CatchSpec::default()).unwrap()
+        );
+        assert!(solve(&inst.cnf).is_sat());
+    }
+
+    /// Hit + Collect alone, built on its own: what an instance's prefix up
+    /// to [`Instance::hit_end`] must be, and the ITE oracle's first half.
+    fn build_hit_only(
+        table: &FlowTable,
+        probed: &Rule,
+        catch: &CatchSpec,
+    ) -> Result<Cnf, BuildError> {
+        let mut cnf = Cnf::new();
+        cnf.grow_vars(HEADER_BITS as u32);
+        push_units(&mut cnf, &probed.tern);
+        push_pins(&mut cnf, &catch.all_pins());
+        let open = probed.tern.care.not();
+        push_hit_avoid(&mut cnf, &relevant_rules(table, probed), probed, &open)?;
+        Ok(cnf)
+    }
+
+    /// `m ⇔ Matches(P, L)` over every bit `L` cares about, the probed
+    /// rule's own bits included: the definition [`define_matches`] must
+    /// agree with, and the ITE oracle's.
+    fn define_matches_full(cnf: &mut Cnf, tern: &Ternary) -> Option<Lit> {
+        let mut lits = Vec::new();
+        for bit in tern.care.iter_ones() {
+            let var = (bit + 1) as Lit;
+            lits.push(if tern.value.get(bit) { var } else { -var });
+        }
+        match lits.len() {
+            0 => None,
+            1 => Some(lits[0]),
+            _ => {
+                let m = cnf.fresh_var() as Lit;
+                for &l in &lits {
+                    cnf.add_clause(&[-m, l]);
+                }
+                let mut long: Vec<Lit> = lits.iter().map(|&l| -l).collect();
+                long.push(m);
+                cnf.add_clause(&long);
+                Some(m)
+            }
+        }
+    }
+
+    /// The instance with every `Matches(P, L)` defined over all of `L`'s
+    /// bits.
+    fn build_instance_full(
+        table: &FlowTable,
+        probed: &Rule,
+        catch: &CatchSpec,
+    ) -> Result<Instance, BuildError> {
+        build_instance_with(table, probed, catch, |cnf, l, _| {
+            define_matches_full(cnf, l)
+        })
     }
 
     /// The instance [`build_instance`] emits and the ITE oracle's, labelled.
@@ -718,6 +810,47 @@ mod tests {
                 prop_assert_eq!(imp, ite, "encodings disagree on {:?}", rule.match_);
             }
         }
+
+        /// On every rule of a random table, under a random catch spec, the
+        /// instance with each `Matches(P, L)` defined under the probed
+        /// rule's cube and the one defined over all of `L`'s bits number
+        /// their variables alike, lead the solver through the same search
+        /// to the same answer, model included, and the cube's has no more
+        /// clauses. Their Hit + Collect prefixes are the same clauses.
+        #[test]
+        fn the_cube_instance_solves_as_the_full_one(
+            table in arb_table(),
+            vlan in prop::option::of(0u64..4),
+        ) {
+            let catch = vlan.map(|v| CatchSpec::tag(Field::DlVlan, v)).unwrap_or_default();
+            for rule in table.rules() {
+                let (cube, full) = match (
+                    build_instance(&table, rule, &catch),
+                    build_instance_full(&table, rule, &catch),
+                ) {
+                    (Ok(c), Ok(f)) => (c, f),
+                    (c, f) => {
+                        prop_assert_eq!(c.err(), f.err());
+                        continue;
+                    }
+                };
+                prop_assert_eq!(cube.cnf.num_vars(), full.cnf.num_vars());
+                prop_assert!(cube.cnf.num_clauses() <= full.cnf.num_clauses());
+                prop_assert_eq!(cube.uses_counting, full.uses_counting);
+                let a = CdclSolver::new().solve_with_stats(&cube.cnf);
+                let b = CdclSolver::new().solve_with_stats(&full.cnf);
+                prop_assert_eq!(&a.result, &b.result, "rule {:?}", rule.match_);
+                // The same loaded clauses and the same search; only when
+                // the arena grew may differ, the full instance's dropped
+                // clauses having passed through it.
+                let search = |s: SolverStats| SolverStats { arena_reallocs: 0, ..s };
+                prop_assert_eq!(search(a.stats), search(b.stats));
+                let (mut cube_hit, mut full_hit) = (cube.cnf, full.cnf);
+                cube_hit.truncate(cube.hit_end);
+                full_hit.truncate(full.hit_end);
+                prop_assert_eq!(cube_hit, full_hit);
+            }
+        }
     }
 
     /// The paper's Distinguish encoding (§5.3, Appendix B), the oracle
@@ -727,7 +860,6 @@ mod tests {
     /// with Velev's quadratic construction.
     mod ite {
         use super::*;
-        use monocle_sat::CdclSolver;
 
         /// Maximum chain length encoded directly before a postfix is folded
         /// into a fresh variable (keeps the quadratic clause count bounded).
@@ -758,7 +890,7 @@ mod tests {
                     continue;
                 }
                 let cond = condition(&mut cnf, &l.fwd);
-                match define_matches(&mut cnf, &l.tern) {
+                match define_matches_full(&mut cnf, &l.tern) {
                     Some(m) => chain.push((m, cond)),
                     None => {
                         // An always-matching rule ends the chain: it is the

@@ -20,9 +20,15 @@
 //!    solver.
 //!
 //! A rule neither layer answers goes through exactly the call stateless
-//! generation makes — one small pre-filtered instance, encoded from scratch
-//! and handed to a fresh solver, as in the paper (§5.3–5.4) — so on that
-//! path the engine's answer *is* the stateless one, header included.
+//! generation makes — one small pre-filtered instance, encoded from scratch,
+//! as in the paper (§5.3–5.4) — so on that path the engine's answer *is*
+//! the stateless one, header included. The engine solves every such
+//! instance on the one solver it keeps: a solve resets the search and loads
+//! its formula anew, so a reused solver answers exactly as the fresh one
+//! stateless generation makes per call, but its buffers stay. Within one
+//! call (a cold pass is one batch) they grow to the largest instance and are
+//! reused by every other; at the end of the call they are trimmed to about
+//! what the last instance took, so an idle engine holds little.
 //!
 //! ## Fingerprints and invalidation
 //!
@@ -98,6 +104,7 @@ use crate::generator::{self, GenStats, GeneratorConfig, ProbeError};
 use crate::plan::ProbePlan;
 use monocle_openflow::table::{fingerprint_term, IdHashMap, IdHashSet};
 use monocle_openflow::{Field, FlowMod, FlowTable, PortNo, Rule, RuleId, Ternary};
+use monocle_sat::CdclSolver;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
@@ -179,8 +186,8 @@ pub struct EngineStats {
 ///
 /// Construct one per monitored table (e.g. per [`crate::proxy::MonitorProxy`])
 /// and route all generation through it; [`crate::generator::generate_probe`]
-/// remains as the stateless one-shot path and the engine's reference
-/// semantics.
+/// remains as the stateless path (a solver of its own per call) and the
+/// engine's reference semantics.
 ///
 /// ## Equivalence invariant
 ///
@@ -212,6 +219,8 @@ pub struct ProbeEngine {
     evicted: IdHashSet<RuleId>,
     total: GenStats,
     engine_stats: EngineStats,
+    /// The solver every instance of this engine is solved on.
+    solver: CdclSolver,
 }
 
 impl Default for ProbeEngine {
@@ -233,6 +242,7 @@ impl ProbeEngine {
             evicted: IdHashSet::default(),
             total: GenStats::default(),
             engine_stats: EngineStats::default(),
+            solver: generator::probe_solver(),
         }
     }
 
@@ -308,7 +318,7 @@ impl ProbeEngine {
         let catch_k = catch_key(&pins);
         let mut st = GenStats::default();
         let res = self.generate_inner(table, id, catch, &pins, catch_k, &mut st);
-        self.total.merge(&st);
+        self.end_call(&st);
         (res, st)
     }
 
@@ -339,7 +349,7 @@ impl ProbeEngine {
             .iter()
             .map(|&id| self.generate_inner(table, id, catch, &pins, catch_k, &mut st))
             .collect();
-        self.total.merge(&st);
+        self.end_call(&st);
         (out, st)
     }
 
@@ -370,11 +380,22 @@ impl ProbeEngine {
             out.push(self.generate_inner(table, id, catch, &pins, catch_k, &mut st));
             times.push(t0.elapsed());
         }
-        self.total.merge(&st);
+        self.end_call(&st);
         (out, times, st)
     }
 
     // ---- internals -----------------------------------------------------
+
+    /// Ends a public call: adds its statistics to the engine's and trims the
+    /// solver. The instances of one call share the solver's buffers at their
+    /// largest; between calls it holds about what the last one took (a call
+    /// that solved nothing finds it trimmed already).
+    fn end_call(&mut self, st: &GenStats) {
+        self.total.merge(st);
+        if st.solver_calls > 0 {
+            self.solver.trim();
+        }
+    }
 
     /// One rule's plan: from the cache, else generated and cached. `pins`
     /// is `catch.all_pins()` and `catch_k` its [`catch_key`], both built
@@ -421,7 +442,7 @@ impl ProbeEngine {
     }
 
     fn generate_uncached(
-        &self,
+        &mut self,
         table: &FlowTable,
         probed: &Rule,
         catch: &CatchSpec,
@@ -432,7 +453,15 @@ impl ProbeEngine {
             st.fast_path_hits += 1;
             return Ok(plan);
         }
-        generator::generate_for_rule(table, probed, catch, pins, &self.cfg.gen, st)
+        generator::generate_for_rule(
+            table,
+            probed,
+            catch,
+            pins,
+            &self.cfg.gen,
+            &mut self.solver,
+            st,
+        )
     }
 
     /// Guess-and-verify: repair the probed rule's sample packet and check it
@@ -728,6 +757,35 @@ mod tests {
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a, b, "cached result must be identical");
         }
+    }
+
+    #[test]
+    fn a_solve_reuses_the_buffers_of_the_calls_earlier_ones() {
+        // Two rules the fast path cannot answer (rewrite-only differences
+        // from the default route) whose instances are of one size.
+        let tos = |i: u8| {
+            (
+                20,
+                Match::any().with_nw_src([10, 0, 0, i], 32),
+                vec![Action::SetNwTos(0x2e), Action::Output(1)],
+            )
+        };
+        let t = table_from(vec![
+            tos(1),
+            tos(2),
+            (10, Match::any(), vec![Action::Output(1)]),
+        ]);
+        let ids: Vec<RuleId> = t.rules()[..2].iter().map(|r| r.id).collect();
+        let catch = CatchSpec::default();
+        let (_, one) = ProbeEngine::default().generate_batch_with_stats(&t, &ids[..1], &catch);
+        let (_, both) = ProbeEngine::default().generate_batch_with_stats(&t, &ids, &catch);
+        assert_eq!(one.solver_calls, 1);
+        assert_eq!(both.solver_calls, 2);
+        assert!(one.arena_reallocs > 0, "a fresh engine grows its arena");
+        assert_eq!(
+            both.arena_reallocs, one.arena_reallocs,
+            "the second solve grows nothing"
+        );
     }
 
     #[test]

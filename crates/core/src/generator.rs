@@ -64,6 +64,13 @@ impl std::error::Error for ProbeError {}
 /// net).
 const CONFLICT_BUDGET: u64 = 200_000;
 
+/// A solver for probe instances: [`CONFLICT_BUDGET`] per solve. Stateless
+/// generation makes one per call; a [`crate::engine::ProbeEngine`] keeps one
+/// and solves every instance on it.
+pub(crate) fn probe_solver() -> CdclSolver {
+    CdclSolver::new().with_conflict_budget(CONFLICT_BUDGET)
+}
+
 /// Generator configuration.
 #[derive(Debug, Clone)]
 pub struct GeneratorConfig {
@@ -172,20 +179,32 @@ pub fn generate_probe_with_stats(
         .get(probed_id)
         .ok_or(ProbeError::NoSuchRule(probed_id))?;
     let mut stats = GenStats::default();
-    let plan = generate_for_rule(table, probed, catch, &catch.all_pins(), cfg, &mut stats)?;
+    let plan = generate_for_rule(
+        table,
+        probed,
+        catch,
+        &catch.all_pins(),
+        cfg,
+        &mut probe_solver(),
+        &mut stats,
+    )?;
     Ok((plan, stats))
 }
 
-/// The solver path for one rule, nothing kept between calls: encode one
-/// instance, hand it to [`solve_and_finish`]. Stateless generation is this;
-/// [`crate::engine::ProbeEngine`] puts its plan cache and fast path in front
-/// of the same call. `pins` is `catch.all_pins()`, built once by the caller.
+/// The solver path for one rule: encode one instance, hand it to
+/// [`solve_and_finish`] on `solver` (from [`probe_solver`]). Stateless
+/// generation is this on a solver of its own; [`crate::engine::ProbeEngine`]
+/// puts its plan cache and fast path in front of the same call on the
+/// solver it keeps. A solver carries nothing of one solve into the next, so
+/// both get the same answer. `pins` is `catch.all_pins()`, built once by the
+/// caller.
 pub(crate) fn generate_for_rule(
     table: &FlowTable,
     probed: &Rule,
     catch: &CatchSpec,
     pins: &[(Field, u64)],
     cfg: &GeneratorConfig,
+    solver: &mut CdclSolver,
     stats: &mut GenStats,
 ) -> Result<ProbePlan, ProbeError> {
     let inst = encode::build_instance(table, probed, catch).map_err(|e| match e {
@@ -194,32 +213,34 @@ pub(crate) fn generate_for_rule(
         BuildError::RewritesReserved(f) => ProbeError::RewritesReserved(f),
     })?;
     stats.instances_built += 1;
-    solve_and_finish(table, probed, catch, pins, cfg, inst, stats)
+    solve_and_finish(table, probed, pins, cfg, inst, solver, stats)
 }
 
 /// The post-encoding half of the §5.2 pipeline: solve `inst`, repair and
 /// verify the model, and fall back to the domain-strengthened re-solve.
+/// Every solve of it is of `inst` itself: its Hit + Collect prefix to
+/// classify an UNSAT answer, or the whole of it under domain constraints.
 fn solve_and_finish(
     table: &FlowTable,
     probed: &Rule,
-    catch: &CatchSpec,
     pins: &[(Field, u64)],
     cfg: &GeneratorConfig,
     inst: encode::Instance,
+    solver: &mut CdclSolver,
     stats: &mut GenStats,
 ) -> Result<ProbePlan, ProbeError> {
     // Accumulate (don't assign): batch callers thread one GenStats through
     // many instances.
     stats.relevant_rules += inst.relevant_rules;
     stats.clauses += inst.cnf.num_clauses();
-    let model = match solve_counted(&inst.cnf, stats) {
+    let mut cnf = inst.cnf;
+    let model = match solve_counted(solver, &cnf, stats) {
         SatResult::Sat(m) => m,
         SatResult::Unknown => return Err(ProbeError::SolverBudget),
         SatResult::Unsat => {
             // Classify: can the rule be hit at all?
-            let hit =
-                encode::build_hit_only(table, probed, catch).map_err(|_| ProbeError::Hidden)?;
-            return Err(match solve_counted(&hit, stats) {
+            cnf.truncate(inst.hit_end);
+            return Err(match solve_counted(solver, &cnf, stats) {
                 SatResult::Sat(_) => ProbeError::Indistinguishable,
                 SatResult::Unsat => ProbeError::Hidden,
                 SatResult::Unknown => ProbeError::SolverBudget,
@@ -241,12 +262,8 @@ fn solve_and_finish(
     // Attempt 3: re-solve with explicit domain constraints (§5.2's
     // small-domain alternative), then verify again.
     stats.strengthened = true;
-    let mut cnf = match encode::build_instance(table, probed, catch) {
-        Ok(i) => i.cnf,
-        Err(_) => return Err(ProbeError::RepairFailed),
-    };
     add_domain_constraints(&mut cnf, table, pins, cfg);
-    match solve_counted(&cnf, stats) {
+    match solve_counted(solver, &cnf, stats) {
         SatResult::Sat(m) => finish(table, probed, pins, model_to_header(&m))
             .map(|(plan, _)| plan)
             .ok_or(ProbeError::RepairFailed),
@@ -255,12 +272,10 @@ fn solve_and_finish(
     }
 }
 
-/// One solve on a fresh, budgeted solver, counted into `stats` whatever the
-/// answer: per-solve averages must cover UNSAT and budget-exhausted solves.
-fn solve_counted(cnf: &Cnf, stats: &mut GenStats) -> SatResult {
-    let out = CdclSolver::new()
-        .with_conflict_budget(CONFLICT_BUDGET)
-        .solve_with_stats(cnf);
+/// One solve, counted into `stats` whatever the answer: per-solve averages
+/// must cover UNSAT and budget-exhausted solves.
+fn solve_counted(solver: &mut CdclSolver, cnf: &Cnf, stats: &mut GenStats) -> SatResult {
+    let out = solver.solve_with_stats(cnf);
     stats.solver_calls += 1;
     stats.conflicts += out.stats.conflicts;
     stats.solver_propagations += out.stats.propagations;
@@ -680,10 +695,19 @@ mod tests {
             generate_probe(&t, probed.id, &catch, &cfg()).unwrap_err(),
             ProbeError::Indistinguishable
         );
-        // Both solves behind it are counted, with the work they did.
+        // Both solves behind it, of the instance and then of its Hit +
+        // Collect prefix, are counted with the work they did.
         let inst = encode::build_instance(&t, probed, &catch).unwrap();
         let mut stats = GenStats::default();
-        let res = solve_and_finish(&t, probed, &catch, &[], &cfg(), inst, &mut stats);
+        let res = solve_and_finish(
+            &t,
+            probed,
+            &[],
+            &cfg(),
+            inst,
+            &mut probe_solver(),
+            &mut stats,
+        );
         assert_eq!(res.unwrap_err(), ProbeError::Indistinguishable);
         assert_eq!(stats.solver_calls, 2);
         assert!(stats.solver_propagations > 0);

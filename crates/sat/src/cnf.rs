@@ -16,6 +16,15 @@ pub type Var = u32;
 /// never a valid literal.
 pub type Lit = i32;
 
+/// A point in a [`Cnf`]'s clause sequence, taken with [`Cnf::mark`], that
+/// [`Cnf::truncate`] rolls the formula back to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CnfMark {
+    lits: usize,
+    num_vars: Var,
+    num_clauses: usize,
+}
+
 /// Clause database in flat DIMACS layout.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Cnf {
@@ -120,6 +129,24 @@ impl Cnf {
         self.num_clauses += 1;
     }
 
+    /// The formula as it stands: its clauses and its variable count.
+    pub fn mark(&self) -> CnfMark {
+        CnfMark {
+            lits: self.data.len(),
+            num_vars: self.num_vars,
+            num_clauses: self.num_clauses,
+        }
+    }
+
+    /// Drops every clause and variable added since `mark` was taken, leaving
+    /// the formula exactly as it was then.
+    pub fn truncate(&mut self, mark: CnfMark) {
+        debug_assert!(mark.lits <= self.data.len() && mark.num_vars <= self.num_vars);
+        self.data.truncate(mark.lits);
+        self.num_vars = mark.num_vars;
+        self.num_clauses = mark.num_clauses;
+    }
+
     /// Iterator over clauses as literal slices (terminators stripped).
     pub fn clauses(&self) -> ClauseIter<'_> {
         ClauseIter {
@@ -212,6 +239,20 @@ mod tests {
         assert!(!cnf.has_empty_clause());
         cnf.add_clause(&[]);
         assert!(cnf.has_empty_clause());
+    }
+
+    #[test]
+    fn truncate_restores_the_marked_formula() {
+        let mut cnf = Cnf::new();
+        cnf.grow_vars(3);
+        cnf.add_clause(&[1, -2]);
+        let before = cnf.clone();
+        let mark = cnf.mark();
+        let v = cnf.fresh_var() as Lit;
+        cnf.add_clause(&[-v, 3]);
+        cnf.add_clause(&[v]);
+        cnf.truncate(mark);
+        assert_eq!(cnf, before);
     }
 
     #[test]

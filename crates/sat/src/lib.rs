@@ -26,7 +26,7 @@ pub mod cnf;
 pub mod dpll;
 pub mod solver;
 
-pub use cnf::{Cnf, Lit, Var};
+pub use cnf::{Cnf, CnfMark, Lit, Var};
 pub use dpll::DpllSolver;
 pub use solver::{CdclSolver, SolveOutcome, SolverStats};
 

@@ -9,10 +9,13 @@
 //! clause deletion. No preprocessing is performed; the encoder already emits
 //! compact clauses.
 //!
-//! The solver is one-shot: [`CdclSolver::solve`] /
-//! [`CdclSolver::solve_with_stats`] reset the solver, load the given [`Cnf`]
-//! and search. Probe generation builds one small, pre-filtered instance per
-//! probed rule (§5.3–5.4) and hands each to a fresh solver.
+//! Every [`CdclSolver::solve`] / [`CdclSolver::solve_with_stats`] call resets
+//! the solver, loads the given [`Cnf`] and searches: nothing of one call's
+//! search reaches the next, so a solver reused across formulas answers each
+//! exactly as a fresh one would, while keeping its buffers (clause arena,
+//! watch lists, heap). Probe generation builds one small, pre-filtered
+//! instance per probed rule (§5.3–5.4); the probe engine solves all of its
+//! instances on one solver.
 //!
 //! **Clause storage (arena).** Clauses live in one flat `u32` arena: a
 //! 2-word header (length + flags, activity) followed by the literals, and
@@ -83,6 +86,14 @@ fn lit_value(assigns: &[LBool], l: ILit) -> LBool {
                 LBool::False
             }
         }
+    }
+}
+
+/// Shrinks `v` to twice its length when it holds more than four times that
+/// (and more than a few cache lines' worth).
+fn trim_vec<T>(v: &mut Vec<T>) {
+    if v.capacity() > 4 * v.len() + 16 {
+        v.shrink_to(2 * v.len());
     }
 }
 
@@ -223,8 +234,13 @@ struct ActivityHeap {
 }
 
 impl ActivityHeap {
-    fn resize(&mut self, n: usize) {
-        self.index.resize(n, usize::MAX);
+    /// Holds every variable of `0..n`, all of one activity, in the order
+    /// inserting them one by one leaves: ascending.
+    fn reset(&mut self, n: usize) {
+        self.heap.clear();
+        self.heap.extend(0..n as u32);
+        self.index.clear();
+        self.index.extend(0..n);
     }
 
     fn contains(&self, v: u32) -> bool {
@@ -393,6 +409,13 @@ impl CdclSolver {
     /// tail and simplified in place there — no per-clause staging `Vec`.
     fn load_cnf(&mut self, cnf: &Cnf) {
         let raw = cnf.raw();
+        // A clause's slot is its literals plus a header, and `raw` holds
+        // each clause's literals plus a terminator: this much room holds
+        // every clause, so loading grows the arena at most once, to the
+        // formula's size.
+        let words = raw.len() + (HEADER_WORDS - 1) * cnf.num_clauses();
+        self.arena.note_growth(words);
+        self.arena.data.reserve_exact(words);
         let mut pos = 0usize;
         while pos < raw.len() && self.ok {
             let start = pos;
@@ -505,11 +528,31 @@ impl CdclSolver {
         }
     }
 
+    /// Sizes the clause arena and the watch lists from the latest solve:
+    /// one holding more than four times what that solve left in it is cut
+    /// to twice that. Between solves a reused solver keeps every buffer at
+    /// its largest instance's size; a caller done with a run of instances
+    /// calls this so that it holds about what the last one took.
+    pub fn trim(&mut self) {
+        trim_vec(&mut self.arena.data);
+        for ws in &mut self.watches {
+            trim_vec(ws);
+        }
+    }
+
+    /// Empties the solver for a formula over `num_vars` variables. Every
+    /// buffer keeps its allocation, the watch lists theirs too (a list past
+    /// `2 * num_vars` stays, empty), so a solver reused across instances
+    /// allocates only where one outgrows every instance before it.
     fn reset(&mut self, num_vars: usize) {
         self.num_vars = num_vars;
         self.arena.reset();
-        self.watches.clear();
-        self.watches.resize(2 * num_vars, Vec::new());
+        for ws in &mut self.watches {
+            ws.clear();
+        }
+        if self.watches.len() < 2 * num_vars {
+            self.watches.resize_with(2 * num_vars, Vec::new);
+        }
         self.assigns.clear();
         self.assigns.resize(num_vars, LBool::Undef);
         self.level.clear();
@@ -523,11 +566,7 @@ impl CdclSolver {
         self.activity.resize(num_vars, 0.0);
         self.var_inc = 1.0;
         self.cla_inc = 1.0;
-        self.heap = ActivityHeap::default();
-        self.heap.resize(num_vars);
-        for v in 0..num_vars as u32 {
-            self.heap.insert(v, &self.activity);
-        }
+        self.heap.reset(num_vars);
         self.phase.clear();
         self.phase.resize(num_vars, false);
         self.seen.clear();
@@ -811,7 +850,7 @@ impl CdclSolver {
         let dropped: std::collections::HashSet<CRef> = removable.into_iter().collect();
 
         let old = std::mem::take(&mut self.arena.data);
-        self.arena.data.reserve(old.len());
+        self.arena.data.reserve(old.capacity());
         for ws in &mut self.watches {
             ws.clear();
         }
@@ -1165,6 +1204,43 @@ mod tests {
             SatResult::Unsat,
             "adjacent nodes must not share a color"
         );
+    }
+
+    /// A formula whose load leaves `n` binary clauses in the arena:
+    /// `(x_i | x_{i+1})` for `i < n`.
+    fn binary_chain(n: i32) -> Cnf {
+        let mut cnf = Cnf::new();
+        for v in 1..=n {
+            cnf.add_clause(&[v, v + 1]);
+        }
+        cnf
+    }
+
+    #[test]
+    fn a_solver_grows_once_per_size_and_trims_to_its_latest_formula() {
+        let (big, small) = (binary_chain(4000), binary_chain(3));
+        let mut s = CdclSolver::new();
+        // The arena is sized from the formula at load: one growth, and none
+        // for a formula it has already held.
+        assert_eq!(s.solve_with_stats(&big).stats.arena_reallocs, 1);
+        assert_eq!(s.solve_with_stats(&big).stats.arena_reallocs, 0);
+        assert_eq!(s.solve_with_stats(&small).stats.arena_reallocs, 0);
+        let held = |s: &CdclSolver| {
+            let watched: usize = s.watches.iter().map(Vec::capacity).sum();
+            (s.arena.data.capacity(), watched)
+        };
+        let (arena, watched) = held(&s);
+        assert!(arena >= 4 * 4000 && watched >= 2 * 4000);
+        // Trimmed after the small formula: about what it took.
+        s.trim();
+        let (arena, watched) = held(&s);
+        assert!(arena <= 2 * 4 * 3, "arena kept {arena} words");
+        assert!(
+            watched <= 16 * s.watches.len(),
+            "watch lists kept {watched}"
+        );
+        // And the trimmed solver still answers as a fresh one.
+        assert_eq!(s.solve(&big), CdclSolver::new().solve(&big));
     }
 
     proptest! {

@@ -1,8 +1,9 @@
 //! Property-based tests for the SAT toolkit: differential testing of the
-//! CDCL solver against the DPLL reference and a brute-force oracle, and model
-//! validity.
+//! CDCL solver against the DPLL reference and a brute-force oracle, model
+//! validity, and one solver reused across formulas against a fresh solver
+//! per formula.
 
-use monocle_sat::{solve, CdclSolver, Cnf, DpllSolver, SatResult};
+use monocle_sat::{solve, CdclSolver, Cnf, DpllSolver, SatResult, SolveOutcome, SolverStats};
 use proptest::prelude::*;
 
 /// Generates a random CNF with up to `max_vars` variables and `max_clauses`
@@ -20,6 +21,42 @@ fn arb_cnf(max_vars: u32, max_clauses: usize) -> impl Strategy<Value = Cnf> {
         }
         cnf
     })
+}
+
+/// Pigeonhole PHP(holes + 1, holes): UNSAT, and past a handful of holes more
+/// conflicts than a small budget allows.
+fn pigeonhole(holes: u32) -> Cnf {
+    let var = |p: u32, h: u32| (p * holes + h + 1) as i32;
+    let mut cnf = Cnf::new();
+    for p in 0..=holes {
+        cnf.add_clause(&(0..holes).map(|h| var(p, h)).collect::<Vec<_>>());
+    }
+    for h in 0..holes {
+        for p1 in 0..=holes {
+            for p2 in p1 + 1..=holes {
+                cnf.add_clause(&[-var(p1, h), -var(p2, h)]);
+            }
+        }
+    }
+    cnf
+}
+
+/// A formula of a reuse sequence: mostly random, at times a pigeonhole that
+/// a small budget cannot finish.
+fn arb_formula() -> impl Strategy<Value = Cnf> {
+    prop_oneof![
+        4 => arb_cnf(16, 60),
+        1 => (2u32..=6).prop_map(pigeonhole),
+    ]
+}
+
+/// The counters a solve reports, less the arena's growth events: a reused
+/// solver's buffers are already grown, which is the point of reusing it.
+fn search_stats(out: &SolveOutcome) -> SolverStats {
+    SolverStats {
+        arena_reallocs: 0,
+        ..out.stats
+    }
 }
 
 /// Brute force oracle: tries all 2^n assignments.
@@ -80,6 +117,43 @@ proptest! {
         let b = CdclSolver::new().solve(&cnf);
         prop_assert_eq!(a, b);
     }
+
+    /// One solver reused across a sequence of formulas of varying sizes
+    /// answers each exactly as a fresh solver does: the same result, model
+    /// included, after the same search, with the conflict budget applying
+    /// to each call on its own, a call right after a budget-exhausted one
+    /// included.
+    #[test]
+    fn a_reused_solver_answers_as_a_fresh_one(
+        formulas in prop::collection::vec(arb_formula(), 1..12),
+        budget in prop_oneof![Just(None), (1u64..40).prop_map(Some)],
+    ) {
+        let solver = || match budget {
+            Some(b) => CdclSolver::new().with_conflict_budget(b),
+            None => CdclSolver::new(),
+        };
+        let mut reused = solver();
+        for (i, cnf) in formulas.iter().enumerate() {
+            let fresh = solver().solve_with_stats(cnf);
+            let again = reused.solve_with_stats(cnf);
+            prop_assert_eq!(&again.result, &fresh.result, "formula {}", i);
+            prop_assert_eq!(search_stats(&again), search_stats(&fresh), "formula {}", i);
+        }
+    }
+}
+
+#[test]
+fn a_reused_solver_gets_its_budget_back_after_exhausting_it() {
+    let mut reused = CdclSolver::new().with_conflict_budget(30);
+    let mut easy = Cnf::new();
+    easy.add_clause(&[1, 2]);
+    easy.add_clause(&[-1]);
+    for cnf in [pigeonhole(6), pigeonhole(3), pigeonhole(6), easy] {
+        let fresh = CdclSolver::new().with_conflict_budget(30).solve(&cnf);
+        assert_eq!(reused.solve(&cnf), fresh);
+    }
+    assert_eq!(reused.solve(&pigeonhole(7)), SatResult::Unknown);
+    assert_eq!(reused.solve(&pigeonhole(2)), SatResult::Unsat);
 }
 
 #[test]
