@@ -18,9 +18,10 @@ echo "== deeper property pass: engine eviction, the Hidden oracle, the encoding 
 # seconds in release).
 PROPTEST_CASES=1000 cargo test --release -q --test prop_engine --test prop_probe
 PROPTEST_CASES=1000 cargo test --release -q -p monocle --lib encode::tests
-# The solver against DPLL and brute force, and one solver reused across a
-# random run of formulas (budget-exhausted ones among them) against a fresh
-# solver per formula: the same answers, models and search.
+# The solver against DPLL and brute force, on random and on encoder-shaped
+# formulas (most clauses binary), and one solver reused across a random run
+# of formulas (budget-exhausted ones among them) against a fresh solver per
+# formula: the same answers, models and search.
 PROPTEST_CASES=1000 cargo test --release -q -p monocle_sat --test prop_sat
 # The table's maintained fingerprint, change log and per-field care counts
 # against their from-scratch recomputations, after every random mutation.
@@ -171,7 +172,18 @@ echo "== perf baseline: Table 2 probe generation =="
 # Capped rule count keeps CI fast while staying above the 500-rule floor the
 # engine-vs-stateless comparison is measured at; the binary asserts engine and
 # stateless find the same probes and that the re-probe arm never solves.
+# Which probes are found and the search that finds them are deterministic:
+# the run fails unless those fields come out as committed (the timings and
+# arena gauges may move). A change that means to move them commits the new
+# file and says why.
+search_fields() {
+    grep -o '"\(name\|label\|found\|solver_calls\|instances_built\|clauses\|solver_propagations\|conflicts\)": [^,}]*' "$1"
+}
+committed_probe_generation=$(mktemp)
+search_fields BENCH_probe_generation.json > "$committed_probe_generation"
 ./target/release/table2_probe_generation --rules 600 --json BENCH_probe_generation.json
+search_fields BENCH_probe_generation.json | diff "$committed_probe_generation" -
+rm "$committed_probe_generation"
 
 echo "== perf baseline: flow-table lookup (trie vs linear) =="
 # 600 rules is the floor the trie-vs-linear acceptance criterion (>=2x on

@@ -186,10 +186,14 @@ fn write_json(path: &str, datasets: &[DatasetResult]) {
         "  \"notes\": \"the engine arms share the stateless arm's encoder: engine-batch is the \
          plan cache and the guess-and-verify fast path in front of the same per-rule generation, \
          its instances solved on the one solver the engine keeps where stateless makes a solver \
-         per call; a solver sizes its clause arena from each formula at load, so arena_reallocs \
-         (arena growths) is one per solve on the stateless arm and near 0 on the engine arm, \
-         whose arena grows only past the batch's largest instance so far; clauses counts the \
-         clauses encoded for the first solve of each instance\",\n",
+         per call; the clause arena holds clauses of three or more literals only (a binary \
+         clause lives in its two watchers), so arena_bytes is the largest solve's long clauses; \
+         a solver sizes its arena from each formula's long clauses at load, so arena_reallocs \
+         (arena growths) is one per stateless solve with a long clause and near 0 on the engine \
+         arm, whose arena grows only past the batch's largest instance so far; clauses counts \
+         the clauses encoded for the first solve of each instance; found, solver_calls, \
+         instances_built, clauses, solver_propagations and conflicts are deterministic, and \
+         ci.sh fails when they move\",\n",
     );
     out.push_str("  \"datasets\": [\n");
     for (di, d) in datasets.iter().enumerate() {
@@ -211,7 +215,7 @@ fn write_json(path: &str, datasets: &[DatasetResult]) {
                  \"max_ms\": {:.6}, \"found\": {}, \"total\": {}, \"solver_calls\": {}, \
                  \"cache_hits\": {}, \"cache_misses\": {}, \"fast_path_hits\": {}, \
                  \"instances_built\": {}, \"clauses\": {}, \
-                 \"solver_propagations\": {}, \"arena_bytes\": {}, \
+                 \"solver_propagations\": {}, \"conflicts\": {}, \"arena_bytes\": {}, \
                  \"arena_reallocs\": {}}}{}\n",
                 json_escape_free(a.label),
                 a.total_s,
@@ -226,6 +230,7 @@ fn write_json(path: &str, datasets: &[DatasetResult]) {
                 a.stats.instances_built,
                 a.stats.clauses,
                 a.stats.solver_propagations,
+                a.stats.conflicts,
                 a.stats.arena_bytes,
                 a.stats.arena_reallocs,
                 if ai + 1 < d.arms.len() { "," } else { "" }

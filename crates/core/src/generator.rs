@@ -112,7 +112,8 @@ pub struct GenStats {
     pub instances_built: u64,
     /// Unit propagations performed by the solver, summed over all solves.
     pub solver_propagations: u64,
-    /// High-water clause-arena footprint in bytes (a *gauge*: merged by max,
+    /// High-water clause-arena footprint in bytes: the clauses of three or
+    /// more literals, binary ones having no slot (a *gauge*: merged by max,
     /// not summed — the interesting number is the biggest solver seen).
     pub arena_bytes: u64,
     /// Clause-arena backing-buffer reallocations (growth events), summed.
@@ -711,6 +712,31 @@ mod tests {
         assert_eq!(res.unwrap_err(), ProbeError::Indistinguishable);
         assert_eq!(stats.solver_calls, 2);
         assert!(stats.solver_propagations > 0);
+    }
+
+    /// §5.2's third attempt. A port match with no protocol pin (which OF
+    /// 1.0.1 forbids, and a table may hold anyway) solves to a model whose
+    /// port is not on the wire: the raw header has no EtherType, and the
+    /// repaired one IPv4 but no protocol with ports, so both verifications
+    /// fail. The domain-strengthened re-solve of the same instance forces
+    /// IPv4 and TCP, UDP or ICMP, and its probe verifies.
+    #[test]
+    fn a_port_match_without_a_protocol_verifies_on_the_strengthened_re_solve() {
+        let t = table_from(vec![
+            (20, Match::any().with_tp_dst(80), vec![Action::Output(1)]),
+            (10, Match::any(), vec![Action::Output(2)]),
+        ]);
+        let probed = &t.rules()[0];
+        let catch = CatchSpec::default();
+        let (plan, stats) = generate_probe_with_stats(&t, probed.id, &catch, &cfg()).unwrap();
+        assert!(stats.strengthened);
+        assert_eq!((stats.instances_built, stats.solver_calls), (1, 2));
+        assert_eq!(plan.fields.dl_type, ethertype::IPV4);
+        assert!(matches!(plan.fields.nw_proto, 1 | 6 | 17));
+        assert_eq!(plan.fields.tp_dst, 80);
+        assert!(crate::plan::verify_probe(&t, probed.id, &plan.header, &[]).is_some());
+        let raw = monocle_packet::craft_packet(&plan.fields, b"x").unwrap();
+        monocle_packet::validate_packet(&raw).unwrap();
     }
 
     #[test]

@@ -23,6 +23,8 @@ pub struct CnfMark {
     lits: usize,
     num_vars: Var,
     num_clauses: usize,
+    long_clauses: usize,
+    long_words: usize,
 }
 
 /// Clause database in flat DIMACS layout.
@@ -34,6 +36,12 @@ pub struct Cnf {
     num_vars: Var,
     /// Number of clauses (number of `0` terminators).
     num_clauses: usize,
+    /// Clauses of three or more literals, and the words they take in `data`
+    /// (terminators included): what a solver keeps beyond its watch lists.
+    long_clauses: usize,
+    long_words: usize,
+    /// Where the clause being built starts in `data`.
+    clause_start: usize,
 }
 
 impl Cnf {
@@ -46,8 +54,7 @@ impl Cnf {
     pub fn with_capacity(lits: usize) -> Self {
         Cnf {
             data: Vec::with_capacity(lits),
-            num_vars: 0,
-            num_clauses: 0,
+            ..Cnf::default()
         }
     }
 
@@ -64,6 +71,24 @@ impl Cnf {
     /// Raw flat buffer (DIMACS body layout), mainly for I/O and tests.
     pub fn raw(&self) -> &[i32] {
         &self.data
+    }
+
+    /// Clauses of three or more literals, and the words of [`Cnf::raw`]
+    /// they take, terminators included.
+    pub(crate) fn long_clauses(&self) -> (usize, usize) {
+        (self.long_clauses, self.long_words)
+    }
+
+    /// Terminates the clause being built and counts it.
+    fn close_clause(&mut self) {
+        self.data.push(0);
+        self.num_clauses += 1;
+        let words = self.data.len() - self.clause_start;
+        if words > 3 {
+            self.long_clauses += 1;
+            self.long_words += words;
+        }
+        self.clause_start = self.data.len();
     }
 
     /// Ensures the variable count is at least `v` even if no clause mentions
@@ -89,8 +114,7 @@ impl Cnf {
             self.num_vars = self.num_vars.max(l.unsigned_abs());
             self.data.push(l);
         }
-        self.data.push(0);
-        self.num_clauses += 1;
+        self.close_clause();
     }
 
     /// Adds a clause unless it is a tautology (contains `l` and `-l`);
@@ -111,8 +135,7 @@ impl Cnf {
             self.num_vars = self.num_vars.max(l.unsigned_abs());
             self.data.push(l);
         }
-        self.data.push(0);
-        self.num_clauses += 1;
+        self.close_clause();
         true
     }
 
@@ -125,16 +148,18 @@ impl Cnf {
 
     /// Terminates the clause currently being built.
     pub fn end_clause(&mut self) {
-        self.data.push(0);
-        self.num_clauses += 1;
+        self.close_clause();
     }
 
     /// The formula as it stands: its clauses and its variable count.
     pub fn mark(&self) -> CnfMark {
+        debug_assert_eq!(self.clause_start, self.data.len(), "a clause is open");
         CnfMark {
             lits: self.data.len(),
             num_vars: self.num_vars,
             num_clauses: self.num_clauses,
+            long_clauses: self.long_clauses,
+            long_words: self.long_words,
         }
     }
 
@@ -145,6 +170,9 @@ impl Cnf {
         self.data.truncate(mark.lits);
         self.num_vars = mark.num_vars;
         self.num_clauses = mark.num_clauses;
+        self.long_clauses = mark.long_clauses;
+        self.long_words = mark.long_words;
+        self.clause_start = mark.lits;
     }
 
     /// Iterator over clauses as literal slices (terminators stripped).
@@ -239,6 +267,33 @@ mod tests {
         assert!(!cnf.has_empty_clause());
         cnf.add_clause(&[]);
         assert!(cnf.has_empty_clause());
+    }
+
+    #[test]
+    fn long_clauses_are_counted_however_they_are_built() {
+        let mut cnf = Cnf::new();
+        cnf.add_clause(&[1, 2]);
+        cnf.add_clause(&[1, 2, 3]);
+        cnf.add_clause(&[]);
+        assert!(cnf.add_clause_checked(&[4, 4, 5, -6]));
+        assert!(!cnf.add_clause_checked(&[1, 2, -1]));
+        let mark = cnf.mark();
+        cnf.push_lit(7);
+        cnf.end_clause();
+        for l in [-7, 8, 9, 10] {
+            cnf.push_lit(l);
+        }
+        cnf.end_clause();
+        let recount = |cnf: &Cnf| {
+            let long: Vec<usize> = cnf.clauses().map(<[Lit]>::len).filter(|&n| n > 2).collect();
+            (long.len(), long.iter().map(|n| n + 1).sum::<usize>())
+        };
+        assert_eq!(cnf.long_clauses(), (3, 4 + 4 + 5));
+        assert_eq!(cnf.long_clauses(), recount(&cnf));
+        cnf.truncate(mark);
+        assert_eq!(cnf.long_clauses(), (2, 4 + 4));
+        cnf.add_clause(&[1, -2, 3]);
+        assert_eq!(cnf.long_clauses(), recount(&cnf));
     }
 
     #[test]

@@ -1,13 +1,17 @@
 //! Conflict-driven clause-learning (CDCL) SAT solver.
 //!
-//! This is the production solver behind Monocle's probe generation. Probe
-//! instances are small (tens to a few hundred variables — one per header bit
-//! plus Tseitin auxiliaries), so the design favors predictable latency over
+//! This is the production solver behind Monocle's probe generation. A probe
+//! instance has one variable per header bit plus Tseitin auxiliaries, and up
+//! to a few thousand variables and about a hundred thousand clauses (Campus's
+//! largest: 2 772 and 90 167), nearly all of them the two-literal `¬m ∨ l`
+//! halves of its `Matches` definitions. Its search is short (a Campus cold
+//! pass meets 19 conflicts in 1 226 solves), so loading a formula costs more
+//! than searching it, and the design favors predictable latency over
 //! massive-instance features: two-watched-literal propagation with blocker
-//! literals, 1-UIP conflict analysis, VSIDS decision heuristic with an
-//! indexed max-heap, phase saving, Luby restarts and activity-based learnt
-//! clause deletion. No preprocessing is performed; the encoder already emits
-//! compact clauses.
+//! literals, binary clauses kept in the watch lists alone, 1-UIP conflict
+//! analysis, VSIDS decision heuristic with an indexed max-heap, phase
+//! saving, Luby restarts and activity-based learnt clause deletion. No
+//! preprocessing is performed; the encoder already emits compact clauses.
 //!
 //! Every [`CdclSolver::solve`] / [`CdclSolver::solve_with_stats`] call resets
 //! the solver, loads the given [`Cnf`] and searches: nothing of one call's
@@ -17,12 +21,23 @@
 //! instance per probed rule (§5.3–5.4); the probe engine solves all of its
 //! instances on one solver.
 //!
-//! **Clause storage (arena).** Clauses live in one flat `u32` arena: a
-//! 2-word header (length + flags, activity) followed by the literals, and
-//! every reference — watchers and reason pointers — is a `u32` word offset
-//! (`CRef`) into that arena. Learnt-clause deletion copies the surviving
-//! clauses into a fresh arena and rebuilds the watch lists and reason
-//! pointers from it.
+//! **Binary clauses.** A two-literal clause, problem or learnt, is nothing
+//! but its two watchers, each tagged binary with the other literal as its
+//! blocker. Propagation settles it from the watcher alone, a literal it
+//! implies records the other literal as its reason, and conflict analysis
+//! reads the pair in the order a long clause's slot would hold it. A binary
+//! watcher never changes lists, so loading pushes it where a long clause's
+//! would go and the search is the one an arena slot per clause gives.
+//!
+//! **Clause storage (arena).** Clauses of three or more literals live in one
+//! flat `u32` arena: a 2-word header (length + flags, activity) followed by
+//! the literals, and every reference to one — watchers and reasons — is a
+//! `u32` word offset (`CRef`) into that arena. Learnt-clause deletion
+//! (`reduce_db`; a search needs thousands of learnt clauses to reach it,
+//! and probe instances never do) drops only learnt long clauses: it copies
+//! the survivors into a fresh arena and translates their watchers and
+//! reasons in place, so every watch list keeps its order and every binary
+//! watcher its place.
 
 use crate::cnf::Cnf;
 use crate::{Model, SatResult};
@@ -100,6 +115,9 @@ fn trim_vec<T>(v: &mut Vec<T>) {
 /// Reference to a clause: the word offset of its header in the arena.
 type CRef = u32;
 
+/// The `clause` of a binary clause's watchers: it has no arena slot.
+const BINARY: CRef = CRef::MAX;
+
 /// Words in a clause slot header (length+flags, activity).
 const HEADER_WORDS: usize = 2;
 /// Low bits of header word 0 holding the clause length.
@@ -171,7 +189,8 @@ impl ClauseArena {
 
     /// Appends a clause with zero activity.
     fn alloc(&mut self, lits: &[ILit], learnt: bool) -> CRef {
-        debug_assert!(lits.len() as u32 <= LEN_MASK);
+        debug_assert!(lits.len() > 2 && lits.len() as u32 <= LEN_MASK);
+        debug_assert!(self.data.len() < BINARY as usize);
         self.note_growth(HEADER_WORDS + lits.len());
         let c = self.data.len() as CRef;
         let flags = if learnt { FLAG_LEARNT } else { 0 };
@@ -188,12 +207,49 @@ impl ClauseArena {
     }
 }
 
+/// An entry of a literal's watch list. A long clause is watched at its
+/// first two literals; a binary clause is nothing but its two watchers, each
+/// with [`BINARY`] for a clause and the other literal as blocker.
 #[derive(Debug, Clone, Copy)]
 struct Watcher {
     clause: CRef,
     /// Any other literal of the clause; if it is already true the clause is
     /// satisfied and the watch list walk can skip touching the clause.
     blocker: ILit,
+}
+
+impl Watcher {
+    /// The watcher of a binary clause whose other literal is `other`.
+    #[inline]
+    fn binary(other: ILit) -> Watcher {
+        Watcher {
+            clause: BINARY,
+            blocker: other,
+        }
+    }
+
+    #[inline]
+    fn is_binary(self) -> bool {
+        self.clause == BINARY
+    }
+}
+
+/// Why an implied literal holds: a long clause whose first literal it is,
+/// or a binary clause, by its other literal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Reason {
+    Long(CRef),
+    Binary(ILit),
+}
+
+/// A clause as conflict analysis reads it: a long clause in the arena, or a
+/// binary one by its two literals, in the order a long clause's slot keeps
+/// them. As a reason, the implied literal comes first; as a conflict, the
+/// literal whose watch list was being walked comes second.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Clause {
+    Long(CRef),
+    Binary(ILit, ILit),
 }
 
 /// Counters reported after a [`CdclSolver::solve`] call (reset per call).
@@ -209,8 +265,9 @@ pub struct SolverStats {
     pub restarts: u64,
     /// Number of learnt clauses currently retained.
     pub learnt_clauses: u64,
-    /// Bytes currently held by the flat clause arena (a gauge, not a
-    /// counter: snapshot taken at the end of each solve call).
+    /// Bytes the clause arena holds at the end of the solve: its clauses
+    /// of three or more literals, binary ones having no slot (a gauge, not a
+    /// counter).
     pub arena_bytes: u64,
     /// Heap reallocations the arena's backing buffer has performed.
     pub arena_reallocs: u64,
@@ -330,7 +387,7 @@ pub struct CdclSolver {
     // Assignment state
     assigns: Vec<LBool>,
     level: Vec<u32>,
-    reason: Vec<Option<CRef>>,
+    reason: Vec<Option<Reason>>,
     trail: Vec<ILit>,
     trail_lim: Vec<usize>,
     qhead: usize,
@@ -405,34 +462,83 @@ impl CdclSolver {
     /// `ok` when the formula is unsatisfiable at root level.
     ///
     /// Zero-copy: `Cnf` already stores its clauses flat (literals + `0`
-    /// terminators), so each clause is appended straight onto the arena
-    /// tail and simplified in place there — no per-clause staging `Vec`.
+    /// terminators). A clause of one or two literals is checked where it
+    /// lies and goes straight to the trail or the watch lists; a longer one
+    /// is appended onto the arena tail and simplified in place there, with
+    /// no per-clause staging `Vec`.
     fn load_cnf(&mut self, cnf: &Cnf) {
-        let raw = cnf.raw();
-        // A clause's slot is its literals plus a header, and `raw` holds
-        // each clause's literals plus a terminator: this much room holds
-        // every clause, so loading grows the arena at most once, to the
-        // formula's size.
-        let words = raw.len() + (HEADER_WORDS - 1) * cnf.num_clauses();
+        // A long clause's slot is its literals plus a header, where the
+        // formula holds them plus a terminator: this much room holds every
+        // long clause, so loading grows the arena at most once, to the
+        // formula's size, and no more: the short clauses, most of a probe
+        // instance, take none of it.
+        let (long, words) = cnf.long_clauses();
+        let words = words + (HEADER_WORDS - 1) * long;
         self.arena.note_growth(words);
         self.arena.data.reserve_exact(words);
+        let raw = cnf.raw();
         let mut pos = 0usize;
         while pos < raw.len() && self.ok {
             let start = pos;
             while raw[pos] != 0 {
                 pos += 1;
             }
-            self.ok = self.load_raw_clause(&raw[start..pos]);
+            self.ok = match raw[start..pos] {
+                [] => false,
+                [l] => self.load_unit(from_dimacs(l)),
+                [a, b] => self.load_binary(from_dimacs(a), from_dimacs(b)),
+                _ => self.load_long_clause(&raw[start..pos]),
+            };
             pos += 1;
         }
     }
 
-    /// Appends one external-form clause straight onto the arena tail and
-    /// simplifies it in place there against the root assignment; the tail is
-    /// rolled back for clauses that don't need a slot (tautology,
-    /// root-satisfied, unit, empty). Returns `false` when the database
-    /// became unsatisfiable.
-    fn load_raw_clause(&mut self, clause: &[i32]) -> bool {
+    /// Loads the unit clause `l`: nothing when it holds at root, an
+    /// empty clause when it is false, else `l` enqueued and propagated.
+    /// Returns `false` when the database became unsatisfiable.
+    fn load_unit(&mut self, l: ILit) -> bool {
+        match self.value_lit(l) {
+            LBool::True => true,
+            LBool::False => false,
+            LBool::Undef => {
+                self.unchecked_enqueue(l, None);
+                self.propagate().is_none()
+            }
+        }
+    }
+
+    /// Loads the clause `a ∨ b` with no arena slot, making the checks
+    /// [`Self::load_long_clause`] makes on its sorted literals: a duplicate
+    /// leaves a unit, a tautology or a literal true at root drops the
+    /// clause, a literal false at root is removed; two free literals are
+    /// watched as a binary clause, the smaller first.
+    fn load_binary(&mut self, a: ILit, b: ILit) -> bool {
+        let (a, b) = if a <= b { (a, b) } else { (b, a) };
+        if a == b {
+            return self.load_unit(a);
+        }
+        if b == ineg(a) {
+            return true;
+        }
+        match (self.value_lit(a), self.value_lit(b)) {
+            (LBool::True, _) | (_, LBool::True) => true,
+            (LBool::False, _) => self.load_unit(b),
+            (_, LBool::False) => self.load_unit(a),
+            (LBool::Undef, LBool::Undef) => {
+                self.watch_binary(a, b);
+                self.num_problem += 1;
+                true
+            }
+        }
+    }
+
+    /// Appends one external-form clause of three or more literals straight
+    /// onto the arena tail and simplifies it in place there against the root
+    /// assignment; the tail is rolled back for clauses that don't need a
+    /// slot (tautology, root-satisfied, or down to two literals or fewer,
+    /// which load as the short clauses they became). Returns `false` when
+    /// the database became unsatisfiable.
+    fn load_long_clause(&mut self, clause: &[i32]) -> bool {
         debug_assert_eq!(self.decision_level(), 0);
         self.arena.note_growth(HEADER_WORDS + clause.len());
         let off = self.arena.data.len();
@@ -482,26 +588,23 @@ impl CdclSolver {
             data.truncate(w);
         }
         let len = self.arena.data.len() - base;
-        match len {
-            0 => {
-                self.arena.data.truncate(off);
-                false // empty clause: unsat
-            }
-            1 => {
-                let l = self.arena.data[base];
-                self.arena.data.truncate(off);
-                self.unchecked_enqueue(l, None);
-                self.propagate().is_none()
-            }
-            _ => {
-                let data = &mut self.arena.data;
-                data[off] = len as u32;
-                data[off + 1] = 0f32.to_bits();
-                self.watch(off as CRef);
-                self.num_problem += 1;
-                true
-            }
+        if len <= 2 {
+            let mut short = [0; 2];
+            short[..len].copy_from_slice(&self.arena.data[base..]);
+            self.arena.data.truncate(off);
+            return match short[..len] {
+                [] => false, // empty clause: unsat
+                [l] => self.load_unit(l),
+                [a, b] => self.load_binary(a, b),
+                _ => unreachable!(),
+            };
         }
+        let data = &mut self.arena.data;
+        data[off] = len as u32;
+        data[off + 1] = 0f32.to_bits();
+        self.watch(off as CRef);
+        self.num_problem += 1;
+        true
     }
 
     /// Solves `cnf` and returns the result.
@@ -583,7 +686,7 @@ impl CdclSolver {
         lit_value(&self.assigns, l)
     }
 
-    /// Watches the first two literals of clause `c` — by invariant the
+    /// Watches the first two literals of long clause `c` — by invariant the
     /// watched positions, each the other's blocker.
     fn watch(&mut self, c: CRef) {
         let lits = self.arena.lits(c);
@@ -598,10 +701,17 @@ impl CdclSolver {
         });
     }
 
-    /// Stores a learnt clause (asserting literal first) and watches its
-    /// first two literals.
+    /// Watches the binary clause `a ∨ b`, `a`'s list first, as
+    /// [`Self::watch`] does a long clause's first two literals. A binary
+    /// watcher never leaves its list.
+    fn watch_binary(&mut self, a: ILit, b: ILit) {
+        self.watches[a as usize].push(Watcher::binary(b));
+        self.watches[b as usize].push(Watcher::binary(a));
+    }
+
+    /// Stores a learnt clause of three or more literals (asserting literal
+    /// first) and watches its first two literals.
     fn attach_learnt(&mut self, lits: &[ILit]) -> CRef {
-        debug_assert!(lits.len() >= 2);
         let cref = self.arena.alloc(lits, true);
         self.watch(cref);
         self.num_learnts += 1;
@@ -613,7 +723,7 @@ impl CdclSolver {
         self.trail_lim.len() as u32
     }
 
-    fn unchecked_enqueue(&mut self, l: ILit, from: Option<CRef>) {
+    fn unchecked_enqueue(&mut self, l: ILit, from: Option<Reason>) {
         debug_assert_eq!(self.value_lit(l), LBool::Undef);
         let v = ivar(l) as usize;
         self.assigns[v] = if is_negated(l) {
@@ -627,21 +737,34 @@ impl CdclSolver {
         self.stats.propagations += 1;
     }
 
-    /// Unit propagation; returns the ref of a conflicting clause, if any.
-    fn propagate(&mut self) -> Option<CRef> {
+    /// Unit propagation; returns a conflicting clause, if any.
+    fn propagate(&mut self) -> Option<Clause> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             let false_lit = ineg(p);
             let mut ws = std::mem::take(&mut self.watches[false_lit as usize]);
+            let mut conflict = None;
             let mut j = 0;
             let mut i = 0;
             'watchers: while i < ws.len() {
                 let w = ws[i];
                 i += 1;
-                if self.value_lit(w.blocker) == LBool::True {
+                let blocker = self.value_lit(w.blocker);
+                if blocker == LBool::True {
                     ws[j] = w;
                     j += 1;
+                    continue;
+                }
+                if w.is_binary() {
+                    // The blocker is the other literal: unit or conflicting.
+                    ws[j] = w;
+                    j += 1;
+                    if blocker == LBool::False {
+                        conflict = Some(Clause::Binary(w.blocker, false_lit));
+                        break;
+                    }
+                    self.unchecked_enqueue(w.blocker, Some(Reason::Binary(false_lit)));
                     continue;
                 }
                 let cref = w.clause;
@@ -680,21 +803,20 @@ impl CdclSolver {
                 };
                 j += 1;
                 if self.value_lit(first) == LBool::False {
-                    // Conflict: restore remaining watchers and bail out.
-                    while i < ws.len() {
-                        ws[j] = ws[i];
-                        j += 1;
-                        i += 1;
-                    }
-                    ws.truncate(j);
-                    self.watches[false_lit as usize] = ws;
-                    self.qhead = self.trail.len();
-                    return Some(cref);
+                    conflict = Some(Clause::Long(cref));
+                    break;
                 }
-                self.unchecked_enqueue(first, Some(cref));
+                self.unchecked_enqueue(first, Some(Reason::Long(cref)));
             }
-            ws.truncate(j);
+            // After a conflict, the watchers not walked stay as they were.
+            let kept = j + ws.len() - i;
+            ws.copy_within(i.., j);
+            ws.truncate(kept);
             self.watches[false_lit as usize] = ws;
+            if conflict.is_some() {
+                self.qhead = self.trail.len();
+                return conflict;
+            }
         }
         None
     }
@@ -702,29 +824,29 @@ impl CdclSolver {
     /// 1-UIP conflict analysis. Fills `learnt` with the learnt clause
     /// (asserting literal first; the buffer is a pooled scratch reused
     /// across conflicts) and returns the backjump level.
-    fn analyze(&mut self, mut confl: CRef, learnt: &mut Vec<ILit>) -> u32 {
+    fn analyze(&mut self, mut confl: Clause, learnt: &mut Vec<ILit>) -> u32 {
         learnt.clear();
         learnt.push(0);
         let mut counter = 0usize;
         let mut p: Option<ILit> = None;
         let mut idx = self.trail.len();
         loop {
-            if self.arena.is_learnt(confl) {
-                self.bump_clause(confl);
-            }
+            // A reason's first literal is the one it implied.
             let start = usize::from(p.is_some());
-            let lits_len = self.arena.len(confl);
-            let base = confl as usize + HEADER_WORDS;
-            for k in start..lits_len {
-                let q = self.arena.data[base + k];
-                let v = ivar(q) as usize;
-                if !self.seen[v] && self.level[v] > 0 {
-                    self.seen[v] = true;
-                    self.bump_var(v as u32);
-                    if self.level[v] >= self.decision_level() {
-                        counter += 1;
-                    } else {
-                        learnt.push(q);
+            match confl {
+                Clause::Long(c) => {
+                    if self.arena.is_learnt(c) {
+                        self.bump_clause(c);
+                    }
+                    let base = c as usize + HEADER_WORDS;
+                    for k in start..self.arena.len(c) {
+                        let q = self.arena.data[base + k];
+                        self.analyze_lit(q, learnt, &mut counter);
+                    }
+                }
+                Clause::Binary(a, b) => {
+                    for q in [a, b].into_iter().skip(start) {
+                        self.analyze_lit(q, learnt, &mut counter);
                     }
                 }
             }
@@ -743,7 +865,10 @@ impl CdclSolver {
             if counter == 0 {
                 break;
             }
-            confl = self.reason[v].expect("non-decision literal must have a reason");
+            confl = match self.reason[v].expect("non-decision literal must have a reason") {
+                Reason::Long(c) => Clause::Long(c),
+                Reason::Binary(other) => Clause::Binary(pl, other),
+            };
         }
         learnt[0] = ineg(p.unwrap());
         // Clear `seen` for the literals kept in the clause.
@@ -762,6 +887,23 @@ impl CdclSolver {
             }
             learnt.swap(1, max_i);
             self.level[ivar(learnt[1]) as usize]
+        }
+    }
+
+    /// Conflict analysis of literal `q` of the clause being resolved: a
+    /// variable assigned above the root and not yet seen is bumped, then
+    /// counted when at the conflict level, else kept in `learnt`.
+    #[inline]
+    fn analyze_lit(&mut self, q: ILit, learnt: &mut Vec<ILit>, counter: &mut usize) {
+        let v = ivar(q) as usize;
+        if !self.seen[v] && self.level[v] > 0 {
+            self.seen[v] = true;
+            self.bump_var(v as u32);
+            if self.level[v] >= self.decision_level() {
+                *counter += 1;
+            } else {
+                learnt.push(q);
+            }
         }
     }
 
@@ -826,18 +968,26 @@ impl CdclSolver {
         None
     }
 
-    /// Removes the least active half of removable learnt clauses; reasons
-    /// of current assignments and binary clauses are kept. The survivors are
-    /// copied into a fresh arena in address order, the watch lists rebuilt
-    /// from their first two literals and the reason pointers translated.
+    /// Removes the least active half of the learnt long clauses that are
+    /// not the reason of an assignment; binary clauses, learnt ones too, are
+    /// never removed. The survivors are copied into a fresh arena in
+    /// address order, and each long clause's watchers and reasons are
+    /// translated to its new slot (or dropped with it) in place, so every
+    /// watch list keeps its order and a binary watcher stays where it is.
     /// Saved phases, activities and the trail all survive.
     fn reduce_db(&mut self) {
-        let locked: std::collections::HashSet<CRef> =
-            self.reason.iter().flatten().copied().collect();
+        let locked: std::collections::HashSet<CRef> = self
+            .reason
+            .iter()
+            .filter_map(|r| match r {
+                Some(Reason::Long(c)) => Some(*c),
+                _ => None,
+            })
+            .collect();
         let mut removable: Vec<CRef> = self
             .arena
             .refs()
-            .filter(|&c| self.arena.is_learnt(c) && self.arena.len(c) > 2 && !locked.contains(&c))
+            .filter(|&c| self.arena.is_learnt(c) && !locked.contains(&c))
             .collect();
         removable.sort_by(|&a, &b| {
             self.arena
@@ -851,27 +1001,31 @@ impl CdclSolver {
 
         let old = std::mem::take(&mut self.arena.data);
         self.arena.data.reserve(old.capacity());
-        for ws in &mut self.watches {
-            ws.clear();
-        }
         // Old → new offsets, ascending in both.
         let mut moved: Vec<(CRef, CRef)> = Vec::new();
         let mut off = 0usize;
         while off < old.len() {
             let words = HEADER_WORDS + (old[off] & LEN_MASK) as usize;
             if !dropped.contains(&(off as CRef)) {
-                let new = self.arena.data.len() as CRef;
-                moved.push((off as CRef, new));
+                moved.push((off as CRef, self.arena.data.len() as CRef));
                 self.arena.data.extend_from_slice(&old[off..off + words]);
-                self.watch(new);
             }
             off += words;
         }
-        for r in self.reason.iter_mut().flatten() {
-            let i = moved
-                .binary_search_by_key(r, |&(o, _)| o)
-                .expect("a reason clause is never dropped");
-            *r = moved[i].1;
+        let relocate = |c: &mut CRef| match moved.binary_search_by_key(c, |&(o, _)| o) {
+            Ok(i) => {
+                *c = moved[i].1;
+                true
+            }
+            Err(_) => false,
+        };
+        for ws in &mut self.watches {
+            ws.retain_mut(|w| w.is_binary() || relocate(&mut w.clause));
+        }
+        for r in self.reason.iter_mut() {
+            if let Some(Reason::Long(c)) = r {
+                assert!(relocate(c), "a reason clause is never dropped");
+            }
         }
     }
 
@@ -918,13 +1072,19 @@ impl CdclSolver {
                     let mut learnt = std::mem::take(&mut self.learnt_scratch);
                     let bt = self.analyze(confl, &mut learnt);
                     self.backtrack(bt);
-                    if learnt.len() == 1 {
-                        self.unchecked_enqueue(learnt[0], None);
-                    } else {
-                        let asserting = learnt[0];
-                        let cref = self.attach_learnt(&learnt);
-                        self.bump_clause(cref);
-                        self.unchecked_enqueue(asserting, Some(cref));
+                    match *learnt {
+                        [unit] => self.unchecked_enqueue(unit, None),
+                        [asserting, other] => {
+                            self.watch_binary(asserting, other);
+                            self.num_learnts += 1;
+                            self.unchecked_enqueue(asserting, Some(Reason::Binary(other)));
+                        }
+                        _ => {
+                            let asserting = learnt[0];
+                            let cref = self.attach_learnt(&learnt);
+                            self.bump_clause(cref);
+                            self.unchecked_enqueue(asserting, Some(Reason::Long(cref)));
+                        }
                     }
                     self.learnt_scratch = learnt;
                     self.decay_activities();
@@ -1135,32 +1295,90 @@ mod tests {
         (s, r)
     }
 
+    /// The binary watchers, as (list, other literal) in list order.
+    fn binary_watchers(s: &CdclSolver) -> Vec<(ILit, ILit)> {
+        let mut out = Vec::new();
+        for (l, ws) in s.watches.iter().enumerate() {
+            out.extend(
+                ws.iter()
+                    .filter(|w| w.is_binary())
+                    .map(|w| (l as ILit, w.blocker)),
+            );
+        }
+        out
+    }
+
+    /// The literal of variable `v` its assignment makes true.
+    fn true_lit(s: &CdclSolver, v: usize) -> ILit {
+        ilit(v as u32, s.assigns[v] == LBool::False)
+    }
+
     /// Forces a `reduce_db` with the trail (and its reasons) in place and
     /// checks what it must leave behind: some learnts gone and every other
-    /// clause intact, every reason pointing at a clause that implies its
-    /// variable, every clause watched exactly twice, at its first two
-    /// literals.
+    /// clause intact, every binary watcher where it was, every reason a
+    /// clause that implies its variable, every long clause watched exactly
+    /// twice, at its first two literals, and every binary clause at both of
+    /// its literals.
     fn reduce_and_check(s: &mut CdclSolver) {
-        let clauses = |s: &CdclSolver| -> Vec<Vec<ILit>> {
+        let long = |s: &CdclSolver| -> Vec<Vec<ILit>> {
             s.arena.refs().map(|c| s.arena.lits(c).to_vec()).collect()
         };
-        let (learnts, before) = (s.num_learnts, clauses(s));
+        // A watcher by its clause: binary with its other literal, or long
+        // with its literals.
+        let watched = |s: &CdclSolver, w: Watcher| {
+            if w.is_binary() {
+                (true, vec![w.blocker])
+            } else {
+                (false, s.arena.lits(w.clause).to_vec())
+            }
+        };
+        let lists: Vec<Vec<(bool, Vec<ILit>)>> = s
+            .watches
+            .iter()
+            .map(|ws| ws.iter().map(|&w| watched(s, w)).collect())
+            .collect();
+        let (learnts, before, binaries) = (s.num_learnts, long(s), binary_watchers(s));
         s.reduce_db();
-        let after = clauses(s);
+        let after = long(s);
         assert!(s.num_learnts < learnts, "garbage must be dropped");
         assert_eq!(before.len() - after.len(), learnts - s.num_learnts);
         let mut rest = before.iter();
         for c in &after {
             assert!(rest.any(|b| b == c), "survivors keep content and order");
         }
+        // Each list is what it was less the dropped clauses' watchers: every
+        // binary watcher is kept, and in its place among the others.
+        for (l, ws) in s.watches.iter().enumerate() {
+            let mut was = lists[l].iter();
+            for w in ws.iter().map(|&w| watched(s, w)) {
+                assert!(was.any(|v| *v == w), "list {l} keeps its order");
+            }
+            let binary = |ws: &[(bool, Vec<ILit>)]| ws.iter().filter(|w| w.0).count();
+            assert_eq!(
+                binary(&lists[l]),
+                ws.iter().filter(|w| w.is_binary()).count()
+            );
+        }
         for (v, r) in s.reason.iter().enumerate() {
-            if let Some(c) = *r {
-                assert_eq!(ivar(s.arena.lits(c)[0]), v as u32, "reason of var {v}");
+            match *r {
+                Some(Reason::Long(c)) => {
+                    assert_eq!(ivar(s.arena.lits(c)[0]), v as u32, "reason of var {v}");
+                }
+                Some(Reason::Binary(other)) => {
+                    let implied = true_lit(s, v);
+                    assert_eq!(s.value_lit(other), LBool::False, "reason of var {v}");
+                    assert!(binaries.contains(&(implied, other)), "reason of var {v}");
+                }
+                None => {}
             }
         }
         let mut watched: Vec<(CRef, ILit)> = Vec::new();
         for (l, ws) in s.watches.iter().enumerate() {
-            watched.extend(ws.iter().map(|w| (w.clause, l as ILit)));
+            watched.extend(
+                ws.iter()
+                    .filter(|w| !w.is_binary())
+                    .map(|w| (w.clause, l as ILit)),
+            );
         }
         watched.sort_unstable();
         let mut expected: Vec<(CRef, ILit)> = Vec::new();
@@ -1169,6 +1387,14 @@ mod tests {
             expected.extend([(c, lits[0].min(lits[1])), (c, lits[0].max(lits[1]))]);
         }
         assert_eq!(watched, expected);
+        let mut twins: Vec<(ILit, ILit)> = binaries.iter().map(|&(l, o)| (o, l)).collect();
+        let mut binaries = binaries;
+        binaries.sort_unstable();
+        twins.sort_unstable();
+        assert_eq!(
+            binaries, twins,
+            "a binary clause is watched at both literals"
+        );
     }
 
     #[test]
@@ -1191,7 +1417,15 @@ mod tests {
         }
         let (mut s, first) = search_behind_garbage(&cnf, 40);
         assert!(first.is_sat());
-        assert!(s.reason.iter().any(Option::is_some), "reasons to translate");
+        let reasons = |kind: fn(&Reason) -> bool| s.reason.iter().flatten().any(kind);
+        assert!(
+            reasons(|r| matches!(r, Reason::Long(_))),
+            "reasons to translate"
+        );
+        assert!(
+            reasons(|r| matches!(r, Reason::Binary(_))),
+            "binary reasons"
+        );
         reduce_and_check(&mut s);
         // The rebuilt watchers and reasons still drive correct answers.
         s.backtrack(0);
@@ -1206,19 +1440,23 @@ mod tests {
         );
     }
 
-    /// A formula whose load leaves `n` binary clauses in the arena:
-    /// `(x_i | x_{i+1})` for `i < n`.
-    fn binary_chain(n: i32) -> Cnf {
+    /// A formula whose load leaves `n` binary clauses, `(x_i | x_{i+1})`
+    /// for `i < n`, or with `ternary` `n` clauses `(x_i | x_{i+1} | x_{i+2})`.
+    fn chain(n: i32, ternary: bool) -> Cnf {
         let mut cnf = Cnf::new();
         for v in 1..=n {
-            cnf.add_clause(&[v, v + 1]);
+            if ternary {
+                cnf.add_clause(&[v, v + 1, v + 2]);
+            } else {
+                cnf.add_clause(&[v, v + 1]);
+            }
         }
         cnf
     }
 
     #[test]
     fn a_solver_grows_once_per_size_and_trims_to_its_latest_formula() {
-        let (big, small) = (binary_chain(4000), binary_chain(3));
+        let (big, small) = (chain(4000, true), chain(3, true));
         let mut s = CdclSolver::new();
         // The arena is sized from the formula at load: one growth, and none
         // for a formula it has already held.
@@ -1230,17 +1468,99 @@ mod tests {
             (s.arena.data.capacity(), watched)
         };
         let (arena, watched) = held(&s);
-        assert!(arena >= 4 * 4000 && watched >= 2 * 4000);
+        assert!(arena >= 5 * 4000 && watched >= 2 * 4000);
         // Trimmed after the small formula: about what it took.
         s.trim();
         let (arena, watched) = held(&s);
-        assert!(arena <= 2 * 4 * 3, "arena kept {arena} words");
+        assert!(arena <= 2 * 5 * 3, "arena kept {arena} words");
         assert!(
             watched <= 16 * s.watches.len(),
             "watch lists kept {watched}"
         );
         // And the trimmed solver still answers as a fresh one.
         assert_eq!(s.solve(&big), CdclSolver::new().solve(&big));
+    }
+
+    #[test]
+    fn binary_clauses_take_no_arena_slot() {
+        let mut s = CdclSolver::new();
+        let out = s.solve_with_stats(&chain(4000, false));
+        assert!(out.result.is_sat());
+        assert_eq!((out.stats.arena_bytes, out.stats.arena_reallocs), (0, 0));
+        assert_eq!(binary_watchers(&s).len(), 2 * 4000);
+        // A long clause that root units cut to two literals loads as one.
+        let mut cnf = Cnf::new();
+        cnf.add_clause(&[-1]);
+        cnf.add_clause(&[1, 2, 3]);
+        cnf.add_clause(&[1, 2, 2, 3]);
+        let out = s.solve_with_stats(&cnf);
+        assert!(out.result.is_sat());
+        assert_eq!(out.stats.arena_bytes, 0);
+        let (x2, x3) = (from_dimacs(2), from_dimacs(3));
+        assert_eq!(
+            binary_watchers(&s),
+            [(x2, x3), (x2, x3), (x3, x2), (x3, x2)]
+        );
+    }
+
+    /// `(x1 | x2 | x3) & (x1 | !x2 | x3)`: deciding `!x1` then `!x3` (the
+    /// order the heap gives variables of equal activity) conflicts, and the
+    /// clause learnt, `(x3 | x1)`, is binary. It takes no arena slot, yet is
+    /// counted as a learnt clause, implies `x3` at level 1 with `x1` as its
+    /// reason, and implies it again when `!x1` is decided anew.
+    #[test]
+    fn a_learnt_binary_becomes_a_reason() {
+        let mut cnf = Cnf::new();
+        cnf.add_clause(&[1, 2, 3]);
+        cnf.add_clause(&[1, -2, 3]);
+        let mut s = CdclSolver::new();
+        s.reset(3);
+        s.load_cnf(&cnf);
+        let words = s.arena.data.len();
+        let m = s.search().model();
+        assert!(!m.value(1) && m.value(3) && m.satisfies(&cnf));
+        assert_eq!((s.stats.conflicts, s.num_learnts), (1, 1));
+        assert_eq!(s.arena.data.len(), words, "the learnt clause has no slot");
+        let (x1, x3) = (from_dimacs(1), from_dimacs(3));
+        assert_eq!(binary_watchers(&s), [(x1, x3), (x3, x1)]);
+        assert_eq!(s.reason[2], Some(Reason::Binary(x1)));
+        assert_eq!(s.level[2], 1);
+        s.backtrack(0);
+        s.trail_lim.push(s.trail.len());
+        s.unchecked_enqueue(ineg(x1), None);
+        assert_eq!(s.propagate(), None);
+        assert_eq!(s.reason[2], Some(Reason::Binary(x1)));
+    }
+
+    /// `(x1 | x2) & (x1 | x3) & (!x2 | !x3)`: deciding `!x1` implies `x2`
+    /// and `x3` through binary reasons, and walking `!x2`'s watch list
+    /// finds the third clause false. The conflict comes out as a long
+    /// clause's slot would hold it after the watch walk, `[!x3, !x2]`, and
+    /// analysis resolves both binary reasons down to the unit `x1`.
+    #[test]
+    fn a_binary_conflict_is_analysed_to_the_decision() {
+        let mut cnf = Cnf::new();
+        cnf.add_clause(&[1, 2]);
+        cnf.add_clause(&[1, 3]);
+        cnf.add_clause(&[-2, -3]);
+        let mut s = CdclSolver::new();
+        s.reset(3);
+        s.load_cnf(&cnf);
+        assert!(s.arena.data.is_empty());
+        let x = |v: i32| from_dimacs(v);
+        s.trail_lim.push(s.trail.len());
+        s.unchecked_enqueue(x(-1), None);
+        let confl = s.propagate();
+        assert_eq!(confl, Some(Clause::Binary(x(-3), x(-2))));
+        assert_eq!(s.reason[1], Some(Reason::Binary(x(1))));
+        assert_eq!(s.reason[2], Some(Reason::Binary(x(1))));
+        let mut learnt = Vec::new();
+        assert_eq!(s.analyze(confl.unwrap(), &mut learnt), 0);
+        assert_eq!(learnt, [x(1)]);
+        assert!(s.seen.iter().all(|&seen| !seen));
+        let out = CdclSolver::new().solve_with_stats(&cnf);
+        assert!(out.result.model().value(1));
+        assert_eq!((out.stats.conflicts, out.stats.learnt_clauses), (1, 0));
     }
 
     proptest! {

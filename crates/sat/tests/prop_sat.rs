@@ -59,6 +59,66 @@ fn search_stats(out: &SolveOutcome) -> SolverStats {
     }
 }
 
+/// Header bits of an encoder-shaped formula; its definitions' variables come
+/// after them.
+const BITS: i32 = 10;
+
+/// A literal over the header bits.
+fn arb_bit_lit() -> impl Strategy<Value = i32> {
+    (1..=BITS, any::<bool>()).prop_map(|(v, neg)| if neg { -v } else { v })
+}
+
+/// A formula shaped as a probe instance is: unit clauses on header bits,
+/// Tseitin definitions `m ⇔ l₁ ∧ … ∧ lₖ` over fresh variables (the binaries
+/// `¬m ∨ lᵢ` and the long clause `¬l₁ ∨ … ∨ ¬lₖ ∨ m`, two literals long for
+/// `k = 1`), two-literal clauses among which some repeat a literal, repeat a
+/// definition's binary or pair a literal with its complement, and one clause
+/// over the definitions, as Distinguish has.
+fn arb_encoder_formula() -> impl Strategy<Value = Cnf> {
+    (
+        prop::collection::vec(arb_bit_lit(), 0..=4),
+        prop::collection::vec(prop::collection::vec(arb_bit_lit(), 1..=4), 1..=6),
+        prop::collection::vec((arb_bit_lit(), arb_bit_lit(), 0u8..4), 0..=8),
+        prop::collection::vec(any::<bool>(), 1..=6),
+    )
+        .prop_map(|(units, defs, pairs, signs)| {
+            let mut cnf = Cnf::new();
+            cnf.grow_vars(BITS as u32);
+            for &u in &units {
+                cnf.add_clause(&[u]);
+            }
+            let mut defined = Vec::new();
+            for def in &defs {
+                let m = cnf.fresh_var() as i32;
+                for &l in def {
+                    cnf.add_clause(&[-m, l]);
+                }
+                let mut long: Vec<i32> = def.iter().map(|&l| -l).collect();
+                long.push(m);
+                cnf.add_clause(&long);
+                defined.push((m, def[0]));
+            }
+            for (i, &(a, b, kind)) in pairs.iter().enumerate() {
+                match kind {
+                    0 | 1 => cnf.add_clause(&[a, b]),
+                    2 => cnf.add_clause(&[a, a]),
+                    _ if i % 2 == 0 => cnf.add_clause(&[a, -a]),
+                    _ => {
+                        let (m, l) = defined[i % defined.len()];
+                        cnf.add_clause(&[l, -m]);
+                    }
+                }
+            }
+            let distinguish: Vec<i32> = defined
+                .iter()
+                .zip(signs.iter().cycle())
+                .map(|(&(m, _), &neg)| if neg { -m } else { m })
+                .collect();
+            cnf.add_clause(&distinguish);
+            cnf
+        })
+}
+
 /// Brute force oracle: tries all 2^n assignments.
 fn brute_force_sat(cnf: &Cnf) -> bool {
     let n = cnf.num_vars();
@@ -107,6 +167,18 @@ proptest! {
             prop_assert!(m.satisfies(&cnf));
         }
         if let SatResult::Sat(m) = d {
+            prop_assert!(m.satisfies(&cnf));
+        }
+    }
+
+    /// Formulas shaped as probe instances, most of their clauses binary:
+    /// the solver agrees with the DPLL reference, and its model satisfies
+    /// the formula.
+    #[test]
+    fn encoder_shaped_formulas_agree_with_dpll(cnf in arb_encoder_formula()) {
+        let c = CdclSolver::new().solve(&cnf);
+        prop_assert_eq!(c.is_sat(), DpllSolver::new().solve(&cnf).is_sat());
+        if let SatResult::Sat(m) = c {
             prop_assert!(m.satisfies(&cnf));
         }
     }
@@ -187,4 +259,81 @@ fn larger_random_instances_agree() {
             assert!(m.satisfies(&cnf), "round {round}");
         }
     }
+}
+
+/// 64-bit FNV-1a over `words`, continuing from `h`.
+fn fnv(mut h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The search on a fixed set of seeded formulas is pinned: every answer,
+/// model and search counter, hashed, plus how many were SAT and the summed
+/// conflicts and learnt clauses. A fifth of each formula's clauses are
+/// binary and the rest ternary, 3.3 clauses per variable, so the searches
+/// conflict, learn binary and longer clauses and resolve through both kinds
+/// of reason. A change to how the solver stores, watches or analyses a clause
+/// that moves any decision moves the hash. No formula learns enough for
+/// `reduce_db` to run, so the order it leaves the watch lists in is not
+/// pinned here.
+#[test]
+fn the_search_on_seeded_formulas_is_pinned() {
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(0x5eed_b1a7);
+    let (mut hash, mut conflicts, mut learnts) = (0xcbf2_9ce4_8422_2325u64, 0u64, 0u64);
+    let mut sats = 0;
+    for _ in 0..120 {
+        let nvars: i32 = rng.random_range(120..=250);
+        let mut cnf = Cnf::new();
+        for _ in 0..(nvars * 33 / 10) {
+            let len = if rng.random_bool(0.2) { 2 } else { 3 };
+            let lits: Vec<i32> = (0..len)
+                .map(|_| {
+                    let v = rng.random_range(1..=nvars);
+                    if rng.random_bool(0.5) {
+                        v
+                    } else {
+                        -v
+                    }
+                })
+                .collect();
+            cnf.add_clause(&lits);
+        }
+        let out = CdclSolver::new().solve_with_stats(&cnf);
+        let answer: Vec<u64> = match &out.result {
+            SatResult::Sat(m) => {
+                sats += 1;
+                assert!(m.satisfies(&cnf));
+                (1..=cnf.num_vars())
+                    .map(|v| u64::from(m.value(v)))
+                    .collect()
+            }
+            SatResult::Unsat => vec![2],
+            SatResult::Unknown => vec![3],
+        };
+        let s = out.stats;
+        hash = fnv(hash, answer);
+        hash = fnv(
+            hash,
+            [
+                s.decisions,
+                s.propagations,
+                s.conflicts,
+                s.restarts,
+                s.learnt_clauses,
+            ],
+        );
+        conflicts += s.conflicts;
+        learnts += s.learnt_clauses;
+    }
+    assert_eq!(
+        (sats, conflicts, learnts, hash),
+        (24, 4353, 3880, 15_777_279_548_896_177_316)
+    );
 }
